@@ -9,7 +9,11 @@
 //!   × {clean, torn-write, bit-flip, missing-shard, stale-manifest} on the
 //!   checkpoint the process died at,
 //! - plus two crashes *before* a commit (the shard files exist but the
-//!   manifest — the commit point — never did).
+//!   manifest — the commit point — never did),
+//! - plus two crashes in the middle of a churn ladder (device 1 leaves at
+//!   once and rejoins later): one after the shrink with the join still
+//!   pending, one after the grow. The fleet and the churn cursor survive
+//!   the crash; the run must still end at the capacity width.
 //!
 //! Gates (exit 1 on violation):
 //! - every restart finishes bit-identical to an undisturbed run at the
@@ -27,7 +31,8 @@ use tofu_graph::TensorId;
 use tofu_models::{mlp, MlpConfig};
 use tofu_runtime::{
     resume_from_snapshot, run_with_durable_recovery, run_with_options, CheckpointPolicy,
-    CrashPoint, DirStore, DiskFault, DurableOptions, DurableReport, FaultPlan, RunOptions,
+    ChurnPlan, CrashPoint, DirStore, DiskFault, DurableOptions, DurableReport, FaultPlan,
+    RunOptions,
 };
 use tofu_tensor::Tensor;
 
@@ -98,7 +103,8 @@ fn main() {
             ("stale-manifest", Some(DiskFault::StaleManifest { ckpt: k as u64 })),
         ]
     };
-    let mut cases: Vec<(String, CrashPoint, &'static str, Option<DiskFault>)> = Vec::new();
+    type Case = (String, CrashPoint, &'static str, Option<DiskFault>, ChurnPlan);
+    let mut cases: Vec<Case> = Vec::new();
     for (tag, k) in [("early", 1usize), ("mid", 2), ("late", 3)] {
         for (fault_tag, fault) in fault_at(k) {
             cases.push((
@@ -106,6 +112,7 @@ fn main() {
                 CrashPoint::AfterCommit(k),
                 fault_tag,
                 fault,
+                ChurnPlan::none(),
             ));
         }
     }
@@ -115,6 +122,18 @@ fn main() {
             CrashPoint::BeforeCommit(k),
             "clean",
             None,
+            ChurnPlan::none(),
+        ));
+    }
+    // Crash during churn: device 1 dies at its second step (nothing is
+    // consistent yet at full width) and rejoins at barrier `join_at`.
+    for (tag, join_at, k) in [("after the shrink", 3usize, 1usize), ("after the grow", 1, 3)] {
+        cases.push((
+            format!("churn: crash {tag} (commit {k}), clean"),
+            CrashPoint::AfterCommit(k),
+            "clean",
+            None,
+            ChurnPlan::none().with_leave(1, 1).with_join(1, join_at),
         ));
     }
 
@@ -128,10 +147,12 @@ fn main() {
         .join(format!("tofu-durability-matrix-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let mut rows: Vec<Row> = Vec::new();
-    for (i, (label, crash, fault_tag, fault)) in cases.into_iter().enumerate() {
+    for (i, (label, crash, fault_tag, fault, churn)) in cases.into_iter().enumerate() {
         // Alternate the restart width: even rows restart at the original
-        // width, odd rows reshard the checkpoint onto half the fleet.
+        // width, odd rows reshard the checkpoint onto half the fleet. Churn
+        // rows script the fleet themselves and restart on it as it stands.
         let restart = if i % 2 == 0 { workers } else { workers / 2 };
+        let restart_workers = churn.is_empty().then_some(restart);
         let dir = root.join(format!("row-{i:02}"));
         let store = Arc::new(DirStore::open(&dir).expect("open DirStore"));
         let mut faults = FaultPlan::none();
@@ -140,12 +161,13 @@ fn main() {
         }
         let opts = RunOptions {
             faults,
+            churn,
             checkpoint: Some(CheckpointPolicy::every_original(every)),
             ..Default::default()
         };
         let durable = DurableOptions {
             crash: Some(crash),
-            restart_workers: Some(restart),
+            restart_workers,
             ..DurableOptions::new(store)
         };
         let report =
@@ -157,7 +179,7 @@ fn main() {
             label,
             crash: format!("{crash:?}"),
             fault: fault_tag,
-            restart_workers: restart,
+            restart_workers: report.width,
             resumed_from: report.resumed_from,
             rejected: report.rejected.iter().map(|r| r.reason.to_string()).collect(),
             written: report.written,

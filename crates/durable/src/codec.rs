@@ -23,9 +23,11 @@ pub const FORMAT_VERSION: u32 = 1;
 /// ≤ 4; the bound keeps a corrupt header from requesting a huge dims read.
 pub const MAX_RANK: u32 = 16;
 
-/// 64-bit FNV-1a over raw bytes — same constants as the runtime's
-/// per-payload `payload_checksum`, but byte- rather than f32-oriented so it
-/// covers headers and JSON text too.
+/// 64-bit FNV-1a over raw bytes — one *byte* per multiply step, the standard
+/// function, so it covers headers and JSON text too. The runtime's in-memory
+/// `payload_checksum` (`crates/runtime/src/worker.rs`) uses the same offset
+/// basis and prime but folds one whole f32 *word* per step: a different
+/// function over the same constants, not interchangeable with this one.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

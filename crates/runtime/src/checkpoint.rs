@@ -94,8 +94,11 @@ pub struct RecoveryOptions {
     pub jitter_seed: u64,
     /// When set, exhausting `max_attempts` shrinks the worker set per this
     /// policy instead of giving up, and scripted rejoins grow it back
-    /// (elastic recovery). Ignored by plain
-    /// [`run_with_recovery`](crate::run_with_recovery).
+    /// (elastic recovery). Every width change re-plans the original graph,
+    /// so [`run_with_recovery`](crate::run_with_recovery) — which is handed
+    /// one fixed `ShardedGraph` — rejects `Some(_)` with
+    /// [`RuntimeError::InvalidOptions`](crate::RuntimeError) pointing at
+    /// [`run_with_elastic_recovery`](crate::run_with_elastic_recovery).
     pub elastic: Option<ElasticPolicy>,
 }
 
@@ -264,7 +267,7 @@ pub(crate) trait CheckpointSink: Send + Sync {
 }
 
 /// Snapshots recorded so far, keyed by `(checkpoint, worker)`. Shared across
-/// the attempts of one `run_with_recovery` call. Values are `Arc`-shared
+/// the attempts the supervisor makes at one width. Values are `Arc`-shared
 /// with the recording worker's live map, so a barrier costs one refcount
 /// bump per live tensor instead of a deep copy of the whole value map.
 #[derive(Default)]

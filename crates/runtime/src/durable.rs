@@ -1,22 +1,24 @@
 //! Durable checkpoints: whole-process crash recovery from disk.
 //!
-//! The in-memory recovery ladder (retry → elastic reshard) dies with the
-//! coordinating process: every consistent checkpoint lives in the
-//! [`CheckpointStore`]'s heap. This module persists checkpoints through
-//! [`tofu_durable`] the moment they become consistent, and
-//! [`run_with_durable_recovery`] closes the loop — a simulated
-//! whole-process crash drops *all* in-memory state, then a fresh runtime:
+//! Everything the recovery supervisor keeps between attempts — the
+//! [`CheckpointStore`](crate::checkpoint::CheckpointStore), the carried
+//! snapshot — lives in the coordinating process's heap and dies with it.
+//! This module is the supervisor's *durable sink*: it persists checkpoints
+//! through [`tofu_durable`] the moment they become consistent, and gives the
+//! supervisor a **boot** step that a fresh process (the first one, or the
+//! one after a simulated whole-process crash) starts with:
 //!
-//! 1. **Discovers** the newest *valid* checkpoint on disk. Every candidate
+//! 1. **Discover** the newest *valid* checkpoint on disk. Every candidate
 //!    manifest is validated in full (self-checksum, name/body ordinal
 //!    agreement, per-shard presence + size + checksum + decode); corrupt or
 //!    torn candidates are skipped with a typed
 //!    [`RejectReason`](tofu_durable::RejectReason), never silently used.
-//! 2. **Reshards** it onto the current fleet. Durable checkpoints store
-//!    *full* tensors keyed by original ids — plan-independent, exactly like
-//!    the elastic path's [`FullSnapshot`] — so the restart width may differ
-//!    from the width that wrote the checkpoint.
-//! 3. **Resumes** at the checkpoint barrier, bit-identical to an
+//! 2. **Carry** it. Durable checkpoints store *full* tensors keyed by
+//!    original ids — they *are* [`FullSnapshot`]s — so the supervisor
+//!    reshards the recovered one exactly like a snapshot carried across an
+//!    elastic width change, and the restart width may differ from the width
+//!    that wrote it.
+//! 3. **Resume** at the checkpoint barrier, bit-identical to an
 //!    undisturbed run resumed from the same cut, while continuing to
 //!    persist and GC later checkpoints.
 //!
@@ -26,14 +28,16 @@
 //! down to the retention budget. Disk faults from
 //! [`FaultPlan::disk`](crate::FaultPlan) are injected into those writes via
 //! [`FaultyStore`], deterministic and one-shot like every other injected
-//! fault.
+//! fault. [`run_with_durable_recovery`] is the adaptor that hands the sink
+//! to the supervisor; DESIGN.md "Failure model → The recovery supervisor"
+//! says what survives a crash and what does not.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use tofu_core::{generate, partition_cached, GenOptions, PartitionOptions, SearchCaches, ShardedGraph};
+use tofu_core::{PartitionOptions, SearchCaches, ShardedGraph};
 use tofu_durable::{
     gc, recover_latest, write_checkpoint, BlobStore, DurableCheckpoint, FaultyStore,
     RejectedCheckpoint,
@@ -42,11 +46,12 @@ use tofu_graph::{Graph, TensorId};
 use tofu_obs::{Collector, Track};
 use tofu_tensor::Tensor;
 
-use crate::checkpoint::{BarrierUnit, CheckpointSink, CheckpointStore};
+use crate::checkpoint::{CheckpointSink, RecoveryOptions};
+use crate::elastic::ElasticPolicy;
 use crate::error::{RunFailure, RuntimeError};
-use crate::fault::FaultState;
-use crate::reshard::{assemble_snapshot, scatter_snapshot, FullSnapshot};
-use crate::{run_attempt, Attempt, Result, RunOptions, RunOutput};
+use crate::reshard::{assemble_snapshot, FullSnapshot};
+use crate::supervisor::{supervise, PlanSource, SINGLE_ATTEMPT};
+use crate::{Result, RunOptions, RunOutput};
 
 /// Where [`run_with_durable_recovery`] simulates the whole-process crash,
 /// relative to the durable commit of a chosen checkpoint.
@@ -80,8 +85,10 @@ pub struct DurableOptions {
     /// Simulated whole-process crash. `None` runs straight through (still
     /// persisting every checkpoint).
     pub crash: Option<CrashPoint>,
-    /// Worker count of the restarted process; `None` restarts at the
-    /// original width. The checkpoint reshards either way.
+    /// Worker count of the restarted process — the one with no simulated
+    /// crash ahead of it; `None` keeps the fleet as it stands. The
+    /// checkpoint reshards either way. Mutually exclusive with a churn
+    /// plan, which scripts fleet membership itself.
     pub restart_workers: Option<usize>,
 }
 
@@ -105,33 +112,34 @@ impl std::fmt::Debug for DurableOptions {
 /// What a durable run (and its optional crash-restart) did.
 #[derive(Debug)]
 pub struct DurableReport {
-    /// The final (post-restart) run's output, keyed by the restart plan's
-    /// tensor ids.
+    /// The final run's output, keyed by the final plan's tensor ids.
     pub output: RunOutput,
-    /// The sharded graph of the restart plan — gather originals with
+    /// The sharded graph of the final plan — gather originals with
     /// [`ShardedGraph::gather`] or
     /// [`gather_shards`](crate::gather_shards), and use it to build the
     /// bit-identity baseline via
     /// [`resume_from_snapshot`](crate::resume_from_snapshot).
     pub sharded: ShardedGraph,
-    /// Worker count of the restarted (final) run.
+    /// Worker count of the final run.
     pub width: usize,
     /// Post-mortem of the simulated crash, when one was configured.
     pub crashed: Option<RunFailure>,
     /// Slowest peer abort-detection latency of the crash.
     pub detection: Option<Duration>,
-    /// Checkpoint the restart resumed from (`None` = restarted from
-    /// scratch: no valid checkpoint survived on disk).
+    /// Checkpoint the final width resumed from (`None` = from scratch: no
+    /// valid checkpoint survived on disk). Without churn this is the
+    /// checkpoint recovery discovered.
     pub resumed_from: Option<usize>,
-    /// The validated snapshot the restart resumed from, for constructing
-    /// bit-identity baselines at the restart width.
+    /// The snapshot the final width resumed from — the validated one
+    /// recovery discovered, or a later grow barrier's under churn — for
+    /// constructing bit-identity baselines at the final width.
     pub snapshot: Option<FullSnapshot>,
     /// Checkpoint candidates recovery rejected, newest first, each with its
     /// typed reason.
     pub rejected: Vec<RejectedCheckpoint>,
-    /// Checkpoints committed across both incarnations.
+    /// Checkpoints committed across all processes.
     pub written: usize,
-    /// Bytes written across both incarnations (shards + manifests).
+    /// Bytes written across all processes (shards + manifests).
     pub written_bytes: u64,
     /// Blobs removed by retention GC.
     pub gc_removed: usize,
@@ -139,32 +147,51 @@ pub struct DurableReport {
     pub write_wall: Duration,
     /// Wall time of recovery discovery + validation.
     pub validate_wall: Duration,
-    /// Wall time resharding the recovered snapshot onto the restart plan.
+    /// Wall time resharding carried snapshots onto the plans that resumed
+    /// from them (one reshard — the recovered snapshot's — without churn).
     pub restore_wall: Duration,
-    /// Bytes of full-tensor snapshot the restore resharded.
+    /// Bytes of full-tensor snapshot those reshards moved.
     pub restore_bytes: u64,
 }
 
-/// The [`CheckpointSink`] that makes checkpoints durable: assembles the
+/// What boots have learned from the disk so far.
+#[derive(Default)]
+struct Discovered {
+    rejected: Vec<RejectedCheckpoint>,
+    validate_wall: Duration,
+}
+
+/// The simulated crash has not fired yet.
+const CRASH_ARMED: u8 = 0;
+/// It fired and the supervisor has not rebooted since: the process is down.
+const CRASH_DOWN: u8 = 1;
+/// It fired and a fresh process took over.
+const CRASH_SPENT: u8 = 2;
+
+/// The supervisor's durable sink. As a [`CheckpointSink`] it assembles each
 /// consistent barrier into a plan-independent snapshot, commits it (shards
-/// first, manifest last), then GCs superseded checkpoints. One instance per
-/// process incarnation; `floor` dedups persists (checkpoints become
-/// consistent in ascending order, and a restart must not rewrite the
-/// checkpoint it resumed from).
-struct Persister {
+/// first, manifest last), then GCs superseded checkpoints — and fires the
+/// simulated whole-process crash around the configured commit. As the boot
+/// step it rediscovers the newest valid checkpoint. One instance spans the
+/// supervised run, but the only process state it holds is `floor`, which
+/// every boot resets from what the disk actually holds; the counters are the
+/// observer's.
+pub(crate) struct Persister {
     store: Arc<FaultyStore>,
     every: usize,
     retain: usize,
-    /// Simulated crash, fired at most once.
     crash: Option<CrashPoint>,
-    crash_fired: AtomicBool,
+    restart_workers: Option<usize>,
+    crash_state: AtomicU8,
     /// Highest checkpoint already persisted (persists are skipped at or
-    /// below it).
+    /// below it: checkpoints become consistent in ascending order, and a
+    /// restart must not rewrite the checkpoint it resumed from).
     floor: AtomicUsize,
     written: AtomicUsize,
     bytes: AtomicU64,
     gc_removed: AtomicUsize,
     write_us: AtomicU64,
+    discovered: Mutex<Discovered>,
     obs: Option<Collector>,
     /// Serializes commits: concurrent workers can complete different
     /// barriers back to back, and shard/manifest write order is the
@@ -173,32 +200,68 @@ struct Persister {
 }
 
 impl Persister {
-    fn new(
-        store: Arc<FaultyStore>,
-        every: usize,
-        retain: usize,
-        crash: Option<CrashPoint>,
-        floor: usize,
-        obs: Option<Collector>,
-    ) -> Persister {
-        Persister {
-            store,
-            every,
-            retain: retain.max(1),
-            crash,
-            crash_fired: AtomicBool::new(false),
-            floor: AtomicUsize::new(floor),
+    /// The sink of one supervised run. Disk faults are consumed here, by the
+    /// store wrapper; the in-memory run never sees them.
+    pub(crate) fn new(durable: &DurableOptions, opts: &RunOptions) -> Arc<Persister> {
+        let disk = opts.faults.disk.clone();
+        Arc::new(Persister {
+            store: Arc::new(FaultyStore::new(durable.store.clone(), disk)),
+            every: opts.checkpoint.expect("validated: durable runs set a cadence").every,
+            retain: durable.retain.max(1),
+            crash: durable.crash,
+            restart_workers: durable.restart_workers,
+            crash_state: AtomicU8::new(CRASH_ARMED),
+            floor: AtomicUsize::new(0),
             written: AtomicUsize::new(0),
             bytes: AtomicU64::new(0),
             gc_removed: AtomicUsize::new(0),
             write_us: AtomicU64::new(0),
-            obs,
+            discovered: Mutex::default(),
+            obs: opts.collector.clone(),
             io: Mutex::new(()),
-        }
+        })
     }
 
-    fn write_wall(&self) -> Duration {
-        Duration::from_micros(self.write_us.load(Ordering::SeqCst))
+    /// The checkpoint of the simulated crash still ahead of the process.
+    pub(crate) fn armed_crash(&self) -> Option<usize> {
+        let armed = self.crash_state.load(Ordering::SeqCst) == CRASH_ARMED;
+        self.crash.filter(|_| armed).map(|c| c.ckpt())
+    }
+
+    /// True exactly once: right after the simulated crash killed the process.
+    pub(crate) fn crashed(&self) -> bool {
+        let s = &self.crash_state;
+        s.compare_exchange(CRASH_DOWN, CRASH_SPENT, Ordering::SeqCst, Ordering::SeqCst).is_ok()
+    }
+
+    /// Process start: discover the newest valid checkpoint on disk (every
+    /// rejected candidate is recorded with its typed reason) and return it
+    /// as the snapshot to carry. A process with no simulated crash ahead of
+    /// it is the *restarted* one, so [`DurableOptions::restart_workers`]
+    /// replaces the fleet here.
+    pub(crate) fn boot(&self, available: &mut Vec<usize>) -> Result<Option<FullSnapshot>> {
+        if let (None, Some(n)) = (self.armed_crash(), self.restart_workers) {
+            *available = (0..n).collect();
+        }
+        let t0 = Instant::now();
+        let obs_t0 = self.obs.as_ref().map(|c| c.now_us()).unwrap_or(0.0);
+        let recovery = recover_latest(&*self.store, Some(self.every as u64))
+            .map_err(|e| RuntimeError::Durable { worker: usize::MAX, detail: e.to_string() })?;
+        if let Some(c) = &self.obs {
+            for r in &recovery.rejected {
+                c.add_total("ckpt/rejected", 1.0);
+                let what = format!("rejected checkpoint {}: {}", r.ckpt, r.reason);
+                c.instant(Track::control(), "durable", &what);
+            }
+            let what = "discover newest valid checkpoint";
+            c.complete(Track::control(), "durable", what, obs_t0, c.now_us());
+        }
+        let mut d = self.discovered.lock();
+        d.validate_wall += t0.elapsed();
+        d.rejected.extend(recovery.rejected);
+        let snapshot = recovery.snapshot.map(from_durable);
+        self.floor.store(snapshot.as_ref().map_or(0, |s| s.ckpt), Ordering::SeqCst);
+        Ok(snapshot)
     }
 }
 
@@ -235,7 +298,10 @@ impl CheckpointSink for Persister {
         let t0 = Instant::now();
         let obs_t0 = self.obs.as_ref().map(|c| c.now_us()).unwrap_or(0.0);
         let crash_here = |point: CrashPoint| {
-            self.crash == Some(point) && !self.crash_fired.swap(true, Ordering::SeqCst)
+            let s = &self.crash_state;
+            self.crash == Some(point)
+                && s.compare_exchange(CRASH_ARMED, CRASH_DOWN, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_ok()
         };
         if crash_here(CrashPoint::BeforeCommit(ckpt)) {
             // The doomed process got its shard files out but died before
@@ -288,48 +354,33 @@ impl CheckpointSink for Persister {
     }
 }
 
-/// Partitions `g` for exactly `workers` workers and lowers the plan.
-fn plan_at(
-    g: &Graph,
-    base: &PartitionOptions,
-    workers: usize,
-    caches: &mut SearchCaches,
-    obs: Option<&Collector>,
-) -> Result<ShardedGraph> {
-    let plan = partition_cached(g, &PartitionOptions { workers, ..*base }, caches, obs)?;
-    Ok(generate(g, &plan, &GenOptions::default())?)
-}
-
-fn scatter_feeds(
-    sharded: &ShardedGraph,
-    feeds: &[(TensorId, Tensor)],
-) -> Result<Vec<(TensorId, Tensor)>> {
-    let mut shard_feeds = Vec::new();
-    for (t, v) in feeds {
-        shard_feeds.extend(sharded.scatter(*t, v)?);
-    }
-    Ok(shard_feeds)
-}
-
 /// Runs `g` with every consistent checkpoint persisted durably, optionally
 /// simulating a whole-process crash and recovering from disk.
 ///
 /// Takes the **original** graph and full-tensor feeds (like
 /// [`run_with_elastic_recovery`](crate::run_with_elastic_recovery)):
-/// partitioning and feed scattering are done per incarnation, because the
+/// partitioning and feed scattering are done per width, because the
 /// restarted process may run at a different width
 /// ([`DurableOptions::restart_workers`]) than the one that crashed.
 ///
-/// With a [`CrashPoint`] configured, the first incarnation *must* die there
-/// (a crash point past the last barrier is an [`RuntimeError::InvalidOptions`]
-/// — the run would complete instead of crashing). All of its in-memory
-/// state — checkpoint store, fault state, values — is dropped; only the
-/// blob store carries over, exactly like a real process death. The fresh
-/// incarnation discovers the newest valid checkpoint ([`recover_latest`]),
-/// reshards it onto the restart plan, resumes, and keeps persisting.
+/// Every process start — the first one included — discovers the newest
+/// valid checkpoint the store holds ([`recover_latest`]), reshards it onto
+/// the current plan and resumes from it. With a [`CrashPoint`] configured,
+/// the process *must* die there (a crash point past the last barrier is an
+/// [`RuntimeError::InvalidOptions`] before any worker starts — the run would
+/// complete instead of crashing). All of its in-memory state — checkpoint
+/// store, carried snapshot, transient faults' fired flags — is dropped; only
+/// the blob store and the world (fleet membership, the churn script's
+/// cursor) carry over, exactly like a real process death.
+///
+/// A [`ChurnPlan`](crate::ChurnPlan) in `opts` composes: leaves shrink and
+/// joins grow the run under a default [`ElasticPolicy`] while checkpoints
+/// keep being persisted, and a crash in the middle of that ladder restarts
+/// on the fleet as it stood. Without churn the run gets one attempt per
+/// process and any other failure is returned as is.
 ///
 /// Disk faults in [`FaultPlan::disk`](crate::FaultPlan) corrupt the doomed
-/// incarnation's writes; recovery detects each corruption during validation
+/// process's writes; recovery detects each corruption during validation
 /// and reports it in [`DurableReport::rejected`] with a typed reason —
 /// falling back to an older checkpoint (or scratch), never resuming from
 /// corrupt bytes.
@@ -341,180 +392,28 @@ pub fn run_with_durable_recovery(
     durable: &DurableOptions,
     caches: &mut SearchCaches,
 ) -> Result<DurableReport> {
-    let invalid = |m: &str| Err(RuntimeError::InvalidOptions(m.into()));
-    if part_opts.workers == 0 {
-        return invalid("cannot run on zero workers");
-    }
-    let Some(cp) = opts.checkpoint else {
-        return invalid(
-            "durable recovery persists checkpoint barriers; set a \
-             CheckpointPolicy::every_original cadence",
-        );
-    };
-    if cp.every == 0 {
-        return invalid("checkpoint interval must be positive");
-    }
-    if cp.unit != BarrierUnit::OriginalSteps {
-        return invalid(
-            "durable checkpoints reshard across plans; use the plan-independent barriers of \
-             CheckpointPolicy::every_original",
-        );
-    }
-    if !opts.churn.is_empty() {
-        return invalid(
-            "churn plans reshape the fleet mid-run; durable recovery restarts whole processes — \
-             use run_with_elastic_recovery for churn",
-        );
-    }
-    if durable.restart_workers == Some(0) {
-        return invalid("cannot restart on zero workers");
-    }
-
-    let obs = opts.collector.clone();
-    // Disk faults are consumed here, by the store wrapper; the in-memory
-    // run must not see them (plain validation rejects a non-empty plan).
-    let mut run_opts = opts.clone();
-    let disk = std::mem::take(&mut run_opts.faults.disk);
-    let store = Arc::new(FaultyStore::new(durable.store.clone(), disk));
-
-    let mut crashed: Option<RunFailure> = None;
-    let mut detection = None;
-    let mut written = 0usize;
-    let mut written_bytes = 0u64;
-    let mut gc_removed = 0usize;
-    let mut write_wall = Duration::ZERO;
-
-    if let Some(crash) = durable.crash {
-        let sharded = plan_at(g, part_opts, part_opts.workers, caches, obs.as_ref())?;
-        crate::validate(&sharded, &run_opts)?;
-        let shard_feeds = scatter_feeds(&sharded, feeds)?;
-        let persister = Arc::new(Persister::new(
-            store.clone(),
-            cp.every,
-            durable.retain,
-            Some(crash),
-            0,
-            obs.clone(),
-        ));
-        let faults = FaultState::new(&run_opts.faults);
-        let cell = Mutex::new(CheckpointStore::with_sink(persister.clone()));
-        let device_map: Vec<usize> = (0..sharded.workers).collect();
-        let outcome =
-            run_attempt(&sharded, &shard_feeds, &run_opts, &faults, &cell, None, &device_map, None);
-        written += persister.written.load(Ordering::SeqCst);
-        written_bytes += persister.bytes.load(Ordering::SeqCst);
-        gc_removed += persister.gc_removed.load(Ordering::SeqCst);
-        write_wall += persister.write_wall();
-        match outcome {
-            Err(RuntimeError::Failed(f)) => {
-                detection = f.max_detection();
-                if let Some(c) = &obs {
-                    c.instant(
-                        Track::control(),
-                        "durable",
-                        &format!("process crashed: {}", f.cause),
-                    );
-                }
-                crashed = Some(*f);
-            }
-            Ok(_) => {
-                return Err(RuntimeError::InvalidOptions(format!(
-                    "the simulated crash point (checkpoint {}) was never reached: the run \
-                     completed — move the crash to an earlier barrier",
-                    crash.ckpt()
-                )));
-            }
-            Err(e) => return Err(e),
-        }
-        // Whole-process crash: `cell` (every in-memory checkpoint), the
-        // fault state and the persister drop here. Only `store` survives.
-    }
-
-    // ===== fresh process =====
-    let t_validate = Instant::now();
-    let obs_t0 = obs.as_ref().map(|c| c.now_us()).unwrap_or(0.0);
-    let recovery = recover_latest(&*store, Some(cp.every as u64))
-        .map_err(|e| RuntimeError::Durable { worker: usize::MAX, detail: e.to_string() })?;
-    let validate_wall = t_validate.elapsed();
-    if let Some(c) = &obs {
-        for r in &recovery.rejected {
-            c.add_total("ckpt/rejected", 1.0);
-            c.instant(
-                Track::control(),
-                "durable",
-                &format!("rejected checkpoint {}: {}", r.ckpt, r.reason),
-            );
-        }
-        c.complete(Track::control(), "durable", "discover newest valid checkpoint", obs_t0, c.now_us());
-    }
-    let snapshot = recovery.snapshot.map(from_durable);
-    let resumed_from = snapshot.as_ref().map(|s| s.ckpt);
-
-    let width = durable.restart_workers.unwrap_or(part_opts.workers);
-    let sharded = plan_at(g, part_opts, width, caches, obs.as_ref())?;
-    crate::validate(&sharded, &run_opts)?;
-    let persister = Arc::new(Persister::new(
-        store.clone(),
-        cp.every,
-        durable.retain,
-        None,
-        resumed_from.unwrap_or(0),
-        obs.clone(),
-    ));
-    let faults = FaultState::new(&run_opts.faults);
-    let cell = Mutex::new(CheckpointStore::with_sink(persister.clone()));
-    let device_map: Vec<usize> = (0..sharded.workers).collect();
-
-    let t_restore = Instant::now();
-    let (resume, restore_bytes) = match &snapshot {
-        Some(snap) => (Some(scatter_snapshot(snap, &sharded)?), snap.bytes()),
-        None => (None, 0),
-    };
-    let restore_wall = t_restore.elapsed();
-    if let Some(c) = &obs {
-        let what = match resumed_from {
-            Some(k) => format!("restart at width {width}: resume from durable checkpoint {k}"),
-            None => format!("restart at width {width}: no valid checkpoint, from scratch"),
-        };
-        c.instant(Track::control(), "durable", &what);
-    }
-    let shard_feeds =
-        if resume.is_some() { Vec::new() } else { scatter_feeds(&sharded, feeds)? };
-    let output = match run_attempt(
-        &sharded,
-        &shard_feeds,
-        &run_opts,
-        &faults,
-        &cell,
-        resume.as_ref(),
-        &device_map,
-        None,
-    )? {
-        Attempt::Done(out) => out,
-        Attempt::Yielded { .. } => {
-            return Err(RuntimeError::Internal("attempt yielded without a yield barrier".into()));
-        }
-    };
-    written += persister.written.load(Ordering::SeqCst);
-    written_bytes += persister.bytes.load(Ordering::SeqCst);
-    gc_removed += persister.gc_removed.load(Ordering::SeqCst);
-    write_wall += persister.write_wall();
-
+    let elastic = (!opts.churn.is_empty()).then(ElasticPolicy::default);
+    let recovery = RecoveryOptions { elastic, ..SINGLE_ATTEMPT };
+    let source = PlanSource::Replan { graph: g, part: part_opts, caches };
+    let s = supervise(source, feeds, opts, &recovery, Some(durable))?;
+    let (_, sharded) = s.planned.expect("a re-planning source returns its final plan");
+    let disk = s.disk.expect("a durable run returns its sink");
+    let discovered = std::mem::take(&mut *disk.discovered.lock());
     Ok(DurableReport {
-        output,
+        output: s.output,
+        width: sharded.workers,
         sharded,
-        width,
-        crashed,
-        detection,
-        resumed_from,
-        snapshot,
-        rejected: recovery.rejected,
-        written,
-        written_bytes,
-        gc_removed,
-        write_wall,
-        validate_wall,
-        restore_wall,
-        restore_bytes,
+        detection: s.log.crashed.as_ref().and_then(|f| f.max_detection()),
+        crashed: s.log.crashed,
+        resumed_from: s.snapshot.as_ref().map(|snap| snap.ckpt),
+        snapshot: s.snapshot,
+        rejected: discovered.rejected,
+        written: disk.written.load(Ordering::SeqCst),
+        written_bytes: disk.bytes.load(Ordering::SeqCst),
+        gc_removed: disk.gc_removed.load(Ordering::SeqCst),
+        write_wall: Duration::from_micros(disk.write_us.load(Ordering::SeqCst)),
+        validate_wall: discovered.validate_wall,
+        restore_wall: s.log.history.iter().filter_map(|a| a.reshard).sum(),
+        restore_bytes: s.log.history.iter().map(|a| a.reshard_bytes).sum(),
     })
 }

@@ -2,37 +2,38 @@
 //! re-partitioning onto the survivors, and grow back onto rejoining devices
 //! at a checkpoint barrier — resharding progress across every width change.
 //!
-//! The recovery ladder (DESIGN.md "Elastic recovery"):
+//! This module holds the *policy* side — [`ElasticPolicy`], the transition
+//! and report types, and width selection ([`select_width`]) — plus the
+//! [`run_with_elastic_recovery`] adaptor. The ladder itself is the crate's
+//! one recovery supervisor (`supervisor.rs`; DESIGN.md "Failure model → The
+//! recovery supervisor" has the state diagram). The transitions an
+//! [`ElasticPolicy`] turns on:
 //!
-//! 1. **Transient retry.** Each worker count gets `max_attempts` runs,
-//!    resuming from the latest consistent checkpoint with capped,
-//!    deterministically jittered backoff between them — the plain
-//!    [`run_with_recovery`](crate::run_with_recovery) behaviour.
-//! 2. **Elastic shrink.** When a width exhausts its attempts, the worker the
-//!    last failure blames is classified as *permanently lost*: its physical
-//!    device leaves the topology, the partition search re-runs for the
-//!    survivor count through [`partition_cached`] (warm [`SearchCaches`]
-//!    make the replan a cache lookup, not a cold search), the last
-//!    consistent checkpoint is reassembled into a plan-independent
-//!    [`FullSnapshot`] and resharded onto the new plan, and execution
-//!    resumes at the same original-graph barrier on the shrunk worker set.
-//! 3. **Elastic grow.** When the [`ChurnPlan`] announces a (re)joining
-//!    device, the run *yields*: every worker stops cleanly right after
-//!    recording the next checkpoint barrier at or past the join's
-//!    `at_ckpt` plus the policy's `grow_hysteresis`. The pause barrier is
-//!    consistent by construction, so it is harvested into the carried
-//!    snapshot, the device enters the fleet, and the search re-selects the
-//!    widest feasible worker count ≤ the new capacity — resuming bit-exact
-//!    at the grown width.
-//! 4. **Capacity tracking with spares.** Not every device count is a
-//!    feasible width (no tensor dimension may divide by it) and the policy
-//!    may cap width; width selection steps down to the widest worker count
-//!    the search can actually split — surplus devices idle as *spares* and
-//!    are folded back in at the next transition.
-//! 5. **Typed surrender.** When the policy forbids any feasible width the
-//!    ladder ends with [`RuntimeError::Unrecoverable`] naming the whole
-//!    width ladder, every lost device and the terminal cause — never a
-//!    hang.
+//! - **Shrink.** When a width exhausts its attempts, the worker the last
+//!   failure blames is classified as *permanently lost*: its physical
+//!   device leaves the fleet, the partition search re-runs for the survivor
+//!   count through [`partition_cached`] (warm [`SearchCaches`] make the
+//!   replan a cache lookup, not a cold search), the last consistent
+//!   checkpoint is reassembled into a plan-independent
+//!   [`FullSnapshot`](crate::FullSnapshot) and resharded onto the new plan,
+//!   and execution resumes at the same original-graph barrier.
+//! - **Grow.** When the [`ChurnPlan`](crate::ChurnPlan) announces a
+//!   (re)joining device, the run *yields*: every worker stops cleanly right
+//!   after recording the next checkpoint barrier at or past the join's
+//!   `at_ckpt` plus the policy's `grow_hysteresis`. The pause barrier is
+//!   consistent by construction, so it is harvested into the carried
+//!   snapshot, the device enters the fleet, and the search re-selects the
+//!   widest feasible worker count ≤ the new capacity — resuming bit-exact
+//!   at the grown width.
+//! - **Capacity tracking with spares.** Not every device count is a
+//!   feasible width (no tensor dimension may divide by it) and the policy
+//!   may cap width; width selection steps down to the widest worker count
+//!   the search can actually split — surplus devices idle as *spares* and
+//!   are folded back in at the next transition.
+//! - **Typed surrender.** When the policy forbids any feasible width the
+//!   ladder ends with [`RuntimeError::Unrecoverable`] naming the whole
+//!   width ladder, every lost device and the terminal cause — never a
+//!   hang.
 //!
 //! Fault worker indices name **physical** devices: active workers keep
 //! their physical identity across transitions (`devices[logical] =
@@ -41,7 +42,6 @@
 
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use tofu_core::{
     generate, partition_cached, CoreError, GenOptions, PartitionOptions, PartitionPlan,
     SearchCaches, ShardedGraph,
@@ -50,14 +50,11 @@ use tofu_graph::{plan_buffers, Graph, TensorId};
 use tofu_obs::{Collector, Track};
 use tofu_tensor::Tensor;
 
-use crate::checkpoint::{
-    checkpoint_cuts, AttemptRecord, BackoffSchedule, BarrierUnit, CheckpointStore,
-    RecoveryOptions, ResumePoint,
-};
+use crate::checkpoint::{AttemptRecord, RecoveryOptions};
 use crate::error::{RunFailure, RuntimeError};
-use crate::fault::{ChurnEvent, FaultState};
-use crate::reshard::{assemble_snapshot, scatter_snapshot, FullSnapshot};
-use crate::{run_attempt, Attempt, Fault, Result, RunOptions, RunOutput};
+use crate::reshard::FullSnapshot;
+use crate::supervisor::{supervise, PlanSource};
+use crate::{Result, RunOptions, RunOutput};
 
 /// Bounds on how far elastic recovery may reshape the worker set, in both
 /// directions.
@@ -205,18 +202,18 @@ fn worst_device_footprint(sharded: &ShardedGraph, buffer_reuse: bool) -> u64 {
 }
 
 /// A committed width choice: the widest feasible worker count ≤ capacity.
-struct Selection {
-    width: usize,
-    plan: PartitionPlan,
-    sharded: ShardedGraph,
-    /// Search time, stepped-past probes included.
-    replan: Duration,
+pub(crate) struct Selection {
+    pub(crate) width: usize,
+    /// The plan and its lowering (`None` when the caller's fixed plan runs).
+    pub(crate) planned: Option<(PartitionPlan, ShardedGraph)>,
+    /// Search time, stepped-past probes included (`None` = nothing searched).
+    pub(crate) replan: Option<Duration>,
     /// The selected width's plan was a warm plan-cache hit.
-    warm: bool,
+    pub(crate) warm: bool,
 }
 
 /// Why no width could be selected.
-enum SelectErr {
+pub(crate) enum SelectErr {
     /// A real error (generator failure, search blowup) — propagate as-is.
     Hard(RuntimeError),
     /// Every width in the permitted range is infeasible (no strategy) or
@@ -229,7 +226,7 @@ enum SelectErr {
 /// static footprint exceeds the per-device budget are stepped past (width
 /// tracks capacity; surplus devices idle as spares). With no policy the
 /// width is exact — `cap` or error.
-fn select_width(
+pub(crate) fn select_width(
     g: &Graph,
     base: &PartitionOptions,
     caches: &mut SearchCaches,
@@ -296,7 +293,12 @@ fn select_width(
                         c.now_us(),
                     );
                 }
-                return Ok(Selection { width: w, plan, sharded, replan, warm });
+                return Ok(Selection {
+                    width: w,
+                    planned: Some((plan, sharded)),
+                    replan: Some(replan),
+                    warm,
+                });
             }
             Err(e @ (CoreError::NoStrategy { .. } | CoreError::BadWorkerCount(_)))
                 if policy.is_some() =>
@@ -320,13 +322,6 @@ fn select_width(
     })))
 }
 
-/// Inserts `d` into sorted `v` (active devices are always the lowest-id
-/// fleet members, so logical-worker order stays deterministic).
-fn insert_sorted(v: &mut Vec<usize>, d: usize) {
-    let i = v.partition_point(|&x| x < d);
-    v.insert(i, d);
-}
-
 /// [`run_with_recovery`](crate::run_with_recovery) extended with the elastic
 /// ladder: takes the **original** graph and full-tensor feeds (partitioning
 /// and scattering are re-done per width), retries transient failures at the
@@ -342,519 +337,23 @@ pub fn run_with_elastic_recovery(
     recovery: &RecoveryOptions,
     caches: &mut SearchCaches,
 ) -> Result<ElasticReport> {
-    let invalid = |m: String| Err(RuntimeError::InvalidOptions(m));
-    if recovery.max_attempts == 0 {
-        return invalid("max_attempts must be at least 1".into());
-    }
-    if part_opts.workers == 0 {
-        return invalid("cannot run on zero workers".into());
-    }
-    if opts.recv_timeout.is_zero() {
-        return invalid("recv_timeout must be positive (a zero timeout stalls instantly)".into());
-    }
-    if opts.abort_poll.is_zero() {
-        return invalid("abort_poll must be positive".into());
-    }
-    if let Some(cp) = opts.checkpoint {
-        if cp.every == 0 {
-            return invalid("checkpoint interval must be positive".into());
-        }
-        if cp.unit != BarrierUnit::OriginalSteps {
-            return invalid(
-                "elastic recovery reshards checkpoints across plans; use the plan-independent \
-                 barriers of CheckpointPolicy::every_original"
-                    .into(),
-            );
-        }
-    }
-    // Fault plans address the *initial* fleet's physical ids.
-    for f in &opts.faults.faults {
-        let k = part_opts.workers;
-        match f.fault {
-            Fault::Kill { worker, .. }
-            | Fault::Panic { worker, .. }
-            | Fault::PoolOverBudget { worker, .. } => {
-                if worker >= k {
-                    return invalid(format!("fault targets worker {worker} of {k}"));
-                }
-            }
-            Fault::Message { src, dst, .. } => {
-                if src >= k || dst >= k {
-                    return invalid(format!("message fault targets link {src} -> {dst} of {k}"));
-                }
-                if src == dst {
-                    return invalid(format!("message fault targets self-link {src} -> {dst}"));
-                }
-                if opts.integrity != crate::IntegrityLevel::Full {
-                    return invalid(
-                        "message faults need IntegrityLevel::Full; lower levels skip the \
-                         checks that detect tampering"
-                            .into(),
-                    );
-                }
-            }
-        }
-    }
-    if let Err(m) = opts.churn.validate(part_opts.workers) {
-        return invalid(m);
-    }
-    if !opts.churn.is_empty() && recovery.elastic.is_none() {
-        return invalid(
-            "churn plans reshape the fleet; set RecoveryOptions::elastic to an ElasticPolicy"
-                .into(),
-        );
-    }
-    if opts.churn.has_joins() && opts.checkpoint.is_none() {
-        return invalid(
-            "churn joins grow the run at checkpoint barriers; set a \
-             CheckpointPolicy::every_original cadence"
-                .into(),
-        );
-    }
-
-    let obs = opts.collector.as_ref();
-    let faults = FaultState::with_churn(&opts.faults, &opts.churn);
-    let mut backoff = BackoffSchedule::from_recovery(recovery);
-    let policy = recovery.elastic;
-
-    // The fleet: every present physical device, sorted. The first `width`
-    // are active; the rest idle as spares.
-    let mut available: Vec<usize> = (0..part_opts.workers).collect();
-    let mut lost: Vec<usize> = Vec::new();
-    let mut joined: Vec<usize> = Vec::new();
-    let mut widths: Vec<usize> = Vec::new();
-    let mut failures: Vec<RunFailure> = Vec::new();
-    let mut resumed_from: Vec<Option<usize>> = Vec::new();
-    let mut history: Vec<AttemptRecord> = Vec::new();
-    let mut transitions: Vec<ElasticTransition> = Vec::new();
-    let mut attempts = 0usize;
-    let mut carried: Option<FullSnapshot> = None;
-    let mut shrinks = 0usize;
-    let mut grows = 0usize;
-    // Index into `transitions` of the width change whose reshard/resume
-    // latencies are still to be measured.
-    let mut open_transition: Option<usize> = None;
-
-    let mut selection = match select_width(
-        g,
-        part_opts,
-        caches,
-        obs,
-        policy.as_ref(),
-        part_opts.workers,
-        opts.buffer_reuse,
-    ) {
-        Ok(s) => s,
-        Err(SelectErr::Hard(e)) => return Err(e),
-        Err(SelectErr::Infeasible(cause)) => {
-            return Err(match policy {
-                // With an elastic mandate an unrunnable start is a typed
-                // surrender; without one, surface the raw error.
-                Some(_) => RuntimeError::Unrecoverable { lost, widths, cause: Box::new(cause) },
-                None => cause,
-            });
-        }
-    };
-
-    'ladder: loop {
-        let Selection { width, plan, sharded, replan, warm: _ } = selection;
-        widths.push(width);
-        let devices: Vec<usize> = available[..width].to_vec();
-        if let Some(c) = obs {
-            c.counter(Track::control(), "elastic/surviving_workers", c.now_us(), width as f64);
-            c.counter(
-                Track::control(),
-                "elastic/spare_devices",
-                c.now_us(),
-                (available.len() - width) as f64,
-            );
-            if shrinks + grows > 0 {
-                c.add_total("elastic/replans", 1.0);
-            }
-        }
-
-        // Scatter the original feeds into this plan's shard layout.
-        let mut shard_feeds: Vec<(TensorId, Tensor)> = Vec::new();
-        for (t, v) in feeds {
-            shard_feeds.extend(sharded.scatter(*t, v)?);
-        }
-
-        // Reshard the carried snapshot (if any) onto this plan once; every
-        // attempt at this width can resume from it.
-        let mut reshard_time: Option<Duration> = None;
-        let mut reshard_bytes = 0u64;
-        let carried_point: Option<ResumePoint> = match &carried {
-            Some(snap) => {
-                let t0 = Instant::now();
-                let obs_t0 = obs.map(|c| c.now_us()).unwrap_or(0.0);
-                let point = scatter_snapshot(snap, &sharded)?;
-                reshard_time = Some(t0.elapsed());
-                reshard_bytes = snap.bytes();
-                if let Some(c) = obs {
-                    c.complete(
-                        Track::control(),
-                        "elastic",
-                        &format!("reshard checkpoint {} → {width} workers", snap.ckpt),
-                        obs_t0,
-                        c.now_us(),
-                    );
-                    c.add_total("elastic/reshard_bytes", snap.bytes() as f64);
-                }
-                Some(point)
-            }
-            None => None,
-        };
-        if let Some(i) = open_transition {
-            transitions[i].reshard = reshard_time;
-            transitions[i].reshard_bytes = reshard_bytes;
-        }
-
-        // Resolve armed churn events that cannot fire mid-run: a leave of a
-        // non-active device happens immediately (no worker runs on it), and
-        // a join the policy caps is absorbed as a spare without a pause.
-        loop {
-            match faults.armed_event() {
-                Some(ChurnEvent::Leave { device, .. }) if !devices.contains(&device) => {
-                    faults.advance_churn();
-                    if let Some(i) = available.iter().position(|&d| d == device) {
-                        available.remove(i);
-                        lost.push(device);
-                        transitions.push(ElasticTransition {
-                            kind: TransitionKind::SpareLoss,
-                            device,
-                            from_width: width,
-                            to_width: width,
-                            at_ckpt: None,
-                            detection: None,
-                            replan: None,
-                            replan_warm: false,
-                            reshard: None,
-                            reshard_bytes: 0,
-                            resume_wall: None,
-                        });
-                        if let Some(c) = obs {
-                            c.instant(
-                                Track::control(),
-                                "churn",
-                                &format!("spare device {device} lost (width stays {width})"),
-                            );
-                        }
-                    }
-                }
-                Some(ChurnEvent::Join { device, .. })
-                    if policy.is_none_or(|p| {
-                        width >= p.max_workers.max(1) || grows >= p.max_grow_steps
-                    }) =>
-                {
-                    faults.advance_churn();
-                    insert_sorted(&mut available, device);
-                    joined.push(device);
-                    transitions.push(ElasticTransition {
-                        kind: TransitionKind::SpareJoin,
-                        device,
-                        from_width: width,
-                        to_width: width,
-                        at_ckpt: None,
-                        detection: None,
-                        replan: None,
-                        replan_warm: false,
-                        reshard: None,
-                        reshard_bytes: 0,
-                        resume_wall: None,
-                    });
-                    if let Some(c) = obs {
-                        c.instant(
-                            Track::control(),
-                            "churn",
-                            &format!("device {device} joined as spare (policy caps width)"),
-                        );
-                        c.add_total("elastic/joins", 1.0);
-                    }
-                }
-                _ => break,
-            }
-        }
-        // A join that may trigger a grow pause during this width's attempts.
-        let grow_pending = faults.pending_join();
-
-        let cuts: Vec<Vec<usize>> = match opts.checkpoint {
-            Some(cp) => checkpoint_cuts(&sharded, cp),
-            None => Vec::new(),
-        };
-        // Fresh store per width: snapshots are keyed by this plan's tensor
-        // ids. Progress crosses widths only through the carried snapshot.
-        let store = Mutex::new(CheckpointStore::default());
-
-        let mut width_failure: Option<RunFailure> = None;
-        for attempt in 1..=recovery.max_attempts {
-            attempts += 1;
-            let resume: Option<ResumePoint> = {
-                let s = store.lock();
-                match s.latest_consistent(width, cuts.len()) {
-                    // This width's own checkpoints are never older than the
-                    // carried snapshot (attempts resume at or past its
-                    // barrier), so prefer them.
-                    Some(ck) => Some(s.resume_point(ck, width, &cuts)),
-                    None => carried_point.clone(),
-                }
-            };
-            resumed_from.push(resume.as_ref().map(|p| p.ckpt));
-            // Where to pause for a pending join: the first barrier strictly
-            // after the resume point that honors `at_ckpt` plus hysteresis,
-            // clamped into the plan's barrier range. `None` when the resume
-            // point is already past the last barrier — the attempt then
-            // runs to completion and the join stays pending.
-            let yield_at: Option<usize> = grow_pending.and_then(|(_, at)| {
-                let hyst = policy.map(|p| p.grow_hysteresis).unwrap_or(0);
-                let lo = resume.as_ref().map(|p| p.ckpt + 1).unwrap_or(1);
-                (lo <= cuts.len()).then(|| at.saturating_add(hyst).clamp(lo, cuts.len()))
-            });
-            if let Some(c) = obs {
-                let what = match &resume {
-                    Some(p) => format!(
-                        "attempt {attempt} @ {width} workers: resume from checkpoint {}",
-                        p.ckpt
-                    ),
-                    None => format!("attempt {attempt} @ {width} workers: from scratch"),
-                };
-                c.instant(Track::control(), "recovery", &what);
-            }
-            let t0 = Instant::now();
-            let outcome = run_attempt(
-                &sharded,
-                &shard_feeds,
-                opts,
-                &faults,
-                &store,
-                resume.as_ref(),
-                &devices,
-                yield_at,
-            );
-            let wall = t0.elapsed();
-            if attempt == 1 {
-                if let Some(i) = open_transition.take() {
-                    transitions[i].resume_wall = Some(wall);
-                }
-            }
-            let mut record = AttemptRecord {
-                width,
-                devices: devices.clone(),
-                resumed_from: resume.as_ref().map(|p| p.ckpt),
-                replan: (attempt == 1).then_some(replan),
-                reshard: if attempt == 1 { reshard_time } else { None },
-                reshard_bytes: if attempt == 1 { reshard_bytes } else { 0 },
-                detection: None,
-                wall,
-                ok: false,
-                yielded: None,
-            };
-            match outcome {
-                Ok(Attempt::Done(output)) => {
-                    record.ok = true;
-                    history.push(record);
-                    let snapshot = carried.take();
-                    let spares: Vec<usize> =
-                        available.iter().copied().filter(|d| !devices.contains(d)).collect();
-                    return Ok(ElasticReport {
-                        output,
-                        sharded,
-                        plan,
-                        devices,
-                        spares,
-                        lost,
-                        joined,
-                        widths,
-                        attempts,
-                        failures,
-                        resumed_from,
-                        history,
-                        transitions,
-                        snapshot,
-                    });
-                }
-                Ok(Attempt::Yielded { ckpt }) => {
-                    record.yielded = Some(ckpt);
-                    history.push(record);
-                    // The pause barrier is consistent by construction
-                    // (every worker recorded it before stopping): harvest
-                    // it as the carried snapshot and let the device in.
-                    let cp = opts.checkpoint.expect("yield requires a checkpoint policy");
-                    let point = {
-                        let s = store.lock();
-                        s.resume_point(ckpt, width, &cuts)
-                    };
-                    carried = Some(assemble_snapshot(&sharded, point.ckpt, &point.values, cp.every)?);
-                    let (dev, _) = grow_pending.expect("yield only happens for a pending join");
-                    insert_sorted(&mut available, dev);
-                    joined.push(dev);
-                    faults.advance_churn();
-                    // Re-select over the enlarged capacity. The current
-                    // width stays feasible, so selection cannot regress
-                    // below it — but it may not *exceed* it either, in
-                    // which case the device idles as a spare.
-                    let sel = match select_width(
-                        g,
-                        part_opts,
-                        caches,
-                        obs,
-                        policy.as_ref(),
-                        available.len(),
-                        opts.buffer_reuse,
-                    ) {
-                        Ok(s) => s,
-                        Err(SelectErr::Hard(e)) => return Err(e),
-                        Err(SelectErr::Infeasible(cause)) => {
-                            return Err(RuntimeError::Unrecoverable {
-                                lost,
-                                widths,
-                                cause: Box::new(cause),
-                            });
-                        }
-                    };
-                    let kind = if sel.width > width {
-                        grows += 1;
-                        TransitionKind::Grow
-                    } else {
-                        TransitionKind::SpareJoin
-                    };
-                    if let Some(c) = obs {
-                        let what = match kind {
-                            TransitionKind::Grow => format!(
-                                "device {dev} rejoined: grow {width} → {} at checkpoint {ckpt}",
-                                sel.width
-                            ),
-                            _ => format!(
-                                "device {dev} rejoined as spare (no wider feasible width)"
-                            ),
-                        };
-                        c.instant(Track::control(), "churn", &what);
-                        c.add_total("elastic/joins", 1.0);
-                        if kind == TransitionKind::Grow {
-                            c.add_total("elastic/grows", 1.0);
-                        }
-                    }
-                    transitions.push(ElasticTransition {
-                        kind,
-                        device: dev,
-                        from_width: width,
-                        to_width: sel.width,
-                        at_ckpt: Some(ckpt),
-                        detection: None,
-                        replan: Some(sel.replan),
-                        replan_warm: sel.warm,
-                        reshard: None,
-                        reshard_bytes: 0,
-                        resume_wall: None,
-                    });
-                    open_transition = Some(transitions.len() - 1);
-                    selection = sel;
-                    continue 'ladder;
-                }
-                Err(RuntimeError::Failed(f)) => {
-                    record.detection = f.max_detection();
-                    history.push(record);
-                    if attempt < recovery.max_attempts {
-                        failures.push(*f);
-                        let delay = backoff.next_delay();
-                        if !delay.is_zero() {
-                            std::thread::sleep(delay);
-                        }
-                    } else {
-                        width_failure = Some(*f);
-                    }
-                }
-                // Configuration errors are not retryable.
-                Err(e) => return Err(e),
-            }
-        }
-
-        // This width is out of attempts: classify the blamed worker's
-        // physical device as permanently lost and consult the policy.
-        let f = width_failure.expect("exhausted width recorded a failure");
-        let victim = devices[f.worker];
-        if let Some(c) = obs {
-            c.instant(Track::control(), "elastic", &format!("device {victim} lost (permanent)"));
-        }
-        let Some(pol) = policy else {
-            // No elastic mandate: behave like plain recovery and surface the
-            // final failure.
-            return Err(RuntimeError::Failed(Box::new(f)));
-        };
-        lost.push(victim);
-        shrinks += 1;
-        // A scripted leave of this device has done its job: retire it so
-        // the next churn event arms.
-        if matches!(faults.armed_event(),
-            Some(ChurnEvent::Leave { device, .. }) if device == victim)
-        {
-            faults.advance_churn();
-        }
-        if shrinks > pol.max_shrink_steps {
-            return Err(RuntimeError::Unrecoverable {
-                lost,
-                widths,
-                cause: Box::new(RuntimeError::Failed(Box::new(f))),
-            });
-        }
-
-        // Harvest this width's best consistent checkpoint as the carried
-        // plan-independent snapshot before the store (keyed by this plan's
-        // tensor ids) is dropped.
-        if let Some(cp) = opts.checkpoint {
-            let s = store.lock();
-            if let Some(ck) = s.latest_consistent(width, cuts.len()) {
-                let point = s.resume_point(ck, width, &cuts);
-                let snap = assemble_snapshot(&sharded, point.ckpt, &point.values, cp.every)?;
-                // Attempts only ever resume at or past the carried barrier,
-                // so a fresh consistent checkpoint is never older.
-                if carried.as_ref().is_none_or(|c0| snap.ckpt >= c0.ckpt) {
-                    carried = Some(snap);
-                }
-            }
-        }
-        let i = available.iter().position(|&d| d == victim).expect("victim is in the fleet");
-        available.remove(i);
-        let detection = f.max_detection();
-        selection = match select_width(
-            g,
-            part_opts,
-            caches,
-            obs,
-            Some(&pol),
-            available.len(),
-            opts.buffer_reuse,
-        ) {
-            Ok(s) => s,
-            Err(SelectErr::Hard(e)) => return Err(e),
-            Err(SelectErr::Infeasible(term)) => {
-                // A budget breach is more informative than the triggering
-                // failure; a bare floor/feasibility breach is not.
-                let cause = if matches!(term, RuntimeError::Pool { .. }) {
-                    term
-                } else {
-                    RuntimeError::Failed(Box::new(f))
-                };
-                return Err(RuntimeError::Unrecoverable {
-                    lost,
-                    widths,
-                    cause: Box::new(cause),
-                });
-            }
-        };
-        transitions.push(ElasticTransition {
-            kind: TransitionKind::Shrink,
-            device: victim,
-            from_width: width,
-            to_width: selection.width,
-            at_ckpt: carried.as_ref().map(|s| s.ckpt),
-            detection,
-            replan: Some(selection.replan),
-            replan_warm: selection.warm,
-            reshard: None,
-            reshard_bytes: 0,
-            resume_wall: None,
-        });
-        open_transition = Some(transitions.len() - 1);
-        failures.push(f);
-    }
+    let source = PlanSource::Replan { graph: g, part: part_opts, caches };
+    let s = supervise(source, feeds, opts, recovery, None)?;
+    let (plan, sharded) = s.planned.expect("a re-planning source returns its final plan");
+    Ok(ElasticReport {
+        output: s.output,
+        sharded,
+        plan,
+        devices: s.devices,
+        spares: s.spares,
+        lost: s.log.lost,
+        joined: s.log.joined,
+        widths: s.log.widths,
+        attempts: s.log.history.len(),
+        failures: s.log.failures,
+        resumed_from: s.log.history.iter().map(|a| a.resumed_from).collect(),
+        history: s.log.history,
+        transitions: s.log.transitions,
+        snapshot: s.snapshot,
+    })
 }

@@ -124,7 +124,7 @@ pub struct FaultPlan {
     pub faults: Vec<InjectedFault>,
     /// Disk faults to inject into the durable checkpoint store. Only
     /// consumed by [`run_with_durable_recovery`](crate::run_with_durable_recovery);
-    /// plain runs reject a non-empty disk plan at validation.
+    /// every other entry point rejects a non-empty disk plan at validation.
     pub disk: DiskFaultPlan,
 }
 
@@ -332,10 +332,10 @@ pub(crate) enum StepFault {
     PoolOverBudget,
 }
 
-/// Shared injection state of a plan. One `FaultState` spans every retry of a
-/// `run_with_recovery` call (and every width of an elastic ladder), so each
-/// *transient* fault is observed by exactly one attempt while *permanent*
-/// faults keep firing for as long as their device stays in the topology.
+/// Shared injection state of a plan. One `FaultState` spans every attempt of
+/// a supervised run (every retry, every width), so each *transient* fault is
+/// observed by exactly one attempt per process while *permanent* faults keep
+/// firing for as long as their device stays in the topology.
 #[derive(Debug)]
 pub(crate) struct FaultState {
     faults: Vec<(InjectedFault, AtomicBool)>,
@@ -387,6 +387,16 @@ impl FaultState {
     /// Retires the armed churn event; the next one (if any) arms.
     pub(crate) fn advance_churn(&self) {
         self.armed.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// A whole-process crash: which transient faults already fired is
+    /// process memory and is forgotten, so they fire again in the restarted
+    /// process. The churn cursor is the world and stays where it is. Called
+    /// between attempts, when no worker is consulting the state.
+    pub(crate) fn forget_fired(&self) {
+        for (_, fired) in &self.faults {
+            fired.store(false, Ordering::Release);
+        }
     }
 
     /// Whether fault `i` fires now: permanent faults always do, transient

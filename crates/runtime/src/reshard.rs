@@ -22,13 +22,12 @@
 
 use std::collections::BTreeMap;
 
-use parking_lot::Mutex;
 use tofu_core::{Region, ShardedGraph};
 use tofu_graph::TensorId;
 use tofu_tensor::{Shape, Tensor};
 
-use crate::checkpoint::{checkpoint_cuts, CheckpointPolicy, CheckpointStore, ResumePoint};
-use crate::fault::FaultState;
+use crate::checkpoint::{checkpoint_cuts, CheckpointPolicy, ResumePoint};
+use crate::supervisor::run_once;
 use crate::{copy_block, Result, RunOptions, RunOutput, RuntimeError};
 
 /// A plan-independent checkpoint: every original tensor the barrier covers
@@ -218,16 +217,6 @@ pub fn resume_from_snapshot(
     opts: &RunOptions,
     snap: &FullSnapshot,
 ) -> Result<RunOutput> {
-    crate::validate(sharded, opts)?;
     let _ = feeds;
-    let faults = FaultState::new(&opts.faults);
-    let store = Mutex::new(CheckpointStore::default());
-    let point = scatter_snapshot(snap, sharded)?;
-    let device_map: Vec<usize> = (0..sharded.workers).collect();
-    match crate::run_attempt(sharded, &[], opts, &faults, &store, Some(&point), &device_map, None)? {
-        crate::Attempt::Done(out) => Ok(out),
-        crate::Attempt::Yielded { .. } => {
-            Err(RuntimeError::Internal("attempt yielded without a yield barrier".into()))
-        }
-    }
+    run_once(sharded, &[], opts, Some(&scatter_snapshot(snap, sharded)?))
 }

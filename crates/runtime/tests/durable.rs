@@ -14,7 +14,7 @@ use tofu_graph::{Graph, TensorId, TensorKind};
 use tofu_models::{mlp, MlpConfig};
 use tofu_runtime::{
     resume_from_snapshot, run_with_durable_recovery, run_with_options, BlobStore,
-    CheckpointPolicy, CrashPoint, DirStore, DiskFault, DurableOptions, DurableReport, FaultPlan,
+    CheckpointPolicy, ChurnPlan, CrashPoint, DirStore, DiskFault, DurableOptions, DurableReport, FaultPlan,
     MemStore, RejectReason, RunOptions, RuntimeError,
 };
 use tofu_tensor::Tensor;
@@ -454,5 +454,49 @@ fn plain_runs_reject_disk_faults() {
             assert!(m.contains("durable"), "message should point at the durable path: {m}")
         }
         other => panic!("expected InvalidOptions, got {other:?}"),
+    }
+}
+
+/// The composition the single supervisor buys: a whole-process crash in the
+/// middle of a shrink/grow ladder. Device 1 leaves at its second step —
+/// before any barrier can become consistent at width 4 — so the run shrinks
+/// to 3 from scratch; it rejoins at a later barrier and the run grows back.
+/// The crash lands either between the two (at width 3, with the join still
+/// pending) or after the grow. The fleet and the churn script's cursor are
+/// the world and survive; everything in memory is rebuilt from disk. Either
+/// way the run must end at the capacity width, bit-identical to an
+/// undisturbed run at that width resumed from the reported snapshot.
+#[test]
+fn crash_during_churn_recovers_bit_identically() {
+    let m = model();
+    let full_feeds = feeds(&m.graph);
+    let part = PartitionOptions { workers: 4, ..Default::default() };
+    let mut caches = SearchCaches::default();
+    // (join barrier, crash commit, barrier the final width resumes from)
+    for (label, join_at, crash_at, resumed) in
+        [("crash after the shrink", 3, 1, 3), ("crash after the grow", 2, 4, 4)]
+    {
+        let collector = tofu_obs::Collector::new();
+        let opts = RunOptions {
+            churn: ChurnPlan::none().with_leave(1, 1).with_join(1, join_at),
+            collector: Some(collector.clone()),
+            ..checkpointed(&m.graph, FaultPlan::none())
+        };
+        let durable = DurableOptions {
+            crash: Some(CrashPoint::AfterCommit(crash_at)),
+            ..DurableOptions::new(Arc::new(MemStore::default()))
+        };
+        let report =
+            run_with_durable_recovery(&m.graph, &full_feeds, &part, &opts, &durable, &mut caches)
+                .unwrap_or_else(|e| panic!("{label}: run failed: {e}"));
+        assert!(report.crashed.is_some(), "{label}: the process must have died");
+        assert_eq!(report.width, 4, "{label}: ends at the capacity width");
+        assert_eq!(report.sharded.workers, 4);
+        assert_eq!(report.resumed_from, Some(resumed), "{label}");
+        assert!(report.rejected.is_empty(), "{label}: nothing was corrupt: {:?}", report.rejected);
+        let names: Vec<String> = collector.events().into_iter().map(|e| e.name).collect();
+        assert!(names.iter().any(|n| n == "device 1 lost (permanent)"), "{label}: no shrink");
+        assert_eq!(collector.totals().get("elastic/grows").copied(), Some(1.0), "{label}");
+        assert_bit_identical(&report.output.values, &baseline_values(&report, &full_feeds));
     }
 }

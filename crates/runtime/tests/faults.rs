@@ -371,6 +371,23 @@ fn invalid_options_fail_before_spawning() {
     )
     .unwrap_err();
     assert!(matches!(err, RuntimeError::InvalidOptions(_)), "got {err}");
+    // An elastic policy re-plans at other widths; a fixed ShardedGraph
+    // cannot, so the policy is refused (pointing at the entry point that
+    // can honor it) instead of being silently ignored.
+    let err = run_with_recovery(
+        &sharded,
+        &shard_feeds,
+        &RunOptions::default(),
+        &RecoveryOptions {
+            elastic: Some(tofu_runtime::ElasticPolicy::default()),
+            ..Default::default()
+        },
+    )
+    .unwrap_err();
+    assert!(
+        matches!(err, RuntimeError::InvalidOptions(ref m) if m.contains("run_with_elastic_recovery")),
+        "got {err}"
+    );
 }
 
 #[test]

@@ -4,8 +4,17 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The gate is itself a layer worth measuring: print its total wall time on
+# every exit, pass or fail.
+trap 'echo "scripts/check.sh: total wall time ${SECONDS}s (exit $?)"' EXIT
+
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
+# `benchmark/` is its own workspace, so nothing above or below compiles it:
+# build and test it here, or a renamed public function breaks the repo
+# benchmark (BENCHMARK.json) unseen.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 # The fault suite must abort runs in milliseconds; a hang here means the
 # fail-fast path regressed, so cap it hard rather than stalling CI. The
 # fault suites run at IntegrityLevel::Full (the default) — lowering the
