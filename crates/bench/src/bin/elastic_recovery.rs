@@ -174,14 +174,14 @@ fn main() {
     let mut warm_results: Vec<Json> = Vec::new();
     for width in [7usize, 6, 5, 4] {
         let po = PartitionOptions { workers: width, ..part };
-        let mut fresh = SearchCaches::default();
+        let fresh = SearchCaches::default();
         let t = Instant::now();
-        tofu_core::partition_cached(g, &po, &mut fresh, None).expect("cold search");
+        tofu_core::partition_cached(g, &po, &fresh, None).expect("cold search");
         let cold = t.elapsed();
         let warm = (0..5)
             .map(|_| {
                 let t = Instant::now();
-                tofu_core::partition_cached(g, &po, &mut fresh, None).expect("warm search");
+                tofu_core::partition_cached(g, &po, &fresh, None).expect("warm search");
                 t.elapsed()
             })
             .min()

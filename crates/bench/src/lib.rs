@@ -11,7 +11,6 @@
 #![warn(missing_docs)]
 
 use tofu_core::baselines::Algorithm;
-use tofu_core::recursive::PartitionOptions;
 use tofu_graph::{Graph, TensorId, TensorKind};
 use tofu_models::{rnn, wresnet, RnnConfig, WResNetConfig};
 use tofu_sim::{Machine, Outcome, TofuSimOptions};
@@ -97,11 +96,6 @@ pub fn partitioned_sweep(
         }
     }
     (Outcome::Oom { peak_gb: worst_peak }, std::time::Duration::ZERO)
-}
-
-/// Default partitioner options for the benches.
-pub fn default_opts(workers: usize) -> PartitionOptions {
-    PartitionOptions { workers, ..Default::default() }
 }
 
 /// Deterministic input/weight feeds for running a graph on the real runtime:

@@ -16,10 +16,10 @@ use std::collections::BTreeMap;
 
 use tofu_graph::{Graph, TensorId};
 
-use crate::coarsen::coarsen;
+use crate::cache::SearchCaches;
 use crate::dp::{NodeChoice, StepPlan};
 use crate::recursive::{
-    factorize, partition_with_coarse, PartitionOptions, PartitionPlan, StepRecord,
+    factorize, partition_with_factors, PartitionOptions, PartitionPlan, StepRecord,
 };
 use crate::spec::{
     input_fetch_bytes, legal_specs, output_bytes, respec_bytes, ConcreteOut, TensorSpec,
@@ -71,17 +71,15 @@ impl Algorithm {
 pub fn run(g: &Graph, algorithm: Algorithm, workers: usize) -> Result<PartitionPlan> {
     let started = std::time::Instant::now();
     let opts = PartitionOptions { workers, ..Default::default() };
+    let dp = |factors: &[usize], opts: &PartitionOptions| {
+        partition_with_factors(g, factors, opts, &SearchCaches::new(), None)
+    };
     match algorithm {
-        Algorithm::Tofu => {
-            partition_with_coarse(g, &coarsen(g), &factorize(workers)?, &opts, started)
-        }
+        Algorithm::Tofu => dp(&factorize(workers)?, &opts),
         Algorithm::Icml18 => {
-            let opts = PartitionOptions { allow_reduce: false, ..opts };
-            partition_with_coarse(g, &coarsen(g), &factorize(workers)?, &opts, started)
+            dp(&factorize(workers)?, &PartitionOptions { allow_reduce: false, ..opts })
         }
-        Algorithm::EqualChop => {
-            partition_with_coarse(g, &coarsen(g), &[workers], &opts, started)
-        }
+        Algorithm::EqualChop => dp(&[workers], &opts),
         Algorithm::AllRowGreedy => greedy_plan(g, workers, started, |_, _| Some(0)),
         Algorithm::Spartan => spartan_plan(g, workers, started),
     }

@@ -26,7 +26,7 @@
 //!
 //! # Concurrency
 //!
-//! [`SearchCaches`] is `Send + Sync`: both maps live behind **sharded
+//! [`SearchCaches`] is `Send + Sync`: every map lives behind **sharded
 //! reader-writer locks** (16 shards each, selected by key bits, so readers
 //! of different entries never contend on one lock) and the hit/miss tallies
 //! are atomics. Because every cached value is a pure function of its exact
@@ -34,10 +34,11 @@
 //! entry first*, never the entry's value — so results stay bit-identical to
 //! a single-threaded run (the plan-service stress tests assert this).
 //!
-//! The step-plan cache additionally performs **single-flight
+//! The step-plan cache and the request memo are two instances of one
+//! `SingleFlight` table, which additionally performs **single-flight
 //! deduplication**: when N threads miss the same fingerprint at once,
 //! exactly one (the *leader*) runs the search while the rest block on a
-//! condvar and receive the leader's plan as a hit. A leader that errors or
+//! condvar and receive the leader's value as a hit. A leader that errors or
 //! panics marks the flight failed and wakes the waiters, one of which
 //! becomes the next leader — no flight is ever abandoned in a blocking
 //! state.
@@ -209,7 +210,7 @@ pub struct CacheSnapshot {
     pub request_hit_rate: f64,
 }
 
-/// Lock shard count for both maps. A power of two so shard selection is a
+/// Lock shard count of every map. A power of two so shard selection is a
 /// mask; 16 shards keep 8–16 worker threads essentially contention-free
 /// while costing a few hundred bytes when idle.
 const SHARDS: usize = 16;
@@ -224,156 +225,187 @@ fn string_shard(sig: &str) -> usize {
     shard_of(h.finish())
 }
 
-/// State of one in-flight step-plan computation.
-enum FlightState {
-    /// The leader is still searching.
+/// State of one in-flight computation.
+enum FlightState<V> {
+    /// The leader is still computing.
     Computing,
-    /// The leader finished; waiters take the plan from here.
-    Done(StepPlan),
+    /// The leader finished; waiters take the value from here.
+    Done(V),
     /// The leader errored or panicked; a waiter must retry.
     Failed,
 }
 
-struct Flight {
-    state: Mutex<FlightState>,
+struct Flight<V> {
+    state: Mutex<FlightState<V>>,
     cv: Condvar,
 }
 
-impl Flight {
-    fn new() -> Flight {
-        Flight { state: Mutex::new(FlightState::Computing), cv: Condvar::new() }
-    }
+enum Slot<V> {
+    Ready(V),
+    Pending(Arc<Flight<V>>),
 }
 
-enum PlanSlot {
-    Ready(StepPlan),
-    Pending(Arc<Flight>),
+/// Result of a [`SingleFlight::begin`] lookup.
+pub(crate) enum Lookup<'a, V: Clone> {
+    /// The value was cached (or just published by another thread's leader).
+    Ready(V),
+    /// This thread is the leader: it must compute the value and
+    /// [`FlightGuard::fill`] it (or let the guard drop to mark failure).
+    Leader(FlightGuard<'a, V>),
 }
 
-/// Result of a single-flight step-plan lookup.
-pub(crate) enum PlanLookup {
-    /// The plan was cached (or just produced by another thread's leader).
-    Ready(StepPlan),
-    /// This thread is the leader: it must compute the plan and then call
-    /// [`PlanFlightGuard::fill`] (or let the guard drop to mark failure).
-    Leader,
-}
-
-/// RAII companion of [`PlanLookup::Leader`]: guarantees the flight is
-/// resolved even when the search errors or panics, so waiters never block
-/// on an abandoned computation.
-pub(crate) struct PlanFlightGuard<'a> {
-    caches: &'a SearchCaches,
+/// RAII companion of [`Lookup::Leader`]: guarantees the flight is resolved
+/// even when the leader errors or panics, so waiters never block on an
+/// abandoned computation.
+pub(crate) struct FlightGuard<'a, V: Clone> {
+    table: &'a SingleFlight<V>,
     key: u128,
     armed: bool,
 }
 
-impl PlanFlightGuard<'_> {
-    /// Publishes the finished plan and wakes every waiter.
-    pub(crate) fn fill(mut self, plan: &StepPlan) {
+impl<V: Clone> FlightGuard<'_, V> {
+    /// Publishes the finished value and wakes every waiter.
+    pub(crate) fn fill(mut self, value: &V) {
         self.armed = false;
-        self.caches.plan_fill(self.key, plan);
+        self.table.resolve(self.key, Some(value));
     }
 }
 
-impl Drop for PlanFlightGuard<'_> {
+impl<V: Clone> Drop for FlightGuard<'_, V> {
     fn drop(&mut self) {
         if self.armed {
-            self.caches.plan_fail(self.key);
+            self.table.resolve(self.key, None);
         }
     }
 }
 
-/// Memoized outcome of one whole partition request.
-///
-/// `Infeasible` holds only the *provable* rejections — no strategy for some
-/// node or an unusable worker count — which are pure functions of the
-/// request exactly like a finished plan is. Resource-bound and internal
-/// errors are circumstance-dependent and are never stored.
-#[derive(Clone)]
-pub(crate) enum RequestOutcome {
-    /// The search finished; the plan is served verbatim.
-    Plan(PartitionPlan),
-    /// The search proved the request unsatisfiable.
-    Infeasible(CoreError),
+/// A sharded `fingerprint → value` map with single-flight deduplication and
+/// hit/miss tallies: concurrent misses of one key elect exactly one leader,
+/// the rest block on its flight and receive its value as a hit.
+pub(crate) struct SingleFlight<V> {
+    shards: [RwLock<FastMap<u128, Slot<V>>>; SHARDS],
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
-enum RequestFlightState {
-    Computing,
-    Done(RequestOutcome),
-    Failed,
-}
-
-struct RequestFlight {
-    state: Mutex<RequestFlightState>,
-    cv: Condvar,
-}
-
-impl RequestFlight {
-    fn new() -> RequestFlight {
-        RequestFlight { state: Mutex::new(RequestFlightState::Computing), cv: Condvar::new() }
-    }
-}
-
-enum RequestSlot {
-    Ready(RequestOutcome),
-    Pending(Arc<RequestFlight>),
-}
-
-/// Result of a single-flight request-memo lookup.
-pub(crate) enum RequestLookup {
-    /// The outcome was memoized (or just produced by another thread).
-    Ready(RequestOutcome),
-    /// This thread is the leader: it must run the search and resolve the
-    /// flight through its [`RequestFlightGuard`].
-    Leader,
-}
-
-/// RAII companion of [`RequestLookup::Leader`]: a leader that errors or
-/// panics without filling marks the flight failed so waiters retry instead
-/// of blocking forever.
-pub(crate) struct RequestFlightGuard<'a> {
-    caches: &'a SearchCaches,
-    key: u128,
-    armed: bool,
-}
-
-impl RequestFlightGuard<'_> {
-    /// Publishes the outcome and wakes every waiter.
-    pub(crate) fn fill(mut self, outcome: &RequestOutcome) {
-        self.armed = false;
-        self.caches.request_fill(self.key, outcome);
-    }
-}
-
-impl Drop for RequestFlightGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.caches.request_fail(self.key);
+impl<V> Default for SingleFlight<V> {
+    fn default() -> Self {
+        SingleFlight {
+            shards: std::array::from_fn(|_| RwLock::default()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
 }
+
+impl<V: Clone> SingleFlight<V> {
+    fn shard(&self, key: u128) -> &RwLock<FastMap<u128, Slot<V>>> {
+        &self.shards[shard_of(key as u64 ^ (key >> 64) as u64)]
+    }
+
+    /// Resident finished values (in-flight computations excluded).
+    fn ready_entries(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| {
+                let map = s.read().expect("cache lock");
+                map.values().filter(|slot| matches!(slot, Slot::Ready(_))).count()
+            })
+            .sum()
+    }
+
+    /// Returns the cached value, blocks until a concurrent leader publishes
+    /// it, or elects the caller leader.
+    pub(crate) fn begin(&self, key: u128) -> Lookup<'_, V> {
+        loop {
+            // Fast path: shared read of the shard.
+            let flight = {
+                let map = self.shard(key).read().expect("cache lock");
+                match map.get(&key) {
+                    Some(Slot::Ready(v)) => {
+                        self.hits.fetch_add(1, Ordering::Relaxed);
+                        return Lookup::Ready(v.clone());
+                    }
+                    Some(Slot::Pending(f)) => Some(Arc::clone(f)),
+                    None => None,
+                }
+            };
+            match flight {
+                Some(f) => {
+                    // Wait for the leader; a failed flight retries the loop
+                    // (and may elect this thread the next leader).
+                    let mut st = f.state.lock().expect("flight lock");
+                    while matches!(*st, FlightState::Computing) {
+                        st = f.cv.wait(st).expect("flight lock");
+                    }
+                    if let FlightState::Done(v) = &*st {
+                        self.hits.fetch_add(1, Ordering::Relaxed);
+                        return Lookup::Ready(v.clone());
+                    }
+                }
+                None => {
+                    let mut map = self.shard(key).write().expect("cache lock");
+                    // Re-check under the write lock: another thread may have
+                    // inserted between our read and write acquisitions.
+                    if map.contains_key(&key) {
+                        continue;
+                    }
+                    let flight = Flight {
+                        state: Mutex::new(FlightState::Computing),
+                        cv: Condvar::new(),
+                    };
+                    map.insert(key, Slot::Pending(Arc::new(flight)));
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    return Lookup::Leader(FlightGuard { table: self, key, armed: true });
+                }
+            }
+        }
+    }
+
+    /// Ends the leader's flight: `Some` publishes the value, `None` frees
+    /// the key so a waiter retries; either way every waiter wakes.
+    fn resolve(&self, key: u128, value: Option<&V>) {
+        let old = {
+            let mut map = self.shard(key).write().expect("cache lock");
+            match value {
+                Some(v) => map.insert(key, Slot::Ready(v.clone())),
+                None => map.remove(&key),
+            }
+        };
+        if let Some(Slot::Pending(f)) = old {
+            // Reached from the guard's `Drop`, possibly mid-unwind: a
+            // poisoned flight lock must not become a second panic.
+            let mut st = f.state.lock().unwrap_or_else(|e| e.into_inner());
+            *st = value.map_or(FlightState::Failed, |v| FlightState::Done(v.clone()));
+            f.cv.notify_all();
+        }
+    }
+}
+
+/// Memoized outcome of one whole partition request: the finished plan, or
+/// one of the *provable* rejections — no strategy for some node
+/// ([`CoreError::NoStrategy`]) or an unusable worker count
+/// ([`CoreError::BadWorkerCount`]) — which are pure functions of the request
+/// exactly like a plan is. Resource-bound and internal errors are
+/// circumstance-dependent and are never stored.
+pub(crate) type RequestOutcome = Result<PartitionPlan, CoreError>;
 
 /// Memoization state threaded through one or more searches.
 ///
-/// A fresh instance is created per [`crate::partition`] call; callers that
-/// run many related searches (worker-count sweeps, baseline comparisons)
-/// can share one instance via [`crate::recursive::partition_cached`] to
+/// [`crate::partition`] creates a fresh instance per call; callers that run
+/// many related searches (worker-count sweeps, an elastic runtime's width
+/// ladder) share one instance via [`crate::recursive::partition_cached`] to
 /// also reuse plans across calls. The type is `Send + Sync`: a long-running
-/// service wraps one instance in an `Arc` and calls
-/// [`crate::recursive::partition_shared`] from many solver threads at once
-/// (see the module docs for the bit-identity argument).
+/// service wraps one instance in an `Arc` and calls `partition_cached` from
+/// many solver threads at once (see the module docs for the bit-identity
+/// argument).
 #[derive(Default)]
 pub struct SearchCaches {
     strategies: [RwLock<HashMap<String, Vec<NodeStrategy>>>; SHARDS],
-    plans: [RwLock<FastMap<u128, PlanSlot>>; SHARDS],
-    requests: [RwLock<FastMap<u128, RequestSlot>>; SHARDS],
+    pub(crate) plans: SingleFlight<StepPlan>,
+    pub(crate) requests: SingleFlight<RequestOutcome>,
     strategy_hits: AtomicU64,
     strategy_misses: AtomicU64,
-    plan_hits: AtomicU64,
-    plan_misses: AtomicU64,
-    request_hits: AtomicU64,
-    request_misses: AtomicU64,
 }
 
 impl SearchCaches {
@@ -387,10 +419,10 @@ impl SearchCaches {
         CacheStats {
             strategy_hits: self.strategy_hits.load(Ordering::Relaxed),
             strategy_misses: self.strategy_misses.load(Ordering::Relaxed),
-            plan_hits: self.plan_hits.load(Ordering::Relaxed),
-            plan_misses: self.plan_misses.load(Ordering::Relaxed),
-            request_hits: self.request_hits.load(Ordering::Relaxed),
-            request_misses: self.request_misses.load(Ordering::Relaxed),
+            plan_hits: self.plans.hits.load(Ordering::Relaxed),
+            plan_misses: self.plans.misses.load(Ordering::Relaxed),
+            request_hits: self.requests.hits.load(Ordering::Relaxed),
+            request_misses: self.requests.misses.load(Ordering::Relaxed),
         }
     }
 
@@ -400,33 +432,11 @@ impl SearchCaches {
         let stats = self.stats();
         let strategy_entries =
             self.strategies.iter().map(|s| s.read().expect("cache lock").len()).sum();
-        let plan_entries = self
-            .plans
-            .iter()
-            .map(|s| {
-                s.read()
-                    .expect("cache lock")
-                    .values()
-                    .filter(|slot| matches!(slot, PlanSlot::Ready(_)))
-                    .count()
-            })
-            .sum();
-        let request_entries = self
-            .requests
-            .iter()
-            .map(|s| {
-                s.read()
-                    .expect("cache lock")
-                    .values()
-                    .filter(|slot| matches!(slot, RequestSlot::Ready(_)))
-                    .count()
-            })
-            .sum();
         CacheSnapshot {
             stats,
             strategy_entries,
-            plan_entries,
-            request_entries,
+            plan_entries: self.plans.ready_entries(),
+            request_entries: self.requests.ready_entries(),
             strategy_hit_rate: stats.strategy_hit_rate(),
             plan_hit_rate: stats.plan_hit_rate(),
             request_hit_rate: stats.request_hit_rate(),
@@ -454,164 +464,6 @@ impl SearchCaches {
         // a pure function of the signature), so last-write-wins is safe.
         shard.write().expect("cache lock").insert(sig, v);
     }
-
-    fn plan_shard(&self, key: u128) -> &RwLock<FastMap<u128, PlanSlot>> {
-        &self.plans[shard_of(key as u64 ^ (key >> 64) as u64)]
-    }
-
-    /// Single-flight step-plan lookup: returns the cached plan, blocks until
-    /// a concurrent leader publishes it, or elects the caller leader.
-    pub(crate) fn plan_begin(&self, key: u128) -> PlanLookup {
-        loop {
-            // Fast path: shared read of the shard.
-            let flight = {
-                let map = self.plan_shard(key).read().expect("cache lock");
-                match map.get(&key) {
-                    Some(PlanSlot::Ready(p)) => {
-                        self.plan_hits.fetch_add(1, Ordering::Relaxed);
-                        return PlanLookup::Ready(p.clone());
-                    }
-                    Some(PlanSlot::Pending(f)) => Some(Arc::clone(f)),
-                    None => None,
-                }
-            };
-            match flight {
-                Some(f) => {
-                    // Wait for the leader; a failed flight retries the loop
-                    // (and may elect this thread the next leader).
-                    let mut st = f.state.lock().expect("flight lock");
-                    while matches!(*st, FlightState::Computing) {
-                        st = f.cv.wait(st).expect("flight lock");
-                    }
-                    if let FlightState::Done(p) = &*st {
-                        self.plan_hits.fetch_add(1, Ordering::Relaxed);
-                        return PlanLookup::Ready(p.clone());
-                    }
-                }
-                None => {
-                    let mut map = self.plan_shard(key).write().expect("cache lock");
-                    // Re-check under the write lock: another thread may have
-                    // inserted between our read and write acquisitions.
-                    if map.contains_key(&key) {
-                        continue;
-                    }
-                    map.insert(key, PlanSlot::Pending(Arc::new(Flight::new())));
-                    self.plan_misses.fetch_add(1, Ordering::Relaxed);
-                    return PlanLookup::Leader;
-                }
-            }
-        }
-    }
-
-    /// Creates the leader guard for a key this thread won via
-    /// [`PlanLookup::Leader`].
-    pub(crate) fn plan_flight_guard(&self, key: u128) -> PlanFlightGuard<'_> {
-        PlanFlightGuard { caches: self, key, armed: true }
-    }
-
-    fn plan_fill(&self, key: u128, plan: &StepPlan) {
-        let old = {
-            let mut map = self.plan_shard(key).write().expect("cache lock");
-            map.insert(key, PlanSlot::Ready(plan.clone()))
-        };
-        if let Some(PlanSlot::Pending(f)) = old {
-            let mut st = f.state.lock().expect("flight lock");
-            *st = FlightState::Done(plan.clone());
-            f.cv.notify_all();
-        }
-    }
-
-    fn plan_fail(&self, key: u128) {
-        let old = {
-            let mut map = self.plan_shard(key).write().expect("cache lock");
-            match map.get(&key) {
-                Some(PlanSlot::Pending(_)) => map.remove(&key),
-                _ => None,
-            }
-        };
-        if let Some(PlanSlot::Pending(f)) = old {
-            let mut st = f.state.lock().expect("flight lock");
-            *st = FlightState::Failed;
-            f.cv.notify_all();
-        }
-    }
-
-    fn request_shard(&self, key: u128) -> &RwLock<FastMap<u128, RequestSlot>> {
-        &self.requests[shard_of(key as u64 ^ (key >> 64) as u64)]
-    }
-
-    /// Single-flight request-memo lookup: returns the memoized outcome,
-    /// blocks until a concurrent leader publishes one, or elects the caller
-    /// leader.
-    pub(crate) fn request_begin(&self, key: u128) -> RequestLookup {
-        loop {
-            let flight = {
-                let map = self.request_shard(key).read().expect("cache lock");
-                match map.get(&key) {
-                    Some(RequestSlot::Ready(o)) => {
-                        self.request_hits.fetch_add(1, Ordering::Relaxed);
-                        return RequestLookup::Ready(o.clone());
-                    }
-                    Some(RequestSlot::Pending(f)) => Some(Arc::clone(f)),
-                    None => None,
-                }
-            };
-            match flight {
-                Some(f) => {
-                    let mut st = f.state.lock().expect("flight lock");
-                    while matches!(*st, RequestFlightState::Computing) {
-                        st = f.cv.wait(st).expect("flight lock");
-                    }
-                    if let RequestFlightState::Done(o) = &*st {
-                        self.request_hits.fetch_add(1, Ordering::Relaxed);
-                        return RequestLookup::Ready(o.clone());
-                    }
-                }
-                None => {
-                    let mut map = self.request_shard(key).write().expect("cache lock");
-                    if map.contains_key(&key) {
-                        continue;
-                    }
-                    map.insert(key, RequestSlot::Pending(Arc::new(RequestFlight::new())));
-                    self.request_misses.fetch_add(1, Ordering::Relaxed);
-                    return RequestLookup::Leader;
-                }
-            }
-        }
-    }
-
-    /// Creates the leader guard for a key this thread won via
-    /// [`RequestLookup::Leader`].
-    pub(crate) fn request_flight_guard(&self, key: u128) -> RequestFlightGuard<'_> {
-        RequestFlightGuard { caches: self, key, armed: true }
-    }
-
-    fn request_fill(&self, key: u128, outcome: &RequestOutcome) {
-        let old = {
-            let mut map = self.request_shard(key).write().expect("cache lock");
-            map.insert(key, RequestSlot::Ready(outcome.clone()))
-        };
-        if let Some(RequestSlot::Pending(f)) = old {
-            let mut st = f.state.lock().expect("flight lock");
-            *st = RequestFlightState::Done(outcome.clone());
-            f.cv.notify_all();
-        }
-    }
-
-    fn request_fail(&self, key: u128) {
-        let old = {
-            let mut map = self.request_shard(key).write().expect("cache lock");
-            match map.get(&key) {
-                Some(RequestSlot::Pending(_)) => map.remove(&key),
-                _ => None,
-            }
-        };
-        if let Some(RequestSlot::Pending(f)) = old {
-            let mut st = f.state.lock().expect("flight lock");
-            *st = RequestFlightState::Failed;
-            f.cv.notify_all();
-        }
-    }
 }
 
 /// Structural fingerprint of one DP invocation: everything `search` reads.
@@ -620,7 +472,8 @@ impl SearchCaches {
 /// differ only in labels share an entry; everything that feeds the cost
 /// model — op kinds, canonical attrs, per-tensor shapes under the view, the
 /// coarsened group/class structure, extra fetch buffers, and every search
-/// option — is folded in.
+/// bound — is folded in. The engine choice is not: only the optimized engine
+/// consults the step-plan cache.
 pub(crate) fn step_fingerprint(
     g: &Graph,
     view: &ShapeView,
@@ -634,7 +487,6 @@ pub(crate) fn step_fingerprint(
     h.num(opts.state_bound as u64);
     h.num(opts.internal_bound as u64);
     h.num(opts.beam as u64);
-    h.byte(u8::from(opts.tuning.dominance));
     // Shapes under the view (covers graph tensors and extra buffers).
     h.num(view.len() as u64);
     for t in 0..view.len() {
@@ -693,10 +545,7 @@ pub fn request_fingerprint(g: &Graph, opts: &PartitionOptions) -> u128 {
     h.num(opts.internal_bound as u64);
     h.num(opts.beam as u64);
     h.num(opts.fetch_buffer_floor);
-    h.byte(u8::from(opts.tuning.reference));
-    h.byte(u8::from(opts.tuning.strategy_cache));
-    h.byte(u8::from(opts.tuning.dominance));
-    h.byte(u8::from(opts.tuning.plan_cache));
+    h.byte(opts.tuning as u8);
     // Tensor shapes (declared, pre-recursion).
     h.num(g.num_tensors() as u64);
     for t in g.tensor_ids() {
@@ -789,70 +638,149 @@ mod tests {
         assert_eq!(s.lookups(), 10);
     }
 
+    /// A value the single-flight checks can mint and recognise, so each
+    /// check runs unchanged on both tables [`SearchCaches`] instantiates.
+    trait Probe: Clone + Send + Sync + 'static {
+        fn mint(tag: usize) -> Self;
+        fn tag(&self) -> usize;
+    }
+
+    impl Probe for StepPlan {
+        fn mint(tag: usize) -> StepPlan {
+            StepPlan {
+                ways: tag,
+                tensor_spec: Vec::new(),
+                node_choice: Vec::new(),
+                comm_bytes: 0.0,
+            }
+        }
+        fn tag(&self) -> usize {
+            self.ways
+        }
+    }
+
+    impl Probe for RequestOutcome {
+        fn mint(tag: usize) -> RequestOutcome {
+            Err(CoreError::BadWorkerCount(tag))
+        }
+        fn tag(&self) -> usize {
+            match self {
+                Err(CoreError::BadWorkerCount(tag)) => *tag,
+                _ => panic!("minted outcomes are BadWorkerCount"),
+            }
+        }
+    }
+
+    fn tallies<V>(t: &SingleFlight<V>) -> (u64, u64) {
+        (t.hits.load(Ordering::Relaxed), t.misses.load(Ordering::Relaxed))
+    }
+
+    fn lead<V: Probe>(t: &SingleFlight<V>, key: u128) -> FlightGuard<'_, V> {
+        match t.begin(key) {
+            Lookup::Leader(guard) => guard,
+            Lookup::Ready(_) => panic!("no value published for key {key}"),
+        }
+    }
+
+    fn hit<V: Probe>(t: &SingleFlight<V>, key: u128) -> usize {
+        match t.begin(key) {
+            Lookup::Ready(v) => v.tag(),
+            Lookup::Leader(_) => panic!("key {key} must not elect a second leader"),
+        }
+    }
+
+    fn leader_then_hit<V: Probe>() {
+        let t = SingleFlight::<V>::default();
+        lead(&t, 42).fill(&V::mint(7));
+        assert_eq!(hit(&t, 42), 7);
+        assert_eq!(tallies(&t), (1, 1));
+        assert_eq!(t.ready_entries(), 1);
+    }
+
     #[test]
     fn single_flight_leader_then_hit() {
-        let c = SearchCaches::new();
-        let plan = StepPlan {
-            ways: 2,
-            tensor_spec: Vec::new(),
-            node_choice: Vec::new(),
-            comm_bytes: 7.0,
-        };
-        match c.plan_begin(42) {
-            PlanLookup::Leader => c.plan_flight_guard(42).fill(&plan),
-            PlanLookup::Ready(_) => panic!("fresh cache cannot hit"),
-        }
-        match c.plan_begin(42) {
-            PlanLookup::Ready(p) => assert_eq!(p.comm_bytes, 7.0),
-            PlanLookup::Leader => panic!("filled key must hit"),
-        }
-        assert_eq!(c.stats().plan_misses, 1);
-        assert_eq!(c.stats().plan_hits, 1);
-        assert_eq!(c.snapshot().plan_entries, 1);
+        leader_then_hit::<StepPlan>();
+        leader_then_hit::<RequestOutcome>();
+    }
+
+    fn failed_flight_frees_the_key<V: Probe>() {
+        let t = SingleFlight::<V>::default();
+        drop(lead(&t, 7)); // leader "errored": flight must clear
+        // The key is free again: the next lookup becomes leader, not a hit.
+        let _second = lead(&t, 7);
+        assert_eq!(tallies(&t), (0, 2));
+        assert_eq!(t.ready_entries(), 0, "a failed flight leaves nothing behind");
     }
 
     #[test]
     fn failed_flight_elects_a_new_leader() {
-        let c = SearchCaches::new();
-        match c.plan_begin(7) {
-            PlanLookup::Leader => {
-                let guard = c.plan_flight_guard(7);
-                drop(guard); // leader "errored": flight must clear
+        failed_flight_frees_the_key::<StepPlan>();
+        failed_flight_frees_the_key::<RequestOutcome>();
+    }
+
+    /// Spins until `waiters` other threads hold the pending flight of `key`,
+    /// i.e. each saw the slot `Pending` and is parked on (or about to lock)
+    /// the flight.
+    fn await_waiters<V: Probe>(t: &SingleFlight<V>, key: u128, waiters: usize) {
+        loop {
+            if let Some(Slot::Pending(f)) = t.shard(key).read().expect("cache lock").get(&key) {
+                if Arc::strong_count(f) > waiters {
+                    return;
+                }
             }
-            PlanLookup::Ready(_) => panic!("fresh cache cannot hit"),
+            std::thread::yield_now();
         }
-        // The key is free again: the next lookup becomes leader, not a hit.
-        assert!(matches!(c.plan_begin(7), PlanLookup::Leader));
-        assert_eq!(c.stats().plan_misses, 2);
+    }
+
+    fn waiters_get_the_leaders_value<V: Probe>() {
+        let t = SingleFlight::<V>::default();
+        let guard = lead(&t, 9);
+        std::thread::scope(|s| {
+            let waiters: Vec<_> = (0..4).map(|_| s.spawn(|| hit(&t, 9))).collect();
+            await_waiters(&t, 9, 4);
+            guard.fill(&V::mint(3));
+            for w in waiters {
+                assert_eq!(w.join().expect("waiter"), 3);
+            }
+        });
+        assert_eq!(tallies(&t), (4, 1), "single flight: one miss for five lookups");
     }
 
     #[test]
     fn waiters_block_until_leader_fills() {
-        let c = Arc::new(SearchCaches::new());
-        assert!(matches!(c.plan_begin(9), PlanLookup::Leader));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let c = Arc::clone(&c);
-            handles.push(std::thread::spawn(move || match c.plan_begin(9) {
-                PlanLookup::Ready(p) => p.comm_bytes,
-                PlanLookup::Leader => panic!("flight in progress: nobody else leads"),
-            }));
-        }
-        // Give the waiters time to park on the flight, then publish.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let plan = StepPlan {
-            ways: 2,
-            tensor_spec: Vec::new(),
-            node_choice: Vec::new(),
-            comm_bytes: 3.0,
-        };
-        c.plan_flight_guard(9).fill(&plan);
-        for h in handles {
-            assert_eq!(h.join().expect("waiter"), 3.0);
-        }
-        let stats = c.stats();
-        assert_eq!(stats.plan_misses, 1, "single flight: one miss for five lookups");
-        assert_eq!(stats.plan_hits, 4);
+        waiters_get_the_leaders_value::<StepPlan>();
+        waiters_get_the_leaders_value::<RequestOutcome>();
+    }
+
+    fn panicking_leader_hands_over<V: Probe>() {
+        let t = SingleFlight::<V>::default();
+        std::thread::scope(|s| {
+            let (leading_tx, leading_rx) = std::sync::mpsc::channel::<()>();
+            let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+            let t = &t;
+            let leader = s.spawn(move || {
+                let _guard = lead(t, 11);
+                leading_tx.send(()).expect("test alive");
+                go_rx.recv().expect("test alive");
+                panic!("leader dies mid-search (expected by this test)");
+            });
+            leading_rx.recv().expect("leader elected");
+            // The waiter must come out of `begin` as the next leader: its
+            // fill is what the final lookup sees.
+            let waiter = s.spawn(move || lead(t, 11).fill(&V::mint(5)));
+            await_waiters(t, 11, 1);
+            go_tx.send(()).expect("leader alive");
+            assert!(leader.join().is_err(), "the leader thread panicked");
+            waiter.join().expect("waiter woke and led");
+        });
+        assert_eq!(hit(&t, 11), 5);
+        assert_eq!(tallies(&t), (1, 2));
+    }
+
+    #[test]
+    fn panicking_leader_wakes_a_waiter_who_becomes_leader() {
+        panicking_leader_hands_over::<StepPlan>();
+        panicking_leader_hands_over::<RequestOutcome>();
     }
 
     #[test]
@@ -864,43 +792,14 @@ mod tests {
             tiling: Vec::new(),
             search_time: std::time::Duration::ZERO,
         };
-        match c.request_begin(1) {
-            RequestLookup::Leader => {
-                c.request_flight_guard(1).fill(&RequestOutcome::Plan(plan))
-            }
-            RequestLookup::Ready(_) => panic!("fresh memo cannot hit"),
-        }
-        assert!(matches!(
-            c.request_begin(1),
-            RequestLookup::Ready(RequestOutcome::Plan(p)) if p.workers == 2
-        ));
-
-        let err = CoreError::BadWorkerCount(7);
-        match c.request_begin(2) {
-            RequestLookup::Leader => {
-                c.request_flight_guard(2).fill(&RequestOutcome::Infeasible(err))
-            }
-            RequestLookup::Ready(_) => panic!("fresh memo cannot hit"),
-        }
-        assert!(matches!(
-            c.request_begin(2),
-            RequestLookup::Ready(RequestOutcome::Infeasible(CoreError::BadWorkerCount(7)))
-        ));
+        lead(&c.requests, 1).fill(&Ok(plan));
+        assert!(matches!(c.requests.begin(1), Lookup::Ready(Ok(p)) if p.workers == 2));
+        lead(&c.requests, 2).fill(&RequestOutcome::mint(7));
+        assert_eq!(hit(&c.requests, 2), 7);
 
         let stats = c.stats();
         assert_eq!((stats.request_hits, stats.request_misses), (2, 2));
+        assert_eq!((stats.plan_hits, stats.plan_misses), (0, 0));
         assert_eq!(c.snapshot().request_entries, 2);
-    }
-
-    #[test]
-    fn failed_request_flight_elects_a_new_leader() {
-        let c = SearchCaches::new();
-        match c.request_begin(5) {
-            RequestLookup::Leader => drop(c.request_flight_guard(5)),
-            RequestLookup::Ready(_) => panic!("fresh memo cannot hit"),
-        }
-        assert!(matches!(c.request_begin(5), RequestLookup::Leader));
-        assert_eq!(c.stats().request_misses, 2);
-        assert_eq!(c.snapshot().request_entries, 0, "a failed flight leaves nothing behind");
     }
 }

@@ -21,9 +21,9 @@
 //! * [`unoptimized_search`] — the straightforward seed implementation, kept
 //!   alive as the differential-testing reference (select it with
 //!   [`SearchTuning::reference`]);
-//! * the default optimized engine — packed integer memo keys, per-combo
-//!   precomputation, dominated-state pruning and strategy/plan caches (see
-//!   DESIGN.md "Search performance" for the soundness argument).
+//! * [`search`], the default optimized engine — packed integer memo keys,
+//!   per-combo precomputation, dominated-state pruning and strategy/plan
+//!   caches (see DESIGN.md "Search performance" for the soundness argument).
 //!
 //! The `crates/core/tests` differential harness asserts that both return
 //! bit-identical total costs on randomized graphs.
@@ -34,7 +34,7 @@ use tofu_graph::{Graph, NodeId, TensorId};
 use tofu_obs::{Collector, Track};
 use tofu_tensor::Shape;
 
-use crate::cache::{step_fingerprint, FastMap, SearchCaches};
+use crate::cache::{step_fingerprint, FastMap, Lookup, SearchCaches};
 use crate::coarsen::CoarseGraph;
 use crate::error::CoreError;
 use crate::spec::{
@@ -94,40 +94,24 @@ impl ExtraInputs {
     }
 }
 
-/// Which search engine and which of its optimizations to use.
+/// Which of the two search engines runs.
 ///
-/// The default enables everything; [`SearchTuning::reference`] selects the
-/// unoptimized seed implementation that the differential test harness
-/// compares against. Every flag is answer-preserving: any combination
-/// returns a plan with a bit-identical total cost (enforced by
-/// `crates/core/tests/differential.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SearchTuning {
-    /// Run the unoptimized reference engine instead of the optimized one.
-    pub reference: bool,
-    /// Memoize strategy enumeration by (op, attrs, shapes) signature.
-    pub strategy_cache: bool,
-    /// Prune dominated DP states (see DESIGN.md "Search performance").
-    pub dominance: bool,
-    /// Reuse finished step plans keyed by a structural fingerprint.
-    pub plan_cache: bool,
-}
-
-impl Default for SearchTuning {
-    fn default() -> Self {
-        SearchTuning { reference: false, strategy_cache: true, dominance: true, plan_cache: true }
-    }
+/// The choice is answer-preserving: both engines return a plan with a
+/// bit-identical total cost (enforced by `crates/core/tests/differential.rs`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SearchTuning {
+    /// The optimized engine: strategy cache, dominance pruning, step-plan
+    /// cache (see DESIGN.md "Search performance").
+    #[default]
+    Optimized,
+    /// The unoptimized seed implementation, [`unoptimized_search`].
+    Reference,
 }
 
 impl SearchTuning {
     /// The unoptimized reference engine (differential-testing baseline).
     pub fn reference() -> SearchTuning {
-        SearchTuning {
-            reference: true,
-            strategy_cache: false,
-            dominance: false,
-            plan_cache: false,
-        }
+        Self::Reference
     }
 }
 
@@ -149,7 +133,7 @@ pub struct DpOptions {
     /// preserves optimality on chain-shaped coarsened graphs and is a
     /// high-quality approximation elsewhere.
     pub beam: usize,
-    /// Engine selection and optimization flags.
+    /// Engine selection.
     pub tuning: SearchTuning,
 }
 
@@ -307,8 +291,9 @@ struct ClassInfo {
     touched: Vec<usize>,
 }
 
-/// Preprocesses every strategy class: enumerates (optionally through the
-/// strategy cache), filters for feasibility, and records touched bundles.
+/// Preprocesses every strategy class: enumerates (through the strategy
+/// cache when one is given), filters for feasibility, and records touched
+/// bundles.
 /// Shared by both search engines so they see byte-identical strategy lists.
 #[allow(clippy::too_many_arguments)]
 fn build_classes(
@@ -333,7 +318,7 @@ fn build_classes(
             Vec::new()
         } else {
             let out_shape = view.shape(g.node(rep).output).clone();
-            let enumerated = match caches.filter(|_| opts.tuning.strategy_cache) {
+            let enumerated = match caches {
                 Some(cache) => {
                     let sig = strategy_signature(g, rep, view);
                     match cache.strategies_get(&sig) {
@@ -401,46 +386,11 @@ fn build_classes(
     Ok(classes)
 }
 
-/// Runs the DP for one basic step, returning the optimal [`StepPlan`].
-pub fn search(
-    g: &Graph,
-    view: &ShapeView,
-    cg: &CoarseGraph,
-    extra: &ExtraInputs,
-    opts: &DpOptions,
-) -> Result<StepPlan> {
-    search_with_obs(g, view, cg, extra, opts, None)
-}
-
-/// [`search`] that additionally reports its statistics into `obs`: running
-/// totals `dp/strategies_enumerated`, `dp/strategies_feasible`,
-/// `dp/states_explored`, `dp/frontier_width_max`, the pruning totals
-/// `dp/prune_dominated` and `dp/prune_beam`, cache totals
-/// `cache/{strategy,plan}_{hit,miss}`, plus per-cut `dp/frontier states` and
-/// `dp/frontier width` counter samples on [`Track::search`] (frontier width
-/// = bundles crossing the cut, the quantity §5 argues stays tiny on
-/// chain-like coarsened graphs).
-pub fn search_with_obs(
-    g: &Graph,
-    view: &ShapeView,
-    cg: &CoarseGraph,
-    extra: &ExtraInputs,
-    opts: &DpOptions,
-    obs: Option<&Collector>,
-) -> Result<StepPlan> {
-    if opts.tuning.reference {
-        unoptimized_search(g, view, cg, extra, opts, obs)
-    } else {
-        let caches = SearchCaches::new();
-        search_with_caches(g, view, cg, extra, opts, &caches, obs)
-    }
-}
-
 /// The unoptimized seed implementation of the DP, kept alive as the
 /// differential-testing reference. Explores the full `states × combos`
 /// product at every cut with no dominance pruning, `Vec`-keyed memo maps
 /// and no cross-invocation caching. Selected by [`SearchTuning::reference`]
-/// (through [`search_with_obs`]) or called directly by tests.
+/// (through [`search`]) or called directly by tests.
 pub fn unoptimized_search(
     g: &Graph,
     view: &ShapeView,
@@ -882,17 +832,28 @@ fn build_dom_bounds(
 /// on wide frontiers.
 const DOM_COMPARISONS: usize = 48;
 
-/// The optimized DP engine: identical recurrence and tie-breaking to
+/// Runs the DP for one basic step, returning the optimal [`StepPlan`].
+///
+/// This is the optimized engine — identical recurrence and tie-breaking to
 /// [`unoptimized_search`], plus packed memo keys, per-combo class-cost
 /// precomputation, dominated-state pruning and (through `caches`) strategy
-/// and step-plan memoization. Returns plans whose total cost is
-/// bit-identical to the reference (enforced by the differential harness).
+/// and step-plan memoization, returning plans whose total cost is
+/// bit-identical to the reference (enforced by the differential harness) —
+/// and the one place [`SearchTuning::reference`] is honoured.
 ///
 /// `caches` is taken by shared reference: [`SearchCaches`] is internally
 /// synchronized, so any number of threads may run searches against one
 /// instance concurrently. Concurrent misses of the same step fingerprint
 /// are single-flighted — one thread searches, the rest wait for its plan.
-pub fn search_with_caches(
+///
+/// Statistics go to `obs`: running totals `dp/strategies_enumerated`,
+/// `dp/strategies_feasible`, `dp/states_explored`, `dp/frontier_width_max`,
+/// the pruning totals `dp/prune_dominated` and `dp/prune_beam`, cache totals
+/// `cache/{strategy,plan}_{hit,miss}`, plus per-cut `dp/frontier states` and
+/// `dp/frontier width` counter samples on [`Track::search`] (frontier width
+/// = bundles crossing the cut, the quantity §5 argues stays tiny on
+/// chain-like coarsened graphs).
+pub fn search(
     g: &Graph,
     view: &ShapeView,
     cg: &CoarseGraph,
@@ -901,7 +862,7 @@ pub fn search_with_caches(
     caches: &SearchCaches,
     obs: Option<&Collector>,
 ) -> Result<StepPlan> {
-    if opts.tuning.reference {
+    if opts.tuning == SearchTuning::Reference {
         return unoptimized_search(g, view, cg, extra, opts, obs);
     }
     if opts.ways < 2 {
@@ -912,24 +873,19 @@ pub fn search_with_caches(
     // a concurrent leader) returns immediately; a miss makes this thread the
     // leader, and the guard resolves the flight on every exit path —
     // including errors and panics — so waiters never block forever.
-    let flight = if opts.tuning.plan_cache {
-        let key = step_fingerprint(g, view, cg, extra, opts);
-        match caches.plan_begin(key) {
-            crate::cache::PlanLookup::Ready(plan) => {
-                if let Some(c) = obs {
-                    c.add_total("cache/plan_hit", 1.0);
-                }
-                return Ok(plan);
+    let flight = match caches.plans.begin(step_fingerprint(g, view, cg, extra, opts)) {
+        Lookup::Ready(plan) => {
+            if let Some(c) = obs {
+                c.add_total("cache/plan_hit", 1.0);
             }
-            crate::cache::PlanLookup::Leader => {
-                if let Some(c) = obs {
-                    c.add_total("cache/plan_miss", 1.0);
-                }
-                Some(caches.plan_flight_guard(key))
-            }
+            return Ok(plan);
         }
-    } else {
-        None
+        Lookup::Leader(guard) => {
+            if let Some(c) = obs {
+                c.add_total("cache/plan_miss", 1.0);
+            }
+            guard
+        }
     };
 
     let bundles = build_bundles(g, view, cg, extra, opts.ways);
@@ -941,11 +897,7 @@ pub fn search_with_caches(
         (0..view.len()).map(|t| view.shape(TensorId(t)).rank()).max().unwrap_or(0);
     let four_bit = max_rank <= 14;
 
-    let dom = if opts.tuning.dominance {
-        Some(build_dom_bounds(g, view, cg, extra, &bundles, &classes, opts.ways))
-    } else {
-        None
-    };
+    let dom = build_dom_bounds(g, view, cg, extra, &bundles, &classes, opts.ways);
 
     let mut memos: Vec<ClassMemo> = classes
         .iter()
@@ -1225,40 +1177,38 @@ pub fn search_with_caches(
 
         // Dominance pruning: drop B when a strictly cheaper survivor A
         // satisfies cost_B > cost_A + Σ_{differing bundles} after(b, gi).
-        if let Some(dom) = &dom {
-            if kept.len() > 1 {
-                let mut survivors: Vec<Cand> = Vec::with_capacity(kept.len());
-                for cand in kept.drain(..) {
-                    let mut dominated = false;
-                    for a in survivors.iter().take(DOM_COMPARISONS) {
-                        let slack = cand.cost - a.cost;
-                        if slack <= 0.0 {
-                            continue;
-                        }
-                        let mut ub = 0.0f64;
-                        let mut within = true;
-                        for (q, &bundle) in next_cross.iter().enumerate().take(width) {
-                            if a.specs[q] != cand.specs[q] {
-                                ub += dom.after(bundle, gi);
-                                if ub >= slack {
-                                    within = false;
-                                    break;
-                                }
+        if kept.len() > 1 {
+            let mut survivors: Vec<Cand> = Vec::with_capacity(kept.len());
+            for cand in kept.drain(..) {
+                let mut dominated = false;
+                for a in survivors.iter().take(DOM_COMPARISONS) {
+                    let slack = cand.cost - a.cost;
+                    if slack <= 0.0 {
+                        continue;
+                    }
+                    let mut ub = 0.0f64;
+                    let mut within = true;
+                    for (q, &bundle) in next_cross.iter().enumerate().take(width) {
+                        if a.specs[q] != cand.specs[q] {
+                            ub += dom.after(bundle, gi);
+                            if ub >= slack {
+                                within = false;
+                                break;
                             }
                         }
-                        if within {
-                            dominated = true;
-                            break;
-                        }
                     }
-                    if dominated {
-                        pruned_dominated += 1;
-                    } else {
-                        survivors.push(cand);
+                    if within {
+                        dominated = true;
+                        break;
                     }
                 }
-                kept = survivors;
+                if dominated {
+                    pruned_dominated += 1;
+                } else {
+                    survivors.push(cand);
+                }
             }
+            kept = survivors;
         }
 
         if kept.len() > opts.beam {
@@ -1347,9 +1297,7 @@ pub fn search_with_caches(
 
     let plan =
         StepPlan { ways: opts.ways, tensor_spec, node_choice, comm_bytes: total_cost };
-    if let Some(f) = flight {
-        f.fill(&plan);
-    }
+    flight.fill(&plan);
     Ok(plan)
 }
 
@@ -1498,10 +1446,21 @@ mod tests {
         (g, weights)
     }
 
+    /// One search against fresh caches.
+    fn dp(
+        g: &Graph,
+        view: &ShapeView,
+        cg: &CoarseGraph,
+        extra: &ExtraInputs,
+        opts: &DpOptions,
+    ) -> Result<StepPlan> {
+        search(g, view, cg, extra, opts, &SearchCaches::new(), None)
+    }
+
     fn run_dp(g: &Graph) -> StepPlan {
         let view = ShapeView::from_graph(g);
         let cg = coarsen(g);
-        search(g, &view, &cg, &ExtraInputs::new(), &DpOptions::default()).unwrap()
+        dp(g, &view, &cg, &ExtraInputs::new(), &DpOptions::default()).unwrap()
     }
 
     #[test]
@@ -1550,8 +1509,8 @@ mod tests {
         let (g, _) = matmul_chain(64, &[256, 256, 10]);
         let view = ShapeView::from_graph(&g);
         let cg = coarsen(&g);
-        let with = search(&g, &view, &cg, &ExtraInputs::new(), &DpOptions::default()).unwrap();
-        let without = search(
+        let with = dp(&g, &view, &cg, &ExtraInputs::new(), &DpOptions::default()).unwrap();
+        let without = dp(
             &g,
             &view,
             &cg,
@@ -1567,7 +1526,7 @@ mod tests {
         let (g, _) = matmul_chain(16, &[32, 32]);
         let view = ShapeView::from_graph(&g);
         let cg = coarsen(&g);
-        let plan = search(
+        let plan = dp(
             &g,
             &view,
             &cg,
@@ -1584,7 +1543,7 @@ mod tests {
         let view = ShapeView::from_graph(&g);
         let cg = coarsen(&g);
         for tuning in [SearchTuning::default(), SearchTuning::reference()] {
-            let err = search(
+            let err = dp(
                 &g,
                 &view,
                 &cg,
@@ -1607,7 +1566,7 @@ mod tests {
         let mut extra = ExtraInputs::new();
         extra.push(fc0, 1, pseudo);
         view.push(Shape::new(vec![8, 10]));
-        let plan = search(&g, &view, &cg, &extra, &DpOptions::default()).unwrap();
+        let plan = dp(&g, &view, &cg, &extra, &DpOptions::default()).unwrap();
         assert_eq!(plan.tensor_spec.len(), g.num_tensors() + 1);
     }
 
@@ -1620,9 +1579,8 @@ mod tests {
             let view = ShapeView::from_graph(&g);
             let cg = coarsen(&g);
             let extra = ExtraInputs::new();
-            let opt =
-                search(&g, &view, &cg, &extra, &DpOptions::default()).unwrap();
-            let reference = search(
+            let opt = dp(&g, &view, &cg, &extra, &DpOptions::default()).unwrap();
+            let reference = dp(
                 &g,
                 &view,
                 &cg,
@@ -1647,8 +1605,8 @@ mod tests {
         let extra = ExtraInputs::new();
         let caches = SearchCaches::new();
         let opts = DpOptions::default();
-        let a = search_with_caches(&g, &view, &cg, &extra, &opts, &caches, None).unwrap();
-        let b = search_with_caches(&g, &view, &cg, &extra, &opts, &caches, None).unwrap();
+        let a = search(&g, &view, &cg, &extra, &opts, &caches, None).unwrap();
+        let b = search(&g, &view, &cg, &extra, &opts, &caches, None).unwrap();
         assert_eq!(caches.stats().plan_hits, 1);
         assert_eq!(a.comm_bytes.to_bits(), b.comm_bytes.to_bits());
         assert_eq!(a.tensor_spec, b.tensor_spec);

@@ -8,9 +8,12 @@
 //! 1. [`coarsen`] groups forward/backward operators, coalesces element-wise
 //!    runs and merges unrolled RNN timesteps (§5.1);
 //! 2. [`dp`] searches one *basic step* (a 2-way split of every tensor along
-//!    one dimension) by dynamic programming over the coarsened chain;
+//!    one dimension) by dynamic programming over the coarsened chain —
+//!    one entry, [`dp::search`], over two engines ([`SearchTuning`]);
 //! 3. [`recursive`] applies the DP recursively to reach `k = k1·…·km`
-//!    workers (§5.2, Theorems 1–3);
+//!    workers (§5.2, Theorems 1–3): [`partition`] for a one-shot call,
+//!    [`partition_cached`] against shared [`SearchCaches`] (any number of
+//!    threads), both over [`partition_with_factors`];
 //! 4. [`genplan`] expands the original graph into the per-worker partitioned
 //!    graph with fused MultiFetch gathers, spread reductions and the
 //!    memory-planner control dependencies (§6);
@@ -57,7 +60,7 @@ pub use dp::{DpOptions, ExtraInputs, NodeChoice, SearchTuning, StepPlan};
 pub use error::CoreError;
 pub use genplan::{fetch_pieces, generate, CommEdge, FetchPiece, GenOptions, Region, ShardedGraph};
 pub use recursive::{
-    factorize, partition, partition_cached, partition_shared, partition_with_obs, warm_widths,
+    factorize, partition, partition_cached, partition_with_factors, partition_with_obs,
     PartitionOptions, PartitionPlan,
 };
 pub use spec::{ConcreteOut, ConcreteReq, TensorSpec};

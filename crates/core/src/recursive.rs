@@ -18,12 +18,9 @@ use tofu_graph::{Graph, TensorId};
 use tofu_obs::{Collector, Track};
 use tofu_tensor::Shape;
 
-use crate::cache::{request_fingerprint, RequestLookup, RequestOutcome, SearchCaches};
-use crate::coarsen::{coarsen, CoarseGraph};
-use crate::dp::{
-    search_with_caches, unoptimized_search, DpOptions, ExtraInputs, NodeChoice, SearchTuning,
-    StepPlan,
-};
+use crate::cache::{request_fingerprint, Lookup, SearchCaches};
+use crate::coarsen::coarsen;
+use crate::dp::{search, DpOptions, ExtraInputs, NodeChoice, SearchTuning, StepPlan};
 use crate::error::CoreError;
 use crate::spec::{ConcreteOut, ConcreteReq, TensorSpec};
 use crate::strategies::ShapeView;
@@ -46,7 +43,7 @@ pub struct PartitionOptions {
     /// inputs to later steps — keeps the bookkeeping proportional to what
     /// actually matters.
     pub fetch_buffer_floor: u64,
-    /// Search-engine selection and optimization flags (see [`SearchTuning`]).
+    /// Search-engine selection (see [`SearchTuning`]).
     pub tuning: SearchTuning,
 }
 
@@ -155,7 +152,8 @@ pub fn factorize(workers: usize) -> Result<Vec<usize>> {
     Ok(factors)
 }
 
-/// Runs the full recursive search on a training graph.
+/// Runs the full recursive search on a training graph, against fresh
+/// caches (so a one-shot call pays no request fingerprint).
 ///
 /// # Examples
 ///
@@ -178,61 +176,28 @@ pub fn partition(g: &Graph, opts: &PartitionOptions) -> Result<PartitionPlan> {
     partition_with_obs(g, opts, None)
 }
 
-/// [`partition`] with a caller-owned [`SearchCaches`], so strategy
-/// enumerations and finished step plans are reused *across* calls — e.g. a
-/// worker-count sweep shares every 2-way step fingerprint, and repeated
-/// partitioning of the same model is nearly free.
-///
-/// The `&mut` receiver is kept for single-threaded callers' convenience
-/// (exclusive access needs no synchronization reasoning); it delegates to
-/// [`partition_shared`], which accepts the same caches by shared reference
-/// from any number of threads.
-pub fn partition_cached(
+/// [`partition`] that reports the statistics of [`partition_with_factors`]
+/// into `obs`.
+pub fn partition_with_obs(
     g: &Graph,
     opts: &PartitionOptions,
-    caches: &mut SearchCaches,
     obs: Option<&Collector>,
 ) -> Result<PartitionPlan> {
-    partition_shared(g, opts, caches, obs)
+    partition_with_factors(g, &factorize(opts.workers)?, opts, &SearchCaches::new(), obs)
 }
 
-/// Pre-populates `caches` with finished plans for every *feasible* worker
-/// count in `widths`, returning the feasible ones in ascending order.
+/// [`partition`] with a caller-owned [`SearchCaches`], so strategy
+/// enumerations, finished step plans and whole requests are reused *across*
+/// calls — e.g. a worker-count sweep shares every 2-way step fingerprint,
+/// and repeated partitioning of the same model is nearly free.
 ///
-/// Worker counts the search cannot split — no strategy for some node
-/// ([`CoreError::NoStrategy`]) or an unusable count
-/// ([`CoreError::BadWorkerCount`]) — are skipped, not errors: an elastic
-/// runtime warming the ladder it might shrink or grow through wants the
-/// feasible subset, and wants every later `partition_cached` call at *any*
-/// probed width to be a warm request-memo hit — the infeasible widths are
-/// remembered as rejections. Any other error aborts the warm-up.
-pub fn warm_widths(
-    g: &Graph,
-    base: &PartitionOptions,
-    widths: &[usize],
-    caches: &SearchCaches,
-) -> Result<Vec<usize>> {
-    let mut feasible = Vec::new();
-    for &w in widths {
-        match partition_shared(g, &PartitionOptions { workers: w, ..*base }, caches, None) {
-            Ok(_) => feasible.push(w),
-            Err(CoreError::NoStrategy { .. } | CoreError::BadWorkerCount(_)) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    feasible.sort_unstable();
-    feasible.dedup();
-    Ok(feasible)
-}
-
-/// [`partition_cached`] over a *shared* [`SearchCaches`]: the caches are
-/// internally synchronized (sharded locks + single-flight plan
+/// The caches are internally synchronized (sharded locks + single-flight
 /// deduplication), so a long-running service can call this concurrently
 /// from many solver threads against one `Arc<SearchCaches>`. Results are
-/// bit-identical to a single-threaded [`partition_cached`] run — every
-/// cached value is a pure function of its exact structural key, so thread
-/// interleaving only decides who computes an entry first, never its value.
-pub fn partition_shared(
+/// bit-identical to a single-threaded run — every cached value is a pure
+/// function of its exact structural key, so thread interleaving only decides
+/// who computes an entry first, never its value.
+pub fn partition_cached(
     g: &Graph,
     opts: &PartitionOptions,
     caches: &SearchCaches,
@@ -241,115 +206,54 @@ pub fn partition_shared(
     // Whole-request memo: a repeated request skips even coarsening, and a
     // width the search already proved infeasible is rejected immediately —
     // the warm path an elastic runtime's width-ladder probes rely on. The
-    // lookup single-flights concurrent identical requests, and respects the
-    // `plan_cache` tuning switch (reference mode must really search).
-    if !opts.tuning.plan_cache {
-        return partition_uncached(g, opts, caches, obs);
-    }
-    let key = request_fingerprint(g, opts);
-    match caches.request_begin(key) {
-        RequestLookup::Ready(RequestOutcome::Plan(plan)) => {
+    // lookup single-flights concurrent identical requests; the key covers
+    // the engine choice, so a reference-engine request is only ever answered
+    // by a reference-engine search.
+    let guard = match caches.requests.begin(request_fingerprint(g, opts)) {
+        Lookup::Ready(outcome) => {
             if let Some(c) = obs {
                 c.add_total("cache/request_hit", 1.0);
             }
-            Ok(plan)
+            return outcome;
         }
-        RequestLookup::Ready(RequestOutcome::Infeasible(e)) => {
-            if let Some(c) = obs {
-                c.add_total("cache/request_hit", 1.0);
-            }
-            Err(e)
+        Lookup::Leader(guard) => guard,
+    };
+    let result =
+        factorize(opts.workers).and_then(|f| partition_with_factors(g, &f, opts, caches, obs));
+    match &result {
+        Ok(_) | Err(CoreError::NoStrategy { .. } | CoreError::BadWorkerCount(_)) => {
+            guard.fill(&result)
         }
-        RequestLookup::Leader => {
-            let guard = caches.request_flight_guard(key);
-            let result = partition_uncached(g, opts, caches, obs);
-            match &result {
-                Ok(plan) => guard.fill(&RequestOutcome::Plan(plan.clone())),
-                Err(e @ (CoreError::NoStrategy { .. } | CoreError::BadWorkerCount(_))) => {
-                    guard.fill(&RequestOutcome::Infeasible(e.clone()))
-                }
-                // Transient / circumstance-dependent failures resolve the
-                // flight without memoizing (the guard's drop wakes waiters).
-                Err(_) => drop(guard),
-            }
-            result
-        }
+        // Transient / circumstance-dependent failures resolve the flight
+        // without memoizing (the guard's drop wakes waiters).
+        Err(_) => drop(guard),
     }
+    result
 }
 
-fn partition_uncached(
+/// The recursion itself, over a caller-chosen factor sequence (`partition*`
+/// pass [`factorize`]`(opts.workers)`; baselines and the theorem tests pass
+/// their own): coarsens `g`, then searches and applies one basic step per
+/// factor.
+///
+/// Reports into `obs`: coarsening totals (`coarsen/groups`,
+/// `coarsen/classes`, `coarsen/nodes`), one span per recursion step on
+/// [`Track::search`], per-step `dp/step_comm_bytes` counters, and
+/// everything [`search`] records.
+pub fn partition_with_factors(
     g: &Graph,
+    factors: &[usize],
     opts: &PartitionOptions,
     caches: &SearchCaches,
     obs: Option<&Collector>,
 ) -> Result<PartitionPlan> {
     let started = std::time::Instant::now();
-    let factors = factorize(opts.workers)?;
-    let cg = coarsen(g);
+    let cg = &coarsen(g);
     if let Some(c) = obs {
         c.add_total("coarsen/nodes", g.num_nodes() as f64);
         c.add_total("coarsen/groups", cg.groups.len() as f64);
         c.add_total("coarsen/classes", cg.class_nodes.iter().filter(|m| !m.is_empty()).count() as f64);
     }
-    partition_inner(g, &cg, &factors, opts, started, caches, obs)
-}
-
-/// [`partition`] that reports search statistics into `obs`: coarsening
-/// totals (`coarsen/groups`, `coarsen/classes`, `coarsen/nodes`), one span
-/// per recursion step on [`Track::search`], per-step `dp/step_comm_bytes`
-/// counters, and everything [`search_with_obs`] records.
-pub fn partition_with_obs(
-    g: &Graph,
-    opts: &PartitionOptions,
-    obs: Option<&Collector>,
-) -> Result<PartitionPlan> {
-    let started = std::time::Instant::now();
-    let factors = factorize(opts.workers)?;
-    let cg = coarsen(g);
-    if let Some(c) = obs {
-        c.add_total("coarsen/nodes", g.num_nodes() as f64);
-        c.add_total("coarsen/groups", cg.groups.len() as f64);
-        c.add_total("coarsen/classes", cg.class_nodes.iter().filter(|m| !m.is_empty()).count() as f64);
-    }
-    let caches = SearchCaches::new();
-    partition_inner(g, &cg, &factors, opts, started, &caches, obs)
-}
-
-/// Like [`partition`] but with a caller-provided coarsened graph and factor
-/// sequence (used by baselines and benchmarks).
-pub fn partition_with_coarse(
-    g: &Graph,
-    cg: &CoarseGraph,
-    factors: &[usize],
-    opts: &PartitionOptions,
-    started: std::time::Instant,
-) -> Result<PartitionPlan> {
-    partition_with_coarse_obs(g, cg, factors, opts, started, None)
-}
-
-/// [`partition_with_coarse`] with an optional statistics sink (see
-/// [`partition_with_obs`]).
-pub fn partition_with_coarse_obs(
-    g: &Graph,
-    cg: &CoarseGraph,
-    factors: &[usize],
-    opts: &PartitionOptions,
-    started: std::time::Instant,
-    obs: Option<&Collector>,
-) -> Result<PartitionPlan> {
-    let caches = SearchCaches::new();
-    partition_inner(g, cg, factors, opts, started, &caches, obs)
-}
-
-fn partition_inner(
-    g: &Graph,
-    cg: &CoarseGraph,
-    factors: &[usize],
-    opts: &PartitionOptions,
-    started: std::time::Instant,
-    caches: &SearchCaches,
-    obs: Option<&Collector>,
-) -> Result<PartitionPlan> {
     let mut view = ShapeView::from_graph(g);
     let mut extra = ExtraInputs::new();
     let mut steps: Vec<StepRecord> = Vec::with_capacity(factors.len());
@@ -366,11 +270,7 @@ fn partition_inner(
             tuning: opts.tuning,
         };
         let step_start = obs.map(|c| c.now_us());
-        let plan = if opts.tuning.reference {
-            unoptimized_search(g, &view, cg, &extra, &dp_opts, obs)?
-        } else {
-            search_with_caches(g, &view, cg, &extra, &dp_opts, caches, obs)?
-        };
+        let plan = search(g, &view, cg, &extra, &dp_opts, caches, obs)?;
         if let Some(c) = obs {
             let end = c.now_us();
             let name = format!("step {step}: {ways}-way dp over {} groups", cg.groups.len());
@@ -600,12 +500,12 @@ mod tests {
         // worse.
         let g = mlp(64, &[256, 256, 64]);
         let recursive = partition(&g, &PartitionOptions::default()).unwrap();
-        let flat = partition_with_coarse(
+        let flat = partition_with_factors(
             &g,
-            &coarsen(&g),
             &[8],
             &PartitionOptions::default(),
-            std::time::Instant::now(),
+            &SearchCaches::new(),
+            None,
         )
         .unwrap();
         assert!(recursive.total_comm_bytes() <= flat.total_comm_bytes() * 1.01 + 1024.0);
@@ -619,23 +519,26 @@ mod tests {
     }
 
     #[test]
-    fn warm_widths_skips_infeasible_and_fills_the_plan_cache() {
-        // Batch 36 divides by 1/2/3/4/6 but not 5 or 7: warm-up must keep
-        // the feasible subset and skip the rest without erroring.
+    fn request_memo_remembers_feasible_and_infeasible_widths() {
+        // Batch 36 divides by 1/2/3/4/6 but not 5 or 7: probing the whole
+        // ladder must yield a plan for the feasible subset and a typed
+        // rejection for the rest.
         let g = mlp(36, &[72, 36]);
         let caches = SearchCaches::new();
-        let base = PartitionOptions { workers: 6, ..Default::default() };
-        let feasible = warm_widths(&g, &base, &[7, 6, 5, 4, 3, 2, 1], &caches).unwrap();
+        let at = |w: usize| {
+            let opts = PartitionOptions { workers: w, ..Default::default() };
+            partition_cached(&g, &opts, &caches, None)
+        };
+        let feasible: Vec<usize> = (1..=7).filter(|&w| at(w).is_ok()).collect();
         assert_eq!(feasible, vec![1, 2, 3, 4, 6]);
         // Every width — feasible plan or proven infeasibility — is now a
         // warm request-memo hit: no repeat costs a search.
         let h0 = caches.stats().request_hits;
         for &w in &feasible {
-            partition_shared(&g, &PartitionOptions { workers: w, ..base }, &caches, None).unwrap();
+            at(w).unwrap();
         }
         for w in [5usize, 7] {
-            partition_shared(&g, &PartitionOptions { workers: w, ..base }, &caches, None)
-                .unwrap_err();
+            at(w).unwrap_err();
         }
         let stats = caches.stats();
         assert_eq!(stats.request_hits, h0 + feasible.len() as u64 + 2);

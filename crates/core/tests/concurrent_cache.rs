@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use tofu_core::recursive::{partition_cached, partition_shared, PartitionOptions, PartitionPlan};
+use tofu_core::recursive::{partition_cached, PartitionOptions, PartitionPlan};
 use tofu_core::SearchCaches;
 use tofu_graph::Graph;
 use tofu_models::{mlp, MlpConfig};
@@ -62,10 +62,10 @@ fn shared_cache_is_deadlock_free_exact_and_bit_identical() {
 
     // Cold single-threaded baseline over one fresh cache: records the
     // expected plans and the per-pass lookup/miss tallies.
-    let mut baseline_caches = SearchCaches::new();
+    let baseline_caches = SearchCaches::new();
     let mut expected: Vec<String> = Vec::new();
     for (g, opts) in &mix {
-        let plan = partition_cached(g, opts, &mut baseline_caches, None).expect("baseline");
+        let plan = partition_cached(g, opts, &baseline_caches, None).expect("baseline");
         expected.push(canonical(&plan));
     }
     let baseline = baseline_caches.stats();
@@ -93,7 +93,7 @@ fn shared_cache_is_deadlock_free_exact_and_bit_identical() {
                         let idx = (i + t + round) % mix.len();
                         let (g, opts) = &mix[idx];
                         let plan =
-                            partition_shared(g, opts, &shared, None).expect("concurrent search");
+                            partition_cached(g, opts, &shared, None).expect("concurrent search");
                         assert_eq!(
                             canonical(&plan),
                             expected[idx],
@@ -139,17 +139,4 @@ fn shared_cache_is_deadlock_free_exact_and_bit_identical() {
     assert_eq!(snap.plan_entries as u64, baseline.plan_misses);
     assert_eq!(snap.request_entries, mix.len());
     assert!(snap.request_hit_rate > 0.9, "warm hit rate was {}", snap.request_hit_rate);
-}
-
-#[test]
-fn shared_and_exclusive_apis_agree() {
-    // `partition_cached` (&mut, single-threaded convenience) and
-    // `partition_shared` (&, service path) must be the same computation.
-    let (g, opts) = request_mix().swap_remove(0);
-    let mut exclusive = SearchCaches::new();
-    let via_mut = partition_cached(&g, &opts, &mut exclusive, None).expect("exclusive");
-    let shared = SearchCaches::new();
-    let via_shared = partition_shared(&g, &opts, &shared, None).expect("shared");
-    assert_eq!(canonical(&via_mut), canonical(&via_shared));
-    assert_eq!(exclusive.stats(), shared.stats());
 }

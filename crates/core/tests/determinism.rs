@@ -48,7 +48,7 @@ fn assert_identical_runs(g: &Graph, opts: &PartitionOptions) {
     assert_eq!(counters_a, counters_b, "dp/cache counter totals differ across identical runs");
     // The optimized engine must actually have reported its counters —
     // otherwise this test vacuously compares empty maps.
-    if !opts.tuning.reference {
+    if opts.tuning != SearchTuning::reference() {
         for key in ["dp/states_explored", "dp/strategies_feasible", "cache/strategy_miss"] {
             assert!(counters_a.contains_key(key), "missing expected counter {key}");
         }

@@ -17,7 +17,7 @@ use tofu_core::coarsen::coarsen;
 use tofu_core::dp::{search, unoptimized_search, DpOptions, ExtraInputs};
 use tofu_core::recursive::{partition, PartitionOptions};
 use tofu_core::strategies::ShapeView;
-use tofu_core::{CoreError, SearchTuning};
+use tofu_core::{CoreError, SearchCaches, SearchTuning};
 use tofu_graph::Graph;
 
 /// Exact-search options: the beam and state bound are far above anything a
@@ -57,7 +57,7 @@ fn check_step(g: &Graph, ways: usize) {
     let extra = ExtraInputs::new();
     let opts = exact_opts(ways);
     let ref_opts = DpOptions { tuning: SearchTuning::reference(), ..opts };
-    let optimized = search(g, &view, &cg, &extra, &opts);
+    let optimized = search(g, &view, &cg, &extra, &opts, &SearchCaches::new(), None);
     let reference = unoptimized_search(g, &view, &cg, &extra, &ref_opts, None);
     if !check_error_parity(&optimized, &reference) {
         return;
@@ -160,7 +160,7 @@ fn differential_harness_exercises_success_paths() {
         let view = ShapeView::from_graph(&g);
         let cg = coarsen(&g);
         let extra = ExtraInputs::new();
-        if search(&g, &view, &cg, &extra, &exact_opts(2)).is_ok() {
+        if search(&g, &view, &cg, &extra, &exact_opts(2), &SearchCaches::new(), None).is_ok() {
             ok += 1;
         }
     }

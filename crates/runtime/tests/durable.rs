@@ -436,9 +436,9 @@ fn plain_runs_reject_disk_faults() {
     let m = model();
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 2, ..Default::default() };
-    let mut caches = SearchCaches::default();
+    let caches = SearchCaches::default();
     let sharded = {
-        let plan = tofu_core::partition_cached(&m.graph, &part, &mut caches, None).unwrap();
+        let plan = tofu_core::partition_cached(&m.graph, &part, &caches, None).unwrap();
         tofu_core::generate(&m.graph, &plan, &tofu_core::GenOptions::default()).unwrap()
     };
     let mut sf = Vec::new();

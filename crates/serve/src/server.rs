@@ -13,7 +13,7 @@
 //!                                bounded → `overloaded` when full)
 //!                                  │
 //!                          solver pool (N threads)
-//!                        partition_shared(&SearchCaches)
+//!                        partition_cached(&SearchCaches)
 //!                                  │
 //!                       answer leader + all joined waiters
 //! ```
@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tofu_core::recursive::{partition_shared, PartitionOptions};
+use tofu_core::recursive::{partition_cached, PartitionOptions};
 use tofu_core::{request_fingerprint, SearchCaches};
 use tofu_graph::Graph;
 use tofu_obs::json::Json;
@@ -495,7 +495,7 @@ fn solver_loop(shared: &Arc<Shared>) {
         }
         let start = shared.cfg.collector.as_ref().map(|c| c.now_us());
         let result = catch_unwind(AssertUnwindSafe(|| {
-            partition_shared(&job.graph, &job.opts, &shared.caches, shared.cfg.collector.as_ref())
+            partition_cached(&job.graph, &job.opts, &shared.caches, shared.cfg.collector.as_ref())
         }));
         if let (Some(c), Some(s)) = (&shared.cfg.collector, start) {
             let name = format!(

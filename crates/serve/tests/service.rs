@@ -22,14 +22,14 @@ fn served_plans_are_byte_identical_to_local_search() {
     let server = PlanServer::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
     let mut client = PlanClient::connect(server.addr()).expect("connect");
 
-    let mut local_caches = SearchCaches::new();
+    let local_caches = SearchCaches::new();
     for (batch, workers) in [(24usize, 4usize), (24, 8), (48, 6)] {
         let g = model(batch);
         let opts = PartitionOptions { workers, ..Default::default() };
         let served = client.partition("tenant-a", &g, &opts, None).expect("served plan");
         assert!(!served.cached, "first request for this fingerprint must be cold");
 
-        let local = partition_cached(&g, &opts, &mut local_caches, None).expect("local plan");
+        let local = partition_cached(&g, &opts, &local_caches, None).expect("local plan");
         assert_eq!(
             served.plan.to_json(),
             plan_to_json(&local).to_json(),

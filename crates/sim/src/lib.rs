@@ -34,7 +34,7 @@ pub use compute::node_seconds;
 pub use event::{simulate, simulate_traced, simulate_with_leaf_devices, SimResult};
 pub use machine::Machine;
 pub use memory::{device_memory, per_device_memory, DeviceMemory};
-pub use tofu::{run_partitioned, simulate_degraded, DegradedRun, PartitionedRun, TofuSimOptions};
+pub use tofu::{run_partitioned, PartitionedRun, TofuSimOptions};
 
 /// One training configuration's simulated result.
 #[derive(Debug, Clone, Copy)]

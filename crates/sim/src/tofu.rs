@@ -3,6 +3,7 @@
 
 use tofu_core::genplan::{generate, GenOptions};
 use tofu_core::recursive::PartitionPlan;
+use tofu_core::CoreError;
 use tofu_graph::Graph;
 
 use crate::event::simulate_with_leaf_devices;
@@ -39,6 +40,9 @@ pub struct PartitionedRun {
 }
 
 /// Generates the partitioned graph for `plan` and simulates one iteration.
+///
+/// A plan wider than the machine is rejected with
+/// [`CoreError::BadWorkerCount`]: its workers have no device to run on.
 pub fn run_partitioned(
     g: &Graph,
     plan: &PartitionPlan,
@@ -46,6 +50,9 @@ pub fn run_partitioned(
     machine: &Machine,
     opts: &TofuSimOptions,
 ) -> tofu_core::Result<PartitionedRun> {
+    if plan.workers > machine.gpus {
+        return Err(CoreError::BadWorkerCount(plan.workers));
+    }
     let sharded = generate(g, plan, &GenOptions { control_deps: opts.control_deps })?;
     let sim = simulate_with_leaf_devices(
         &sharded.graph,
@@ -89,51 +96,6 @@ pub fn run_partitioned(
     })
 }
 
-/// Predicted cost of degraded operation after elastic recovery: the same
-/// model re-partitioned for the survivor count, simulated on the shrunk
-/// machine, side by side with the full-width prediction.
-#[derive(Debug, Clone)]
-pub struct DegradedRun {
-    /// Prediction at the original worker count.
-    pub full: PartitionedRun,
-    /// Prediction at the surviving worker count.
-    pub degraded: PartitionedRun,
-    /// Degraded iteration time over full-width iteration time (`∞` when
-    /// either configuration fails to run, e.g. the survivors OOM).
-    pub slowdown: f64,
-}
-
-/// Simulates the elastic-recovery "before and after": partitions `g` for
-/// both `full_workers` and `surviving_workers`, simulates each on a machine
-/// with that many GPUs (interconnect and per-GPU specs unchanged), and
-/// reports the slowdown a shrink would cost — the number an operator weighs
-/// against waiting for the dead device to be replaced.
-pub fn simulate_degraded(
-    g: &Graph,
-    part_opts: &tofu_core::PartitionOptions,
-    surviving_workers: usize,
-    batch: usize,
-    machine: &Machine,
-    opts: &TofuSimOptions,
-) -> tofu_core::Result<DegradedRun> {
-    let full_plan = tofu_core::partition(g, part_opts)?;
-    let shrunk_plan = tofu_core::partition(
-        g,
-        &tofu_core::PartitionOptions { workers: surviving_workers, ..*part_opts },
-    )?;
-    let full_machine = Machine { gpus: part_opts.workers, ..machine.clone() };
-    let shrunk_machine = Machine { gpus: surviving_workers, ..machine.clone() };
-    let full = run_partitioned(g, &full_plan, batch, &full_machine, opts)?;
-    let degraded = run_partitioned(g, &shrunk_plan, batch, &shrunk_machine, opts)?;
-    let slowdown = match (&full.outcome, &degraded.outcome) {
-        (Outcome::Ran(f), Outcome::Ran(d)) if f.iter_seconds > 0.0 => {
-            d.iter_seconds / f.iter_seconds
-        }
-        _ => f64::INFINITY,
-    };
-    Ok(DegradedRun { full, degraded, slowdown })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,6 +125,16 @@ mod tests {
         assert_eq!(run.per_device_gb.len(), 8);
         assert!(run.comm_bytes > 0.0);
         assert!(run.compute_only_seconds <= p.iter_seconds + 1e-12);
+    }
+
+    #[test]
+    fn plan_wider_than_the_machine_is_rejected() {
+        let machine = Machine { gpus: 4, ..Machine::p2_8xlarge() };
+        let g = toy(64, 256);
+        let plan = partition(&g, &PartitionOptions { workers: 8, ..Default::default() }).unwrap();
+        let err = run_partitioned(&g, &plan, 64, &machine, &TofuSimOptions::default())
+            .unwrap_err();
+        assert!(matches!(err, CoreError::BadWorkerCount(8)), "{err:?}");
     }
 
     #[test]
@@ -205,24 +177,6 @@ mod tests {
         assert!(
             max < single * 0.5,
             "per-device {max} GB vs single-device {single} GB"
-        );
-    }
-
-    #[test]
-    fn degraded_simulation_predicts_a_bounded_slowdown() {
-        let machine = Machine::p2_8xlarge();
-        let g = toy(840, 256);
-        let part = PartitionOptions { workers: 8, ..Default::default() };
-        // Losing one of eight devices: the survivor plan must still run, on
-        // seven devices, slower than full width but by a bounded factor.
-        let run = simulate_degraded(&g, &part, 7, 840, &machine, &TofuSimOptions::default())
-            .unwrap();
-        assert!(run.full.outcome.ran() && run.degraded.outcome.ran());
-        assert_eq!(run.degraded.per_device_gb.len(), 7);
-        assert!(
-            run.slowdown >= 1.0 - 1e-9 && run.slowdown < 8.0,
-            "slowdown {} out of range",
-            run.slowdown
         );
     }
 }

@@ -8,6 +8,18 @@ cd "$(dirname "$0")/.."
 # every exit, pass or fail.
 trap 'echo "scripts/check.sh: total wall time ${SECONDS}s (exit $?)"' EXIT
 
+# API ratchet: the public-function count of each layered crate may not
+# exceed scripts/api_budget.txt. Lowering a budget is free; raising one must
+# happen in the diff that adds the function, where a reviewer sees it.
+while read -r crate budget; do
+    count=$(grep -r "pub fn" "crates/$crate/src" | wc -l)
+    echo "pub fn in crates/$crate/src: $count (budget $budget)"
+    if [ "$count" -gt "$budget" ]; then
+        echo "scripts/check.sh: crates/$crate/src exceeds its pub fn budget" >&2
+        exit 1
+    fi
+done < scripts/api_budget.txt
+
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 # `benchmark/` is its own workspace, so nothing above or below compiles it:

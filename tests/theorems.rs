@@ -3,9 +3,9 @@
 //! costs) and Theorem 3 (the recursion is no worse than other orderings),
 //! plus the §5.2 factorization rules.
 
-use tofu::core::{factorize, partition, PartitionOptions};
-use tofu::core::recursive::partition_with_coarse;
-use tofu::core::coarsen;
+use tofu::core::{
+    factorize, partition, partition_with_factors, PartitionOptions, SearchCaches,
+};
 use tofu::models::{mlp, rnn, small_cnn, MlpConfig, RnnConfig, SmallCnnConfig};
 
 #[test]
@@ -70,13 +70,11 @@ fn theorem_1_commutativity_of_factor_order() {
         mlp(&MlpConfig { batch: 36, dims: vec![72, 144], classes: 12, with_updates: false })
             .unwrap();
     let opts = PartitionOptions { workers: 6, ..Default::default() };
-    let cg = coarsen(&model.graph);
-    let forward =
-        partition_with_coarse(&model.graph, &cg, &[3, 2], &opts, std::time::Instant::now())
-            .unwrap();
-    let backward =
-        partition_with_coarse(&model.graph, &cg, &[2, 3], &opts, std::time::Instant::now())
-            .unwrap();
+    let with_factors = |factors: &[usize]| {
+        partition_with_factors(&model.graph, factors, &opts, &SearchCaches::new(), None).unwrap()
+    };
+    let forward = with_factors(&[3, 2]);
+    let backward = with_factors(&[2, 3]);
     let (a, b) = (forward.total_comm_bytes(), backward.total_comm_bytes());
     assert!(
         (a - b).abs() <= 0.1 * a.max(b) + 4096.0,
@@ -95,13 +93,12 @@ fn theorem_3_recursion_not_worse_than_flat_chop() {
         })
         .unwrap();
         let opts = PartitionOptions { workers: 8, ..Default::default() };
-        let cg = coarsen(&model.graph);
-        let recursive =
-            partition_with_coarse(&model.graph, &cg, &[2, 2, 2], &opts, std::time::Instant::now())
-                .unwrap();
-        let flat =
-            partition_with_coarse(&model.graph, &cg, &[8], &opts, std::time::Instant::now())
-                .unwrap();
+        let with_factors = |factors: &[usize]| {
+            partition_with_factors(&model.graph, factors, &opts, &SearchCaches::new(), None)
+                .unwrap()
+        };
+        let recursive = with_factors(&[2, 2, 2]);
+        let flat = with_factors(&[8]);
         assert!(
             recursive.total_comm_bytes() <= flat.total_comm_bytes() * 1.01 + 4096.0,
             "recursion worse than flat: {} vs {}",
