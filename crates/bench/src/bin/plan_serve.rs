@@ -9,7 +9,12 @@
 //! * the warm phase must be answered from the response cache (a zero warm
 //!   hit-rate means the fingerprint or cache layer broke);
 //! * the server's single-flight accounting must add up (hits + misses +
-//!   joined + rejected == requests).
+//!   joined + rejected == requests);
+//! * a warm hit must cost the client fewer than 256 request bytes on the
+//!   wire — the fingerprint travels, the graph does not. The count is read
+//!   from the server's own `request_bytes` tally and repeats exactly, which
+//!   this host's wall clock (±40 % run to run) does not: the latency and
+//!   throughput rows are recorded, not gated.
 //!
 //! The process exits nonzero when any gate fails.
 
@@ -30,6 +35,8 @@ use tofu_serve::server::{PlanServer, ServeConfig};
 const CLIENT_THREADS: usize = 4;
 const REQUESTS_PER_CLIENT: usize = 500;
 const TENANTS: [&str; 3] = ["team-vision", "team-nlp", "team-ads"];
+/// Gate: request bytes (frame headers included) one warm hit may cost.
+const MAX_REQUEST_BYTES_PER_WARM_HIT: f64 = 256.0;
 
 /// Request mix: four MLP variants × two worker counts. Widths are multiples
 /// of 24 so the 6- and 8-worker factorizations stay divisible.
@@ -100,6 +107,7 @@ fn main() {
          over {} tenants",
         TENANTS.len()
     );
+    let request_bytes_before = server.counters().request_bytes.load(Ordering::Relaxed);
     let t0 = Instant::now();
     let handles: Vec<_> = (0..CLIENT_THREADS)
         .map(|t| {
@@ -151,6 +159,8 @@ fn main() {
     let joined = load(&c.joined);
     let rejected = load(&c.rejected);
     let warm_hit_rate = hits / (requests - mix.len() as f64).max(1.0);
+    let bytes_per_hit =
+        (load(&c.request_bytes) - request_bytes_before as f64) / total_requests as f64;
     let throughput = total_requests as f64 / elapsed.max(1e-12);
     let p50 = percentile(&latencies, 0.50);
     let p99 = percentile(&latencies, 0.99);
@@ -160,6 +170,7 @@ fn main() {
     println!("{:>24}: {misses:.0} (+{joined:.0} joined, {rejected:.0} rejected)", "solver runs");
     println!("{:>24}: {throughput:.0} req/s over {elapsed:.2}s", "warm throughput");
     println!("{:>24}: p50 {:.1} µs, p99 {:.1} µs", "latency", p50 * 1e6, p99 * 1e6);
+    println!("{:>24}: {bytes_per_hit:.1} B", "request bytes / warm hit");
 
     if hits + misses + joined + rejected != requests {
         eprintln!("FAIL: serve counters do not add up");
@@ -176,6 +187,13 @@ fn main() {
         eprintln!("FAIL: zero warm hit-rate — every timed request should hit the cache");
         failed = true;
     }
+    if bytes_per_hit > MAX_REQUEST_BYTES_PER_WARM_HIT {
+        eprintln!(
+            "FAIL: a warm hit cost {bytes_per_hit:.1} request bytes (limit \
+             {MAX_REQUEST_BYTES_PER_WARM_HIT}) — is the graph being uploaded on hits?"
+        );
+        failed = true;
+    }
     let snap = server.caches().snapshot();
 
     let results = vec![Json::obj(vec![
@@ -188,6 +206,7 @@ fn main() {
         ("latency_p50_seconds", Json::from(p50)),
         ("latency_p99_seconds", Json::from(p99)),
         ("warm_hit_rate", Json::from(warm_hit_rate)),
+        ("request_bytes_per_warm_hit", Json::from(bytes_per_hit)),
         ("serve_hits", Json::from(hits)),
         ("serve_misses", Json::from(misses)),
         ("serve_joined", Json::from(joined)),

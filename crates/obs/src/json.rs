@@ -4,7 +4,9 @@
 //! implementation everything shares: the Chrome-trace exporter writes
 //! through it, the round-trip tests and `trace_dump`'s self-validation parse
 //! through it, and the bench binaries build their `BENCH_*.json` files from
-//! [`Json`] values instead of hand-rolled `push_str` formatting.
+//! [`Json`] values instead of hand-rolled `push_str` formatting. It is also
+//! the plan service's wire codec, so [`parse`] treats its input as hostile:
+//! time linear in the length, nesting bounded by [`MAX_DEPTH`].
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -190,43 +192,63 @@ fn write_num(out: &mut String, v: f64) {
 
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Copy clean runs whole; only the bytes that need an escape (all ASCII,
+    // so every cut is on a char boundary) are written one at a time.
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.push_str(&s[clean..i]);
+        clean = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[clean..]);
     out.push('"');
 }
 
-/// Parses a JSON document. Errors carry the byte offset of the problem.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so an unbounded `[[[[…` from the network would overflow the
+/// calling thread's stack; the deepest document this workspace writes (a
+/// plan response) nests 7 levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a JSON document in time linear in its length. Errors carry the
+/// byte offset of the problem; nesting beyond [`MAX_DEPTH`] is an error.
 pub fn parse(src: &str) -> Result<Json, String> {
-    let bytes = src.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { src, pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != src.len() {
         return Err(format!("trailing content at byte {}", p.pos));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
+    /// Open arrays + objects around `pos`.
+    depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.src.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.bytes().get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
             } else {
@@ -236,7 +258,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -250,8 +272,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -261,8 +283,18 @@ impl Parser<'_> {
         }
     }
 
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
+    }
+
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -279,23 +311,67 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
+        let text = &self.src[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("bad number {text:?} at byte {start}"))
     }
 
+    /// The four hex digits of a `\u` escape, with `pos` on the `u`; leaves
+    /// `pos` on the last digit.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let at = self.pos - 1;
+        let code = self
+            .bytes()
+            .get(self.pos + 1..self.pos + 5)
+            .and_then(|hex| {
+                hex.iter().try_fold(0u32, |acc, &b| Some(acc * 16 + (b as char).to_digit(16)?))
+            })
+            .ok_or_else(|| format!("bad \\u escape at byte {at}"))?;
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// A `\u` escape, with `pos` on the `u`. A high surrogate followed by an
+    /// escaped low surrogate is one scalar (how `ensure_ascii` writers spell
+    /// everything outside the BMP); a lone half has no scalar value and
+    /// decodes to U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let hi = self.hex4()?;
+        if (0xd800..0xdc00).contains(&hi) && self.bytes()[self.pos + 1..].starts_with(b"\\u") {
+            let before = self.pos;
+            self.pos += 2;
+            let lo = self.hex4()?;
+            if (0xdc00..0xe000).contains(&lo) {
+                let code = 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
+                return Ok(char::from_u32(code).expect("a surrogate pair encodes a scalar"));
+            }
+            // Not a pair: the second escape is decoded on its own next turn.
+            self.pos = before;
+        }
+        Ok(char::from_u32(hi).unwrap_or('\u{fffd}'))
+    }
+
     fn string(&mut self) -> Result<String, String> {
+        let open = self.pos;
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // The run up to the next quote or backslash is copied whole.
+            // Both are ASCII, so neither can sit inside a multi-byte scalar:
+            // the run starts and ends on char boundaries of `src`, which is
+            // valid UTF-8 already.
+            let rest = &self.bytes()[self.pos..];
+            let run = rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
-                None => return Err("unterminated string".into()),
+                None => return Err(format!("unterminated string starting at byte {open}")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -306,31 +382,16 @@ impl Parser<'_> {
                         Some(b't') => out.push('\t'),
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
+                        Some(b'u') => out.push(self.unicode_escape()?),
+                        other => {
+                            return Err(format!(
+                                "bad escape {:?} at byte {}",
+                                other.map(|b| b as char),
+                                self.pos - 1
+                            ))
                         }
-                        other => return Err(format!("bad escape {other:?}")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unchanged).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8 in string")?;
-                    let c = s.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -434,16 +495,46 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("{\"a\" 1}").is_err());
-        assert!(parse("12 34").is_err());
-        assert!(parse("").is_err());
+        for (src, at) in [
+            ("{", 1),
+            ("[1,]", 3),
+            ("{\"a\" 1}", 5),
+            ("12 34", 3),
+            ("", 0),
+            ("\"abc", 0),
+            ("\"a\\qb\"", 2),
+            ("\"\\u12g4\"", 1),
+            ("\"\\ud83d\\u+e00\"", 7),
+        ] {
+            let err = parse(src).expect_err(src);
+            assert!(err.ends_with(&format!("at byte {at}")), "{src:?}: {err}");
+        }
     }
 
     #[test]
     fn parses_unicode_and_escapes() {
         let v = parse(r#""café ☕""#).unwrap();
         assert_eq!(v.as_str(), Some("café ☕"));
+        let v = parse(r#""a\"b\\c\/d\n\r\t\b\f\u00e9\u2615""#).unwrap();
+        assert_eq!(v.as_str(), Some("a\"b\\c/d\n\r\t\u{8}\u{c}é☕"));
+    }
+
+    #[test]
+    fn surrogate_pairs_combine_and_lone_halves_are_replaced() {
+        let s = |src: &str| parse(src).unwrap().as_str().unwrap().to_string();
+        // What an `ensure_ascii` writer sends for U+1F600.
+        assert_eq!(s(r#""\ud83d\ude00""#), "😀");
+        assert_eq!(s(r#""x\uD83D\uDE00y""#), "x😀y");
+        assert_eq!(s(r#""\ud83d""#), "\u{fffd}");
+        assert_eq!(s(r#""\ude00""#), "\u{fffd}");
+        assert_eq!(s(r#""\ud83d\u0041""#), "\u{fffd}A");
+        assert_eq!(s(r#""\ud83d\ud83d\ude00""#), "\u{fffd}😀");
+        assert_eq!(s(r#""\ud83dx""#), "\u{fffd}x");
+    }
+
+    #[test]
+    fn writer_escapes_only_what_it_must() {
+        let text = Json::Str("plain é☕😀 \"q\" \\ \n\r\t\u{1}\u{7f}".into()).to_json();
+        assert_eq!(text, "\"plain é☕😀 \\\"q\\\" \\\\ \\n\\r\\t\\u0001\u{7f}\"");
     }
 }

@@ -4,6 +4,12 @@
 //! time (send frame, read frame); correlation ids are still checked so a
 //! protocol bug surfaces as an error rather than a mismatched answer.
 //!
+//! [`PlanClient::partition`] asks by fingerprint first: it hashes the request
+//! locally and sends a ~100-byte `lookup`; only when the server answers
+//! `not_cached` does the graph travel, as a full `partition` upload. A hit
+//! therefore costs one small frame out and the plan back (see the protocol
+//! module's "Fingerprint first").
+//!
 //! [`PlanClient::connect_with_retry`] adds fleet-churn resilience: transport
 //! failures (connection refused, reset mid-request, read timeout) trigger a
 //! reconnect-and-resend loop paced by the runtime's seeded
@@ -24,8 +30,8 @@ use tofu_obs::json::Json;
 use tofu_runtime::BackoffSchedule;
 
 use crate::protocol::{
-    encode_partition, read_frame, write_frame, ErrorCode, ProtocolError, Request, Response,
-    DEFAULT_MAX_FRAME,
+    encode_partition, read_frame, wire_fingerprint, write_frame, ErrorCode, ProtocolError,
+    Request, Response, DEFAULT_MAX_FRAME,
 };
 
 /// A served plan answer.
@@ -258,6 +264,10 @@ impl PlanClient {
     /// Requests a partition plan. `deadline_ms` is a relative deadline the
     /// server enforces; expired requests come back as
     /// [`ErrorCode::DeadlineMissed`].
+    ///
+    /// The server is asked by fingerprint first; the graph is uploaded only
+    /// if it holds no plan for it (each of the two messages is retried on its
+    /// own under [`connect_with_retry`](PlanClient::connect_with_retry)).
     pub fn partition(
         &mut self,
         tenant: &str,
@@ -266,15 +276,15 @@ impl PlanClient {
         deadline_ms: Option<u64>,
     ) -> Result<ServedPlan, ClientError> {
         let id = self.fresh_id();
+        let fingerprint = wire_fingerprint(graph, options);
+        let probe = self.round_trip(&Request::Lookup { id, fingerprint, deadline_ms })?;
+        if !matches!(probe, Response::Error { code: ErrorCode::NotCached, .. }) {
+            return served(id, probe);
+        }
+        let id = self.fresh_id();
         // Encode from borrowed parts: no Graph clone per request.
         let payload = encode_partition(id, tenant, graph, options, deadline_ms);
-        match self.round_trip_bytes(&payload)? {
-            Response::Plan { id: rid, cached, fingerprint, plan } if rid == id => {
-                Ok(ServedPlan { cached, fingerprint, plan })
-            }
-            Response::Error { code, message, .. } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
-        }
+        served(id, self.round_trip_bytes(&payload)?)
     }
 
     /// Fetches the server's statistics document.
@@ -295,5 +305,16 @@ impl PlanClient {
             Response::Error { code, message, .. } => Err(ClientError::Server { code, message }),
             other => Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
         }
+    }
+}
+
+/// Reads the answer to plan request `id` (a `lookup` or a `partition`).
+fn served(id: u64, response: Response) -> Result<ServedPlan, ClientError> {
+    match response {
+        Response::Plan { id: rid, cached, fingerprint, plan } if rid == id => {
+            Ok(ServedPlan { cached, fingerprint, plan })
+        }
+        Response::Error { code, message, .. } => Err(ClientError::Server { code, message }),
+        other => Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
     }
 }

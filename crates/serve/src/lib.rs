@@ -8,7 +8,8 @@
 //!
 //! * [`protocol`] — length-prefixed JSON frames, request/response types and
 //!   the canonical graph/plan codecs (zero new dependencies: the JSON layer
-//!   is `tofu-obs`'s).
+//!   is `tofu-obs`'s), and the fingerprint-first exchange: ask by request
+//!   hash, upload the graph only when the server answers `not_cached`.
 //! * [`scheduler`] — per-tenant round-robin queueing with a bounded
 //!   admission cap (typed `overloaded` rejections instead of collapse).
 //! * [`server`] — the acceptor, connection handlers and solver pool over one

@@ -12,20 +12,49 @@
 //! # Requests
 //!
 //! ```json
-//! {"type":"partition","id":1,"tenant":"acme","workers":8,
+//! {"type":"lookup","id":1,"fingerprint":"<32 hex digits>","deadline_ms":250}
+//! {"type":"partition","id":2,"tenant":"acme","workers":8,
 //!  "deadline_ms":250,"options":{"allow_reduce":true},"graph":{...}}
-//! {"type":"stats","id":2}
-//! {"type":"ping","id":3}
+//! {"type":"stats","id":3}
+//! {"type":"ping","id":4}
 //! ```
 //!
 //! # Responses
 //!
 //! ```json
 //! {"type":"plan","id":1,"cached":true,"fingerprint":"...","plan":{...}}
-//! {"type":"error","id":1,"code":"overloaded","message":"..."}
-//! {"type":"stats","id":2,"serve":{...},"cache":{...}}
-//! {"type":"pong","id":3}
+//! {"type":"error","id":1,"code":"not_cached","message":"..."}
+//! {"type":"error","id":2,"code":"overloaded","message":"..."}
+//! {"type":"stats","id":3,"serve":{...},"cache":{...}}
+//! {"type":"pong","id":4}
 //! ```
+//!
+//! # Fingerprint first
+//!
+//! A plan is a pure function of [`tofu_core::request_fingerprint`] — a hash
+//! of the graph and the search options — and the response cache is keyed by
+//! it. The graph is ~1000× larger than its hash, so a client asks by hash
+//! first (TensorFlow's register-once, run-by-handle idiom):
+//!
+//! 1. [`PlanClient::partition`](crate::client::PlanClient::partition) hashes
+//!    the request locally ([`wire_fingerprint`]) and sends a ~100-byte
+//!    `lookup`.
+//! 2. If the server holds a finished plan under that key it answers with the
+//!    usual `plan` response (`cached: true`); if a solver is computing it,
+//!    the lookup joins that flight and is answered (`cached: false`) when it
+//!    lands. Either way the graph never travels.
+//! 3. Otherwise the server answers `not_cached` and the client uploads the
+//!    full `partition` request — the one and only miss path.
+//!
+//! **Who computes which fingerprint.** The client's hash is only ever a
+//! *read* key. The server recomputes the fingerprint of every uploaded graph
+//! itself, after decoding and shape-checking it, and inserts under that value
+//! alone; a `fingerprint` field on a `partition` request is ignored. A
+//! client that sends a wrong or forged hash can therefore at worst read a
+//! plan that is already shared across tenants, or miss and pay for the
+//! upload — it can never make the server file a plan under a key the plan
+//! does not hash to, which every later reader of that key would then be
+//! served.
 //!
 //! The `plan` object is produced by [`plan_to_json`] and is **canonical**:
 //! two bit-identical [`PartitionPlan`]s serialize to byte-identical JSON, so
@@ -36,7 +65,7 @@
 use std::io::{Read, Write};
 
 use tofu_core::recursive::{PartitionOptions, PartitionPlan};
-use tofu_core::{ConcreteOut, ConcreteReq, NodeChoice};
+use tofu_core::{request_fingerprint, ConcreteOut, ConcreteReq, NodeChoice};
 use tofu_graph::{AttrValue, Attrs, Graph, NodeId, NodeTags, TensorId, TensorKind};
 use tofu_obs::json::{parse, Json};
 use tofu_tensor::Shape;
@@ -157,6 +186,17 @@ pub enum Request {
         /// The request body.
         req: Box<PartitionRequest>,
     },
+    /// Ask for the plan filed under a request fingerprint without sending
+    /// the graph; answered `plan` or [`ErrorCode::NotCached`].
+    Lookup {
+        /// Correlation id.
+        id: u64,
+        /// The [`tofu_core::request_fingerprint`] of the request the client
+        /// would otherwise upload (32 hex digits on the wire).
+        fingerprint: u128,
+        /// Relative deadline, as on a partition request.
+        deadline_ms: Option<u64>,
+    },
     /// Fetch service and cache statistics.
     Stats {
         /// Correlation id.
@@ -189,6 +229,9 @@ pub enum ErrorCode {
     /// The server is draining for shutdown and accepts no new work; queued
     /// requests still get answers, but this one arrived too late.
     ShuttingDown,
+    /// A `lookup` named a fingerprint with no finished or in-flight plan:
+    /// upload the full `partition` request.
+    NotCached,
 }
 
 impl ErrorCode {
@@ -203,6 +246,7 @@ impl ErrorCode {
             ErrorCode::SearchFailed => "search_failed",
             ErrorCode::Internal => "internal",
             ErrorCode::ShuttingDown => "shutting_down",
+            ErrorCode::NotCached => "not_cached",
         }
     }
 
@@ -217,6 +261,7 @@ impl ErrorCode {
             "search_failed" => ErrorCode::SearchFailed,
             "internal" => ErrorCode::Internal,
             "shutting_down" => ErrorCode::ShuttingDown,
+            "not_cached" => ErrorCode::NotCached,
             _ => return None,
         })
     }
@@ -625,6 +670,11 @@ impl Request {
         match ty.as_str() {
             "ping" => Ok(Request::Ping { id }),
             "stats" => Ok(Request::Stats { id }),
+            "lookup" => Ok(Request::Lookup {
+                id,
+                fingerprint: fingerprint_from_hex(get_str(&v, "fingerprint")?)?,
+                deadline_ms: opt_u64(&v, "deadline_ms")?,
+            }),
             "partition" => {
                 let tenant = get_str(&v, "tenant")?.to_string();
                 let workers = get_u64(&v, "workers")? as usize;
@@ -654,6 +704,17 @@ impl Request {
             }
             Request::Stats { id } => {
                 Json::obj(vec![("type", Json::from("stats")), ("id", Json::from(*id))])
+            }
+            Request::Lookup { id, fingerprint, deadline_ms } => {
+                let mut pairs = vec![
+                    ("type", Json::from("lookup")),
+                    ("id", Json::from(*id)),
+                    ("fingerprint", Json::from(fingerprint_hex(*fingerprint))),
+                ];
+                if let Some(ms) = deadline_ms {
+                    pairs.push(("deadline_ms", Json::from(*ms)));
+                }
+                Json::obj(pairs)
             }
             Request::Partition { id, req } => {
                 return encode_partition(*id, &req.tenant, &req.graph, &req.options, req.deadline_ms)
@@ -705,7 +766,7 @@ impl Response {
     pub fn from_bytes(payload: &[u8]) -> Result<Response, ProtocolError> {
         let text = std::str::from_utf8(payload)
             .map_err(|_| ProtocolError::BadJson("payload is not utf-8".into()))?;
-        let v = parse(text).map_err(ProtocolError::BadJson)?;
+        let mut v = parse(text).map_err(ProtocolError::BadJson)?;
         let ty = v
             .get("type")
             .and_then(Json::as_str)
@@ -718,7 +779,14 @@ impl Response {
                 id,
                 cached: v.get("cached").and_then(Json::as_bool).unwrap_or(false),
                 fingerprint: get_str(&v, "fingerprint")?.to_string(),
-                plan: v.get("plan").cloned().ok_or_else(|| bad("plan response missing plan"))?,
+                // The plan is nearly all of the message: move it out of the
+                // parsed envelope, which is dropped right after.
+                plan: match &mut v {
+                    Json::Obj(pairs) => pairs.iter_mut().find(|(k, _)| k == "plan"),
+                    _ => None,
+                }
+                .map(|(_, plan)| std::mem::replace(plan, Json::Null))
+                .ok_or_else(|| bad("plan response missing plan"))?,
             }),
             "error" => {
                 let code_str = get_str(&v, "code")?;
@@ -868,6 +936,22 @@ pub fn fingerprint_hex(fp: u128) -> String {
     format!("{fp:032x}")
 }
 
+/// Inverse of [`fingerprint_hex`]: exactly 32 hex digits, nothing else.
+fn fingerprint_from_hex(s: &str) -> Result<u128, ProtocolError> {
+    if s.len() != 32 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return Err(bad("fingerprint is not 32 hex digits"));
+    }
+    Ok(u128::from_str_radix(s, 16).expect("32 hex digits fit a u128"))
+}
+
+/// The fingerprint the server will compute for this request once it has
+/// decoded it — the key a `lookup` must name to find the plan.
+pub(crate) fn wire_fingerprint(graph: &Graph, options: &PartitionOptions) -> u128 {
+    // `tuning` does not travel ([`options_json`]): the server always hashes,
+    // and runs, the default engine.
+    request_fingerprint(graph, &PartitionOptions { tuning: Default::default(), ..*options })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -910,6 +994,7 @@ mod tests {
             ErrorCode::SearchFailed,
             ErrorCode::Internal,
             ErrorCode::ShuttingDown,
+            ErrorCode::NotCached,
         ] {
             assert_eq!(ErrorCode::from_wire(code.as_str()), Some(code));
         }

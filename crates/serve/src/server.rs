@@ -4,19 +4,27 @@
 //!
 //! ```text
 //!  clients ──TCP──► acceptor ──► one handler thread per connection
-//!                                  │  parse frame, fingerprint request
+//!                                  │  parse frame; key = the fingerprint a
+//!                                  │  `lookup` names, or the server's own
+//!                                  │  hash of an uploaded `partition` graph
 //!                                  │
 //!                     response cache (fingerprint → plan JSON)
 //!                       hit ──► answer immediately (cached=true)
 //!                       in-flight ──► join as waiter (single-flight)
-//!                       miss ──► FairScheduler (per-tenant round-robin,
-//!                                bounded → `overloaded` when full)
+//!                       miss, lookup ──► `not_cached` (client uploads)
+//!                       miss, upload ──► FairScheduler (per-tenant
+//!                                round-robin, bounded → `overloaded`)
 //!                                  │
 //!                          solver pool (N threads)
 //!                        partition_cached(&SearchCaches)
 //!                                  │
 //!                       answer leader + all joined waiters
 //! ```
+//!
+//! Only an upload can fill the response cache, and only under the hash the
+//! server computed from the decoded graph (see the protocol module's
+//! "Fingerprint first"): a `lookup` reads an entry or joins its flight, never
+//! creates one.
 //!
 //! Two cache layers cooperate: the serve-level *response cache* maps a whole
 //! request fingerprint ([`tofu_core::request_fingerprint`]) to the finished
@@ -80,9 +88,11 @@ impl Default for ServeConfig {
 /// is not required for stats reporting).
 #[derive(Default)]
 pub struct ServeCounters {
-    /// Partition requests received (any outcome).
+    /// Plan requests taken on: every `partition` upload, and every `lookup`
+    /// that found an entry. A `lookup` answered `not_cached` is not one —
+    /// the upload that follows it is.
     pub requests: AtomicU64,
-    /// Answered from the response cache.
+    /// Found finished in the response cache.
     pub hits: AtomicU64,
     /// Computed fresh (single-flight leaders).
     pub misses: AtomicU64,
@@ -100,6 +110,9 @@ pub struct ServeCounters {
     pub search_failed: AtomicU64,
     /// Frames or messages that failed to parse.
     pub protocol_errors: AtomicU64,
+    /// Bytes of request frames read, length prefixes included (any message
+    /// kind): what clients paid on the wire to ask.
+    pub request_bytes: AtomicU64,
 }
 
 /// A response destination: the connection's shared write half plus the
@@ -361,15 +374,26 @@ fn run_connection(reader: &mut TcpStream, writer: &Arc<Mutex<TcpStream>>, shared
             }
             Err(_) => return,
         };
+        shared.counters.request_bytes.fetch_add(payload.len() as u64 + 4, Ordering::Relaxed);
         match Request::from_bytes(&payload) {
             Ok(Request::Ping { id }) => send(writer, &Response::Pong { id }),
             Ok(Request::Stats { id }) => send(writer, &stats_response(shared, id)),
+            Ok(Request::Lookup { id, fingerprint, deadline_ms }) => {
+                handle_plan_request(shared, writer, id, deadline_ms, fingerprint, None);
+            }
             Ok(Request::Partition { id, req }) => {
-                handle_partition(shared, writer, id, *req);
+                // The key of an upload is always the server's own hash of
+                // the graph it decoded, whatever the message claimed.
+                let fp = request_fingerprint(&req.graph, &req.options);
+                handle_plan_request(shared, writer, id, req.deadline_ms, fp, Some(*req));
             }
             Err(e) => {
                 shared.bump(&shared.counters.protocol_errors, "serve/protocol_errors");
-                let id = extract_id(&payload);
+                // A payload that is not JSON has no id to find.
+                let id = match e {
+                    ProtocolError::BadJson(_) => 0,
+                    _ => extract_id(&payload),
+                };
                 let code = match &e {
                     ProtocolError::UnknownType(_) => ErrorCode::UnknownType,
                     _ => ErrorCode::BadRequest,
@@ -384,7 +408,18 @@ fn expired(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() >= d)
 }
 
-fn handle_partition(shared: &Arc<Shared>, writer: &Arc<Mutex<TcpStream>>, id: u64, req: PartitionRequest) {
+/// Answers one request for the plan filed under `fp`. `upload` is the
+/// request body when the graph came along (`partition`), `None` when the
+/// client only named the fingerprint (`lookup`): without a body there is
+/// nothing to solve, so an unknown fingerprint is answered `not_cached`.
+fn handle_plan_request(
+    shared: &Arc<Shared>,
+    writer: &Arc<Mutex<TcpStream>>,
+    id: u64,
+    deadline_ms: Option<u64>,
+    fp: u128,
+    upload: Option<PartitionRequest>,
+) {
     // Checked before `requests` is bumped: late arrivals are turned away,
     // not admitted, so the `hits + misses + joined + rejected == requests`
     // invariant is unaffected by a drain.
@@ -393,31 +428,38 @@ fn handle_partition(shared: &Arc<Shared>, writer: &Arc<Mutex<TcpStream>>, id: u6
         send_error(writer, id, ErrorCode::ShuttingDown, "server is draining for shutdown".into());
         return;
     }
-    shared.bump(&shared.counters.requests, "serve/requests");
-    let deadline = req.deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    let fp = request_fingerprint(&req.graph, &req.options);
+    let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
 
     let mut plans = shared.plans.lock().expect("plans lock");
-    match plans.get_mut(&fp) {
-        Some(PlanEntry::Ready(payload)) => {
+    match (plans.get_mut(&fp), upload) {
+        (None, None) => {
+            drop(plans);
+            // No counter moves, `requests` included: the upload this answer
+            // asks for is the request.
+            send_error(writer, id, ErrorCode::NotCached, "no plan under this fingerprint".into());
+        }
+        (Some(PlanEntry::Ready(payload)), _) => {
             let payload = Arc::clone(payload);
             drop(plans);
+            shared.bump(&shared.counters.requests, "serve/requests");
+            shared.bump(&shared.counters.hits, "serve/hits");
             if expired(deadline) {
                 shared.bump(&shared.counters.deadline_missed, "serve/deadline_missed");
                 send_error(writer, id, ErrorCode::DeadlineMissed, "deadline elapsed".into());
                 return;
             }
-            shared.bump(&shared.counters.hits, "serve/hits");
             send_bytes(
                 writer,
                 &encode_plan_response(id, true, &payload.fingerprint, &payload.plan_text),
             );
         }
-        Some(PlanEntry::Pending(waiters)) => {
+        (Some(PlanEntry::Pending(waiters)), _) => {
+            shared.bump(&shared.counters.requests, "serve/requests");
             shared.bump(&shared.counters.joined, "serve/joined");
             waiters.push(Waiter { conn: Arc::clone(writer), id, deadline });
         }
-        None => {
+        (None, Some(req)) => {
+            shared.bump(&shared.counters.requests, "serve/requests");
             plans.insert(fp, PlanEntry::Pending(Vec::new()));
             let job = Job {
                 fp,
@@ -578,6 +620,7 @@ fn stats_response(shared: &Shared, id: u64) -> Response {
                 ("shutting_down", load(&c.shutting_down)),
                 ("search_failed", load(&c.search_failed)),
                 ("protocol_errors", load(&c.protocol_errors)),
+                ("request_bytes", load(&c.request_bytes)),
                 ("queued", Json::from(shared.sched.queued())),
                 ("draining", Json::from(shared.draining.load(Ordering::SeqCst))),
                 ("uptime_seconds", Json::Num(shared.started.elapsed().as_secs_f64())),

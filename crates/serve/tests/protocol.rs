@@ -3,9 +3,12 @@
 
 use std::io::Write;
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use tofu_serve::client::{ClientError, PlanClient};
-use tofu_serve::protocol::{read_frame, write_frame, ErrorCode, Response};
+use tofu_serve::protocol::{
+    encode_partition, read_frame, write_frame, ErrorCode, ProtocolError, Request, Response,
+};
 use tofu_serve::server::{PlanServer, ServeConfig};
 
 fn small_server() -> PlanServer {
@@ -135,4 +138,121 @@ fn client_surfaces_server_errors_typed() {
     }
     client.ping().expect("connection still healthy");
     server.shutdown();
+}
+
+#[test]
+fn deeply_nested_frame_is_bad_request_not_a_stack_overflow() {
+    // Well under the default 8 MiB frame limit, and deep enough that an
+    // unbounded recursive parser overflows the connection thread's 2 MiB
+    // stack — which aborts the whole process, past any `catch_unwind`.
+    let server = PlanServer::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    write_frame(&mut stream, "[".repeat(200_000).as_bytes()).expect("send nested frame");
+    match read_response(&mut stream) {
+        Response::Error { id, code, message } => {
+            assert_eq!((id, code), (0, ErrorCode::BadRequest));
+            assert!(message.contains("nesting"), "message was {message:?}");
+        }
+        other => panic!("expected bad_request, got {other:?}"),
+    }
+    // Same connection, same process: the frame cost one error, nothing more.
+    write_frame(&mut stream, br#"{"type":"ping","id":2}"#).expect("send ping");
+    assert!(matches!(read_response(&mut stream), Response::Pong { id: 2 }));
+    PlanClient::connect(server.addr()).expect("reconnect").ping().expect("ping after abuse");
+    server.shutdown();
+}
+
+#[test]
+fn malformed_fingerprint_is_bad_request() {
+    let server = small_server();
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let hex31 = "0".repeat(31);
+    for (id, fingerprint) in [
+        (1, "\"\"".to_string()),
+        (2, format!("\"{hex31}\"")),
+        (3, format!("\"{hex31}00\"")),
+        (4, format!("\"{hex31}g\"")),
+        // `from_str_radix` alone would take a sign.
+        (5, format!("\"+{hex31}\"")),
+        (6, "12345".to_string()),
+        (7, "null".to_string()),
+    ] {
+        let req = format!(r#"{{"type":"lookup","id":{id},"fingerprint":{fingerprint}}}"#);
+        write_frame(&mut stream, req.as_bytes()).expect("send");
+        match read_response(&mut stream) {
+            Response::Error { id: rid, code, .. } => {
+                assert_eq!((rid, code), (id, ErrorCode::BadRequest), "request {req}");
+            }
+            other => panic!("expected bad_request for {req}, got {other:?}"),
+        }
+    }
+    // A well-formed fingerprint nobody filed a plan under is a different,
+    // equally typed answer; upper-case hex is the same number.
+    let req = format!(r#"{{"type":"lookup","id":8,"fingerprint":"{}F"}}"#, hex31);
+    write_frame(&mut stream, req.as_bytes()).expect("send");
+    match read_response(&mut stream) {
+        Response::Error { id, code, .. } => assert_eq!((id, code), (8, ErrorCode::NotCached)),
+        other => panic!("expected not_cached, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+#[test]
+fn lookup_round_trips_and_stays_small() {
+    let fingerprint = 0x0123_4567_89ab_cdef_0011_2233_4455_6677u128;
+    for deadline_ms in [None, Some(250u64)] {
+        let bytes = Request::Lookup { id: 8_999_999_999_999_999, fingerprint, deadline_ms }.to_bytes();
+        assert!(bytes.len() + 4 < 128, "a lookup frame is {} bytes", bytes.len() + 4);
+        match Request::from_bytes(&bytes).expect("parse lookup") {
+            Request::Lookup { id, fingerprint: fp, deadline_ms: d } => {
+                assert_eq!((id, fp, d), (8_999_999_999_999_999, fingerprint, deadline_ms));
+            }
+            other => panic!("expected lookup, got {other:?}"),
+        }
+    }
+}
+
+/// The decode a quadratic parser made cost 83 ms on this host (1 MB/s) and
+/// that grows with the square of the model: a WResNet-50-1 upload must
+/// decode — parse, graph rebuild, shape inference — well inside the bound,
+/// and a frame-limit-sized string in a fraction of it.
+#[test]
+fn request_decode_is_linear_in_the_payload() {
+    let model = tofu_models::wresnet(&tofu_models::WResNetConfig {
+        layers: 50,
+        width: 1,
+        batch: 8,
+        image: 16,
+        classes: 8,
+        with_updates: true,
+    })
+    .expect("wresnet");
+    let opts = tofu_core::recursive::PartitionOptions::default();
+    let payload = encode_partition(1, "tenant", &model.graph, &opts, None);
+    assert!(payload.len() > 100_000, "payload is only {} bytes", payload.len());
+    let t0 = Instant::now();
+    let decoded = Request::from_bytes(&payload).expect("decode upload");
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(2), "decoding {} bytes took {took:?}", payload.len());
+    match decoded {
+        Request::Partition { req, .. } => {
+            assert_eq!(req.graph.num_nodes(), model.graph.num_nodes());
+            assert_eq!(req.graph.num_tensors(), model.graph.num_tensors());
+        }
+        other => panic!("expected partition, got {other:?}"),
+    }
+
+    // 8 MiB (the default frame limit) of one tenant name: ~3·10^13 byte
+    // visits for a parser that rescans its input per character.
+    let mut huge = br#"{"type":"ping","id":1,"tenant":""#.to_vec();
+    huge.resize(huge.len() + (8 << 20), b'x');
+    huge.extend_from_slice(b"\"}");
+    let t0 = Instant::now();
+    assert!(matches!(Request::from_bytes(&huge), Ok(Request::Ping { id: 1 })));
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(2), "parsing {} bytes took {took:?}", huge.len());
+    assert!(matches!(
+        Request::from_bytes(&huge[..huge.len() - 2]),
+        Err(ProtocolError::BadJson(_))
+    ));
 }

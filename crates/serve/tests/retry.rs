@@ -3,13 +3,16 @@
 //! backoff, typed server errors pass through untouched, and an exhausted
 //! attempt budget surrenders with the typed `Exhausted` error.
 
-use std::net::{Shutdown, TcpListener};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::Ordering;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tofu_core::recursive::PartitionOptions;
+use tofu_core::recursive::{partition_cached, PartitionOptions};
+use tofu_core::SearchCaches;
 use tofu_models::{mlp, MlpConfig};
 use tofu_serve::client::{ClientError, PlanClient, RetryOptions};
-use tofu_serve::protocol::ErrorCode;
+use tofu_serve::protocol::{plan_to_json, read_frame, write_frame, ErrorCode};
 use tofu_serve::server::{PlanServer, ServeConfig};
 
 fn fast_retry(attempts: usize) -> RetryOptions {
@@ -96,5 +99,55 @@ fn without_retry_a_severed_connection_is_a_plain_protocol_error() {
         Err(ClientError::Protocol(_)) => {}
         other => panic!("expected a protocol error, got {other:?}"),
     }
+    server.shutdown();
+}
+
+/// A frame-forwarding proxy in front of `upstream` that serves two
+/// connections: the first is cut, both ways, after `exchanges` complete
+/// request/response pairs; the second forwards until the client hangs up.
+/// Returns the exchanges each connection carried.
+fn severing_proxy(upstream: SocketAddr, exchanges: usize) -> (String, JoinHandle<[usize; 2]>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
+    let addr = listener.local_addr().expect("proxy addr").to_string();
+    let proxy = std::thread::spawn(move || {
+        [Some(exchanges), None].map(|cut| {
+            let (mut client, _) = listener.accept().expect("accept");
+            let mut server = TcpStream::connect(upstream).expect("dial upstream");
+            let mut carried = 0;
+            while Some(carried) != cut {
+                let Ok(Some(request)) = read_frame(&mut client, 8 << 20) else { break };
+                write_frame(&mut server, &request).expect("forward request");
+                let answer = read_frame(&mut server, 8 << 20).expect("read answer").expect("answer");
+                write_frame(&mut client, &answer).expect("forward answer");
+                carried += 1;
+            }
+            let _ = client.shutdown(Shutdown::Both);
+            carried
+        })
+    });
+    (addr, proxy)
+}
+
+#[test]
+fn a_connection_severed_between_probe_and_upload_is_retried() {
+    let server = PlanServer::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    // The probe and its `not_cached` answer get through; the connection is
+    // gone by the time the client turns to upload the graph.
+    let (addr, proxy) = severing_proxy(server.addr(), 1);
+    let mut client = PlanClient::connect_with_retry(&addr, fast_retry(4)).expect("connect");
+    let g = model();
+    let opts = PartitionOptions { workers: 4, ..Default::default() };
+    let served = client.partition("tenant-a", &g, &opts, None).expect("plan despite the cut");
+    assert!(!served.cached, "the upload is the first request for this fingerprint");
+    let local = partition_cached(&g, &opts, &SearchCaches::new(), None).expect("local plan");
+    assert_eq!(served.plan.to_json(), plan_to_json(&local).to_json());
+
+    drop(client);
+    // Only the upload was resent, over a second connection: the probe had
+    // been answered and is not asked again.
+    assert_eq!(proxy.join().expect("proxy thread"), [1, 1]);
+    let c = server.counters();
+    assert_eq!(c.requests.load(Ordering::Relaxed), 1);
+    assert_eq!(c.misses.load(Ordering::Relaxed), 1);
     server.shutdown();
 }

@@ -1,20 +1,54 @@
 //! End-to-end service semantics: byte-identity against the local search,
-//! response caching, single-flight deduplication, admission control and
-//! deadlines.
+//! response caching, the fingerprint-first exchange, single-flight
+//! deduplication, admission control and deadlines.
 
+use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use tofu_core::recursive::{partition_cached, PartitionOptions};
-use tofu_core::SearchCaches;
-use tofu_models::{mlp, MlpConfig};
+use tofu_core::{request_fingerprint, SearchCaches};
+use tofu_models::{decoder_block, mlp, DecoderConfig, MlpConfig};
+use tofu_obs::json::Json;
 use tofu_serve::client::{ClientError, PlanClient};
-use tofu_serve::protocol::{plan_to_json, ErrorCode};
+use tofu_serve::protocol::{
+    encode_partition, fingerprint_hex, plan_to_json, read_frame, write_frame, ErrorCode, Request,
+    Response,
+};
 use tofu_serve::server::{PlanServer, ServeConfig};
 
 fn model(batch: usize) -> tofu_graph::Graph {
     mlp(&MlpConfig { batch, dims: vec![48, 24], classes: 24, with_updates: true })
         .expect("model")
         .graph
+}
+
+/// `[requests, hits, misses, joined, rejected]` of a server with no request
+/// in the middle of admission, checked against the accounting identity.
+fn counters(server: &PlanServer) -> [u64; 5] {
+    let c = server.counters();
+    let read = [&c.requests, &c.hits, &c.misses, &c.joined, &c.rejected]
+        .map(|a| a.load(Ordering::Relaxed));
+    assert_eq!(read[1] + read[2] + read[3] + read[4], read[0], "counters do not add up: {read:?}");
+    read
+}
+
+/// One raw exchange: what any client, not just [`PlanClient`], can send.
+fn ask(stream: &mut TcpStream, payload: &[u8]) -> Response {
+    write_frame(stream, payload).expect("send");
+    let answer = read_frame(stream, 8 << 20).expect("read").expect("an answer frame");
+    Response::from_bytes(&answer).expect("parse answer")
+}
+
+fn lookup(id: u64, fingerprint: u128, deadline_ms: Option<u64>) -> Vec<u8> {
+    Request::Lookup { id, fingerprint, deadline_ms }.to_bytes()
+}
+
+fn error_code(response: Response) -> ErrorCode {
+    match response {
+        Response::Error { code, .. } => code,
+        other => panic!("expected a typed error, got {other:?}"),
+    }
 }
 
 #[test]
@@ -28,6 +62,8 @@ fn served_plans_are_byte_identical_to_local_search() {
         let opts = PartitionOptions { workers, ..Default::default() };
         let served = client.partition("tenant-a", &g, &opts, None).expect("served plan");
         assert!(!served.cached, "first request for this fingerprint must be cold");
+        // The client's local hash (its lookup key) is the server's key.
+        assert_eq!(served.fingerprint, fingerprint_hex(request_fingerprint(&g, &opts)));
 
         let local = partition_cached(&g, &opts, &local_caches, None).expect("local plan");
         assert_eq!(
@@ -219,4 +255,185 @@ fn drain_answers_every_queued_request_and_turns_late_arrivals_away() {
 
     // Completing the drain joins the (now idle) solver pool and closes up.
     server.drain();
+}
+
+#[test]
+fn a_probe_that_finds_nothing_is_not_a_request() {
+    let server = PlanServer::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    let mut client = PlanClient::connect(server.addr()).expect("connect");
+    let g = model(24);
+    let opts = PartitionOptions { workers: 4, ..Default::default() };
+    let fp = request_fingerprint(&g, &opts);
+    let local = plan_to_json(&partition_cached(&g, &opts, &SearchCaches::new(), None).unwrap());
+
+    // Nothing filed yet: a typed "upload it", and not one counter moves.
+    assert_eq!(error_code(ask(&mut raw, &lookup(1, fp, None))), ErrorCode::NotCached);
+    assert_eq!(counters(&server), [0, 0, 0, 0, 0]);
+
+    // The client's probe finds nothing either, so the upload that follows is
+    // the one request, a miss, and the first answer is not a cached one.
+    let first = client.partition("t", &g, &opts, None).expect("cold");
+    assert!(!first.cached);
+    assert_eq!(counters(&server), [1, 0, 1, 0, 0]);
+
+    // A probe that finds the plan is a request and a hit, answered with the
+    // usual plan response.
+    match ask(&mut raw, &lookup(2, fp, None)) {
+        Response::Plan { id, cached, fingerprint, plan } => {
+            assert_eq!((id, cached), (2, true));
+            assert_eq!(fingerprint, fingerprint_hex(fp));
+            assert_eq!(plan.to_json(), local.to_json());
+        }
+        other => panic!("expected the plan, got {other:?}"),
+    }
+    assert_eq!(counters(&server), [2, 1, 1, 0, 0]);
+
+    // So a warm `partition` sends the fingerprint and nothing else.
+    let sent = server.counters().request_bytes.load(Ordering::Relaxed);
+    let warm = client.partition("t", &g, &opts, None).expect("warm");
+    let sent = server.counters().request_bytes.load(Ordering::Relaxed) - sent;
+    assert!(warm.cached);
+    assert_eq!(warm.plan.to_json(), local.to_json());
+    assert!(sent < 256, "a warm hit sent {sent} request bytes");
+    let upload = encode_partition(1, "t", &g, &opts, None).len() as u64;
+    assert!(10 * sent < upload, "the graph ({upload} B) is what a {sent} B probe saves");
+    assert_eq!(counters(&server), [3, 2, 1, 0, 0]);
+    server.shutdown();
+}
+
+#[test]
+fn a_probe_joins_a_flight_and_is_answered_when_the_leader_lands() {
+    let server = PlanServer::bind(
+        "127.0.0.1:0",
+        ServeConfig { solver_threads: 1, ..Default::default() },
+    )
+    .expect("bind");
+    let addr = server.addr();
+    // A search long enough (~0.1 s optimized, ~1 s unoptimized) to probe
+    // while it runs.
+    let g = Arc::new(
+        decoder_block(&DecoderConfig {
+            seq: 128,
+            d_model: 256,
+            heads: 8,
+            d_ff: 1024,
+            classes: 64,
+            with_updates: true,
+        })
+        .expect("decoder")
+        .graph,
+    );
+    let mut raw = TcpStream::connect(addr).expect("connect");
+
+    // The entry is `Pending` from the leader's admission (which is when
+    // `misses` moves) until its search ends. Nothing a test can hold keeps
+    // the solver from finishing, so a probe that arrives after the search
+    // ended — a hit, not a join — repeats the round on a fresh fingerprint;
+    // each round is a full miss of the same cost (`state_bound` is hashed,
+    // never binding).
+    let joined = (0..8).any(|round| {
+        let opts = PartitionOptions {
+            workers: 8,
+            state_bound: PartitionOptions::default().state_bound + round,
+            ..Default::default()
+        };
+        let before = counters(&server);
+        let leader = {
+            let g = Arc::clone(&g);
+            std::thread::spawn(move || {
+                PlanClient::connect(addr).expect("connect").partition("leader", &g, &opts, None)
+            })
+        };
+        // Read alone: mid-admission the counters do not add up yet.
+        while server.counters().misses.load(Ordering::Relaxed) == before[2] {
+            std::thread::yield_now();
+        }
+        let answer = ask(&mut raw, &lookup(round as u64, request_fingerprint(&g, &opts), None));
+        let led = leader.join().expect("leader thread").expect("leader's plan");
+        let after = counters(&server);
+        let Response::Plan { cached, fingerprint, plan, .. } = answer else {
+            panic!("round {round}: expected a plan, got {answer:?}");
+        };
+        assert_eq!(fingerprint, led.fingerprint);
+        assert_eq!(plan.to_json(), led.plan.to_json());
+        assert!(!led.cached);
+        if cached {
+            assert_eq!(after, [before[0] + 2, before[1] + 1, before[2] + 1, before[3], 0]);
+            return false;
+        }
+        // Joined: a request, not a hit, not a second search.
+        assert_eq!(after, [before[0] + 2, before[1], before[2] + 1, before[3] + 1, 0]);
+        true
+    });
+    assert!(joined, "eight probes in a row arrived after a search that had just been admitted");
+    server.shutdown();
+}
+
+#[test]
+fn deadlines_and_drains_answer_both_message_kinds() {
+    let server = PlanServer::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    let mut client = PlanClient::connect(server.addr()).expect("connect");
+    let g = model(24);
+    let opts = PartitionOptions { workers: 4, ..Default::default() };
+    let fp = request_fingerprint(&g, &opts);
+    client.partition("t", &g, &opts, None).expect("prime");
+
+    // An elapsed deadline is `deadline_missed` however the plan was asked
+    // for, found or not (`zero_deadline_is_deadline_missed` is the cold case).
+    let upload = |id, deadline| encode_partition(id, "t", &g, &opts, deadline);
+    assert_eq!(error_code(ask(&mut raw, &lookup(1, fp, Some(0)))), ErrorCode::DeadlineMissed);
+    assert_eq!(error_code(ask(&mut raw, &upload(2, Some(0)))), ErrorCode::DeadlineMissed);
+    match client.partition("t", &g, &opts, Some(0)) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::DeadlineMissed),
+        other => panic!("expected deadline_missed, got {other:?}"),
+    }
+    assert_eq!(server.counters().deadline_missed.load(Ordering::Relaxed), 3);
+    // Each found the plan and was told too late: a request, and a hit.
+    assert_eq!(counters(&server), [4, 3, 1, 0, 0]);
+
+    // A draining server turns both kinds away, cached plan or not, and
+    // counts neither as a request.
+    server.begin_drain();
+    assert_eq!(error_code(ask(&mut raw, &lookup(3, fp, None))), ErrorCode::ShuttingDown);
+    assert_eq!(error_code(ask(&mut raw, &lookup(4, fp ^ 1, None))), ErrorCode::ShuttingDown);
+    assert_eq!(error_code(ask(&mut raw, &upload(5, None))), ErrorCode::ShuttingDown);
+    match client.partition("t", &g, &opts, None) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::ShuttingDown),
+        other => panic!("expected shutting_down, got {other:?}"),
+    }
+    assert_eq!(server.counters().shutting_down.load(Ordering::Relaxed), 4);
+    assert_eq!(counters(&server), [4, 3, 1, 0, 0]);
+    server.drain();
+}
+
+#[test]
+fn an_upload_is_keyed_by_the_servers_own_hash() {
+    let server = PlanServer::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    let g = model(24);
+    let opts = PartitionOptions { workers: 4, ..Default::default() };
+    let honest = request_fingerprint(&g, &opts);
+    // Another request's key: if the server filed this plan under it, that
+    // request's owner would be served the wrong plan from then on.
+    let victim = request_fingerprint(&model(48), &opts);
+    assert_ne!(honest, victim);
+
+    let text = String::from_utf8(encode_partition(1, "mallory", &g, &opts, None)).unwrap();
+    let Json::Obj(mut fields) = tofu_obs::json::parse(&text).expect("own payload") else {
+        panic!("a request is an object");
+    };
+    fields.insert(0, ("fingerprint".to_string(), Json::from(fingerprint_hex(victim))));
+    match ask(&mut raw, Json::Obj(fields).to_json().as_bytes()) {
+        Response::Plan { cached, fingerprint, .. } => {
+            assert!(!cached);
+            assert_eq!(fingerprint, fingerprint_hex(honest), "keyed by the claimed fingerprint");
+        }
+        other => panic!("expected a plan, got {other:?}"),
+    }
+    assert_eq!(error_code(ask(&mut raw, &lookup(2, victim, None))), ErrorCode::NotCached);
+    assert!(matches!(ask(&mut raw, &lookup(3, honest, None)), Response::Plan { cached: true, .. }));
+    assert_eq!(counters(&server), [2, 1, 1, 0, 0]);
+    server.shutdown();
 }
