@@ -1,8 +1,10 @@
-//! Durability matrix sweep: crashes a whole process at early / mid / late
+//! Durability matrix ledger: crashes a whole process at early / mid / late
 //! durable commits, corrupts its checkpoint files with every disk-fault
 //! family, and restarts — alternating between the original and half the
-//! worker count — recording write / validate / restore latencies and
-//! whether recovery was bit-identical, written to `BENCH_durability.json`.
+//! worker count — recording which checkpoint the restart resumed from, what
+//! it rejected and why, the bytes written and restored, and whether recovery
+//! was bit-identical, written to `BENCH_durability.json`. Write and recover
+//! *time* is measured by `benchmark/` (`durable.write_s`, `durable.recover_s`).
 //!
 //! Matrix:
 //! - crash after the early / mid / late durable commit
@@ -22,49 +24,15 @@
 //!   silently resumed from,
 //! - clean rows reject nothing.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use tofu_bench::{bench_report, feeds, write_report, Json};
+use tofu_bench::{bench_report, bit_identical, feeds, undisturbed_values, write_report, Json};
 use tofu_core::{PartitionOptions, SearchCaches};
-use tofu_graph::TensorId;
 use tofu_models::{mlp, MlpConfig};
 use tofu_runtime::{
-    resume_from_snapshot, run_with_durable_recovery, run_with_options, CheckpointPolicy,
-    ChurnPlan, CrashPoint, DirStore, DiskFault, DurableOptions, DurableReport, FaultPlan,
-    RunOptions,
+    run_with_durable_recovery, CheckpointPolicy, ChurnPlan, CrashPoint, DirStore, DiskFault,
+    DurableOptions, FaultPlan, RunOptions,
 };
-use tofu_tensor::Tensor;
-
-fn bit_identical(a: &BTreeMap<TensorId, Tensor>, b: &BTreeMap<TensorId, Tensor>) -> bool {
-    a.len() == b.len()
-        && a.iter().all(|(t, va)| {
-            b.get(t).is_some_and(|vb| {
-                va.data().iter().map(|x| x.to_bits()).eq(vb.data().iter().map(|x| x.to_bits()))
-            })
-        })
-}
-
-/// An undisturbed run at the restart width, resumed from the recovered
-/// snapshot when there is one, from scratch otherwise.
-fn baseline_values(
-    report: &DurableReport,
-    full_feeds: &[(TensorId, Tensor)],
-) -> BTreeMap<TensorId, Tensor> {
-    let clean = RunOptions::default();
-    match &report.snapshot {
-        Some(snap) => resume_from_snapshot(&report.sharded, &[], &clean, snap)
-            .expect("baseline resume")
-            .values,
-        None => {
-            let mut sf = Vec::new();
-            for (t, v) in full_feeds {
-                sf.extend(report.sharded.scatter(*t, v).expect("scatter"));
-            }
-            run_with_options(&report.sharded, &sf, &clean).expect("baseline run").values
-        }
-    }
-}
 
 struct Row {
     label: String,
@@ -75,9 +43,6 @@ struct Row {
     rejected: Vec<String>,
     written: usize,
     written_bytes: u64,
-    write_us: u128,
-    validate_us: u128,
-    restore_us: u128,
     restore_bytes: u64,
     recovered_exact: bool,
 }
@@ -138,11 +103,10 @@ fn main() {
     }
 
     println!(
-        "{:<42} {:>7} {:>7} {:>9} {:>11} {:>11} {:>11} {:>6}",
-        "scenario", "restart", "resume", "rejected", "write µs", "validate µs", "restore µs",
-        "exact"
+        "{:<42} {:>7} {:>7} {:>9} {:>8} {:>10} {:>10} {:>6}",
+        "scenario", "restart", "resume", "rejected", "written", "written B", "restore B", "exact"
     );
-    println!("{}", "-".repeat(112));
+    println!("{}", "-".repeat(106));
     let root = std::env::temp_dir()
         .join(format!("tofu-durability-matrix-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -173,8 +137,9 @@ fn main() {
         let report =
             run_with_durable_recovery(g, &full_feeds, &part, &opts, &durable, &mut caches)
                 .unwrap_or_else(|e| panic!("{label}: durable run failed: {e}"));
-        let recovered_exact =
-            bit_identical(&report.output.values, &baseline_values(&report, &full_feeds));
+        let baseline =
+            undisturbed_values(&report.sharded, report.snapshot.as_ref(), &full_feeds);
+        let recovered_exact = bit_identical(&report.output.values, &baseline);
         let row = Row {
             label,
             crash: format!("{crash:?}"),
@@ -184,21 +149,18 @@ fn main() {
             rejected: report.rejected.iter().map(|r| r.reason.to_string()).collect(),
             written: report.written,
             written_bytes: report.written_bytes,
-            write_us: report.write_wall.as_micros(),
-            validate_us: report.validate_wall.as_micros(),
-            restore_us: report.restore_wall.as_micros(),
             restore_bytes: report.restore_bytes,
             recovered_exact,
         };
         println!(
-            "{:<42} {:>7} {:>7} {:>9} {:>11} {:>11} {:>11} {:>6}",
+            "{:<42} {:>7} {:>7} {:>9} {:>8} {:>10} {:>10} {:>6}",
             row.label,
             row.restart_workers,
             row.resumed_from.map(|k| k.to_string()).unwrap_or_else(|| "-".into()),
             row.rejected.len(),
-            row.write_us,
-            row.validate_us,
-            row.restore_us,
+            row.written,
+            row.written_bytes,
+            row.restore_bytes,
             row.recovered_exact
         );
         rows.push(row);
@@ -223,9 +185,6 @@ fn main() {
                 ),
                 ("checkpoints_written", Json::from(r.written)),
                 ("written_bytes", Json::from(r.written_bytes as f64)),
-                ("write_us", Json::from(r.write_us as f64)),
-                ("validate_us", Json::from(r.validate_us as f64)),
-                ("restore_us", Json::from(r.restore_us as f64)),
                 ("restore_bytes", Json::from(r.restore_bytes as f64)),
                 ("recovered_exact", Json::Bool(r.recovered_exact)),
             ])

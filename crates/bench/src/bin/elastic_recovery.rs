@@ -1,70 +1,37 @@
-//! Elastic degraded-mode recovery sweep: permanently kills 1 / 2 / 4 of 8
-//! workers at an early / mid / late schedule position (9 rows) and drives
-//! each run through `run_with_elastic_recovery`, recording the latency
-//! breakdown of every shrink — failure detection, partition replan,
-//! checkpoint reshard — plus end-to-end wall time, into
-//! `BENCH_elastic.json`.
+//! Elastic degraded-mode recovery ledger: permanently kills 1 / 2 / 4 of 8
+//! workers at an early / mid / late schedule position (9 rows), drives each
+//! run through `run_with_elastic_recovery`, and records the width ladder,
+//! the lost devices and whether the degraded output is exact, into
+//! `BENCH_elastic.json`. The latency breakdown of every shrink — failure
+//! detection, partition replan, checkpoint reshard — is printed, not
+//! recorded: it does not repeat, and neither do the bytes resharded (which
+//! barrier a shrink harvests is a race).
 //!
 //! The bin exits non-zero unless (a) every degraded output is bit-identical
 //! to an undisturbed run at the surviving width resumed from the same
-//! snapshot, and (b) warm replans (worker counts the shared `SearchCaches`
-//! has already searched) are no slower than the cold search of the same
-//! width.
+//! snapshot, and (b) repeating a width's search against the caches that
+//! already answered it is a request-memo hit every time.
 
-use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use tofu_bench::{bench_report, feeds, write_report, Json};
+use tofu_bench::{bench_report, bit_identical, feeds, undisturbed_values, write_report, Json};
 use tofu_core::{PartitionOptions, SearchCaches};
-use tofu_graph::TensorId;
 use tofu_models::{mlp, MlpConfig};
 use tofu_runtime::{
-    resume_from_snapshot, run_with_elastic_recovery, run_with_options, CheckpointPolicy,
-    ElasticPolicy, ElasticReport, Fault, FaultPlan, RecoveryOptions, RunOptions,
+    run_with_elastic_recovery, CheckpointPolicy, ElasticPolicy, Fault, FaultPlan, RecoveryOptions,
+    RunOptions,
 };
-use tofu_tensor::Tensor;
 
-fn bit_identical(a: &BTreeMap<TensorId, Tensor>, b: &BTreeMap<TensorId, Tensor>) -> bool {
-    a.len() == b.len()
-        && a.iter().all(|(t, va)| {
-            b.get(t).is_some_and(|vb| {
-                va.data().iter().map(|x| x.to_bits()).eq(vb.data().iter().map(|x| x.to_bits()))
-            })
-        })
-}
-
-/// The spec's baseline: undisturbed run at the surviving width, resumed from
-/// the snapshot the ladder carried (or from scratch when it carried none).
-fn baseline_values(
-    report: &ElasticReport,
-    full_feeds: &[(TensorId, Tensor)],
-) -> BTreeMap<TensorId, Tensor> {
-    let clean = RunOptions::default();
-    match &report.snapshot {
-        Some(snap) => resume_from_snapshot(&report.sharded, &[], &clean, snap)
-            .expect("baseline resume")
-            .values,
-        None => {
-            let mut sf = Vec::new();
-            for (t, v) in full_feeds {
-                sf.extend(report.sharded.scatter(*t, v).expect("scatter"));
-            }
-            run_with_options(&report.sharded, &sf, &clean).expect("baseline run").values
-        }
-    }
-}
+/// Repeats of each width's search in the request-memo check.
+const REPEATS: u64 = 5;
 
 struct Row {
     label: String,
     killed: usize,
     phase: &'static str,
     widths: Vec<usize>,
+    /// Sorted: simultaneous kills are noticed in either order.
     lost: Vec<usize>,
-    detection_max_us: u128,
-    replan_us: u128,
-    reshard_us: u128,
-    reshard_bytes: u64,
-    total_us: u128,
     exact: bool,
 }
 
@@ -93,10 +60,10 @@ fn main() {
     let phases: [(&'static str, usize); 3] = [("early", 5), ("mid", 45), ("late", 85)];
 
     println!(
-        "{:<18} {:>14} {:>12} {:>12} {:>12} {:>14} {:>12} {:>6}",
-        "case", "ladder", "detect µs", "replan µs", "reshard µs", "reshard bytes", "total µs", "exact"
+        "{:<18} {:>14} {:>12} {:>12} {:>12} {:>6}",
+        "case", "ladder", "detect µs", "replan µs", "reshard µs", "exact"
     );
-    println!("{}", "-".repeat(108));
+    println!("{}", "-".repeat(79));
     let mut rows: Vec<Row> = Vec::new();
     for (kills, ktag) in victims {
         for (phase, base) in phases {
@@ -112,7 +79,9 @@ fn main() {
             };
             let report = run_with_elastic_recovery(g, &full_feeds, &part, &opts, &recovery, &mut caches)
                 .unwrap_or_else(|e| panic!("kill {ktag} {phase}: elastic recovery failed: {e}"));
-            let exact = bit_identical(&report.output.values, &baseline_values(&report, &full_feeds));
+            let baseline =
+                undisturbed_values(&report.sharded, report.snapshot.as_ref(), &full_feeds);
+            let exact = bit_identical(&report.output.values, &baseline);
             let detection_max = report
                 .history
                 .iter()
@@ -121,7 +90,6 @@ fn main() {
                 .unwrap_or(Duration::ZERO);
             let mut replan = Duration::ZERO;
             let mut reshard = Duration::ZERO;
-            let mut reshard_bytes = 0u64;
             for a in &report.history {
                 // Only shrink attempts count as replans; the full-width
                 // partition exists with or without elasticity.
@@ -133,70 +101,54 @@ fn main() {
                 if let Some(d) = a.reshard {
                     reshard += d;
                 }
-                reshard_bytes += a.reshard_bytes;
             }
-            let total: Duration = report.history.iter().map(|a| a.wall).sum();
+            let mut lost = report.lost.clone();
+            lost.sort_unstable();
             let row = Row {
                 label: format!("kill {ktag} of 8 {phase}"),
                 killed: kills.len(),
                 phase,
                 widths: report.widths.clone(),
-                lost: report.lost.clone(),
-                detection_max_us: detection_max.as_micros(),
-                replan_us: replan.as_micros(),
-                reshard_us: reshard.as_micros(),
-                reshard_bytes,
-                total_us: total.as_micros(),
+                lost,
                 exact,
             };
             let ladder =
                 row.widths.iter().map(|w| w.to_string()).collect::<Vec<_>>().join("→");
             println!(
-                "{:<18} {:>14} {:>12} {:>12} {:>12} {:>14} {:>12} {:>6}",
+                "{:<18} {:>14} {:>12} {:>12} {:>12} {:>6}",
                 row.label,
                 ladder,
-                row.detection_max_us,
-                row.replan_us,
-                row.reshard_us,
-                row.reshard_bytes,
-                row.total_us,
+                detection_max.as_micros(),
+                replan.as_micros(),
+                reshard.as_micros(),
                 row.exact
             );
             rows.push(row);
         }
     }
 
-    // Warm-vs-cold: repeating a width's search against an already-populated
-    // cache must not be slower than the cold search — the DP subproblems are
-    // memo lookups the second time. Measured directly (the per-row replan
-    // latency above also includes the uncached graph expansion).
+    // Warm replans: repeating a width's search against the caches that
+    // already answered it must be a whole-request memo hit every time — the
+    // exact form of "a warm replan costs a lookup, not a search".
     let mut warm_ok = true;
     let mut warm_results: Vec<Json> = Vec::new();
     for width in [7usize, 6, 5, 4] {
         let po = PartitionOptions { workers: width, ..part };
         let fresh = SearchCaches::default();
-        let t = Instant::now();
-        tofu_core::partition_cached(g, &po, &fresh, None).expect("cold search");
-        let cold = t.elapsed();
-        let warm = (0..5)
-            .map(|_| {
-                let t = Instant::now();
-                tofu_core::partition_cached(g, &po, &fresh, None).expect("warm search");
-                t.elapsed()
-            })
-            .min()
-            .expect("five warm samples");
-        let ok = warm <= cold;
+        // The first call searches; the REPEATS after it must not.
+        for _ in 0..=REPEATS {
+            tofu_core::partition_cached(g, &po, &fresh, None).expect("search");
+        }
+        let stats = fresh.stats();
         println!(
-            "replan @{width}: cold {} µs, warm best-of-5 {} µs",
-            cold.as_micros(),
-            warm.as_micros()
+            "replan @{width}: {} search, {} request-memo hits in {REPEATS} repeats",
+            stats.request_misses, stats.request_hits
         );
-        warm_ok &= ok;
+        warm_ok &= stats.request_misses == 1 && stats.request_hits == REPEATS;
         warm_results.push(Json::obj(vec![
             ("width", Json::from(width)),
-            ("cold_us", Json::from(cold.as_micros() as f64)),
-            ("warm_us", Json::from(warm.as_micros() as f64)),
+            ("searches", Json::from(stats.request_misses)),
+            ("request_memo_hits", Json::from(stats.request_hits)),
         ]));
     }
 
@@ -209,11 +161,6 @@ fn main() {
                 ("phase", Json::from(r.phase)),
                 ("widths", Json::Arr(r.widths.iter().map(|&w| Json::from(w)).collect())),
                 ("lost", Json::Arr(r.lost.iter().map(|&w| Json::from(w)).collect())),
-                ("detection_max_us", Json::from(r.detection_max_us as f64)),
-                ("replan_us", Json::from(r.replan_us as f64)),
-                ("reshard_us", Json::from(r.reshard_us as f64)),
-                ("reshard_bytes", Json::from(r.reshard_bytes as f64)),
-                ("total_us", Json::from(r.total_us as f64)),
                 ("exact", Json::Bool(r.exact)),
             ])
         })
@@ -224,14 +171,16 @@ fn main() {
             ("workers", Json::from(workers)),
             ("nodes", Json::from(g.num_nodes())),
             ("checkpoint_every_original", Json::from(every)),
-            ("warm_replans_not_slower", Json::Bool(warm_ok)),
-            ("replan_warm_vs_cold", Json::Arr(warm_results)),
+            ("replan_repeats", Json::Arr(warm_results)),
         ],
         results,
     );
     write_report("BENCH_elastic.json", &doc);
     let all_exact = rows.iter().all(|r| r.exact);
-    println!("({} rows, all bit-identical to baseline: {all_exact}, warm replans ok: {warm_ok})", rows.len());
+    println!(
+        "({} rows, all bit-identical to baseline: {all_exact}, warm replans all memo hits: {warm_ok})",
+        rows.len()
+    );
     if !all_exact || !warm_ok {
         std::process::exit(1);
     }

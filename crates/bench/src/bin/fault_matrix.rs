@@ -1,7 +1,8 @@
-//! Fault matrix sweep: injects every fault class into a 4-worker MLP run
-//! and records detection latency (fault trip → last peer observing the
-//! abort) and recovery outcome, written to `BENCH_faults.json` so the
-//! fail-fast properties have a tracked trajectory.
+//! Fault matrix ledger: injects every fault class into a 4-worker MLP run
+//! and records the typed cause and the recovery outcome of each, written to
+//! `BENCH_faults.json`. Detection latency (fault trip → last peer observing
+//! the abort) is printed, not recorded: it does not repeat, and which worker
+//! is blamed first is a race between the victim and its peers.
 //!
 //! Matrix:
 //! - kill each worker at an early / mid / late schedule position,
@@ -14,45 +15,46 @@
 //!
 //! Two whole-process crash-restart rows ride along: the process dies just
 //! before / just after a durable commit, and a fresh incarnation recovers
-//! from disk (`run_with_durable_recovery`); their `restore_us` records the
-//! time to reshard the recovered checkpoint onto the restart plan.
-
-use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+//! from disk (`run_with_durable_recovery`).
+//!
+//! The bin exits non-zero unless every row recovers bit-identically.
 
 use std::sync::Arc;
+use std::time::Duration;
 
-use tofu_bench::{bench_report, feeds, write_report, Json};
-use tofu_core::{generate, partition, GenOptions, PartitionOptions, SearchCaches, ShardedGraph};
-use tofu_graph::TensorId;
+use tofu_bench::{
+    bench_report, bit_identical, feeds, scatter_feeds, undisturbed_values, write_report, Json,
+};
+use tofu_core::{generate, partition, GenOptions, PartitionOptions, SearchCaches};
 use tofu_models::{mlp, MlpConfig};
 use tofu_runtime::{
-    resume_from_snapshot, run_with_durable_recovery, run_with_options, run_with_recovery,
-    CheckpointPolicy, CrashPoint, DirStore, DurableOptions, Fault, FaultPlan, MessageFault,
-    RecoveryOptions, RunOptions, RuntimeError,
+    run_with_durable_recovery, run_with_options, run_with_recovery, CheckpointPolicy, CrashPoint,
+    DirStore, DurableOptions, Fault, FaultPlan, MessageFault, RecoveryOptions, RunFailure,
+    RunOptions, RuntimeError,
 };
-use tofu_tensor::Tensor;
-
-fn bit_identical(a: &BTreeMap<TensorId, Tensor>, b: &BTreeMap<TensorId, Tensor>) -> bool {
-    a.len() == b.len()
-        && a.iter().all(|(t, va)| {
-            b.get(t).is_some_and(|vb| {
-                va.data().iter().map(|x| x.to_bits()).eq(vb.data().iter().map(|x| x.to_bits()))
-            })
-        })
-}
 
 struct Row {
     fault: String,
     cause: &'static str,
-    blamed_worker: usize,
-    detection_max_us: u128,
-    detection_peers: usize,
-    abort_wall_us: u128,
-    /// Reshard-the-recovered-checkpoint wall time; zero for in-memory rows.
-    restore_us: u128,
     recovered_exact: bool,
     recovery_attempts: usize,
+}
+
+impl Row {
+    /// Prints the row, with the unrecorded race outcomes of `failure`
+    /// (blamed worker, detection latency, observing peers) beside it.
+    fn print(&self, failure: &RunFailure, detection: Duration) {
+        println!(
+            "{:<38} {:>8} {:>7} {:>10} {:>6} {:>9} {:>9}",
+            self.fault,
+            self.cause,
+            failure.worker,
+            detection.as_micros(),
+            failure.detection.len(),
+            self.recovered_exact,
+            self.recovery_attempts
+        );
+    }
 }
 
 fn cause_label(e: &RuntimeError) -> &'static str {
@@ -74,11 +76,9 @@ fn main() {
     let g = &model.graph;
     let plan =
         partition(g, &PartitionOptions { workers, ..Default::default() }).expect("partition");
-    let sharded: ShardedGraph = generate(g, &plan, &GenOptions::default()).expect("generate");
-    let mut shard_feeds = Vec::new();
-    for (t, v) in feeds(g) {
-        shard_feeds.extend(sharded.scatter(t, &v).expect("scatter"));
-    }
+    let sharded = generate(g, &plan, &GenOptions::default()).expect("generate");
+    let full_feeds = feeds(g);
+    let shard_feeds = scatter_feeds(&sharded, &full_feeds);
     let baseline =
         run_with_options(&sharded, &shard_feeds, &RunOptions::default()).expect("healthy run");
     let busiest = baseline
@@ -110,10 +110,10 @@ fn main() {
     cases.push(("pool over budget w1".to_string(), Fault::PoolOverBudget { worker: 1, pos: mid1 }));
 
     println!(
-        "{:<28} {:>8} {:>7} {:>12} {:>6} {:>12} {:>9} {:>9}",
-        "fault", "cause", "blamed", "detect µs", "peers", "abort µs", "recovered", "attempts"
+        "{:<38} {:>8} {:>7} {:>10} {:>6} {:>9} {:>9}",
+        "fault", "cause", "blamed", "detect µs", "peers", "recovered", "attempts"
     );
-    println!("{}", "-".repeat(100));
+    println!("{}", "-".repeat(93));
     let mut rows: Vec<Row> = Vec::new();
     for (label, fault) in cases {
         let opts = RunOptions {
@@ -122,7 +122,6 @@ fn main() {
             recv_timeout: Duration::from_secs(5),
             ..Default::default()
         };
-        let t0 = Instant::now();
         let failure = match run_with_options(&sharded, &shard_feeds, &opts) {
             Err(RuntimeError::Failed(f)) => *f,
             Ok(_) => {
@@ -134,7 +133,6 @@ fn main() {
                 continue;
             }
         };
-        let abort_wall = t0.elapsed();
         let detection_max =
             failure.detection.iter().map(|&(_, d)| d).max().unwrap_or(Duration::ZERO);
         let report = run_with_recovery(
@@ -150,31 +148,15 @@ fn main() {
         let row = Row {
             fault: label,
             cause: cause_label(&failure.cause),
-            blamed_worker: failure.worker,
-            detection_max_us: detection_max.as_micros(),
-            detection_peers: failure.detection.len(),
-            abort_wall_us: abort_wall.as_micros(),
-            restore_us: 0,
             recovered_exact,
             recovery_attempts: attempts,
         };
-        println!(
-            "{:<28} {:>8} {:>7} {:>12} {:>6} {:>12} {:>9} {:>9}",
-            row.fault,
-            row.cause,
-            row.blamed_worker,
-            row.detection_max_us,
-            row.detection_peers,
-            row.abort_wall_us,
-            row.recovered_exact,
-            row.recovery_attempts
-        );
+        row.print(&failure, detection_max);
         rows.push(row);
     }
 
     // Whole-process crash-restart rows: the process dies around a durable
     // commit of checkpoint 2 and a fresh incarnation recovers from disk.
-    let full_feeds = feeds(g);
     let every_orig = (g.num_nodes() / 4).max(1);
     let part = PartitionOptions { workers, ..Default::default() };
     let mut caches = SearchCaches::default();
@@ -194,49 +176,18 @@ fn main() {
             crash: Some(crash),
             ..DurableOptions::new(Arc::new(DirStore::open(&dir).expect("open DirStore")))
         };
-        let t0 = Instant::now();
         let report = run_with_durable_recovery(g, &full_feeds, &part, &opts, &durable, &mut caches)
             .unwrap_or_else(|e| panic!("{label}: durable run failed: {e}"));
-        let wall = t0.elapsed();
         let failure = report.crashed.as_ref().expect("the first incarnation crashed");
-        let durable_baseline = match &report.snapshot {
-            Some(snap) => {
-                resume_from_snapshot(&report.sharded, &[], &RunOptions::default(), snap)
-                    .expect("baseline resume")
-                    .values
-            }
-            None => {
-                let mut sf = Vec::new();
-                for (t, v) in &full_feeds {
-                    sf.extend(report.sharded.scatter(*t, v).expect("scatter"));
-                }
-                run_with_options(&report.sharded, &sf, &RunOptions::default())
-                    .expect("baseline run")
-                    .values
-            }
-        };
+        let baseline =
+            undisturbed_values(&report.sharded, report.snapshot.as_ref(), &full_feeds);
         let row = Row {
             fault: label.to_string(),
             cause: cause_label(&failure.cause),
-            blamed_worker: failure.worker,
-            detection_max_us: report.detection.unwrap_or_default().as_micros(),
-            detection_peers: failure.detection.len(),
-            abort_wall_us: wall.as_micros(),
-            restore_us: report.restore_wall.as_micros(),
-            recovered_exact: bit_identical(&report.output.values, &durable_baseline),
+            recovered_exact: bit_identical(&report.output.values, &baseline),
             recovery_attempts: 2,
         };
-        println!(
-            "{:<28} {:>8} {:>7} {:>12} {:>6} {:>12} {:>9} {:>9}",
-            row.fault,
-            row.cause,
-            row.blamed_worker,
-            row.detection_max_us,
-            row.detection_peers,
-            row.abort_wall_us,
-            row.recovered_exact,
-            row.recovery_attempts
-        );
+        row.print(failure, report.detection.unwrap_or_default());
         rows.push(row);
     }
     let _ = std::fs::remove_dir_all(&root);
@@ -247,11 +198,6 @@ fn main() {
             Json::obj(vec![
                 ("fault", Json::from(r.fault.as_str())),
                 ("cause", Json::from(r.cause)),
-                ("blamed_worker", Json::from(r.blamed_worker)),
-                ("detection_max_us", Json::from(r.detection_max_us as f64)),
-                ("detection_peers", Json::from(r.detection_peers)),
-                ("abort_wall_us", Json::from(r.abort_wall_us as f64)),
-                ("restore_us", Json::from(r.restore_us as f64)),
                 ("recovered_exact", Json::Bool(r.recovered_exact)),
                 ("recovery_attempts", Json::from(r.recovery_attempts)),
             ])

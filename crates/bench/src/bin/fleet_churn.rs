@@ -1,80 +1,53 @@
-//! Fleet-churn sweep: drives MLP and WResNet training runs through scripted
-//! leave/rejoin sequences on 8 workers and records, per fleet transition,
-//! the full recovery-latency breakdown — failure detection (shrinks),
-//! partition replan (warm vs cold), snapshot reshard, and the first
-//! attempt's wall time at the new width — into `BENCH_churn.json`.
+//! Fleet-churn ledger: drives MLP and WResNet training runs through scripted
+//! leave/rejoin sequences on 8 workers and records, per scenario and pass,
+//! the width ladder, the lost / joined / spare devices and every fleet
+//! transition (kind, device, widths, whether its replan was a cache hit)
+//! into `BENCH_churn.json`. The recovery-latency breakdown — failure
+//! detection, partition replan, snapshot reshard, first attempt at the new
+//! width — is printed, not recorded: it does not repeat, and neither does
+//! the barrier a transition harvests (`at_ckpt`, and with it the bytes
+//! resharded), which is a race between the workers.
 //!
 //! Every scenario runs twice: a **cold** pass against a fresh `SearchCaches`
 //! (replans pay the full search) and a **warm** pass reusing the cold pass's
 //! caches (replans are plan-cache lookups). The two passes must agree on the
 //! whole ladder — widths, losses, joins — and both must finish bit-identical
 //! to an undisturbed run at the final width resumed from the same snapshot
-//! cut. When the two passes also harvested the *same* cuts (which barrier a
-//! shrink carries is timing-dependent), their outputs must be bit-identical
-//! to each other; across different cuts the width changes reorder the
-//! floating-point reductions, so only the per-pass baseline check applies.
+//! cut. When the two passes also harvested the *same* cuts, their outputs
+//! must be bit-identical to each other; across different cuts the width
+//! changes reorder the floating-point reductions, so only the per-pass
+//! baseline check applies.
 //!
 //! The bin exits non-zero if any output diverges from its baseline, if no
-//! grow event fired across the sweep, or if the warm passes' replans are not
-//! faster than the cold passes' in aggregate.
+//! grow event fired across the sweep, or (by assertion) if a warm-pass
+//! replan was not a plan-cache hit.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use tofu_bench::{bench_report, feeds, write_report, Json};
+use tofu_bench::{bench_report, bit_identical, feeds, undisturbed_values, write_report, Json};
 use tofu_core::{PartitionOptions, SearchCaches};
 use tofu_graph::{Graph, TensorId};
 use tofu_models::{mlp, wresnet, MlpConfig, WResNetConfig};
 use tofu_runtime::{
-    gather_shards, resume_from_snapshot, run_with_elastic_recovery, run_with_options,
-    CheckpointPolicy, ChurnPlan, ElasticPolicy, ElasticReport, RecoveryOptions, RunOptions,
-    TransitionKind,
+    run_with_elastic_recovery, CheckpointPolicy, ChurnPlan, ElasticPolicy, ElasticReport,
+    RecoveryOptions, RunOptions, TransitionKind,
 };
 use tofu_tensor::Tensor;
-
-fn bit_identical(a: &BTreeMap<TensorId, Tensor>, b: &BTreeMap<TensorId, Tensor>) -> bool {
-    a.len() == b.len()
-        && a.iter().all(|(t, va)| {
-            b.get(t).is_some_and(|vb| {
-                va.data().iter().map(|x| x.to_bits()).eq(vb.data().iter().map(|x| x.to_bits()))
-            })
-        })
-}
-
-/// The spec's baseline: an undisturbed run at the final width resumed from
-/// the same snapshot cut the churned run last crossed (or from scratch when
-/// no width change carried one).
-fn baseline_values(
-    report: &ElasticReport,
-    full_feeds: &[(TensorId, Tensor)],
-) -> BTreeMap<TensorId, Tensor> {
-    let clean = RunOptions::default();
-    match &report.snapshot {
-        Some(snap) => resume_from_snapshot(&report.sharded, &[], &clean, snap)
-            .expect("baseline resume")
-            .values,
-        None => {
-            let mut sf = Vec::new();
-            for (t, v) in full_feeds {
-                sf.extend(report.sharded.scatter(*t, v).expect("scatter"));
-            }
-            run_with_options(&report.sharded, &sf, &clean).expect("baseline run").values
-        }
-    }
-}
 
 /// Every **original** tensor of the run, gathered to full shape. Which
 /// *piece* (communication) tensors appear in `output.values` depends on the
 /// barrier the run resumed from — a timing-dependent harvest — so cross-run
 /// comparisons go through the original tensors, which are always complete.
-fn gathered_originals(report: &ElasticReport) -> BTreeMap<TensorId, Tensor> {
+fn gathered_originals(g: &Graph, report: &ElasticReport) -> BTreeMap<TensorId, Tensor> {
     let mut out = BTreeMap::new();
     for (&t, shards) in &report.sharded.shards {
         if shards.iter().all(|s| report.output.values.contains_key(s)) {
-            out.insert(
-                t,
-                gather_shards(&report.sharded, t, &report.output.values).expect("gather"),
-            );
+            let full = report
+                .sharded
+                .gather(t, &g.tensor(t).shape, &report.output.values)
+                .expect("gather");
+            out.insert(t, full);
         }
     }
     out
@@ -217,8 +190,6 @@ fn main() {
     let mut rows: Vec<Json> = Vec::new();
     let mut all_exact = true;
     let mut grows_total = 0usize;
-    let mut cold_replan = Duration::ZERO;
-    let mut warm_replan = Duration::ZERO;
     for s in &scenarios {
         let full_feeds = feeds(&s.graph);
         let mut caches = SearchCaches::default();
@@ -238,10 +209,10 @@ fn main() {
         let cold_cuts: Vec<Option<usize>> = cold.transitions.iter().map(|t| t.at_ckpt).collect();
         let warm_cuts: Vec<Option<usize>> = warm.transitions.iter().map(|t| t.at_ckpt).collect();
         if cold_cuts == warm_cuts {
-            let cold_originals = gathered_originals(&cold);
+            let cold_originals = gathered_originals(&s.graph, &cold);
             assert!(!cold_originals.is_empty(), "{}: no original tensors gathered", s.name);
             assert!(
-                bit_identical(&cold_originals, &gathered_originals(&warm)),
+                bit_identical(&cold_originals, &gathered_originals(&s.graph, &warm)),
                 "{}: passes harvested the same cuts {cold_cuts:?} but outputs differ",
                 s.name
             );
@@ -252,7 +223,8 @@ fn main() {
             );
         }
         assert_eq!(cold.widths, s.expect_widths, "{}: unexpected ladder", s.name);
-        // In the warm pass every replanned width is a plan-cache hit.
+        // In the warm pass every replanned width is a plan-cache hit — the
+        // exact form of "warm replans beat cold ones".
         assert!(
             warm.transitions.iter().filter(|t| t.replan.is_some()).all(|t| t.replan_warm),
             "{}: warm pass hit a cold replan",
@@ -262,7 +234,9 @@ fn main() {
         grows_total +=
             cold.transitions.iter().filter(|t| t.kind == TransitionKind::Grow).count();
         for (pass, report) in [("cold", &cold), ("warm", &warm)] {
-            let exact = bit_identical(&report.output.values, &baseline_values(report, &full_feeds));
+            let baseline =
+                undisturbed_values(&report.sharded, report.snapshot.as_ref(), &full_feeds);
+            let exact = bit_identical(&report.output.values, &baseline);
             all_exact &= exact;
             let mut detect = Duration::ZERO;
             let mut replan = Duration::ZERO;
@@ -274,45 +248,12 @@ fn main() {
                 replan += t.replan.unwrap_or(Duration::ZERO);
                 reshard += t.reshard.unwrap_or(Duration::ZERO);
                 resume += t.resume_wall.unwrap_or(Duration::ZERO);
-                if let Some(r) = t.replan {
-                    if pass == "cold" && !t.replan_warm {
-                        cold_replan += r;
-                    }
-                    if pass == "warm" {
-                        warm_replan += r;
-                    }
-                }
                 transitions.push(Json::obj(vec![
                     ("kind", Json::from(kind_str(t.kind))),
                     ("device", Json::from(t.device)),
                     ("from_width", Json::from(t.from_width)),
                     ("to_width", Json::from(t.to_width)),
-                    (
-                        "at_ckpt",
-                        t.at_ckpt.map(Json::from).unwrap_or(Json::Null),
-                    ),
-                    (
-                        "detect_us",
-                        t.detection
-                            .map(|d| Json::from(d.as_micros() as f64))
-                            .unwrap_or(Json::Null),
-                    ),
-                    (
-                        "replan_us",
-                        t.replan.map(|d| Json::from(d.as_micros() as f64)).unwrap_or(Json::Null),
-                    ),
                     ("replan_warm", Json::Bool(t.replan_warm)),
-                    (
-                        "reshard_us",
-                        t.reshard.map(|d| Json::from(d.as_micros() as f64)).unwrap_or(Json::Null),
-                    ),
-                    ("reshard_bytes", Json::from(t.reshard_bytes as f64)),
-                    (
-                        "resume_us",
-                        t.resume_wall
-                            .map(|d| Json::from(d.as_micros() as f64))
-                            .unwrap_or(Json::Null),
-                    ),
                 ]));
             }
             let ladder =
@@ -337,23 +278,15 @@ fn main() {
                 ("joined", Json::Arr(report.joined.iter().map(|&d| Json::from(d)).collect())),
                 ("spares", Json::Arr(report.spares.iter().map(|&d| Json::from(d)).collect())),
                 ("attempts", Json::from(report.attempts)),
-                ("detect_us", Json::from(detect.as_micros() as f64)),
-                ("replan_us", Json::from(replan.as_micros() as f64)),
-                ("reshard_us", Json::from(reshard.as_micros() as f64)),
-                ("resume_us", Json::from(resume.as_micros() as f64)),
                 ("transitions", Json::Arr(transitions)),
                 ("exact", Json::Bool(exact)),
             ]));
         }
     }
 
-    let warm_faster = warm_replan < cold_replan;
     println!(
-        "({} scenarios, all bit-identical: {all_exact}, grow events: {grows_total}, \
-         replans cold {} µs vs warm {} µs)",
-        scenarios.len(),
-        cold_replan.as_micros(),
-        warm_replan.as_micros()
+        "({} scenarios, all bit-identical: {all_exact}, grow events: {grows_total})",
+        scenarios.len()
     );
 
     let doc = bench_report(
@@ -362,18 +295,13 @@ fn main() {
             ("workers", Json::from(8usize)),
             ("scenarios", Json::from(scenarios.len())),
             ("grow_events", Json::from(grows_total)),
-            ("cold_replan_us", Json::from(cold_replan.as_micros() as f64)),
-            ("warm_replan_us", Json::from(warm_replan.as_micros() as f64)),
-            ("warm_replans_faster", Json::Bool(warm_faster)),
             ("all_exact", Json::Bool(all_exact)),
         ],
         rows,
     );
     write_report("BENCH_churn.json", &doc);
-    if !all_exact || grows_total == 0 || !warm_faster {
-        eprintln!(
-            "FAIL: exact={all_exact} grows={grows_total} warm_faster={warm_faster}"
-        );
+    if !all_exact || grows_total == 0 {
+        eprintln!("FAIL: exact={all_exact} grows={grows_total}");
         std::process::exit(1);
     }
 }

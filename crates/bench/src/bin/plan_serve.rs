@@ -1,8 +1,10 @@
-//! Plan-service bench: latency and throughput of `tofu-serve` answering a
-//! multi-tenant request mix from its shared concurrent plan cache, written
-//! to `BENCH_serve.json`.
+//! Plan-service ledger: the cache and single-flight accounting of
+//! `tofu-serve` answering a multi-tenant request mix from its shared
+//! concurrent plan cache, written to `BENCH_serve.json`. Latency and
+//! throughput are measured by `benchmark/` (`serve_hit` / `serve_miss`,
+//! `serve.*_s`), not here.
 //!
-//! This is also a correctness gate, run by `scripts/check.sh`:
+//! This is a correctness gate, run by `scripts/check.sh`:
 //!
 //! * every served plan must be **byte-identical** to a local
 //!   single-threaded `partition_cached` run for the same request;
@@ -12,15 +14,12 @@
 //!   joined + rejected == requests);
 //! * a warm hit must cost the client fewer than 256 request bytes on the
 //!   wire — the fingerprint travels, the graph does not. The count is read
-//!   from the server's own `request_bytes` tally and repeats exactly, which
-//!   this host's wall clock (±40 % run to run) does not: the latency and
-//!   throughput rows are recorded, not gated.
+//!   from the server's own `request_bytes` tally and repeats exactly.
 //!
 //! The process exits nonzero when any gate fails.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 use tofu_bench::{bench_report, write_report, Json};
 use tofu_core::recursive::{partition_cached, PartitionOptions};
@@ -57,14 +56,6 @@ fn request_mix() -> Vec<(Graph, PartitionOptions)> {
     mix
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 fn main() {
     let collector = Collector::new();
     let server = PlanServer::bind(
@@ -81,7 +72,7 @@ fn main() {
     let mix = Arc::new(request_mix());
     let mut failed = false;
 
-    // ---- Warm phase: populate the cache, gate byte-identity. -------------
+    // ---- Cold phase: populate the cache, gate byte-identity. -------------
     println!("plan_serve — warming {} unique requests", mix.len());
     let local_caches = SearchCaches::new();
     let mut client = PlanClient::connect(addr).expect("connect warm client");
@@ -100,7 +91,7 @@ fn main() {
         }
     }
 
-    // ---- Timed phase: multi-tenant warm hammering. -----------------------
+    // ---- Warm phase: multi-tenant hammering. ------------------------------
     let total_requests = CLIENT_THREADS * REQUESTS_PER_CLIENT;
     println!(
         "hammering with {CLIENT_THREADS} clients × {REQUESTS_PER_CLIENT} requests \
@@ -108,13 +99,11 @@ fn main() {
         TENANTS.len()
     );
     let request_bytes_before = server.counters().request_bytes.load(Ordering::Relaxed);
-    let t0 = Instant::now();
     let handles: Vec<_> = (0..CLIENT_THREADS)
         .map(|t| {
             let mix = Arc::clone(&mix);
             std::thread::spawn(move || {
                 let mut client = PlanClient::connect(addr).expect("connect bench client");
-                let mut latencies = Vec::with_capacity(REQUESTS_PER_CLIENT);
                 // Deterministic per-thread LCG request stream.
                 let mut state = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(t as u64 + 1);
                 let mut mismatched = 0usize;
@@ -124,9 +113,7 @@ fn main() {
                     let idx = (state >> 33) as usize % mix.len();
                     let tenant = TENANTS[(state >> 21) as usize % TENANTS.len()];
                     let (g, opts) = &mix[idx];
-                    let start = Instant::now();
                     let served = client.partition(tenant, g, opts, None).expect("bench partition");
-                    latencies.push(start.elapsed().as_secs_f64());
                     // Warm answers must be stable per request index.
                     if fingerprints[idx].is_empty() {
                         fingerprints[idx] = served.fingerprint.clone();
@@ -134,21 +121,17 @@ fn main() {
                         mismatched += 1;
                     }
                 }
-                (latencies, mismatched)
+                mismatched
             })
         })
         .collect();
-    let mut latencies: Vec<f64> = Vec::with_capacity(total_requests);
     for h in handles {
-        let (lat, mismatched) = h.join().expect("bench client thread");
+        let mismatched = h.join().expect("bench client thread");
         if mismatched > 0 {
             eprintln!("FAIL: {mismatched} responses changed fingerprint for a fixed request");
             failed = true;
         }
-        latencies.extend(lat);
     }
-    let elapsed = t0.elapsed().as_secs_f64();
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
 
     // ---- Counters and gates. ---------------------------------------------
     let c = server.counters();
@@ -161,15 +144,10 @@ fn main() {
     let warm_hit_rate = hits / (requests - mix.len() as f64).max(1.0);
     let bytes_per_hit =
         (load(&c.request_bytes) - request_bytes_before as f64) / total_requests as f64;
-    let throughput = total_requests as f64 / elapsed.max(1e-12);
-    let p50 = percentile(&latencies, 0.50);
-    let p99 = percentile(&latencies, 0.99);
 
     println!("\n{:>24}: {requests:.0}", "requests");
-    println!("{:>24}: {hits:.0} ({:.1}% of timed phase)", "response-cache hits", warm_hit_rate * 100.0);
+    println!("{:>24}: {hits:.0} ({:.1}% of warm phase)", "response-cache hits", warm_hit_rate * 100.0);
     println!("{:>24}: {misses:.0} (+{joined:.0} joined, {rejected:.0} rejected)", "solver runs");
-    println!("{:>24}: {throughput:.0} req/s over {elapsed:.2}s", "warm throughput");
-    println!("{:>24}: p50 {:.1} µs, p99 {:.1} µs", "latency", p50 * 1e6, p99 * 1e6);
     println!("{:>24}: {bytes_per_hit:.1} B", "request bytes / warm hit");
 
     if hits + misses + joined + rejected != requests {
@@ -184,7 +162,7 @@ fn main() {
         failed = true;
     }
     if hits <= 0.0 {
-        eprintln!("FAIL: zero warm hit-rate — every timed request should hit the cache");
+        eprintln!("FAIL: zero warm hit-rate — every warm request should hit the cache");
         failed = true;
     }
     if bytes_per_hit > MAX_REQUEST_BYTES_PER_WARM_HIT {
@@ -201,10 +179,6 @@ fn main() {
         ("tenants", Json::from(TENANTS.len())),
         ("client_threads", Json::from(CLIENT_THREADS)),
         ("timed_requests", Json::from(total_requests)),
-        ("elapsed_seconds", Json::from(elapsed)),
-        ("throughput_req_per_s", Json::from(throughput)),
-        ("latency_p50_seconds", Json::from(p50)),
-        ("latency_p99_seconds", Json::from(p99)),
         ("warm_hit_rate", Json::from(warm_hit_rate)),
         ("request_bytes_per_warm_hit", Json::from(bytes_per_hit)),
         ("serve_hits", Json::from(hits)),

@@ -1,57 +1,36 @@
-//! Runtime scaling sweep: shard-parallel throughput of `tofu-runtime` at
-//! 1/2/4/8 workers for an MLP and a small WResNet, written to
-//! `BENCH_runtime.json` so later changes have a perf trajectory to beat.
+//! Runtime scaling ledger: what `tofu-runtime` moves at 1/2/4/8 workers for
+//! an MLP and a small WResNet — sharded nodes, messages, bytes on the links,
+//! bytes the transport copied — written to `BENCH_runtime.json`.
 //!
-//! The numbers measure the *runtime*, not the partitioner: the partition
-//! search runs once per (model, workers) outside the timed region, and the
-//! run itself uses [`IntegrityLevel::Fast`] — the production configuration
-//! the zero-copy transport optimizes (the fault suites exercise `Full`).
-//! Worker threads only help when the host has cores to run them — the JSON
-//! records `host_cpus` so a single-core container's flat curve is not
-//! mistaken for a runtime regression.
+//! Every row is one step at [`IntegrityLevel::Fast`], the production
+//! configuration the zero-copy transport optimizes (the fault suites
+//! exercise `Full`). Each value is a count the run reproduces exactly, so
+//! the committed file only changes when partitioning, generation or the
+//! transport do. Step *time* is measured by `benchmark/` (`runtime.step_s`,
+//! `runtime.us_per_op`), not here.
 //!
-//! Besides wall-clock, each row records the per-op runtime overhead
-//! (`us_per_op`) and the transport copy accounting
-//! (`bytes_copied_per_message`, zero on the zero-copy fast path). The run
-//! exits non-zero when either regresses against the committed
-//! `BENCH_runtime.json`, which is read *before* being overwritten; baselines
-//! that predate the columns fall back to `seconds_per_iter / nodes` and an
-//! average payload size per message respectively.
+//! The run exits non-zero if the transport copied any payload byte: the
+//! zero-copy data plane must stay zero-copy.
 
-use std::time::Instant;
-
-use tofu_bench::{bench_report, feeds, write_report, Json};
-use tofu_core::{generate, partition, GenOptions, PartitionOptions, ShardedGraph};
+use tofu_bench::{bench_report, feeds, scatter_feeds, write_report, Json};
+use tofu_core::{generate, partition, GenOptions, PartitionOptions};
 use tofu_graph::Graph;
 use tofu_models::{mlp, wresnet, MlpConfig, WResNetConfig};
-use tofu_obs::json::parse;
 use tofu_runtime::{run_with_options, IntegrityLevel, RunOptions};
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
-const WARMUP: usize = 1;
-const ITERS: usize = 5;
-/// Per-op overhead wobbles hard on a shared single-core host — the
-/// millisecond-scale MLP rows see ±30-50% run-to-run scheduling noise — so
-/// wall-clock only fails above this factor. Transport regressions don't get
-/// the allowance: bytes-copied-per-message is deterministic and gated
-/// strictly against the baseline.
-const US_PER_OP_TOLERANCE: f64 = 2.0;
 
 struct Row {
     model: &'static str,
     workers: usize,
-    seconds_per_iter: f64,
-    samples_per_sec: f64,
     comm_bytes: u64,
     nodes: usize,
-    us_per_op: f64,
     messages: u64,
     transport_copy_bytes: u64,
-    bytes_copied_per_message: f64,
     exact: bool,
 }
 
-fn measure(model: &'static str, g: &Graph, batch: usize, workers: usize) -> Option<Row> {
+fn measure(model: &'static str, g: &Graph, workers: usize) -> Option<Row> {
     let plan = match partition(g, &PartitionOptions { workers, ..Default::default() }) {
         Ok(p) => p,
         Err(e) => {
@@ -59,87 +38,28 @@ fn measure(model: &'static str, g: &Graph, batch: usize, workers: usize) -> Opti
             return None;
         }
     };
-    let sharded: ShardedGraph = match generate(g, &plan, &GenOptions::default()) {
+    let sharded = match generate(g, &plan, &GenOptions::default()) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("{model} w={workers}: generate failed: {e}");
             return None;
         }
     };
-    let mut shard_feeds = Vec::new();
-    for (t, v) in feeds(g) {
-        shard_feeds.extend(sharded.scatter(t, &v).expect("scatter"));
-    }
+    let shard_feeds = scatter_feeds(&sharded, &feeds(g));
     let opts = RunOptions { integrity: IntegrityLevel::Fast, ..Default::default() };
-    let mut best = f64::INFINITY;
-    let mut comm_bytes = 0;
-    let mut messages = 0;
-    let mut copied = 0;
-    for i in 0..WARMUP + ITERS {
-        let t0 = Instant::now();
-        let out = run_with_options(&sharded, &shard_feeds, &opts).expect("runtime run");
-        let dt = t0.elapsed().as_secs_f64();
-        comm_bytes = out.trace.comm_bytes();
-        messages = out.trace.links.iter().map(|l| l.messages).sum();
-        copied = out.trace.workers.iter().map(|w| w.transport_copy_bytes).sum();
-        if i >= WARMUP {
-            best = best.min(dt);
-        }
-    }
-    let nodes = sharded.graph.num_nodes();
+    let out = run_with_options(&sharded, &shard_feeds, &opts).expect("runtime run");
     Some(Row {
         model,
         workers,
-        seconds_per_iter: best,
-        samples_per_sec: batch as f64 / best,
-        comm_bytes,
-        nodes,
-        us_per_op: best / nodes as f64 * 1e6,
-        messages,
-        transport_copy_bytes: copied,
-        bytes_copied_per_message: if messages > 0 { copied as f64 / messages as f64 } else { 0.0 },
+        comm_bytes: out.trace.comm_bytes(),
+        nodes: sharded.graph.num_nodes(),
+        messages: out.trace.links.iter().map(|l| l.messages).sum(),
+        transport_copy_bytes: out.trace.workers.iter().map(|w| w.transport_copy_bytes).sum(),
         exact: sharded.exact,
     })
 }
 
-/// The committed baseline for `(model, workers)`, as
-/// `(us_per_op, bytes_copied_per_message)`. Baselines written before these
-/// columns existed derive them: per-op overhead from `seconds_per_iter /
-/// nodes`, and per-message copy bytes from the average payload size (the old
-/// transport copied every payload into an owned `Vec` at send).
-fn baseline(doc: &Json, model: &str, workers: usize, messages: u64) -> Option<(f64, f64)> {
-    let rows = doc.get("results")?.as_array()?;
-    let row = rows.iter().find(|r| {
-        r.get("model").and_then(Json::as_str) == Some(model)
-            && r.get("workers").and_then(Json::as_f64) == Some(workers as f64)
-    })?;
-    let us_per_op = match row.get("us_per_op").and_then(Json::as_f64) {
-        Some(v) => v,
-        None => {
-            let s = row.get("seconds_per_iter").and_then(Json::as_f64)?;
-            let n = row.get("nodes").and_then(Json::as_f64)?;
-            s / n * 1e6
-        }
-    };
-    let copied = match row.get("bytes_copied_per_message").and_then(Json::as_f64) {
-        Some(v) => v,
-        None => {
-            let comm = row.get("comm_bytes").and_then(Json::as_f64)?;
-            if messages > 0 {
-                comm / messages as f64
-            } else {
-                0.0
-            }
-        }
-    };
-    Some((us_per_op, copied))
-}
-
 fn main() {
-    let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let committed = std::fs::read_to_string("BENCH_runtime.json")
-        .ok()
-        .and_then(|s| parse(&s).ok());
     let mlp_model = mlp(&MlpConfig { batch: 64, dims: vec![256, 256], classes: 64, with_updates: true })
         .expect("mlp builds");
     let wres_model = wresnet(&WResNetConfig {
@@ -153,47 +73,21 @@ fn main() {
     .expect("wresnet builds");
 
     let mut rows: Vec<Row> = Vec::new();
-    let mut regressions: Vec<String> = Vec::new();
-    for (name, model, batch) in [
-        ("mlp-256x2 (batch 64)", &mlp_model, 64usize),
-        ("wresnet-50-1 (batch 8)", &wres_model, 8),
-    ] {
-        println!("\n{name} — best of {ITERS} iterations after {WARMUP} warmup");
+    for (name, model) in
+        [("mlp-256x2 (batch 64)", &mlp_model), ("wresnet-50-1 (batch 8)", &wres_model)]
+    {
+        println!("\n{name} — one step per row");
         println!(
-            "{:<8} {:>12} {:>14} {:>12} {:>7} {:>10} {:>9} {:>12} {:>6}",
-            "workers", "s/iter", "samples/s", "comm bytes", "nodes", "us/op", "messages", "copied B/msg", "exact"
+            "{:<8} {:>12} {:>7} {:>9} {:>14} {:>6}",
+            "workers", "comm bytes", "nodes", "messages", "copied bytes", "exact"
         );
-        println!("{}", "-".repeat(98));
+        println!("{}", "-".repeat(61));
         for workers in WORKERS {
-            if let Some(r) = measure(name, &model.graph, batch, workers) {
+            if let Some(r) = measure(name, &model.graph, workers) {
                 println!(
-                    "{:<8} {:>12.6} {:>14.1} {:>12} {:>7} {:>10.3} {:>9} {:>12.1} {:>6}",
-                    r.workers,
-                    r.seconds_per_iter,
-                    r.samples_per_sec,
-                    r.comm_bytes,
-                    r.nodes,
-                    r.us_per_op,
-                    r.messages,
-                    r.bytes_copied_per_message,
-                    r.exact
+                    "{:<8} {:>12} {:>7} {:>9} {:>14} {:>6}",
+                    r.workers, r.comm_bytes, r.nodes, r.messages, r.transport_copy_bytes, r.exact
                 );
-                if let Some((base_us, base_copied)) =
-                    committed.as_ref().and_then(|d| baseline(d, r.model, r.workers, r.messages))
-                {
-                    if r.us_per_op > base_us * US_PER_OP_TOLERANCE {
-                        regressions.push(format!(
-                            "{} w={}: us_per_op {:.3} exceeds baseline {:.3} (x{:.2} allowed)",
-                            r.model, r.workers, r.us_per_op, base_us, US_PER_OP_TOLERANCE
-                        ));
-                    }
-                    if r.bytes_copied_per_message > base_copied {
-                        regressions.push(format!(
-                            "{} w={}: bytes_copied_per_message {:.1} exceeds baseline {:.1}",
-                            r.model, r.workers, r.bytes_copied_per_message, base_copied
-                        ));
-                    }
-                }
                 rows.push(r);
             }
         }
@@ -205,33 +99,21 @@ fn main() {
             Json::obj(vec![
                 ("model", Json::from(r.model)),
                 ("workers", Json::from(r.workers)),
-                ("seconds_per_iter", Json::from(r.seconds_per_iter)),
-                ("samples_per_sec", Json::from(r.samples_per_sec)),
                 ("comm_bytes", Json::from(r.comm_bytes)),
                 ("nodes", Json::from(r.nodes)),
-                ("us_per_op", Json::from(r.us_per_op)),
                 ("messages", Json::from(r.messages)),
                 ("transport_copy_bytes", Json::from(r.transport_copy_bytes)),
-                ("bytes_copied_per_message", Json::from(r.bytes_copied_per_message)),
                 ("exact", Json::Bool(r.exact)),
             ])
         })
         .collect();
-    let doc = bench_report(
-        "runtime_scaling",
-        vec![
-            ("host_cpus", Json::from(cpus)),
-            ("warmup", Json::from(WARMUP)),
-            ("iters", Json::from(ITERS)),
-        ],
-        results,
-    );
-    write_report("BENCH_runtime.json", &doc);
-    println!("({} rows, host_cpus={cpus})", rows.len());
-    if !regressions.is_empty() {
-        eprintln!("\nruntime_scaling REGRESSED vs committed BENCH_runtime.json:");
-        for r in &regressions {
-            eprintln!("  {r}");
+    write_report("BENCH_runtime.json", &bench_report("runtime_scaling", Vec::new(), results));
+    println!("({} rows)", rows.len());
+    let copied: Vec<&Row> = rows.iter().filter(|r| r.transport_copy_bytes != 0).collect();
+    if !copied.is_empty() {
+        eprintln!("\nruntime_scaling: the transport copied payload bytes:");
+        for r in copied {
+            eprintln!("  {} w={}: {} bytes", r.model, r.workers, r.transport_copy_bytes);
         }
         std::process::exit(1);
     }

@@ -1,15 +1,15 @@
-//! Partition-search scaling bench: wall-clock and states-explored of the
-//! optimized DP engine (strategy cache + dominance pruning + plan cache)
-//! against the reference `unoptimized_search`, for an MLP and WResNet-50 at
-//! 2/4/8 workers, written to `BENCH_search.json`.
+//! Partition-search scaling ledger: states explored, states pruned and
+//! cache hits of the optimized DP engine (strategy cache, dominance pruning,
+//! plan cache) against the reference `unoptimized_search`, for an MLP and
+//! WResNet-50 at 2/4/8 workers, written to `BENCH_search.json`. Search
+//! *time* is measured by `benchmark/` (`core.partition_s`,
+//! `core.partition_warm_s`).
 //!
-//! This is also a correctness gate: the process exits nonzero when the
+//! This is a correctness gate: the process exits nonzero when the
 //! optimized engine's total plan cost is not bit-identical to the
 //! reference's, or when it explores at least as many states — the two
 //! properties the optimization work is contractually required to hold
 //! (see DESIGN.md "Search performance").
-
-use std::time::Instant;
 
 use tofu_bench::{bench_report, write_report, Json};
 use tofu_core::recursive::{partition_cached, partition_with_obs, PartitionOptions};
@@ -20,17 +20,9 @@ use tofu_obs::Collector;
 
 const WORKERS: [usize; 3] = [2, 4, 8];
 
-/// Repeated-hit samples for the warm-cache p50: enough to make the median
-/// robust against scheduler noise, cheap because every call is a cache hit.
-const WARM_HIT_SAMPLES: usize = 32;
-
 struct Row {
     model: &'static str,
     workers: usize,
-    ref_seconds: f64,
-    opt_seconds: f64,
-    warm_seconds: f64,
-    warm_hit_p50: f64,
     ref_states: f64,
     opt_states: f64,
     prune_dominated: f64,
@@ -56,47 +48,23 @@ fn measure(
     let optimized_opts = PartitionOptions { workers, ..Default::default() };
 
     let ref_obs = Collector::new();
-    let t0 = Instant::now();
     let ref_plan = partition_with_obs(g, &reference_opts, Some(&ref_obs)).expect("reference");
-    let ref_seconds = t0.elapsed().as_secs_f64();
-
     let opt_obs = Collector::new();
-    let t0 = Instant::now();
     let opt_plan = partition_with_obs(g, &optimized_opts, Some(&opt_obs)).expect("optimized");
-    let opt_seconds = t0.elapsed().as_secs_f64();
 
     // Warm row: same query against a caches object shared across the whole
-    // (model, workers) sweep — measures cross-call plan-cache reuse. The
-    // first call may still solve unseen step fingerprints; the p50 below is
-    // taken over repeated calls that are guaranteed plan-cache hits.
+    // (model, workers) sweep — counts cross-call plan-cache reuse (the call
+    // may still solve step fingerprints no smaller width has seen).
     let warm_obs = Collector::new();
-    let t0 = Instant::now();
     let warm_plan =
         partition_cached(g, &optimized_opts, warm, Some(&warm_obs)).expect("warm optimized");
-    let warm_seconds = t0.elapsed().as_secs_f64();
 
     let cost = ref_plan.total_comm_bytes();
-    let mut hit_samples = Vec::with_capacity(WARM_HIT_SAMPLES);
-    let mut hits_identical = true;
-    for _ in 0..WARM_HIT_SAMPLES {
-        let t0 = Instant::now();
-        let hit_plan = partition_cached(g, &optimized_opts, warm, None).expect("warm hit");
-        hit_samples.push(t0.elapsed().as_secs_f64());
-        hits_identical &= hit_plan.total_comm_bytes().to_bits() == cost.to_bits();
-    }
-    hit_samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let warm_hit_p50 = hit_samples[hit_samples.len() / 2];
-
     let identical = opt_plan.total_comm_bytes().to_bits() == cost.to_bits()
-        && warm_plan.total_comm_bytes().to_bits() == cost.to_bits()
-        && hits_identical;
+        && warm_plan.total_comm_bytes().to_bits() == cost.to_bits();
     Row {
         model,
         workers,
-        ref_seconds,
-        opt_seconds,
-        warm_seconds,
-        warm_hit_p50,
         ref_states: total(&ref_obs, "dp/states_explored"),
         opt_states: total(&opt_obs, "dp/states_explored"),
         prune_dominated: total(&opt_obs, "dp/prune_dominated"),
@@ -133,24 +101,20 @@ fn main() {
         let mut warm = SearchCaches::new();
         println!("\n{name} — reference vs optimized search");
         println!(
-            "{:<8} {:>9} {:>9} {:>9} {:>10} {:>8} {:>12} {:>12} {:>10} {:>6}",
-            "workers", "ref s", "opt s", "warm s", "hit p50 µs", "speedup", "ref states", "opt states",
-            "pruned", "ident"
+            "{:<8} {:>12} {:>12} {:>10} {:>14} {:>14} {:>6}",
+            "workers", "ref states", "opt states", "pruned", "strategy hits", "warm plan hits", "ident"
         );
-        println!("{}", "-".repeat(103));
+        println!("{}", "-".repeat(82));
         for workers in WORKERS {
             let r = measure(name, g, workers, &mut warm);
             println!(
-                "{:<8} {:>9.3} {:>9.3} {:>9.3} {:>10.1} {:>7.2}x {:>12.0} {:>12.0} {:>10.0} {:>6}",
+                "{:<8} {:>12.0} {:>12.0} {:>10.0} {:>14.0} {:>14.0} {:>6}",
                 r.workers,
-                r.ref_seconds,
-                r.opt_seconds,
-                r.warm_seconds,
-                r.warm_hit_p50 * 1e6,
-                r.ref_seconds / r.opt_seconds.max(1e-12),
                 r.ref_states,
                 r.opt_states,
                 r.prune_dominated + r.prune_beam,
+                r.strategy_hits,
+                r.plan_hits_warm,
                 r.identical,
             );
             if !r.identical {
@@ -181,11 +145,6 @@ fn main() {
             Json::obj(vec![
                 ("model", Json::from(r.model)),
                 ("workers", Json::from(r.workers)),
-                ("reference_seconds", Json::from(r.ref_seconds)),
-                ("optimized_seconds", Json::from(r.opt_seconds)),
-                ("warm_cache_seconds", Json::from(r.warm_seconds)),
-                ("warm_hit_p50_seconds", Json::from(r.warm_hit_p50)),
-                ("speedup", Json::from(r.ref_seconds / r.opt_seconds.max(1e-12))),
                 ("reference_states_explored", Json::from(r.ref_states)),
                 ("optimized_states_explored", Json::from(r.opt_states)),
                 ("prune_dominated", Json::from(r.prune_dominated)),

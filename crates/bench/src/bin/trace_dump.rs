@@ -8,7 +8,7 @@
 //! (exit 1) unless the trace is well-formed: non-empty, search events
 //! present, and both a runtime and a sim process lane per device.
 
-use tofu_bench::feeds;
+use tofu_bench::{feeds, scatter_feeds};
 use tofu_core::recursive::{partition_with_obs, PartitionOptions};
 use tofu_core::{generate, GenOptions, ShardedGraph};
 use tofu_graph::Graph;
@@ -38,10 +38,7 @@ fn dump(tag: &str, g: &Graph, workers: usize) -> Result<String, String> {
     );
 
     // Measured timeline: the same sharded graph on the threaded runtime.
-    let mut shard_feeds = Vec::new();
-    for (t, v) in feeds(g) {
-        shard_feeds.extend(sharded.scatter(t, &v).map_err(|e| format!("{tag}: scatter: {e}"))?);
-    }
+    let shard_feeds = scatter_feeds(&sharded, &feeds(g));
     let run_opts = RunOptions { collector: Some(obs.clone()), ..Default::default() };
     run_with_options(&sharded, &shard_feeds, &run_opts)
         .map_err(|e| format!("{tag}: runtime run failed: {e}"))?;

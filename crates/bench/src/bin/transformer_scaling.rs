@@ -3,27 +3,25 @@
 //! decoder block at paper-scale sequence lengths, across 1/2/4/8 simulated
 //! GPUs, written to `BENCH_transformer.json`.
 //!
-//! Besides the curves, the run is a regression gate on two properties:
+//! Every value is a simulator output, so the file repeats exactly and
+//! `scripts/check.sh` fails on any drift from the committed copy — a changed
+//! `comm_bytes` is a real partitioning or codegen change and must be staged
+//! deliberately.
 //!
-//! 1. **Strategy structure** — at every multi-worker point the plan must be
-//!    genuinely multi-axis: different ops split along different TDL axes,
-//!    with at least one head-parallel or reduction split (`split:h`,
-//!    `reduce:h`, `split:j`, `reduce:k`) in use — never a degenerate
-//!    single-axis data-parallel plan. At seq=512 (where the seq/width ratio
-//!    makes the megatron partition globally optimal) the gate further
-//!    requires the exact megatron-style ids on every structure node; at
-//!    longer sequences the DP legitimately mixes in sequence-parallel steps
-//!    (`split:n`), which the curves record.
-//! 2. **Comm bytes** — the simulated inter-GPU traffic of every point must
-//!    match the committed `BENCH_transformer.json` exactly (the simulator is
-//!    deterministic; any drift is a real partitioning or codegen change and
-//!    must be re-committed deliberately).
+//! Besides the curves, the run is a regression gate on **strategy
+//! structure**: at every multi-worker point the plan must be genuinely
+//! multi-axis — different ops split along different TDL axes, with at least
+//! one head-parallel or reduction split (`split:h`, `reduce:h`, `split:j`,
+//! `reduce:k`) in use — never a degenerate single-axis data-parallel plan.
+//! At seq=512 (where the seq/width ratio makes the megatron partition
+//! globally optimal) the gate further requires the exact megatron-style ids
+//! on every structure node; at longer sequences the DP legitimately mixes in
+//! sequence-parallel steps (`split:n`), which the curves record.
 
 use tofu_bench::{bench_report, write_report, Json};
 use tofu_core::{partition, NodeChoice, PartitionOptions, PartitionPlan};
 use tofu_graph::{Graph, NodeId};
 use tofu_models::{decoder_block, DecoderConfig};
-use tofu_obs::json::parse;
 use tofu_sim::{Machine, TofuSimOptions};
 
 /// Paper-scale sequence lengths (tokens per step; batch folded in).
@@ -71,22 +69,8 @@ fn display_ids(ids: &[String]) -> String {
     out.join("|")
 }
 
-fn committed_comm(doc: &Json, seq: usize, workers: usize) -> Option<f64> {
-    let rows = doc.get("results")?.as_array()?;
-    rows.iter()
-        .find(|r| {
-            r.get("seq").and_then(Json::as_f64) == Some(seq as f64)
-                && r.get("workers").and_then(Json::as_f64) == Some(workers as f64)
-        })?
-        .get("comm_bytes")
-        .and_then(Json::as_f64)
-}
-
 fn main() {
     let machine = Machine::p2_8xlarge();
-    let committed = std::fs::read_to_string("BENCH_transformer.json")
-        .ok()
-        .and_then(|s| parse(&s).ok());
     let mut results: Vec<Json> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
 
@@ -97,10 +81,10 @@ fn main() {
         machine.mem_capacity as f64 / 1e9,
     );
     println!(
-        "{:<6} {:<8} {:>14} {:>12} {:>10} {:>10}  structure",
-        "seq", "workers", "tokens/s", "comm bytes", "peak GB", "search ms"
+        "{:<6} {:<8} {:>14} {:>12} {:>10}  structure",
+        "seq", "workers", "tokens/s", "comm bytes", "peak GB"
     );
-    println!("{}", "-".repeat(100));
+    println!("{}", "-".repeat(89));
 
     for seq in SEQS {
         let cfg = DecoderConfig {
@@ -189,26 +173,14 @@ fn main() {
                     .join(" ")
             };
             println!(
-                "{:<6} {:<8} {:>14} {:>12.0} {:>10.2} {:>10.1}  {}",
+                "{:<6} {:<8} {:>14} {:>12.0} {:>10.2}  {}",
                 seq,
                 workers,
                 if oom { "OOM".to_string() } else { format!("{tokens_per_sec:.1}") },
                 run.comm_bytes,
                 peak,
-                plan.search_time.as_secs_f64() * 1e3,
                 summary,
             );
-
-            if let Some(base) =
-                committed.as_ref().and_then(|d| committed_comm(d, seq, workers))
-            {
-                if (run.comm_bytes - base).abs() > 1e-6 * base.max(1.0) {
-                    failures.push(format!(
-                        "seq={seq} w={workers}: comm bytes {:.0} drifted from committed {:.0}",
-                        run.comm_bytes, base
-                    ));
-                }
-            }
 
             results.push(Json::obj(vec![
                 ("seq", Json::from(seq)),
@@ -252,5 +224,5 @@ fn main() {
         }
         std::process::exit(1);
     }
-    println!("\nBENCH_transformer.json written; megatron structure and comm bytes verified.");
+    println!("\nBENCH_transformer.json written; megatron structure verified.");
 }

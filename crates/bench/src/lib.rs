@@ -1,18 +1,31 @@
-//! Shared harness for the table/figure regenerator binaries.
+//! Shared harness for the figure regenerators and the exact ledgers.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md's per-experiment index) and prints a side-by-side
-//! comparison with the numbers the paper reports. Absolute values come from
-//! a simulator, not the authors' testbed, so the comparison targets the
-//! *shape* of each result: who wins, by roughly what factor, and where the
-//! OOMs fall.
+//! The `table*` / `fig*` binaries in `src/bin/` each regenerate one table or
+//! figure of the paper (see DESIGN.md's per-experiment index) and print a
+//! side-by-side comparison with the numbers the paper reports. Absolute
+//! values come from a simulator, not the authors' testbed, so the comparison
+//! targets the *shape* of each result: who wins, by roughly what factor, and
+//! where the OOMs fall.
+//!
+//! The other binaries are correctness gates that also write a committed
+//! `BENCH_*.json` **ledger**. A ledger holds only values that repeat exactly
+//! on any host — bytes, messages, states, nodes, cache hits, width ladders,
+//! `exact` / `recovered_exact` — so its diff is empty until the program's
+//! behaviour changes; `scripts/check.sh` fails on a non-empty diff. Nothing
+//! here is a timing harness: wall-clock lives in `benchmark/` (see
+//! `benchmark/README.md`), and a latency that has no row there is at most a
+//! printed column, never a ledger field or a gate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::BTreeMap;
+
 use tofu_core::baselines::Algorithm;
+use tofu_core::ShardedGraph;
 use tofu_graph::{Graph, TensorId, TensorKind};
 use tofu_models::{rnn, wresnet, RnnConfig, WResNetConfig};
+use tofu_runtime::{resume_from_snapshot, run_with_options, FullSnapshot, RunOptions};
 use tofu_sim::{Machine, Outcome, TofuSimOptions};
 use tofu_tensor::Tensor;
 
@@ -121,6 +134,46 @@ pub fn feeds(g: &Graph) -> Vec<(TensorId, Tensor)> {
     out
 }
 
+/// Splits full-shape feeds into `sharded`'s per-worker shard feeds.
+pub fn scatter_feeds(
+    sharded: &ShardedGraph,
+    full_feeds: &[(TensorId, Tensor)],
+) -> Vec<(TensorId, Tensor)> {
+    full_feeds.iter().flat_map(|(t, v)| sharded.scatter(*t, v).expect("scatter")).collect()
+}
+
+/// Whether two value maps hold the same tensors with the same **bit
+/// patterns** — stricter than `==` on floats, which equates `0.0` with
+/// `-0.0` and never equates a NaN with itself.
+pub fn bit_identical(a: &BTreeMap<TensorId, Tensor>, b: &BTreeMap<TensorId, Tensor>) -> bool {
+    a.len() == b.len()
+        && a.iter().all(|(t, va)| {
+            b.get(t).is_some_and(|vb| {
+                va.shape() == vb.shape()
+                    && va.data().iter().map(|x| x.to_bits()).eq(vb.data().iter().map(|x| x.to_bits()))
+            })
+        })
+}
+
+/// The recovery bins' bit-identity baseline: an undisturbed run of `sharded`
+/// resumed from the snapshot the recovered run last carried, or from scratch
+/// when it carried none.
+pub fn undisturbed_values(
+    sharded: &ShardedGraph,
+    snapshot: Option<&FullSnapshot>,
+    full_feeds: &[(TensorId, Tensor)],
+) -> BTreeMap<TensorId, Tensor> {
+    let clean = RunOptions::default();
+    match snapshot {
+        Some(snap) => {
+            resume_from_snapshot(sharded, &[], &clean, snap).expect("baseline resume").values
+        }
+        None => run_with_options(sharded, &scatter_feeds(sharded, full_feeds), &clean)
+            .expect("baseline run")
+            .values,
+    }
+}
+
 /// Builds the standard bench-report envelope every `BENCH_*.json` file uses:
 /// a `bench` name, caller-specific metadata fields, and a `results` array.
 pub fn bench_report(bench: &str, fields: Vec<(&str, Json)>, results: Vec<Json>) -> Json {
@@ -180,6 +233,28 @@ mod tests {
         assert!(fmt_outcome(&Outcome::Oom { peak_gb: 1.0 }).contains("OOM"));
         assert!(fmt_paper(Some(4.2)).contains("4.2"));
         assert!(fmt_paper(None).contains("OOM"));
+    }
+
+    /// The comparison the recovery gates rest on is on bit patterns: it
+    /// tells `0.0` from `-0.0` and one NaN payload from another, and accepts
+    /// a NaN against itself — none of which `f32 ==` does.
+    #[test]
+    fn bit_identical_compares_bit_patterns() {
+        let map = |vals: &[f32]| {
+            let t = Tensor::from_vec(tofu_tensor::Shape::new(vec![vals.len()]), vals.to_vec());
+            BTreeMap::from([(TensorId(0), t.unwrap())])
+        };
+        let quiet = f32::from_bits(0x7fc0_0000);
+        let payload = f32::from_bits(0x7fc0_0001);
+        assert!(bit_identical(&map(&[1.0, quiet, -0.0]), &map(&[1.0, quiet, -0.0])));
+        assert!(!bit_identical(&map(&[0.0]), &map(&[-0.0])));
+        assert!(!bit_identical(&map(&[quiet]), &map(&[payload])));
+        assert!(!bit_identical(&map(&[1.0]), &map(&[1.0, 1.0])));
+        assert!(!bit_identical(&map(&[1.0]), &BTreeMap::new()));
+        let mut other_id = map(&[1.0]);
+        let v = other_id.remove(&TensorId(0)).unwrap();
+        other_id.insert(TensorId(1), v);
+        assert!(!bit_identical(&map(&[1.0]), &other_id));
     }
 
     #[test]

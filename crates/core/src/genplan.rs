@@ -17,8 +17,10 @@
 //!
 //! [`multi_fetch`]: tofu_graph::ops::data
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
+pub use tofu_graph::{fetch_pieces, FetchPiece};
 use tofu_graph::{Attrs, Graph, NodeId, NodeTags, TensorId, TensorKind};
 use tofu_tdl::{bind_extents, IndexExpr, Reducer, TdlDesc};
 use tofu_tensor::{Shape, Tensor};
@@ -77,47 +79,6 @@ pub struct ShardedGraph {
     /// not compensate; such graphs are still structurally correct for the
     /// simulator but are excluded from numeric validation.
     pub exact: bool,
-}
-
-/// One piece of a `multi_fetch` node: input `i` contributes the block of
-/// `len` elements starting at `src_begin` (source coordinates), landing at
-/// `dst_begin` of the fetch output.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FetchPiece {
-    /// Start of the copied block inside the source tensor.
-    pub src_begin: Vec<i64>,
-    /// Start of the block inside the fetch output.
-    pub dst_begin: Vec<i64>,
-    /// Block extent per dimension.
-    pub len: Vec<i64>,
-}
-
-impl FetchPiece {
-    /// Bytes the piece transfers (f32 elements).
-    pub fn bytes(&self) -> u64 {
-        self.len.iter().product::<i64>().max(0) as u64 * 4
-    }
-}
-
-/// Decodes a `multi_fetch` node's piece list (one [`FetchPiece`] per input,
-/// in input order). Returns `None` for any other operator.
-pub fn fetch_pieces(g: &Graph, id: NodeId) -> Option<Vec<FetchPiece>> {
-    let node = g.node(id);
-    if node.op != "multi_fetch" {
-        return None;
-    }
-    let rank = node.attrs.ints("out_dims")?.len();
-    let pieces = node.attrs.ints("pieces")?;
-    let mut out = Vec::with_capacity(node.inputs.len());
-    for i in 0..node.inputs.len() {
-        let desc = &pieces[i * 3 * rank..(i + 1) * 3 * rank];
-        out.push(FetchPiece {
-            src_begin: desc[..rank].to_vec(),
-            dst_begin: desc[rank..2 * rank].to_vec(),
-            len: desc[2 * rank..].to_vec(),
-        });
-    }
-    Some(out)
 }
 
 /// One cross-device transfer of the sharded graph: `consumer` (always a
@@ -209,55 +170,64 @@ impl ShardedGraph {
         out
     }
 
-    /// Splits a full tensor value into per-worker shard feeds.
+    /// The per-worker regions and shard tensors of `original`.
+    fn layout(&self, original: TensorId) -> Result<(&[Region], &[TensorId])> {
+        match (self.regions.get(&original), self.shards.get(&original)) {
+            (Some(r), Some(s)) if r.len() == s.len() => Ok((r, s)),
+            _ => Err(CoreError::Internal(format!("{original:?} has no shard layout"))),
+        }
+    }
+
+    /// Splits a full tensor value into per-worker shard feeds: worker `w`
+    /// gets the block of `value` its region covers.
     pub fn scatter(&self, original: TensorId, value: &Tensor) -> Result<Vec<(TensorId, Tensor)>> {
-        let regions = self
-            .regions
-            .get(&original)
-            .ok_or_else(|| CoreError::Internal("unknown tensor in scatter".into()))?;
-        let shards = &self.shards[&original];
+        let (regions, shards) = self.layout(original)?;
         let mut out = Vec::with_capacity(regions.len());
-        for (w, region) in regions.iter().enumerate() {
-            let mut piece = value.clone();
-            for (d, &(lo, hi)) in region.iter().enumerate() {
-                piece = piece
-                    .slice(d, lo as usize, hi as usize)
-                    .map_err(|e| CoreError::Internal(format!("scatter slice: {e}")))?;
-            }
-            out.push((shards[w], piece));
+        for (region, &shard) in regions.iter().zip(shards) {
+            let (lo, len) = region_block(region);
+            let mut piece = Tensor::zeros(Shape::new(len.iter().map(|&l| l.max(0) as usize).collect()));
+            piece
+                .copy_block(value, &lo, &vec![0; lo.len()], &len)
+                .map_err(|e| CoreError::Internal(format!("scatter {original:?}: {e}")))?;
+            out.push((shard, piece));
         }
         Ok(out)
     }
 
-    /// Reassembles a full tensor from per-worker shard values.
-    pub fn gather(
+    /// Reassembles a full tensor from per-worker shard values (the dual of
+    /// [`scatter`](Self::scatter)). Workers replicated at some step hold
+    /// bit-identical copies, so their overlapping writes are idempotent.
+    /// Generic over the map's value type so plain tensors and `Arc`-shared
+    /// checkpoint payloads both gather without an intermediate deep copy.
+    pub fn gather<V: Borrow<Tensor>>(
         &self,
         original: TensorId,
         full_shape: &Shape,
-        values: &BTreeMap<TensorId, Tensor>,
+        values: &BTreeMap<TensorId, V>,
     ) -> Result<Tensor> {
-        let regions = self
-            .regions
-            .get(&original)
-            .ok_or_else(|| CoreError::Internal("unknown tensor in gather".into()))?;
-        let shards = &self.shards[&original];
+        let (regions, shards) = self.layout(original)?;
         let mut out = Tensor::zeros(full_shape.clone());
-        for (w, region) in regions.iter().enumerate() {
-            let piece = values
-                .get(&shards[w])
-                .ok_or_else(|| CoreError::Internal("missing shard value in gather".into()))?;
-            let lens: Vec<usize> = region.iter().map(|&(lo, hi)| (hi - lo) as usize).collect();
-            for idx in Shape::new(lens).indices() {
-                let dst: Vec<usize> = idx
-                    .iter()
-                    .zip(region)
-                    .map(|(&o, &(lo, _))| o + lo as usize)
-                    .collect();
-                out.set(&dst, piece.at(&idx));
+        for (w, (region, shard)) in regions.iter().zip(shards).enumerate() {
+            let piece = values.get(shard).map(Borrow::borrow).ok_or_else(|| {
+                CoreError::Internal(format!("gather {original:?}: worker {w} shard missing"))
+            })?;
+            let (lo, len) = region_block(region);
+            if !piece.shape().dims().iter().map(|&d| d as i64).eq(len.iter().copied()) {
+                return Err(CoreError::Internal(format!(
+                    "gather {original:?}: worker {w} shard is {} but its region is {region:?}",
+                    piece.shape()
+                )));
             }
+            out.copy_block(piece, &vec![0; lo.len()], &lo, &len)
+                .map_err(|e| CoreError::Internal(format!("gather {original:?} worker {w}: {e}")))?;
         }
         Ok(out)
     }
+}
+
+/// A region as the `(begin, len)` block the copier takes.
+fn region_block(region: &Region) -> (Vec<i64>, Vec<i64>) {
+    region.iter().map(|&(lo, hi)| (lo, hi - lo)).unzip()
 }
 
 /// Mixed-radix digit of worker `w` at recursion step `s` given the per-step

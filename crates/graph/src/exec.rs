@@ -12,6 +12,7 @@ use tofu_tensor::{Conv1dParams, Conv2dParams, PoolKind, PoolParams, ReduceKind, 
 
 use crate::attrs::Attrs;
 use crate::graph::{Graph, NodeId, TensorId, TensorKind};
+use crate::ops::data::decode_multi_fetch;
 use crate::ops::elementwise::{BINARY_KERNELS, SCALAR_KERNELS, UNARY_KERNELS};
 use crate::registry::GraphError;
 use crate::Result;
@@ -487,77 +488,14 @@ fn dispatch(op: &str, ins: &[&Tensor], attrs: &Attrs, out_shape: &Shape) -> Resu
 /// The fused remote-gather kernel of §6: assembles an output region from
 /// pieces of several source tensors in one launch, zero-filling anything not
 /// covered (which is how partitioned convolutions materialize padding).
-///
-/// Attribute layout: `out_dims` gives the output shape (rank r); `pieces` is
-/// a flat integer list with 3·r entries per piece — `src_begin[r]`,
-/// `dst_begin[r]`, `len[r]` — where piece `i` reads from input `i`.
 fn multi_fetch(ins: &[&Tensor], attrs: &Attrs) -> Result<Tensor> {
-    let out_dims: Vec<usize> = attrs
-        .ints("out_dims")
-        .ok_or_else(|| GraphError::Exec("multi_fetch missing out_dims".into()))?
-        .iter()
-        .map(|&d| d as usize)
-        .collect();
-    let rank = out_dims.len();
-    let pieces = attrs.ints("pieces").unwrap_or(&[]);
-    if pieces.len() != ins.len() * 3 * rank {
-        return Err(GraphError::Exec(format!(
-            "multi_fetch expects {} piece integers, got {}",
-            ins.len() * 3 * rank,
-            pieces.len()
-        )));
-    }
-    let mut out = Tensor::zeros(Shape::new(out_dims));
-    for (i, src) in ins.iter().enumerate() {
-        let desc = &pieces[i * 3 * rank..(i + 1) * 3 * rank];
-        let src_begin = &desc[..rank];
-        let dst_begin = &desc[rank..2 * rank];
-        let len = &desc[2 * rank..];
-        copy_block_rows(&mut out, src, src_begin, dst_begin, len);
+    let (out_shape, pieces) =
+        decode_multi_fetch(ins.iter().map(|t| t.shape()), attrs).map_err(GraphError::Exec)?;
+    let mut out = Tensor::zeros(out_shape);
+    for (src, p) in ins.iter().zip(&pieces) {
+        out.copy_block(src, &p.src_begin, &p.dst_begin, &p.len)?;
     }
     Ok(out)
-}
-
-/// Moves the `len`-sized block at `src_begin` of `src` to `dst_begin` of
-/// `dst`, one contiguous innermost row per `copy_from_slice` — the blocked
-/// core of [`multi_fetch`], replacing its former per-element index walk.
-/// Both tensors are dense row-major; the block must lie within bounds.
-fn copy_block_rows(dst: &mut Tensor, src: &Tensor, src_begin: &[i64], dst_begin: &[i64], len: &[i64]) {
-    let rank = len.len();
-    if rank == 0 {
-        dst.data_mut()[0] = src.data()[0];
-        return;
-    }
-    if len.iter().any(|&l| l <= 0) {
-        return;
-    }
-    let row = len[rank - 1] as usize;
-    let src_strides = src.shape().strides();
-    let dst_strides = dst.shape().strides();
-    let mut src_off: usize =
-        src_begin.iter().zip(&src_strides).map(|(&b, &s)| b as usize * s).sum();
-    let mut dst_off: usize =
-        dst_begin.iter().zip(&dst_strides).map(|(&b, &s)| b as usize * s).sum();
-    let mut idx = vec![0usize; rank - 1];
-    'rows: loop {
-        dst.data_mut()[dst_off..dst_off + row]
-            .copy_from_slice(&src.data()[src_off..src_off + row]);
-        // Odometer over the outer dimensions.
-        let mut d = rank - 1;
-        while d > 0 {
-            d -= 1;
-            idx[d] += 1;
-            src_off += src_strides[d];
-            dst_off += dst_strides[d];
-            if idx[d] < len[d] as usize {
-                continue 'rows;
-            }
-            idx[d] = 0;
-            src_off -= src_strides[d] * len[d] as usize;
-            dst_off -= dst_strides[d] * len[d] as usize;
-        }
-        break;
-    }
 }
 
 /// Sums a tensor over every axis except `axis`, yielding a rank-1 tensor.

@@ -9,9 +9,87 @@ use tofu_tdl::{builder::Idx, DescBuilder, TdlDesc};
 use tofu_tensor::Shape;
 
 use crate::attrs::Attrs;
-use crate::graph::TensorId;
+use crate::graph::{Graph, NodeId, TensorId};
 use crate::registry::{GradCtx, OpCategory, OpDef};
 use crate::Result;
+
+/// One piece of a `multi_fetch` node: input `i` contributes the block of
+/// `len` elements starting at `src_begin` (source coordinates), landing at
+/// `dst_begin` of the fetch output.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FetchPiece {
+    /// Start of the copied block inside the source tensor.
+    pub src_begin: Vec<i64>,
+    /// Start of the block inside the fetch output.
+    pub dst_begin: Vec<i64>,
+    /// Block extent per dimension.
+    pub len: Vec<i64>,
+}
+
+impl FetchPiece {
+    /// Bytes the piece transfers (f32 elements).
+    pub fn bytes(&self) -> u64 {
+        self.len.iter().product::<i64>().max(0) as u64 * 4
+    }
+}
+
+/// Decodes a `multi_fetch` attribute set against its input shapes: the
+/// output shape plus one [`FetchPiece`] per input, in input order.
+///
+/// Attribute layout: `out_dims` gives the output shape (rank r); `pieces` is
+/// a flat integer list with 3·r entries per input — `src_begin[r]`,
+/// `dst_begin[r]`, `len[r]`. This is the only reader of that layout, and it
+/// rejects anything the kernel, the simulator or the runtime could not
+/// execute: a `pieces` list of the wrong length, a negative entry, a source
+/// block outside its input, a destination block outside `out_dims`.
+pub fn decode_multi_fetch<'a>(
+    inputs: impl ExactSizeIterator<Item = &'a Shape>,
+    attrs: &Attrs,
+) -> std::result::Result<(Shape, Vec<FetchPiece>), String> {
+    let out_dims = attrs.ints("out_dims").ok_or("multi_fetch missing out_dims")?;
+    if let Some(d) = out_dims.iter().find(|&&d| d < 0) {
+        return Err(format!("multi_fetch out_dims has negative extent {d}"));
+    }
+    let out = Shape::new(out_dims.iter().map(|&d| d as usize).collect());
+    let rank = out.rank();
+    let flat = attrs.ints("pieces").unwrap_or(&[]);
+    if flat.len() != inputs.len() * 3 * rank {
+        return Err(format!(
+            "multi_fetch expects {} piece integers ({} inputs × 3 × rank {rank}), got {}",
+            inputs.len() * 3 * rank,
+            inputs.len(),
+            flat.len()
+        ));
+    }
+    let mut pieces = Vec::with_capacity(inputs.len());
+    for (i, src) in inputs.enumerate() {
+        let desc = &flat[i * 3 * rank..(i + 1) * 3 * rank];
+        let piece = FetchPiece {
+            src_begin: desc[..rank].to_vec(),
+            dst_begin: desc[rank..2 * rank].to_vec(),
+            len: desc[2 * rank..].to_vec(),
+        };
+        src.check_block(&piece.src_begin, &piece.len)
+            .map_err(|e| format!("multi_fetch piece {i} source (shape {src}): {e}"))?;
+        out.check_block(&piece.dst_begin, &piece.len)
+            .map_err(|e| format!("multi_fetch piece {i} destination (shape {out}): {e}"))?;
+        pieces.push(piece);
+    }
+    Ok((out, pieces))
+}
+
+/// The decoded piece list of `multi_fetch` node `id`; `None` for any other
+/// operator.
+pub fn fetch_pieces(g: &Graph, id: NodeId) -> Option<Vec<FetchPiece>> {
+    let node = g.node(id);
+    if node.op != "multi_fetch" {
+        return None;
+    }
+    let inputs = node.inputs.iter().map(|&t| &g.tensor(t).shape);
+    let (_, pieces) = decode_multi_fetch(inputs, &node.attrs)
+        .expect("add_op validated this multi_fetch node's attributes");
+    Some(pieces)
+}
 
 /// Gradient of `slice_axis`: zero-pad the output gradient back to the input
 /// extent (used heavily by LSTM gate slicing).
@@ -316,12 +394,7 @@ pub fn defs() -> Vec<OpDef> {
     out.push(OpDef {
         name: "multi_fetch",
         category: OpCategory::Data,
-        infer_shape: |_, attrs| {
-            attrs
-                .ints("out_dims")
-                .map(|d| Shape::new(d.iter().map(|&v| v as usize).collect()))
-                .ok_or_else(|| "multi_fetch missing out_dims".to_string())
-        },
+        infer_shape: |ins, attrs| decode_multi_fetch(ins.iter(), attrs).map(|(out, _)| out),
         tdl: None,
         gradient: None,
         flops: flops_vol,
@@ -351,6 +424,41 @@ pub fn defs() -> Vec<OpDef> {
 mod tests {
     use super::*;
     use tofu_tdl::{discover_strategies, InputRequirement};
+
+    /// A `multi_fetch` the kernel, the simulator and the runtime could not
+    /// decode is refused when it is added, with a typed error, rather than
+    /// panicking on a slice index in whichever layer reads it first.
+    #[test]
+    fn malformed_multi_fetch_is_rejected_by_add_op() {
+        use crate::{Graph, GraphError};
+        let attrs = |pieces: Vec<i64>| {
+            Attrs::new().with_ints("out_dims", vec![4, 4]).with_ints("pieces", pieces)
+        };
+        let mut g = Graph::new();
+        let a = g.add_input("a", Shape::new(vec![2, 4]));
+        let b = g.add_input("b", Shape::new(vec![2, 4]));
+        let good = vec![0, 0, 0, 0, 2, 4, /* b */ 0, 0, 2, 0, 2, 4];
+        let f = g.add_op("multi_fetch", "ok", &[a, b], attrs(good.clone())).unwrap();
+        assert_eq!(g.tensor(f).shape.dims(), &[4, 4]);
+        let pieces = fetch_pieces(&g, g.producer(f).unwrap()).unwrap();
+        assert_eq!(pieces[1].dst_begin, vec![2, 0]);
+        assert_eq!(pieces[1].bytes(), 32);
+
+        for (why, pieces) in [
+            ("short", good[..9].to_vec()),
+            ("long", [good.clone(), vec![0]].concat()),
+            ("negative offset", vec![0, -1, 0, 0, 2, 4, 0, 0, 2, 0, 2, 4]),
+            ("negative extent", vec![0, 0, 0, 0, -2, 4, 0, 0, 2, 0, 2, 4]),
+            ("source overrun", vec![1, 0, 0, 0, 2, 4, 0, 0, 2, 0, 2, 4]),
+            ("destination overrun", vec![0, 0, 0, 0, 2, 4, 0, 0, 3, 0, 2, 4]),
+        ] {
+            let err = g.add_op("multi_fetch", why, &[a, b], attrs(pieces)).unwrap_err();
+            assert!(matches!(err, GraphError::ShapeInference { .. }), "{why}: {err}");
+        }
+        let no_dims = Attrs::new().with_ints("pieces", good);
+        assert!(g.add_op("multi_fetch", "no out_dims", &[a, b], no_dims).is_err());
+        assert_eq!(g.num_nodes(), 1, "a rejected node leaves the graph untouched");
+    }
 
     #[test]
     fn slice_axis_shapes() {

@@ -115,9 +115,8 @@ pub struct DurableReport {
     /// The final run's output, keyed by the final plan's tensor ids.
     pub output: RunOutput,
     /// The sharded graph of the final plan — gather originals with
-    /// [`ShardedGraph::gather`] or
-    /// [`gather_shards`](crate::gather_shards), and use it to build the
-    /// bit-identity baseline via
+    /// [`ShardedGraph::gather`], and use it to build the bit-identity
+    /// baseline via
     /// [`resume_from_snapshot`](crate::resume_from_snapshot).
     pub sharded: ShardedGraph,
     /// Worker count of the final run.

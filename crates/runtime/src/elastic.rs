@@ -150,8 +150,7 @@ pub struct ElasticTransition {
 
 /// What an elastic run hands back: the final output plus the whole ladder's
 /// history. `output.values` is keyed by `sharded`'s tensor ids — gather
-/// originals with [`ShardedGraph::gather`] (or
-/// [`gather_shards`](crate::gather_shards)) on the returned `sharded`.
+/// originals with [`ShardedGraph::gather`] on the returned `sharded`.
 #[derive(Debug)]
 pub struct ElasticReport {
     /// The successful run's output, on the final worker set.

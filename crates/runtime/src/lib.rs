@@ -106,13 +106,11 @@ pub use fault::{
     MessageFault,
 };
 pub use pool::{BufferPool, PieceRef, PieceSlab};
-pub use reshard::{gather_shards, resume_from_snapshot, scatter_full, FullSnapshot};
+pub use reshard::{resume_from_snapshot, FullSnapshot};
 pub use tofu_durable::{
     BlobStore, DirStore, DiskFault, DiskFaultPlan, MemStore, RejectReason, RejectedCheckpoint,
 };
 pub use trace::{LinkStat, OpEvent, RunTrace, WorkerTrace};
-
-pub use worker::{copy_block, extract_piece};
 
 use supervisor::{run_once, supervise, PlanSource};
 

@@ -15,20 +15,21 @@
 //! worker reads from its snapshot are exactly the shard tensors of original
 //! tensors computed before the barrier (cross-expansion reads only ever go
 //! through shard tensors), and each shard is by construction the region
-//! slice of its original tensor — so gathering the shards with
-//! [`copy_block`] and re-slicing them for the new plan reproduces, bit for
-//! bit, the state an undisturbed run at the new width would have checkpointed
-//! when resumed from this same snapshot.
+//! slice of its original tensor — so gathering the shards
+//! ([`ShardedGraph::gather`]) and re-slicing them for the new plan
+//! ([`ShardedGraph::scatter`]) reproduces, bit for bit, the state an
+//! undisturbed run at the new width would have checkpointed when resumed
+//! from this same snapshot.
 
 use std::collections::BTreeMap;
 
-use tofu_core::{Region, ShardedGraph};
+use tofu_core::ShardedGraph;
 use tofu_graph::TensorId;
 use tofu_tensor::{Shape, Tensor};
 
 use crate::checkpoint::{checkpoint_cuts, CheckpointPolicy, ResumePoint};
 use crate::supervisor::run_once;
-use crate::{copy_block, Result, RunOptions, RunOutput, RuntimeError};
+use crate::{Result, RunOptions, RunOutput, RuntimeError};
 
 /// A plan-independent checkpoint: every original tensor the barrier covers
 /// (leaves plus outputs of original nodes before it), at full shape, keyed
@@ -59,93 +60,11 @@ impl FullSnapshot {
     pub fn reshard_through(&self, via: &ShardedGraph) -> Result<FullSnapshot> {
         let mut tensors = BTreeMap::new();
         for (&t, full) in &self.tensors {
-            let pieces: BTreeMap<TensorId, Tensor> =
-                scatter_full(via, t, full)?.into_iter().collect();
-            tensors.insert(t, gather_shards(via, t, &pieces)?);
+            let pieces: BTreeMap<TensorId, Tensor> = via.scatter(t, full)?.into_iter().collect();
+            tensors.insert(t, via.gather(t, full.shape(), &pieces)?);
         }
         Ok(FullSnapshot { ckpt: self.ckpt, every: self.every, tensors })
     }
-}
-
-/// The full (unsharded) extent implied by a tensor's per-worker regions:
-/// the regions tile (or replicate over) `[0, max hi)` per dimension.
-fn full_dims(regions: &[Region]) -> Vec<usize> {
-    let rank = regions.first().map(|r| r.len()).unwrap_or(0);
-    (0..rank)
-        .map(|d| regions.iter().map(|r| r[d].1).max().unwrap_or(0).max(0) as usize)
-        .collect()
-}
-
-/// Gathers the per-worker shard values of original tensor `t` (looked up in
-/// `values`, a map over *sharded-graph* tensor ids) into the full original
-/// value. Block-copy based — the fast path [`ShardedGraph::gather`]'s
-/// per-element loop is not. Generic over the map's value type so both plain
-/// tensors and the checkpoint store's `Arc`-shared payloads gather without
-/// an intermediate deep copy.
-pub fn gather_shards<V: std::borrow::Borrow<Tensor>>(
-    sharded: &ShardedGraph,
-    t: TensorId,
-    values: &BTreeMap<TensorId, V>,
-) -> Result<Tensor> {
-    let regions = sharded
-        .regions
-        .get(&t)
-        .ok_or_else(|| RuntimeError::Internal(format!("gather_shards: unknown tensor {t:?}")))?;
-    let shards = sharded
-        .shards
-        .get(&t)
-        .ok_or_else(|| RuntimeError::Internal(format!("gather_shards: {t:?} has no shards")))?;
-    let mut full = Tensor::zeros(Shape::new(full_dims(regions)));
-    for (w, region) in regions.iter().enumerate() {
-        let piece = values
-            .get(&shards[w])
-            .ok_or_else(|| {
-                RuntimeError::Internal(format!("gather_shards: worker {w} shard of {t:?} missing"))
-            })?
-            .borrow();
-        let len: Vec<i64> = region.iter().map(|&(lo, hi)| hi - lo).collect();
-        let expect: Vec<usize> = len.iter().map(|&l| l.max(0) as usize).collect();
-        if piece.shape().dims() != expect.as_slice() {
-            return Err(RuntimeError::Internal(format!(
-                "gather_shards: worker {w} shard of {t:?} is {} but region wants {expect:?}",
-                piece.shape()
-            )));
-        }
-        let zeros = vec![0i64; region.len()];
-        let lo: Vec<i64> = region.iter().map(|&(lo, _)| lo).collect();
-        // Replicated workers hold bit-identical copies, so overlapping
-        // writes are idempotent.
-        copy_block(&mut full, piece, &zeros, &lo, &len);
-    }
-    Ok(full)
-}
-
-/// Slices a full original-tensor value into per-worker shard values for
-/// `sharded`'s plan (the block-copy dual of [`gather_shards`]).
-pub fn scatter_full(
-    sharded: &ShardedGraph,
-    t: TensorId,
-    full: &Tensor,
-) -> Result<Vec<(TensorId, Tensor)>> {
-    let regions = sharded
-        .regions
-        .get(&t)
-        .ok_or_else(|| RuntimeError::Internal(format!("scatter_full: unknown tensor {t:?}")))?;
-    let shards = sharded
-        .shards
-        .get(&t)
-        .ok_or_else(|| RuntimeError::Internal(format!("scatter_full: {t:?} has no shards")))?;
-    let mut out = Vec::with_capacity(regions.len());
-    for (w, region) in regions.iter().enumerate() {
-        let len: Vec<i64> = region.iter().map(|&(lo, hi)| hi - lo).collect();
-        let dims: Vec<usize> = len.iter().map(|&l| l.max(0) as usize).collect();
-        let lo: Vec<i64> = region.iter().map(|&(lo, _)| lo).collect();
-        let zeros = vec![0i64; region.len()];
-        let mut piece = Tensor::zeros(Shape::new(dims));
-        copy_block(&mut piece, full, &lo, &zeros, &len);
-        out.push((shards[w], piece));
-    }
-    Ok(out)
 }
 
 /// Cuts a [`FullSnapshot`] out of one plan's per-worker checkpoint values:
@@ -170,7 +89,14 @@ pub(crate) fn assemble_snapshot(
     let mut tensors = BTreeMap::new();
     for (&t, shards) in &sharded.shards {
         if shards.iter().all(|s| merged.contains_key(s)) {
-            tensors.insert(t, gather_shards(sharded, t, &merged)?);
+            // Shard regions tile (or replicate over) the full extent, so the
+            // largest upper bound per dimension is the original shape.
+            let regions = sharded.regions.get(&t).map_or(&[][..], Vec::as_slice);
+            let rank = regions.first().map_or(0, |r| r.len());
+            let full: Vec<usize> = (0..rank)
+                .map(|d| regions.iter().map(|r| r[d].1.max(0) as usize).max().unwrap_or(0))
+                .collect();
+            tensors.insert(t, sharded.gather(t, &Shape::new(full), &merged)?);
         }
     }
     Ok(FullSnapshot { ckpt, every, tensors })
@@ -195,7 +121,7 @@ pub(crate) fn scatter_snapshot(
     let mut values: Vec<BTreeMap<TensorId, std::sync::Arc<Tensor>>> =
         vec![BTreeMap::new(); sharded.workers];
     for (&t, full) in &snap.tensors {
-        for (w, (shard, piece)) in scatter_full(sharded, t, full)?.into_iter().enumerate() {
+        for (w, (shard, piece)) in sharded.scatter(t, full)?.into_iter().enumerate() {
             values[w].insert(shard, std::sync::Arc::new(piece));
         }
     }

@@ -10,10 +10,10 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use tofu_core::{FetchPiece, ShardedGraph};
+use tofu_core::ShardedGraph;
 use tofu_graph::{execute_node, plan_buffers, BufferPlan, NodeId, TensorId, TensorKind};
 use tofu_obs::{SpanBuffer, Track};
-use tofu_tensor::{Shape, Tensor};
+use tofu_tensor::{copy_block, Shape, Tensor};
 
 use crate::abort::{AbortCause, AbortToken};
 use crate::checkpoint::CheckpointStore;
@@ -684,8 +684,9 @@ impl<'a> Worker<'a> {
     /// position. The fast path performs exactly one copy — tensor to slab
     /// buffer — and the channel then carries only the `Arc`.
     fn send_route(&mut self, r: &SendRoute) -> Result<()> {
-        let len_elems: usize = r.piece.len.iter().map(|&l| l.max(0) as usize).product();
-        let mut buf = self.slab.alloc(len_elems);
+        let block = Shape::new(r.piece.len.iter().map(|&l| l.max(0) as usize).collect());
+        let mut buf = self.slab.alloc(block.volume());
+        buf.resize(block.volume(), 0.0);
         {
             let src = self.values.get(&r.tensor).ok_or_else(|| {
                 RuntimeError::Internal(format!(
@@ -693,10 +694,11 @@ impl<'a> Worker<'a> {
                     self.w, r.tensor
                 ))
             })?;
-            extract_piece_into(src, &r.piece, &mut buf)?;
+            let zeros = vec![0i64; block.rank()];
+            copy_block(&mut buf, &block, src.data(), src.shape(), &r.piece.src_begin, &zeros, &r.piece.len)
+                .map_err(|e| piece_error("extraction", e))?;
         }
-        let dims: Vec<usize> = r.piece.len.iter().map(|&l| l.max(0) as usize).collect();
-        let mut piece = self.slab.seal(Shape::new(dims), buf);
+        let mut piece = self.slab.seal(block, buf);
         let bytes = piece.bytes();
         // The checksum covers the *intended* payload; corruption injected
         // below is therefore detectable at the receiver. Lower integrity
@@ -792,9 +794,9 @@ impl<'a> Worker<'a> {
         let plan = routes.fetches[pos]
             .as_ref()
             .ok_or_else(|| RuntimeError::Internal("assemble on non-fetch node".into()))?;
-        let node = self.sharded.graph.node(id);
-        let out_shape = self.sharded.graph.tensor(node.output).shape.clone();
-        let mut out = Tensor::zeros(out_shape);
+        let graph = &self.sharded.graph;
+        let out_shape = &graph.tensor(graph.node(id).output).shape;
+        let mut out = Tensor::zeros(out_shape.clone());
         for (i, input) in plan.inputs.iter().enumerate() {
             let p = &input.piece;
             match input.source {
@@ -805,7 +807,8 @@ impl<'a> Worker<'a> {
                             self.w
                         ))
                     })?;
-                    copy_block(&mut out, src.as_ref(), &p.src_begin, &p.dst_begin, &p.len);
+                    out.copy_block(src.as_ref(), &p.src_begin, &p.dst_begin, &p.len)
+                        .map_err(|e| piece_error("assembly", e))?;
                 }
                 FetchSource::Remote { slot } => {
                     // Time the blocking receive separately so a trace splits
@@ -822,7 +825,10 @@ impl<'a> Worker<'a> {
                     self.bytes_received += piece.bytes();
                     // The producer already extracted the block: source
                     // offsets are zero in the received piece's coordinates.
-                    copy_piece_block(&mut out, &piece, &p.dst_begin, &p.len);
+                    let zeros = vec![0i64; p.len.len()];
+                    let (data, shape) = (piece.data(), piece.shape());
+                    copy_block(out.data_mut(), out_shape, data, shape, &zeros, &p.dst_begin, &p.len)
+                        .map_err(|e| piece_error("assembly", e))?;
                 }
             }
         }
@@ -969,163 +975,9 @@ impl<'a> Worker<'a> {
     }
 }
 
-/// Row-major strides for `dims` (innermost stride 1).
-fn row_major_strides(dims: &[usize]) -> Vec<usize> {
-    let mut strides = vec![1usize; dims.len()];
-    for d in (0..dims.len().saturating_sub(1)).rev() {
-        strides[d] = strides[d + 1] * dims[d + 1];
-    }
-    strides
-}
-
-/// Slices the block `[src_begin, src_begin + len)` of `src` into `out`,
-/// appending rows with `extend_from_slice`. `out` should arrive empty with
-/// capacity for the whole block — the send path reuses slab buffers here, so
-/// extraction never clones the source tensor.
-fn extract_piece_into(src: &Tensor, p: &FetchPiece, out: &mut Vec<f32>) -> Result<()> {
-    let dims = src.shape().dims().to_vec();
-    if p.src_begin.len() != dims.len() || p.len.len() != dims.len() {
-        return Err(RuntimeError::Internal(format!(
-            "piece extraction: rank mismatch (tensor rank {}, piece rank {})",
-            dims.len(),
-            p.len.len()
-        )));
-    }
-    for (d, (&b, &l)) in p.src_begin.iter().zip(&p.len).enumerate() {
-        if b < 0 || l < 0 || (b + l) as usize > dims[d] {
-            return Err(RuntimeError::Internal(format!(
-                "piece extraction: block [{b}, {}) exceeds dimension {d} of extent {}",
-                b + l,
-                dims[d]
-            )));
-        }
-    }
-    let data = src.data();
-    let rank = dims.len();
-    if rank == 0 {
-        out.push(data[0]);
-        return Ok(());
-    }
-    if p.len.contains(&0) {
-        return Ok(());
-    }
-    let strides = src.shape().strides();
-    let row = p.len[rank - 1] as usize;
-    let mut off: usize = p.src_begin.iter().zip(&strides).map(|(&b, &s)| b as usize * s).sum();
-    let mut idx = vec![0usize; rank - 1];
-    'rows: loop {
-        out.extend_from_slice(&data[off..off + row]);
-        // Odometer over the outer dimensions.
-        let mut d = rank - 1;
-        while d > 0 {
-            d -= 1;
-            idx[d] += 1;
-            off += strides[d];
-            if idx[d] < p.len[d] as usize {
-                continue 'rows;
-            }
-            idx[d] = 0;
-            off -= strides[d] * p.len[d] as usize;
-        }
-        break;
-    }
-    Ok(())
-}
-
-/// Slices the block `[src_begin, src_begin + len)` out of `src` into a
-/// freshly shaped tensor. Copies only the block — never the whole source.
-pub fn extract_piece(src: &Tensor, p: &FetchPiece) -> Result<Tensor> {
-    let volume: usize = p.len.iter().map(|&l| l.max(0) as usize).product();
-    let mut out = Vec::with_capacity(volume);
-    extract_piece_into(src, p, &mut out)?;
-    let dims: Vec<usize> = p.len.iter().map(|&l| l.max(0) as usize).collect();
-    Tensor::from_vec(Shape::new(dims), out)
-        .map_err(|e| RuntimeError::Internal(format!("piece extraction: {e}")))
-}
-
-/// The shared row-copy core of [`copy_block`] / [`copy_piece_block`]: moves
-/// the `len`-sized block at `src_begin` of the `src_strides`-shaped buffer to
-/// `dst_begin` of the `dst_strides`-shaped one, one contiguous innermost row
-/// per `copy_from_slice`.
-fn copy_block_raw(
-    dst: &mut [f32],
-    dst_strides: &[usize],
-    src: &[f32],
-    src_strides: &[usize],
-    src_begin: &[i64],
-    dst_begin: &[i64],
-    len: &[i64],
-) {
-    let rank = len.len();
-    if rank == 0 {
-        let dst_off: usize = dst_begin.iter().zip(dst_strides).map(|(&b, &s)| b as usize * s).sum();
-        let src_off: usize = src_begin.iter().zip(src_strides).map(|(&b, &s)| b as usize * s).sum();
-        dst[dst_off] = src[src_off];
-        return;
-    }
-    if len.iter().any(|&l| l <= 0) {
-        return;
-    }
-    let row = len[rank - 1] as usize;
-    let mut src_off: usize = src_begin.iter().zip(src_strides).map(|(&b, &s)| b as usize * s).sum();
-    let mut dst_off: usize = dst_begin.iter().zip(dst_strides).map(|(&b, &s)| b as usize * s).sum();
-    let mut idx = vec![0usize; rank - 1];
-    'rows: loop {
-        dst[dst_off..dst_off + row].copy_from_slice(&src[src_off..src_off + row]);
-        // Odometer over the outer dimensions.
-        let mut d = rank - 1;
-        while d > 0 {
-            d -= 1;
-            idx[d] += 1;
-            src_off += src_strides[d];
-            dst_off += dst_strides[d];
-            if idx[d] < len[d] as usize {
-                continue 'rows;
-            }
-            idx[d] = 0;
-            src_off -= src_strides[d] * len[d] as usize;
-            dst_off -= dst_strides[d] * len[d] as usize;
-        }
-        break;
-    }
-}
-
-/// Copies the `len`-sized block at `src_begin` of `src` to `dst_begin` of
-/// `dst`. Both tensors are dense row-major, so the block's innermost
-/// dimension is contiguous in both and is moved with one slice copy per row
-/// (this is the hot path of every `multi_fetch` assembly).
-///
-/// The block must lie within both tensors' bounds; offsets and extents are
-/// element counts per dimension, matching [`FetchPiece`]'s encoding.
-pub fn copy_block(dst: &mut Tensor, src: &Tensor, src_begin: &[i64], dst_begin: &[i64], len: &[i64]) {
-    let src_strides = src.shape().strides();
-    let dst_strides = dst.shape().strides();
-    copy_block_raw(
-        dst.data_mut(),
-        &dst_strides,
-        src.data(),
-        &src_strides,
-        src_begin,
-        dst_begin,
-        len,
-    );
-}
-
-/// Copies a received piece (a whole extracted block, offsets zero in its own
-/// coordinates) into `dst` at `dst_begin`.
-fn copy_piece_block(dst: &mut Tensor, piece: &PieceRef, dst_begin: &[i64], len: &[i64]) {
-    let src_strides = row_major_strides(piece.shape().dims());
-    let dst_strides = dst.shape().strides();
-    let zeros = vec![0i64; len.len()];
-    copy_block_raw(
-        dst.data_mut(),
-        &dst_strides,
-        piece.data(),
-        &src_strides,
-        &zeros,
-        dst_begin,
-        len,
-    );
+/// A block the copier refused: the routing table and the values disagree.
+fn piece_error(stage: &str, e: tofu_tensor::TensorError) -> RuntimeError {
+    RuntimeError::Internal(format!("piece {stage}: {e}"))
 }
 
 #[cfg(test)]

@@ -10,9 +10,9 @@ use tofu_core::{generate, partition, GenOptions, PartitionOptions, SearchCaches}
 use tofu_graph::{Graph, TensorId, TensorKind};
 use tofu_models::{mlp, MlpConfig};
 use tofu_runtime::{
-    gather_shards, resume_from_snapshot, run_with_elastic_recovery, run_with_options,
-    CheckpointPolicy, ChurnPlan, ElasticPolicy, ElasticReport, FaultPlan, RecoveryOptions,
-    RunOptions, RuntimeError, TransitionKind,
+    resume_from_snapshot, run_with_elastic_recovery, run_with_options, CheckpointPolicy, ChurnPlan,
+    ElasticPolicy, ElasticReport, FaultPlan, RecoveryOptions, RunOptions, RuntimeError,
+    TransitionKind,
 };
 use tofu_tensor::Tensor;
 
@@ -109,14 +109,15 @@ fn kinds(report: &ElasticReport) -> Vec<TransitionKind> {
 /// (communication) tensors appear in `output.values` depends on the barrier
 /// the run resumed from — a timing-dependent harvest — so cross-run
 /// comparisons go through the original tensors, which are always complete.
-fn gathered_originals(report: &ElasticReport) -> BTreeMap<TensorId, Tensor> {
+fn gathered_originals(g: &Graph, report: &ElasticReport) -> BTreeMap<TensorId, Tensor> {
     let mut out = BTreeMap::new();
     for (&t, shards) in &report.sharded.shards {
         if shards.iter().all(|s| report.output.values.contains_key(s)) {
-            out.insert(
-                t,
-                gather_shards(&report.sharded, t, &report.output.values).expect("gather"),
-            );
+            let full = report
+                .sharded
+                .gather(t, &g.tensor(t).shape, &report.output.values)
+                .expect("gather");
+            out.insert(t, full);
         }
     }
     out
@@ -324,9 +325,9 @@ fn seeded_churn_replays_identically_from_one_seed() {
         r.transitions.iter().map(|t| t.at_ckpt).collect()
     };
     if cuts(&a) == cuts(&b) {
-        let originals = gathered_originals(&a);
+        let originals = gathered_originals(&m.graph, &a);
         assert!(!originals.is_empty());
-        assert_bit_identical(&originals, &gathered_originals(&b));
+        assert_bit_identical(&originals, &gathered_originals(&m.graph, &b));
     }
     assert_bit_identical(&a.output.values, &baseline_values(&a, &full_feeds));
     assert_bit_identical(&b.output.values, &baseline_values(&b, &full_feeds));

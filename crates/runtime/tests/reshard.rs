@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 use tofu_core::{generate, partition, GenOptions, PartitionOptions, ShardedGraph};
 use tofu_models::{mlp, MlpConfig};
-use tofu_runtime::{gather_shards, scatter_full, FullSnapshot};
+use tofu_runtime::FullSnapshot;
 use tofu_tensor::Tensor;
 
 /// An MLP whose batch (840 = lcm 1..8) is divisible by every tested width,
@@ -29,28 +29,35 @@ fn bits(t: &Tensor) -> Vec<u32> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// scatter_full → gather_shards round-trips bit-identically under the
-    /// source plan AND through a second plan at a different worker count,
-    /// for every original tensor of the graph, conserving total bytes.
+    /// `ShardedGraph::scatter` → `gather` round-trips bit-identically under
+    /// the source plan AND through a second plan at a different worker
+    /// count, for every original tensor of the graph — replicated ones
+    /// included — conserving total bytes.
     #[test]
     fn reshard_round_trips_across_worker_counts(
-        w_old in 2usize..9,
+        w_old in prop::sample::select(vec![2usize, 3, 4, 6, 8]),
         w_new in 2usize..9,
         seed in 0u64..1_000_000,
     ) {
         prop_assume!(w_old != w_new);
         let (g, old) = sharded_at(w_old);
         let (_, new) = sharded_at(w_new);
+        // Some tensor is held whole by more than one worker, so gather's
+        // overlapping writes are exercised, not just disjoint tiles.
+        prop_assert!(
+            old.regions.values().any(|r| r[1..].contains(&r[0])),
+            "no replicated tensor at width {}", w_old
+        );
         for (i, (&t, _)) in old.shards.iter().enumerate() {
             let full_shape = g.tensor(t).shape.clone();
             let full = Tensor::random(full_shape, seed + i as u64 + 1, 1.0);
 
             // Within-plan round trip.
             let mut values = BTreeMap::new();
-            for (shard, piece) in scatter_full(&old, t, &full).unwrap() {
+            for (shard, piece) in old.scatter(t, &full).unwrap() {
                 values.insert(shard, piece);
             }
-            let back = gather_shards(&old, t, &values).unwrap();
+            let back = old.gather(t, full.shape(), &values).unwrap();
             prop_assert_eq!(back.shape(), full.shape(), "tensor {:?} changed shape", t);
             prop_assert_eq!(
                 back.shape().bytes(),
@@ -62,10 +69,10 @@ proptest! {
             // Cross-plan: reshard the gathered value onto the other width
             // and reassemble there.
             let mut values_new = BTreeMap::new();
-            for (shard, piece) in scatter_full(&new, t, &back).unwrap() {
+            for (shard, piece) in new.scatter(t, &back).unwrap() {
                 values_new.insert(shard, piece);
             }
-            let across = gather_shards(&new, t, &values_new).unwrap();
+            let across = new.gather(t, full.shape(), &values_new).unwrap();
             prop_assert_eq!(
                 bits(&across),
                 bits(&full),

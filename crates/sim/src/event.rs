@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use tofu_graph::{Graph, NodeId};
+use tofu_graph::{fetch_pieces, Graph, NodeId};
 use tofu_obs::{Collector, Track};
 
 use crate::compute::node_seconds;
@@ -132,7 +132,8 @@ pub fn simulate_traced(
         }
 
         // Per-input arrival, with transfers for remote tensors.
-        let piece_bytes = multi_fetch_piece_bytes(g, id);
+        let piece_bytes: Option<Vec<f64>> = fetch_pieces(g, id)
+            .map(|pieces| pieces.iter().map(|p| p.bytes() as f64).collect());
         for (i, &t) in node.inputs.iter().enumerate() {
             let (src, avail) = tensor_ready[t.0];
             let src = if src == usize::MAX { dev } else { src };
@@ -192,24 +193,6 @@ pub fn simulate_traced(
         comm_bytes,
         comm_seconds,
     }
-}
-
-/// For a `multi_fetch` node, the bytes read from each input (piece volumes);
-/// `None` for ordinary nodes.
-fn multi_fetch_piece_bytes(g: &Graph, id: NodeId) -> Option<Vec<f64>> {
-    let node = g.node(id);
-    if node.op != "multi_fetch" {
-        return None;
-    }
-    let rank = node.attrs.ints("out_dims")?.len();
-    let pieces = node.attrs.ints("pieces")?;
-    let mut out = Vec::with_capacity(node.inputs.len());
-    for i in 0..node.inputs.len() {
-        let desc = &pieces[i * 3 * rank..(i + 1) * 3 * rank];
-        let len: i64 = desc[2 * rank..].iter().product::<i64>().max(0);
-        out.push(len as f64 * 4.0);
-    }
-    Some(out)
 }
 
 #[cfg(test)]

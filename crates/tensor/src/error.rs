@@ -39,6 +39,17 @@ pub enum TensorError {
         /// Extent of the sliced dimension.
         extent: usize,
     },
+    /// A block `[begin, begin + len)` leaves the dimension it addresses.
+    InvalidBlock {
+        /// The offending dimension.
+        axis: usize,
+        /// Start of the block along `axis`.
+        begin: i64,
+        /// Extent of the block along `axis`.
+        len: i64,
+        /// Extent of the addressed dimension.
+        extent: usize,
+    },
     /// An operation's shape requirements are violated (free-form detail).
     Incompatible(String),
 }
@@ -57,6 +68,9 @@ impl fmt::Display for TensorError {
             }
             TensorError::InvalidSlice { start, end, extent } => {
                 write!(f, "invalid slice [{start}, {end}) for extent {extent}")
+            }
+            TensorError::InvalidBlock { axis, begin, len, extent } => {
+                write!(f, "invalid block: begin {begin} len {len} on axis {axis} of extent {extent}")
             }
             TensorError::Incompatible(msg) => write!(f, "incompatible operands: {msg}"),
         }
@@ -80,6 +94,8 @@ mod tests {
         assert!(e.to_string().contains("axis 5"));
         let e = TensorError::InvalidSlice { start: 1, end: 9, extent: 4 };
         assert!(e.to_string().contains("extent 4") || e.to_string().contains('4'));
+        let e = TensorError::InvalidBlock { axis: 2, begin: 3, len: 7, extent: 8 };
+        assert!(e.to_string().contains("axis 2") && e.to_string().contains("extent 8"));
         let e = TensorError::Incompatible("matmul inner dims".into());
         assert!(e.to_string().contains("matmul"));
     }

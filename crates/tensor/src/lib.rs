@@ -26,6 +26,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod block;
 mod conv;
 mod elementwise;
 mod error;
@@ -36,6 +37,7 @@ mod reduce;
 mod shape;
 mod tensor;
 
+pub use block::copy_block;
 pub use conv::{Conv1dParams, Conv2dParams, PoolKind, PoolParams};
 pub use error::TensorError;
 pub use random::global_seed;

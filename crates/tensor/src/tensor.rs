@@ -116,6 +116,26 @@ impl Tensor {
         Tensor::from_vec(out_shape, out)
     }
 
+    /// Copies the `len`-sized block at `src_begin` of `src` to `dst_begin`
+    /// of `self`; see [`copy_block`](crate::copy_block) for the contract.
+    pub fn copy_block(
+        &mut self,
+        src: &Tensor,
+        src_begin: &[i64],
+        dst_begin: &[i64],
+        len: &[i64],
+    ) -> Result<()> {
+        crate::copy_block(
+            &mut self.data,
+            &self.shape,
+            &src.data,
+            &src.shape,
+            src_begin,
+            dst_begin,
+            len,
+        )
+    }
+
     /// Concatenates tensors along `axis`; all other extents must match.
     pub fn concat(parts: &[Tensor], axis: usize) -> Result<Tensor> {
         let first = parts
