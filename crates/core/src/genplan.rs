@@ -286,21 +286,17 @@ fn shard_region(shape: &Shape, tiling: &[Option<usize>], factors: &[usize], w: u
 fn required_regions(
     desc: &TdlDesc,
     ranges: &[(f64, f64)],
-    input_ranks: &[usize],
-    extents: &[u64],
 ) -> Vec<Option<Vec<(f64, f64)>>> {
-    let mut out: Vec<Option<Vec<(f64, f64)>>> = vec![None; input_ranks.len()];
+    let mut out: Vec<Option<Vec<(f64, f64)>>> = vec![None; desc.input_ranks().len()];
     desc.body().for_each_access(&mut |input, indices| {
         let mut dims: Vec<(f64, f64)> = Vec::with_capacity(indices.len());
-        for (d, ie) in indices.iter().enumerate() {
+        for ie in indices {
             match ie {
                 IndexExpr::Full => {
                     // The access spans the full input dimension. Its extent
-                    // is not a variable; recover it from the caller-supplied
-                    // input-dim info via the sentinel below (patched by the
-                    // caller because extents here are per *variable*).
+                    // is not a variable, so push an infinite sentinel; the
+                    // caller patches it with the input's own extent.
                     dims.push((0.0, f64::INFINITY));
-                    let _ = d;
                 }
                 IndexExpr::Affine(a) => {
                     let mut lo = a.constant;
@@ -330,7 +326,6 @@ fn required_regions(
             slot @ None => *slot = Some(dims),
         }
     });
-    let _ = extents;
     out
 }
 
@@ -347,6 +342,8 @@ pub fn generate(g: &Graph, plan: &PartitionPlan, opts: &GenOptions) -> Result<Sh
     let mut device_of_tensor: Vec<Option<usize>> = Vec::new();
     let mut device_of_node: Vec<usize> = Vec::new();
     let mut origin_of_node: Vec<NodeId> = Vec::new();
+    // Per original node (by id): its compute node on every worker.
+    let mut compute_nodes: Vec<Vec<NodeId>> = Vec::with_capacity(g.num_nodes());
 
     for t in g.tensor_ids() {
         let meta = g.tensor(t);
@@ -365,7 +362,7 @@ pub fn generate(g: &Graph, plan: &PartitionPlan, opts: &GenOptions) -> Result<Sh
                 } else {
                     out.add_input(&name, Shape::new(dims))
                 };
-                sync_tensor_devices(&mut device_of_tensor, &out, Some(w));
+                device_of_tensor.resize(out.num_tensors(), Some(w));
                 ids.push(id);
             }
             shards.insert(t, ids);
@@ -438,11 +435,10 @@ pub fn generate(g: &Graph, plan: &PartitionPlan, opts: &GenOptions) -> Result<Sh
         // Pass 1: compute each worker's raw output (and remember its block).
         let mut raw_outputs: Vec<TensorId> = Vec::with_capacity(k);
         let mut blocks: Vec<Region> = Vec::with_capacity(k);
-        let mut compute_nodes: Vec<NodeId> = Vec::with_capacity(k);
+        let mut computes: Vec<NodeId> = Vec::with_capacity(k);
         for (w, ranges) in var_ranges.iter().enumerate() {
             let materialize = materializes_padding(&node.op);
-            let req =
-                required_regions(&desc, ranges, desc.input_ranks(), &extents);
+            let req = required_regions(&desc, ranges);
             let mut new_inputs: Vec<TensorId> = Vec::with_capacity(node.inputs.len());
             let mut input_regions: Vec<Region> = Vec::with_capacity(node.inputs.len());
             for (i, &t) in node.inputs.iter().enumerate() {
@@ -493,7 +489,7 @@ pub fn generate(g: &Graph, plan: &PartitionPlan, opts: &GenOptions) -> Result<Sh
             let out_t = out
                 .add_op_tagged(&node.op, &format!("w{w}/{}", node.name), &new_inputs, attrs, tags)
                 .map_err(CoreError::Graph)?;
-            sync_tensor_devices(&mut device_of_tensor, &out, Some(w));
+            device_of_tensor.resize(out.num_tensors(), Some(w));
             device_of_node.resize(out.num_nodes(), w);
             let expect: Vec<usize> = block.iter().map(|&(lo, hi)| (hi - lo) as usize).collect();
             if out.tensor(out_t).shape.dims() != expect.as_slice() {
@@ -505,8 +501,9 @@ pub fn generate(g: &Graph, plan: &PartitionPlan, opts: &GenOptions) -> Result<Sh
             }
             raw_outputs.push(out_t);
             blocks.push(block);
-            compute_nodes.push(NodeId(out.num_nodes() - 1));
+            computes.push(NodeId(out.num_nodes() - 1));
         }
+        compute_nodes.push(computes);
 
         // Pass 2: assemble each worker's final output shard.
         let out_regions = &regions[&node.output];
@@ -591,23 +588,12 @@ pub fn generate(g: &Graph, plan: &PartitionPlan, opts: &GenOptions) -> Result<Sh
     // Pass 3: control dependencies mirroring original direct dependencies
     // within each worker (Fig. 7).
     if opts.control_deps {
-        // Map (original node, worker) -> compute node: recover by name.
-        let mut compute_of: BTreeMap<String, NodeId> = BTreeMap::new();
-        for nid in out.node_ids() {
-            let n = out.node(nid);
-            compute_of.insert(n.name.clone(), nid);
-        }
         for id in g.node_ids() {
-            let node = g.node(id);
-            for &t in &node.inputs {
+            for &t in &g.node(id).inputs {
                 if let Some(p) = g.producer(t) {
-                    let pname = &g.node(p).name;
-                    for w in 0..k {
-                        let a = compute_of.get(&format!("w{w}/{}", node.name));
-                        let b = compute_of.get(&format!("w{w}/{pname}"));
-                        if let (Some(&a), Some(&b)) = (a, b) {
-                            out.add_control_dep(a, b);
-                        }
+                    // Worker by worker, in worker order.
+                    for (&after, &before) in compute_nodes[id.0].iter().zip(&compute_nodes[p.0]) {
+                        out.add_control_dep(after, before);
                     }
                 }
             }
@@ -626,14 +612,6 @@ pub fn generate(g: &Graph, plan: &PartitionPlan, opts: &GenOptions) -> Result<Sh
         origin_of_node,
         exact,
     })
-}
-
-fn sync_tensor_devices(devices: &mut Vec<Option<usize>>, g: &Graph, device: Option<usize>) {
-    devices.resize(g.num_tensors(), device);
-    // Newly appended entries already take `device` via resize.
-    if let Some(last) = devices.last_mut() {
-        *last = device;
-    }
 }
 
 /// Per-worker attribute adjustments: materialized padding zeroes the pad,
@@ -789,7 +767,7 @@ fn gather_into(
     let t = out
         .add_op_tagged("multi_fetch", name, &inputs, attrs, tags)
         .map_err(CoreError::Graph)?;
-    sync_tensor_devices(device_of_tensor, out, Some(w));
+    device_of_tensor.resize(out.num_tensors(), Some(w));
     device_of_node.resize(out.num_nodes(), w);
     Ok(t)
 }
@@ -826,13 +804,11 @@ fn combine(
                         tags.clone(),
                     )
                     .map_err(CoreError::Graph)?;
-                sync_tensor_devices(device_of_tensor, out, Some(w));
-                device_of_node.resize(out.num_nodes(), w);
             }
             acc
         }
     };
-    sync_tensor_devices(device_of_tensor, out, Some(w));
+    device_of_tensor.resize(out.num_tensors(), Some(w));
     device_of_node.resize(out.num_nodes(), w);
     Ok(result)
 }
@@ -956,6 +932,36 @@ mod tests {
         assert!(count(&with) > count(&without));
         for n in with.graph.node_ids() {
             assert!(with.graph.node(n).tags.device.is_some());
+        }
+    }
+
+    /// Fig. 7: on every worker, the compute node of each original node
+    /// control-depends on the compute nodes of its original producers — and
+    /// nothing else carries a control dependency. The oracle finds compute
+    /// nodes by their `w{w}/{name}` names; `generate` wires them by id.
+    #[test]
+    fn control_deps_mirror_original_edges_on_every_worker() {
+        let (g, _) = mlp(8, 16);
+        let plan = partition(&g, &PartitionOptions { workers: 4, ..Default::default() }).unwrap();
+        let sharded = generate(&g, &plan, &GenOptions::default()).unwrap();
+        let out = &sharded.graph;
+        let by_name: BTreeMap<&str, NodeId> =
+            out.node_ids().map(|n| (out.node(n).name.as_str(), n)).collect();
+        let compute = |id: NodeId, w: usize| by_name[format!("w{w}/{}", g.node(id).name).as_str()];
+        let mut expect: Vec<Vec<NodeId>> = vec![Vec::new(); out.num_nodes()];
+        for id in g.node_ids() {
+            for p in g.node(id).inputs.iter().filter_map(|&t| g.producer(t)) {
+                for w in 0..sharded.workers {
+                    let (after, before) = (compute(id, w), compute(p, w));
+                    if !expect[after.0].contains(&before) {
+                        expect[after.0].push(before);
+                    }
+                }
+            }
+        }
+        assert!(expect.iter().any(|d| !d.is_empty()));
+        for n in out.node_ids() {
+            assert_eq!(out.node(n).control_deps, expect[n.0], "node {}", out.node(n).name);
         }
     }
 

@@ -341,10 +341,10 @@ fn dispatch(op: &str, ins: &[&Tensor], attrs: &Attrs, out_shape: &Shape) -> Resu
             }
             Ok(out)
         }
-        "reduce_to_axis" => reduce_all_but_axis(ins[0], attrs.int_or("axis", 1) as usize, None),
+        "reduce_to_axis" => reduce_all_but_axis(ins[0], attrs.int_or("axis", 1) as usize),
         "mul_reduce" => {
             let prod = ins[0].mul(ins[1])?;
-            reduce_all_but_axis(&prod, attrs.int_or("axis", 1) as usize, None)
+            reduce_all_but_axis(&prod, attrs.int_or("axis", 1) as usize)
         }
         "sum_axis" => Ok(ins[0].reduce_axis(attrs.int_or("axis", 1) as usize, ReduceKind::Sum)?),
         "max_axis" => Ok(ins[0].reduce_axis(attrs.int_or("axis", 1) as usize, ReduceKind::Max)?),
@@ -499,7 +499,7 @@ fn multi_fetch(ins: &[&Tensor], attrs: &Attrs) -> Result<Tensor> {
 }
 
 /// Sums a tensor over every axis except `axis`, yielding a rank-1 tensor.
-fn reduce_all_but_axis(t: &Tensor, axis: usize, _hint: Option<usize>) -> Result<Tensor> {
+fn reduce_all_but_axis(t: &Tensor, axis: usize) -> Result<Tensor> {
     let mut current = t.clone();
     let mut current_axis = axis;
     while current.shape().rank() > 1 {

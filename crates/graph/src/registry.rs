@@ -7,9 +7,8 @@
 //! statistics.
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::{OnceLock, RwLock};
 
-use parking_lot::RwLock;
 use tofu_tdl::TdlDesc;
 use tofu_tensor::Shape;
 
@@ -142,6 +141,7 @@ fn registry() -> &'static RwLock<BTreeMap<&'static str, OpDef>> {
 pub fn lookup(op: &str) -> Result<OpDef> {
     registry()
         .read()
+        .expect("registry lock")
         .get(op)
         .cloned()
         .ok_or_else(|| GraphError::UnknownOp(op.to_string()))
@@ -150,12 +150,12 @@ pub fn lookup(op: &str) -> Result<OpDef> {
 /// Registers (or replaces) an operator definition at runtime — the extension
 /// point an operator developer would use, mirroring `@tofu.op` in the paper.
 pub fn register(def: OpDef) {
-    registry().write().insert(def.name, def);
+    registry().write().expect("registry lock").insert(def.name, def);
 }
 
 /// Returns every registered definition, sorted by name.
 pub fn all_ops() -> Vec<OpDef> {
-    registry().read().values().cloned().collect()
+    registry().read().expect("registry lock").values().cloned().collect()
 }
 
 /// Coverage statistics over the registry, reproducing the §4.1 breakdown.

@@ -9,11 +9,12 @@
 //! instead of stalling healthy workers until `recv_timeout`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use tofu_graph::NodeId;
+
+use crate::lock;
 
 /// Why the run aborted: the first failure, as recorded by the worker that
 /// tripped the token.
@@ -66,7 +67,7 @@ impl AbortToken {
     pub fn trip(&self, cause: AbortCause) -> bool {
         // The cause is written under the lock *before* the flag is raised, so
         // any worker that observes `tripped` also observes a cause.
-        let mut slot = self.inner.cause.lock();
+        let mut slot = lock(&self.inner.cause);
         if slot.is_some() {
             return false;
         }
@@ -83,7 +84,7 @@ impl AbortToken {
 
     /// The first failure, once tripped.
     pub fn cause(&self) -> Option<AbortCause> {
-        self.inner.cause.lock().clone()
+        lock(&self.inner.cause).clone()
     }
 }
 

@@ -33,10 +33,9 @@
 //! says what survives a crash and what does not.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use tofu_core::{PartitionOptions, SearchCaches, ShardedGraph};
 use tofu_durable::{
     gc, recover_latest, write_checkpoint, BlobStore, DurableCheckpoint, FaultyStore,
@@ -51,7 +50,7 @@ use crate::elastic::ElasticPolicy;
 use crate::error::{RunFailure, RuntimeError};
 use crate::reshard::{assemble_snapshot, FullSnapshot};
 use crate::supervisor::{supervise, PlanSource, SINGLE_ATTEMPT};
-use crate::{Result, RunOptions, RunOutput};
+use crate::{lock, Result, RunOptions, RunOutput};
 
 /// Where [`run_with_durable_recovery`] simulates the whole-process crash,
 /// relative to the durable commit of a chosen checkpoint.
@@ -255,7 +254,7 @@ impl Persister {
             let what = "discover newest valid checkpoint";
             c.complete(Track::control(), "durable", what, obs_t0, c.now_us());
         }
-        let mut d = self.discovered.lock();
+        let mut d = lock(&self.discovered);
         d.validate_wall += t0.elapsed();
         d.rejected.extend(recovery.rejected);
         let snapshot = recovery.snapshot.map(from_durable);
@@ -288,7 +287,7 @@ impl CheckpointSink for Persister {
         ckpt: usize,
         values: &[std::collections::BTreeMap<TensorId, Arc<Tensor>>],
     ) -> Result<()> {
-        let _serial = self.io.lock();
+        let _serial = lock(&self.io);
         if ckpt <= self.floor.load(Ordering::SeqCst) {
             return Ok(());
         }
@@ -397,7 +396,7 @@ pub fn run_with_durable_recovery(
     let s = supervise(source, feeds, opts, &recovery, Some(durable))?;
     let (_, sharded) = s.planned.expect("a re-planning source returns its final plan");
     let disk = s.disk.expect("a durable run returns its sink");
-    let discovered = std::mem::take(&mut *disk.discovered.lock());
+    let discovered = std::mem::take(&mut *lock(&disk.discovered));
     Ok(DurableReport {
         output: s.output,
         width: sharded.workers,

@@ -6,9 +6,10 @@
 //! - its serial sub-schedule of the sharded graph
 //!   ([`ShardedGraph::worker_schedule`]), which is a subsequence of the
 //!   global topological order;
-//! - a [`BufferPool`] seeded from the static memory planner's
-//!   [`BufferPlan`], so the measured footprint can be held against
-//!   `tofu-sim`'s `per_device_memory` prediction;
+//! - a [`BufferPool`] that replays the static memory planner's
+//!   [`BufferPlan`] against the sizes of the tensors actually produced, so
+//!   the plan's footprint is confirmed in executed order and can be held
+//!   against `tofu-sim`'s `per_device_memory` prediction;
 //! - typed send/receive ports for cross-device tensor pieces.
 //!
 //! Communication follows the §6 invariant the generator establishes: every
@@ -46,12 +47,11 @@
 //!   corrupted pieces surface as typed [`RuntimeError::Comm`] errors instead
 //!   of wrong tensors. [`RunOptions::integrity`] relaxes the per-message
 //!   work for trusted transports; fault suites must run at `Full`.
-//! - **Zero-copy transport.** Payloads travel as reference-counted
-//!   [`PieceRef`]s cut from a per-worker [`PieceSlab`]: the producer
-//!   extracts the block once into a recycled buffer, the channel and the
-//!   receiver's stash move `Arc`s, and the buffer returns to the slab once
-//!   consumed. Send routing is pre-resolved at plan time into a
-//!   schedule-indexed table, so the send path performs no map lookups.
+//! - **Zero-copy transport.** Payloads travel as `Arc<Tensor>` over
+//!   `std::sync::mpsc` channels: the producer extracts the block once into
+//!   a fresh tensor, the channel and the receiver's stash move the `Arc`,
+//!   and the last holder frees it. Send routing is pre-resolved at plan time
+//!   into a schedule-indexed table, so the send path performs no map lookups.
 //! - **Fault injection.** A [`FaultPlan`] in [`RunOptions`] deterministically
 //!   kills or panics a worker at a schedule position, tampers with a chosen
 //!   message, or forces a pool over-budget event — so every failure path
@@ -85,6 +85,7 @@ mod trace;
 mod worker;
 
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use tofu_core::ShardedGraph;
@@ -105,7 +106,7 @@ pub use fault::{
     ChurnEvent, ChurnPlan, Fault, FaultPersistence, FaultPlan, FaultRng, InjectedFault,
     MessageFault,
 };
-pub use pool::{BufferPool, PieceRef, PieceSlab};
+pub use pool::BufferPool;
 pub use reshard::{resume_from_snapshot, FullSnapshot};
 pub use tofu_durable::{
     BlobStore, DirStore, DiskFault, DiskFaultPlan, MemStore, RejectReason, RejectedCheckpoint,
@@ -117,9 +118,18 @@ use supervisor::{run_once, supervise, PlanSource};
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, RuntimeError>;
 
+/// Locks `m`, taking the guard even when a holder panicked. A worker panic
+/// is an injected, *recoverable* fault in this crate ([`Fault::Panic`]): the
+/// retry shares the abort token, checkpoint store and persister of the
+/// attempt that died, so a poisoned lock must not turn one recoverable
+/// failure into a panic on every later acquisition.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// How much per-message verification the receive path performs.
 ///
-/// Payload and byte accounting are identical at every level — only the
+/// Payload and byte accounting are identical at both levels — only the
 /// *checks* differ, so a `Fast` run moves exactly the bytes a `Full` run
 /// moves and produces bit-identical output on a healthy transport.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -127,13 +137,11 @@ pub enum IntegrityLevel {
     /// Route-slot bounds and double-delivery checks only; trusts the
     /// transport. The per-message cost is two array index checks.
     Fast,
-    /// `Fast` plus per-link sequence numbers: detects dropped, duplicated
-    /// and reordered pieces, but not payload corruption.
-    Sequenced,
-    /// Everything: sequence numbers, payload checksums and the plan-time
-    /// consumer/input/shape cross-check per message. Required whenever the
-    /// fault plan injects message faults — the checks are what turn
-    /// tampering into typed errors.
+    /// Everything: per-link sequence numbers, payload checksums, the
+    /// plan-time consumer/input/shape cross-check per message and the
+    /// end-of-run drain audit. Required whenever the fault plan injects
+    /// message faults — the checks are what turn tampering into typed
+    /// errors.
     #[default]
     Full,
 }
@@ -246,4 +254,26 @@ pub fn run_with_recovery(
         resumed_from: s.log.history.iter().skip(1).map(|a| a.resumed_from).collect(),
         history: s.log.history,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lock_recovers_a_mutex_poisoned_by_a_panicking_thread() {
+        let m = Mutex::new(vec![1]);
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut g = lock(&m);
+                g.push(2);
+                panic!("holder dies with the guard live");
+            })
+            .join()
+        });
+        assert!(died.is_err());
+        assert!(m.is_poisoned());
+        lock(&m).push(3);
+        assert_eq!(*lock(&m), vec![1, 2, 3]);
+    }
 }

@@ -1,198 +1,45 @@
 //! Per-worker buffer pool seeded from the static memory planner.
 //!
-//! The pool replays a [`BufferPlan`]'s slot actions against real backing
-//! allocations: every planner slot becomes one `Vec<u8>` arena that is
-//! allocated (or grown) exactly when the plan says so. Its high-water mark is
-//! therefore the *measured* transient footprint of the worker, which the
-//! tests hold against `tofu-sim`'s independent `per_device_memory`
-//! prediction.
+//! The pool replays a [`BufferPlan`]'s slot actions in *executed* order
+//! against the byte size of each tensor the kernels actually produced: every
+//! planner slot is one byte count that appears (or grows) exactly when the
+//! plan says so, and every action is checked — the slot exists, an in-place
+//! takeover or a reuse fits, allocations arrive in slot order, and the end
+//! state equals the plan's arenas and peak. No memory is allocated here (the
+//! kernels return their own tensors), so the high-water mark is the plan's
+//! peak *confirmed against execution*, not an independent measurement; the
+//! tests hold it against `tofu-sim`'s separately computed
+//! `per_device_memory`.
 //!
 //! An optional byte **budget** models a device memory cap: any `apply` that
 //! finds (or leaves) the pool above the budget fails with a typed over-budget
 //! pool error. The fault injector clamps the budget below the current
 //! occupancy to force this path deterministically.
-//!
-//! # Transport slab
-//!
-//! The second half of this module is the zero-copy transport allocator: a
-//! [`PieceSlab`] hands out plain `Vec<f32>` buffers for extracted tensor
-//! pieces and seals them into reference-counted [`PieceRef`]s, which travel
-//! over the channels by `Arc` clone instead of by payload copy. Once every
-//! reference to a sealed piece is dropped (the receiver consumed it and the
-//! channel released it), the backing buffer returns to the slab's freelist —
-//! so a steady-state run recycles a bounded set of buffers instead of
-//! allocating one per message.
-
-use std::sync::Arc;
 
 use tofu_graph::{BufferPlan, SlotAction};
-use tofu_tensor::Shape;
 
 use crate::error::RuntimeError;
 use crate::Result;
 
-/// A reference-counted tensor piece: the payload of one cross-worker
-/// message. Cloning bumps a refcount — no payload bytes move — and dropping
-/// the last reference makes the buffer reclaimable by the [`PieceSlab`] that
-/// sealed it.
-#[derive(Debug, Clone)]
-pub struct PieceRef {
-    shape: Shape,
-    data: Arc<Vec<f32>>,
-}
-
-impl PieceRef {
-    /// Wraps an owned buffer without slab tracking (used for payloads that
-    /// must diverge from the sealed original, e.g. an injected corruption).
-    pub fn from_vec(shape: Shape, data: Vec<f32>) -> PieceRef {
-        debug_assert_eq!(shape.volume(), data.len(), "piece buffer does not match its shape");
-        PieceRef { shape, data: Arc::new(data) }
-    }
-
-    /// The piece's block shape.
-    pub fn shape(&self) -> &Shape {
-        &self.shape
-    }
-
-    /// The payload.
-    pub fn data(&self) -> &[f32] {
-        &self.data
-    }
-
-    /// Payload size in bytes.
-    pub fn bytes(&self) -> u64 {
-        self.shape.bytes()
-    }
-}
-
-/// Recycling allocator for message payloads (see the module docs).
-///
-/// `alloc` pops a spare buffer off the freelist (or allocates a fresh one),
-/// `seal` wraps the filled buffer into a shared [`PieceRef`] and keeps a
-/// tracking reference; once `outstanding` sealed pieces exceed the
-/// configured high-water mark, the next `seal` sweeps the tracking list and
-/// returns every fully-released buffer to the freelist. Aliasing is
-/// impossible by construction: a buffer is only ever reused after
-/// `Arc::try_unwrap` proves this slab held the *last* reference.
-#[derive(Debug)]
-pub struct PieceSlab {
-    free: Vec<Vec<f32>>,
-    outstanding: Vec<Arc<Vec<f32>>>,
-    high_water: usize,
-    allocs: u64,
-    reuses: u64,
-    reclaimed: u64,
-}
-
-impl Default for PieceSlab {
-    fn default() -> Self {
-        PieceSlab::new(32)
-    }
-}
-
-impl PieceSlab {
-    /// A slab that sweeps for reclaimable buffers whenever more than
-    /// `high_water` sealed pieces are outstanding.
-    pub fn new(high_water: usize) -> PieceSlab {
-        PieceSlab {
-            free: Vec::new(),
-            outstanding: Vec::new(),
-            high_water: high_water.max(1),
-            allocs: 0,
-            reuses: 0,
-            reclaimed: 0,
-        }
-    }
-
-    /// An empty buffer with capacity for `len` elements — recycled off the
-    /// freelist when possible, freshly allocated otherwise.
-    pub fn alloc(&mut self, len: usize) -> Vec<f32> {
-        match self.free.pop() {
-            Some(mut buf) => {
-                self.reuses += 1;
-                buf.clear();
-                buf.reserve(len);
-                buf
-            }
-            None => {
-                self.allocs += 1;
-                Vec::with_capacity(len)
-            }
-        }
-    }
-
-    /// Seals a filled buffer into a shared [`PieceRef`], keeping a tracking
-    /// reference so the buffer can be reclaimed once all receivers drop it.
-    pub fn seal(&mut self, shape: Shape, data: Vec<f32>) -> PieceRef {
-        debug_assert_eq!(shape.volume(), data.len(), "piece buffer does not match its shape");
-        if self.outstanding.len() >= self.high_water {
-            self.reclaim();
-        }
-        let data = Arc::new(data);
-        self.outstanding.push(Arc::clone(&data));
-        PieceRef { shape, data }
-    }
-
-    /// Sweeps the tracking list: every buffer whose last reference is the
-    /// slab's own returns to the freelist.
-    pub fn reclaim(&mut self) {
-        let mut still = Vec::with_capacity(self.outstanding.len());
-        for a in self.outstanding.drain(..) {
-            match Arc::try_unwrap(a) {
-                Ok(buf) => {
-                    self.reclaimed += 1;
-                    self.free.push(buf);
-                }
-                Err(a) => still.push(a),
-            }
-        }
-        self.outstanding = still;
-    }
-
-    /// Sealed pieces whose buffers have not been reclaimed yet.
-    pub fn outstanding(&self) -> usize {
-        self.outstanding.len()
-    }
-
-    /// Buffers waiting on the freelist.
-    pub fn free_buffers(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Fresh heap allocations performed.
-    pub fn allocs(&self) -> u64 {
-        self.allocs
-    }
-
-    /// Allocations served off the freelist.
-    pub fn reuses(&self) -> u64 {
-        self.reuses
-    }
-
-    /// Buffers returned to the freelist over the slab's lifetime.
-    pub fn reclaimed(&self) -> u64 {
-        self.reclaimed
-    }
-}
-
-/// Real backing storage for one worker's transient tensors.
+/// Slot-by-slot byte ledger of one worker's transient tensors.
 #[derive(Debug, Default)]
 pub struct BufferPool {
     worker: usize,
-    slots: Vec<Vec<u8>>,
+    /// Byte size of every planner slot, in allocation order.
+    slots: Vec<u64>,
     current: u64,
     peak: u64,
     budget: Option<u64>,
 }
 
 impl BufferPool {
-    /// An empty pool owned by `worker`; arenas appear as the plan's actions
+    /// An empty pool owned by `worker`; slots appear as the plan's actions
     /// are applied.
     pub fn new(worker: usize) -> BufferPool {
         BufferPool { worker, ..BufferPool::default() }
     }
 
-    /// Caps resident arena bytes; `None` removes the cap.
+    /// Caps resident slot bytes; `None` removes the cap.
     pub fn set_budget(&mut self, bytes: Option<u64>) {
         self.budget = bytes;
     }
@@ -232,16 +79,15 @@ impl BufferPool {
                 }
             }
             SlotAction::Reuse { slot, grown_by } => {
-                let have = self.slot_len(slot)?;
+                let have = self.slot_len(slot)? + grown_by;
                 if grown_by > 0 {
-                    self.slots[slot].resize((have + grown_by) as usize, 0);
+                    self.slots[slot] = have;
                     self.current += grown_by;
                     self.peak = self.peak.max(self.current);
                 }
-                if self.slot_len(slot)? < need {
+                if have < need {
                     return Err(self.err(format!(
-                        "slot {slot} holds {} B after growth but {need} B are needed",
-                        self.slots[slot].len()
+                        "slot {slot} holds {have} B after growth but {need} B are needed"
                     )));
                 }
             }
@@ -252,7 +98,7 @@ impl BufferPool {
                         self.slots.len()
                     )));
                 }
-                self.slots.push(vec![0u8; need as usize]);
+                self.slots.push(need);
                 self.current += need;
                 self.peak = self.peak.max(self.current);
             }
@@ -263,36 +109,30 @@ impl BufferPool {
     fn slot_len(&self, slot: usize) -> Result<u64> {
         self.slots
             .get(slot)
-            .map(|s| s.len() as u64)
+            .copied()
             .ok_or_else(|| self.err(format!("plan references unallocated slot {slot}")))
     }
 
-    /// High-water mark of resident arena bytes.
+    /// High-water mark of resident slot bytes.
     pub fn peak_bytes(&self) -> u64 {
         self.peak
     }
 
-    /// Currently resident arena bytes.
+    /// Currently resident slot bytes.
     pub fn current_bytes(&self) -> u64 {
         self.current
     }
 
-    /// Number of physical arenas.
+    /// Number of planner slots allocated so far.
     pub fn slot_count(&self) -> usize {
         self.slots.len()
     }
 
-    /// Checks the fully-applied pool against its seeding plan: same arenas,
+    /// Checks the fully-applied pool against its seeding plan: same slots,
     /// same sizes, same peak.
     pub fn verify_against(&self, plan: &BufferPlan) -> Result<()> {
-        if self.slot_count() != plan.slot_bytes.len()
-            || self
-                .slots
-                .iter()
-                .zip(&plan.slot_bytes)
-                .any(|(s, &b)| s.len() as u64 != b)
-        {
-            return Err(self.err("pool arenas diverged from the plan".into()));
+        if self.slots != plan.slot_bytes {
+            return Err(self.err("pool slots diverged from the plan".into()));
         }
         if self.peak != plan.mem.peak_transient_bytes {
             return Err(self.err(format!(
@@ -327,51 +167,6 @@ mod tests {
         assert!(p.apply(SlotAction::Alloc { slot: 3 }, 1).is_err());
         p.apply(SlotAction::Alloc { slot: 0 }, 10).unwrap();
         assert!(p.apply(SlotAction::InPlace { slot: 0 }, 11).is_err());
-    }
-
-    #[test]
-    fn slab_recycles_only_fully_released_buffers() {
-        let mut s = PieceSlab::new(2);
-        let shape = Shape::new(vec![4]);
-        let mut buf = s.alloc(4);
-        buf.extend_from_slice(&[1.0, 2.0, 3.0, 4.0]);
-        let a = s.seal(shape.clone(), buf);
-        let mut buf = s.alloc(4);
-        buf.extend_from_slice(&[5.0, 6.0, 7.0, 8.0]);
-        let b = s.seal(shape.clone(), buf);
-        assert_eq!(s.allocs(), 2);
-        assert_eq!(s.outstanding(), 2);
-        // Both pieces are live: sealing a third sweeps but reclaims nothing.
-        drop(b);
-        let mut buf = s.alloc(4);
-        buf.extend_from_slice(&[9.0, 10.0, 11.0, 12.0]);
-        let c = s.seal(shape.clone(), buf);
-        assert_eq!(s.reclaimed(), 1, "only the dropped piece's buffer returns");
-        assert_eq!(a.data(), &[1.0, 2.0, 3.0, 4.0], "live piece untouched by the sweep");
-        drop(a);
-        drop(c);
-        s.reclaim();
-        assert_eq!(s.outstanding(), 0);
-        assert_eq!(s.free_buffers(), 3);
-        // The next alloc reuses instead of allocating.
-        let reused = s.alloc(4);
-        assert!(reused.is_empty() && reused.capacity() >= 4);
-        assert_eq!(s.reuses(), 1);
-    }
-
-    #[test]
-    fn piece_ref_clones_share_one_payload() {
-        let mut s = PieceSlab::new(8);
-        let mut buf = s.alloc(2);
-        buf.extend_from_slice(&[3.5, -1.0]);
-        let p = s.seal(Shape::new(vec![2]), buf);
-        let q = p.clone();
-        assert_eq!(p.data().as_ptr(), q.data().as_ptr(), "clone must not copy the payload");
-        assert_eq!(q.bytes(), 8);
-        drop(p);
-        drop(q);
-        s.reclaim();
-        assert_eq!(s.free_buffers(), 1);
     }
 
     #[test]

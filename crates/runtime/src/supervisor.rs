@@ -31,11 +31,10 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicUsize;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use tofu_core::{PartitionOptions, PartitionPlan, SearchCaches, ShardedGraph};
 use tofu_graph::{Graph, TensorId};
 use tofu_obs::{Collector, Track};
@@ -56,7 +55,7 @@ use crate::reshard::{assemble_snapshot, scatter_snapshot, FullSnapshot};
 use crate::route::RoutePlan;
 use crate::trace::{LinkStat, RunTrace};
 use crate::worker::{run_worker, Msg, WorkerCtx, WorkerOutcome};
-use crate::{IntegrityLevel, Result, RunOptions, RunOutput};
+use crate::{lock, IntegrityLevel, Result, RunOptions, RunOutput};
 
 /// The recovery policy of a plain run: one attempt, no elastic mandate.
 pub(crate) const SINGLE_ATTEMPT: RecoveryOptions = RecoveryOptions {
@@ -317,7 +316,7 @@ fn run_attempt(ctx: &AttemptCtx<'_>) -> Result<Attempt> {
     let mut txs: Vec<Sender<Msg>> = Vec::with_capacity(k);
     let mut rxs: Vec<Receiver<Msg>> = Vec::with_capacity(k);
     for _ in 0..k {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         txs.push(tx);
         rxs.push(rx);
     }
@@ -351,7 +350,7 @@ fn run_attempt(ctx: &AttemptCtx<'_>) -> Result<Attempt> {
             let results = &results;
             scope.spawn(move || {
                 let outcome = run_worker(&worker, rx);
-                if let Some(slot) = results.lock().get_mut(w) {
+                if let Some(slot) = lock(results).get_mut(w) {
                     *slot = Some(outcome);
                 }
             });
@@ -375,15 +374,13 @@ fn run_attempt(ctx: &AttemptCtx<'_>) -> Result<Attempt> {
     let mut detection: Vec<(usize, Duration)> = Vec::new();
     let mut errors: Vec<(usize, RuntimeError)> = Vec::new();
     let mut any_yielded = false;
-    let (mut slab_allocs, mut slab_reuses) = (0u64, 0u64);
-    for (w, slot) in results.into_inner().into_iter().enumerate() {
+    let results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
+    for (w, slot) in results.into_iter().enumerate() {
         let Some(o) = slot else {
             errors.push((w, RuntimeError::Internal(format!("worker {w} vanished"))));
             continue;
         };
         any_yielded |= o.yielded;
-        slab_allocs += o.slab_allocs;
-        slab_reuses += o.slab_reuses;
         if let Some(t) = o.trace {
             workers.push(t);
         }
@@ -410,8 +407,6 @@ fn run_attempt(ctx: &AttemptCtx<'_>) -> Result<Attempt> {
     if let Some(c) = &opts.collector {
         let copies: u64 = trace.workers.iter().map(|w| w.transport_copy_bytes).sum();
         c.add_total("runtime/transport_copy_bytes", copies as f64);
-        c.add_total("runtime/slab_allocs", slab_allocs as f64);
-        c.add_total("runtime/slab_reuses", slab_reuses as f64);
     }
 
     let cause = token.cause();
@@ -428,7 +423,7 @@ fn run_attempt(ctx: &AttemptCtx<'_>) -> Result<Attempt> {
         // clones are dead weight, and dropping them lets the conversion
         // below reclaim most payloads by move instead of copy.
         if opts.checkpoint.is_some() {
-            store.lock().clear();
+            lock(store).clear();
         }
         let values = values
             .into_iter()
@@ -804,7 +799,7 @@ pub(crate) fn supervise(
         let mut exhausted: Option<RunFailure> = None;
         for attempt in 1..=recovery.max_attempts {
             let resume: Option<ResumePoint> = {
-                let s = store.lock();
+                let s = lock(&store);
                 match s.latest_consistent(width, cuts.len()) {
                     // This width's own checkpoints are never older than the
                     // carried snapshot (attempts resume at or past its
@@ -893,7 +888,7 @@ pub(crate) fn supervise(
                     // exceed it either, in which case the device idles as a
                     // spare.
                     let cp = opts.checkpoint.expect("yield requires a checkpoint policy");
-                    let point = store.lock().resume_point(ckpt, width, &cuts);
+                    let point = lock(&store).resume_point(ckpt, width, &cuts);
                     carried = Some(assemble_snapshot(sharded, ckpt, &point.values, cp.every)?);
                     let (device, _) = grow_pending.expect("only a pending join sets a yield barrier");
                     insert_sorted(&mut available, device);
@@ -971,7 +966,7 @@ pub(crate) fn supervise(
         // plan-independent snapshot before the store (keyed by this plan's
         // tensor ids) is dropped.
         if let Some(cp) = opts.checkpoint {
-            let s = store.lock();
+            let s = lock(&store);
             if let Some(ck) = s.latest_consistent(width, cuts.len()) {
                 let point = s.resume_point(ck, width, &cuts);
                 let snap = assemble_snapshot(sharded, point.ckpt, &point.values, cp.every)?;

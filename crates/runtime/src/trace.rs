@@ -37,7 +37,7 @@ pub struct WorkerTrace {
     /// Bytes this worker received from other devices.
     pub bytes_received: u64,
     /// Transport payload bytes *copied* between producer send and consumer
-    /// stash (beyond the one extraction into a slab buffer). Zero on the
+    /// stash (beyond the one block extraction at send). Zero on the
     /// fault-free zero-copy path — pieces travel by refcount; only injected
     /// corruption faults divert through an owned buffer and charge here.
     pub transport_copy_bytes: u64,

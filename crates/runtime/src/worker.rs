@@ -5,31 +5,30 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 use tofu_core::ShardedGraph;
 use tofu_graph::{execute_node, plan_buffers, BufferPlan, NodeId, TensorId, TensorKind};
 use tofu_obs::{SpanBuffer, Track};
-use tofu_tensor::{copy_block, Shape, Tensor};
+use tofu_tensor::{Shape, Tensor};
 
 use crate::abort::{AbortCause, AbortToken};
 use crate::checkpoint::CheckpointStore;
 use crate::error::RuntimeError;
 use crate::fault::{FaultState, MessageFault, StepFault};
-use crate::pool::{BufferPool, PieceRef, PieceSlab};
+use crate::pool::BufferPool;
 use crate::route::{FetchSource, SendRoute, WorkerRoutes};
 use crate::supervisor::AttemptCtx;
 use crate::trace::{OpEvent, WorkerTrace};
-use crate::{IntegrityLevel, Result};
+use crate::{lock, IntegrityLevel, Result};
 
 /// One cross-worker message: the extracted piece input `input_index` of
 /// `consumer` is waiting for, stamped with the integrity metadata the
 /// receiver verifies (sender, per-link sequence number, payload checksum)
 /// and the pre-resolved receive slot it lands in. The payload is a shared
-/// [`PieceRef`] — sending moves a refcount, never bytes.
+/// tensor — sending moves a refcount, never bytes.
 pub(crate) struct Msg {
     src: usize,
     seq: u64,
@@ -37,7 +36,7 @@ pub(crate) struct Msg {
     consumer: NodeId,
     input_index: usize,
     checksum: u64,
-    piece: PieceRef,
+    piece: Arc<Tensor>,
 }
 
 /// What one worker thread hands back, success or not.
@@ -48,9 +47,6 @@ pub(crate) struct WorkerOutcome {
     pub(crate) values: BTreeMap<TensorId, Arc<Tensor>>,
     /// Per destination: (bytes, messages) pushed.
     pub(crate) sent: Vec<(u64, u64)>,
-    /// Transport-slab counters: fresh allocations and freelist reuses.
-    pub(crate) slab_allocs: u64,
-    pub(crate) slab_reuses: u64,
     pub(crate) error: Option<RuntimeError>,
     /// Time from the abort token tripping to this worker observing it.
     pub(crate) observed: Option<Duration>,
@@ -154,8 +150,6 @@ pub(crate) fn run_worker(ctx: &WorkerCtx<'_>, rx: Receiver<Msg>) -> WorkerOutcom
             trace: None,
             values: BTreeMap::new(),
             sent: Vec::new(),
-            slab_allocs: 0,
-            slab_reuses: 0,
             error: Some(error),
             observed: None,
             yielded: false,
@@ -211,15 +205,13 @@ struct Worker<'a> {
     value_sums: BTreeMap<TensorId, u64>,
     /// Remote pieces that arrived before their consumer needed them,
     /// indexed by the plan-time receive slot.
-    pending: Vec<Option<PieceRef>>,
+    pending: Vec<Option<Arc<Tensor>>>,
     rx: Receiver<Msg>,
     /// The attempt-wide shared sender slice (own slot included; the run
     /// scope owns the senders, so no per-run clone fan-out).
     txs: &'a [Sender<Msg>],
     /// This worker's pre-resolved routing table.
     routes: &'a WorkerRoutes,
-    /// Recycling allocator for outgoing message payloads.
-    slab: PieceSlab,
     /// Per-message verification level.
     integrity: IntegrityLevel,
     /// Cached: the fault plan contains at least one message fault, so the
@@ -346,7 +338,6 @@ impl<'a> Worker<'a> {
             rx,
             txs,
             routes,
-            slab: PieceSlab::default(),
             integrity: opts.integrity,
             has_message_faults: faults.has_message_faults(),
             transport_copy_bytes: 0,
@@ -436,8 +427,6 @@ impl<'a> Worker<'a> {
             trace: Some(trace),
             values: std::mem::take(&mut self.values),
             sent: std::mem::take(&mut self.sent),
-            slab_allocs: self.slab.allocs(),
-            slab_reuses: self.slab.reuses(),
             error: err,
             observed: self.observed,
             yielded: self.yielded,
@@ -504,7 +493,7 @@ impl<'a> Worker<'a> {
             }
             let mut to_persist = Vec::new();
             let sink = {
-                let mut s = store.lock();
+                let mut s = lock(store);
                 for &k in ks {
                     s.record(k, self.w, self.values.clone());
                 }
@@ -667,11 +656,11 @@ impl<'a> Worker<'a> {
 
         // End-of-run integrity: every piece addressed to this worker must
         // have been consumed — a leftover means a duplicated or misrouted
-        // message survived to the end. `Fast` skips the sweep entirely: the
+        // message survived to the end. `Fast` skips the audit entirely: the
         // routing table guarantees a fault-free run sends exactly the pieces
-        // the plan owes, so the sweep only ever fires under injected faults
+        // the plan owes, so the audit only ever fires under injected faults
         // (which require `Full` anyway).
-        if self.integrity != IntegrityLevel::Fast {
+        if self.integrity == IntegrityLevel::Full {
             self.drain_check()?;
         }
         self.pool.verify_against(&self.plan)?;
@@ -679,30 +668,28 @@ impl<'a> Worker<'a> {
         Ok(())
     }
 
-    /// Pushes the pre-routed piece `r` (extract into a slab buffer, seal,
-    /// stamp, send), applying any injected message fault targeting this link
-    /// position. The fast path performs exactly one copy — tensor to slab
-    /// buffer — and the channel then carries only the `Arc`.
+    /// Pushes the pre-routed piece `r` (extract the block into a fresh
+    /// tensor, stamp, send), applying any injected message fault targeting
+    /// this link position. The fast path performs exactly one copy — source
+    /// tensor to piece — and the channel then carries only the `Arc`.
     fn send_route(&mut self, r: &SendRoute) -> Result<()> {
+        let src = self.values.get(&r.tensor).ok_or_else(|| {
+            RuntimeError::Internal(format!(
+                "worker {}: comm edge reads unevaluated tensor {:?}",
+                self.w, r.tensor
+            ))
+        })?;
         let block = Shape::new(r.piece.len.iter().map(|&l| l.max(0) as usize).collect());
-        let mut buf = self.slab.alloc(block.volume());
-        buf.resize(block.volume(), 0.0);
-        {
-            let src = self.values.get(&r.tensor).ok_or_else(|| {
-                RuntimeError::Internal(format!(
-                    "worker {}: comm edge reads unevaluated tensor {:?}",
-                    self.w, r.tensor
-                ))
-            })?;
-            let zeros = vec![0i64; block.rank()];
-            copy_block(&mut buf, &block, src.data(), src.shape(), &r.piece.src_begin, &zeros, &r.piece.len)
-                .map_err(|e| piece_error("extraction", e))?;
-        }
-        let mut piece = self.slab.seal(block, buf);
-        let bytes = piece.bytes();
+        let zeros = vec![0i64; block.rank()];
+        let mut piece = Tensor::zeros(block);
+        piece
+            .copy_block(src, &r.piece.src_begin, &zeros, &r.piece.len)
+            .map_err(|e| piece_error("extraction", e))?;
+        let mut piece = Arc::new(piece);
+        let bytes = piece.shape().bytes();
         // The checksum covers the *intended* payload; corruption injected
-        // below is therefore detectable at the receiver. Lower integrity
-        // levels send 0 — the receiver doesn't look at it.
+        // below is therefore detectable at the receiver. `Fast` sends 0 —
+        // the receiver doesn't look at it.
         let checksum = if self.integrity == IntegrityLevel::Full {
             payload_checksum(piece.data())
         } else {
@@ -734,17 +721,16 @@ impl<'a> Worker<'a> {
             Some(MessageFault::Drop) => return Ok(()),
             Some(MessageFault::Delay(d)) => std::thread::sleep(d),
             Some(MessageFault::Corrupt) => {
-                // The sealed payload may be aliased (a duplicate in flight,
-                // the slab's reclamation handle) — corrupting it in place
-                // would tamper with every holder. Divert through an owned,
-                // untracked buffer instead; the copy is charged to the
-                // transport-copy counter like any other fault-path copy.
-                let mut data = piece.data().to_vec();
-                if let Some(v) = data.first_mut() {
+                // A shared payload is never corrupted in place — that would
+                // tamper with every holder. Divert through an owned copy
+                // instead, charged to the transport-copy counter like any
+                // other fault-path copy.
+                let mut owned = Tensor::clone(&piece);
+                if let Some(v) = owned.data_mut().first_mut() {
                     *v = f32::from_bits(v.to_bits() ^ 0x0040_0000);
                 }
                 self.transport_copy_bytes += bytes;
-                piece = PieceRef::from_vec(piece.shape().clone(), data);
+                piece = Arc::new(owned);
             }
             Some(MessageFault::Duplicate) | None => {}
         }
@@ -759,7 +745,7 @@ impl<'a> Worker<'a> {
             detail: format!("worker {} hung up", r.dst),
         };
         if action == Some(MessageFault::Duplicate) {
-            // Cloning a `PieceRef` bumps a refcount; the payload stays shared.
+            // Cloning the `Arc` bumps a refcount; the payload stays shared.
             tx.send(Msg {
                 src: self.w,
                 seq,
@@ -767,7 +753,7 @@ impl<'a> Worker<'a> {
                 consumer: r.consumer,
                 input_index: r.input_index,
                 checksum,
-                piece: piece.clone(),
+                piece: Arc::clone(&piece),
             })
             .map_err(hung_up)?;
         }
@@ -795,8 +781,7 @@ impl<'a> Worker<'a> {
             .as_ref()
             .ok_or_else(|| RuntimeError::Internal("assemble on non-fetch node".into()))?;
         let graph = &self.sharded.graph;
-        let out_shape = &graph.tensor(graph.node(id).output).shape;
-        let mut out = Tensor::zeros(out_shape.clone());
+        let mut out = Tensor::zeros(graph.tensor(graph.node(id).output).shape.clone());
         for (i, input) in plan.inputs.iter().enumerate() {
             let p = &input.piece;
             match input.source {
@@ -822,12 +807,11 @@ impl<'a> Worker<'a> {
                             buf.complete("wait", &name, s_us, e_us);
                         }
                     }
-                    self.bytes_received += piece.bytes();
+                    self.bytes_received += piece.shape().bytes();
                     // The producer already extracted the block: source
                     // offsets are zero in the received piece's coordinates.
                     let zeros = vec![0i64; p.len.len()];
-                    let (data, shape) = (piece.data(), piece.shape());
-                    copy_block(out.data_mut(), out_shape, data, shape, &zeros, &p.dst_begin, &p.len)
+                    out.copy_block(&piece, &zeros, &p.dst_begin, &p.len)
                         .map_err(|e| piece_error("assembly", e))?;
                 }
             }
@@ -836,10 +820,10 @@ impl<'a> Worker<'a> {
     }
 
     /// Validates an arriving message (link sequence, payload checksum,
-    /// expected piece — depending on the configured integrity level) and
-    /// stashes it in its receive slot. At [`IntegrityLevel::Fast`] only the
-    /// slot-occupancy check remains, and that is required for correctness,
-    /// not integrity: a slot holds exactly one piece per attempt.
+    /// expected piece — all at [`IntegrityLevel::Full`]) and stashes it in
+    /// its receive slot. At [`IntegrityLevel::Fast`] only the slot-occupancy
+    /// check remains, and that is required for correctness, not integrity: a
+    /// slot holds exactly one piece per attempt.
     fn accept(&mut self, msg: Msg) -> Result<()> {
         let routes = self.routes;
         let comm = |detail: String| RuntimeError::Comm { worker: self.w, detail };
@@ -850,7 +834,7 @@ impl<'a> Worker<'a> {
                 msg.src, self.w
             )));
         };
-        if self.integrity != IntegrityLevel::Fast {
+        if self.integrity == IntegrityLevel::Full {
             let expected = self.expect_seq[msg.src];
             if msg.seq != expected {
                 return Err(comm(format!(
@@ -867,8 +851,6 @@ impl<'a> Worker<'a> {
                 )));
             }
             self.expect_seq[msg.src] = expected + 1;
-        }
-        if self.integrity == IntegrityLevel::Full {
             if payload_checksum(msg.piece.data()) != msg.checksum {
                 return Err(comm(format!(
                     "link {} -> {}: piece for node {} input {} failed its checksum \
@@ -922,7 +904,12 @@ impl<'a> Worker<'a> {
     /// The piece for `slot`, from the stash or the wire. Polls the abort
     /// token at `abort_poll` granularity while waiting, so a peer failure is
     /// observed in milliseconds rather than `recv_timeout`.
-    fn recv_piece(&mut self, slot: u32, consumer: NodeId, input_index: usize) -> Result<PieceRef> {
+    fn recv_piece(
+        &mut self,
+        slot: u32,
+        consumer: NodeId,
+        input_index: usize,
+    ) -> Result<Arc<Tensor>> {
         let deadline = Instant::now() + self.recv_timeout;
         loop {
             if let Some(v) = self.pending[slot as usize].take() {

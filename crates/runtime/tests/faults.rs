@@ -134,31 +134,35 @@ fn kill_matrix_aborts_fast_and_recovers_bit_identically() {
 }
 
 #[test]
-fn late_kill_resumes_from_checkpoint() {
+fn late_kill_or_panic_resumes_from_checkpoint() {
     let (sharded, shard_feeds) = shard(4);
     let baseline =
         run_with_options(&sharded, &shard_feeds, &RunOptions::default()).unwrap();
-    // Kill worker 0 at its last step; with a barrier every node, earlier
-    // checkpoints are long consistent by then.
+    // Fail worker 0 at its last step; with a barrier every node, earlier
+    // checkpoints are long consistent by then. A panic unwinds the worker
+    // thread, and the retry takes the same checkpoint-store and abort locks
+    // the dead attempt used — so it is recoverable exactly like a kill.
     let last = sharded.worker_schedule(0).len() - 1;
-    let opts = RunOptions {
-        faults: FaultPlan::single(Fault::Kill { worker: 0, pos: last }),
-        checkpoint: Some(CheckpointPolicy::every(1)),
-        ..Default::default()
-    };
-    let report = run_with_recovery(&sharded, &shard_feeds, &opts, &RecoveryOptions::default())
-        .expect("recovery");
-    assert_eq!(report.attempts, 2);
-    assert_eq!(report.resumed_from.len(), 1);
-    let ckpt = report.resumed_from[0]
-        .expect("a late kill must leave at least one consistent checkpoint");
-    assert!(ckpt >= 1);
-    // The retry's trace records where workers restarted.
-    assert!(
-        report.output.trace.workers.iter().any(|t| t.resumed_from.is_some()),
-        "no worker reports a resumed schedule position"
-    );
-    assert_bit_identical(&report.output.values, &baseline.values);
+    for fault in [Fault::Kill { worker: 0, pos: last }, Fault::Panic { worker: 0, pos: last }] {
+        let opts = RunOptions {
+            faults: FaultPlan::single(fault.clone()),
+            checkpoint: Some(CheckpointPolicy::every(1)),
+            ..Default::default()
+        };
+        let report = run_with_recovery(&sharded, &shard_feeds, &opts, &RecoveryOptions::default())
+            .unwrap_or_else(|e| panic!("{fault:?}: recovery failed: {e}"));
+        assert_eq!(report.attempts, 2, "{fault:?}");
+        assert_eq!(report.resumed_from.len(), 1, "{fault:?}");
+        let ckpt = report.resumed_from[0]
+            .expect("a late fault must leave at least one consistent checkpoint");
+        assert!(ckpt >= 1, "{fault:?}");
+        // The retry's trace records where workers restarted.
+        assert!(
+            report.output.trace.workers.iter().any(|t| t.resumed_from.is_some()),
+            "{fault:?}: no worker reports a resumed schedule position"
+        );
+        assert_bit_identical(&report.output.values, &baseline.values);
+    }
 }
 
 #[test]

@@ -162,6 +162,20 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(cfg: ServeConfig) -> Shared {
+        Shared {
+            sched: FairScheduler::new(cfg.queue_cap),
+            cfg,
+            caches: SearchCaches::new(),
+            plans: Mutex::new(HashMap::new()),
+            counters: ServeCounters::default(),
+            stop: AtomicBool::new(false),
+            draining: AtomicBool::new(false),
+            conns: Mutex::new(Vec::new()),
+            started: Instant::now(),
+        }
+    }
+
     fn bump(&self, counter: &AtomicU64, name: &'static str) {
         counter.fetch_add(1, Ordering::Relaxed);
         if let Some(c) = &self.cfg.collector {
@@ -197,18 +211,7 @@ impl PlanServer {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let solver_threads = cfg.solver_threads.max(1);
-        let queue_cap = cfg.queue_cap;
-        let shared = Arc::new(Shared {
-            cfg,
-            caches: SearchCaches::new(),
-            plans: Mutex::new(HashMap::new()),
-            sched: FairScheduler::new(queue_cap),
-            counters: ServeCounters::default(),
-            stop: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
-            started: Instant::now(),
-        });
+        let shared = Arc::new(Shared::new(cfg));
         let mut solvers = Vec::new();
         for i in 0..solver_threads {
             let shared = Arc::clone(&shared);
@@ -501,12 +504,15 @@ fn handle_plan_request(
 
 /// Removes a fingerprint's in-flight entry, returning its joined waiters.
 fn take_waiters(shared: &Shared, fp: u128) -> Vec<Waiter> {
-    match shared.plans.lock().expect("plans lock").remove(&fp) {
+    // One guard for the whole exchange: a scrutinee's temporary guard lives
+    // to the end of the `match`, so re-locking inside an arm self-deadlocks.
+    let mut plans = shared.plans.lock().expect("plans lock");
+    match plans.remove(&fp) {
         Some(PlanEntry::Pending(w)) => w,
         Some(ready @ PlanEntry::Ready(_)) => {
             // Should not happen (only the solver owning the job fills it);
             // restore rather than drop cached work.
-            shared.plans.lock().expect("plans lock").insert(fp, ready);
+            plans.insert(fp, ready);
             Vec::new()
         }
         None => Vec::new(),
@@ -645,4 +651,24 @@ fn stats_response(shared: &Shared, id: u64) -> Response {
         ),
     ]);
     Response::Stats { id, body }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `take_waiters` on an already-`Ready` entry must put it back and
+    /// return, not re-lock `plans` under its own guard.
+    #[test]
+    fn take_waiters_restores_a_ready_entry_without_deadlocking() {
+        let shared = Arc::new(Shared::new(ServeConfig::default()));
+        let ready = Arc::new(PlanPayload { fingerprint: "f".into(), plan_text: "{}".into() });
+        shared.plans.lock().unwrap().insert(7, PlanEntry::Ready(ready));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = Arc::clone(&shared);
+        std::thread::spawn(move || tx.send(take_waiters(&helper, 7).len()));
+        let waiters = rx.recv_timeout(Duration::from_secs(5)).expect("take_waiters hung");
+        assert_eq!(waiters, 0);
+        assert!(matches!(shared.plans.lock().unwrap().get(&7), Some(PlanEntry::Ready(_))));
+    }
 }
