@@ -1,21 +1,22 @@
-//! Partition-search scaling ledger: states explored, states pruned and
-//! cache hits of the optimized DP engine (strategy cache, dominance pruning,
-//! plan cache) against the reference `unoptimized_search`, for an MLP and
-//! WResNet-50 at 2/4/8 workers, written to `BENCH_search.json`. Search
-//! *time* is measured by `benchmark/` (`core.partition_s`,
-//! `core.partition_warm_s`).
+//! Partition-search scaling ledger: group-cost evaluations, relaxations,
+//! states pruned and cache hits of the optimized DP engine (factored
+//! transition, strategy cache, dominance pruning, plan cache) against the
+//! reference `unoptimized_search`, for an MLP, WResNet-50 and a decoder block
+//! at 2/4/8 workers, written to `BENCH_search.json`. Search *time* is
+//! measured by `benchmark/` (`core.partition_s`, `core.partition_warm_s`).
 //!
 //! This is a correctness gate: the process exits nonzero when the
 //! optimized engine's total plan cost is not bit-identical to the
-//! reference's, or when it explores at least as many states — the two
-//! properties the optimization work is contractually required to hold
-//! (see DESIGN.md "Search performance").
+//! reference's, or when its evaluations plus its relaxations reach the
+//! reference's `states × combos` count on a nontrivial search — i.e. when
+//! the transition is back to the product loop (see DESIGN.md "Search
+//! performance").
 
 use tofu_bench::{bench_report, write_report, Json};
 use tofu_core::recursive::{partition_cached, partition_with_obs, PartitionOptions};
 use tofu_core::{SearchCaches, SearchTuning};
 use tofu_graph::Graph;
-use tofu_models::{mlp, wresnet, MlpConfig, WResNetConfig};
+use tofu_models::{decoder_block, mlp, wresnet, DecoderConfig, MlpConfig, WResNetConfig};
 use tofu_obs::Collector;
 
 const WORKERS: [usize; 3] = [2, 4, 8];
@@ -25,6 +26,8 @@ struct Row {
     workers: usize,
     ref_states: f64,
     opt_states: f64,
+    relaxations: f64,
+    assignments_bounded: f64,
     prune_dominated: f64,
     prune_beam: f64,
     strategy_hits: f64,
@@ -67,6 +70,8 @@ fn measure(
         workers,
         ref_states: total(&ref_obs, "dp/states_explored"),
         opt_states: total(&opt_obs, "dp/states_explored"),
+        relaxations: total(&opt_obs, "dp/relaxations"),
+        assignments_bounded: total(&opt_obs, "dp/assignments_bounded"),
         prune_dominated: total(&opt_obs, "dp/prune_dominated"),
         prune_beam: total(&opt_obs, "dp/prune_beam"),
         strategy_hits: total(&opt_obs, "cache/strategy_hit"),
@@ -89,29 +94,50 @@ fn main() {
         with_updates: true,
     })
     .expect("wresnet builds");
+    // The plan service's miss request in `benchmark/` (`serve_miss`).
+    let decoder_model = decoder_block(&DecoderConfig {
+        seq: 128,
+        d_model: 256,
+        heads: 8,
+        d_ff: 1024,
+        classes: 64,
+        with_updates: true,
+    })
+    .expect("decoder builds");
 
     let mut rows: Vec<Row> = Vec::new();
     let mut failed = false;
     for (name, g) in [
         ("mlp-256x2 (batch 64)", &mlp_model.graph),
         ("wresnet-50-1 (batch 8)", &wres_model.graph),
+        ("decoder-256 (seq 128)", &decoder_model.graph),
     ] {
         // One warm cache per model: worker counts share 2-way step
         // fingerprints, which is exactly the reuse the plan cache targets.
         let mut warm = SearchCaches::new();
         println!("\n{name} — reference vs optimized search");
         println!(
-            "{:<8} {:>12} {:>12} {:>10} {:>14} {:>14} {:>6}",
-            "workers", "ref states", "opt states", "pruned", "strategy hits", "warm plan hits", "ident"
+            "{:<8} {:>12} {:>12} {:>12} {:>8} {:>10} {:>14} {:>14} {:>6}",
+            "workers",
+            "ref states",
+            "opt states",
+            "relaxations",
+            "bounded",
+            "pruned",
+            "strategy hits",
+            "warm plan hits",
+            "ident"
         );
-        println!("{}", "-".repeat(82));
+        println!("{}", "-".repeat(104));
         for workers in WORKERS {
             let r = measure(name, g, workers, &mut warm);
             println!(
-                "{:<8} {:>12.0} {:>12.0} {:>10.0} {:>14.0} {:>14.0} {:>6}",
+                "{:<8} {:>12.0} {:>12.0} {:>12.0} {:>8.0} {:>10.0} {:>14.0} {:>14.0} {:>6}",
                 r.workers,
                 r.ref_states,
                 r.opt_states,
+                r.relaxations,
+                r.assignments_bounded,
                 r.prune_dominated + r.prune_beam,
                 r.strategy_hits,
                 r.plan_hits_warm,
@@ -124,14 +150,18 @@ fn main() {
                 );
                 failed = true;
             }
-            // Tiny searches (the MLP) give pruning nothing to remove, so
-            // equality is legitimate there; on any nontrivial search the
-            // optimized engine must visit strictly fewer states.
+            // Tiny searches (the MLP) have one state per projection, so the
+            // factoring has nothing to share and only the evaluations are
+            // held to the reference's; on any nontrivial search evaluations
+            // plus relaxations must stay strictly below the reference's
+            // `states × combos`, which a product loop cannot do.
             let strict = r.ref_states > 100_000.0;
-            if r.opt_states > r.ref_states || (strict && r.opt_states >= r.ref_states) {
+            let work = r.opt_states + if strict { r.relaxations } else { 0.0 };
+            if work > r.ref_states || (strict && work >= r.ref_states) {
                 eprintln!(
-                    "FAIL: {name} w={workers}: optimized explored {} states, reference {}",
-                    r.opt_states, r.ref_states
+                    "FAIL: {name} w={workers}: optimized did {} evaluations + {} relaxations, \
+                     reference {} evaluations",
+                    r.opt_states, r.relaxations, r.ref_states
                 );
                 failed = true;
             }
@@ -147,6 +177,8 @@ fn main() {
                 ("workers", Json::from(r.workers)),
                 ("reference_states_explored", Json::from(r.ref_states)),
                 ("optimized_states_explored", Json::from(r.opt_states)),
+                ("relaxations", Json::from(r.relaxations)),
+                ("assignments_bounded", Json::from(r.assignments_bounded)),
                 ("prune_dominated", Json::from(r.prune_dominated)),
                 ("prune_beam", Json::from(r.prune_beam)),
                 ("strategy_cache_hits", Json::from(r.strategy_hits)),

@@ -56,9 +56,9 @@ use crate::error::CoreError;
 use crate::recursive::{PartitionOptions, PartitionPlan};
 use crate::strategies::{NodeStrategy, ShapeView};
 
-/// A fast multiply-xor hasher for the DP's integer keys (packed spec
-/// fingerprints). Not DoS-resistant — keys are internal, never
-/// attacker-controlled — but several times faster than SipHash on the
+/// A fast multiply-xor hasher for the DP's internal keys (packed class-memo
+/// keys, spec tuples, fingerprints). Not DoS-resistant — keys are internal,
+/// never attacker-controlled — but several times faster than SipHash on the
 /// millions of lookups a WResNet search performs.
 #[derive(Default)]
 pub struct FastHasher(u64);

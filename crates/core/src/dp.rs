@@ -21,12 +21,14 @@
 //! * [`unoptimized_search`] — the straightforward seed implementation, kept
 //!   alive as the differential-testing reference (select it with
 //!   [`SearchTuning::reference`]);
-//! * [`search`], the default optimized engine — packed integer memo keys,
-//!   per-combo precomputation, dominated-state pruning and strategy/plan
-//!   caches (see DESIGN.md "Search performance" for the soundness argument).
+//! * [`search`], the default optimized engine — a transition factored over
+//!   the bundles a group actually reads (each distinct projection of the
+//!   frontier is costed once, then states relax into a dense table), packed
+//!   class-memo keys, dominated-state pruning and strategy/plan caches (see
+//!   DESIGN.md "Search performance" for the exactness argument).
 //!
 //! The `crates/core/tests` differential harness asserts that both return
-//! bit-identical total costs on randomized graphs.
+//! bit-identical costs and identical plans on randomized graphs.
 
 use std::collections::BTreeMap;
 
@@ -125,13 +127,18 @@ pub struct DpOptions {
     pub allow_reduce: bool,
     /// Upper bound on DP states per cut before the search aborts.
     pub state_bound: usize,
-    /// Upper bound on enumerated internal-bundle assignments per group;
-    /// beyond it, internal specs are optimized by coordinate descent.
+    /// Upper bound on enumerated assignments of the bundles a group
+    /// introduces. When their cartesian product exceeds it, only the default
+    /// assignment and its single-coordinate variations are tried, so the
+    /// search is no longer exhaustive; each cut where that happens adds one
+    /// to the `dp/assignments_bounded` total.
     pub internal_bound: usize,
     /// Beam width: at most this many DP states are kept per cut (the best
-    /// ones by cost). Wide fork-join frontiers are pruned to the beam, which
-    /// preserves optimality on chain-shaped coarsened graphs and is a
-    /// high-quality approximation elsewhere.
+    /// ones by cost). Truncation is lossy — the plan is proven optimal only
+    /// when `dp/prune_beam` stays 0 — and it binds on wide fork-join
+    /// frontiers (2,233 states per WResNet-50-1 step at the default 512). A
+    /// width of 0 keeps nothing and fails with
+    /// [`CoreError::SearchSpaceExceeded`].
     pub beam: usize,
     /// Engine selection.
     pub tuning: SearchTuning,
@@ -547,6 +554,10 @@ pub fn unoptimized_search(
                 bound: opts.state_bound,
             });
         }
+        if opts.beam == 0 {
+            // An empty beam is a mis-set bound, not an infeasible graph.
+            return Err(CoreError::SearchSpaceExceeded { states: next.len(), bound: 0 });
+        }
         if next.len() > opts.beam {
             // Beam pruning: keep the cheapest states.
             let mut ranked: Vec<(StateKey, (f64, usize))> = next.into_iter().collect();
@@ -644,18 +655,9 @@ enum ClassMemo {
     Wide(std::collections::HashMap<Vec<u8>, Option<f64>>),
 }
 
-/// Deduplication key of one DP state: packed `u128` (4 bits per crossing
-/// bundle) when the frontier is narrow, the raw byte key otherwise.
-#[derive(PartialEq, Eq, Hash)]
-enum StateFp {
-    Packed(u128),
-    Wide(Box<[u8]>),
-}
-
 /// One DP state in the optimized engine. `specs` holds the canonical byte
 /// encoding of each crossing bundle's spec, aligned with the cut's sorted
 /// crossing-bundle list.
-#[derive(Clone)]
 struct Cand {
     specs: Box<[u8]>,
     cost: f64,
@@ -693,6 +695,104 @@ enum ComboVal {
     /// Wide template with fresh fields filled; carried fields come from the
     /// state.
     WidePart(Vec<u8>),
+}
+
+/// One step of a cell's staircase: a combo whose group cost is strictly
+/// below that of every earlier combo offered to the same cell, linked to the
+/// step before it.
+struct Stair {
+    total: f64,
+    combo: u32,
+    prev: u32,
+}
+
+const NO_STAIR: u32 = u32::MAX;
+
+/// The tables of one cut's factored transition, kept across cuts so their
+/// allocations are reused.
+///
+/// A *row* is one distinct projection of the frontier onto the carried
+/// bundles the group's classes read: every state with that projection gets
+/// the same f64 group cost for every combo, so the row is costed once. An
+/// *assignment* is one distinct spec tuple of the fresh bundles that survive
+/// the cut; combos that differ only in bundles closed here compete inside
+/// one `(row, assignment)` cell. A *group* is one distinct spec tuple of the
+/// surviving carried bundles; `(group, assignment)` is exactly a next-state
+/// key, so states relax into a dense `groups × assignments` table.
+#[derive(Default)]
+struct CutTables {
+    /// Dense indices of the distinct rows, assignments and groups seen at
+    /// this cut, keyed by their spec tuples.
+    rows: FastMap<Vec<u8>, usize>,
+    assignments: FastMap<Vec<u8>, usize>,
+    groups: FastMap<Vec<u8>, usize>,
+    /// Assignment of each combo.
+    combo_assign: Vec<usize>,
+    /// Row of each state.
+    state_row: Vec<usize>,
+    /// Per `(row, assignment)`: least group cost (`INFINITY` when every
+    /// combo is infeasible) and the staircase step that reached it.
+    min_total: Vec<f64>,
+    head: Vec<u32>,
+    stairs: Vec<Stair>,
+    /// Per `(group, assignment)`: least cost into that next state and the
+    /// first state reaching it.
+    best_cost: Vec<f64>,
+    best_src: Vec<u32>,
+}
+
+impl CutTables {
+    fn clear(&mut self) {
+        self.rows.clear();
+        self.assignments.clear();
+        self.groups.clear();
+        self.combo_assign.clear();
+        self.state_row.clear();
+        self.min_total.clear();
+        self.head.clear();
+        self.stairs.clear();
+        self.best_cost.clear();
+        self.best_src.clear();
+    }
+
+    /// Offers `combo` at group cost `total` to a `(row, assignment)` cell.
+    /// Combos arrive in enumeration order and only a strict improvement adds
+    /// a step, so the staircase is strictly descending in cost and ascending
+    /// in combo index.
+    fn offer(&mut self, cell: usize, total: f64, combo: u32) {
+        if total < self.min_total[cell] {
+            self.stairs.push(Stair { total, combo, prev: self.head[cell] });
+            self.head[cell] = (self.stairs.len() - 1) as u32;
+            self.min_total[cell] = total;
+        }
+    }
+
+    /// The combo a state of cost `base` takes into a finite cell: the
+    /// *first* staircase step whose sum equals `base + min_total`. That is
+    /// not always the cheapest step — f64 addition is monotone but not
+    /// injective, so a larger group cost can round to the same sum, and the
+    /// reference's strict `<` scan then keeps the earlier combo. Sums are
+    /// non-increasing along the staircase, so the steps reaching the minimum
+    /// are a suffix, walked from the end. A combo that never made a step
+    /// cannot be first: an earlier one costs no more, hence sums no higher.
+    fn first_combo_reaching(&self, cell: usize, base: f64) -> u32 {
+        let cost = base + self.min_total[cell];
+        let mut step = &self.stairs[self.head[cell] as usize];
+        while step.prev != NO_STAIR && base + self.stairs[step.prev as usize].total == cost {
+            step = &self.stairs[step.prev as usize];
+        }
+        step.combo
+    }
+}
+
+/// Index of `key` among the distinct keys seen so far, and whether it is new.
+fn intern(ids: &mut FastMap<Vec<u8>, usize>, key: &[u8]) -> (usize, bool) {
+    if let Some(&id) = ids.get(key) {
+        return (id, false);
+    }
+    let id = ids.len();
+    ids.insert(key.to_vec(), id);
+    (id, true)
 }
 
 /// Upper bounds on how much each bundle's spec can still contribute to the
@@ -835,11 +935,13 @@ const DOM_COMPARISONS: usize = 48;
 /// Runs the DP for one basic step, returning the optimal [`StepPlan`].
 ///
 /// This is the optimized engine — identical recurrence and tie-breaking to
-/// [`unoptimized_search`], plus packed memo keys, per-combo class-cost
-/// precomputation, dominated-state pruning and (through `caches`) strategy
-/// and step-plan memoization, returning plans whose total cost is
-/// bit-identical to the reference (enforced by the differential harness) —
-/// and the one place [`SearchTuning::reference`] is honoured.
+/// [`unoptimized_search`], with the transition factored over the carried
+/// bundles each group reads (see `CutTables`), packed class-memo keys,
+/// per-combo class-cost precomputation, dominated-state pruning and
+/// (through `caches`) strategy and step-plan memoization. Its cost is
+/// bit-identical to the reference's and its plan the same whenever neither
+/// bound binds (enforced by the differential harness). It is also the one
+/// place [`SearchTuning::reference`] is honoured.
 ///
 /// `caches` is taken by shared reference: [`SearchCaches`] is internally
 /// synchronized, so any number of threads may run searches against one
@@ -847,12 +949,17 @@ const DOM_COMPARISONS: usize = 48;
 /// are single-flighted — one thread searches, the rest wait for its plan.
 ///
 /// Statistics go to `obs`: running totals `dp/strategies_enumerated`,
-/// `dp/strategies_feasible`, `dp/states_explored`, `dp/frontier_width_max`,
-/// the pruning totals `dp/prune_dominated` and `dp/prune_beam`, cache totals
-/// `cache/{strategy,plan}_{hit,miss}`, plus per-cut `dp/frontier states` and
-/// `dp/frontier width` counter samples on [`Track::search`] (frontier width
-/// = bundles crossing the cut, the quantity §5 argues stays tiny on
-/// chain-like coarsened graphs).
+/// `dp/strategies_feasible`, `dp/frontier_width_max`; the work totals
+/// `dp/states_explored` ((state, assignment) pairs whose group cost was
+/// evaluated: Σ rows × combos here, Σ states × combos in the reference) and
+/// `dp/relaxations` (Σ states × surviving assignments, one add-compare
+/// each, infeasible cells included); `dp/assignments_bounded` (cuts where
+/// [`DpOptions::internal_bound`] made enumeration non-exhaustive; absent
+/// when it never fires); the pruning totals `dp/prune_dominated` and
+/// `dp/prune_beam`; cache totals `cache/{strategy,plan}_{hit,miss}`; plus
+/// per-cut `dp/frontier states` and `dp/frontier width` counter samples on
+/// [`Track::search`] (frontier width = bundles crossing the cut, the
+/// quantity §5 argues stays tiny on chain-like coarsened graphs).
 pub fn search(
     g: &Graph,
     view: &ShapeView,
@@ -919,14 +1026,17 @@ pub fn search(
         class_cost(g, view, extra, info, &spec, opts).map(|(c, _)| c)
     };
 
+    let root = [Cand { specs: Box::from([]), cost: 0.0, prev: u32::MAX, combo: u32::MAX }];
     let mut records: Vec<CutRecord> = Vec::with_capacity(cg.groups.len());
-    let mut cur: Vec<Cand> =
-        vec![Cand { specs: Box::from([]), cost: 0.0, prev: u32::MAX, combo: u32::MAX }];
     let mut prev_cross: Vec<usize> = Vec::new();
+    let mut tables = CutTables::default();
+    let mut tuple: Vec<u8> = Vec::new();
     let mut pruned_dominated = 0u64;
     let mut pruned_beam = 0u64;
 
     for (gi, group) in cg.groups.iter().enumerate() {
+        // The frontier entering this cut, in key order.
+        let cur: &[Cand] = records.last().map_or(&root, |r| &r.kept);
         let mut touched: Vec<usize> = Vec::new();
         for &n in &group.nodes {
             let node = g.node(n);
@@ -955,7 +1065,6 @@ pub fn search(
             .collect();
         next_cross.sort_unstable();
         let width = next_cross.len();
-        let packed_state = four_bit && width <= 32;
 
         // Position maps for O(1) next-state assembly.
         let pos_in = |list: &[usize], b: usize| list.binary_search(&b).ok();
@@ -1042,115 +1151,147 @@ pub fn search(
             combo_vals.push(vals);
         }
 
-        // Transition: states × combos, deduplicated by next key with
-        // first-minimum-wins semantics identical to the reference (states
-        // iterate in key order, combos in enumeration order).
-        let mut dedup: FastMap<StateFp, u32> = FastMap::default();
-        let mut kept: Vec<Cand> = Vec::new();
+        // Transition, factored (see `CutTables`): cost each distinct
+        // projection of the frontier onto the carried bundles the classes
+        // read once, then relax every state into the dense table of next
+        // keys. The winner of a next key is the lexicographically first
+        // (state, combo) reaching the minimum sum under strict `<`, as in
+        // the reference (states iterate in key order, combos in enumeration
+        // order).
+        let mut read_pos: Vec<usize> = cut_classes
+            .iter()
+            .flat_map(|cc| cc.carried_fields.iter().map(|&(_, p)| p))
+            .collect();
+        read_pos.sort_unstable();
+        read_pos.dedup();
+
+        tables.clear();
+        for combo in &combos {
+            tuple.clear();
+            tuple.extend(surviving_fresh.iter().map(|&(f, _)| combo[f].1.enc()));
+            tables.combo_assign.push(intern(&mut tables.assignments, &tuple).0);
+        }
+        let n_assign = tables.assignments.len();
         let mut carried_part: Vec<u64> = vec![0; cut_classes.len()];
-        let mut scratch: Vec<u8> = vec![0; width];
 
         for (si, st) in cur.iter().enumerate() {
-            for (k, cc) in cut_classes.iter().enumerate() {
-                if cc.packed && !cc.carried_fields.is_empty() {
-                    let mut part = 0u64;
-                    for &(fi, p) in &cc.carried_fields {
-                        part |= enc4(st.specs[p]) << (4 * fi);
+            tuple.clear();
+            tuple.extend(read_pos.iter().map(|&p| st.specs[p]));
+            let (row, new_row) = intern(&mut tables.rows, &tuple);
+            tables.state_row.push(row);
+            if new_row {
+                tables.min_total.resize((row + 1) * n_assign, f64::INFINITY);
+                tables.head.resize((row + 1) * n_assign, NO_STAIR);
+                for (k, cc) in cut_classes.iter().enumerate() {
+                    if cc.packed && !cc.carried_fields.is_empty() {
+                        let mut part = 0u64;
+                        for &(fi, p) in &cc.carried_fields {
+                            part |= enc4(st.specs[p]) << (4 * fi);
+                        }
+                        carried_part[k] = part;
                     }
-                    carried_part[k] = part;
+                }
+                for (combo_i, vals) in combo_vals.iter().enumerate() {
+                    let mut total = 0.0f64;
+                    let mut ok = true;
+                    for (k, cv) in vals.iter().enumerate() {
+                        match cv {
+                            ComboVal::Cost(c) => total += c,
+                            ComboVal::Infeasible => {
+                                ok = false;
+                                break;
+                            }
+                            ComboVal::PackedPart(part) => {
+                                let key = part | carried_part[k];
+                                let ci = cut_classes[k].ci;
+                                let info = classes[ci].as_ref().expect("class exists");
+                                let cost = match &mut memos[ci] {
+                                    ClassMemo::Packed(m) => *m.entry(key).or_insert_with(|| {
+                                        eval_class(info, &|fi| dec4((key >> (4 * fi)) & 15))
+                                    }),
+                                    ClassMemo::Wide(_) => unreachable!("packed class"),
+                                };
+                                match cost {
+                                    Some(c) => total += c,
+                                    None => {
+                                        ok = false;
+                                        break;
+                                    }
+                                }
+                            }
+                            ComboVal::WidePart(tmpl) => {
+                                let cc = &cut_classes[k];
+                                let mut keyv = tmpl.clone();
+                                for &(fi, p) in &cc.carried_fields {
+                                    keyv[fi] = st.specs[p];
+                                }
+                                let info = classes[cc.ci].as_ref().expect("class exists");
+                                let cost = match &mut memos[cc.ci] {
+                                    ClassMemo::Wide(m) => *m.entry(keyv.clone()).or_insert_with(
+                                        || eval_class(info, &|fi| TensorSpec::dec(keyv[fi])),
+                                    ),
+                                    ClassMemo::Packed(_) => unreachable!("wide class"),
+                                };
+                                match cost {
+                                    Some(c) => total += c,
+                                    None => {
+                                        ok = false;
+                                        break;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    if ok {
+                        let cell = row * n_assign + tables.combo_assign[combo_i];
+                        tables.offer(cell, total, combo_i as u32);
+                    }
                 }
             }
-            for (combo_i, vals) in combo_vals.iter().enumerate() {
-                let mut total = 0.0f64;
-                let mut ok = true;
-                for (k, cv) in vals.iter().enumerate() {
-                    match cv {
-                        ComboVal::Cost(c) => total += c,
-                        ComboVal::Infeasible => {
-                            ok = false;
-                            break;
-                        }
-                        ComboVal::PackedPart(part) => {
-                            let key = part | carried_part[k];
-                            let ci = cut_classes[k].ci;
-                            let info = classes[ci].as_ref().expect("class exists");
-                            let cost = match &mut memos[ci] {
-                                ClassMemo::Packed(m) => *m.entry(key).or_insert_with(|| {
-                                    eval_class(info, &|fi| dec4((key >> (4 * fi)) & 15))
-                                }),
-                                ClassMemo::Wide(_) => unreachable!("packed class"),
-                            };
-                            match cost {
-                                Some(c) => total += c,
-                                None => {
-                                    ok = false;
-                                    break;
-                                }
-                            }
-                        }
-                        ComboVal::WidePart(tmpl) => {
-                            let cc = &cut_classes[k];
-                            let mut keyv = tmpl.clone();
-                            for &(fi, p) in &cc.carried_fields {
-                                keyv[fi] = st.specs[p];
-                            }
-                            let info = classes[cc.ci].as_ref().expect("class exists");
-                            let cost = match &mut memos[cc.ci] {
-                                ClassMemo::Wide(m) => *m.entry(keyv.clone()).or_insert_with(
-                                    || eval_class(info, &|fi| TensorSpec::dec(keyv[fi])),
-                                ),
-                                ClassMemo::Packed(_) => unreachable!("wide class"),
-                            };
-                            match cost {
-                                Some(c) => total += c,
-                                None => {
-                                    ok = false;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-                if !ok {
-                    continue;
-                }
+
+            tuple.clear();
+            tuple.extend(surviving_prev.iter().map(|&(p, _)| st.specs[p]));
+            let (group, new_group) = intern(&mut tables.groups, &tuple);
+            if new_group {
+                tables.best_cost.resize((group + 1) * n_assign, f64::INFINITY);
+                tables.best_src.resize((group + 1) * n_assign, 0);
+            }
+            let totals = &tables.min_total[row * n_assign..][..n_assign];
+            let costs = &mut tables.best_cost[group * n_assign..][..n_assign];
+            let srcs = &mut tables.best_src[group * n_assign..][..n_assign];
+            for ((&total, best), src) in totals.iter().zip(costs).zip(srcs) {
                 let cost = st.cost + total;
-                for &(p, q) in &surviving_prev {
-                    scratch[q] = st.specs[p];
-                }
-                let combo = &combos[combo_i];
-                for &(f, q) in &surviving_fresh {
-                    scratch[q] = combo[f].1.enc();
-                }
-                let fp = if packed_state {
-                    let mut v = 0u128;
-                    for (q, &b) in scratch.iter().enumerate() {
-                        v |= u128::from(enc4(b)) << (4 * q);
-                    }
-                    StateFp::Packed(v)
-                } else {
-                    StateFp::Wide(scratch.clone().into_boxed_slice())
-                };
-                match dedup.entry(fp) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        let i = *e.get() as usize;
-                        if cost < kept[i].cost {
-                            kept[i].cost = cost;
-                            kept[i].prev = si as u32;
-                            kept[i].combo = combo_i as u32;
-                        }
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(kept.len() as u32);
-                        kept.push(Cand {
-                            specs: scratch.clone().into_boxed_slice(),
-                            cost,
-                            prev: si as u32,
-                            combo: combo_i as u32,
-                        });
-                    }
+                if cost < *best {
+                    *best = cost;
+                    *src = si as u32;
                 }
             }
+        }
+
+        // One candidate per finite cell; their order is free, the ranking
+        // below sorts on unique (cost, key) pairs.
+        let mut kept: Vec<Cand> = Vec::new();
+        let mut scratch: Vec<u8> = vec![0; width];
+        for (cell, (&cost, &src)) in tables.best_cost.iter().zip(&tables.best_src).enumerate() {
+            if cost == f64::INFINITY {
+                continue;
+            }
+            let st = &cur[src as usize];
+            let from = tables.state_row[src as usize] * n_assign + cell % n_assign;
+            let combo_i = tables.first_combo_reaching(from, st.cost);
+            for &(p, q) in &surviving_prev {
+                scratch[q] = st.specs[p];
+            }
+            let combo = &combos[combo_i as usize];
+            for &(f, q) in &surviving_fresh {
+                scratch[q] = combo[f].1.enc();
+            }
+            kept.push(Cand {
+                specs: scratch.clone().into_boxed_slice(),
+                cost,
+                prev: src,
+                combo: combo_i,
+            });
         }
 
         if kept.is_empty() {
@@ -1164,6 +1305,10 @@ pub fn search(
                 states: kept.len(),
                 bound: opts.state_bound,
             });
+        }
+        if opts.beam == 0 {
+            // An empty beam is a mis-set bound, not an infeasible graph.
+            return Err(CoreError::SearchSpaceExceeded { states: kept.len(), bound: 0 });
         }
 
         // Rank by (cost, key): equals the reference's stable cost sort over
@@ -1218,7 +1363,11 @@ pub fn search(
 
         if let Some(c) = obs {
             let ts = c.now_us();
-            c.add_total("dp/states_explored", (cur.len() * combos.len()) as f64);
+            c.add_total("dp/states_explored", (tables.rows.len() * combos.len()) as f64);
+            c.add_total("dp/relaxations", (cur.len() * n_assign) as f64);
+            if assignments_exceed(&fresh, &bundles.legal, opts.internal_bound) {
+                c.add_total("dp/assignments_bounded", 1.0);
+            }
             c.counter(Track::search(), "dp/frontier states", ts, kept.len() as f64);
             c.counter(Track::search(), "dp/frontier width", ts, width as f64);
             c.max_total("dp/frontier_width_max", width as f64);
@@ -1228,10 +1377,10 @@ pub fn search(
         // its BTreeMap in key order).
         kept.sort_by(|a, b| a.specs.cmp(&b.specs));
 
-        cur = kept.clone();
         records.push(CutRecord { combos, kept });
         prev_cross = next_cross;
     }
+    let cur: &[Cand] = records.last().map_or(&root, |r| &r.kept);
 
     if let Some(c) = obs {
         c.add_total("dp/prune_dominated", pruned_dominated as f64);
@@ -1301,13 +1450,13 @@ pub fn search(
     Ok(plan)
 }
 
-/// Enumerates assignments over the given bundles; falls back to a greedy +
-/// coordinate-descent scheme when the product exceeds the bound.
-fn enumerate_assignments(
+/// True when the cartesian product of the bundles' legal-spec sets exceeds
+/// `bound`, i.e. when [`enumerate_assignments`] is not exhaustive.
+fn assignments_exceed(
     bundles_to_assign: &[usize],
     legal: &[Vec<TensorSpec>],
     bound: usize,
-) -> Vec<Vec<(usize, TensorSpec)>> {
+) -> bool {
     let mut product = 1usize;
     for &b in bundles_to_assign {
         product = product.saturating_mul(legal[b].len());
@@ -1315,7 +1464,18 @@ fn enumerate_assignments(
             break;
         }
     }
-    if product <= bound {
+    product > bound
+}
+
+/// Enumerates assignments over the given bundles; falls back to the default
+/// assignment and its single-coordinate variations when the product exceeds
+/// the bound.
+fn enumerate_assignments(
+    bundles_to_assign: &[usize],
+    legal: &[Vec<TensorSpec>],
+    bound: usize,
+) -> Vec<Vec<(usize, TensorSpec)>> {
+    if !assignments_exceed(bundles_to_assign, legal, bound) {
         // Full cartesian product.
         let mut out: Vec<Vec<(usize, TensorSpec)>> = vec![Vec::new()];
         for &b in bundles_to_assign {
@@ -1331,9 +1491,10 @@ fn enumerate_assignments(
         }
         out
     } else {
-        // Bounded: enumerate the largest-legal-set bundles one at a time
-        // around a default assignment (first legal spec each). This loses
-        // optimality but keeps the search tractable for degenerate graphs.
+        // Bounded: vary one bundle at a time, in bundle order, around a
+        // default assignment (first legal spec each), stopping at the bound.
+        // This loses optimality but keeps the search tractable for
+        // degenerate graphs.
         let default: Vec<(usize, TensorSpec)> =
             bundles_to_assign.iter().map(|&b| (b, legal[b][0])).collect();
         let mut out = vec![default.clone()];
@@ -1595,6 +1756,27 @@ mod tests {
             );
             assert_eq!(opt.tensor_spec, reference.tensor_spec);
         }
+    }
+
+    #[test]
+    fn sums_that_round_together_keep_the_earlier_combo() {
+        let mut t = CutTables::default();
+        t.min_total.push(f64::INFINITY);
+        t.head.push(NO_STAIR);
+        t.offer(0, 4.0, 0);
+        t.offer(0, 1.0, 1);
+        t.offer(0, 2.0, 2); // no improvement: never a step
+        t.offer(0, 0.5, 3);
+        assert_eq!(t.stairs.len(), 3);
+        // A state cost that separates the group costs takes the cheapest.
+        assert_eq!(t.first_combo_reaching(0, 8.0), 3);
+        // At 2^53 the spacing of f64 is 2: adding 1.0 and adding 0.5 both
+        // round back to 2^53, the reference's `<` scan keeps combo 1, and so
+        // must the staircase — while 4.0 still lands above the minimum.
+        let base = (1u64 << 53) as f64;
+        assert_eq!(base + 1.0, base + 0.5);
+        assert!(base + 4.0 > base + 0.5);
+        assert_eq!(t.first_combo_reaching(0, base), 1);
     }
 
     #[test]

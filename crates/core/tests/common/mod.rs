@@ -126,3 +126,75 @@ pub fn random_training_mlp(seed: u64) -> Graph {
     autodiff::backward(&mut g, loss, &weights).unwrap();
     g
 }
+
+/// A small residual CNN training graph: `blocks` blocks of 3×3 `conv2d` +
+/// `scale_shift`, a shortcut (identity where the channel count is kept, a
+/// 1×1 projection where it changes), `add` and `relu`; then a pooled
+/// classifier head, the backward pass and SGD updates. Every block input
+/// feeds the block's convolution *and* its shortcut, and shortcut gradients
+/// accumulate across blocks, so the DP frontier carries bundles that several
+/// consecutive groups never read — the shape the factored transition exists
+/// for. Extents mix multiples of 2 and 3 with an odd image width, so the
+/// legal splits (and which of them pay a halo) vary with the worker count
+/// while the exhaustive reference stays affordable up to two blocks.
+pub fn residual_tower(seed: u64, blocks: usize) -> Graph {
+    let mut rng = Rng::new(seed);
+    let mut g = Graph::new();
+    let batch = *rng.pick(&[4usize, 6, 8]);
+    let height = *rng.pick(&[4usize, 6]);
+    let width = *rng.pick(&[3usize, 5]);
+    let mut chans = *rng.pick(&[2usize, 3, 4]);
+    let mut weights = Vec::new();
+    let mut cur = g.add_input("x", Shape::new(vec![batch, chans, height, width]));
+    for b in 0..blocks {
+        // Keep the width two times out of three, so identity shortcuts chain.
+        let out_c = if rng.below(3) == 0 { *rng.pick(&[2usize, 3, 4]) } else { chans };
+        let mut conv = |g: &mut Graph, name: String, k: usize| {
+            let w = g.add_weight(&format!("{name}/w"), Shape::new(vec![chans, out_c, k, k]));
+            weights.push(w);
+            let attrs = Attrs::new().with_int("stride", 1).with_int("pad", (k / 2) as i64);
+            g.add_op("conv2d", &name, &[cur, w], attrs).unwrap()
+        };
+        let body = conv(&mut g, format!("b{b}/conv"), 3);
+        let skip = if out_c == chans { cur } else { conv(&mut g, format!("b{b}/proj"), 1) };
+        let gamma = g.add_weight(&format!("b{b}/gamma"), Shape::new(vec![out_c]));
+        let beta = g.add_weight(&format!("b{b}/beta"), Shape::new(vec![out_c]));
+        weights.extend([gamma, beta]);
+        let axis = Attrs::new().with_int("axis", 1);
+        let norm =
+            g.add_op("scale_shift", &format!("b{b}/norm"), &[body, gamma, beta], axis).unwrap();
+        let sum = g.add_op("add", &format!("b{b}/add"), &[norm, skip], Attrs::new()).unwrap();
+        cur = g.add_op("relu", &format!("b{b}/out"), &[sum], Attrs::new()).unwrap();
+        chans = out_c;
+    }
+    let classes = *rng.pick(&[4usize, 6]);
+    train_on_pooled_features(&mut g, cur, classes, weights);
+    g
+}
+
+/// Completes a CNN training graph: a globally pooled `classes`-way
+/// classifier on the `[batch, chans, h, w]` tensor `features`, the backward
+/// pass to `weights` (plus the classifier's) and an SGD update per weight.
+pub fn train_on_pooled_features(
+    g: &mut Graph,
+    features: TensorId,
+    classes: usize,
+    mut weights: Vec<TensorId>,
+) {
+    let (batch, chans) = {
+        let shape = &g.tensor(features).shape;
+        (shape.dim(0), shape.dim(1))
+    };
+    let pooled = g.add_op("global_avg_pool", "gap", &[features], Attrs::new()).unwrap();
+    let wfc = g.add_weight("fc/w", Shape::new(vec![chans, classes]));
+    weights.push(wfc);
+    let logits = g.add_op("matmul", "fc", &[pooled, wfc], Attrs::new()).unwrap();
+    let labels = g.add_input("labels", Shape::new(vec![batch]));
+    let loss = g.add_op("softmax_ce", "loss", &[logits, labels], Attrs::new()).unwrap();
+    let info = autodiff::backward(g, loss, &weights).unwrap();
+    for (i, &w) in weights.iter().enumerate() {
+        let gw = info.grad(w).expect("every weight reaches the loss");
+        let lr = Attrs::new().with_float("lr", 0.01);
+        g.add_op("sgd_update", &format!("upd{i}"), &[w, gw], lr).unwrap();
+    }
+}

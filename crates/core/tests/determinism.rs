@@ -49,7 +49,12 @@ fn assert_identical_runs(g: &Graph, opts: &PartitionOptions) {
     // The optimized engine must actually have reported its counters —
     // otherwise this test vacuously compares empty maps.
     if opts.tuning != SearchTuning::reference() {
-        for key in ["dp/states_explored", "dp/strategies_feasible", "cache/strategy_miss"] {
+        for key in [
+            "dp/states_explored",
+            "dp/relaxations",
+            "dp/strategies_feasible",
+            "cache/strategy_miss",
+        ] {
             assert!(counters_a.contains_key(key), "missing expected counter {key}");
         }
     }

@@ -15,10 +15,11 @@ use proptest::prelude::*;
 
 use tofu_core::coarsen::coarsen;
 use tofu_core::dp::{search, unoptimized_search, DpOptions, ExtraInputs};
-use tofu_core::recursive::{partition, PartitionOptions};
+use tofu_core::recursive::{partition, PartitionOptions, PartitionPlan};
 use tofu_core::strategies::ShapeView;
 use tofu_core::{CoreError, SearchCaches, SearchTuning};
-use tofu_graph::Graph;
+use tofu_graph::{Attrs, Graph};
+use tofu_tensor::Shape;
 
 /// Exact-search options: the beam and state bound are far above anything a
 /// fuzz-sized graph reaches, so pruning is purely cost-based (sound) and the
@@ -76,20 +77,23 @@ fn check_step(g: &Graph, ways: usize) {
 }
 
 /// Runs a full recursive partition through both engines and asserts the
-/// contract step-by-step.
-fn check_partition(g: &Graph, workers: usize) {
+/// contract step-by-step. Returns the plan when both engines found one. With
+/// a `fetch_buffer_floor` below the graph's tensor sizes, steps after the
+/// first search with non-empty `ExtraInputs`.
+fn check_partition(g: &Graph, workers: usize, fetch_buffer_floor: u64) -> Option<PartitionPlan> {
     let opts = PartitionOptions {
         workers,
         state_bound: 50_000_000,
         internal_bound: 1 << 22,
         beam: 50_000_000,
+        fetch_buffer_floor,
         ..Default::default()
     };
     let ref_opts = PartitionOptions { tuning: SearchTuning::reference(), ..opts };
     let optimized = partition(g, &opts);
     let reference = partition(g, &ref_opts);
     if !check_error_parity(&optimized, &reference) {
-        return;
+        return None;
     }
     let optimized = optimized.unwrap();
     let reference = reference.unwrap();
@@ -109,7 +113,12 @@ fn check_partition(g: &Graph, workers: usize) {
             "per-step cost mismatch at {workers} workers"
         );
         assert_eq!(a.plan.tensor_spec, b.plan.tensor_spec, "plan diverged at {workers} workers");
+        assert_eq!(
+            a.plan.node_choice, b.plan.node_choice,
+            "node choices diverged at {workers} workers"
+        );
     }
+    Some(optimized)
 }
 
 proptest! {
@@ -146,7 +155,69 @@ proptest! {
         workers in prop::sample::select(vec![2usize, 3, 4, 5, 6, 7, 8, 12]),
     ) {
         let g = common::random_training_mlp(seed);
-        check_partition(&g, workers);
+        check_partition(&g, workers, PartitionOptions::default().fetch_buffer_floor);
+    }
+}
+
+/// Fetch-buffer floor for the residual towers: below their activations'
+/// fetch buffers, which therefore become extra inputs of later steps, and
+/// above most weight buffers, which would multiply the reference's
+/// enumeration for nothing new.
+const RESIDUAL_FLOOR: u64 = 64;
+
+proptest! {
+    // Few cases and at most two blocks: the reference pays the full
+    // `states × combos` product in a debug build, a two-block case about a
+    // second of it.
+    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+    /// Full recursive partition differential on residual towers: frontiers
+    /// that carry bundles the current group never reads (what the factored
+    /// transition projects away), halo costs, fractional 3-way costs, and
+    /// non-empty `ExtraInputs` from the second step on.
+    #[test]
+    fn partition_matches_reference_on_residual_towers(
+        seed in 0u64..1_000_000,
+        blocks in 1usize..3,
+        workers in prop::sample::select(vec![2usize, 3, 4, 6, 8]),
+    ) {
+        let g = common::residual_tower(seed, blocks);
+        check_partition(&g, workers, RESIDUAL_FLOOR);
+    }
+}
+
+/// A conv tower whose batch, channel and image extents are all `n`: every
+/// dimension of an activation splits at the same price, so plans tie, and
+/// the 3×3 halos and 3-way steps make the tied costs fractional.
+fn equal_extent_conv_tower(n: usize, layers: usize) -> Graph {
+    let mut g = Graph::new();
+    let mut weights = Vec::new();
+    let mut cur = g.add_input("x", Shape::new(vec![n, n, n, n]));
+    for i in 0..layers {
+        let w = g.add_weight(&format!("c{i}/w"), Shape::new(vec![n, n, 3, 3]));
+        weights.push(w);
+        let attrs = Attrs::new().with_int("stride", 1).with_int("pad", 1);
+        cur = g.add_op("conv2d", &format!("c{i}"), &[cur, w], attrs).unwrap();
+        cur = g.add_op("relu", &format!("r{i}"), &[cur], Attrs::new()).unwrap();
+    }
+    common::train_on_pooled_features(&mut g, cur, n, weights);
+    g
+}
+
+/// Tie-breaking under fractional costs: 3-way and 6-way (3·2) partitions of
+/// equal-extent conv towers must pick the reference's plan among the many
+/// that cost the same, down to every node's strategy.
+#[test]
+fn fractional_cost_ties_break_like_the_reference() {
+    for (n, layers) in [(6usize, 2usize), (12, 2)] {
+        let g = equal_extent_conv_tower(n, layers);
+        check_step(&g, 3);
+        for workers in [3usize, 6] {
+            assert!(
+                check_partition(&g, workers, 0).is_some(),
+                "equal-extent tower n={n} does not partition {workers} ways"
+            );
+        }
     }
 }
 
@@ -165,4 +236,16 @@ fn differential_harness_exercises_success_paths() {
         }
     }
     assert!(ok >= 10, "random DAGs almost never partition: {ok}/20");
+
+    let mut ok = 0usize;
+    let mut with_extras = 0usize;
+    for seed in 0..8u64 {
+        let g = common::residual_tower(seed, 1);
+        if let Some(plan) = check_partition(&g, 4, RESIDUAL_FLOOR) {
+            ok += 1;
+            with_extras += usize::from(plan.steps[1].plan.tensor_spec.len() > g.num_tensors());
+        }
+    }
+    assert!(ok >= 4, "residual towers almost never partition: {ok}/8");
+    assert_eq!(with_extras, ok, "a second step searched without extra inputs");
 }

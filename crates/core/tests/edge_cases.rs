@@ -5,8 +5,8 @@
 
 mod common;
 
-use tofu_core::recursive::{factorize, partition, PartitionOptions};
-use tofu_core::{CoreError, SearchTuning};
+use tofu_core::recursive::{factorize, partition, partition_cached, PartitionOptions};
+use tofu_core::{CoreError, SearchCaches, SearchTuning};
 use tofu_graph::{Attrs, Graph};
 use tofu_tensor::Shape;
 
@@ -87,6 +87,35 @@ fn prime_worker_count_with_no_divisible_dimension_is_typed() {
         let err = partition(&g, &PartitionOptions { workers: 7, tuning, ..Default::default() })
             .unwrap_err();
         assert!(matches!(err, CoreError::NoStrategy { .. }), "unexpected error {err:?}");
+    }
+}
+
+#[test]
+fn empty_beam_is_a_bound_error_and_is_never_memoised() {
+    // `beam: 0` keeps no state, so the *next* cut used to find an empty
+    // frontier and report the graph as unsplittable (`NoStrategy`) — which
+    // `partition_cached` remembers as a proven-infeasible width and an
+    // elastic width ladder steps past. It is a mis-set bound: fail hard, at
+    // the cut where it happens, like `state_bound: 0`.
+    let g = common::random_training_mlp(1);
+    for tuning in [SearchTuning::default(), SearchTuning::reference()] {
+        let opts = PartitionOptions { workers: 4, beam: 0, tuning, ..Default::default() };
+        let err = partition(&g, &opts).unwrap_err();
+        assert!(
+            matches!(err, CoreError::SearchSpaceExceeded { states, bound: 0 } if states > 0),
+            "unexpected error {err:?} under {tuning:?}"
+        );
+        let same = partition(&g, &PartitionOptions { state_bound: 0, beam: 512, ..opts });
+        assert_eq!(format!("{:?}", same.unwrap_err()), format!("{err:?}"));
+
+        let caches = SearchCaches::new();
+        for _ in 0..2 {
+            let again = partition_cached(&g, &opts, &caches, None).unwrap_err();
+            assert!(matches!(again, CoreError::SearchSpaceExceeded { bound: 0, .. }));
+        }
+        let stats = caches.stats();
+        assert_eq!((stats.request_misses, stats.request_hits), (2, 0), "outcome was memoised");
+        assert_eq!(caches.snapshot().request_entries, 0);
     }
 }
 

@@ -47,8 +47,10 @@ timeout 300 cargo test -q -p tofu-runtime --test elastic --test reshard --test c
 timeout 300 cargo test -q -p tofu-durable
 timeout 300 cargo test -q -p tofu-runtime --test durable
 # The search-optimality suites (brute-force oracle + differential fuzzing
-# against the reference engine) are exhaustive by design; cap them so a
-# search-space blowup fails CI instead of stalling it.
+# against the reference engine, incl. the residual towers and the
+# fractional-cost tie case) are exhaustive by design; cap them so a
+# search-space blowup fails CI instead of stalling it. The default-options
+# plan hashes (tests/golden_plans.rs) run with the workspace tests below.
 timeout 600 cargo test -q -p tofu-core --test oracle --test differential
 # The gradient-check oracle finite-differences every differentiable op (and
 # proptests the dense kernels over random shapes); the strategy-discovery
@@ -90,8 +92,8 @@ timeout 300 cargo run --release -q -p tofu-bench --bin elastic_recovery
 # at least one grow event fired, and every warm-pass replan was a cache hit).
 timeout 300 cargo run --release -q -p tofu-bench --bin fleet_churn
 # Search-engine counts (exits non-zero if the optimized DP's plan cost
-# differs from the reference engine's, or if it stops exploring fewer states
-# on the nontrivial searches).
+# differs from the reference engine's, or if its group-cost evaluations plus
+# relaxations reach the reference's states × combos on a nontrivial search).
 cargo run --release -q -p tofu-bench --bin search_scaling
 # Transformer decoder scaling curves (exits non-zero unless the search finds
 # multi-axis strategies at every multi-worker point — exact megatron

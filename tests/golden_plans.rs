@@ -1,0 +1,78 @@
+//! Golden plan hashes at *default* options, where the beam binds (WResNet)
+//! or bounded enumeration fires (WResNet, LSTM) and the reference engine is
+//! therefore allowed to pick a different plan: the differential suites run
+//! with both bounds widened past use and cannot see these inputs. Each value
+//! is `fnv1a64` of the canonical plan JSON, recorded before the DP
+//! transition was factored (PR 19); a change to any of them is a change to
+//! the optimized engine's tie-breaking, not a cost-neutral refactor.
+
+use tofu::core::{partition, PartitionOptions};
+use tofu::durable::fnv1a64;
+use tofu::graph::Graph;
+use tofu::models::{decoder_block, rnn, wresnet, DecoderConfig, RnnConfig, WResNetConfig};
+use tofu::serve::plan_to_json;
+
+fn assert_plan(g: &Graph, workers: usize, hash: u64, bytes: usize) {
+    let plan = partition(g, &PartitionOptions { workers, ..Default::default() }).unwrap();
+    let json = plan_to_json(&plan).to_json();
+    assert_eq!(json.len(), bytes, "plan JSON length changed at w={workers}");
+    assert_eq!(
+        fnv1a64(json.as_bytes()),
+        hash,
+        "plan bytes changed at w={workers}: got {:016x}",
+        fnv1a64(json.as_bytes())
+    );
+}
+
+#[test]
+fn wresnet_plans_are_byte_identical_to_the_recorded_ones() {
+    let model = wresnet(&WResNetConfig {
+        layers: 50,
+        width: 1,
+        batch: 8,
+        image: 16,
+        classes: 8,
+        with_updates: true,
+    })
+    .unwrap();
+    for (workers, hash, bytes) in [
+        (2, 0xb2d29d88b65daba9, 45_768),
+        (4, 0xadd20fe087785087, 89_801),
+        (8, 0xdc67e831a1ae23d7, 133_737),
+    ] {
+        assert_plan(&model.graph, workers, hash, bytes);
+    }
+}
+
+#[test]
+fn decoder_plans_are_byte_identical_to_the_recorded_ones() {
+    for (seq, hash, bytes) in
+        [(128, 0x9f1ee9de992279cc, 15_692), (512, 0xbb11756141aaad03, 15_774)]
+    {
+        let model = decoder_block(&DecoderConfig {
+            seq,
+            d_model: 256,
+            heads: 8,
+            d_ff: 1024,
+            classes: 64,
+            with_updates: true,
+        })
+        .unwrap();
+        assert_plan(&model.graph, 8, hash, bytes);
+    }
+}
+
+#[test]
+fn lstm_plan_is_byte_identical_to_the_recorded_one() {
+    let model = rnn(&RnnConfig {
+        layers: 2,
+        hidden: 64,
+        batch: 8,
+        steps: 20,
+        embed: 32,
+        vocab: 32,
+        with_updates: true,
+    })
+    .unwrap();
+    assert_plan(&model.graph, 2, 0x9bece6ea77b4cf5d, 97_177);
+}
