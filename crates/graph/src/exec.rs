@@ -1,10 +1,11 @@
 //! CPU reference executor.
 //!
-//! Executes a graph node-by-node with the naive kernels from `tofu-tensor`.
-//! Its only job is validation: the cross-crate tests run the original graph
-//! and the Tofu-partitioned graph on the same inputs and assert the results
-//! match — the correctness claim behind "the same program written for a
-//! single device can also be run across devices without changes" (§2).
+//! Executes a graph node-by-node with the bit-reproducible kernels from
+//! `tofu-tensor`. Its job is validation: the cross-crate tests run the
+//! original graph and the Tofu-partitioned graph on the same inputs and
+//! assert the results match — the correctness claim behind "the same program
+//! written for a single device can also be run across devices without
+//! changes" (§2).
 
 use std::collections::BTreeMap;
 
@@ -169,13 +170,6 @@ fn head2(t: &Tensor, h: usize) -> Result<Tensor> {
     Ok(s.reshape(Shape::new(dims))?)
 }
 
-/// Lift a rank-2 matrix to rank 3 with a unit leading (head) dimension.
-fn lift3(m: &Tensor) -> Result<Tensor> {
-    let mut dims = vec![1];
-    dims.extend_from_slice(m.shape().dims());
-    Ok(m.reshape(Shape::new(dims))?)
-}
-
 /// `Σ_h f(A[h], B[h])` — the head-contraction shared by `unproj_heads` and
 /// `proj_heads_grad_x`.
 fn head_sum(
@@ -220,57 +214,28 @@ fn dispatch(op: &str, ins: &[&Tensor], attrs: &Attrs, out_shape: &Shape) -> Resu
         "matmul_tn" => Ok(ins[0].matmul_tn(ins[1])?),
         "matmul_nt" => Ok(ins[0].matmul_nt(ins[1])?),
         "transpose" => Ok(ins[0].transpose()?),
-        // The dedicated rank-3 kernels accumulate in the same ascending-k
-        // order as the per-batch slice + matmul loop they replaced, so
-        // results are bit-identical.
+        // All six variants run the one tiled GEMM, whose per-element
+        // ascending-k order makes batched, sliced and sharded forms of a
+        // product bit-identical.
         "batch_matmul" => Ok(ins[0].matmul_b(ins[1])?),
         "batch_matmul_tn" => Ok(ins[0].matmul_b_tn(ins[1])?),
         "batch_matmul_nt" => Ok(ins[0].matmul_b_nt(ins[1])?),
-        "proj_heads" => {
-            // out[h] = X · W[h]; per-head rank-2 matmuls over the shard's
-            // heads, so every TDL split (h, n, k, reduce:d) runs unchanged.
-            let heads = ins[1].shape().dim(0);
-            let mut parts = Vec::with_capacity(heads);
-            for h in 0..heads {
-                parts.push(lift3(&ins[0].matmul(&head2(ins[1], h)?)?)?);
-            }
-            Ok(Tensor::concat(&parts, 0)?)
-        }
-        "unproj_heads" => {
-            // out = Σ_h C[h] · W[h].
-            head_sum(ins[0], ins[1], |c, w| Ok(c.matmul(w)?))
-        }
-        "proj_heads_grad_x" => {
-            // dX = Σ_h dO[h] · W[h]ᵀ.
-            head_sum(ins[0], ins[1], |d, w| Ok(d.matmul_nt(w)?))
-        }
-        "proj_heads_grad_w" => {
-            // dW[h] = Xᵀ · dO[h].
-            let heads = ins[1].shape().dim(0);
-            let mut parts = Vec::with_capacity(heads);
-            for h in 0..heads {
-                parts.push(lift3(&ins[0].matmul_tn(&head2(ins[1], h)?)?)?);
-            }
-            Ok(Tensor::concat(&parts, 0)?)
-        }
-        "unproj_heads_grad_c" => {
-            // dC[h] = dY · W[h]ᵀ.
-            let heads = ins[1].shape().dim(0);
-            let mut parts = Vec::with_capacity(heads);
-            for h in 0..heads {
-                parts.push(lift3(&ins[0].matmul_nt(&head2(ins[1], h)?)?)?);
-            }
-            Ok(Tensor::concat(&parts, 0)?)
-        }
-        "unproj_heads_grad_w" => {
-            // dW[h] = C[h]ᵀ · dY.
-            let heads = ins[0].shape().dim(0);
-            let mut parts = Vec::with_capacity(heads);
-            for h in 0..heads {
-                parts.push(lift3(&head2(ins[0], h)?.matmul_tn(ins[1])?)?);
-            }
-            Ok(Tensor::concat(&parts, 0)?)
-        }
+        // The head projections are batched products with one rank-2 operand
+        // shared by every head (packed once), so every TDL split (h, n, k,
+        // reduce:d) runs unchanged.
+        // out[h] = X · W[h].
+        "proj_heads" => Ok(ins[0].matmul_b(ins[1])?),
+        // out = Σ_h C[h] · W[h]: per-head product, then `add` in head order —
+        // accumulating heads inside the tile would change the rounding.
+        "unproj_heads" => head_sum(ins[0], ins[1], |c, w| Ok(c.matmul(w)?)),
+        // dX = Σ_h dO[h] · W[h]ᵀ.
+        "proj_heads_grad_x" => head_sum(ins[0], ins[1], |d, w| Ok(d.matmul_nt(w)?)),
+        // dW[h] = Xᵀ · dO[h].
+        "proj_heads_grad_w" => Ok(ins[0].matmul_b_tn(ins[1])?),
+        // dC[h] = dY · W[h]ᵀ.
+        "unproj_heads_grad_c" => Ok(ins[0].matmul_b_nt(ins[1])?),
+        // dW[h] = C[h]ᵀ · dY.
+        "unproj_heads_grad_w" => Ok(ins[0].matmul_b_tn(ins[1])?),
         "conv1d" => Ok(ins[0].conv1d(ins[1], conv1d_params(attrs))?),
         "conv1d_bwd_data" => {
             let p = conv1d_params(attrs);
@@ -410,11 +375,7 @@ fn dispatch(op: &str, ins: &[&Tensor], attrs: &Attrs, out_shape: &Shape) -> Resu
             let end = attrs.int_or("end", ins[0].shape().dim(axis) as i64) as usize;
             Ok(ins[0].slice(axis, begin, end)?)
         }
-        "concat" => {
-            let axis = attrs.int_or("axis", 0) as usize;
-            let owned: Vec<Tensor> = ins.iter().map(|t| (*t).clone()).collect();
-            Ok(Tensor::concat(&owned, axis)?)
-        }
+        "concat" => Ok(Tensor::concat(ins, attrs.int_or("axis", 0) as usize)?),
         "pad" => {
             let axis = attrs.int_or("axis", 0) as usize;
             let before = attrs.int_or("before", 0) as usize;

@@ -1,5 +1,7 @@
 //! Dense row-major tensor storage and structural operations.
 
+use std::borrow::Borrow;
+
 use crate::{Result, Shape, TensorError};
 
 /// A dense, row-major tensor of `f32` elements.
@@ -137,16 +139,17 @@ impl Tensor {
     }
 
     /// Concatenates tensors along `axis`; all other extents must match.
-    pub fn concat(parts: &[Tensor], axis: usize) -> Result<Tensor> {
+    pub fn concat<T: Borrow<Tensor>>(parts: &[T], axis: usize) -> Result<Tensor> {
         let first = parts
             .first()
-            .ok_or_else(|| TensorError::Incompatible("concat of zero tensors".into()))?;
+            .ok_or_else(|| TensorError::Incompatible("concat of zero tensors".into()))?
+            .borrow();
         let rank = first.shape.rank();
         if axis >= rank {
             return Err(TensorError::AxisOutOfRange { axis, rank });
         }
         let mut total = 0usize;
-        for p in parts {
+        for p in parts.iter().map(Borrow::borrow) {
             if p.shape.rank() != rank {
                 return Err(TensorError::ShapeMismatch {
                     lhs: first.shape.dims().to_vec(),
@@ -170,7 +173,7 @@ impl Tensor {
         let out_axis_stride = total * inner;
         for o in 0..outer {
             let mut written = 0usize;
-            for p in parts {
+            for p in parts.iter().map(Borrow::borrow) {
                 let len = p.shape.dim(axis);
                 let src_base = o * len * inner;
                 let dst_base = o * out_axis_stride + written * inner;
@@ -301,7 +304,7 @@ mod tests {
         let a = Tensor::zeros(Shape::new(vec![2, 3]));
         let b = Tensor::zeros(Shape::new(vec![3, 2]));
         assert!(Tensor::concat(&[a, b], 0).is_err());
-        assert!(Tensor::concat(&[], 0).is_err());
+        assert!(Tensor::concat::<Tensor>(&[], 0).is_err());
     }
 
     #[test]
