@@ -17,7 +17,9 @@
 //! before / just after a durable commit, and a fresh incarnation recovers
 //! from disk (`run_with_durable_recovery`).
 //!
-//! The bin exits non-zero unless every row recovers bit-identically.
+//! The bin exits non-zero unless every injected fault is detected as a typed
+//! `RunFailure` and every row recovers bit-identically; an undetected fault
+//! is listed after the table and kept out of the ledger.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -115,6 +117,7 @@ fn main() {
     );
     println!("{}", "-".repeat(93));
     let mut rows: Vec<Row> = Vec::new();
+    let mut undetected: Vec<String> = Vec::new();
     for (label, fault) in cases {
         let opts = RunOptions {
             faults: FaultPlan::single(fault),
@@ -125,11 +128,11 @@ fn main() {
         let failure = match run_with_options(&sharded, &shard_feeds, &opts) {
             Err(RuntimeError::Failed(f)) => *f,
             Ok(_) => {
-                eprintln!("{label}: fault was not detected — skipping row");
+                undetected.push(format!("{label}: fault was not detected"));
                 continue;
             }
             Err(e) => {
-                eprintln!("{label}: unexpected error {e} — skipping row");
+                undetected.push(format!("{label}: unexpected error {e}"));
                 continue;
             }
         };
@@ -159,7 +162,7 @@ fn main() {
     // commit of checkpoint 2 and a fresh incarnation recovers from disk.
     let every_orig = (g.num_nodes() / 4).max(1);
     let part = PartitionOptions { workers, ..Default::default() };
-    let mut caches = SearchCaches::default();
+    let caches = SearchCaches::default();
     let root =
         std::env::temp_dir().join(format!("tofu-fault-matrix-durable-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -176,7 +179,7 @@ fn main() {
             crash: Some(crash),
             ..DurableOptions::new(Arc::new(DirStore::open(&dir).expect("open DirStore")))
         };
-        let report = run_with_durable_recovery(g, &full_feeds, &part, &opts, &durable, &mut caches)
+        let report = run_with_durable_recovery(g, &full_feeds, &part, &opts, &durable, &caches)
             .unwrap_or_else(|e| panic!("{label}: durable run failed: {e}"));
         let failure = report.crashed.as_ref().expect("the first incarnation crashed");
         let baseline =
@@ -215,7 +218,10 @@ fn main() {
     write_report("BENCH_faults.json", &doc);
     let all_recovered = rows.iter().all(|r| r.recovered_exact);
     println!("({} rows, all recovered bit-identical: {all_recovered})", rows.len());
-    if !all_recovered {
+    for line in &undetected {
+        eprintln!("FAIL: {line}");
+    }
+    if !all_recovered || !undetected.is_empty() {
         std::process::exit(1);
     }
 }

@@ -24,11 +24,13 @@
 //! * [`search`], the default optimized engine — a transition factored over
 //!   the bundles a group actually reads (each distinct projection of the
 //!   frontier is costed once, then states relax into a dense table), packed
-//!   class-memo keys, dominated-state pruning and strategy/plan caches (see
-//!   DESIGN.md "Search performance" for the exactness argument).
+//!   class-memo keys and strategy/plan caches (see DESIGN.md "Search
+//!   performance" for the exactness argument). Every one is exact: the
+//!   ranking, the beam and the typed errors are the reference's.
 //!
-//! The `crates/core/tests` differential harness asserts that both return
-//! bit-identical costs and identical plans on randomized graphs.
+//! The `crates/core/tests` differential harness asserts that both return the
+//! same plan, or the same error, on randomized graphs at every option
+//! setting — including where the beam and bounded enumeration bind.
 
 use std::collections::BTreeMap;
 
@@ -98,12 +100,12 @@ impl ExtraInputs {
 
 /// Which of the two search engines runs.
 ///
-/// The choice is answer-preserving: both engines return a plan with a
-/// bit-identical total cost (enforced by `crates/core/tests/differential.rs`).
+/// The choice is answer-preserving: both engines return the same plan at
+/// every option setting (enforced by `crates/core/tests/differential.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SearchTuning {
-    /// The optimized engine: strategy cache, dominance pruning, step-plan
-    /// cache (see DESIGN.md "Search performance").
+    /// The optimized engine: factored transition, packed class memo,
+    /// strategy and step-plan caches (see DESIGN.md "Search performance").
     #[default]
     Optimized,
     /// The unoptimized seed implementation, [`unoptimized_search`].
@@ -133,11 +135,11 @@ pub struct DpOptions {
     /// search is no longer exhaustive; each cut where that happens adds one
     /// to the `dp/assignments_bounded` total.
     pub internal_bound: usize,
-    /// Beam width: at most this many DP states are kept per cut (the best
-    /// ones by cost). Truncation is lossy — the plan is proven optimal only
-    /// when `dp/prune_beam` stays 0 — and it binds on wide fork-join
-    /// frontiers (2,233 states per WResNet-50-1 step at the default 512). A
-    /// width of 0 keeps nothing and fails with
+    /// Beam width: at most this many DP states are kept per cut (the
+    /// cheapest by `(cost, key)`). Truncation is lossy — the plan is proven
+    /// optimal only when `dp/prune_beam` stays 0 — and it binds on wide
+    /// fork-join frontiers (2,864 states per WResNet-50-1 step at the
+    /// default 512). A width of 0 keeps nothing and fails with
     /// [`CoreError::SearchSpaceExceeded`].
     pub beam: usize,
     /// Engine selection.
@@ -395,8 +397,9 @@ fn build_classes(
 
 /// The unoptimized seed implementation of the DP, kept alive as the
 /// differential-testing reference. Explores the full `states × combos`
-/// product at every cut with no dominance pruning, `Vec`-keyed memo maps
-/// and no cross-invocation caching. Selected by [`SearchTuning::reference`]
+/// product at every cut with `Vec`-keyed memo maps and no cross-invocation
+/// caching; [`search`] returns its plan, or its error, at every option
+/// setting. Selected by [`SearchTuning::reference`]
 /// (through [`search`]) or called directly by tests.
 pub fn unoptimized_search(
     g: &Graph,
@@ -795,153 +798,18 @@ fn intern(ids: &mut FastMap<Vec<u8>, usize>, key: &[u8]) -> (usize, bool) {
     (id, true)
 }
 
-/// Upper bounds on how much each bundle's spec can still contribute to the
-/// cost *after* each cut — the dominance-pruning certificate (see DESIGN.md
-/// "Search performance"). `after(b, gi)` bounds, for every completion, the
-/// total of all cost terms at groups > `gi` that depend on bundle `b`'s
-/// spec.
-struct DomBounds {
-    /// Flattened `[bundle][group]` suffix sums, `groups + 1` entries per
-    /// bundle (the last is 0).
-    after: Vec<f64>,
-    groups: usize,
-}
-
-impl DomBounds {
-    #[inline]
-    fn after(&self, b: usize, gi: usize) -> f64 {
-        self.after[b * (self.groups + 1) + gi + 1]
-    }
-}
-
-/// Safety inflation applied to every dominance bound: the soundness argument
-/// holds in exact arithmetic; a relative margin of 1e-6 absorbs any f64
-/// rounding discrepancy (costs are sums of at most ~1e6 terms, each with
-/// relative error ~1e-16) while costing virtually no pruning power.
-const DOM_INFLATE: f64 = 1.0 + 1e-6;
-
-fn build_dom_bounds(
-    g: &Graph,
-    view: &ShapeView,
-    cg: &CoarseGraph,
-    extra: &ExtraInputs,
-    bundles: &Bundles,
-    classes: &[Option<ClassInfo>],
-    ways: usize,
-) -> DomBounds {
-    let n_groups = cg.groups.len();
-    let w = ways as f64;
-    // acc[b][gi]: bound on the total spec-dependent cost attributable to
-    // bundle b at group gi.
-    let mut acc = vec![0.0f64; bundles.count * n_groups];
-    let add = |acc: &mut Vec<f64>, b: usize, gi: usize, v: f64| {
-        acc[b * n_groups + gi] += v;
-    };
-
-    // Max over specs of one input-fetch term for a fixed requirement.
-    let req_ub = |shape: &Shape, req: &ConcreteReq| -> f64 {
-        let size = shape.bytes() as f64;
-        match req {
-            ConcreteReq::Unused => 0.0,
-            ConcreteReq::Replicated => size * (w - 1.0),
-            ConcreteReq::Split { dim, halo } => {
-                let cross = size * (w - 1.0) / w;
-                let halo_ub = if *halo > 0.0 && *dim < shape.rank() {
-                    let extent = shape.dim(*dim).max(1) as f64;
-                    size * (halo / extent).min(1.0) * w
-                } else {
-                    0.0
-                };
-                cross.max(halo_ub)
-            }
-        }
-    };
-
-    for info in classes.iter().flatten() {
-        let gi = cg.group_of[info.rep.0];
-        if info.is_ewise {
-            // cost = Σ input_fetch(t, spec(t), ewise_req(class_spec)); each
-            // term depends on both t's bundle and the class's own bundle, so
-            // its max (full replication fetch) is charged to both.
-            for &m in &info.members {
-                let node = g.node(m);
-                for &t in &node.inputs {
-                    let v = view.shape(t).bytes() as f64 * (w - 1.0);
-                    add(&mut acc, bundles.of_tensor[t.0], gi, v);
-                    add(&mut acc, info.own_bundle, gi, v);
-                }
-                for (_, t) in extra.of_node(m) {
-                    let v = view.shape(t).bytes() as f64 * (w - 1.0);
-                    add(&mut acc, bundles.of_tensor[t.0], gi, v);
-                    add(&mut acc, info.own_bundle, gi, v);
-                }
-            }
-        } else {
-            for &m in &info.members {
-                let node = g.node(m);
-                for (i, &t) in node.inputs.iter().enumerate() {
-                    let shape = view.shape(t);
-                    let ub = info
-                        .strategies
-                        .iter()
-                        .map(|s| {
-                            req_ub(shape, s.inputs.get(i).unwrap_or(&ConcreteReq::Unused))
-                        })
-                        .fold(0.0f64, f64::max);
-                    add(&mut acc, bundles.of_tensor[t.0], gi, ub);
-                }
-                for (for_input, t) in extra.of_node(m) {
-                    let shape = view.shape(t);
-                    let ub = info
-                        .strategies
-                        .iter()
-                        .map(|s| {
-                            req_ub(
-                                shape,
-                                s.inputs.get(for_input).unwrap_or(&ConcreteReq::Unused),
-                            )
-                        })
-                        .fold(0.0f64, f64::max);
-                    add(&mut acc, bundles.of_tensor[t.0], gi, ub);
-                }
-                // Output: a Split-out strategy pays up to size*(w-1) respec
-                // depending on the own bundle's spec; Reduce output cost is
-                // spec-independent (cancels in the dominance difference).
-                if info.strategies.iter().any(|s| matches!(s.out, ConcreteOut::Split(_))) {
-                    let v = view.shape(node.output).bytes() as f64 * (w - 1.0);
-                    add(&mut acc, info.own_bundle, gi, v);
-                }
-            }
-        }
-    }
-
-    // Suffix sums with the safety margin folded in.
-    let mut after = vec![0.0f64; bundles.count * (n_groups + 1)];
-    for b in 0..bundles.count {
-        let row = b * (n_groups + 1);
-        after[row + n_groups] = 0.0;
-        for gi in (0..n_groups).rev() {
-            after[row + gi] = after[row + gi + 1] + acc[b * n_groups + gi] * DOM_INFLATE;
-        }
-    }
-    DomBounds { after, groups: n_groups }
-}
-
-/// Maximum number of cheaper survivors a candidate state is compared
-/// against during dominance pruning; bounds the worst-case quadratic cost
-/// on wide frontiers.
-const DOM_COMPARISONS: usize = 48;
-
 /// Runs the DP for one basic step, returning the optimal [`StepPlan`].
 ///
-/// This is the optimized engine — identical recurrence and tie-breaking to
-/// [`unoptimized_search`], with the transition factored over the carried
-/// bundles each group reads (see `CutTables`), packed class-memo keys,
-/// per-combo class-cost precomputation, dominated-state pruning and
-/// (through `caches`) strategy and step-plan memoization. Its cost is
-/// bit-identical to the reference's and its plan the same whenever neither
-/// bound binds (enforced by the differential harness). It is also the one
-/// place [`SearchTuning::reference`] is honoured.
+/// This is the optimized engine — identical recurrence, ranking, beam
+/// truncation and tie-breaking to [`unoptimized_search`], with the
+/// transition factored over the carried bundles each group reads (see
+/// `CutTables`), packed class-memo keys, per-combo class-cost
+/// precomputation and (through `caches`) strategy and step-plan
+/// memoization. It returns the reference's plan, or the reference's error,
+/// at every option setting, including where [`DpOptions::beam`] and
+/// [`DpOptions::internal_bound`] bind (enforced by the differential
+/// harness). It is also the one place [`SearchTuning::reference`] is
+/// honoured.
 ///
 /// `caches` is taken by shared reference: [`SearchCaches`] is internally
 /// synchronized, so any number of threads may run searches against one
@@ -955,8 +823,8 @@ const DOM_COMPARISONS: usize = 48;
 /// `dp/relaxations` (Σ states × surviving assignments, one add-compare
 /// each, infeasible cells included); `dp/assignments_bounded` (cuts where
 /// [`DpOptions::internal_bound`] made enumeration non-exhaustive; absent
-/// when it never fires); the pruning totals `dp/prune_dominated` and
-/// `dp/prune_beam`; cache totals `cache/{strategy,plan}_{hit,miss}`; plus
+/// when it never fires); the pruning total `dp/prune_beam` (states the beam
+/// truncated); cache totals `cache/{strategy,plan}_{hit,miss}`; plus
 /// per-cut `dp/frontier states` and `dp/frontier width` counter samples on
 /// [`Track::search`] (frontier width = bundles crossing the cut, the
 /// quantity §5 argues stays tiny on chain-like coarsened graphs).
@@ -1004,8 +872,6 @@ pub fn search(
         (0..view.len()).map(|t| view.shape(TensorId(t)).rank()).max().unwrap_or(0);
     let four_bit = max_rank <= 14;
 
-    let dom = build_dom_bounds(g, view, cg, extra, &bundles, &classes, opts.ways);
-
     let mut memos: Vec<ClassMemo> = classes
         .iter()
         .map(|c| match c {
@@ -1031,7 +897,6 @@ pub fn search(
     let mut prev_cross: Vec<usize> = Vec::new();
     let mut tables = CutTables::default();
     let mut tuple: Vec<u8> = Vec::new();
-    let mut pruned_dominated = 0u64;
     let mut pruned_beam = 0u64;
 
     for (gi, group) in cg.groups.iter().enumerate() {
@@ -1320,42 +1185,6 @@ pub fn search(
                 .then_with(|| a.specs.cmp(&b.specs))
         });
 
-        // Dominance pruning: drop B when a strictly cheaper survivor A
-        // satisfies cost_B > cost_A + Σ_{differing bundles} after(b, gi).
-        if kept.len() > 1 {
-            let mut survivors: Vec<Cand> = Vec::with_capacity(kept.len());
-            for cand in kept.drain(..) {
-                let mut dominated = false;
-                for a in survivors.iter().take(DOM_COMPARISONS) {
-                    let slack = cand.cost - a.cost;
-                    if slack <= 0.0 {
-                        continue;
-                    }
-                    let mut ub = 0.0f64;
-                    let mut within = true;
-                    for (q, &bundle) in next_cross.iter().enumerate().take(width) {
-                        if a.specs[q] != cand.specs[q] {
-                            ub += dom.after(bundle, gi);
-                            if ub >= slack {
-                                within = false;
-                                break;
-                            }
-                        }
-                    }
-                    if within {
-                        dominated = true;
-                        break;
-                    }
-                }
-                if dominated {
-                    pruned_dominated += 1;
-                } else {
-                    survivors.push(cand);
-                }
-            }
-            kept = survivors;
-        }
-
         if kept.len() > opts.beam {
             pruned_beam += (kept.len() - opts.beam) as u64;
             kept.truncate(opts.beam);
@@ -1383,7 +1212,6 @@ pub fn search(
     let cur: &[Cand] = records.last().map_or(&root, |r| &r.kept);
 
     if let Some(c) = obs {
-        c.add_total("dp/prune_dominated", pruned_dominated as f64);
         c.add_total("dp/prune_beam", pruned_beam as f64);
     }
 

@@ -1,13 +1,17 @@
-//! Differential fuzz harness: the optimized search engine (memoized,
-//! dominance-pruned, cached) against the reference `unoptimized_search` on
-//! random graphs.
+//! Differential fuzz harness: the optimized search engine (factored,
+//! memoized, cached) against the reference `unoptimized_search` on random
+//! graphs.
 //!
-//! The contract (see DESIGN.md "Search performance"): with a beam wide
-//! enough to never truncate, both engines walk the same states in the same
-//! order and sum costs along the same paths, so the optimized engine's total
-//! cost must be **bit-identical** to the reference's — not merely close —
-//! and on these deterministic tie-breaks the chosen plan matches too.
-//! Worker counts deliberately include primes and non-powers-of-two.
+//! The contract (see DESIGN.md "Search performance"): both engines walk the
+//! same states in the same order, sum costs along the same paths, rank by
+//! the same `(cost, key)` and truncate at the same beam, so at every option
+//! setting the optimized engine's cost must be **bit-identical** to the
+//! reference's — not merely close — its plan the same down to every node's
+//! strategy, and its failures the same typed errors. Most cases widen every
+//! bound past use (an exhaustive search); the `…_where_the_bounds_bind`
+//! cases tighten them until the beam truncates, bounded enumeration fires
+//! and `state_bound` aborts. Worker counts deliberately include primes and
+//! non-powers-of-two.
 
 mod common;
 
@@ -21,30 +25,35 @@ use tofu_core::{CoreError, SearchCaches, SearchTuning};
 use tofu_graph::{Attrs, Graph};
 use tofu_tensor::Shape;
 
-/// Exact-search options: the beam and state bound are far above anything a
-/// fuzz-sized graph reaches, so pruning is purely cost-based (sound) and the
-/// bit-identity contract applies.
+/// Exact-search options: the beam and both bounds are far above anything a
+/// fuzz-sized graph reaches, so the search is exhaustive.
 fn exact_opts(ways: usize) -> DpOptions {
     DpOptions { ways, state_bound: 50_000_000, internal_bound: 1 << 22, beam: 50_000_000, ..Default::default() }
 }
 
-/// Error-parity contract. A `SearchSpaceExceeded` reference abort is the
-/// one place the engines may legitimately diverge: the optimized frontier
-/// can stay under a bound the unpruned frontier blows through. Every other
-/// outcome must match variant-for-variant.
+/// [`exact_opts`] for a whole recursive partition.
+fn exact_partition_opts(workers: usize, fetch_buffer_floor: u64) -> PartitionOptions {
+    PartitionOptions {
+        workers,
+        state_bound: 50_000_000,
+        internal_bound: 1 << 22,
+        beam: 50_000_000,
+        fetch_buffer_floor,
+        ..Default::default()
+    }
+}
+
+/// Error-parity contract: the engines succeed together or fail with the
+/// same error value (same variant, same `states` / `bound` / node). Returns
+/// whether both succeeded.
 fn check_error_parity(
     opt: &Result<impl std::fmt::Debug, CoreError>,
     reference: &Result<impl std::fmt::Debug, CoreError>,
 ) -> bool {
     match (opt, reference) {
         (Ok(_), Ok(_)) => true,
-        (_, Err(CoreError::SearchSpaceExceeded { .. })) => false,
         (Err(a), Err(b)) => {
-            assert_eq!(
-                std::mem::discriminant(a),
-                std::mem::discriminant(b),
-                "engines failed differently: optimized {a:?} vs reference {b:?}"
-            );
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "engines failed differently");
             false
         }
         (a, b) => panic!("engine outcome mismatch: optimized {a:?} vs reference {b:?}"),
@@ -52,13 +61,13 @@ fn check_error_parity(
 }
 
 /// Runs one basic step through both engines and asserts the contract.
-fn check_step(g: &Graph, ways: usize) {
+fn check_step(g: &Graph, opts: &DpOptions) {
+    let ways = opts.ways;
     let view = ShapeView::from_graph(g);
     let cg = coarsen(g);
     let extra = ExtraInputs::new();
-    let opts = exact_opts(ways);
-    let ref_opts = DpOptions { tuning: SearchTuning::reference(), ..opts };
-    let optimized = search(g, &view, &cg, &extra, &opts, &SearchCaches::new(), None);
+    let ref_opts = DpOptions { tuning: SearchTuning::reference(), ..*opts };
+    let optimized = search(g, &view, &cg, &extra, opts, &SearchCaches::new(), None);
     let reference = unoptimized_search(g, &view, &cg, &extra, &ref_opts, None);
     if !check_error_parity(&optimized, &reference) {
         return;
@@ -80,17 +89,10 @@ fn check_step(g: &Graph, ways: usize) {
 /// contract step-by-step. Returns the plan when both engines found one. With
 /// a `fetch_buffer_floor` below the graph's tensor sizes, steps after the
 /// first search with non-empty `ExtraInputs`.
-fn check_partition(g: &Graph, workers: usize, fetch_buffer_floor: u64) -> Option<PartitionPlan> {
-    let opts = PartitionOptions {
-        workers,
-        state_bound: 50_000_000,
-        internal_bound: 1 << 22,
-        beam: 50_000_000,
-        fetch_buffer_floor,
-        ..Default::default()
-    };
-    let ref_opts = PartitionOptions { tuning: SearchTuning::reference(), ..opts };
-    let optimized = partition(g, &opts);
+fn check_partition(g: &Graph, opts: &PartitionOptions) -> Option<PartitionPlan> {
+    let workers = opts.workers;
+    let ref_opts = PartitionOptions { tuning: SearchTuning::reference(), ..*opts };
+    let optimized = partition(g, opts);
     let reference = partition(g, &ref_opts);
     if !check_error_parity(&optimized, &reference) {
         return None;
@@ -132,7 +134,7 @@ proptest! {
         ways in prop::sample::select(vec![2usize, 3, 5, 7]),
     ) {
         let g = common::random_dag(seed, ops);
-        check_step(&g, ways);
+        check_step(&g, &exact_opts(ways));
     }
 
     /// Basic-step differential on conv towers (3-D shapes, halo costs).
@@ -143,7 +145,7 @@ proptest! {
         ways in prop::sample::select(vec![2usize, 3, 4]),
     ) {
         let g = common::conv_tower(seed, layers);
-        check_step(&g, ways);
+        check_step(&g, &exact_opts(ways));
     }
 
     /// Full recursive partition differential on trainable MLPs, including
@@ -155,7 +157,8 @@ proptest! {
         workers in prop::sample::select(vec![2usize, 3, 4, 5, 6, 7, 8, 12]),
     ) {
         let g = common::random_training_mlp(seed);
-        check_partition(&g, workers, PartitionOptions::default().fetch_buffer_floor);
+        let floor = PartitionOptions::default().fetch_buffer_floor;
+        check_partition(&g, &exact_partition_opts(workers, floor));
     }
 }
 
@@ -182,7 +185,62 @@ proptest! {
         workers in prop::sample::select(vec![2usize, 3, 4, 6, 8]),
     ) {
         let g = common::residual_tower(seed, blocks);
-        check_partition(&g, workers, RESIDUAL_FLOOR);
+        check_partition(&g, &exact_partition_opts(workers, RESIDUAL_FLOOR));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// Basic-step differential with every bound tight enough to bind: the
+    /// beam truncates, bounded enumeration replaces the exhaustive product
+    /// and `state_bound` aborts some searches, and the engines must still
+    /// return the same plan or the same typed error.
+    #[test]
+    fn step_matches_reference_where_the_bounds_bind(
+        seed in 0u64..1_000_000,
+        family in 0usize..3,
+        ways in prop::sample::select(vec![2usize, 3, 4]),
+        beam in prop::sample::select(vec![1usize, 2, 3, 8]),
+        internal_bound in prop::sample::select(vec![2usize, 4, 8, 16]),
+        state_bound in 4usize..13,
+    ) {
+        let g = match family {
+            0 => common::random_dag(seed, 4 + (seed % 10) as usize),
+            1 => common::conv_tower(seed, 1 + (seed % 3) as usize),
+            _ => common::residual_tower(seed, 1 + (seed % 2) as usize),
+        };
+        check_step(&g, &DpOptions { ways, beam, internal_bound, state_bound, ..Default::default() });
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// The same through the recursion, so later steps bind with non-empty
+    /// `ExtraInputs`.
+    #[test]
+    fn partition_matches_reference_where_the_bounds_bind(
+        seed in 0u64..1_000_000,
+        family in 0usize..2,
+        workers in prop::sample::select(vec![2usize, 4, 6, 8]),
+        beam in prop::sample::select(vec![1usize, 2, 3, 8]),
+        internal_bound in prop::sample::select(vec![2usize, 4, 8, 16]),
+        state_bound in 4usize..13,
+    ) {
+        let g = if family == 0 {
+            common::residual_tower(seed, 1 + (seed % 2) as usize)
+        } else {
+            common::random_training_mlp(seed)
+        };
+        check_partition(&g, &PartitionOptions {
+            workers,
+            beam,
+            internal_bound,
+            state_bound,
+            fetch_buffer_floor: RESIDUAL_FLOOR,
+            ..Default::default()
+        });
     }
 }
 
@@ -211,10 +269,10 @@ fn equal_extent_conv_tower(n: usize, layers: usize) -> Graph {
 fn fractional_cost_ties_break_like_the_reference() {
     for (n, layers) in [(6usize, 2usize), (12, 2)] {
         let g = equal_extent_conv_tower(n, layers);
-        check_step(&g, 3);
+        check_step(&g, &exact_opts(3));
         for workers in [3usize, 6] {
             assert!(
-                check_partition(&g, workers, 0).is_some(),
+                check_partition(&g, &exact_partition_opts(workers, 0)).is_some(),
                 "equal-extent tower n={n} does not partition {workers} ways"
             );
         }
@@ -241,7 +299,7 @@ fn differential_harness_exercises_success_paths() {
     let mut with_extras = 0usize;
     for seed in 0..8u64 {
         let g = common::residual_tower(seed, 1);
-        if let Some(plan) = check_partition(&g, 4, RESIDUAL_FLOOR) {
+        if let Some(plan) = check_partition(&g, &exact_partition_opts(4, RESIDUAL_FLOOR)) {
             ok += 1;
             with_extras += usize::from(plan.steps[1].plan.tensor_spec.len() > g.num_tensors());
         }

@@ -228,7 +228,7 @@ pub(crate) enum SelectErr {
 pub(crate) fn select_width(
     g: &Graph,
     base: &PartitionOptions,
-    caches: &mut SearchCaches,
+    caches: &SearchCaches,
     obs: Option<&Collector>,
     policy: Option<&ElasticPolicy>,
     cap: usize,
@@ -334,7 +334,7 @@ pub fn run_with_elastic_recovery(
     part_opts: &PartitionOptions,
     opts: &RunOptions,
     recovery: &RecoveryOptions,
-    caches: &mut SearchCaches,
+    caches: &SearchCaches,
 ) -> Result<ElasticReport> {
     let source = PlanSource::Replan { graph: g, part: part_opts, caches };
     let s = supervise(source, feeds, opts, recovery, None)?;

@@ -466,7 +466,7 @@ pub(crate) enum PlanSource<'a> {
         /// Partition options; `workers` is the initial fleet size.
         part: &'a PartitionOptions,
         /// Search caches that make a replan a lookup, not a cold search.
-        caches: &'a mut SearchCaches,
+        caches: &'a SearchCaches,
     },
 }
 
@@ -480,7 +480,7 @@ impl<'a> PlanSource<'a> {
 
     /// The plan for a fleet of `cap` devices (see [`select_width`]).
     fn select(
-        &mut self,
+        &self,
         obs: Option<&Collector>,
         policy: Option<&ElasticPolicy>,
         cap: usize,
@@ -580,7 +580,7 @@ fn spare_transition(kind: TransitionKind, device: usize, width: usize) -> Elasti
 /// and the durable sink — is dropped by a process crash and rebuilt by the
 /// next boot from whatever the blob store holds.
 pub(crate) fn supervise(
-    mut source: PlanSource<'_>,
+    source: PlanSource<'_>,
     feeds: &[(TensorId, Tensor)],
     opts: &RunOptions,
     recovery: &RecoveryOptions,

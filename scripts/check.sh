@@ -10,10 +10,13 @@ trap 'echo "scripts/check.sh: total wall time ${SECONDS}s, was 198s (exit $?)"' 
 
 # API ratchet: the public-function count of each layered crate may not
 # exceed scripts/api_budget.txt. Lowering a budget is free; raising one must
-# happen in the diff that adds the function, where a reviewer sees it.
+# happen in the diff that adds the function, where a reviewer sees it. The
+# crate's code-line count (neither blank nor a `//` line) is printed beside
+# it, reported and not budgeted: a simplicity PR's claim is this line.
 while read -r crate budget; do
     count=$(grep -r "pub fn" "crates/$crate/src" | wc -l)
-    echo "pub fn in crates/$crate/src: $count (budget $budget)"
+    lines=$(grep -rvE '^\s*(//|$)' "crates/$crate/src" | wc -l)
+    echo "pub fn in crates/$crate/src: $count (budget $budget), code lines $lines"
     if [ "$count" -gt "$budget" ]; then
         echo "scripts/check.sh: crates/$crate/src exceeds its pub fn budget" >&2
         exit 1
@@ -61,10 +64,11 @@ timeout 300 cargo test -q -p tofu-runtime --test elastic --test reshard --test c
 timeout 300 cargo test -q -p tofu-durable
 timeout 300 cargo test -q -p tofu-runtime --test durable
 # The search-optimality suites (brute-force oracle + differential fuzzing
-# against the reference engine, incl. the residual towers and the
-# fractional-cost tie case) are exhaustive by design; cap them so a
-# search-space blowup fails CI instead of stalling it. The default-options
-# plan hashes (tests/golden_plans.rs) run with the workspace tests below.
+# against the reference engine — bounds widened past use and bounds tight
+# enough to bind — incl. the residual towers and the fractional-cost tie
+# case) are exhaustive by design; cap them so a search-space blowup fails CI
+# instead of stalling it. The default-options plan hashes of both engines
+# (tests/golden_plans.rs) run with the workspace tests below.
 timeout 600 cargo test -q -p tofu-core --test oracle --test differential
 # The gradient-check oracle finite-differences every differentiable op (and
 # proptests the dense kernels over random shapes); the strategy-discovery
@@ -96,8 +100,9 @@ cargo test --workspace -q
 # Runtime counts per width (exits non-zero if the transport copied a payload
 # byte — the zero-copy data plane must stay zero-copy).
 timeout 600 cargo run --release -q -p tofu-bench --bin runtime_scaling
-# Fault matrix (exits non-zero unless every injected fault recovers
-# bit-identically, including the two whole-process crash-restart rows).
+# Fault matrix (exits non-zero unless every injected fault is detected and
+# recovers bit-identically, including the two whole-process crash-restart
+# rows).
 cargo run --release -q -p tofu-bench --bin fault_matrix
 # Durability matrix: whole-process crashes at early/mid/late durable commits
 # × every disk-fault family, restarting at alternating widths (exits
@@ -112,9 +117,11 @@ timeout 300 cargo run --release -q -p tofu-bench --bin elastic_recovery
 # an undisturbed run at its final width resumed from the same snapshot cut,
 # at least one grow event fired, and every warm-pass replan was a cache hit).
 timeout 300 cargo run --release -q -p tofu-bench --bin fleet_churn
-# Search-engine counts (exits non-zero if the optimized DP's plan cost
-# differs from the reference engine's, or if its group-cost evaluations plus
-# relaxations reach the reference's states × combos on a nontrivial search).
+# Search-engine counts (exits non-zero if the optimized DP's plan, cold or
+# warm, differs from the reference engine's at default options in any step's
+# ways, cost bits, tensor specs or node choices, or if its group-cost
+# evaluations plus relaxations reach the reference's states × combos on a
+# nontrivial search).
 cargo run --release -q -p tofu-bench --bin search_scaling
 # Transformer decoder scaling curves (exits non-zero unless the search finds
 # multi-axis strategies at every multi-worker point — exact megatron
