@@ -10,7 +10,7 @@
 //!
 //! Every scenario runs twice: a **cold** pass against a fresh `SearchCaches`
 //! (replans pay the full search) and a **warm** pass reusing the cold pass's
-//! caches (replans are plan-cache lookups). The two passes must agree on the
+//! caches (replans are request-memo lookups). The two passes must agree on the
 //! whole ladder — widths, losses, joins — and both must finish bit-identical
 //! to an undisturbed run at the final width resumed from the same snapshot
 //! cut. When the two passes also harvested the *same* cuts, their outputs
@@ -20,7 +20,7 @@
 //!
 //! The bin exits non-zero if any output diverges from its baseline, if no
 //! grow event fired across the sweep, or (by assertion) if a warm-pass
-//! replan was not a plan-cache hit.
+//! replan was not a request-memo hit.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -223,7 +223,7 @@ fn main() {
             );
         }
         assert_eq!(cold.widths, s.expect_widths, "{}: unexpected ladder", s.name);
-        // In the warm pass every replanned width is a plan-cache hit — the
+        // In the warm pass every replanned width is a request-memo hit — the
         // exact form of "warm replans beat cold ones".
         assert!(
             warm.transitions.iter().filter(|t| t.replan.is_some()).all(|t| t.replan_warm),

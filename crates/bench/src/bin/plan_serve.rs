@@ -1,6 +1,6 @@
 //! Plan-service ledger: the cache and single-flight accounting of
 //! `tofu-serve` answering a multi-tenant request mix from its shared
-//! concurrent plan cache, written to `BENCH_serve.json`. Latency and
+//! response cache, written to `BENCH_serve.json`. Latency and
 //! throughput are measured by `benchmark/` (`serve_hit` / `serve_miss`,
 //! `serve.*_s`), not here.
 //!
@@ -172,7 +172,6 @@ fn main() {
         );
         failed = true;
     }
-    let snap = server.caches().snapshot();
 
     let results = vec![Json::obj(vec![
         ("unique_requests", Json::from(mix.len())),
@@ -185,8 +184,6 @@ fn main() {
         ("serve_misses", Json::from(misses)),
         ("serve_joined", Json::from(joined)),
         ("serve_rejected", Json::from(rejected)),
-        ("plan_cache_entries", Json::from(snap.plan_entries)),
-        ("plan_cache_hit_rate", Json::from(snap.plan_hit_rate)),
         ("byte_identical", Json::Bool(!failed)),
     ])];
     let doc = bench_report(

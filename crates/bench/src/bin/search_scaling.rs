@@ -1,6 +1,6 @@
 //! Partition-search scaling ledger: group-cost evaluations, relaxations,
-//! states the beam truncated and cache hits of the optimized DP engine
-//! (factored transition, strategy cache, plan cache) against the reference
+//! states the beam truncated and strategy-cache hits of the optimized DP
+//! engine (factored transition, strategy cache) against the reference
 //! `unoptimized_search`, for an MLP, WResNet-50 and a decoder block at 2/4/8
 //! workers, written to `BENCH_search.json`. Search *time* is measured by
 //! `benchmark/` (`core.partition_s`, `core.partition_warm_s`).
@@ -34,7 +34,6 @@ struct Row {
     assignments_bounded: f64,
     prune_beam: f64,
     strategy_hits: f64,
-    plan_hits_warm: f64,
     cost: f64,
     identical: bool,
 }
@@ -54,11 +53,9 @@ fn measure(model: &'static str, g: &Graph, workers: usize, warm: &SearchCaches) 
     let opt_plan = partition_with_obs(g, &optimized_opts, Some(&opt_obs)).expect("optimized");
 
     // Warm row: same query against a caches object shared across the whole
-    // (model, workers) sweep — counts cross-call plan-cache reuse (the call
-    // may still solve step fingerprints no smaller width has seen).
-    let warm_obs = Collector::new();
-    let warm_plan =
-        partition_cached(g, &optimized_opts, warm, Some(&warm_obs)).expect("warm optimized");
+    // (model, workers) sweep, so the search runs on a strategy memo that
+    // smaller widths filled.
+    let warm_plan = partition_cached(g, &optimized_opts, warm, None).expect("warm optimized");
 
     let cost = ref_plan.total_comm_bytes();
     // Whole-plan identity on the canonical plan bytes: every step's ways,
@@ -75,7 +72,6 @@ fn measure(model: &'static str, g: &Graph, workers: usize, warm: &SearchCaches) 
         assignments_bounded: total(&opt_obs, "dp/assignments_bounded"),
         prune_beam: total(&opt_obs, "dp/prune_beam"),
         strategy_hits: total(&opt_obs, "cache/strategy_hit"),
-        plan_hits_warm: total(&warm_obs, "cache/plan_hit"),
         cost,
         identical,
     }
@@ -112,12 +108,12 @@ fn main() {
         ("wresnet-50-1 (batch 8)", &wres_model.graph),
         ("decoder-256 (seq 128)", &decoder_model.graph),
     ] {
-        // One warm cache per model: worker counts share 2-way step
-        // fingerprints, which is exactly the reuse the plan cache targets.
+        // One warm cache per model: worker counts share strategy
+        // signatures, and each width must still return the reference's plan.
         let warm = SearchCaches::new();
         println!("\n{name} — reference vs optimized search");
         println!(
-            "{:<8} {:>12} {:>12} {:>12} {:>8} {:>10} {:>14} {:>14} {:>6}",
+            "{:<8} {:>12} {:>12} {:>12} {:>8} {:>10} {:>14} {:>6}",
             "workers",
             "ref states",
             "opt states",
@@ -125,14 +121,13 @@ fn main() {
             "bounded",
             "pruned",
             "strategy hits",
-            "warm plan hits",
             "ident"
         );
-        println!("{}", "-".repeat(104));
+        println!("{}", "-".repeat(89));
         for workers in WORKERS {
             let r = measure(name, g, workers, &warm);
             println!(
-                "{:<8} {:>12.0} {:>12.0} {:>12.0} {:>8.0} {:>10.0} {:>14.0} {:>14.0} {:>6}",
+                "{:<8} {:>12.0} {:>12.0} {:>12.0} {:>8.0} {:>10.0} {:>14.0} {:>6}",
                 r.workers,
                 r.ref_states,
                 r.opt_states,
@@ -140,7 +135,6 @@ fn main() {
                 r.assignments_bounded,
                 r.prune_beam,
                 r.strategy_hits,
-                r.plan_hits_warm,
                 r.identical,
             );
             if !r.identical {
@@ -181,7 +175,6 @@ fn main() {
                 ("assignments_bounded", Json::from(r.assignments_bounded)),
                 ("prune_beam", Json::from(r.prune_beam)),
                 ("strategy_cache_hits", Json::from(r.strategy_hits)),
-                ("warm_plan_cache_hits", Json::from(r.plan_hits_warm)),
                 ("total_comm_bytes", Json::from(r.cost)),
                 ("cost_identical", Json::Bool(r.identical)),
             ])

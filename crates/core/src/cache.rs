@@ -1,17 +1,13 @@
 //! Memoization shared across DP invocations — and across threads.
 //!
-//! Four caches make the search layer fast without changing its answers:
+//! Three caches make the search layer fast without changing its answers:
 //!
 //! 1. a **strategy-enumeration cache** keyed by (op kind, attrs, shape
 //!    signature) — the thousands of structurally identical nodes in
 //!    WResNet/MLP enumerate their partition-n-reduce strategies once;
-//! 2. a **step-plan cache** keyed by a structural fingerprint of the whole
-//!    DP input (graph, shape view, coarsening, extra inputs, options) — a
-//!    repeated basic step (e.g. the first 2-way cut shared by every
-//!    power-of-two worker count in a sweep) is searched once;
-//! 3. the per-class cost memo inside `dp.rs` (always on; it lives there
+//! 2. the per-class cost memo inside `dp.rs` (always on; it lives there
 //!    because its keys are frontier-local);
-//! 4. a **request memo** keyed by [`request_fingerprint`] — a repeat of a
+//! 3. a **request memo** keyed by [`request_fingerprint`] — a repeat of a
 //!    *whole* partition request skips even coarsening and returns the
 //!    finished plan, and a width the search *proved infeasible*
 //!    ([`crate::CoreError::NoStrategy`] / `BadWorkerCount`) is remembered
@@ -34,14 +30,13 @@
 //! entry first*, never the entry's value — so results stay bit-identical to
 //! a single-threaded run (the plan-service stress tests assert this).
 //!
-//! The step-plan cache and the request memo are two instances of one
-//! `SingleFlight` table, which additionally performs **single-flight
-//! deduplication**: when N threads miss the same fingerprint at once,
-//! exactly one (the *leader*) runs the search while the rest block on a
-//! condvar and receive the leader's value as a hit. A leader that errors or
-//! panics marks the flight failed and wakes the waiters, one of which
-//! becomes the next leader — no flight is ever abandoned in a blocking
-//! state.
+//! The request memo is a `SingleFlight` table, which additionally performs
+//! **single-flight deduplication**: when N threads miss the same fingerprint
+//! at once, exactly one (the *leader*) runs the search while the rest block
+//! on a condvar and receive the leader's value as a hit. A leader that
+//! errors or panics marks the flight failed and wakes the waiters, one of
+//! which becomes the next leader — no flight is ever abandoned in a
+//! blocking state.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -50,11 +45,9 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 use tofu_graph::Graph;
 
-use crate::coarsen::CoarseGraph;
-use crate::dp::{DpOptions, ExtraInputs, StepPlan};
 use crate::error::CoreError;
 use crate::recursive::{PartitionOptions, PartitionPlan};
-use crate::strategies::{NodeStrategy, ShapeView};
+use crate::strategies::NodeStrategy;
 
 /// A fast multiply-xor hasher for the DP's internal keys (packed class-memo
 /// keys, spec tuples, fingerprints). Not DoS-resistant — keys are internal,
@@ -95,34 +88,34 @@ impl Hasher for FastHasher {
 /// A `HashMap` using [`FastHasher`].
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
-/// 128-bit FNV-1a, used for structural fingerprints where a collision would
+/// 128-bit FNV-1a, used for the request fingerprint, where a collision would
 /// silently return a wrong plan (so 64 bits would be uncomfortable).
 #[derive(Clone, Copy)]
-pub(crate) struct Fnv(u128);
+struct Fnv(u128);
 
 const FNV_OFFSET: u128 = 0x6c62272e07bb0142_62b821756295c58d;
 const FNV_PRIME: u128 = 0x0000000001000000_000000000000013b;
 
 impl Fnv {
-    pub(crate) fn new() -> Fnv {
+    fn new() -> Fnv {
         Fnv(FNV_OFFSET)
     }
 
-    pub(crate) fn byte(&mut self, b: u8) {
+    fn byte(&mut self, b: u8) {
         self.0 = (self.0 ^ u128::from(b)).wrapping_mul(FNV_PRIME);
     }
 
-    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
+    fn bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.byte(b);
         }
     }
 
-    pub(crate) fn num(&mut self, v: u64) {
+    fn num(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
     }
 
-    pub(crate) fn finish(self) -> u128 {
+    fn finish(self) -> u128 {
         self.0
     }
 }
@@ -138,11 +131,6 @@ pub struct CacheStats {
     pub strategy_hits: u64,
     /// Strategy-enumeration cache misses.
     pub strategy_misses: u64,
-    /// Step-plan cache hits (including single-flight waiters served by a
-    /// leader's finished plan).
-    pub plan_hits: u64,
-    /// Step-plan cache misses (one per single-flight leader).
-    pub plan_misses: u64,
     /// Request-memo hits: whole partition requests answered without any
     /// search — a finished plan or a remembered infeasibility (including
     /// single-flight waiters served by a leader's outcome).
@@ -157,24 +145,9 @@ impl CacheStats {
         rate(self.strategy_hits, self.strategy_misses)
     }
 
-    /// Hits / lookups of the step-plan cache (`0.0` before any lookup).
-    pub fn plan_hit_rate(&self) -> f64 {
-        rate(self.plan_hits, self.plan_misses)
-    }
-
     /// Hits / lookups of the request memo (`0.0` before any lookup).
     pub fn request_hit_rate(&self) -> f64 {
         rate(self.request_hits, self.request_misses)
-    }
-
-    /// Total lookups across all three tallied caches.
-    pub fn lookups(&self) -> u64 {
-        self.strategy_hits
-            + self.strategy_misses
-            + self.plan_hits
-            + self.plan_misses
-            + self.request_hits
-            + self.request_misses
     }
 }
 
@@ -197,15 +170,11 @@ pub struct CacheSnapshot {
     pub stats: CacheStats,
     /// Resident strategy-enumeration entries.
     pub strategy_entries: usize,
-    /// Resident finished step plans (in-flight computations excluded).
-    pub plan_entries: usize,
     /// Resident request-memo outcomes — finished plans *and* remembered
     /// infeasibilities (in-flight computations excluded).
     pub request_entries: usize,
     /// Derived strategy-cache hit rate.
     pub strategy_hit_rate: f64,
-    /// Derived step-plan-cache hit rate.
-    pub plan_hit_rate: f64,
     /// Derived request-memo hit rate.
     pub request_hit_rate: f64,
 }
@@ -395,14 +364,13 @@ pub(crate) type RequestOutcome = Result<PartitionPlan, CoreError>;
 /// [`crate::partition`] creates a fresh instance per call; callers that run
 /// many related searches (worker-count sweeps, an elastic runtime's width
 /// ladder) share one instance via [`crate::recursive::partition_cached`] to
-/// also reuse plans across calls. The type is `Send + Sync`: a long-running
-/// service wraps one instance in an `Arc` and calls `partition_cached` from
-/// many solver threads at once (see the module docs for the bit-identity
-/// argument).
+/// reuse strategy enumerations and whole-request outcomes across calls. The
+/// type is `Send + Sync`: a long-running service wraps one instance in an
+/// `Arc` and calls `partition_cached` from many solver threads at once (see
+/// the module docs for the bit-identity argument).
 #[derive(Default)]
 pub struct SearchCaches {
     strategies: [RwLock<HashMap<String, Vec<NodeStrategy>>>; SHARDS],
-    pub(crate) plans: SingleFlight<StepPlan>,
     pub(crate) requests: SingleFlight<RequestOutcome>,
     strategy_hits: AtomicU64,
     strategy_misses: AtomicU64,
@@ -419,8 +387,6 @@ impl SearchCaches {
         CacheStats {
             strategy_hits: self.strategy_hits.load(Ordering::Relaxed),
             strategy_misses: self.strategy_misses.load(Ordering::Relaxed),
-            plan_hits: self.plans.hits.load(Ordering::Relaxed),
-            plan_misses: self.plans.misses.load(Ordering::Relaxed),
             request_hits: self.requests.hits.load(Ordering::Relaxed),
             request_misses: self.requests.misses.load(Ordering::Relaxed),
         }
@@ -435,10 +401,8 @@ impl SearchCaches {
         CacheSnapshot {
             stats,
             strategy_entries,
-            plan_entries: self.plans.ready_entries(),
             request_entries: self.requests.ready_entries(),
             strategy_hit_rate: stats.strategy_hit_rate(),
-            plan_hit_rate: stats.plan_hit_rate(),
             request_hit_rate: stats.request_hit_rate(),
         }
     }
@@ -464,70 +428,6 @@ impl SearchCaches {
         // a pure function of the signature), so last-write-wins is safe.
         shard.write().expect("cache lock").insert(sig, v);
     }
-}
-
-/// Structural fingerprint of one DP invocation: everything `search` reads.
-///
-/// Node *names* are deliberately excluded so isomorphic subgraphs that
-/// differ only in labels share an entry; everything that feeds the cost
-/// model — op kinds, canonical attrs, per-tensor shapes under the view, the
-/// coarsened group/class structure, extra fetch buffers, and every search
-/// bound — is folded in. The engine choice is not: only the optimized engine
-/// consults the step-plan cache.
-pub(crate) fn step_fingerprint(
-    g: &Graph,
-    view: &ShapeView,
-    cg: &CoarseGraph,
-    extra: &ExtraInputs,
-    opts: &DpOptions,
-) -> u128 {
-    let mut h = Fnv::new();
-    h.num(opts.ways as u64);
-    h.byte(u8::from(opts.allow_reduce));
-    h.num(opts.state_bound as u64);
-    h.num(opts.internal_bound as u64);
-    h.num(opts.beam as u64);
-    // Shapes under the view (covers graph tensors and extra buffers).
-    h.num(view.len() as u64);
-    for t in 0..view.len() {
-        let dims = view.shape(tofu_graph::TensorId(t)).dims();
-        h.num(dims.len() as u64);
-        for &d in dims {
-            h.num(d as u64);
-        }
-    }
-    // Graph structure: ops, canonical attrs, wiring.
-    h.num(g.num_nodes() as u64);
-    for id in g.node_ids() {
-        let n = g.node(id);
-        h.bytes(n.op.as_bytes());
-        h.byte(0);
-        h.bytes(n.attrs.to_string().as_bytes());
-        h.byte(0);
-        h.num(n.inputs.len() as u64);
-        for &t in &n.inputs {
-            h.num(t.0 as u64);
-        }
-        h.num(n.output.0 as u64);
-    }
-    // Coarsening (groups and classes drive the DP's shape).
-    for &gi in &cg.group_of {
-        h.num(gi as u64);
-    }
-    for &ci in &cg.class_of {
-        h.num(ci as u64);
-    }
-    for &e in &cg.class_is_ewise {
-        h.byte(u8::from(e));
-    }
-    // Extra fetch buffers.
-    h.num(extra.len() as u64);
-    for (node, for_input, tensor) in extra.entries() {
-        h.num(node.0 as u64);
-        h.num(for_input as u64);
-        h.num(tensor.0 as u64);
-    }
-    h.finish()
 }
 
 /// Structural fingerprint of one *whole partition request*: the graph (ops,
@@ -618,8 +518,8 @@ mod tests {
         assert_eq!(c.stats(), CacheStats::default());
         let snap = c.snapshot();
         assert_eq!(snap.strategy_entries, 0);
-        assert_eq!(snap.plan_entries, 0);
-        assert_eq!(snap.plan_hit_rate, 0.0);
+        assert_eq!(snap.request_entries, 0);
+        assert_eq!(snap.request_hit_rate, 0.0);
     }
 
     #[test]
@@ -627,84 +527,49 @@ mod tests {
         let s = CacheStats {
             strategy_hits: 3,
             strategy_misses: 1,
-            plan_hits: 0,
-            plan_misses: 4,
             request_hits: 1,
             request_misses: 1,
         };
         assert!((s.strategy_hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(s.plan_hit_rate(), 0.0);
         assert_eq!(s.request_hit_rate(), 0.5);
-        assert_eq!(s.lookups(), 10);
     }
 
-    /// A value the single-flight checks can mint and recognise, so each
-    /// check runs unchanged on both tables [`SearchCaches`] instantiates.
-    trait Probe: Clone + Send + Sync + 'static {
-        fn mint(tag: usize) -> Self;
-        fn tag(&self) -> usize;
+    /// An outcome the single-flight checks can mint and recognise.
+    fn mint(tag: usize) -> RequestOutcome {
+        Err(CoreError::BadWorkerCount(tag))
     }
 
-    impl Probe for StepPlan {
-        fn mint(tag: usize) -> StepPlan {
-            StepPlan {
-                ways: tag,
-                tensor_spec: Vec::new(),
-                node_choice: Vec::new(),
-                comm_bytes: 0.0,
-            }
-        }
-        fn tag(&self) -> usize {
-            self.ways
-        }
-    }
-
-    impl Probe for RequestOutcome {
-        fn mint(tag: usize) -> RequestOutcome {
-            Err(CoreError::BadWorkerCount(tag))
-        }
-        fn tag(&self) -> usize {
-            match self {
-                Err(CoreError::BadWorkerCount(tag)) => *tag,
-                _ => panic!("minted outcomes are BadWorkerCount"),
-            }
-        }
-    }
-
-    fn tallies<V>(t: &SingleFlight<V>) -> (u64, u64) {
+    fn tallies(t: &SingleFlight<RequestOutcome>) -> (u64, u64) {
         (t.hits.load(Ordering::Relaxed), t.misses.load(Ordering::Relaxed))
     }
 
-    fn lead<V: Probe>(t: &SingleFlight<V>, key: u128) -> FlightGuard<'_, V> {
+    fn lead(t: &SingleFlight<RequestOutcome>, key: u128) -> FlightGuard<'_, RequestOutcome> {
         match t.begin(key) {
             Lookup::Leader(guard) => guard,
             Lookup::Ready(_) => panic!("no value published for key {key}"),
         }
     }
 
-    fn hit<V: Probe>(t: &SingleFlight<V>, key: u128) -> usize {
+    fn hit(t: &SingleFlight<RequestOutcome>, key: u128) -> usize {
         match t.begin(key) {
-            Lookup::Ready(v) => v.tag(),
+            Lookup::Ready(Err(CoreError::BadWorkerCount(tag))) => tag,
+            Lookup::Ready(_) => panic!("minted outcomes are BadWorkerCount"),
             Lookup::Leader(_) => panic!("key {key} must not elect a second leader"),
         }
     }
 
-    fn leader_then_hit<V: Probe>() {
-        let t = SingleFlight::<V>::default();
-        lead(&t, 42).fill(&V::mint(7));
+    #[test]
+    fn single_flight_leader_then_hit() {
+        let t = SingleFlight::default();
+        lead(&t, 42).fill(&mint(7));
         assert_eq!(hit(&t, 42), 7);
         assert_eq!(tallies(&t), (1, 1));
         assert_eq!(t.ready_entries(), 1);
     }
 
     #[test]
-    fn single_flight_leader_then_hit() {
-        leader_then_hit::<StepPlan>();
-        leader_then_hit::<RequestOutcome>();
-    }
-
-    fn failed_flight_frees_the_key<V: Probe>() {
-        let t = SingleFlight::<V>::default();
+    fn failed_flight_elects_a_new_leader() {
+        let t = SingleFlight::default();
         drop(lead(&t, 7)); // leader "errored": flight must clear
         // The key is free again: the next lookup becomes leader, not a hit.
         let _second = lead(&t, 7);
@@ -712,16 +577,10 @@ mod tests {
         assert_eq!(t.ready_entries(), 0, "a failed flight leaves nothing behind");
     }
 
-    #[test]
-    fn failed_flight_elects_a_new_leader() {
-        failed_flight_frees_the_key::<StepPlan>();
-        failed_flight_frees_the_key::<RequestOutcome>();
-    }
-
     /// Spins until `waiters` other threads hold the pending flight of `key`,
     /// i.e. each saw the slot `Pending` and is parked on (or about to lock)
     /// the flight.
-    fn await_waiters<V: Probe>(t: &SingleFlight<V>, key: u128, waiters: usize) {
+    fn await_waiters(t: &SingleFlight<RequestOutcome>, key: u128, waiters: usize) {
         loop {
             if let Some(Slot::Pending(f)) = t.shard(key).read().expect("cache lock").get(&key) {
                 if Arc::strong_count(f) > waiters {
@@ -732,13 +591,14 @@ mod tests {
         }
     }
 
-    fn waiters_get_the_leaders_value<V: Probe>() {
-        let t = SingleFlight::<V>::default();
+    #[test]
+    fn waiters_block_until_leader_fills() {
+        let t = SingleFlight::default();
         let guard = lead(&t, 9);
         std::thread::scope(|s| {
             let waiters: Vec<_> = (0..4).map(|_| s.spawn(|| hit(&t, 9))).collect();
             await_waiters(&t, 9, 4);
-            guard.fill(&V::mint(3));
+            guard.fill(&mint(3));
             for w in waiters {
                 assert_eq!(w.join().expect("waiter"), 3);
             }
@@ -747,13 +607,8 @@ mod tests {
     }
 
     #[test]
-    fn waiters_block_until_leader_fills() {
-        waiters_get_the_leaders_value::<StepPlan>();
-        waiters_get_the_leaders_value::<RequestOutcome>();
-    }
-
-    fn panicking_leader_hands_over<V: Probe>() {
-        let t = SingleFlight::<V>::default();
+    fn panicking_leader_wakes_a_waiter_who_becomes_leader() {
+        let t = SingleFlight::default();
         std::thread::scope(|s| {
             let (leading_tx, leading_rx) = std::sync::mpsc::channel::<()>();
             let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
@@ -767,7 +622,7 @@ mod tests {
             leading_rx.recv().expect("leader elected");
             // The waiter must come out of `begin` as the next leader: its
             // fill is what the final lookup sees.
-            let waiter = s.spawn(move || lead(t, 11).fill(&V::mint(5)));
+            let waiter = s.spawn(move || lead(t, 11).fill(&mint(5)));
             await_waiters(t, 11, 1);
             go_tx.send(()).expect("leader alive");
             assert!(leader.join().is_err(), "the leader thread panicked");
@@ -775,12 +630,6 @@ mod tests {
         });
         assert_eq!(hit(&t, 11), 5);
         assert_eq!(tallies(&t), (1, 2));
-    }
-
-    #[test]
-    fn panicking_leader_wakes_a_waiter_who_becomes_leader() {
-        panicking_leader_hands_over::<StepPlan>();
-        panicking_leader_hands_over::<RequestOutcome>();
     }
 
     #[test]
@@ -794,12 +643,11 @@ mod tests {
         };
         lead(&c.requests, 1).fill(&Ok(plan));
         assert!(matches!(c.requests.begin(1), Lookup::Ready(Ok(p)) if p.workers == 2));
-        lead(&c.requests, 2).fill(&RequestOutcome::mint(7));
+        lead(&c.requests, 2).fill(&mint(7));
         assert_eq!(hit(&c.requests, 2), 7);
 
         let stats = c.stats();
         assert_eq!((stats.request_hits, stats.request_misses), (2, 2));
-        assert_eq!((stats.plan_hits, stats.plan_misses), (0, 0));
         assert_eq!(c.snapshot().request_entries, 2);
     }
 }

@@ -24,7 +24,7 @@
 //! * [`search`], the default optimized engine — a transition factored over
 //!   the bundles a group actually reads (each distinct projection of the
 //!   frontier is costed once, then states relax into a dense table), packed
-//!   class-memo keys and strategy/plan caches (see DESIGN.md "Search
+//!   class-memo keys and a strategy cache (see DESIGN.md "Search
 //!   performance" for the exactness argument). Every one is exact: the
 //!   ranking, the beam and the typed errors are the reference's.
 //!
@@ -38,7 +38,7 @@ use tofu_graph::{Graph, NodeId, TensorId};
 use tofu_obs::{Collector, Track};
 use tofu_tensor::Shape;
 
-use crate::cache::{step_fingerprint, FastMap, Lookup, SearchCaches};
+use crate::cache::{FastMap, SearchCaches};
 use crate::coarsen::CoarseGraph;
 use crate::error::CoreError;
 use crate::spec::{
@@ -81,21 +81,6 @@ impl ExtraInputs {
     pub fn tensors(&self) -> impl Iterator<Item = TensorId> + '_ {
         self.entries.iter().map(|&(_, _, t)| t)
     }
-
-    /// All `(node, for_input, tensor)` entries in registration order.
-    pub fn entries(&self) -> impl Iterator<Item = (NodeId, usize, TensorId)> + '_ {
-        self.entries.iter().copied()
-    }
-
-    /// Number of registered buffers.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no buffers are registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 /// Which of the two search engines runs.
@@ -105,7 +90,7 @@ impl ExtraInputs {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SearchTuning {
     /// The optimized engine: factored transition, packed class memo,
-    /// strategy and step-plan caches (see DESIGN.md "Search performance").
+    /// strategy cache (see DESIGN.md "Search performance").
     #[default]
     Optimized,
     /// The unoptimized seed implementation, [`unoptimized_search`].
@@ -804,17 +789,17 @@ fn intern(ids: &mut FastMap<Vec<u8>, usize>, key: &[u8]) -> (usize, bool) {
 /// truncation and tie-breaking to [`unoptimized_search`], with the
 /// transition factored over the carried bundles each group reads (see
 /// `CutTables`), packed class-memo keys, per-combo class-cost
-/// precomputation and (through `caches`) strategy and step-plan
-/// memoization. It returns the reference's plan, or the reference's error,
-/// at every option setting, including where [`DpOptions::beam`] and
-/// [`DpOptions::internal_bound`] bind (enforced by the differential
-/// harness). It is also the one place [`SearchTuning::reference`] is
+/// precomputation and (through `caches`) strategy memoization. It returns
+/// the reference's plan, or the reference's error, at every option setting,
+/// including where [`DpOptions::beam`] and [`DpOptions::internal_bound`]
+/// bind (enforced by the differential harness). It is also the one place [`SearchTuning::reference`] is
 /// honoured.
 ///
 /// `caches` is taken by shared reference: [`SearchCaches`] is internally
 /// synchronized, so any number of threads may run searches against one
-/// instance concurrently. Concurrent misses of the same step fingerprint
-/// are single-flighted — one thread searches, the rest wait for its plan.
+/// instance concurrently. Every call searches: repeated requests are
+/// answered one level up, by the request memo in
+/// [`crate::recursive::partition_cached`].
 ///
 /// Statistics go to `obs`: running totals `dp/strategies_enumerated`,
 /// `dp/strategies_feasible`, `dp/frontier_width_max`; the work totals
@@ -824,7 +809,7 @@ fn intern(ids: &mut FastMap<Vec<u8>, usize>, key: &[u8]) -> (usize, bool) {
 /// each, infeasible cells included); `dp/assignments_bounded` (cuts where
 /// [`DpOptions::internal_bound`] made enumeration non-exhaustive; absent
 /// when it never fires); the pruning total `dp/prune_beam` (states the beam
-/// truncated); cache totals `cache/{strategy,plan}_{hit,miss}`; plus
+/// truncated); cache totals `cache/strategy_{hit,miss}`; plus
 /// per-cut `dp/frontier states` and `dp/frontier width` counter samples on
 /// [`Track::search`] (frontier width = bundles crossing the cut, the
 /// quantity §5 argues stays tiny on chain-like coarsened graphs).
@@ -843,25 +828,6 @@ pub fn search(
     if opts.ways < 2 {
         return Err(CoreError::BadWorkerCount(opts.ways));
     }
-
-    // Single-flight plan-cache lookup: a hit (cached or freshly published by
-    // a concurrent leader) returns immediately; a miss makes this thread the
-    // leader, and the guard resolves the flight on every exit path —
-    // including errors and panics — so waiters never block forever.
-    let flight = match caches.plans.begin(step_fingerprint(g, view, cg, extra, opts)) {
-        Lookup::Ready(plan) => {
-            if let Some(c) = obs {
-                c.add_total("cache/plan_hit", 1.0);
-            }
-            return Ok(plan);
-        }
-        Lookup::Leader(guard) => {
-            if let Some(c) = obs {
-                c.add_total("cache/plan_miss", 1.0);
-            }
-            guard
-        }
-    };
 
     let bundles = build_bundles(g, view, cg, extra, opts.ways);
     let classes = build_classes(g, view, cg, extra, &bundles, opts, Some(caches), obs)?;
@@ -1272,10 +1238,7 @@ pub fn search(
         }
     }
 
-    let plan =
-        StepPlan { ways: opts.ways, tensor_spec, node_choice, comm_bytes: total_cost };
-    flight.fill(&plan);
-    Ok(plan)
+    Ok(StepPlan { ways: opts.ways, tensor_spec, node_choice, comm_bytes: total_cost })
 }
 
 /// True when the cartesian product of the bundles' legal-spec sets exceeds
@@ -1605,20 +1568,5 @@ mod tests {
         assert_eq!(base + 1.0, base + 0.5);
         assert!(base + 4.0 > base + 0.5);
         assert_eq!(t.first_combo_reaching(0, base), 1);
-    }
-
-    #[test]
-    fn plan_cache_round_trips_identical_queries() {
-        let (g, _) = matmul_chain(16, &[32, 16]);
-        let view = ShapeView::from_graph(&g);
-        let cg = coarsen(&g);
-        let extra = ExtraInputs::new();
-        let caches = SearchCaches::new();
-        let opts = DpOptions::default();
-        let a = search(&g, &view, &cg, &extra, &opts, &caches, None).unwrap();
-        let b = search(&g, &view, &cg, &extra, &opts, &caches, None).unwrap();
-        assert_eq!(caches.stats().plan_hits, 1);
-        assert_eq!(a.comm_bytes.to_bits(), b.comm_bytes.to_bits());
-        assert_eq!(a.tensor_spec, b.tensor_spec);
     }
 }

@@ -187,9 +187,9 @@ pub fn partition_with_obs(
 }
 
 /// [`partition`] with a caller-owned [`SearchCaches`], so strategy
-/// enumerations, finished step plans and whole requests are reused *across*
-/// calls — e.g. a worker-count sweep shares every 2-way step fingerprint,
-/// and repeated partitioning of the same model is nearly free.
+/// enumerations and whole requests are reused *across* calls — e.g. a
+/// worker-count sweep enumerates each op's strategies once, and repeated
+/// partitioning of the same model is nearly free.
 ///
 /// The caches are internally synchronized (sharded locks + single-flight
 /// deduplication), so a long-running service can call this concurrently

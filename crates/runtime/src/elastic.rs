@@ -138,7 +138,7 @@ pub struct ElasticTransition {
     /// infeasible probes, excludes program lowering — lowering costs the
     /// same warm or cold).
     pub replan: Option<Duration>,
-    /// Whether the new width's plan came out of the warm plan cache.
+    /// Whether the new width's plan came out of the warm request memo.
     pub replan_warm: bool,
     /// Snapshot reshard time onto the new plan.
     pub reshard: Option<Duration>,
@@ -207,7 +207,7 @@ pub(crate) struct Selection {
     pub(crate) planned: Option<(PartitionPlan, ShardedGraph)>,
     /// Search time, stepped-past probes included (`None` = nothing searched).
     pub(crate) replan: Option<Duration>,
-    /// The selected width's plan was a warm plan-cache hit.
+    /// The selected width's plan was a warm request-memo hit.
     pub(crate) warm: bool,
 }
 
@@ -244,9 +244,8 @@ pub(crate) fn select_width(
     let mut w = ceil;
     while w >= floor && w >= 1 {
         // A replan is *warm* when the request memo answers for the selected
-        // width — a finished plan served without any search. Step-plan hits
-        // below the request level don't count: a first-ever search at this
-        // width shares step fingerprints with other widths and still pays
+        // width — a finished plan served without any search. A first-ever
+        // search at this width reuses only the strategy memo and still pays
         // real search work.
         let hits_before = caches.stats().request_hits;
         match partition_cached(g, &PartitionOptions { workers: w, ..*base }, caches, obs) {

@@ -387,13 +387,24 @@ fn attrs_json(attrs: &Attrs) -> Json {
     )
 }
 
+/// An attribute integer, rejected unless it is one exactly: a fraction would
+/// be truncated and a huge value saturated before shape inference saw it.
+/// Within ±2^53 every integer is exact in a JSON number (NaN and the
+/// infinities fail the same tests).
+fn attr_int(v: &Json, k: &str) -> Result<i64, ProtocolError> {
+    let f = v.as_f64().ok_or_else(|| bad(format!("attr {k:?}: int is not a number")))?;
+    if f.fract() != 0.0 || f.abs() > (1u64 << 53) as f64 {
+        return Err(bad(format!("attr {k:?}: {f} is not an integer within ±2^53")));
+    }
+    Ok(f as i64)
+}
+
 fn attrs_from_json(v: &Json) -> Result<Attrs, ProtocolError> {
     let Json::Obj(pairs) = v else { return Err(bad("attrs is not an object")) };
     let mut attrs = Attrs::new();
     for (k, val) in pairs {
         if let Some(i) = val.get("i") {
-            let f = i.as_f64().ok_or_else(|| bad("attr int is not a number"))?;
-            attrs.set(k, AttrValue::Int(f as i64));
+            attrs.set(k, AttrValue::Int(attr_int(i, k)?));
         } else if let Some(f) = val.get("f") {
             attrs.set(k, AttrValue::Float(f.as_f64().ok_or_else(|| bad("attr float"))?));
         } else if let Some(s) = val.get("s") {
@@ -403,12 +414,7 @@ fn attrs_from_json(v: &Json) -> Result<Attrs, ProtocolError> {
             );
         } else if let Some(iv) = val.get("iv") {
             let items = iv.as_array().ok_or_else(|| bad("attr intvec"))?;
-            let ints = items
-                .iter()
-                .map(|i| {
-                    i.as_f64().map(|f| f as i64).ok_or_else(|| bad("attr intvec item"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
+            let ints = items.iter().map(|i| attr_int(i, k)).collect::<Result<Vec<_>, _>>()?;
             attrs.set(k, AttrValue::IntVec(ints));
         } else {
             return Err(bad(format!("attr {k:?} has no recognized value tag")));

@@ -28,9 +28,11 @@
 //!
 //! Two cache layers cooperate: the serve-level *response cache* maps a whole
 //! request fingerprint ([`tofu_core::request_fingerprint`]) to the finished
-//! plan JSON, while the shared [`SearchCaches`] underneath deduplicates the
-//! per-step DP work *across different requests* (two models sharing layers,
-//! or one model at different worker counts, reuse each other's step plans).
+//! plan JSON, while the shared [`SearchCaches`] underneath keeps the
+//! strategy enumerations every request reuses (the same op at the same
+//! shapes, in any model or at any width) and the request memo, which also
+//! remembers a proven infeasibility — the response cache files only plans,
+//! so the memo is what spares a repeated infeasible request a second search.
 //!
 //! Every served plan is bit-identical to what a single-threaded
 //! [`tofu_core::partition_cached`] call would produce for the same request:
@@ -526,10 +528,29 @@ fn fail_all(shared: &Shared, leader: &Waiter, waiters: &[Waiter], code: ErrorCod
     }
 }
 
+/// Removes a job's in-flight entry when its leader and every joined waiter
+/// are past their deadlines, returning the waiters; `None` (someone still
+/// waits in time) leaves the flight to be solved. One lock covers the check
+/// and the removal, so a waiter cannot join in between and be failed unseen.
+fn take_expired_flight(shared: &Shared, job: &Job) -> Option<Vec<Waiter>> {
+    if !expired(job.leader.deadline) {
+        return None;
+    }
+    let mut plans = shared.plans.lock().expect("plans lock");
+    let Some(PlanEntry::Pending(waiters)) = plans.get_mut(&job.fp) else {
+        return Some(Vec::new());
+    };
+    if !waiters.iter().all(|w| expired(w.deadline)) {
+        return None;
+    }
+    let waiters = std::mem::take(waiters);
+    plans.remove(&job.fp);
+    Some(waiters)
+}
+
 fn solver_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.sched.pop() {
-        if expired(job.leader.deadline) {
-            let waiters = take_waiters(shared, job.fp);
+        if let Some(waiters) = take_expired_flight(shared, &job) {
             fail_all(
                 shared,
                 &job.leader,
@@ -637,15 +658,11 @@ fn stats_response(shared: &Shared, id: u64) -> Response {
             Json::obj(vec![
                 ("strategy_hits", Json::from(snap.stats.strategy_hits)),
                 ("strategy_misses", Json::from(snap.stats.strategy_misses)),
-                ("plan_hits", Json::from(snap.stats.plan_hits)),
-                ("plan_misses", Json::from(snap.stats.plan_misses)),
                 ("request_hits", Json::from(snap.stats.request_hits)),
                 ("request_misses", Json::from(snap.stats.request_misses)),
                 ("strategy_entries", Json::from(snap.strategy_entries)),
-                ("plan_entries", Json::from(snap.plan_entries)),
                 ("request_entries", Json::from(snap.request_entries)),
                 ("strategy_hit_rate", Json::Num(snap.strategy_hit_rate)),
-                ("plan_hit_rate", Json::Num(snap.plan_hit_rate)),
                 ("request_hit_rate", Json::Num(snap.request_hit_rate)),
             ]),
         ),

@@ -120,6 +120,37 @@ fn malformed_partition_request_is_bad_request() {
 }
 
 #[test]
+fn an_attribute_integer_that_is_not_one_is_bad_request() {
+    let server = small_server();
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut g = tofu_graph::Graph::new();
+    let x = g.add_input("x", tofu_tensor::Shape::new(vec![4, 6]));
+    let axis = tofu_graph::Attrs::new().with_int("axis", 1);
+    g.add_op("sum_axis", "s", &[x], axis).expect("sum_axis");
+    let opts = tofu_core::recursive::PartitionOptions { workers: 2, ..Default::default() };
+    let honest = String::from_utf8(encode_partition(1, "t", &g, &opts, None)).expect("utf-8");
+    // Truncated, `1.5` would be a valid axis and `1e300` an absurd one.
+    for (id, value) in [(1u64, "1.5"), (2, "1e300"), (3, "-1e300")] {
+        let req = honest
+            .replacen(r#""id":1"#, &format!(r#""id":{id}"#), 1)
+            .replace(r#""axis":{"i":1}"#, &format!(r#""axis":{{"i":{value}}}"#));
+        assert!(req.contains(value), "the encoded graph carries the axis as {{\"i\":1}}");
+        write_frame(&mut stream, req.as_bytes()).expect("send");
+        match read_response(&mut stream) {
+            Response::Error { id: rid, code, message } => {
+                assert_eq!((rid, code), (id, ErrorCode::BadRequest), "axis {value}");
+                assert!(message.contains("axis"), "message was {message:?}");
+            }
+            other => panic!("expected bad_request for axis {value}, got {other:?}"),
+        }
+    }
+    // Same connection: the bad attribute cost one error each, nothing more.
+    write_frame(&mut stream, br#"{"type":"ping","id":4}"#).expect("send ping");
+    assert!(matches!(read_response(&mut stream), Response::Pong { id: 4 }));
+    server.shutdown();
+}
+
+#[test]
 fn client_surfaces_server_errors_typed() {
     let server = small_server();
     let mut client = PlanClient::connect(server.addr()).expect("connect");

@@ -23,6 +23,21 @@ fn model(batch: usize) -> tofu_graph::Graph {
         .graph
 }
 
+/// A model whose search is long enough (~0.1 s optimized, ~1 s unoptimized)
+/// to probe while it runs.
+fn slow_model() -> tofu_graph::Graph {
+    decoder_block(&DecoderConfig {
+        seq: 128,
+        d_model: 256,
+        heads: 8,
+        d_ff: 1024,
+        classes: 64,
+        with_updates: true,
+    })
+    .expect("decoder")
+    .graph
+}
+
 /// `[requests, hits, misses, joined, rejected]` of a server with no request
 /// in the middle of admission, checked against the accounting identity.
 fn counters(server: &PlanServer) -> [u64; 5] {
@@ -185,13 +200,15 @@ fn stats_document_reports_serve_and_cache_layers() {
     assert_eq!(num(serve, "misses"), 1.0);
 
     let cache = stats.get("cache").expect("cache section");
-    assert!(num(cache, "plan_misses") >= 1.0, "underlying plan cache saw the search");
-    assert!(num(cache, "plan_entries") >= 1.0);
+    // The warm request was a response-cache hit, so the search layer saw
+    // exactly one request.
+    assert_eq!(num(cache, "request_misses"), 1.0, "underlying request memo saw the search");
+    assert_eq!(num(cache, "request_entries"), 1.0);
     assert!(num(cache, "strategy_entries") >= 1.0);
     // The snapshot is non-draining: asking twice must not zero anything.
     let stats2 = client.stats().expect("stats again");
     let cache2 = stats2.get("cache").expect("cache section");
-    assert_eq!(num(cache2, "plan_misses"), num(cache, "plan_misses"));
+    assert_eq!(num(cache2, "request_misses"), num(cache, "request_misses"));
     server.shutdown();
 }
 
@@ -310,20 +327,7 @@ fn a_probe_joins_a_flight_and_is_answered_when_the_leader_lands() {
     )
     .expect("bind");
     let addr = server.addr();
-    // A search long enough (~0.1 s optimized, ~1 s unoptimized) to probe
-    // while it runs.
-    let g = Arc::new(
-        decoder_block(&DecoderConfig {
-            seq: 128,
-            d_model: 256,
-            heads: 8,
-            d_ff: 1024,
-            classes: 64,
-            with_updates: true,
-        })
-        .expect("decoder")
-        .graph,
-    );
+    let g = Arc::new(slow_model());
     let mut raw = TcpStream::connect(addr).expect("connect");
 
     // The entry is `Pending` from the leader's admission (which is when
@@ -367,6 +371,77 @@ fn a_probe_joins_a_flight_and_is_answered_when_the_leader_lands() {
         true
     });
     assert!(joined, "eight probes in a row arrived after a search that had just been admitted");
+    server.shutdown();
+}
+
+#[test]
+fn a_joined_waiter_is_answered_by_its_own_deadline_not_the_leaders() {
+    let server = PlanServer::bind(
+        "127.0.0.1:0",
+        ServeConfig { solver_threads: 1, ..Default::default() },
+    )
+    .expect("bind");
+    let addr = server.addr();
+    let slow = Arc::new(slow_model());
+    let g = model(24);
+    let mut up = TcpStream::connect(addr).expect("connect");
+    let mut raw = TcpStream::connect(addr).expect("connect");
+
+    // The one solver is busy with a slow search while an upload whose
+    // deadline has already elapsed queues behind it, and a deadline-free
+    // probe of the same fingerprint joins that upload's flight. A probe that
+    // arrives after the solver dropped the expired flight finds nothing and
+    // repeats the round on fresh fingerprints (as in the test above).
+    let joined = (0..8).any(|round| {
+        let fresh = |workers| PartitionOptions {
+            workers,
+            state_bound: PartitionOptions::default().state_bound + round,
+            ..Default::default()
+        };
+        let (slow_opts, opts) = (fresh(8), fresh(4));
+        let fp = request_fingerprint(&g, &opts);
+        let before = counters(&server);
+        let busy = {
+            let slow = Arc::clone(&slow);
+            std::thread::spawn(move || {
+                PlanClient::connect(addr).expect("connect").partition("busy", &slow, &slow_opts, None)
+            })
+        };
+        // Read alone: mid-admission the counters do not add up yet.
+        let misses = || server.counters().misses.load(Ordering::Relaxed);
+        while misses() == before[2] {
+            std::thread::yield_now();
+        }
+        write_frame(&mut up, &encode_partition(1, "late", &g, &opts, Some(0))).expect("send");
+        while misses() == before[2] + 1 {
+            std::thread::yield_now();
+        }
+        let answer = ask(&mut raw, &lookup(round as u64, fp, None));
+        let led = read_frame(&mut up, 8 << 20).expect("read").expect("the leader's answer");
+        busy.join().expect("busy thread").expect("the slow plan");
+        let after = counters(&server);
+        if after[3] == before[3] {
+            assert_eq!(error_code(answer), ErrorCode::NotCached);
+            assert_eq!(after, [before[0] + 2, before[1], before[2] + 2, before[3], 0]);
+            return false;
+        }
+        // Joined: the leader is told its deadline passed, the waiter gets
+        // the plan, and the plan is filed for the next identical request.
+        assert_eq!(error_code(Response::from_bytes(&led).expect("parse")), ErrorCode::DeadlineMissed);
+        let Response::Plan { cached, plan, .. } = answer else {
+            panic!("round {round}: the waiter set no deadline, yet got {answer:?}");
+        };
+        assert!(!cached);
+        assert_eq!(after, [before[0] + 3, before[1], before[2] + 2, before[3] + 1, 0]);
+        match ask(&mut raw, &lookup(99, fp, None)) {
+            Response::Plan { cached: true, plan: again, .. } => {
+                assert_eq!(again.to_json(), plan.to_json());
+            }
+            other => panic!("expected the filed plan, got {other:?}"),
+        }
+        true
+    });
+    assert!(joined, "eight probes in a row arrived after the solver dropped the expired upload");
     server.shutdown();
 }
 
