@@ -1,13 +1,16 @@
 //! Partition-search scaling ledger: group-cost evaluations, relaxations,
-//! states the beam truncated and strategy-cache hits of the optimized DP
-//! engine (factored transition, strategy cache) against the reference
-//! `unoptimized_search`, for an MLP, WResNet-50 and a decoder block at 2/4/8
-//! workers, written to `BENCH_search.json`. Search *time* is measured by
+//! states the beam truncated and strategy analyses of the optimized DP
+//! engine (factored transition, strategies analysed once per request)
+//! against the reference `unoptimized_search`, for an MLP, WResNet-50 and a
+//! decoder block at 2/4/8 workers, written to `BENCH_search.json`. The
+//! analyses are a per-model constant; a width-dependent count means
+//! discovery went back to running per step. Search *time* is measured by
 //! `benchmark/` (`core.partition_s`, `core.partition_warm_s`).
 //!
 //! This is a correctness gate: the process exits nonzero when the
-//! optimized engine's plan — cold or through a warm cache — is not the
-//! reference's at default options (canonical plan bytes: every step's ways,
+//! optimized engine's plan — cold, or through a request memo shared across
+//! the widths — is not the reference's at default options (canonical plan
+//! bytes: every step's ways,
 //! cost, tensor specs and node choices; the beam binds on WResNet and bounded
 //! enumeration fires on it, so this is the default-options differential at
 //! release speed), or when its evaluations plus its relaxations reach the
@@ -33,7 +36,7 @@ struct Row {
     relaxations: f64,
     assignments_bounded: f64,
     prune_beam: f64,
-    strategy_hits: f64,
+    strategy_analyses: f64,
     cost: f64,
     identical: bool,
 }
@@ -52,9 +55,8 @@ fn measure(model: &'static str, g: &Graph, workers: usize, warm: &SearchCaches) 
     let opt_obs = Collector::new();
     let opt_plan = partition_with_obs(g, &optimized_opts, Some(&opt_obs)).expect("optimized");
 
-    // Warm row: same query against a caches object shared across the whole
-    // (model, workers) sweep, so the search runs on a strategy memo that
-    // smaller widths filled.
+    // Warm row: same query against a request memo shared across the whole
+    // (model, workers) sweep, which smaller widths filled.
     let warm_plan = partition_cached(g, &optimized_opts, warm, None).expect("warm optimized");
 
     let cost = ref_plan.total_comm_bytes();
@@ -71,7 +73,7 @@ fn measure(model: &'static str, g: &Graph, workers: usize, warm: &SearchCaches) 
         relaxations: total(&opt_obs, "dp/relaxations"),
         assignments_bounded: total(&opt_obs, "dp/assignments_bounded"),
         prune_beam: total(&opt_obs, "dp/prune_beam"),
-        strategy_hits: total(&opt_obs, "cache/strategy_hit"),
+        strategy_analyses: total(&opt_obs, "coarsen/strategy_analyses"),
         cost,
         identical,
     }
@@ -108,8 +110,8 @@ fn main() {
         ("wresnet-50-1 (batch 8)", &wres_model.graph),
         ("decoder-256 (seq 128)", &decoder_model.graph),
     ] {
-        // One warm cache per model: worker counts share strategy
-        // signatures, and each width must still return the reference's plan.
+        // One request memo per model: every width is a new request, and
+        // each must still return the reference's plan.
         let warm = SearchCaches::new();
         println!("\n{name} — reference vs optimized search");
         println!(
@@ -120,7 +122,7 @@ fn main() {
             "relaxations",
             "bounded",
             "pruned",
-            "strategy hits",
+            "analyses",
             "ident"
         );
         println!("{}", "-".repeat(89));
@@ -134,7 +136,7 @@ fn main() {
                 r.relaxations,
                 r.assignments_bounded,
                 r.prune_beam,
-                r.strategy_hits,
+                r.strategy_analyses,
                 r.identical,
             );
             if !r.identical {
@@ -174,7 +176,7 @@ fn main() {
                 ("relaxations", Json::from(r.relaxations)),
                 ("assignments_bounded", Json::from(r.assignments_bounded)),
                 ("prune_beam", Json::from(r.prune_beam)),
-                ("strategy_cache_hits", Json::from(r.strategy_hits)),
+                ("strategy_analyses", Json::from(r.strategy_analyses)),
                 ("total_comm_bytes", Json::from(r.cost)),
                 ("cost_identical", Json::Bool(r.identical)),
             ])

@@ -16,7 +16,6 @@ use std::collections::BTreeMap;
 
 use tofu_graph::{Graph, TensorId};
 
-use crate::cache::SearchCaches;
 use crate::dp::{NodeChoice, StepPlan};
 use crate::recursive::{
     factorize, partition_with_factors, PartitionOptions, PartitionPlan, StepRecord,
@@ -72,7 +71,7 @@ pub fn run(g: &Graph, algorithm: Algorithm, workers: usize) -> Result<PartitionP
     let started = std::time::Instant::now();
     let opts = PartitionOptions { workers, ..Default::default() };
     let dp = |factors: &[usize], opts: &PartitionOptions| {
-        partition_with_factors(g, factors, opts, &SearchCaches::new(), None)
+        partition_with_factors(g, factors, opts, None)
     };
     match algorithm {
         Algorithm::Tofu => dp(&factorize(workers)?, &opts),

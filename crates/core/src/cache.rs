@@ -1,36 +1,30 @@
-//! Memoization shared across DP invocations — and across threads.
+//! The one memo shared across partition calls — and across threads.
 //!
-//! Three caches make the search layer fast without changing its answers:
+//! [`SearchCaches`] is a **request memo** keyed by [`request_fingerprint`]:
+//! a repeat of a *whole* partition request skips even coarsening and
+//! returns the finished plan, and a width the search *proved infeasible*
+//! ([`crate::CoreError::NoStrategy`] / `BadWorkerCount`) is remembered too,
+//! so an elastic runtime probing the width ladder never re-proves an
+//! infeasibility. Transient errors (bounds, internal) are never memoized.
+//! Nothing below the request is cached across calls: strategy discovery
+//! runs once per request, in [`crate::coarsen()`], and the per-class cost memo
+//! lives inside `dp.rs` because its keys are frontier-local.
 //!
-//! 1. a **strategy-enumeration cache** keyed by (op kind, attrs, shape
-//!    signature) — the thousands of structurally identical nodes in
-//!    WResNet/MLP enumerate their partition-n-reduce strategies once;
-//! 2. the per-class cost memo inside `dp.rs` (always on; it lives there
-//!    because its keys are frontier-local);
-//! 3. a **request memo** keyed by [`request_fingerprint`] — a repeat of a
-//!    *whole* partition request skips even coarsening and returns the
-//!    finished plan, and a width the search *proved infeasible*
-//!    ([`crate::CoreError::NoStrategy`] / `BadWorkerCount`) is remembered
-//!    too, so an elastic runtime probing the width ladder never re-proves
-//!    an infeasibility. Transient errors (bounds, internal) are never
-//!    memoized.
-//!
-//! All keys are *exact*: two entries collide only when the DP inputs are
-//! byte-for-byte equivalent for the search, so cache hits are provably
-//! answer-preserving. The differential harness in `crates/core/tests`
-//! enforces this against the unoptimized reference search.
+//! The key is *exact*: two requests collide only when `partition` would walk
+//! an identical search, so a hit is answer-preserving.
 //!
 //! # Concurrency
 //!
-//! [`SearchCaches`] is `Send + Sync`: every map lives behind **sharded
-//! reader-writer locks** (16 shards each, selected by key bits, so readers
-//! of different entries never contend on one lock) and the hit/miss tallies
-//! are atomics. Because every cached value is a pure function of its exact
-//! key, concurrent interleavings can only change *which thread computes an
-//! entry first*, never the entry's value — so results stay bit-identical to
-//! a single-threaded run (the plan-service stress tests assert this).
+//! [`SearchCaches`] is `Send + Sync`: the memo lives behind **sharded
+//! reader-writer locks** (16 shards, selected by key bits, so readers of
+//! different entries never contend on one lock) and the hit/miss tallies
+//! are atomics. Because every memoized outcome is a pure function of its
+//! exact key, concurrent interleavings can only change *which thread
+//! computes an entry first*, never the entry's value — so results stay
+//! bit-identical to a single-threaded run (the plan-service stress tests
+//! assert this).
 //!
-//! The request memo is a `SingleFlight` table, which additionally performs
+//! The memo is a `SingleFlight` table, which additionally performs
 //! **single-flight deduplication**: when N threads miss the same fingerprint
 //! at once, exactly one (the *leader*) runs the search while the rest block
 //! on a condvar and receive the leader's value as a hit. A leader that
@@ -47,7 +41,6 @@ use tofu_graph::Graph;
 
 use crate::error::CoreError;
 use crate::recursive::{PartitionOptions, PartitionPlan};
-use crate::strategies::NodeStrategy;
 
 /// A fast multiply-xor hasher for the DP's internal keys (packed class-memo
 /// keys, spec tuples, fingerprints). Not DoS-resistant — keys are internal,
@@ -120,79 +113,33 @@ impl Fnv {
     }
 }
 
-/// Cache hit/miss tallies, exposed for tests and the bench harness (the same
-/// numbers flow into `tofu-obs` totals when a collector is attached).
-///
-/// Reading the tallies never drains them; use the derived-rate accessors
-/// instead of diffing raw counters.
+/// A non-draining point-in-time view of the request memo, exposed for tests,
+/// the bench harness and the plan service's `stats` request (the hit/miss
+/// tallies also flow into `tofu-obs` totals when a collector is attached).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Strategy-enumeration cache hits.
-    pub strategy_hits: u64,
-    /// Strategy-enumeration cache misses.
-    pub strategy_misses: u64,
     /// Request-memo hits: whole partition requests answered without any
     /// search — a finished plan or a remembered infeasibility (including
     /// single-flight waiters served by a leader's outcome).
     pub request_hits: u64,
     /// Request-memo misses (one per single-flight leader).
     pub request_misses: u64,
-}
-
-impl CacheStats {
-    /// Hits / lookups of the strategy cache (`0.0` before any lookup).
-    pub fn strategy_hit_rate(&self) -> f64 {
-        rate(self.strategy_hits, self.strategy_misses)
-    }
-
-    /// Hits / lookups of the request memo (`0.0` before any lookup).
-    pub fn request_hit_rate(&self) -> f64 {
-        rate(self.request_hits, self.request_misses)
-    }
-}
-
-fn rate(hits: u64, misses: u64) -> f64 {
-    let total = hits + misses;
-    if total == 0 {
-        0.0
-    } else {
-        hits as f64 / total as f64
-    }
-}
-
-/// A non-draining point-in-time view of a [`SearchCaches`]: raw tallies plus
-/// the derived rates and entry counts callers previously had to compute by
-/// diffing counters. This is what the plan service's `stats` request
-/// reports.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CacheSnapshot {
-    /// The raw hit/miss tallies.
-    pub stats: CacheStats,
-    /// Resident strategy-enumeration entries.
-    pub strategy_entries: usize,
     /// Resident request-memo outcomes — finished plans *and* remembered
     /// infeasibilities (in-flight computations excluded).
     pub request_entries: usize,
-    /// Derived strategy-cache hit rate.
-    pub strategy_hit_rate: f64,
-    /// Derived request-memo hit rate.
-    pub request_hit_rate: f64,
 }
 
-/// Lock shard count of every map. A power of two so shard selection is a
+impl CacheStats {
+    /// Hits / lookups of the request memo (`0.0` before any lookup).
+    pub fn request_hit_rate(&self) -> f64 {
+        self.request_hits as f64 / (self.request_hits + self.request_misses).max(1) as f64
+    }
+}
+
+/// Lock shard count of the memo. A power of two so shard selection is a
 /// mask; 16 shards keep 8–16 worker threads essentially contention-free
 /// while costing a few hundred bytes when idle.
 const SHARDS: usize = 16;
-
-fn shard_of(h: u64) -> usize {
-    (h as usize) & (SHARDS - 1)
-}
-
-fn string_shard(sig: &str) -> usize {
-    let mut h = FastHasher::default();
-    h.write(sig.as_bytes());
-    shard_of(h.finish())
-}
 
 /// State of one in-flight computation.
 enum FlightState<V> {
@@ -269,7 +216,7 @@ impl<V> Default for SingleFlight<V> {
 
 impl<V: Clone> SingleFlight<V> {
     fn shard(&self, key: u128) -> &RwLock<FastMap<u128, Slot<V>>> {
-        &self.shards[shard_of(key as u64 ^ (key >> 64) as u64)]
+        &self.shards[(key as u64 ^ (key >> 64) as u64) as usize & (SHARDS - 1)]
     }
 
     /// Resident finished values (in-flight computations excluded).
@@ -359,74 +306,33 @@ impl<V: Clone> SingleFlight<V> {
 /// circumstance-dependent and are never stored.
 pub(crate) type RequestOutcome = Result<PartitionPlan, CoreError>;
 
-/// Memoization state threaded through one or more searches.
+/// The request memo threaded through one or more partition calls.
 ///
-/// [`crate::partition`] creates a fresh instance per call; callers that run
-/// many related searches (worker-count sweeps, an elastic runtime's width
-/// ladder) share one instance via [`crate::recursive::partition_cached`] to
-/// reuse strategy enumerations and whole-request outcomes across calls. The
-/// type is `Send + Sync`: a long-running service wraps one instance in an
-/// `Arc` and calls `partition_cached` from many solver threads at once (see
-/// the module docs for the bit-identity argument).
+/// [`crate::partition`] uses none; callers that run many related requests
+/// (worker-count sweeps, an elastic runtime's width ladder, a plan service)
+/// share one instance via [`crate::recursive::partition_cached`] to reuse
+/// whole-request outcomes across calls. The type is `Send + Sync`: a
+/// long-running service wraps one instance in an `Arc` and calls
+/// `partition_cached` from many solver threads at once (see the module docs
+/// for the bit-identity argument).
 #[derive(Default)]
 pub struct SearchCaches {
-    strategies: [RwLock<HashMap<String, Vec<NodeStrategy>>>; SHARDS],
     pub(crate) requests: SingleFlight<RequestOutcome>,
-    strategy_hits: AtomicU64,
-    strategy_misses: AtomicU64,
 }
 
 impl SearchCaches {
-    /// An empty cache.
+    /// An empty memo.
     pub fn new() -> SearchCaches {
         SearchCaches::default()
     }
 
-    /// Current hit/miss tallies (non-draining).
+    /// Current tallies and resident entries (non-draining).
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            strategy_hits: self.strategy_hits.load(Ordering::Relaxed),
-            strategy_misses: self.strategy_misses.load(Ordering::Relaxed),
             request_hits: self.requests.hits.load(Ordering::Relaxed),
             request_misses: self.requests.misses.load(Ordering::Relaxed),
-        }
-    }
-
-    /// A full non-draining snapshot: tallies, derived hit rates and resident
-    /// entry counts.
-    pub fn snapshot(&self) -> CacheSnapshot {
-        let stats = self.stats();
-        let strategy_entries =
-            self.strategies.iter().map(|s| s.read().expect("cache lock").len()).sum();
-        CacheSnapshot {
-            stats,
-            strategy_entries,
             request_entries: self.requests.ready_entries(),
-            strategy_hit_rate: stats.strategy_hit_rate(),
-            request_hit_rate: stats.request_hit_rate(),
         }
-    }
-
-    /// Looks up enumerated strategies by signature, recording the hit.
-    pub(crate) fn strategies_get(&self, sig: &str) -> Option<Vec<NodeStrategy>> {
-        let shard = &self.strategies[string_shard(sig)];
-        match shard.read().expect("cache lock").get(sig) {
-            Some(v) => {
-                self.strategy_hits.fetch_add(1, Ordering::Relaxed);
-                Some(v.clone())
-            }
-            None => {
-                self.strategy_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    pub(crate) fn strategies_put(&self, sig: String, v: Vec<NodeStrategy>) {
-        let shard = &self.strategies[string_shard(&sig)];
-        // Two racing misses insert byte-identical values (the enumeration is
-        // a pure function of the signature), so last-write-wins is safe.
-        shard.write().expect("cache lock").insert(sig, v);
     }
 }
 
@@ -516,22 +422,13 @@ mod tests {
     fn stats_start_zeroed() {
         let c = SearchCaches::new();
         assert_eq!(c.stats(), CacheStats::default());
-        let snap = c.snapshot();
-        assert_eq!(snap.strategy_entries, 0);
-        assert_eq!(snap.request_entries, 0);
-        assert_eq!(snap.request_hit_rate, 0.0);
+        assert_eq!(c.stats().request_hit_rate(), 0.0);
     }
 
     #[test]
     fn hit_rates_derive_from_tallies() {
-        let s = CacheStats {
-            strategy_hits: 3,
-            strategy_misses: 1,
-            request_hits: 1,
-            request_misses: 1,
-        };
-        assert!((s.strategy_hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(s.request_hit_rate(), 0.5);
+        let s = CacheStats { request_hits: 3, request_misses: 1, request_entries: 1 };
+        assert!((s.request_hit_rate() - 0.75).abs() < 1e-12);
     }
 
     /// An outcome the single-flight checks can mint and recognise.
@@ -647,7 +544,6 @@ mod tests {
         assert_eq!(hit(&c.requests, 2), 7);
 
         let stats = c.stats();
-        assert_eq!((stats.request_hits, stats.request_misses), (2, 2));
-        assert_eq!(c.snapshot().request_entries, 2);
+        assert_eq!((stats.request_hits, stats.request_misses, stats.request_entries), (2, 2, 2));
     }
 }

@@ -18,8 +18,17 @@
 //! Every class is contained in one group; a group may hold several classes
 //! (e.g. a convolution's forward, backward-data and backward-filter
 //! operators are three classes of one group, searched combinatorially).
+//!
+//! Coarsening also runs strategy discovery (§4.2), once per distinct (op,
+//! attrs, input ranks) among the non-element-wise class representatives;
+//! every recursion step then only concretises the shared analysis.
+
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use tofu_graph::{Graph, NodeId, OpCategory, TensorKind};
+
+use crate::strategies::{analyse, Analysed, ShapeView};
 
 /// Disjoint-set forest over node indices.
 struct UnionFind {
@@ -73,6 +82,11 @@ pub struct CoarseGraph {
     /// True when the class is a coalesced element-wise run (its strategy
     /// space is "one dimension for everything").
     pub class_is_ewise: Vec<bool>,
+    /// Strategy analysis of each class's representative, one `Arc` per
+    /// distinct (op, attrs, input ranks). `None` for element-wise classes
+    /// and where analysis failed: the search then reports that failure, via
+    /// `node_strategies`, at the step it reaches the class.
+    pub(crate) analysis: Vec<Option<Arc<Analysed>>>,
 }
 
 impl CoarseGraph {
@@ -243,12 +257,26 @@ pub fn coarsen(g: &Graph) -> CoarseGraph {
         })
         .collect();
 
-    CoarseGraph { groups: groups_out, group_of, class_of, class_nodes, class_is_ewise }
+    // The TDL builders read shapes only for ranks (see `strategies`), so
+    // classes sharing (op, attrs, input ranks) share one analysis.
+    let view = ShapeView::from_graph(g);
+    let mut analysed = HashMap::new();
+    let mut analysis = vec![None; class_nodes.len()];
+    for (ci, members) in class_nodes.iter().enumerate().filter(|&(ci, _)| !class_is_ewise[ci]) {
+        let rep = g.node(members[0]);
+        let ranks: Vec<usize> = rep.inputs.iter().map(|&t| view.shape(t).rank()).collect();
+        let fresh = || analyse(g, members[0], &view).ok().map(Arc::new);
+        let key = (rep.op.as_str(), rep.attrs.to_string(), ranks);
+        analysis[ci] = analysed.entry(key).or_insert_with(fresh).clone();
+    }
+
+    CoarseGraph { groups: groups_out, group_of, class_of, class_nodes, class_is_ewise, analysis }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{partition, CoreError, PartitionOptions};
     use tofu_graph::{autodiff, Attrs, NodeTags};
     use tofu_tensor::Shape;
 
@@ -390,6 +418,31 @@ mod tests {
             let g0 = cg.group_of[members[0].0];
             assert!(members.iter().all(|m| cg.group_of[m.0] == g0));
         }
+    }
+
+    #[test]
+    fn classes_share_one_analysis_per_op_attrs_and_ranks() {
+        let mut g = Graph::new();
+        let x = g.add_input("x", Shape::new(vec![8, 16]));
+        let w1 = g.add_weight("w1", Shape::new(vec![16, 32]));
+        let w2 = g.add_weight("w2", Shape::new(vec![32, 4]));
+        let h = g.add_op("matmul", "fc1", &[x, w1], Attrs::new()).unwrap();
+        let a = g.add_op("relu", "act", &[h], Attrs::new()).unwrap();
+        let y = g.add_op("matmul", "fc2", &[a, w2], Attrs::new()).unwrap();
+        let cg = coarsen(&g);
+        let analysis = |t| cg.analysis[cg.class_of[g.producer(t).unwrap().0]].as_ref();
+        let (fc1, fc2) = (analysis(h).expect("fc1 analysed"), analysis(y).expect("fc2 analysed"));
+        assert!(Arc::ptr_eq(fc1, fc2), "[8,16]x[16,32] and [8,32]x[32,4] share one analysis");
+        assert!(analysis(a).is_none(), "element-wise classes are not analysed");
+
+        // A failed analysis is `None` too, and the search still reports it.
+        let mut g = Graph::new();
+        let p = g.add_input("p", Shape::new(vec![4, 6]));
+        let q = g.add_input("q", Shape::new(vec![4, 6]));
+        g.add_op("concat", "cat", &[p, q], Attrs::new().with_int("axis", 0)).unwrap();
+        assert!(coarsen(&g).analysis[0].is_none());
+        let plan = partition(&g, &PartitionOptions { workers: 2, ..Default::default() });
+        assert!(matches!(plan, Err(CoreError::NotDescribable { .. })), "{plan:?}");
     }
 
     #[test]

@@ -24,9 +24,11 @@
 //! * [`search`], the default optimized engine — a transition factored over
 //!   the bundles a group actually reads (each distinct projection of the
 //!   frontier is costed once, then states relax into a dense table), packed
-//!   class-memo keys and a strategy cache (see DESIGN.md "Search
-//!   performance" for the exactness argument). Every one is exact: the
-//!   ranking, the beam and the typed errors are the reference's.
+//!   class-memo keys, and strategies concretised from the analysis
+//!   [`crate::coarsen()`] ran once per request where the reference rediscovers
+//!   them at every step (see DESIGN.md "Search performance" for the
+//!   exactness argument). Every one is exact: the ranking, the beam and the
+//!   typed errors are the reference's.
 //!
 //! The `crates/core/tests` differential harness asserts that both return the
 //! same plan, or the same error, on randomized graphs at every option
@@ -38,16 +40,14 @@ use tofu_graph::{Graph, NodeId, TensorId};
 use tofu_obs::{Collector, Track};
 use tofu_tensor::Shape;
 
-use crate::cache::{FastMap, SearchCaches};
+use crate::cache::FastMap;
 use crate::coarsen::CoarseGraph;
 use crate::error::CoreError;
 use crate::spec::{
     input_fetch_bytes, legal_specs, output_bytes, respec_bytes, ConcreteOut, ConcreteReq,
     TensorSpec,
 };
-use crate::strategies::{
-    node_strategies, strategy_feasible, strategy_signature, NodeStrategy, ShapeView,
-};
+use crate::strategies::{node_strategies, strategy_feasible, NodeStrategy, ShapeView};
 use crate::Result;
 
 /// Extra leaf inputs attached to nodes by earlier recursion steps (the
@@ -90,7 +90,8 @@ impl ExtraInputs {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SearchTuning {
     /// The optimized engine: factored transition, packed class memo,
-    /// strategy cache (see DESIGN.md "Search performance").
+    /// strategies analysed once per request (see DESIGN.md "Search
+    /// performance").
     #[default]
     Optimized,
     /// The unoptimized seed implementation, [`unoptimized_search`].
@@ -285,10 +286,11 @@ struct ClassInfo {
     touched: Vec<usize>,
 }
 
-/// Preprocesses every strategy class: enumerates (through the strategy
-/// cache when one is given), filters for feasibility, and records touched
-/// bundles.
-/// Shared by both search engines so they see byte-identical strategy lists.
+/// Preprocesses every strategy class: enumerates (concretising the class's
+/// [`CoarseGraph`] analysis when `reuse_analysis`, else discovering afresh),
+/// filters for feasibility, and records touched bundles.
+/// Shared by both search engines; only the reference discovers afresh, so
+/// the differential tests also compare analyse-once with per-step discovery.
 #[allow(clippy::too_many_arguments)]
 fn build_classes(
     g: &Graph,
@@ -297,7 +299,7 @@ fn build_classes(
     extra: &ExtraInputs,
     bundles: &Bundles,
     opts: &DpOptions,
-    caches: Option<&SearchCaches>,
+    reuse_analysis: bool,
     obs: Option<&Collector>,
 ) -> Result<Vec<Option<ClassInfo>>> {
     let mut classes: Vec<Option<ClassInfo>> = Vec::with_capacity(cg.class_nodes.len());
@@ -312,26 +314,9 @@ fn build_classes(
             Vec::new()
         } else {
             let out_shape = view.shape(g.node(rep).output).clone();
-            let enumerated = match caches {
-                Some(cache) => {
-                    let sig = strategy_signature(g, rep, view);
-                    match cache.strategies_get(&sig) {
-                        Some(hit) => {
-                            if let Some(c) = obs {
-                                c.add_total("cache/strategy_hit", 1.0);
-                            }
-                            hit
-                        }
-                        None => {
-                            if let Some(c) = obs {
-                                c.add_total("cache/strategy_miss", 1.0);
-                            }
-                            let fresh = node_strategies(g, rep, view)?;
-                            cache.strategies_put(sig, fresh.clone());
-                            fresh
-                        }
-                    }
-                }
+            let analysed = cg.analysis[ci].as_deref().filter(|_| reuse_analysis);
+            let enumerated = match analysed {
+                Some(a) => a.concretise(g, rep, view)?,
                 None => node_strategies(g, rep, view)?,
             };
             if let Some(c) = obs {
@@ -381,10 +366,10 @@ fn build_classes(
 }
 
 /// The unoptimized seed implementation of the DP, kept alive as the
-/// differential-testing reference. Explores the full `states × combos`
-/// product at every cut with `Vec`-keyed memo maps and no cross-invocation
-/// caching; [`search`] returns its plan, or its error, at every option
-/// setting. Selected by [`SearchTuning::reference`]
+/// differential-testing reference. Rediscovers every class's strategies
+/// with `node_strategies` and explores the full `states × combos` product at
+/// every cut with `Vec`-keyed memo maps; [`search`] returns its plan, or its
+/// error, at every option setting. Selected by [`SearchTuning::reference`]
 /// (through [`search`]) or called directly by tests.
 pub fn unoptimized_search(
     g: &Graph,
@@ -398,7 +383,7 @@ pub fn unoptimized_search(
         return Err(CoreError::BadWorkerCount(opts.ways));
     }
     let bundles = build_bundles(g, view, cg, extra, opts.ways);
-    let classes = build_classes(g, view, cg, extra, &bundles, opts, None, obs)?;
+    let classes = build_classes(g, view, cg, extra, &bundles, opts, false, obs)?;
 
     // Class-cost memoization: specs of a class's touched bundles fully
     // determine its cost, so (class, spec-key) results are cached across the
@@ -789,16 +774,14 @@ fn intern(ids: &mut FastMap<Vec<u8>, usize>, key: &[u8]) -> (usize, bool) {
 /// truncation and tie-breaking to [`unoptimized_search`], with the
 /// transition factored over the carried bundles each group reads (see
 /// `CutTables`), packed class-memo keys, per-combo class-cost
-/// precomputation and (through `caches`) strategy memoization. It returns
-/// the reference's plan, or the reference's error, at every option setting,
+/// precomputation, and each class's strategies concretised from the
+/// analysis `cg` carries rather than rediscovered. It returns the
+/// reference's plan, or the reference's error, at every option setting,
 /// including where [`DpOptions::beam`] and [`DpOptions::internal_bound`]
-/// bind (enforced by the differential harness). It is also the one place [`SearchTuning::reference`] is
-/// honoured.
-///
-/// `caches` is taken by shared reference: [`SearchCaches`] is internally
-/// synchronized, so any number of threads may run searches against one
-/// instance concurrently. Every call searches: repeated requests are
-/// answered one level up, by the request memo in
+/// bind (enforced by the differential harness). It takes exactly
+/// [`unoptimized_search`]'s parameters and is the one place
+/// [`SearchTuning::reference`] is honoured. Every call searches: repeated
+/// requests are answered one level up, by the request memo in
 /// [`crate::recursive::partition_cached`].
 ///
 /// Statistics go to `obs`: running totals `dp/strategies_enumerated`,
@@ -809,17 +792,16 @@ fn intern(ids: &mut FastMap<Vec<u8>, usize>, key: &[u8]) -> (usize, bool) {
 /// each, infeasible cells included); `dp/assignments_bounded` (cuts where
 /// [`DpOptions::internal_bound`] made enumeration non-exhaustive; absent
 /// when it never fires); the pruning total `dp/prune_beam` (states the beam
-/// truncated); cache totals `cache/strategy_{hit,miss}`; plus
-/// per-cut `dp/frontier states` and `dp/frontier width` counter samples on
-/// [`Track::search`] (frontier width = bundles crossing the cut, the
-/// quantity §5 argues stays tiny on chain-like coarsened graphs).
+/// truncated); plus per-cut `dp/frontier states` and `dp/frontier width`
+/// counter samples on [`Track::search`] (frontier width = bundles crossing
+/// the cut, the quantity §5 argues stays tiny on chain-like coarsened
+/// graphs).
 pub fn search(
     g: &Graph,
     view: &ShapeView,
     cg: &CoarseGraph,
     extra: &ExtraInputs,
     opts: &DpOptions,
-    caches: &SearchCaches,
     obs: Option<&Collector>,
 ) -> Result<StepPlan> {
     if opts.tuning == SearchTuning::Reference {
@@ -830,7 +812,7 @@ pub fn search(
     }
 
     let bundles = build_bundles(g, view, cg, extra, opts.ways);
-    let classes = build_classes(g, view, cg, extra, &bundles, opts, Some(caches), obs)?;
+    let classes = build_classes(g, view, cg, extra, &bundles, opts, true, obs)?;
 
     // Packed keys need 4 bits per spec: feasible when no tensor rank
     // exceeds 14 (split dims ≤ 13, 15 reserved for Replicated).
@@ -1398,21 +1380,13 @@ mod tests {
         (g, weights)
     }
 
-    /// One search against fresh caches.
-    fn dp(
-        g: &Graph,
-        view: &ShapeView,
-        cg: &CoarseGraph,
-        extra: &ExtraInputs,
-        opts: &DpOptions,
-    ) -> Result<StepPlan> {
-        search(g, view, cg, extra, opts, &SearchCaches::new(), None)
+    /// One step at the graph's declared shapes, without extra inputs.
+    fn dp(g: &Graph, opts: &DpOptions) -> Result<StepPlan> {
+        search(g, &ShapeView::from_graph(g), &coarsen(g), &ExtraInputs::new(), opts, None)
     }
 
     fn run_dp(g: &Graph) -> StepPlan {
-        let view = ShapeView::from_graph(g);
-        let cg = coarsen(g);
-        dp(g, &view, &cg, &ExtraInputs::new(), &DpOptions::default()).unwrap()
+        dp(g, &DpOptions::default()).unwrap()
     }
 
     #[test]
@@ -1459,50 +1433,23 @@ mod tests {
     #[test]
     fn disallowing_reduce_increases_cost() {
         let (g, _) = matmul_chain(64, &[256, 256, 10]);
-        let view = ShapeView::from_graph(&g);
-        let cg = coarsen(&g);
-        let with = dp(&g, &view, &cg, &ExtraInputs::new(), &DpOptions::default()).unwrap();
-        let without = dp(
-            &g,
-            &view,
-            &cg,
-            &ExtraInputs::new(),
-            &DpOptions { allow_reduce: false, ..DpOptions::default() },
-        )
-        .unwrap();
+        let with = run_dp(&g);
+        let without = dp(&g, &DpOptions { allow_reduce: false, ..DpOptions::default() }).unwrap();
         assert!(without.comm_bytes >= with.comm_bytes);
     }
 
     #[test]
     fn four_way_step_works() {
         let (g, _) = matmul_chain(16, &[32, 32]);
-        let view = ShapeView::from_graph(&g);
-        let cg = coarsen(&g);
-        let plan = dp(
-            &g,
-            &view,
-            &cg,
-            &ExtraInputs::new(),
-            &DpOptions { ways: 4, ..DpOptions::default() },
-        )
-        .unwrap();
+        let plan = dp(&g, &DpOptions { ways: 4, ..DpOptions::default() }).unwrap();
         assert_eq!(plan.ways, 4);
     }
 
     #[test]
     fn one_way_step_is_rejected() {
         let (g, _) = matmul_chain(4, &[4, 4]);
-        let view = ShapeView::from_graph(&g);
-        let cg = coarsen(&g);
         for tuning in [SearchTuning::default(), SearchTuning::reference()] {
-            let err = dp(
-                &g,
-                &view,
-                &cg,
-                &ExtraInputs::new(),
-                &DpOptions { ways: 1, tuning, ..DpOptions::default() },
-            )
-            .unwrap_err();
+            let err = dp(&g, &DpOptions { ways: 1, tuning, ..DpOptions::default() }).unwrap_err();
             assert!(matches!(err, CoreError::BadWorkerCount(1)));
         }
     }
@@ -1518,7 +1465,7 @@ mod tests {
         let mut extra = ExtraInputs::new();
         extra.push(fc0, 1, pseudo);
         view.push(Shape::new(vec![8, 10]));
-        let plan = dp(&g, &view, &cg, &extra, &DpOptions::default()).unwrap();
+        let plan = search(&g, &view, &cg, &extra, &DpOptions::default(), None).unwrap();
         assert_eq!(plan.tensor_spec.len(), g.num_tensors() + 1);
     }
 
@@ -1528,18 +1475,10 @@ mod tests {
             [(8usize, vec![16usize, 10]), (64, vec![128, 64, 32]), (2, vec![512, 512])]
         {
             let (g, _) = matmul_chain(batch, &dims);
-            let view = ShapeView::from_graph(&g);
-            let cg = coarsen(&g);
-            let extra = ExtraInputs::new();
-            let opt = dp(&g, &view, &cg, &extra, &DpOptions::default()).unwrap();
-            let reference = dp(
-                &g,
-                &view,
-                &cg,
-                &extra,
-                &DpOptions { tuning: SearchTuning::reference(), ..DpOptions::default() },
-            )
-            .unwrap();
+            let opt = run_dp(&g);
+            let reference =
+                dp(&g, &DpOptions { tuning: SearchTuning::reference(), ..DpOptions::default() })
+                    .unwrap();
             assert_eq!(
                 opt.comm_bytes.to_bits(),
                 reference.comm_bytes.to_bits(),

@@ -54,7 +54,7 @@ pub mod recursive;
 pub mod spec;
 pub mod strategies;
 
-pub use cache::{request_fingerprint, CacheSnapshot, CacheStats, SearchCaches};
+pub use cache::{request_fingerprint, CacheStats, SearchCaches};
 pub use coarsen::{coarsen, CoarseGraph};
 pub use dp::{DpOptions, ExtraInputs, NodeChoice, SearchTuning, StepPlan};
 pub use error::CoreError;
@@ -64,7 +64,7 @@ pub use recursive::{
     PartitionOptions, PartitionPlan,
 };
 pub use spec::{ConcreteOut, ConcreteReq, TensorSpec};
-pub use strategies::{node_strategies, strategy_signature, NodeStrategy, ShapeView};
+pub use strategies::{node_strategies, NodeStrategy, ShapeView};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;

@@ -14,6 +14,9 @@
 //! interconnects — the early (cheapest-per-group) cuts land on the slowest
 //! links.
 
+use std::collections::HashSet;
+use std::sync::Arc;
+
 use tofu_graph::{Graph, TensorId};
 use tofu_obs::{Collector, Track};
 use tofu_tensor::Shape;
@@ -152,8 +155,8 @@ pub fn factorize(workers: usize) -> Result<Vec<usize>> {
     Ok(factors)
 }
 
-/// Runs the full recursive search on a training graph, against fresh
-/// caches (so a one-shot call pays no request fingerprint).
+/// Runs the full recursive search on a training graph, without a request
+/// memo (so a one-shot call pays no request fingerprint).
 ///
 /// # Examples
 ///
@@ -183,20 +186,21 @@ pub fn partition_with_obs(
     opts: &PartitionOptions,
     obs: Option<&Collector>,
 ) -> Result<PartitionPlan> {
-    partition_with_factors(g, &factorize(opts.workers)?, opts, &SearchCaches::new(), obs)
+    partition_with_factors(g, &factorize(opts.workers)?, opts, obs)
 }
 
-/// [`partition`] with a caller-owned [`SearchCaches`], so strategy
-/// enumerations and whole requests are reused *across* calls — e.g. a
-/// worker-count sweep enumerates each op's strategies once, and repeated
-/// partitioning of the same model is nearly free.
+/// [`partition`] behind a caller-owned request memo ([`SearchCaches`]), so
+/// whole requests are answered *across* calls: repeating a request — or
+/// probing a width already proven infeasible — costs no search. A request
+/// the memo has not seen runs the whole search, strategy discovery
+/// included. Hits and leader misses surface as `cache/request_{hit,miss}`.
 ///
-/// The caches are internally synchronized (sharded locks + single-flight
+/// The memo is internally synchronized (sharded locks + single-flight
 /// deduplication), so a long-running service can call this concurrently
 /// from many solver threads against one `Arc<SearchCaches>`. Results are
-/// bit-identical to a single-threaded run — every cached value is a pure
-/// function of its exact structural key, so thread interleaving only decides
-/// who computes an entry first, never its value.
+/// bit-identical to a single-threaded run — every memoized outcome is a
+/// pure function of its exact structural key, so thread interleaving only
+/// decides who computes an entry first, never its value.
 pub fn partition_cached(
     g: &Graph,
     opts: &PartitionOptions,
@@ -218,8 +222,10 @@ pub fn partition_cached(
         }
         Lookup::Leader(guard) => guard,
     };
-    let result =
-        factorize(opts.workers).and_then(|f| partition_with_factors(g, &f, opts, caches, obs));
+    if let Some(c) = obs {
+        c.add_total("cache/request_miss", 1.0);
+    }
+    let result = factorize(opts.workers).and_then(|f| partition_with_factors(g, &f, opts, obs));
     match &result {
         Ok(_) | Err(CoreError::NoStrategy { .. } | CoreError::BadWorkerCount(_)) => {
             guard.fill(&result)
@@ -233,18 +239,18 @@ pub fn partition_cached(
 
 /// The recursion itself, over a caller-chosen factor sequence (`partition*`
 /// pass [`factorize`]`(opts.workers)`; baselines and the theorem tests pass
-/// their own): coarsens `g`, then searches and applies one basic step per
-/// factor.
+/// their own): coarsens `g` (which analyses each distinct operator's
+/// strategies once), then searches and applies one basic step per factor.
 ///
 /// Reports into `obs`: coarsening totals (`coarsen/groups`,
-/// `coarsen/classes`, `coarsen/nodes`), one span per recursion step on
-/// [`Track::search`], per-step `dp/step_comm_bytes` counters, and
+/// `coarsen/classes`, `coarsen/nodes`, and `coarsen/strategy_analyses`, the
+/// distinct strategy analyses every step shares), one span per recursion
+/// step on [`Track::search`], per-step `dp/step_comm_bytes` counters, and
 /// everything [`search`] records.
 pub fn partition_with_factors(
     g: &Graph,
     factors: &[usize],
     opts: &PartitionOptions,
-    caches: &SearchCaches,
     obs: Option<&Collector>,
 ) -> Result<PartitionPlan> {
     let started = std::time::Instant::now();
@@ -253,6 +259,8 @@ pub fn partition_with_factors(
         c.add_total("coarsen/nodes", g.num_nodes() as f64);
         c.add_total("coarsen/groups", cg.groups.len() as f64);
         c.add_total("coarsen/classes", cg.class_nodes.iter().filter(|m| !m.is_empty()).count() as f64);
+        let analyses: HashSet<_> = cg.analysis.iter().flatten().map(Arc::as_ptr).collect();
+        c.add_total("coarsen/strategy_analyses", analyses.len() as f64);
     }
     let mut view = ShapeView::from_graph(g);
     let mut extra = ExtraInputs::new();
@@ -270,7 +278,7 @@ pub fn partition_with_factors(
             tuning: opts.tuning,
         };
         let step_start = obs.map(|c| c.now_us());
-        let plan = search(g, &view, cg, &extra, &dp_opts, caches, obs)?;
+        let plan = search(g, &view, cg, &extra, &dp_opts, obs)?;
         if let Some(c) = obs {
             let end = c.now_us();
             let name = format!("step {step}: {ways}-way dp over {} groups", cg.groups.len());
@@ -500,14 +508,7 @@ mod tests {
         // worse.
         let g = mlp(64, &[256, 256, 64]);
         let recursive = partition(&g, &PartitionOptions::default()).unwrap();
-        let flat = partition_with_factors(
-            &g,
-            &[8],
-            &PartitionOptions::default(),
-            &SearchCaches::new(),
-            None,
-        )
-        .unwrap();
+        let flat = partition_with_factors(&g, &[8], &PartitionOptions::default(), None).unwrap();
         assert!(recursive.total_comm_bytes() <= flat.total_comm_bytes() * 1.01 + 1024.0);
     }
 
@@ -525,9 +526,10 @@ mod tests {
         // rejection for the rest.
         let g = mlp(36, &[72, 36]);
         let caches = SearchCaches::new();
+        let obs = Collector::new();
         let at = |w: usize| {
             let opts = PartitionOptions { workers: w, ..Default::default() };
-            partition_cached(&g, &opts, &caches, None)
+            partition_cached(&g, &opts, &caches, Some(&obs))
         };
         let feasible: Vec<usize> = (1..=7).filter(|&w| at(w).is_ok()).collect();
         assert_eq!(feasible, vec![1, 2, 3, 4, 6]);
@@ -543,5 +545,10 @@ mod tests {
         let stats = caches.stats();
         assert_eq!(stats.request_hits, h0 + feasible.len() as u64 + 2);
         assert_eq!(stats.request_misses, 7, "one leader per probed width, ever");
+        // The collector's totals are the memo's own tallies.
+        let totals = obs.totals();
+        let total = |k: &str| totals.get(k).copied().unwrap_or(0.0);
+        assert_eq!(total("cache/request_hit"), stats.request_hits as f64);
+        assert_eq!(total("cache/request_miss"), stats.request_misses as f64);
     }
 }

@@ -4,11 +4,21 @@
 //! are bound to a node's concrete (possibly already-scaled-by-recursion)
 //! shapes: halos become element counts and the variable extents needed by
 //! the cost model are resolved via [`tofu_tdl::bind_extents`].
+//!
+//! The two halves depend on different things. `analyse` (the op's TDL
+//! description and its symbolic discovery) reads only the operator, its
+//! attributes and its input ranks: the TDL builders take ranks from shapes
+//! and nothing else, except `flip`, whose `N − 1` index constant cancels in
+//! every halo. `Analysed::concretise` binds that analysis at one step's
+//! shapes. So a `partition` call analyses each (op, attrs, ranks) once, in
+//! [`crate::coarsen()`], and concretises it at every step.
 
 use tofu_graph::{Graph, NodeId};
 use tofu_tensor::Shape;
 
-use tofu_tdl::{bind_extents, discover_strategies, InputRequirement, OutputPartition};
+use tofu_tdl::{
+    bind_extents, discover_strategies, BasicStrategy, InputRequirement, OutputPartition, TdlDesc,
+};
 
 use crate::error::CoreError;
 use crate::spec::{ConcreteOut, ConcreteReq};
@@ -75,71 +85,71 @@ pub struct NodeStrategy {
     pub inputs: Vec<ConcreteReq>,
 }
 
-/// Computes the concrete strategies of a node at the given shapes.
+/// A node's strategies as discovered from its TDL description, before any
+/// extent is bound: a function of (op, attrs, input ranks) alone, so one
+/// analysis serves every class sharing those, at every recursion step.
+#[derive(Debug)]
+pub(crate) struct Analysed {
+    desc: TdlDesc,
+    symbolic: Vec<BasicStrategy>,
+}
+
+/// Builds the node's TDL description at its shapes under `view` and
+/// discovers its symbolic strategies.
+pub(crate) fn analyse(g: &Graph, node: NodeId, view: &ShapeView) -> Result<Analysed> {
+    let n = g.node(node);
+    let def = tofu_graph::lookup(&n.op)?;
+    let not_describable = || CoreError::NotDescribable { node: n.name.clone(), op: n.op.clone() };
+    let tdl_fn = def.tdl.ok_or_else(not_describable)?;
+    let in_shapes: Vec<Shape> = n.inputs.iter().map(|&t| view.shape(t).clone()).collect();
+    let desc = tdl_fn(&in_shapes, &n.attrs).ok_or_else(not_describable)?;
+    let symbolic = discover_strategies(&desc)?;
+    Ok(Analysed { desc, symbolic })
+}
+
+impl Analysed {
+    /// Binds the analysis at `node`'s shapes under `view`: halos become
+    /// element counts and each strategy's variable gets its extent.
+    pub(crate) fn concretise(
+        &self,
+        g: &Graph,
+        node: NodeId,
+        view: &ShapeView,
+    ) -> Result<Vec<NodeStrategy>> {
+        let n = g.node(node);
+        let in_dims: Vec<Vec<usize>> =
+            n.inputs.iter().map(|&t| view.shape(t).dims().to_vec()).collect();
+        let extents = bind_extents(&self.desc, view.shape(n.output).dims(), &in_dims)?;
+        let extent = |var: usize| extents.get(var).copied().unwrap_or(1);
+        let eval = |sym: usize| extent(sym) as f64;
+        let concrete = |req: &InputRequirement| match req {
+            InputRequirement::Unused => ConcreteReq::Unused,
+            InputRequirement::Replicated => ConcreteReq::Replicated,
+            InputRequirement::Split { dim, halo } => {
+                ConcreteReq::Split { dim: *dim, halo: halo.eval(&eval).max(0.0) }
+            }
+        };
+        let strategy = |s: &BasicStrategy| {
+            let (out, reducer) = match s.output {
+                OutputPartition::Split { dim } => (ConcreteOut::Split(dim), None),
+                OutputPartition::Reduce { reducer } => (ConcreteOut::Reduce, Some(reducer)),
+            };
+            let (inputs, var_extent) = (s.inputs.iter().map(concrete).collect(), extent(s.var));
+            NodeStrategy { id: s.id.clone(), var: s.var, var_extent, out, reducer, inputs }
+        };
+        Ok(self.symbolic.iter().map(strategy).collect())
+    }
+}
+
+/// Computes the concrete strategies of a node at the given shapes: analyses
+/// its TDL description afresh, then concretises it.
 ///
 /// # Errors
 ///
 /// [`CoreError::NotDescribable`] when the node's operator has no TDL
 /// description — such operators cannot be partitioned (§9).
 pub fn node_strategies(g: &Graph, node: NodeId, view: &ShapeView) -> Result<Vec<NodeStrategy>> {
-    let n = g.node(node);
-    let def = tofu_graph::lookup(&n.op)?;
-    let in_shapes: Vec<Shape> = n.inputs.iter().map(|&t| view.shape(t).clone()).collect();
-    let tdl_fn = def.tdl.ok_or_else(|| CoreError::NotDescribable {
-        node: n.name.clone(),
-        op: n.op.clone(),
-    })?;
-    let desc = tdl_fn(&in_shapes, &n.attrs).ok_or_else(|| CoreError::NotDescribable {
-        node: n.name.clone(),
-        op: n.op.clone(),
-    })?;
-
-    let out_dims = view.shape(n.output).dims().to_vec();
-    let in_dims: Vec<Vec<usize>> = in_shapes.iter().map(|s| s.dims().to_vec()).collect();
-    let extents = bind_extents(&desc, &out_dims, &in_dims)?;
-    let eval = |sym: usize| extents.get(sym).copied().unwrap_or(1) as f64;
-
-    let symbolic = discover_strategies(&desc)?;
-    let mut out = Vec::with_capacity(symbolic.len());
-    for s in symbolic {
-        let (concrete_out, reducer) = match s.output {
-            OutputPartition::Split { dim } => (ConcreteOut::Split(dim), None),
-            OutputPartition::Reduce { reducer } => (ConcreteOut::Reduce, Some(reducer)),
-        };
-        let inputs = s
-            .inputs
-            .iter()
-            .map(|req| match req {
-                InputRequirement::Unused => ConcreteReq::Unused,
-                InputRequirement::Replicated => ConcreteReq::Replicated,
-                InputRequirement::Split { dim, halo } => ConcreteReq::Split {
-                    dim: *dim,
-                    halo: halo.eval(&eval).max(0.0),
-                },
-            })
-            .collect();
-        let var_extent = extents.get(s.var).copied().unwrap_or(1);
-        out.push(NodeStrategy { id: s.id, var: s.var, var_extent, out: concrete_out, reducer, inputs });
-    }
-    Ok(out)
-}
-
-/// The memoization signature of [`node_strategies`]: everything strategy
-/// enumeration reads — operator kind, canonical attribute string, and the
-/// input/output shapes under the view. Two nodes with equal signatures get
-/// byte-identical strategy lists, which is what makes the strategy cache
-/// answer-preserving.
-pub fn strategy_signature(g: &Graph, node: NodeId, view: &ShapeView) -> String {
-    use std::fmt::Write;
-    let n = g.node(node);
-    let mut s = String::with_capacity(64);
-    s.push_str(&n.op);
-    let _ = write!(s, "|{}", n.attrs);
-    for &t in &n.inputs {
-        let _ = write!(s, "|{:?}", view.shape(t).dims());
-    }
-    let _ = write!(s, "|>{:?}", view.shape(n.output).dims());
-    s
+    analyse(g, node, view)?.concretise(g, node, view)
 }
 
 /// True when a strategy is usable for a `ways`-way step at these shapes: the
@@ -234,6 +244,57 @@ mod tests {
         let view = ShapeView::from_graph(&g);
         let err = node_strategies(&g, node, &view).unwrap_err();
         assert!(matches!(err, CoreError::NotDescribable { .. }));
+    }
+
+    /// The invariant behind analysing once per request: an analysis made at
+    /// shape A and concretised at shape B (A with every dim halved, the
+    /// leading one to 1) equals discovery afresh at B in every field — the
+    /// `Debug` text prints each f64 exactly, so halos agree to the bit —
+    /// `flip`, whose description bakes in `N − 1`, included.
+    #[test]
+    fn analysis_at_one_shape_concretises_at_another() {
+        let int = |k: &str, v: i64| Attrs::new().with_int(k, v);
+        let conv = || int("stride", 2).with_int("pad", 1);
+        // The backward ops also carry the two extents they cannot infer.
+        let bwd = |k: [&str; 2], v: i64| conv().with_int(k[0], v).with_int(k[1], v);
+        let (dy, data, filters) = (vec![4, 8, 4, 4], vec![4, 4, 8, 8], vec![4, 8, 3, 3]);
+        let cases: Vec<(&str, Vec<Vec<usize>>, Attrs)> = vec![
+            ("flip", vec![vec![6, 8]], int("axis", 0)),
+            ("flip", vec![vec![6, 8]], int("axis", 1)),
+            ("conv2d", vec![data.clone(), filters.clone()], conv()),
+            ("conv2d_bwd_data", vec![dy.clone(), filters], bwd(["in_h", "in_w"], 8)),
+            ("conv2d_bwd_filter", vec![dy, data.clone()], bwd(["kh", "kw"], 3)),
+            ("pool2d", vec![data.clone()], int("window", 2)),
+            ("pool2d_grad", vec![vec![4, 4, 4, 4], data], int("window", 2)),
+            ("slice_axis", vec![vec![8, 6]], int("axis", 1).with_int("begin", 2)),
+            ("pad", vec![vec![8, 6]], int("axis", 1).with_int("before", 2).with_int("after", 1)),
+            ("softmax", vec![vec![4, 6, 8]], int("axis", 1)),
+            ("softmax_grad", vec![vec![4, 6, 8], vec![4, 6, 8]], int("axis", 1)),
+            ("layer_norm", vec![vec![4, 6, 8], vec![6], vec![6]], int("axis", 1)),
+            ("bias_add", vec![vec![8, 6], vec![6]], int("axis", 1)),
+            ("sum_axis", vec![vec![8, 6]], int("axis", 0)),
+            ("batch_matmul_nt", vec![vec![4, 6, 8], vec![4, 10, 8]], Attrs::new()),
+            ("proj_heads", vec![vec![6, 8], vec![4, 8, 10]], Attrs::new()),
+        ];
+        for (op, ins, attrs) in cases {
+            let mut g = Graph::new();
+            let named = ins.into_iter().zip(["a", "b", "c"]);
+            let inputs: Vec<_> = named.map(|(d, name)| g.add_input(name, Shape::new(d))).collect();
+            let out = g.add_op(op, op, &inputs, attrs).unwrap();
+            let node = g.producer(out).unwrap();
+            let analysed = analyse(&g, node, &ShapeView::from_graph(&g)).unwrap();
+            let mut at_b = ShapeView::from_graph(&g);
+            for t in g.tensor_ids() {
+                let mut dims: Vec<usize> =
+                    g.tensor(t).shape.dims().iter().map(|&d| (d / 2).max(1)).collect();
+                dims[0] = 1;
+                at_b.set(t, Shape::new(dims));
+            }
+            let want = node_strategies(&g, node, &at_b).unwrap();
+            let got = analysed.concretise(&g, node, &at_b).unwrap();
+            assert!(!want.is_empty(), "{op}");
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{op} {}", g.node(node).attrs);
+        }
     }
 
     #[test]

@@ -6,12 +6,10 @@
 //! 1. no deadlock or panic under contention (the test finishing is the
 //!    assertion; `scripts/check.sh` runs it under a timeout);
 //! 2. every concurrently produced plan is **bit-identical** to the plan a
-//!    cold single-threaded search produces for the same request;
-//! 3. single-flight exactness: the request memo records **exactly one miss
-//!    per unique request** (every duplicate — concurrent or later — joins
-//!    the leader's flight or hits its memoized outcome), so the leaders
-//!    between them enumerate exactly the strategy signatures a cold
-//!    single-threaded pass does.
+//!    cold single-threaded search produces for the same request, and the
+//!    request memo records **exactly one miss per unique request** (every
+//!    duplicate — concurrent or later — joins the leader's flight or hits
+//!    its memoized outcome).
 
 use std::sync::Arc;
 
@@ -61,17 +59,15 @@ fn shared_cache_is_deadlock_free_exact_and_bit_identical() {
     let mix = request_mix();
 
     // Cold single-threaded baseline over one fresh cache: records the
-    // expected plans and the per-pass lookup/miss tallies.
+    // expected plans and the per-pass miss tally.
     let baseline_caches = SearchCaches::new();
     let mut expected: Vec<String> = Vec::new();
     for (g, opts) in &mix {
         let plan = partition_cached(g, opts, &baseline_caches, None).expect("baseline");
         expected.push(canonical(&plan));
     }
-    let baseline = baseline_caches.snapshot();
-    assert!(baseline.strategy_entries > 0, "baseline must exercise the strategy cache");
     assert_eq!(
-        baseline.stats.request_misses,
+        baseline_caches.stats().request_misses,
         mix.len() as u64,
         "each unique request misses the request memo once"
     );
@@ -122,13 +118,6 @@ fn shared_cache_is_deadlock_free_exact_and_bit_identical() {
         total_requests - mix.len() as u64,
         "all non-leader request lookups must be hits"
     );
-    // The snapshot view agrees with the raw tallies and sees the entries.
-    let snap = shared.snapshot();
-    assert_eq!(snap.stats, stats);
-    assert_eq!(
-        snap.strategy_entries, baseline.strategy_entries,
-        "request leaders enumerate exactly the cold pass's strategy signatures"
-    );
-    assert_eq!(snap.request_entries, mix.len());
-    assert!(snap.request_hit_rate > 0.9, "warm hit rate was {}", snap.request_hit_rate);
+    assert_eq!(stats.request_entries, mix.len());
+    assert!(stats.request_hit_rate() > 0.9, "warm hit rate was {}", stats.request_hit_rate());
 }

@@ -1,7 +1,7 @@
 //! Determinism: two searches over the same graph under the same
 //! configuration (and the same `TOFU_SEED`, which only perturbs tensor
 //! *value* sampling — the search never consumes randomness) must produce
-//! byte-identical plans and identical `dp/*` and `cache/*` counter totals.
+//! byte-identical plans and identical `coarsen/*` and `dp/*` counter totals.
 
 mod common;
 
@@ -16,7 +16,7 @@ use tofu_obs::Collector;
 fn search_counters(c: &Collector) -> BTreeMap<String, f64> {
     c.totals()
         .into_iter()
-        .filter(|(k, _)| k.starts_with("dp/") || k.starts_with("cache/"))
+        .filter(|(k, _)| k.starts_with("dp/") || k.starts_with("coarsen/"))
         .collect()
 }
 
@@ -45,7 +45,7 @@ fn assert_identical_runs(g: &Graph, opts: &PartitionOptions) {
         assert_eq!(a.plan.node_choice, b.plan.node_choice);
     }
     assert_eq!(plan_a.tiling, plan_b.tiling, "tiling assignment differs across runs");
-    assert_eq!(counters_a, counters_b, "dp/cache counter totals differ across identical runs");
+    assert_eq!(counters_a, counters_b, "coarsen/dp counter totals differ across identical runs");
     // The optimized engine must actually have reported its counters —
     // otherwise this test vacuously compares empty maps.
     if opts.tuning != SearchTuning::reference() {
@@ -53,7 +53,7 @@ fn assert_identical_runs(g: &Graph, opts: &PartitionOptions) {
             "dp/states_explored",
             "dp/relaxations",
             "dp/strategies_feasible",
-            "cache/strategy_miss",
+            "coarsen/strategy_analyses",
         ] {
             assert!(counters_a.contains_key(key), "missing expected counter {key}");
         }

@@ -1,5 +1,6 @@
 //! Differential fuzz harness: the optimized search engine (factored,
-//! memoized, cached) against the reference `unoptimized_search` on random
+//! memoized, strategies analysed once per request) against the reference
+//! `unoptimized_search`, which rediscovers them at every step, on random
 //! graphs.
 //!
 //! The contract (see DESIGN.md "Search performance"): both engines walk the
@@ -21,7 +22,7 @@ use tofu_core::coarsen::coarsen;
 use tofu_core::dp::{search, unoptimized_search, DpOptions, ExtraInputs};
 use tofu_core::recursive::{partition, PartitionOptions, PartitionPlan};
 use tofu_core::strategies::ShapeView;
-use tofu_core::{CoreError, SearchCaches, SearchTuning};
+use tofu_core::{CoreError, SearchTuning};
 use tofu_graph::{Attrs, Graph};
 use tofu_tensor::Shape;
 
@@ -67,7 +68,7 @@ fn check_step(g: &Graph, opts: &DpOptions) {
     let cg = coarsen(g);
     let extra = ExtraInputs::new();
     let ref_opts = DpOptions { tuning: SearchTuning::reference(), ..*opts };
-    let optimized = search(g, &view, &cg, &extra, opts, &SearchCaches::new(), None);
+    let optimized = search(g, &view, &cg, &extra, opts, None);
     let reference = unoptimized_search(g, &view, &cg, &extra, &ref_opts, None);
     if !check_error_parity(&optimized, &reference) {
         return;
@@ -289,7 +290,7 @@ fn differential_harness_exercises_success_paths() {
         let view = ShapeView::from_graph(&g);
         let cg = coarsen(&g);
         let extra = ExtraInputs::new();
-        if search(&g, &view, &cg, &extra, &exact_opts(2), &SearchCaches::new(), None).is_ok() {
+        if search(&g, &view, &cg, &extra, &exact_opts(2), None).is_ok() {
             ok += 1;
         }
     }

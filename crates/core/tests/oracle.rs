@@ -217,7 +217,7 @@ fn check_graph(g: &Graph, ways: usize) -> bool {
     let ref_opts = DpOptions { tuning: tofu_core::SearchTuning::reference(), ..opts };
 
     let oracle = build_oracle(g, &view, ways);
-    let optimized = search(g, &view, &cg, &extra, &opts, &tofu_core::SearchCaches::new(), None);
+    let optimized = search(g, &view, &cg, &extra, &opts, None);
     let reference = unoptimized_search(g, &view, &cg, &extra, &ref_opts, None);
 
     let Some(oracle) = oracle else {

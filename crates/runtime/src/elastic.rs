@@ -245,8 +245,8 @@ pub(crate) fn select_width(
     while w >= floor && w >= 1 {
         // A replan is *warm* when the request memo answers for the selected
         // width — a finished plan served without any search. A first-ever
-        // search at this width reuses only the strategy memo and still pays
-        // real search work.
+        // request at this width runs the whole search, strategy discovery
+        // included.
         let hits_before = caches.stats().request_hits;
         match partition_cached(g, &PartitionOptions { workers: w, ..*base }, caches, obs) {
             Ok(plan) => {

@@ -28,11 +28,12 @@
 //!
 //! Two cache layers cooperate: the serve-level *response cache* maps a whole
 //! request fingerprint ([`tofu_core::request_fingerprint`]) to the finished
-//! plan JSON, while the shared [`SearchCaches`] underneath keeps the
-//! strategy enumerations every request reuses (the same op at the same
-//! shapes, in any model or at any width) and the request memo, which also
-//! remembers a proven infeasibility — the response cache files only plans,
-//! so the memo is what spares a repeated infeasible request a second search.
+//! plan JSON, while the shared [`SearchCaches`] underneath is core's request
+//! memo, which also remembers a proven infeasibility — the response cache
+//! files only plans, so the memo is what spares a repeated infeasible
+//! request a second search. Nothing finer is shared between requests: every
+//! miss runs the whole search, analysing each distinct operator's
+//! strategies once.
 //!
 //! Every served plan is bit-identical to what a single-threaded
 //! [`tofu_core::partition_cached`] call would produce for the same request:
@@ -631,7 +632,7 @@ fn solver_loop(shared: &Arc<Shared>) {
 fn stats_response(shared: &Shared, id: u64) -> Response {
     let c = &shared.counters;
     let load = |a: &AtomicU64| Json::from(a.load(Ordering::Relaxed));
-    let snap = shared.caches.snapshot();
+    let memo = shared.caches.stats();
     let body = Json::obj(vec![
         ("type", Json::from("stats")),
         ("id", Json::from(id)),
@@ -656,14 +657,10 @@ fn stats_response(shared: &Shared, id: u64) -> Response {
         (
             "cache",
             Json::obj(vec![
-                ("strategy_hits", Json::from(snap.stats.strategy_hits)),
-                ("strategy_misses", Json::from(snap.stats.strategy_misses)),
-                ("request_hits", Json::from(snap.stats.request_hits)),
-                ("request_misses", Json::from(snap.stats.request_misses)),
-                ("strategy_entries", Json::from(snap.strategy_entries)),
-                ("request_entries", Json::from(snap.request_entries)),
-                ("strategy_hit_rate", Json::Num(snap.strategy_hit_rate)),
-                ("request_hit_rate", Json::Num(snap.request_hit_rate)),
+                ("request_hits", Json::from(memo.request_hits)),
+                ("request_misses", Json::from(memo.request_misses)),
+                ("request_entries", Json::from(memo.request_entries)),
+                ("request_hit_rate", Json::Num(memo.request_hit_rate())),
             ]),
         ),
     ]);

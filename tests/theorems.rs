@@ -3,9 +3,7 @@
 //! costs) and Theorem 3 (the recursion is no worse than other orderings),
 //! plus the §5.2 factorization rules.
 
-use tofu::core::{
-    factorize, partition, partition_with_factors, PartitionOptions, SearchCaches,
-};
+use tofu::core::{factorize, partition, partition_with_factors, PartitionOptions};
 use tofu::models::{mlp, rnn, small_cnn, MlpConfig, RnnConfig, SmallCnnConfig};
 
 #[test]
@@ -71,7 +69,7 @@ fn theorem_1_commutativity_of_factor_order() {
             .unwrap();
     let opts = PartitionOptions { workers: 6, ..Default::default() };
     let with_factors = |factors: &[usize]| {
-        partition_with_factors(&model.graph, factors, &opts, &SearchCaches::new(), None).unwrap()
+        partition_with_factors(&model.graph, factors, &opts, None).unwrap()
     };
     let forward = with_factors(&[3, 2]);
     let backward = with_factors(&[2, 3]);
@@ -93,10 +91,8 @@ fn theorem_3_recursion_not_worse_than_flat_chop() {
         })
         .unwrap();
         let opts = PartitionOptions { workers: 8, ..Default::default() };
-        let with_factors = |factors: &[usize]| {
-            partition_with_factors(&model.graph, factors, &opts, &SearchCaches::new(), None)
-                .unwrap()
-        };
+        let with_factors =
+            |factors: &[usize]| partition_with_factors(&model.graph, factors, &opts, None).unwrap();
         let recursive = with_factors(&[2, 2, 2]);
         let flat = with_factors(&[8]);
         assert!(
