@@ -48,7 +48,7 @@ pub use autodiff::{backward, GradInfo};
 pub use error::GraphError;
 pub use exec::{execute_node, Executor};
 pub use graph::{Graph, Node, NodeId, NodeTags, TensorId, TensorKind, TensorMeta};
-pub use memplan::{plan_buffers, plan_memory, plan_memory_for_schedule, BufferPlan, MemPlan, SlotAction};
+pub use memplan::{plan_buffers, plan_memory, BufferPlan, MemPlan, SlotAction};
 pub use ops::data::{fetch_pieces, FetchPiece};
 pub use registry::{coverage, lookup, register, Coverage, OpCategory, OpDef};
 

@@ -8,8 +8,29 @@
 //! sub-schedule stays serial and this reuse keeps working (§6, Fig. 7); the
 //! `reuse` flag models the ablation where those dependencies are missing and
 //! no cross-operator reuse is safe.
+//!
+//! **The placement rule.** At each schedule position the output takes over
+//! its first input's buffer in place when the operator runs in place and
+//! that input dies right there; otherwise it reuses the smallest free buffer
+//! that fits, else grows the largest free buffer, else allocates a fresh
+//! one. Ties between equal-size free buffers go to the lowest slot id.
+//!
+//! **Why the tie rule cannot change a number.** Every decision reads buffer
+//! *sizes* only — which free size fits, which is largest, whether the dying
+//! input's buffer is big enough — never a slot id. By induction over schedule
+//! positions, the multiset of free sizes and the size of the buffer holding
+//! each live tensor are the same under any tie rule, so the `MemPlan`, every
+//! action's kind and `grown_by`, `dead_after`, `persistent` and the multiset
+//! of slot sizes are too. Only slot labels depend on the rule, and the one
+//! reader of labels, the runtime's `BufferPool`, replays the same plan.
+//!
+//! **Cost.** Near-linear in the graph: per-tensor state lives in dense
+//! vectors, releases come from `dead_after` (no scan over live buffers), the
+//! in-place test is one lookup, and free buffers sit in a set ordered by
+//! `(bytes, slot)`, so a pick is a logarithmic range query. The runtime plans
+//! every worker on every attempt, so this is paid per training step.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use crate::graph::{Graph, NodeId, TensorId, TensorKind};
 
@@ -73,7 +94,7 @@ impl SlotAction {
 /// "leverage the existing memory planner" contract made explicit).
 #[derive(Debug, Clone)]
 pub struct BufferPlan {
-    /// The summary numbers (identical to [`plan_memory_for_schedule`]).
+    /// The summary numbers (what [`plan_memory`] returns for a whole graph).
     pub mem: MemPlan,
     /// Final byte size of every physical buffer slot.
     pub slot_bytes: Vec<u64>,
@@ -108,30 +129,26 @@ fn is_inplace_capable(g: &Graph, id: NodeId) -> bool {
 /// Plans memory for the whole graph in insertion order.
 pub fn plan_memory(g: &Graph, reuse: bool) -> MemPlan {
     let schedule: Vec<NodeId> = g.node_ids().collect();
-    plan_memory_for_schedule(g, &schedule, reuse)
+    plan_buffers(g, &schedule, reuse).mem
 }
 
 /// Plans memory for a sub-schedule (e.g. one worker's nodes of a partitioned
-/// graph). Only tensors produced by scheduled nodes count as transient;
-/// persistent bytes cover inputs/weights this device *owns* (consumed by a
-/// non-fetch node of the schedule — a `multi_fetch` of a remote tensor only
-/// materializes the fetched piece, which is the fetch node's own output).
+/// graph) and returns the full buffer assignment: every placement decision
+/// and liveness event, so a runtime can seed a real pool from the static
+/// plan. The placement rule and its tie-break are in the module docs.
 ///
+/// Only tensors produced by scheduled nodes count as transient; persistent
+/// bytes cover inputs/weights this device *owns* (consumed by a non-fetch
+/// node of the schedule — a `multi_fetch` of a remote tensor only
+/// materializes the fetched piece, which is the fetch node's own output).
 /// A tensor produced here but consumed by other devices stays live until
 /// the local step at which its last remote consumer has run (the §6
 /// behavior: the buffer is released once the remote fetch completed).
-pub fn plan_memory_for_schedule(g: &Graph, schedule: &[NodeId], reuse: bool) -> MemPlan {
-    plan_buffers(g, schedule, reuse).mem
-}
-
-/// Plans memory for a sub-schedule and returns the full buffer assignment —
-/// the same greedy scan as [`plan_memory_for_schedule`], with every placement
-/// decision and liveness event recorded so a runtime can seed a real pool
-/// from the static plan.
 pub fn plan_buffers(g: &Graph, schedule: &[NodeId], reuse: bool) -> BufferPlan {
-    let mut produced: BTreeMap<TensorId, usize> = BTreeMap::new();
+    // Per tensor: the schedule position producing it here, if any.
+    let mut def_pos: Vec<Option<usize>> = vec![None; g.num_tensors()];
     for (pos, &id) in schedule.iter().enumerate() {
-        produced.insert(g.node(id).output, pos);
+        def_pos[g.node(id).output.0] = Some(pos);
     }
 
     // Global last-consumer index of every tensor (one pass over the graph).
@@ -150,26 +167,33 @@ pub fn plan_buffers(g: &Graph, schedule: &[NodeId], reuse: bool) -> BufferPlan {
             Err(p) => p.min(schedule.len().saturating_sub(1)),
         }
     };
-    let mut last_use: BTreeMap<TensorId, usize> = BTreeMap::new();
+    // Per locally produced tensor: the position after which it dies — its
+    // last local read, extended to the local step aligned with its last
+    // remote consumer. Positions ascend, so the last write is the maximum.
+    let mut last_use: Vec<usize> = vec![0; g.num_tensors()];
     for (pos, &id) in schedule.iter().enumerate() {
         for &t in &g.node(id).inputs {
-            let e = last_use.entry(t).or_insert(pos);
-            *e = (*e).max(pos);
+            last_use[t.0] = pos;
         }
     }
-    // Locally produced tensors with remote consumers: extend their liveness
-    // to the local step aligned with the last remote consumer.
-    for (&t, &def_pos) in &produced {
-        let remote_last = global_last[t.0];
-        let local = to_local(remote_last).max(def_pos);
-        let e = last_use.entry(t).or_insert(local);
-        *e = (*e).max(local);
+    for (pos, &id) in schedule.iter().enumerate() {
+        let t = g.node(id).output;
+        last_use[t.0] = last_use[t.0].max(to_local(global_last[t.0]).max(pos));
+    }
+    // Exact death positions, in tensor id order within a position; the
+    // release phase below frees slots at exactly these steps.
+    let mut dead_after: Vec<Vec<TensorId>> = vec![Vec::new(); schedule.len()];
+    for (t, def) in def_pos.iter().enumerate() {
+        if def.is_some() {
+            dead_after[last_use[t]].push(TensorId(t));
+        }
     }
 
     // Persistent bytes: inputs/weights consumed by non-fetch nodes of the
-    // schedule (i.e. resident on this device).
-    let mut persistent = 0u64;
-    let mut seen_persistent: Vec<TensorId> = Vec::new();
+    // schedule (i.e. resident on this device), in first-read order.
+    let mut persistent_bytes = 0u64;
+    let mut persistent: Vec<TensorId> = Vec::new();
+    let mut resident = vec![false; g.num_tensors()];
     for &id in schedule {
         let node = g.node(id);
         if node.op == "multi_fetch" {
@@ -178,30 +202,20 @@ pub fn plan_buffers(g: &Graph, schedule: &[NodeId], reuse: bool) -> BufferPlan {
         for &t in &node.inputs {
             let meta = g.tensor(t);
             let external = meta.kind != TensorKind::Intermediate;
-            if external && !produced.contains_key(&t) && !seen_persistent.contains(&t) {
-                seen_persistent.push(t);
-                persistent += meta.shape.bytes();
+            if external && def_pos[t.0].is_none() && !resident[t.0] {
+                resident[t.0] = true;
+                persistent.push(t);
+                persistent_bytes += meta.shape.bytes();
             }
         }
     }
 
     // Greedy buffer reuse over the serial schedule. Physical buffers carry
-    // stable slot ids so the recorded actions can be replayed; `free` holds
-    // ids of currently-unassigned slots.
+    // stable slot ids so the recorded actions can be replayed.
     let mut slot_bytes: Vec<u64> = Vec::new(); // by slot id, current size
-    let mut free: Vec<usize> = Vec::new(); // free slot ids
-    let mut live: Vec<(TensorId, usize, usize)> = Vec::new(); // (tensor, slot, last use)
+    let mut free: BTreeSet<(u64, usize)> = BTreeSet::new(); // (bytes, slot) of unassigned slots
+    let mut slot_of: Vec<Option<usize>> = vec![None; g.num_tensors()]; // slot of each live tensor
     let mut actions: Vec<SlotAction> = Vec::with_capacity(schedule.len());
-    // Exact death positions, straight from the liveness map; the release
-    // phase below frees slots at exactly these steps.
-    let mut dead_after: Vec<Vec<TensorId>> = vec![Vec::new(); schedule.len()];
-    for &t in produced.keys() {
-        if let Some(&last) = last_use.get(&t) {
-            if last < schedule.len() {
-                dead_after[last].push(t);
-            }
-        }
-    }
     let mut current = 0u64;
     let mut peak = 0u64;
     let mut allocated = 0usize;
@@ -213,47 +227,31 @@ pub fn plan_buffers(g: &Graph, schedule: &[NodeId], reuse: bool) -> BufferPlan {
         // In-place execution (MXNet marks element-wise operators in-place):
         // when the first input's buffer dies at this very node, the output
         // takes it over without any new allocation.
-        let in_place_slot = if reuse && is_inplace_capable(g, id) {
-            node.inputs.first().and_then(|&t| {
-                live.iter().position(|&(lt, slot, last)| {
-                    lt == t && last == pos && slot_bytes[slot] >= need
-                })
-            })
-        } else {
-            None
+        let in_place = match node.inputs.first() {
+            Some(&t) if reuse && last_use[t.0] == pos => slot_of[t.0]
+                .filter(|&slot| slot_bytes[slot] >= need && is_inplace_capable(g, id))
+                .map(|slot| (t, slot)),
+            _ => None,
         };
-        if let Some(i) = in_place_slot {
-            let (_, slot, _) = live.swap_remove(i);
-            let last = last_use.get(&out).copied().unwrap_or(usize::MAX);
-            live.push((out, slot, last));
+        let slot = if let Some((t, slot)) = in_place {
+            slot_of[t.0] = None;
             actions.push(SlotAction::InPlace { slot });
+            slot
         } else {
             // Reuse a free buffer when one exists. MXNet's planner assigns
             // buffers offline with full liveness knowledge, so it can resize
             // assignments freely; model that by growing an undersized free
             // buffer instead of allocating a disjoint one (the pool's
             // high-water mark then tracks the true live-byte peak, not
-            // fragmentation).
-            let pick = if reuse {
-                // Prefer an exact/over-sized fit, else the largest free buffer.
-                free.iter()
-                    .enumerate()
-                    .filter(|&(_, &s)| slot_bytes[s] >= need)
-                    .min_by_key(|&(_, &s)| slot_bytes[s])
-                    .map(|(i, _)| i)
-                    .or_else(|| {
-                        free.iter()
-                            .enumerate()
-                            .max_by_key(|&(_, &s)| slot_bytes[s])
-                            .map(|(i, _)| i)
-                    })
-            } else {
-                None
-            };
-            let slot = match pick {
-                Some(i) => {
-                    let slot = free.swap_remove(i);
-                    let size = slot_bytes[slot];
+            // fragmentation). The smallest fit first, else the largest; the
+            // lowest slot id among equal sizes either way.
+            let pick = free.range((need, 0)..).next().or_else(|| {
+                let &(largest, _) = free.last()?;
+                free.range((largest, 0)..).next()
+            });
+            match pick.copied() {
+                Some(key @ (size, slot)) => {
+                    free.remove(&key);
                     let grown_by = need.saturating_sub(size);
                     if grown_by > 0 {
                         current += grown_by;
@@ -272,40 +270,41 @@ pub fn plan_buffers(g: &Graph, schedule: &[NodeId], reuse: bool) -> BufferPlan {
                     actions.push(SlotAction::Alloc { slot });
                     slot
                 }
-            };
-            let last = last_use.get(&out).copied().unwrap_or(usize::MAX);
-            live.push((out, slot, last));
-        }
+            }
+        };
+        slot_of[out.0] = Some(slot);
 
         // Release buffers whose last consumer just ran — at every position,
         // including in-place takeovers, so a tensor dying alongside a
         // takeover frees its slot at the exact step `dead_after` records
-        // (skipping this at in-place positions freed those slots one step
-        // late and inflated the next allocation). Without reuse the planner
-        // cannot reclaim at all — this models the missing control
-        // dependencies of Fig. 7, where ops of the partitioned graph have no
-        // ordering that would make reclamation safe.
+        // (the input taken over has already handed its slot on). Without
+        // reuse the planner cannot reclaim at all — this models the missing
+        // control dependencies of Fig. 7, where ops of the partitioned graph
+        // have no ordering that would make reclamation safe.
         if reuse {
-            let mut i = 0;
-            while i < live.len() {
-                if live[i].2 <= pos {
-                    let (_, slot, _) = live.swap_remove(i);
-                    free.push(slot);
-                } else {
-                    i += 1;
+            for &t in &dead_after[pos] {
+                if let Some(slot) = slot_of[t.0].take() {
+                    free.insert((slot_bytes[slot], slot));
                 }
             }
         }
     }
 
-    let mem = MemPlan { peak_transient_bytes: peak, persistent_bytes: persistent, buffers_allocated: allocated };
-    BufferPlan { mem, slot_bytes, actions, dead_after, persistent: seen_persistent }
+    let mem =
+        MemPlan { peak_transient_bytes: peak, persistent_bytes, buffers_allocated: allocated };
+    BufferPlan { mem, slot_bytes, actions, dead_after, persistent }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attrs::Attrs;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use tofu_tensor::Shape;
 
     /// A chain of n element-wise ops over a 1 KiB tensor.
@@ -446,10 +445,115 @@ mod tests {
     fn sub_schedule_scopes_to_workers_nodes() {
         let g = chain(4);
         let first_two: Vec<NodeId> = g.node_ids().take(2).collect();
-        let plan = plan_memory_for_schedule(&g, &first_two, true);
+        let plan = plan_buffers(&g, &first_two, true).mem;
         // r0 allocates; r1 runs in place. But r1's output feeds r2, which is
         // outside this schedule, so it must stay live: peak is one buffer
         // (the in-place takeover keeps a single physical buffer).
         assert_eq!(plan.peak_transient_bytes, 1024);
+    }
+
+    /// Attributes padding axis 0 with `after` trailing elements.
+    fn pad(after: i64) -> Attrs {
+        Attrs::new().with_int("axis", 0).with_int("before", 0).with_int("after", after)
+    }
+
+    /// x -> a (relu), x -> b (tanh), c = matmul(a, b): a and b die together
+    /// at c, which cannot run in place, so two free 1 KiB slots (0 and 1)
+    /// are left for the node `last` builds from x.
+    fn two_free_slots(last: impl Fn(&mut Graph, TensorId)) -> BufferPlan {
+        let mut g = Graph::new();
+        let x = g.add_input("x", Shape::new(vec![16, 16]));
+        let a = g.add_op("relu", "a", &[x], Attrs::new()).unwrap();
+        let b = g.add_op("tanh", "b", &[x], Attrs::new()).unwrap();
+        let c = g.add_op("matmul", "c", &[a, b], Attrs::new()).unwrap();
+        last(&mut g, x);
+        // Keep c live past the last node, so its slot never joins the tie.
+        let _keep = g.add_op("relu", "keep", &[c], Attrs::new()).unwrap();
+        let schedule: Vec<NodeId> = g.node_ids().collect();
+        let bp = plan_buffers(&g, &schedule, true);
+        assert_eq!(bp.actions[2], SlotAction::Alloc { slot: 2 });
+        bp
+    }
+
+    #[test]
+    fn equal_size_free_buffers_go_to_the_lowest_slot() {
+        // The smallest fit: both free slots fit exactly.
+        let fit = two_free_slots(|g, x| {
+            g.add_op("tanh", "d", &[x], Attrs::new()).unwrap();
+        });
+        assert_eq!(fit.actions[3], SlotAction::Reuse { slot: 0, grown_by: 0 });
+        // No fit: the largest grows, and both are largest.
+        let grow = two_free_slots(|g, x| {
+            g.add_op("pad", "d", &[x], pad(16)).unwrap();
+        });
+        assert_eq!(grow.actions[3], SlotAction::Reuse { slot: 0, grown_by: 1024 });
+    }
+
+    /// A random DAG of 1-D tensors (lengths multiples of 16 floats; inputs
+    /// and weights as leaves): element-wise ops that can run in place, `add`
+    /// of two equal-size tensors, and `pad` / `slice_axis` to change sizes,
+    /// so free buffers both fit and need growing. Every op also draws one of
+    /// three devices to run on.
+    fn random_dag(seed: u64) -> (Graph, Vec<usize>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = Graph::new();
+        let mut tensors: Vec<TensorId> = Vec::new();
+        for i in 0..rng.gen_range(1..5usize) {
+            let shape = Shape::new(vec![16 * rng.gen_range(1..5usize)]);
+            tensors.push(if i % 2 == 1 {
+                g.add_weight(&format!("w{i}"), shape)
+            } else {
+                g.add_input(&format!("x{i}"), shape)
+            });
+        }
+        let mut device = Vec::new();
+        for i in 0..rng.gen_range(1..48usize) {
+            let x = tensors[rng.gen_range(0..tensors.len())];
+            let len = g.tensor(x).shape.dim(0) as i64;
+            let step = 16 * rng.gen_range(0..3i64);
+            let name = format!("n{i}");
+            let out = match rng.gen_range(0..5u32) {
+                0 => g.add_op("relu", &name, &[x], Attrs::new()),
+                1 => g.add_op("tanh", &name, &[x], Attrs::new()),
+                2 => {
+                    // The first tensor of x's size from a random start.
+                    let from = rng.gen_range(0..tensors.len());
+                    let y = (0..tensors.len())
+                        .map(|j| tensors[(from + j) % tensors.len()])
+                        .find(|&y| g.tensor(y).shape == g.tensor(x).shape)
+                        .unwrap_or(x);
+                    g.add_op("add", &name, &[x, y], Attrs::new())
+                }
+                3 => g.add_op("pad", &name, &[x], pad(step)),
+                _ => {
+                    let end = (len - step).max(16);
+                    let attrs = Attrs::new().with_int("axis", 0).with_int("begin", 0);
+                    g.add_op("slice_axis", &name, &[x], attrs.with_int("end", end))
+                }
+            };
+            tensors.push(out.unwrap());
+            device.push(rng.gen_range(0..3usize));
+        }
+        (g, device)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// The planner and the scan it replaced agree on every size, for the
+        /// whole schedule and for every device's sub-schedule (whose tensors
+        /// with remote consumers stay live to the aligned local step).
+        #[test]
+        fn planner_matches_the_reference_scan(seed in 0u64..1_000_000) {
+            let (g, device) = random_dag(seed);
+            for reuse in [true, false] {
+                let all: Vec<NodeId> = g.node_ids().collect();
+                reference::assert_agrees(&g, &all, reuse);
+                for d in 0..3 {
+                    let schedule: Vec<NodeId> = g.node_ids().filter(|n| device[n.0] == d).collect();
+                    reference::assert_agrees(&g, &schedule, reuse);
+                }
+            }
+        }
     }
 }

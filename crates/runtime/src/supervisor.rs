@@ -286,19 +286,16 @@ fn run_attempt(ctx: &AttemptCtx<'_>) -> Result<Attempt> {
     let k = sharded.workers;
     debug_assert_eq!(ctx.device_map.len(), k);
 
-    // Local schedule position of every node within its own worker.
-    let mut local_pos = vec![0usize; sharded.graph.num_nodes()];
-    for w in 0..k {
-        for (i, id) in sharded.worker_schedule(w).iter().enumerate() {
-            local_pos[id.0] = i;
-        }
-    }
-
     // Every send pre-resolved into a schedule-indexed routing table (slot
-    // assignment, per-position route spans, receiver-side expectations and
+    // assignment, per-position send lists, receiver-side expectations and
     // pre-decoded fetch assemblies); the hot loops below never consult the
-    // graph for routing again.
-    let routes = RoutePlan::new(sharded, &local_pos, resume.map(|r| r.cuts.as_slice()));
+    // graph for routing again. Building it also rejects a malformed plan
+    // before any thread starts.
+    let plan_start = opts.collector.as_ref().map(|c| c.now_us());
+    let routes = RoutePlan::new(sharded, resume.map(|r| r.cuts.as_slice()))?;
+    if let (Some(c), Some(start)) = (&opts.collector, plan_start) {
+        c.complete(Track::control(), "plan", "plan routes", start, c.now_us());
+    }
 
     // Checkpoint barriers: per worker, which checkpoint ids to record at
     // which local schedule position.

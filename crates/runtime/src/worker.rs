@@ -267,7 +267,13 @@ impl<'a> Worker<'a> {
         let store = opts.checkpoint.map(|_| attempt.store);
         let resume = attempt.resume.map(|r| (r.cuts[w], &r.values[w]));
         let schedule = sharded.worker_schedule(w);
+        let mut obs = opts.collector.as_ref().map(|c| c.buffer(Track::runtime(w)));
+        let plan_start = obs.as_ref().map(SpanBuffer::now_us);
         let plan = plan_buffers(&sharded.graph, &schedule, opts.buffer_reuse);
+        if let (Some(buf), Some(start)) = (obs.as_mut(), plan_start) {
+            let end = buf.now_us();
+            buf.complete("plan", "plan buffers", start, end);
+        }
         let (start_pos, values) = match resume {
             // The snapshot already holds the feeds plus everything the
             // prefix computed; re-feeding would be redundant. Cloning an
@@ -311,7 +317,7 @@ impl<'a> Worker<'a> {
         for t in &plan.persistent {
             scan_floor[t.0] = usize::MAX;
         }
-        for r in routes.startup.iter().chain(routes.sends.iter()) {
+        for r in routes.startup.iter().chain(routes.sends.iter().flatten()) {
             scan_floor[r.tensor.0] = usize::MAX;
         }
         let k = txs.len();
@@ -350,7 +356,7 @@ impl<'a> Worker<'a> {
             ops: Vec::new(),
             busy: Duration::ZERO,
             epoch,
-            obs: opts.collector.as_ref().map(|c| c.buffer(Track::runtime(w))),
+            obs,
             obs_epoch_us,
             recv_timeout: opts.recv_timeout,
             abort_poll: opts.abort_poll,
@@ -637,8 +643,7 @@ impl<'a> Worker<'a> {
                 self.value_sums.insert(node.output, payload_checksum(out.data()));
             }
             self.values.insert(node.output, Arc::new(out));
-            let (lo, hi) = routes.spans[pos];
-            for r in &routes.sends[lo as usize..hi as usize] {
+            for r in &routes.sends[pos] {
                 self.send_route(r)?;
             }
         }

@@ -7,7 +7,8 @@ use std::collections::BTreeMap;
 use tofu_core::{generate, partition, GenOptions, PartitionOptions, ShardedGraph};
 use tofu_graph::{Executor, Graph, TensorId, TensorKind};
 use tofu_models::{mlp, MlpConfig};
-use tofu_runtime::{run, run_with_options, RunOptions};
+use tofu_obs::{Collector, Phase, Track};
+use tofu_runtime::{run, run_with_options, RunOptions, RuntimeError};
 use tofu_tensor::Tensor;
 
 fn feeds(g: &Graph) -> Vec<(TensorId, Tensor)> {
@@ -167,5 +168,76 @@ fn missing_feed_is_reported() {
             assert!(failure.trace.is_partial());
         }
         other => panic!("expected Failed post-mortem, got {other}"),
+    }
+}
+
+#[test]
+fn malformed_sharded_graph_is_a_typed_error_not_a_panic() {
+    // `ShardedGraph`'s fields are public, so a caller can hand the runtime a
+    // plan `generate` would never produce. Both edits below used to panic on
+    // the caller's thread while the routes were being resolved.
+    let m = mlp(&MlpConfig { batch: 8, dims: vec![16, 16], classes: 8, with_updates: true })
+        .unwrap();
+    let (sharded, _, _) = shard(&m.graph, 2);
+    let g = &sharded.graph;
+    let compute = g
+        .node_ids()
+        .find(|&id| g.node(id).op != "multi_fetch" && !g.node(id).inputs.is_empty())
+        .unwrap();
+    let home = sharded.device_of(compute);
+    let node = format!("{compute:?}");
+    let run_on = |device: usize| {
+        let (mut bad, shard_feeds, _) = shard(&m.graph, 2);
+        bad.device_of_node[compute.0] = device;
+        match run_with_options(&bad, &shard_feeds, &RunOptions::default()) {
+            Err(RuntimeError::InvalidOptions(m)) => m,
+            other => panic!("device {device}: expected InvalidOptions, got {other:?}"),
+        }
+    };
+    // A compute node moved to the other worker reads its inputs remotely.
+    let away = 1 - home;
+    let moved = run_on(away);
+    assert!(moved.contains(&node) && moved.contains("only multi_fetch"), "{moved}");
+    assert!(moved.contains(&format!("device {away}")), "{moved}");
+    assert!(moved.contains(&format!("device {home}")), "{moved}");
+    // A node on a device the fleet does not have.
+    let absent = run_on(7);
+    assert!(absent.contains(&node) && absent.contains("device 7 of 2"), "{absent}");
+}
+
+#[test]
+fn planning_is_a_span_before_the_first_op() {
+    let m = mlp(&MlpConfig { batch: 8, dims: vec![16, 16], classes: 8, with_updates: true })
+        .unwrap();
+    let (sharded, shard_feeds, _) = shard(&m.graph, 2);
+    let obs = Collector::new();
+    let opts = RunOptions { collector: Some(obs.clone()), ..Default::default() };
+    run_with_options(&sharded, &shard_feeds, &opts).unwrap();
+    let spans = |track: Track, name: &str| -> Vec<(f64, f64)> {
+        obs.events()
+            .into_iter()
+            .filter(|e| e.track == track && e.name == name)
+            .filter_map(|e| match e.phase {
+                Phase::Complete { dur_us } => Some((e.ts_us, e.ts_us + dur_us)),
+                _ => None,
+            })
+            .collect()
+    };
+    // One routing table per attempt, built before the attempt starts.
+    let routes = spans(Track::control(), "plan routes");
+    let attempt = spans(Track::control(), "attempt");
+    assert_eq!((routes.len(), attempt.len()), (1, 1));
+    assert!(routes[0].1 <= attempt[0].0);
+    // One buffer plan per worker, finished before its first op starts.
+    for w in 0..2 {
+        let plan = spans(Track::runtime(w), "plan buffers");
+        assert_eq!(plan.len(), 1, "worker {w}");
+        let first_op = obs
+            .events()
+            .into_iter()
+            .filter(|e| e.track == Track::runtime(w) && (e.cat == "op" || e.cat == "fetch"))
+            .map(|e| e.ts_us)
+            .fold(f64::INFINITY, f64::min);
+        assert!(plan[0].1 <= first_op, "worker {w}");
     }
 }

@@ -6,7 +6,7 @@
 //! history copy per weight — the `3W` rule of §7.1 (weight + gradient +
 //! history; the gradient is a graph tensor and already in the plan).
 
-use tofu_graph::{memplan, Graph, NodeId, TensorKind};
+use tofu_graph::{plan_buffers, Graph, NodeId, TensorKind};
 
 use crate::machine::Machine;
 
@@ -44,28 +44,22 @@ pub fn device_memory(
     buffer_reuse: bool,
     optimizer_copies: f64,
 ) -> DeviceMemory {
-    let plan = memplan::plan_memory_for_schedule(g, schedule, buffer_reuse);
+    let plan = plan_buffers(g, schedule, buffer_reuse);
     // Optimizer history: one extra copy per weight shard this device *owns*
-    // (consumed by its compute nodes; weight shards read through a
-    // `multi_fetch` belong to another device).
-    let mut weight_bytes = 0u64;
-    let mut seen: Vec<usize> = Vec::new();
-    for &id in schedule {
-        let node = g.node(id);
-        if node.op == "multi_fetch" {
-            continue;
-        }
-        for &t in &node.inputs {
-            if g.tensor(t).kind == TensorKind::Weight && !seen.contains(&t.0) {
-                seen.push(t.0);
-                weight_bytes += g.tensor(t).shape.bytes();
-            }
-        }
-    }
+    // — the weights among the planner's persistent tensors (consumed by its
+    // compute nodes; weight shards read through a `multi_fetch` belong to
+    // another device).
+    let weight_bytes: u64 = plan
+        .persistent
+        .iter()
+        .map(|&t| g.tensor(t))
+        .filter(|meta| meta.kind == TensorKind::Weight)
+        .map(|meta| meta.shape.bytes())
+        .sum();
     let optimizer_bytes = (weight_bytes as f64 * optimizer_copies) as u64;
     DeviceMemory {
-        peak_bytes: plan.total_bytes() + optimizer_bytes,
-        persistent_bytes: plan.persistent_bytes,
+        peak_bytes: plan.mem.total_bytes() + optimizer_bytes,
+        persistent_bytes: plan.mem.persistent_bytes,
         optimizer_bytes,
     }
 }
