@@ -6,7 +6,12 @@
 //! Every value is a simulator output, so the file repeats exactly and
 //! `scripts/check.sh` fails on any drift from the committed copy — a changed
 //! `comm_bytes` is a real partitioning or codegen change and must be staged
-//! deliberately.
+//! deliberately. Beside it, `read_bytes` sums the bytes over every remote
+//! read: a block several fetches on one device read crosses once, so
+//! `comm_bytes` (distinct transfers) is at most `read_bytes`, and
+//! `plan_comm_bytes` (the DP's Eq. 3 objective) is compared against the
+//! latter. The run fails if the simulator's bytes differ from the
+//! `comm_edges()` sum or if two transfers move the same block to one device.
 //!
 //! Besides the curves, the run is a regression gate on **strategy
 //! structure**: at every multi-worker point the plan must be genuinely
@@ -18,8 +23,8 @@
 //! on every structure node; at longer sequences the DP legitimately mixes in
 //! sequence-parallel steps (`split:n`), which the curves record.
 
-use tofu_bench::{bench_report, write_report, Json};
-use tofu_core::{partition, NodeChoice, PartitionOptions, PartitionPlan};
+use tofu_bench::{bench_report, transfers, write_report, Json};
+use tofu_core::{generate, partition, GenOptions, NodeChoice, PartitionOptions, PartitionPlan};
 use tofu_graph::{Graph, NodeId};
 use tofu_models::{decoder_block, DecoderConfig};
 use tofu_sim::{Machine, TofuSimOptions};
@@ -119,6 +124,23 @@ fn main() {
                 }
             };
 
+            let planned = match generate(&m.graph, &plan, &GenOptions::default())
+                .map_err(|e| format!("generate failed: {e}"))
+                .and_then(|sharded| transfers(&sharded))
+            {
+                Ok(t) => t,
+                Err(e) => {
+                    failures.push(format!("seq={seq} w={workers}: {e}"));
+                    continue;
+                }
+            };
+            if run.comm_bytes != planned.bytes as f64 {
+                failures.push(format!(
+                    "seq={seq} w={workers}: simulated {} B, comm_edges() sum to {} B",
+                    run.comm_bytes, planned.bytes
+                ));
+            }
+
             let structure: Vec<(String, Vec<String>)> = STRUCTURE
                 .iter()
                 .map(|&(node, _)| (node.to_string(), chosen(&m.graph, &plan, node)))
@@ -188,6 +210,7 @@ fn main() {
                 ("tokens_per_sec", Json::from(tokens_per_sec)),
                 ("oom", Json::Bool(oom)),
                 ("comm_bytes", Json::from(run.comm_bytes)),
+                ("read_bytes", Json::from(planned.read_bytes)),
                 ("plan_comm_bytes", Json::from(plan.total_comm_bytes())),
                 ("peak_gb", Json::from(peak)),
                 ("compute_only_seconds", Json::from(run.compute_only_seconds)),

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 
 use tofu_core::baselines::Algorithm;
 use tofu_core::ShardedGraph;
-use tofu_graph::{Graph, TensorId, TensorKind};
+use tofu_graph::{Graph, TensorId, TensorKind, TransferIndex};
 use tofu_models::{rnn, wresnet, RnnConfig, WResNetConfig};
 use tofu_runtime::{resume_from_snapshot, run_with_options, FullSnapshot, RunOptions};
 use tofu_sim::{Machine, Outcome, TofuSimOptions};
@@ -109,6 +109,43 @@ pub fn partitioned_sweep(
         }
     }
     (Outcome::Oom { peak_gb: worst_peak }, std::time::Duration::ZERO)
+}
+
+/// What a sharded graph's `comm_edges()` move, counted both ways: once per
+/// transfer (what crosses the links) and once per remote read (what every
+/// reader would pull if no block were shared).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Transfers {
+    /// Distinct transfers: one message each.
+    pub count: u64,
+    /// Bytes over all transfers.
+    pub bytes: u64,
+    /// Remote reads the transfers serve.
+    pub reads: u64,
+    /// Bytes summed over remote reads.
+    pub read_bytes: u64,
+}
+
+/// Counts `sharded`'s transfers and the reads they serve. Fails when two
+/// transfers move the same block to the same device: a block crosses to a
+/// device once.
+pub fn transfers(sharded: &ShardedGraph) -> Result<Transfers, String> {
+    let mut seen = TransferIndex::default();
+    let mut out = Transfers { count: 0, bytes: 0, reads: 0, read_bytes: 0 };
+    for e in sharded.comm_edges() {
+        if !seen.read(&sharded.graph, e.tensor, e.dst, Some(e.piece)).1 {
+            return Err(format!(
+                "two transfers move block {:?}+{:?} of {:?} to device {}",
+                e.piece.src_begin, e.piece.len, e.tensor, e.dst
+            ));
+        }
+        let reads = e.readers.len() as u64;
+        out.count += 1;
+        out.bytes += e.bytes();
+        out.reads += reads;
+        out.read_bytes += reads * e.bytes();
+    }
+    Ok(out)
 }
 
 /// Deterministic input/weight feeds for running a graph on the real runtime:

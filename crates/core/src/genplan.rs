@@ -21,7 +21,7 @@ use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 pub use tofu_graph::{fetch_pieces, FetchPiece};
-use tofu_graph::{Attrs, Graph, NodeId, NodeTags, TensorId, TensorKind};
+use tofu_graph::{Attrs, Graph, NodeId, NodeTags, TensorId, TensorKind, TransferIndex};
 use tofu_tdl::{bind_extents, IndexExpr, Reducer, TdlDesc};
 use tofu_tensor::{Shape, Tensor};
 
@@ -81,26 +81,28 @@ pub struct ShardedGraph {
     pub exact: bool,
 }
 
-/// One cross-device transfer of the sharded graph: `consumer` (always a
-/// `multi_fetch`, by construction — non-fetch nodes only read tensors of
-/// their own device) reads a piece of `tensor`, which lives on `src`.
+/// One cross-device transfer of the sharded graph: a block of `tensor`,
+/// which lives on `src`, crossing to `dst` once for every `multi_fetch` on
+/// `dst` that reads it (by construction only `multi_fetch` nodes read
+/// remote tensors). Transfers are keyed as [`TransferIndex`] defines.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommEdge {
+pub struct CommEdge<'a> {
     /// The remote tensor being read.
     pub tensor: TensorId,
-    /// The `multi_fetch` node doing the reading.
-    pub consumer: NodeId,
-    /// Position of `tensor` in the consumer's input list.
-    pub input_index: usize,
     /// Device producing (owning) the tensor.
     pub src: usize,
-    /// Device executing the consumer.
+    /// Device executing the readers.
     pub dst: usize,
-    /// The piece actually transferred (a sub-block of `tensor`).
-    pub piece: FetchPiece,
+    /// The block transferred (a sub-block of `tensor`), as the first reader
+    /// decodes it; later readers share `src_begin` and `len` and land it at
+    /// their own `dst_begin`.
+    pub piece: FetchPiece<'a>,
+    /// Every `(multi_fetch node, input index)` the transfer serves, in node
+    /// order: the first entry is the reader that triggers it.
+    pub readers: Vec<(NodeId, usize)>,
 }
 
-impl CommEdge {
+impl CommEdge<'_> {
     /// Bytes moved over the `src → dst` link.
     pub fn bytes(&self) -> u64 {
         self.piece.bytes()
@@ -133,38 +135,32 @@ impl ShardedGraph {
             .collect()
     }
 
-    /// Every cross-device tensor transfer, in consumer schedule order. By
-    /// construction all of them enter `multi_fetch` nodes; this is asserted
-    /// here so a violated invariant fails loudly rather than executing with
-    /// stale remote reads.
-    pub fn comm_edges(&self) -> Vec<CommEdge> {
-        let mut out = Vec::new();
+    /// Every cross-device transfer, in first-reader schedule order, each
+    /// naming all the reads it serves. By construction every remote read
+    /// enters a `multi_fetch` node; this is asserted here so a violated
+    /// invariant fails loudly rather than executing with stale remote reads.
+    pub fn comm_edges(&self) -> Vec<CommEdge<'_>> {
+        let mut out: Vec<CommEdge> = Vec::new();
+        let mut index = TransferIndex::default();
         for id in self.graph.node_ids() {
             let node = self.graph.node(id);
             let dst = self.device_of_node[id.0];
-            let pieces = fetch_pieces(&self.graph, id);
+            let mut pieces = fetch_pieces(&self.graph, id);
             for (i, &t) in node.inputs.iter().enumerate() {
+                let piece = pieces.as_mut().and_then(Iterator::next);
                 let src = match self.device_of_tensor[t.0] {
-                    Some(d) => d,
-                    None => continue,
+                    Some(d) if d != dst => d,
+                    _ => continue,
                 };
-                if src == dst {
-                    continue;
+                let piece = piece.unwrap_or_else(|| {
+                    panic!("cross-device edge into non-fetch node {id:?} ({})", node.op)
+                });
+                match index.read(&self.graph, t, dst, Some(piece)) {
+                    (_, true) => {
+                        out.push(CommEdge { tensor: t, src, dst, piece, readers: vec![(id, i)] })
+                    }
+                    (x, false) => out[x].readers.push((id, i)),
                 }
-                let pieces = pieces.as_ref().unwrap_or_else(|| {
-                    panic!(
-                        "cross-device edge into non-fetch node {:?} ({})",
-                        id, node.op
-                    )
-                });
-                out.push(CommEdge {
-                    tensor: t,
-                    consumer: id,
-                    input_index: i,
-                    src,
-                    dst,
-                    piece: pieces[i].clone(),
-                });
             }
         }
         out
@@ -986,36 +982,45 @@ mod tests {
         let (g, _) = mlp(8, 16);
         let plan = partition(&g, &PartitionOptions { workers: 2, ..Default::default() }).unwrap();
         let sharded = generate(&g, &plan, &GenOptions::default()).unwrap();
+        let g = &sharded.graph;
         let edges = sharded.comm_edges();
         assert!(!edges.is_empty(), "2-worker MLP must communicate");
-        for e in &edges {
-            // Only multi_fetch nodes read remote tensors (the §6 invariant
-            // comm_edges itself asserts), and every edge moves a real piece
-            // of the remote tensor.
-            assert_eq!(sharded.graph.node(e.consumer).op, "multi_fetch");
+        let mut served = BTreeMap::new();
+        let mut keys = BTreeMap::new();
+        for (x, e) in edges.iter().enumerate() {
+            // Every edge moves a real piece of the remote tensor, and no two
+            // edges move the same block to the same device.
             assert_ne!(e.src, e.dst);
-            assert_eq!(e.dst, sharded.device_of(e.consumer));
+            assert_eq!(Some(e.src), sharded.device_of_tensor[e.tensor.0]);
             assert!(e.bytes() > 0);
-            assert!(e.bytes() <= sharded.graph.tensor(e.tensor).shape.bytes());
-            let pieces = fetch_pieces(&sharded.graph, e.consumer).unwrap();
-            assert_eq!(pieces[e.input_index], e.piece);
+            assert!(e.bytes() <= g.tensor(e.tensor).shape.bytes());
+            let key = (e.tensor, e.dst, e.piece.src_begin, e.piece.len);
+            assert_eq!(keys.insert(key, x), None, "two transfers share {key:?}");
+            // Only multi_fetch nodes read remote tensors (the §6 invariant
+            // comm_edges itself asserts); every reader is one, on `dst`,
+            // reading exactly this block, and the first one triggers it.
+            assert_eq!(e.readers[0], *e.readers.iter().min().unwrap());
+            for &(reader, i) in &e.readers {
+                assert_eq!(g.node(reader).op, "multi_fetch");
+                assert_eq!((g.node(reader).inputs[i], sharded.device_of(reader)), (e.tensor, e.dst));
+                let piece = fetch_pieces(g, reader).unwrap().nth(i).unwrap();
+                assert_eq!((piece.src_begin, piece.len), (e.piece.src_begin, e.piece.len));
+                assert_eq!(served.insert((reader, i), x), None, "{reader:?} input {i} served twice");
+            }
         }
-        // Remote reads found by brute force match exactly.
-        let brute: usize = sharded
-            .graph
-            .node_ids()
-            .map(|id| {
-                let dst = sharded.device_of(id);
-                sharded
-                    .graph
-                    .node(id)
-                    .inputs
-                    .iter()
-                    .filter(|&&t| sharded.device_of_tensor[t.0] != Some(dst))
-                    .count()
-            })
-            .sum();
-        assert_eq!(edges.len(), brute);
+        // Every remote read found by brute force is served by exactly one
+        // transfer.
+        let mut reads = 0;
+        for id in g.node_ids() {
+            for (i, t) in g.node(id).inputs.iter().enumerate() {
+                if sharded.device_of_tensor[t.0] != Some(sharded.device_of(id)) {
+                    assert!(served.contains_key(&(id, i)), "{id:?} input {i} is not served");
+                    reads += 1;
+                }
+            }
+        }
+        assert_eq!(served.len(), reads);
+        assert_eq!(edges.iter().map(|e| e.readers.len()).sum::<usize>(), reads);
     }
 
     #[test]

@@ -454,7 +454,7 @@ fn multi_fetch(ins: &[&Tensor], attrs: &Attrs) -> Result<Tensor> {
         decode_multi_fetch(ins.iter().map(|t| t.shape()), attrs).map_err(GraphError::Exec)?;
     let mut out = Tensor::zeros(out_shape);
     for (src, p) in ins.iter().zip(&pieces) {
-        out.copy_block(src, &p.src_begin, &p.dst_begin, &p.len)?;
+        out.copy_block(src, p.src_begin, p.dst_begin, p.len)?;
     }
     Ok(out)
 }

@@ -13,23 +13,34 @@ use crate::graph::{Graph, NodeId, TensorId};
 use crate::registry::{GradCtx, OpCategory, OpDef};
 use crate::Result;
 
-/// One piece of a `multi_fetch` node: input `i` contributes the block of
-/// `len` elements starting at `src_begin` (source coordinates), landing at
-/// `dst_begin` of the fetch output.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FetchPiece {
+/// One piece of a `multi_fetch` node, borrowed from its `pieces` attribute:
+/// input `i` contributes the block of `len` elements starting at
+/// `src_begin` (source coordinates), landing at `dst_begin` of the fetch
+/// output.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FetchPiece<'a> {
     /// Start of the copied block inside the source tensor.
-    pub src_begin: Vec<i64>,
+    pub src_begin: &'a [i64],
     /// Start of the block inside the fetch output.
-    pub dst_begin: Vec<i64>,
+    pub dst_begin: &'a [i64],
     /// Block extent per dimension.
-    pub len: Vec<i64>,
+    pub len: &'a [i64],
 }
 
-impl FetchPiece {
+impl<'a> FetchPiece<'a> {
     /// Bytes the piece transfers (f32 elements).
     pub fn bytes(&self) -> u64 {
         self.len.iter().product::<i64>().max(0) as u64 * 4
+    }
+
+    /// Piece `i` of a flat `pieces` list of rank-`rank` descriptors.
+    fn at(flat: &'a [i64], rank: usize, i: usize) -> FetchPiece<'a> {
+        let desc = &flat[i * 3 * rank..(i + 1) * 3 * rank];
+        FetchPiece {
+            src_begin: &desc[..rank],
+            dst_begin: &desc[rank..2 * rank],
+            len: &desc[2 * rank..],
+        }
     }
 }
 
@@ -42,10 +53,10 @@ impl FetchPiece {
 /// rejects anything the kernel, the simulator or the runtime could not
 /// execute: a `pieces` list of the wrong length, a negative entry, a source
 /// block outside its input, a destination block outside `out_dims`.
-pub fn decode_multi_fetch<'a>(
-    inputs: impl ExactSizeIterator<Item = &'a Shape>,
-    attrs: &Attrs,
-) -> std::result::Result<(Shape, Vec<FetchPiece>), String> {
+pub(crate) fn decode_multi_fetch<'a, 's>(
+    inputs: impl ExactSizeIterator<Item = &'s Shape>,
+    attrs: &'a Attrs,
+) -> std::result::Result<(Shape, Vec<FetchPiece<'a>>), String> {
     let out_dims = attrs.ints("out_dims").ok_or("multi_fetch missing out_dims")?;
     if let Some(d) = out_dims.iter().find(|&&d| d < 0) {
         return Err(format!("multi_fetch out_dims has negative extent {d}"));
@@ -63,32 +74,97 @@ pub fn decode_multi_fetch<'a>(
     }
     let mut pieces = Vec::with_capacity(inputs.len());
     for (i, src) in inputs.enumerate() {
-        let desc = &flat[i * 3 * rank..(i + 1) * 3 * rank];
-        let piece = FetchPiece {
-            src_begin: desc[..rank].to_vec(),
-            dst_begin: desc[rank..2 * rank].to_vec(),
-            len: desc[2 * rank..].to_vec(),
-        };
-        src.check_block(&piece.src_begin, &piece.len)
+        let piece = FetchPiece::at(flat, rank, i);
+        src.check_block(piece.src_begin, piece.len)
             .map_err(|e| format!("multi_fetch piece {i} source (shape {src}): {e}"))?;
-        out.check_block(&piece.dst_begin, &piece.len)
+        out.check_block(piece.dst_begin, piece.len)
             .map_err(|e| format!("multi_fetch piece {i} destination (shape {out}): {e}"))?;
         pieces.push(piece);
     }
     Ok((out, pieces))
 }
 
-/// The decoded piece list of `multi_fetch` node `id`; `None` for any other
-/// operator.
-pub fn fetch_pieces(g: &Graph, id: NodeId) -> Option<Vec<FetchPiece>> {
+/// The pieces of `multi_fetch` node `id`, one per input in input order,
+/// borrowed from the attribute [`decode_multi_fetch`] validated when the
+/// node was added; `None` for any other operator.
+pub fn fetch_pieces(
+    g: &Graph,
+    id: NodeId,
+) -> Option<impl ExactSizeIterator<Item = FetchPiece<'_>> + '_> {
     let node = g.node(id);
     if node.op != "multi_fetch" {
         return None;
     }
-    let inputs = node.inputs.iter().map(|&t| &g.tensor(t).shape);
-    let (_, pieces) = decode_multi_fetch(inputs, &node.attrs)
-        .expect("add_op validated this multi_fetch node's attributes");
-    Some(pieces)
+    let rank = g.tensor(node.output).shape.rank();
+    let flat = node.attrs.ints("pieces").unwrap_or(&[]);
+    Some((0..node.inputs.len()).map(move |i| FetchPiece::at(flat, rank, i)))
+}
+
+/// The transfers of a device-tagged graph, numbered densely in first-read
+/// order.
+///
+/// A transfer is a distinct (tensor, destination device, `src_begin`,
+/// `len`): one block of one tensor crossing to one device. However many
+/// nodes on that device read the block, it crosses once — the first read
+/// moves it and every later read waits for the same arrival, as
+/// TensorFlow's canonical Send/Recv pairs do. A `multi_fetch` input reads
+/// its piece; any other remote read reads the whole tensor, the block
+/// `(0, shape)`.
+///
+/// The simulator, `ShardedGraph::comm_edges` and the runtime's routing table
+/// all number transfers through this index, which is why their byte and
+/// message counts agree. Each tensor chains its transfers, so a read costs a
+/// walk over the blocks of its own tensor already sent, and nothing is
+/// allocated per read beyond the entry a new transfer appends.
+#[derive(Debug, Default)]
+pub struct TransferIndex<'a> {
+    /// Per tensor: its most recent transfer, `NONE` before the first.
+    head: Vec<usize>,
+    /// Per transfer: destination, block (`None` = the whole tensor) and the
+    /// previous transfer of the same tensor.
+    entries: Vec<(usize, Option<FetchPiece<'a>>, usize)>,
+}
+
+const NONE: usize = usize::MAX;
+
+impl<'a> TransferIndex<'a> {
+    /// Records a read of `block` of tensor `t` (`None`: the whole tensor) by
+    /// device `dst` of `g`, and returns the transfer that serves it, with
+    /// `true` when this read is the transfer's first — the one that moves
+    /// the bytes. Transfers are numbered 0, 1, … in first-read order.
+    pub fn read(
+        &mut self,
+        g: &Graph,
+        t: TensorId,
+        dst: usize,
+        block: Option<FetchPiece<'a>>,
+    ) -> (usize, bool) {
+        if self.head.len() < g.num_tensors() {
+            self.head.resize(g.num_tensors(), NONE);
+        }
+        let shape = &g.tensor(t).shape;
+        let whole = |p: FetchPiece<'_>| {
+            p.src_begin.iter().all(|&b| b == 0)
+                && p.len.iter().map(|&l| l as usize).eq(shape.dims().iter().copied())
+        };
+        let mut x = self.head[t.0];
+        while x != NONE {
+            let (d, b, prev) = self.entries[x];
+            let same = match (b, block) {
+                (Some(a), Some(b)) => a.src_begin == b.src_begin && a.len == b.len,
+                (None, None) => true,
+                (Some(p), None) | (None, Some(p)) => whole(p),
+            };
+            if d == dst && same {
+                return (x, false);
+            }
+            x = prev;
+        }
+        let id = self.entries.len();
+        self.entries.push((dst, block, self.head[t.0]));
+        self.head[t.0] = id;
+        (id, true)
+    }
 }
 
 /// Gradient of `slice_axis`: zero-pad the output gradient back to the input
@@ -440,8 +516,8 @@ mod tests {
         let good = vec![0, 0, 0, 0, 2, 4, /* b */ 0, 0, 2, 0, 2, 4];
         let f = g.add_op("multi_fetch", "ok", &[a, b], attrs(good.clone())).unwrap();
         assert_eq!(g.tensor(f).shape.dims(), &[4, 4]);
-        let pieces = fetch_pieces(&g, g.producer(f).unwrap()).unwrap();
-        assert_eq!(pieces[1].dst_begin, vec![2, 0]);
+        let pieces: Vec<_> = fetch_pieces(&g, g.producer(f).unwrap()).unwrap().collect();
+        assert_eq!(pieces[1].dst_begin, [2, 0]);
         assert_eq!(pieces[1].bytes(), 32);
 
         for (why, pieces) in [
@@ -458,6 +534,32 @@ mod tests {
         let no_dims = Attrs::new().with_ints("pieces", good);
         assert!(g.add_op("multi_fetch", "no out_dims", &[a, b], no_dims).is_err());
         assert_eq!(g.num_nodes(), 1, "a rejected node leaves the graph untouched");
+    }
+
+    /// A transfer is (tensor, destination, `src_begin`, `len`): the landing
+    /// offset is the reader's own business, and a whole-tensor read is the
+    /// block that covers the tensor.
+    #[test]
+    fn transfers_are_keyed_by_tensor_destination_and_source_block() {
+        use crate::Graph;
+        let mut g = Graph::new();
+        let a = g.add_input("a", Shape::new(vec![2, 4]));
+        let b = g.add_input("b", Shape::new(vec![2, 4]));
+        let piece = |src_begin, dst_begin, len| FetchPiece { src_begin, dst_begin, len };
+        let top = piece(&[0, 0][..], &[0, 0][..], &[1, 4][..]);
+        let top_elsewhere = piece(&[0, 0][..], &[1, 0][..], &[1, 4][..]);
+        let bottom = piece(&[1, 0][..], &[0, 0][..], &[1, 4][..]);
+        let all = piece(&[0, 0][..], &[0, 0][..], &[2, 4][..]);
+        let mut index = TransferIndex::default();
+        assert_eq!(index.read(&g, a, 1, Some(top)), (0, true));
+        assert_eq!(index.read(&g, a, 1, Some(top_elsewhere)), (0, false));
+        assert_eq!(index.read(&g, a, 2, Some(top)), (1, true), "another destination");
+        assert_eq!(index.read(&g, a, 1, Some(bottom)), (2, true), "another block");
+        assert_eq!(index.read(&g, b, 1, Some(top)), (3, true), "another tensor");
+        assert_eq!(index.read(&g, a, 1, None), (4, true));
+        assert_eq!(index.read(&g, a, 1, Some(all)), (4, false), "the whole tensor");
+        assert_eq!(index.read(&g, a, 1, None), (4, false));
+        assert_eq!(index.read(&g, a, 1, Some(bottom)), (2, false));
     }
 
     #[test]

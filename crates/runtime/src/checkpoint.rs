@@ -19,9 +19,10 @@
 //! only missing state is messages: every piece a not-yet-executed consumer
 //! needs is either produced *after* the sender's cut (re-sent naturally
 //! during replay) or *before* it (replayed from the snapshot as an "owed
-//! send" at resume startup). Pieces whose consumers already ran are not
-//! re-sent. Hence the resumed run receives exactly the healthy run's
-//! messages, and its output is bit-identical.
+//! send" at resume startup). A piece whose readers all ran is not re-sent;
+//! one with a reader left is sent once, for the readers left. Hence the
+//! resumed run receives exactly the healthy run's messages, and its output
+//! is bit-identical.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -34,7 +34,8 @@ pub struct WorkerTrace {
     pub persistent_bytes: u64,
     /// Bytes this worker pushed to other devices.
     pub bytes_sent: u64,
-    /// Bytes this worker received from other devices.
+    /// Bytes this worker received from other devices, counted per arrival
+    /// (a piece several fetches read counts once).
     pub bytes_received: u64,
     /// Transport payload bytes *copied* between producer send and consumer
     /// stash (beyond the one block extraction at send). Zero on the
@@ -65,7 +66,8 @@ pub struct LinkStat {
     pub dst: usize,
     /// Payload bytes moved.
     pub bytes: u64,
-    /// Messages (one per transferred piece).
+    /// Messages (one per transfer: a block crosses once, however many
+    /// fetches read it).
     pub messages: u64,
 }
 

@@ -24,11 +24,11 @@ use crate::supervisor::AttemptCtx;
 use crate::trace::{OpEvent, WorkerTrace};
 use crate::{lock, IntegrityLevel, Result};
 
-/// One cross-worker message: the extracted piece input `input_index` of
-/// `consumer` is waiting for, stamped with the integrity metadata the
-/// receiver verifies (sender, per-link sequence number, payload checksum)
-/// and the pre-resolved receive slot it lands in. The payload is a shared
-/// tensor — sending moves a refcount, never bytes.
+/// One cross-worker message: one transfer's extracted piece, stamped with
+/// its first reader (input `input_index` of `consumer`), the integrity
+/// metadata the receiver verifies (sender, per-link sequence number, payload
+/// checksum) and the pre-resolved receive slot it lands in. The payload is a
+/// shared tensor — sending moves a refcount, never bytes.
 pub(crate) struct Msg {
     src: usize,
     seq: u64,
@@ -134,7 +134,7 @@ pub(crate) struct WorkerCtx<'a> {
     /// Per local schedule position: checkpoint ids to record there.
     pub(crate) ckpts_at: &'a BTreeMap<usize, Vec<usize>>,
     /// This worker's pre-resolved routing table.
-    pub(crate) routes: &'a WorkerRoutes,
+    pub(crate) routes: &'a WorkerRoutes<'a>,
     /// Rendezvous counter of paused workers (see `run_attempt`).
     pub(crate) yield_latch: &'a AtomicUsize,
 }
@@ -203,15 +203,17 @@ struct Worker<'a> {
     /// aliased or overwritten after production is caught *before* the
     /// snapshot commits — and long before it could reach disk.
     value_sums: BTreeMap<TensorId, u64>,
-    /// Remote pieces that arrived before their consumer needed them,
+    /// Remote pieces that arrived before their last reader took them,
     /// indexed by the plan-time receive slot.
     pending: Vec<Option<Arc<Tensor>>>,
+    /// Per receive slot: reads still to come this attempt.
+    reads_left: Vec<u32>,
     rx: Receiver<Msg>,
     /// The attempt-wide shared sender slice (own slot included; the run
     /// scope owns the senders, so no per-run clone fan-out).
     txs: &'a [Sender<Msg>],
     /// This worker's pre-resolved routing table.
-    routes: &'a WorkerRoutes,
+    routes: &'a WorkerRoutes<'a>,
     /// Per-message verification level.
     integrity: IntegrityLevel,
     /// Cached: the fault plan contains at least one message fault, so the
@@ -341,6 +343,7 @@ impl<'a> Worker<'a> {
             scan_floor,
             value_sums,
             pending: vec![None; routes.slots.len()],
+            reads_left: routes.slots.iter().map(|s| s.reads).collect(),
             rx,
             txs,
             routes,
@@ -677,7 +680,7 @@ impl<'a> Worker<'a> {
     /// tensor, stamp, send), applying any injected message fault targeting
     /// this link position. The fast path performs exactly one copy — source
     /// tensor to piece — and the channel then carries only the `Arc`.
-    fn send_route(&mut self, r: &SendRoute) -> Result<()> {
+    fn send_route(&mut self, r: &SendRoute<'_>) -> Result<()> {
         let src = self.values.get(&r.tensor).ok_or_else(|| {
             RuntimeError::Internal(format!(
                 "worker {}: comm edge reads unevaluated tensor {:?}",
@@ -688,7 +691,7 @@ impl<'a> Worker<'a> {
         let zeros = vec![0i64; block.rank()];
         let mut piece = Tensor::zeros(block);
         piece
-            .copy_block(src, &r.piece.src_begin, &zeros, &r.piece.len)
+            .copy_block(src, r.piece.src_begin, &zeros, r.piece.len)
             .map_err(|e| piece_error("extraction", e))?;
         let mut piece = Arc::new(piece);
         let bytes = piece.shape().bytes();
@@ -797,7 +800,7 @@ impl<'a> Worker<'a> {
                             self.w
                         ))
                     })?;
-                    out.copy_block(src.as_ref(), &p.src_begin, &p.dst_begin, &p.len)
+                    out.copy_block(src.as_ref(), p.src_begin, p.dst_begin, p.len)
                         .map_err(|e| piece_error("assembly", e))?;
                 }
                 FetchSource::Remote { slot } => {
@@ -812,11 +815,10 @@ impl<'a> Worker<'a> {
                             buf.complete("wait", &name, s_us, e_us);
                         }
                     }
-                    self.bytes_received += piece.shape().bytes();
                     // The producer already extracted the block: source
                     // offsets are zero in the received piece's coordinates.
                     let zeros = vec![0i64; p.len.len()];
-                    out.copy_block(&piece, &zeros, &p.dst_begin, &p.len)
+                    out.copy_block(&piece, &zeros, p.dst_begin, p.len)
                         .map_err(|e| piece_error("assembly", e))?;
                 }
             }
@@ -883,7 +885,7 @@ impl<'a> Worker<'a> {
                     expect.src
                 )));
             }
-            if msg.piece.shape().dims() != expect.dims.as_slice() {
+            if !msg.piece.shape().dims().iter().map(|&d| d as i64).eq(expect.len.iter().copied()) {
                 return Err(comm(format!(
                     "link {} -> {}: piece for node {} input {} has shape {} but block \
                      {:?} was expected",
@@ -892,7 +894,7 @@ impl<'a> Worker<'a> {
                     msg.consumer.0,
                     msg.input_index,
                     msg.piece.shape(),
-                    expect.dims
+                    expect.len
                 )));
             }
         }
@@ -902,22 +904,32 @@ impl<'a> Worker<'a> {
                 msg.src, self.w, expect.consumer.0, expect.input_index
             )));
         }
+        self.bytes_received += msg.piece.shape().bytes();
         self.pending[slot] = Some(msg.piece);
         Ok(())
     }
 
-    /// The piece for `slot`, from the stash or the wire. Polls the abort
-    /// token at `abort_poll` granularity while waiting, so a peer failure is
-    /// observed in milliseconds rather than `recv_timeout`.
+    /// The piece for `slot`, from the stash or the wire: a shared clone for
+    /// every read but the slot's last, which takes the piece out. Polls the
+    /// abort token at `abort_poll` granularity while waiting, so a peer
+    /// failure is observed in milliseconds rather than `recv_timeout`.
     fn recv_piece(
         &mut self,
         slot: u32,
         consumer: NodeId,
         input_index: usize,
     ) -> Result<Arc<Tensor>> {
+        let slot = slot as usize;
         let deadline = Instant::now() + self.recv_timeout;
         loop {
-            if let Some(v) = self.pending[slot as usize].take() {
+            let stash = &mut self.pending[slot];
+            if let Some(v) = stash {
+                let v = Arc::clone(v);
+                let left = &mut self.reads_left[slot];
+                *left = left.saturating_sub(1);
+                if *left == 0 {
+                    *stash = None;
+                }
                 return Ok(v);
             }
             self.check_abort()?;

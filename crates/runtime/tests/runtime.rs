@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 
 use tofu_core::{generate, partition, GenOptions, PartitionOptions, ShardedGraph};
 use tofu_graph::{Executor, Graph, TensorId, TensorKind};
-use tofu_models::{mlp, MlpConfig};
+use tofu_models::{mlp, rnn, wresnet, MlpConfig, RnnConfig, WResNetConfig};
 use tofu_obs::{Collector, Phase, Track};
 use tofu_runtime::{run, run_with_options, RunOptions, RuntimeError};
 use tofu_tensor::Tensor;
@@ -92,37 +92,64 @@ fn multi_worker_matches_executor() {
     }
 }
 
+/// Every node runs once on its own worker, and every byte is conserved:
+/// per link, the runtime's (bytes, messages) are `comm_edges()` grouped by
+/// (src, dst) — one message per transfer, however many fetches read it —
+/// and each worker's received bytes count arrivals, so they sum to the bytes
+/// sent.
 #[test]
 fn trace_is_internally_consistent() {
-    let m = mlp(&MlpConfig { batch: 8, dims: vec![16, 16], classes: 8, with_updates: true })
-        .unwrap();
-    let (sharded, shard_feeds, _) = shard(&m.graph, 4);
-    let out = run(&sharded, &shard_feeds).unwrap();
-    let trace = &out.trace;
-    // Every node executed exactly once, on its own worker.
-    assert_eq!(trace.ops_executed(), sharded.graph.num_nodes());
-    for w in &trace.workers {
-        let schedule = sharded.worker_schedule(w.device);
-        assert_eq!(w.ops.len(), schedule.len());
-        for (ev, id) in w.ops.iter().zip(&schedule) {
-            assert_eq!(ev.node, *id);
-            assert!(ev.start <= ev.end);
-            assert!(ev.end <= trace.wall);
+    let mlp = mlp(&MlpConfig { batch: 8, dims: vec![16, 16], classes: 8, with_updates: true });
+    let lstm = rnn(&RnnConfig {
+        layers: 2,
+        hidden: 16,
+        batch: 4,
+        steps: 4,
+        embed: 8,
+        vocab: 8,
+        with_updates: true,
+    });
+    let wres = wresnet(&WResNetConfig {
+        layers: 50,
+        width: 1,
+        batch: 4,
+        image: 16,
+        classes: 8,
+        with_updates: true,
+    });
+    for (name, m) in [("mlp", mlp), ("lstm", lstm), ("wresnet", wres)] {
+        let g = &m.unwrap().graph;
+        for workers in [2, 4] {
+            let label = format!("{name} w={workers}");
+            let plan = partition(g, &PartitionOptions { workers, ..Default::default() }).unwrap();
+            let sharded = generate(g, &plan, &GenOptions::default()).unwrap();
+            let shard_feeds: Vec<_> =
+                feeds(g).iter().flat_map(|(t, v)| sharded.scatter(*t, v).unwrap()).collect();
+            let trace = run(&sharded, &shard_feeds).unwrap().trace;
+            assert_eq!(trace.ops_executed(), sharded.graph.num_nodes(), "{label}");
+            for w in &trace.workers {
+                let schedule = sharded.worker_schedule(w.device);
+                assert_eq!(w.ops.len(), schedule.len());
+                for (ev, id) in w.ops.iter().zip(&schedule) {
+                    assert_eq!(ev.node, *id);
+                    assert!(ev.start <= ev.end);
+                    assert!(ev.end <= trace.wall);
+                }
+                assert!(w.pool_peak_bytes > 0);
+                assert!(w.persistent_bytes > 0);
+            }
+            let sent: u64 = trace.workers.iter().map(|w| w.bytes_sent).sum();
+            let received: u64 = trace.workers.iter().map(|w| w.bytes_received).sum();
+            assert_eq!((sent, received), (trace.comm_bytes(), trace.comm_bytes()), "{label}");
+            let mut planned: BTreeMap<(usize, usize), (u64, u64)> = BTreeMap::new();
+            for e in sharded.comm_edges() {
+                let link = planned.entry((e.src, e.dst)).or_default();
+                *link = (link.0 + e.bytes(), link.1 + 1);
+            }
+            let measured: BTreeMap<(usize, usize), (u64, u64)> =
+                trace.links.iter().map(|l| ((l.src, l.dst), (l.bytes, l.messages))).collect();
+            assert_eq!(measured, planned, "{label}: per-link (bytes, messages)");
         }
-        assert!(w.pool_peak_bytes > 0);
-        assert!(w.persistent_bytes > 0);
-    }
-    // Conservation: what was pushed equals what was drained, link by link
-    // and in aggregate, and matches the static comm-edge metadata.
-    let sent: u64 = trace.workers.iter().map(|w| w.bytes_sent).sum();
-    let received: u64 = trace.workers.iter().map(|w| w.bytes_received).sum();
-    assert_eq!(sent, received);
-    assert_eq!(sent, trace.comm_bytes());
-    let planned: u64 = sharded.comm_edges().iter().map(|e| e.bytes()).sum();
-    assert_eq!(sent, planned, "measured traffic must equal the planned piece bytes");
-    for l in &trace.links {
-        assert_ne!(l.src, l.dst);
-        assert!(l.bytes > 0 && l.messages > 0);
     }
 }
 

@@ -3,13 +3,22 @@
 //! Each GPU executes its nodes serially (one stream, like MXNet's default).
 //! A node consuming a tensor produced on another device triggers a transfer
 //! occupying the (undirected) link between the two devices; transfers on the
-//! same link serialize. `multi_fetch` nodes transfer each remote piece
-//! separately — the bytes come from the piece descriptors, so halo exchanges
-//! cost only their overlap.
+//! same link serialize. A `multi_fetch` input reads its piece — the bytes
+//! come from the piece descriptor, so halo exchanges cost only their
+//! overlap — and any other remote input reads the whole tensor.
+//!
+//! Each block crosses to a device once ([`TransferIndex`]): the first read
+//! occupies the link and counts the bytes, and every later read of the same
+//! block on that device waits for the recorded arrival, with no link time
+//! and no bytes. This cannot make a prediction later. Nodes are processed in
+//! id order and every start time is a max over arrivals and link-free
+//! times; by induction over that order, dropping a repeated transfer frees
+//! its link earlier and delays nothing, and the repeat's arrival was at
+//! least the first copy's arrival plus its own duration.
 
 use std::collections::BTreeMap;
 
-use tofu_graph::{fetch_pieces, Graph, NodeId};
+use tofu_graph::{fetch_pieces, Graph, NodeId, TransferIndex};
 use tofu_obs::{Collector, Track};
 
 use crate::compute::node_seconds;
@@ -108,6 +117,9 @@ pub fn simulate_traced(
     let mut comm_bytes = 0.0f64;
     let mut comm_seconds = 0.0f64;
     let mut compute_busy = vec![0.0f64; machine.gpus.max(1)];
+    // Every transfer so far, and the time each one arrived.
+    let mut transfers = TransferIndex::default();
+    let mut arrival: Vec<f64> = Vec::new();
 
     // Leaf tensors (inputs/weights) are resident on their consumer's device
     // from time zero; in partitioned graphs each worker owns its shard, so a
@@ -131,47 +143,48 @@ pub fn simulate_traced(
             ready = ready.max(finish[dep.0]);
         }
 
-        // Per-input arrival, with transfers for remote tensors.
-        let piece_bytes: Option<Vec<f64>> = fetch_pieces(g, id)
-            .map(|pieces| pieces.iter().map(|p| p.bytes() as f64).collect());
-        for (i, &t) in node.inputs.iter().enumerate() {
+        // Per-input arrival, with a transfer for each remote block not yet
+        // on this device.
+        let mut pieces = fetch_pieces(g, id);
+        for &t in &node.inputs {
+            let piece = pieces.as_mut().and_then(Iterator::next);
             let (src, avail) = tensor_ready[t.0];
             let src = if src == usize::MAX { dev } else { src };
-            let mut arrive = avail;
-            if src != dev && !free_transfers {
-                let bytes = match &piece_bytes {
-                    Some(pb) => pb.get(i).copied().unwrap_or(0.0),
-                    None => g.tensor(t).shape.bytes() as f64,
-                };
-                if bytes > 0.0 {
-                    let key = (src.min(dev), src.max(dev));
-                    let bw = machine.link_bw(src, dev);
-                    let start = avail.max(*link_avail.get(&key).unwrap_or(&0.0));
-                    let dur = bytes / bw;
-                    link_avail.insert(key, start + dur);
-                    comm_bytes += bytes;
-                    comm_seconds += dur;
-                    arrive = start + dur;
-                    if let Some(c) = obs {
-                        let total = link_sent.entry((src, dev)).or_insert(0.0);
-                        *total += bytes;
-                        let lane = Track::sim_link(src);
-                        c.complete(
-                            lane,
-                            "comm",
-                            &format!("xfer {}", g.tensor(t).name),
-                            start * 1e6,
-                            arrive * 1e6,
-                        );
-                        c.counter(lane, &format!("link {src}->{dev} bytes"), arrive * 1e6, *total);
-                    }
-                }
-            } else if src != dev {
-                comm_bytes += match &piece_bytes {
-                    Some(pb) => pb.get(i).copied().unwrap_or(0.0),
-                    None => g.tensor(t).shape.bytes() as f64,
-                };
+            if src == dev {
+                ready = ready.max(avail);
+                continue;
             }
+            let (x, first) = transfers.read(g, t, dev, piece);
+            if !first {
+                ready = ready.max(arrival[x]);
+                continue;
+            }
+            let bytes = piece.map_or_else(|| g.tensor(t).shape.bytes(), |p| p.bytes()) as f64;
+            comm_bytes += bytes;
+            let mut arrive = avail;
+            if !free_transfers && bytes > 0.0 {
+                let key = (src.min(dev), src.max(dev));
+                let bw = machine.link_bw(src, dev);
+                let start = avail.max(*link_avail.get(&key).unwrap_or(&0.0));
+                let dur = bytes / bw;
+                link_avail.insert(key, start + dur);
+                comm_seconds += dur;
+                arrive = start + dur;
+                if let Some(c) = obs {
+                    let total = link_sent.entry((src, dev)).or_insert(0.0);
+                    *total += bytes;
+                    let lane = Track::sim_link(src);
+                    c.complete(
+                        lane,
+                        "comm",
+                        &format!("xfer {}", g.tensor(t).name),
+                        start * 1e6,
+                        arrive * 1e6,
+                    );
+                    c.counter(lane, &format!("link {src}->{dev} bytes"), arrive * 1e6, *total);
+                }
+            }
+            arrival.push(arrive);
             ready = ready.max(arrive);
         }
 
@@ -277,5 +290,52 @@ mod tests {
         // pa on device 1, pb on device 2, fetch on device 0.
         let r = simulate(&g, &vec![1, 2, 0], &m, false);
         assert_eq!(r.comm_bytes, (16.0 + 48.0) * 4.0);
+    }
+
+    /// Op placement: two consumers on device 1 read one tensor of device 0.
+    /// It crosses once, and the second consumer waits for the same arrival.
+    #[test]
+    fn a_tensor_crosses_to_a_device_once() {
+        let m = Machine::p2_8xlarge();
+        let mut g = Graph::new();
+        let x = g.add_input("x", Shape::new(vec![1 << 20]));
+        let p = g.add_op("relu", "p", &[x], Attrs::new()).unwrap();
+        let _a = g.add_op("tanh", "a", &[p], Attrs::new()).unwrap();
+        let _b = g.add_op("sigmoid", "b", &[p], Attrs::new()).unwrap();
+        let once = simulate(&g, &vec![0, 1, 1], &m, false);
+        assert_eq!(once.comm_bytes, 4.0 * (1 << 20) as f64);
+        assert_eq!(simulate(&g, &vec![0, 1, 1], &m, true).comm_bytes, once.comm_bytes);
+        // A third device pays its own transfer.
+        assert_eq!(simulate(&g, &vec![0, 1, 2], &m, false).comm_bytes, 2.0 * once.comm_bytes);
+        // The second read adds no link time: the makespan is the producer,
+        // one transfer, then both consumers back to back on device 1.
+        let secs = |n: usize| node_seconds(&g, NodeId(n), &m);
+        let xfer = once.comm_bytes / m.link_bw(0, 1);
+        assert_eq!(once.makespan, secs(0) + xfer + secs(1) + secs(2));
+        assert_eq!(once.comm_seconds, xfer);
+    }
+
+    /// Two fetches on device 0 read the same block of device 1's tensor and
+    /// a third reads a different block: two transfers, and the repeated
+    /// read lands at the first one's arrival.
+    #[test]
+    fn repeated_fetch_of_a_block_is_one_transfer() {
+        let m = Machine::p2_8xlarge();
+        let mut g = Graph::new();
+        let a = g.add_input("a", Shape::new(vec![64]));
+        let p = g.add_op("relu", "p", &[a], Attrs::new()).unwrap();
+        let fetch = |g: &mut Graph, name: &str, begin: i64| {
+            let attrs = Attrs::new()
+                .with_ints("out_dims", vec![16])
+                .with_ints("pieces", vec![begin, 0, 16]);
+            g.add_op("multi_fetch", name, &[p], attrs).unwrap()
+        };
+        fetch(&mut g, "f0", 0);
+        fetch(&mut g, "f1", 0);
+        fetch(&mut g, "f2", 16);
+        let r = simulate(&g, &vec![1, 0, 0, 0], &m, false);
+        assert_eq!(r.comm_bytes, 2.0 * 16.0 * 4.0);
+        let free = simulate(&g, &vec![1, 0, 0, 0], &m, true);
+        assert_eq!(free.comm_bytes, r.comm_bytes);
     }
 }

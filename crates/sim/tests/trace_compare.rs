@@ -3,12 +3,16 @@
 //! and each worker's measured footprint must land within 10% of
 //! `per_device_memory`.
 
+use std::collections::BTreeMap;
+
 use tofu_core::{generate, partition, GenOptions, PartitionOptions, ShardedGraph};
-use tofu_graph::{Executor, Graph, TensorId, TensorKind};
+use tofu_graph::{Attrs, Executor, Graph, NodeId, TensorId, TensorKind};
 use tofu_models::{decoder_block, mlp, wresnet, DecoderConfig, MlpConfig, WResNetConfig};
-use tofu_runtime::{run, run_with_options, Fault, FaultPlan, RunOptions, RuntimeError};
-use tofu_sim::{compare_trace, Machine};
-use tofu_tensor::Tensor;
+use tofu_runtime::{
+    run, run_with_options, Fault, FaultPlan, IntegrityLevel, RunOptions, RuntimeError,
+};
+use tofu_sim::{compare_trace, simulate_with_leaf_devices, Machine};
+use tofu_tensor::{Shape, Tensor};
 
 fn feeds(g: &Graph) -> Vec<(TensorId, Tensor)> {
     let mut out = Vec::new();
@@ -146,4 +150,69 @@ fn wresnet_trace_matches_sim_predictions_and_executor() {
     }
 
     assert_report(&sharded, &shard_feeds, "wresnet w=2");
+}
+
+/// Two devices: a producer on device 0, read on device 1 by two
+/// `multi_fetch` nodes fetching its top half (landing at different offsets)
+/// and by a third fetching its bottom half.
+fn shared_block() -> ShardedGraph {
+    let mut g = Graph::new();
+    let x = g.add_input("x", Shape::new(vec![4, 8]));
+    let p = g.add_op("relu", "p", &[x], Attrs::new()).unwrap();
+    for (name, pieces) in [
+        ("top", vec![0, 0, 0, 0, 2, 8]),
+        ("top again", vec![0, 0, 1, 0, 2, 8]),
+        ("bottom", vec![2, 0, 0, 0, 2, 8]),
+    ] {
+        let attrs = Attrs::new().with_ints("out_dims", vec![3, 8]).with_ints("pieces", pieces);
+        g.add_op("multi_fetch", name, &[p], attrs).unwrap();
+    }
+    ShardedGraph {
+        workers: 2,
+        shards: BTreeMap::new(),
+        regions: BTreeMap::new(),
+        device_of_node: vec![0, 1, 1, 1],
+        device_of_tensor: vec![Some(0), Some(0), Some(1), Some(1), Some(1)],
+        origin_of_node: g.node_ids().collect(),
+        exact: true,
+        graph: g,
+    }
+}
+
+/// A block two fetches read crosses the link once, in every layer that
+/// moves or counts bytes: the simulator, `comm_edges()` and the runtime.
+#[test]
+fn a_block_two_fetches_read_crosses_once() {
+    let sharded = shared_block();
+    let g = &sharded.graph;
+    let block = 2 * 8 * 4;
+    let sim = simulate_with_leaf_devices(
+        g,
+        &sharded.device_of_node,
+        &sharded.device_of_tensor,
+        &Machine::p2_8xlarge(),
+        false,
+    );
+    assert_eq!(sim.comm_bytes, 2.0 * block as f64);
+    let edges = sharded.comm_edges();
+    let readers: Vec<_> = edges.iter().map(|e| e.readers.clone()).collect();
+    assert_eq!(readers, vec![vec![(NodeId(1), 0), (NodeId(2), 0)], vec![(NodeId(3), 0)]]);
+
+    let x = TensorId(0);
+    let value = Tensor::random(g.tensor(x).shape.clone(), 7, 1.0);
+    let mut exec = Executor::new();
+    exec.feed(x, value.clone());
+    let want = exec.run(g).unwrap();
+    for integrity in [IntegrityLevel::Full, IntegrityLevel::Fast] {
+        let opts = RunOptions { integrity, ..Default::default() };
+        let out = run_with_options(&sharded, &[(x, value.clone())], &opts).unwrap();
+        let links: Vec<_> =
+            out.trace.links.iter().map(|l| (l.src, l.dst, l.bytes, l.messages)).collect();
+        assert_eq!(links, vec![(0, 1, 2 * block, 2)], "{integrity:?}");
+        assert_eq!(out.trace.workers[1].bytes_received, 2 * block);
+        for t in g.tensor_ids() {
+            let bits = |v: &Tensor| v.data().iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out.values[&t]), bits(&want[&t]), "{integrity:?} {t:?}");
+        }
+    }
 }
