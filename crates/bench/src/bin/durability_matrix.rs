@@ -55,7 +55,7 @@ fn main() {
     let full_feeds = feeds(g);
     let part = PartitionOptions { workers, ..Default::default() };
     let every = (g.num_nodes() / 4).max(1);
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
 
     // A checkpoint the crash targets for early / mid / late; the cadence
     // above yields at least four barriers on this model.
@@ -135,7 +135,7 @@ fn main() {
             ..DurableOptions::new(store)
         };
         let report =
-            run_with_durable_recovery(g, &full_feeds, &part, &opts, &durable, &caches)
+            run_with_durable_recovery(g, &full_feeds, &part, &opts, &durable, &mut caches)
                 .unwrap_or_else(|e| panic!("{label}: durable run failed: {e}"));
         let baseline =
             undisturbed_values(&report.sharded, report.snapshot.as_ref(), &full_feeds);

@@ -54,7 +54,7 @@ fn main() {
     // One warm cache across all rows, like a long-lived trainer would hold:
     // the first row's shrink searches cold, every later replan of the same
     // width is a cache lookup.
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
 
     let victims: [(&[usize], &str); 3] = [(&[3], "1"), (&[1, 5], "2"), (&[0, 2, 4, 6], "4")];
     let phases: [(&'static str, usize); 3] = [("early", 5), ("mid", 45), ("late", 85)];
@@ -77,7 +77,7 @@ fn main() {
                 recv_timeout: Duration::from_secs(5),
                 ..Default::default()
             };
-            let report = run_with_elastic_recovery(g, &full_feeds, &part, &opts, &recovery, &caches)
+            let report = run_with_elastic_recovery(g, &full_feeds, &part, &opts, &recovery, &mut caches)
                 .unwrap_or_else(|e| panic!("kill {ktag} {phase}: elastic recovery failed: {e}"));
             let baseline =
                 undisturbed_values(&report.sharded, report.snapshot.as_ref(), &full_feeds);
@@ -134,10 +134,10 @@ fn main() {
     let mut warm_results: Vec<Json> = Vec::new();
     for width in [7usize, 6, 5, 4] {
         let po = PartitionOptions { workers: width, ..part };
-        let fresh = SearchCaches::default();
+        let mut fresh = SearchCaches::default();
         // The first call searches; the REPEATS after it must not.
         for _ in 0..=REPEATS {
-            tofu_core::partition_cached(g, &po, &fresh, None).expect("search");
+            tofu_core::partition_cached(g, &po, &mut fresh, None).expect("search");
         }
         let stats = fresh.stats();
         println!(

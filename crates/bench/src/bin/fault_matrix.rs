@@ -162,7 +162,7 @@ fn main() {
     // commit of checkpoint 2 and a fresh incarnation recovers from disk.
     let every_orig = (g.num_nodes() / 4).max(1);
     let part = PartitionOptions { workers, ..Default::default() };
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
     let root =
         std::env::temp_dir().join(format!("tofu-fault-matrix-durable-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -179,7 +179,7 @@ fn main() {
             crash: Some(crash),
             ..DurableOptions::new(Arc::new(DirStore::open(&dir).expect("open DirStore")))
         };
-        let report = run_with_durable_recovery(g, &full_feeds, &part, &opts, &durable, &caches)
+        let report = run_with_durable_recovery(g, &full_feeds, &part, &opts, &durable, &mut caches)
             .unwrap_or_else(|e| panic!("{label}: durable run failed: {e}"));
         let failure = report.crashed.as_ref().expect("the first incarnation crashed");
         let baseline =

@@ -79,7 +79,7 @@ fn kind_str(k: TransitionKind) -> &'static str {
 fn run_pass(
     s: &Scenario,
     full_feeds: &[(TensorId, Tensor)],
-    caches: &SearchCaches,
+    caches: &mut SearchCaches,
 ) -> ElasticReport {
     let part = PartitionOptions { workers: 8, ..Default::default() };
     let opts = RunOptions {
@@ -192,9 +192,9 @@ fn main() {
     let mut grows_total = 0usize;
     for s in &scenarios {
         let full_feeds = feeds(&s.graph);
-        let caches = SearchCaches::default();
-        let cold = run_pass(s, &full_feeds, &caches);
-        let warm = run_pass(s, &full_feeds, &caches);
+        let mut caches = SearchCaches::default();
+        let cold = run_pass(s, &full_feeds, &mut caches);
+        let warm = run_pass(s, &full_feeds, &mut caches);
 
         // The two passes must replay the identical ladder.
         assert_eq!(cold.widths, warm.widths, "{}: passes diverged on widths", s.name);

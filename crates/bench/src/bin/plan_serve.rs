@@ -74,13 +74,13 @@ fn main() {
 
     // ---- Cold phase: populate the cache, gate byte-identity. -------------
     println!("plan_serve — warming {} unique requests", mix.len());
-    let local_caches = SearchCaches::new();
+    let mut local_caches = SearchCaches::new();
     let mut client = PlanClient::connect(addr).expect("connect warm client");
     for (i, (g, opts)) in mix.iter().enumerate() {
         let served = client
             .partition(TENANTS[i % TENANTS.len()], g, opts, None)
             .expect("warm partition");
-        let local = partition_cached(g, opts, &local_caches, None).expect("local partition");
+        let local = partition_cached(g, opts, &mut local_caches, None).expect("local partition");
         let local_json = plan_to_json(&local).to_json();
         if served.plan.to_json() != local_json {
             eprintln!(

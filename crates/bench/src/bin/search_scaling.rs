@@ -45,7 +45,7 @@ fn total(c: &Collector, key: &str) -> f64 {
     c.totals().get(key).copied().unwrap_or(0.0)
 }
 
-fn measure(model: &'static str, g: &Graph, workers: usize, warm: &SearchCaches) -> Row {
+fn measure(model: &'static str, g: &Graph, workers: usize, warm: &mut SearchCaches) -> Row {
     let reference_opts =
         PartitionOptions { workers, tuning: SearchTuning::reference(), ..Default::default() };
     let optimized_opts = PartitionOptions { workers, ..Default::default() };
@@ -112,7 +112,7 @@ fn main() {
     ] {
         // One request memo per model: every width is a new request, and
         // each must still return the reference's plan.
-        let warm = SearchCaches::new();
+        let mut warm = SearchCaches::new();
         println!("\n{name} — reference vs optimized search");
         println!(
             "{:<8} {:>12} {:>12} {:>12} {:>8} {:>10} {:>14} {:>6}",
@@ -127,7 +127,7 @@ fn main() {
         );
         println!("{}", "-".repeat(89));
         for workers in WORKERS {
-            let r = measure(name, g, workers, &warm);
+            let r = measure(name, g, workers, &mut warm);
             println!(
                 "{:<8} {:>12.0} {:>12.0} {:>12.0} {:>8.0} {:>10.0} {:>14.0} {:>6}",
                 r.workers,

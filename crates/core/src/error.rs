@@ -38,6 +38,16 @@ pub enum CoreError {
     Internal(String),
 }
 
+impl CoreError {
+    /// True for the *provable* rejections — no strategy for some node, an
+    /// unusable worker count — which, like a plan, are pure functions of the
+    /// request and may be memoized under its fingerprint. Resource-bound and
+    /// internal errors depend on circumstance and are never memoized.
+    pub fn is_provable(&self) -> bool {
+        matches!(self, CoreError::NoStrategy { .. } | CoreError::BadWorkerCount(_))
+    }
+}
+
 impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

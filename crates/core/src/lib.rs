@@ -12,8 +12,8 @@
 //!    one entry, [`dp::search`], over two engines ([`SearchTuning`]);
 //! 3. [`recursive`] applies the DP recursively to reach `k = k1·…·km`
 //!    workers (§5.2, Theorems 1–3): [`partition`] for a one-shot call,
-//!    [`partition_cached`] against shared [`SearchCaches`] (any number of
-//!    threads), both over [`partition_with_factors`];
+//!    [`partition_cached`] against a caller-owned [`SearchCaches`], both
+//!    over [`partition_with_factors`];
 //! 4. [`genplan`] expands the original graph into the per-worker partitioned
 //!    graph with fused MultiFetch gathers, spread reductions and the
 //!    memory-planner control dependencies (§6);

@@ -21,7 +21,7 @@ use tofu_graph::{Graph, TensorId};
 use tofu_obs::{Collector, Track};
 use tofu_tensor::Shape;
 
-use crate::cache::{request_fingerprint, Lookup, SearchCaches};
+use crate::cache::{request_fingerprint, SearchCaches};
 use crate::coarsen::coarsen;
 use crate::dp::{search, DpOptions, ExtraInputs, NodeChoice, SearchTuning, StepPlan};
 use crate::error::CoreError;
@@ -193,46 +193,38 @@ pub fn partition_with_obs(
 /// whole requests are answered *across* calls: repeating a request — or
 /// probing a width already proven infeasible — costs no search. A request
 /// the memo has not seen runs the whole search, strategy discovery
-/// included. Hits and leader misses surface as `cache/request_{hit,miss}`.
+/// included. Hits and misses surface as `cache/request_{hit,miss}`.
 ///
-/// The memo is internally synchronized (sharded locks + single-flight
-/// deduplication), so a long-running service can call this concurrently
-/// from many solver threads against one `Arc<SearchCaches>`. Results are
-/// bit-identical to a single-threaded run — every memoized outcome is a
-/// pure function of its exact structural key, so thread interleaving only
-/// decides who computes an entry first, never its value.
+/// The memo is borrowed mutably, so one caller uses it at a time. A hit
+/// returns the stored outcome of an identical request, which is a pure
+/// function of its exact structural key, so memoized results are
+/// bit-identical to a fresh search.
 pub fn partition_cached(
     g: &Graph,
     opts: &PartitionOptions,
-    caches: &SearchCaches,
+    caches: &mut SearchCaches,
     obs: Option<&Collector>,
 ) -> Result<PartitionPlan> {
     // Whole-request memo: a repeated request skips even coarsening, and a
     // width the search already proved infeasible is rejected immediately —
     // the warm path an elastic runtime's width-ladder probes rely on. The
-    // lookup single-flights concurrent identical requests; the key covers
-    // the engine choice, so a reference-engine request is only ever answered
-    // by a reference-engine search.
-    let guard = match caches.requests.begin(request_fingerprint(g, opts)) {
-        Lookup::Ready(outcome) => {
-            if let Some(c) = obs {
-                c.add_total("cache/request_hit", 1.0);
-            }
-            return outcome;
+    // key covers the engine choice, so a reference-engine request is only
+    // ever answered by a reference-engine search.
+    let key = request_fingerprint(g, opts);
+    if let Some(outcome) = caches.requests.get(&key) {
+        caches.hits += 1;
+        if let Some(c) = obs {
+            c.add_total("cache/request_hit", 1.0);
         }
-        Lookup::Leader(guard) => guard,
-    };
+        return outcome.clone();
+    }
+    caches.misses += 1;
     if let Some(c) = obs {
         c.add_total("cache/request_miss", 1.0);
     }
     let result = factorize(opts.workers).and_then(|f| partition_with_factors(g, &f, opts, obs));
-    match &result {
-        Ok(_) | Err(CoreError::NoStrategy { .. } | CoreError::BadWorkerCount(_)) => {
-            guard.fill(&result)
-        }
-        // Transient / circumstance-dependent failures resolve the flight
-        // without memoizing (the guard's drop wakes waiters).
-        Err(_) => drop(guard),
+    if result.as_ref().err().is_none_or(CoreError::is_provable) {
+        caches.requests.insert(key, result.clone());
     }
     result
 }
@@ -525,17 +517,16 @@ mod tests {
         // ladder must yield a plan for the feasible subset and a typed
         // rejection for the rest.
         let g = mlp(36, &[72, 36]);
-        let caches = SearchCaches::new();
+        let mut caches = SearchCaches::new();
         let obs = Collector::new();
-        let at = |w: usize| {
+        let mut at = |w: usize| {
             let opts = PartitionOptions { workers: w, ..Default::default() };
-            partition_cached(&g, &opts, &caches, Some(&obs))
+            partition_cached(&g, &opts, &mut caches, Some(&obs))
         };
         let feasible: Vec<usize> = (1..=7).filter(|&w| at(w).is_ok()).collect();
         assert_eq!(feasible, vec![1, 2, 3, 4, 6]);
         // Every width — feasible plan or proven infeasibility — is now a
         // warm request-memo hit: no repeat costs a search.
-        let h0 = caches.stats().request_hits;
         for &w in &feasible {
             at(w).unwrap();
         }
@@ -543,8 +534,9 @@ mod tests {
             at(w).unwrap_err();
         }
         let stats = caches.stats();
-        assert_eq!(stats.request_hits, h0 + feasible.len() as u64 + 2);
-        assert_eq!(stats.request_misses, 7, "one leader per probed width, ever");
+        assert_eq!(stats.request_hits, feasible.len() as u64 + 2);
+        assert_eq!(stats.request_misses, 7, "one search per probed width, ever");
+        assert_eq!(stats.request_entries, 7);
         // The collector's totals are the memo's own tallies.
         let totals = obs.totals();
         let total = |k: &str| totals.get(k).copied().unwrap_or(0.0);

@@ -108,9 +108,9 @@ fn empty_beam_is_a_bound_error_and_is_never_memoised() {
         let same = partition(&g, &PartitionOptions { state_bound: 0, beam: 512, ..opts });
         assert_eq!(format!("{:?}", same.unwrap_err()), format!("{err:?}"));
 
-        let caches = SearchCaches::new();
+        let mut caches = SearchCaches::new();
         for _ in 0..2 {
-            let again = partition_cached(&g, &opts, &caches, None).unwrap_err();
+            let again = partition_cached(&g, &opts, &mut caches, None).unwrap_err();
             assert!(matches!(again, CoreError::SearchSpaceExceeded { bound: 0, .. }));
         }
         let stats = caches.stats();

@@ -388,7 +388,7 @@ pub fn run_with_durable_recovery(
     part_opts: &PartitionOptions,
     opts: &RunOptions,
     durable: &DurableOptions,
-    caches: &SearchCaches,
+    caches: &mut SearchCaches,
 ) -> Result<DurableReport> {
     let elastic = (!opts.churn.is_empty()).then(ElasticPolicy::default);
     let recovery = RecoveryOptions { elastic, ..SINGLE_ATTEMPT };

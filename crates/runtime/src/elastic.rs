@@ -228,7 +228,7 @@ pub(crate) enum SelectErr {
 pub(crate) fn select_width(
     g: &Graph,
     base: &PartitionOptions,
-    caches: &SearchCaches,
+    caches: &mut SearchCaches,
     obs: Option<&Collector>,
     policy: Option<&ElasticPolicy>,
     cap: usize,
@@ -333,7 +333,7 @@ pub fn run_with_elastic_recovery(
     part_opts: &PartitionOptions,
     opts: &RunOptions,
     recovery: &RecoveryOptions,
-    caches: &SearchCaches,
+    caches: &mut SearchCaches,
 ) -> Result<ElasticReport> {
     let source = PlanSource::Replan { graph: g, part: part_opts, caches };
     let s = supervise(source, feeds, opts, recovery, None)?;

@@ -463,7 +463,7 @@ pub(crate) enum PlanSource<'a> {
         /// Partition options; `workers` is the initial fleet size.
         part: &'a PartitionOptions,
         /// Search caches that make a replan a lookup, not a cold search.
-        caches: &'a SearchCaches,
+        caches: &'a mut SearchCaches,
     },
 }
 
@@ -477,7 +477,7 @@ impl<'a> PlanSource<'a> {
 
     /// The plan for a fleet of `cap` devices (see [`select_width`]).
     fn select(
-        &self,
+        &mut self,
         obs: Option<&Collector>,
         policy: Option<&ElasticPolicy>,
         cap: usize,
@@ -577,7 +577,7 @@ fn spare_transition(kind: TransitionKind, device: usize, width: usize) -> Elasti
 /// and the durable sink — is dropped by a process crash and rebuilt by the
 /// next boot from whatever the blob store holds.
 pub(crate) fn supervise(
-    source: PlanSource<'_>,
+    mut source: PlanSource<'_>,
     feeds: &[(TensorId, Tensor)],
     opts: &RunOptions,
     recovery: &RecoveryOptions,

@@ -128,7 +128,7 @@ fn leave_then_rejoin_shrinks_and_grows_back_bit_identically() {
     let m = model_840();
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 8, ..Default::default() };
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
     let churn = ChurnPlan::none().with_leave(3, 40).with_join(3, 1);
     let report = run_with_elastic_recovery(
         &m.graph,
@@ -136,7 +136,7 @@ fn leave_then_rejoin_shrinks_and_grows_back_bit_identically() {
         &part,
         &churned(&m.graph, churn),
         &elastic(ElasticPolicy::default()),
-        &caches,
+        &mut caches,
     )
     .expect("leave/rejoin survives");
     assert_eq!(report.widths, vec![8, 7, 8], "shrink then grow back");
@@ -158,7 +158,7 @@ fn a_fresh_device_grows_the_run_beyond_its_starting_width() {
     let m = model_504();
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 8, ..Default::default() };
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
     // Device 8 never existed in the initial fleet: a pure scale-up.
     let churn = ChurnPlan::none().with_join(8, 2);
     let report = run_with_elastic_recovery(
@@ -167,7 +167,7 @@ fn a_fresh_device_grows_the_run_beyond_its_starting_width() {
         &part,
         &churned(&m.graph, churn),
         &elastic(ElasticPolicy::default()),
-        &caches,
+        &mut caches,
     )
     .expect("pure join survives");
     assert_eq!(report.widths, vec![8, 9], "grew past the starting width");
@@ -185,7 +185,7 @@ fn grow_hysteresis_delays_the_pause_barrier() {
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 8, ..Default::default() };
     for (hysteresis, want_ckpt) in [(0usize, 2usize), (2, 4)] {
-        let caches = SearchCaches::default();
+        let mut caches = SearchCaches::default();
         let churn = ChurnPlan::none().with_join(8, 2);
         let report = run_with_elastic_recovery(
             &m.graph,
@@ -193,7 +193,7 @@ fn grow_hysteresis_delays_the_pause_barrier() {
             &part,
             &churned(&m.graph, churn),
             &elastic(ElasticPolicy { grow_hysteresis: hysteresis, ..Default::default() }),
-            &caches,
+            &mut caches,
         )
         .expect("join survives");
         assert_eq!(kinds(&report), vec![TransitionKind::Grow]);
@@ -211,7 +211,7 @@ fn max_workers_turns_a_join_into_a_spare() {
     let m = model_504();
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 8, ..Default::default() };
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
     let churn = ChurnPlan::none().with_join(8, 1);
     let report = run_with_elastic_recovery(
         &m.graph,
@@ -219,7 +219,7 @@ fn max_workers_turns_a_join_into_a_spare() {
         &part,
         &churned(&m.graph, churn),
         &elastic(ElasticPolicy { max_workers: 8, ..Default::default() }),
-        &caches,
+        &mut caches,
     )
     .expect("capped join survives");
     assert_eq!(report.widths, vec![8], "the policy cap held the width");
@@ -237,7 +237,7 @@ fn infeasible_widths_step_down_to_capacity_and_climb_back_on_rejoin() {
     let m = model_48();
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 8, ..Default::default() };
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
     // Batch 48 has no 7-way split: losing one of 8 must step down to 6,
     // idling one survivor as a spare; the rejoin restores 8.
     let churn = ChurnPlan::none().with_leave(2, 30).with_join(2, 1);
@@ -247,7 +247,7 @@ fn infeasible_widths_step_down_to_capacity_and_climb_back_on_rejoin() {
         &part,
         &churned(&m.graph, churn),
         &elastic(ElasticPolicy::default()),
-        &caches,
+        &mut caches,
     )
     .expect("step-down churn survives");
     assert_eq!(report.widths, vec![8, 6, 8], "7 is infeasible: capacity 7 runs 6 wide");
@@ -266,7 +266,7 @@ fn a_leave_of_an_idle_spare_does_not_disturb_the_run() {
     let m = model_48();
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 8, ..Default::default() };
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
     // After losing device 7 the run is 6 wide with device 6 spare; the
     // second leave hits that spare and must not trigger another reshard.
     let churn = ChurnPlan::none().with_leave(7, 30).with_leave(6, 60);
@@ -276,7 +276,7 @@ fn a_leave_of_an_idle_spare_does_not_disturb_the_run() {
         &part,
         &churned(&m.graph, churn),
         &elastic(ElasticPolicy::default()),
-        &caches,
+        &mut caches,
     )
     .expect("spare loss survives");
     assert_eq!(report.widths, vec![8, 6], "only the active loss changed the width");
@@ -296,14 +296,14 @@ fn seeded_churn_replays_identically_from_one_seed() {
     let plan_b = ChurnPlan::seeded(0xC0FFEE, 4, 8, 100, 4);
     assert_eq!(format!("{plan_a:?}"), format!("{plan_b:?}"), "same seed, same script");
     let run = |plan: ChurnPlan| {
-        let caches = SearchCaches::default();
+        let mut caches = SearchCaches::default();
         run_with_elastic_recovery(
             &m.graph,
             &full_feeds,
             &part,
             &churned(&m.graph, plan),
             &elastic(ElasticPolicy::default()),
-            &caches,
+            &mut caches,
         )
         .expect("seeded churn survives")
     };
@@ -338,7 +338,7 @@ fn joins_require_a_checkpoint_cadence() {
     let m = model_840();
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 4, ..Default::default() };
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
     let opts = RunOptions { churn: ChurnPlan::none().with_join(4, 1), ..Default::default() };
     let err = run_with_elastic_recovery(
         &m.graph,
@@ -346,7 +346,7 @@ fn joins_require_a_checkpoint_cadence() {
         &part,
         &opts,
         &elastic(ElasticPolicy::default()),
-        &caches,
+        &mut caches,
     )
     .unwrap_err();
     assert!(matches!(err, RuntimeError::InvalidOptions(ref m) if m.contains("checkpoint")),
@@ -358,7 +358,7 @@ fn churn_requires_an_elastic_policy() {
     let m = model_840();
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 4, ..Default::default() };
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
     let opts = churned(&m.graph, ChurnPlan::none().with_leave(1, 10));
     let recovery = RecoveryOptions {
         max_attempts: 1,
@@ -367,7 +367,7 @@ fn churn_requires_an_elastic_policy() {
         ..Default::default()
     };
     let err =
-        run_with_elastic_recovery(&m.graph, &full_feeds, &part, &opts, &recovery, &caches)
+        run_with_elastic_recovery(&m.graph, &full_feeds, &part, &opts, &recovery, &mut caches)
             .unwrap_err();
     assert!(matches!(err, RuntimeError::InvalidOptions(ref m) if m.contains("elastic")),
         "got {err}");

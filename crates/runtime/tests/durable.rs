@@ -103,7 +103,7 @@ fn clean_run_persists_commits_and_respects_retention() {
     let m = model();
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 4, ..Default::default() };
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
     let store: Arc<MemStore> = Arc::new(MemStore::default());
     let durable = DurableOptions::new(store.clone());
     let report = run_with_durable_recovery(
@@ -112,7 +112,7 @@ fn clean_run_persists_commits_and_respects_retention() {
         &part,
         &checkpointed(&m.graph, FaultPlan::none()),
         &durable,
-        &caches,
+        &mut caches,
     )
     .expect("clean durable run");
     assert!(report.crashed.is_none());
@@ -138,7 +138,7 @@ fn crash_after_commit_resumes_from_that_checkpoint() {
     let m = model();
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 4, ..Default::default() };
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
     let durable = DurableOptions {
         crash: Some(CrashPoint::AfterCommit(2)),
         ..DurableOptions::new(Arc::new(MemStore::default()))
@@ -149,7 +149,7 @@ fn crash_after_commit_resumes_from_that_checkpoint() {
         &part,
         &checkpointed(&m.graph, FaultPlan::none()),
         &durable,
-        &caches,
+        &mut caches,
     )
     .expect("crash-restart run");
     assert!(report.crashed.is_some(), "the first incarnation must have died");
@@ -164,7 +164,7 @@ fn crash_before_commit_falls_back_to_previous_checkpoint() {
     let m = model();
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 4, ..Default::default() };
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
     let durable = DurableOptions {
         crash: Some(CrashPoint::BeforeCommit(2)),
         ..DurableOptions::new(Arc::new(MemStore::default()))
@@ -175,7 +175,7 @@ fn crash_before_commit_falls_back_to_previous_checkpoint() {
         &part,
         &checkpointed(&m.graph, FaultPlan::none()),
         &durable,
-        &caches,
+        &mut caches,
     )
     .expect("crash-restart run");
     // Checkpoint 2's shards hit the disk but its manifest — the commit
@@ -190,7 +190,7 @@ fn crash_before_first_commit_restarts_from_scratch() {
     let m = model();
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 4, ..Default::default() };
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
     let durable = DurableOptions {
         crash: Some(CrashPoint::BeforeCommit(1)),
         ..DurableOptions::new(Arc::new(MemStore::default()))
@@ -201,7 +201,7 @@ fn crash_before_first_commit_restarts_from_scratch() {
         &part,
         &checkpointed(&m.graph, FaultPlan::none()),
         &durable,
-        &caches,
+        &mut caches,
     )
     .expect("crash-restart run");
     assert_eq!(report.resumed_from, None, "no checkpoint ever committed");
@@ -213,7 +213,7 @@ fn crash_before_first_commit_restarts_from_scratch() {
 fn restart_at_a_different_width_is_bit_identical() {
     let m = model();
     let full_feeds = feeds(&m.graph);
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
     // Shrink 4 → 2 and grow 2 → 4: the durable checkpoint stores full
     // tensors keyed by original ids, so the restart reshards either way.
     for (before, after) in [(4usize, 2usize), (2, 4)] {
@@ -229,7 +229,7 @@ fn restart_at_a_different_width_is_bit_identical() {
             &part,
             &checkpointed(&m.graph, FaultPlan::none()),
             &durable,
-            &caches,
+            &mut caches,
         )
         .unwrap_or_else(|e| panic!("{before}->{after}: crash-restart run failed: {e}"));
         assert_eq!(report.width, after, "{before}->{after}: restarted at the new width");
@@ -249,7 +249,7 @@ fn every_disk_fault_family_is_detected_and_recovered_exactly() {
     let m = model();
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 4, ..Default::default() };
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
     struct Case {
         fault: DiskFault,
         expect_resume: usize,
@@ -308,7 +308,7 @@ fn every_disk_fault_family_is_detected_and_recovered_exactly() {
             &part,
             &checkpointed(&m.graph, FaultPlan::none().with_disk(case.fault)),
             &durable,
-            &caches,
+            &mut caches,
         )
         .unwrap_or_else(|e| panic!("{}: crash-restart run failed: {e}", case.label));
         assert_eq!(
@@ -334,7 +334,7 @@ fn dir_store_survives_a_crash_through_the_real_filesystem() {
     let m = model();
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 3, ..Default::default() };
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
     let root = std::env::temp_dir()
         .join(format!("tofu-durable-test-{}-dirstore", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -349,7 +349,7 @@ fn dir_store_survives_a_crash_through_the_real_filesystem() {
         &part,
         &checkpointed(&m.graph, FaultPlan::none()),
         &durable,
-        &caches,
+        &mut caches,
     )
     .expect("crash-restart through DirStore");
     assert_eq!(report.resumed_from, Some(2));
@@ -362,7 +362,7 @@ fn misconfiguration_is_rejected_up_front() {
     let m = model();
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 4, ..Default::default() };
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
     let invalid = |r: Result<DurableReport, RuntimeError>, what: &str| {
         match r {
             Err(RuntimeError::InvalidOptions(_)) => {}
@@ -378,7 +378,7 @@ fn misconfiguration_is_rejected_up_front() {
             &part,
             &RunOptions::default(),
             &DurableOptions::new(Arc::new(MemStore::default())),
-            &caches,
+            &mut caches,
         ),
         "no checkpoint policy",
     );
@@ -391,7 +391,7 @@ fn misconfiguration_is_rejected_up_front() {
             &part,
             &RunOptions { checkpoint: Some(CheckpointPolicy::every(5)), ..Default::default() },
             &DurableOptions::new(Arc::new(MemStore::default())),
-            &caches,
+            &mut caches,
         ),
         "sharded-step barriers",
     );
@@ -407,7 +407,7 @@ fn misconfiguration_is_rejected_up_front() {
                 crash: Some(CrashPoint::AfterCommit(1000)),
                 ..DurableOptions::new(Arc::new(MemStore::default()))
             },
-            &caches,
+            &mut caches,
         ),
         "unreachable crash point",
     );
@@ -423,7 +423,7 @@ fn misconfiguration_is_rejected_up_front() {
                 restart_workers: Some(0),
                 ..DurableOptions::new(Arc::new(MemStore::default()))
             },
-            &caches,
+            &mut caches,
         ),
         "zero restart width",
     );
@@ -436,9 +436,9 @@ fn plain_runs_reject_disk_faults() {
     let m = model();
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 2, ..Default::default() };
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
     let sharded = {
-        let plan = tofu_core::partition_cached(&m.graph, &part, &caches, None).unwrap();
+        let plan = tofu_core::partition_cached(&m.graph, &part, &mut caches, None).unwrap();
         tofu_core::generate(&m.graph, &plan, &tofu_core::GenOptions::default()).unwrap()
     };
     let mut sf = Vec::new();
@@ -471,7 +471,7 @@ fn crash_during_churn_recovers_bit_identically() {
     let m = model();
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 4, ..Default::default() };
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
     // (join barrier, crash commit, barrier the final width resumes from)
     for (label, join_at, crash_at, resumed) in
         [("crash after the shrink", 3, 1, 3), ("crash after the grow", 2, 4, 4)]
@@ -487,7 +487,7 @@ fn crash_during_churn_recovers_bit_identically() {
             ..DurableOptions::new(Arc::new(MemStore::default()))
         };
         let report =
-            run_with_durable_recovery(&m.graph, &full_feeds, &part, &opts, &durable, &caches)
+            run_with_durable_recovery(&m.graph, &full_feeds, &part, &opts, &durable, &mut caches)
                 .unwrap_or_else(|e| panic!("{label}: run failed: {e}"));
         assert!(report.crashed.is_some(), "{label}: the process must have died");
         assert_eq!(report.width, 4, "{label}: ends at the capacity width");

@@ -100,7 +100,7 @@ fn kill_one_of_eight_shrinks_and_matches_baseline_bit_for_bit() {
     let m = model();
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 8, ..Default::default() };
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
     // Early / mid / late loss relative to the victim's full-width schedule;
     // one warm cache across the loop, like a long-lived job would hold.
     for frac in [0usize, 1, 2] {
@@ -114,7 +114,7 @@ fn kill_one_of_eight_shrinks_and_matches_baseline_bit_for_bit() {
             &part,
             &opts,
             &elastic_recovery(1),
-            &caches,
+            &mut caches,
         )
         .unwrap_or_else(|e| panic!("kill@{frac}: elastic recovery failed: {e}"));
         assert_eq!(report.widths, vec![8, 7], "kill@{frac}: one shrink");
@@ -132,14 +132,14 @@ fn transient_fault_recovers_at_full_width_without_shrinking() {
     let m = model();
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 4, ..Default::default() };
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
     let healthy = run_with_elastic_recovery(
         &m.graph,
         &full_feeds,
         &part,
         &checkpointed(&m.graph, FaultPlan::none()),
         &elastic_recovery(1),
-        &caches,
+        &mut caches,
     )
     .expect("healthy elastic run");
     let report = run_with_elastic_recovery(
@@ -148,7 +148,7 @@ fn transient_fault_recovers_at_full_width_without_shrinking() {
         &part,
         &checkpointed(&m.graph, FaultPlan::single(Fault::Kill { worker: 1, pos: 30 })),
         &elastic_recovery(2),
-        &caches,
+        &mut caches,
     )
     .expect("transient fault must not need a shrink");
     assert_eq!(report.widths, vec![4], "no shrink happened");
@@ -162,7 +162,7 @@ fn multiple_permanent_losses_walk_the_ladder_through_prime_widths() {
     let m = model();
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 8, ..Default::default() };
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
 
     // Two losses: 8 → 7 → 6.
     let two = checkpointed(
@@ -172,7 +172,7 @@ fn multiple_permanent_losses_walk_the_ladder_through_prime_widths() {
             .with_permanent(Fault::Kill { worker: 5, pos: 60 }),
     );
     let report =
-        run_with_elastic_recovery(&m.graph, &full_feeds, &part, &two, &elastic_recovery(1), &caches)
+        run_with_elastic_recovery(&m.graph, &full_feeds, &part, &two, &elastic_recovery(1), &mut caches)
             .expect("two losses survive");
     assert_eq!(report.widths, vec![8, 7, 6]);
     assert_eq!(
@@ -192,7 +192,7 @@ fn multiple_permanent_losses_walk_the_ladder_through_prime_widths() {
             .with_permanent(Fault::Kill { worker: 6, pos: 80 }),
     );
     let report =
-        run_with_elastic_recovery(&m.graph, &full_feeds, &part, &four, &elastic_recovery(1), &caches)
+        run_with_elastic_recovery(&m.graph, &full_feeds, &part, &four, &elastic_recovery(1), &mut caches)
             .expect("four losses survive");
     assert_eq!(report.widths, vec![8, 7, 6, 5, 4]);
     assert_eq!(
@@ -217,14 +217,14 @@ fn exhausted_policy_surfaces_typed_unrecoverable() {
         elastic: Some(ElasticPolicy { min_workers: 2, ..Default::default() }),
         ..Default::default()
     };
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
     let err = run_with_elastic_recovery(
         &m.graph,
         &full_feeds,
         &part,
         &checkpointed(&m.graph, kill.clone()),
         &recovery,
-        &caches,
+        &mut caches,
     )
     .unwrap_err();
     match err {
@@ -249,7 +249,7 @@ fn exhausted_policy_surfaces_typed_unrecoverable() {
         &part4,
         &checkpointed(&m.graph, FaultPlan::single_permanent(Fault::Kill { worker: 2, pos: 5 })),
         &recovery,
-        &caches,
+        &mut caches,
     )
     .unwrap_err();
     assert!(
@@ -270,7 +270,7 @@ fn exhausted_policy_surfaces_typed_unrecoverable() {
         &part,
         &checkpointed(&m.graph, FaultPlan::none()),
         &recovery,
-        &caches,
+        &mut caches,
     )
     .unwrap_err();
     match err {
@@ -292,14 +292,14 @@ fn without_degrade_policy_permanent_loss_is_a_plain_failure() {
         elastic: None,
         ..Default::default()
     };
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
     let err = run_with_elastic_recovery(
         &m.graph,
         &full_feeds,
         &part,
         &checkpointed(&m.graph, FaultPlan::single_permanent(Fault::Kill { worker: 0, pos: 3 })),
         &recovery,
-        &caches,
+        &mut caches,
     )
     .unwrap_err();
     assert!(matches!(err, RuntimeError::Failed(ref f) if f.worker == 0), "got {err}");
@@ -314,14 +314,14 @@ fn elastic_requires_plan_independent_barriers() {
         checkpoint: Some(CheckpointPolicy::every(4)), // sharded-step barriers
         ..Default::default()
     };
-    let caches = SearchCaches::default();
+    let mut caches = SearchCaches::default();
     let err = run_with_elastic_recovery(
         &m.graph,
         &full_feeds,
         &part,
         &opts,
         &elastic_recovery(1),
-        &caches,
+        &mut caches,
     )
     .unwrap_err();
     assert!(matches!(err, RuntimeError::InvalidOptions(_)), "got {err}");
@@ -338,8 +338,8 @@ fn ladder_is_fully_instrumented() {
         FaultPlan::single_permanent(Fault::Kill { worker: 2, pos: 20 }),
     );
     opts.collector = Some(collector.clone());
-    let caches = SearchCaches::default();
-    run_with_elastic_recovery(&m.graph, &full_feeds, &part, &opts, &elastic_recovery(1), &caches)
+    let mut caches = SearchCaches::default();
+    run_with_elastic_recovery(&m.graph, &full_feeds, &part, &opts, &elastic_recovery(1), &mut caches)
         .expect("one loss survives");
     let names: Vec<String> = collector.events().into_iter().map(|e| e.name).collect();
     for want in [

@@ -25,7 +25,7 @@
 //! {"type":"plan","id":1,"cached":true,"fingerprint":"...","plan":{...}}
 //! {"type":"error","id":1,"code":"not_cached","message":"..."}
 //! {"type":"error","id":2,"code":"overloaded","message":"..."}
-//! {"type":"stats","id":3,"serve":{...},"cache":{...}}
+//! {"type":"stats","id":3,"serve":{...},"cache":{"entries":2}}
 //! {"type":"pong","id":4}
 //! ```
 //!
@@ -60,7 +60,7 @@
 //! two bit-identical [`PartitionPlan`]s serialize to byte-identical JSON, so
 //! clients (and the bench harness) verify served plans by comparing the
 //! compact serialization against a locally computed
-//! [`tofu_core::partition_cached`] plan.
+//! [`tofu_core::partition`] plan.
 
 use std::io::{Read, Write};
 

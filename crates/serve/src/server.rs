@@ -16,9 +16,10 @@
 //!                                round-robin, bounded → `overloaded`)
 //!                                  │
 //!                          solver pool (N threads)
-//!                        partition_cached(&SearchCaches)
+//!                        partition_with_obs (no memo below)
 //!                                  │
-//!                       answer leader + all joined waiters
+//!                  file plan or provable rejection; answer
+//!                       leader + all joined waiters
 //! ```
 //!
 //! Only an upload can fill the response cache, and only under the hash the
@@ -26,20 +27,20 @@
 //! "Fingerprint first"): a `lookup` reads an entry or joins its flight, never
 //! creates one.
 //!
-//! Two cache layers cooperate: the serve-level *response cache* maps a whole
-//! request fingerprint ([`tofu_core::request_fingerprint`]) to the finished
-//! plan JSON, while the shared [`SearchCaches`] underneath is core's request
-//! memo, which also remembers a proven infeasibility — the response cache
-//! files only plans, so the memo is what spares a repeated infeasible
-//! request a second search. Nothing finer is shared between requests: every
-//! miss runs the whole search, analysing each distinct operator's
-//! strategies once.
+//! The response cache is the service's one memo and its one flight: it maps
+//! a whole request fingerprint ([`tofu_core::request_fingerprint`]) to the
+//! finished plan JSON *or* to a provable rejection (no strategy, unusable
+//! worker count), so a repeated infeasible request is answered
+//! `search_failed` without a second search. Transient failures (bounds,
+//! panics, deadlines) are never filed. Nothing finer is shared between
+//! requests: every miss runs the whole search, analysing each distinct
+//! operator's strategies once.
 //!
 //! Every served plan is bit-identical to what a single-threaded
-//! [`tofu_core::partition_cached`] call would produce for the same request:
-//! both cache layers key on exact structural identity and store pure
-//! functions of their keys, so concurrency only reorders who computes an
-//! entry first.
+//! [`tofu_core::partition`] call produces for the same request: the cache
+//! keys on exact structural identity and stores a pure function of its key,
+//! and at most one solver computes a key, so concurrency only reorders which
+//! key is computed first.
 
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -49,8 +50,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tofu_core::recursive::{partition_cached, PartitionOptions};
-use tofu_core::{request_fingerprint, SearchCaches};
+use tofu_core::recursive::{partition_with_obs, PartitionOptions};
+use tofu_core::request_fingerprint;
 use tofu_graph::Graph;
 use tofu_obs::json::Json;
 use tofu_obs::{Collector, Track};
@@ -109,7 +110,8 @@ pub struct ServeCounters {
     /// *not* counted in `requests`, which tallies only admitted-or-rejected
     /// work so `hits + misses + joined + rejected == requests` holds).
     pub shutting_down: AtomicU64,
-    /// Partition search returned an error.
+    /// Answered `search_failed` or `internal`: the search errored or
+    /// panicked, or a hit found a filed rejection.
     pub search_failed: AtomicU64,
     /// Frames or messages that failed to parse.
     pub protocol_errors: AtomicU64,
@@ -126,17 +128,21 @@ struct Waiter {
     deadline: Option<Instant>,
 }
 
-/// The finished, immutable answer for one fingerprint. The plan is kept
-/// pre-serialized: answering a hit splices the canonical text into the
-/// response frame instead of cloning a JSON tree.
+/// A finished plan for one fingerprint. The plan is kept pre-serialized:
+/// answering a hit splices the canonical text into the response frame
+/// instead of cloning a JSON tree.
 struct PlanPayload {
     fingerprint: String,
     plan_text: String,
 }
 
+/// The filed answer for one fingerprint: a plan, or the message of a
+/// provable rejection (answered `search_failed`).
+type Answer = Result<PlanPayload, String>;
+
 enum PlanEntry {
     /// Computed; answer hits immediately.
-    Ready(Arc<PlanPayload>),
+    Ready(Arc<Answer>),
     /// A leader is computing; these waiters joined behind it.
     Pending(Vec<Waiter>),
 }
@@ -151,7 +157,6 @@ struct Job {
 
 struct Shared {
     cfg: ServeConfig,
-    caches: SearchCaches,
     plans: Mutex<HashMap<u128, PlanEntry>>,
     sched: FairScheduler<Job>,
     counters: ServeCounters,
@@ -169,7 +174,6 @@ impl Shared {
         Shared {
             sched: FairScheduler::new(cfg.queue_cap),
             cfg,
-            caches: SearchCaches::new(),
             plans: Mutex::new(HashMap::new()),
             counters: ServeCounters::default(),
             stop: AtomicBool::new(false),
@@ -241,12 +245,6 @@ impl PlanServer {
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The shared search caches (exposed so tests and benches can assert
-    /// hit/miss tallies).
-    pub fn caches(&self) -> &SearchCaches {
-        &self.shared.caches
     }
 
     /// Serve-level counters.
@@ -444,20 +442,12 @@ fn handle_plan_request(
             // asks for is the request.
             send_error(writer, id, ErrorCode::NotCached, "no plan under this fingerprint".into());
         }
-        (Some(PlanEntry::Ready(payload)), _) => {
-            let payload = Arc::clone(payload);
+        (Some(PlanEntry::Ready(answer)), _) => {
+            let answer = Arc::clone(answer);
             drop(plans);
             shared.bump(&shared.counters.requests, "serve/requests");
             shared.bump(&shared.counters.hits, "serve/hits");
-            if expired(deadline) {
-                shared.bump(&shared.counters.deadline_missed, "serve/deadline_missed");
-                send_error(writer, id, ErrorCode::DeadlineMissed, "deadline elapsed".into());
-                return;
-            }
-            send_bytes(
-                writer,
-                &encode_plan_response(id, true, &payload.fingerprint, &payload.plan_text),
-            );
+            answer_one(shared, &Waiter { conn: Arc::clone(writer), id, deadline }, true, &answer);
         }
         (Some(PlanEntry::Pending(waiters)), _) => {
             shared.bump(&shared.counters.requests, "serve/requests");
@@ -565,7 +555,7 @@ fn solver_loop(shared: &Arc<Shared>) {
         }
         let start = shared.cfg.collector.as_ref().map(|c| c.now_us());
         let result = catch_unwind(AssertUnwindSafe(|| {
-            partition_cached(&job.graph, &job.opts, &shared.caches, shared.cfg.collector.as_ref())
+            partition_with_obs(&job.graph, &job.opts, shared.cfg.collector.as_ref())
         }));
         if let (Some(c), Some(s)) = (&shared.cfg.collector, start) {
             let name = format!(
@@ -576,31 +566,15 @@ fn solver_loop(shared: &Arc<Shared>) {
             );
             c.complete(Track::serve(), "serve", &name, s, c.now_us());
         }
-        match result {
-            Ok(Ok(plan)) => {
-                let payload = Arc::new(PlanPayload {
-                    fingerprint: fingerprint_hex(job.fp),
-                    plan_text: plan_to_json(&plan).to_json(),
-                });
-                let waiters = {
-                    let mut plans = shared.plans.lock().expect("plans lock");
-                    match plans.insert(job.fp, PlanEntry::Ready(Arc::clone(&payload))) {
-                        Some(PlanEntry::Pending(w)) => w,
-                        _ => Vec::new(),
-                    }
-                };
-                for w in std::iter::once(&job.leader).chain(waiters.iter()) {
-                    if expired(w.deadline) {
-                        shared.bump(&shared.counters.deadline_missed, "serve/deadline_missed");
-                        send_error(&w.conn, w.id, ErrorCode::DeadlineMissed, "deadline elapsed".into());
-                        continue;
-                    }
-                    send_bytes(
-                        &w.conn,
-                        &encode_plan_response(w.id, false, &payload.fingerprint, &payload.plan_text),
-                    );
-                }
-            }
+        let answer = match result {
+            Ok(Ok(plan)) => Ok(PlanPayload {
+                fingerprint: fingerprint_hex(job.fp),
+                plan_text: plan_to_json(&plan).to_json(),
+            }),
+            // A provable rejection is filed like a plan, so a repeat is
+            // answered without a search.
+            Ok(Err(e)) if e.is_provable() => Err(format!("partition search failed: {e}")),
+            // Transient failures answer this flight and file nothing.
             Ok(Err(e)) => {
                 let waiters = take_waiters(shared, job.fp);
                 fail_all(
@@ -612,6 +586,7 @@ fn solver_loop(shared: &Arc<Shared>) {
                     &shared.counters.search_failed,
                     "serve/search_failed",
                 );
+                continue;
             }
             Err(_) => {
                 let waiters = take_waiters(shared, job.fp);
@@ -624,7 +599,40 @@ fn solver_loop(shared: &Arc<Shared>) {
                     &shared.counters.search_failed,
                     "serve/search_failed",
                 );
+                continue;
             }
+        };
+        let answer = Arc::new(answer);
+        let waiters = {
+            let mut plans = shared.plans.lock().expect("plans lock");
+            match plans.insert(job.fp, PlanEntry::Ready(Arc::clone(&answer))) {
+                Some(PlanEntry::Pending(w)) => w,
+                _ => Vec::new(),
+            }
+        };
+        for w in std::iter::once(&job.leader).chain(waiters.iter()) {
+            answer_one(shared, w, false, &answer);
+        }
+    }
+}
+
+/// Sends a filed answer to one waiter: the plan (`cached` says whether it
+/// was found filed), `search_failed` for a filed rejection, or
+/// `deadline_missed` once the waiter's deadline has passed.
+fn answer_one(shared: &Shared, w: &Waiter, cached: bool, answer: &Answer) {
+    if expired(w.deadline) {
+        shared.bump(&shared.counters.deadline_missed, "serve/deadline_missed");
+        send_error(&w.conn, w.id, ErrorCode::DeadlineMissed, "deadline elapsed".into());
+        return;
+    }
+    match answer {
+        Ok(p) => send_bytes(
+            &w.conn,
+            &encode_plan_response(w.id, cached, &p.fingerprint, &p.plan_text),
+        ),
+        Err(msg) => {
+            shared.bump(&shared.counters.search_failed, "serve/search_failed");
+            send_error(&w.conn, w.id, ErrorCode::SearchFailed, msg.clone());
         }
     }
 }
@@ -632,7 +640,12 @@ fn solver_loop(shared: &Arc<Shared>) {
 fn stats_response(shared: &Shared, id: u64) -> Response {
     let c = &shared.counters;
     let load = |a: &AtomicU64| Json::from(a.load(Ordering::Relaxed));
-    let memo = shared.caches.stats();
+    // Filed plans and filed rejections; flights still computing are not
+    // entries yet.
+    let entries = {
+        let plans = shared.plans.lock().expect("plans lock");
+        plans.values().filter(|e| matches!(e, PlanEntry::Ready(_))).count()
+    };
     let body = Json::obj(vec![
         ("type", Json::from("stats")),
         ("id", Json::from(id)),
@@ -656,12 +669,7 @@ fn stats_response(shared: &Shared, id: u64) -> Response {
         ),
         (
             "cache",
-            Json::obj(vec![
-                ("request_hits", Json::from(memo.request_hits)),
-                ("request_misses", Json::from(memo.request_misses)),
-                ("request_entries", Json::from(memo.request_entries)),
-                ("request_hit_rate", Json::Num(memo.request_hit_rate())),
-            ]),
+            Json::obj(vec![("entries", Json::from(entries))]),
         ),
     ]);
     Response::Stats { id, body }
@@ -676,7 +684,7 @@ mod tests {
     #[test]
     fn take_waiters_restores_a_ready_entry_without_deadlocking() {
         let shared = Arc::new(Shared::new(ServeConfig::default()));
-        let ready = Arc::new(PlanPayload { fingerprint: "f".into(), plan_text: "{}".into() });
+        let ready = Arc::new(Ok(PlanPayload { fingerprint: "f".into(), plan_text: "{}".into() }));
         shared.plans.lock().unwrap().insert(7, PlanEntry::Ready(ready));
         let (tx, rx) = std::sync::mpsc::channel();
         let helper = Arc::clone(&shared);

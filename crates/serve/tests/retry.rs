@@ -8,8 +8,7 @@ use std::sync::atomic::Ordering;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tofu_core::recursive::{partition_cached, PartitionOptions};
-use tofu_core::SearchCaches;
+use tofu_core::recursive::{partition, PartitionOptions};
 use tofu_models::{mlp, MlpConfig};
 use tofu_serve::client::{ClientError, PlanClient, RetryOptions};
 use tofu_serve::protocol::{plan_to_json, read_frame, write_frame, ErrorCode};
@@ -139,7 +138,7 @@ fn a_connection_severed_between_probe_and_upload_is_retried() {
     let opts = PartitionOptions { workers: 4, ..Default::default() };
     let served = client.partition("tenant-a", &g, &opts, None).expect("plan despite the cut");
     assert!(!served.cached, "the upload is the first request for this fingerprint");
-    let local = partition_cached(&g, &opts, &SearchCaches::new(), None).expect("local plan");
+    let local = partition(&g, &opts).expect("local plan");
     assert_eq!(served.plan.to_json(), plan_to_json(&local).to_json());
 
     drop(client);

@@ -1,13 +1,13 @@
 //! End-to-end service semantics: byte-identity against the local search,
-//! response caching, the fingerprint-first exchange, single-flight
-//! deduplication, admission control and deadlines.
+//! response caching (plans and provable rejections), the fingerprint-first
+//! exchange, single-flight deduplication, admission control and deadlines.
 
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use tofu_core::recursive::{partition_cached, PartitionOptions};
-use tofu_core::{request_fingerprint, SearchCaches};
+use tofu_core::recursive::{partition, PartitionOptions};
+use tofu_core::request_fingerprint;
 use tofu_models::{decoder_block, mlp, DecoderConfig, MlpConfig};
 use tofu_obs::json::Json;
 use tofu_serve::client::{ClientError, PlanClient};
@@ -71,7 +71,6 @@ fn served_plans_are_byte_identical_to_local_search() {
     let server = PlanServer::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
     let mut client = PlanClient::connect(server.addr()).expect("connect");
 
-    let local_caches = SearchCaches::new();
     for (batch, workers) in [(24usize, 4usize), (24, 8), (48, 6)] {
         let g = model(batch);
         let opts = PartitionOptions { workers, ..Default::default() };
@@ -80,11 +79,11 @@ fn served_plans_are_byte_identical_to_local_search() {
         // The client's local hash (its lookup key) is the server's key.
         assert_eq!(served.fingerprint, fingerprint_hex(request_fingerprint(&g, &opts)));
 
-        let local = partition_cached(&g, &opts, &local_caches, None).expect("local plan");
+        let local = partition(&g, &opts).expect("local plan");
         assert_eq!(
             served.plan.to_json(),
             plan_to_json(&local).to_json(),
-            "served plan differs from single-threaded partition_cached \
+            "served plan differs from single-threaded partition \
              (batch {batch}, {workers} workers)"
         );
 
@@ -98,44 +97,102 @@ fn served_plans_are_byte_identical_to_local_search() {
     server.shutdown();
 }
 
-#[test]
-fn concurrent_identical_requests_single_flight() {
+/// `clients` threads each send `rounds` passes over `mix`, rotated so that
+/// at any instant clients collide on *different* requests, through a server
+/// with two solver threads. Every answer must byte-equal a single-threaded
+/// `partition` of its request, and each unique request must be solved once:
+/// every other arrival joins its flight or hits the filed plan.
+fn hammer(mix: Vec<(tofu_graph::Graph, PartitionOptions)>, clients: usize, rounds: usize) {
     let server = PlanServer::bind(
         "127.0.0.1:0",
         ServeConfig { solver_threads: 2, queue_cap: 64, ..Default::default() },
     )
     .expect("bind");
     let addr = server.addr();
-    let g = Arc::new(model(24));
-    let opts = PartitionOptions { workers: 8, ..Default::default() };
+    let expected: Vec<String> =
+        mix.iter().map(|(g, o)| plan_to_json(&partition(g, o).expect("local")).to_json()).collect();
+    let (mix, expected) = (Arc::new(mix), Arc::new(expected));
 
-    let handles: Vec<_> = (0..8)
-        .map(|i| {
-            let g = Arc::clone(&g);
+    let handles: Vec<_> = (0..clients)
+        .map(|t| {
+            let (mix, expected) = (Arc::clone(&mix), Arc::clone(&expected));
             std::thread::spawn(move || {
                 let mut client = PlanClient::connect(addr).expect("connect");
-                client
-                    .partition(&format!("tenant-{}", i % 3), &g, &opts, None)
-                    .expect("partition")
+                for round in 0..rounds {
+                    for i in 0..mix.len() {
+                        let idx = (i + t + round) % mix.len();
+                        let (g, opts) = &mix[idx];
+                        let served = client
+                            .partition(&format!("tenant-{}", t % 3), g, opts, None)
+                            .expect("partition");
+                        assert_eq!(
+                            served.plan.to_json(),
+                            expected[idx],
+                            "client {t} round {round}: request {idx} differs from local search"
+                        );
+                    }
+                }
             })
         })
         .collect();
-    let results: Vec<_> = handles.into_iter().map(|h| h.join().expect("client thread")).collect();
-
-    // All eight answers carry identical plan bytes.
-    let first = results[0].plan.to_json();
-    for r in &results {
-        assert_eq!(r.plan.to_json(), first);
+    for h in handles {
+        h.join().expect("client thread");
     }
+    let [requests, hits, misses, joined, rejected] = counters(&server);
+    assert_eq!(requests, (clients * rounds * mix.len()) as u64);
+    assert_eq!(misses, mix.len() as u64, "single flight: one solve per unique request");
+    assert_eq!(hits + joined, requests - misses);
+    assert_eq!(rejected, 0);
+    server.shutdown();
+}
 
-    // Exactly one request computed; the rest joined the flight or hit the
-    // response cache (depending on arrival timing).
+#[test]
+fn concurrent_requests_single_flight_to_the_local_plan() {
+    // Eight clients asking for one request at once.
+    hammer(vec![(model(24), PartitionOptions { workers: 8, ..Default::default() })], 8, 1);
+
+    // Four clients over two models × three widths, all divisible by both
+    // the 2·2·2 and the 3·2 step sequences.
+    let model_b =
+        mlp(&MlpConfig { batch: 48, dims: vec![72, 48], classes: 24, with_updates: false })
+            .expect("model b")
+            .graph;
+    let mut mix = Vec::new();
+    for g in [model(24), model_b] {
+        for workers in [4usize, 6, 8] {
+            mix.push((g.clone(), PartitionOptions { workers, ..Default::default() }));
+        }
+    }
+    hammer(mix, 4, 2);
+}
+
+#[test]
+fn a_repeated_infeasible_request_is_answered_without_a_second_search() {
+    let obs = tofu_obs::Collector::new();
+    let server = PlanServer::bind(
+        "127.0.0.1:0",
+        ServeConfig { collector: Some(obs.clone()), ..Default::default() },
+    )
+    .expect("bind");
+    let mut client = PlanClient::connect(server.addr()).expect("connect");
+    // Batch 36 has no split into five equal parts.
+    let g = mlp(&MlpConfig { batch: 36, dims: vec![72, 36], classes: 36, with_updates: true })
+        .expect("model")
+        .graph;
+    let opts = PartitionOptions { workers: 5, ..Default::default() };
+    for attempt in 0..2 {
+        match client.partition("t", &g, &opts, None) {
+            Err(ClientError::Server { code, .. }) => {
+                assert_eq!(code, ErrorCode::SearchFailed, "attempt {attempt}");
+            }
+            other => panic!("attempt {attempt}: expected search_failed, got {other:?}"),
+        }
+    }
     let c = server.counters();
-    let load = |a: &std::sync::atomic::AtomicU64| a.load(std::sync::atomic::Ordering::Relaxed);
-    assert_eq!(load(&c.requests), 8);
-    assert_eq!(load(&c.misses), 1, "single-flight must admit exactly one solver run");
-    assert_eq!(load(&c.hits) + load(&c.joined), 7);
-    assert_eq!(load(&c.rejected), 0);
+    assert_eq!(counters(&server), [2, 1, 1, 0, 0], "the repeat is a response-cache hit");
+    assert_eq!(c.search_failed.load(Ordering::Relaxed), 2);
+    let solves = obs.events().iter().filter(|e| e.name.starts_with("solve ")).count();
+    assert_eq!(solves, 1, "the solver ran once");
     server.shutdown();
 }
 
@@ -200,15 +257,18 @@ fn stats_document_reports_serve_and_cache_layers() {
     assert_eq!(num(serve, "misses"), 1.0);
 
     let cache = stats.get("cache").expect("cache section");
-    // The warm request was a response-cache hit, so the search layer saw
-    // exactly one request.
-    assert_eq!(num(cache, "request_misses"), 1.0, "underlying request memo saw the search");
-    assert_eq!(num(cache, "request_entries"), 1.0);
-    assert_eq!(num(cache, "request_hit_rate"), 0.0);
-    // The stats are non-draining: asking twice must not zero anything.
+    assert_eq!(num(cache, "entries"), 1.0, "one plan is filed");
+
+    // A provable rejection is filed beside the plan.
+    let infeasible = PartitionOptions { workers: 5, ..Default::default() };
+    assert!(client.partition("t", &g, &infeasible, None).is_err());
     let stats2 = client.stats().expect("stats again");
     let cache2 = stats2.get("cache").expect("cache section");
-    assert_eq!(num(cache2, "request_misses"), num(cache, "request_misses"));
+    assert_eq!(num(cache2, "entries"), 2.0);
+    // The stats are non-draining: asking again zeroes nothing.
+    let serve2 = stats2.get("serve").expect("serve section");
+    assert_eq!(num(serve2, "hits"), 1.0);
+    assert_eq!(num(serve2, "misses"), 2.0);
     server.shutdown();
 }
 
@@ -282,7 +342,7 @@ fn a_probe_that_finds_nothing_is_not_a_request() {
     let g = model(24);
     let opts = PartitionOptions { workers: 4, ..Default::default() };
     let fp = request_fingerprint(&g, &opts);
-    let local = plan_to_json(&partition_cached(&g, &opts, &SearchCaches::new(), None).unwrap());
+    let local = plan_to_json(&partition(&g, &opts).unwrap());
 
     // Nothing filed yet: a typed "upload it", and not one counter moves.
     assert_eq!(error_code(ask(&mut raw, &lookup(1, fp, None))), ErrorCode::NotCached);
