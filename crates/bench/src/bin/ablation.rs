@@ -49,7 +49,7 @@ fn main() {
             &plan,
             256,
             &machine,
-            &TofuSimOptions { control_deps, optimizer_copies: 1.0 },
+            &TofuSimOptions { control_deps },
         )
         .expect("generation succeeds");
         let peak = run.per_device_gb.iter().copied().fold(0.0, f64::max);

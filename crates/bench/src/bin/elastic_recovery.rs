@@ -18,8 +18,7 @@ use tofu_bench::{bench_report, bit_identical, feeds, undisturbed_values, write_r
 use tofu_core::{PartitionOptions, SearchCaches};
 use tofu_models::{mlp, MlpConfig};
 use tofu_runtime::{
-    run_with_elastic_recovery, CheckpointPolicy, ElasticPolicy, Fault, FaultPlan, RecoveryOptions,
-    RunOptions,
+    run_with_elastic_recovery, CheckpointPolicy, Fault, FaultPlan, RecoveryOptions, RunOptions,
 };
 
 /// Repeats of each width's search in the request-memo check.
@@ -45,12 +44,7 @@ fn main() {
     let full_feeds = feeds(g);
     let part = PartitionOptions { workers, ..Default::default() };
     let every = (g.num_nodes() / 6).max(1);
-    let recovery = RecoveryOptions {
-        max_attempts: 1,
-        backoff: Duration::ZERO,
-        elastic: Some(ElasticPolicy::default()),
-        ..Default::default()
-    };
+    let recovery = RecoveryOptions { max_attempts: 1, backoff: Duration::ZERO, elastic: true };
     // One warm cache across all rows, like a long-lived trainer would hold:
     // the first row's shrink searches cold, every later replan of the same
     // width is a cache lookup.

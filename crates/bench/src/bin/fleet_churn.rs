@@ -30,8 +30,8 @@ use tofu_core::{PartitionOptions, SearchCaches};
 use tofu_graph::{Graph, TensorId};
 use tofu_models::{mlp, wresnet, MlpConfig, WResNetConfig};
 use tofu_runtime::{
-    run_with_elastic_recovery, CheckpointPolicy, ChurnPlan, ElasticPolicy, ElasticReport,
-    RecoveryOptions, RunOptions, TransitionKind,
+    run_with_elastic_recovery, CheckpointPolicy, ChurnPlan, ElasticReport, RecoveryOptions,
+    RunOptions, TransitionKind,
 };
 use tofu_tensor::Tensor;
 
@@ -88,12 +88,7 @@ fn run_pass(
         recv_timeout: Duration::from_secs(10),
         ..Default::default()
     };
-    let recovery = RecoveryOptions {
-        max_attempts: 1,
-        backoff: Duration::ZERO,
-        elastic: Some(ElasticPolicy::default()),
-        ..Default::default()
-    };
+    let recovery = RecoveryOptions { max_attempts: 1, backoff: Duration::ZERO, elastic: true };
     run_with_elastic_recovery(&s.graph, full_feeds, &part, &opts, &recovery, caches)
         .unwrap_or_else(|e| panic!("{}: churn run failed: {e}", s.name))
 }

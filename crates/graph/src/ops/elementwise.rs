@@ -136,12 +136,6 @@ pub const SCALAR_KERNELS: &[BinaryKernel] = &[
 
 // ---- Gradient builders ----------------------------------------------------
 
-fn grad_unary_with_kernel(ctx: &mut GradCtx<'_>) -> Result<Vec<Option<TensorId>>> {
-    // Generic chain rule via dedicated *_grad element-wise ops; dispatch on
-    // what the forward op needs.
-    unreachable!("grad_unary_with_kernel is a placeholder and never registered: {:?}", ctx.attrs)
-}
-
 fn grad_add(ctx: &mut GradCtx<'_>) -> Result<Vec<Option<TensorId>>> {
     Ok(vec![Some(ctx.out_grad), Some(ctx.out_grad)])
 }
@@ -251,9 +245,6 @@ fn shape_sgd(ins: &[Shape], _: &Attrs) -> std::result::Result<Shape, String> {
 
 /// Returns the element-wise operator definitions.
 pub fn defs() -> Vec<OpDef> {
-    // Silence the never-registered placeholder.
-    let _ = grad_unary_with_kernel;
-
     let mut out = Vec::new();
     for &(name, _) in UNARY_KERNELS {
         let gradient: Option<crate::registry::GradFn> = match name {

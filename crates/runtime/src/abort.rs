@@ -4,8 +4,8 @@
 //! that fails — a kernel error, a tripped integrity check, a panic, an
 //! injected fault — *trips* the token with a structured [`AbortCause`];
 //! every other worker polls the token between schedule steps and inside its
-//! receive loop (at [`RunOptions::abort_poll`](crate::RunOptions::abort_poll)
-//! granularity), so a dead peer stops the whole run within milliseconds
+//! receive loop (every 5 ms), so a dead peer stops the whole run within
+//! milliseconds
 //! instead of stalling healthy workers until `recv_timeout`.
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -32,7 +32,6 @@ use tofu_core::ShardedGraph;
 use tofu_graph::TensorId;
 use tofu_tensor::Tensor;
 
-use crate::elastic::ElasticPolicy;
 use crate::error::RunFailure;
 use crate::fault::FaultRng;
 use crate::RunOutput;
@@ -53,29 +52,29 @@ pub enum BarrierUnit {
     OriginalSteps,
 }
 
-/// Snapshot cadence.
+/// Snapshot cadence. Every snapshot is scanned for NaN/Inf and for values
+/// corrupted since they were produced before it commits; a hit fails the run
+/// with [`RuntimeError::PoisonedCheckpoint`](crate::RuntimeError) or
+/// `CorruptSnapshot` instead of persisting a state recovery would faithfully
+/// resume into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Snapshot after every `every` nodes (of the schedule `unit` selects).
     pub every: usize,
     /// Which schedule the barrier counts.
     pub unit: BarrierUnit,
-    /// Scan snapshot values for NaN/Inf before committing; a hit fails the
-    /// run with [`RuntimeError::PoisonedCheckpoint`](crate::RuntimeError)
-    /// instead of persisting a state recovery would faithfully resume into.
-    pub poison_check: bool,
 }
 
 impl CheckpointPolicy {
-    /// Snapshot every `n` sharded-graph schedule steps (poison check on).
+    /// Snapshot every `n` sharded-graph schedule steps.
     pub fn every(n: usize) -> CheckpointPolicy {
-        CheckpointPolicy { every: n, unit: BarrierUnit::ShardedSteps, poison_check: true }
+        CheckpointPolicy { every: n, unit: BarrierUnit::ShardedSteps }
     }
 
     /// Snapshot every `n` *original-graph* nodes — the plan-independent
-    /// barriers elastic recovery reshards across (poison check on).
+    /// barriers elastic recovery reshards across.
     pub fn every_original(n: usize) -> CheckpointPolicy {
-        CheckpointPolicy { every: n, unit: BarrierUnit::OriginalSteps, poison_check: true }
+        CheckpointPolicy { every: n, unit: BarrierUnit::OriginalSteps }
     }
 }
 
@@ -86,34 +85,28 @@ pub struct RecoveryOptions {
     /// Total attempts per worker count (first run included). At least 1.
     pub max_attempts: usize,
     /// Base sleep before the first retry; later delays follow a
-    /// decorrelated-jitter schedule (see [`BackoffSchedule`]).
+    /// decorrelated-jitter schedule seeded with 0 and capped at 1 s (see
+    /// [`BackoffSchedule`]), so fault-suite timing replays run to run.
     pub backoff: Duration,
-    /// Hard ceiling on any single retry delay.
-    pub max_backoff: Duration,
-    /// Seed of the deterministic jitter stream, so fault-suite timing is
-    /// reproducible run to run.
-    pub jitter_seed: u64,
-    /// When set, exhausting `max_attempts` shrinks the worker set per this
-    /// policy instead of giving up, and scripted rejoins grow it back
-    /// (elastic recovery). Every width change re-plans the original graph,
-    /// so [`run_with_recovery`](crate::run_with_recovery) — which is handed
-    /// one fixed `ShardedGraph` — rejects `Some(_)` with
+    /// When set, exhausting `max_attempts` shrinks the worker set past the
+    /// blamed device instead of giving up — down to one worker — and
+    /// scripted rejoins grow it back (elastic recovery). Every width change
+    /// re-plans the original graph, so
+    /// [`run_with_recovery`](crate::run_with_recovery) — which is handed one
+    /// fixed `ShardedGraph` — rejects `true` with
     /// [`RuntimeError::InvalidOptions`](crate::RuntimeError) pointing at
     /// [`run_with_elastic_recovery`](crate::run_with_elastic_recovery).
-    pub elastic: Option<ElasticPolicy>,
+    pub elastic: bool,
 }
 
 impl Default for RecoveryOptions {
     fn default() -> Self {
-        RecoveryOptions {
-            max_attempts: 3,
-            backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_secs(1),
-            jitter_seed: 0,
-            elastic: None,
-        }
+        RecoveryOptions { max_attempts: 3, backoff: Duration::from_millis(10), elastic: false }
     }
 }
+
+/// Ceiling on any single retry delay of the recovery supervisor.
+pub(crate) const MAX_BACKOFF: Duration = Duration::from_secs(1);
 
 /// Deterministic decorrelated-jitter retry schedule (the AWS
 /// "decorrelated jitter" recurrence, made reproducible by seeding the
@@ -134,11 +127,6 @@ impl BackoffSchedule {
     /// `seed`. Equal arguments yield the identical delay sequence.
     pub fn new(base: Duration, cap: Duration, seed: u64) -> BackoffSchedule {
         BackoffSchedule { base, cap, prev: base, rng: FaultRng::new(seed) }
-    }
-
-    /// [`BackoffSchedule::new`] from a [`RecoveryOptions`].
-    pub fn from_recovery(r: &RecoveryOptions) -> BackoffSchedule {
-        BackoffSchedule::new(r.backoff, r.max_backoff, r.jitter_seed)
     }
 
     /// The next delay to sleep before retrying.

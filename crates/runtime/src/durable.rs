@@ -25,7 +25,7 @@
 //! Persistence rides the [`CheckpointSink`] hook: the worker whose barrier
 //! record makes checkpoint `k` consistent commits it (shards first, then
 //! the manifest — the commit point), then prunes superseded checkpoints
-//! down to the retention budget. Disk faults from
+//! down to the newest two (`RETAIN`). Disk faults from
 //! [`FaultPlan::disk`](crate::FaultPlan) are injected into those writes via
 //! [`FaultyStore`], deterministic and one-shot like every other injected
 //! fault. [`run_with_durable_recovery`] is the adaptor that hands the sink
@@ -46,7 +46,6 @@ use tofu_obs::{Collector, Track};
 use tofu_tensor::Tensor;
 
 use crate::checkpoint::{CheckpointSink, RecoveryOptions};
-use crate::elastic::ElasticPolicy;
 use crate::error::{RunFailure, RuntimeError};
 use crate::reshard::{assemble_snapshot, FullSnapshot};
 use crate::supervisor::{supervise, PlanSource, SINGLE_ATTEMPT};
@@ -78,9 +77,6 @@ pub struct DurableOptions {
     /// Where checkpoints are persisted. [`DirStore`](tofu_durable::DirStore)
     /// for a real directory, [`MemStore`](tofu_durable::MemStore) for tests.
     pub store: Arc<dyn BlobStore>,
-    /// How many committed checkpoints to keep; older ones are GCed after
-    /// each commit. Clamped to at least 1.
-    pub retain: usize,
     /// Simulated whole-process crash. `None` runs straight through (still
     /// persisting every checkpoint).
     pub crash: Option<CrashPoint>,
@@ -91,17 +87,19 @@ pub struct DurableOptions {
     pub restart_workers: Option<usize>,
 }
 
+/// How many committed checkpoints survive the GC after each commit.
+const RETAIN: usize = 2;
+
 impl DurableOptions {
-    /// Persist to `store` with default retention (2), no simulated crash.
+    /// Persist to `store`, no simulated crash.
     pub fn new(store: Arc<dyn BlobStore>) -> DurableOptions {
-        DurableOptions { store, retain: 2, crash: None, restart_workers: None }
+        DurableOptions { store, crash: None, restart_workers: None }
     }
 }
 
 impl std::fmt::Debug for DurableOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DurableOptions")
-            .field("retain", &self.retain)
             .field("crash", &self.crash)
             .field("restart_workers", &self.restart_workers)
             .finish_non_exhaustive()
@@ -177,7 +175,6 @@ const CRASH_SPENT: u8 = 2;
 pub(crate) struct Persister {
     store: Arc<FaultyStore>,
     every: usize,
-    retain: usize,
     crash: Option<CrashPoint>,
     restart_workers: Option<usize>,
     crash_state: AtomicU8,
@@ -205,7 +202,6 @@ impl Persister {
         Arc::new(Persister {
             store: Arc::new(FaultyStore::new(durable.store.clone(), disk)),
             every: opts.checkpoint.expect("validated: durable runs set a cadence").every,
-            retain: durable.retain.max(1),
             crash: durable.crash,
             restart_workers: durable.restart_workers,
             crash_state: AtomicU8::new(CRASH_ARMED),
@@ -340,7 +336,7 @@ impl CheckpointSink for Persister {
                 ),
             });
         }
-        let removed = gc(&*self.store, self.retain)
+        let removed = gc(&*self.store, RETAIN)
             .map_err(|e| RuntimeError::Durable { worker, detail: e.to_string() })?;
         if removed > 0 {
             self.gc_removed.fetch_add(removed, Ordering::SeqCst);
@@ -372,7 +368,7 @@ impl CheckpointSink for Persister {
 /// cursor) carry over, exactly like a real process death.
 ///
 /// A [`ChurnPlan`](crate::ChurnPlan) in `opts` composes: leaves shrink and
-/// joins grow the run under a default [`ElasticPolicy`] while checkpoints
+/// joins grow the run elastically while checkpoints
 /// keep being persisted, and a crash in the middle of that ladder restarts
 /// on the fleet as it stood. Without churn the run gets one attempt per
 /// process and any other failure is returned as is.
@@ -390,8 +386,7 @@ pub fn run_with_durable_recovery(
     durable: &DurableOptions,
     caches: &mut SearchCaches,
 ) -> Result<DurableReport> {
-    let elastic = (!opts.churn.is_empty()).then(ElasticPolicy::default);
-    let recovery = RecoveryOptions { elastic, ..SINGLE_ATTEMPT };
+    let recovery = RecoveryOptions { elastic: !opts.churn.is_empty(), ..SINGLE_ATTEMPT };
     let source = PlanSource::Replan { graph: g, part: part_opts, caches };
     let s = supervise(source, feeds, opts, &recovery, Some(durable))?;
     let (_, sharded) = s.planned.expect("a re-planning source returns its final plan");

@@ -2,12 +2,11 @@
 //! re-partitioning onto the survivors, and grow back onto rejoining devices
 //! at a checkpoint barrier — resharding progress across every width change.
 //!
-//! This module holds the *policy* side — [`ElasticPolicy`], the transition
-//! and report types, and width selection ([`select_width`]) — plus the
-//! [`run_with_elastic_recovery`] adaptor. The ladder itself is the crate's
-//! one recovery supervisor (`supervisor.rs`; DESIGN.md "Failure model → The
-//! recovery supervisor" has the state diagram). The transitions an
-//! [`ElasticPolicy`] turns on:
+//! This module holds the transition and report types, width selection
+//! ([`select_width`]) and the [`run_with_elastic_recovery`] adaptor. The
+//! ladder itself is the crate's one recovery supervisor (`supervisor.rs`;
+//! DESIGN.md "Failure model → The recovery supervisor" has the state
+//! diagram). The transitions [`RecoveryOptions::elastic`] turns on:
 //!
 //! - **Shrink.** When a width exhausts its attempts, the worker the last
 //!   failure blames is classified as *permanently lost*: its physical
@@ -19,21 +18,19 @@
 //!   and execution resumes at the same original-graph barrier.
 //! - **Grow.** When the [`ChurnPlan`](crate::ChurnPlan) announces a
 //!   (re)joining device, the run *yields*: every worker stops cleanly right
-//!   after recording the next checkpoint barrier at or past the join's
-//!   `at_ckpt` plus the policy's `grow_hysteresis`. The pause barrier is
-//!   consistent by construction, so it is harvested into the carried
-//!   snapshot, the device enters the fleet, and the search re-selects the
-//!   widest feasible worker count ≤ the new capacity — resuming bit-exact
-//!   at the grown width.
+//!   after recording the first checkpoint barrier at or past the join's
+//!   `at_ckpt`. The pause barrier is consistent by construction, so it is
+//!   harvested into the carried snapshot, the device enters the fleet, and
+//!   the search re-selects the widest feasible worker count ≤ the new
+//!   capacity — resuming bit-exact at the grown width.
 //! - **Capacity tracking with spares.** Not every device count is a
-//!   feasible width (no tensor dimension may divide by it) and the policy
-//!   may cap width; width selection steps down to the widest worker count
-//!   the search can actually split — surplus devices idle as *spares* and
-//!   are folded back in at the next transition.
-//! - **Typed surrender.** When the policy forbids any feasible width the
-//!   ladder ends with [`RuntimeError::Unrecoverable`] naming the whole
-//!   width ladder, every lost device and the terminal cause — never a
-//!   hang.
+//!   feasible width (no tensor dimension may divide by it); width selection
+//!   steps down to the widest worker count the search can actually split —
+//!   surplus devices idle as *spares* and are folded back in at the next
+//!   transition.
+//! - **Typed surrender.** When no device is left to run on, the ladder ends
+//!   with [`RuntimeError::Unrecoverable`] naming the whole width ladder,
+//!   every lost device and the terminal cause — never a hang.
 //!
 //! Fault worker indices name **physical** devices: active workers keep
 //! their physical identity across transitions (`devices[logical] =
@@ -46,7 +43,7 @@ use tofu_core::{
     generate, partition_cached, CoreError, GenOptions, PartitionOptions, PartitionPlan,
     SearchCaches, ShardedGraph,
 };
-use tofu_graph::{plan_buffers, Graph, TensorId};
+use tofu_graph::{Graph, TensorId};
 use tofu_obs::{Collector, Track};
 use tofu_tensor::Tensor;
 
@@ -56,48 +53,6 @@ use crate::reshard::FullSnapshot;
 use crate::supervisor::{supervise, PlanSource};
 use crate::{Result, RunOptions, RunOutput};
 
-/// Bounds on how far elastic recovery may reshape the worker set, in both
-/// directions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ElasticPolicy {
-    /// Fewest active workers the run may degrade to (inclusive; values
-    /// below 1 mean 1).
-    pub min_workers: usize,
-    /// Most active workers a grow may reach (inclusive). Joining devices
-    /// beyond the cap are kept as spares.
-    pub max_workers: usize,
-    /// Maximum number of shrink events (device removals).
-    pub max_shrink_steps: usize,
-    /// Maximum number of grow events (width increases). Joins past the cap
-    /// are absorbed as spares.
-    pub max_grow_steps: usize,
-    /// Extra checkpoint barriers to wait past a join's `at_ckpt` before
-    /// pausing the run to grow. Growing costs a yield + reshard + resume;
-    /// hysteresis keeps a flapping device from buying that cost the moment
-    /// it reappears, and — because the effective barrier is
-    /// `clamp(at_ckpt + hysteresis, next-barrier ..= last-barrier)` —
-    /// the grow point stays deterministic for a given plan.
-    pub grow_hysteresis: usize,
-    /// Per-device byte budget every candidate plan's static footprint
-    /// (buffer-plan peak + persistent shards, the bytes the pools will
-    /// actually hold) is checked against; over-budget widths are stepped
-    /// past like infeasible ones.
-    pub per_device_budget: Option<u64>,
-}
-
-impl Default for ElasticPolicy {
-    fn default() -> Self {
-        ElasticPolicy {
-            min_workers: 1,
-            max_workers: usize::MAX,
-            max_shrink_steps: usize::MAX,
-            max_grow_steps: usize::MAX,
-            grow_hysteresis: 0,
-            per_device_budget: None,
-        }
-    }
-}
-
 /// What kind of fleet transition a ladder step was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransitionKind {
@@ -105,8 +60,7 @@ pub enum TransitionKind {
     Shrink,
     /// A device joined and the active width stepped up.
     Grow,
-    /// A device joined but the width could not increase (policy cap or no
-    /// wider feasible width): it idles as a spare.
+    /// A device joined but no wider width is feasible: it idles as a spare.
     SpareJoin,
     /// A scripted leave hit a device that was not active (a spare): the
     /// fleet shrank but the running width did not change.
@@ -162,7 +116,7 @@ pub struct ElasticReport {
     /// Active physical devices of the final width, in logical-worker order.
     pub devices: Vec<usize>,
     /// Fleet members idling as spares at the end (in the fleet but not
-    /// active: policy caps or no feasible width used them).
+    /// active: no feasible width used them).
     pub spares: Vec<usize>,
     /// Physical devices classified as permanently lost, in loss order.
     pub lost: Vec<usize>,
@@ -187,19 +141,6 @@ pub struct ElasticReport {
     pub snapshot: Option<FullSnapshot>,
 }
 
-/// Worst per-device static memory footprint of a plan: buffer-plan peak
-/// plus persistent shard bytes, per worker — the same accounting the
-/// runtime's pools replay.
-fn worst_device_footprint(sharded: &ShardedGraph, buffer_reuse: bool) -> u64 {
-    (0..sharded.workers)
-        .map(|w| {
-            let schedule = sharded.worker_schedule(w);
-            plan_buffers(&sharded.graph, &schedule, buffer_reuse).mem.total_bytes()
-        })
-        .max()
-        .unwrap_or(0)
-}
-
 /// A committed width choice: the widest feasible worker count ≤ capacity.
 pub(crate) struct Selection {
     pub(crate) width: usize,
@@ -215,34 +156,30 @@ pub(crate) struct Selection {
 pub(crate) enum SelectErr {
     /// A real error (generator failure, search blowup) — propagate as-is.
     Hard(RuntimeError),
-    /// Every width in the permitted range is infeasible (no strategy) or
-    /// over budget; carries the terminal cause.
+    /// Every width from `cap` down to 1 is infeasible (no strategy), or no
+    /// device is left; carries the terminal cause.
     Infeasible(RuntimeError),
 }
 
-/// Selects the widest feasible worker count ≤ `cap` under `policy`: worker
-/// counts the search cannot split ([`CoreError::NoStrategy`]) or whose
-/// static footprint exceeds the per-device budget are stepped past (width
-/// tracks capacity; surplus devices idle as spares). With no policy the
-/// width is exact — `cap` or error.
+/// Selects the widest feasible worker count ≤ `cap`. Under an elastic
+/// mandate, worker counts the search cannot split
+/// ([`CoreError::NoStrategy`]) are stepped past down to 1 (width tracks
+/// capacity; surplus devices idle as spares). Without one the width is
+/// exact — `cap` or error.
 pub(crate) fn select_width(
     g: &Graph,
     base: &PartitionOptions,
     caches: &mut SearchCaches,
     obs: Option<&Collector>,
-    policy: Option<&ElasticPolicy>,
+    elastic: bool,
     cap: usize,
-    buffer_reuse: bool,
 ) -> std::result::Result<Selection, SelectErr> {
-    let (floor, ceil, budget) = match policy {
-        Some(p) => (p.min_workers.max(1), cap.min(p.max_workers.max(1)), p.per_device_budget),
-        None => (cap, cap, None),
-    };
+    let floor = if elastic { 1 } else { cap.max(1) };
     let t0 = Instant::now();
     let obs_t0 = obs.map(|c| c.now_us()).unwrap_or(0.0);
     let mut terminal: Option<RuntimeError> = None;
-    let mut w = ceil;
-    while w >= floor && w >= 1 {
+    let mut w = cap;
+    while w >= floor {
         // A replan is *warm* when the request memo answers for the selected
         // width — a finished plan served without any search. A first-ever
         // request at this width runs the whole search, strategy discovery
@@ -259,29 +196,6 @@ pub(crate) fn select_width(
                     Ok(s) => s,
                     Err(e) => return Err(SelectErr::Hard(e.into())),
                 };
-                if let Some(b) = budget {
-                    let worst = worst_device_footprint(&sharded, buffer_reuse);
-                    if worst > b {
-                        if let Some(c) = obs {
-                            c.instant(
-                                Track::control(),
-                                "elastic",
-                                &format!("width {w} over budget ({worst} > {b} bytes/device)"),
-                            );
-                        }
-                        terminal = Some(RuntimeError::Pool {
-                            worker: 0,
-                            detail: format!(
-                                "plan for {w} workers needs {worst} bytes/device, budget is {b}"
-                            ),
-                        });
-                        if w == 1 {
-                            break;
-                        }
-                        w -= 1;
-                        continue;
-                    }
-                }
                 if let Some(c) = obs {
                     c.complete(
                         Track::search(),
@@ -298,25 +212,18 @@ pub(crate) fn select_width(
                     warm,
                 });
             }
-            Err(e @ (CoreError::NoStrategy { .. } | CoreError::BadWorkerCount(_)))
-                if policy.is_some() =>
-            {
+            Err(e @ (CoreError::NoStrategy { .. } | CoreError::BadWorkerCount(_))) if elastic => {
                 if let Some(c) = obs {
                     c.instant(Track::control(), "elastic", &format!("width {w} infeasible"));
                 }
                 terminal = Some(e.into());
-                if w == 1 {
-                    break;
-                }
                 w -= 1;
             }
             Err(e) => return Err(SelectErr::Hard(e.into())),
         }
     }
     Err(SelectErr::Infeasible(terminal.unwrap_or_else(|| {
-        RuntimeError::InvalidOptions(format!(
-            "elastic policy permits no worker count (capacity {cap})"
-        ))
+        RuntimeError::InvalidOptions(format!("no worker count fits a fleet of {cap} devices"))
     })))
 }
 

@@ -42,8 +42,8 @@ pub enum RuntimeError {
         /// What exactly was violated.
         detail: String,
     },
-    /// The planner-seeded buffer pool and the plan disagreed, or a configured
-    /// byte budget was exceeded.
+    /// The planner-seeded buffer pool and the plan disagreed, or an injected
+    /// [`Fault::PoolOverBudget`](crate::Fault) ran the pool over budget.
     Pool {
         /// Worker whose pool diverged.
         worker: usize,
@@ -100,8 +100,8 @@ pub enum RuntimeError {
         /// The underlying store failure.
         detail: String,
     },
-    /// Elastic recovery exhausted its `ElasticPolicy`: every attempted
-    /// worker count failed and no further shrink is permitted.
+    /// Elastic recovery ran out of devices: every attempted worker count
+    /// failed and no feasible width is left to shrink to.
     Unrecoverable {
         /// Physical devices classified as permanently lost, in loss order.
         lost: Vec<usize>,

@@ -85,13 +85,13 @@ pub enum Fault {
         /// What to do to it.
         action: MessageFault,
     },
-    /// Clamp worker `worker`'s buffer-pool budget below its current
-    /// occupancy just before schedule position `pos`, forcing the next
-    /// `apply` to fail with an over-budget pool error.
+    /// Worker `worker`'s buffer pool runs out of device memory just before
+    /// schedule position `pos`: the run fails with a typed over-budget pool
+    /// error.
     PoolOverBudget {
         /// Victim worker.
         worker: usize,
-        /// Local schedule position at which the budget clamps.
+        /// Local schedule position at which the pool overflows.
         pos: usize,
     },
 }
@@ -184,9 +184,9 @@ pub enum ChurnEvent {
         pos: usize,
     },
     /// Device `device` (re)joins the fleet: once armed, the elastic ladder
-    /// yields the run at a checkpoint barrier at or after `at_ckpt` (plus
-    /// the policy's grow hysteresis), reshards onto the enlarged device
-    /// set, and resumes at the grown width.
+    /// yields the run at a checkpoint barrier at or after `at_ckpt`,
+    /// reshards onto the enlarged device set, and resumes at the grown
+    /// width.
     Join {
         /// Physical device that joins; may be a brand-new id.
         device: usize,

@@ -6,8 +6,8 @@
 //! - its serial sub-schedule of the sharded graph
 //!   ([`ShardedGraph::worker_schedule`]), which is a subsequence of the
 //!   global topological order;
-//! - a [`BufferPool`] that replays the static memory planner's
-//!   [`BufferPlan`] against the sizes of the tensors actually produced, so
+//! - a buffer pool that replays the static memory planner's
+//!   `BufferPlan` against the sizes of the tensors actually produced, so
 //!   the plan's footprint is confirmed in executed order and can be held
 //!   against `tofu-sim`'s `per_device_memory` prediction;
 //! - typed send/receive ports for cross-device tensor pieces.
@@ -34,8 +34,7 @@
 //! - **Cooperative abort.** Every worker shares an [`AbortToken`]; the first
 //!   failure (kernel error, integrity violation, panic, injected fault)
 //!   trips it, and every other worker observes the trip between schedule
-//!   steps and inside its receive loop (at [`RunOptions::abort_poll`]
-//!   granularity), so a dead peer stops the run in milliseconds instead of
+//!   steps and inside its receive loop (every 5 ms), so a dead peer stops the run in milliseconds instead of
 //!   stalling healthy workers for the full `recv_timeout`. The run returns
 //!   [`RuntimeError::Failed`] wrapping a [`RunFailure`] that names the
 //!   first-failing worker and node and preserves the partial traces.
@@ -98,15 +97,12 @@ pub use checkpoint::{
     AttemptRecord, BackoffSchedule, BarrierUnit, CheckpointPolicy, RecoveryOptions, RecoveryReport,
 };
 pub use durable::{run_with_durable_recovery, CrashPoint, DurableOptions, DurableReport};
-pub use elastic::{
-    run_with_elastic_recovery, ElasticPolicy, ElasticReport, ElasticTransition, TransitionKind,
-};
+pub use elastic::{run_with_elastic_recovery, ElasticReport, ElasticTransition, TransitionKind};
 pub use error::{RunFailure, RuntimeError};
 pub use fault::{
     ChurnEvent, ChurnPlan, Fault, FaultPersistence, FaultPlan, FaultRng, InjectedFault,
     MessageFault,
 };
-pub use pool::BufferPool;
 pub use reshard::{resume_from_snapshot, FullSnapshot};
 pub use tofu_durable::{
     BlobStore, DirStore, DiskFault, DiskFaultPlan, MemStore, RejectReason, RejectedCheckpoint,
@@ -156,9 +152,6 @@ pub struct RunOptions {
     /// stalled (guards against a dropped piece with no later traffic on the
     /// link; never hit on healthy runs).
     pub recv_timeout: Duration,
-    /// Granularity at which blocked workers poll the shared abort token;
-    /// bounds how stale a worker's view of a peer failure can be.
-    pub abort_poll: Duration,
     /// Faults to inject (empty by default).
     pub faults: FaultPlan,
     /// Scripted fleet-membership events (empty by default). Honoring a
@@ -170,9 +163,6 @@ pub struct RunOptions {
     pub churn: ChurnPlan,
     /// Snapshot cadence for checkpoint-restart (`None` = no snapshots).
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Optional per-worker cap on resident pool bytes; exceeding it fails
-    /// the run with a typed over-budget pool error.
-    pub pool_budget: Option<u64>,
     /// Per-message verification level (default [`IntegrityLevel::Full`]).
     /// Plans that inject message faults are rejected at any other level.
     pub integrity: IntegrityLevel,
@@ -190,11 +180,9 @@ impl Default for RunOptions {
         RunOptions {
             buffer_reuse: true,
             recv_timeout: Duration::from_secs(60),
-            abort_poll: Duration::from_millis(5),
             faults: FaultPlan::none(),
             churn: ChurnPlan::none(),
             checkpoint: None,
-            pool_budget: None,
             integrity: IntegrityLevel::default(),
             collector: None,
         }

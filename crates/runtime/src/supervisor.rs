@@ -43,12 +43,10 @@ use tofu_tensor::Tensor;
 use crate::abort::AbortToken;
 use crate::checkpoint::{
     checkpoint_cuts, AttemptRecord, BackoffSchedule, BarrierUnit, CheckpointStore,
-    RecoveryOptions, ResumePoint,
+    RecoveryOptions, ResumePoint, MAX_BACKOFF,
 };
 use crate::durable::{DurableOptions, Persister};
-use crate::elastic::{
-    select_width, ElasticPolicy, ElasticTransition, SelectErr, Selection, TransitionKind,
-};
+use crate::elastic::{select_width, ElasticTransition, SelectErr, Selection, TransitionKind};
 use crate::error::{RunFailure, RuntimeError};
 use crate::fault::{ChurnEvent, Fault, FaultState};
 use crate::reshard::{assemble_snapshot, scatter_snapshot, FullSnapshot};
@@ -58,13 +56,8 @@ use crate::worker::{run_worker, Msg, WorkerCtx, WorkerOutcome};
 use crate::{lock, IntegrityLevel, Result, RunOptions, RunOutput};
 
 /// The recovery policy of a plain run: one attempt, no elastic mandate.
-pub(crate) const SINGLE_ATTEMPT: RecoveryOptions = RecoveryOptions {
-    max_attempts: 1,
-    backoff: Duration::ZERO,
-    max_backoff: Duration::ZERO,
-    jitter_seed: 0,
-    elastic: None,
-};
+pub(crate) const SINGLE_ATTEMPT: RecoveryOptions =
+    RecoveryOptions { max_attempts: 1, backoff: Duration::ZERO, elastic: false };
 
 /// Up-front validation shared by every entry point, so misconfiguration
 /// fails with a clear [`RuntimeError::InvalidOptions`] before any thread
@@ -90,9 +83,6 @@ pub(crate) fn validate(
     if opts.recv_timeout.is_zero() {
         return invalid("recv_timeout must be positive (a zero timeout stalls instantly)".into());
     }
-    if opts.abort_poll.is_zero() {
-        return invalid("abort_poll must be positive".into());
-    }
     if let Some(cp) = opts.checkpoint {
         if cp.every == 0 {
             return invalid("checkpoint interval must be positive".into());
@@ -105,7 +95,7 @@ pub(crate) fn validate(
             );
         }
     }
-    if !replans && recovery.elastic.is_some() {
+    if !replans && recovery.elastic {
         return invalid(
             "RecoveryOptions::elastic re-plans the run at other widths, and a fixed ShardedGraph \
              cannot be re-planned; use run_with_elastic_recovery"
@@ -152,11 +142,8 @@ pub(crate) fn validate(
         if let Err(m) = opts.churn.validate(fleet) {
             return invalid(m);
         }
-        if recovery.elastic.is_none() {
-            return invalid(
-                "churn plans reshape the fleet; set RecoveryOptions::elastic to an ElasticPolicy"
-                    .into(),
-            );
+        if !recovery.elastic {
+            return invalid("churn plans reshape the fleet; set RecoveryOptions::elastic".into());
         }
         if opts.churn.has_joins() && opts.checkpoint.is_none() {
             return invalid(
@@ -479,16 +466,15 @@ impl<'a> PlanSource<'a> {
     fn select(
         &mut self,
         obs: Option<&Collector>,
-        policy: Option<&ElasticPolicy>,
+        elastic: bool,
         cap: usize,
-        buffer_reuse: bool,
     ) -> std::result::Result<Selection, SelectErr> {
         match self {
             PlanSource::Fixed(s) => {
                 Ok(Selection { width: s.workers, planned: None, replan: None, warm: false })
             }
             PlanSource::Replan { graph, part, caches } => {
-                select_width(graph, part, caches, obs, policy, cap, buffer_reuse)
+                select_width(graph, part, caches, obs, elastic, cap)
             }
         }
     }
@@ -589,16 +575,15 @@ pub(crate) fn supervise(
     };
     validate(fleet, source.fixed().is_none(), opts, recovery, durable)?;
     let obs = opts.collector.as_ref();
-    let policy = recovery.elastic;
+    let elastic = recovery.elastic;
     let faults = FaultState::with_churn(&opts.faults, &opts.churn);
-    let mut backoff = BackoffSchedule::from_recovery(recovery);
+    let mut backoff = BackoffSchedule::new(recovery.backoff, MAX_BACKOFF, 0);
     let disk = durable.map(|d| Persister::new(d, opts));
 
     // The fleet: every present physical device, sorted. The first `width`
     // are active; the rest idle as spares.
     let mut available: Vec<usize> = (0..fleet).collect();
     let mut log = Ledger::default();
-    let (mut shrinks, mut grows) = (0usize, 0usize);
     let mut carried: Option<FullSnapshot> = None;
     let mut pending: Option<Pending> = None;
     let mut boot = true;
@@ -612,31 +597,30 @@ pub(crate) fn supervise(
         }
 
         // ===== select width =====
-        let selection = source.select(obs, policy.as_ref(), available.len(), opts.buffer_reuse);
-        let Selection { width, planned, replan, warm } = match selection {
-            Ok(s) => s,
-            Err(SelectErr::Hard(e)) => return Err(e),
-            Err(SelectErr::Infeasible(term)) => {
-                // A budget breach is more informative than the failure that
-                // triggered the shrink; a bare floor/feasibility breach is not.
-                let cause = match pending.and_then(|p| p.failure) {
-                    Some(f) if !matches!(term, RuntimeError::Pool { .. }) => {
-                        RuntimeError::Failed(Box::new(f))
-                    }
-                    _ => term,
-                };
-                // With an elastic mandate an unrunnable fleet is a typed
-                // surrender; without one, surface the raw error.
-                return Err(match policy {
-                    Some(_) => RuntimeError::Unrecoverable {
-                        lost: log.lost,
-                        widths: log.widths,
-                        cause: Box::new(cause),
-                    },
-                    None => cause,
-                });
-            }
-        };
+        let Selection { width, planned, replan, warm } =
+            match source.select(obs, elastic, available.len()) {
+                Ok(s) => s,
+                Err(SelectErr::Hard(e)) => return Err(e),
+                Err(SelectErr::Infeasible(term)) => {
+                    // The failure that triggered the shrink says more than
+                    // the infeasibility it ran into.
+                    let cause = match pending.and_then(|p| p.failure) {
+                        Some(f) => RuntimeError::Failed(Box::new(f)),
+                        None => term,
+                    };
+                    // With an elastic mandate an unrunnable fleet is a typed
+                    // surrender; without one, surface the raw error.
+                    return Err(if elastic {
+                        RuntimeError::Unrecoverable {
+                            lost: log.lost,
+                            widths: log.widths,
+                            cause: Box::new(cause),
+                        }
+                    } else {
+                        cause
+                    });
+                }
+            };
         let sharded: &ShardedGraph = planned
             .as_ref()
             .map(|(_, s)| s)
@@ -723,7 +707,6 @@ pub(crate) fn supervise(
                     _ => {}
                 }
             }
-            grows += usize::from(kind == TransitionKind::Grow);
             log.transitions.push(ElasticTransition {
                 kind,
                 to_width: width,
@@ -739,47 +722,21 @@ pub(crate) fn supervise(
             log.failures.extend(p.failure);
         }
 
-        // Resolve armed churn events that cannot fire mid-run: a leave of a
-        // non-active device happens immediately (no worker runs on it), and
-        // a join the policy caps is absorbed as a spare without a pause.
-        loop {
-            match faults.armed_event() {
-                Some(ChurnEvent::Leave { device, .. }) if !devices.contains(&device) => {
-                    faults.advance_churn();
-                    if let Some(i) = available.iter().position(|&d| d == device) {
-                        available.remove(i);
-                        log.lost.push(device);
-                        log.transitions.push(spare_transition(
-                            TransitionKind::SpareLoss,
-                            device,
-                            width,
-                        ));
-                        if let Some(c) = obs {
-                            let what = format!("spare device {device} lost (width stays {width})");
-                            c.instant(Track::control(), "churn", &what);
-                        }
-                    }
+        // A leave of a non-active device cannot fire mid-run: it happens
+        // immediately (no worker runs on it).
+        while let Some(ChurnEvent::Leave { device, .. }) = faults.armed_event() {
+            if devices.contains(&device) {
+                break;
+            }
+            faults.advance_churn();
+            if let Some(i) = available.iter().position(|&d| d == device) {
+                available.remove(i);
+                log.lost.push(device);
+                log.transitions.push(spare_transition(TransitionKind::SpareLoss, device, width));
+                if let Some(c) = obs {
+                    let what = format!("spare device {device} lost (width stays {width})");
+                    c.instant(Track::control(), "churn", &what);
                 }
-                Some(ChurnEvent::Join { device, .. })
-                    if policy.is_none_or(|p| {
-                        width >= p.max_workers.max(1) || grows >= p.max_grow_steps
-                    }) =>
-                {
-                    faults.advance_churn();
-                    insert_sorted(&mut available, device);
-                    log.joined.push(device);
-                    log.transitions.push(spare_transition(
-                        TransitionKind::SpareJoin,
-                        device,
-                        width,
-                    ));
-                    if let Some(c) = obs {
-                        let what = format!("device {device} joined as spare (policy caps width)");
-                        c.instant(Track::control(), "churn", &what);
-                        c.add_total("elastic/joins", 1.0);
-                    }
-                }
-                _ => break,
             }
         }
         // A join that may trigger a grow pause during this width's attempts.
@@ -807,14 +764,13 @@ pub(crate) fn supervise(
             };
             let resumed_from = resume.as_ref().map(|p| p.ckpt);
             // Where to pause for a pending join: the first barrier strictly
-            // after the resume point that honors `at_ckpt` plus hysteresis,
-            // clamped into the plan's barrier range. `None` when the resume
-            // point is already past the last barrier — the attempt then
-            // runs to completion and the join stays pending.
+            // after the resume point that honors `at_ckpt`, clamped into the
+            // plan's barrier range. `None` when the resume point is already
+            // past the last barrier — the attempt then runs to completion
+            // and the join stays pending.
             let yield_at: Option<usize> = grow_pending.and_then(|(_, at)| {
-                let hyst = policy.map(|p| p.grow_hysteresis).unwrap_or(0);
                 let lo = resumed_from.map(|ck| ck + 1).unwrap_or(1);
-                (lo <= cuts.len()).then(|| at.saturating_add(hyst).clamp(lo, cuts.len()))
+                (lo <= cuts.len()).then(|| at.clamp(lo, cuts.len()))
             });
             if let Some(c) = obs {
                 let from = match resumed_from {
@@ -936,28 +892,20 @@ pub(crate) fn supervise(
         // the run's failure; with one, the blamed worker's physical device is
         // classified as permanently lost and the ladder shrinks past it.
         let f = exhausted.expect("an exhausted width recorded its last failure");
-        let Some(pol) = policy else {
+        if !elastic {
             return Err(RuntimeError::Failed(Box::new(f)));
-        };
+        }
         let victim = devices[f.worker];
         if let Some(c) = obs {
             c.instant(Track::control(), "elastic", &format!("device {victim} lost (permanent)"));
         }
         log.lost.push(victim);
-        shrinks += 1;
         // A scripted leave of this device has done its job: retire it so
         // the next churn event arms.
         if matches!(faults.armed_event(),
             Some(ChurnEvent::Leave { device, .. }) if device == victim)
         {
             faults.advance_churn();
-        }
-        if shrinks > pol.max_shrink_steps {
-            return Err(RuntimeError::Unrecoverable {
-                lost: log.lost,
-                widths: log.widths,
-                cause: Box::new(RuntimeError::Failed(Box::new(f))),
-            });
         }
         // Harvest this width's best consistent checkpoint as the carried
         // plan-independent snapshot before the store (keyed by this plan's

@@ -24,6 +24,10 @@ use crate::supervisor::AttemptCtx;
 use crate::trace::{OpEvent, WorkerTrace};
 use crate::{lock, IntegrityLevel, Result};
 
+/// Granularity at which blocked workers poll the shared abort token; bounds
+/// how stale a worker's view of a peer failure can be.
+const ABORT_POLL: Duration = Duration::from_millis(5);
+
 /// One cross-worker message: one transfer's extracted piece, stamped with
 /// its first reader (input `input_index` of `consumer`), the integrity
 /// metadata the receiver verifies (sender, per-link sequence number, payload
@@ -183,8 +187,6 @@ struct Worker<'a> {
     /// Logical-to-physical device map for the whole attempt, for addressing
     /// message faults by physical link.
     device_map: &'a [usize],
-    /// Scan checkpoint values for NaN/Inf before committing them.
-    poison_check: bool,
     schedule: Vec<NodeId>,
     plan: BufferPlan,
     /// Values are shared: checkpoints and resume snapshots hold `Arc`
@@ -197,7 +199,7 @@ struct Worker<'a> {
     /// resumed run, and the snapshot still *records* them (bit-identity of
     /// recovered value maps requires every key).
     scan_floor: Vec<usize>,
-    /// With `poison_check` on: FNV-1a checksum of each value's payload,
+    /// Under a checkpoint policy: FNV-1a checksum of each value's payload,
     /// recorded the moment the value was produced (or fed / restored). The
     /// checkpoint barrier re-hashes live values against these, so a buffer
     /// aliased or overwritten after production is caught *before* the
@@ -240,7 +242,6 @@ struct Worker<'a> {
     /// Collector microseconds at `epoch` (see `run_attempt`).
     obs_epoch_us: f64,
     recv_timeout: Duration,
-    abort_poll: Duration,
     token: AbortToken,
     faults: &'a FaultState,
     ckpts_at: &'a BTreeMap<usize, Vec<usize>>,
@@ -323,10 +324,7 @@ impl<'a> Worker<'a> {
             scan_floor[r.tensor.0] = usize::MAX;
         }
         let k = txs.len();
-        let mut pool = BufferPool::new(w);
-        pool.set_budget(opts.pool_budget);
-        let poison_check = opts.checkpoint.map(|cp| cp.poison_check).unwrap_or(false);
-        let value_sums = if poison_check {
+        let value_sums = if store.is_some() {
             values.iter().map(|(t, v)| (*t, payload_checksum(v.data()))).collect()
         } else {
             BTreeMap::new()
@@ -336,7 +334,6 @@ impl<'a> Worker<'a> {
             w,
             phys: device_map[w],
             device_map,
-            poison_check,
             schedule,
             plan,
             values,
@@ -355,14 +352,13 @@ impl<'a> Worker<'a> {
             expect_seq: vec![0; k],
             bytes_received: 0,
             persistent_bytes: 0,
-            pool,
+            pool: BufferPool::new(w),
             ops: Vec::new(),
             busy: Duration::ZERO,
             epoch,
             obs,
             obs_epoch_us,
             recv_timeout: opts.recv_timeout,
-            abort_poll: opts.abort_poll,
             token: token.clone(),
             faults,
             ckpts_at,
@@ -385,7 +381,7 @@ impl<'a> Worker<'a> {
         let k = self.txs.len();
         self.yield_latch.fetch_add(1, Ordering::AcqRel);
         while self.yield_latch.load(Ordering::Acquire) < k && !self.token.is_tripped() {
-            std::thread::sleep(self.abort_poll);
+            std::thread::sleep(ABORT_POLL);
         }
     }
 
@@ -458,8 +454,8 @@ impl<'a> Worker<'a> {
     }
 
     /// Records every checkpoint whose local cut is `pos` (positions
-    /// `[0, pos)` are done). With `poison_check` on, every value still live
-    /// at the barrier is scanned for NaN/Inf first and a poisoned snapshot
+    /// `[0, pos)` are done). Every value still live at the barrier is
+    /// scanned for NaN/Inf first and a poisoned snapshot
     /// is *never* committed — a checkpoint exists to be restored from, and
     /// restoring non-finite state would silently poison every later attempt.
     /// Tensors whose last local read precedes the barrier are skipped by the
@@ -479,26 +475,21 @@ impl<'a> Worker<'a> {
     /// lock, so persistence I/O never serializes peers' barriers.
     fn take_checkpoints(&mut self, pos: usize) -> Result<()> {
         if let (Some(store), Some(ks)) = (self.store, self.ckpts_at.get(&pos)) {
-            if self.poison_check {
-                if let Err((t, defect)) =
-                    scan_snapshot(&self.values, &self.value_sums, &self.scan_floor, pos)
-                {
-                    return Err(match defect {
-                        SnapshotDefect::NonFinite => RuntimeError::PoisonedCheckpoint {
-                            worker: self.w,
-                            node: self
-                                .sharded
-                                .graph
-                                .producer(t)
-                                .map(|n| self.sharded.graph.node(n).name.clone()),
-                            tensor: self.sharded.graph.tensor(t).name.clone(),
-                        },
-                        SnapshotDefect::ChecksumMismatch => RuntimeError::CorruptSnapshot {
-                            worker: self.w,
-                            tensor: self.sharded.graph.tensor(t).name.clone(),
-                        },
-                    });
-                }
+            if let Err((t, defect)) =
+                scan_snapshot(&self.values, &self.value_sums, &self.scan_floor, pos)
+            {
+                let graph = &self.sharded.graph;
+                return Err(match defect {
+                    SnapshotDefect::NonFinite => RuntimeError::PoisonedCheckpoint {
+                        worker: self.w,
+                        node: graph.producer(t).map(|n| graph.node(n).name.clone()),
+                        tensor: graph.tensor(t).name.clone(),
+                    },
+                    SnapshotDefect::ChecksumMismatch => RuntimeError::CorruptSnapshot {
+                        worker: self.w,
+                        tensor: graph.tensor(t).name.clone(),
+                    },
+                });
             }
             let mut to_persist = Vec::new();
             let sink = {
@@ -590,24 +581,25 @@ impl<'a> Worker<'a> {
                 self.yield_park();
                 return Ok(());
             }
-            for f in self.faults.step_faults(self.phys, pos, last, self.start_pos) {
-                match f {
-                    StepFault::Kill => {
-                        return Err(RuntimeError::Injected {
-                            worker: self.w,
-                            detail: format!("killed at schedule step {pos} (node {})", id.0),
-                        })
-                    }
+            // Every step fault ends the attempt, so the first one firing
+            // here is the one reported.
+            if let Some(f) = self.faults.step_faults(self.phys, pos, last, self.start_pos).first() {
+                return Err(match f {
+                    StepFault::Kill => RuntimeError::Injected {
+                        worker: self.w,
+                        detail: format!("killed at schedule step {pos} (node {})", id.0),
+                    },
                     StepFault::Panic => {
                         panic!("injected panic on worker {} at schedule step {pos}", self.w)
                     }
-                    StepFault::PoolOverBudget => {
-                        // Clamp below current occupancy: the next apply is
-                        // guaranteed to observe an over-budget pool.
-                        let clamp = self.pool.current_bytes().saturating_sub(1);
-                        self.pool.set_budget(Some(clamp));
-                    }
-                }
+                    StepFault::PoolOverBudget => RuntimeError::Pool {
+                        worker: self.w,
+                        detail: format!(
+                            "over budget: injected at schedule step {pos} with {} B resident",
+                            self.pool.current_bytes()
+                        ),
+                    },
+                });
             }
             let node = self.sharded.graph.node(id);
             let start = self.epoch.elapsed();
@@ -642,7 +634,7 @@ impl<'a> Worker<'a> {
                     buf.counter("pool bytes", e_us, pool_now);
                 }
             }
-            if self.poison_check {
+            if self.store.is_some() {
                 self.value_sums.insert(node.output, payload_checksum(out.data()));
             }
             self.values.insert(node.output, Arc::new(out));
@@ -911,7 +903,7 @@ impl<'a> Worker<'a> {
 
     /// The piece for `slot`, from the stash or the wire: a shared clone for
     /// every read but the slot's last, which takes the piece out. Polls the
-    /// abort token at `abort_poll` granularity while waiting, so a peer
+    /// abort token every [`ABORT_POLL`] while waiting, so a peer
     /// failure is observed in milliseconds rather than `recv_timeout`.
     fn recv_piece(
         &mut self,
@@ -943,7 +935,7 @@ impl<'a> Worker<'a> {
                     ),
                 });
             }
-            match self.rx.recv_timeout(self.abort_poll.min(deadline - now)) {
+            match self.rx.recv_timeout(ABORT_POLL.min(deadline - now)) {
                 Ok(msg) => self.accept(msg)?,
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {
@@ -1039,7 +1031,7 @@ mod snapshot_guard_tests {
 
     #[test]
     fn missing_sum_only_checks_finiteness() {
-        // poison_check runs without recorded sums for resumed values.
+        // A value with no recorded sum is only checked for finiteness.
         let values: BTreeMap<TensorId, Arc<Tensor>> = [(TensorId(0), arc(vec![4.0]))].into();
         assert_eq!(scan_snapshot(&values, &BTreeMap::new(), &[10], 5), Ok(()));
     }

@@ -11,8 +11,7 @@ use tofu_graph::{Graph, TensorId, TensorKind};
 use tofu_models::{mlp, MlpConfig};
 use tofu_runtime::{
     resume_from_snapshot, run_with_elastic_recovery, run_with_options, CheckpointPolicy, ChurnPlan,
-    ElasticPolicy, ElasticReport, FaultPlan, RecoveryOptions, RunOptions, RuntimeError,
-    TransitionKind,
+    ElasticReport, FaultPlan, RecoveryOptions, RunOptions, RuntimeError, TransitionKind,
 };
 use tofu_tensor::Tensor;
 
@@ -60,13 +59,8 @@ fn churned(g: &Graph, churn: ChurnPlan) -> RunOptions {
     }
 }
 
-fn elastic(policy: ElasticPolicy) -> RecoveryOptions {
-    RecoveryOptions {
-        max_attempts: 1,
-        backoff: Duration::ZERO,
-        elastic: Some(policy),
-        ..Default::default()
-    }
+fn elastic() -> RecoveryOptions {
+    RecoveryOptions { max_attempts: 1, backoff: Duration::ZERO, elastic: true }
 }
 
 /// The spec's baseline: an undisturbed run at the final width resumed from
@@ -135,7 +129,7 @@ fn leave_then_rejoin_shrinks_and_grows_back_bit_identically() {
         &full_feeds,
         &part,
         &churned(&m.graph, churn),
-        &elastic(ElasticPolicy::default()),
+        &elastic(),
         &mut caches,
     )
     .expect("leave/rejoin survives");
@@ -166,7 +160,7 @@ fn a_fresh_device_grows_the_run_beyond_its_starting_width() {
         &full_feeds,
         &part,
         &churned(&m.graph, churn),
-        &elastic(ElasticPolicy::default()),
+        &elastic(),
         &mut caches,
     )
     .expect("pure join survives");
@@ -180,55 +174,27 @@ fn a_fresh_device_grows_the_run_beyond_its_starting_width() {
 }
 
 #[test]
-fn grow_hysteresis_delays_the_pause_barrier() {
-    let m = model_504();
+fn a_join_with_no_wider_feasible_width_idles_as_a_spare() {
+    let m = model_48();
     let full_feeds = feeds(&m.graph);
-    let part = PartitionOptions { workers: 8, ..Default::default() };
-    for (hysteresis, want_ckpt) in [(0usize, 2usize), (2, 4)] {
-        let mut caches = SearchCaches::default();
-        let churn = ChurnPlan::none().with_join(8, 2);
-        let report = run_with_elastic_recovery(
-            &m.graph,
-            &full_feeds,
-            &part,
-            &churned(&m.graph, churn),
-            &elastic(ElasticPolicy { grow_hysteresis: hysteresis, ..Default::default() }),
-            &mut caches,
-        )
-        .expect("join survives");
-        assert_eq!(kinds(&report), vec![TransitionKind::Grow]);
-        assert_eq!(
-            report.transitions[0].at_ckpt,
-            Some(want_ckpt),
-            "hysteresis {hysteresis} pauses at barrier at_ckpt + hysteresis"
-        );
-        assert_bit_identical(&report.output.values, &baseline_values(&report, &full_feeds));
-    }
-}
-
-#[test]
-fn max_workers_turns_a_join_into_a_spare() {
-    let m = model_504();
-    let full_feeds = feeds(&m.graph);
-    let part = PartitionOptions { workers: 8, ..Default::default() };
+    let part = PartitionOptions { workers: 6, ..Default::default() };
     let mut caches = SearchCaches::default();
-    let churn = ChurnPlan::none().with_join(8, 1);
+    // Batch 48 has no 7-way split: the join raises capacity to 7, the run
+    // pauses, re-selects 6 and resumes with the joiner as a spare.
+    let churn = ChurnPlan::none().with_join(6, 1);
     let report = run_with_elastic_recovery(
         &m.graph,
         &full_feeds,
         &part,
         &churned(&m.graph, churn),
-        &elastic(ElasticPolicy { max_workers: 8, ..Default::default() }),
+        &elastic(),
         &mut caches,
     )
-    .expect("capped join survives");
-    assert_eq!(report.widths, vec![8], "the policy cap held the width");
-    assert_eq!(report.joined, vec![8]);
-    assert_eq!(report.spares, vec![8], "the joiner idles as a spare");
+    .expect("spare join survives");
     assert_eq!(kinds(&report), vec![TransitionKind::SpareJoin]);
-    // No pause happened, so no snapshot was carried: the run is simply the
-    // undisturbed 8-wide run.
-    assert!(report.snapshot.is_none());
+    assert_eq!(report.joined, vec![6]);
+    assert_eq!(report.spares, vec![6], "the joiner idles as a spare");
+    assert_eq!(report.devices, (0..6).collect::<Vec<_>>());
     assert_bit_identical(&report.output.values, &baseline_values(&report, &full_feeds));
 }
 
@@ -246,7 +212,7 @@ fn infeasible_widths_step_down_to_capacity_and_climb_back_on_rejoin() {
         &full_feeds,
         &part,
         &churned(&m.graph, churn),
-        &elastic(ElasticPolicy::default()),
+        &elastic(),
         &mut caches,
     )
     .expect("step-down churn survives");
@@ -275,7 +241,7 @@ fn a_leave_of_an_idle_spare_does_not_disturb_the_run() {
         &full_feeds,
         &part,
         &churned(&m.graph, churn),
-        &elastic(ElasticPolicy::default()),
+        &elastic(),
         &mut caches,
     )
     .expect("spare loss survives");
@@ -302,7 +268,7 @@ fn seeded_churn_replays_identically_from_one_seed() {
             &full_feeds,
             &part,
             &churned(&m.graph, plan),
-            &elastic(ElasticPolicy::default()),
+            &elastic(),
             &mut caches,
         )
         .expect("seeded churn survives")
@@ -345,7 +311,7 @@ fn joins_require_a_checkpoint_cadence() {
         &full_feeds,
         &part,
         &opts,
-        &elastic(ElasticPolicy::default()),
+        &elastic(),
         &mut caches,
     )
     .unwrap_err();
@@ -360,12 +326,7 @@ fn churn_requires_an_elastic_policy() {
     let part = PartitionOptions { workers: 4, ..Default::default() };
     let mut caches = SearchCaches::default();
     let opts = churned(&m.graph, ChurnPlan::none().with_leave(1, 10));
-    let recovery = RecoveryOptions {
-        max_attempts: 1,
-        backoff: Duration::ZERO,
-        elastic: None,
-        ..Default::default()
-    };
+    let recovery = RecoveryOptions { max_attempts: 1, backoff: Duration::ZERO, elastic: false };
     let err =
         run_with_elastic_recovery(&m.graph, &full_feeds, &part, &opts, &recovery, &mut caches)
             .unwrap_err();

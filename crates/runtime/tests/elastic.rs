@@ -1,8 +1,8 @@
 //! Elastic degraded-mode recovery tests: permanent device loss must shrink
 //! the worker set, reshard the last consistent checkpoint, and finish with
 //! output bit-identical to an undisturbed run at the surviving width resumed
-//! from the same snapshot — and exhausting the degrade policy must end in a
-//! typed `Unrecoverable`, never a hang.
+//! from the same snapshot — and losing every device must end in a typed
+//! `Unrecoverable`, never a hang.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
@@ -12,7 +12,7 @@ use tofu_graph::{Graph, TensorId, TensorKind};
 use tofu_models::{mlp, MlpConfig};
 use tofu_runtime::{
     resume_from_snapshot, run_with_elastic_recovery, run_with_options, CheckpointPolicy,
-    ElasticPolicy, ElasticReport, Fault, FaultPlan, RecoveryOptions, RunOptions, RuntimeError,
+    ElasticReport, Fault, FaultPlan, RecoveryOptions, RunOptions, RuntimeError,
 };
 use tofu_tensor::Tensor;
 
@@ -50,12 +50,7 @@ fn checkpointed(g: &Graph, faults: FaultPlan) -> RunOptions {
 }
 
 fn elastic_recovery(max_attempts: usize) -> RecoveryOptions {
-    RecoveryOptions {
-        max_attempts,
-        backoff: Duration::ZERO,
-        elastic: Some(ElasticPolicy::default()),
-        ..Default::default()
-    }
+    RecoveryOptions { max_attempts, backoff: Duration::ZERO, elastic: true }
 }
 
 /// The spec's baseline: an undisturbed run at the surviving width resumed
@@ -204,80 +199,36 @@ fn multiple_permanent_losses_walk_the_ladder_through_prime_widths() {
 }
 
 #[test]
-fn exhausted_policy_surfaces_typed_unrecoverable() {
+fn losing_every_device_surfaces_typed_unrecoverable() {
     let m = model();
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 2, ..Default::default() };
-    let kill = FaultPlan::single_permanent(Fault::Kill { worker: 1, pos: 5 });
-
-    // min_workers forbids dropping below the current width.
-    let recovery = RecoveryOptions {
-        max_attempts: 1,
-        backoff: Duration::ZERO,
-        elastic: Some(ElasticPolicy { min_workers: 2, ..Default::default() }),
-        ..Default::default()
-    };
+    // Both devices are dead for good: the ladder shrinks 2 → 1, loses the
+    // last device too, and has nothing left to run on.
+    let kill_all = FaultPlan::none()
+        .with_permanent(Fault::Kill { worker: 0, pos: 5 })
+        .with_permanent(Fault::Kill { worker: 1, pos: 5 });
     let mut caches = SearchCaches::default();
     let err = run_with_elastic_recovery(
         &m.graph,
         &full_feeds,
         &part,
-        &checkpointed(&m.graph, kill.clone()),
-        &recovery,
+        &checkpointed(&m.graph, kill_all),
+        &elastic_recovery(1),
         &mut caches,
     )
     .unwrap_err();
     match err {
-        RuntimeError::Unrecoverable { ref lost, ref widths, .. } => {
-            assert_eq!(lost, &vec![1], "names the lost device");
-            assert_eq!(widths, &vec![2], "names the attempted width");
+        RuntimeError::Unrecoverable { ref lost, ref widths, ref cause } => {
+            assert_eq!(
+                lost.iter().collect::<BTreeSet<_>>(),
+                [0usize, 1].iter().collect::<BTreeSet<_>>(),
+                "names both lost devices"
+            );
+            assert_eq!(widths, &vec![2, 1], "names the whole ladder");
+            assert!(matches!(**cause, RuntimeError::Failed(_)), "cause: {cause}");
         }
         other => panic!("expected Unrecoverable, got {other}"),
-    }
-
-    // max_shrink_steps: 0 forbids any shrink at all.
-    let recovery = RecoveryOptions {
-        max_attempts: 1,
-        backoff: Duration::ZERO,
-        elastic: Some(ElasticPolicy { max_shrink_steps: 0, ..Default::default() }),
-        ..Default::default()
-    };
-    let part4 = PartitionOptions { workers: 4, ..Default::default() };
-    let err = run_with_elastic_recovery(
-        &m.graph,
-        &full_feeds,
-        &part4,
-        &checkpointed(&m.graph, FaultPlan::single_permanent(Fault::Kill { worker: 2, pos: 5 })),
-        &recovery,
-        &mut caches,
-    )
-    .unwrap_err();
-    assert!(
-        matches!(err, RuntimeError::Unrecoverable { ref lost, .. } if lost == &vec![2]),
-        "got {err}"
-    );
-
-    // A per-device budget no plan can satisfy is refused up front.
-    let recovery = RecoveryOptions {
-        max_attempts: 1,
-        backoff: Duration::ZERO,
-        elastic: Some(ElasticPolicy { per_device_budget: Some(1), ..Default::default() }),
-        ..Default::default()
-    };
-    let err = run_with_elastic_recovery(
-        &m.graph,
-        &full_feeds,
-        &part,
-        &checkpointed(&m.graph, FaultPlan::none()),
-        &recovery,
-        &mut caches,
-    )
-    .unwrap_err();
-    match err {
-        RuntimeError::Unrecoverable { ref cause, .. } => {
-            assert!(matches!(**cause, RuntimeError::Pool { .. }), "budget breach names the pool")
-        }
-        other => panic!("expected Unrecoverable over budget, got {other}"),
     }
 }
 
@@ -286,12 +237,7 @@ fn without_degrade_policy_permanent_loss_is_a_plain_failure() {
     let m = model();
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 2, ..Default::default() };
-    let recovery = RecoveryOptions {
-        max_attempts: 2,
-        backoff: Duration::ZERO,
-        elastic: None,
-        ..Default::default()
-    };
+    let recovery = RecoveryOptions { max_attempts: 2, backoff: Duration::ZERO, elastic: false };
     let mut caches = SearchCaches::default();
     let err = run_with_elastic_recovery(
         &m.graph,

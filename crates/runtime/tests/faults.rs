@@ -335,7 +335,6 @@ fn invalid_options_fail_before_spawning() {
     let (sharded, shard_feeds) = shard(2);
     let cases: Vec<RunOptions> = vec![
         RunOptions { recv_timeout: Duration::ZERO, ..Default::default() },
-        RunOptions { abort_poll: Duration::ZERO, ..Default::default() },
         RunOptions { checkpoint: Some(CheckpointPolicy::every(0)), ..Default::default() },
         RunOptions {
             faults: FaultPlan::single(Fault::Kill { worker: 9, pos: 0 }),
@@ -375,17 +374,14 @@ fn invalid_options_fail_before_spawning() {
     )
     .unwrap_err();
     assert!(matches!(err, RuntimeError::InvalidOptions(_)), "got {err}");
-    // An elastic policy re-plans at other widths; a fixed ShardedGraph
-    // cannot, so the policy is refused (pointing at the entry point that
+    // Elastic recovery re-plans at other widths; a fixed ShardedGraph
+    // cannot, so the mandate is refused (pointing at the entry point that
     // can honor it) instead of being silently ignored.
     let err = run_with_recovery(
         &sharded,
         &shard_feeds,
         &RunOptions::default(),
-        &RecoveryOptions {
-            elastic: Some(tofu_runtime::ElasticPolicy::default()),
-            ..Default::default()
-        },
+        &RecoveryOptions { elastic: true, ..Default::default() },
     )
     .unwrap_err();
     assert!(
@@ -467,11 +463,4 @@ fn poisoned_checkpoint_is_refused_with_a_typed_error() {
         }
         ref other => panic!("expected PoisonedCheckpoint, got {other}"),
     }
-
-    // With the guard off the same run proceeds (NaN flows through the math);
-    // the guard is the only thing standing between NaN and the store.
-    let mut off = CheckpointPolicy::every(1);
-    off.poison_check = false;
-    let lax = RunOptions { checkpoint: Some(off), ..Default::default() };
-    run_with_options(&sharded, &shard_feeds, &lax).expect("guard off: run completes");
 }

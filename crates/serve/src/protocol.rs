@@ -363,6 +363,13 @@ fn shape_from_json(v: &Json) -> Result<Shape, ProtocolError> {
     Ok(Shape::new(dims))
 }
 
+/// A shape's byte count, or `None` when its element or byte count overflows
+/// (`Shape::volume` would wrap, and the plan would price the tensor at 0 B).
+fn checked_bytes(s: &Shape) -> Option<u64> {
+    let elems = s.dims().iter().try_fold(1usize, |n, &d| n.checked_mul(d))?;
+    u64::try_from(elems).ok()?.checked_mul(4)
+}
+
 // ---------------------------------------------------------------------------
 // Graph codec
 // ---------------------------------------------------------------------------
@@ -548,6 +555,12 @@ pub fn graph_from_json(v: &Json) -> Result<Graph, ProtocolError> {
         let declared = shape_from_json(
             entry.get("shape").ok_or_else(|| bad(format!("tensor {idx} missing shape")))?,
         )?;
+        if checked_bytes(&declared).is_none() {
+            return Err(bad(format!(
+                "tensor {idx}: shape {:?} has more elements or bytes than 64 bits count",
+                declared.dims()
+            )));
+        }
         let made = match io {
             "input" => g.add_input(get_str(entry, "name")?, declared.clone()),
             "weight" => g.add_weight(get_str(entry, "name")?, declared.clone()),

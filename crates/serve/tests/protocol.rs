@@ -151,6 +151,17 @@ fn an_attribute_integer_that_is_not_one_is_bad_request() {
 }
 
 #[test]
+fn a_shape_whose_element_count_overflows_is_bad_request() {
+    // 2^66 elements: `Shape::volume` would wrap to 0 and the plan would
+    // price the tensor at 0 B.
+    let req = br#"{"type":"partition","id":3,"tenant":"t","workers":2,"graph":{"tensors":[{"io":"input","name":"x","shape":[4194304,4194304,4194304]},{"io":"op","shape":[4194304,4194304,4194304],"node":{"op":"relu","name":"r","inputs":[0]}}]}}"#;
+    match Request::from_bytes(req) {
+        Err(ProtocolError::BadRequest(m)) => assert!(m.contains("tensor 0"), "message was {m:?}"),
+        other => panic!("expected bad_request naming tensor 0, got {other:?}"),
+    }
+}
+
+#[test]
 fn client_surfaces_server_errors_typed() {
     let server = small_server();
     let mut client = PlanClient::connect(server.addr()).expect("connect");

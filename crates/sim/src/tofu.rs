@@ -11,18 +11,19 @@ use crate::machine::Machine;
 use crate::memory::per_device_memory;
 use crate::{Outcome, Perf};
 
+/// Extra optimizer-history copies per weight shard: the 3W rule of §7.1.
+const OPTIMIZER_COPIES: f64 = 1.0;
+
 /// Options for the partitioned-execution simulation.
 #[derive(Debug, Clone, Copy)]
 pub struct TofuSimOptions {
     /// Insert §6 control dependencies (enables per-worker buffer reuse).
     pub control_deps: bool,
-    /// Extra optimizer-history copies per weight shard (1.0 = the 3W rule).
-    pub optimizer_copies: f64,
 }
 
 impl Default for TofuSimOptions {
     fn default() -> Self {
-        TofuSimOptions { control_deps: true, optimizer_copies: 1.0 }
+        TofuSimOptions { control_deps: true }
     }
 }
 
@@ -73,7 +74,7 @@ pub fn run_partitioned(
         &sharded.device_of_node,
         machine.gpus,
         opts.control_deps,
-        opts.optimizer_copies,
+        OPTIMIZER_COPIES,
     );
     let per_device_gb: Vec<f64> = mems.iter().map(|m| m.peak_gb()).collect();
     let peak = per_device_gb.iter().copied().fold(0.0, f64::max);
@@ -147,7 +148,7 @@ mod tests {
             &plan,
             64,
             &machine,
-            &TofuSimOptions { control_deps: true, optimizer_copies: 0.0 },
+            &TofuSimOptions { control_deps: true },
         )
         .unwrap();
         let without = run_partitioned(
@@ -155,7 +156,7 @@ mod tests {
             &plan,
             64,
             &machine,
-            &TofuSimOptions { control_deps: false, optimizer_copies: 0.0 },
+            &TofuSimOptions { control_deps: false },
         )
         .unwrap();
         let max_with = with.per_device_gb.iter().copied().fold(0.0, f64::max);
