@@ -1,8 +1,8 @@
 //! Partition-search scaling ledger: group-cost evaluations, relaxations,
 //! states the beam truncated and strategy analyses of the optimized DP
 //! engine (factored transition, strategies analysed once per request)
-//! against the reference `unoptimized_search`, for an MLP, WResNet-50 and a
-//! decoder block at 2/4/8 workers, written to `BENCH_search.json`. The
+//! against the reference `unoptimized_partition`, for an MLP, WResNet-50 and
+//! a decoder block at 2/4/8 workers, written to `BENCH_search.json`. The
 //! analyses are a per-model constant; a width-dependent count means
 //! discovery went back to running per step. Search *time* is measured by
 //! `benchmark/` (`core.partition_s`, `core.partition_warm_s`).
@@ -19,8 +19,10 @@
 //! performance").
 
 use tofu_bench::{bench_report, write_report, Json};
-use tofu_core::recursive::{partition_cached, partition_with_obs, PartitionOptions};
-use tofu_core::{SearchCaches, SearchTuning};
+use tofu_core::recursive::{
+    partition_cached, partition_with_obs, unoptimized_partition, PartitionOptions,
+};
+use tofu_core::SearchCaches;
 use tofu_graph::Graph;
 use tofu_models::{decoder_block, mlp, wresnet, DecoderConfig, MlpConfig, WResNetConfig};
 use tofu_obs::Collector;
@@ -46,18 +48,16 @@ fn total(c: &Collector, key: &str) -> f64 {
 }
 
 fn measure(model: &'static str, g: &Graph, workers: usize, warm: &mut SearchCaches) -> Row {
-    let reference_opts =
-        PartitionOptions { workers, tuning: SearchTuning::reference(), ..Default::default() };
-    let optimized_opts = PartitionOptions { workers, ..Default::default() };
+    let opts = PartitionOptions { workers, ..Default::default() };
 
     let ref_obs = Collector::new();
-    let ref_plan = partition_with_obs(g, &reference_opts, Some(&ref_obs)).expect("reference");
+    let ref_plan = unoptimized_partition(g, &opts, Some(&ref_obs)).expect("reference");
     let opt_obs = Collector::new();
-    let opt_plan = partition_with_obs(g, &optimized_opts, Some(&opt_obs)).expect("optimized");
+    let opt_plan = partition_with_obs(g, &opts, Some(&opt_obs)).expect("optimized");
 
     // Warm row: same query against a request memo shared across the whole
     // (model, workers) sweep, which smaller widths filled.
-    let warm_plan = partition_cached(g, &optimized_opts, warm, None).expect("warm optimized");
+    let warm_plan = partition_cached(g, &opts, warm, None).expect("warm optimized");
 
     let cost = ref_plan.total_comm_bytes();
     // Whole-plan identity on the canonical plan bytes: every step's ways,

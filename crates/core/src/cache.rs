@@ -11,7 +11,11 @@
 //! lives inside `dp.rs` because its keys are frontier-local.
 //!
 //! The key is *exact*: two requests collide only when `partition` would walk
-//! an identical search, so a hit is answer-preserving.
+//! an identical search, so a hit is answer-preserving. It hashes every
+//! [`crate::PartitionOptions`] field, because every field is part of the
+//! request; the engine is not one of them — the memo only ever fronts the
+//! optimized search, and the reference engine is a separate function,
+//! [`crate::unoptimized_partition`].
 //!
 //! # Ownership
 //!
@@ -152,11 +156,12 @@ impl SearchCaches {
 
 /// Structural fingerprint of one *whole partition request*: the graph (ops,
 /// canonical attrs, shapes, wiring, coarsening tags — names excluded) plus
-/// every [`PartitionOptions`] field that steers the search. Two requests
-/// share a fingerprint exactly when `partition` would walk an identical
-/// search and return an identical plan, so it is the natural key for a
-/// request-level plan cache (the `tofu-serve` service keys its shared
-/// response cache on this).
+/// every [`PartitionOptions`] field (each one steers the search). Two
+/// requests share a fingerprint exactly when `partition` would walk an
+/// identical search and return an identical plan, so it is the natural key
+/// for a request-level plan cache (the `tofu-serve` service keys its shared
+/// response cache on this, and its client hashes a `lookup` with this same
+/// function).
 pub fn request_fingerprint(g: &Graph, opts: &PartitionOptions) -> u128 {
     let mut h = Fnv::new();
     h.num(opts.workers as u64);
@@ -165,7 +170,6 @@ pub fn request_fingerprint(g: &Graph, opts: &PartitionOptions) -> u128 {
     h.num(opts.internal_bound as u64);
     h.num(opts.beam as u64);
     h.num(opts.fetch_buffer_floor);
-    h.byte(opts.tuning as u8);
     // Tensor shapes (declared, pre-recursion).
     h.num(g.num_tensors() as u64);
     for t in g.tensor_ids() {

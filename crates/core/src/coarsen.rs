@@ -94,24 +94,6 @@ impl CoarseGraph {
     pub fn num_groups(&self) -> usize {
         self.groups.len()
     }
-
-    /// True when the group-level structure is a linear chain: every group's
-    /// tensor consumers span at most the next group in order (fork-join
-    /// within the window counts as linear, matching the paper's footnote).
-    pub fn is_linear(&self, g: &Graph, window: usize) -> bool {
-        for (gi, group) in self.groups.iter().enumerate() {
-            for &n in &group.nodes {
-                let out = g.node(n).output;
-                for c in g.consumers(out) {
-                    let cg = self.group_of[c.0];
-                    if cg > gi && cg - gi > window {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
 }
 
 fn is_ewise_op(g: &Graph, n: NodeId) -> bool {
@@ -318,14 +300,13 @@ mod tests {
     }
 
     #[test]
-    fn coarsened_mlp_is_compact_and_linear() {
+    fn coarsened_mlp_is_compact() {
         let (g, _) = mlp();
         let cg = coarsen(&g);
         // fc1, act1, fc2, loss: four groups (optimizers and aggregations
         // merge into them). Far fewer groups than nodes.
         assert!(cg.num_groups() <= 5, "groups: {}", cg.num_groups());
         assert!(cg.num_groups() < g.num_nodes() / 2);
-        assert!(cg.is_linear(&g, 2));
     }
 
     #[test]

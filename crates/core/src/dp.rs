@@ -16,19 +16,21 @@
 //! its cheapest strategy, so the brute force ranges only over the group's
 //! internal bundles (weights, weight gradients, temporaries).
 //!
-//! Two engines implement the same recurrence:
+//! Two functions implement the same recurrence, and both take the same
+//! parameters: the step's `ways` and the request's [`PartitionOptions`]
+//! (its `workers` is the recursion's, not the step's, and is not read here):
 //!
 //! * [`unoptimized_search`] — the straightforward seed implementation, kept
-//!   alive as the differential-testing reference (select it with
-//!   [`SearchTuning::reference`]);
-//! * [`search`], the default optimized engine — a transition factored over
-//!   the bundles a group actually reads (each distinct projection of the
-//!   frontier is costed once, then states relax into a dense table), packed
-//!   class-memo keys, and strategies concretised from the analysis
-//!   [`crate::coarsen()`] ran once per request where the reference rediscovers
-//!   them at every step (see DESIGN.md "Search performance" for the
-//!   exactness argument). Every one is exact: the ranking, the beam and the
-//!   typed errors are the reference's.
+//!   alive as the differential-testing reference (the recursion over it is
+//!   [`crate::recursive::unoptimized_partition`]);
+//! * [`search`], the optimized engine every `partition*` runs — a
+//!   transition factored over the bundles a group actually reads (each
+//!   distinct projection of the frontier is costed once, then states relax
+//!   into a dense table), packed class-memo keys, and strategies
+//!   concretised from the analysis [`crate::coarsen()`] ran once per request
+//!   where the reference rediscovers them at every step (see DESIGN.md
+//!   "Search performance" for the exactness argument). Every one is exact:
+//!   the ranking, the beam and the typed errors are the reference's.
 //!
 //! The `crates/core/tests` differential harness asserts that both return the
 //! same plan, or the same error, on randomized graphs at every option
@@ -43,6 +45,7 @@ use tofu_tensor::Shape;
 use crate::cache::FastMap;
 use crate::coarsen::CoarseGraph;
 use crate::error::CoreError;
+use crate::recursive::PartitionOptions;
 use crate::spec::{
     input_fetch_bytes, legal_specs, output_bytes, respec_bytes, ConcreteOut, ConcreteReq,
     TensorSpec,
@@ -83,67 +86,17 @@ impl ExtraInputs {
     }
 }
 
-/// Which of the two search engines runs.
-///
-/// The choice is answer-preserving: both engines return the same plan at
-/// every option setting (enforced by `crates/core/tests/differential.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchTuning {
-    /// The optimized engine: factored transition, packed class memo,
-    /// strategies analysed once per request (see DESIGN.md "Search
-    /// performance").
-    #[default]
-    Optimized,
-    /// The unoptimized seed implementation, [`unoptimized_search`].
-    Reference,
-}
-
-impl SearchTuning {
-    /// The unoptimized reference engine (differential-testing baseline).
-    pub fn reference() -> SearchTuning {
-        Self::Reference
-    }
-}
-
-/// Search options.
-#[derive(Debug, Clone, Copy)]
-pub struct DpOptions {
-    /// Number of worker groups this step splits into (2 for powers of two).
-    pub ways: usize,
-    /// When false, Case-2 (output-reduction) strategies are excluded —
-    /// modeling the ICML18 baseline of §7.3.
-    pub allow_reduce: bool,
-    /// Upper bound on DP states per cut before the search aborts.
-    pub state_bound: usize,
-    /// Upper bound on enumerated assignments of the bundles a group
-    /// introduces. When their cartesian product exceeds it, only the default
-    /// assignment and its single-coordinate variations are tried, so the
-    /// search is no longer exhaustive; each cut where that happens adds one
-    /// to the `dp/assignments_bounded` total.
-    pub internal_bound: usize,
-    /// Beam width: at most this many DP states are kept per cut (the
-    /// cheapest by `(cost, key)`). Truncation is lossy — the plan is proven
-    /// optimal only when `dp/prune_beam` stays 0 — and it binds on wide
-    /// fork-join frontiers (2,864 states per WResNet-50-1 step at the
-    /// default 512). A width of 0 keeps nothing and fails with
-    /// [`CoreError::SearchSpaceExceeded`].
-    pub beam: usize,
-    /// Engine selection.
-    pub tuning: SearchTuning,
-}
-
-impl Default for DpOptions {
-    fn default() -> Self {
-        DpOptions {
-            ways: 2,
-            allow_reduce: true,
-            state_bound: 200_000,
-            internal_bound: 1024,
-            beam: 512,
-            tuning: SearchTuning::default(),
-        }
-    }
-}
+/// The signature both engines share, [`search`] and [`unoptimized_search`]:
+/// one `ways`-way basic step.
+pub(crate) type StepFn = fn(
+    &Graph,
+    &ShapeView,
+    &CoarseGraph,
+    &ExtraInputs,
+    usize,
+    &PartitionOptions,
+    Option<&Collector>,
+) -> Result<StepPlan>;
 
 /// How one node is executed under the chosen basic plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -298,7 +251,8 @@ fn build_classes(
     cg: &CoarseGraph,
     extra: &ExtraInputs,
     bundles: &Bundles,
-    opts: &DpOptions,
+    ways: usize,
+    opts: &PartitionOptions,
     reuse_analysis: bool,
     obs: Option<&Collector>,
 ) -> Result<Vec<Option<ClassInfo>>> {
@@ -324,7 +278,7 @@ fn build_classes(
             }
             let feasible: Vec<NodeStrategy> = enumerated
                 .into_iter()
-                .filter(|s| strategy_feasible(s, &out_shape, opts.ways))
+                .filter(|s| strategy_feasible(s, &out_shape, ways))
                 .collect();
             let filtered: Vec<NodeStrategy> = feasible
                 .iter()
@@ -369,21 +323,22 @@ fn build_classes(
 /// differential-testing reference. Rediscovers every class's strategies
 /// with `node_strategies` and explores the full `states × combos` product at
 /// every cut with `Vec`-keyed memo maps; [`search`] returns its plan, or its
-/// error, at every option setting. Selected by [`SearchTuning::reference`]
-/// (through [`search`]) or called directly by tests.
+/// error, at every option setting. Tests, and the recursion
+/// [`crate::recursive::unoptimized_partition`], call it directly.
 pub fn unoptimized_search(
     g: &Graph,
     view: &ShapeView,
     cg: &CoarseGraph,
     extra: &ExtraInputs,
-    opts: &DpOptions,
+    ways: usize,
+    opts: &PartitionOptions,
     obs: Option<&Collector>,
 ) -> Result<StepPlan> {
-    if opts.ways < 2 {
-        return Err(CoreError::BadWorkerCount(opts.ways));
+    if ways < 2 {
+        return Err(CoreError::BadWorkerCount(ways));
     }
-    let bundles = build_bundles(g, view, cg, extra, opts.ways);
-    let classes = build_classes(g, view, cg, extra, &bundles, opts, false, obs)?;
+    let bundles = build_bundles(g, view, cg, extra, ways);
+    let classes = build_classes(g, view, cg, extra, &bundles, ways, opts, false, obs)?;
 
     // Class-cost memoization: specs of a class's touched bundles fully
     // determine its cost, so (class, spec-key) results are cached across the
@@ -463,7 +418,7 @@ pub fn unoptimized_search(
                         .entry((ci, key))
                         .or_insert_with(|| {
                             let spec = |t: TensorId| dec(spec_arr[bundles.of_tensor[t.0]]);
-                            class_cost(g, view, extra, info, &spec, opts)
+                            class_cost(g, view, extra, info, &spec, ways)
                         });
                     match cached {
                         Some((c, choice)) => {
@@ -594,7 +549,7 @@ pub fn unoptimized_search(
         }
     }
 
-    Ok(StepPlan { ways: opts.ways, tensor_spec, node_choice, comm_bytes: total_cost })
+    Ok(StepPlan { ways, tensor_spec, node_choice, comm_bytes: total_cost })
 }
 
 // ---------------------------------------------------------------------------
@@ -777,12 +732,11 @@ fn intern(ids: &mut FastMap<Vec<u8>, usize>, key: &[u8]) -> (usize, bool) {
 /// precomputation, and each class's strategies concretised from the
 /// analysis `cg` carries rather than rediscovered. It returns the
 /// reference's plan, or the reference's error, at every option setting,
-/// including where [`DpOptions::beam`] and [`DpOptions::internal_bound`]
-/// bind (enforced by the differential harness). It takes exactly
-/// [`unoptimized_search`]'s parameters and is the one place
-/// [`SearchTuning::reference`] is honoured. Every call searches: repeated
-/// requests are answered one level up, by the request memo in
-/// [`crate::recursive::partition_cached`].
+/// including where [`PartitionOptions::beam`] and
+/// [`PartitionOptions::internal_bound`] bind (enforced by the differential
+/// harness). It takes exactly [`unoptimized_search`]'s parameters. Every
+/// call searches: repeated requests are answered one level up, by the
+/// request memo in [`crate::recursive::partition_cached`].
 ///
 /// Statistics go to `obs`: running totals `dp/strategies_enumerated`,
 /// `dp/strategies_feasible`, `dp/frontier_width_max`; the work totals
@@ -790,29 +744,27 @@ fn intern(ids: &mut FastMap<Vec<u8>, usize>, key: &[u8]) -> (usize, bool) {
 /// evaluated: Σ rows × combos here, Σ states × combos in the reference) and
 /// `dp/relaxations` (Σ states × surviving assignments, one add-compare
 /// each, infeasible cells included); `dp/assignments_bounded` (cuts where
-/// [`DpOptions::internal_bound`] made enumeration non-exhaustive; absent
-/// when it never fires); the pruning total `dp/prune_beam` (states the beam
-/// truncated); plus per-cut `dp/frontier states` and `dp/frontier width`
-/// counter samples on [`Track::search`] (frontier width = bundles crossing
-/// the cut, the quantity §5 argues stays tiny on chain-like coarsened
-/// graphs).
+/// [`PartitionOptions::internal_bound`] made enumeration non-exhaustive;
+/// absent when it never fires); the pruning total `dp/prune_beam` (states
+/// the beam truncated); plus per-cut `dp/frontier states` and
+/// `dp/frontier width` counter samples on [`Track::search`] (frontier
+/// width = bundles crossing the cut, the quantity §5 argues stays tiny on
+/// chain-like coarsened graphs).
 pub fn search(
     g: &Graph,
     view: &ShapeView,
     cg: &CoarseGraph,
     extra: &ExtraInputs,
-    opts: &DpOptions,
+    ways: usize,
+    opts: &PartitionOptions,
     obs: Option<&Collector>,
 ) -> Result<StepPlan> {
-    if opts.tuning == SearchTuning::Reference {
-        return unoptimized_search(g, view, cg, extra, opts, obs);
-    }
-    if opts.ways < 2 {
-        return Err(CoreError::BadWorkerCount(opts.ways));
+    if ways < 2 {
+        return Err(CoreError::BadWorkerCount(ways));
     }
 
-    let bundles = build_bundles(g, view, cg, extra, opts.ways);
-    let classes = build_classes(g, view, cg, extra, &bundles, opts, true, obs)?;
+    let bundles = build_bundles(g, view, cg, extra, ways);
+    let classes = build_classes(g, view, cg, extra, &bundles, ways, opts, true, obs)?;
 
     // Packed keys need 4 bits per spec: feasible when no tensor rank
     // exceeds 14 (split dims ≤ 13, 15 reserved for Replicated).
@@ -837,7 +789,7 @@ pub fn search(
             let fi = info.touched.binary_search(&b).expect("touched bundle");
             field_spec(fi)
         };
-        class_cost(g, view, extra, info, &spec, opts).map(|(c, _)| c)
+        class_cost(g, view, extra, info, &spec, ways).map(|(c, _)| c)
     };
 
     let root = [Cand { specs: Box::from([]), cost: 0.0, prev: u32::MAX, combo: u32::MAX }];
@@ -1204,7 +1156,7 @@ pub fn search(
                 Some(i) => i,
                 None => {
                     let (_, choice) =
-                        class_cost(g, view, extra, info, &spec_of, opts).ok_or_else(|| {
+                        class_cost(g, view, extra, info, &spec_of, ways).ok_or_else(|| {
                             CoreError::Internal(format!(
                                 "winning plan infeasible for class {ci}"
                             ))
@@ -1220,7 +1172,7 @@ pub fn search(
         }
     }
 
-    Ok(StepPlan { ways: opts.ways, tensor_spec, node_choice, comm_bytes: total_cost })
+    Ok(StepPlan { ways, tensor_spec, node_choice, comm_bytes: total_cost })
 }
 
 /// True when the cartesian product of the bundles' legal-spec sets exceeds
@@ -1293,7 +1245,7 @@ fn class_cost(
     extra: &ExtraInputs,
     info: &ClassInfo,
     spec: &impl Fn(TensorId) -> TensorSpec,
-    opts: &DpOptions,
+    ways: usize,
 ) -> Option<(f64, Option<usize>)> {
     if info.is_ewise {
         let class_spec = spec(g.node(info.rep).output);
@@ -1305,12 +1257,12 @@ fn class_cost(
             for &t in &node.inputs {
                 let shape = view.shape(t);
                 let req = ewise_req(class_spec, shape);
-                cost += input_fetch_bytes(shape, spec(t), &req, opts.ways);
+                cost += input_fetch_bytes(shape, spec(t), &req, ways);
             }
             for (_, t) in extra.of_node(m) {
                 let shape = view.shape(t);
                 let req = ewise_req(class_spec, shape);
-                cost += input_fetch_bytes(shape, spec(t), &req, opts.ways);
+                cost += input_fetch_bytes(shape, spec(t), &req, ways);
             }
             // Output respec: the class computes its outputs in `class_spec`
             // by construction, which is also the bundle spec -> free.
@@ -1329,20 +1281,20 @@ fn class_cost(
             let out_shape = view.shape(node.output);
             for (i, &t) in node.inputs.iter().enumerate() {
                 let req = st.inputs.get(i).cloned().unwrap_or(ConcreteReq::Unused);
-                total += input_fetch_bytes(view.shape(t), spec(t), &req, opts.ways);
+                total += input_fetch_bytes(view.shape(t), spec(t), &req, ways);
             }
             for (for_input, t) in extra.of_node(m) {
                 // The buffer is a slab of the original input: splitting it
                 // the way the strategy needs is free; anything else costs
                 // like the input itself.
                 let req = st.inputs.get(for_input).cloned().unwrap_or(ConcreteReq::Unused);
-                total += input_fetch_bytes(view.shape(t), spec(t), &req, opts.ways);
+                total += input_fetch_bytes(view.shape(t), spec(t), &req, ways);
             }
             total += match st.out {
                 ConcreteOut::Split(c) => {
-                    respec_bytes(out_shape, TensorSpec::Split(c), spec(node.output), opts.ways)
+                    respec_bytes(out_shape, TensorSpec::Split(c), spec(node.output), ways)
                 }
-                ConcreteOut::Reduce => output_bytes(out_shape, ConcreteOut::Reduce, opts.ways),
+                ConcreteOut::Reduce => output_bytes(out_shape, ConcreteOut::Reduce, ways),
             };
         }
         if best.map(|(b, _)| total < b).unwrap_or(true) {
@@ -1380,13 +1332,18 @@ mod tests {
         (g, weights)
     }
 
-    /// One step at the graph's declared shapes, without extra inputs.
-    fn dp(g: &Graph, opts: &DpOptions) -> Result<StepPlan> {
-        search(g, &ShapeView::from_graph(g), &coarsen(g), &ExtraInputs::new(), opts, None)
+    /// One `ways`-way step of `engine` at the graph's declared shapes,
+    /// without extra inputs.
+    fn step(engine: StepFn, g: &Graph, ways: usize, opts: &PartitionOptions) -> Result<StepPlan> {
+        engine(g, &ShapeView::from_graph(g), &coarsen(g), &ExtraInputs::new(), ways, opts, None)
+    }
+
+    fn dp(g: &Graph, ways: usize, opts: &PartitionOptions) -> Result<StepPlan> {
+        step(search, g, ways, opts)
     }
 
     fn run_dp(g: &Graph) -> StepPlan {
-        dp(g, &DpOptions::default()).unwrap()
+        dp(g, 2, &PartitionOptions::default()).unwrap()
     }
 
     #[test]
@@ -1434,22 +1391,23 @@ mod tests {
     fn disallowing_reduce_increases_cost() {
         let (g, _) = matmul_chain(64, &[256, 256, 10]);
         let with = run_dp(&g);
-        let without = dp(&g, &DpOptions { allow_reduce: false, ..DpOptions::default() }).unwrap();
+        let opts = PartitionOptions { allow_reduce: false, ..PartitionOptions::default() };
+        let without = dp(&g, 2, &opts).unwrap();
         assert!(without.comm_bytes >= with.comm_bytes);
     }
 
     #[test]
     fn four_way_step_works() {
         let (g, _) = matmul_chain(16, &[32, 32]);
-        let plan = dp(&g, &DpOptions { ways: 4, ..DpOptions::default() }).unwrap();
+        let plan = dp(&g, 4, &PartitionOptions::default()).unwrap();
         assert_eq!(plan.ways, 4);
     }
 
     #[test]
     fn one_way_step_is_rejected() {
         let (g, _) = matmul_chain(4, &[4, 4]);
-        for tuning in [SearchTuning::default(), SearchTuning::reference()] {
-            let err = dp(&g, &DpOptions { ways: 1, tuning, ..DpOptions::default() }).unwrap_err();
+        for engine in [search as StepFn, unoptimized_search] {
+            let err = step(engine, &g, 1, &PartitionOptions::default()).unwrap_err();
             assert!(matches!(err, CoreError::BadWorkerCount(1)));
         }
     }
@@ -1465,7 +1423,7 @@ mod tests {
         let mut extra = ExtraInputs::new();
         extra.push(fc0, 1, pseudo);
         view.push(Shape::new(vec![8, 10]));
-        let plan = search(&g, &view, &cg, &extra, &DpOptions::default(), None).unwrap();
+        let plan = search(&g, &view, &cg, &extra, 2, &PartitionOptions::default(), None).unwrap();
         assert_eq!(plan.tensor_spec.len(), g.num_tensors() + 1);
     }
 
@@ -1477,8 +1435,7 @@ mod tests {
             let (g, _) = matmul_chain(batch, &dims);
             let opt = run_dp(&g);
             let reference =
-                dp(&g, &DpOptions { tuning: SearchTuning::reference(), ..DpOptions::default() })
-                    .unwrap();
+                step(unoptimized_search, &g, 2, &PartitionOptions::default()).unwrap();
             assert_eq!(
                 opt.comm_bytes.to_bits(),
                 reference.comm_bytes.to_bits(),

@@ -9,11 +9,13 @@
 //!    runs and merges unrolled RNN timesteps (§5.1);
 //! 2. [`dp`] searches one *basic step* (a 2-way split of every tensor along
 //!    one dimension) by dynamic programming over the coarsened chain —
-//!    one entry, [`dp::search`], over two engines ([`SearchTuning`]);
+//!    [`dp::search`], held plan-for-plan to the reference
+//!    [`dp::unoptimized_search`], which takes the same parameters;
 //! 3. [`recursive`] applies the DP recursively to reach `k = k1·…·km`
 //!    workers (§5.2, Theorems 1–3): [`partition`] for a one-shot call,
 //!    [`partition_cached`] against a caller-owned [`SearchCaches`], both
-//!    over [`partition_with_factors`];
+//!    over [`partition_with_factors`], and [`unoptimized_partition`], the
+//!    same recursion over the reference engine;
 //! 4. [`genplan`] expands the original graph into the per-worker partitioned
 //!    graph with fused MultiFetch gathers, spread reductions and the
 //!    memory-planner control dependencies (§6);
@@ -56,12 +58,12 @@ pub mod strategies;
 
 pub use cache::{request_fingerprint, CacheStats, SearchCaches};
 pub use coarsen::{coarsen, CoarseGraph};
-pub use dp::{DpOptions, ExtraInputs, NodeChoice, SearchTuning, StepPlan};
+pub use dp::{ExtraInputs, NodeChoice, StepPlan};
 pub use error::CoreError;
 pub use genplan::{fetch_pieces, generate, CommEdge, FetchPiece, GenOptions, Region, ShardedGraph};
 pub use recursive::{
     factorize, partition, partition_cached, partition_with_factors, partition_with_obs,
-    PartitionOptions, PartitionPlan,
+    unoptimized_partition, PartitionOptions, PartitionPlan,
 };
 pub use spec::{ConcreteOut, ConcreteReq, TensorSpec};
 pub use strategies::{node_strategies, NodeStrategy, ShapeView};

@@ -13,6 +13,12 @@
 //! the test suite; it is also why the recursion maps well onto hierarchical
 //! interconnects — the early (cheapest-per-group) cuts land on the slowest
 //! links.
+//!
+//! One recursion serves both DP engines: every `partition*` entry point runs
+//! it over [`search`], and [`unoptimized_partition`] runs it over the
+//! reference [`unoptimized_search`]. Which engine runs is the caller's
+//! choice of function, never an option, so [`PartitionOptions`] holds only
+//! what a request asks for.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -23,31 +29,41 @@ use tofu_tensor::Shape;
 
 use crate::cache::{request_fingerprint, SearchCaches};
 use crate::coarsen::coarsen;
-use crate::dp::{search, DpOptions, ExtraInputs, NodeChoice, SearchTuning, StepPlan};
+use crate::dp::{search, unoptimized_search, ExtraInputs, NodeChoice, StepFn, StepPlan};
 use crate::error::CoreError;
 use crate::spec::{ConcreteOut, ConcreteReq, TensorSpec};
 use crate::strategies::ShapeView;
 use crate::Result;
 
-/// Options controlling the full recursive search.
-#[derive(Debug, Clone, Copy)]
+/// Options controlling the full recursive search. Every field is part of
+/// the request: [`request_fingerprint`] hashes each one and the plan
+/// service's wire codec carries each one.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionOptions {
     /// Total number of workers.
     pub workers: usize,
-    /// Allow Case-2 (output reduction) strategies; `false` models ICML18.
+    /// When false, Case-2 (output-reduction) strategies are excluded —
+    /// modeling the ICML18 baseline of §7.3.
     pub allow_reduce: bool,
-    /// DP safety bounds.
+    /// Upper bound on DP states per cut before the search aborts.
     pub state_bound: usize,
-    /// Combinatorial bound for within-group enumeration.
+    /// Upper bound on enumerated assignments of the bundles a group
+    /// introduces. When their cartesian product exceeds it, only the default
+    /// assignment and its single-coordinate variations are tried, so the
+    /// search is no longer exhaustive; each cut where that happens adds one
+    /// to the `dp/assignments_bounded` total.
     pub internal_bound: usize,
-    /// DP beam width per cut.
+    /// Beam width: at most this many DP states are kept per cut (the
+    /// cheapest by `(cost, key)`). Truncation is lossy — the plan is proven
+    /// optimal only when `dp/prune_beam` stays 0 — and it binds on wide
+    /// fork-join frontiers (2,864 states per WResNet-50-1 step at the
+    /// default 512). A width of 0 keeps nothing and fails with
+    /// [`CoreError::SearchSpaceExceeded`].
     pub beam: usize,
     /// Ignore fetch buffers smaller than this (bytes) when propagating extra
     /// inputs to later steps — keeps the bookkeeping proportional to what
     /// actually matters.
     pub fetch_buffer_floor: u64,
-    /// Search-engine selection (see [`SearchTuning`]).
-    pub tuning: SearchTuning,
 }
 
 impl Default for PartitionOptions {
@@ -59,7 +75,6 @@ impl Default for PartitionOptions {
             internal_bound: 1024,
             beam: 512,
             fetch_buffer_floor: 1 << 20,
-            tuning: SearchTuning::default(),
         }
     }
 }
@@ -207,9 +222,7 @@ pub fn partition_cached(
 ) -> Result<PartitionPlan> {
     // Whole-request memo: a repeated request skips even coarsening, and a
     // width the search already proved infeasible is rejected immediately —
-    // the warm path an elastic runtime's width-ladder probes rely on. The
-    // key covers the engine choice, so a reference-engine request is only
-    // ever answered by a reference-engine search.
+    // the warm path an elastic runtime's width-ladder probes rely on.
     let key = request_fingerprint(g, opts);
     if let Some(outcome) = caches.requests.get(&key) {
         caches.hits += 1;
@@ -245,6 +258,29 @@ pub fn partition_with_factors(
     opts: &PartitionOptions,
     obs: Option<&Collector>,
 ) -> Result<PartitionPlan> {
+    recurse(g, factors, opts, obs, search)
+}
+
+/// [`partition_with_obs`] over the reference engine,
+/// [`crate::dp::unoptimized_search`]: the differential-testing oracle the
+/// optimized search is held to. It returns the same plan, or the same
+/// error, for every request (`crates/core/tests/differential.rs`,
+/// `tests/golden_plans.rs`, the `search_scaling` ledger).
+pub fn unoptimized_partition(
+    g: &Graph,
+    opts: &PartitionOptions,
+    obs: Option<&Collector>,
+) -> Result<PartitionPlan> {
+    recurse(g, &factorize(opts.workers)?, opts, obs, unoptimized_search)
+}
+
+fn recurse(
+    g: &Graph,
+    factors: &[usize],
+    opts: &PartitionOptions,
+    obs: Option<&Collector>,
+    step_fn: StepFn,
+) -> Result<PartitionPlan> {
     let started = std::time::Instant::now();
     let cg = &coarsen(g);
     if let Some(c) = obs {
@@ -261,16 +297,8 @@ pub fn partition_with_factors(
     let mut groups_before = 1usize;
 
     for (step, &ways) in factors.iter().enumerate() {
-        let dp_opts = DpOptions {
-            ways,
-            allow_reduce: opts.allow_reduce,
-            state_bound: opts.state_bound,
-            internal_bound: opts.internal_bound,
-            beam: opts.beam,
-            tuning: opts.tuning,
-        };
         let step_start = obs.map(|c| c.now_us());
-        let plan = search(g, &view, cg, &extra, &dp_opts, obs)?;
+        let plan = step_fn(g, &view, cg, &extra, ways, opts, obs)?;
         if let Some(c) = obs {
             let end = c.now_us();
             let name = format!("step {step}: {ways}-way dp over {} groups", cg.groups.len());

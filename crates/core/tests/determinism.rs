@@ -7,8 +7,10 @@ mod common;
 
 use std::collections::BTreeMap;
 
-use tofu_core::recursive::{partition_with_obs, PartitionOptions, PartitionPlan};
-use tofu_core::SearchTuning;
+use tofu_core::recursive::{
+    partition_with_obs, unoptimized_partition, PartitionOptions, PartitionPlan,
+};
+use tofu_core::Result;
 use tofu_graph::Graph;
 use tofu_models::{mlp, wresnet, MlpConfig, WResNetConfig};
 use tofu_obs::Collector;
@@ -20,15 +22,24 @@ fn search_counters(c: &Collector) -> BTreeMap<String, f64> {
         .collect()
 }
 
-fn run(g: &Graph, opts: &PartitionOptions) -> (PartitionPlan, BTreeMap<String, f64>) {
+/// A whole search: [`partition_with_obs`] or [`unoptimized_partition`].
+type Engine = fn(&Graph, &PartitionOptions, Option<&Collector>) -> Result<PartitionPlan>;
+
+fn run(g: &Graph, opts: &PartitionOptions, engine: Engine) -> (PartitionPlan, BTreeMap<String, f64>) {
     let obs = Collector::new();
-    let plan = partition_with_obs(g, opts, Some(&obs)).unwrap();
+    let plan = engine(g, opts, Some(&obs)).unwrap();
     (plan, search_counters(&obs))
 }
 
-fn assert_identical_runs(g: &Graph, opts: &PartitionOptions) {
-    let (plan_a, counters_a) = run(g, opts);
-    let (plan_b, counters_b) = run(g, opts);
+/// Two runs of `engine` agree on the plan and on every counter; returns the
+/// counters.
+fn assert_identical_runs(
+    g: &Graph,
+    opts: &PartitionOptions,
+    engine: Engine,
+) -> BTreeMap<String, f64> {
+    let (plan_a, counters_a) = run(g, opts, engine);
+    let (plan_b, counters_b) = run(g, opts, engine);
 
     assert_eq!(
         plan_a.total_comm_bytes().to_bits(),
@@ -46,17 +57,21 @@ fn assert_identical_runs(g: &Graph, opts: &PartitionOptions) {
     }
     assert_eq!(plan_a.tiling, plan_b.tiling, "tiling assignment differs across runs");
     assert_eq!(counters_a, counters_b, "coarsen/dp counter totals differ across identical runs");
-    // The optimized engine must actually have reported its counters —
-    // otherwise this test vacuously compares empty maps.
-    if opts.tuning != SearchTuning::reference() {
-        for key in [
-            "dp/states_explored",
-            "dp/relaxations",
-            "dp/strategies_feasible",
-            "coarsen/strategy_analyses",
-        ] {
-            assert!(counters_a.contains_key(key), "missing expected counter {key}");
-        }
+    counters_a
+}
+
+/// [`assert_identical_runs`] on the optimized engine, which must actually
+/// have reported its counters — otherwise the test vacuously compares empty
+/// maps.
+fn assert_identical_optimized_runs(g: &Graph, opts: &PartitionOptions) {
+    let counters = assert_identical_runs(g, opts, partition_with_obs);
+    for key in [
+        "dp/states_explored",
+        "dp/relaxations",
+        "dp/strategies_feasible",
+        "coarsen/strategy_analyses",
+    ] {
+        assert!(counters.contains_key(key), "missing expected counter {key}");
     }
 }
 
@@ -65,7 +80,7 @@ fn mlp_partition_is_deterministic() {
     let model = mlp(&MlpConfig { batch: 24, dims: vec![48, 24], classes: 12, with_updates: true })
         .unwrap();
     for workers in [2usize, 6, 8] {
-        assert_identical_runs(
+        assert_identical_optimized_runs(
             &model.graph,
             &PartitionOptions { workers, ..Default::default() },
         );
@@ -83,7 +98,10 @@ fn wresnet_partition_is_deterministic() {
         with_updates: true,
     })
     .unwrap();
-    assert_identical_runs(&model.graph, &PartitionOptions { workers: 4, ..Default::default() });
+    assert_identical_optimized_runs(
+        &model.graph,
+        &PartitionOptions { workers: 4, ..Default::default() },
+    );
 }
 
 #[test]
@@ -92,7 +110,8 @@ fn reference_engine_is_deterministic_too() {
         .unwrap();
     assert_identical_runs(
         &model.graph,
-        &PartitionOptions { workers: 4, tuning: SearchTuning::reference(), ..Default::default() },
+        &PartitionOptions { workers: 4, ..Default::default() },
+        unoptimized_partition,
     );
 }
 
@@ -100,6 +119,6 @@ fn reference_engine_is_deterministic_too() {
 fn random_dags_are_deterministic() {
     for seed in [3u64, 17, 99] {
         let g = common::random_training_mlp(seed);
-        assert_identical_runs(&g, &PartitionOptions { workers: 4, ..Default::default() });
+        assert_identical_optimized_runs(&g, &PartitionOptions { workers: 4, ..Default::default() });
     }
 }

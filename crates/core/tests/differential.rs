@@ -19,21 +19,16 @@ mod common;
 use proptest::prelude::*;
 
 use tofu_core::coarsen::coarsen;
-use tofu_core::dp::{search, unoptimized_search, DpOptions, ExtraInputs};
-use tofu_core::recursive::{partition, PartitionOptions, PartitionPlan};
+use tofu_core::dp::{search, unoptimized_search, ExtraInputs};
+use tofu_core::recursive::{partition, unoptimized_partition, PartitionOptions, PartitionPlan};
 use tofu_core::strategies::ShapeView;
-use tofu_core::{CoreError, SearchTuning};
+use tofu_core::CoreError;
 use tofu_graph::{Attrs, Graph};
 use tofu_tensor::Shape;
 
 /// Exact-search options: the beam and both bounds are far above anything a
 /// fuzz-sized graph reaches, so the search is exhaustive.
-fn exact_opts(ways: usize) -> DpOptions {
-    DpOptions { ways, state_bound: 50_000_000, internal_bound: 1 << 22, beam: 50_000_000, ..Default::default() }
-}
-
-/// [`exact_opts`] for a whole recursive partition.
-fn exact_partition_opts(workers: usize, fetch_buffer_floor: u64) -> PartitionOptions {
+fn exact_opts(workers: usize, fetch_buffer_floor: u64) -> PartitionOptions {
     PartitionOptions {
         workers,
         state_bound: 50_000_000,
@@ -61,15 +56,14 @@ fn check_error_parity(
     }
 }
 
-/// Runs one basic step through both engines and asserts the contract.
-fn check_step(g: &Graph, opts: &DpOptions) {
-    let ways = opts.ways;
+/// Runs one `ways`-way basic step through both engines and asserts the
+/// contract.
+fn check_step(g: &Graph, ways: usize, opts: &PartitionOptions) {
     let view = ShapeView::from_graph(g);
     let cg = coarsen(g);
     let extra = ExtraInputs::new();
-    let ref_opts = DpOptions { tuning: SearchTuning::reference(), ..*opts };
-    let optimized = search(g, &view, &cg, &extra, opts, None);
-    let reference = unoptimized_search(g, &view, &cg, &extra, &ref_opts, None);
+    let optimized = search(g, &view, &cg, &extra, ways, opts, None);
+    let reference = unoptimized_search(g, &view, &cg, &extra, ways, opts, None);
     if !check_error_parity(&optimized, &reference) {
         return;
     }
@@ -92,9 +86,8 @@ fn check_step(g: &Graph, opts: &DpOptions) {
 /// first search with non-empty `ExtraInputs`.
 fn check_partition(g: &Graph, opts: &PartitionOptions) -> Option<PartitionPlan> {
     let workers = opts.workers;
-    let ref_opts = PartitionOptions { tuning: SearchTuning::reference(), ..*opts };
     let optimized = partition(g, opts);
-    let reference = partition(g, &ref_opts);
+    let reference = unoptimized_partition(g, opts, None);
     if !check_error_parity(&optimized, &reference) {
         return None;
     }
@@ -135,7 +128,7 @@ proptest! {
         ways in prop::sample::select(vec![2usize, 3, 5, 7]),
     ) {
         let g = common::random_dag(seed, ops);
-        check_step(&g, &exact_opts(ways));
+        check_step(&g, ways, &exact_opts(ways, 0));
     }
 
     /// Basic-step differential on conv towers (3-D shapes, halo costs).
@@ -146,7 +139,7 @@ proptest! {
         ways in prop::sample::select(vec![2usize, 3, 4]),
     ) {
         let g = common::conv_tower(seed, layers);
-        check_step(&g, &exact_opts(ways));
+        check_step(&g, ways, &exact_opts(ways, 0));
     }
 
     /// Full recursive partition differential on trainable MLPs, including
@@ -159,7 +152,7 @@ proptest! {
     ) {
         let g = common::random_training_mlp(seed);
         let floor = PartitionOptions::default().fetch_buffer_floor;
-        check_partition(&g, &exact_partition_opts(workers, floor));
+        check_partition(&g, &exact_opts(workers, floor));
     }
 }
 
@@ -186,7 +179,7 @@ proptest! {
         workers in prop::sample::select(vec![2usize, 3, 4, 6, 8]),
     ) {
         let g = common::residual_tower(seed, blocks);
-        check_partition(&g, &exact_partition_opts(workers, RESIDUAL_FLOOR));
+        check_partition(&g, &exact_opts(workers, RESIDUAL_FLOOR));
     }
 }
 
@@ -211,7 +204,8 @@ proptest! {
             1 => common::conv_tower(seed, 1 + (seed % 3) as usize),
             _ => common::residual_tower(seed, 1 + (seed % 2) as usize),
         };
-        check_step(&g, &DpOptions { ways, beam, internal_bound, state_bound, ..Default::default() });
+        let opts = PartitionOptions { beam, internal_bound, state_bound, ..Default::default() };
+        check_step(&g, ways, &opts);
     }
 }
 
@@ -270,10 +264,10 @@ fn equal_extent_conv_tower(n: usize, layers: usize) -> Graph {
 fn fractional_cost_ties_break_like_the_reference() {
     for (n, layers) in [(6usize, 2usize), (12, 2)] {
         let g = equal_extent_conv_tower(n, layers);
-        check_step(&g, &exact_opts(3));
+        check_step(&g, 3, &exact_opts(3, 0));
         for workers in [3usize, 6] {
             assert!(
-                check_partition(&g, &exact_partition_opts(workers, 0)).is_some(),
+                check_partition(&g, &exact_opts(workers, 0)).is_some(),
                 "equal-extent tower n={n} does not partition {workers} ways"
             );
         }
@@ -290,7 +284,7 @@ fn differential_harness_exercises_success_paths() {
         let view = ShapeView::from_graph(&g);
         let cg = coarsen(&g);
         let extra = ExtraInputs::new();
-        if search(&g, &view, &cg, &extra, &exact_opts(2), None).is_ok() {
+        if search(&g, &view, &cg, &extra, 2, &exact_opts(2, 0), None).is_ok() {
             ok += 1;
         }
     }
@@ -300,7 +294,7 @@ fn differential_harness_exercises_success_paths() {
     let mut with_extras = 0usize;
     for seed in 0..8u64 {
         let g = common::residual_tower(seed, 1);
-        if let Some(plan) = check_partition(&g, &exact_partition_opts(4, RESIDUAL_FLOOR)) {
+        if let Some(plan) = check_partition(&g, &exact_opts(4, RESIDUAL_FLOOR)) {
             ok += 1;
             with_extras += usize::from(plan.steps[1].plan.tensor_spec.len() > g.num_tensors());
         }

@@ -5,8 +5,10 @@
 
 mod common;
 
-use tofu_core::recursive::{factorize, partition, partition_cached, PartitionOptions};
-use tofu_core::{CoreError, SearchCaches, SearchTuning};
+use tofu_core::recursive::{
+    factorize, partition, partition_cached, unoptimized_partition, PartitionOptions,
+};
+use tofu_core::{CoreError, SearchCaches};
 use tofu_graph::{Attrs, Graph};
 use tofu_tensor::Shape;
 
@@ -72,9 +74,8 @@ fn workers_exceeding_every_dimension_fail_with_no_strategy() {
     // extents after the first step or two and must surface NoStrategy, not
     // panic or loop.
     let g = tiny_matmul(2, 2, 2);
-    for tuning in [SearchTuning::default(), SearchTuning::reference()] {
-        let err = partition(&g, &PartitionOptions { workers: 64, tuning, ..Default::default() })
-            .unwrap_err();
+    let opts = PartitionOptions { workers: 64, ..Default::default() };
+    for err in [partition(&g, &opts), unoptimized_partition(&g, &opts, None)].map(Result::unwrap_err) {
         assert!(matches!(err, CoreError::NoStrategy { .. }), "unexpected error {err:?}");
     }
 }
@@ -83,9 +84,8 @@ fn workers_exceeding_every_dimension_fail_with_no_strategy() {
 fn prime_worker_count_with_no_divisible_dimension_is_typed() {
     // Every dimension is a power of two; 7 divides none of them.
     let g = tiny_matmul(8, 16, 4);
-    for tuning in [SearchTuning::default(), SearchTuning::reference()] {
-        let err = partition(&g, &PartitionOptions { workers: 7, tuning, ..Default::default() })
-            .unwrap_err();
+    let opts = PartitionOptions { workers: 7, ..Default::default() };
+    for err in [partition(&g, &opts), unoptimized_partition(&g, &opts, None)].map(Result::unwrap_err) {
         assert!(matches!(err, CoreError::NoStrategy { .. }), "unexpected error {err:?}");
     }
 }
@@ -96,27 +96,29 @@ fn empty_beam_is_a_bound_error_and_is_never_memoised() {
     // frontier and report the graph as unsplittable (`NoStrategy`) — which
     // `partition_cached` remembers as a proven-infeasible width and an
     // elastic width ladder steps past. It is a mis-set bound: fail hard, at
-    // the cut where it happens, like `state_bound: 0`.
+    // the cut where it happens, like `state_bound: 0`. Both engines agree;
+    // the memo only ever fronts the optimized one.
     let g = common::random_training_mlp(1);
-    for tuning in [SearchTuning::default(), SearchTuning::reference()] {
-        let opts = PartitionOptions { workers: 4, beam: 0, tuning, ..Default::default() };
-        let err = partition(&g, &opts).unwrap_err();
+    let opts = PartitionOptions { workers: 4, beam: 0, ..Default::default() };
+    let same_cut = PartitionOptions { state_bound: 0, beam: 512, ..opts };
+    for engine in [|g, o| partition(g, o), |g, o| unoptimized_partition(g, o, None)] {
+        let err = engine(&g, &opts).unwrap_err();
         assert!(
             matches!(err, CoreError::SearchSpaceExceeded { states, bound: 0 } if states > 0),
-            "unexpected error {err:?} under {tuning:?}"
+            "unexpected error {err:?}"
         );
-        let same = partition(&g, &PartitionOptions { state_bound: 0, beam: 512, ..opts });
+        let same = engine(&g, &same_cut);
         assert_eq!(format!("{:?}", same.unwrap_err()), format!("{err:?}"));
-
-        let mut caches = SearchCaches::new();
-        for _ in 0..2 {
-            let again = partition_cached(&g, &opts, &mut caches, None).unwrap_err();
-            assert!(matches!(again, CoreError::SearchSpaceExceeded { bound: 0, .. }));
-        }
-        let stats = caches.stats();
-        assert_eq!((stats.request_misses, stats.request_hits), (2, 0), "outcome was memoised");
-        assert_eq!(stats.request_entries, 0);
     }
+
+    let mut caches = SearchCaches::new();
+    for _ in 0..2 {
+        let again = partition_cached(&g, &opts, &mut caches, None).unwrap_err();
+        assert!(matches!(again, CoreError::SearchSpaceExceeded { bound: 0, .. }));
+    }
+    let stats = caches.stats();
+    assert_eq!((stats.request_misses, stats.request_hits), (2, 0), "outcome was memoised");
+    assert_eq!(stats.request_entries, 0);
 }
 
 #[test]

@@ -10,7 +10,8 @@
 mod common;
 
 use tofu_core::coarsen::coarsen;
-use tofu_core::dp::{search, unoptimized_search, DpOptions, ExtraInputs};
+use tofu_core::dp::{search, unoptimized_search, ExtraInputs};
+use tofu_core::recursive::PartitionOptions;
 use tofu_core::spec::{
     input_fetch_bytes, legal_specs, output_bytes, respec_bytes, ConcreteOut, ConcreteReq,
     TensorSpec,
@@ -207,18 +208,16 @@ fn check_graph(g: &Graph, ways: usize) -> bool {
     let extra = ExtraInputs::new();
     // Exact settings: no beam truncation, no state abort, full internal
     // enumeration — the oracle certifies the *exact* optimum.
-    let opts = DpOptions {
-        ways,
+    let opts = PartitionOptions {
         state_bound: 50_000_000,
         internal_bound: 1 << 22,
         beam: 50_000_000,
         ..Default::default()
     };
-    let ref_opts = DpOptions { tuning: tofu_core::SearchTuning::reference(), ..opts };
 
     let oracle = build_oracle(g, &view, ways);
-    let optimized = search(g, &view, &cg, &extra, &opts, None);
-    let reference = unoptimized_search(g, &view, &cg, &extra, &ref_opts, None);
+    let optimized = search(g, &view, &cg, &extra, ways, &opts, None);
+    let reference = unoptimized_search(g, &view, &cg, &extra, ways, &opts, None);
 
     let Some(oracle) = oracle else {
         assert!(optimized.is_err(), "oracle found no feasible strategy but optimized succeeded");

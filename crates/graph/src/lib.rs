@@ -50,7 +50,7 @@ pub use exec::{execute_node, Executor};
 pub use graph::{Graph, Node, NodeId, NodeTags, TensorId, TensorKind, TensorMeta};
 pub use memplan::{plan_buffers, plan_memory, BufferPlan, MemPlan, SlotAction};
 pub use ops::data::{fetch_pieces, FetchPiece, TransferIndex};
-pub use registry::{coverage, lookup, register, Coverage, OpCategory, OpDef};
+pub use registry::{coverage, lookup, Coverage, OpCategory, OpDef};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, GraphError>;

@@ -7,7 +7,7 @@
 //! statistics.
 
 use std::collections::BTreeMap;
-use std::sync::{OnceLock, RwLock};
+use std::sync::OnceLock;
 
 use tofu_tdl::TdlDesc;
 use tofu_tensor::Shape;
@@ -126,36 +126,21 @@ impl std::fmt::Debug for OpDef {
     }
 }
 
-fn registry() -> &'static RwLock<BTreeMap<&'static str, OpDef>> {
-    static REGISTRY: OnceLock<RwLock<BTreeMap<&'static str, OpDef>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let mut map = BTreeMap::new();
-        for def in crate::ops::builtins() {
-            map.insert(def.name, def);
-        }
-        RwLock::new(map)
-    })
+/// The built-in operators, keyed by name. Built once; the set is fixed,
+/// because the executor matches kernels by operator name.
+fn registry() -> &'static BTreeMap<&'static str, OpDef> {
+    static REGISTRY: OnceLock<BTreeMap<&'static str, OpDef>> = OnceLock::new();
+    REGISTRY.get_or_init(|| crate::ops::builtins().into_iter().map(|def| (def.name, def)).collect())
 }
 
 /// Looks up an operator definition by name.
 pub fn lookup(op: &str) -> Result<OpDef> {
-    registry()
-        .read()
-        .expect("registry lock")
-        .get(op)
-        .cloned()
-        .ok_or_else(|| GraphError::UnknownOp(op.to_string()))
-}
-
-/// Registers (or replaces) an operator definition at runtime — the extension
-/// point an operator developer would use, mirroring `@tofu.op` in the paper.
-pub fn register(def: OpDef) {
-    registry().write().expect("registry lock").insert(def.name, def);
+    registry().get(op).cloned().ok_or_else(|| GraphError::UnknownOp(op.to_string()))
 }
 
 /// Returns every registered definition, sorted by name.
 pub fn all_ops() -> Vec<OpDef> {
-    registry().read().expect("registry lock").values().cloned().collect()
+    registry().values().cloned().collect()
 }
 
 /// Coverage statistics over the registry, reproducing the §4.1 breakdown.
@@ -262,24 +247,5 @@ mod tests {
         assert!(cov.elementwise >= 60, "elementwise {}", cov.elementwise);
         assert_eq!(cov.opaque, 2);
         assert!(cov.with_reduction >= 11, "with_reduction {}", cov.with_reduction);
-    }
-
-    #[test]
-    fn custom_registration_is_visible() {
-        fn shape(ins: &[Shape], _: &Attrs) -> std::result::Result<Shape, String> {
-            Ok(ins[0].clone())
-        }
-        fn flops(_: &[Shape], out: &Shape, _: &Attrs) -> f64 {
-            out.volume() as f64
-        }
-        register(OpDef {
-            name: "test_custom_op",
-            category: OpCategory::Elementwise,
-            infer_shape: shape,
-            tdl: None,
-            gradient: None,
-            flops,
-        });
-        assert!(lookup("test_custom_op").is_ok());
     }
 }

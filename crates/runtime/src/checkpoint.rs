@@ -110,7 +110,7 @@ pub(crate) const MAX_BACKOFF: Duration = Duration::from_secs(1);
 
 /// Deterministic decorrelated-jitter retry schedule (the AWS
 /// "decorrelated jitter" recurrence, made reproducible by seeding the
-/// jitter from [`FaultRng`]): each delay is
+/// jitter from a SplitMix64 stream): each delay is
 /// `min(cap, base + frac · (3·prev − base))` with `frac` uniform in
 /// `[0, 1)`. Delays never exceed `cap` — the fix for the former unbounded
 /// `backoff · 2^attempt` growth — and a zero `base` yields zero delays.

@@ -18,9 +18,9 @@
 //! workers keep querying the state under their original physical ids, so a
 //! permanent fault follows its device and disappears with it.
 //!
-//! [`FaultRng`] is a small deterministic generator (SplitMix64) for deriving
-//! fault sites from a seed — used by the `fault_matrix` bench and tests to
-//! sweep schedule positions without hand-picking them.
+//! `FaultRng` is the crate's small deterministic generator (SplitMix64):
+//! [`ChurnPlan::seeded`] derives a churn script from it and
+//! [`crate::BackoffSchedule`] its retry jitter, so both replay from a seed.
 //!
 //! # Fleet churn
 //!
@@ -298,18 +298,18 @@ impl ChurnPlan {
 
 /// Deterministic SplitMix64 stream for deriving fault sites from a seed.
 #[derive(Debug, Clone)]
-pub struct FaultRng {
+pub(crate) struct FaultRng {
     state: u64,
 }
 
 impl FaultRng {
     /// A stream seeded by `seed`; equal seeds yield equal streams.
-    pub fn new(seed: u64) -> FaultRng {
+    pub(crate) fn new(seed: u64) -> FaultRng {
         FaultRng { state: seed ^ 0x9e3779b97f4a7c15 }
     }
 
     /// Next raw 64-bit word.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e3779b97f4a7c15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
@@ -318,7 +318,7 @@ impl FaultRng {
     }
 
     /// Uniform value below `n` (`n` must be positive).
-    pub fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "FaultRng::below(0)");
         self.next_u64() % n
     }

@@ -100,8 +100,7 @@ pub use durable::{run_with_durable_recovery, CrashPoint, DurableOptions, Durable
 pub use elastic::{run_with_elastic_recovery, ElasticReport, ElasticTransition, TransitionKind};
 pub use error::{RunFailure, RuntimeError};
 pub use fault::{
-    ChurnEvent, ChurnPlan, Fault, FaultPersistence, FaultPlan, FaultRng, InjectedFault,
-    MessageFault,
+    ChurnEvent, ChurnPlan, Fault, FaultPersistence, FaultPlan, InjectedFault, MessageFault,
 };
 pub use reshard::{resume_from_snapshot, FullSnapshot};
 pub use tofu_durable::{
@@ -145,9 +144,6 @@ pub enum IntegrityLevel {
 /// Knobs of a run.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
-    /// Replay the planner with cross-op buffer reuse (the Fig. 7 control
-    /// dependencies make this safe; turning it off models the ablation).
-    pub buffer_reuse: bool,
     /// How long a worker waits on a remote piece before declaring the run
     /// stalled (guards against a dropped piece with no later traffic on the
     /// link; never hit on healthy runs).
@@ -178,7 +174,6 @@ pub struct RunOptions {
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
-            buffer_reuse: true,
             recv_timeout: Duration::from_secs(60),
             faults: FaultPlan::none(),
             churn: ChurnPlan::none(),

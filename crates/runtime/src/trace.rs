@@ -99,11 +99,6 @@ impl RunTrace {
         self.workers.iter().any(|w| !w.completed)
     }
 
-    /// Largest per-worker peak footprint.
-    pub fn max_device_memory_bytes(&self) -> u64 {
-        self.workers.iter().map(|w| w.peak_memory_bytes()).max().unwrap_or(0)
-    }
-
     /// A compact human-readable table of the run.
     pub fn summary(&self) -> String {
         use std::fmt::Write as _;

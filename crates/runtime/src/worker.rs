@@ -272,7 +272,7 @@ impl<'a> Worker<'a> {
         let schedule = sharded.worker_schedule(w);
         let mut obs = opts.collector.as_ref().map(|c| c.buffer(Track::runtime(w)));
         let plan_start = obs.as_ref().map(SpanBuffer::now_us);
-        let plan = plan_buffers(&sharded.graph, &schedule, opts.buffer_reuse);
+        let plan = plan_buffers(&sharded.graph, &schedule, true);
         if let (Some(buf), Some(start)) = (obs.as_mut(), plan_start) {
             let end = buf.now_us();
             buf.complete("plan", "plan buffers", start, end);

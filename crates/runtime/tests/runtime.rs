@@ -154,30 +154,6 @@ fn trace_is_internally_consistent() {
 }
 
 #[test]
-fn buffer_reuse_off_still_matches_and_uses_more_memory() {
-    let m = mlp(&MlpConfig { batch: 8, dims: vec![16, 16], classes: 8, with_updates: false })
-        .unwrap();
-    let (sharded, shard_feeds, base) = shard(&m.graph, 2);
-    let with = run(&sharded, &shard_feeds).unwrap();
-    let without = run_with_options(
-        &sharded,
-        &shard_feeds,
-        &RunOptions { buffer_reuse: false, ..Default::default() },
-    )
-    .unwrap();
-    check_outputs(&m.graph, &sharded, &without.values, &base, &[m.loss], 1e-4);
-    let peak = |t: &tofu_runtime::RunOutput| {
-        t.trace.workers.iter().map(|w| w.pool_peak_bytes).max().unwrap()
-    };
-    assert!(
-        peak(&without) > peak(&with),
-        "disabling reuse must inflate the pool ({} vs {})",
-        peak(&without),
-        peak(&with)
-    );
-}
-
-#[test]
 fn missing_feed_is_reported() {
     let m = mlp(&MlpConfig { batch: 4, dims: vec![8], classes: 4, with_updates: false }).unwrap();
     let (sharded, shard_feeds, _) = shard(&m.graph, 2);

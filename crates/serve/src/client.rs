@@ -30,8 +30,8 @@ use tofu_obs::json::Json;
 use tofu_runtime::BackoffSchedule;
 
 use crate::protocol::{
-    encode_partition, read_frame, wire_fingerprint, write_frame, ErrorCode, ProtocolError,
-    Request, Response, DEFAULT_MAX_FRAME,
+    encode_partition, read_frame, write_frame, ErrorCode, ProtocolError, Request, Response,
+    DEFAULT_MAX_FRAME,
 };
 
 /// A served plan answer.
@@ -276,7 +276,7 @@ impl PlanClient {
         deadline_ms: Option<u64>,
     ) -> Result<ServedPlan, ClientError> {
         let id = self.fresh_id();
-        let fingerprint = wire_fingerprint(graph, options);
+        let fingerprint = tofu_core::request_fingerprint(graph, options);
         let probe = self.round_trip(&Request::Lookup { id, fingerprint, deadline_ms })?;
         if !matches!(probe, Response::Error { code: ErrorCode::NotCached, .. }) {
             return served(id, probe);

@@ -37,8 +37,9 @@
 //! first (TensorFlow's register-once, run-by-handle idiom):
 //!
 //! 1. [`PlanClient::partition`](crate::client::PlanClient::partition) hashes
-//!    the request locally ([`wire_fingerprint`]) and sends a ~100-byte
-//!    `lookup`.
+//!    the request locally with the server's own
+//!    [`tofu_core::request_fingerprint`] — every option travels, so both
+//!    sides hash the same request — and sends a ~100-byte `lookup`.
 //! 2. If the server holds a finished plan under that key it answers with the
 //!    usual `plan` response (`cached: true`); if a solver is computing it,
 //!    the lookup joins that flight and is answered (`cached: false`) when it
@@ -65,7 +66,7 @@
 use std::io::{Read, Write};
 
 use tofu_core::recursive::{PartitionOptions, PartitionPlan};
-use tofu_core::{request_fingerprint, ConcreteOut, ConcreteReq, NodeChoice};
+use tofu_core::{ConcreteOut, ConcreteReq, NodeChoice};
 use tofu_graph::{AttrValue, Attrs, Graph, NodeId, NodeTags, TensorId, TensorKind};
 use tofu_obs::json::{parse, Json};
 use tofu_tensor::Shape;
@@ -320,14 +321,16 @@ fn get_u64(obj: &Json, key: &str) -> Result<u64, ProtocolError> {
 fn opt_u64(obj: &Json, key: &str) -> Result<Option<u64>, ProtocolError> {
     match obj.get(key) {
         None | Some(Json::Null) => Ok(None),
-        Some(v) => {
-            let f = v.as_f64().ok_or_else(|| bad(format!("field {key:?} is not a number")))?;
-            if f < 0.0 || f.fract() != 0.0 || f > 9e15 {
-                return Err(bad(format!("field {key:?} is not an unsigned integer")));
-            }
-            Ok(Some(f as u64))
-        }
+        Some(v) => u64_value(v, key).map(Some),
     }
+}
+
+fn u64_value(v: &Json, key: &str) -> Result<u64, ProtocolError> {
+    let f = v.as_f64().ok_or_else(|| bad(format!("field {key:?} is not a number")))?;
+    if f < 0.0 || f.fract() != 0.0 || f > 9e15 {
+        return Err(bad(format!("field {key:?} is not an unsigned integer")));
+    }
+    Ok(f as u64)
 }
 
 fn get_str<'a>(obj: &'a Json, key: &str) -> Result<&'a str, ProtocolError> {
@@ -637,25 +640,31 @@ pub fn graph_from_json(v: &Json) -> Result<Graph, ProtocolError> {
 // Options codec
 // ---------------------------------------------------------------------------
 
+/// Decodes `options`: an object holding any of the [`PartitionOptions`]
+/// fields but `workers` (which travels at the top level). Absent or `null`
+/// — the whole object or one value — means the default. Anything else that
+/// is not an object, or an unknown key, is a bad request: serving a
+/// default-options plan instead would answer a question the client did not
+/// ask.
 fn options_from_json(v: &Json, workers: usize) -> Result<PartitionOptions, ProtocolError> {
     let mut opts = PartitionOptions { workers, ..Default::default() };
-    if v == &Json::Null {
-        return Ok(opts);
-    }
-    if let Some(b) = v.get("allow_reduce") {
-        opts.allow_reduce = b.as_bool().ok_or_else(|| bad("allow_reduce is not a bool"))?;
-    }
-    if let Some(n) = opt_u64(v, "state_bound")? {
-        opts.state_bound = n as usize;
-    }
-    if let Some(n) = opt_u64(v, "internal_bound")? {
-        opts.internal_bound = n as usize;
-    }
-    if let Some(n) = opt_u64(v, "beam")? {
-        opts.beam = n as usize;
-    }
-    if let Some(n) = opt_u64(v, "fetch_buffer_floor")? {
-        opts.fetch_buffer_floor = n;
+    let pairs = match v {
+        Json::Null => return Ok(opts),
+        Json::Obj(pairs) => pairs,
+        other => return Err(bad(format!("options is not an object: {}", other.to_json()))),
+    };
+    for (key, val) in pairs.iter().filter(|(_, val)| val != &Json::Null) {
+        let n = || u64_value(val, key);
+        match key.as_str() {
+            "allow_reduce" => {
+                opts.allow_reduce = val.as_bool().ok_or_else(|| bad("allow_reduce is not a bool"))?
+            }
+            "state_bound" => opts.state_bound = n()? as usize,
+            "internal_bound" => opts.internal_bound = n()? as usize,
+            "beam" => opts.beam = n()? as usize,
+            "fetch_buffer_floor" => opts.fetch_buffer_floor = n()?,
+            other => return Err(bad(format!("unknown option {other:?}"))),
+        }
     }
     Ok(opts)
 }
@@ -961,14 +970,6 @@ fn fingerprint_from_hex(s: &str) -> Result<u128, ProtocolError> {
         return Err(bad("fingerprint is not 32 hex digits"));
     }
     Ok(u128::from_str_radix(s, 16).expect("32 hex digits fit a u128"))
-}
-
-/// The fingerprint the server will compute for this request once it has
-/// decoded it — the key a `lookup` must name to find the plan.
-pub(crate) fn wire_fingerprint(graph: &Graph, options: &PartitionOptions) -> u128 {
-    // `tuning` does not travel ([`options_json`]): the server always hashes,
-    // and runs, the default engine.
-    request_fingerprint(graph, &PartitionOptions { tuning: Default::default(), ..*options })
 }
 
 #[cfg(test)]

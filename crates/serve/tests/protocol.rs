@@ -5,6 +5,8 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use tofu_core::recursive::PartitionOptions;
+use tofu_core::request_fingerprint;
 use tofu_serve::client::{ClientError, PlanClient};
 use tofu_serve::protocol::{
     encode_partition, read_frame, write_frame, ErrorCode, ProtocolError, Request, Response,
@@ -297,4 +299,60 @@ fn request_decode_is_linear_in_the_payload() {
         Request::from_bytes(&huge[..huge.len() - 2]),
         Err(ProtocolError::BadJson(_))
     ));
+}
+
+/// A partition request whose `options` value is `options`, otherwise valid.
+fn partition_with_options(options: &str) -> String {
+    format!(
+        r#"{{"type":"partition","id":5,"tenant":"t","workers":2,"options":{options},"graph":{{"tensors":[]}}}}"#
+    )
+}
+
+#[test]
+fn options_the_server_would_ignore_are_bad_requests() {
+    assert!(Request::from_bytes(partition_with_options(r#"{"beam":8}"#).as_bytes()).is_ok());
+    // Each of these used to decode to a default-options request: a plan for
+    // a question the client did not ask.
+    for (options, named) in
+        [("5", "5"), (r#"{"beem":8}"#, "beem"), (r#"{"tuning":"reference"}"#, "tuning")]
+    {
+        match Request::from_bytes(partition_with_options(options).as_bytes()) {
+            Err(ProtocolError::BadRequest(m)) => {
+                assert!(m.contains(named), "options {options}: message was {m:?}")
+            }
+            other => panic!("expected bad_request for options {options}, got {other:?}"),
+        }
+    }
+}
+
+/// Every search option is part of the request: changing any one field alone
+/// changes the fingerprint a plan is cached under, and the field survives
+/// the wire. The destructuring names every field, so a new one fails to
+/// compile here until it is covered.
+#[test]
+fn every_option_changes_the_fingerprint_and_travels() {
+    let mut g = tofu_graph::Graph::new();
+    let x = g.add_input("x", tofu_tensor::Shape::new(vec![4, 6]));
+    g.add_op("relu", "r", &[x], tofu_graph::Attrs::new()).expect("relu");
+    let base = PartitionOptions { workers: 2, ..Default::default() };
+    let PartitionOptions { workers, allow_reduce, state_bound, internal_bound, beam, fetch_buffer_floor } =
+        base;
+    let variants = [
+        PartitionOptions { workers: workers + 1, ..base },
+        PartitionOptions { allow_reduce: !allow_reduce, ..base },
+        PartitionOptions { state_bound: state_bound + 1, ..base },
+        PartitionOptions { internal_bound: internal_bound + 1, ..base },
+        PartitionOptions { beam: beam + 1, ..base },
+        PartitionOptions { fetch_buffer_floor: fetch_buffer_floor + 1, ..base },
+    ];
+    let key = request_fingerprint(&g, &base);
+    for opts in [base].iter().chain(&variants) {
+        if opts != &base {
+            assert_ne!(request_fingerprint(&g, opts), key, "{opts:?} is missing from the key");
+        }
+        match Request::from_bytes(&encode_partition(1, "t", &g, opts, None)) {
+            Ok(Request::Partition { req, .. }) => assert_eq!(&req.options, opts, "lost on the wire"),
+            other => panic!("expected partition, got {other:?}"),
+        }
+    }
 }

@@ -132,13 +132,8 @@ impl TraceReport {
 
 /// Builds the report: simulates `sharded` on `machine` and lines the
 /// prediction up against the measured `trace` (produced by
-/// `tofu_runtime::run` with the same `buffer_reuse` setting).
-pub fn compare_trace(
-    sharded: &ShardedGraph,
-    machine: &Machine,
-    trace: &RunTrace,
-    buffer_reuse: bool,
-) -> TraceReport {
+/// `tofu_runtime::run`, which always plans with buffer reuse).
+pub fn compare_trace(sharded: &ShardedGraph, machine: &Machine, trace: &RunTrace) -> TraceReport {
     let sim = simulate_with_leaf_devices(
         &sharded.graph,
         &sharded.device_of_node,
@@ -150,7 +145,7 @@ pub fn compare_trace(
         &sharded.graph,
         &sharded.device_of_node,
         sharded.workers,
-        buffer_reuse,
+        true,
         0.0,
     );
     let devices = trace

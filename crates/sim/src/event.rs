@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use tofu_graph::{fetch_pieces, Graph, NodeId, TransferIndex};
+use tofu_graph::{fetch_pieces, Graph, TransferIndex};
 use tofu_obs::{Collector, Track};
 
 use crate::compute::node_seconds;
@@ -48,25 +48,13 @@ impl SimResult {
     }
 }
 
-/// Per-node device assignment for the simulation.
-pub trait DeviceMap {
-    /// Device of a node.
-    fn device(&self, node: NodeId) -> usize;
-}
-
-impl DeviceMap for Vec<usize> {
-    fn device(&self, node: NodeId) -> usize {
-        self[node.0]
-    }
-}
-
-/// Simulates one iteration of `g` under the device assignment.
+/// Simulates one iteration of `g` with node `i` on device `devices[i]`.
 ///
 /// `free_transfers` zeroes all communication cost — the methodology Fig. 10
 /// uses to separate computation from communication overhead.
 pub fn simulate(
     g: &Graph,
-    devices: &impl DeviceMap,
+    devices: &[usize],
     machine: &Machine,
     free_transfers: bool,
 ) -> SimResult {
@@ -84,7 +72,7 @@ pub fn simulate(
 /// full-tensor transfers and inflates `comm_bytes`.
 pub fn simulate_with_leaf_devices(
     g: &Graph,
-    devices: &impl DeviceMap,
+    devices: &[usize],
     leaf_devices: &[Option<usize>],
     machine: &Machine,
     free_transfers: bool,
@@ -100,7 +88,7 @@ pub fn simulate_with_leaf_devices(
 /// Simulated seconds map to trace microseconds (1 s = 1e6 µs).
 pub fn simulate_traced(
     g: &Graph,
-    devices: &impl DeviceMap,
+    devices: &[usize],
     leaf_devices: &[Option<usize>],
     machine: &Machine,
     free_transfers: bool,
@@ -126,7 +114,7 @@ pub fn simulate_traced(
     // leaf's device is taken from the first consumer.
     for id in g.node_ids() {
         let node = g.node(id);
-        let dev = devices.device(id);
+        let dev = devices[id.0];
         for &t in &node.inputs {
             if g.producer(t).is_none() && tensor_ready[t.0].0 == usize::MAX {
                 let home = leaf_devices.get(t.0).copied().flatten().unwrap_or(dev);
@@ -137,7 +125,7 @@ pub fn simulate_traced(
 
     for id in g.node_ids() {
         let node = g.node(id);
-        let dev = devices.device(id);
+        let dev = devices[id.0];
         let mut ready = device_avail[dev];
         for &dep in &node.control_deps {
             ready = ready.max(finish[dep.0]);
@@ -211,7 +199,7 @@ pub fn simulate_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tofu_graph::Attrs;
+    use tofu_graph::{Attrs, NodeId};
     use tofu_tensor::Shape;
 
     fn chain_on(devices: Vec<usize>) -> (Graph, Vec<usize>) {
@@ -252,8 +240,8 @@ mod tests {
         let _a = g.add_op("relu", "a", &[x], Attrs::new()).unwrap();
         let _b = g.add_op("tanh", "b", &[x], Attrs::new()).unwrap();
         // Same work on one device vs two.
-        let serial = simulate(&g, &vec![0, 0], &m, false);
-        let parallel = simulate(&g, &vec![0, 1], &m, true);
+        let serial = simulate(&g, &[0, 0], &m, false);
+        let parallel = simulate(&g, &[0, 1], &m, true);
         assert!(parallel.makespan < serial.makespan * 0.75);
     }
 
@@ -261,8 +249,8 @@ mod tests {
     fn slow_links_cost_more() {
         let m = Machine::p2_8xlarge();
         let (g, _) = chain_on(vec![0, 0]);
-        let near = simulate(&g, &vec![0, 1], &m, false);
-        let far = simulate(&g, &vec![0, 7], &m, false);
+        let near = simulate(&g, &[0, 1], &m, false);
+        let far = simulate(&g, &[0, 7], &m, false);
         assert!(far.makespan > near.makespan);
     }
 
@@ -288,7 +276,7 @@ mod tests {
             )
             .unwrap();
         // pa on device 1, pb on device 2, fetch on device 0.
-        let r = simulate(&g, &vec![1, 2, 0], &m, false);
+        let r = simulate(&g, &[1, 2, 0], &m, false);
         assert_eq!(r.comm_bytes, (16.0 + 48.0) * 4.0);
     }
 
@@ -302,11 +290,11 @@ mod tests {
         let p = g.add_op("relu", "p", &[x], Attrs::new()).unwrap();
         let _a = g.add_op("tanh", "a", &[p], Attrs::new()).unwrap();
         let _b = g.add_op("sigmoid", "b", &[p], Attrs::new()).unwrap();
-        let once = simulate(&g, &vec![0, 1, 1], &m, false);
+        let once = simulate(&g, &[0, 1, 1], &m, false);
         assert_eq!(once.comm_bytes, 4.0 * (1 << 20) as f64);
-        assert_eq!(simulate(&g, &vec![0, 1, 1], &m, true).comm_bytes, once.comm_bytes);
+        assert_eq!(simulate(&g, &[0, 1, 1], &m, true).comm_bytes, once.comm_bytes);
         // A third device pays its own transfer.
-        assert_eq!(simulate(&g, &vec![0, 1, 2], &m, false).comm_bytes, 2.0 * once.comm_bytes);
+        assert_eq!(simulate(&g, &[0, 1, 2], &m, false).comm_bytes, 2.0 * once.comm_bytes);
         // The second read adds no link time: the makespan is the producer,
         // one transfer, then both consumers back to back on device 1.
         let secs = |n: usize| node_seconds(&g, NodeId(n), &m);
@@ -333,9 +321,9 @@ mod tests {
         fetch(&mut g, "f0", 0);
         fetch(&mut g, "f1", 0);
         fetch(&mut g, "f2", 16);
-        let r = simulate(&g, &vec![1, 0, 0, 0], &m, false);
+        let r = simulate(&g, &[1, 0, 0, 0], &m, false);
         assert_eq!(r.comm_bytes, 2.0 * 16.0 * 4.0);
-        let free = simulate(&g, &vec![1, 0, 0, 0], &m, true);
+        let free = simulate(&g, &[1, 0, 0, 0], &m, true);
         assert_eq!(free.comm_bytes, r.comm_bytes);
     }
 }

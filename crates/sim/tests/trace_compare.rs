@@ -51,7 +51,7 @@ fn shard(g: &Graph, workers: usize) -> (ShardedGraph, Vec<(TensorId, Tensor)>) {
 
 fn assert_report(sharded: &ShardedGraph, shard_feeds: &[(TensorId, Tensor)], label: &str) {
     let out = run(sharded, shard_feeds).unwrap();
-    let report = compare_trace(sharded, &Machine::p2_8xlarge(), &out.trace, true);
+    let report = compare_trace(sharded, &Machine::p2_8xlarge(), &out.trace);
     assert!(
         report.comm_bytes_match(),
         "{label}: measured {} B over channels, simulator predicted {} B",
@@ -89,7 +89,7 @@ fn partial_trace_from_aborted_run_is_reportable() {
     // The post-mortem's partial trace still lines up against the simulator:
     // the report renders, flags itself partial, and does not pretend the
     // exact-match columns hold.
-    let report = compare_trace(&sharded, &Machine::p2_8xlarge(), &failure.trace, true);
+    let report = compare_trace(&sharded, &Machine::p2_8xlarge(), &failure.trace);
     assert!(report.is_partial(), "aborted run must yield a partial report");
     assert!(report.devices.iter().any(|d| !d.completed));
     let s = report.summary();

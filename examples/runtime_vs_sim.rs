@@ -61,7 +61,7 @@ fn main() {
     print!("{}", out.trace.summary());
 
     println!("\n=== predicted vs. measured (tofu-sim::compare_trace) ===");
-    let report = compare_trace(&sharded, &Machine::p2_8xlarge(), &out.trace, true);
+    let report = compare_trace(&sharded, &Machine::p2_8xlarge(), &out.trace);
     print!("{}", report.summary());
     println!(
         "\ncomm bytes {} | every device within 10% of per_device_memory: {}",

@@ -2,26 +2,32 @@
 //! or bounded enumeration fires (WResNet, LSTM), on the bench models the
 //! fuzz-sized differential suites do not reach. Each value is `fnv1a64` of
 //! the canonical plan JSON, recorded before the DP transition was factored
-//! (PR 19). The hashes pin tie-breaking for *both* engines: the reference
-//! must produce the same bytes (asserted here for the LSTM and the seq-128
-//! decoder; `search_scaling` holds WResNet to it at release speed), so a
-//! change to any of them is a change to the recurrence, not a cost-neutral
-//! refactor.
+//! (PR 19). The hashes pin tie-breaking for *both* engines: `partition`
+//! and the reference `unoptimized_partition` must produce the same bytes
+//! (the reference is asserted here for the LSTM and the seq-128 decoder;
+//! `search_scaling` holds WResNet to it at release speed), so a change to
+//! any of them is a change to the recurrence, not a cost-neutral refactor.
 
-use tofu::core::{partition, PartitionOptions, SearchTuning};
+use tofu::core::{partition, unoptimized_partition, PartitionOptions, PartitionPlan, Result};
 use tofu::durable::fnv1a64;
 use tofu::graph::Graph;
 use tofu::models::{decoder_block, rnn, wresnet, DecoderConfig, RnnConfig, WResNetConfig};
 use tofu::serve::plan_to_json;
 
-fn assert_plan(g: &Graph, tuning: SearchTuning, workers: usize, hash: u64, bytes: usize) {
-    let plan = partition(g, &PartitionOptions { workers, tuning, ..Default::default() }).unwrap();
+/// A whole search over one of the two engines, with its name.
+type Engine = (&'static str, fn(&Graph, &PartitionOptions) -> Result<PartitionPlan>);
+
+const OPTIMIZED: Engine = ("partition", partition);
+const REFERENCE: Engine = ("unoptimized_partition", |g, opts| unoptimized_partition(g, opts, None));
+
+fn assert_plan(g: &Graph, (name, engine): Engine, workers: usize, hash: u64, bytes: usize) {
+    let plan = engine(g, &PartitionOptions { workers, ..Default::default() }).unwrap();
     let json = plan_to_json(&plan).to_json();
-    assert_eq!(json.len(), bytes, "{tuning:?} plan JSON length changed at w={workers}");
+    assert_eq!(json.len(), bytes, "{name} plan JSON length changed at w={workers}");
     assert_eq!(
         fnv1a64(json.as_bytes()),
         hash,
-        "{tuning:?} plan bytes changed at w={workers}: got {:016x}",
+        "{name} plan bytes changed at w={workers}: got {:016x}",
         fnv1a64(json.as_bytes())
     );
 }
@@ -42,7 +48,7 @@ fn wresnet_plans_are_byte_identical_to_the_recorded_ones() {
         (4, 0xadd20fe087785087, 89_801),
         (8, 0xdc67e831a1ae23d7, 133_737),
     ] {
-        assert_plan(&model.graph, SearchTuning::Optimized, workers, hash, bytes);
+        assert_plan(&model.graph, OPTIMIZED, workers, hash, bytes);
     }
 }
 
@@ -60,9 +66,9 @@ fn decoder_plans_are_byte_identical_to_the_recorded_ones() {
             with_updates: true,
         })
         .unwrap();
-        assert_plan(&model.graph, SearchTuning::Optimized, 8, hash, bytes);
+        assert_plan(&model.graph, OPTIMIZED, 8, hash, bytes);
         if seq == 128 {
-            assert_plan(&model.graph, SearchTuning::Reference, 8, hash, bytes);
+            assert_plan(&model.graph, REFERENCE, 8, hash, bytes);
         }
     }
 }
@@ -79,7 +85,7 @@ fn lstm_plan_is_byte_identical_to_the_recorded_one() {
         with_updates: true,
     })
     .unwrap();
-    for tuning in [SearchTuning::Optimized, SearchTuning::Reference] {
-        assert_plan(&model.graph, tuning, 2, 0x9bece6ea77b4cf5d, 97_177);
+    for engine in [OPTIMIZED, REFERENCE] {
+        assert_plan(&model.graph, engine, 2, 0x9bece6ea77b4cf5d, 97_177);
     }
 }
