@@ -1,115 +1,29 @@
-//! Shared harness for the figure regenerators and the exact ledgers.
+//! Shared harness for the bins that write the exact ledgers.
 //!
-//! The `table*` / `fig*` binaries in `src/bin/` each regenerate one table or
-//! figure of the paper (see DESIGN.md's per-experiment index) and print a
-//! side-by-side comparison with the numbers the paper reports. Absolute
-//! values come from a simulator, not the authors' testbed, so the comparison
-//! targets the *shape* of each result: who wins, by roughly what factor, and
-//! where the OOMs fall.
-//!
-//! The other binaries are correctness gates that also write a committed
-//! `BENCH_*.json` **ledger**. A ledger holds only values that repeat exactly
-//! on any host — bytes, messages, states, nodes, cache hits, width ladders,
-//! `exact` / `recovered_exact` — so its diff is empty until the program's
-//! behaviour changes; `scripts/check.sh` fails on a non-empty diff. Nothing
-//! here is a timing harness: wall-clock lives in `benchmark/` (see
-//! `benchmark/README.md`), and a latency that has no row there is at most a
-//! printed column, never a ledger field or a gate.
+//! `src/bin/paper.rs` regenerates the paper's whole evaluation (every table
+//! and figure of §7, see DESIGN.md's per-experiment index), prints it beside
+//! the numbers the paper reports and records it, with one `reproduced` flag
+//! per shape claim, in `BENCH_paper.json`. The other binaries are
+//! correctness gates. Each bin writes a committed `BENCH_*.json` **ledger**.
+//! A ledger holds only values that repeat exactly on any host — bytes,
+//! messages, states, nodes, simulated seconds, cache hits, width ladders,
+//! `exact` / `recovered_exact` / `reproduced` — so its diff is empty until
+//! the program's behaviour changes; `scripts/check.sh` fails on a non-empty
+//! diff. Nothing here is a timing harness: wall-clock lives in `benchmark/`
+//! (see `benchmark/README.md`), and a latency that has no row there is at
+//! most a printed column, never a ledger field or a gate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
 
-use tofu_core::baselines::Algorithm;
 use tofu_core::ShardedGraph;
 use tofu_graph::{Graph, TensorId, TensorKind, TransferIndex};
-use tofu_models::{rnn, wresnet, RnnConfig, WResNetConfig};
 use tofu_runtime::{resume_from_snapshot, run_with_options, FullSnapshot, RunOptions};
-use tofu_sim::{Machine, Outcome, TofuSimOptions};
 use tofu_tensor::Tensor;
 
 pub use tofu_obs::json::Json;
-
-/// Formats an [`Outcome`] the way the paper's figures label bars.
-pub fn fmt_outcome(o: &Outcome) -> String {
-    match o {
-        Outcome::Ran(p) => format!("{:>8.1}", p.throughput),
-        Outcome::Oom { .. } => format!("{:>8}", "OOM"),
-    }
-}
-
-/// Formats an optional paper number for the comparison column.
-pub fn fmt_paper(v: Option<f64>) -> String {
-    match v {
-        Some(v) => format!("{v:>8.1}"),
-        None => format!("{:>8}", "OOM"),
-    }
-}
-
-/// Prints a horizontal rule sized for the standard table width.
-pub fn rule(width: usize) {
-    println!("{}", "-".repeat(width));
-}
-
-/// The candidate global batch sizes swept by the figures, largest first.
-pub fn batch_candidates() -> Vec<usize> {
-    vec![512, 256, 128, 64, 32, 16, 8]
-}
-
-/// Builds a WResNet training graph for the given batch, `None` on failure.
-pub fn wresnet_builder(layers: usize, width: usize) -> impl Fn(usize) -> Option<Graph> {
-    move |batch| {
-        wresnet(&WResNetConfig { layers, width, batch, ..Default::default() })
-            .ok()
-            .map(|m| m.graph)
-    }
-}
-
-/// Builds an RNN training graph for the given batch, `None` on failure.
-pub fn rnn_builder(layers: usize, hidden: usize) -> impl Fn(usize) -> Option<Graph> {
-    move |batch| {
-        rnn(&RnnConfig {
-            layers,
-            hidden,
-            batch,
-            steps: 20,
-            embed: 1024,
-            vocab: 4096,
-            with_updates: true,
-        })
-        .ok()
-        .map(|m| m.graph)
-    }
-}
-
-/// Runs a partitioner + simulator sweep: the largest candidate batch whose
-/// partitioned execution fits device memory. Returns the outcome and the
-/// plan's search time for the winning batch.
-pub fn partitioned_sweep(
-    build: &dyn Fn(usize) -> Option<Graph>,
-    algorithm: Algorithm,
-    candidates: &[usize],
-    machine: &Machine,
-) -> (Outcome, std::time::Duration) {
-    let mut worst_peak = 0.0f64;
-    for &batch in candidates {
-        let Some(g) = build(batch) else { continue };
-        let plan = match tofu_core::baselines::run(&g, algorithm, machine.gpus) {
-            Ok(p) => p,
-            Err(_) => continue,
-        };
-        let search = plan.search_time;
-        match tofu_sim::run_partitioned(&g, &plan, batch, machine, &TofuSimOptions::default()) {
-            Ok(run) => match run.outcome {
-                Outcome::Ran(p) => return (Outcome::Ran(p), search),
-                Outcome::Oom { peak_gb } => worst_peak = worst_peak.max(peak_gb),
-            },
-            Err(_) => continue,
-        }
-    }
-    (Outcome::Oom { peak_gb: worst_peak }, std::time::Duration::ZERO)
-}
 
 /// What a sharded graph's `comm_edges()` move, counted both ways: once per
 /// transfer (what crosses the links) and once per remote read (what every
@@ -230,47 +144,9 @@ pub fn write_report(path: &str, doc: &Json) {
     println!("\nwrote {path}");
 }
 
-/// A paper reference number as JSON: the value, or `null` for OOM.
-pub fn paper_json(v: Option<f64>) -> Json {
-    v.map(Json::from).unwrap_or(Json::Null)
-}
-
-/// An [`Outcome`] as a JSON fragment: throughput + peak memory, or an OOM
-/// marker with the peak that broke the budget.
-pub fn outcome_json(o: &Outcome) -> Json {
-    match o {
-        Outcome::Ran(p) => Json::obj(vec![
-            ("ran", Json::Bool(true)),
-            ("throughput", Json::from(p.throughput)),
-            ("iter_seconds", Json::from(p.iter_seconds)),
-            ("batch", Json::from(p.batch)),
-            ("peak_gb", Json::from(p.peak_gb)),
-            ("comm_fraction", Json::from(p.comm_fraction)),
-        ]),
-        Outcome::Oom { peak_gb } => {
-            Json::obj(vec![("ran", Json::Bool(false)), ("peak_gb", Json::from(*peak_gb))])
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn formatting() {
-        let perf = tofu_sim::Perf {
-            iter_seconds: 1.0,
-            throughput: 42.0,
-            batch: 8,
-            peak_gb: 1.0,
-            comm_fraction: 0.0,
-        };
-        assert!(fmt_outcome(&Outcome::Ran(perf)).contains("42.0"));
-        assert!(fmt_outcome(&Outcome::Oom { peak_gb: 1.0 }).contains("OOM"));
-        assert!(fmt_paper(Some(4.2)).contains("4.2"));
-        assert!(fmt_paper(None).contains("OOM"));
-    }
 
     /// The comparison the recovery gates rest on is on bit patterns: it
     /// tells `0.0` from `-0.0` and one NaN payload from another, and accepts
@@ -295,13 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn builders_produce_graphs() {
-        assert!(wresnet_builder(50, 4)(2).is_some());
-        assert!(rnn_builder(2, 64)(4).is_some());
-        assert!(wresnet_builder(42, 4)(2).is_none());
-    }
-
-    #[test]
     fn bench_report_round_trips() {
         let doc = bench_report(
             "unit",
@@ -312,20 +181,5 @@ mod tests {
         assert_eq!(back.get("bench").and_then(Json::as_str), Some("unit"));
         assert_eq!(back.get("workers").and_then(Json::as_f64), Some(4.0));
         assert_eq!(back.get("results").and_then(Json::as_array).map(|a| a.len()), Some(1));
-    }
-
-    #[test]
-    fn outcome_json_tags_oom() {
-        let perf = tofu_sim::Perf {
-            iter_seconds: 1.0,
-            throughput: 42.0,
-            batch: 8,
-            peak_gb: 1.0,
-            comm_fraction: 0.25,
-        };
-        assert_eq!(outcome_json(&Outcome::Ran(perf)).get("ran").and_then(Json::as_bool), Some(true));
-        let oom = outcome_json(&Outcome::Oom { peak_gb: 13.0 });
-        assert_eq!(oom.get("ran").and_then(Json::as_bool), Some(false));
-        assert_eq!(oom.get("peak_gb").and_then(Json::as_f64), Some(13.0));
     }
 }

@@ -5,11 +5,8 @@
 //! 20` distinct ways for 8 workers — the number quoted in §5.2). A group's
 //! configuration count is the product over its touched tensors, e.g.
 //! `20⁶ = 6.4·10⁷` for a 2-D-convolution group. This module counts those
-//! configurations and extrapolates the flat DP's running time from a
-//! measured evaluation rate, reproducing the "8 hours / >24 hours" rows of
-//! Table 1 without actually burning a day of compute.
-
-use std::time::{Duration, Instant};
+//! configurations — the "DP with coarsening" row of Table 1 — without
+//! running the flat DP.
 
 use tofu_graph::Graph;
 
@@ -34,8 +31,10 @@ pub fn tensor_configs(rank: usize, m: usize) -> u128 {
     num / den
 }
 
-/// Per-group configuration counts of the flat DP.
-pub fn group_configs(g: &Graph, cg: &CoarseGraph, view: &ShapeView, workers: usize) -> Vec<u128> {
+/// Per-group configuration counts of the flat DP, as `log10`: the sum over
+/// the group's touched tensors of `log10` of their [`tensor_configs`]. Kept
+/// in log space because a large group's count overflows any integer.
+pub fn group_configs(g: &Graph, cg: &CoarseGraph, view: &ShapeView, workers: usize) -> Vec<f64> {
     let m = workers.trailing_zeros() as usize; // steps for powers of two
     cg.groups
         .iter()
@@ -48,71 +47,17 @@ pub fn group_configs(g: &Graph, cg: &CoarseGraph, view: &ShapeView, workers: usi
             }
             tensors.sort_unstable();
             tensors.dedup();
-            let mut configs: u128 = 1;
-            for t in tensors {
-                configs =
-                    configs.saturating_mul(tensor_configs(view.shape(t).rank(), m));
-            }
-            configs
+            tensors.iter().map(|&t| (tensor_configs(view.shape(t).rank(), m) as f64).log10()).sum()
         })
         .collect()
 }
 
-/// Total flat-DP configuration count over all groups.
-pub fn total_configs(g: &Graph, cg: &CoarseGraph, view: &ShapeView, workers: usize) -> u128 {
-    group_configs(g, cg, view, workers).iter().fold(0u128, |a, &b| a.saturating_add(b))
-}
-
-/// Result of the flat-DP time extrapolation.
-#[derive(Debug, Clone, Copy)]
-pub struct FlatDpEstimate {
-    /// Total configurations the flat DP must evaluate.
-    pub configs: u128,
-    /// Measured evaluation rate (configurations per second).
-    pub rate_per_sec: f64,
-    /// Extrapolated total search time.
-    pub estimated: Duration,
-}
-
-/// Measures a realistic per-configuration evaluation rate by timing the cost
-/// arithmetic on synthetic configurations, then extrapolates the flat DP's
-/// total running time.
-pub fn estimate_flat_dp_time(
-    g: &Graph,
-    cg: &CoarseGraph,
-    view: &ShapeView,
-    workers: usize,
-    probe: Duration,
-) -> FlatDpEstimate {
-    let configs = total_configs(g, cg, view, workers);
-
-    // Probe: evaluate a representative cost expression in a tight loop. Each
-    // flat-DP configuration requires scoring every member operator against
-    // the multi-dimensional tensor tilings, which costs on the order of a
-    // few hundred nanoseconds; we measure rather than guess.
-    let start = Instant::now();
-    let mut evaluated: u64 = 0;
-    let mut sink = 0.0f64;
-    let sizes: Vec<f64> =
-        g.tensor_ids().take(64).map(|t| view.shape(t).bytes() as f64).collect();
-    while start.elapsed() < probe {
-        for _ in 0..1024 {
-            // A stand-in for one configuration's cost evaluation: a handful
-            // of per-tensor mismatch terms.
-            for &s in &sizes {
-                sink += s * 0.5 + (sink * 1e-12).min(s);
-            }
-            evaluated += 1;
-        }
-    }
-    std::hint::black_box(sink);
-    let rate = evaluated as f64 / start.elapsed().as_secs_f64().max(1e-9);
-    let secs = configs as f64 / rate.max(1e-9);
-    FlatDpEstimate {
-        configs,
-        rate_per_sec: rate,
-        estimated: Duration::from_secs_f64(secs.min(1e15)),
-    }
+/// Total flat-DP configuration count over all groups, as `log10`: the
+/// groups' counts are summed in log space, so the total cannot saturate.
+pub fn total_configs(g: &Graph, cg: &CoarseGraph, view: &ShapeView, workers: usize) -> f64 {
+    let logs = group_configs(g, cg, view, workers);
+    let top = logs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    top + logs.iter().map(|l| 10f64.powf(l - top)).sum::<f64>().log10()
 }
 
 #[cfg(test)]
@@ -158,18 +103,24 @@ mod tests {
         let flat = total_configs(&g, &cg, &view, 8);
         // The recursion enumerates per step at most rank^|tensors| per group;
         // the flat count must be orders of magnitude beyond the graph size.
-        assert!(flat > 1_000_000, "flat configs only {flat}");
+        assert!(flat > 6.0, "flat configs only 10^{flat}");
     }
 
     #[test]
-    fn estimate_produces_positive_rate() {
+    fn a_large_group_count_does_not_saturate() {
+        // An element-wise chain coarsens into one group; 39 relus touch 40
+        // 4-D tensors, so 20^40 configurations (~1.1e52, past u128::MAX).
         let mut g = Graph::new();
-        let x = g.add_input("x", Shape::new(vec![4, 4]));
-        let _ = g.add_op("relu", "r", &[x], Attrs::new()).unwrap();
+        let mut t = g.add_input("x", Shape::new(vec![2, 2, 2, 2]));
+        for i in 0..39 {
+            t = g.add_op("relu", &format!("r{i}"), &[t], Attrs::new()).unwrap();
+        }
         let cg = coarsen(&g);
         let view = ShapeView::from_graph(&g);
-        let est = estimate_flat_dp_time(&g, &cg, &view, 8, Duration::from_millis(20));
-        assert!(est.rate_per_sec > 0.0);
-        assert!(est.configs >= 1);
+        let groups = group_configs(&g, &cg, &view, 8);
+        assert_eq!(groups.len(), 1);
+        let expected = 40.0 * 20f64.log10();
+        assert!((groups[0] - expected).abs() < 1e-9, "{} vs {expected}", groups[0]);
+        assert!((total_configs(&g, &cg, &view, 8) - expected).abs() < 1e-9);
     }
 }

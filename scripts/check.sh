@@ -129,6 +129,11 @@ timeout 300 cargo run --release -q -p tofu-bench --bin transformer_scaling
 # a local partition_cached run, the warm hit-rate is zero, the single-flight
 # counters don't add up, or a warm hit costs more than 256 request bytes).
 timeout 300 cargo run --release -q -p tofu-bench --bin plan_serve
+# The paper's evaluation (Tables 1-3, Figs. 8-11, §4.1 coverage, ablations):
+# rewrites BENCH_paper.json, whose simulated numbers and `reproduced` shape
+# flags the diff below holds fixed, so a flipped claim or a moved OOM cell
+# fails here. Every simulation runs once; the full grids take about 2.5 min.
+timeout 600 cargo run --release -q -p tofu-bench --bin paper
 # The one baseline gate: a ledger that differs from the committed copy fails
 # until the new file is staged next to the code that changed it.
 git diff --exit-code -- 'BENCH_*.json' \
