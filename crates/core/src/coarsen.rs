@@ -97,14 +97,7 @@ impl CoarseGraph {
 }
 
 fn is_ewise_op(g: &Graph, n: NodeId) -> bool {
-    let node = g.node(n);
-    if node.op == "add_n" {
-        return true;
-    }
-    match tofu_graph::lookup(&node.op) {
-        Ok(def) => matches!(def.category, OpCategory::Elementwise | OpCategory::Optimizer),
-        Err(_) => false,
-    }
+    tofu_graph::lookup(&g.node(n).op).is_ok_and(|def| def.category.is_elementwise())
 }
 
 /// Computes the coarsened graph.

@@ -840,7 +840,7 @@ mod tests {
             let meta = g.tensor(t);
             match meta.kind {
                 TensorKind::Input | TensorKind::Weight => {
-                    let v = if meta.name == "labels" {
+                    let v = if meta.name.starts_with("labels") {
                         let b = meta.shape.dim(0);
                         Tensor::from_vec(
                             meta.shape.clone(),

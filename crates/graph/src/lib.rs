@@ -6,12 +6,13 @@
 //! - a single-output operator [`Graph`] IR with immediate shape inference,
 //! - an extensible operator [`registry`] (~130 operators calibrated to the
 //!   MXNet v0.11 catalogue of §4.1, each bundling shape inference, a TDL
-//!   description, a gradient builder and a flop estimate),
+//!   description, a gradient builder, a flop estimate and its CPU kernel),
 //! - reverse-mode [`autodiff`] that appends tagged backward nodes (the tags
 //!   drive the coarsening pass of §5.1),
 //! - a dependency-driven static [`memplan`] memory planner (§6), and
-//! - a CPU [`exec`] executor used to *validate* that partitioned graphs
-//!   compute exactly what the original graph computes.
+//! - a CPU [`exec`] executor, which runs each node's registry kernel, used
+//!   to *validate* that partitioned graphs compute exactly what the original
+//!   graph computes.
 //!
 //! # Examples
 //!

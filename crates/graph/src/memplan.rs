@@ -110,20 +110,10 @@ pub struct BufferPlan {
     pub persistent: Vec<TensorId>,
 }
 
-/// True when MXNet would run this operator in place (same-shape
-/// element-wise math and gradient aggregation).
+/// True when MXNet would run this operator in place: same-shape
+/// element-wise math, gradient aggregation and optimizer updates.
 fn is_inplace_capable(g: &Graph, id: NodeId) -> bool {
-    let node = g.node(id);
-    if node.op == "add_n" {
-        return true;
-    }
-    match crate::registry::lookup(&node.op) {
-        Ok(def) => matches!(
-            def.category,
-            crate::registry::OpCategory::Elementwise | crate::registry::OpCategory::Optimizer
-        ),
-        Err(_) => false,
-    }
+    crate::registry::lookup(&g.node(id).op).is_ok_and(|def| def.category.is_elementwise())
 }
 
 /// Plans memory for the whole graph in insertion order.

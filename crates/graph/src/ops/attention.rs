@@ -18,11 +18,12 @@
 //! unsplittable while every batch/token axis partitions.
 
 use tofu_tdl::{builder::Idx, DescBuilder, Reducer, TdlDesc};
-use tofu_tensor::Shape;
+use tofu_tensor::{Shape, Tensor};
 
 use crate::attrs::Attrs;
 use crate::graph::TensorId;
-use crate::registry::{GradCtx, OpCategory, OpDef};
+use crate::ops::norm_axis;
+use crate::registry::{GradCtx, GraphError, Kernel, OpCategory, OpDef};
 use crate::Result;
 
 // ---- Shape inference ---------------------------------------------------------
@@ -88,22 +89,13 @@ fn shape_unproj_heads_grad_w(ins: &[Shape], _: &Attrs) -> std::result::Result<Sh
     Ok(Shape::new(vec![ins[0].dim(0), ins[0].dim(2), ins[1].dim(1)]))
 }
 
-fn norm_axis(ins: &[Shape], attrs: &Attrs) -> std::result::Result<usize, String> {
-    let rank = ins.first().ok_or("expected input")?.rank();
-    let axis = attrs.int_or("axis", rank as i64 - 1);
-    if axis < 0 || axis as usize >= rank {
-        return Err(format!("axis {axis} out of range for rank {rank}"));
-    }
-    Ok(axis as usize)
-}
-
 /// `layer_norm(x, gamma, beta)`: shape-preserving, params of extent
 /// `x.dim(axis)` (axis defaults to the last).
 fn shape_layer_norm(ins: &[Shape], attrs: &Attrs) -> std::result::Result<Shape, String> {
     if ins.len() != 3 || ins[1].rank() != 1 || ins[2].rank() != 1 {
         return Err("layer_norm expects (x, gamma, beta)".into());
     }
-    let axis = norm_axis(ins, attrs)?;
+    let axis = norm_axis(&ins[0], attrs)?;
     if ins[1].dim(0) != ins[0].dim(axis) || ins[2].dim(0) != ins[0].dim(axis) {
         return Err("gamma/beta extents must match the normalized axis".into());
     }
@@ -114,7 +106,7 @@ fn shape_layer_norm_xhat(ins: &[Shape], attrs: &Attrs) -> std::result::Result<Sh
     if ins.len() != 1 {
         return Err("layer_norm_xhat expects one input".into());
     }
-    norm_axis(ins, attrs)?;
+    norm_axis(&ins[0], attrs)?;
     Ok(ins[0].clone())
 }
 
@@ -123,7 +115,7 @@ fn shape_layer_norm_x_grad(ins: &[Shape], attrs: &Attrs) -> std::result::Result<
     if ins.len() != 3 || ins[0] != ins[1] || ins[2].rank() != 1 {
         return Err("layer_norm_x_grad expects (dy, x, gamma) with dy ≡ x".into());
     }
-    let axis = norm_axis(ins, attrs)?;
+    let axis = norm_axis(&ins[0], attrs)?;
     if ins[2].dim(0) != ins[0].dim(axis) {
         return Err("gamma extent must match the normalized axis".into());
     }
@@ -217,19 +209,19 @@ fn tdl_norm_rows(
 
 fn tdl_layer_norm(ins: &[Shape], attrs: &Attrs) -> Option<TdlDesc> {
     let rank = ins.first()?.rank();
-    let axis = norm_axis(ins, attrs).ok()?;
+    let axis = norm_axis(&ins[0], attrs).ok()?;
     tdl_norm_rows("layer_norm", "ln_row", &[rank, 1, 1], &[0], &[1, 2], rank, axis)
 }
 
 fn tdl_layer_norm_xhat(ins: &[Shape], attrs: &Attrs) -> Option<TdlDesc> {
     let rank = ins.first()?.rank();
-    let axis = norm_axis(ins, attrs).ok()?;
+    let axis = norm_axis(&ins[0], attrs).ok()?;
     tdl_norm_rows("layer_norm_xhat", "ln_xhat_row", &[rank], &[0], &[], rank, axis)
 }
 
 fn tdl_layer_norm_x_grad(ins: &[Shape], attrs: &Attrs) -> Option<TdlDesc> {
     let rank = ins.first()?.rank();
-    let axis = norm_axis(ins, attrs).ok()?;
+    let axis = norm_axis(&ins[0], attrs).ok()?;
     tdl_norm_rows(
         "layer_norm_x_grad",
         "ln_x_grad_row",
@@ -243,7 +235,7 @@ fn tdl_layer_norm_x_grad(ins: &[Shape], attrs: &Attrs) -> Option<TdlDesc> {
 
 fn tdl_softmax_grad(ins: &[Shape], attrs: &Attrs) -> Option<TdlDesc> {
     let rank = ins.first()?.rank();
-    let axis = norm_axis(ins, attrs).ok()?;
+    let axis = norm_axis(&ins[0], attrs).ok()?;
     tdl_norm_rows("softmax_grad", "softmax_grad_row", &[rank, rank], &[0, 1], &[], rank, axis)
 }
 
@@ -275,6 +267,37 @@ fn grad_layer_norm(ctx: &mut GradCtx<'_>) -> Result<Vec<Option<TensorId>>> {
     Ok(vec![Some(dx), Some(dgamma), Some(dbeta)])
 }
 
+// ---- Kernels -----------------------------------------------------------------
+
+/// Layer-norm variance epsilon — fixed, so forward/backward kernels agree.
+const LN_EPS: f32 = 1e-5;
+
+/// Slice head `h` of a rank-3 tensor down to its rank-2 matrix.
+fn head2(t: &Tensor, h: usize) -> Result<Tensor> {
+    let s = t.slice(0, h, h + 1)?;
+    let dims = s.shape().dims()[1..].to_vec();
+    Ok(s.reshape(Shape::new(dims))?)
+}
+
+/// `Σ_h f(A[h], B[h])`: a per-head product, then `add` in head order —
+/// accumulating heads inside the GEMM tile would change the rounding.
+fn head_sum(
+    a3: &Tensor,
+    b3: &Tensor,
+    f: impl Fn(&Tensor, &Tensor) -> Result<Tensor>,
+) -> Result<Tensor> {
+    let heads = a3.shape().dim(0);
+    let mut acc: Option<Tensor> = None;
+    for h in 0..heads {
+        let term = f(&head2(a3, h)?, &head2(b3, h)?)?;
+        acc = Some(match acc {
+            None => term,
+            Some(prev) => prev.add(&term)?,
+        });
+    }
+    acc.ok_or_else(|| GraphError::Exec("head contraction over zero heads".into()))
+}
+
 // ---- Flops -------------------------------------------------------------------
 
 fn flops_proj(ins: &[Shape], out: &Shape, _: &Attrs) -> f64 {
@@ -295,6 +318,10 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_proj_heads),
             gradient: Some(grad_proj_heads),
             flops: flops_proj,
+            // out[h] = X · W[h]: a batched product with the rank-2 operand shared by
+            // every head (packed once), so every TDL split (h, n, k, reduce:d) runs
+            // unchanged.
+            kernel: Some(Kernel::General(|ins, _, _| Ok(ins[0].matmul_b(ins[1])?))),
         },
         OpDef {
             name: "unproj_heads",
@@ -303,6 +330,10 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_unproj_heads),
             gradient: Some(grad_unproj_heads),
             flops: flops_proj,
+            // out = Σ_h C[h] · W[h].
+            kernel: Some(Kernel::General(|ins, _, _| {
+                head_sum(ins[0], ins[1], |c, w| Ok(c.matmul(w)?))
+            })),
         },
         OpDef {
             name: "proj_heads_grad_x",
@@ -311,6 +342,10 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_proj_heads_grad_x),
             gradient: None,
             flops: flops_proj,
+            // dX = Σ_h dO[h] · W[h]ᵀ.
+            kernel: Some(Kernel::General(|ins, _, _| {
+                head_sum(ins[0], ins[1], |d, w| Ok(d.matmul_nt(w)?))
+            })),
         },
         OpDef {
             name: "proj_heads_grad_w",
@@ -319,6 +354,8 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_proj_heads_grad_w),
             gradient: None,
             flops: flops_proj,
+            // dW[h] = Xᵀ · dO[h].
+            kernel: Some(Kernel::General(|ins, _, _| Ok(ins[0].matmul_b_tn(ins[1])?))),
         },
         OpDef {
             name: "unproj_heads_grad_c",
@@ -327,6 +364,8 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_unproj_heads_grad_c),
             gradient: None,
             flops: flops_proj,
+            // dC[h] = dY · W[h]ᵀ.
+            kernel: Some(Kernel::General(|ins, _, _| Ok(ins[0].matmul_b_nt(ins[1])?))),
         },
         OpDef {
             name: "unproj_heads_grad_w",
@@ -335,6 +374,8 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_unproj_heads_grad_w),
             gradient: None,
             flops: flops_proj,
+            // dW[h] = C[h]ᵀ · dY.
+            kernel: Some(Kernel::General(|ins, _, _| Ok(ins[0].matmul_b_tn(ins[1])?))),
         },
         OpDef {
             name: "layer_norm",
@@ -343,6 +384,10 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_layer_norm),
             gradient: Some(grad_layer_norm),
             flops: |_, out, _| 8.0 * out.volume() as f64,
+            kernel: Some(Kernel::General(|ins, attrs, _| {
+                let axis = norm_axis(ins[0].shape(), attrs).map_err(GraphError::Exec)?;
+                Ok(ins[0].layer_norm_axis(ins[1], ins[2], axis, LN_EPS)?)
+            })),
         },
         OpDef {
             name: "layer_norm_xhat",
@@ -351,6 +396,10 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_layer_norm_xhat),
             gradient: None,
             flops: |_, out, _| 5.0 * out.volume() as f64,
+            kernel: Some(Kernel::General(|ins, attrs, _| {
+                let axis = norm_axis(ins[0].shape(), attrs).map_err(GraphError::Exec)?;
+                Ok(ins[0].layer_norm_xhat_axis(axis, LN_EPS)?)
+            })),
         },
         OpDef {
             name: "layer_norm_x_grad",
@@ -359,6 +408,10 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_layer_norm_x_grad),
             gradient: None,
             flops: |_, out, _| 12.0 * out.volume() as f64,
+            kernel: Some(Kernel::General(|ins, attrs, _| {
+                let axis = norm_axis(ins[0].shape(), attrs).map_err(GraphError::Exec)?;
+                Ok(ins[0].layer_norm_x_grad_axis(ins[1], ins[2], axis, LN_EPS)?)
+            })),
         },
         OpDef {
             name: "softmax_grad",
@@ -367,6 +420,10 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_softmax_grad),
             gradient: None,
             flops: |_, out, _| 4.0 * out.volume() as f64,
+            kernel: Some(Kernel::General(|ins, attrs, _| {
+                let axis = norm_axis(ins[0].shape(), attrs).map_err(GraphError::Exec)?;
+                Ok(ins[0].softmax_grad_axis(ins[1], axis)?)
+            })),
         },
     ]
 }
@@ -377,7 +434,7 @@ fn shape_softmax_grad(ins: &[Shape], attrs: &Attrs) -> std::result::Result<Shape
     if ins.len() != 2 || ins[0] != ins[1] {
         return Err("softmax_grad expects two same-shape inputs (dy, y)".into());
     }
-    norm_axis(ins, attrs)?;
+    norm_axis(&ins[0], attrs)?;
     Ok(ins[0].clone())
 }
 

@@ -8,11 +8,11 @@
 //! coefficients (`1/s`), which are region-exact for the interval analysis.
 
 use tofu_tdl::{DescBuilder, Exp, Reducer, TdlDesc};
-use tofu_tensor::Shape;
+use tofu_tensor::{Conv1dParams, Conv2dParams, PoolKind, PoolParams, Shape, Tensor};
 
 use crate::attrs::Attrs;
 use crate::graph::TensorId;
-use crate::registry::{GradCtx, OpCategory, OpDef};
+use crate::registry::{GradCtx, Kernel, OpCategory, OpDef};
 use crate::Result;
 
 fn out_extent(input: usize, kernel: usize, stride: usize, pad: usize) -> usize {
@@ -342,6 +342,110 @@ fn grad_gap(ctx: &mut GradCtx<'_>) -> Result<Vec<Option<TensorId>>> {
     Ok(vec![Some(dx)])
 }
 
+// ---- Kernels -------------------------------------------------------------------
+
+fn conv2d_params(attrs: &Attrs) -> Conv2dParams {
+    let (stride, pad) = conv_params(attrs);
+    Conv2dParams { stride, pad }
+}
+
+fn pool_params(attrs: &Attrs) -> PoolParams {
+    let window = attrs.int_or("window", 2).max(1) as usize;
+    PoolParams {
+        kind: if attrs.str("mode") == Some("avg") { PoolKind::Avg } else { PoolKind::Max },
+        window,
+        stride: attrs.int_or("stride", window as i64).max(1) as usize,
+    }
+}
+
+/// Lifts a rank-3 conv1d operand to rank-4 (height 1) so the conv2d kernels
+/// can serve both.
+fn lift_1d(t: &Tensor) -> Result<Tensor> {
+    let d = t.shape().dims();
+    Ok(t.reshape(Shape::new(vec![d[0], d[1], 1, d[2]]))?)
+}
+
+fn drop_h(t: &Tensor) -> Result<Tensor> {
+    let d = t.shape().dims();
+    Ok(t.reshape(Shape::new(vec![d[0], d[1], d[3]]))?)
+}
+
+fn kernel_conv1d(ins: &[&Tensor], attrs: &Attrs, _: &Shape) -> Result<Tensor> {
+    let (stride, pad) = conv_params(attrs);
+    Ok(ins[0].conv1d(ins[1], Conv1dParams { stride, pad })?)
+}
+
+fn kernel_conv1d_bwd_data(ins: &[&Tensor], attrs: &Attrs, out: &Shape) -> Result<Tensor> {
+    let data_shape = Shape::new(vec![out.dim(0), out.dim(1), 1, out.dim(2)]);
+    let (og, f) = (lift_1d(ins[0])?, lift_1d(ins[1])?);
+    drop_h(&Tensor::conv2d_backward_data(&og, &f, &data_shape, conv2d_params(attrs))?)
+}
+
+fn kernel_conv1d_bwd_filter(ins: &[&Tensor], attrs: &Attrs, out: &Shape) -> Result<Tensor> {
+    let fshape = Shape::new(vec![out.dim(0), out.dim(1), 1, out.dim(2)]);
+    let (og, data) = (lift_1d(ins[0])?, lift_1d(ins[1])?);
+    drop_h(&Tensor::conv2d_backward_filter(&og, &data, &fshape, conv2d_params(attrs))?)
+}
+
+/// Max-pool gradient routes to the window argmax; avg-pool distributes
+/// equally.
+fn pool2d_grad(out_grad: &Tensor, data: &Tensor, p: PoolParams) -> Result<Tensor> {
+    let (b, c) = (data.shape().dim(0), data.shape().dim(1));
+    let (oh, ow) = (out_grad.shape().dim(2), out_grad.shape().dim(3));
+    let mut grad = Tensor::zeros(data.shape().clone());
+    for ib in 0..b {
+        for ic in 0..c {
+            for iy in 0..oh {
+                for ix in 0..ow {
+                    let g = out_grad.at(&[ib, ic, iy, ix]);
+                    match p.kind {
+                        PoolKind::Max => {
+                            let (mut best, mut best_idx) = (f32::NEG_INFINITY, (0, 0));
+                            for dy in 0..p.window {
+                                for dx in 0..p.window {
+                                    let v = data
+                                        .at(&[ib, ic, iy * p.stride + dy, ix * p.stride + dx]);
+                                    if v > best {
+                                        best = v;
+                                        best_idx = (iy * p.stride + dy, ix * p.stride + dx);
+                                    }
+                                }
+                            }
+                            let idx = [ib, ic, best_idx.0, best_idx.1];
+                            let v = grad.at(&idx) + g;
+                            grad.set(&idx, v);
+                        }
+                        PoolKind::Avg => {
+                            let share = g / (p.window * p.window) as f32;
+                            for dy in 0..p.window {
+                                for dx in 0..p.window {
+                                    let idx =
+                                        [ib, ic, iy * p.stride + dy, ix * p.stride + dx];
+                                    let v = grad.at(&idx) + share;
+                                    grad.set(&idx, v);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    Ok(grad)
+}
+
+/// `dIn[b, c, h, w] = dOut[b, c] / (H·W)`.
+fn kernel_gap_grad(ins: &[&Tensor], _: &Attrs, _: &Shape) -> Result<Tensor> {
+    let (og, data) = (ins[0], ins[1]);
+    let (h, w) = (data.shape().dim(2), data.shape().dim(3));
+    let norm = (h * w) as f32;
+    let mut out = Tensor::zeros(data.shape().clone());
+    for (flat, idx) in data.shape().clone().indices().enumerate() {
+        out.data_mut()[flat] = og.at(&[idx[0], idx[1]]) / norm;
+    }
+    Ok(out)
+}
+
 // ---- Flops ----------------------------------------------------------------------
 
 fn flops_conv2d(ins: &[Shape], out: &Shape, _: &Attrs) -> f64 {
@@ -377,6 +481,7 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_conv1d),
             gradient: Some(grad_conv1d),
             flops: flops_conv1d,
+            kernel: Some(Kernel::General(kernel_conv1d)),
         },
         OpDef {
             name: "conv1d_bwd_data",
@@ -385,6 +490,7 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_conv1d_bwd_data),
             gradient: None,
             flops: flops_conv1d,
+            kernel: Some(Kernel::General(kernel_conv1d_bwd_data)),
         },
         OpDef {
             name: "conv1d_bwd_filter",
@@ -393,6 +499,7 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_conv1d_bwd_filter),
             gradient: None,
             flops: flops_conv1d,
+            kernel: Some(Kernel::General(kernel_conv1d_bwd_filter)),
         },
         OpDef {
             name: "conv2d",
@@ -401,6 +508,7 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_conv2d),
             gradient: Some(grad_conv2d),
             flops: flops_conv2d,
+            kernel: Some(Kernel::General(|ins, attrs, _| Ok(ins[0].conv2d(ins[1], conv2d_params(attrs))?))),
         },
         OpDef {
             name: "conv2d_bwd_data",
@@ -409,6 +517,9 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_conv2d_bwd_data),
             gradient: None,
             flops: flops_conv2d_bwd,
+            kernel: Some(Kernel::General(|ins, attrs, out| {
+                Ok(Tensor::conv2d_backward_data(ins[0], ins[1], out, conv2d_params(attrs))?)
+            })),
         },
         OpDef {
             name: "conv2d_bwd_filter",
@@ -417,6 +528,9 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_conv2d_bwd_filter),
             gradient: None,
             flops: flops_conv2d_bwd,
+            kernel: Some(Kernel::General(|ins, attrs, out| {
+                Ok(Tensor::conv2d_backward_filter(ins[0], ins[1], out, conv2d_params(attrs))?)
+            })),
         },
         OpDef {
             name: "pool2d",
@@ -425,6 +539,7 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_pool2d),
             gradient: Some(grad_pool2d),
             flops: flops_pool,
+            kernel: Some(Kernel::General(|ins, attrs, _| Ok(ins[0].pool2d(pool_params(attrs))?))),
         },
         OpDef {
             name: "pool2d_grad",
@@ -433,6 +548,7 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_pool2d_grad),
             gradient: None,
             flops: flops_pool,
+            kernel: Some(Kernel::General(|ins, attrs, _| pool2d_grad(ins[0], ins[1], pool_params(attrs)))),
         },
         OpDef {
             name: "global_avg_pool",
@@ -441,6 +557,7 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_gap),
             gradient: Some(grad_gap),
             flops: flops_vol,
+            kernel: Some(Kernel::General(|ins, _, _| Ok(ins[0].global_avg_pool()?))),
         },
         OpDef {
             name: "gap_grad",
@@ -449,6 +566,7 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_gap_grad),
             gradient: None,
             flops: flops_vol,
+            kernel: Some(Kernel::General(kernel_gap_grad)),
         },
     ]
 }
@@ -552,5 +670,24 @@ mod tests {
         )
         .unwrap();
         assert_eq!(d_filt, filt);
+    }
+
+    #[test]
+    fn pool_max_grad_routes_to_argmax() {
+        let data =
+            Tensor::from_vec(Shape::new(vec![1, 1, 2, 2]), vec![1., 5., 3., 2.]).unwrap();
+        let og = Tensor::from_vec(Shape::new(vec![1, 1, 1, 1]), vec![10.0]).unwrap();
+        let g = pool2d_grad(&og, &data, PoolParams { kind: PoolKind::Max, window: 2, stride: 2 })
+            .unwrap();
+        assert_eq!(g.data(), &[0., 10., 0., 0.]);
+    }
+
+    #[test]
+    fn pool_avg_grad_distributes() {
+        let data = Tensor::full(Shape::new(vec![1, 1, 2, 2]), 1.0);
+        let og = Tensor::from_vec(Shape::new(vec![1, 1, 1, 1]), vec![8.0]).unwrap();
+        let g = pool2d_grad(&og, &data, PoolParams { kind: PoolKind::Avg, window: 2, stride: 2 })
+            .unwrap();
+        assert_eq!(g.data(), &[2.0; 4]);
     }
 }

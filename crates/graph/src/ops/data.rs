@@ -6,11 +6,12 @@
 //! same trio (`copy` lives in the element-wise family).
 
 use tofu_tdl::{builder::Idx, DescBuilder, TdlDesc};
-use tofu_tensor::Shape;
+use tofu_tensor::{Shape, Tensor};
 
 use crate::attrs::Attrs;
 use crate::graph::{Graph, NodeId, TensorId};
-use crate::registry::{GradCtx, OpCategory, OpDef};
+use crate::ops::flops_per_elem;
+use crate::registry::{GradCtx, GraphError, Kernel, OpCategory, OpDef};
 use crate::Result;
 
 /// One piece of a `multi_fetch` node, borrowed from its `pieces` attribute:
@@ -53,7 +54,7 @@ impl<'a> FetchPiece<'a> {
 /// rejects anything the kernel, the simulator or the runtime could not
 /// execute: a `pieces` list of the wrong length, a negative entry, a source
 /// block outside its input, a destination block outside `out_dims`.
-pub(crate) fn decode_multi_fetch<'a, 's>(
+fn decode_multi_fetch<'a, 's>(
     inputs: impl ExactSizeIterator<Item = &'s Shape>,
     attrs: &'a Attrs,
 ) -> std::result::Result<(Shape, Vec<FetchPiece<'a>>), String> {
@@ -82,6 +83,19 @@ pub(crate) fn decode_multi_fetch<'a, 's>(
         pieces.push(piece);
     }
     Ok((out, pieces))
+}
+
+/// The fused remote-gather kernel of §6: assembles an output region from
+/// pieces of several source tensors in one launch, zero-filling anything not
+/// covered (which is how partitioned convolutions materialize padding).
+fn kernel_multi_fetch(ins: &[&Tensor], attrs: &Attrs, _: &Shape) -> Result<Tensor> {
+    let (out_shape, pieces) =
+        decode_multi_fetch(ins.iter().map(|t| t.shape()), attrs).map_err(GraphError::Exec)?;
+    let mut out = Tensor::zeros(out_shape);
+    for (src, p) in ins.iter().zip(&pieces) {
+        out.copy_block(src, p.src_begin, p.dst_begin, p.len)?;
+    }
+    Ok(out)
 }
 
 /// The pieces of `multi_fetch` node `id`, one per input in input order,
@@ -370,11 +384,144 @@ fn tdl_batch_inverse(_: &[Shape], _: &Attrs) -> Option<TdlDesc> {
     b.build(body).ok()
 }
 
-// ---- Definitions --------------------------------------------------------------------
+// ---- Kernels ---------------------------------------------------------------------
 
-fn flops_vol(_: &[Shape], out: &Shape, _: &Attrs) -> f64 {
-    out.volume() as f64
+fn kernel_slice_axis(ins: &[&Tensor], attrs: &Attrs, _: &Shape) -> Result<Tensor> {
+    let axis = attrs.int_or("axis", 0) as usize;
+    let begin = attrs.int_or("begin", 0) as usize;
+    let end = attrs.int_or("end", ins[0].shape().dim(axis) as i64) as usize;
+    Ok(ins[0].slice(axis, begin, end)?)
 }
+
+fn kernel_pad(ins: &[&Tensor], attrs: &Attrs, _: &Shape) -> Result<Tensor> {
+    let axis = attrs.int_or("axis", 0) as usize;
+    let before = attrs.int_or("before", 0) as usize;
+    let after = attrs.int_or("after", 0) as usize;
+    let mut parts = Vec::new();
+    if before > 0 {
+        parts.push(Tensor::zeros(ins[0].shape().with_dim(axis, before)?));
+    }
+    parts.push(ins[0].clone());
+    if after > 0 {
+        parts.push(Tensor::zeros(ins[0].shape().with_dim(axis, after)?));
+    }
+    Ok(Tensor::concat(&parts, axis)?)
+}
+
+fn kernel_flip(ins: &[&Tensor], attrs: &Attrs, _: &Shape) -> Result<Tensor> {
+    let axis = attrs.int_or("axis", 0) as usize;
+    let n = ins[0].shape().dim(axis);
+    let mut parts = Vec::with_capacity(n);
+    for i in (0..n).rev() {
+        parts.push(ins[0].slice(axis, i, i + 1)?);
+    }
+    Ok(Tensor::concat(&parts, axis)?)
+}
+
+fn kernel_repeat(ins: &[&Tensor], attrs: &Attrs, _: &Shape) -> Result<Tensor> {
+    let axis = attrs.int_or("axis", 0) as usize;
+    let k = attrs.int_or("repeats", 2).max(1) as usize;
+    let n = ins[0].shape().dim(axis);
+    let mut parts = Vec::with_capacity(n * k);
+    for i in 0..n {
+        let s = ins[0].slice(axis, i, i + 1)?;
+        for _ in 0..k {
+            parts.push(s.clone());
+        }
+    }
+    Ok(Tensor::concat(&parts, axis)?)
+}
+
+fn kernel_tile(ins: &[&Tensor], attrs: &Attrs, _: &Shape) -> Result<Tensor> {
+    let axis = attrs.int_or("axis", 0) as usize;
+    let k = attrs.int_or("repeats", 2).max(1) as usize;
+    let parts = vec![ins[0].clone(); k];
+    Ok(Tensor::concat(&parts, axis)?)
+}
+
+/// Batched lower-triangular Cholesky factorization.
+fn batch_cholesky(t: &Tensor) -> Result<Tensor> {
+    let (b, n) = (t.shape().dim(0), t.shape().dim(1));
+    let mut out = Tensor::zeros(t.shape().clone());
+    for ib in 0..b {
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = t.at(&[ib, i, j]);
+                for k in 0..j {
+                    sum -= out.at(&[ib, i, k]) * out.at(&[ib, j, k]);
+                }
+                if i == j {
+                    if sum <= 0.0 {
+                        return Err(GraphError::Exec(format!(
+                            "matrix {ib} is not positive definite (pivot {sum})"
+                        )));
+                    }
+                    out.set(&[ib, i, j], sum.sqrt());
+                } else {
+                    out.set(&[ib, i, j], sum / out.at(&[ib, j, j]));
+                }
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Batched Gauss-Jordan matrix inverse.
+fn batch_inverse(t: &Tensor) -> Result<Tensor> {
+    let (b, n) = (t.shape().dim(0), t.shape().dim(1));
+    let mut out = Tensor::zeros(t.shape().clone());
+    for ib in 0..b {
+        // Augmented [A | I] elimination.
+        let mut a = vec![vec![0.0f32; 2 * n]; n];
+        for (i, row) in a.iter_mut().enumerate() {
+            for (j, v) in row.iter_mut().take(n).enumerate() {
+                *v = t.at(&[ib, i, j]);
+            }
+            row[n + i] = 1.0;
+        }
+        for col in 0..n {
+            // Partial pivot.
+            let pivot_row = (col..n)
+                .max_by(|&r1, &r2| a[r1][col].abs().partial_cmp(&a[r2][col].abs()).unwrap())
+                .unwrap();
+            if a[pivot_row][col].abs() < 1e-12 {
+                return Err(GraphError::Exec(format!("matrix {ib} is singular")));
+            }
+            a.swap(col, pivot_row);
+            let pivot = a[col][col];
+            for v in a[col].iter_mut() {
+                *v /= pivot;
+            }
+            let col_vals = a[col].clone();
+            for (row, r) in a.iter_mut().enumerate() {
+                if row != col {
+                    let factor = r[col];
+                    if factor != 0.0 {
+                        for (v, cv) in r.iter_mut().zip(&col_vals) {
+                            *v -= factor * cv;
+                        }
+                    }
+                }
+            }
+        }
+        for (i, row) in a.iter().enumerate() {
+            for j in 0..n {
+                out.set(&[ib, i, j], row[n + j]);
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Un-batched Cholesky: the batched kernel on a batch of one.
+fn kernel_cholesky(ins: &[&Tensor], _: &Attrs, _: &Shape) -> Result<Tensor> {
+    let d = ins[0].shape().dims();
+    let lifted = ins[0].reshape(Shape::new(vec![1, d[0], d[1]]))?;
+    let out = batch_cholesky(&lifted)?;
+    Ok(out.reshape(ins[0].shape().clone())?)
+}
+
+// ---- Definitions --------------------------------------------------------------------
 
 /// Returns data-movement, opaque and sparse operator definitions.
 pub fn defs() -> Vec<OpDef> {
@@ -385,7 +532,8 @@ pub fn defs() -> Vec<OpDef> {
             infer_shape: shape_slice_axis,
             tdl: Some(tdl_slice_axis),
             gradient: Some(grad_slice_axis),
-            flops: flops_vol,
+            flops: flops_per_elem,
+            kernel: Some(Kernel::General(kernel_slice_axis)),
         },
         OpDef {
             name: "concat",
@@ -395,7 +543,10 @@ pub fn defs() -> Vec<OpDef> {
             // cannot express; MXNet's concat is likewise special-cased.
             tdl: None,
             gradient: None,
-            flops: flops_vol,
+            flops: flops_per_elem,
+            kernel: Some(Kernel::General(|ins, attrs, _| {
+                Ok(Tensor::concat(ins, attrs.int_or("axis", 0) as usize)?)
+            })),
         },
         OpDef {
             name: "pad",
@@ -403,7 +554,8 @@ pub fn defs() -> Vec<OpDef> {
             infer_shape: shape_pad,
             tdl: Some(tdl_pad),
             gradient: None,
-            flops: flops_vol,
+            flops: flops_per_elem,
+            kernel: Some(Kernel::General(kernel_pad)),
         },
         OpDef {
             name: "flip",
@@ -411,7 +563,8 @@ pub fn defs() -> Vec<OpDef> {
             infer_shape: shape_flip,
             tdl: Some(tdl_flip),
             gradient: None,
-            flops: flops_vol,
+            flops: flops_per_elem,
+            kernel: Some(Kernel::General(kernel_flip)),
         },
         OpDef {
             name: "repeat",
@@ -419,7 +572,8 @@ pub fn defs() -> Vec<OpDef> {
             infer_shape: shape_repeat,
             tdl: Some(tdl_repeat),
             gradient: None,
-            flops: flops_vol,
+            flops: flops_per_elem,
+            kernel: Some(Kernel::General(kernel_repeat)),
         },
         OpDef {
             name: "tile",
@@ -428,7 +582,8 @@ pub fn defs() -> Vec<OpDef> {
             // out[i] = x[i mod n] is not affine.
             tdl: None,
             gradient: None,
-            flops: flops_vol,
+            flops: flops_per_elem,
+            kernel: Some(Kernel::General(kernel_tile)),
         },
         // Opaque-function operators (2, matching §4.1's MXNet count).
         OpDef {
@@ -440,7 +595,8 @@ pub fn defs() -> Vec<OpDef> {
             flops: |ins, _, _| {
                 let n = ins[0].dim(1) as f64;
                 ins[0].dim(0) as f64 * n * n * n / 3.0
-            },
+        },
+            kernel: Some(Kernel::General(|ins, _, _| batch_cholesky(ins[0]))),
         },
         OpDef {
             name: "batch_inverse",
@@ -451,7 +607,8 @@ pub fn defs() -> Vec<OpDef> {
             flops: |ins, _, _| {
                 let n = ins[0].dim(1) as f64;
                 ins[0].dim(0) as f64 * n * n * n
-            },
+        },
+            kernel: Some(Kernel::General(|ins, _, _| batch_inverse(ins[0]))),
         },
         // Un-batched Cholesky cannot be parallelized by partition-n-reduce at
         // all (§3.1) — no TDL description exists.
@@ -464,7 +621,8 @@ pub fn defs() -> Vec<OpDef> {
             flops: |ins, _, _| {
                 let n = ins[0].dim(0) as f64;
                 n * n * n / 3.0
-            },
+        },
+            kernel: Some(Kernel::General(kernel_cholesky)),
         },
     ];
     out.push(OpDef {
@@ -473,24 +631,23 @@ pub fn defs() -> Vec<OpDef> {
         infer_shape: |ins, attrs| decode_multi_fetch(ins.iter(), attrs).map(|(out, _)| out),
         tdl: None,
         gradient: None,
-        flops: flops_vol,
+        flops: flops_per_elem,
+        kernel: Some(Kernel::General(kernel_multi_fetch)),
     });
     // Sparse operators: describable in TDL in principle, but unsupported by
     // Tofu due to load imbalance (§9); we register them undescribed like the
-    // paper's coverage count does.
-    for name in ["sparse_dot", "sparse_retain", "cast_storage", "sparse_embedding"] {
+    // paper's coverage count does, and without a kernel: the executor is
+    // dense.
+    const SPARSE: [&str; 4] = ["sparse_dot", "sparse_retain", "cast_storage", "sparse_embedding"];
+    for name in SPARSE {
         out.push(OpDef {
-            name: match name {
-                "sparse_dot" => "sparse_dot",
-                "sparse_retain" => "sparse_retain",
-                "cast_storage" => "cast_storage",
-                _ => "sparse_embedding",
-            },
+            name,
             category: OpCategory::Sparse,
             infer_shape: shape_sparse,
             tdl: None,
             gradient: None,
-            flops: flops_vol,
+            flops: flops_per_elem,
+            kernel: None,
         });
     }
     out
@@ -613,5 +770,47 @@ mod tests {
             tdl_repeat(&[Shape::new(vec![4])], &Attrs::new().with_int("repeats", 2)).unwrap();
         let s = discover_strategies(&desc).unwrap();
         assert!(matches!(s[0].inputs[0], InputRequirement::Split { dim: 0, .. }));
+    }
+
+    #[test]
+    fn cholesky_reconstructs_input() {
+        // A = L·Lᵀ for a positive-definite A.
+        let a = Tensor::from_vec(
+            Shape::new(vec![1, 2, 2]),
+            vec![4., 2., 2., 3.],
+        )
+        .unwrap();
+        let l = batch_cholesky(&a).unwrap();
+        // Reconstruct.
+        let l0 = l.slice(0, 0, 1).unwrap().reshape(Shape::new(vec![2, 2])).unwrap();
+        let rec = l0.matmul_nt(&l0).unwrap();
+        assert!(rec.allclose(&a.reshape(Shape::new(vec![2, 2])).unwrap(), 1e-5));
+    }
+
+    #[test]
+    fn cholesky_rejects_non_positive_definite() {
+        let a = Tensor::from_vec(Shape::new(vec![1, 2, 2]), vec![0., 0., 0., 0.]).unwrap();
+        assert!(batch_cholesky(&a).is_err());
+    }
+
+    #[test]
+    fn inverse_times_input_is_identity() {
+        let a = Tensor::from_vec(
+            Shape::new(vec![1, 2, 2]),
+            vec![4., 7., 2., 6.],
+        )
+        .unwrap();
+        let inv = batch_inverse(&a).unwrap();
+        let a0 = a.reshape(Shape::new(vec![2, 2])).unwrap();
+        let i0 = inv.reshape(Shape::new(vec![2, 2])).unwrap();
+        let prod = a0.matmul(&i0).unwrap();
+        let eye = Tensor::from_vec(Shape::new(vec![2, 2]), vec![1., 0., 0., 1.]).unwrap();
+        assert!(prod.allclose(&eye, 1e-4));
+    }
+
+    #[test]
+    fn singular_matrix_is_rejected() {
+        let a = Tensor::from_vec(Shape::new(vec![1, 2, 2]), vec![1., 2., 2., 4.]).unwrap();
+        assert!(batch_inverse(&a).is_err());
     }
 }

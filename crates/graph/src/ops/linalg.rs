@@ -10,7 +10,8 @@ use tofu_tensor::Shape;
 
 use crate::attrs::Attrs;
 use crate::graph::TensorId;
-use crate::registry::{GradCtx, OpCategory, OpDef};
+use crate::ops::flops_per_elem;
+use crate::registry::{GradCtx, Kernel, OpCategory, OpDef};
 use crate::Result;
 
 fn shape_matmul(ins: &[Shape], _: &Attrs) -> std::result::Result<Shape, String> {
@@ -213,11 +214,9 @@ fn flops_batch_matmul(ins: &[Shape], out: &Shape, _: &Attrs) -> f64 {
     2.0 * out.volume() as f64 * k as f64
 }
 
-fn flops_copy(_: &[Shape], out: &Shape, _: &Attrs) -> f64 {
-    out.volume() as f64
-}
-
-/// Returns the linear-algebra operator definitions.
+/// Returns the linear-algebra operator definitions. All six products run the
+/// one tiled GEMM, whose per-element ascending-k order makes batched, sliced
+/// and sharded forms of a product bit-identical.
 pub fn defs() -> Vec<OpDef> {
     vec![
         OpDef {
@@ -227,6 +226,7 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_matmul),
             gradient: Some(grad_matmul),
             flops: flops_matmul,
+            kernel: Some(Kernel::General(|ins, _, _| Ok(ins[0].matmul(ins[1])?))),
         },
         OpDef {
             name: "matmul_tn",
@@ -235,6 +235,7 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_matmul_tn),
             gradient: Some(grad_matmul_tn),
             flops: flops_matmul,
+            kernel: Some(Kernel::General(|ins, _, _| Ok(ins[0].matmul_tn(ins[1])?))),
         },
         OpDef {
             name: "matmul_nt",
@@ -243,6 +244,7 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_matmul_nt),
             gradient: Some(grad_matmul_nt),
             flops: flops_matmul,
+            kernel: Some(Kernel::General(|ins, _, _| Ok(ins[0].matmul_nt(ins[1])?))),
         },
         OpDef {
             name: "transpose",
@@ -250,7 +252,8 @@ pub fn defs() -> Vec<OpDef> {
             infer_shape: shape_transpose,
             tdl: Some(tdl_transpose),
             gradient: Some(grad_transpose),
-            flops: flops_copy,
+            flops: flops_per_elem,
+            kernel: Some(Kernel::General(|ins, _, _| Ok(ins[0].transpose()?))),
         },
         OpDef {
             name: "batch_matmul",
@@ -259,6 +262,7 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_batch_matmul),
             gradient: Some(grad_batch_matmul),
             flops: flops_batch_matmul,
+            kernel: Some(Kernel::General(|ins, _, _| Ok(ins[0].matmul_b(ins[1])?))),
         },
         OpDef {
             name: "batch_matmul_tn",
@@ -267,6 +271,7 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_batch_matmul_tn),
             gradient: Some(grad_batch_matmul_tn),
             flops: |ins, out, _| 2.0 * out.volume() as f64 * ins[0].dim(1) as f64,
+            kernel: Some(Kernel::General(|ins, _, _| Ok(ins[0].matmul_b_tn(ins[1])?))),
         },
         OpDef {
             name: "batch_matmul_nt",
@@ -275,6 +280,7 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_batch_matmul_nt),
             gradient: Some(grad_batch_matmul_nt),
             flops: |ins, out, _| 2.0 * out.volume() as f64 * ins[0].dim(2) as f64,
+            kernel: Some(Kernel::General(|ins, _, _| Ok(ins[0].matmul_b_nt(ins[1])?))),
         },
     ]
 }

@@ -49,6 +49,16 @@ pub(crate) fn shape_like_first(ins: &[Shape], _: &Attrs) -> std::result::Result<
     ins.first().cloned().ok_or_else(|| "expected at least one input".to_string())
 }
 
+/// The normalized axis of the softmax and layer-norm families: the `axis`
+/// attribute, defaulting to the last dimension of `x`.
+pub(crate) fn norm_axis(x: &Shape, attrs: &Attrs) -> std::result::Result<usize, String> {
+    let axis = attrs.int_or("axis", x.rank() as i64 - 1);
+    if axis < 0 || axis as usize >= x.rank() {
+        return Err(format!("axis {axis} out of range for rank {}", x.rank()));
+    }
+    Ok(axis as usize)
+}
+
 /// Flop estimate of one flop per output element.
 pub(crate) fn flops_per_elem(_: &[Shape], out: &Shape, _: &Attrs) -> f64 {
     out.volume() as f64

@@ -1,12 +1,12 @@
 //! Reductions, broadcasts, normalization pieces and losses.
 
 use tofu_tdl::{DescBuilder, Reducer, TdlDesc};
-use tofu_tensor::Shape;
+use tofu_tensor::{ReduceKind, Shape, Tensor};
 
 use crate::attrs::Attrs;
 use crate::graph::TensorId;
-use crate::ops::flops_per_elem;
-use crate::registry::{GradCtx, OpCategory, OpDef};
+use crate::ops::{flops_per_elem, norm_axis};
+use crate::registry::{GradCtx, GraphError, Kernel, KernelFn, OpCategory, OpDef};
 use crate::Result;
 
 fn axis_of(attrs: &Attrs, rank: usize) -> std::result::Result<usize, String> {
@@ -67,17 +67,8 @@ fn shape_softmax(ins: &[Shape], attrs: &Attrs) -> std::result::Result<Shape, Str
     if ins.len() != 1 || !(2..=3).contains(&ins[0].rank()) {
         return Err("softmax expects one rank-2 or rank-3 input".into());
     }
-    softmax_axis_of(&ins[0], attrs)?;
+    norm_axis(&ins[0], attrs)?;
     Ok(ins[0].clone())
-}
-
-/// The normalized axis of softmax: `axis` attr, defaulting to the last dim.
-fn softmax_axis_of(x: &Shape, attrs: &Attrs) -> std::result::Result<usize, String> {
-    let axis = attrs.int_or("axis", x.rank() as i64 - 1);
-    if axis < 0 || axis as usize >= x.rank() {
-        return Err(format!("axis {axis} out of range for rank {}", x.rank()));
-    }
-    Ok(axis as usize)
 }
 
 fn shape_sum_all(ins: &[Shape], _: &Attrs) -> std::result::Result<Shape, String> {
@@ -219,7 +210,7 @@ fn tdl_softmax(ins: &[Shape], attrs: &Attrs) -> Option<TdlDesc> {
     let rank = ins.first().map_or(2, |s| s.rank());
     let axis = ins
         .first()
-        .and_then(|s| softmax_axis_of(s, attrs).ok())
+        .and_then(|s| norm_axis(s, attrs).ok())
         .unwrap_or(rank - 1);
     if rank == 2 && axis == 1 {
         let mut b = DescBuilder::new("softmax", &[2]);
@@ -336,11 +327,83 @@ fn grad_softmax_ce(ctx: &mut GradCtx<'_>) -> Result<Vec<Option<TensorId>>> {
     Ok(vec![Some(g), None])
 }
 
+// ---- Kernels ------------------------------------------------------------------------
+
+/// `f(x, c)` for every element `x` of `t`, `c` its index along `axis`: the
+/// per-channel broadcasts.
+fn map_channels(t: &Tensor, attrs: &Attrs, f: impl Fn(f32, usize) -> f32) -> Tensor {
+    let axis = attrs.int_or("axis", 1) as usize;
+    let extent = t.shape().dim(axis);
+    let inner: usize = t.shape().dims()[axis + 1..].iter().product();
+    let mut out = t.clone();
+    for (flat, v) in out.data_mut().iter_mut().enumerate() {
+        *v = f(*v, (flat / inner) % extent);
+    }
+    out
+}
+
+/// Sums a tensor over every axis except `axis`, yielding a rank-1 tensor.
+fn reduce_all_but_axis(t: &Tensor, axis: usize) -> Result<Tensor> {
+    let mut current = t.clone();
+    let mut current_axis = axis;
+    while current.shape().rank() > 1 {
+        let victim = if current_axis == 0 { 1 } else { 0 };
+        current = current.reduce_axis(victim, ReduceKind::Sum)?;
+        if victim < current_axis {
+            current_axis -= 1;
+        }
+    }
+    Ok(current)
+}
+
+fn reduce_axis(ins: &[&Tensor], attrs: &Attrs, kind: ReduceKind) -> Result<Tensor> {
+    Ok(ins[0].reduce_axis(attrs.int_or("axis", 1) as usize, kind)?)
+}
+
+/// The class index of every label: an integral value in `0..classes`. A
+/// negative, fractional, NaN or out-of-range label is an error rather than a
+/// silent class 0.
+fn class_labels(labels: &Tensor, classes: usize) -> Result<Vec<usize>> {
+    labels
+        .data()
+        .iter()
+        .enumerate()
+        .map(|(row, &l)| {
+            if l >= 0.0 && l.fract() == 0.0 && (l as usize) < classes {
+                Ok(l as usize)
+            } else {
+                Err(GraphError::Exec(format!(
+                    "label {l} of row {row} is not a class in 0..{classes}"
+                )))
+            }
+        })
+        .collect()
+}
+
+/// Summed (not mean) cross-entropy, so that batch-split partial losses
+/// combine exactly by addition under output reduction.
+fn kernel_softmax_ce(ins: &[&Tensor], _: &Attrs, _: &Shape) -> Result<Tensor> {
+    let labels = class_labels(ins[1], ins[0].shape().dim(1))?;
+    let mean = ins[0].softmax_cross_entropy(&labels)?;
+    Ok(Tensor::scalar(mean * ins[0].shape().dim(0) as f32))
+}
+
+/// `softmax(logits) - onehot(labels)`: the gradient of the *summed*
+/// cross-entropy of [`kernel_softmax_ce`].
+fn kernel_softmax_ce_grad(ins: &[&Tensor], _: &Attrs, _: &Shape) -> Result<Tensor> {
+    let mut out = ins[0].softmax()?;
+    let c = out.shape().dim(1);
+    for (row, label) in class_labels(ins[1], c)?.into_iter().enumerate() {
+        out.data_mut()[row * c + label] -= 1.0;
+    }
+    Ok(out)
+}
+
 // ---- Definitions --------------------------------------------------------------------
 
 /// Returns the reduction/broadcast/loss operator definitions.
 pub fn defs() -> Vec<OpDef> {
-    vec![
+    let mut ops = vec![
         OpDef {
             name: "bias_add",
             category: OpCategory::Reduction,
@@ -348,6 +411,9 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_bias_add),
             gradient: Some(grad_bias_add),
             flops: flops_per_elem,
+            kernel: Some(Kernel::General(|ins, attrs, _| {
+                Ok(ins[0].broadcast_add(ins[1], attrs.int_or("axis", 1) as usize)?)
+            })),
         },
         OpDef {
             name: "reduce_to_axis",
@@ -356,6 +422,9 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_reduce_to_axis),
             gradient: None,
             flops: |ins, _, _| ins[0].volume() as f64,
+            kernel: Some(Kernel::General(|ins, attrs, _| {
+                reduce_all_but_axis(ins[0], attrs.int_or("axis", 1) as usize)
+            })),
         },
         OpDef {
             name: "mul_bcast",
@@ -364,6 +433,9 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_mul_bcast),
             gradient: None,
             flops: flops_per_elem,
+            kernel: Some(Kernel::General(|ins, attrs, _| {
+                Ok(map_channels(ins[0], attrs, |x, c| x * ins[1].data()[c]))
+            })),
         },
         OpDef {
             name: "mul_reduce",
@@ -372,38 +444,9 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_mul_reduce),
             gradient: None,
             flops: |ins, _, _| 2.0 * ins[0].volume() as f64,
-        },
-        OpDef {
-            name: "sum_axis",
-            category: OpCategory::Reduction,
-            infer_shape: shape_sum_axis,
-            tdl: Some(tdl_sum_axis),
-            gradient: None,
-            flops: |ins, _, _| ins[0].volume() as f64,
-        },
-        OpDef {
-            name: "max_axis",
-            category: OpCategory::Reduction,
-            infer_shape: shape_sum_axis,
-            tdl: Some(tdl_sum_axis),
-            gradient: None,
-            flops: |ins, _, _| ins[0].volume() as f64,
-        },
-        OpDef {
-            name: "min_axis",
-            category: OpCategory::Reduction,
-            infer_shape: shape_sum_axis,
-            tdl: Some(tdl_sum_axis),
-            gradient: None,
-            flops: |ins, _, _| ins[0].volume() as f64,
-        },
-        OpDef {
-            name: "prod_axis",
-            category: OpCategory::Reduction,
-            infer_shape: shape_sum_axis,
-            tdl: Some(tdl_sum_axis),
-            gradient: None,
-            flops: |ins, _, _| ins[0].volume() as f64,
+            kernel: Some(Kernel::General(|ins, attrs, _| {
+                reduce_all_but_axis(&ins[0].mul(ins[1])?, attrs.int_or("axis", 1) as usize)
+            })),
         },
         OpDef {
             name: "softmax",
@@ -412,6 +455,10 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_softmax),
             gradient: Some(grad_softmax),
             flops: |_, out, _| 5.0 * out.volume() as f64,
+            kernel: Some(Kernel::General(|ins, attrs, _| {
+                let axis = norm_axis(ins[0].shape(), attrs).map_err(GraphError::Exec)?;
+                Ok(ins[0].softmax_axis(axis)?)
+            })),
         },
         OpDef {
             name: "sum_all",
@@ -420,6 +467,7 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_sum_all),
             gradient: Some(grad_sum_all),
             flops: |ins, _, _| ins[0].volume() as f64,
+            kernel: Some(Kernel::General(|ins, _, _| Ok(Tensor::scalar(ins[0].sum_all())))),
         },
         OpDef {
             name: "bcast_like",
@@ -428,6 +476,9 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_bcast_like),
             gradient: None,
             flops: |_, out, _| out.volume() as f64,
+            kernel: Some(Kernel::General(|ins, _, _| {
+                Ok(Tensor::full(ins[1].shape().clone(), ins[0].data()[0]))
+            })),
         },
         OpDef {
             name: "softmax_ce",
@@ -436,6 +487,7 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_softmax_ce),
             gradient: Some(grad_softmax_ce),
             flops: |ins, _, _| 6.0 * ins[0].volume() as f64,
+            kernel: Some(Kernel::General(kernel_softmax_ce)),
         },
         OpDef {
             name: "softmax_ce_grad",
@@ -444,6 +496,7 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_softmax_ce_grad),
             gradient: None,
             flops: |_, out, _| 6.0 * out.volume() as f64,
+            kernel: Some(Kernel::General(kernel_softmax_ce_grad)),
         },
         OpDef {
             name: "scale_shift",
@@ -452,8 +505,28 @@ pub fn defs() -> Vec<OpDef> {
             tdl: Some(tdl_scale_shift),
             gradient: Some(grad_scale_shift),
             flops: |_, out, _| 2.0 * out.volume() as f64,
+            kernel: Some(Kernel::General(|ins, attrs, _| {
+                let (gamma, beta) = (ins[1].data(), ins[2].data());
+                Ok(map_channels(ins[0], attrs, |x, c| x * gamma[c] + beta[c]))
+            })),
         },
-    ]
+    ];
+    let axis_reductions: [(&'static str, KernelFn); 4] = [
+        ("sum_axis", |ins, attrs, _| reduce_axis(ins, attrs, ReduceKind::Sum)),
+        ("max_axis", |ins, attrs, _| reduce_axis(ins, attrs, ReduceKind::Max)),
+        ("min_axis", |ins, attrs, _| reduce_axis(ins, attrs, ReduceKind::Min)),
+        ("prod_axis", |ins, attrs, _| reduce_axis(ins, attrs, ReduceKind::Prod)),
+    ];
+    ops.extend(axis_reductions.map(|(name, kernel)| OpDef {
+        name,
+        category: OpCategory::Reduction,
+        infer_shape: shape_sum_axis,
+        tdl: Some(tdl_sum_axis),
+        gradient: None,
+        flops: |ins, _, _| ins[0].volume() as f64,
+        kernel: Some(Kernel::General(kernel)),
+    }));
+    ops
 }
 
 #[cfg(test)]

@@ -1,16 +1,19 @@
 //! The operator registry: one [`OpDef`] per operator name.
 //!
-//! This plays the role of NNVM's operator registry in the paper's prototype.
-//! Each definition bundles shape inference, the TDL description (§4.1), the
-//! gradient builder used by autodiff, a flop estimate for the simulator's
-//! compute model, and a category used by coarsening and by the §4.1 coverage
-//! statistics.
+//! This plays the role of NNVM's operator registry in the paper's prototype,
+//! where Tofu's TDL description sits on the operator's registry entry beside
+//! the framework's kernel (§4.1). Each definition bundles shape inference,
+//! the TDL description, the gradient builder used by autodiff, a flop
+//! estimate for the simulator's compute model, the CPU [`Kernel`] the
+//! executor runs, and a category used by coarsening, the memory planner and
+//! the §4.1 coverage statistics. An operator is its entry: nothing else
+//! matches on operator names.
 
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use tofu_tdl::TdlDesc;
-use tofu_tensor::Shape;
+use tofu_tensor::{Shape, Tensor};
 
 use crate::attrs::Attrs;
 use crate::graph::{Graph, NodeTags, TensorId};
@@ -41,6 +44,16 @@ pub enum OpCategory {
     Sparse,
 }
 
+impl OpCategory {
+    /// True for the element-wise family, optimizer updates included ("almost
+    /// all gradient-based optimizers are composed of only element-wise
+    /// operators", §5.1): the operators coarsening coalesces, MXNet runs in
+    /// place, and §4.1 counts as element-wise.
+    pub fn is_elementwise(self) -> bool {
+        matches!(self, OpCategory::Elementwise | OpCategory::Optimizer)
+    }
+}
+
 /// Shape inference: input shapes + attrs to output shape (or a detail string).
 pub type ShapeFn = fn(&[Shape], &Attrs) -> std::result::Result<Shape, String>;
 
@@ -54,6 +67,24 @@ pub type FlopsFn = fn(&[Shape], &Shape, &Attrs) -> f64;
 /// Gradient builder: appends backward nodes through [`GradCtx`] and returns
 /// one optional gradient tensor per forward input.
 pub type GradFn = fn(&mut GradCtx<'_>) -> Result<Vec<Option<TensorId>>>;
+
+/// A general CPU kernel: input values, node attributes and the inferred
+/// output shape to the output value.
+pub type KernelFn = fn(&[&Tensor], &Attrs, &Shape) -> Result<Tensor>;
+
+/// An operator's CPU kernel: three element-wise shapes that the executor maps
+/// over the operands, and one general form.
+#[derive(Debug, Clone, Copy)]
+pub enum Kernel {
+    /// `y = f(x)` per element.
+    Unary(fn(f32) -> f32),
+    /// `y = f(a, b)` per element of two same-shape operands.
+    Binary(fn(f32, f32) -> f32),
+    /// `y = f(x, k)` per element, `k` the `"scalar"` attribute (default 0).
+    Scalar(fn(f32, f32) -> f32),
+    /// Any other kernel.
+    General(KernelFn),
+}
 
 /// Context handed to a [`GradFn`].
 pub struct GradCtx<'a> {
@@ -113,6 +144,25 @@ pub struct OpDef {
     pub gradient: Option<GradFn>,
     /// Flop estimate.
     pub flops: FlopsFn,
+    /// CPU kernel; `None` only for the sparse operators, which the dense
+    /// executor cannot run.
+    pub kernel: Option<Kernel>,
+}
+
+impl OpDef {
+    /// Runs the kernel on already-resolved input values.
+    pub(crate) fn run(&self, ins: &[&Tensor], attrs: &Attrs, out_shape: &Shape) -> Result<Tensor> {
+        match self.kernel {
+            Some(Kernel::Unary(f)) => Ok(ins[0].map(f)),
+            Some(Kernel::Binary(f)) => Ok(ins[0].zip(ins[1], f)?),
+            Some(Kernel::Scalar(f)) => {
+                let k = attrs.float("scalar").unwrap_or(0.0) as f32;
+                Ok(ins[0].map(|x| f(x, k)))
+            }
+            Some(Kernel::General(f)) => f(ins, attrs, out_shape),
+            None => Err(GraphError::Exec(format!("no CPU kernel for operator {:?}", self.name))),
+        }
+    }
 }
 
 impl std::fmt::Debug for OpDef {
@@ -122,25 +172,26 @@ impl std::fmt::Debug for OpDef {
             .field("category", &self.category)
             .field("describable", &self.tdl.is_some())
             .field("differentiable", &self.gradient.is_some())
+            .field("executable", &self.kernel.is_some())
             .finish()
     }
 }
 
-/// The built-in operators, keyed by name. Built once; the set is fixed,
-/// because the executor matches kernels by operator name.
+/// The built-in operators, keyed by name. Built once from the `ops` families,
+/// each of which defines its operators' every facet in one place.
 fn registry() -> &'static BTreeMap<&'static str, OpDef> {
     static REGISTRY: OnceLock<BTreeMap<&'static str, OpDef>> = OnceLock::new();
     REGISTRY.get_or_init(|| crate::ops::builtins().into_iter().map(|def| (def.name, def)).collect())
 }
 
 /// Looks up an operator definition by name.
-pub fn lookup(op: &str) -> Result<OpDef> {
-    registry().get(op).cloned().ok_or_else(|| GraphError::UnknownOp(op.to_string()))
+pub fn lookup(op: &str) -> Result<&'static OpDef> {
+    registry().get(op).ok_or_else(|| GraphError::UnknownOp(op.to_string()))
 }
 
 /// Returns every registered definition, sorted by name.
-pub fn all_ops() -> Vec<OpDef> {
-    registry().values().cloned().collect()
+pub fn all_ops() -> Vec<&'static OpDef> {
+    registry().values().collect()
 }
 
 /// Coverage statistics over the registry, reproducing the §4.1 breakdown.
@@ -173,10 +224,10 @@ pub fn coverage() -> Coverage {
         if def.tdl.is_some() {
             cov.describable += 1;
         }
-        match def.category {
-            OpCategory::Elementwise | OpCategory::Optimizer => cov.elementwise += 1,
-            OpCategory::Opaque => cov.opaque += 1,
-            _ => {}
+        if def.category.is_elementwise() {
+            cov.elementwise += 1;
+        } else if def.category == OpCategory::Opaque {
+            cov.opaque += 1;
         }
         if let Some(tdl) = def.tdl {
             if let Some(desc) = probe_desc(def, tdl) {
@@ -191,7 +242,7 @@ pub fn coverage() -> Coverage {
 
 /// Instantiates an operator's TDL description at a small representative shape
 /// so that rank-generic descriptions can be inspected.
-pub fn probe_desc(def: &OpDef, tdl: TdlFn) -> Option<TdlDesc> {
+fn probe_desc(def: &OpDef, tdl: TdlFn) -> Option<TdlDesc> {
     // Try a few generic shape sets; each op accepts at least one.
     let candidates: Vec<Vec<Shape>> = vec![
         vec![Shape::new(vec![4, 4]); 4],
@@ -233,6 +284,25 @@ mod tests {
         // Sorted by name.
         for pair in ops.windows(2) {
             assert!(pair[0].name <= pair[1].name);
+        }
+    }
+
+    #[test]
+    fn every_dense_operator_has_a_kernel() {
+        for def in all_ops() {
+            let sparse = def.category == OpCategory::Sparse;
+            assert_eq!(def.kernel.is_none(), sparse, "{def:?}");
+        }
+    }
+
+    #[test]
+    fn elementwise_predicate_covers_aggregation_and_optimizer_updates() {
+        let ops = ["add_n", "sgd_update", "sgd_momentum_update", "adam_update", "adagrad_update"];
+        for op in ops.into_iter().chain(["relu", "add", "mul_scalar", "identity"]) {
+            assert!(lookup(op).unwrap().category.is_elementwise(), "{op}");
+        }
+        for op in ["copy", "matmul", "softmax", "bias_add", "multi_fetch", "sparse_dot"] {
+            assert!(!lookup(op).unwrap().category.is_elementwise(), "{op}");
         }
     }
 

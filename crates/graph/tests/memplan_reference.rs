@@ -7,8 +7,7 @@
 
 use tofu_core::{generate, partition, GenOptions, PartitionOptions};
 use tofu_graph::{
-    lookup, plan_buffers, BufferPlan, Graph, MemPlan, NodeId, OpCategory, SlotAction, TensorId,
-    TensorKind,
+    lookup, plan_buffers, BufferPlan, Graph, MemPlan, NodeId, SlotAction, TensorId, TensorKind,
 };
 use tofu_models::{
     decoder_block, mlp, rnn, wresnet, BuiltModel, DecoderConfig, MlpConfig, RnnConfig,
@@ -21,11 +20,7 @@ mod reference;
 /// The planner's in-place predicate, private to `memplan`, for the
 /// reference to call.
 fn is_inplace_capable(g: &Graph, id: NodeId) -> bool {
-    let node = g.node(id);
-    node.op == "add_n"
-        || lookup(&node.op).is_ok_and(|def| {
-            matches!(def.category, OpCategory::Elementwise | OpCategory::Optimizer)
-        })
+    lookup(&g.node(id).op).is_ok_and(|def| def.category.is_elementwise())
 }
 
 fn decoder(seq: usize) -> BuiltModel {

@@ -86,7 +86,7 @@ mod tests {
         for t in m.graph.tensor_ids() {
             let meta = m.graph.tensor(t);
             if meta.kind != tofu_graph::TensorKind::Intermediate {
-                let v = if meta.name == "labels" {
+                let v = if meta.name.starts_with("labels") {
                     Tensor::from_vec(
                         meta.shape.clone(),
                         (0..cfg.batch).map(|i| (i % cfg.classes) as f32).collect(),

@@ -20,7 +20,7 @@ fn feeds(g: &Graph) -> Vec<(TensorId, Tensor)> {
         if meta.kind == TensorKind::Intermediate {
             continue;
         }
-        let v = if meta.name == "labels" {
+        let v = if meta.name.starts_with("labels") {
             let b = meta.shape.dim(0);
             Tensor::from_vec(meta.shape.clone(), (0..b).map(|i| (i % 3) as f32).collect())
                 .unwrap()

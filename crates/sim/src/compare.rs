@@ -7,8 +7,10 @@
 //! - **communication bytes** — both sides count the `multi_fetch` piece
 //!   bytes, so measured traffic must equal the prediction bit for bit;
 //! - **per-device memory** — the runtime's pool replays the same static
-//!   planner the simulator consults, so the measured footprint must land
-//!   within a whisker of `per_device_memory` (the tests pin 10%).
+//!   planner the simulator consults and fails any run whose peak differs
+//!   from the plan's, and its resident bytes are the plan's own persistent
+//!   tensors, so the measured footprint equals `per_device_memory` to the
+//!   byte on every completed run (the tests pin equality).
 //!
 //! Time columns (makespan vs. wall clock, busy seconds) are *not* expected
 //! to agree in absolute terms: the simulator models K80s, the runtime runs
@@ -81,12 +83,6 @@ impl TraceReport {
     /// True when measured traffic equals the simulator's count exactly.
     pub fn comm_bytes_match(&self) -> bool {
         self.predicted_comm_bytes == self.measured_comm_bytes as f64
-    }
-
-    /// True when every device's measured footprint is within `frac`
-    /// (e.g. `0.10`) of the prediction.
-    pub fn memory_within(&self, frac: f64) -> bool {
-        self.devices.iter().all(|d| d.memory_error() <= frac)
     }
 
     /// A compact human-readable table.

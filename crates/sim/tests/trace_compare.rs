@@ -1,7 +1,7 @@
 //! Acceptance tests for the runtime-vs-simulator comparison: measured
 //! channel traffic must equal the simulator's comm-bytes prediction exactly,
-//! and each worker's measured footprint must land within 10% of
-//! `per_device_memory`.
+//! and each worker's measured footprint must equal `per_device_memory` to
+//! the byte.
 
 use std::collections::BTreeMap;
 
@@ -21,7 +21,7 @@ fn feeds(g: &Graph) -> Vec<(TensorId, Tensor)> {
         if meta.kind == TensorKind::Intermediate {
             continue;
         }
-        let v = if meta.name == "labels" {
+        let v = if meta.name.starts_with("labels") {
             let b = meta.shape.dim(0);
             Tensor::from_vec(meta.shape.clone(), (0..b).map(|i| (i % 3) as f32).collect())
                 .unwrap()
@@ -58,15 +58,19 @@ fn assert_report(sharded: &ShardedGraph, shard_feeds: &[(TensorId, Tensor)], lab
         report.measured_comm_bytes,
         report.predicted_comm_bytes
     );
-    assert!(
-        report.memory_within(0.10),
-        "{label}: a device's footprint strayed >10% from per_device_memory:\n{}",
-        report.summary()
-    );
     assert_eq!(report.devices.len(), sharded.workers);
     for d in &report.devices {
         assert!(d.ops > 0, "{label}: device {} executed nothing", d.device);
-        assert!(d.predicted_memory_bytes > 0 && d.measured_memory_bytes > 0);
+        assert!(d.predicted_memory_bytes > 0);
+        // The pool fails any run whose peak differs from the plan's, and the
+        // resident bytes are the plan's own persistent tensors.
+        assert_eq!(
+            d.measured_memory_bytes,
+            d.predicted_memory_bytes,
+            "{label}: device {} footprint differs from per_device_memory:\n{}",
+            d.device,
+            report.summary()
+        );
     }
     let s = report.summary();
     assert!(s.contains("exact match"), "summary should flag the comm match:\n{s}");

@@ -44,7 +44,7 @@ fn main() {
         if meta.kind == TensorKind::Intermediate {
             continue;
         }
-        let v = if meta.name == "labels" {
+        let v = if meta.name.starts_with("labels") {
             Tensor::from_vec(meta.shape.clone(), (0..32).map(|i| (i % 16) as f32).collect())
                 .unwrap()
         } else {

@@ -38,6 +38,12 @@ if [ "$(echo "$unsafe_lines" | grep -c "^crates/tensor/src/")" -ne 3 ] \
     exit 1
 fi
 if grep -rn 'mul_add\|"fma"\|"avx512' crates/*/src; then exit 1; fi
+# An operator is its registry entry (`OpDef`, kernel included): the executor
+# reaches every kernel through one `lookup` and matches no operator names.
+if grep -nE '^\s*"[a-z0-9_]+"(\s*\|\s*"[a-z0-9_]+")*\s*=>' crates/graph/src/exec.rs; then
+    echo "scripts/check.sh: crates/graph/src/exec.rs matches on an operator name" >&2
+    exit 1
+fi
 
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
