@@ -137,19 +137,20 @@ fn main() {
         let report =
             run_with_durable_recovery(g, &full_feeds, &part, &opts, &durable, &mut caches)
                 .unwrap_or_else(|e| panic!("{label}: durable run failed: {e}"));
-        let baseline =
-            undisturbed_values(&report.sharded, report.snapshot.as_ref(), &full_feeds);
+        let sharded = report.sharded.as_ref().expect("a re-planned run returns its plan");
+        let baseline = undisturbed_values(sharded, report.snapshot.as_ref(), &full_feeds);
         let recovered_exact = bit_identical(&report.output.values, &baseline);
+        let last = report.history.last().expect("a finished run made an attempt");
         let row = Row {
             label,
             crash: format!("{crash:?}"),
             fault: fault_tag,
-            restart_workers: report.width,
-            resumed_from: report.resumed_from,
+            restart_workers: last.width,
+            resumed_from: last.resumed_from,
             rejected: report.rejected.iter().map(|r| r.reason.to_string()).collect(),
             written: report.written,
             written_bytes: report.written_bytes,
-            restore_bytes: report.restore_bytes,
+            restore_bytes: report.history.iter().map(|a| a.reshard_bytes).sum(),
             recovered_exact,
         };
         println!(

@@ -73,8 +73,8 @@ fn main() {
             };
             let report = run_with_elastic_recovery(g, &full_feeds, &part, &opts, &recovery, &mut caches)
                 .unwrap_or_else(|e| panic!("kill {ktag} {phase}: elastic recovery failed: {e}"));
-            let baseline =
-                undisturbed_values(&report.sharded, report.snapshot.as_ref(), &full_feeds);
+            let sharded = report.sharded.as_ref().expect("a re-planned run returns its plan");
+            let baseline = undisturbed_values(sharded, report.snapshot.as_ref(), &full_feeds);
             let exact = bit_identical(&report.output.values, &baseline);
             let detection_max = report
                 .history

@@ -182,15 +182,15 @@ fn main() {
         let report = run_with_durable_recovery(g, &full_feeds, &part, &opts, &durable, &mut caches)
             .unwrap_or_else(|e| panic!("{label}: durable run failed: {e}"));
         let failure = report.crashed.as_ref().expect("the first incarnation crashed");
-        let baseline =
-            undisturbed_values(&report.sharded, report.snapshot.as_ref(), &full_feeds);
+        let sharded = report.sharded.as_ref().expect("a re-planned run returns its plan");
+        let baseline = undisturbed_values(sharded, report.snapshot.as_ref(), &full_feeds);
         let row = Row {
             fault: label.to_string(),
             cause: cause_label(&failure.cause),
             recovered_exact: bit_identical(&report.output.values, &baseline),
             recovery_attempts: 2,
         };
-        row.print(failure, report.detection.unwrap_or_default());
+        row.print(failure, failure.max_detection().unwrap_or_default());
         rows.push(row);
     }
     let _ = std::fs::remove_dir_all(&root);

@@ -30,7 +30,7 @@ use tofu_core::{PartitionOptions, SearchCaches};
 use tofu_graph::{Graph, TensorId};
 use tofu_models::{mlp, wresnet, MlpConfig, WResNetConfig};
 use tofu_runtime::{
-    run_with_elastic_recovery, CheckpointPolicy, ChurnPlan, ElasticReport, RecoveryOptions,
+    run_with_elastic_recovery, CheckpointPolicy, ChurnPlan, RecoveryOptions, RecoveryReport,
     RunOptions, TransitionKind,
 };
 use tofu_tensor::Tensor;
@@ -39,14 +39,13 @@ use tofu_tensor::Tensor;
 /// *piece* (communication) tensors appear in `output.values` depends on the
 /// barrier the run resumed from — a timing-dependent harvest — so cross-run
 /// comparisons go through the original tensors, which are always complete.
-fn gathered_originals(g: &Graph, report: &ElasticReport) -> BTreeMap<TensorId, Tensor> {
+fn gathered_originals(g: &Graph, report: &RecoveryReport) -> BTreeMap<TensorId, Tensor> {
+    let sharded = report.sharded.as_ref().expect("a re-planned run returns its plan");
     let mut out = BTreeMap::new();
-    for (&t, shards) in &report.sharded.shards {
+    for (&t, shards) in &sharded.shards {
         if shards.iter().all(|s| report.output.values.contains_key(s)) {
-            let full = report
-                .sharded
-                .gather(t, &g.tensor(t).shape, &report.output.values)
-                .expect("gather");
+            let full =
+                sharded.gather(t, &g.tensor(t).shape, &report.output.values).expect("gather");
             out.insert(t, full);
         }
     }
@@ -80,7 +79,7 @@ fn run_pass(
     s: &Scenario,
     full_feeds: &[(TensorId, Tensor)],
     caches: &mut SearchCaches,
-) -> ElasticReport {
+) -> RecoveryReport {
     let part = PartitionOptions { workers: 8, ..Default::default() };
     let opts = RunOptions {
         churn: s.churn.clone(),
@@ -221,7 +220,7 @@ fn main() {
         // In the warm pass every replanned width is a request-memo hit — the
         // exact form of "warm replans beat cold ones".
         assert!(
-            warm.transitions.iter().filter(|t| t.replan.is_some()).all(|t| t.replan_warm),
+            warm.transitions.iter().filter(|t| t.attempt.is_some()).all(|t| t.replan_warm),
             "{}: warm pass hit a cold replan",
             s.name
         );
@@ -229,8 +228,8 @@ fn main() {
         grows_total +=
             cold.transitions.iter().filter(|t| t.kind == TransitionKind::Grow).count();
         for (pass, report) in [("cold", &cold), ("warm", &warm)] {
-            let baseline =
-                undisturbed_values(&report.sharded, report.snapshot.as_ref(), &full_feeds);
+            let sharded = report.sharded.as_ref().expect("a re-planned run returns its plan");
+            let baseline = undisturbed_values(sharded, report.snapshot.as_ref(), &full_feeds);
             let exact = bit_identical(&report.output.values, &baseline);
             all_exact &= exact;
             let mut detect = Duration::ZERO;
@@ -239,10 +238,18 @@ fn main() {
             let mut resume = Duration::ZERO;
             let mut transitions: Vec<Json> = Vec::new();
             for t in &report.transitions {
-                detect += t.detection.unwrap_or(Duration::ZERO);
-                replan += t.replan.unwrap_or(Duration::ZERO);
-                reshard += t.reshard.unwrap_or(Duration::ZERO);
-                resume += t.resume_wall.unwrap_or(Duration::ZERO);
+                // A transition's latencies are those of the attempt that
+                // opened its width; a shrink's detection is the failed
+                // attempt's before it.
+                if let Some(i) = t.attempt {
+                    let opened = &report.history[i];
+                    if t.kind == TransitionKind::Shrink {
+                        detect += report.history[i - 1].detection.unwrap_or(Duration::ZERO);
+                    }
+                    replan += opened.replan.unwrap_or(Duration::ZERO);
+                    reshard += opened.reshard.unwrap_or(Duration::ZERO);
+                    resume += opened.wall;
+                }
                 transitions.push(Json::obj(vec![
                     ("kind", Json::from(kind_str(t.kind))),
                     ("device", Json::from(t.device)),

@@ -32,9 +32,7 @@ use tofu_core::ShardedGraph;
 use tofu_graph::TensorId;
 use tofu_tensor::Tensor;
 
-use crate::error::RunFailure;
 use crate::fault::FaultRng;
-use crate::RunOutput;
 
 /// Which schedule the checkpoint barriers count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -145,83 +143,37 @@ impl BackoffSchedule {
     }
 }
 
-/// One attempt of a recovery ladder, for latency accounting: which worker
-/// set ran, what it resumed from, and where the time went.
-#[derive(Debug, Clone)]
-pub struct AttemptRecord {
-    /// Worker count of this attempt.
-    pub width: usize,
-    /// Physical devices the logical workers mapped to.
-    pub devices: Vec<usize>,
-    /// Checkpoint the attempt resumed from (`None` = from scratch).
-    pub resumed_from: Option<usize>,
-    /// Time spent re-running the partition search before this attempt
-    /// (`None` when the previous attempt's plan was reused).
-    pub replan: Option<Duration>,
-    /// Time spent resharding the carried snapshot onto this attempt's plan.
-    pub reshard: Option<Duration>,
-    /// Bytes of full-tensor snapshot moved by that reshard.
-    pub reshard_bytes: u64,
-    /// Slowest peer abort-detection latency, for failed attempts.
-    pub detection: Option<Duration>,
-    /// Wall-clock of the attempt itself.
-    pub wall: Duration,
-    /// Whether the attempt succeeded.
-    pub ok: bool,
-    /// Set when the attempt stopped *voluntarily* at this checkpoint barrier
-    /// so the elastic ladder could grow onto a joining device (neither a
-    /// success nor a failure).
-    pub yielded: Option<usize>,
-}
-
-/// What a recovered run hands back: the (verified-resumable) output plus the
-/// failure history that led to it.
-#[derive(Debug)]
-pub struct RecoveryReport {
-    /// The successful run's output.
-    pub output: RunOutput,
-    /// Attempts consumed, first run included.
-    pub attempts: usize,
-    /// The failure of every aborted attempt, in order.
-    pub failures: Vec<RunFailure>,
-    /// Per retry: the checkpoint it resumed from (`None` = clean restart).
-    pub resumed_from: Vec<Option<usize>>,
-    /// Per attempt (first run included): worker set, resume point and
-    /// latency breakdown, so tooling can assert detection → replan → resume
-    /// budgets.
-    pub history: Vec<AttemptRecord>,
-}
-
 /// Per-worker cut positions of every checkpoint: `cuts[k - 1][w]` is the
-/// local schedule prefix worker `w` must complete for checkpoint `k`.
+/// local schedule prefix worker `w` must complete for checkpoint `k`, i.e.
+/// how many of `w`'s nodes lie inside barrier `k·every`. One pass over the
+/// nodes: each is counted at the first barrier it falls inside, and a
+/// running sum over barriers turns those counts into cuts.
 pub(crate) fn checkpoint_cuts(sharded: &ShardedGraph, policy: CheckpointPolicy) -> Vec<Vec<usize>> {
-    let k = sharded.workers;
     let every = policy.every;
-    // Per node: its position in the order the barriers count.
-    let (n, pos_of): (usize, Vec<usize>) = match policy.unit {
-        BarrierUnit::ShardedSteps => {
-            // Global topological position (node_ids is the schedule order).
-            let n = sharded.graph.num_nodes();
-            let mut global_pos = vec![0usize; n];
-            for (i, id) in sharded.graph.node_ids().enumerate() {
-                global_pos[id.0] = i;
-            }
-            (n, global_pos)
-        }
-        BarrierUnit::OriginalSteps => {
-            (sharded.original_nodes(), sharded.origin_of_node.iter().map(|o| o.0).collect())
-        }
+    // The length of the order the barriers count, and each node's position
+    // in it (`node_ids` is the sharded schedule order).
+    let n = match policy.unit {
+        BarrierUnit::ShardedSteps => sharded.graph.num_nodes(),
+        BarrierUnit::OriginalSteps => sharded.original_nodes(),
     };
-    let mut cuts = Vec::new();
-    let mut barrier = every;
-    while barrier < n {
-        let cut: Vec<usize> = (0..k)
-            .map(|w| {
-                sharded.worker_schedule(w).iter().filter(|id| pos_of[id.0] < barrier).count()
-            })
-            .collect();
-        cuts.push(cut);
-        barrier += every;
+    let pos = |i: usize| match policy.unit {
+        BarrierUnit::ShardedSteps => i,
+        BarrierUnit::OriginalSteps => sharded.origin_of_node[i].0,
+    };
+    // Barriers `every, 2·every, …` strictly below `n`.
+    let barriers = n.saturating_sub(1).checked_div(every).unwrap_or(0);
+    let mut cuts = vec![vec![0usize; sharded.workers]; barriers];
+    for id in sharded.graph.node_ids() {
+        if let Some(cut) = cuts.get_mut(pos(id.0) / every) {
+            cut[sharded.device_of_node[id.0]] += 1;
+        }
+    }
+    let mut running = vec![0usize; sharded.workers];
+    for cut in &mut cuts {
+        for (c, r) in cut.iter_mut().zip(&mut running) {
+            *r += *c;
+            *c = *r;
+        }
     }
     cuts
 }
@@ -340,6 +292,70 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The definition the cuts must meet: for barrier `b·every < n`, worker
+    /// `w`'s cut counts the nodes of its schedule at a position `< b·every`.
+    fn cuts_by_definition(sharded: &ShardedGraph, policy: CheckpointPolicy) -> Vec<Vec<usize>> {
+        let (n, pos): (usize, Vec<usize>) = match policy.unit {
+            BarrierUnit::ShardedSteps => {
+                (sharded.graph.num_nodes(), (0..sharded.graph.num_nodes()).collect())
+            }
+            BarrierUnit::OriginalSteps => {
+                (sharded.original_nodes(), sharded.origin_of_node.iter().map(|o| o.0).collect())
+            }
+        };
+        (1..)
+            .map(|b| b * policy.every)
+            .take_while(|&barrier| barrier < n)
+            .map(|barrier| {
+                (0..sharded.workers)
+                    .map(|w| {
+                        let schedule = sharded.worker_schedule(w);
+                        schedule.iter().filter(|id| pos[id.0] < barrier).count()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn checkpoint_cuts_count_each_workers_nodes_inside_each_barrier() {
+        let m = tofu_models::mlp(&tofu_models::MlpConfig {
+            batch: 24,
+            dims: vec![12, 12],
+            classes: 6,
+            with_updates: true,
+        })
+        .unwrap();
+        let opts = tofu_core::PartitionOptions { workers: 4, ..Default::default() };
+        let plan = tofu_core::partition(&m.graph, &opts).unwrap();
+        let mut sharded =
+            tofu_core::generate(&m.graph, &plan, &tofu_core::GenOptions::default()).unwrap();
+        let policies = [
+            CheckpointPolicy::every(1),
+            CheckpointPolicy::every(3),
+            CheckpointPolicy::every_original(1),
+            CheckpointPolicy::every_original(3),
+        ];
+        for policy in policies {
+            let cuts = checkpoint_cuts(&sharded, policy);
+            assert!(!cuts.is_empty(), "{policy:?}: no barrier");
+            assert_eq!(cuts, cuts_by_definition(&sharded, policy), "{policy:?}");
+        }
+        // Generated nodes need not follow their origins' order: reversing
+        // the origin ids changes the cuts, not their definition.
+        let last = sharded.original_nodes() - 1;
+        for o in &mut sharded.origin_of_node {
+            o.0 = last - o.0;
+        }
+        for policy in [CheckpointPolicy::every_original(1), CheckpointPolicy::every_original(3)] {
+            assert_eq!(
+                checkpoint_cuts(&sharded, policy),
+                cuts_by_definition(&sharded, policy),
+                "{policy:?}, origins reversed"
+            );
+        }
+    }
 
     #[test]
     fn latest_consistent_requires_every_worker() {

@@ -46,10 +46,10 @@ use tofu_obs::{Collector, Track};
 use tofu_tensor::Tensor;
 
 use crate::checkpoint::{CheckpointSink, RecoveryOptions};
-use crate::error::{RunFailure, RuntimeError};
+use crate::error::RuntimeError;
 use crate::reshard::{assemble_snapshot, FullSnapshot};
-use crate::supervisor::{supervise, PlanSource, SINGLE_ATTEMPT};
-use crate::{lock, Result, RunOptions, RunOutput};
+use crate::supervisor::{supervise, PlanSource, RecoveryReport, SINGLE_ATTEMPT};
+use crate::{lock, Result, RunOptions};
 
 /// Where [`run_with_durable_recovery`] simulates the whole-process crash,
 /// relative to the durable commit of a chosen checkpoint.
@@ -104,50 +104,6 @@ impl std::fmt::Debug for DurableOptions {
             .field("restart_workers", &self.restart_workers)
             .finish_non_exhaustive()
     }
-}
-
-/// What a durable run (and its optional crash-restart) did.
-#[derive(Debug)]
-pub struct DurableReport {
-    /// The final run's output, keyed by the final plan's tensor ids.
-    pub output: RunOutput,
-    /// The sharded graph of the final plan — gather originals with
-    /// [`ShardedGraph::gather`], and use it to build the bit-identity
-    /// baseline via
-    /// [`resume_from_snapshot`](crate::resume_from_snapshot).
-    pub sharded: ShardedGraph,
-    /// Worker count of the final run.
-    pub width: usize,
-    /// Post-mortem of the simulated crash, when one was configured.
-    pub crashed: Option<RunFailure>,
-    /// Slowest peer abort-detection latency of the crash.
-    pub detection: Option<Duration>,
-    /// Checkpoint the final width resumed from (`None` = from scratch: no
-    /// valid checkpoint survived on disk). Without churn this is the
-    /// checkpoint recovery discovered.
-    pub resumed_from: Option<usize>,
-    /// The snapshot the final width resumed from — the validated one
-    /// recovery discovered, or a later grow barrier's under churn — for
-    /// constructing bit-identity baselines at the final width.
-    pub snapshot: Option<FullSnapshot>,
-    /// Checkpoint candidates recovery rejected, newest first, each with its
-    /// typed reason.
-    pub rejected: Vec<RejectedCheckpoint>,
-    /// Checkpoints committed across all processes.
-    pub written: usize,
-    /// Bytes written across all processes (shards + manifests).
-    pub written_bytes: u64,
-    /// Blobs removed by retention GC.
-    pub gc_removed: usize,
-    /// Total wall time spent in durable commits.
-    pub write_wall: Duration,
-    /// Wall time of recovery discovery + validation.
-    pub validate_wall: Duration,
-    /// Wall time resharding carried snapshots onto the plans that resumed
-    /// from them (one reshard — the recovered snapshot's — without churn).
-    pub restore_wall: Duration,
-    /// Bytes of full-tensor snapshot those reshards moved.
-    pub restore_bytes: u64,
 }
 
 /// What boots have learned from the disk so far.
@@ -256,6 +212,17 @@ impl Persister {
         let snapshot = recovery.snapshot.map(from_durable);
         self.floor.store(snapshot.as_ref().map_or(0, |s| s.ckpt), Ordering::SeqCst);
         Ok(snapshot)
+    }
+
+    /// Moves what the sink counted and discovered into the run's report.
+    pub(crate) fn report_into(&self, report: &mut RecoveryReport) {
+        let discovered = std::mem::take(&mut *lock(&self.discovered));
+        report.rejected = discovered.rejected;
+        report.validate_wall = discovered.validate_wall;
+        report.written = self.written.load(Ordering::SeqCst);
+        report.written_bytes = self.bytes.load(Ordering::SeqCst);
+        report.gc_removed = self.gc_removed.load(Ordering::SeqCst);
+        report.write_wall = Duration::from_micros(self.write_us.load(Ordering::SeqCst));
     }
 }
 
@@ -375,7 +342,7 @@ impl CheckpointSink for Persister {
 ///
 /// Disk faults in [`FaultPlan::disk`](crate::FaultPlan) corrupt the doomed
 /// process's writes; recovery detects each corruption during validation
-/// and reports it in [`DurableReport::rejected`] with a typed reason —
+/// and reports it in [`RecoveryReport::rejected`] with a typed reason —
 /// falling back to an older checkpoint (or scratch), never resuming from
 /// corrupt bytes.
 pub fn run_with_durable_recovery(
@@ -385,28 +352,8 @@ pub fn run_with_durable_recovery(
     opts: &RunOptions,
     durable: &DurableOptions,
     caches: &mut SearchCaches,
-) -> Result<DurableReport> {
+) -> Result<RecoveryReport> {
     let recovery = RecoveryOptions { elastic: !opts.churn.is_empty(), ..SINGLE_ATTEMPT };
     let source = PlanSource::Replan { graph: g, part: part_opts, caches };
-    let s = supervise(source, feeds, opts, &recovery, Some(durable))?;
-    let (_, sharded) = s.planned.expect("a re-planning source returns its final plan");
-    let disk = s.disk.expect("a durable run returns its sink");
-    let discovered = std::mem::take(&mut *lock(&disk.discovered));
-    Ok(DurableReport {
-        output: s.output,
-        width: sharded.workers,
-        sharded,
-        detection: s.log.crashed.as_ref().and_then(|f| f.max_detection()),
-        crashed: s.log.crashed,
-        resumed_from: s.snapshot.as_ref().map(|snap| snap.ckpt),
-        snapshot: s.snapshot,
-        rejected: discovered.rejected,
-        written: disk.written.load(Ordering::SeqCst),
-        written_bytes: disk.bytes.load(Ordering::SeqCst),
-        gc_removed: disk.gc_removed.load(Ordering::SeqCst),
-        write_wall: Duration::from_micros(disk.write_us.load(Ordering::SeqCst)),
-        validate_wall: discovered.validate_wall,
-        restore_wall: s.log.history.iter().filter_map(|a| a.reshard).sum(),
-        restore_bytes: s.log.history.iter().map(|a| a.reshard_bytes).sum(),
-    })
+    supervise(source, feeds, opts, &recovery, Some(durable))
 }

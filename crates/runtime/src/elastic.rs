@@ -2,7 +2,7 @@
 //! re-partitioning onto the survivors, and grow back onto rejoining devices
 //! at a checkpoint barrier — resharding progress across every width change.
 //!
-//! This module holds the transition and report types, width selection
+//! This module holds the transition types, width selection
 //! ([`select_width`]) and the [`run_with_elastic_recovery`] adaptor. The
 //! ladder itself is the crate's one recovery supervisor (`supervisor.rs`;
 //! DESIGN.md "Failure model → The recovery supervisor" has the state
@@ -47,11 +47,10 @@ use tofu_graph::{Graph, TensorId};
 use tofu_obs::{Collector, Track};
 use tofu_tensor::Tensor;
 
-use crate::checkpoint::{AttemptRecord, RecoveryOptions};
-use crate::error::{RunFailure, RuntimeError};
-use crate::reshard::FullSnapshot;
-use crate::supervisor::{supervise, PlanSource};
-use crate::{Result, RunOptions, RunOutput};
+use crate::checkpoint::RecoveryOptions;
+use crate::error::RuntimeError;
+use crate::supervisor::{supervise, PlanSource, RecoveryReport};
+use crate::{Result, RunOptions};
 
 /// What kind of fleet transition a ladder step was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,10 +66,12 @@ pub enum TransitionKind {
     SpareLoss,
 }
 
-/// One fleet transition of an elastic run, with its recovery-latency
-/// breakdown: detect (failure observation, shrinks only) → replan
-/// (partition search at the new width, warm or cold) → reshard (snapshot
-/// scatter onto the new plan) → resume (first attempt at the new width).
+/// One fleet transition of an elastic run. Its recovery latencies are the
+/// attempts' own: `history[attempt]` (of the [`RecoveryReport`]) carries
+/// the replan (partition search at the new width, warm or cold), the
+/// reshard (snapshot scatter onto the new plan) and the resume (the
+/// attempt's wall); a shrink's detection is the failed attempt before it,
+/// `history[attempt - 1].detection`.
 #[derive(Debug, Clone)]
 pub struct ElasticTransition {
     /// What happened.
@@ -85,60 +86,11 @@ pub struct ElasticTransition {
     /// grows, the carried snapshot's barrier for shrinks (`None` = the new
     /// width started from scratch).
     pub at_ckpt: Option<usize>,
-    /// Slowest peer abort-detection latency of the triggering failure
-    /// (shrinks only; grows are voluntary).
-    pub detection: Option<Duration>,
-    /// Partition-search time for the new width (includes stepped-past
-    /// infeasible probes, excludes program lowering — lowering costs the
-    /// same warm or cold).
-    pub replan: Option<Duration>,
+    /// `history` index of the first attempt at the width this transition
+    /// selected (`None` for a spare loss, which selects no width).
+    pub attempt: Option<usize>,
     /// Whether the new width's plan came out of the warm request memo.
     pub replan_warm: bool,
-    /// Snapshot reshard time onto the new plan.
-    pub reshard: Option<Duration>,
-    /// Bytes of full-tensor snapshot moved by that reshard.
-    pub reshard_bytes: u64,
-    /// Wall-clock of the first attempt at the new width.
-    pub resume_wall: Option<Duration>,
-}
-
-/// What an elastic run hands back: the final output plus the whole ladder's
-/// history. `output.values` is keyed by `sharded`'s tensor ids — gather
-/// originals with [`ShardedGraph::gather`] on the returned `sharded`.
-#[derive(Debug)]
-pub struct ElasticReport {
-    /// The successful run's output, on the final worker set.
-    pub output: RunOutput,
-    /// The sharded graph of the final (successful) plan.
-    pub sharded: ShardedGraph,
-    /// The final partition plan.
-    pub plan: PartitionPlan,
-    /// Active physical devices of the final width, in logical-worker order.
-    pub devices: Vec<usize>,
-    /// Fleet members idling as spares at the end (in the fleet but not
-    /// active: no feasible width used them).
-    pub spares: Vec<usize>,
-    /// Physical devices classified as permanently lost, in loss order.
-    pub lost: Vec<usize>,
-    /// Physical devices that (re)joined the fleet, in join order.
-    pub joined: Vec<usize>,
-    /// Worker counts attempted, ladder order (full width first).
-    pub widths: Vec<usize>,
-    /// Total attempts consumed across all widths.
-    pub attempts: usize,
-    /// The failure of every aborted attempt, in order.
-    pub failures: Vec<RunFailure>,
-    /// Per attempt: the checkpoint it resumed from (`None` = from scratch).
-    pub resumed_from: Vec<Option<usize>>,
-    /// Per attempt: worker set, resume point and latency breakdown.
-    pub history: Vec<AttemptRecord>,
-    /// Every fleet transition (shrink/grow/spare) with its detect → replan
-    /// → reshard → resume latency split.
-    pub transitions: Vec<ElasticTransition>,
-    /// The plan-independent snapshot the final width resumed from, if any —
-    /// feed it to [`resume_from_snapshot`](crate::resume_from_snapshot) at
-    /// the final width to reproduce the output bit for bit.
-    pub snapshot: Option<FullSnapshot>,
 }
 
 /// A committed width choice: the widest feasible worker count ≤ capacity.
@@ -233,7 +185,8 @@ pub(crate) fn select_width(
 /// current width, shrinks past permanent losses, grows onto devices a
 /// [`ChurnPlan`](crate::ChurnPlan) rejoins, and reshards checkpoints across
 /// plans so progress survives every width change. See the module docs for
-/// the ladder.
+/// the ladder. The report's `plan` and `sharded` are the final width's;
+/// `output.values` is keyed by that sharded graph's tensor ids.
 pub fn run_with_elastic_recovery(
     g: &Graph,
     feeds: &[(TensorId, Tensor)],
@@ -241,24 +194,6 @@ pub fn run_with_elastic_recovery(
     opts: &RunOptions,
     recovery: &RecoveryOptions,
     caches: &mut SearchCaches,
-) -> Result<ElasticReport> {
-    let source = PlanSource::Replan { graph: g, part: part_opts, caches };
-    let s = supervise(source, feeds, opts, recovery, None)?;
-    let (plan, sharded) = s.planned.expect("a re-planning source returns its final plan");
-    Ok(ElasticReport {
-        output: s.output,
-        sharded,
-        plan,
-        devices: s.devices,
-        spares: s.spares,
-        lost: s.log.lost,
-        joined: s.log.joined,
-        widths: s.log.widths,
-        attempts: s.log.history.len(),
-        failures: s.log.failures,
-        resumed_from: s.log.history.iter().map(|a| a.resumed_from).collect(),
-        history: s.log.history,
-        transitions: s.log.transitions,
-        snapshot: s.snapshot,
-    })
+) -> Result<RecoveryReport> {
+    supervise(PlanSource::Replan { graph: g, part: part_opts, caches }, feeds, opts, recovery, None)
 }

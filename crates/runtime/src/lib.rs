@@ -61,8 +61,12 @@
 //!   last consistent checkpoint, shrinks and grows the worker set, and
 //!   reboots from durable checkpoints after a whole-process crash.
 //!   [`run_with_recovery`], [`run_with_elastic_recovery`] and
-//!   [`run_with_durable_recovery`] are argument adaptors over it; recovered
-//!   output is bit-identical to an undisturbed run.
+//!   [`run_with_durable_recovery`] are argument adaptors over it, and all
+//!   three return its one [`RecoveryReport`]: the output, one
+//!   [`AttemptRecord`] per attempt (the only place a `resumed_from`
+//!   checkpoint is recorded), the fleet's transitions and the durable
+//!   store's counters. Recovered output is bit-identical to an undisturbed
+//!   run.
 //!
 //! This file holds the options, the output type and the public entry
 //! points; one worker thread's state machine lives in `worker.rs`.
@@ -93,16 +97,15 @@ use tofu_obs::Collector;
 use tofu_tensor::Tensor;
 
 pub use abort::{AbortCause, AbortToken};
-pub use checkpoint::{
-    AttemptRecord, BackoffSchedule, BarrierUnit, CheckpointPolicy, RecoveryOptions, RecoveryReport,
-};
-pub use durable::{run_with_durable_recovery, CrashPoint, DurableOptions, DurableReport};
-pub use elastic::{run_with_elastic_recovery, ElasticReport, ElasticTransition, TransitionKind};
+pub use checkpoint::{BackoffSchedule, BarrierUnit, CheckpointPolicy, RecoveryOptions};
+pub use durable::{run_with_durable_recovery, CrashPoint, DurableOptions};
+pub use elastic::{run_with_elastic_recovery, ElasticTransition, TransitionKind};
 pub use error::{RunFailure, RuntimeError};
 pub use fault::{
     ChurnEvent, ChurnPlan, Fault, FaultPersistence, FaultPlan, InjectedFault, MessageFault,
 };
 pub use reshard::{resume_from_snapshot, FullSnapshot};
+pub use supervisor::{AttemptRecord, RecoveryReport};
 pub use tofu_durable::{
     BlobStore, DirStore, DiskFault, DiskFaultPlan, MemStore, RejectReason, RejectedCheckpoint,
 };
@@ -195,14 +198,10 @@ pub struct RunOutput {
     pub trace: RunTrace,
 }
 
-/// Executes `sharded` across one thread per worker with default options.
-/// `feeds` carries values for the sharded graph's leaf tensors (typically
-/// from [`ShardedGraph::scatter`] over the original feeds).
-pub fn run(sharded: &ShardedGraph, feeds: &[(TensorId, Tensor)]) -> Result<RunOutput> {
-    run_with_options(sharded, feeds, &RunOptions::default())
-}
-
-/// [`run`] with explicit options: exactly one attempt, no supervisor.
+/// Executes `sharded` across one thread per worker: exactly one attempt, no
+/// supervisor. `feeds` carries values for the sharded graph's leaf tensors
+/// (typically from [`ShardedGraph::scatter`] over the original feeds);
+/// `RunOptions::default()` is a plain healthy run.
 pub fn run_with_options(
     sharded: &ShardedGraph,
     feeds: &[(TensorId, Tensor)],
@@ -228,15 +227,7 @@ pub fn run_with_recovery(
     opts: &RunOptions,
     recovery: &RecoveryOptions,
 ) -> Result<RecoveryReport> {
-    let s = supervise(PlanSource::Fixed(sharded), feeds, opts, recovery, None)?;
-    Ok(RecoveryReport {
-        output: s.output,
-        attempts: s.log.history.len(),
-        failures: s.log.failures,
-        // Per *retry*: the first attempt never resumes.
-        resumed_from: s.log.history.iter().skip(1).map(|a| a.resumed_from).collect(),
-        history: s.log.history,
-    })
+    supervise(PlanSource::Fixed(sharded), feeds, opts, recovery, None)
 }
 
 #[cfg(test)]

@@ -26,8 +26,11 @@
 //! [`run_with_recovery`](crate::run_with_recovery),
 //! [`run_with_elastic_recovery`](crate::run_with_elastic_recovery) and
 //! [`run_with_durable_recovery`](crate::run_with_durable_recovery) are
-//! argument adaptors that project the supervisor's one [`Supervision`]
-//! history into their report types.
+//! argument adaptors, and all three return the supervisor's one
+//! [`RecoveryReport`]. Its `history` holds one [`AttemptRecord`] per
+//! attempt; every other field of the report either says what `history`
+//! cannot (the fleet, the transitions, the disk) or is named by a caller
+//! outside the crate (`attempts`).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicUsize;
@@ -36,14 +39,15 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use tofu_core::{PartitionOptions, PartitionPlan, SearchCaches, ShardedGraph};
+use tofu_durable::RejectedCheckpoint;
 use tofu_graph::{Graph, TensorId};
 use tofu_obs::{Collector, Track};
 use tofu_tensor::Tensor;
 
 use crate::abort::AbortToken;
 use crate::checkpoint::{
-    checkpoint_cuts, AttemptRecord, BackoffSchedule, BarrierUnit, CheckpointStore,
-    RecoveryOptions, ResumePoint, MAX_BACKOFF,
+    checkpoint_cuts, BackoffSchedule, BarrierUnit, CheckpointStore, RecoveryOptions,
+    ResumePoint, MAX_BACKOFF,
 };
 use crate::durable::{DurableOptions, Persister};
 use crate::elastic::{select_width, ElasticTransition, SelectErr, Selection, TransitionKind};
@@ -512,22 +516,92 @@ pub(crate) struct Ledger {
     pub(crate) crashed: Option<RunFailure>,
 }
 
-/// Everything a supervised run hands back; the three public report types are
-/// projections of it.
-pub(crate) struct Supervision {
-    pub(crate) output: RunOutput,
-    /// The final plan and its sharded graph (`None` under
-    /// [`PlanSource::Fixed`]: the caller already holds them).
-    pub(crate) planned: Option<(PartitionPlan, ShardedGraph)>,
-    /// Active physical devices of the final width, logical-worker order.
-    pub(crate) devices: Vec<usize>,
-    /// Fleet members idling as spares at the end.
-    pub(crate) spares: Vec<usize>,
-    /// The plan-independent snapshot the final width resumed from, if any.
-    pub(crate) snapshot: Option<FullSnapshot>,
-    pub(crate) log: Ledger,
-    /// The durable sink's counters and rejections, when one was configured.
-    pub(crate) disk: Option<Arc<Persister>>,
+/// One attempt of a recovery ladder: which worker set ran, what it resumed
+/// from, and where the time went.
+#[derive(Debug, Clone)]
+pub struct AttemptRecord {
+    /// Worker count of this attempt.
+    pub width: usize,
+    /// Physical devices the logical workers mapped to.
+    pub devices: Vec<usize>,
+    /// Checkpoint the attempt resumed from (`None` = from scratch).
+    pub resumed_from: Option<usize>,
+    /// Time spent re-running the partition search before this attempt
+    /// (`None` when the previous attempt's plan was reused).
+    pub replan: Option<Duration>,
+    /// Time spent resharding the carried snapshot onto this attempt's plan.
+    pub reshard: Option<Duration>,
+    /// Bytes of full-tensor snapshot moved by that reshard.
+    pub reshard_bytes: u64,
+    /// Slowest peer abort-detection latency, for failed attempts.
+    pub detection: Option<Duration>,
+    /// Wall-clock of the attempt itself.
+    pub wall: Duration,
+    /// Whether the attempt succeeded.
+    pub ok: bool,
+    /// Set when the attempt stopped *voluntarily* at this checkpoint barrier
+    /// so the elastic ladder could grow onto a joining device (neither a
+    /// success nor a failure).
+    pub yielded: Option<usize>,
+}
+
+/// What a supervised run hands back, whichever entry point started it: the
+/// final output, one [`AttemptRecord`] per attempt, the fleet's transitions
+/// and the durable store's counters. Per-attempt facts live only in
+/// `history`: the final width's devices are `history.last().devices`, the
+/// checkpoint the successful attempt resumed from is
+/// `history.last().resumed_from`, the bytes restored are the sum of
+/// `history`'s `reshard_bytes`, and a crash's detection latency is
+/// `crashed`'s.
+#[derive(Debug)]
+pub struct RecoveryReport {
+    /// The successful run's output, keyed by the final plan's tensor ids.
+    pub output: RunOutput,
+    /// The final partition plan (`None` under
+    /// [`run_with_recovery`](crate::run_with_recovery): the caller's fixed
+    /// plan ran).
+    pub plan: Option<PartitionPlan>,
+    /// The final plan's sharded graph (`None` exactly when `plan` is) —
+    /// gather originals from `output` with [`ShardedGraph::gather`].
+    pub sharded: Option<ShardedGraph>,
+    /// Fleet members idling as spares at the end (in the fleet but not
+    /// active: no feasible width used them; the active ones are
+    /// `history.last().devices`).
+    pub spares: Vec<usize>,
+    /// Physical devices classified as permanently lost, in loss order.
+    pub lost: Vec<usize>,
+    /// Physical devices that (re)joined the fleet, in join order.
+    pub joined: Vec<usize>,
+    /// Worker counts selected, ladder order (initial width first).
+    pub widths: Vec<usize>,
+    /// Attempts consumed, first run included (`history.len()`).
+    pub attempts: usize,
+    /// The failure of every aborted attempt except a process crash, in order.
+    pub failures: Vec<RunFailure>,
+    /// One record per attempt, first run included.
+    pub history: Vec<AttemptRecord>,
+    /// Every fleet transition (shrink, grow, spare join, spare loss).
+    pub transitions: Vec<ElasticTransition>,
+    /// Post-mortem of the simulated process crash, when one fired.
+    pub crashed: Option<RunFailure>,
+    /// The plan-independent snapshot the final width resumed from, if any —
+    /// feed it to [`resume_from_snapshot`](crate::resume_from_snapshot) at
+    /// the final width to reproduce the output bit for bit.
+    pub snapshot: Option<FullSnapshot>,
+    /// Durable checkpoint candidates recovery rejected, newest first, each
+    /// with its typed reason. This and the durable counters below are zero
+    /// when no store is configured.
+    pub rejected: Vec<RejectedCheckpoint>,
+    /// Checkpoints committed durably, across all processes.
+    pub written: usize,
+    /// Bytes written durably, across all processes (shards + manifests).
+    pub written_bytes: u64,
+    /// Blobs removed by retention GC.
+    pub gc_removed: usize,
+    /// Total wall time spent in durable commits.
+    pub write_wall: Duration,
+    /// Wall time of durable recovery discovery + validation.
+    pub validate_wall: Duration,
 }
 
 /// Inserts `d` into sorted `v` (active devices are always the lowest-id
@@ -535,23 +609,6 @@ pub(crate) struct Supervision {
 fn insert_sorted(v: &mut Vec<usize>, d: usize) {
     let i = v.partition_point(|&x| x < d);
     v.insert(i, d);
-}
-
-/// A fleet change that leaves the running width alone.
-fn spare_transition(kind: TransitionKind, device: usize, width: usize) -> ElasticTransition {
-    ElasticTransition {
-        kind,
-        device,
-        from_width: width,
-        to_width: width,
-        at_ckpt: None,
-        detection: None,
-        replan: None,
-        replan_warm: false,
-        reshard: None,
-        reshard_bytes: 0,
-        resume_wall: None,
-    }
 }
 
 /// The recovery supervisor (see the module docs for the state machine).
@@ -568,7 +625,7 @@ pub(crate) fn supervise(
     opts: &RunOptions,
     recovery: &RecoveryOptions,
     durable: Option<&DurableOptions>,
-) -> Result<Supervision> {
+) -> Result<RecoveryReport> {
     let fleet = match &source {
         PlanSource::Fixed(s) => s.workers,
         PlanSource::Replan { part, .. } => part.workers,
@@ -679,9 +736,8 @@ pub(crate) fn supervise(
                 c.add_total("elastic/reshard_bytes", snap.bytes() as f64);
             }
         }
-        // Close the width change that led here; its resume latency is
-        // patched in after the first attempt.
-        let mut opened: Option<usize> = None;
+        // Close the width change that led here; the next attempt is the
+        // first at the new width.
         if let Some(p) = pending.take() {
             let kind = match p.kind {
                 TransitionKind::Grow if width <= p.from_width => TransitionKind::SpareJoin,
@@ -709,16 +765,13 @@ pub(crate) fn supervise(
             }
             log.transitions.push(ElasticTransition {
                 kind,
+                device: p.device,
+                from_width: p.from_width,
                 to_width: width,
                 at_ckpt: p.at_ckpt,
-                detection: p.failure.as_ref().and_then(|f| f.max_detection()),
-                replan,
+                attempt: Some(log.history.len()),
                 replan_warm: warm,
-                reshard,
-                reshard_bytes,
-                ..spare_transition(kind, p.device, p.from_width)
             });
-            opened = Some(log.transitions.len() - 1);
             log.failures.extend(p.failure);
         }
 
@@ -732,7 +785,15 @@ pub(crate) fn supervise(
             if let Some(i) = available.iter().position(|&d| d == device) {
                 available.remove(i);
                 log.lost.push(device);
-                log.transitions.push(spare_transition(TransitionKind::SpareLoss, device, width));
+                log.transitions.push(ElasticTransition {
+                    kind: TransitionKind::SpareLoss,
+                    device,
+                    from_width: width,
+                    to_width: width,
+                    at_ckpt: None,
+                    attempt: None,
+                    replan_warm: false,
+                });
                 if let Some(c) = obs {
                     let what = format!("spare device {device} lost (width stays {width})");
                     c.instant(Track::control(), "churn", &what);
@@ -762,18 +823,18 @@ pub(crate) fn supervise(
                     None => carried_point.clone(),
                 }
             };
-            let resumed_from = resume.as_ref().map(|p| p.ckpt);
+            let resume_ckpt = resume.as_ref().map(|p| p.ckpt);
             // Where to pause for a pending join: the first barrier strictly
             // after the resume point that honors `at_ckpt`, clamped into the
             // plan's barrier range. `None` when the resume point is already
             // past the last barrier — the attempt then runs to completion
             // and the join stays pending.
             let yield_at: Option<usize> = grow_pending.and_then(|(_, at)| {
-                let lo = resumed_from.map(|ck| ck + 1).unwrap_or(1);
+                let lo = resume_ckpt.map(|ck| ck + 1).unwrap_or(1);
                 (lo <= cuts.len()).then(|| at.clamp(lo, cuts.len()))
             });
             if let Some(c) = obs {
-                let from = match resumed_from {
+                let from = match resume_ckpt {
                     Some(ck) => format!("resume from checkpoint {ck}"),
                     None => "from scratch".into(),
                 };
@@ -794,13 +855,10 @@ pub(crate) fn supervise(
             });
             let wall = t0.elapsed();
             let first = attempt == 1;
-            if let (true, Some(i)) = (first, opened) {
-                log.transitions[i].resume_wall = Some(wall);
-            }
             let mut record = AttemptRecord {
                 width,
                 devices: devices.clone(),
-                resumed_from,
+                resumed_from: resume_ckpt,
                 replan: replan.filter(|_| first),
                 reshard: reshard.filter(|_| first),
                 reshard_bytes: if first { reshard_bytes } else { 0 },
@@ -820,15 +878,32 @@ pub(crate) fn supervise(
                     record.ok = true;
                     log.history.push(record);
                     let spares = available.iter().copied().filter(|d| !devices.contains(d)).collect();
-                    return Ok(Supervision {
+                    let (plan, sharded) = planned.unzip();
+                    let mut report = RecoveryReport {
                         output,
-                        planned,
-                        devices,
+                        plan,
+                        sharded,
                         spares,
+                        lost: log.lost,
+                        joined: log.joined,
+                        widths: log.widths,
+                        attempts: log.history.len(),
+                        failures: log.failures,
+                        history: log.history,
+                        transitions: log.transitions,
+                        crashed: log.crashed,
                         snapshot: carried,
-                        log,
-                        disk,
-                    });
+                        rejected: Vec::new(),
+                        written: 0,
+                        written_bytes: 0,
+                        gc_removed: 0,
+                        write_wall: Duration::ZERO,
+                        validate_wall: Duration::ZERO,
+                    };
+                    if let Some(d) = &disk {
+                        d.report_into(&mut report);
+                    }
+                    return Ok(report);
                 }
                 Ok(Attempt::Yielded { ckpt }) => {
                     record.yielded = Some(ckpt);

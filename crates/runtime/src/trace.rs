@@ -47,7 +47,7 @@ pub struct WorkerTrace {
     pub completed: bool,
     /// Set when the worker resumed from a checkpoint: the local schedule
     /// position execution restarted at (`ops` covers positions from here).
-    pub resumed_from: Option<usize>,
+    pub resume_pos: Option<usize>,
 }
 
 impl WorkerTrace {

@@ -426,7 +426,7 @@ impl<'a> Worker<'a> {
             bytes_received: self.bytes_received,
             transport_copy_bytes: self.transport_copy_bytes,
             completed: self.completed,
-            resumed_from: if self.start_pos > 0 { Some(self.start_pos) } else { None },
+            resume_pos: if self.start_pos > 0 { Some(self.start_pos) } else { None },
         };
         WorkerOutcome {
             trace: Some(trace),

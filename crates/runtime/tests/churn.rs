@@ -11,7 +11,7 @@ use tofu_graph::{Graph, TensorId, TensorKind};
 use tofu_models::{mlp, MlpConfig};
 use tofu_runtime::{
     resume_from_snapshot, run_with_elastic_recovery, run_with_options, CheckpointPolicy, ChurnPlan,
-    ElasticReport, FaultPlan, RecoveryOptions, RunOptions, RuntimeError, TransitionKind,
+    FaultPlan, RecoveryOptions, RecoveryReport, RunOptions, RuntimeError, TransitionKind,
 };
 use tofu_tensor::Tensor;
 
@@ -66,22 +66,28 @@ fn elastic() -> RecoveryOptions {
 /// The spec's baseline: an undisturbed run at the final width resumed from
 /// the same snapshot cut the churned run last crossed.
 fn baseline_values(
-    report: &ElasticReport,
+    report: &RecoveryReport,
     full_feeds: &[(TensorId, Tensor)],
 ) -> BTreeMap<TensorId, Tensor> {
     let clean = RunOptions::default();
+    let sharded = report.sharded.as_ref().expect("a re-planned run returns its plan");
     match &report.snapshot {
-        Some(snap) => resume_from_snapshot(&report.sharded, &[], &clean, snap)
-            .expect("baseline resume")
-            .values,
+        Some(snap) => {
+            resume_from_snapshot(sharded, &[], &clean, snap).expect("baseline resume").values
+        }
         None => {
             let mut sf = Vec::new();
             for (t, v) in full_feeds {
-                sf.extend(report.sharded.scatter(*t, v).unwrap());
+                sf.extend(sharded.scatter(*t, v).unwrap());
             }
-            run_with_options(&report.sharded, &sf, &clean).expect("baseline run").values
+            run_with_options(sharded, &sf, &clean).expect("baseline run").values
         }
     }
+}
+
+/// The physical devices the final attempt ran on.
+fn active(report: &RecoveryReport) -> &[usize] {
+    &report.history.last().expect("a finished run made an attempt").devices
 }
 
 fn assert_bit_identical(got: &BTreeMap<TensorId, Tensor>, want: &BTreeMap<TensorId, Tensor>) {
@@ -95,7 +101,7 @@ fn assert_bit_identical(got: &BTreeMap<TensorId, Tensor>, want: &BTreeMap<Tensor
     }
 }
 
-fn kinds(report: &ElasticReport) -> Vec<TransitionKind> {
+fn kinds(report: &RecoveryReport) -> Vec<TransitionKind> {
     report.transitions.iter().map(|t| t.kind).collect()
 }
 
@@ -103,14 +109,13 @@ fn kinds(report: &ElasticReport) -> Vec<TransitionKind> {
 /// (communication) tensors appear in `output.values` depends on the barrier
 /// the run resumed from — a timing-dependent harvest — so cross-run
 /// comparisons go through the original tensors, which are always complete.
-fn gathered_originals(g: &Graph, report: &ElasticReport) -> BTreeMap<TensorId, Tensor> {
+fn gathered_originals(g: &Graph, report: &RecoveryReport) -> BTreeMap<TensorId, Tensor> {
+    let sharded = report.sharded.as_ref().expect("a re-planned run returns its plan");
     let mut out = BTreeMap::new();
-    for (&t, shards) in &report.sharded.shards {
+    for (&t, shards) in &sharded.shards {
         if shards.iter().all(|s| report.output.values.contains_key(s)) {
-            let full = report
-                .sharded
-                .gather(t, &g.tensor(t).shape, &report.output.values)
-                .expect("gather");
+            let full =
+                sharded.gather(t, &g.tensor(t).shape, &report.output.values).expect("gather");
             out.insert(t, full);
         }
     }
@@ -136,13 +141,14 @@ fn leave_then_rejoin_shrinks_and_grows_back_bit_identically() {
     assert_eq!(report.widths, vec![8, 7, 8], "shrink then grow back");
     assert_eq!(report.lost, vec![3]);
     assert_eq!(report.joined, vec![3]);
-    assert_eq!(report.devices, (0..8).collect::<Vec<_>>(), "device 3 is active again");
+    assert_eq!(active(&report), (0..8).collect::<Vec<_>>(), "device 3 is active again");
     assert!(report.spares.is_empty());
     assert_eq!(kinds(&report), vec![TransitionKind::Shrink, TransitionKind::Grow]);
     let grow = &report.transitions[1];
     assert_eq!((grow.from_width, grow.to_width), (7, 8));
     assert!(grow.at_ckpt.is_some(), "grow happens at a checkpoint barrier");
-    assert!(grow.replan.is_some());
+    let opened = &report.history[grow.attempt.expect("a grow opens a width")];
+    assert!(opened.replan.is_some());
     let baseline = baseline_values(&report, &full_feeds);
     assert_bit_identical(&report.output.values, &baseline);
 }
@@ -167,7 +173,7 @@ fn a_fresh_device_grows_the_run_beyond_its_starting_width() {
     assert_eq!(report.widths, vec![8, 9], "grew past the starting width");
     assert!(report.lost.is_empty());
     assert_eq!(report.joined, vec![8]);
-    assert_eq!(report.devices, (0..9).collect::<Vec<_>>());
+    assert_eq!(active(&report), (0..9).collect::<Vec<_>>());
     assert_eq!(kinds(&report), vec![TransitionKind::Grow]);
     let baseline = baseline_values(&report, &full_feeds);
     assert_bit_identical(&report.output.values, &baseline);
@@ -194,7 +200,7 @@ fn a_join_with_no_wider_feasible_width_idles_as_a_spare() {
     assert_eq!(kinds(&report), vec![TransitionKind::SpareJoin]);
     assert_eq!(report.joined, vec![6]);
     assert_eq!(report.spares, vec![6], "the joiner idles as a spare");
-    assert_eq!(report.devices, (0..6).collect::<Vec<_>>());
+    assert_eq!(active(&report), (0..6).collect::<Vec<_>>());
     assert_bit_identical(&report.output.values, &baseline_values(&report, &full_feeds));
 }
 
@@ -222,7 +228,7 @@ fn infeasible_widths_step_down_to_capacity_and_climb_back_on_rejoin() {
     assert_eq!(kinds(&report), vec![TransitionKind::Shrink, TransitionKind::Grow]);
     assert_eq!(report.transitions[0].to_width, 6);
     assert_eq!(report.transitions[1].to_width, 8);
-    assert_eq!(report.devices, (0..8).collect::<Vec<_>>());
+    assert_eq!(active(&report), (0..8).collect::<Vec<_>>());
     assert!(report.spares.is_empty());
     assert_bit_identical(&report.output.values, &baseline_values(&report, &full_feeds));
 }
@@ -248,7 +254,7 @@ fn a_leave_of_an_idle_spare_does_not_disturb_the_run() {
     assert_eq!(report.widths, vec![8, 6], "only the active loss changed the width");
     assert_eq!(report.lost, vec![7, 6]);
     assert_eq!(kinds(&report), vec![TransitionKind::Shrink, TransitionKind::SpareLoss]);
-    assert_eq!(report.devices, (0..6).collect::<Vec<_>>());
+    assert_eq!(active(&report), (0..6).collect::<Vec<_>>());
     assert!(report.spares.is_empty());
     assert_bit_identical(&report.output.values, &baseline_values(&report, &full_feeds));
 }
@@ -287,7 +293,7 @@ fn seeded_churn_replays_identically_from_one_seed() {
     // when the cuts agree, the outputs must agree bit for bit. Each run is
     // unconditionally bit-identical to an undisturbed run at its final
     // width resumed from its own snapshot cut.
-    let cuts = |r: &ElasticReport| -> Vec<Option<usize>> {
+    let cuts = |r: &RecoveryReport| -> Vec<Option<usize>> {
         r.transitions.iter().map(|t| t.at_ckpt).collect()
     };
     if cuts(&a) == cuts(&b) {

@@ -14,8 +14,8 @@ use tofu_graph::{Graph, TensorId, TensorKind};
 use tofu_models::{mlp, MlpConfig};
 use tofu_runtime::{
     resume_from_snapshot, run_with_durable_recovery, run_with_options, BlobStore,
-    CheckpointPolicy, ChurnPlan, CrashPoint, DirStore, DiskFault, DurableOptions, DurableReport, FaultPlan,
-    MemStore, RejectReason, RunOptions, RuntimeError,
+    CheckpointPolicy, ChurnPlan, CrashPoint, DirStore, DiskFault, DurableOptions, FaultPlan,
+    MemStore, RecoveryReport, RejectReason, RunOptions, RuntimeError, TransitionKind,
 };
 use tofu_tensor::Tensor;
 
@@ -61,20 +61,21 @@ fn checkpointed(g: &Graph, faults: FaultPlan) -> RunOptions {
 /// width, resumed from the recovered snapshot when there is one (the only
 /// meaningful baseline across a width change), from scratch otherwise.
 fn baseline_values(
-    report: &DurableReport,
+    report: &RecoveryReport,
     full_feeds: &[(TensorId, Tensor)],
 ) -> BTreeMap<TensorId, Tensor> {
     let clean = RunOptions::default();
+    let sharded = report.sharded.as_ref().expect("a re-planned run returns its plan");
     match &report.snapshot {
-        Some(snap) => resume_from_snapshot(&report.sharded, &[], &clean, snap)
-            .expect("baseline resume")
-            .values,
+        Some(snap) => {
+            resume_from_snapshot(sharded, &[], &clean, snap).expect("baseline resume").values
+        }
         None => {
             let mut sf = Vec::new();
             for (t, v) in full_feeds {
-                sf.extend(report.sharded.scatter(*t, v).unwrap());
+                sf.extend(sharded.scatter(*t, v).unwrap());
             }
-            run_with_options(&report.sharded, &sf, &clean).expect("baseline run").values
+            run_with_options(sharded, &sf, &clean).expect("baseline run").values
         }
     }
 }
@@ -92,6 +93,11 @@ fn assert_bit_identical(got: &BTreeMap<TensorId, Tensor>, want: &BTreeMap<Tensor
         let wb: Vec<u32> = w.data().iter().map(|x| x.to_bits()).collect();
         assert_eq!(gb, wb, "tensor {t:?} is not bit-identical to the baseline");
     }
+}
+
+/// The checkpoint the final (successful) attempt resumed from.
+fn resumed_from(report: &RecoveryReport) -> Option<usize> {
+    report.history.last().and_then(|a| a.resumed_from)
 }
 
 fn manifests(store: &dyn BlobStore) -> Vec<String> {
@@ -116,7 +122,7 @@ fn clean_run_persists_commits_and_respects_retention() {
     )
     .expect("clean durable run");
     assert!(report.crashed.is_none());
-    assert_eq!(report.resumed_from, None, "nothing on disk to resume from");
+    assert_eq!(resumed_from(&report), None, "nothing on disk to resume from");
     assert!(report.rejected.is_empty());
     assert!(report.written >= 3, "expected several durable commits, got {}", report.written);
     assert!(report.written_bytes > 0);
@@ -124,11 +130,12 @@ fn clean_run_persists_commits_and_respects_retention() {
     // Retention holds: only the newest two manifests survive the run.
     assert_eq!(manifests(&*store).len(), 2);
 
+    let sharded = report.sharded.as_ref().unwrap();
     let mut sf = Vec::new();
     for (t, v) in &full_feeds {
-        sf.extend(report.sharded.scatter(*t, v).unwrap());
+        sf.extend(sharded.scatter(*t, v).unwrap());
     }
-    let plain = run_with_options(&report.sharded, &sf, &RunOptions::default())
+    let plain = run_with_options(sharded, &sf, &RunOptions::default())
         .expect("plain baseline");
     assert_bit_identical(&report.output.values, &plain.values);
 }
@@ -153,9 +160,9 @@ fn crash_after_commit_resumes_from_that_checkpoint() {
     )
     .expect("crash-restart run");
     assert!(report.crashed.is_some(), "the first incarnation must have died");
-    assert_eq!(report.resumed_from, Some(2), "checkpoint 2 committed before the crash");
+    assert_eq!(resumed_from(&report), Some(2), "checkpoint 2 committed before the crash");
     assert!(report.rejected.is_empty(), "nothing was corrupt: {:?}", report.rejected);
-    assert!(report.restore_bytes > 0);
+    assert!(report.history.iter().map(|a| a.reshard_bytes).sum::<u64>() > 0);
     assert_bit_identical(&report.output.values, &baseline_values(&report, &full_feeds));
 }
 
@@ -180,7 +187,7 @@ fn crash_before_commit_falls_back_to_previous_checkpoint() {
     .expect("crash-restart run");
     // Checkpoint 2's shards hit the disk but its manifest — the commit
     // point — never did: the orphans are invisible, not "rejected".
-    assert_eq!(report.resumed_from, Some(1));
+    assert_eq!(resumed_from(&report), Some(1));
     assert!(report.rejected.is_empty(), "orphan shards are not candidates: {:?}", report.rejected);
     assert_bit_identical(&report.output.values, &baseline_values(&report, &full_feeds));
 }
@@ -204,7 +211,7 @@ fn crash_before_first_commit_restarts_from_scratch() {
         &mut caches,
     )
     .expect("crash-restart run");
-    assert_eq!(report.resumed_from, None, "no checkpoint ever committed");
+    assert_eq!(resumed_from(&report), None, "no checkpoint ever committed");
     assert!(report.snapshot.is_none());
     assert_bit_identical(&report.output.values, &baseline_values(&report, &full_feeds));
 }
@@ -232,9 +239,10 @@ fn restart_at_a_different_width_is_bit_identical() {
             &mut caches,
         )
         .unwrap_or_else(|e| panic!("{before}->{after}: crash-restart run failed: {e}"));
-        assert_eq!(report.width, after, "{before}->{after}: restarted at the new width");
-        assert_eq!(report.sharded.workers, after);
-        assert_eq!(report.resumed_from, Some(2));
+        let width = report.sharded.as_ref().map(|s| s.workers);
+        assert_eq!(width, Some(after), "{before}->{after}: restarted at the new width");
+        assert_eq!(report.history.last().map(|a| a.width), Some(after));
+        assert_eq!(resumed_from(&report), Some(2));
         assert_bit_identical(&report.output.values, &baseline_values(&report, &full_feeds));
     }
 }
@@ -312,7 +320,7 @@ fn every_disk_fault_family_is_detected_and_recovered_exactly() {
         )
         .unwrap_or_else(|e| panic!("{}: crash-restart run failed: {e}", case.label));
         assert_eq!(
-            report.resumed_from,
+            resumed_from(&report),
             Some(case.expect_resume),
             "{}: wrong resume checkpoint",
             case.label
@@ -352,7 +360,7 @@ fn dir_store_survives_a_crash_through_the_real_filesystem() {
         &mut caches,
     )
     .expect("crash-restart through DirStore");
-    assert_eq!(report.resumed_from, Some(2));
+    assert_eq!(resumed_from(&report), Some(2));
     assert_bit_identical(&report.output.values, &baseline_values(&report, &full_feeds));
     std::fs::remove_dir_all(&root).expect("cleanup");
 }
@@ -363,7 +371,7 @@ fn misconfiguration_is_rejected_up_front() {
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 4, ..Default::default() };
     let mut caches = SearchCaches::default();
-    let invalid = |r: Result<DurableReport, RuntimeError>, what: &str| {
+    let invalid = |r: Result<RecoveryReport, RuntimeError>, what: &str| {
         match r {
             Err(RuntimeError::InvalidOptions(_)) => {}
             other => panic!("{what}: expected InvalidOptions, got {other:?}"),
@@ -490,13 +498,72 @@ fn crash_during_churn_recovers_bit_identically() {
             run_with_durable_recovery(&m.graph, &full_feeds, &part, &opts, &durable, &mut caches)
                 .unwrap_or_else(|e| panic!("{label}: run failed: {e}"));
         assert!(report.crashed.is_some(), "{label}: the process must have died");
-        assert_eq!(report.width, 4, "{label}: ends at the capacity width");
-        assert_eq!(report.sharded.workers, 4);
-        assert_eq!(report.resumed_from, Some(resumed), "{label}");
+        let width = report.sharded.as_ref().map(|s| s.workers);
+        assert_eq!(width, Some(4), "{label}: ends at the capacity width");
+        assert_eq!(resumed_from(&report), Some(resumed), "{label}");
         assert!(report.rejected.is_empty(), "{label}: nothing was corrupt: {:?}", report.rejected);
         let names: Vec<String> = collector.events().into_iter().map(|e| e.name).collect();
         assert!(names.iter().any(|n| n == "device 1 lost (permanent)"), "{label}: no shrink");
         assert_eq!(collector.totals().get("elastic/grows").copied(), Some(1.0), "{label}");
         assert_bit_identical(&report.output.values, &baseline_values(&report, &full_feeds));
     }
+}
+
+/// One churn ladder (device 1 leaves, then rejoins; the process crashes
+/// after the grow) read back through the report alone. Every latency and
+/// byte count of a transition or a restore is the attempt's own, so the
+/// relations below are what the report's `history` has to carry.
+#[test]
+fn a_churn_ladder_is_explained_by_its_attempt_history() {
+    let m = model();
+    let full_feeds = feeds(&m.graph);
+    let part = PartitionOptions { workers: 4, ..Default::default() };
+    let mut caches = SearchCaches::default();
+    let collector = tofu_obs::Collector::new();
+    let opts = RunOptions {
+        churn: ChurnPlan::none().with_leave(1, 1).with_join(1, 2),
+        collector: Some(collector.clone()),
+        ..checkpointed(&m.graph, FaultPlan::none())
+    };
+    let durable = DurableOptions {
+        crash: Some(CrashPoint::AfterCommit(4)),
+        ..DurableOptions::new(Arc::new(MemStore::default()))
+    };
+    let report =
+        run_with_durable_recovery(&m.graph, &full_feeds, &part, &opts, &durable, &mut caches)
+            .expect("churn ladder with a crash after the grow");
+    assert!(report.crashed.is_some(), "the process must have died after the grow");
+    assert_eq!(report.attempts, report.history.len());
+    let widths: Vec<usize> = report.history.iter().map(|a| a.width).collect();
+    assert_eq!(widths, vec![4, 3, 4, 4], "leave, yield to the join, crash, reboot");
+
+    // Each transition's attempt is the first at its new width, right after
+    // the last at its old one, and it carries the replan and the reshard.
+    let kinds: Vec<TransitionKind> = report.transitions.iter().map(|t| t.kind).collect();
+    assert_eq!(kinds, vec![TransitionKind::Shrink, TransitionKind::Grow]);
+    for t in &report.transitions {
+        let i = t.attempt.expect("a shrink or grow opens a width");
+        let (before, opened) = (&report.history[i - 1], &report.history[i]);
+        assert_eq!((before.width, opened.width), (t.from_width, t.to_width), "{t:?}");
+        assert!(opened.replan.is_some(), "{t:?}: no replan");
+        assert_eq!(opened.reshard.is_some(), t.at_ckpt.is_some(), "{t:?}: reshard");
+        assert_eq!(opened.reshard_bytes > 0, t.at_ckpt.is_some(), "{t:?}: reshard bytes");
+        if t.kind == TransitionKind::Shrink {
+            assert!(before.detection.is_some(), "{t:?}: the loss was never detected");
+        }
+    }
+
+    // The bytes restored are the attempts' reshards, and nothing else.
+    let restored: u64 = report.history.iter().map(|a| a.reshard_bytes).sum();
+    let observed = collector.totals().get("elastic/reshard_bytes").copied();
+    assert_eq!(observed, Some(restored as f64));
+    let snapshot = report.snapshot.as_ref().expect("the reboot resumed from disk");
+    let last = report.history.last().unwrap();
+    assert_eq!((last.resumed_from, last.reshard_bytes), (Some(snapshot.ckpt), snapshot.bytes()));
+
+    // The first attempt after the grow resumes at the grow's barrier.
+    let grow = &report.transitions[1];
+    assert_eq!(grow.at_ckpt, Some(2));
+    assert_eq!(report.history[grow.attempt.unwrap()].resumed_from, grow.at_ckpt);
+    assert_bit_identical(&report.output.values, &baseline_values(&report, &full_feeds));
 }

@@ -152,13 +152,14 @@ fn late_kill_or_panic_resumes_from_checkpoint() {
         let report = run_with_recovery(&sharded, &shard_feeds, &opts, &RecoveryOptions::default())
             .unwrap_or_else(|e| panic!("{fault:?}: recovery failed: {e}"));
         assert_eq!(report.attempts, 2, "{fault:?}");
-        assert_eq!(report.resumed_from.len(), 1, "{fault:?}");
-        let ckpt = report.resumed_from[0]
+        assert_eq!(report.history[0].resumed_from, None, "{fault:?}: the first run starts fresh");
+        let ckpt = report.history[1]
+            .resumed_from
             .expect("a late fault must leave at least one consistent checkpoint");
         assert!(ckpt >= 1, "{fault:?}");
         // The retry's trace records where workers restarted.
         assert!(
-            report.output.trace.workers.iter().any(|t| t.resumed_from.is_some()),
+            report.output.trace.workers.iter().any(|t| t.resume_pos.is_some()),
             "{fault:?}: no worker reports a resumed schedule position"
         );
         assert_bit_identical(&report.output.values, &baseline.values);
@@ -178,7 +179,8 @@ fn recovery_without_checkpoints_restarts_from_scratch() {
     let report = run_with_recovery(&sharded, &shard_feeds, &opts, &RecoveryOptions::default())
         .expect("recovery");
     assert_eq!(report.attempts, 2);
-    assert_eq!(report.resumed_from, vec![None], "no checkpoints: clean restart");
+    let resumed: Vec<Option<usize>> = report.history.iter().map(|a| a.resumed_from).collect();
+    assert_eq!(resumed, vec![None, None], "no checkpoints: clean restart");
     assert_bit_identical(&report.output.values, &baseline.values);
 }
 

@@ -8,7 +8,7 @@ use tofu_core::{generate, partition, GenOptions, PartitionOptions, ShardedGraph}
 use tofu_graph::{Executor, Graph, TensorId, TensorKind};
 use tofu_models::{mlp, rnn, wresnet, MlpConfig, RnnConfig, WResNetConfig};
 use tofu_obs::{Collector, Phase, Track};
-use tofu_runtime::{run, run_with_options, RunOptions, RuntimeError};
+use tofu_runtime::{run_with_options, RunOptions, RuntimeError};
 use tofu_tensor::Tensor;
 
 fn feeds(g: &Graph) -> Vec<(TensorId, Tensor)> {
@@ -69,7 +69,7 @@ fn single_worker_matches_executor() {
     let m = mlp(&MlpConfig { batch: 8, dims: vec![16, 16], classes: 8, with_updates: true })
         .unwrap();
     let (sharded, shard_feeds, base) = shard(&m.graph, 1);
-    let out = run(&sharded, &shard_feeds).unwrap();
+    let out = run_with_options(&sharded, &shard_feeds, &RunOptions::default()).unwrap();
     let check: Vec<TensorId> =
         std::iter::once(m.loss).chain(m.grads.iter().map(|&(_, gw)| gw)).collect();
     check_outputs(&m.graph, &sharded, &out.values, &base, &check, 1e-6);
@@ -85,7 +85,7 @@ fn multi_worker_matches_executor() {
         std::iter::once(m.loss).chain(m.grads.iter().map(|&(_, gw)| gw)).collect();
     for workers in [2, 4] {
         let (sharded, shard_feeds, base) = shard(&m.graph, workers);
-        let out = run(&sharded, &shard_feeds).unwrap();
+        let out = run_with_options(&sharded, &shard_feeds, &RunOptions::default()).unwrap();
         check_outputs(&m.graph, &sharded, &out.values, &base, &check, 1e-4);
         assert_eq!(out.trace.workers.len(), workers);
         assert!(out.trace.comm_bytes() > 0, "{workers} workers must communicate");
@@ -125,7 +125,7 @@ fn trace_is_internally_consistent() {
             let sharded = generate(g, &plan, &GenOptions::default()).unwrap();
             let shard_feeds: Vec<_> =
                 feeds(g).iter().flat_map(|(t, v)| sharded.scatter(*t, v).unwrap()).collect();
-            let trace = run(&sharded, &shard_feeds).unwrap().trace;
+            let trace = run_with_options(&sharded, &shard_feeds, &RunOptions::default()).unwrap().trace;
             assert_eq!(trace.ops_executed(), sharded.graph.num_nodes(), "{label}");
             for w in &trace.workers {
                 let schedule = sharded.worker_schedule(w.device);
@@ -158,7 +158,7 @@ fn missing_feed_is_reported() {
     let m = mlp(&MlpConfig { batch: 4, dims: vec![8], classes: 4, with_updates: false }).unwrap();
     let (sharded, shard_feeds, _) = shard(&m.graph, 2);
     let partial: Vec<_> = shard_feeds.into_iter().skip(1).collect();
-    let err = run(&sharded, &partial).unwrap_err();
+    let err = run_with_options(&sharded, &partial, &RunOptions::default()).unwrap_err();
     // A failed run reports a post-mortem naming the worker whose feed was
     // missing; the root cause is the typed MissingFeed error.
     match err {

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use tofu_core::{generate, partition, GenOptions, PartitionOptions, ShardedGraph};
 use tofu_graph::{Executor, Graph, TensorId, TensorKind};
 use tofu_models::{decoder_block, DecoderConfig};
-use tofu_runtime::run;
+use tofu_runtime::{run_with_options, RunOptions};
 use tofu_tensor::Tensor;
 
 fn small_cfg() -> DecoderConfig {
@@ -74,7 +74,7 @@ fn check_outputs(
 fn decoder_single_worker_matches_executor() {
     let m = decoder_block(&small_cfg()).unwrap();
     let (sharded, shard_feeds, base) = shard(&m.graph, 1);
-    let out = run(&sharded, &shard_feeds).unwrap();
+    let out = run_with_options(&sharded, &shard_feeds, &RunOptions::default()).unwrap();
     let check: Vec<TensorId> =
         std::iter::once(m.loss).chain(m.grads.iter().map(|&(_, gw)| gw)).collect();
     check_outputs(&m.graph, &sharded, &out.values, &base, &check, 1e-6);
@@ -89,7 +89,7 @@ fn decoder_multi_worker_matches_executor() {
         std::iter::once(m.loss).chain(m.grads.iter().map(|&(_, gw)| gw)).collect();
     for workers in [2, 4] {
         let (sharded, shard_feeds, base) = shard(&m.graph, workers);
-        let out = run(&sharded, &shard_feeds).unwrap();
+        let out = run_with_options(&sharded, &shard_feeds, &RunOptions::default()).unwrap();
         check_outputs(&m.graph, &sharded, &out.values, &base, &check, 1e-4);
         assert_eq!(out.trace.workers.len(), workers);
         assert!(out.trace.comm_bytes() > 0, "{workers} workers must communicate");

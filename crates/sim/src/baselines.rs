@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use tofu_graph::{Graph, NodeId, TensorId, TensorKind};
 
-use crate::event::simulate;
+use crate::event::simulate_with_leaf_devices;
 use crate::machine::Machine;
 use crate::memory::{device_memory, per_device_memory};
 use crate::{Outcome, Perf};
@@ -16,7 +16,7 @@ pub type ModelBuilder<'a> = &'a dyn Fn(usize) -> Option<Graph>;
 
 fn single_device_time(g: &Graph, machine: &Machine) -> f64 {
     let devices = vec![0usize; g.num_nodes()];
-    simulate(g, &devices, machine, true).makespan
+    simulate_with_leaf_devices(g, &devices, &[], machine, true).makespan
 }
 
 fn single_device_peak(g: &Graph, machine: &Machine) -> crate::memory::DeviceMemory {
@@ -231,8 +231,8 @@ pub fn op_placement(
     in_place_aggregation: bool,
 ) -> Outcome {
     let devices = placement_devices(g, machine.gpus);
-    let sim = simulate(g, &devices, machine, false);
-    let free = simulate(g, &devices, machine, true);
+    let sim = simulate_with_leaf_devices(g, &devices, &[], machine, false);
+    let free = simulate_with_leaf_devices(g, &devices, &[], machine, true);
     let mems = per_device_memory(&g.clone(), &devices, machine.gpus, true, 1.0);
     let mut peak = mems.iter().map(|m| m.peak_bytes).max().unwrap_or(0) as f64;
     let mut iter = sim.makespan;

@@ -128,7 +128,7 @@ impl TraceReport {
 
 /// Builds the report: simulates `sharded` on `machine` and lines the
 /// prediction up against the measured `trace` (produced by
-/// `tofu_runtime::run`, which always plans with buffer reuse).
+/// `tofu_runtime::run_with_options`, which always plans with buffer reuse).
 pub fn compare_trace(sharded: &ShardedGraph, machine: &Machine, trace: &RunTrace) -> TraceReport {
     let sim = simulate_with_leaf_devices(
         &sharded.graph,

@@ -52,16 +52,6 @@ impl SimResult {
 ///
 /// `free_transfers` zeroes all communication cost — the methodology Fig. 10
 /// uses to separate computation from communication overhead.
-pub fn simulate(
-    g: &Graph,
-    devices: &[usize],
-    machine: &Machine,
-    free_transfers: bool,
-) -> SimResult {
-    simulate_with_leaf_devices(g, devices, &[], machine, free_transfers)
-}
-
-/// [`simulate`] with explicit leaf-tensor placement.
 ///
 /// `leaf_devices` is indexed by `TensorId`; a `Some(d)` entry pins that leaf
 /// to device `d` at time zero, overriding the first-consumer heuristic (which
@@ -215,7 +205,7 @@ mod tests {
     fn single_device_serializes() {
         let m = Machine::p2_8xlarge();
         let (g, dev) = chain_on(vec![0, 0, 0]);
-        let r = simulate(&g, &dev, &m, false);
+        let r = simulate_with_leaf_devices(&g, &dev, &[], &m, false);
         assert!((r.makespan - r.compute_busy[0]).abs() < 1e-12);
         assert_eq!(r.comm_bytes, 0.0);
     }
@@ -224,8 +214,8 @@ mod tests {
     fn cross_device_chain_pays_transfers() {
         let m = Machine::p2_8xlarge();
         let (g, dev) = chain_on(vec![0, 1, 0]);
-        let with = simulate(&g, &dev, &m, false);
-        let free = simulate(&g, &dev, &m, true);
+        let with = simulate_with_leaf_devices(&g, &dev, &[], &m, false);
+        let free = simulate_with_leaf_devices(&g, &dev, &[], &m, true);
         assert!(with.makespan > free.makespan);
         // Two hops of 4 MiB each.
         assert_eq!(with.comm_bytes, 2.0 * 4.0 * (1 << 20) as f64);
@@ -240,8 +230,8 @@ mod tests {
         let _a = g.add_op("relu", "a", &[x], Attrs::new()).unwrap();
         let _b = g.add_op("tanh", "b", &[x], Attrs::new()).unwrap();
         // Same work on one device vs two.
-        let serial = simulate(&g, &[0, 0], &m, false);
-        let parallel = simulate(&g, &[0, 1], &m, true);
+        let serial = simulate_with_leaf_devices(&g, &[0, 0], &[], &m, false);
+        let parallel = simulate_with_leaf_devices(&g, &[0, 1], &[], &m, true);
         assert!(parallel.makespan < serial.makespan * 0.75);
     }
 
@@ -249,8 +239,8 @@ mod tests {
     fn slow_links_cost_more() {
         let m = Machine::p2_8xlarge();
         let (g, _) = chain_on(vec![0, 0]);
-        let near = simulate(&g, &[0, 1], &m, false);
-        let far = simulate(&g, &[0, 7], &m, false);
+        let near = simulate_with_leaf_devices(&g, &[0, 1], &[], &m, false);
+        let far = simulate_with_leaf_devices(&g, &[0, 7], &[], &m, false);
         assert!(far.makespan > near.makespan);
     }
 
@@ -276,7 +266,7 @@ mod tests {
             )
             .unwrap();
         // pa on device 1, pb on device 2, fetch on device 0.
-        let r = simulate(&g, &[1, 2, 0], &m, false);
+        let r = simulate_with_leaf_devices(&g, &[1, 2, 0], &[], &m, false);
         assert_eq!(r.comm_bytes, (16.0 + 48.0) * 4.0);
     }
 
@@ -290,11 +280,13 @@ mod tests {
         let p = g.add_op("relu", "p", &[x], Attrs::new()).unwrap();
         let _a = g.add_op("tanh", "a", &[p], Attrs::new()).unwrap();
         let _b = g.add_op("sigmoid", "b", &[p], Attrs::new()).unwrap();
-        let once = simulate(&g, &[0, 1, 1], &m, false);
+        let once = simulate_with_leaf_devices(&g, &[0, 1, 1], &[], &m, false);
         assert_eq!(once.comm_bytes, 4.0 * (1 << 20) as f64);
-        assert_eq!(simulate(&g, &[0, 1, 1], &m, true).comm_bytes, once.comm_bytes);
+        let free = simulate_with_leaf_devices(&g, &[0, 1, 1], &[], &m, true);
+        assert_eq!(free.comm_bytes, once.comm_bytes);
         // A third device pays its own transfer.
-        assert_eq!(simulate(&g, &[0, 1, 2], &m, false).comm_bytes, 2.0 * once.comm_bytes);
+        let twice = simulate_with_leaf_devices(&g, &[0, 1, 2], &[], &m, false);
+        assert_eq!(twice.comm_bytes, 2.0 * once.comm_bytes);
         // The second read adds no link time: the makespan is the producer,
         // one transfer, then both consumers back to back on device 1.
         let secs = |n: usize| node_seconds(&g, NodeId(n), &m);
@@ -321,9 +313,9 @@ mod tests {
         fetch(&mut g, "f0", 0);
         fetch(&mut g, "f1", 0);
         fetch(&mut g, "f2", 16);
-        let r = simulate(&g, &[1, 0, 0, 0], &m, false);
+        let r = simulate_with_leaf_devices(&g, &[1, 0, 0, 0], &[], &m, false);
         assert_eq!(r.comm_bytes, 2.0 * 16.0 * 4.0);
-        let free = simulate(&g, &[1, 0, 0, 0], &m, true);
+        let free = simulate_with_leaf_devices(&g, &[1, 0, 0, 0], &[], &m, true);
         assert_eq!(free.comm_bytes, r.comm_bytes);
     }
 }

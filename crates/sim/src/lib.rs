@@ -31,7 +31,7 @@ pub mod tofu;
 pub use baselines::{ideal, lru_swap_traffic, op_placement, small_batch, swap, ModelBuilder};
 pub use compare::{compare_trace, DeviceReport, TraceReport};
 pub use compute::node_seconds;
-pub use event::{simulate, simulate_traced, simulate_with_leaf_devices, SimResult};
+pub use event::{simulate_traced, simulate_with_leaf_devices, SimResult};
 pub use machine::Machine;
 pub use memory::{device_memory, per_device_memory, DeviceMemory};
 pub use tofu::{run_partitioned, PartitionedRun, TofuSimOptions};

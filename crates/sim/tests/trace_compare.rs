@@ -9,7 +9,7 @@ use tofu_core::{generate, partition, GenOptions, PartitionOptions, ShardedGraph}
 use tofu_graph::{Attrs, Executor, Graph, NodeId, TensorId, TensorKind};
 use tofu_models::{decoder_block, mlp, wresnet, DecoderConfig, MlpConfig, WResNetConfig};
 use tofu_runtime::{
-    run, run_with_options, Fault, FaultPlan, IntegrityLevel, RunOptions, RuntimeError,
+    run_with_options, Fault, FaultPlan, IntegrityLevel, RunOptions, RuntimeError,
 };
 use tofu_sim::{compare_trace, simulate_with_leaf_devices, Machine};
 use tofu_tensor::{Shape, Tensor};
@@ -50,7 +50,7 @@ fn shard(g: &Graph, workers: usize) -> (ShardedGraph, Vec<(TensorId, Tensor)>) {
 }
 
 fn assert_report(sharded: &ShardedGraph, shard_feeds: &[(TensorId, Tensor)], label: &str) {
-    let out = run(sharded, shard_feeds).unwrap();
+    let out = run_with_options(sharded, shard_feeds, &RunOptions::default()).unwrap();
     let report = compare_trace(sharded, &Machine::p2_8xlarge(), &out.trace);
     assert!(
         report.comm_bytes_match(),
@@ -146,7 +146,7 @@ fn wresnet_trace_matches_sim_predictions_and_executor() {
         base.feed(t, v);
     }
     let base_vals = base.run(&m.graph).unwrap();
-    let out = run(&sharded, &shard_feeds).unwrap();
+    let out = run_with_options(&sharded, &shard_feeds, &RunOptions::default()).unwrap();
     for &t in std::iter::once(&m.loss).chain(m.grads.iter().map(|(_, gw)| gw)) {
         let expect = &base_vals[&t];
         let got = sharded.gather(t, expect.shape(), &out.values).unwrap();

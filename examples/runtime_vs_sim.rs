@@ -7,7 +7,7 @@
 use tofu::core::{generate, partition, GenOptions, PartitionOptions};
 use tofu::graph::{Graph, TensorId, TensorKind};
 use tofu::models::{mlp, MlpConfig};
-use tofu::runtime::run;
+use tofu::runtime::{run_with_options, RunOptions};
 use tofu::sim::{compare_trace, Machine};
 use tofu::tensor::Tensor;
 
@@ -55,7 +55,8 @@ fn main() {
     for (t, v) in feeds(&model.graph) {
         shard_feeds.extend(sharded.scatter(t, &v).expect("scatter"));
     }
-    let out = run(&sharded, &shard_feeds).expect("runtime run");
+    let out =
+        run_with_options(&sharded, &shard_feeds, &RunOptions::default()).expect("runtime run");
 
     println!("\n=== measured (tofu-runtime, {workers} threads) ===");
     print!("{}", out.trace.summary());

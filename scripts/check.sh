@@ -45,6 +45,15 @@ if grep -nE '^\s*"[a-z0-9_]+"(\s*\|\s*"[a-z0-9_]+")*\s*=>' crates/graph/src/exec
     exit 1
 fi
 
+# A recovered run has one report: every recovery entry point returns the
+# supervisor's `RecoveryReport`, and no second report type grows beside it.
+reports=$(grep -rhoE "pub struct [A-Za-z0-9_]*Report\b" crates/runtime/src || true)
+if [ "$(echo "$reports" | grep -c .)" -ne 1 ]; then
+    echo "scripts/check.sh: crates/runtime/src must declare exactly one pub struct …Report:" >&2
+    echo "$reports" >&2
+    exit 1
+fi
+
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 # `benchmark/` is its own workspace, so nothing above or below compiles it:

@@ -151,7 +151,8 @@ fn validate_runtime(model: &BuiltModel, workers: usize, tol: f32) {
         shard_feeds.extend(sharded.scatter(t, &v).expect("scatter"));
     }
     let base_vals = base.run(g).expect("single-device run");
-    let out = tofu::runtime::run(&sharded, &shard_feeds).expect("runtime run");
+    let out = tofu::runtime::run_with_options(&sharded, &shard_feeds, &Default::default())
+        .expect("runtime run");
     assert_eq!(out.trace.workers.len(), workers);
 
     let mut to_check: Vec<TensorId> = vec![model.loss];
