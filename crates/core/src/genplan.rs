@@ -21,7 +21,7 @@ use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 pub use tofu_graph::{fetch_pieces, FetchPiece};
-use tofu_graph::{Attrs, Graph, NodeId, NodeTags, TensorId, TensorKind, TransferIndex};
+use tofu_graph::{Attrs, Graph, NodeId, TensorId, TensorKind, TransferIndex};
 use tofu_tdl::{bind_extents, IndexExpr, Reducer, TdlDesc};
 use tofu_tensor::{Shape, Tensor};
 
@@ -481,9 +481,14 @@ pub fn generate(g: &Graph, plan: &PartitionPlan, opts: &GenOptions) -> Result<Sh
                 .collect();
             let attrs =
                 adjust_attrs(&node.op, &node.attrs, &block, &input_regions, materialize);
-            let tags = NodeTags { device: Some(w), ..node.tags.clone() };
             let out_t = out
-                .add_op_tagged(&node.op, &format!("w{w}/{}", node.name), &new_inputs, attrs, tags)
+                .add_op_tagged(
+                    &node.op,
+                    &format!("w{w}/{}", node.name),
+                    &new_inputs,
+                    attrs,
+                    node.tags.clone(),
+                )
                 .map_err(CoreError::Graph)?;
             device_of_tensor.resize(out.num_tensors(), Some(w));
             device_of_node.resize(out.num_nodes(), w);
@@ -759,10 +764,7 @@ fn gather_into(
         inputs.push(*src);
     }
     let attrs = Attrs::new().with_ints("out_dims", out_dims).with_ints("pieces", pieces);
-    let tags = NodeTags { device: Some(w), ..NodeTags::default() };
-    let t = out
-        .add_op_tagged("multi_fetch", name, &inputs, attrs, tags)
-        .map_err(CoreError::Graph)?;
+    let t = out.add_op("multi_fetch", name, &inputs, attrs).map_err(CoreError::Graph)?;
     device_of_tensor.resize(out.num_tensors(), Some(w));
     device_of_node.resize(out.num_nodes(), w);
     Ok(t)
@@ -778,11 +780,10 @@ fn combine(
     w: usize,
     name: &str,
 ) -> Result<TensorId> {
-    let tags = NodeTags { device: Some(w), ..NodeTags::default() };
     let result = match reducer {
-        Reducer::Sum => out
-            .add_op_tagged("add_n", name, partials, Attrs::new(), tags)
-            .map_err(CoreError::Graph)?,
+        Reducer::Sum => {
+            out.add_op("add_n", name, partials, Attrs::new()).map_err(CoreError::Graph)?
+        }
         Reducer::Max | Reducer::Min | Reducer::Prod => {
             let op = match reducer {
                 Reducer::Max => "maximum",
@@ -792,13 +793,7 @@ fn combine(
             let mut acc = partials[0];
             for (i, &p) in partials.iter().enumerate().skip(1) {
                 acc = out
-                    .add_op_tagged(
-                        op,
-                        &format!("{name}/{i}"),
-                        &[acc, p],
-                        Attrs::new(),
-                        tags.clone(),
-                    )
+                    .add_op(op, &format!("{name}/{i}"), &[acc, p], Attrs::new())
                     .map_err(CoreError::Graph)?;
             }
             acc
@@ -917,7 +912,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_graph_has_device_tags_and_control_deps() {
+    fn sharded_graph_places_every_node_and_adds_control_deps() {
         let (g, _) = mlp(8, 16);
         let plan = partition(&g, &PartitionOptions { workers: 2, ..Default::default() }).unwrap();
         let with = generate(&g, &plan, &GenOptions { control_deps: true }).unwrap();
@@ -926,9 +921,9 @@ mod tests {
             s.graph.node_ids().map(|n| s.graph.node(n).control_deps.len()).sum::<usize>()
         };
         assert!(count(&with) > count(&without));
-        for n in with.graph.node_ids() {
-            assert!(with.graph.node(n).tags.device.is_some());
-        }
+        // Every node is placed on one of the plan's workers.
+        assert_eq!(with.device_of_node.len(), with.graph.num_nodes());
+        assert!(with.device_of_node.iter().all(|&w| w < with.workers));
     }
 
     /// Fig. 7: on every worker, the compute node of each original node

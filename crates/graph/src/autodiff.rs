@@ -110,7 +110,6 @@ pub fn backward(g: &mut Graph, loss: TensorId, wrt: &[TensorId]) -> Result<GradI
             layer: fw_tags.layer,
             timestep: fw_tags.timestep,
             cell_position: fw_tags.cell_position.clone(),
-            device: None,
         };
         g.set_grad_of(out_grad, output);
         info.grads.insert(output, out_grad);

@@ -62,9 +62,6 @@ pub struct NodeTags {
     /// Identity of the RNN cell computation this node instantiates; nodes
     /// with equal `(cell, position)` across timesteps are coalesced.
     pub cell_position: Option<String>,
-    /// Worker/device executing this node in a partitioned graph (§6); unset
-    /// in the original single-device graph.
-    pub device: Option<usize>,
 }
 
 /// One single-output operator node.

@@ -32,6 +32,7 @@ use tofu_core::ShardedGraph;
 use tofu_graph::TensorId;
 use tofu_tensor::Tensor;
 
+use crate::durable::Persister;
 use crate::fault::FaultRng;
 
 /// Which schedule the checkpoint barriers count.
@@ -83,8 +84,8 @@ pub struct RecoveryOptions {
     /// Total attempts per worker count (first run included). At least 1.
     pub max_attempts: usize,
     /// Base sleep before the first retry; later delays follow a
-    /// decorrelated-jitter schedule seeded with 0 and capped at 1 s (see
-    /// [`BackoffSchedule`]), so fault-suite timing replays run to run.
+    /// decorrelated-jitter schedule seeded with 0 and capped at 1 s, so
+    /// fault-suite timing replays run to run.
     pub backoff: Duration,
     /// When set, exhausting `max_attempts` shrinks the worker set past the
     /// blamed device instead of giving up — down to one worker — and
@@ -113,7 +114,7 @@ pub(crate) const MAX_BACKOFF: Duration = Duration::from_secs(1);
 /// `[0, 1)`. Delays never exceed `cap` — the fix for the former unbounded
 /// `backoff · 2^attempt` growth — and a zero `base` yields zero delays.
 #[derive(Debug, Clone)]
-pub struct BackoffSchedule {
+pub(crate) struct BackoffSchedule {
     base: Duration,
     cap: Duration,
     prev: Duration,
@@ -123,12 +124,12 @@ pub struct BackoffSchedule {
 impl BackoffSchedule {
     /// A schedule starting at `base`, capped at `cap`, jitter-seeded by
     /// `seed`. Equal arguments yield the identical delay sequence.
-    pub fn new(base: Duration, cap: Duration, seed: u64) -> BackoffSchedule {
+    pub(crate) fn new(base: Duration, cap: Duration, seed: u64) -> BackoffSchedule {
         BackoffSchedule { base, cap, prev: base, rng: FaultRng::new(seed) }
     }
 
     /// The next delay to sleep before retrying.
-    pub fn next_delay(&mut self) -> Duration {
+    pub(crate) fn next_delay(&mut self) -> Duration {
         if self.base.is_zero() {
             return Duration::ZERO;
         }
@@ -190,23 +191,6 @@ pub(crate) struct ResumePoint {
     pub values: Vec<BTreeMap<TensorId, Arc<Tensor>>>,
 }
 
-/// Observer of checkpoints the moment they become *consistent* (recorded by
-/// every worker). The durable layer hangs off this hook: the last worker to
-/// record checkpoint `k` drives the sink, so persistence happens exactly
-/// once per checkpoint without any extra barrier. A sink error fails that
-/// worker and aborts the run like any other worker-local failure.
-pub(crate) trait CheckpointSink: Send + Sync {
-    /// Called once per checkpoint, on the worker thread that completed it.
-    /// `values[w]` is worker `w`'s snapshot at the barrier.
-    fn on_consistent(
-        &self,
-        sharded: &ShardedGraph,
-        worker: usize,
-        ckpt: usize,
-        values: &[BTreeMap<TensorId, Arc<Tensor>>],
-    ) -> crate::Result<()>;
-}
-
 /// Snapshots recorded so far, keyed by `(checkpoint, worker)`. Shared across
 /// the attempts the supervisor makes at one width. Values are `Arc`-shared
 /// with the recording worker's live map, so a barrier costs one refcount
@@ -214,7 +198,7 @@ pub(crate) trait CheckpointSink: Send + Sync {
 #[derive(Default)]
 pub(crate) struct CheckpointStore {
     snaps: BTreeMap<(usize, usize), BTreeMap<TensorId, Arc<Tensor>>>,
-    sink: Option<Arc<dyn CheckpointSink>>,
+    sink: Option<Arc<Persister>>,
 }
 
 impl std::fmt::Debug for CheckpointStore {
@@ -227,13 +211,13 @@ impl std::fmt::Debug for CheckpointStore {
 }
 
 impl CheckpointStore {
-    /// A store that notifies `sink` as each checkpoint becomes consistent.
-    pub(crate) fn with_sink(sink: Arc<dyn CheckpointSink>) -> CheckpointStore {
+    /// A store whose checkpoints `sink` persists as each becomes consistent.
+    pub(crate) fn with_sink(sink: Arc<Persister>) -> CheckpointStore {
         CheckpointStore { snaps: BTreeMap::new(), sink: Some(sink) }
     }
 
     /// The configured sink, if any.
-    pub(crate) fn sink(&self) -> Option<Arc<dyn CheckpointSink>> {
+    pub(crate) fn sink(&self) -> Option<Arc<Persister>> {
         self.sink.clone()
     }
 

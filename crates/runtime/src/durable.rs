@@ -22,7 +22,7 @@
 //!    undisturbed run resumed from the same cut, while continuing to
 //!    persist and GC later checkpoints.
 //!
-//! Persistence rides the [`CheckpointSink`] hook: the worker whose barrier
+//! Persistence rides the checkpoint store: the worker whose barrier
 //! record makes checkpoint `k` consistent commits it (shards first, then
 //! the manifest — the commit point), then prunes superseded checkpoints
 //! down to the newest two (`RETAIN`). Disk faults from
@@ -45,7 +45,7 @@ use tofu_graph::{Graph, TensorId};
 use tofu_obs::{Collector, Track};
 use tofu_tensor::Tensor;
 
-use crate::checkpoint::{CheckpointSink, RecoveryOptions};
+use crate::checkpoint::RecoveryOptions;
 use crate::error::RuntimeError;
 use crate::reshard::{assemble_snapshot, FullSnapshot};
 use crate::supervisor::{supervise, PlanSource, RecoveryReport, SINGLE_ATTEMPT};
@@ -120,7 +120,7 @@ const CRASH_DOWN: u8 = 1;
 /// It fired and a fresh process took over.
 const CRASH_SPENT: u8 = 2;
 
-/// The supervisor's durable sink. As a [`CheckpointSink`] it assembles each
+/// The supervisor's durable sink. Held by the store, it assembles each
 /// consistent barrier into a plan-independent snapshot, commits it (shards
 /// first, manifest last), then GCs superseded checkpoints — and fires the
 /// simulated whole-process crash around the configured commit. As the boot
@@ -242,8 +242,13 @@ fn from_durable(d: DurableCheckpoint) -> FullSnapshot {
     }
 }
 
-impl CheckpointSink for Persister {
-    fn on_consistent(
+impl Persister {
+    /// Persists checkpoint `ckpt` the moment it becomes consistent (recorded
+    /// by every worker), on the worker thread whose record completed it —
+    /// so each checkpoint is persisted exactly once, with no extra barrier.
+    /// `values[w]` is worker `w`'s snapshot at the barrier. An error fails
+    /// that worker and aborts the run like any other worker-local failure.
+    pub(crate) fn on_consistent(
         &self,
         sharded: &ShardedGraph,
         worker: usize,

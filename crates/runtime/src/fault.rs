@@ -20,7 +20,7 @@
 //!
 //! `FaultRng` is the crate's small deterministic generator (SplitMix64):
 //! [`ChurnPlan::seeded`] derives a churn script from it and
-//! [`crate::BackoffSchedule`] its retry jitter, so both replay from a seed.
+//! the supervisor's retry backoff its jitter, so both replay from a seed.
 //!
 //! # Fleet churn
 //!

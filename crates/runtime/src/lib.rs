@@ -22,9 +22,10 @@
 //! or owed by producers that come strictly earlier, so some worker can
 //! always make progress.
 //!
-//! The run records a [`RunTrace`] — per-op wall-clock events, per-link
-//! bytes, per-worker pool peaks — for side-by-side comparison with the
-//! simulator's predictions.
+//! The run records a [`RunTrace`] — per-worker op counts and busy time,
+//! per-link bytes, per-worker pool peaks — for side-by-side comparison with
+//! the simulator's predictions; per-op spans go to
+//! [`RunOptions::collector`].
 //!
 //! # Fault tolerance
 //!
@@ -97,7 +98,7 @@ use tofu_obs::Collector;
 use tofu_tensor::Tensor;
 
 pub use abort::{AbortCause, AbortToken};
-pub use checkpoint::{BackoffSchedule, BarrierUnit, CheckpointPolicy, RecoveryOptions};
+pub use checkpoint::{BarrierUnit, CheckpointPolicy, RecoveryOptions};
 pub use durable::{run_with_durable_recovery, CrashPoint, DurableOptions};
 pub use elastic::{run_with_elastic_recovery, ElasticTransition, TransitionKind};
 pub use error::{RunFailure, RuntimeError};
@@ -109,7 +110,7 @@ pub use supervisor::{AttemptRecord, RecoveryReport};
 pub use tofu_durable::{
     BlobStore, DirStore, DiskFault, DiskFaultPlan, MemStore, RejectReason, RejectedCheckpoint,
 };
-pub use trace::{LinkStat, OpEvent, RunTrace, WorkerTrace};
+pub use trace::{LinkStat, RunTrace, WorkerTrace};
 
 use supervisor::{run_once, supervise, PlanSource};
 
@@ -211,13 +212,13 @@ pub fn run_with_options(
 }
 
 /// [`run_with_options`] plus retry: a faulted run is re-attempted with
-/// capped, deterministically jittered backoff (see [`BackoffSchedule`]),
-/// resuming from the last *consistent* checkpoint when `opts.checkpoint` is
-/// set (and from scratch otherwise). Transient injected faults fire once
-/// across all attempts, so the retry observes a healthy world; permanent
-/// faults re-fire every attempt — recovering past those means re-planning
-/// at another width, which a fixed `sharded` cannot do, so
-/// [`RecoveryOptions::elastic`] is rejected here and
+/// capped, deterministically jittered backoff (see
+/// [`RecoveryOptions::backoff`]), resuming from the last *consistent*
+/// checkpoint when `opts.checkpoint` is set (and from scratch otherwise).
+/// Transient injected faults fire once across all attempts, so the retry
+/// observes a healthy world; permanent faults re-fire every attempt —
+/// recovering past those means re-planning at another width, which a fixed
+/// `sharded` cannot do, so [`RecoveryOptions::elastic`] is rejected here and
 /// [`run_with_elastic_recovery`] takes the original graph instead. The
 /// recovered output is bit-identical to an undisturbed run (see DESIGN.md
 /// "Failure model" for the argument).

@@ -1,30 +1,18 @@
-//! Per-run event traces: what each worker executed when, what moved over
+//! Per-run measured counters: how much each worker executed, what moved over
 //! each link and what memory the buffer pools actually held — the measured
-//! counterpart to `tofu-sim`'s predictions.
+//! counterpart to `tofu-sim`'s predictions. The per-op timeline is the
+//! collector's (`RunOptions::collector`), not the trace's.
 
 use std::time::Duration;
-
-use tofu_graph::NodeId;
-
-/// One executed node on one worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpEvent {
-    /// Node of the sharded graph.
-    pub node: NodeId,
-    /// Start offset from the run epoch (includes any wait for remote
-    /// pieces a `multi_fetch` performs).
-    pub start: Duration,
-    /// End offset from the run epoch.
-    pub end: Duration,
-}
 
 /// One worker's side of a run.
 #[derive(Debug, Clone)]
 pub struct WorkerTrace {
     /// Logical device id.
     pub device: usize,
-    /// Executed nodes in schedule order.
-    pub ops: Vec<OpEvent>,
+    /// Nodes executed. Their spans are the collector's, on
+    /// `Track::runtime(device)` (see `RunOptions::collector`).
+    pub ops: usize,
     /// Sum of op durations (wall time the worker spent executing or waiting
     /// inside ops, as opposed to being done).
     pub busy: Duration,
@@ -43,10 +31,10 @@ pub struct WorkerTrace {
     /// corruption faults divert through an owned buffer and charge here.
     pub transport_copy_bytes: u64,
     /// False when the worker stopped early (its own failure or a peer's
-    /// abort); `ops` then holds only the prefix it completed.
+    /// abort); `ops` then counts only the prefix it completed.
     pub completed: bool,
     /// Set when the worker resumed from a checkpoint: the local schedule
-    /// position execution restarted at (`ops` covers positions from here).
+    /// position execution restarted at (`ops` counts positions from here).
     pub resume_pos: Option<usize>,
 }
 
@@ -90,7 +78,7 @@ impl RunTrace {
 
     /// Total nodes executed across workers.
     pub fn ops_executed(&self) -> usize {
-        self.workers.iter().map(|w| w.ops.len()).sum()
+        self.workers.iter().map(|w| w.ops).sum()
     }
 
     /// True when the trace is a post-mortem: a worker's trace is missing
@@ -116,7 +104,7 @@ impl RunTrace {
                 s,
                 "  worker {}: {} ops, busy {:?}, pool peak {} B, persistent {} B, sent {} B, recv {} B{}",
                 w.device,
-                w.ops.len(),
+                w.ops,
                 w.busy,
                 w.pool_peak_bytes,
                 w.persistent_bytes,

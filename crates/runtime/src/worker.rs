@@ -21,7 +21,7 @@ use crate::fault::{FaultState, MessageFault, StepFault};
 use crate::pool::BufferPool;
 use crate::route::{FetchSource, SendRoute, WorkerRoutes};
 use crate::supervisor::AttemptCtx;
-use crate::trace::{OpEvent, WorkerTrace};
+use crate::trace::WorkerTrace;
 use crate::{lock, IntegrityLevel, Result};
 
 /// Granularity at which blocked workers poll the shared abort token; bounds
@@ -233,7 +233,7 @@ struct Worker<'a> {
     bytes_received: u64,
     persistent_bytes: u64,
     pool: BufferPool,
-    ops: Vec<OpEvent>,
+    ops: usize,
     busy: Duration,
     epoch: Instant,
     /// Trace buffer on this worker's runtime lane; events accumulate locally
@@ -353,7 +353,7 @@ impl<'a> Worker<'a> {
             bytes_received: 0,
             persistent_bytes: 0,
             pool: BufferPool::new(w),
-            ops: Vec::new(),
+            ops: 0,
             busy: Duration::ZERO,
             epoch,
             obs,
@@ -418,7 +418,7 @@ impl<'a> Worker<'a> {
         }
         let trace = WorkerTrace {
             device: self.w,
-            ops: std::mem::take(&mut self.ops),
+            ops: self.ops,
             busy: self.busy,
             pool_peak_bytes: self.pool.peak_bytes(),
             persistent_bytes: self.persistent_bytes,
@@ -470,7 +470,7 @@ impl<'a> Worker<'a> {
     /// snapshot is rejected with [`RuntimeError::CorruptSnapshot`] before it
     /// can be committed (or persisted to disk).
     ///
-    /// When the store carries a [`CheckpointSink`], the worker whose record
+    /// When the store carries a durable sink, the worker whose record
     /// makes checkpoint `k` consistent drives the sink — outside the store
     /// lock, so persistence I/O never serializes peers' barriers.
     fn take_checkpoints(&mut self, pos: usize) -> Result<()> {
@@ -624,7 +624,7 @@ impl<'a> Worker<'a> {
             self.pool.apply(self.plan.actions[pos], out.shape().bytes())?;
             let end = self.epoch.elapsed();
             self.busy += end - start;
-            self.ops.push(OpEvent { node: id, start, end });
+            self.ops += 1;
             if self.obs.is_some() {
                 let (s_us, e_us) = (self.obs_ts(start), self.obs_ts(end));
                 let cat = if node.op == "multi_fetch" { "fetch" } else { "op" };

@@ -129,12 +129,7 @@ fn trace_is_internally_consistent() {
             assert_eq!(trace.ops_executed(), sharded.graph.num_nodes(), "{label}");
             for w in &trace.workers {
                 let schedule = sharded.worker_schedule(w.device);
-                assert_eq!(w.ops.len(), schedule.len());
-                for (ev, id) in w.ops.iter().zip(&schedule) {
-                    assert_eq!(ev.node, *id);
-                    assert!(ev.start <= ev.end);
-                    assert!(ev.end <= trace.wall);
-                }
+                assert_eq!(w.ops, schedule.len());
                 assert!(w.pool_peak_bytes > 0);
                 assert!(w.persistent_bytes > 0);
             }

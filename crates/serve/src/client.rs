@@ -12,14 +12,14 @@
 //!
 //! [`PlanClient::connect_with_retry`] adds fleet-churn resilience: transport
 //! failures (connection refused, reset mid-request, read timeout) trigger a
-//! reconnect-and-resend loop paced by the runtime's seeded
-//! [`BackoffSchedule`] — deterministic delays for a given seed — while typed
-//! server errors are **never** retried (the server answered; asking again
-//! buys nothing). Resending is safe because plan requests are idempotent:
-//! answers are a pure function of the request fingerprint, and the server's
-//! response cache dedupes repeats. When the attempt budget runs out the
-//! client surrenders with the typed [`ClientError::Exhausted`], carrying the
-//! last underlying failure.
+//! reconnect-and-resend loop whose delays double from
+//! [`RetryOptions::backoff`] up to a 500 ms cap, while typed server errors
+//! are **never** retried (the server answered; asking again buys nothing).
+//! Resending is safe because plan requests are idempotent: answers are a
+//! pure function of the request fingerprint, and the server's response cache
+//! dedupes repeats. When the attempt budget runs out the client surrenders
+//! with the typed [`ClientError::Exhausted`], carrying the last underlying
+//! failure.
 
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -27,7 +27,6 @@ use std::time::Duration;
 use tofu_core::recursive::PartitionOptions;
 use tofu_graph::Graph;
 use tofu_obs::json::Json;
-use tofu_runtime::BackoffSchedule;
 
 use crate::protocol::{
     encode_partition, read_frame, write_frame, ErrorCode, ProtocolError, Request, Response,
@@ -126,13 +125,9 @@ pub struct PlanClient {
 pub struct RetryOptions {
     /// Total attempts per operation, initial try included (0 means 1).
     pub attempts: usize,
-    /// Base delay of the seeded decorrelated-jitter backoff.
+    /// Delay before the first retry of an operation; each further retry
+    /// doubles it, up to a 500 ms cap.
     pub backoff: Duration,
-    /// Backoff cap.
-    pub max_backoff: Duration,
-    /// Jitter seed: equal seeds give the identical delay sequence, so a
-    /// churn scenario's retry timing replays deterministically.
-    pub jitter_seed: u64,
     /// Per-request read timeout on the socket; a served answer must start
     /// arriving within it or the attempt counts as failed. `None` blocks
     /// forever.
@@ -144,17 +139,23 @@ impl Default for RetryOptions {
         RetryOptions {
             attempts: 5,
             backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(500),
-            jitter_seed: 0x7e70,
             request_timeout: Some(Duration::from_secs(5)),
         }
     }
 }
 
+/// Ceiling on any single retry delay.
+const MAX_BACKOFF: Duration = Duration::from_millis(500);
+
+/// The sleep before retry `retry` (0-based) of one operation: `base`
+/// doubled `retry` times, capped at [`MAX_BACKOFF`].
+fn retry_delay(base: Duration, retry: usize) -> Duration {
+    base.saturating_mul(2u32.saturating_pow(retry.min(32) as u32)).min(MAX_BACKOFF)
+}
+
 struct RetryState {
     addr: String,
     opts: RetryOptions,
-    backoff: BackoffSchedule,
 }
 
 impl PlanClient {
@@ -172,14 +173,10 @@ impl PlanClient {
     /// server errors pass through unretried.
     pub fn connect_with_retry(addr: &str, opts: RetryOptions) -> Result<PlanClient, ClientError> {
         let attempts = opts.attempts.max(1);
-        let mut backoff = BackoffSchedule::new(opts.backoff, opts.max_backoff, opts.jitter_seed);
         let mut last: Option<ClientError> = None;
         for attempt in 1..=attempts {
             if attempt > 1 {
-                let d = backoff.next_delay();
-                if !d.is_zero() {
-                    std::thread::sleep(d);
-                }
+                std::thread::sleep(retry_delay(opts.backoff, attempt - 2));
             }
             match Self::dial(addr, opts.request_timeout) {
                 Ok(stream) => {
@@ -187,7 +184,7 @@ impl PlanClient {
                         stream,
                         max_frame: DEFAULT_MAX_FRAME,
                         next_id: 1,
-                        retry: Some(RetryState { addr: addr.to_string(), opts, backoff }),
+                        retry: Some(RetryState { addr: addr.to_string(), opts }),
                     });
                 }
                 Err(e) => last = Some(ClientError::Protocol(ProtocolError::Io(e))),
@@ -231,13 +228,10 @@ impl PlanClient {
             Err(e) => return Err(e),
         };
         let attempts = self.retry.as_ref().map(|r| r.opts.attempts.max(1)).unwrap_or(1);
-        for _ in 2..=attempts {
+        for attempt in 2..=attempts {
             {
-                let r = self.retry.as_mut().expect("retry state checked above");
-                let d = r.backoff.next_delay();
-                if !d.is_zero() {
-                    std::thread::sleep(d);
-                }
+                let r = self.retry.as_ref().expect("retry state checked above");
+                std::thread::sleep(retry_delay(r.opts.backoff, attempt - 2));
                 match Self::dial(&r.addr, r.opts.request_timeout) {
                     Ok(stream) => self.stream = stream,
                     Err(e) => {
@@ -316,5 +310,22 @@ fn served(id: u64, response: Response) -> Result<ServedPlan, ClientError> {
         }
         Response::Error { code, message, .. } => Err(ClientError::Server { code, message }),
         other => Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn retry_delays_double_from_the_base_up_to_the_cap() {
+        let ms = Duration::from_millis;
+        let delays: Vec<Duration> = (0..12).map(|r| retry_delay(ms(1), r)).collect();
+        assert_eq!(&delays[..4], &[ms(1), ms(2), ms(4), ms(8)]);
+        assert_eq!(delays[8], ms(256));
+        assert!(delays[9..].iter().all(|&d| d == MAX_BACKOFF), "{delays:?}");
+        // Past any shift width the doubling saturates at the cap too.
+        assert_eq!(retry_delay(ms(1), usize::MAX), MAX_BACKOFF);
+        assert!((0..40).all(|r| retry_delay(Duration::ZERO, r).is_zero()));
     }
 }

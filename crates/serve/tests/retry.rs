@@ -1,5 +1,5 @@
 //! Reconnect-with-retry semantics of [`PlanClient::connect_with_retry`]:
-//! transport failures are retried against the same address with seeded
+//! transport failures are retried against the same address with doubling
 //! backoff, typed server errors pass through untouched, and an exhausted
 //! attempt budget surrenders with the typed `Exhausted` error.
 
@@ -18,8 +18,6 @@ fn fast_retry(attempts: usize) -> RetryOptions {
     RetryOptions {
         attempts,
         backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(5),
-        jitter_seed: 42,
         request_timeout: Some(Duration::from_secs(5)),
     }
 }

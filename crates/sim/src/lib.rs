@@ -21,7 +21,6 @@
 #![warn(missing_docs)]
 
 pub mod baselines;
-pub mod compare;
 pub mod compute;
 pub mod event;
 pub mod machine;
@@ -29,7 +28,6 @@ pub mod memory;
 pub mod tofu;
 
 pub use baselines::{ideal, lru_swap_traffic, op_placement, small_batch, swap, ModelBuilder};
-pub use compare::{compare_trace, DeviceReport, TraceReport};
 pub use compute::node_seconds;
 pub use event::{simulate_traced, simulate_with_leaf_devices, SimResult};
 pub use machine::Machine;

@@ -1,17 +1,15 @@
-//! Acceptance tests for the runtime-vs-simulator comparison: measured
-//! channel traffic must equal the simulator's comm-bytes prediction exactly,
-//! and each worker's measured footprint must equal `per_device_memory` to
-//! the byte.
+//! The simulator's predictions against the threaded runtime's measurements:
+//! measured channel traffic must equal `simulate_with_leaf_devices`'s
+//! comm-bytes prediction exactly, and each worker's measured footprint must
+//! equal `per_device_memory` to the byte.
 
 use std::collections::BTreeMap;
 
 use tofu_core::{generate, partition, GenOptions, PartitionOptions, ShardedGraph};
 use tofu_graph::{Attrs, Executor, Graph, NodeId, TensorId, TensorKind};
 use tofu_models::{decoder_block, mlp, wresnet, DecoderConfig, MlpConfig, WResNetConfig};
-use tofu_runtime::{
-    run_with_options, Fault, FaultPlan, IntegrityLevel, RunOptions, RuntimeError,
-};
-use tofu_sim::{compare_trace, simulate_with_leaf_devices, Machine};
+use tofu_runtime::{run_with_options, IntegrityLevel, RunOptions};
+use tofu_sim::{per_device_memory, simulate_with_leaf_devices, Machine};
 use tofu_tensor::{Shape, Tensor};
 
 fn feeds(g: &Graph) -> Vec<(TensorId, Tensor)> {
@@ -51,54 +49,35 @@ fn shard(g: &Graph, workers: usize) -> (ShardedGraph, Vec<(TensorId, Tensor)>) {
 
 fn assert_report(sharded: &ShardedGraph, shard_feeds: &[(TensorId, Tensor)], label: &str) {
     let out = run_with_options(sharded, shard_feeds, &RunOptions::default()).unwrap();
-    let report = compare_trace(sharded, &Machine::p2_8xlarge(), &out.trace);
-    assert!(
-        report.comm_bytes_match(),
-        "{label}: measured {} B over channels, simulator predicted {} B",
-        report.measured_comm_bytes,
-        report.predicted_comm_bytes
+    let sim = simulate_with_leaf_devices(
+        &sharded.graph,
+        &sharded.device_of_node,
+        &sharded.device_of_tensor,
+        &Machine::p2_8xlarge(),
+        false,
     );
-    assert_eq!(report.devices.len(), sharded.workers);
-    for d in &report.devices {
-        assert!(d.ops > 0, "{label}: device {} executed nothing", d.device);
-        assert!(d.predicted_memory_bytes > 0);
+    assert_eq!(
+        sim.comm_bytes,
+        out.trace.comm_bytes() as f64,
+        "{label}: channel bytes differ from the simulator's prediction"
+    );
+    // The runtime plans with buffer reuse and holds no optimizer copies.
+    let mems =
+        per_device_memory(&sharded.graph, &sharded.device_of_node, sharded.workers, true, 0.0);
+    assert_eq!(out.trace.workers.len(), sharded.workers);
+    for w in &out.trace.workers {
+        assert!(w.ops > 0, "{label}: device {} executed nothing", w.device);
+        assert!(mems[w.device].peak_bytes > 0);
         // The pool fails any run whose peak differs from the plan's, and the
         // resident bytes are the plan's own persistent tensors.
         assert_eq!(
-            d.measured_memory_bytes,
-            d.predicted_memory_bytes,
+            w.peak_memory_bytes(),
+            mems[w.device].peak_bytes,
             "{label}: device {} footprint differs from per_device_memory:\n{}",
-            d.device,
-            report.summary()
+            w.device,
+            out.trace.summary()
         );
     }
-    let s = report.summary();
-    assert!(s.contains("exact match"), "summary should flag the comm match:\n{s}");
-}
-
-#[test]
-fn partial_trace_from_aborted_run_is_reportable() {
-    let m = mlp(&MlpConfig { batch: 8, dims: vec![16, 16], classes: 8, with_updates: true })
-        .unwrap();
-    let (sharded, shard_feeds) = shard(&m.graph, 4);
-    let mid = sharded.worker_schedule(1).len() / 2;
-    let opts = RunOptions {
-        faults: FaultPlan::single(Fault::Kill { worker: 1, pos: mid }),
-        ..Default::default()
-    };
-    let failure = match run_with_options(&sharded, &shard_feeds, &opts) {
-        Err(RuntimeError::Failed(f)) => *f,
-        other => panic!("expected a failed run, got {other:?}"),
-    };
-    // The post-mortem's partial trace still lines up against the simulator:
-    // the report renders, flags itself partial, and does not pretend the
-    // exact-match columns hold.
-    let report = compare_trace(&sharded, &Machine::p2_8xlarge(), &failure.trace);
-    assert!(report.is_partial(), "aborted run must yield a partial report");
-    assert!(report.devices.iter().any(|d| !d.completed));
-    let s = report.summary();
-    assert!(s.contains("[ABORTED]"), "summary must mark aborted devices:\n{s}");
-    assert!(!s.contains("MISMATCH"), "partial traces are not comm-compared:\n{s}");
 }
 
 #[test]

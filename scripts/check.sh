@@ -45,6 +45,17 @@ if grep -nE '^\s*"[a-z0-9_]+"(\s*\|\s*"[a-z0-9_]+")*\s*=>' crates/graph/src/exec
     exit 1
 fi
 
+# The runtime is a leaf of the crate graph: the planner-side crates (the
+# simulator and the plan service) neither link the threaded executor nor,
+# through it, the durable checkpoint store. Only tofu-bench, the root crate
+# and dev-dependencies reach it.
+leaf=$(cargo tree --offline -e normal -p tofu-sim -p tofu-serve | grep -E "tofu-(runtime|durable) " || true)
+if [ -n "$leaf" ]; then
+    echo "scripts/check.sh: tofu-sim or tofu-serve links the runtime:" >&2
+    echo "$leaf" >&2
+    exit 1
+fi
+
 # A recovered run has one report: every recovery entry point returns the
 # supervisor's `RecoveryReport`, and no second report type grows beside it.
 reports=$(grep -rhoE "pub struct [A-Za-z0-9_]*Report\b" crates/runtime/src || true)
