@@ -3,22 +3,28 @@
 //! the remote reads those messages serve, bytes the transport copied —
 //! written to `BENCH_runtime.json`.
 //!
-//! Every row is one step at [`IntegrityLevel::Fast`], the production
-//! configuration the zero-copy transport optimizes (the fault suites
-//! exercise `Full`). Each value is a count the run reproduces exactly, so
-//! the committed file only changes when partitioning, generation or the
-//! transport do. Step *time* is measured by `benchmark/` (`runtime.step_s`,
-//! `runtime.us_per_op`), not here.
+//! Every row is three steps of one sharded graph at [`IntegrityLevel::Fast`],
+//! the production configuration the zero-copy transport optimizes (the fault
+//! suites exercise `Full`), traced into one collector. Each value is a count
+//! the run reproduces exactly, so the committed file only changes when
+//! partitioning, generation or the transport do. `plan_spans_3_steps` counts
+//! the planning spans of the three steps: execution is planned once per
+//! sharded graph, so it is 1 on every row. Step *time* is measured by
+//! `benchmark/` (`runtime.step_s`, `runtime.us_per_op`), not here.
 //!
 //! The run exits non-zero if the transport copied any payload byte (the
-//! zero-copy data plane must stay zero-copy), or if the links did not carry
-//! exactly `comm_edges()`: one message per transfer, and no two transfers
-//! moving the same block to the same device.
+//! zero-copy data plane must stay zero-copy), if the links did not carry
+//! exactly `comm_edges()` — one message per transfer, and no two transfers
+//! moving the same block to the same device — if the second or third step
+//! planned anything, or if a step's values differ from the first's.
 
-use tofu_bench::{bench_report, feeds, scatter_feeds, transfers, write_report, Json};
+use tofu_bench::{
+    bench_report, bit_identical, feeds, scatter_feeds, transfers, write_report, Json,
+};
 use tofu_core::{generate, partition, GenOptions, PartitionOptions};
 use tofu_graph::Graph;
 use tofu_models::{mlp, wresnet, MlpConfig, WResNetConfig};
+use tofu_obs::Collector;
 use tofu_runtime::{run_with_options, IntegrityLevel, RunOptions};
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
@@ -33,6 +39,8 @@ struct Row {
     /// device read crosses once, so this is at least `messages`.
     remote_reads: u64,
     transport_copy_bytes: u64,
+    /// Planning spans over three steps of the row's sharded graph.
+    plan_spans_3_steps: usize,
     exact: bool,
 }
 
@@ -43,8 +51,24 @@ fn measure(model: &'static str, g: &Graph, workers: usize) -> Result<Row, String
         generate(g, &plan, &GenOptions::default()).map_err(|e| format!("generate failed: {e}"))?;
     let planned = transfers(&sharded)?;
     let shard_feeds = scatter_feeds(&sharded, &feeds(g));
-    let opts = RunOptions { integrity: IntegrityLevel::Fast, ..Default::default() };
+    let obs = Collector::new();
+    let opts = RunOptions {
+        integrity: IntegrityLevel::Fast,
+        collector: Some(obs.clone()),
+        ..Default::default()
+    };
+    let plan_spans = || obs.events().iter().filter(|e| e.cat == "plan").count();
     let out = run_with_options(&sharded, &shard_feeds, &opts).expect("runtime run");
+    let after_first = plan_spans();
+    for step in 2..=3 {
+        let again = run_with_options(&sharded, &shard_feeds, &opts).expect("runtime run");
+        if plan_spans() != after_first {
+            return Err(format!("step {step} planned again: {} planning spans", plan_spans()));
+        }
+        if !bit_identical(&again.values, &out.values) {
+            return Err(format!("step {step} is not bit-identical to step 1"));
+        }
+    }
     let row = Row {
         model,
         workers,
@@ -53,6 +77,7 @@ fn measure(model: &'static str, g: &Graph, workers: usize) -> Result<Row, String
         messages: out.trace.links.iter().map(|l| l.messages).sum(),
         remote_reads: planned.reads,
         transport_copy_bytes: out.trace.workers.iter().map(|w| w.transport_copy_bytes).sum(),
+        plan_spans_3_steps: plan_spans(),
         exact: sharded.exact,
     };
     if (row.messages, row.comm_bytes) != (planned.count, planned.bytes) {
@@ -82,23 +107,31 @@ fn main() {
     for (name, model) in
         [("mlp-256x2 (batch 64)", &mlp_model), ("wresnet-50-1 (batch 8)", &wres_model)]
     {
-        println!("\n{name} — one step per row");
+        println!("\n{name} — three steps per row");
         println!(
-            "{:<8} {:>12} {:>7} {:>9} {:>7} {:>14} {:>6}",
-            "workers", "comm bytes", "nodes", "messages", "reads", "copied bytes", "exact"
+            "{:<8} {:>12} {:>7} {:>9} {:>7} {:>14} {:>11} {:>6}",
+            "workers",
+            "comm bytes",
+            "nodes",
+            "messages",
+            "reads",
+            "copied bytes",
+            "plan spans",
+            "exact"
         );
-        println!("{}", "-".repeat(69));
+        println!("{}", "-".repeat(81));
         for workers in WORKERS {
             match measure(name, &model.graph, workers) {
                 Ok(r) => {
                     println!(
-                        "{:<8} {:>12} {:>7} {:>9} {:>7} {:>14} {:>6}",
+                        "{:<8} {:>12} {:>7} {:>9} {:>7} {:>14} {:>11} {:>6}",
                         r.workers,
                         r.comm_bytes,
                         r.nodes,
                         r.messages,
                         r.remote_reads,
                         r.transport_copy_bytes,
+                        r.plan_spans_3_steps,
                         r.exact
                     );
                     rows.push(r);
@@ -119,6 +152,7 @@ fn main() {
                 ("messages", Json::from(r.messages)),
                 ("remote_reads", Json::from(r.remote_reads)),
                 ("transport_copy_bytes", Json::from(r.transport_copy_bytes)),
+                ("plan_spans_3_steps", Json::from(r.plan_spans_3_steps)),
                 ("exact", Json::Bool(r.exact)),
             ])
         })

@@ -34,6 +34,9 @@ pub enum CoreError {
     Graph(tofu_graph::GraphError),
     /// An error from TDL analysis.
     Tdl(tofu_tdl::TdlError),
+    /// A [`ShardedGraph`](crate::ShardedGraph) whose public fields break an
+    /// invariant `generate` establishes, found while planning its execution.
+    InvalidShardedGraph(String),
     /// Free-form internal invariant violation.
     Internal(String),
 }
@@ -63,6 +66,7 @@ impl fmt::Display for CoreError {
             CoreError::BadWorkerCount(k) => write!(f, "cannot partition across {k} workers"),
             CoreError::Graph(e) => write!(f, "graph: {e}"),
             CoreError::Tdl(e) => write!(f, "tdl: {e}"),
+            CoreError::InvalidShardedGraph(msg) => write!(f, "invalid sharded graph: {msg}"),
             CoreError::Internal(msg) => write!(f, "internal: {msg}"),
         }
     }

@@ -27,6 +27,7 @@ use tofu_tensor::{Shape, Tensor};
 
 use crate::dp::NodeChoice;
 use crate::error::CoreError;
+use crate::execplan::ExecCell;
 use crate::recursive::PartitionPlan;
 use crate::spec::ConcreteOut;
 use crate::Result;
@@ -51,8 +52,9 @@ impl Default for GenOptions {
 }
 
 /// The generated multi-worker graph plus the bookkeeping needed to feed,
-/// validate and simulate it.
-#[derive(Debug)]
+/// validate and simulate it. A hand-made one starts from `default()` with
+/// its public fields assigned.
+#[derive(Debug, Default)]
 pub struct ShardedGraph {
     /// The per-worker expanded graph.
     pub graph: Graph,
@@ -79,6 +81,8 @@ pub struct ShardedGraph {
     /// not compensate; such graphs are still structurally correct for the
     /// simulator but are excluded from numeric validation.
     pub exact: bool,
+    /// The execution plan, built by the first [`exec_plan`](Self::exec_plan).
+    pub(crate) exec: ExecCell,
 }
 
 /// One cross-device transfer of the sharded graph: a block of `tensor`,
@@ -110,16 +114,6 @@ impl CommEdge<'_> {
 }
 
 impl ShardedGraph {
-    /// The device executing `id`.
-    pub fn device_of(&self, id: NodeId) -> usize {
-        self.device_of_node[id.0]
-    }
-
-    /// The original node whose expansion generated `id`.
-    pub fn origin_of(&self, id: NodeId) -> NodeId {
-        self.origin_of_node[id.0]
-    }
-
     /// Number of nodes in the original (pre-expansion) graph — one more than
     /// the largest origin, or zero for an empty graph.
     pub fn original_nodes(&self) -> usize {
@@ -612,6 +606,7 @@ pub fn generate(g: &Graph, plan: &PartitionPlan, opts: &GenOptions) -> Result<Sh
         device_of_tensor,
         origin_of_node,
         exact,
+        exec: ExecCell::new(),
     })
 }
 
@@ -964,7 +959,7 @@ mod tests {
         let mut seen = vec![false; sharded.graph.num_nodes()];
         for w in 0..sharded.workers {
             for id in sharded.worker_schedule(w) {
-                assert_eq!(sharded.device_of(id), w);
+                assert_eq!(sharded.device_of_node[id.0], w);
                 assert!(!seen[id.0], "node {id:?} scheduled twice");
                 seen[id.0] = true;
             }
@@ -997,7 +992,8 @@ mod tests {
             assert_eq!(e.readers[0], *e.readers.iter().min().unwrap());
             for &(reader, i) in &e.readers {
                 assert_eq!(g.node(reader).op, "multi_fetch");
-                assert_eq!((g.node(reader).inputs[i], sharded.device_of(reader)), (e.tensor, e.dst));
+                let dst = sharded.device_of_node[reader.0];
+                assert_eq!((g.node(reader).inputs[i], dst), (e.tensor, e.dst));
                 let piece = fetch_pieces(g, reader).unwrap().nth(i).unwrap();
                 assert_eq!((piece.src_begin, piece.len), (e.piece.src_begin, e.piece.len));
                 assert_eq!(served.insert((reader, i), x), None, "{reader:?} input {i} served twice");
@@ -1008,7 +1004,7 @@ mod tests {
         let mut reads = 0;
         for id in g.node_ids() {
             for (i, t) in g.node(id).inputs.iter().enumerate() {
-                if sharded.device_of_tensor[t.0] != Some(sharded.device_of(id)) {
+                if sharded.device_of_tensor[t.0] != Some(sharded.device_of_node[id.0]) {
                     assert!(served.contains_key(&(id, i)), "{id:?} input {i} is not served");
                     reads += 1;
                 }
@@ -1043,16 +1039,17 @@ mod tests {
         // filter selects a prefix of that worker's schedule.
         let mut prev = NodeId(0);
         for id in sharded.graph.node_ids() {
-            let o = sharded.origin_of(id);
+            let o = sharded.origin_of_node[id.0];
             assert!(o.0 >= prev.0, "origins must be non-decreasing");
             prev = o;
         }
         for w in 0..sharded.workers {
             let sched = sharded.worker_schedule(w);
             for barrier in 0..g.num_nodes() {
-                let cut = sched.iter().take_while(|&&n| sharded.origin_of(n).0 < barrier).count();
+                let cut =
+                    sched.iter().take_while(|&&n| sharded.origin_of_node[n.0].0 < barrier).count();
                 for (i, &n) in sched.iter().enumerate() {
-                    assert_eq!(i < cut, sharded.origin_of(n).0 < barrier);
+                    assert_eq!(i < cut, sharded.origin_of_node[n.0].0 < barrier);
                 }
             }
         }

@@ -18,7 +18,9 @@
 //!    same recursion over the reference engine;
 //! 4. [`genplan`] expands the original graph into the per-worker partitioned
 //!    graph with fused MultiFetch gathers, spread reductions and the
-//!    memory-planner control dependencies (§6);
+//!    memory-planner control dependencies (§6), and [`execplan`] plans its
+//!    execution once: schedules, buffer plans and the routing of every
+//!    transfer, which every step of the runtime reads;
 //! 5. [`baselines`] implements the §7.3 comparison partitioners
 //!    (AllRow-Greedy, Spartan, EqualChop, ICML18) and [`flat`] measures the
 //!    un-coarsened/non-recursive search space for Table 1.
@@ -50,6 +52,7 @@ pub mod cache;
 pub mod coarsen;
 pub mod dp;
 pub mod error;
+pub mod execplan;
 pub mod flat;
 pub mod genplan;
 pub mod recursive;
@@ -60,6 +63,7 @@ pub use cache::{request_fingerprint, CacheStats, SearchCaches};
 pub use coarsen::{coarsen, CoarseGraph};
 pub use dp::{ExtraInputs, NodeChoice, StepPlan};
 pub use error::CoreError;
+pub use execplan::{ExecPlan, FetchInput, FetchSource, Routes, Transfer, WorkerPlan};
 pub use genplan::{fetch_pieces, generate, CommEdge, FetchPiece, GenOptions, Region, ShardedGraph};
 pub use recursive::{
     factorize, partition, partition_cached, partition_with_factors, partition_with_obs,

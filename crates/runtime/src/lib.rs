@@ -1,11 +1,17 @@
 //! Multi-worker runtime for Tofu-partitioned graphs.
 //!
 //! Executes a [`ShardedGraph`] across `N` OS threads — one per logical
-//! device — connected by channels. Each worker owns:
+//! device — connected by channels. Everything static about a step — each
+//! worker's schedule, buffer plan and routes — is the graph's
+//! [`ExecPlan`](tofu_core::ExecPlan), planned by the first run of the graph
+//! and read by every later one ([`ShardedGraph::exec_plan`]), so a step only
+//! executes. Each worker owns:
 //!
 //! - its serial sub-schedule of the sharded graph
 //!   ([`ShardedGraph::worker_schedule`]), which is a subsequence of the
 //!   global topological order;
+//! - its values, in a slab indexed by tensor id, which the supervisor merges
+//!   into [`RunOutput::values`] in one ordered pass;
 //! - a buffer pool that replays the static memory planner's
 //!   `BufferPlan` against the sizes of the tensors actually produced, so
 //!   the plan's footprint is confirmed in executed order and can be held
@@ -50,8 +56,8 @@
 //! - **Zero-copy transport.** Payloads travel as `Arc<Tensor>` over
 //!   `std::sync::mpsc` channels: the producer extracts the block once into
 //!   a fresh tensor, the channel and the receiver's stash move the `Arc`,
-//!   and the last holder frees it. Send routing is pre-resolved at plan time
-//!   into a schedule-indexed table, so the send path performs no map lookups.
+//!   and the last holder frees it. Send routing is the execution plan's
+//!   schedule-indexed table, so the send path performs no map lookups.
 //! - **Fault injection.** A [`FaultPlan`] in [`RunOptions`] deterministically
 //!   kills or panics a worker at a schedule position, tampers with a chosen
 //!   message, or forces a pool over-budget event — so every failure path
@@ -83,7 +89,6 @@ mod error;
 mod fault;
 mod pool;
 mod reshard;
-mod route;
 mod supervisor;
 mod trace;
 mod worker;

@@ -35,10 +35,10 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicUsize;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, Once, PoisonError};
 use std::time::{Duration, Instant};
 
-use tofu_core::{PartitionOptions, PartitionPlan, SearchCaches, ShardedGraph};
+use tofu_core::{CoreError, PartitionOptions, PartitionPlan, SearchCaches, ShardedGraph};
 use tofu_durable::RejectedCheckpoint;
 use tofu_graph::{Graph, TensorId};
 use tofu_obs::{Collector, Track};
@@ -54,7 +54,6 @@ use crate::elastic::{select_width, ElasticTransition, SelectErr, Selection, Tran
 use crate::error::{RunFailure, RuntimeError};
 use crate::fault::{ChurnEvent, Fault, FaultState};
 use crate::reshard::{assemble_snapshot, scatter_snapshot, FullSnapshot};
-use crate::route::RoutePlan;
 use crate::trace::{LinkStat, RunTrace};
 use crate::worker::{run_worker, Msg, WorkerCtx, WorkerOutcome};
 use crate::{lock, IntegrityLevel, Result, RunOptions, RunOutput};
@@ -258,6 +257,21 @@ pub(crate) fn run_once(
     }
 }
 
+/// Keeps the workers' heaps resident from one step to the next. A step
+/// allocates its values afresh on the worker threads and the caller frees
+/// them; glibc then hands a thread arena's free top back to the OS once it
+/// exceeds the trim threshold (128 KiB by default), so the next step
+/// page-faults every buffer back in: ≈4,900 minor faults, ≈3 ms of a ≈15 ms
+/// `step_comm` step. glibc raises the threshold to twice the largest
+/// mmapped block freed, and serves blocks below that block's size from its
+/// arenas. Freeing one untouched 16 MiB block, once per process, raises it
+/// to 32 MiB at the cost of two system calls and no page. Other allocators
+/// ignore it.
+fn keep_worker_heaps_resident() {
+    static ONCE: Once = Once::new();
+    ONCE.call_once(|| drop(std::hint::black_box(Vec::<u8>::with_capacity(16 << 20))));
+}
+
 /// One execution attempt: spawns the workers, collects their outcomes, and
 /// on any failure assembles the [`RunFailure`] post-mortem. `ctx.device_map[w]`
 /// is the *physical* device logical worker `w` runs on — fault plans target
@@ -277,15 +291,25 @@ fn run_attempt(ctx: &AttemptCtx<'_>) -> Result<Attempt> {
     let k = sharded.workers;
     debug_assert_eq!(ctx.device_map.len(), k);
 
-    // Every send pre-resolved into a schedule-indexed routing table (slot
-    // assignment, per-position send lists, receiver-side expectations and
-    // pre-decoded fetch assemblies); the hot loops below never consult the
-    // graph for routing again. Building it also rejects a malformed plan
-    // before any thread starts.
-    let plan_start = opts.collector.as_ref().map(|c| c.now_us());
-    let routes = RoutePlan::new(sharded, resume.map(|r| r.cuts.as_slice()))?;
-    if let (Some(c), Some(start)) = (&opts.collector, plan_start) {
-        c.complete(Track::control(), "plan", "plan routes", start, c.now_us());
+    keep_worker_heaps_resident();
+    // The graph's execution plan — schedules, buffer plans, transfers,
+    // fetch assemblies — built by the first attempt that runs the graph and
+    // read by every later one. Building it rejects a malformed graph before
+    // any thread starts. A resumed attempt filters its routes.
+    let exec = sharded.exec_plan(opts.collector.as_ref()).map_err(|e| match e {
+        CoreError::InvalidShardedGraph(m) => RuntimeError::InvalidOptions(m),
+        e => RuntimeError::Core(e),
+    })?;
+    let resumed = resume.map(|r| exec.routes_from(&r.cuts));
+    let routes = resumed.as_deref().unwrap_or(&exec.routes);
+    // Workers index their values by tensor id, so every feed a from-scratch
+    // attempt reads must name a tensor of the graph.
+    let tensors = sharded.graph.num_tensors();
+    if let Some((t, _)) = ctx.feeds.iter().find(|(t, _)| t.0 >= tensors && resume.is_none()) {
+        return Err(RuntimeError::InvalidOptions(format!(
+            "feed for tensor {t:?}, which the sharded graph does not have (it has {tensors} \
+             tensors)"
+        )));
     }
 
     // Checkpoint barriers: per worker, which checkpoint ids to record at
@@ -332,7 +356,8 @@ fn run_attempt(ctx: &AttemptCtx<'_>) -> Result<Attempt> {
                 obs_epoch_us,
                 token: &token,
                 ckpts_at: &ckpts_at[w],
-                routes: &routes.workers[w],
+                exec: &exec,
+                routes: &routes[w],
                 yield_latch: &yield_latch,
             };
             let results = &results;
@@ -356,8 +381,9 @@ fn run_attempt(ctx: &AttemptCtx<'_>) -> Result<Attempt> {
             obs_epoch_us + wall.as_secs_f64() * 1e6,
         );
     }
+    let merge_start = opts.collector.as_ref().map(Collector::now_us);
     let mut workers = Vec::new();
-    let mut values: BTreeMap<TensorId, Arc<Tensor>> = BTreeMap::new();
+    let mut slabs: Vec<Vec<Option<Arc<Tensor>>>> = Vec::with_capacity(k);
     let mut sent_all: Vec<(usize, Vec<(u64, u64)>)> = Vec::new();
     let mut detection: Vec<(usize, Duration)> = Vec::new();
     let mut errors: Vec<(usize, RuntimeError)> = Vec::new();
@@ -366,13 +392,14 @@ fn run_attempt(ctx: &AttemptCtx<'_>) -> Result<Attempt> {
     for (w, slot) in results.into_iter().enumerate() {
         let Some(o) = slot else {
             errors.push((w, RuntimeError::Internal(format!("worker {w} vanished"))));
+            slabs.push(Vec::new());
             continue;
         };
         any_yielded |= o.yielded;
         if let Some(t) = o.trace {
             workers.push(t);
         }
-        values.extend(o.values);
+        slabs.push(o.values);
         if !o.sent.is_empty() {
             sent_all.push((w, o.sent));
         }
@@ -392,13 +419,35 @@ fn run_attempt(ctx: &AttemptCtx<'_>) -> Result<Attempt> {
         }
     }
     let trace = RunTrace { workers, links, wall };
-    if let Some(c) = &opts.collector {
-        let copies: u64 = trace.workers.iter().map(|w| w.transport_copy_bytes).sum();
-        c.add_total("runtime/transport_copy_bytes", copies as f64);
-    }
 
     let cause = token.cause();
-    if cause.is_none() && errors.is_empty() {
+    let clean = cause.is_none() && errors.is_empty();
+    let mut values = BTreeMap::new();
+    if clean && !any_yielded {
+        // Success terminates the whole recovery ladder: the store's `Arc`
+        // clones are dead weight, and dropping them lets the conversion
+        // below reclaim most payloads by move instead of copy.
+        if opts.checkpoint.is_some() {
+            lock(store).clear();
+        }
+        // One ordered pass: every tensor from the slab of the worker that
+        // owns it, in id order, so the map is built without a search.
+        values = sharded
+            .device_of_tensor
+            .iter()
+            .enumerate()
+            .filter_map(|(t, owner)| {
+                let v = slabs.get_mut((*owner)?)?.get_mut(t)?.take()?;
+                Some((TensorId(t), Arc::try_unwrap(v).unwrap_or_else(|a| (*a).clone())))
+            })
+            .collect();
+    }
+    if let (Some(c), Some(start)) = (&opts.collector, merge_start) {
+        let copies: u64 = trace.workers.iter().map(|w| w.transport_copy_bytes).sum();
+        c.add_total("runtime/transport_copy_bytes", copies as f64);
+        c.complete(Track::control(), "run", "merge", start, c.now_us());
+    }
+    if clean {
         // A failure always wins over a yield: if any worker died before its
         // cut we fall through to the post-mortem below and the checkpoint
         // stays whatever was consistently recorded.
@@ -407,16 +456,6 @@ fn run_attempt(ctx: &AttemptCtx<'_>) -> Result<Attempt> {
                 .ok_or_else(|| RuntimeError::Internal("worker yielded without a barrier".into()))?;
             return Ok(Attempt::Yielded { ckpt });
         }
-        // Success terminates the whole recovery ladder: the store's `Arc`
-        // clones are dead weight, and dropping them lets the conversion
-        // below reclaim most payloads by move instead of copy.
-        if opts.checkpoint.is_some() {
-            lock(store).clear();
-        }
-        let values = values
-            .into_iter()
-            .map(|(t, v)| (t, Arc::try_unwrap(v).unwrap_or_else(|a| (*a).clone())))
-            .collect();
         return Ok(Attempt::Done(RunOutput { values, trace }));
     }
     // The token's cause identifies the *first* failure; that worker's own

@@ -9,8 +9,8 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use tofu_core::ShardedGraph;
-use tofu_graph::{execute_node, plan_buffers, BufferPlan, NodeId, TensorId, TensorKind};
+use tofu_core::{ExecPlan, FetchSource, Routes, ShardedGraph, Transfer};
+use tofu_graph::{execute_node, BufferPlan, NodeId, TensorId, TensorKind};
 use tofu_obs::{SpanBuffer, Track};
 use tofu_tensor::{Shape, Tensor};
 
@@ -19,7 +19,6 @@ use crate::checkpoint::CheckpointStore;
 use crate::error::RuntimeError;
 use crate::fault::{FaultState, MessageFault, StepFault};
 use crate::pool::BufferPool;
-use crate::route::{FetchSource, SendRoute, WorkerRoutes};
 use crate::supervisor::AttemptCtx;
 use crate::trace::WorkerTrace;
 use crate::{lock, IntegrityLevel, Result};
@@ -48,7 +47,8 @@ pub(crate) struct WorkerOutcome {
     /// The (possibly partial) trace; `None` when a panic unwound the worker
     /// before one could be assembled.
     pub(crate) trace: Option<WorkerTrace>,
-    pub(crate) values: BTreeMap<TensorId, Arc<Tensor>>,
+    /// The worker's values, indexed by `TensorId` (empty on failure).
+    pub(crate) values: Vec<Option<Arc<Tensor>>>,
     /// Per destination: (bytes, messages) pushed.
     pub(crate) sent: Vec<(u64, u64)>,
     pub(crate) error: Option<RuntimeError>,
@@ -86,17 +86,18 @@ pub(crate) enum SnapshotDefect {
 
 /// Scans a worker's live values right before they are recorded into
 /// checkpoint state at barrier position `pos`: values dead before the barrier
-/// (`scan_floor[t] < pos`) are unobservable on resume and skipped; the rest
+/// (`last_read[t] < pos`, see `ExecPlan::last_read`) are unobservable on
+/// resume and skipped; the snapshot still records them. The rest
 /// must be finite and, when a produce-time checksum was recorded in `sums`,
 /// must still hash to it. Returns the first offending tensor.
 pub(crate) fn scan_snapshot(
     values: &BTreeMap<TensorId, Arc<Tensor>>,
     sums: &BTreeMap<TensorId, u64>,
-    scan_floor: &[usize],
+    last_read: &[usize],
     pos: usize,
 ) -> std::result::Result<(), (TensorId, SnapshotDefect)> {
     for (t, v) in values {
-        if scan_floor[t.0] < pos {
+        if last_read[t.0] < pos {
             continue; // dead before the barrier: unobservable on resume
         }
         if v.data().iter().any(|x| !x.is_finite()) {
@@ -137,8 +138,10 @@ pub(crate) struct WorkerCtx<'a> {
     pub(crate) token: &'a AbortToken,
     /// Per local schedule position: checkpoint ids to record there.
     pub(crate) ckpts_at: &'a BTreeMap<usize, Vec<usize>>,
-    /// This worker's pre-resolved routing table.
-    pub(crate) routes: &'a WorkerRoutes<'a>,
+    /// The graph's execution plan.
+    pub(crate) exec: &'a ExecPlan,
+    /// This worker's routes for the attempt.
+    pub(crate) routes: &'a Routes,
     /// Rendezvous counter of paused workers (see `run_attempt`).
     pub(crate) yield_latch: &'a AtomicUsize,
 }
@@ -152,7 +155,7 @@ pub(crate) fn run_worker(ctx: &WorkerCtx<'_>, rx: Receiver<Msg>) -> WorkerOutcom
         token.trip(AbortCause { worker: w, node: None, pos: None, summary, at: Instant::now() });
         WorkerOutcome {
             trace: None,
-            values: BTreeMap::new(),
+            values: Vec::new(),
             sent: Vec::new(),
             error: Some(error),
             observed: None,
@@ -187,18 +190,15 @@ struct Worker<'a> {
     /// Logical-to-physical device map for the whole attempt, for addressing
     /// message faults by physical link.
     device_map: &'a [usize],
-    schedule: Vec<NodeId>,
-    plan: BufferPlan,
-    /// Values are shared: checkpoints and resume snapshots hold `Arc`
-    /// clones of the same payloads instead of deep copies.
-    values: BTreeMap<TensorId, Arc<Tensor>>,
-    /// Per tensor: the last local schedule position that reads it
-    /// (`usize::MAX` when it stays live to run end — persistent leaves,
-    /// comm-edge sources, unconsumed outputs). The checkpoint poison scan
-    /// skips tensors dead before the barrier: they cannot influence a
-    /// resumed run, and the snapshot still *records* them (bit-identity of
-    /// recovered value maps requires every key).
-    scan_floor: Vec<usize>,
+    /// The graph's execution plan: transfers and liveness floors.
+    exec: &'a ExecPlan,
+    schedule: &'a [NodeId],
+    plan: &'a BufferPlan,
+    /// Values by `TensorId`, one slot per tensor of the graph; a worker only
+    /// ever holds tensors it owns. Values are shared: checkpoints and resume
+    /// snapshots hold `Arc` clones of the same payloads instead of deep
+    /// copies.
+    values: Vec<Option<Arc<Tensor>>>,
     /// Under a checkpoint policy: FNV-1a checksum of each value's payload,
     /// recorded the moment the value was produced (or fed / restored). The
     /// checkpoint barrier re-hashes live values against these, so a buffer
@@ -214,8 +214,8 @@ struct Worker<'a> {
     /// The attempt-wide shared sender slice (own slot included; the run
     /// scope owns the senders, so no per-run clone fan-out).
     txs: &'a [Sender<Msg>],
-    /// This worker's pre-resolved routing table.
-    routes: &'a WorkerRoutes<'a>,
+    /// This worker's routes for the attempt.
+    routes: &'a Routes,
     /// Per-message verification level.
     integrity: IntegrityLevel,
     /// Cached: the fault plan contains at least one message fault, so the
@@ -264,28 +264,40 @@ struct Worker<'a> {
 
 impl<'a> Worker<'a> {
     fn new(ctx: &WorkerCtx<'a>, rx: Receiver<Msg>) -> Result<Worker<'a>> {
-        let WorkerCtx { attempt, w, txs, epoch, obs_epoch_us, token, ckpts_at, routes, yield_latch } =
-            *ctx;
+        let WorkerCtx {
+            attempt,
+            w,
+            txs,
+            epoch,
+            obs_epoch_us,
+            token,
+            ckpts_at,
+            exec,
+            routes,
+            yield_latch,
+        } = *ctx;
         let AttemptCtx { sharded, feeds, opts, faults, device_map, yield_at, .. } = *attempt;
         let store = opts.checkpoint.map(|_| attempt.store);
         let resume = attempt.resume.map(|r| (r.cuts[w], &r.values[w]));
-        let schedule = sharded.worker_schedule(w);
-        let mut obs = opts.collector.as_ref().map(|c| c.buffer(Track::runtime(w)));
-        let plan_start = obs.as_ref().map(SpanBuffer::now_us);
-        let plan = plan_buffers(&sharded.graph, &schedule, true);
-        if let (Some(buf), Some(start)) = (obs.as_mut(), plan_start) {
-            let end = buf.now_us();
-            buf.complete("plan", "plan buffers", start, end);
-        }
-        let (start_pos, values) = match resume {
+        let obs = opts.collector.as_ref().map(|c| c.buffer(Track::runtime(w)));
+        let mut values = vec![None; sharded.graph.num_tensors()];
+        let start_pos = match resume {
             // The snapshot already holds the feeds plus everything the
             // prefix computed; re-feeding would be redundant. Cloning an
-            // `Arc` map shares the payloads with the checkpoint store.
-            Some((cut, snap)) => (cut, snap.clone()),
+            // `Arc` shares the payload with the checkpoint store.
+            Some((cut, snap)) => {
+                for (t, v) in snap {
+                    let slot = values.get_mut(t.0).ok_or_else(|| {
+                        RuntimeError::Internal(format!("worker {w}: snapshot holds unknown {t:?}"))
+                    })?;
+                    *slot = Some(Arc::clone(v));
+                }
+                cut
+            }
             None => {
-                let mut values = BTreeMap::new();
                 for (t, v) in feeds {
-                    if sharded.device_of_tensor.get(t.0).copied().flatten() != Some(w) {
+                    // Feeds name tensors of the graph (`run_attempt` checks).
+                    if sharded.device_of_tensor[t.0] != Some(w) {
                         continue;
                     }
                     let meta = sharded.graph.tensor(*t);
@@ -303,29 +315,18 @@ impl<'a> Worker<'a> {
                             meta.shape
                         )));
                     }
-                    values.insert(*t, Arc::new(v.clone()));
+                    values[t.0] = Some(Arc::new(v.clone()));
                 }
-                (0, values)
+                0
             }
         };
-        // Liveness floor for the checkpoint poison scan: last local read per
-        // tensor, forced to "live forever" for persistent leaves and
-        // comm-edge sources (their values feed resumes and owed sends).
-        let mut scan_floor = vec![usize::MAX; sharded.graph.num_tensors()];
-        for (pos, id) in schedule.iter().enumerate() {
-            for t in &sharded.graph.node(*id).inputs {
-                scan_floor[t.0] = pos;
-            }
-        }
-        for t in &plan.persistent {
-            scan_floor[t.0] = usize::MAX;
-        }
-        for r in routes.startup.iter().chain(routes.sends.iter().flatten()) {
-            scan_floor[r.tensor.0] = usize::MAX;
-        }
         let k = txs.len();
         let value_sums = if store.is_some() {
-            values.iter().map(|(t, v)| (*t, payload_checksum(v.data()))).collect()
+            values
+                .iter()
+                .enumerate()
+                .filter_map(|(t, v)| Some((TensorId(t), payload_checksum(v.as_ref()?.data()))))
+                .collect()
         } else {
             BTreeMap::new()
         };
@@ -334,13 +335,13 @@ impl<'a> Worker<'a> {
             w,
             phys: device_map[w],
             device_map,
-            schedule,
-            plan,
+            exec,
+            schedule: &exec.workers[w].schedule,
+            plan: &exec.workers[w].buffers,
             values,
-            scan_floor,
             value_sums,
-            pending: vec![None; routes.slots.len()],
-            reads_left: routes.slots.iter().map(|s| s.reads).collect(),
+            pending: vec![None; routes.reads.len()],
+            reads_left: routes.reads.clone(),
             rx,
             txs,
             routes,
@@ -475,8 +476,14 @@ impl<'a> Worker<'a> {
     /// lock, so persistence I/O never serializes peers' barriers.
     fn take_checkpoints(&mut self, pos: usize) -> Result<()> {
         if let (Some(store), Some(ks)) = (self.store, self.ckpts_at.get(&pos)) {
+            let snapshot: BTreeMap<TensorId, Arc<Tensor>> = self
+                .values
+                .iter()
+                .enumerate()
+                .filter_map(|(t, v)| Some((TensorId(t), Arc::clone(v.as_ref()?))))
+                .collect();
             if let Err((t, defect)) =
-                scan_snapshot(&self.values, &self.value_sums, &self.scan_floor, pos)
+                scan_snapshot(&snapshot, &self.value_sums, &self.exec.last_read, pos)
             {
                 let graph = &self.sharded.graph;
                 return Err(match defect {
@@ -495,7 +502,7 @@ impl<'a> Worker<'a> {
             let sink = {
                 let mut s = lock(store);
                 for &k in ks {
-                    s.record(k, self.w, self.values.clone());
+                    s.record(k, self.w, snapshot.clone());
                 }
                 let sink = s.sink();
                 if sink.is_some() {
@@ -547,7 +554,7 @@ impl<'a> Worker<'a> {
         // worker's non-fetch nodes consume.
         let mut persistent_bytes = 0u64;
         for t in &self.plan.persistent {
-            let v = self.values.get(t).ok_or_else(|| RuntimeError::MissingFeed {
+            let v = self.values[t.0].as_ref().ok_or_else(|| RuntimeError::MissingFeed {
                 worker: self.w,
                 tensor: self.sharded.graph.tensor(*t).name.clone(),
             })?;
@@ -558,8 +565,8 @@ impl<'a> Worker<'a> {
         // Owned leaf shards other devices fetch go out before any compute;
         // on resume this list also carries the owed snapshot sends.
         let routes = self.routes;
-        for r in &routes.startup {
-            self.send_route(r)?;
+        for &x in &routes.startup {
+            self.send(x)?;
         }
 
         let last = self.schedule.len().saturating_sub(1);
@@ -610,11 +617,9 @@ impl<'a> Worker<'a> {
                     .inputs
                     .iter()
                     .map(|t| {
-                        self.values.get(t).map(|v| v.as_ref()).ok_or_else(|| {
-                            RuntimeError::MissingFeed {
-                                worker: self.w,
-                                tensor: self.sharded.graph.tensor(*t).name.clone(),
-                            }
+                        self.values[t.0].as_deref().ok_or_else(|| RuntimeError::MissingFeed {
+                            worker: self.w,
+                            tensor: self.sharded.graph.tensor(*t).name.clone(),
                         })
                     })
                     .collect::<Result<_>>()?;
@@ -637,9 +642,9 @@ impl<'a> Worker<'a> {
             if self.store.is_some() {
                 self.value_sums.insert(node.output, payload_checksum(out.data()));
             }
-            self.values.insert(node.output, Arc::new(out));
-            for r in &routes.sends[pos] {
-                self.send_route(r)?;
+            self.values[node.output.0] = Some(Arc::new(out));
+            for &x in &routes.sends[pos] {
+                self.send(x)?;
             }
         }
         self.cur_pos = None;
@@ -663,27 +668,29 @@ impl<'a> Worker<'a> {
         if self.integrity == IntegrityLevel::Full {
             self.drain_check()?;
         }
-        self.pool.verify_against(&self.plan)?;
+        self.pool.verify_against(self.plan)?;
         self.completed = true;
         Ok(())
     }
 
-    /// Pushes the pre-routed piece `r` (extract the block into a fresh
-    /// tensor, stamp, send), applying any injected message fault targeting
-    /// this link position. The fast path performs exactly one copy — source
-    /// tensor to piece — and the channel then carries only the `Arc`.
-    fn send_route(&mut self, r: &SendRoute<'_>) -> Result<()> {
-        let src = self.values.get(&r.tensor).ok_or_else(|| {
+    /// Pushes transfer `x` (extract the block into a fresh tensor, stamp,
+    /// send), applying any injected message fault targeting this link
+    /// position. The fast path performs exactly one copy — source tensor to
+    /// piece — and the channel then carries only the `Arc`.
+    fn send(&mut self, x: usize) -> Result<()> {
+        let exec = self.exec;
+        let r: &Transfer = &exec.transfers[x];
+        let src = self.values[r.tensor.0].as_ref().ok_or_else(|| {
             RuntimeError::Internal(format!(
                 "worker {}: comm edge reads unevaluated tensor {:?}",
                 self.w, r.tensor
             ))
         })?;
-        let block = Shape::new(r.piece.len.iter().map(|&l| l.max(0) as usize).collect());
+        let block = Shape::new(r.len.iter().map(|&l| l.max(0) as usize).collect());
         let zeros = vec![0i64; block.rank()];
         let mut piece = Tensor::zeros(block);
         piece
-            .copy_block(src, r.piece.src_begin, &zeros, r.piece.len)
+            .copy_block(src, &r.src_begin, &zeros, &r.len)
             .map_err(|e| piece_error("extraction", e))?;
         let mut piece = Arc::new(piece);
         let bytes = piece.shape().bytes();
@@ -744,29 +751,22 @@ impl<'a> Worker<'a> {
             worker: self.w,
             detail: format!("worker {} hung up", r.dst),
         };
+        let (consumer, input_index) = r.readers[0];
         if action == Some(MessageFault::Duplicate) {
             // Cloning the `Arc` bumps a refcount; the payload stays shared.
             tx.send(Msg {
                 src: self.w,
                 seq,
                 slot: r.slot,
-                consumer: r.consumer,
-                input_index: r.input_index,
+                consumer,
+                input_index,
                 checksum,
                 piece: Arc::clone(&piece),
             })
             .map_err(hung_up)?;
         }
-        tx.send(Msg {
-            src: self.w,
-            seq,
-            slot: r.slot,
-            consumer: r.consumer,
-            input_index: r.input_index,
-            checksum,
-            piece,
-        })
-        .map_err(hung_up)?;
+        tx.send(Msg { src: self.w, seq, slot: r.slot, consumer, input_index, checksum, piece })
+            .map_err(hung_up)?;
         Ok(())
     }
 
@@ -776,23 +776,22 @@ impl<'a> Worker<'a> {
     /// assembly plan was decoded once at plan time — no attribute parsing
     /// or graph lookups happen here.
     fn assemble_fetch(&mut self, pos: usize, id: NodeId) -> Result<Tensor> {
-        let routes = self.routes;
-        let plan = routes.fetches[pos]
+        let exec = self.exec;
+        let inputs = exec.workers[self.w].fetches[pos]
             .as_ref()
             .ok_or_else(|| RuntimeError::Internal("assemble on non-fetch node".into()))?;
         let graph = &self.sharded.graph;
         let mut out = Tensor::zeros(graph.tensor(graph.node(id).output).shape.clone());
-        for (i, input) in plan.inputs.iter().enumerate() {
-            let p = &input.piece;
-            match input.source {
+        for (i, p) in inputs.iter().enumerate() {
+            match p.source {
                 FetchSource::Local(t) => {
-                    let src = self.values.get(&t).ok_or_else(|| {
+                    let src = self.values[t.0].as_ref().ok_or_else(|| {
                         RuntimeError::Internal(format!(
                             "worker {}: fetch reads unevaluated local {t:?}",
                             self.w
                         ))
                     })?;
-                    out.copy_block(src.as_ref(), p.src_begin, p.dst_begin, p.len)
+                    out.copy_block(src.as_ref(), &p.src_begin, &p.dst_begin, &p.len)
                         .map_err(|e| piece_error("assembly", e))?;
                 }
                 FetchSource::Remote { slot } => {
@@ -807,10 +806,9 @@ impl<'a> Worker<'a> {
                             buf.complete("wait", &name, s_us, e_us);
                         }
                     }
-                    // The producer already extracted the block: source
-                    // offsets are zero in the received piece's coordinates.
-                    let zeros = vec![0i64; p.len.len()];
-                    out.copy_block(&piece, &zeros, p.dst_begin, p.len)
+                    // The producer already extracted the block: `src_begin`
+                    // is zero in the received piece's coordinates.
+                    out.copy_block(&piece, &p.src_begin, &p.dst_begin, &p.len)
                         .map_err(|e| piece_error("assembly", e))?;
                 }
             }
@@ -824,10 +822,10 @@ impl<'a> Worker<'a> {
     /// check remains, and that is required for correctness, not integrity: a
     /// slot holds exactly one piece per attempt.
     fn accept(&mut self, msg: Msg) -> Result<()> {
-        let routes = self.routes;
+        let exec = self.exec;
         let comm = |detail: String| RuntimeError::Comm { worker: self.w, detail };
         let slot = msg.slot as usize;
-        let Some(expect) = routes.slots.get(slot) else {
+        let Some(expect) = exec.workers[self.w].slots.get(slot).map(|&x| &exec.transfers[x]) else {
             return Err(comm(format!(
                 "link {} -> {}: piece carries unknown receive slot {slot}",
                 msg.src, self.w
@@ -861,10 +859,8 @@ impl<'a> Worker<'a> {
             // stamped sender, consumer and input index must match what the
             // slot was assigned to carry, and the payload must be exactly
             // the block shape the generator planned.
-            if msg.src != expect.src
-                || msg.consumer != expect.consumer
-                || msg.input_index != expect.input_index
-            {
+            let (consumer, input_index) = expect.readers[0];
+            if msg.src != expect.src || msg.consumer != consumer || msg.input_index != input_index {
                 return Err(comm(format!(
                     "link {} -> {}: piece stamped for node {} input {} landed in slot \
                      {slot}, which expects node {} input {} from worker {}",
@@ -872,8 +868,8 @@ impl<'a> Worker<'a> {
                     self.w,
                     msg.consumer.0,
                     msg.input_index,
-                    expect.consumer.0,
-                    expect.input_index,
+                    consumer.0,
+                    input_index,
                     expect.src
                 )));
             }
@@ -891,9 +887,10 @@ impl<'a> Worker<'a> {
             }
         }
         if self.pending[slot].is_some() {
+            let (consumer, input_index) = expect.readers[0];
             return Err(comm(format!(
-                "link {} -> {}: second piece for node {} input {} (duplicate)",
-                msg.src, self.w, expect.consumer.0, expect.input_index
+                "link {} -> {}: second piece for node {} input {input_index} (duplicate)",
+                msg.src, self.w, consumer.0
             )));
         }
         self.bytes_received += msg.piece.shape().bytes();
@@ -957,13 +954,14 @@ impl<'a> Worker<'a> {
             self.accept(msg)?;
         }
         if let Some(slot) = self.pending.iter().position(|p| p.is_some()) {
-            let e = &self.routes.slots[slot];
+            let (consumer, input_index) =
+                self.exec.transfers[self.exec.workers[self.w].slots[slot]].readers[0];
             return Err(RuntimeError::Comm {
                 worker: self.w,
                 detail: format!(
-                    "piece for node {} input {} was never consumed \
+                    "piece for node {} input {input_index} was never consumed \
                      (duplicated or misrouted message)",
-                    e.consumer.0, e.input_index
+                    consumer.0
                 ),
             });
         }

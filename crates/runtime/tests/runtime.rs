@@ -3,13 +3,17 @@
 //! internally consistent.
 
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 use tofu_core::{generate, partition, GenOptions, PartitionOptions, ShardedGraph};
-use tofu_graph::{Executor, Graph, TensorId, TensorKind};
+use tofu_graph::{Attrs, Executor, Graph, TensorId, TensorKind};
 use tofu_models::{mlp, rnn, wresnet, MlpConfig, RnnConfig, WResNetConfig};
 use tofu_obs::{Collector, Phase, Track};
-use tofu_runtime::{run_with_options, RunOptions, RuntimeError};
-use tofu_tensor::Tensor;
+use tofu_runtime::{
+    run_with_options, run_with_recovery, CheckpointPolicy, Fault, FaultPlan, RecoveryOptions,
+    RunOptions, RuntimeError,
+};
+use tofu_tensor::{Shape, Tensor};
 
 fn feeds(g: &Graph) -> Vec<(TensorId, Tensor)> {
     let mut out = Vec::new();
@@ -182,7 +186,7 @@ fn malformed_sharded_graph_is_a_typed_error_not_a_panic() {
         .node_ids()
         .find(|&id| g.node(id).op != "multi_fetch" && !g.node(id).inputs.is_empty())
         .unwrap();
-    let home = sharded.device_of(compute);
+    let home = sharded.device_of_node[compute.0];
     let node = format!("{compute:?}");
     let run_on = |device: usize| {
         let (mut bad, shard_feeds, _) = shard(&m.graph, 2);
@@ -203,33 +207,111 @@ fn malformed_sharded_graph_is_a_typed_error_not_a_panic() {
     assert!(absent.contains(&node) && absent.contains("device 7 of 2"), "{absent}");
 }
 
+/// A run after an edit to the graph's public fields replans it: the two
+/// edits above give the same typed error after a successful run as on a
+/// fresh graph, and a node appended after a run is neither run stale nor a
+/// panic.
+#[test]
+fn an_edited_sharded_graph_is_replanned_never_run_stale() {
+    let m =
+        mlp(&MlpConfig { batch: 8, dims: vec![16, 16], classes: 8, with_updates: true }).unwrap();
+    let (sharded, _, _) = shard(&m.graph, 2);
+    let g = &sharded.graph;
+    let compute = g
+        .node_ids()
+        .find(|&id| g.node(id).op != "multi_fetch" && !g.node(id).inputs.is_empty())
+        .unwrap();
+    let home = sharded.device_of_node[compute.0];
+    let error = |sharded: &ShardedGraph, feeds: &[(TensorId, Tensor)]| {
+        let run = run_with_options(sharded, feeds, &RunOptions::default());
+        match run {
+            Err(RuntimeError::InvalidOptions(m)) => m,
+            other => panic!("expected InvalidOptions, got {other:?}"),
+        }
+    };
+    for device in [1 - home, 7] {
+        let (mut fresh, shard_feeds, _) = shard(&m.graph, 2);
+        fresh.device_of_node[compute.0] = device;
+        let want = error(&fresh, &shard_feeds);
+        let (mut ran, shard_feeds, _) = shard(&m.graph, 2);
+        run_with_options(&ran, &shard_feeds, &RunOptions::default()).unwrap();
+        ran.device_of_node[compute.0] = device;
+        assert_eq!(error(&ran, &shard_feeds), want, "device {device}");
+        // Undoing the edit runs again.
+        ran.device_of_node[compute.0] = home;
+        run_with_options(&ran, &shard_feeds, &RunOptions::default()).unwrap();
+    }
+
+    // A node appended after a run: its device tables are checked, and once
+    // they cover it, it runs.
+    let (mut grown, shard_feeds, _) = shard(&m.graph, 2);
+    let before = run_with_options(&grown, &shard_feeds, &RunOptions::default()).unwrap();
+    let last = *grown.worker_schedule(0).last().unwrap();
+    let t = grown.graph.node(last).output;
+    let extra = grown.graph.add_op("relu", "extra", &[t], Attrs::new()).unwrap();
+    let msg = error(&grown, &shard_feeds);
+    assert!(msg.contains("device tables cover"), "{msg}");
+    grown.device_of_node.push(0);
+    grown.device_of_tensor.push(Some(0));
+    let after = run_with_options(&grown, &shard_feeds, &RunOptions::default()).unwrap();
+    assert_eq!(after.values.len(), before.values.len() + 1);
+    assert_eq!(after.values[&extra].data(), before.values[&t].relu().data());
+}
+
+/// A feed naming a tensor the sharded graph does not have is a typed
+/// error, not a silently skipped value.
+#[test]
+fn a_feed_for_an_unknown_tensor_is_a_typed_error() {
+    let m = mlp(&MlpConfig { batch: 4, dims: vec![8], classes: 4, with_updates: false }).unwrap();
+    let (sharded, mut shard_feeds, _) = shard(&m.graph, 2);
+    let unknown = TensorId(sharded.graph.num_tensors() + 3);
+    shard_feeds.push((unknown, Tensor::zeros(Shape::new(vec![1]))));
+    match run_with_options(&sharded, &shard_feeds, &RunOptions::default()) {
+        Err(RuntimeError::InvalidOptions(msg)) => {
+            assert!(msg.contains(&format!("{unknown:?}")), "{msg}")
+        }
+        other => panic!("expected InvalidOptions, got {other:?}"),
+    }
+}
+
+/// Spans of `name` on `track`, as `(start, end)` in µs.
+fn spans(obs: &Collector, track: Track, name: &str) -> Vec<(f64, f64)> {
+    obs.events()
+        .into_iter()
+        .filter(|e| e.track == track && e.name == name)
+        .filter_map(|e| match e.phase {
+            Phase::Complete { dur_us } => Some((e.ts_us, e.ts_us + dur_us)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Three steps of one sharded graph: execution is planned once, in the first
+/// step, before its attempt; every step's attempt is followed by its merge.
 #[test]
 fn planning_is_a_span_before_the_first_op() {
-    let m = mlp(&MlpConfig { batch: 8, dims: vec![16, 16], classes: 8, with_updates: true })
-        .unwrap();
+    let m =
+        mlp(&MlpConfig { batch: 8, dims: vec![16, 16], classes: 8, with_updates: true }).unwrap();
     let (sharded, shard_feeds, _) = shard(&m.graph, 2);
     let obs = Collector::new();
     let opts = RunOptions { collector: Some(obs.clone()), ..Default::default() };
-    run_with_options(&sharded, &shard_feeds, &opts).unwrap();
-    let spans = |track: Track, name: &str| -> Vec<(f64, f64)> {
-        obs.events()
-            .into_iter()
-            .filter(|e| e.track == track && e.name == name)
-            .filter_map(|e| match e.phase {
-                Phase::Complete { dur_us } => Some((e.ts_us, e.ts_us + dur_us)),
-                _ => None,
-            })
-            .collect()
-    };
-    // One routing table per attempt, built before the attempt starts.
-    let routes = spans(Track::control(), "plan routes");
-    let attempt = spans(Track::control(), "attempt");
-    assert_eq!((routes.len(), attempt.len()), (1, 1));
-    assert!(routes[0].1 <= attempt[0].0);
-    // One buffer plan per worker, finished before its first op starts.
+    let first = run_with_options(&sharded, &shard_feeds, &opts).unwrap();
+    for _ in 0..2 {
+        let again = run_with_options(&sharded, &shard_feeds, &opts).unwrap();
+        assert_bit_identical(&again.values, &first.values);
+    }
+    let planning: Vec<_> = obs.events().into_iter().filter(|e| e.cat == "plan").collect();
+    assert_eq!(planning.len(), 1, "{planning:?}");
+    let plan = spans(&obs, Track::control(), "plan exec");
+    let attempts = spans(&obs, Track::control(), "attempt");
+    let merges = spans(&obs, Track::control(), "merge");
+    assert_eq!((plan.len(), attempts.len(), merges.len()), (1, 3, 3));
+    assert!(plan[0].1 <= attempts[0].0);
+    for (attempt, merge) in attempts.iter().zip(&merges) {
+        assert!(attempt.1 <= merge.0, "{attempt:?} {merge:?}");
+    }
+    // Planning is over before any worker's first op.
     for w in 0..2 {
-        let plan = spans(Track::runtime(w), "plan buffers");
-        assert_eq!(plan.len(), 1, "worker {w}");
         let first_op = obs
             .events()
             .into_iter()
@@ -237,5 +319,42 @@ fn planning_is_a_span_before_the_first_op() {
             .map(|e| e.ts_us)
             .fold(f64::INFINITY, f64::min);
         assert!(plan[0].1 <= first_op, "worker {w}");
+    }
+}
+
+/// A killed attempt resumes from its checkpoint on the plan the graph
+/// already holds, and the recovered step is bit-identical.
+#[test]
+fn a_resumed_attempt_reuses_the_cached_plan() {
+    let m =
+        mlp(&MlpConfig { batch: 8, dims: vec![16, 16], classes: 8, with_updates: true }).unwrap();
+    let (sharded, shard_feeds, _) = shard(&m.graph, 2);
+    let clean = run_with_options(&sharded, &shard_feeds, &RunOptions::default()).unwrap();
+    let obs = Collector::new();
+    let opts = RunOptions {
+        faults: FaultPlan::single(Fault::Kill {
+            worker: 1,
+            pos: sharded.worker_schedule(1).len() * 3 / 4,
+        }),
+        checkpoint: Some(CheckpointPolicy::every(sharded.graph.num_nodes() / 4)),
+        collector: Some(obs.clone()),
+        ..Default::default()
+    };
+    let recovery = RecoveryOptions { backoff: Duration::ZERO, ..Default::default() };
+    let report = run_with_recovery(&sharded, &shard_feeds, &opts, &recovery).unwrap();
+    let resumed: Vec<_> = report.history.iter().map(|a| a.resumed_from).collect();
+    assert_eq!(resumed.len(), 2);
+    assert!(resumed[1].is_some(), "{resumed:?}");
+    assert!(spans(&obs, Track::control(), "plan exec").is_empty());
+    assert_eq!(spans(&obs, Track::control(), "merge").len(), 2);
+    assert_bit_identical(&report.output.values, &clean.values);
+}
+
+fn assert_bit_identical(a: &BTreeMap<TensorId, Tensor>, b: &BTreeMap<TensorId, Tensor>) {
+    assert_eq!(a.len(), b.len());
+    for ((ta, va), (tb, vb)) in a.iter().zip(b) {
+        assert_eq!(ta, tb);
+        let bits = |v: &Tensor| v.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(va), bits(vb), "{ta:?}");
     }
 }

@@ -3,8 +3,6 @@
 //! comm-bytes prediction exactly, and each worker's measured footprint must
 //! equal `per_device_memory` to the byte.
 
-use std::collections::BTreeMap;
-
 use tofu_core::{generate, partition, GenOptions, PartitionOptions, ShardedGraph};
 use tofu_graph::{Attrs, Executor, Graph, NodeId, TensorId, TensorKind};
 use tofu_models::{decoder_block, mlp, wresnet, DecoderConfig, MlpConfig, WResNetConfig};
@@ -150,16 +148,14 @@ fn shared_block() -> ShardedGraph {
         let attrs = Attrs::new().with_ints("out_dims", vec![3, 8]).with_ints("pieces", pieces);
         g.add_op("multi_fetch", name, &[p], attrs).unwrap();
     }
-    ShardedGraph {
-        workers: 2,
-        shards: BTreeMap::new(),
-        regions: BTreeMap::new(),
-        device_of_node: vec![0, 1, 1, 1],
-        device_of_tensor: vec![Some(0), Some(0), Some(1), Some(1), Some(1)],
-        origin_of_node: g.node_ids().collect(),
-        exact: true,
-        graph: g,
-    }
+    let mut sharded = ShardedGraph::default();
+    sharded.workers = 2;
+    sharded.device_of_node = vec![0, 1, 1, 1];
+    sharded.device_of_tensor = vec![Some(0), Some(0), Some(1), Some(1), Some(1)];
+    sharded.origin_of_node = g.node_ids().collect();
+    sharded.exact = true;
+    sharded.graph = g;
+    sharded
 }
 
 /// A block two fetches read crosses the link once, in every layer that

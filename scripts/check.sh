@@ -56,6 +56,14 @@ if [ -n "$leaf" ]; then
     exit 1
 fi
 
+# A training step only executes: the runtime reads the graph's cached
+# `ExecPlan` (schedules, buffer plans, transfers) and plans none of it per
+# attempt.
+if grep -rnE "plan_buffers\(|TransferIndex" crates/runtime/src; then
+    echo "scripts/check.sh: crates/runtime/src plans per attempt; read ShardedGraph::exec_plan" >&2
+    exit 1
+fi
+
 # A recovered run has one report: every recovery entry point returns the
 # supervisor's `RecoveryReport`, and no second report type grows beside it.
 reports=$(grep -rhoE "pub struct [A-Za-z0-9_]*Report\b" crates/runtime/src || true)
