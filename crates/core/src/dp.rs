@@ -1304,7 +1304,11 @@ fn class_cost(
     best.map(|(c, idx)| (c, Some(idx)))
 }
 
-fn ewise_req(class_spec: TensorSpec, shape: &Shape) -> ConcreteReq {
+/// What an element-wise class split by `class_spec` requires of an input of
+/// `shape`: the same split, or the whole tensor when the input has no such
+/// dimension. The DP charges this requirement and the Fig. 6 recursion
+/// sizes the buffers it fetches by it.
+pub(crate) fn ewise_req(class_spec: TensorSpec, shape: &Shape) -> ConcreteReq {
     match class_spec {
         TensorSpec::Split(d) if d < shape.rank() => ConcreteReq::Split { dim: d, halo: 0.0 },
         _ => ConcreteReq::Replicated,

@@ -9,11 +9,14 @@
 //! control dependencies re-serialize each worker's sub-schedule so the
 //! memory planner keeps reusing buffers (Fig. 7).
 //!
-//! The per-worker input regions are *derived from the TDL descriptions*: a
-//! worker's range for every index variable is narrowed step by step
-//! according to the chosen strategies, and evaluating the description's
-//! affine accesses over those ranges yields exactly the regions to fetch —
-//! halos, padding and strides included.
+//! The per-worker input regions are *derived from the TDL descriptions* by
+//! the same §4.2 region analysis strategy discovery runs
+//! ([`tofu_tdl::access_regions`]): a worker's range for every index variable
+//! is narrowed step by step according to the chosen strategies, and the
+//! analysis, bound to those ranges as constant intervals, yields exactly the
+//! regions to fetch — halos, padding and strides included. Every node and
+//! tensor is placed on the worker that emits it as it is added, so the
+//! device tables stay in step with the graph.
 //!
 //! [`multi_fetch`]: tofu_graph::ops::data
 
@@ -21,8 +24,9 @@ use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 pub use tofu_graph::{fetch_pieces, FetchPiece};
-use tofu_graph::{Attrs, Graph, NodeId, TensorId, TensorKind, TransferIndex};
-use tofu_tdl::{bind_extents, IndexExpr, Reducer, TdlDesc};
+use tofu_graph::{Attrs, Graph, NodeId, NodeTags, TensorId, TensorKind, TransferIndex};
+use tofu_tdl::analysis::DimAccess;
+use tofu_tdl::{access_regions, bind_extents, AffineForm, Reducer, SymInterval};
 use tofu_tensor::{Shape, Tensor};
 
 use crate::dp::NodeChoice;
@@ -30,6 +34,7 @@ use crate::error::CoreError;
 use crate::execplan::ExecCell;
 use crate::recursive::PartitionPlan;
 use crate::spec::ConcreteOut;
+use crate::strategies::describe;
 use crate::Result;
 
 /// A half-open block `[lo, hi)` per dimension, in element coordinates of the
@@ -130,9 +135,10 @@ impl ShardedGraph {
     }
 
     /// Every cross-device transfer, in first-reader schedule order, each
-    /// naming all the reads it serves. By construction every remote read
-    /// enters a `multi_fetch` node; this is asserted here so a violated
-    /// invariant fails loudly rather than executing with stale remote reads.
+    /// naming all the reads it serves. By construction every read tensor has
+    /// an owner in the fleet and every remote read enters a `multi_fetch`
+    /// node; both are asserted here so a violated invariant fails loudly
+    /// rather than dropping or misrouting a transfer.
     pub fn comm_edges(&self) -> Vec<CommEdge<'_>> {
         let mut out: Vec<CommEdge> = Vec::new();
         let mut index = TransferIndex::default();
@@ -143,8 +149,12 @@ impl ShardedGraph {
             for (i, &t) in node.inputs.iter().enumerate() {
                 let piece = pieces.as_mut().and_then(Iterator::next);
                 let src = match self.device_of_tensor[t.0] {
-                    Some(d) if d != dst => d,
-                    _ => continue,
+                    Some(d) if d == dst => continue,
+                    Some(d) if d < self.workers => d,
+                    d => panic!(
+                        "node {id:?} ({}) reads tensor {t:?}, which is on device {d:?} of {}",
+                        node.op, self.workers
+                    ),
                 };
                 let piece = piece.unwrap_or_else(|| {
                     panic!("cross-device edge into non-fetch node {id:?} ({})", node.op)
@@ -270,67 +280,146 @@ fn shard_region(shape: &Shape, tiling: &[Option<usize>], factors: &[usize], w: u
     region
 }
 
-/// Evaluates the per-input required regions of a description over concrete
-/// variable ranges (inclusive-exclusive, in f64), returning one optional
-/// region per input.
-fn required_regions(
-    desc: &TdlDesc,
-    ranges: &[(f64, f64)],
-) -> Vec<Option<Vec<(f64, f64)>>> {
-    let mut out: Vec<Option<Vec<(f64, f64)>>> = vec![None; desc.input_ranks().len()];
-    desc.body().for_each_access(&mut |input, indices| {
-        let mut dims: Vec<(f64, f64)> = Vec::with_capacity(indices.len());
-        for ie in indices {
-            match ie {
-                IndexExpr::Full => {
-                    // The access spans the full input dimension. Its extent
-                    // is not a variable, so push an infinite sentinel; the
-                    // caller patches it with the input's own extent.
-                    dims.push((0.0, f64::INFINITY));
-                }
-                IndexExpr::Affine(a) => {
-                    let mut lo = a.constant;
-                    let mut hi = a.constant;
-                    for &(v, c) in &a.terms {
-                        // Inclusive value range of the variable: [lo, hi-1].
-                        let (vlo, vhi) = (ranges[v].0, ranges[v].1 - 1.0);
-                        if c >= 0.0 {
-                            lo += c * vlo;
-                            hi += c * vhi;
-                        } else {
-                            lo += c * vhi;
-                            hi += c * vlo;
-                        }
-                    }
-                    dims.push((lo, hi + 1.0));
-                }
+/// The graph being generated and the device of everything in it: each
+/// method places what it adds on the worker `w` that emits it, so the two
+/// device tables stay in step with the graph.
+#[derive(Default)]
+struct Emit {
+    graph: Graph,
+    device_of_node: Vec<usize>,
+    device_of_tensor: Vec<Option<usize>>,
+}
+
+impl Emit {
+    /// Places every node and tensor added since the last call on worker `w`.
+    fn place(&mut self, w: usize, t: TensorId) -> TensorId {
+        self.device_of_node.resize(self.graph.num_nodes(), w);
+        self.device_of_tensor.resize(self.graph.num_tensors(), Some(w));
+        t
+    }
+
+    /// Emits one operator on worker `w`.
+    fn op(
+        &mut self,
+        w: usize,
+        op: &str,
+        name: &str,
+        inputs: &[TensorId],
+        attrs: Attrs,
+        tags: NodeTags,
+    ) -> Result<TensorId> {
+        let t = self.graph.add_op_tagged(op, name, inputs, attrs, tags);
+        Ok(self.place(w, t.map_err(CoreError::Graph)?))
+    }
+
+    /// Emits one multi_fetch node on worker `w` assembling `target` from the
+    /// given `(tensor, region it covers)` sources, zero-filling uncovered
+    /// coordinates (materialized padding).
+    fn gather<'a>(
+        &mut self,
+        w: usize,
+        sources: impl IntoIterator<Item = (TensorId, &'a Region)>,
+        target: &Region,
+        name: &str,
+    ) -> Result<TensorId> {
+        let rank = target.len();
+        let out_dims: Vec<i64> = target.iter().map(|&(lo, hi)| hi - lo).collect();
+        let mut inputs: Vec<TensorId> = Vec::new();
+        let mut pieces: Vec<i64> = Vec::new();
+        let mut covered: Vec<Region> = Vec::new();
+        for (src, region) in sources {
+            // Intersection of the source region with the target.
+            let isect: Option<Region> = (0..rank)
+                .map(|d| {
+                    let (lo, hi) = (region[d].0.max(target[d].0), region[d].1.min(target[d].1));
+                    (lo < hi).then_some((lo, hi))
+                })
+                .collect();
+            let Some(isect) = isect else { continue };
+            // Avoid copying a block some earlier source already covers
+            // entirely (replicated shards overlap).
+            if covered.iter().any(|c| {
+                (0..rank).all(|d| c[d].0 <= isect[d].0 && isect[d].1 <= c[d].1)
+            }) {
+                continue;
             }
+            pieces.extend(isect.iter().zip(region).map(|(i, r)| i.0 - r.0)); // src_begin
+            pieces.extend(isect.iter().zip(target).map(|(i, t)| i.0 - t.0)); // dst_begin
+            pieces.extend(isect.iter().map(|&(lo, hi)| hi - lo)); // len
+            covered.push(isect);
+            inputs.push(src);
         }
-        match &mut out[input] {
-            Some(existing) => {
-                for (e, n) in existing.iter_mut().zip(dims) {
-                    e.0 = e.0.min(n.0);
-                    e.1 = e.1.max(n.1);
-                }
-            }
-            slot @ None => *slot = Some(dims),
+        let attrs = Attrs::new().with_ints("out_dims", out_dims).with_ints("pieces", pieces);
+        self.op(w, "multi_fetch", name, &inputs, attrs, NodeTags::default())
+    }
+
+    /// Emits the reducer combining partial shards on worker `w` (spread
+    /// reduction).
+    fn combine(
+        &mut self,
+        w: usize,
+        partials: &[TensorId],
+        reducer: Reducer,
+        name: &str,
+    ) -> Result<TensorId> {
+        let tags = NodeTags::default;
+        let op = match reducer {
+            Reducer::Sum => return self.op(w, "add_n", name, partials, Attrs::new(), tags()),
+            Reducer::Max => "maximum",
+            Reducer::Min => "minimum",
+            Reducer::Prod => "mul",
+        };
+        let mut acc = partials[0];
+        for (i, &p) in partials.iter().enumerate().skip(1) {
+            acc = self.op(w, op, &format!("{name}/{i}"), &[acc, p], Attrs::new(), tags())?;
         }
-    });
-    out
+        Ok(acc)
+    }
+}
+
+/// The region of an input of `shape` that one access footprint covers, in
+/// element coordinates. An interval's constant bounds are inclusive; a `:`
+/// spans the whole dimension. Unless `materialize` keeps out-of-bounds
+/// coordinates for zero fill, the region is clipped to the tensor.
+fn input_region(
+    footprint: Option<&tofu_tdl::Region>,
+    shape: &Shape,
+    materialize: bool,
+) -> Region {
+    let Some(footprint) = footprint else {
+        return shape.dims().iter().map(|&e| (0, e as i64)).collect();
+    };
+    let dim = |(d, access): (usize, &DimAccess)| {
+        let e = shape.dim(d) as f64;
+        let (lo, hi) = match access {
+            DimAccess::Full => (0.0, e),
+            DimAccess::Interval(i) => (i.lo().constant_term(), i.hi().constant_term() + 1.0),
+        };
+        let (lo, hi) = if materialize {
+            (lo, hi)
+        } else {
+            // Clip to the tensor; a region entirely out of bounds (e.g. a
+            // pad gradient whose block maps below index 0) collapses to
+            // empty.
+            let lo = lo.clamp(0.0, e);
+            (lo, hi.clamp(lo, e))
+        };
+        let lo = lo.floor() as i64;
+        (lo, ((hi - 1e-9).ceil() as i64).max(lo))
+    };
+    footprint.0.iter().enumerate().map(dim).collect()
 }
 
 /// Generates the `k`-worker graph for a plan.
 pub fn generate(g: &Graph, plan: &PartitionPlan, opts: &GenOptions) -> Result<ShardedGraph> {
     let k = plan.workers;
     let factors: Vec<usize> = plan.steps.iter().map(|s| s.ways).collect();
-    let mut out = Graph::new();
+    let mut out = Emit::default();
     let mut exact = true;
 
     // Shard regions and leaf shard tensors.
     let mut regions: BTreeMap<TensorId, Vec<Region>> = BTreeMap::new();
     let mut shards: BTreeMap<TensorId, Vec<TensorId>> = BTreeMap::new();
-    let mut device_of_tensor: Vec<Option<usize>> = Vec::new();
-    let mut device_of_node: Vec<usize> = Vec::new();
     let mut origin_of_node: Vec<NodeId> = Vec::new();
     // Per original node (by id): its compute node on every worker.
     let mut compute_nodes: Vec<Vec<NodeId>> = Vec::with_capacity(g.num_nodes());
@@ -348,12 +437,11 @@ pub fn generate(g: &Graph, plan: &PartitionPlan, opts: &GenOptions) -> Result<Sh
                     region.iter().map(|&(lo, hi)| (hi - lo) as usize).collect();
                 let name = format!("w{w}/{}", meta.name);
                 let id = if meta.kind == TensorKind::Weight {
-                    out.add_weight(&name, Shape::new(dims))
+                    out.graph.add_weight(&name, Shape::new(dims))
                 } else {
-                    out.add_input(&name, Shape::new(dims))
+                    out.graph.add_input(&name, Shape::new(dims))
                 };
-                device_of_tensor.resize(out.num_tensors(), Some(w));
-                ids.push(id);
+                ids.push(out.place(w, id));
             }
             shards.insert(t, ids);
         }
@@ -362,20 +450,10 @@ pub fn generate(g: &Graph, plan: &PartitionPlan, opts: &GenOptions) -> Result<Sh
     // Per original node, expand.
     for id in g.node_ids() {
         let node = g.node(id);
-        let def = tofu_graph::lookup(&node.op)?;
-        let in_shapes: Vec<Shape> =
-            node.inputs.iter().map(|&t| g.tensor(t).shape.clone()).collect();
-        let tdl_fn = def.tdl.ok_or_else(|| CoreError::NotDescribable {
-            node: node.name.clone(),
-            op: node.op.clone(),
-        })?;
-        let desc = tdl_fn(&in_shapes, &node.attrs).ok_or_else(|| CoreError::NotDescribable {
-            node: node.name.clone(),
-            op: node.op.clone(),
-        })?;
-        let out_dims = g.tensor(node.output).shape.dims().to_vec();
-        let in_dims: Vec<Vec<usize>> = in_shapes.iter().map(|s| s.dims().to_vec()).collect();
-        let extents = bind_extents(&desc, &out_dims, &in_dims)?;
+        let desc = describe(g, id, |t| &g.tensor(t).shape)?;
+        let in_dims: Vec<Vec<usize>> =
+            node.inputs.iter().map(|&t| g.tensor(t).shape.dims().to_vec()).collect();
+        let extents = bind_extents(&desc, g.tensor(node.output).shape.dims(), &in_dims)?;
 
         // Which steps reduce, and with which reducer.
         let mut reduce_steps: Vec<usize> = Vec::new();
@@ -423,49 +501,29 @@ pub fn generate(g: &Graph, plan: &PartitionPlan, opts: &GenOptions) -> Result<Sh
         }
 
         // Pass 1: compute each worker's raw output (and remember its block).
+        // A worker's variable ranges, inclusive, are the constant binding
+        // under which the §4.2 region analysis yields the regions it reads.
+        let materialize = materializes_padding(&node.op);
         let mut raw_outputs: Vec<TensorId> = Vec::with_capacity(k);
         let mut blocks: Vec<Region> = Vec::with_capacity(k);
         let mut computes: Vec<NodeId> = Vec::with_capacity(k);
         for (w, ranges) in var_ranges.iter().enumerate() {
-            let materialize = materializes_padding(&node.op);
-            let req = required_regions(&desc, ranges);
+            let constant = |lo: f64, hi: f64| {
+                SymInterval::new(AffineForm::constant(lo), AffineForm::constant(hi - 1.0))
+            };
+            let binding: Vec<SymInterval> =
+                ranges.iter().map(|&(lo, hi)| constant(lo, hi)).collect();
+            let footprints = access_regions(&desc, &binding)?;
             let mut new_inputs: Vec<TensorId> = Vec::with_capacity(node.inputs.len());
             let mut input_regions: Vec<Region> = Vec::with_capacity(node.inputs.len());
             for (i, &t) in node.inputs.iter().enumerate() {
-                let in_shape = &g.tensor(t).shape;
-                let region: Region = match &req[i] {
-                    None => in_shape.dims().iter().map(|&e| (0, e as i64)).collect(),
-                    Some(dims) => dims
-                        .iter()
-                        .enumerate()
-                        .map(|(d, &(lo, hi))| {
-                            let e = in_shape.dim(d) as f64;
-                            let (lo, hi) = if lo.is_infinite() || hi.is_infinite() {
-                                (0.0, e)
-                            } else if materialize {
-                                (lo, hi)
-                            } else {
-                                // Clip to the tensor; a region entirely out
-                                // of bounds (e.g. a pad gradient whose block
-                                // maps below index 0) collapses to empty.
-                                let lo = lo.clamp(0.0, e);
-                                (lo, hi.clamp(lo, e))
-                            };
-                            let lo = lo.floor() as i64;
-                            (lo, ((hi - 1e-9).ceil() as i64).max(lo))
-                        })
-                        .collect(),
-                };
-                new_inputs.push(fetch_region(
-                    &mut out,
-                    &mut device_of_tensor,
-                    &mut device_of_node,
-                    &shards[&t],
-                    &regions[&t],
-                    &region,
-                    w,
-                    &format!("w{w}/fetch/{}/{i}", node.name),
-                )?);
+                let region = input_region(footprints[i].as_ref(), &g.tensor(t).shape, materialize);
+                new_inputs.push(if regions[&t][w] == region {
+                    shards[&t][w]
+                } else {
+                    let sources = shards[&t].iter().copied().zip(&regions[&t]);
+                    out.gather(w, sources, &region, &format!("w{w}/fetch/{}/{i}", node.name))?
+                });
                 input_regions.push(region);
             }
 
@@ -475,28 +533,19 @@ pub fn generate(g: &Graph, plan: &PartitionPlan, opts: &GenOptions) -> Result<Sh
                 .collect();
             let attrs =
                 adjust_attrs(&node.op, &node.attrs, &block, &input_regions, materialize);
-            let out_t = out
-                .add_op_tagged(
-                    &node.op,
-                    &format!("w{w}/{}", node.name),
-                    &new_inputs,
-                    attrs,
-                    node.tags.clone(),
-                )
-                .map_err(CoreError::Graph)?;
-            device_of_tensor.resize(out.num_tensors(), Some(w));
-            device_of_node.resize(out.num_nodes(), w);
+            let name = format!("w{w}/{}", node.name);
+            let out_t = out.op(w, &node.op, &name, &new_inputs, attrs, node.tags.clone())?;
             let expect: Vec<usize> = block.iter().map(|&(lo, hi)| (hi - lo) as usize).collect();
-            if out.tensor(out_t).shape.dims() != expect.as_slice() {
+            if out.graph.tensor(out_t).shape.dims() != expect.as_slice() {
                 return Err(CoreError::Internal(format!(
                     "node {}: worker {w} produced {} but block is {expect:?}",
                     node.name,
-                    out.tensor(out_t).shape
+                    out.graph.tensor(out_t).shape
                 )));
             }
             raw_outputs.push(out_t);
             blocks.push(block);
-            computes.push(NodeId(out.num_nodes() - 1));
+            computes.push(NodeId(out.graph.num_nodes() - 1));
         }
         compute_nodes.push(computes);
 
@@ -510,32 +559,22 @@ pub fn generate(g: &Graph, plan: &PartitionPlan, opts: &GenOptions) -> Result<Sh
                 continue;
             }
             // Enumerate reduce-peer classes: one gathered piece per combo of
-            // reduce-step digits, then combine with the reducer (spread
-            // reduction: every worker reduces only its own shard).
-            let mut combos: Vec<Vec<usize>> = vec![Vec::new()];
-            for &s in &reduce_steps {
-                let mut next = Vec::new();
-                for c in &combos {
-                    for d in 0..factors[s] {
-                        let mut c2 = c.clone();
-                        c2.push(d);
-                        next.push(c2);
-                    }
-                }
-                combos = next;
-            }
-            let mut partials: Vec<TensorId> = Vec::with_capacity(combos.len());
-            for combo in &combos {
+            // reduce-step digits (a mixed-radix number over their ways),
+            // then combine with the reducer (spread reduction: every worker
+            // reduces only its own shard).
+            let reduce_ways: Vec<usize> = reduce_steps.iter().map(|&s| factors[s]).collect();
+            let combos: usize = reduce_ways.iter().product();
+            let mut partials: Vec<TensorId> = Vec::with_capacity(combos);
+            for combo in 0..combos {
                 // Contributors: workers whose reduce-step digits match this
                 // combo and whose computed block overlaps the target shard
                 // (their blocks tile the output space across the non-reduce
                 // digits).
-                let peers: Vec<usize> = (0..k)
+                let sources = (0..k)
                     .filter(|&p| {
-                        reduce_steps
-                            .iter()
-                            .enumerate()
-                            .all(|(pos, &rs)| digit(p, rs, &factors) == combo[pos])
+                        reduce_steps.iter().enumerate().all(|(pos, &rs)| {
+                            digit(p, rs, &factors) == digit(combo, pos, &reduce_ways)
+                        })
                     })
                     .filter(|&p| {
                         blocks[p]
@@ -543,41 +582,22 @@ pub fn generate(g: &Graph, plan: &PartitionPlan, opts: &GenOptions) -> Result<Sh
                             .zip(target)
                             .all(|(b, t)| b.0.max(t.0) < b.1.min(t.1))
                     })
-                    .collect();
-                let sources: Vec<TensorId> = peers.iter().map(|&p| raw_outputs[p]).collect();
-                let source_regions: Vec<Region> =
-                    peers.iter().map(|&p| blocks[p].clone()).collect();
-                let piece = gather_into(
-                    &mut out,
-                    &mut device_of_tensor,
-                    &mut device_of_node,
-                    &sources,
-                    &source_regions,
-                    target,
-                    w,
-                    &format!("w{w}/gather/{}/{}", node.name, partials.len()),
-                )?;
-                partials.push(piece);
+                    .map(|p| (raw_outputs[p], &blocks[p]));
+                let name = format!("w{w}/gather/{}/{}", node.name, partials.len());
+                partials.push(out.gather(w, sources, target, &name)?);
             }
             let shard = if partials.len() == 1 {
                 partials[0]
             } else {
-                combine(
-                    &mut out,
-                    &mut device_of_tensor,
-                    &mut device_of_node,
-                    &partials,
-                    reducer.unwrap_or(Reducer::Sum),
-                    w,
-                    &format!("w{w}/reduce/{}", node.name),
-                )?
+                let name = format!("w{w}/reduce/{}", node.name);
+                out.combine(w, &partials, reducer.unwrap_or(Reducer::Sum), &name)?
             };
             shard_ids.push(shard);
         }
         shards.insert(node.output, shard_ids);
         // Everything emitted while expanding this original node — fetches,
         // computes, gathers, reduces, on every worker — originates from it.
-        origin_of_node.resize(out.num_nodes(), id);
+        origin_of_node.resize(out.graph.num_nodes(), id);
     }
 
     // Pass 3: control dependencies mirroring original direct dependencies
@@ -588,17 +608,17 @@ pub fn generate(g: &Graph, plan: &PartitionPlan, opts: &GenOptions) -> Result<Sh
                 if let Some(p) = g.producer(t) {
                     // Worker by worker, in worker order.
                     for (&after, &before) in compute_nodes[id.0].iter().zip(&compute_nodes[p.0]) {
-                        out.add_control_dep(after, before);
+                        out.graph.add_control_dep(after, before);
                     }
                 }
             }
         }
     }
 
-    device_of_node.resize(out.num_nodes(), 0);
-    debug_assert_eq!(origin_of_node.len(), out.num_nodes());
+    let Emit { graph, device_of_node, device_of_tensor } = out;
+    debug_assert_eq!(origin_of_node.len(), graph.num_nodes());
     Ok(ShardedGraph {
-        graph: out,
+        graph,
         workers: k,
         shards,
         regions,
@@ -672,131 +692,6 @@ fn adjust_attrs(
         _ => {}
     }
     a
-}
-
-/// Emits the nodes assembling `target` (a region of some original tensor)
-/// on worker `w` from the available shards. Returns the assembled tensor.
-/// When the target matches worker `w`'s own shard exactly, no node is
-/// emitted.
-#[allow(clippy::too_many_arguments)]
-fn fetch_region(
-    out: &mut Graph,
-    device_of_tensor: &mut Vec<Option<usize>>,
-    device_of_node: &mut Vec<usize>,
-    shard_ids: &[TensorId],
-    shard_regions: &[Region],
-    target: &Region,
-    w: usize,
-    name: &str,
-) -> Result<TensorId> {
-    if &shard_regions[w] == target {
-        return Ok(shard_ids[w]);
-    }
-    gather_into(
-        out,
-        device_of_tensor,
-        device_of_node,
-        shard_ids,
-        shard_regions,
-        target,
-        w,
-        name,
-    )
-}
-
-/// Emits one multi_fetch node assembling `target` from the given source
-/// tensors (each covering `source_regions[i]`), zero-filling uncovered
-/// coordinates (materialized padding).
-#[allow(clippy::too_many_arguments)]
-fn gather_into(
-    out: &mut Graph,
-    device_of_tensor: &mut Vec<Option<usize>>,
-    device_of_node: &mut Vec<usize>,
-    sources: &[TensorId],
-    source_regions: &[Region],
-    target: &Region,
-    w: usize,
-    name: &str,
-) -> Result<TensorId> {
-    let rank = target.len();
-    let out_dims: Vec<i64> = target.iter().map(|&(lo, hi)| hi - lo).collect();
-    let mut inputs: Vec<TensorId> = Vec::new();
-    let mut pieces: Vec<i64> = Vec::new();
-    let mut covered: Vec<Region> = Vec::new();
-    for (src, region) in sources.iter().zip(source_regions) {
-        // Intersection of the source region with the target.
-        let mut isect: Region = Vec::with_capacity(rank);
-        let mut nonempty = true;
-        for d in 0..rank {
-            let lo = region[d].0.max(target[d].0);
-            let hi = region[d].1.min(target[d].1);
-            if lo >= hi {
-                nonempty = false;
-                break;
-            }
-            isect.push((lo, hi));
-        }
-        if !nonempty {
-            continue;
-        }
-        // Avoid copying a block some earlier source already covers entirely
-        // (replicated shards overlap).
-        if covered.iter().any(|c| {
-            (0..rank).all(|d| c[d].0 <= isect[d].0 && isect[d].1 <= c[d].1)
-        }) {
-            continue;
-        }
-        for d in 0..rank {
-            pieces.push(isect[d].0 - region[d].0); // src_begin
-        }
-        for d in 0..rank {
-            pieces.push(isect[d].0 - target[d].0); // dst_begin
-        }
-        for s in &isect {
-            pieces.push(s.1 - s.0); // len
-        }
-        covered.push(isect);
-        inputs.push(*src);
-    }
-    let attrs = Attrs::new().with_ints("out_dims", out_dims).with_ints("pieces", pieces);
-    let t = out.add_op("multi_fetch", name, &inputs, attrs).map_err(CoreError::Graph)?;
-    device_of_tensor.resize(out.num_tensors(), Some(w));
-    device_of_node.resize(out.num_nodes(), w);
-    Ok(t)
-}
-
-/// Emits the reducer combining partial shards (spread reduction).
-fn combine(
-    out: &mut Graph,
-    device_of_tensor: &mut Vec<Option<usize>>,
-    device_of_node: &mut Vec<usize>,
-    partials: &[TensorId],
-    reducer: Reducer,
-    w: usize,
-    name: &str,
-) -> Result<TensorId> {
-    let result = match reducer {
-        Reducer::Sum => {
-            out.add_op("add_n", name, partials, Attrs::new()).map_err(CoreError::Graph)?
-        }
-        Reducer::Max | Reducer::Min | Reducer::Prod => {
-            let op = match reducer {
-                Reducer::Max => "maximum",
-                Reducer::Min => "minimum",
-                _ => "mul",
-            };
-            let mut acc = partials[0];
-            for (i, &p) in partials.iter().enumerate().skip(1) {
-                acc = out
-                    .add_op(op, &format!("{name}/{i}"), &[acc, p], Attrs::new())
-                    .map_err(CoreError::Graph)?;
-            }
-            acc
-        }
-    };
-    device_of_tensor.resize(out.num_tensors(), Some(w));
-    device_of_node.resize(out.num_nodes(), w);
-    Ok(result)
 }
 
 #[cfg(test)]
@@ -1012,6 +907,34 @@ mod tests {
         }
         assert_eq!(served.len(), reads);
         assert_eq!(edges.iter().map(|e| e.readers.len()).sum::<usize>(), reads);
+    }
+
+    /// A read whose tensor has no owner, or an owner outside the fleet, is
+    /// no transfer `comm_edges` can count: it panics instead of dropping the
+    /// read or naming a source no worker runs.
+    #[test]
+    fn comm_edges_reject_an_ownerless_or_out_of_fleet_read() {
+        let mut g = Graph::new();
+        let x = g.add_input("x", Shape::new(vec![4, 8]));
+        let pieces = vec![0, 0, 0, 0, 2, 8];
+        let attrs = Attrs::new().with_ints("out_dims", vec![2, 8]).with_ints("pieces", pieces);
+        g.add_op("multi_fetch", "top", &[x], attrs).unwrap();
+        let mut sharded = ShardedGraph {
+            graph: g,
+            workers: 2,
+            device_of_node: vec![1],
+            device_of_tensor: vec![Some(0), Some(1)],
+            origin_of_node: vec![NodeId(0)],
+            ..Default::default()
+        };
+        assert_eq!(sharded.comm_edges().len(), 1);
+        for owner in [None, Some(2)] {
+            sharded.device_of_tensor[0] = owner;
+            let message = format!("reads tensor TensorId(0), which is on device {owner:?} of 2");
+            let err = std::panic::catch_unwind(|| sharded.comm_edges().len()).unwrap_err();
+            let err = err.downcast_ref::<String>().unwrap();
+            assert!(err.contains(&message), "{err}");
+        }
     }
 
     #[test]

@@ -29,7 +29,9 @@ use tofu_tensor::Shape;
 
 use crate::cache::{request_fingerprint, SearchCaches};
 use crate::coarsen::coarsen;
-use crate::dp::{search, unoptimized_search, ExtraInputs, NodeChoice, StepFn, StepPlan};
+use crate::dp::{
+    ewise_req, search, unoptimized_search, ExtraInputs, NodeChoice, StepFn, StepPlan,
+};
 use crate::error::CoreError;
 use crate::spec::{ConcreteOut, ConcreteReq, TensorSpec};
 use crate::strategies::ShapeView;
@@ -359,12 +361,7 @@ fn recurse(
                     for (i, &t) in node.inputs.iter().enumerate() {
                         let spec = plan.spec(t);
                         let shape = view.shape(t);
-                        let req = match class_spec {
-                            TensorSpec::Split(d) if *d < shape.rank() => {
-                                ConcreteReq::Split { dim: *d, halo: 0.0 }
-                            }
-                            _ => ConcreteReq::Replicated,
-                        };
+                        let req = ewise_req(*class_spec, shape);
                         if let Some(shape) = fetch_buffer_shape(shape, spec, &req, ways) {
                             if shape.bytes() >= opts.fetch_buffer_floor {
                                 new_buffers.push((id, i, shape));

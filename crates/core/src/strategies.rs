@@ -13,7 +13,7 @@
 //! shapes. So a `partition` call analyses each (op, attrs, ranks) once, in
 //! [`crate::coarsen()`], and concretises it at every step.
 
-use tofu_graph::{Graph, NodeId};
+use tofu_graph::{Graph, NodeId, TensorId};
 use tofu_tensor::Shape;
 
 use tofu_tdl::{
@@ -40,12 +40,12 @@ impl ShapeView {
     }
 
     /// Shape of a tensor under this view.
-    pub fn shape(&self, t: tofu_graph::TensorId) -> &Shape {
+    pub fn shape(&self, t: TensorId) -> &Shape {
         &self.shapes[t.0]
     }
 
     /// Replaces a tensor's shape.
-    pub fn set(&mut self, t: tofu_graph::TensorId, shape: Shape) {
+    pub fn set(&mut self, t: TensorId, shape: Shape) {
         self.shapes[t.0] = shape;
     }
 
@@ -94,15 +94,26 @@ pub(crate) struct Analysed {
     symbolic: Vec<BasicStrategy>,
 }
 
-/// Builds the node's TDL description at its shapes under `view` and
-/// discovers its symbolic strategies.
-pub(crate) fn analyse(g: &Graph, node: NodeId, view: &ShapeView) -> Result<Analysed> {
+/// Builds the node's TDL description from its registry entry at the input
+/// shapes `shape_of` gives: the one lookup both strategy discovery and
+/// partitioned-graph generation read.
+pub(crate) fn describe<'a>(
+    g: &Graph,
+    node: NodeId,
+    shape_of: impl Fn(TensorId) -> &'a Shape,
+) -> Result<TdlDesc> {
     let n = g.node(node);
     let def = tofu_graph::lookup(&n.op)?;
     let not_describable = || CoreError::NotDescribable { node: n.name.clone(), op: n.op.clone() };
     let tdl_fn = def.tdl.ok_or_else(not_describable)?;
-    let in_shapes: Vec<Shape> = n.inputs.iter().map(|&t| view.shape(t).clone()).collect();
-    let desc = tdl_fn(&in_shapes, &n.attrs).ok_or_else(not_describable)?;
+    let in_shapes: Vec<Shape> = n.inputs.iter().map(|&t| shape_of(t).clone()).collect();
+    tdl_fn(&in_shapes, &n.attrs).ok_or_else(not_describable)
+}
+
+/// Builds the node's TDL description at its shapes under `view` and
+/// discovers its symbolic strategies.
+pub(crate) fn analyse(g: &Graph, node: NodeId, view: &ShapeView) -> Result<Analysed> {
+    let desc = describe(g, node, |t| view.shape(t))?;
     let symbolic = discover_strategies(&desc)?;
     Ok(Analysed { desc, symbolic })
 }

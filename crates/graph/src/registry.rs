@@ -6,8 +6,25 @@
 //! the TDL description, the gradient builder used by autodiff, a flop
 //! estimate for the simulator's compute model, the CPU [`Kernel`] the
 //! executor runs, and a category used by coarsening, the memory planner and
-//! the §4.1 coverage statistics. An operator is its entry: nothing else
-//! matches on operator names.
+//! the §4.1 coverage statistics. An operator is its entry: the executor
+//! reaches every kernel through [`lookup`] and matches no names.
+//!
+//! A few places outside the registry still match on operator names, each
+//! for a fact the entry does not carry:
+//! - partitioned-graph generation (`tofu-core`'s `genplan`): TDL says which
+//!   regions an operator reads, not which attributes encode a worker's
+//!   extents, so `adjust_attrs` rewrites those of the backward convolutions,
+//!   `slice_axis` and `pad`, `materializes_padding` names the convolutions
+//!   whose gathers zero-fill their padding, and `sensitive_vars` names the
+//!   splits of strided backward convolutions and pooling whose sharded
+//!   kernels are inexact;
+//! - `multi_fetch`, the generator's own gather and the one operator that
+//!   reads remote tensors: the memory planner does not count its inputs as
+//!   resident and the runtime assembles it from transfers;
+//! - the simulator's non-in-place aggregation ablation (`tofu-sim`'s
+//!   `baselines`) charges every `add_n`;
+//! - tests (e.g. `coarsen`'s) and the `paper` bench find nodes by
+//!   operator name.
 
 use std::collections::BTreeMap;
 use std::sync::OnceLock;

@@ -90,11 +90,7 @@ pub fn access_regions(desc: &TdlDesc, binding: &[SymInterval]) -> Result<Vec<Opt
         )));
     }
     let mut regions: Vec<Option<Region>> = vec![None; desc.num_inputs()];
-    let mut walk_err = None;
     desc.body().for_each_access(&mut |input, indices| {
-        if walk_err.is_some() {
-            return;
-        }
         let mut dims = Vec::with_capacity(indices.len());
         for ie in indices {
             match ie {
@@ -110,9 +106,6 @@ pub fn access_regions(desc: &TdlDesc, binding: &[SymInterval]) -> Result<Vec<Opt
             slot @ None => *slot = Some(region),
         }
     });
-    if let Some(e) = walk_err.take() {
-        return Err(e);
-    }
     Ok(regions)
 }
 
@@ -249,7 +242,8 @@ pub fn dim_access_len(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::DescBuilder;
+    use crate::affine::AffineForm;
+    use crate::builder::{DescBuilder, Idx};
     use crate::expr::Reducer;
 
     fn conv1d_desc() -> TdlDesc {
@@ -298,6 +292,43 @@ mod tests {
             DimAccess::Interval(iv) => assert_eq!(iv.hi().coeff(3), 1.0),
             _ => panic!(),
         }
+    }
+
+    /// The mode partitioned-graph generation uses: every variable bound to
+    /// a constant interval. Each bound comes out as the exact f64 that Fig. 4
+    /// gives — the constant plus each coefficient times the interval's end
+    /// (the other end for a negative coefficient), and min/max across
+    /// accesses to one input.
+    #[test]
+    fn point_binding_gives_exact_constant_bounds() {
+        // out[i, j] = a[2i + 3, :] + a[9 - i, j] + b[9 - i]
+        let mut b = DescBuilder::new("point", &[2, 1]);
+        let (i, j) = (b.output_var("i"), b.output_var("j"));
+        let body = b.input(0, &[i.at() * 2 + 3, Idx::full()])
+            + b.input(0, &[i.at() * -1 + 9, j.at()])
+            + b.input(1, &[i.at() * -1 + 9]);
+        let desc = b.build(body).unwrap();
+        // `i` over the second third of an extent of 10, inclusive; neither
+        // end is representable exactly.
+        let (lo, hi) = (10.0 / 3.0, 20.0 / 3.0 - 1.0);
+        let point = |lo, hi| SymInterval::new(AffineForm::constant(lo), AffineForm::constant(hi));
+        let regions = access_regions(&desc, &[point(lo, hi), point(0.0, 4.0)]).unwrap();
+        let bounds = |access: &DimAccess| match access {
+            DimAccess::Interval(iv) => {
+                assert!(iv.lo().is_constant() && iv.hi().is_constant());
+                Some((iv.lo().constant_term(), iv.hi().constant_term()))
+            }
+            DimAccess::Full => None,
+        };
+        let a = &regions[0].as_ref().unwrap().0;
+        let strided = (3.0 + 2.0 * lo, 3.0 + 2.0 * hi);
+        let flipped = (9.0 - hi, 9.0 - lo);
+        // The hull of both accesses: the flipped one's low end (below the
+        // strided one's) and the strided one's high end.
+        assert_eq!(bounds(&a[0]), Some((flipped.0, strided.1)));
+        // A `:` joined with an interval spans the whole dimension.
+        assert_eq!(bounds(&a[1]), None);
+        assert_eq!(bounds(&regions[1].as_ref().unwrap().0[0]), Some(flipped));
     }
 
     #[test]

@@ -45,6 +45,14 @@ if grep -nE '^\s*"[a-z0-9_]+"(\s*\|\s*"[a-z0-9_]+")*\s*=>' crates/graph/src/exec
     exit 1
 fi
 
+# One evaluator of TDL accesses: strategy discovery and partitioned-graph
+# generation both read regions from `tofu_tdl::access_regions`, so only
+# tofu-tdl walks a description's accesses.
+if grep -rn "for_each_access" crates/*/src | grep -v "^crates/tdl/src/"; then
+    echo "scripts/check.sh: only crates/tdl/src may walk TDL accesses; call access_regions" >&2
+    exit 1
+fi
+
 # The runtime is a leaf of the crate graph: the planner-side crates (the
 # simulator and the plan service) neither link the threaded executor nor,
 # through it, the durable checkpoint store. Only tofu-bench, the root crate
