@@ -583,24 +583,37 @@ enum ClassMemo {
     Wide(std::collections::HashMap<Vec<u8>, Option<f64>>),
 }
 
-/// One DP state in the optimized engine. `specs` holds the canonical byte
-/// encoding of each crossing bundle's spec, aligned with the cut's sorted
-/// crossing-bundle list.
+/// One DP state in the optimized engine: its cost, the index of the state it
+/// came from in the previous cut's frontier, and the index of the combo it
+/// took there. Its key — the canonical byte encoding of each crossing
+/// bundle's spec, aligned with the cut's sorted crossing-bundle list — is
+/// not stored here: a cut keeps its frontier's keys in one byte array of
+/// stride `width`, the `i`-th state's key at `[i * width..][..width]` (see
+/// [`key_at`]).
+#[derive(Clone, Copy)]
 struct Cand {
-    specs: Box<[u8]>,
     cost: f64,
     prev: u32,
     combo: u32,
 }
 
-/// Per-cut record kept for plan reconstruction.
+/// Per-cut record kept for plan reconstruction: the cut's combos and its
+/// surviving states in key order. Reconstruction follows `prev` and `combo`
+/// only, so the keys are not kept.
 struct CutRecord {
     combos: Vec<Vec<(usize, TensorSpec)>>,
     kept: Vec<Cand>,
 }
 
+/// The key of the `i`-th state in a key array of stride `width`.
+#[inline]
+fn key_at(keys: &[u8], width: usize, i: usize) -> &[u8] {
+    &keys[i * width..][..width]
+}
+
 /// Per-(cut, class) field layout: where each touched bundle's spec comes
 /// from — the combo (fresh) or the predecessor state (carried).
+#[derive(Default)]
 struct CutClass {
     ci: usize,
     packed: bool,
@@ -617,9 +630,10 @@ enum ComboVal {
     Cost(f64),
     /// Fresh-only class with no feasible strategy under this combo.
     Infeasible,
-    /// Packed partial key from the fresh fields; carried fields come from
-    /// the state.
-    PackedPart(u64),
+    /// Packed partial key from the fresh fields, and its slot in the row's
+    /// cost cache (one per distinct `(class, partial key)` at the cut);
+    /// carried fields come from the state.
+    PackedPart(u64, u32),
     /// Wide template with fresh fields filled; carried fields come from the
     /// state.
     WidePart(Vec<u8>),
@@ -792,17 +806,34 @@ pub fn search(
         class_cost(g, view, extra, info, &spec, ways).map(|(c, _)| c)
     };
 
-    let root = [Cand { specs: Box::from([]), cost: 0.0, prev: u32::MAX, combo: u32::MAX }];
+    let root = [Cand { cost: 0.0, prev: u32::MAX, combo: u32::MAX }];
     let mut records: Vec<CutRecord> = Vec::with_capacity(cg.groups.len());
+    // The frontier's keys, stride `prev_cross.len()` (the root's one key is
+    // empty).
+    let mut keys: Vec<u8> = Vec::new();
     let mut prev_cross: Vec<usize> = Vec::new();
     let mut tables = CutTables::default();
+    // Per-cut buffers, refilled at every cut so their allocations are reused
+    // like `tables`'. `class_pool` keeps as many per-class field layouts as
+    // the most classes a cut has had; a cut uses its first entries.
+    let mut touched: Vec<usize> = Vec::new();
+    let mut fresh: Vec<usize> = Vec::new();
+    let mut next_cross: Vec<usize> = Vec::new();
+    let mut class_pool: Vec<CutClass> = Vec::new();
+    let mut combo_vals: Vec<ComboVal> = Vec::new();
+    let mut part_slots: FastMap<(usize, u64), u32> = FastMap::default();
+    let mut row_cost: Vec<Option<Option<f64>>> = Vec::new();
+    let mut cands: Vec<Cand> = Vec::new();
+    let mut cand_keys: Vec<u8> = Vec::new();
+    let mut order: Vec<(u128, u32)> = Vec::new();
     let mut tuple: Vec<u8> = Vec::new();
     let mut pruned_beam = 0u64;
 
     for (gi, group) in cg.groups.iter().enumerate() {
         // The frontier entering this cut, in key order.
         let cur: &[Cand] = records.last().map_or(&root, |r| &r.kept);
-        let mut touched: Vec<usize> = Vec::new();
+        let prev_width = prev_cross.len();
+        touched.clear();
         for &n in &group.nodes {
             let node = g.node(n);
             touched.push(bundles.of_tensor[node.output.0]);
@@ -816,18 +847,20 @@ pub fn search(
         touched.sort_unstable();
         touched.dedup();
 
-        let fresh: Vec<usize> =
-            touched.iter().copied().filter(|&b| bundles.first[b] == gi).collect();
+        fresh.clear();
+        fresh.extend(touched.iter().copied().filter(|&b| bundles.first[b] == gi));
         let combos = enumerate_assignments(&fresh, &bundles.legal, opts.internal_bound);
 
         // Bundles crossing the cut after this group, sorted (fresh and
         // prev_cross are disjoint: first == gi vs first < gi).
-        let mut next_cross: Vec<usize> = prev_cross
-            .iter()
-            .copied()
-            .filter(|&b| bundles.last[b] > gi)
-            .chain(fresh.iter().copied().filter(|&b| bundles.last[b] > gi))
-            .collect();
+        next_cross.clear();
+        next_cross.extend(
+            prev_cross
+                .iter()
+                .copied()
+                .filter(|&b| bundles.last[b] > gi)
+                .chain(fresh.iter().copied().filter(|&b| bundles.last[b] > gi)),
+        );
         next_cross.sort_unstable();
         let width = next_cross.len();
 
@@ -847,37 +880,40 @@ pub fn search(
             .collect();
 
         // Per-class field layout at this cut.
-        let mut cut_classes: Vec<CutClass> = Vec::new();
+        let mut n_classes = 0;
         for &ci in &group.classes {
             let Some(info) = &classes[ci] else { continue };
-            let mut fresh_fields = Vec::new();
-            let mut carried_fields = Vec::new();
+            if n_classes == class_pool.len() {
+                class_pool.push(CutClass::default());
+            }
+            let cc = &mut class_pool[n_classes];
+            n_classes += 1;
+            cc.ci = ci;
+            cc.packed = matches!(memos[ci], ClassMemo::Packed(_));
+            cc.fresh_fields.clear();
+            cc.carried_fields.clear();
             for (fi, &b) in info.touched.iter().enumerate() {
                 if let Some(f) = pos_in(&fresh, b) {
-                    fresh_fields.push((fi, f));
+                    cc.fresh_fields.push((fi, f));
                 } else {
                     let Some(p) = pos_in(&prev_cross, b) else {
                         return Err(CoreError::Internal(format!(
                             "bundle carried into group {gi} missing from DP state"
                         )));
                     };
-                    carried_fields.push((fi, p));
+                    cc.carried_fields.push((fi, p));
                 }
             }
-            cut_classes.push(CutClass {
-                ci,
-                packed: matches!(memos[ci], ClassMemo::Packed(_)),
-                fresh_fields,
-                carried_fields,
-            });
         }
+        let cut_classes = &class_pool[..n_classes];
 
-        // Per-combo precomputation: fill fresh fields; evaluate fresh-only
-        // classes immediately.
-        let mut combo_vals: Vec<Vec<ComboVal>> = Vec::with_capacity(combos.len());
+        // Per-combo precomputation, `n_classes` values per combo: fill fresh
+        // fields; evaluate fresh-only classes immediately; number each
+        // distinct packed `(class, partial key)` as a slot of the row cache.
+        combo_vals.clear();
+        part_slots.clear();
         for combo in &combos {
-            let mut vals: Vec<ComboVal> = Vec::with_capacity(cut_classes.len());
-            for cc in &cut_classes {
+            for (k, cc) in cut_classes.iter().enumerate() {
                 let info = classes[cc.ci].as_ref().expect("class exists");
                 if cc.packed {
                     let mut part = 0u64;
@@ -891,9 +927,11 @@ pub fn search(
                             }),
                             ClassMemo::Wide(_) => unreachable!("packed class"),
                         };
-                        vals.push(cost.map_or(ComboVal::Infeasible, ComboVal::Cost));
+                        combo_vals.push(cost.map_or(ComboVal::Infeasible, ComboVal::Cost));
                     } else {
-                        vals.push(ComboVal::PackedPart(part));
+                        let next = part_slots.len() as u32;
+                        let slot = *part_slots.entry((k, part)).or_insert(next);
+                        combo_vals.push(ComboVal::PackedPart(part, slot));
                     }
                 } else {
                     let mut tmpl = vec![0u8; info.touched.len()];
@@ -907,13 +945,12 @@ pub fn search(
                             }),
                             ClassMemo::Packed(_) => unreachable!("wide class"),
                         };
-                        vals.push(cost.map_or(ComboVal::Infeasible, ComboVal::Cost));
+                        combo_vals.push(cost.map_or(ComboVal::Infeasible, ComboVal::Cost));
                     } else {
-                        vals.push(ComboVal::WidePart(tmpl));
+                        combo_vals.push(ComboVal::WidePart(tmpl));
                     }
                 }
             }
-            combo_vals.push(vals);
         }
 
         // Transition, factored (see `CutTables`): cost each distinct
@@ -937,11 +974,12 @@ pub fn search(
             tables.combo_assign.push(intern(&mut tables.assignments, &tuple).0);
         }
         let n_assign = tables.assignments.len();
-        let mut carried_part: Vec<u64> = vec![0; cut_classes.len()];
+        let mut carried_part: Vec<u64> = vec![0; n_classes];
 
         for (si, st) in cur.iter().enumerate() {
+            let specs = key_at(&keys, prev_width, si);
             tuple.clear();
-            tuple.extend(read_pos.iter().map(|&p| st.specs[p]));
+            tuple.extend(read_pos.iter().map(|&p| specs[p]));
             let (row, new_row) = intern(&mut tables.rows, &tuple);
             tables.state_row.push(row);
             if new_row {
@@ -951,12 +989,18 @@ pub fn search(
                     if cc.packed && !cc.carried_fields.is_empty() {
                         let mut part = 0u64;
                         for &(fi, p) in &cc.carried_fields {
-                            part |= enc4(st.specs[p]) << (4 * fi);
+                            part |= enc4(specs[p]) << (4 * fi);
                         }
                         carried_part[k] = part;
                     }
                 }
-                for (combo_i, vals) in combo_vals.iter().enumerate() {
+                // Under one row a packed class's cost depends on the combo
+                // only through its partial key, so each slot looks the memo
+                // up once, however many combos share it.
+                row_cost.clear();
+                row_cost.resize(part_slots.len(), None);
+                for combo_i in 0..combos.len() {
+                    let vals = &combo_vals[combo_i * n_classes..][..n_classes];
                     let mut total = 0.0f64;
                     let mut ok = true;
                     for (k, cv) in vals.iter().enumerate() {
@@ -966,16 +1010,18 @@ pub fn search(
                                 ok = false;
                                 break;
                             }
-                            ComboVal::PackedPart(part) => {
-                                let key = part | carried_part[k];
-                                let ci = cut_classes[k].ci;
-                                let info = classes[ci].as_ref().expect("class exists");
-                                let cost = match &mut memos[ci] {
-                                    ClassMemo::Packed(m) => *m.entry(key).or_insert_with(|| {
-                                        eval_class(info, &|fi| dec4((key >> (4 * fi)) & 15))
-                                    }),
-                                    ClassMemo::Wide(_) => unreachable!("packed class"),
-                                };
+                            ComboVal::PackedPart(part, slot) => {
+                                let cost = *row_cost[*slot as usize].get_or_insert_with(|| {
+                                    let key = part | carried_part[k];
+                                    let ci = cut_classes[k].ci;
+                                    let info = classes[ci].as_ref().expect("class exists");
+                                    match &mut memos[ci] {
+                                        ClassMemo::Packed(m) => *m.entry(key).or_insert_with(|| {
+                                            eval_class(info, &|fi| dec4((key >> (4 * fi)) & 15))
+                                        }),
+                                        ClassMemo::Wide(_) => unreachable!("packed class"),
+                                    }
+                                });
                                 match cost {
                                     Some(c) => total += c,
                                     None => {
@@ -988,7 +1034,7 @@ pub fn search(
                                 let cc = &cut_classes[k];
                                 let mut keyv = tmpl.clone();
                                 for &(fi, p) in &cc.carried_fields {
-                                    keyv[fi] = st.specs[p];
+                                    keyv[fi] = specs[p];
                                 }
                                 let info = classes[cc.ci].as_ref().expect("class exists");
                                 let cost = match &mut memos[cc.ci] {
@@ -1015,7 +1061,7 @@ pub fn search(
             }
 
             tuple.clear();
-            tuple.extend(surviving_prev.iter().map(|&(p, _)| st.specs[p]));
+            tuple.extend(surviving_prev.iter().map(|&(p, _)| specs[p]));
             let (group, new_group) = intern(&mut tables.groups, &tuple);
             if new_group {
                 tables.best_cost.resize((group + 1) * n_assign, f64::INFINITY);
@@ -1033,61 +1079,85 @@ pub fn search(
             }
         }
 
-        // One candidate per finite cell; their order is free, the ranking
-        // below sorts on unique (cost, key) pairs.
-        let mut kept: Vec<Cand> = Vec::new();
-        let mut scratch: Vec<u8> = vec![0; width];
+        // One candidate per finite cell, its key materialised into the
+        // cut's key array `cand_keys` (stride `width`). A key is exactly its
+        // cell's (group, assignment) pair, so the keys are unique and the
+        // candidates' order here is free.
+        cands.clear();
+        cand_keys.clear();
         for (cell, (&cost, &src)) in tables.best_cost.iter().zip(&tables.best_src).enumerate() {
             if cost == f64::INFINITY {
                 continue;
             }
-            let st = &cur[src as usize];
+            let specs = key_at(&keys, prev_width, src as usize);
             let from = tables.state_row[src as usize] * n_assign + cell % n_assign;
-            let combo_i = tables.first_combo_reaching(from, st.cost);
+            let combo_i = tables.first_combo_reaching(from, cur[src as usize].cost);
+            let at = cand_keys.len();
+            cand_keys.resize(at + width, 0);
+            let key = &mut cand_keys[at..];
             for &(p, q) in &surviving_prev {
-                scratch[q] = st.specs[p];
+                key[q] = specs[p];
             }
             let combo = &combos[combo_i as usize];
             for &(f, q) in &surviving_fresh {
-                scratch[q] = combo[f].1.enc();
+                key[q] = combo[f].1.enc();
             }
-            kept.push(Cand {
-                specs: scratch.clone().into_boxed_slice(),
-                cost,
-                prev: src,
-                combo: combo_i,
-            });
+            cands.push(Cand { cost, prev: src, combo: combo_i });
         }
 
-        if kept.is_empty() {
+        if cands.is_empty() {
             return Err(CoreError::NoStrategy {
                 node: format!("group {gi}"),
                 detail: "no feasible configuration".into(),
             });
         }
-        if kept.len() > opts.state_bound {
+        if cands.len() > opts.state_bound {
             return Err(CoreError::SearchSpaceExceeded {
-                states: kept.len(),
+                states: cands.len(),
                 bound: opts.state_bound,
             });
         }
         if opts.beam == 0 {
             // An empty beam is a mis-set bound, not an infeasible graph.
-            return Err(CoreError::SearchSpaceExceeded { states: kept.len(), bound: 0 });
+            return Err(CoreError::SearchSpaceExceeded { states: cands.len(), bound: 0 });
         }
 
-        // Rank by (cost, key): equals the reference's stable cost sort over
-        // key-ordered states.
-        kept.sort_by(|a, b| {
-            a.cost
-                .partial_cmp(&b.cost)
-                .expect("finite costs")
-                .then_with(|| a.specs.cmp(&b.specs))
-        });
-
-        if kept.len() > opts.beam {
-            pruned_beam += (kept.len() - opts.beam) as u64;
-            kept.truncate(opts.beam);
+        // Select the beam, then key-sort the survivors. The reference keeps
+        // the first `beam` states of a stable cost sort over key-ordered
+        // states, i.e. the `beam` least under (cost, key); keys are unique,
+        // so that order is total and the selected set is the same however
+        // the selection breaks its own ties. The survivors go on in key
+        // order (the reference iterates its BTreeMap in key order).
+        //
+        // `order` pairs each candidate's index with its key's first 16 bytes
+        // read as a big-endian integer, so most key comparisons are one
+        // integer compare; equal heads compare the rest of the keys (every
+        // key at a cut has the same width).
+        let head_len = width.min(16);
+        order.clear();
+        order.extend((0..cands.len()).map(|i| {
+            let mut head = [0u8; 16];
+            head[..head_len].copy_from_slice(&key_at(&cand_keys, width, i)[..head_len]);
+            (u128::from_be_bytes(head), i as u32)
+        }));
+        let tail = |i: u32| &key_at(&cand_keys, width, i as usize)[head_len..];
+        let by_key = |a: &(u128, u32), b: &(u128, u32)| {
+            a.0.cmp(&b.0).then_with(|| tail(a.1).cmp(tail(b.1)))
+        };
+        if order.len() > opts.beam {
+            pruned_beam += (order.len() - opts.beam) as u64;
+            order.select_nth_unstable_by(opts.beam - 1, |a, b| {
+                let (x, y) = (cands[a.1 as usize].cost, cands[b.1 as usize].cost);
+                x.partial_cmp(&y).expect("finite costs").then_with(|| by_key(a, b))
+            });
+            order.truncate(opts.beam);
+        }
+        order.sort_unstable_by(by_key);
+        keys.clear();
+        let mut kept: Vec<Cand> = Vec::with_capacity(order.len());
+        for &(_, i) in &order {
+            keys.extend_from_slice(key_at(&cand_keys, width, i as usize));
+            kept.push(cands[i as usize]);
         }
 
         if let Some(c) = obs {
@@ -1102,12 +1172,8 @@ pub fn search(
             c.max_total("dp/frontier_width_max", width as f64);
         }
 
-        // Restore key order for the next cut's iteration (reference iterates
-        // its BTreeMap in key order).
-        kept.sort_by(|a, b| a.specs.cmp(&b.specs));
-
         records.push(CutRecord { combos, kept });
-        prev_cross = next_cross;
+        std::mem::swap(&mut prev_cross, &mut next_cross);
     }
     let cur: &[Cand] = records.last().map_or(&root, |r| &r.kept);
 

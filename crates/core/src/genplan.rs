@@ -288,6 +288,11 @@ struct Emit {
     graph: Graph,
     device_of_node: Vec<usize>,
     device_of_tensor: Vec<Option<usize>>,
+    /// Scratch of [`Emit::gather`], reused across gathers: one source's
+    /// intersection with the target, and the blocks copied so far, `rank`
+    /// `(lo, hi)` pairs per block.
+    isect: Vec<(i64, i64)>,
+    covered: Vec<(i64, i64)>,
 }
 
 impl Emit {
@@ -326,27 +331,32 @@ impl Emit {
         let out_dims: Vec<i64> = target.iter().map(|&(lo, hi)| hi - lo).collect();
         let mut inputs: Vec<TensorId> = Vec::new();
         let mut pieces: Vec<i64> = Vec::new();
-        let mut covered: Vec<Region> = Vec::new();
+        self.covered.clear();
         for (src, region) in sources {
+            if rank == 0 {
+                // A scalar: the first source covers it whole.
+                inputs.push(src);
+                break;
+            }
             // Intersection of the source region with the target.
-            let isect: Option<Region> = (0..rank)
-                .map(|d| {
-                    let (lo, hi) = (region[d].0.max(target[d].0), region[d].1.min(target[d].1));
-                    (lo < hi).then_some((lo, hi))
-                })
-                .collect();
-            let Some(isect) = isect else { continue };
+            self.isect.clear();
+            let dims = region.iter().zip(target).map(|(r, t)| (r.0.max(t.0), r.1.min(t.1)));
+            self.isect.extend(dims.take_while(|&(lo, hi)| lo < hi));
+            let isect = &self.isect;
+            if isect.len() < rank {
+                continue;
+            }
             // Avoid copying a block some earlier source already covers
             // entirely (replicated shards overlap).
-            if covered.iter().any(|c| {
-                (0..rank).all(|d| c[d].0 <= isect[d].0 && isect[d].1 <= c[d].1)
+            if self.covered.chunks_exact(rank).any(|c| {
+                c.iter().zip(isect).all(|(c, i)| c.0 <= i.0 && i.1 <= c.1)
             }) {
                 continue;
             }
             pieces.extend(isect.iter().zip(region).map(|(i, r)| i.0 - r.0)); // src_begin
             pieces.extend(isect.iter().zip(target).map(|(i, t)| i.0 - t.0)); // dst_begin
             pieces.extend(isect.iter().map(|&(lo, hi)| hi - lo)); // len
-            covered.push(isect);
+            self.covered.extend_from_slice(isect);
             inputs.push(src);
         }
         let attrs = Attrs::new().with_ints("out_dims", out_dims).with_ints("pieces", pieces);
@@ -429,7 +439,6 @@ pub fn generate(g: &Graph, plan: &PartitionPlan, opts: &GenOptions) -> Result<Sh
         let per_worker: Vec<Region> = (0..k)
             .map(|w| shard_region(&meta.shape, &plan.tiling[t.0], &factors, w))
             .collect();
-        regions.insert(t, per_worker.clone());
         if meta.kind != TensorKind::Intermediate {
             let mut ids = Vec::with_capacity(k);
             for (w, region) in per_worker.iter().enumerate() {
@@ -445,6 +454,7 @@ pub fn generate(g: &Graph, plan: &PartitionPlan, opts: &GenOptions) -> Result<Sh
             }
             shards.insert(t, ids);
         }
+        regions.insert(t, per_worker);
     }
 
     // Per original node, expand.
@@ -615,7 +625,7 @@ pub fn generate(g: &Graph, plan: &PartitionPlan, opts: &GenOptions) -> Result<Sh
         }
     }
 
-    let Emit { graph, device_of_node, device_of_tensor } = out;
+    let Emit { graph, device_of_node, device_of_tensor, .. } = out;
     debug_assert_eq!(origin_of_node.len(), graph.num_nodes());
     Ok(ShardedGraph {
         graph,

@@ -24,6 +24,7 @@ use tofu_core::recursive::{partition, unoptimized_partition, PartitionOptions, P
 use tofu_core::strategies::ShapeView;
 use tofu_core::CoreError;
 use tofu_graph::{Attrs, Graph};
+use tofu_obs::Collector;
 use tofu_tensor::Shape;
 
 /// Exact-search options: the beam and both bounds are far above anything a
@@ -57,15 +58,15 @@ fn check_error_parity(
 }
 
 /// Runs one `ways`-way basic step through both engines and asserts the
-/// contract.
-fn check_step(g: &Graph, ways: usize, opts: &PartitionOptions) {
+/// contract. Returns whether both succeeded.
+fn check_step(g: &Graph, ways: usize, opts: &PartitionOptions) -> bool {
     let view = ShapeView::from_graph(g);
     let cg = coarsen(g);
     let extra = ExtraInputs::new();
     let optimized = search(g, &view, &cg, &extra, ways, opts, None);
     let reference = unoptimized_search(g, &view, &cg, &extra, ways, opts, None);
     if !check_error_parity(&optimized, &reference) {
-        return;
+        return false;
     }
     let optimized = optimized.unwrap();
     let reference = reference.unwrap();
@@ -78,6 +79,7 @@ fn check_step(g: &Graph, ways: usize, opts: &PartitionOptions) {
     );
     assert_eq!(optimized.tensor_spec, reference.tensor_spec, "plan specs diverged at ways {ways}");
     assert_eq!(optimized.node_choice, reference.node_choice, "node choices diverged at ways {ways}");
+    true
 }
 
 /// Runs a full recursive partition through both engines and asserts the
@@ -257,19 +259,31 @@ fn equal_extent_conv_tower(n: usize, layers: usize) -> Graph {
     g
 }
 
-/// Tie-breaking under fractional costs: 3-way and 6-way (3·2) partitions of
-/// equal-extent conv towers must pick the reference's plan among the many
-/// that cost the same, down to every node's strategy.
+/// Tie-breaking under fractional costs: 3-way and 6-way (3·2) steps and
+/// partitions of equal-extent conv towers must pick the reference's plan
+/// among the many that cost the same, down to every node's strategy —
+/// searched exhaustively, and with a beam of 1–3, which binds on these
+/// towers: so many candidates of a cut tie on cost that the key alone
+/// decides which survive it.
 #[test]
 fn fractional_cost_ties_break_like_the_reference() {
     for (n, layers) in [(6usize, 2usize), (12, 2)] {
         let g = equal_extent_conv_tower(n, layers);
-        check_step(&g, 3, &exact_opts(3, 0));
-        for workers in [3usize, 6] {
-            assert!(
-                check_partition(&g, &exact_opts(workers, 0)).is_some(),
-                "equal-extent tower n={n} does not partition {workers} ways"
-            );
+        let (view, cg, extra) = (ShapeView::from_graph(&g), coarsen(&g), ExtraInputs::new());
+        for ways in [3usize, 6] {
+            let exact = exact_opts(ways, 0);
+            for beam in [exact.beam, 1, 2, 3] {
+                let opts = PartitionOptions { beam, ..exact };
+                assert!(check_step(&g, ways, &opts), "n={n} fails {ways} ways at beam {beam}");
+                assert!(
+                    check_partition(&g, &opts).is_some(),
+                    "n={n} does not partition {ways} ways at beam {beam}"
+                );
+                let obs = Collector::new();
+                search(&g, &view, &cg, &extra, ways, &opts, Some(&obs)).unwrap();
+                let pruned = obs.totals().get("dp/prune_beam").copied().unwrap_or(0.0);
+                assert_eq!(pruned > 0.0, beam <= 3, "n={n}, {ways} ways, beam {beam}: {pruned}");
+            }
         }
     }
 }

@@ -143,7 +143,7 @@ timeout 600 cargo run --release -q -p tofu-bench --bin runtime_scaling
 # Fault matrix (exits non-zero unless every injected fault is detected and
 # recovers bit-identically, including the two whole-process crash-restart
 # rows).
-cargo run --release -q -p tofu-bench --bin fault_matrix
+timeout 300 cargo run --release -q -p tofu-bench --bin fault_matrix
 # Durability matrix: whole-process crashes at early/mid/late durable commits
 # × every disk-fault family, restarting at alternating widths (exits
 # non-zero on any non-exact recovery, any checksum-undetected corruption, or
@@ -161,8 +161,9 @@ timeout 300 cargo run --release -q -p tofu-bench --bin fleet_churn
 # warm, differs from the reference engine's at default options in any step's
 # ways, cost bits, tensor specs or node choices, or if its group-cost
 # evaluations plus relaxations reach the reference's states × combos on a
-# nontrivial search).
-cargo run --release -q -p tofu-bench --bin search_scaling
+# nontrivial search). Capped like its neighbours, so a search blow-up fails
+# CI instead of stalling it.
+timeout 300 cargo run --release -q -p tofu-bench --bin search_scaling
 # Transformer decoder scaling curves (exits non-zero unless the search finds
 # multi-axis strategies at every multi-worker point — exact megatron
 # structure at seq=512).
