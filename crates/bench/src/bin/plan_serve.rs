@@ -16,6 +16,10 @@
 //!   wire — the fingerprint travels, the graph does not. The count is read
 //!   from the server's own `request_bytes` tally and repeats exactly.
 //!
+//! The ledger also records what a warm hit moves back,
+//! `response_bytes_per_warm_hit`, from the server's `response_bytes` tally:
+//! the request mix is fixed, so it repeats exactly too.
+//!
 //! The process exits nonzero when any gate fails.
 
 use std::sync::atomic::Ordering;
@@ -99,6 +103,7 @@ fn main() {
         TENANTS.len()
     );
     let request_bytes_before = server.counters().request_bytes.load(Ordering::Relaxed);
+    let response_bytes_before = server.counters().response_bytes.load(Ordering::Relaxed);
     let handles: Vec<_> = (0..CLIENT_THREADS)
         .map(|t| {
             let mix = Arc::clone(&mix);
@@ -107,7 +112,7 @@ fn main() {
                 // Deterministic per-thread LCG request stream.
                 let mut state = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(t as u64 + 1);
                 let mut mismatched = 0usize;
-                let mut fingerprints: Vec<String> = vec![String::new(); mix.len()];
+                let mut fingerprints: Vec<Option<u128>> = vec![None; mix.len()];
                 for _ in 0..REQUESTS_PER_CLIENT {
                     state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                     let idx = (state >> 33) as usize % mix.len();
@@ -115,9 +120,7 @@ fn main() {
                     let (g, opts) = &mix[idx];
                     let served = client.partition(tenant, g, opts, None).expect("bench partition");
                     // Warm answers must be stable per request index.
-                    if fingerprints[idx].is_empty() {
-                        fingerprints[idx] = served.fingerprint.clone();
-                    } else if fingerprints[idx] != served.fingerprint {
+                    if *fingerprints[idx].get_or_insert(served.fingerprint) != served.fingerprint {
                         mismatched += 1;
                     }
                 }
@@ -144,11 +147,14 @@ fn main() {
     let warm_hit_rate = hits / (requests - mix.len() as f64).max(1.0);
     let bytes_per_hit =
         (load(&c.request_bytes) - request_bytes_before as f64) / total_requests as f64;
+    let response_bytes_per_hit =
+        (load(&c.response_bytes) - response_bytes_before as f64) / total_requests as f64;
 
     println!("\n{:>24}: {requests:.0}", "requests");
     println!("{:>24}: {hits:.0} ({:.1}% of warm phase)", "response-cache hits", warm_hit_rate * 100.0);
     println!("{:>24}: {misses:.0} (+{joined:.0} joined, {rejected:.0} rejected)", "solver runs");
     println!("{:>24}: {bytes_per_hit:.1} B", "request bytes / warm hit");
+    println!("{:>24}: {response_bytes_per_hit:.1} B", "reply bytes / warm hit");
 
     if hits + misses + joined + rejected != requests {
         eprintln!("FAIL: serve counters do not add up");
@@ -180,6 +186,7 @@ fn main() {
         ("timed_requests", Json::from(total_requests)),
         ("warm_hit_rate", Json::from(warm_hit_rate)),
         ("request_bytes_per_warm_hit", Json::from(bytes_per_hit)),
+        ("response_bytes_per_warm_hit", Json::from(response_bytes_per_hit)),
         ("serve_hits", Json::from(hits)),
         ("serve_misses", Json::from(misses)),
         ("serve_joined", Json::from(joined)),

@@ -6,7 +6,10 @@
 //! through it, and the bench binaries build their `BENCH_*.json` files from
 //! [`Json`] values instead of hand-rolled `push_str` formatting. It is also
 //! the plan service's wire codec, so [`parse`] treats its input as hostile:
-//! time linear in the length, nesting bounded by [`MAX_DEPTH`].
+//! time linear in the length, nesting bounded by [`MAX_DEPTH`], numbers
+//! only in RFC 8259's grammar. A document that is only passed on is kept as
+//! checked text instead of a tree ([`RawJson`], [`parse_with_raw`]); the
+//! check shares the parser's lexers, so it accepts the same language.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -225,14 +228,75 @@ pub const MAX_DEPTH: usize = 128;
 /// Parses a JSON document in time linear in its length. Errors carry the
 /// byte offset of the problem; nesting beyond [`MAX_DEPTH`] is an error.
 pub fn parse(src: &str) -> Result<Json, String> {
-    let mut p = Parser { src, pos: 0, depth: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != src.len() {
-        return Err(format!("trailing content at byte {}", p.pos));
+    Parser::document(src, Parser::value)
+}
+
+/// A JSON document kept as its text, checked to be one [`parse`] accepts.
+///
+/// Checking builds nothing: it runs the parser's own string, number and
+/// literal lexers and its [`MAX_DEPTH`] guard, so a text is accepted here
+/// exactly when [`parse`] accepts it, with the same error when it is not.
+/// The plan service's client holds a served plan this way: every caller
+/// only writes the plan out again, and the text it received is already the
+/// server's canonical serialisation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RawJson(String);
+
+impl RawJson {
+    /// Checks that `src` is one JSON document and keeps a copy of it.
+    pub fn new(src: &str) -> Result<RawJson, String> {
+        Parser::document(src, Parser::skip_value)?;
+        Ok(RawJson(src.to_string()))
     }
-    Ok(v)
+
+    /// The text, as checked.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+
+    /// The text, byte for byte as checked (nothing is re-serialised).
+    pub fn to_json(&self) -> String {
+        self.0.clone()
+    }
+
+    /// The tree [`parse`] builds from the text.
+    pub fn parse(&self) -> Json {
+        parse(&self.0).expect("a RawJson was checked by the parser's own lexers")
+    }
+}
+
+/// Parses `src` like [`parse`], except for the members of a top-level object
+/// named `key`: their values are checked in place as [`RawJson::new`]
+/// checks, not built, and are left out of the returned tree; the first is
+/// returned as [`RawJson`], its bytes copied once. Accepts exactly what
+/// [`parse`] accepts, with the same errors; nesting inside a `key` value
+/// counts the enclosing object, as it does in [`parse`].
+pub fn parse_with_raw(src: &str, key: &str) -> Result<(Json, Option<RawJson>), String> {
+    let mut raw = None;
+    let tree = Parser::document(src, |p| {
+        if p.peek() != Some(b'{') {
+            return p.value();
+        }
+        p.nested(|p| {
+            let mut pairs = Vec::new();
+            p.seq(b'{', b'}', |p| {
+                let mut name = String::new();
+                p.key(Some(&mut name))?;
+                if name != key {
+                    pairs.push((name, p.value()?));
+                    return Ok(());
+                }
+                let start = p.pos;
+                p.skip_value()?;
+                if raw.is_none() {
+                    raw = Some(RawJson(p.src[start..p.pos].to_string()));
+                }
+                Ok(())
+            })?;
+            Ok(Json::Obj(pairs))
+        })
+    })?;
+    Ok((tree, raw))
 }
 
 struct Parser<'a> {
@@ -243,6 +307,22 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    /// Runs `item` on the one value of `src`, which only whitespace may
+    /// surround.
+    fn document<T>(
+        src: &'a str,
+        item: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let mut p = Parser { src, pos: 0, depth: 0 };
+        p.skip_ws();
+        let v = item(&mut p)?;
+        p.skip_ws();
+        if p.pos != src.len() {
+            return Err(format!("trailing content at byte {}", p.pos));
+        }
+        Ok(v)
+    }
+
     fn bytes(&self) -> &'a [u8] {
         self.src.as_bytes()
     }
@@ -270,20 +350,70 @@ impl<'a> Parser<'a> {
         }
     }
 
+    fn unexpected(&self) -> String {
+        format!("unexpected {:?} at byte {}", self.peek().map(|b| b as char), self.pos)
+    }
+
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.nested(Parser::object),
-            Some(b'[') => self.nested(Parser::array),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            other => Err(format!("unexpected {:?} at byte {}", other.map(|b| b as char), self.pos)),
+            Some(b'{') => self.nested(|p| {
+                let mut pairs = Vec::new();
+                p.seq(b'{', b'}', |p| {
+                    let mut key = String::new();
+                    p.key(Some(&mut key))?;
+                    pairs.push((key, p.value()?));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(pairs))
+            }),
+            Some(b'[') => self.nested(|p| {
+                let mut items = Vec::new();
+                p.seq(b'[', b']', |p| {
+                    items.push(p.value()?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
+            }),
+            Some(b'"') => {
+                let mut s = String::new();
+                self.string(Some(&mut s))?;
+                Ok(Json::Str(s))
+            }
+            Some(b't') => self.literal("true").map(|()| Json::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| Json::Bool(false)),
+            Some(b'n') => self.literal("null").map(|()| Json::Null),
+            Some(b'-' | b'0'..=b'9') => {
+                let text = self.number()?;
+                Ok(Json::Num(text.parse().expect("a JSON number is Rust float syntax")))
+            }
+            _ => Err(self.unexpected()),
         }
     }
 
-    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+    /// Checks one value exactly as [`Parser::value`] reads it, building
+    /// nothing.
+    fn skip_value(&mut self) -> Result<(), String> {
+        match self.peek() {
+            Some(b'{') => self.nested(|p| {
+                p.seq(b'{', b'}', |p| {
+                    p.key(None)?;
+                    p.skip_value()
+                })
+            }),
+            Some(b'[') => self.nested(|p| p.seq(b'[', b']', Parser::skip_value)),
+            Some(b'"') => self.string(None),
+            Some(b't') => self.literal("true"),
+            Some(b'f') => self.literal("false"),
+            Some(b'n') => self.literal("null"),
+            Some(b'-' | b'0'..=b'9') => self.number().map(drop),
+            _ => Err(self.unexpected()),
+        }
+    }
+
+    fn nested<T>(
+        &mut self,
+        container: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<T, String> {
         if self.depth == MAX_DEPTH {
             return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
         }
@@ -293,28 +423,94 @@ impl<'a> Parser<'a> {
         v
     }
 
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
+    /// The comma-separated elements of an array or object, from its `open`
+    /// byte through its `close` byte; `elem` reads one element, starting on
+    /// its first byte.
+    fn seq(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut elem: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.expect(open)?;
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            elem(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b) if b == close => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => {
+                    return Err(format!("expected ',' or '{}' at byte {}", close as char, self.pos))
+                }
+            }
+        }
+    }
+
+    /// An object member's key and colon, decoded into `out` when given;
+    /// leaves `pos` on the value.
+    fn key(&mut self, out: Option<&mut String>) -> Result<(), String> {
+        self.string(out)?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(())
+    }
+
+    fn literal(&mut self, lit: &str) -> Result<(), String> {
         if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Ok(v)
+            Ok(())
         } else {
             Err(format!("bad literal at byte {}", self.pos))
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    /// One number of RFC 8259's grammar,
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, as text.
+    /// Rust's float syntax is a superset, so the text always converts.
+    fn number(&mut self) -> Result<&'a str, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9') | Some(b'.') | Some(b'e') | Some(b'E') | Some(b'+') | Some(b'-'))
-        {
+        if self.peek() == Some(b'0') {
+            self.pos += 1;
+        } else {
+            self.digits()?;
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            self.digits()?;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits()?;
+        }
+        Ok(&self.src[start..self.pos])
+    }
+
+    /// One or more decimal digits.
+    fn digits(&mut self) -> Result<(), String> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
-        let text = &self.src[start..self.pos];
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number {text:?} at byte {start}"))
+        if self.pos == start {
+            return Err(format!("expected a digit at byte {}", self.pos));
+        }
+        Ok(())
     }
 
     /// The four hex digits of a `\u` escape, with `pos` on the `u`; leaves
@@ -352,10 +548,11 @@ impl<'a> Parser<'a> {
         Ok(char::from_u32(hi).unwrap_or('\u{fffd}'))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// A string, with `pos` on its opening quote, decoded into `out` when
+    /// given.
+    fn string(&mut self, mut out: Option<&mut String>) -> Result<(), String> {
         let open = self.pos;
         self.expect(b'"')?;
-        let mut out = String::new();
         loop {
             // The run up to the next quote or backslash is copied whole.
             // Both are ASCII, so neither can sit inside a multi-byte scalar:
@@ -363,26 +560,28 @@ impl<'a> Parser<'a> {
             // valid UTF-8 already.
             let rest = &self.bytes()[self.pos..];
             let run = rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
-            out.push_str(&self.src[self.pos..self.pos + run]);
+            if let Some(out) = out.as_deref_mut() {
+                out.push_str(&self.src[self.pos..self.pos + run]);
+            }
             self.pos += run;
             match self.peek() {
                 None => return Err(format!("unterminated string starting at byte {open}")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(());
                 }
                 Some(_) => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => out.push(self.unicode_escape()?),
+                    let c = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'u') => self.unicode_escape()?,
                         other => {
                             return Err(format!(
                                 "bad escape {:?} at byte {}",
@@ -390,60 +589,12 @@ impl<'a> Parser<'a> {
                                 self.pos - 1
                             ))
                         }
+                    };
+                    if let Some(out) = out.as_deref_mut() {
+                        out.push(c);
                     }
                     self.pos += 1;
                 }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let v = self.value()?;
-            pairs.push((key, v));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
             }
         }
     }
@@ -505,6 +656,15 @@ mod tests {
             ("\"a\\qb\"", 2),
             ("\"\\u12g4\"", 1),
             ("\"\\ud83d\\u+e00\"", 7),
+            // Numbers outside RFC 8259's grammar that Rust's float parser
+            // takes: a leading zero ends the number, a point or an exponent
+            // needs a digit after it.
+            ("01", 1),
+            ("-01", 2),
+            ("00", 1),
+            ("1.", 2),
+            ("0.", 2),
+            ("1.e5", 2),
         ] {
             let err = parse(src).expect_err(src);
             assert!(err.ends_with(&format!("at byte {at}")), "{src:?}: {err}");

@@ -1,13 +1,14 @@
 //! Property and scaling tests for the shared JSON codec: `parse` inverts
-//! both writers on arbitrary trees, and parsing costs time linear in the
-//! input (a per-character rescan of the remaining input once made every
-//! string-heavy document quadratic: 1 MB/s on a plan-service frame).
+//! both writers on arbitrary trees, and parsing (and checking as `RawJson`)
+//! costs time linear in the input (a per-character rescan of the remaining
+//! input once made every string-heavy document quadratic: 1 MB/s on a
+//! plan-service frame).
 
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-use tofu_obs::json::{parse, Json, MAX_DEPTH};
+use tofu_obs::json::{parse, Json, RawJson, MAX_DEPTH};
 
 /// Strings that exercise every writer escape and every parser run boundary:
 /// quotes, backslashes, the short escapes, raw control characters, DEL, and
@@ -67,15 +68,21 @@ fn every_control_character_round_trips_escaped() {
     assert_eq!(parse(&text).unwrap().as_str(), Some(all.as_str()));
 }
 
+/// Parses `text`, and checks it as `RawJson`, each within `bound`.
 fn parse_within(label: &str, text: &str, bound: Duration) -> Json {
     let t0 = Instant::now();
     let v = parse(text).unwrap_or_else(|e| panic!("{label}: {e}"));
-    let took = t0.elapsed();
-    assert!(
-        took < bound,
-        "{label}: parsing {} bytes took {took:?} (bound {bound:?}) — is the parser rescanning?",
-        text.len()
-    );
+    let parsed = t0.elapsed();
+    let t0 = Instant::now();
+    RawJson::new(text).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let checked = t0.elapsed();
+    for (took, what) in [(parsed, "parsing"), (checked, "checking")] {
+        assert!(
+            took < bound,
+            "{label}: {what} {} bytes took {took:?} (bound {bound:?}) — is the parser rescanning?",
+            text.len()
+        );
+    }
     v
 }
 
@@ -106,16 +113,19 @@ fn a_four_mebibyte_string_heavy_document_parses_in_linear_time() {
 fn nesting_is_bounded_not_stack_limited() {
     let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
     assert!(parse(&nest(MAX_DEPTH)).is_ok());
+    assert!(RawJson::new(&nest(MAX_DEPTH)).is_ok());
     let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
     assert!(err.contains(&format!("byte {MAX_DEPTH}")), "{err}");
+    assert_eq!(RawJson::new(&nest(MAX_DEPTH + 1)).unwrap_err(), err);
     // What used to overflow a 2 MiB thread stack: 200 KB of `[`, never closed.
     let hostile = std::thread::Builder::new()
         .stack_size(1 << 20)
-        .spawn(|| parse(&"[".repeat(200_000)))
+        .spawn(|| (parse(&"[".repeat(200_000)), RawJson::new(&"[".repeat(200_000))))
         .expect("spawn")
         .join()
         .expect("the parser must not overflow a small stack");
-    assert!(hostile.unwrap_err().contains("nesting"));
+    assert!(hostile.0.unwrap_err().contains("nesting"));
+    assert!(hostile.1.unwrap_err().contains("nesting"));
     // Depth counts open containers, not containers seen: a long flat list of
     // small arrays is fine.
     assert!(parse(&format!("[{}[]]", "[{}],".repeat(10_000))).is_ok());

@@ -55,9 +55,9 @@ fn run_demo() {
     let opts = PartitionOptions { workers: 8, ..Default::default() };
 
     let cold = client.partition("demo-tenant", &g, &opts, None).expect("cold partition");
-    println!("cold:   cached={} fingerprint={}", cold.cached, cold.fingerprint);
+    println!("cold:   cached={} fingerprint={:032x}", cold.cached, cold.fingerprint);
     let warm = client.partition("demo-tenant", &g, &opts, None).expect("warm partition");
-    println!("warm:   cached={} fingerprint={}", warm.cached, warm.fingerprint);
+    println!("warm:   cached={} fingerprint={:032x}", warm.cached, warm.fingerprint);
     assert!(!cold.cached && warm.cached, "second identical request must hit the cache");
     assert_eq!(
         cold.plan.to_json(),

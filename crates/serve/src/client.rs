@@ -10,6 +10,12 @@
 //! therefore costs one small frame out and the plan back (see the protocol
 //! module's "Fingerprint first").
 //!
+//! A hit costs a hash and a scan: the client computes the fingerprint, and
+//! reading the answer is one validating pass over the plan in the response
+//! frame. [`ServedPlan::plan`] is the server's filed text as [`RawJson`],
+//! not a tree. The protocol module's "A hit costs a hash and a scan" has
+//! the measured split of a hit.
+//!
 //! [`PlanClient::connect_with_retry`] adds fleet-churn resilience: transport
 //! failures (connection refused, reset mid-request, read timeout) trigger a
 //! reconnect-and-resend loop whose delays double from
@@ -26,7 +32,7 @@ use std::time::Duration;
 
 use tofu_core::recursive::PartitionOptions;
 use tofu_graph::Graph;
-use tofu_obs::json::Json;
+use tofu_obs::json::{Json, RawJson};
 
 use crate::protocol::{
     encode_partition, read_frame, write_frame, ErrorCode, ProtocolError, Request, Response,
@@ -38,10 +44,11 @@ use crate::protocol::{
 pub struct ServedPlan {
     /// True when answered from the server's response cache.
     pub cached: bool,
-    /// The request fingerprint (hex).
-    pub fingerprint: String,
-    /// The canonical plan JSON (see [`crate::protocol::plan_to_json`]).
-    pub plan: Json,
+    /// The request fingerprint (the response-cache key).
+    pub fingerprint: u128,
+    /// The canonical plan JSON (see [`crate::protocol::plan_to_json`]):
+    /// the server's filed text, byte for byte.
+    pub plan: RawJson,
 }
 
 /// Client-side failure: either a transport/protocol error or a typed
@@ -111,7 +118,7 @@ impl From<ProtocolError> for ClientError {
 /// let mut client = PlanClient::connect("127.0.0.1:7070").unwrap();
 /// let opts = PartitionOptions { workers: 8, ..Default::default() };
 /// let plan = client.partition("tenant-a", &graph, &opts, None).unwrap();
-/// println!("cached: {} fp: {}", plan.cached, plan.fingerprint);
+/// println!("cached: {} fp: {:032x}", plan.cached, plan.fingerprint);
 /// ```
 pub struct PlanClient {
     stream: TcpStream,

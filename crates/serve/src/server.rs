@@ -118,6 +118,9 @@ pub struct ServeCounters {
     /// Bytes of request frames read, length prefixes included (any message
     /// kind): what clients paid on the wire to ask.
     pub request_bytes: AtomicU64,
+    /// Bytes of response frames written, length prefixes included (any
+    /// message kind): what clients read back.
+    pub response_bytes: AtomicU64,
 }
 
 /// A response destination: the connection's shared write half plus the
@@ -324,17 +327,26 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 
 /// Sends a response over a shared write half; write errors mean the peer is
 /// gone and are deliberately ignored (the server must outlive any client).
-fn send(conn: &Arc<Mutex<TcpStream>>, resp: &Response) {
-    send_bytes(conn, &resp.to_bytes());
+fn send(shared: &Shared, conn: &Arc<Mutex<TcpStream>>, resp: &Response) {
+    send_bytes(shared, conn, &resp.to_bytes());
 }
 
-fn send_bytes(conn: &Arc<Mutex<TcpStream>>, payload: &[u8]) {
+/// Counts the frame before writing it, so a client that has read its
+/// answer finds it counted.
+fn send_bytes(shared: &Shared, conn: &Arc<Mutex<TcpStream>>, payload: &[u8]) {
+    shared.counters.response_bytes.fetch_add(payload.len() as u64 + 4, Ordering::Relaxed);
     let mut stream = conn.lock().expect("conn write lock");
     let _ = write_frame(&mut *stream, payload);
 }
 
-fn send_error(conn: &Arc<Mutex<TcpStream>>, id: u64, code: ErrorCode, message: String) {
-    send(conn, &Response::Error { id, code, message });
+fn send_error(
+    shared: &Shared,
+    conn: &Arc<Mutex<TcpStream>>,
+    id: u64,
+    code: ErrorCode,
+    message: String,
+) {
+    send(shared, conn, &Response::Error { id, code, message });
 }
 
 /// Best-effort extraction of a request id from a payload that failed full
@@ -373,15 +385,15 @@ fn run_connection(reader: &mut TcpStream, writer: &Arc<Mutex<TcpStream>>, shared
                 // The payload was never read, so the stream cannot be
                 // re-synchronized: answer, then close.
                 shared.bump(&shared.counters.protocol_errors, "serve/protocol_errors");
-                send_error(writer, 0, ErrorCode::Oversized, e.to_string());
+                send_error(shared, writer, 0, ErrorCode::Oversized, e.to_string());
                 return;
             }
             Err(_) => return,
         };
         shared.counters.request_bytes.fetch_add(payload.len() as u64 + 4, Ordering::Relaxed);
         match Request::from_bytes(&payload) {
-            Ok(Request::Ping { id }) => send(writer, &Response::Pong { id }),
-            Ok(Request::Stats { id }) => send(writer, &stats_response(shared, id)),
+            Ok(Request::Ping { id }) => send(shared, writer, &Response::Pong { id }),
+            Ok(Request::Stats { id }) => send(shared, writer, &stats_response(shared, id)),
             Ok(Request::Lookup { id, fingerprint, deadline_ms }) => {
                 handle_plan_request(shared, writer, id, deadline_ms, fingerprint, None);
             }
@@ -402,7 +414,7 @@ fn run_connection(reader: &mut TcpStream, writer: &Arc<Mutex<TcpStream>>, shared
                     ProtocolError::UnknownType(_) => ErrorCode::UnknownType,
                     _ => ErrorCode::BadRequest,
                 };
-                send_error(writer, id, code, e.to_string());
+                send_error(shared, writer, id, code, e.to_string());
             }
         }
     }
@@ -429,7 +441,8 @@ fn handle_plan_request(
     // invariant is unaffected by a drain.
     if shared.draining.load(Ordering::SeqCst) {
         shared.bump(&shared.counters.shutting_down, "serve/shutting_down");
-        send_error(writer, id, ErrorCode::ShuttingDown, "server is draining for shutdown".into());
+        let msg = "server is draining for shutdown".to_string();
+        send_error(shared, writer, id, ErrorCode::ShuttingDown, msg);
         return;
     }
     let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
@@ -440,7 +453,8 @@ fn handle_plan_request(
             drop(plans);
             // No counter moves, `requests` included: the upload this answer
             // asks for is the request.
-            send_error(writer, id, ErrorCode::NotCached, "no plan under this fingerprint".into());
+            let msg = "no plan under this fingerprint".to_string();
+            send_error(shared, writer, id, ErrorCode::NotCached, msg);
         }
         (Some(PlanEntry::Ready(answer)), _) => {
             let answer = Arc::clone(answer);
@@ -488,7 +502,7 @@ fn handle_plan_request(
                             format!("miss queue at capacity ({})", shared.cfg.queue_cap),
                         )
                     };
-                    send_error(&job.leader.conn, job.leader.id, code, msg);
+                    send_error(shared, &job.leader.conn, job.leader.id, code, msg);
                 }
             }
         }
@@ -515,7 +529,7 @@ fn take_waiters(shared: &Shared, fp: u128) -> Vec<Waiter> {
 fn fail_all(shared: &Shared, leader: &Waiter, waiters: &[Waiter], code: ErrorCode, msg: &str, counter: &AtomicU64, name: &'static str) {
     for w in std::iter::once(leader).chain(waiters.iter()) {
         shared.bump(counter, name);
-        send_error(&w.conn, w.id, code, msg.to_string());
+        send_error(shared, &w.conn, w.id, code, msg.to_string());
     }
 }
 
@@ -622,17 +636,18 @@ fn solver_loop(shared: &Arc<Shared>) {
 fn answer_one(shared: &Shared, w: &Waiter, cached: bool, answer: &Answer) {
     if expired(w.deadline) {
         shared.bump(&shared.counters.deadline_missed, "serve/deadline_missed");
-        send_error(&w.conn, w.id, ErrorCode::DeadlineMissed, "deadline elapsed".into());
+        send_error(shared, &w.conn, w.id, ErrorCode::DeadlineMissed, "deadline elapsed".into());
         return;
     }
     match answer {
         Ok(p) => send_bytes(
+            shared,
             &w.conn,
             &encode_plan_response(w.id, cached, &p.fingerprint, &p.plan_text),
         ),
         Err(msg) => {
             shared.bump(&shared.counters.search_failed, "serve/search_failed");
-            send_error(&w.conn, w.id, ErrorCode::SearchFailed, msg.clone());
+            send_error(shared, &w.conn, w.id, ErrorCode::SearchFailed, msg.clone());
         }
     }
 }
@@ -662,6 +677,7 @@ fn stats_response(shared: &Shared, id: u64) -> Response {
                 ("search_failed", load(&c.search_failed)),
                 ("protocol_errors", load(&c.protocol_errors)),
                 ("request_bytes", load(&c.request_bytes)),
+                ("response_bytes", load(&c.response_bytes)),
                 ("queued", Json::from(shared.sched.queued())),
                 ("draining", Json::from(shared.draining.load(Ordering::SeqCst))),
                 ("uptime_seconds", Json::Num(shared.started.elapsed().as_secs_f64())),

@@ -9,7 +9,8 @@ use tofu_core::recursive::PartitionOptions;
 use tofu_core::request_fingerprint;
 use tofu_serve::client::{ClientError, PlanClient};
 use tofu_serve::protocol::{
-    encode_partition, read_frame, write_frame, ErrorCode, ProtocolError, Request, Response,
+    encode_partition, fingerprint_hex, read_frame, write_frame, ErrorCode, ProtocolError, Request,
+    Response,
 };
 use tofu_serve::server::{PlanServer, ServeConfig};
 
@@ -353,6 +354,47 @@ fn every_option_changes_the_fingerprint_and_travels() {
         match Request::from_bytes(&encode_partition(1, "t", &g, opts, None)) {
             Ok(Request::Partition { req, .. }) => assert_eq!(&req.options, opts, "lost on the wire"),
             other => panic!("expected partition, got {other:?}"),
+        }
+    }
+}
+
+/// A plan response's `cached` flag and fingerprint are read strictly: a
+/// missing or non-boolean flag would report a hit as a miss, and a
+/// fingerprint that is not 32 hex digits names no cache entry.
+#[test]
+fn lenient_plan_response_fields_are_bad_requests() {
+    let key = 0x0123_4567_89ab_cdef_0011_2233_4455_6677;
+    let fp = fingerprint_hex(key);
+    let response =
+        |fields: &str| format!(r#"{{"type":"plan","id":1,{fields},"plan":{{"workers":2}}}}"#);
+    let good = response(&format!(r#""cached":true,"fingerprint":"{fp}""#));
+    match Response::from_bytes(good.as_bytes()) {
+        Ok(Response::Plan { id: 1, cached: true, fingerprint, plan }) => {
+            assert_eq!((fingerprint, plan.as_str()), (key, r#"{"workers":2}"#));
+        }
+        other => panic!("expected the plan, got {other:?}"),
+    }
+    let hex31 = "0".repeat(31);
+    let cached = |v: &str| format!(r#""cached":{v},"fingerprint":"{fp}""#);
+    let fingerprint = |v: &str| format!(r#""cached":false,"fingerprint":{v}"#);
+    for (fields, named) in [
+        (format!(r#""fingerprint":"{fp}""#), "cached"),
+        (cached("null"), "cached"),
+        (cached("1"), "cached"),
+        (cached(r#""true""#), "cached"),
+        (r#""cached":true"#.to_string(), "fingerprint"),
+        (fingerprint("null"), "fingerprint"),
+        (fingerprint(r#""00ff""#), "fingerprint"),
+        (fingerprint(&format!(r#""{hex31}""#)), "fingerprint"),
+        (fingerprint(&format!(r#""{hex31}00""#)), "fingerprint"),
+        (fingerprint(&format!(r#""{hex31}g""#)), "fingerprint"),
+        (fingerprint(&format!(r#""+{hex31}""#)), "fingerprint"),
+    ] {
+        match Response::from_bytes(response(&fields).as_bytes()) {
+            Err(ProtocolError::BadRequest(m)) => {
+                assert!(m.contains(named), "fields {fields}: message was {m:?}")
+            }
+            other => panic!("expected bad_request for fields {fields}, got {other:?}"),
         }
     }
 }

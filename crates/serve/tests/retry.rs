@@ -64,7 +64,7 @@ fn a_dropped_connection_is_reconnected_and_the_request_resent() {
     let g = model();
     let opts = PartitionOptions { workers: 4, ..Default::default() };
     let served = client.partition("tenant-a", &g, &opts, None).expect("plan after reconnect");
-    assert!(!served.fingerprint.is_empty());
+    assert_eq!(served.fingerprint, tofu_core::request_fingerprint(&g, &opts));
     server.shutdown();
 }
 

@@ -12,8 +12,8 @@ use tofu_models::{decoder_block, mlp, DecoderConfig, MlpConfig};
 use tofu_obs::json::Json;
 use tofu_serve::client::{ClientError, PlanClient};
 use tofu_serve::protocol::{
-    encode_partition, fingerprint_hex, plan_to_json, read_frame, write_frame, ErrorCode, Request,
-    Response,
+    encode_partition, encode_plan_response, fingerprint_hex, plan_to_json, read_frame, write_frame,
+    ErrorCode, Request, Response,
 };
 use tofu_serve::server::{PlanServer, ServeConfig};
 
@@ -77,7 +77,7 @@ fn served_plans_are_byte_identical_to_local_search() {
         let served = client.partition("tenant-a", &g, &opts, None).expect("served plan");
         assert!(!served.cached, "first request for this fingerprint must be cold");
         // The client's local hash (its lookup key) is the server's key.
-        assert_eq!(served.fingerprint, fingerprint_hex(request_fingerprint(&g, &opts)));
+        assert_eq!(served.fingerprint, request_fingerprint(&g, &opts));
 
         let local = partition(&g, &opts).expect("local plan");
         assert_eq!(
@@ -355,12 +355,16 @@ fn a_probe_that_finds_nothing_is_not_a_request() {
     assert_eq!(counters(&server), [1, 0, 1, 0, 0]);
 
     // A probe that finds the plan is a request and a hit, answered with the
-    // usual plan response.
-    match ask(&mut raw, &lookup(2, fp, None)) {
+    // usual plan response. The client keeps the plan as the text the server
+    // filed (`local`'s canonical serialization), byte for byte.
+    write_frame(&mut raw, &lookup(2, fp, None)).expect("send");
+    let frame = read_frame(&mut raw, 8 << 20).expect("read").expect("an answer frame");
+    match Response::from_bytes(&frame).expect("parse answer") {
         Response::Plan { id, cached, fingerprint, plan } => {
             assert_eq!((id, cached), (2, true));
-            assert_eq!(fingerprint, fingerprint_hex(fp));
-            assert_eq!(plan.to_json(), local.to_json());
+            assert_eq!(fingerprint, fp);
+            assert_eq!(plan.as_str(), local.to_json());
+            assert_eq!(encode_plan_response(2, true, &fingerprint_hex(fp), plan.as_str()), frame);
         }
         other => panic!("expected the plan, got {other:?}"),
     }
@@ -371,7 +375,7 @@ fn a_probe_that_finds_nothing_is_not_a_request() {
     let warm = client.partition("t", &g, &opts, None).expect("warm");
     let sent = server.counters().request_bytes.load(Ordering::Relaxed) - sent;
     assert!(warm.cached);
-    assert_eq!(warm.plan.to_json(), local.to_json());
+    assert_eq!(warm.plan.as_str(), local.to_json());
     assert!(sent < 256, "a warm hit sent {sent} request bytes");
     let upload = encode_partition(1, "t", &g, &opts, None).len() as u64;
     assert!(10 * sent < upload, "the graph ({upload} B) is what a {sent} B probe saves");
@@ -563,7 +567,7 @@ fn an_upload_is_keyed_by_the_servers_own_hash() {
     match ask(&mut raw, Json::Obj(fields).to_json().as_bytes()) {
         Response::Plan { cached, fingerprint, .. } => {
             assert!(!cached);
-            assert_eq!(fingerprint, fingerprint_hex(honest), "keyed by the claimed fingerprint");
+            assert_eq!(fingerprint, honest, "keyed by the claimed fingerprint");
         }
         other => panic!("expected a plan, got {other:?}"),
     }

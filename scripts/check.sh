@@ -122,6 +122,10 @@ timeout 600 cargo test -q -p tofu-graph --test gradcheck
 # operation order fails here. The two full-size models are ignored in debug
 # builds (33 s and 79 s unoptimised), so run the file optimised as well.
 timeout 300 cargo test -q --release --test golden_numerics
+# The checked-text JSON path (`RawJson`, `parse_with_raw`) against `parse`
+# on every bench model's plan response and its mutations; ignored in debug
+# builds (≈100 s unoptimised).
+timeout 300 cargo test -q --release -p tofu-obs --test json_differential
 # The tiled GEMM against its scalar reference as the compiler vectorises it
 # (the workspace run below is unoptimised).
 timeout 300 cargo test -q --release -p tofu-tensor
