@@ -1,19 +1,21 @@
 //! Partition-search scaling ledger: group-cost evaluations, relaxations,
-//! states the beam truncated and strategy analyses of the optimized DP
-//! engine (factored transition, strategies analysed once per request)
-//! against the reference `unoptimized_partition`, for an MLP, WResNet-50 and
-//! a decoder block at 2/4/8 workers, written to `BENCH_search.json`. The
-//! analyses are a per-model constant; a width-dependent count means
-//! discovery went back to running per step. Search *time* is measured by
+//! states the beam truncated, class-cost evaluations and strategy analyses
+//! of the optimized DP engine (factored transition, strategies analysed
+//! once per request) against the reference `unoptimized_partition`, for an
+//! MLP, WResNet-50, a decoder block and an LSTM at 2/4/8 workers, written to
+//! `BENCH_search.json`. The analyses are a per-model constant; a
+//! width-dependent count means discovery went back to running per step.
+//! The class-cost evaluations count each (class, specs) pair the search
+//! costs once, so a change that re-costs or skips a pair moves them. Search *time* is measured by
 //! `benchmark/` (`core.partition_s`, `core.partition_warm_s`).
 //!
 //! This is a correctness gate: the process exits nonzero when the
 //! optimized engine's plan — cold, or through a request memo shared across
 //! the widths — is not the reference's at default options (canonical plan
 //! bytes: every step's ways,
-//! cost, tensor specs and node choices; the beam binds on WResNet and bounded
-//! enumeration fires on it, so this is the default-options differential at
-//! release speed), or when its evaluations plus its relaxations reach the
+//! cost, tensor specs and node choices; the beam binds on WResNet and the
+//! LSTM and bounded enumeration fires on both, so this is the
+//! default-options differential at release speed), or when its evaluations plus its relaxations reach the
 //! reference's `states × combos` count on a nontrivial search — i.e. when
 //! the transition is back to the product loop (see DESIGN.md "Search
 //! performance").
@@ -24,7 +26,9 @@ use tofu_core::recursive::{
 };
 use tofu_core::SearchCaches;
 use tofu_graph::Graph;
-use tofu_models::{decoder_block, mlp, wresnet, DecoderConfig, MlpConfig, WResNetConfig};
+use tofu_models::{
+    decoder_block, mlp, rnn, wresnet, DecoderConfig, MlpConfig, RnnConfig, WResNetConfig,
+};
 use tofu_obs::Collector;
 use tofu_serve::plan_to_json;
 
@@ -38,6 +42,7 @@ struct Row {
     relaxations: f64,
     assignments_bounded: f64,
     prune_beam: f64,
+    class_evals: f64,
     strategy_analyses: f64,
     cost: f64,
     identical: bool,
@@ -73,6 +78,7 @@ fn measure(model: &'static str, g: &Graph, workers: usize, warm: &mut SearchCach
         relaxations: total(&opt_obs, "dp/relaxations"),
         assignments_bounded: total(&opt_obs, "dp/assignments_bounded"),
         prune_beam: total(&opt_obs, "dp/prune_beam"),
+        class_evals: total(&opt_obs, "dp/class_evals"),
         strategy_analyses: total(&opt_obs, "coarsen/strategy_analyses"),
         cost,
         identical,
@@ -102,6 +108,18 @@ fn main() {
         with_updates: true,
     })
     .expect("decoder builds");
+    // The LSTM of `benchmark/`'s `step_comm`: unrolled timesteps merged into
+    // strategy classes too wide for a few-bit spec packing.
+    let lstm_model = rnn(&RnnConfig {
+        layers: 2,
+        hidden: 64,
+        batch: 8,
+        steps: 20,
+        embed: 32,
+        vocab: 32,
+        with_updates: true,
+    })
+    .expect("lstm builds");
 
     let mut rows: Vec<Row> = Vec::new();
     let mut failed = false;
@@ -109,33 +127,36 @@ fn main() {
         ("mlp-256x2 (batch 64)", &mlp_model.graph),
         ("wresnet-50-1 (batch 8)", &wres_model.graph),
         ("decoder-256 (seq 128)", &decoder_model.graph),
+        ("lstm-2x64 (20 steps)", &lstm_model.graph),
     ] {
         // One request memo per model: every width is a new request, and
         // each must still return the reference's plan.
         let mut warm = SearchCaches::new();
         println!("\n{name} — reference vs optimized search");
         println!(
-            "{:<8} {:>12} {:>12} {:>12} {:>8} {:>10} {:>14} {:>6}",
+            "{:<8} {:>12} {:>12} {:>12} {:>8} {:>10} {:>10} {:>14} {:>6}",
             "workers",
             "ref states",
             "opt states",
             "relaxations",
             "bounded",
             "pruned",
+            "evals",
             "analyses",
             "ident"
         );
-        println!("{}", "-".repeat(89));
+        println!("{}", "-".repeat(100));
         for workers in WORKERS {
             let r = measure(name, g, workers, &mut warm);
             println!(
-                "{:<8} {:>12.0} {:>12.0} {:>12.0} {:>8.0} {:>10.0} {:>14.0} {:>6}",
+                "{:<8} {:>12.0} {:>12.0} {:>12.0} {:>8.0} {:>10.0} {:>10.0} {:>14.0} {:>6}",
                 r.workers,
                 r.ref_states,
                 r.opt_states,
                 r.relaxations,
                 r.assignments_bounded,
                 r.prune_beam,
+                r.class_evals,
                 r.strategy_analyses,
                 r.identical,
             );
@@ -176,6 +197,7 @@ fn main() {
                 ("relaxations", Json::from(r.relaxations)),
                 ("assignments_bounded", Json::from(r.assignments_bounded)),
                 ("prune_beam", Json::from(r.prune_beam)),
+                ("class_evals", Json::from(r.class_evals)),
                 ("strategy_analyses", Json::from(r.strategy_analyses)),
                 ("total_comm_bytes", Json::from(r.cost)),
                 ("cost_identical", Json::Bool(r.identical)),

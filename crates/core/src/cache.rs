@@ -34,10 +34,11 @@ use tofu_graph::Graph;
 use crate::error::CoreError;
 use crate::recursive::{PartitionOptions, PartitionPlan};
 
-/// A fast multiply-xor hasher for the DP's internal keys (packed class-memo
-/// keys, spec tuples, fingerprints). Not DoS-resistant — keys are internal,
-/// never attacker-controlled — but several times faster than SipHash on the
-/// millions of lookups a WResNet search performs.
+/// A fast multiply-xor hasher for the DP's internal keys (the spec tuples
+/// of its rows, groups and carried class fields; fingerprints). Not
+/// DoS-resistant — keys are internal, never attacker-controlled — but
+/// several times faster than SipHash on the lookups a WResNet search
+/// performs.
 #[derive(Default)]
 pub struct FastHasher(u64);
 

@@ -26,7 +26,7 @@
 //! * [`search`], the optimized engine every `partition*` runs — a
 //!   transition factored over the bundles a group actually reads (each
 //!   distinct projection of the frontier is costed once, then states relax
-//!   into a dense table), packed class-memo keys, and strategies
+//!   into a dense table), one dense class-cost table per cut, and strategies
 //!   concretised from the analysis [`crate::coarsen()`] ran once per request
 //!   where the reference rediscovers them at every step (see DESIGN.md
 //!   "Search performance" for the exactness argument). Every one is exact:
@@ -337,6 +337,10 @@ pub fn unoptimized_search(
     if ways < 2 {
         return Err(CoreError::BadWorkerCount(ways));
     }
+    if opts.internal_bound == 0 {
+        // No assignment may be enumerated: a mis-set bound, as an empty beam.
+        return Err(CoreError::SearchSpaceExceeded { states: 0, bound: 0 });
+    }
     let bundles = build_bundles(g, view, cg, extra, ways);
     let classes = build_classes(g, view, cg, extra, &bundles, ways, opts, false, obs)?;
 
@@ -556,33 +560,6 @@ pub fn unoptimized_search(
 // Optimized engine
 // ---------------------------------------------------------------------------
 
-/// 4-bit spec encoding used by packed memo keys: `Split(d)` → `d` (rank must
-/// be ≤ 14), `Replicated` → 15. Input is the canonical byte encoding.
-#[inline]
-fn enc4(byte: u8) -> u64 {
-    if byte == u8::MAX {
-        15
-    } else {
-        u64::from(byte)
-    }
-}
-
-#[inline]
-fn dec4(field: u64) -> TensorSpec {
-    if field == 15 {
-        TensorSpec::Replicated
-    } else {
-        TensorSpec::Split(field as usize)
-    }
-}
-
-/// Per-class cost memo: packed `u64` keys (4 bits per touched bundle) when
-/// the class is small enough, byte-vector keys otherwise.
-enum ClassMemo {
-    Packed(FastMap<u64, Option<f64>>),
-    Wide(std::collections::HashMap<Vec<u8>, Option<f64>>),
-}
-
 /// One DP state in the optimized engine: its cost, the index of the state it
 /// came from in the previous cut's frontier, and the index of the combo it
 /// took there. Its key — the canonical byte encoding of each crossing
@@ -611,33 +588,29 @@ fn key_at(keys: &[u8], width: usize, i: usize) -> &[u8] {
     &keys[i * width..][..width]
 }
 
-/// Per-(cut, class) field layout: where each touched bundle's spec comes
-/// from — the combo (fresh) or the predecessor state (carried).
+/// Per-(cut, class) layout and cost table. A class lies in one group, so
+/// its cost at the cut depends on two spec tuples only: the *fresh* one,
+/// read from the combo, and the *carried* one, read from the state. Each is
+/// numbered densely per class, and the cost of (carried id, fresh id) sits
+/// in the cut's cost arena at `bases[carried id] + fresh id`.
 #[derive(Default)]
 struct CutClass {
     ci: usize,
-    packed: bool,
-    /// (field index in `touched`, index into the cut's fresh list).
+    /// (bundle, index into the cut's fresh list), in bundle order.
     fresh_fields: Vec<(usize, usize)>,
-    /// (field index in `touched`, position in the previous cut's crossing
-    /// list).
+    /// (bundle, position in the previous cut's crossing list).
     carried_fields: Vec<(usize, usize)>,
+    /// Distinct fresh tuples at this cut: each carried id's arena stride.
+    n_fresh: usize,
+    /// Dense ids of the carried tuples seen so far, and each one's arena
+    /// base (one base, allocated up front, when there are no carried
+    /// fields).
+    carried_ids: FastMap<Vec<u8>, usize>,
+    bases: Vec<usize>,
 }
 
-/// Per-(combo, class) precomputed value.
-enum ComboVal {
-    /// Fresh-only class, already evaluated: add this cost.
-    Cost(f64),
-    /// Fresh-only class with no feasible strategy under this combo.
-    Infeasible,
-    /// Packed partial key from the fresh fields, and its slot in the row's
-    /// cost cache (one per distinct `(class, partial key)` at the cut);
-    /// carried fields come from the state.
-    PackedPart(u64, u32),
-    /// Wide template with fresh fields filled; carried fields come from the
-    /// state.
-    WidePart(Vec<u8>),
-}
+/// A cost-arena entry not yet evaluated.
+const UNSET: f64 = f64::NAN;
 
 /// One step of a cell's staircase: a combo whose group cost is strictly
 /// below that of every earlier combo offered to the same cell, linked to the
@@ -663,13 +636,18 @@ const NO_STAIR: u32 = u32::MAX;
 /// key, so states relax into a dense `groups × assignments` table.
 #[derive(Default)]
 struct CutTables {
-    /// Dense indices of the distinct rows, assignments and groups seen at
-    /// this cut, keyed by their spec tuples.
+    /// Dense indices of the distinct rows and groups seen at this cut, keyed
+    /// by their spec tuples.
     rows: FastMap<Vec<u8>, usize>,
-    assignments: FastMap<Vec<u8>, usize>,
     groups: FastMap<Vec<u8>, usize>,
-    /// Assignment of each combo.
-    combo_assign: Vec<usize>,
+    /// Assignment of each combo (see [`project`]).
+    combo_assign: Vec<u32>,
+    /// The fresh id (see [`CutClass`]) of combo `c` for the cut's `k`-th
+    /// class, at `k * combos + c`.
+    fresh_ids: Vec<u32>,
+    /// The classes' costs, `UNSET` until first touched and `INFINITY` where
+    /// a class has no feasible strategy.
+    costs: Vec<f64>,
     /// Row of each state.
     state_row: Vec<usize>,
     /// Per `(row, assignment)`: least group cost (`INFINITY` when every
@@ -686,9 +664,10 @@ struct CutTables {
 impl CutTables {
     fn clear(&mut self) {
         self.rows.clear();
-        self.assignments.clear();
         self.groups.clear();
         self.combo_assign.clear();
+        self.fresh_ids.clear();
+        self.costs.clear();
         self.state_row.clear();
         self.min_total.clear();
         self.head.clear();
@@ -737,14 +716,47 @@ fn intern(ids: &mut FastMap<Vec<u8>, usize>, key: &[u8]) -> (usize, bool) {
     (id, true)
 }
 
+/// Numbers the distinct projections of the cut's combos onto the fresh
+/// positions `fields` densely, in order of first appearance, into `ids`
+/// (one per combo), and returns how many there are. `digits[c * radix.len() + f]`
+/// is the index of combo `c`'s spec among the legal specs of fresh bundle
+/// `f`, which has `radix[f]` of them. The projection is refined one field
+/// at a time, each combo's id so far and its digit indexing a dense table,
+/// so no tuple is built or hashed.
+fn project(
+    digits: &[u8],
+    radix: &[usize],
+    fields: impl Iterator<Item = usize>,
+    ids: &mut [u32],
+    table: &mut Vec<u32>,
+) -> usize {
+    ids.fill(0);
+    let mut n = 1;
+    for f in fields {
+        table.clear();
+        table.resize(n * radix[f], u32::MAX);
+        n = 0;
+        for (c, id) in ids.iter_mut().enumerate() {
+            let digit = usize::from(digits[c * radix.len() + f]);
+            let slot = &mut table[*id as usize * radix[f] + digit];
+            if *slot == u32::MAX {
+                *slot = n as u32;
+                n += 1;
+            }
+            *id = *slot;
+        }
+    }
+    n
+}
+
 /// Runs the DP for one basic step, returning the optimal [`StepPlan`].
 ///
 /// This is the optimized engine — identical recurrence, ranking, beam
 /// truncation and tie-breaking to [`unoptimized_search`], with the
 /// transition factored over the carried bundles each group reads (see
-/// `CutTables`), packed class-memo keys, per-combo class-cost
-/// precomputation, and each class's strategies concretised from the
-/// analysis `cg` carries rather than rediscovered. It returns the
+/// `CutTables`), one dense class-cost table per cut (see `CutClass`), and
+/// each class's strategies concretised from the analysis `cg` carries
+/// rather than rediscovered. It returns the
 /// reference's plan, or the reference's error, at every option setting,
 /// including where [`PartitionOptions::beam`] and
 /// [`PartitionOptions::internal_bound`] bind (enforced by the differential
@@ -755,9 +767,11 @@ fn intern(ids: &mut FastMap<Vec<u8>, usize>, key: &[u8]) -> (usize, bool) {
 /// Statistics go to `obs`: running totals `dp/strategies_enumerated`,
 /// `dp/strategies_feasible`, `dp/frontier_width_max`; the work totals
 /// `dp/states_explored` ((state, assignment) pairs whose group cost was
-/// evaluated: Σ rows × combos here, Σ states × combos in the reference) and
+/// evaluated: Σ rows × combos here, Σ states × combos in the reference),
 /// `dp/relaxations` (Σ states × surviving assignments, one add-compare
-/// each, infeasible cells included); `dp/assignments_bounded` (cuts where
+/// each, infeasible cells included) and `dp/class_evals` (class costs
+/// computed, one per distinct (class, specs) pair a cut reaches);
+/// `dp/assignments_bounded` (cuts where
 /// [`PartitionOptions::internal_bound`] made enumeration non-exhaustive;
 /// absent when it never fires); the pruning total `dp/prune_beam` (states
 /// the beam truncated); plus per-cut `dp/frontier states` and
@@ -776,34 +790,29 @@ pub fn search(
     if ways < 2 {
         return Err(CoreError::BadWorkerCount(ways));
     }
+    if opts.internal_bound == 0 {
+        // No assignment may be enumerated: a mis-set bound, as an empty beam.
+        return Err(CoreError::SearchSpaceExceeded { states: 0, bound: 0 });
+    }
 
     let bundles = build_bundles(g, view, cg, extra, ways);
     let classes = build_classes(g, view, cg, extra, &bundles, ways, opts, true, obs)?;
 
-    // Packed keys need 4 bits per spec: feasible when no tensor rank
-    // exceeds 14 (split dims ≤ 13, 15 reserved for Replicated).
-    let max_rank =
-        (0..view.len()).map(|t| view.shape(TensorId(t)).rank()).max().unwrap_or(0);
-    let four_bit = max_rank <= 14;
-
-    let mut memos: Vec<ClassMemo> = classes
-        .iter()
-        .map(|c| match c {
-            Some(info) if four_bit && info.touched.len() <= 16 => {
-                ClassMemo::Packed(FastMap::default())
-            }
-            _ => ClassMemo::Wide(std::collections::HashMap::new()),
-        })
-        .collect();
-
-    // Evaluates one class under fully decoded specs (memo-miss path).
-    let eval_class = |info: &ClassInfo, field_spec: &dyn Fn(usize) -> TensorSpec| -> Option<f64> {
-        let spec = |t: TensorId| {
-            let b = bundles.of_tensor[t.0];
-            let fi = info.touched.binary_search(&b).expect("touched bundle");
-            field_spec(fi)
-        };
-        class_cost(g, view, extra, info, &spec, ways).map(|(c, _)| c)
+    // Costs one class, its fresh bundles' specs read from `combo` and its
+    // carried ones' from the state key `specs`: the table-miss path.
+    let mut class_evals = 0u64;
+    let mut eval_spec = vec![TensorSpec::Replicated; bundles.count];
+    let mut eval = |cc: &CutClass, combo: &[(usize, TensorSpec)], specs: &[u8]| -> f64 {
+        class_evals += 1;
+        for &(b, f) in &cc.fresh_fields {
+            eval_spec[b] = combo[f].1;
+        }
+        for &(b, p) in &cc.carried_fields {
+            eval_spec[b] = TensorSpec::dec(specs[p]);
+        }
+        let info = classes[cc.ci].as_ref().expect("class exists");
+        let spec = |t: TensorId| eval_spec[bundles.of_tensor[t.0]];
+        class_cost(g, view, extra, info, &spec, ways).map_or(f64::INFINITY, |(c, _)| c)
     };
 
     let root = [Cand { cost: 0.0, prev: u32::MAX, combo: u32::MAX }];
@@ -820,9 +829,10 @@ pub fn search(
     let mut fresh: Vec<usize> = Vec::new();
     let mut next_cross: Vec<usize> = Vec::new();
     let mut class_pool: Vec<CutClass> = Vec::new();
-    let mut combo_vals: Vec<ComboVal> = Vec::new();
-    let mut part_slots: FastMap<(usize, u64), u32> = FastMap::default();
-    let mut row_cost: Vec<Option<Option<f64>>> = Vec::new();
+    let mut radix: Vec<usize> = Vec::new();
+    let mut digits: Vec<u8> = Vec::new();
+    let mut id_table: Vec<u32> = Vec::new();
+    let mut row_base: Vec<usize> = Vec::new();
     let mut cands: Vec<Cand> = Vec::new();
     let mut cand_keys: Vec<u8> = Vec::new();
     let mut order: Vec<(u128, u32)> = Vec::new();
@@ -879,7 +889,26 @@ pub fn search(
             .map(|(f, &b)| (f, pos_in(&next_cross, b).expect("crossing bundle")))
             .collect();
 
-        // Per-class field layout at this cut.
+        // Each combo's spec of each fresh bundle as its index among the
+        // bundle's legal specs: the digits `project` numbers tuples by.
+        radix.clear();
+        radix.extend(fresh.iter().map(|&b| bundles.legal[b].len()));
+        digits.clear();
+        for combo in &combos {
+            digits.extend(combo.iter().map(|&(b, s)| {
+                bundles.legal[b].iter().position(|&l| l == s).expect("legal spec") as u8
+            }));
+        }
+        let n_combos = combos.len();
+        tables.clear();
+        tables.combo_assign.resize(n_combos, 0);
+        let fields = surviving_fresh.iter().map(|&(f, _)| f);
+        let n_assign =
+            project(&digits, &radix, fields, &mut tables.combo_assign, &mut id_table);
+
+        // Per-class layout at this cut, the fresh id of every combo, and
+        // the whole table of a class with no carried fields, which reads no
+        // state.
         let mut n_classes = 0;
         for &ci in &group.classes {
             let Some(info) = &classes[ci] else { continue };
@@ -889,69 +918,41 @@ pub fn search(
             let cc = &mut class_pool[n_classes];
             n_classes += 1;
             cc.ci = ci;
-            cc.packed = matches!(memos[ci], ClassMemo::Packed(_));
             cc.fresh_fields.clear();
             cc.carried_fields.clear();
-            for (fi, &b) in info.touched.iter().enumerate() {
+            cc.carried_ids.clear();
+            cc.bases.clear();
+            for &b in &info.touched {
                 if let Some(f) = pos_in(&fresh, b) {
-                    cc.fresh_fields.push((fi, f));
+                    cc.fresh_fields.push((b, f));
                 } else {
                     let Some(p) = pos_in(&prev_cross, b) else {
                         return Err(CoreError::Internal(format!(
                             "bundle carried into group {gi} missing from DP state"
                         )));
                     };
-                    cc.carried_fields.push((fi, p));
+                    cc.carried_fields.push((b, p));
                 }
             }
-        }
-        let cut_classes = &class_pool[..n_classes];
-
-        // Per-combo precomputation, `n_classes` values per combo: fill fresh
-        // fields; evaluate fresh-only classes immediately; number each
-        // distinct packed `(class, partial key)` as a slot of the row cache.
-        combo_vals.clear();
-        part_slots.clear();
-        for combo in &combos {
-            for (k, cc) in cut_classes.iter().enumerate() {
-                let info = classes[cc.ci].as_ref().expect("class exists");
-                if cc.packed {
-                    let mut part = 0u64;
-                    for &(fi, f) in &cc.fresh_fields {
-                        part |= enc4(combo[f].1.enc()) << (4 * fi);
-                    }
-                    if cc.carried_fields.is_empty() {
-                        let cost = match &mut memos[cc.ci] {
-                            ClassMemo::Packed(m) => *m.entry(part).or_insert_with(|| {
-                                eval_class(info, &|fi| dec4((part >> (4 * fi)) & 15))
-                            }),
-                            ClassMemo::Wide(_) => unreachable!("packed class"),
-                        };
-                        combo_vals.push(cost.map_or(ComboVal::Infeasible, ComboVal::Cost));
-                    } else {
-                        let next = part_slots.len() as u32;
-                        let slot = *part_slots.entry((k, part)).or_insert(next);
-                        combo_vals.push(ComboVal::PackedPart(part, slot));
-                    }
-                } else {
-                    let mut tmpl = vec![0u8; info.touched.len()];
-                    for &(fi, f) in &cc.fresh_fields {
-                        tmpl[fi] = combo[f].1.enc();
-                    }
-                    if cc.carried_fields.is_empty() {
-                        let cost = match &mut memos[cc.ci] {
-                            ClassMemo::Wide(m) => *m.entry(tmpl.clone()).or_insert_with(|| {
-                                eval_class(info, &|fi| TensorSpec::dec(tmpl[fi]))
-                            }),
-                            ClassMemo::Packed(_) => unreachable!("wide class"),
-                        };
-                        combo_vals.push(cost.map_or(ComboVal::Infeasible, ComboVal::Cost));
-                    } else {
-                        combo_vals.push(ComboVal::WidePart(tmpl));
+            let at = tables.fresh_ids.len();
+            tables.fresh_ids.resize(at + n_combos, 0);
+            let fields = cc.fresh_fields.iter().map(|&(_, f)| f);
+            let ids = &mut tables.fresh_ids[at..];
+            cc.n_fresh = project(&digits, &radix, fields, ids, &mut id_table);
+            if cc.carried_fields.is_empty() {
+                let base = tables.costs.len();
+                cc.bases.push(base);
+                tables.costs.resize(base + cc.n_fresh, UNSET);
+                for (combo, &id) in combos.iter().zip(&tables.fresh_ids[at..]) {
+                    let cost = &mut tables.costs[base + id as usize];
+                    if cost.is_nan() {
+                        *cost = eval(cc, combo, &[]);
                     }
                 }
             }
         }
+        let cut_classes = &mut class_pool[..n_classes];
+        row_base.resize(n_classes, 0);
 
         // Transition, factored (see `CutTables`): cost each distinct
         // projection of the frontier onto the carried bundles the classes
@@ -967,15 +968,6 @@ pub fn search(
         read_pos.sort_unstable();
         read_pos.dedup();
 
-        tables.clear();
-        for combo in &combos {
-            tuple.clear();
-            tuple.extend(surviving_fresh.iter().map(|&(f, _)| combo[f].1.enc()));
-            tables.combo_assign.push(intern(&mut tables.assignments, &tuple).0);
-        }
-        let n_assign = tables.assignments.len();
-        let mut carried_part: Vec<u64> = vec![0; n_classes];
-
         for (si, st) in cur.iter().enumerate() {
             let specs = key_at(&keys, prev_width, si);
             tuple.clear();
@@ -985,78 +977,39 @@ pub fn search(
             if new_row {
                 tables.min_total.resize((row + 1) * n_assign, f64::INFINITY);
                 tables.head.resize((row + 1) * n_assign, NO_STAIR);
-                for (k, cc) in cut_classes.iter().enumerate() {
-                    if cc.packed && !cc.carried_fields.is_empty() {
-                        let mut part = 0u64;
-                        for &(fi, p) in &cc.carried_fields {
-                            part |= enc4(specs[p]) << (4 * fi);
-                        }
-                        carried_part[k] = part;
+                // Each class's block of the arena for this row's carried
+                // tuple, allocated when the tuple is new at the cut.
+                for (base, cc) in row_base.iter_mut().zip(cut_classes.iter_mut()) {
+                    if cc.carried_fields.is_empty() {
+                        *base = cc.bases[0];
+                        continue;
                     }
+                    tuple.clear();
+                    tuple.extend(cc.carried_fields.iter().map(|&(_, p)| specs[p]));
+                    let (id, new) = intern(&mut cc.carried_ids, &tuple);
+                    if new {
+                        cc.bases.push(tables.costs.len());
+                        tables.costs.resize(tables.costs.len() + cc.n_fresh, UNSET);
+                    }
+                    *base = cc.bases[id];
                 }
-                // Under one row a packed class's cost depends on the combo
-                // only through its partial key, so each slot looks the memo
-                // up once, however many combos share it.
-                row_cost.clear();
-                row_cost.resize(part_slots.len(), None);
-                for combo_i in 0..combos.len() {
-                    let vals = &combo_vals[combo_i * n_classes..][..n_classes];
+                for (combo_i, combo) in combos.iter().enumerate() {
                     let mut total = 0.0f64;
-                    let mut ok = true;
-                    for (k, cv) in vals.iter().enumerate() {
-                        match cv {
-                            ComboVal::Cost(c) => total += c,
-                            ComboVal::Infeasible => {
-                                ok = false;
-                                break;
-                            }
-                            ComboVal::PackedPart(part, slot) => {
-                                let cost = *row_cost[*slot as usize].get_or_insert_with(|| {
-                                    let key = part | carried_part[k];
-                                    let ci = cut_classes[k].ci;
-                                    let info = classes[ci].as_ref().expect("class exists");
-                                    match &mut memos[ci] {
-                                        ClassMemo::Packed(m) => *m.entry(key).or_insert_with(|| {
-                                            eval_class(info, &|fi| dec4((key >> (4 * fi)) & 15))
-                                        }),
-                                        ClassMemo::Wide(_) => unreachable!("packed class"),
-                                    }
-                                });
-                                match cost {
-                                    Some(c) => total += c,
-                                    None => {
-                                        ok = false;
-                                        break;
-                                    }
-                                }
-                            }
-                            ComboVal::WidePart(tmpl) => {
-                                let cc = &cut_classes[k];
-                                let mut keyv = tmpl.clone();
-                                for &(fi, p) in &cc.carried_fields {
-                                    keyv[fi] = specs[p];
-                                }
-                                let info = classes[cc.ci].as_ref().expect("class exists");
-                                let cost = match &mut memos[cc.ci] {
-                                    ClassMemo::Wide(m) => *m.entry(keyv.clone()).or_insert_with(
-                                        || eval_class(info, &|fi| TensorSpec::dec(keyv[fi])),
-                                    ),
-                                    ClassMemo::Packed(_) => unreachable!("wide class"),
-                                };
-                                match cost {
-                                    Some(c) => total += c,
-                                    None => {
-                                        ok = false;
-                                        break;
-                                    }
-                                }
-                            }
+                    for (k, cc) in cut_classes.iter().enumerate() {
+                        let id = tables.fresh_ids[k * n_combos + combo_i];
+                        let cost = &mut tables.costs[row_base[k] + id as usize];
+                        if cost.is_nan() {
+                            *cost = eval(cc, combo, specs);
+                        }
+                        total += *cost;
+                        // An infeasible class ends the combo: `offer`'s
+                        // strict `<` never admits an infinite total.
+                        if *cost == f64::INFINITY {
+                            break;
                         }
                     }
-                    if ok {
-                        let cell = row * n_assign + tables.combo_assign[combo_i];
-                        tables.offer(cell, total, combo_i as u32);
-                    }
+                    let cell = row * n_assign + tables.combo_assign[combo_i] as usize;
+                    tables.offer(cell, total, combo_i as u32);
                 }
             }
 
@@ -1179,6 +1132,7 @@ pub fn search(
 
     if let Some(c) = obs {
         c.add_total("dp/prune_beam", pruned_beam as f64);
+        c.add_total("dp/class_evals", class_evals as f64);
     }
 
     // Final state: minimum cost, last-minimum in key order (matches the
@@ -1258,9 +1212,9 @@ fn assignments_exceed(
     product > bound
 }
 
-/// Enumerates assignments over the given bundles; falls back to the default
-/// assignment and its single-coordinate variations when the product exceeds
-/// the bound.
+/// Enumerates assignments over the given bundles, at most `bound` of them;
+/// falls back to the default assignment and its single-coordinate
+/// variations when the product exceeds the bound.
 fn enumerate_assignments(
     bundles_to_assign: &[usize],
     legal: &[Vec<TensorSpec>],
@@ -1288,18 +1242,15 @@ fn enumerate_assignments(
         // degenerate graphs.
         let default: Vec<(usize, TensorSpec)> =
             bundles_to_assign.iter().map(|&b| (b, legal[b][0])).collect();
-        let mut out = vec![default.clone()];
-        for (i, &b) in bundles_to_assign.iter().enumerate() {
-            for &s in legal[b].iter().skip(1) {
-                let mut v = default.clone();
-                v[i] = (b, s);
-                out.push(v);
-                if out.len() >= bound {
-                    return out;
-                }
-            }
-        }
-        out
+        let variations = bundles_to_assign.iter().enumerate().flat_map(|(i, &b)| {
+            legal[b].iter().skip(1).map(move |&s| (i, (b, s)))
+        });
+        let varied = variations.map(|(i, bs)| {
+            let mut v = default.clone();
+            v[i] = bs;
+            v
+        });
+        std::iter::once(default.clone()).chain(varied).take(bound).collect()
     }
 }
 
@@ -1479,6 +1430,31 @@ mod tests {
         for engine in [search as StepFn, unoptimized_search] {
             let err = step(engine, &g, 1, &PartitionOptions::default()).unwrap_err();
             assert!(matches!(err, CoreError::BadWorkerCount(1)));
+        }
+    }
+
+    #[test]
+    fn bounded_enumeration_returns_at_most_the_bound() {
+        let legal: Vec<Vec<TensorSpec>> = [1usize, 3, 2, 4, 3]
+            .iter()
+            .map(|&n| {
+                let mut specs: Vec<TensorSpec> = (0..n - 1).map(TensorSpec::Split).collect();
+                specs.push(TensorSpec::Replicated);
+                specs
+            })
+            .collect();
+        let all: Vec<usize> = (0..legal.len()).collect();
+        for bound in 1..=5 {
+            for bundles in [&all[..], &all[1..3], &all[3..]] {
+                let combos = enumerate_assignments(bundles, &legal, bound);
+                assert!(!combos.is_empty() && combos.len() <= bound, "bound {bound}");
+            }
+        }
+        let (g, _) = matmul_chain(4, &[4, 4]);
+        let opts = PartitionOptions { internal_bound: 0, ..PartitionOptions::default() };
+        for engine in [search as StepFn, unoptimized_search] {
+            let err = step(engine, &g, 2, &opts).unwrap_err();
+            assert!(matches!(err, CoreError::SearchSpaceExceeded { bound: 0, .. }), "{err}");
         }
     }
 

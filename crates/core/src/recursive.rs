@@ -53,7 +53,8 @@ pub struct PartitionOptions {
     /// introduces. When their cartesian product exceeds it, only the default
     /// assignment and its single-coordinate variations are tried, so the
     /// search is no longer exhaustive; each cut where that happens adds one
-    /// to the `dp/assignments_bounded` total.
+    /// to the `dp/assignments_bounded` total. A bound of 0 enumerates
+    /// nothing and fails with [`CoreError::SearchSpaceExceeded`].
     pub internal_bound: usize,
     /// Beam width: at most this many DP states are kept per cut (the
     /// cheapest by `(cost, key)`). Truncation is lossy — the plan is proven

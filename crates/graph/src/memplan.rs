@@ -94,7 +94,7 @@ impl SlotAction {
 /// "leverage the existing memory planner" contract made explicit).
 #[derive(Debug, Clone)]
 pub struct BufferPlan {
-    /// The summary numbers (what [`plan_memory`] returns for a whole graph).
+    /// The summary numbers.
     pub mem: MemPlan,
     /// Final byte size of every physical buffer slot.
     pub slot_bytes: Vec<u64>,
@@ -114,12 +114,6 @@ pub struct BufferPlan {
 /// element-wise math, gradient aggregation and optimizer updates.
 fn is_inplace_capable(g: &Graph, id: NodeId) -> bool {
     crate::registry::lookup(&g.node(id).op).is_ok_and(|def| def.category.is_elementwise())
-}
-
-/// Plans memory for the whole graph in insertion order.
-pub fn plan_memory(g: &Graph, reuse: bool) -> MemPlan {
-    let schedule: Vec<NodeId> = g.node_ids().collect();
-    plan_buffers(g, &schedule, reuse).mem
 }
 
 /// Plans memory for a sub-schedule (e.g. one worker's nodes of a partitioned
@@ -297,6 +291,11 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use tofu_tensor::Shape;
 
+    /// The summary numbers of the whole graph planned in insertion order.
+    fn plan_whole(g: &Graph, reuse: bool) -> MemPlan {
+        plan_buffers(g, &g.node_ids().collect::<Vec<_>>(), reuse).mem
+    }
+
     /// A chain of n element-wise ops over a 1 KiB tensor.
     fn chain(n: usize) -> Graph {
         let mut g = Graph::new();
@@ -312,7 +311,7 @@ mod tests {
         // Element-wise chains execute in place (as MXNet marks them): after
         // the first allocation every step reuses the same buffer.
         let g = chain(10);
-        let plan = plan_memory(&g, true);
+        let plan = plan_whole(&g, true);
         assert_eq!(plan.buffers_allocated, 1, "allocated {}", plan.buffers_allocated);
         assert_eq!(plan.peak_transient_bytes, 1024);
         assert_eq!(plan.persistent_bytes, 1024);
@@ -321,11 +320,11 @@ mod tests {
     #[test]
     fn no_reuse_allocates_per_node() {
         let g = chain(10);
-        let plan = plan_memory(&g, false);
+        let plan = plan_whole(&g, false);
         assert_eq!(plan.buffers_allocated, 10);
         // Without reuse every transient stays live: 10 x 1 KiB.
         assert_eq!(plan.peak_transient_bytes, 10 * 1024);
-        let with_reuse = plan_memory(&g, true);
+        let with_reuse = plan_whole(&g, true);
         assert!(plan.peak_transient_bytes > with_reuse.peak_transient_bytes);
     }
 
@@ -337,7 +336,7 @@ mod tests {
         let a = g.add_op("relu", "a", &[x], Attrs::new()).unwrap();
         let b = g.add_op("tanh", "b", &[x], Attrs::new()).unwrap();
         let _c = g.add_op("add", "c", &[a, b], Attrs::new()).unwrap();
-        let plan = plan_memory(&g, true);
+        let plan = plan_whole(&g, true);
         // a and b live at once; the add runs in place on a's buffer.
         assert_eq!(plan.peak_transient_bytes, 2 * 1024);
     }
@@ -348,7 +347,7 @@ mod tests {
         let x = g.add_input("x", Shape::new(vec![4, 8]));
         let w = g.add_weight("w", Shape::new(vec![8, 2]));
         let _y = g.add_op("matmul", "mm", &[x, w], Attrs::new()).unwrap();
-        let plan = plan_memory(&g, true);
+        let plan = plan_whole(&g, true);
         assert_eq!(plan.persistent_bytes, (4 * 8 + 8 * 2) * 4);
         assert_eq!(plan.peak_transient_bytes, 4 * 2 * 4);
     }
@@ -356,7 +355,7 @@ mod tests {
     #[test]
     fn total_adds_up() {
         let g = chain(3);
-        let p = plan_memory(&g, true);
+        let p = plan_whole(&g, true);
         assert_eq!(p.total_bytes(), p.peak_transient_bytes + p.persistent_bytes);
     }
 
@@ -365,7 +364,6 @@ mod tests {
         let g = chain(6);
         let schedule: Vec<NodeId> = g.node_ids().collect();
         let bp = plan_buffers(&g, &schedule, true);
-        assert_eq!(bp.mem, plan_memory(&g, true));
         assert_eq!(bp.actions.len(), schedule.len());
         assert_eq!(bp.slot_bytes.len(), bp.mem.buffers_allocated);
         // Replay the actions against a byte counter: the high-water mark must

@@ -1,5 +1,5 @@
-//! Golden plan hashes at *default* options, where the beam binds (WResNet)
-//! or bounded enumeration fires (WResNet, LSTM), on the bench models the
+//! Golden plan hashes at *default* options, where the beam binds (WResNet,
+//! LSTM) or bounded enumeration fires (WResNet, LSTM), on the bench models the
 //! fuzz-sized differential suites do not reach. Each value is `fnv1a64` of
 //! the canonical plan JSON, recorded before the DP transition was factored
 //! (PR 19). The hashes pin tie-breaking for *both* engines: `partition`
@@ -87,5 +87,13 @@ fn lstm_plan_is_byte_identical_to_the_recorded_one() {
     .unwrap();
     for engine in [OPTIMIZED, REFERENCE] {
         assert_plan(&model.graph, engine, 2, 0x9bece6ea77b4cf5d, 97_177);
+    }
+    // The LSTM's merged timestep classes touch the most bundles of any
+    // bench model; these two widths were recorded before the optimized
+    // engine's class costs moved into one table per cut.
+    for (workers, hash, bytes) in
+        [(4, 0xe9213c345746135e, 190_238), (8, 0xb45c1ee608b58930, 283_279)]
+    {
+        assert_plan(&model.graph, OPTIMIZED, workers, hash, bytes);
     }
 }
