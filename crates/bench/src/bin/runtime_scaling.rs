@@ -1,7 +1,7 @@
 //! Runtime scaling ledger: what `tofu-runtime` moves at 1/2/4/8 workers for
 //! an MLP and a small WResNet — sharded nodes, messages, bytes on the links,
-//! the remote reads those messages serve, bytes the transport copied —
-//! written to `BENCH_runtime.json`.
+//! the remote reads those messages serve, bytes the transport copied, the
+//! largest worker's peak memory — written to `BENCH_runtime.json`.
 //!
 //! Every row is three steps of one sharded graph at [`IntegrityLevel::Fast`],
 //! the production configuration the zero-copy transport optimizes (the fault
@@ -15,8 +15,11 @@
 //! The run exits non-zero if the transport copied any payload byte (the
 //! zero-copy data plane must stay zero-copy), if the links did not carry
 //! exactly `comm_edges()` — one message per transfer, and no two transfers
-//! moving the same block to the same device — if the second or third step
-//! planned anything, or if a step's values differ from the first's.
+//! moving the same block to the same device — if the simulator predicts
+//! other link bytes than the links carried, if a worker's peak memory
+//! differs from `per_device_memory`'s (buffer reuse on, no optimizer copies:
+//! what the runtime allocates), if the second or third step planned
+//! anything, or if a step's values differ from the first's.
 
 use tofu_bench::{
     bench_report, bit_identical, feeds, scatter_feeds, transfers, write_report, Json,
@@ -26,6 +29,7 @@ use tofu_graph::Graph;
 use tofu_models::{mlp, wresnet, MlpConfig, WResNetConfig};
 use tofu_obs::Collector;
 use tofu_runtime::{run_with_options, IntegrityLevel, RunOptions};
+use tofu_sim::{per_device_memory, simulate_with_leaf_devices, Machine};
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
@@ -39,6 +43,8 @@ struct Row {
     /// device read crosses once, so this is at least `messages`.
     remote_reads: u64,
     transport_copy_bytes: u64,
+    /// The largest worker's peak memory (bytes).
+    peak_device_bytes: u64,
     /// Planning spans over three steps of the row's sharded graph.
     plan_spans_3_steps: usize,
     exact: bool,
@@ -77,6 +83,9 @@ fn measure(model: &'static str, g: &Graph, workers: usize) -> Result<Row, String
         messages: out.trace.links.iter().map(|l| l.messages).sum(),
         remote_reads: planned.reads,
         transport_copy_bytes: out.trace.workers.iter().map(|w| w.transport_copy_bytes).sum(),
+        peak_device_bytes: out.trace.workers.iter().map(|w| w.peak_memory_bytes())
+            .max()
+            .unwrap_or(0),
         plan_spans_3_steps: plan_spans(),
         exact: sharded.exact,
     };
@@ -85,6 +94,26 @@ fn measure(model: &'static str, g: &Graph, workers: usize) -> Result<Row, String
             "the links carried {} B in {} messages, but comm_edges() has {} B in {} transfers",
             row.comm_bytes, row.messages, planned.bytes, planned.count
         ));
+    }
+    let (graph, nodes) = (&sharded.graph, &sharded.device_of_node);
+    let machine = Machine::p2_8xlarge();
+    let sim = simulate_with_leaf_devices(graph, nodes, &sharded.device_of_tensor, &machine, false);
+    if sim.comm_bytes != row.comm_bytes as f64 {
+        return Err(format!(
+            "the links carried {} B, but the simulator predicts {} B",
+            row.comm_bytes, sim.comm_bytes
+        ));
+    }
+    let mems = per_device_memory(graph, nodes, workers, true, 0.0);
+    for w in &out.trace.workers {
+        if w.peak_memory_bytes() != mems[w.device].peak_bytes {
+            return Err(format!(
+                "device {} peaked at {} B, but per_device_memory predicts {} B",
+                w.device,
+                w.peak_memory_bytes(),
+                mems[w.device].peak_bytes
+            ));
+        }
     }
     Ok(row)
 }
@@ -109,28 +138,30 @@ fn main() {
     {
         println!("\n{name} — three steps per row");
         println!(
-            "{:<8} {:>12} {:>7} {:>9} {:>7} {:>14} {:>11} {:>6}",
+            "{:<8} {:>12} {:>7} {:>9} {:>7} {:>14} {:>12} {:>11} {:>6}",
             "workers",
             "comm bytes",
             "nodes",
             "messages",
             "reads",
             "copied bytes",
+            "peak bytes",
             "plan spans",
             "exact"
         );
-        println!("{}", "-".repeat(81));
+        println!("{}", "-".repeat(94));
         for workers in WORKERS {
             match measure(name, &model.graph, workers) {
                 Ok(r) => {
                     println!(
-                        "{:<8} {:>12} {:>7} {:>9} {:>7} {:>14} {:>11} {:>6}",
+                        "{:<8} {:>12} {:>7} {:>9} {:>7} {:>14} {:>12} {:>11} {:>6}",
                         r.workers,
                         r.comm_bytes,
                         r.nodes,
                         r.messages,
                         r.remote_reads,
                         r.transport_copy_bytes,
+                        r.peak_device_bytes,
                         r.plan_spans_3_steps,
                         r.exact
                     );
@@ -152,6 +183,7 @@ fn main() {
                 ("messages", Json::from(r.messages)),
                 ("remote_reads", Json::from(r.remote_reads)),
                 ("transport_copy_bytes", Json::from(r.transport_copy_bytes)),
+                ("peak_device_bytes", Json::from(r.peak_device_bytes)),
                 ("plan_spans_3_steps", Json::from(r.plan_spans_3_steps)),
                 ("exact", Json::Bool(r.exact)),
             ])

@@ -33,7 +33,6 @@ fn dump(tag: &str, g: &Graph, workers: usize) -> Result<String, String> {
         &sharded.device_of_node,
         &sharded.device_of_tensor,
         &Machine::p2_8xlarge(),
-        false,
         Some(&obs),
     );
 

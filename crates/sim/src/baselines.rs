@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use tofu_graph::{Graph, NodeId, TensorId, TensorKind};
 
-use crate::event::simulate_with_leaf_devices;
+use crate::event::simulate_traced;
 use crate::machine::Machine;
 use crate::memory::{device_memory, per_device_memory};
 use crate::{Outcome, Perf};
@@ -16,11 +16,10 @@ pub type ModelBuilder<'a> = &'a dyn Fn(usize) -> Option<Graph>;
 
 fn single_device_time(g: &Graph, machine: &Machine) -> f64 {
     let devices = vec![0usize; g.num_nodes()];
-    simulate_with_leaf_devices(g, &devices, &[], machine, true).makespan
+    simulate_traced(g, &devices, &[], machine, None).compute_only_makespan
 }
 
-fn single_device_peak(g: &Graph, machine: &Machine) -> crate::memory::DeviceMemory {
-    let _ = machine;
+fn single_device_peak(g: &Graph) -> crate::memory::DeviceMemory {
     let schedule: Vec<NodeId> = g.node_ids().collect();
     device_memory(g, &schedule, true, 1.0)
 }
@@ -36,7 +35,7 @@ pub fn ideal(build: ModelBuilder<'_>, batch: usize, machine: &Machine) -> Outcom
         iter_seconds: t,
         throughput: machine.gpus as f64 * batch as f64 / t,
         batch,
-        peak_gb: single_device_peak(&g, machine).peak_gb(),
+        peak_gb: single_device_peak(&g).peak_gb(),
         comm_fraction: 0.0,
     })
 }
@@ -51,7 +50,7 @@ pub fn small_batch(
     let mut worst_peak = 0.0f64;
     for &batch in candidates {
         let Some(g) = build(batch) else { continue };
-        let mem = single_device_peak(&g, machine);
+        let mem = single_device_peak(&g);
         worst_peak = worst_peak.max(mem.peak_gb());
         if mem.fits(machine) {
             let t = single_device_time(&g, machine);
@@ -73,7 +72,7 @@ pub fn small_batch(
 /// Policy per §7.1: least-recently-used eviction with prefetching, read-only
 /// tensors are copied to the CPU once and dropped for free thereafter, and
 /// buffers about to be used are not evicted.
-pub fn lru_swap_traffic(g: &Graph, capacity: u64) -> u64 {
+pub(crate) fn lru_swap_traffic(g: &Graph, capacity: u64) -> u64 {
     #[derive(Clone)]
     struct Buf {
         bytes: u64,
@@ -85,14 +84,11 @@ pub fn lru_swap_traffic(g: &Graph, capacity: u64) -> u64 {
     let mut clock: u64 = 0;
     let mut traffic_in = 0u64;
     let mut traffic_out = 0u64;
-    let mut counting = false;
 
     // Two passes: the first warms the cache (weights land resident), the
     // second measures the steady state.
     for pass in 0..2 {
-        if pass == 1 {
-            counting = true;
-        }
+        let counting = pass == 1;
         for id in g.node_ids() {
             let node = g.node(id);
             clock += 1;
@@ -199,9 +195,8 @@ pub fn swap(
 
 /// Device assignment for **Operator Placement** (§7.1): layers round-robin
 /// over the GPUs; untagged nodes follow their first producer.
-pub fn placement_devices(g: &Graph, gpus: usize) -> Vec<usize> {
+pub(crate) fn placement_devices(g: &Graph, gpus: usize) -> Vec<usize> {
     let mut devices = vec![0usize; g.num_nodes()];
-    let mut tensor_device: Vec<usize> = vec![0; g.num_tensors()];
     for id in g.node_ids() {
         let node = g.node(id);
         let dev = match node.tags.layer {
@@ -214,7 +209,6 @@ pub fn placement_devices(g: &Graph, gpus: usize) -> Vec<usize> {
                 .unwrap_or(0),
         };
         devices[id.0] = dev;
-        tensor_device[node.output.0] = dev;
     }
     devices
 }
@@ -231,9 +225,8 @@ pub fn op_placement(
     in_place_aggregation: bool,
 ) -> Outcome {
     let devices = placement_devices(g, machine.gpus);
-    let sim = simulate_with_leaf_devices(g, &devices, &[], machine, false);
-    let free = simulate_with_leaf_devices(g, &devices, &[], machine, true);
-    let mems = per_device_memory(&g.clone(), &devices, machine.gpus, true, 1.0);
+    let sim = simulate_traced(g, &devices, &[], machine, None);
+    let mems = per_device_memory(g, &devices, machine.gpus, true, 1.0);
     let mut peak = mems.iter().map(|m| m.peak_bytes).max().unwrap_or(0) as f64;
     let mut iter = sim.makespan;
     if !in_place_aggregation {
@@ -263,7 +256,7 @@ pub fn op_placement(
         throughput: batch as f64 / iter,
         batch,
         peak_gb: peak / 1e9,
-        comm_fraction: sim.comm_overhead_fraction(free.makespan),
+        comm_fraction: sim.comm_overhead_fraction(),
     })
 }
 

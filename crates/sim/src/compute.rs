@@ -14,19 +14,19 @@ use tofu_tensor::Shape;
 use crate::machine::Machine;
 
 /// Utilization of a matmul-family kernel given its `M, N, K` extents.
-pub fn matmul_utilization(m: usize, n: usize, k: usize) -> f64 {
+pub(crate) fn matmul_utilization(m: usize, n: usize, k: usize) -> f64 {
     let smallest = m.min(n).min(k) as f64;
     (smallest / 512.0).sqrt().clamp(0.03, 1.0)
 }
 
 /// Utilization of a convolution kernel given its output parallelism.
-pub fn conv_utilization(batch: usize, spatial: usize) -> f64 {
+pub(crate) fn conv_utilization(batch: usize, spatial: usize) -> f64 {
     let work = (batch * spatial) as f64;
     (work / 2048.0).sqrt().clamp(0.25, 1.0)
 }
 
 /// Estimated execution time of one node, in seconds.
-pub fn node_seconds(g: &Graph, node: NodeId, machine: &Machine) -> f64 {
+pub(crate) fn node_seconds(g: &Graph, node: NodeId, machine: &Machine) -> f64 {
     let n = g.node(node);
     let def = match lookup(&n.op) {
         Ok(d) => d,

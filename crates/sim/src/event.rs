@@ -7,6 +7,14 @@
 //! come from the piece descriptor, so halo exchanges cost only their
 //! overlap — and any other remote input reads the whole tensor.
 //!
+//! One walk in id order keeps two clocks over the same schedule: the linked
+//! clock charges every transfer its link time, and the free clock lets every
+//! transfer arrive the moment its source is ready — the run Fig. 10 measures
+//! computation against. The two share the transfers, the bytes and each
+//! node's duration; only a transfer's arrival differs. The free clock never
+//! reads link state, so each of its times is the same chain of `max` and `+`
+//! over the same operands that a walk with free transfers alone computes.
+//!
 //! Each block crosses to a device once ([`TransferIndex`]): the first read
 //! occupies the link and counts the bytes, and every later read of the same
 //! block on that device waits for the recorded arrival, with no link time
@@ -14,7 +22,8 @@
 //! id order and every start time is a max over arrivals and link-free
 //! times; by induction over that order, dropping a repeated transfer frees
 //! its link earlier and delays nothing, and the repeat's arrival was at
-//! least the first copy's arrival plus its own duration.
+//! least the first copy's arrival plus its own duration. The same induction
+//! puts the linked clock at or after the free clock at every node.
 
 use std::collections::BTreeMap;
 
@@ -29,6 +38,8 @@ use crate::machine::Machine;
 pub struct SimResult {
     /// End-to-end iteration time (seconds).
     pub makespan: f64,
+    /// Iteration time with every transfer free (Fig. 10's compute bar).
+    pub compute_only_makespan: f64,
     /// Total busy compute time per device.
     pub compute_busy: Vec<f64>,
     /// Total bytes moved between devices.
@@ -39,19 +50,34 @@ pub struct SimResult {
 
 impl SimResult {
     /// The fraction of the makespan attributable to communication, measured
-    /// the way Fig. 10 does: against a hypothetical run with free transfers.
-    pub fn comm_overhead_fraction(&self, compute_only_makespan: f64) -> f64 {
+    /// the way Fig. 10 does: against the same step with free transfers.
+    pub fn comm_overhead_fraction(&self) -> f64 {
         if self.makespan <= 0.0 {
             return 0.0;
         }
-        ((self.makespan - compute_only_makespan) / self.makespan).max(0.0)
+        ((self.makespan - self.compute_only_makespan) / self.makespan).max(0.0)
+    }
+}
+
+/// A time on both clocks: with link time charged, and with free transfers.
+#[derive(Debug, Clone, Copy, Default)]
+struct Times {
+    linked: f64,
+    free: f64,
+}
+
+impl Times {
+    fn max(self, other: Times) -> Times {
+        Times { linked: self.linked.max(other.linked), free: self.free.max(other.free) }
     }
 }
 
 /// Simulates one iteration of `g` with node `i` on device `devices[i]`.
 ///
-/// `free_transfers` zeroes all communication cost — the methodology Fig. 10
-/// uses to separate computation from communication overhead.
+/// `free_transfers` reports the free clock as `makespan` (and no link time)
+/// — the methodology Fig. 10 uses to separate computation from
+/// communication overhead. Either way the result carries both clocks; the
+/// flag remains for callers that read the compute-only time as `makespan`.
 ///
 /// `leaf_devices` is indexed by `TensorId`; a `Some(d)` entry pins that leaf
 /// to device `d` at time zero, overriding the first-consumer heuristic (which
@@ -67,37 +93,41 @@ pub fn simulate_with_leaf_devices(
     machine: &Machine,
     free_transfers: bool,
 ) -> SimResult {
-    simulate_traced(g, devices, leaf_devices, machine, free_transfers, None)
+    let r = simulate_traced(g, devices, leaf_devices, machine, None);
+    if free_transfers {
+        return SimResult { makespan: r.compute_only_makespan, comm_seconds: 0.0, ..r };
+    }
+    r
 }
 
 /// [`simulate_with_leaf_devices`] that additionally emits the predicted
 /// timeline into `obs`: per-node spans on `Track::sim(device)` (named by node
 /// name, mirroring what the runtime records on `Track::runtime(device)` so
 /// the two overlay in one trace), per-transfer spans on the sender's
-/// `Track::sim_link` lane, and cumulative `link s->d bytes` counters.
-/// Simulated seconds map to trace microseconds (1 s = 1e6 µs).
+/// `Track::sim_link` lane, and cumulative `link s->d bytes` counters. The
+/// spans are the linked clock's. Simulated seconds map to trace
+/// microseconds (1 s = 1e6 µs).
 pub fn simulate_traced(
     g: &Graph,
     devices: &[usize],
     leaf_devices: &[Option<usize>],
     machine: &Machine,
-    free_transfers: bool,
     obs: Option<&Collector>,
 ) -> SimResult {
-    let n = g.num_nodes();
     // Cumulative bytes per directed link, sampled into counters.
     let mut link_sent: BTreeMap<(usize, usize), f64> = BTreeMap::new();
-    let mut finish: Vec<f64> = vec![0.0; n];
-    let mut device_avail: Vec<f64> = vec![0.0; machine.gpus.max(1)];
+    let mut finish: Vec<Times> = vec![Times::default(); g.num_nodes()];
+    let mut device_avail: Vec<Times> = vec![Times::default(); machine.gpus.max(1)];
     let mut link_avail: BTreeMap<(usize, usize), f64> = BTreeMap::new();
     // Producer device and availability time per tensor.
-    let mut tensor_ready: Vec<(usize, f64)> = vec![(usize::MAX, 0.0); g.num_tensors()];
+    let mut tensor_ready: Vec<(usize, Times)> =
+        vec![(usize::MAX, Times::default()); g.num_tensors()];
     let mut comm_bytes = 0.0f64;
     let mut comm_seconds = 0.0f64;
     let mut compute_busy = vec![0.0f64; machine.gpus.max(1)];
     // Every transfer so far, and the time each one arrived.
     let mut transfers = TransferIndex::default();
-    let mut arrival: Vec<f64> = Vec::new();
+    let mut arrival: Vec<Times> = Vec::new();
 
     // Leaf tensors (inputs/weights) are resident on their consumer's device
     // from time zero; in partitioned graphs each worker owns its shard, so a
@@ -108,7 +138,7 @@ pub fn simulate_traced(
         for &t in &node.inputs {
             if g.producer(t).is_none() && tensor_ready[t.0].0 == usize::MAX {
                 let home = leaf_devices.get(t.0).copied().flatten().unwrap_or(dev);
-                tensor_ready[t.0] = (home, 0.0);
+                tensor_ready[t.0] = (home, Times::default());
             }
         }
     }
@@ -140,26 +170,20 @@ pub fn simulate_traced(
             let bytes = piece.map_or_else(|| g.tensor(t).shape.bytes(), |p| p.bytes()) as f64;
             comm_bytes += bytes;
             let mut arrive = avail;
-            if !free_transfers && bytes > 0.0 {
+            if bytes > 0.0 {
                 let key = (src.min(dev), src.max(dev));
-                let bw = machine.link_bw(src, dev);
-                let start = avail.max(*link_avail.get(&key).unwrap_or(&0.0));
-                let dur = bytes / bw;
-                link_avail.insert(key, start + dur);
+                let start = avail.linked.max(*link_avail.get(&key).unwrap_or(&0.0));
+                let dur = bytes / machine.link_bw(src, dev);
+                arrive.linked = start + dur;
+                link_avail.insert(key, arrive.linked);
                 comm_seconds += dur;
-                arrive = start + dur;
                 if let Some(c) = obs {
                     let total = link_sent.entry((src, dev)).or_insert(0.0);
                     *total += bytes;
-                    let lane = Track::sim_link(src);
-                    c.complete(
-                        lane,
-                        "comm",
-                        &format!("xfer {}", g.tensor(t).name),
-                        start * 1e6,
-                        arrive * 1e6,
-                    );
-                    c.counter(lane, &format!("link {src}->{dev} bytes"), arrive * 1e6, *total);
+                    let (lane, end) = (Track::sim_link(src), arrive.linked * 1e6);
+                    let name = format!("xfer {}", g.tensor(t).name);
+                    c.complete(lane, "comm", &name, start * 1e6, end);
+                    c.counter(lane, &format!("link {src}->{dev} bytes"), end, *total);
                 }
             }
             arrival.push(arrive);
@@ -167,19 +191,21 @@ pub fn simulate_traced(
         }
 
         let dur = node_seconds(g, id, machine);
-        let end = ready + dur;
+        let end = Times { linked: ready.linked + dur, free: ready.free + dur };
         finish[id.0] = end;
         device_avail[dev] = end;
         compute_busy[dev] += dur;
         tensor_ready[node.output.0] = (dev, end);
         if let Some(c) = obs {
             let cat = if node.op == "multi_fetch" { "fetch" } else { "op" };
-            c.complete(Track::sim(dev), cat, &node.name, ready * 1e6, end * 1e6);
+            c.complete(Track::sim(dev), cat, &node.name, ready.linked * 1e6, end.linked * 1e6);
         }
     }
 
+    let last = finish.iter().fold(Times::default(), |a, &b| a.max(b));
     SimResult {
-        makespan: finish.iter().copied().fold(0.0, f64::max),
+        makespan: last.linked,
+        compute_only_makespan: last.free,
         compute_busy,
         comm_bytes,
         comm_seconds,
@@ -189,7 +215,9 @@ pub fn simulate_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tofu_graph::{Attrs, NodeId};
+    use tofu_models::{mlp, MlpConfig};
     use tofu_tensor::Shape;
 
     fn chain_on(devices: Vec<usize>) -> (Graph, Vec<usize>) {
@@ -205,21 +233,28 @@ mod tests {
     fn single_device_serializes() {
         let m = Machine::p2_8xlarge();
         let (g, dev) = chain_on(vec![0, 0, 0]);
-        let r = simulate_with_leaf_devices(&g, &dev, &[], &m, false);
+        let r = simulate_traced(&g, &dev, &[], &m, None);
         assert!((r.makespan - r.compute_busy[0]).abs() < 1e-12);
         assert_eq!(r.comm_bytes, 0.0);
+        assert_eq!(r.compute_only_makespan, r.makespan);
     }
 
     #[test]
     fn cross_device_chain_pays_transfers() {
         let m = Machine::p2_8xlarge();
         let (g, dev) = chain_on(vec![0, 1, 0]);
-        let with = simulate_with_leaf_devices(&g, &dev, &[], &m, false);
-        let free = simulate_with_leaf_devices(&g, &dev, &[], &m, true);
-        assert!(with.makespan > free.makespan);
+        let r = simulate_traced(&g, &dev, &[], &m, None);
+        assert!(r.makespan > r.compute_only_makespan);
         // Two hops of 4 MiB each.
-        assert_eq!(with.comm_bytes, 2.0 * 4.0 * (1 << 20) as f64);
-        assert!(with.comm_overhead_fraction(free.makespan) > 0.0);
+        assert_eq!(r.comm_bytes, 2.0 * 4.0 * (1 << 20) as f64);
+        assert!(r.comm_overhead_fraction() > 0.0);
+        // With free transfers the chain is its three nodes back to back.
+        let secs = |n: usize| node_seconds(&g, NodeId(n), &m);
+        assert_eq!(r.compute_only_makespan, secs(0) + secs(1) + secs(2));
+        // The kept flag reports the free clock as the makespan.
+        let free = simulate_with_leaf_devices(&g, &dev, &[], &m, true);
+        assert_eq!(free.makespan, r.compute_only_makespan);
+        assert_eq!((free.comm_bytes, free.comm_seconds), (r.comm_bytes, 0.0));
     }
 
     #[test]
@@ -280,18 +315,18 @@ mod tests {
         let p = g.add_op("relu", "p", &[x], Attrs::new()).unwrap();
         let _a = g.add_op("tanh", "a", &[p], Attrs::new()).unwrap();
         let _b = g.add_op("sigmoid", "b", &[p], Attrs::new()).unwrap();
-        let once = simulate_with_leaf_devices(&g, &[0, 1, 1], &[], &m, false);
+        let once = simulate_traced(&g, &[0, 1, 1], &[], &m, None);
         assert_eq!(once.comm_bytes, 4.0 * (1 << 20) as f64);
-        let free = simulate_with_leaf_devices(&g, &[0, 1, 1], &[], &m, true);
-        assert_eq!(free.comm_bytes, once.comm_bytes);
         // A third device pays its own transfer.
-        let twice = simulate_with_leaf_devices(&g, &[0, 1, 2], &[], &m, false);
+        let twice = simulate_traced(&g, &[0, 1, 2], &[], &m, None);
         assert_eq!(twice.comm_bytes, 2.0 * once.comm_bytes);
         // The second read adds no link time: the makespan is the producer,
-        // one transfer, then both consumers back to back on device 1.
+        // one transfer, then both consumers back to back on device 1. The
+        // same call's free clock drops only the transfer.
         let secs = |n: usize| node_seconds(&g, NodeId(n), &m);
         let xfer = once.comm_bytes / m.link_bw(0, 1);
         assert_eq!(once.makespan, secs(0) + xfer + secs(1) + secs(2));
+        assert_eq!(once.compute_only_makespan, secs(0) + secs(1) + secs(2));
         assert_eq!(once.comm_seconds, xfer);
     }
 
@@ -313,9 +348,33 @@ mod tests {
         fetch(&mut g, "f0", 0);
         fetch(&mut g, "f1", 0);
         fetch(&mut g, "f2", 16);
-        let r = simulate_with_leaf_devices(&g, &[1, 0, 0, 0], &[], &m, false);
+        let r = simulate_traced(&g, &[1, 0, 0, 0], &[], &m, None);
         assert_eq!(r.comm_bytes, 2.0 * 16.0 * 4.0);
-        let free = simulate_with_leaf_devices(&g, &[1, 0, 0, 0], &[], &m, true);
-        assert_eq!(free.comm_bytes, r.comm_bytes);
+        // The free clock waits for the producer and nothing else.
+        let secs = |n: usize| node_seconds(&g, NodeId(n), &m);
+        assert_eq!(r.compute_only_makespan, secs(0) + secs(1) + secs(2) + secs(3));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Over random device maps of an MLP training step the linked clock
+        /// never undercuts the free one, and with every node on one device,
+        /// where nothing crosses a link, the two clocks agree.
+        #[test]
+        fn the_linked_clock_never_undercuts_the_free_one(
+            devs in 1usize..9,
+            picks in proptest::collection::vec(0usize..8, 64..65),
+        ) {
+            let cfg = MlpConfig { batch: 16, dims: vec![32, 64], classes: 8, with_updates: true };
+            let g = mlp(&cfg).unwrap().graph;
+            let m = Machine::p2_8xlarge();
+            let devices: Vec<usize> =
+                (0..g.num_nodes()).map(|i| picks[i % picks.len()] % devs).collect();
+            let r = simulate_traced(&g, &devices, &[], &m, None);
+            prop_assert!(r.compute_only_makespan <= r.makespan);
+            let one = simulate_traced(&g, &vec![devices[0]; g.num_nodes()], &[], &m, None);
+            prop_assert_eq!(one.compute_only_makespan, one.makespan);
+        }
     }
 }

@@ -9,7 +9,10 @@
 //! - [`compute`]: flop-based kernel times with op-dependent utilization
 //!   curves (matmuls starve at small batches; convolutions do not — the two
 //!   §7.2 effects);
-//! - [`event`]: per-device serial execution with link-serialized transfers;
+//! - [`event`]: per-device serial execution with link-serialized transfers,
+//!   one walk that keeps two clocks — with link time, and with free
+//!   transfers (Fig. 10's compute-only bar) — so a step and its
+//!   compute-only time come from one simulation;
 //! - [`memory`]: per-device peak memory via the static planner plus the
 //!   `3W` optimizer rule;
 //! - [`baselines`]: Ideal, SmallBatch, LRU Swapping (shared host link) and
@@ -27,11 +30,10 @@ pub mod machine;
 pub mod memory;
 pub mod tofu;
 
-pub use baselines::{ideal, lru_swap_traffic, op_placement, small_batch, swap, ModelBuilder};
-pub use compute::node_seconds;
+pub use baselines::{ideal, op_placement, small_batch, swap, ModelBuilder};
 pub use event::{simulate_traced, simulate_with_leaf_devices, SimResult};
 pub use machine::Machine;
-pub use memory::{device_memory, per_device_memory, DeviceMemory};
+pub use memory::{per_device_memory, DeviceMemory};
 pub use tofu::{run_partitioned, PartitionedRun, TofuSimOptions};
 
 /// One training configuration's simulated result.
@@ -54,11 +56,6 @@ impl Outcome {
             Outcome::Ran(p) => Some(p.throughput),
             Outcome::Oom { .. } => None,
         }
-    }
-
-    /// True when the configuration ran.
-    pub fn ran(&self) -> bool {
-        matches!(self, Outcome::Ran(_))
     }
 }
 
@@ -91,8 +88,6 @@ mod tests {
             comm_fraction: 0.1,
         };
         assert_eq!(Outcome::Ran(p).throughput(), Some(64.0));
-        assert!(Outcome::Ran(p).ran());
         assert_eq!(Outcome::Oom { peak_gb: 20.0 }.throughput(), None);
-        assert!(!Outcome::Oom { peak_gb: 20.0 }.ran());
     }
 }

@@ -38,7 +38,7 @@ impl DeviceMemory {
 /// `buffer_reuse` models the §6 control-dependency optimization: with it the
 /// memory planner reuses freed buffers along the worker's serial schedule;
 /// without it every transient allocation is simultaneously live.
-pub fn device_memory(
+pub(crate) fn device_memory(
     g: &Graph,
     schedule: &[NodeId],
     buffer_reuse: bool,
@@ -117,11 +117,7 @@ mod tests {
     fn fits_respects_capacity() {
         let machine = Machine::p2_8xlarge();
         let small = DeviceMemory { peak_bytes: 1 << 30, persistent_bytes: 0, optimizer_bytes: 0 };
-        let big = DeviceMemory {
-            peak_bytes: 20 * (1 << 30),
-            persistent_bytes: 0,
-            optimizer_bytes: 0,
-        };
+        let big = DeviceMemory { peak_bytes: 20 * (1 << 30), ..small };
         assert!(small.fits(&machine));
         assert!(!big.fits(&machine));
     }

@@ -6,7 +6,7 @@ use tofu_core::recursive::PartitionPlan;
 use tofu_core::CoreError;
 use tofu_graph::Graph;
 
-use crate::event::simulate_with_leaf_devices;
+use crate::event::simulate_traced;
 use crate::machine::Machine;
 use crate::memory::per_device_memory;
 use crate::{Outcome, Perf};
@@ -55,19 +55,12 @@ pub fn run_partitioned(
         return Err(CoreError::BadWorkerCount(plan.workers));
     }
     let sharded = generate(g, plan, &GenOptions { control_deps: opts.control_deps })?;
-    let sim = simulate_with_leaf_devices(
+    let sim = simulate_traced(
         &sharded.graph,
         &sharded.device_of_node,
         &sharded.device_of_tensor,
         machine,
-        false,
-    );
-    let free = simulate_with_leaf_devices(
-        &sharded.graph,
-        &sharded.device_of_node,
-        &sharded.device_of_tensor,
-        machine,
-        true,
+        None,
     );
     let mems = per_device_memory(
         &sharded.graph,
@@ -86,12 +79,12 @@ pub fn run_partitioned(
             throughput: batch as f64 / sim.makespan,
             batch,
             peak_gb: peak,
-            comm_fraction: sim.comm_overhead_fraction(free.makespan),
+            comm_fraction: sim.comm_overhead_fraction(),
         })
     };
     Ok(PartitionedRun {
         outcome,
-        compute_only_seconds: free.makespan,
+        compute_only_seconds: sim.compute_only_makespan,
         comm_bytes: sim.comm_bytes,
         per_device_gb,
     })
@@ -143,24 +136,12 @@ mod tests {
         let machine = Machine::p2_8xlarge();
         let g = toy(64, 256);
         let plan = partition(&g, &PartitionOptions { workers: 4, ..Default::default() }).unwrap();
-        let with = run_partitioned(
-            &g,
-            &plan,
-            64,
-            &machine,
-            &TofuSimOptions { control_deps: true },
-        )
-        .unwrap();
-        let without = run_partitioned(
-            &g,
-            &plan,
-            64,
-            &machine,
-            &TofuSimOptions { control_deps: false },
-        )
-        .unwrap();
-        let max_with = with.per_device_gb.iter().copied().fold(0.0, f64::max);
-        let max_without = without.per_device_gb.iter().copied().fold(0.0, f64::max);
+        let max_gb = |control_deps| {
+            let opts = TofuSimOptions { control_deps };
+            let run = run_partitioned(&g, &plan, 64, &machine, &opts).unwrap();
+            run.per_device_gb.iter().copied().fold(0.0, f64::max)
+        };
+        let (max_with, max_without) = (max_gb(true), max_gb(false));
         assert!(max_without >= max_with, "{max_without} < {max_with}");
     }
 

@@ -83,7 +83,6 @@ fn sim_and_runtime_lanes_share_op_names() {
         &sharded.device_of_node,
         &sharded.device_of_tensor,
         &Machine::p2_8xlarge(),
-        false,
         Some(&obs),
     );
     let opts = RunOptions { collector: Some(obs.clone()), ..Default::default() };
