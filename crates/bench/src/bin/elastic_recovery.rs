@@ -3,9 +3,10 @@
 //! run through `run_with_elastic_recovery`, and records the width ladder,
 //! the lost devices and whether the degraded output is exact, into
 //! `BENCH_elastic.json`. The latency breakdown of every shrink — failure
-//! detection, partition replan, checkpoint reshard — is printed, not
-//! recorded: it does not repeat, and neither do the bytes resharded (which
-//! barrier a shrink harvests is a race).
+//! detection, partition replan, checkpoint reshard (the last two read from
+//! the run's trace spans) — is printed, not recorded: it does not repeat,
+//! and neither do the bytes resharded (which barrier a shrink harvests is a
+//! race).
 //!
 //! The bin exits non-zero unless (a) every degraded output is bit-identical
 //! to an undisturbed run at the surviving width resumed from the same
@@ -14,9 +15,12 @@
 
 use std::time::Duration;
 
-use tofu_bench::{bench_report, bit_identical, feeds, undisturbed_values, write_report, Json};
+use tofu_bench::{
+    bench_report, bit_identical, feeds, span_durations, undisturbed_values, write_report, Json,
+};
 use tofu_core::{PartitionOptions, SearchCaches};
 use tofu_models::{mlp, MlpConfig};
+use tofu_obs::{Collector, Track};
 use tofu_runtime::{
     run_with_elastic_recovery, CheckpointPolicy, Fault, FaultPlan, RecoveryOptions, RunOptions,
 };
@@ -44,7 +48,7 @@ fn main() {
     let full_feeds = feeds(g);
     let part = PartitionOptions { workers, ..Default::default() };
     let every = (g.num_nodes() / 6).max(1);
-    let recovery = RecoveryOptions { max_attempts: 1, backoff: Duration::ZERO, elastic: true };
+    let recovery = RecoveryOptions { max_attempts: 1, backoff: Duration::ZERO };
     // One warm cache across all rows, like a long-lived trainer would hold:
     // the first row's shrink searches cold, every later replan of the same
     // width is a cache lookup.
@@ -65,10 +69,12 @@ fn main() {
             for (i, &w) in kills.iter().enumerate() {
                 faults = faults.with_permanent(Fault::Kill { worker: w, pos: base + 7 * i });
             }
+            let collector = Collector::new();
             let opts = RunOptions {
                 faults,
                 checkpoint: Some(CheckpointPolicy::every_original(every)),
                 recv_timeout: Duration::from_secs(5),
+                collector: Some(collector.clone()),
                 ..Default::default()
             };
             let report = run_with_elastic_recovery(g, &full_feeds, &part, &opts, &recovery, &mut caches)
@@ -82,20 +88,12 @@ fn main() {
                 .filter_map(|a| a.detection)
                 .max()
                 .unwrap_or(Duration::ZERO);
-            let mut replan = Duration::ZERO;
-            let mut reshard = Duration::ZERO;
-            for a in &report.history {
-                // Only shrink attempts count as replans; the full-width
-                // partition exists with or without elasticity.
-                if a.width < workers {
-                    if let Some(d) = a.replan {
-                        replan += d;
-                    }
-                }
-                if let Some(d) = a.reshard {
-                    reshard += d;
-                }
-            }
+            // Only shrinks count as replans; the first, full-width partition
+            // exists with or without elasticity.
+            let replans = span_durations(&collector, Track::search(), "elastic replan");
+            let replan: Duration = replans.iter().skip(1).sum();
+            let reshard: Duration =
+                span_durations(&collector, Track::control(), "reshard checkpoint").iter().sum();
             let mut lost = report.lost.clone();
             lost.sort_unstable();
             let row = Row {

@@ -142,7 +142,7 @@ fn main() {
             &sharded,
             &shard_feeds,
             &opts,
-            &RecoveryOptions { max_attempts: 3, backoff: Duration::from_millis(1), ..Default::default() },
+            &RecoveryOptions { max_attempts: 3, backoff: Duration::from_millis(1) },
         );
         let (recovered_exact, attempts) = match &report {
             Ok(r) => (bit_identical(&r.output.values, &baseline.values), r.attempts),

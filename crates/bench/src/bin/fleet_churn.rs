@@ -3,10 +3,11 @@
 //! the width ladder, the lost / joined / spare devices and every fleet
 //! transition (kind, device, widths, whether its replan was a cache hit)
 //! into `BENCH_churn.json`. The recovery-latency breakdown — failure
-//! detection, partition replan, snapshot reshard, first attempt at the new
-//! width — is printed, not recorded: it does not repeat, and neither does
-//! the barrier a transition harvests (`at_ckpt`, and with it the bytes
-//! resharded), which is a race between the workers.
+//! detection, then from the run's trace spans the partition replan, snapshot
+//! reshard and first attempt at the new width — is printed, not recorded:
+//! it does not repeat, and neither does the barrier a transition harvests
+//! (`at_ckpt`, and with it the bytes resharded), which is a race between
+//! the workers.
 //!
 //! Every scenario runs twice: a **cold** pass against a fresh `SearchCaches`
 //! (replans pay the full search) and a **warm** pass reusing the cold pass's
@@ -25,10 +26,13 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use tofu_bench::{bench_report, bit_identical, feeds, undisturbed_values, write_report, Json};
+use tofu_bench::{
+    bench_report, bit_identical, feeds, span_durations, undisturbed_values, write_report, Json,
+};
 use tofu_core::{PartitionOptions, SearchCaches};
 use tofu_graph::{Graph, TensorId};
 use tofu_models::{mlp, wresnet, MlpConfig, WResNetConfig};
+use tofu_obs::{Collector, Track};
 use tofu_runtime::{
     run_with_elastic_recovery, CheckpointPolicy, ChurnPlan, RecoveryOptions, RecoveryReport,
     RunOptions, TransitionKind,
@@ -75,21 +79,25 @@ fn kind_str(k: TransitionKind) -> &'static str {
     }
 }
 
+/// One churned run and the collector that traced it.
 fn run_pass(
     s: &Scenario,
     full_feeds: &[(TensorId, Tensor)],
     caches: &mut SearchCaches,
-) -> RecoveryReport {
+) -> (RecoveryReport, Collector) {
     let part = PartitionOptions { workers: 8, ..Default::default() };
+    let collector = Collector::new();
     let opts = RunOptions {
         churn: s.churn.clone(),
         checkpoint: Some(CheckpointPolicy::every_original(s.every)),
         recv_timeout: Duration::from_secs(10),
+        collector: Some(collector.clone()),
         ..Default::default()
     };
-    let recovery = RecoveryOptions { max_attempts: 1, backoff: Duration::ZERO, elastic: true };
-    run_with_elastic_recovery(&s.graph, full_feeds, &part, &opts, &recovery, caches)
-        .unwrap_or_else(|e| panic!("{}: churn run failed: {e}", s.name))
+    let recovery = RecoveryOptions { max_attempts: 1, backoff: Duration::ZERO };
+    let report = run_with_elastic_recovery(&s.graph, full_feeds, &part, &opts, &recovery, caches)
+        .unwrap_or_else(|e| panic!("{}: churn run failed: {e}", s.name));
+    (report, collector)
 }
 
 fn main() {
@@ -187,8 +195,8 @@ fn main() {
     for s in &scenarios {
         let full_feeds = feeds(&s.graph);
         let mut caches = SearchCaches::default();
-        let cold = run_pass(s, &full_feeds, &mut caches);
-        let warm = run_pass(s, &full_feeds, &mut caches);
+        let (cold, cold_trace) = run_pass(s, &full_feeds, &mut caches);
+        let (warm, warm_trace) = run_pass(s, &full_feeds, &mut caches);
 
         // The two passes must replay the identical ladder.
         assert_eq!(cold.widths, warm.widths, "{}: passes diverged on widths", s.name);
@@ -227,14 +235,23 @@ fn main() {
 
         grows_total +=
             cold.transitions.iter().filter(|t| t.kind == TransitionKind::Grow).count();
-        for (pass, report) in [("cold", &cold), ("warm", &warm)] {
+        for (pass, report, trace) in [("cold", &cold, &cold_trace), ("warm", &warm, &warm_trace)] {
             let sharded = report.sharded.as_ref().expect("a re-planned run returns its plan");
             let baseline = undisturbed_values(sharded, report.snapshot.as_ref(), &full_feeds);
             let exact = bit_identical(&report.output.values, &baseline);
             all_exact &= exact;
+            // One attempt per width (`max_attempts: 1`), so the i-th replan
+            // span selected the width the i-th attempt ran at.
+            let attempts = span_durations(trace, Track::control(), "attempt");
+            let replans = span_durations(trace, Track::search(), "elastic replan");
+            assert_eq!(attempts.len(), report.history.len(), "{}: attempt spans", s.name);
+            assert_eq!(replans.len(), report.history.len(), "{}: replan spans", s.name);
+            // Every reshard restores a snapshot onto a width a transition
+            // opened.
+            let reshard: Duration =
+                span_durations(trace, Track::control(), "reshard checkpoint").iter().sum();
             let mut detect = Duration::ZERO;
             let mut replan = Duration::ZERO;
-            let mut reshard = Duration::ZERO;
             let mut resume = Duration::ZERO;
             let mut transitions: Vec<Json> = Vec::new();
             for t in &report.transitions {
@@ -242,13 +259,11 @@ fn main() {
                 // opened its width; a shrink's detection is the failed
                 // attempt's before it.
                 if let Some(i) = t.attempt {
-                    let opened = &report.history[i];
                     if t.kind == TransitionKind::Shrink {
                         detect += report.history[i - 1].detection.unwrap_or(Duration::ZERO);
                     }
-                    replan += opened.replan.unwrap_or(Duration::ZERO);
-                    reshard += opened.reshard.unwrap_or(Duration::ZERO);
-                    resume += opened.wall;
+                    replan += replans[i];
+                    resume += attempts[i];
                 }
                 transitions.push(Json::obj(vec![
                     ("kind", Json::from(kind_str(t.kind))),

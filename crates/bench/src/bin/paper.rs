@@ -17,6 +17,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::time::{Duration, Instant};
 
 use tofu_bench::{bench_report, write_report, Json};
 use tofu_core::baselines::{self, Algorithm};
@@ -174,12 +175,16 @@ struct Sim {
     cell: Cell,
     /// `None` when the search failed.
     plan: Option<PartitionPlan>,
+    /// Wall time of the search (printed, never recorded).
+    search: Duration,
     /// GB the simulated iteration moves between GPUs, when it was generated.
     comm_gb: Option<f64>,
 }
 
 fn simulate(g: &Graph, alg: Algorithm, batch: usize, machine: &Machine) -> Sim {
+    let started = Instant::now();
     let plan = baselines::run(g, alg, machine.gpus).map_err(|e| format!("search failed: {e}"));
+    let search = started.elapsed();
     let run = plan.as_ref().map_err(String::clone).and_then(|plan| {
         let run = run_partitioned(g, plan, batch, machine, &TofuSimOptions::default());
         run.map_err(|e| format!("generation failed: {e}"))
@@ -188,7 +193,7 @@ fn simulate(g: &Graph, alg: Algorithm, batch: usize, machine: &Machine) -> Sim {
         Ok(run) => (run.outcome.into(), Some(run.comm_bytes / 1e9)),
         Err(e) => (Cell::Failed(e), None),
     };
-    Sim { cell, plan: plan.ok(), comm_gb }
+    Sim { cell, plan: plan.ok(), search, comm_gb }
 }
 
 /// Every partitioned simulation of the run, each computed once.
@@ -209,9 +214,20 @@ impl Memo {
         self.sims.get(&key)
     }
 
-    fn plan(&mut self, model: Model, alg: Algorithm, batch: usize) -> &PartitionPlan {
+    /// `alg`'s plan for `model` at `batch` and the wall time its search took.
+    fn searched(
+        &mut self,
+        model: Model,
+        alg: Algorithm,
+        batch: usize,
+    ) -> (&PartitionPlan, Duration) {
         let sim = self.sim(model, alg, batch).expect("model builds");
-        sim.plan.as_ref().unwrap_or_else(|| panic!("{} on {model}: {:?}", alg.label(), sim.cell))
+        let plan = sim.plan.as_ref();
+        (plan.unwrap_or_else(|| panic!("{} on {model}: {:?}", alg.label(), sim.cell)), sim.search)
+    }
+
+    fn plan(&mut self, model: Model, alg: Algorithm, batch: usize) -> &PartitionPlan {
+        self.searched(model, alg, batch).0
     }
 }
 
@@ -323,7 +339,7 @@ fn table1(memo: &mut Memo) -> Json {
     for (model, batch) in [(WRESNET_152_10, 8), (Model::Rnn { layers: 10, hidden: 4096 }, 256)] {
         let g = model.graph(batch).expect("model builds");
         let configs = flat::total_configs(&g, &coarsen(&g), &ShapeView::from_graph(&g), 8);
-        let search = memo.plan(model, Algorithm::Tofu, batch).search_time;
+        let (_, search) = memo.searched(model, Algorithm::Tofu, batch);
         println!("  {model:<16} flat DP 10^{configs:.2} configurations; recursion {search:.1?}");
         let row = Json::obj(vec![("batch", batch.into()), ("log10_flat_configs", configs.into())]);
         rows.push((model.to_string(), row));
@@ -547,8 +563,8 @@ fn fig11_claims(deltas: &[f64], batch_split: usize, channel_split: usize) -> Cla
 /// first block are printed; every layer is recorded.
 fn fig11(memo: &mut Memo) -> Json {
     let g = WRESNET_152_10.graph(8).expect("model builds");
-    let plan = memo.plan(WRESNET_152_10, Algorithm::Tofu, 8);
-    println!("\nFig. 11: Tofu's partition of WResNet-152-10 on 8 GPUs ({:.1?})", plan.search_time);
+    let (plan, search) = memo.searched(WRESNET_152_10, Algorithm::Tofu, 8);
+    println!("\nFig. 11: Tofu's partition of WResNet-152-10 on 8 GPUs ({search:.1?})");
     println!("conv layer     weight tiling (ci co kh kw)  data tiling (b c h w)");
     let (mut batch_split, mut channel_split, mut layers) = (0, 0, Vec::new());
     let convs = g.node_ids().map(|id| g.node(id)).filter(|n| n.op == "conv2d");
@@ -624,12 +640,15 @@ fn ablation(memo: &mut Memo) -> Json {
 
     let mut beams = Vec::new();
     for beam in [8, 64, 512] {
-        let plan = if beam == PartitionOptions::default().beam {
-            memo.plan(wres, Algorithm::Tofu, 32).clone()
+        let (plan, search) = if beam == PartitionOptions::default().beam {
+            let (plan, search) = memo.searched(wres, Algorithm::Tofu, 32);
+            (plan.clone(), search)
         } else {
-            partition(&wres_g, &PartitionOptions { beam, ..Default::default() }).expect("plan")
+            let started = Instant::now();
+            let plan = partition(&wres_g, &PartitionOptions { beam, ..Default::default() });
+            (plan.expect("plan"), started.elapsed())
         };
-        let (comm, search) = (gb(&plan), plan.search_time);
+        let comm = gb(&plan);
         println!("  DP beam {beam}, {wres}: comm {comm:.2} GB, search {search:.1?}");
         beams.push(Json::obj(vec![("beam", beam.into()), ("comm_gb", comm.into())]));
     }

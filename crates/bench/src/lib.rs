@@ -17,9 +17,11 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 use tofu_core::ShardedGraph;
 use tofu_graph::{Graph, TensorId, TensorKind, TransferIndex};
+use tofu_obs::{Collector, Phase, Track};
 use tofu_runtime::{resume_from_snapshot, run_with_options, FullSnapshot, RunOptions};
 use tofu_tensor::Tensor;
 
@@ -117,12 +119,28 @@ pub fn undisturbed_values(
     let clean = RunOptions::default();
     match snapshot {
         Some(snap) => {
-            resume_from_snapshot(sharded, &[], &clean, snap).expect("baseline resume").values
+            resume_from_snapshot(sharded, &clean, snap).expect("baseline resume").values
         }
         None => run_with_options(sharded, &scatter_feeds(sharded, full_feeds), &clean)
             .expect("baseline run")
             .values,
     }
+}
+
+/// Lengths of the complete spans on `track` whose name starts with
+/// `prefix`, in record order. The recovery bins print their replan, reshard
+/// and attempt latencies from these: the runtime measures each interval
+/// once, as a span.
+pub fn span_durations(collector: &Collector, track: Track, prefix: &str) -> Vec<Duration> {
+    collector
+        .events()
+        .into_iter()
+        .filter(|e| e.track == track && e.name.starts_with(prefix))
+        .filter_map(|e| match e.phase {
+            Phase::Complete { dur_us } => Some(Duration::from_secs_f64(dur_us / 1e6)),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Builds the standard bench-report envelope every `BENCH_*.json` file uses:

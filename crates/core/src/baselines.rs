@@ -68,7 +68,6 @@ impl Algorithm {
 /// Runs the chosen algorithm, producing a [`PartitionPlan`] usable by the
 /// graph generator and the simulator.
 pub fn run(g: &Graph, algorithm: Algorithm, workers: usize) -> Result<PartitionPlan> {
-    let started = std::time::Instant::now();
     let opts = PartitionOptions { workers, ..Default::default() };
     let dp = |factors: &[usize], opts: &PartitionOptions| {
         partition_with_factors(g, factors, opts, None)
@@ -79,8 +78,8 @@ pub fn run(g: &Graph, algorithm: Algorithm, workers: usize) -> Result<PartitionP
             dp(&factorize(workers)?, &PartitionOptions { allow_reduce: false, ..opts })
         }
         Algorithm::EqualChop => dp(&[workers], &opts),
-        Algorithm::AllRowGreedy => greedy_plan(g, workers, started, |_, _| Some(0)),
-        Algorithm::Spartan => spartan_plan(g, workers, started),
+        Algorithm::AllRowGreedy => greedy_plan(g, workers, |_, _| Some(0)),
+        Algorithm::Spartan => spartan_plan(g, workers),
     }
 }
 
@@ -89,7 +88,6 @@ pub fn run(g: &Graph, algorithm: Algorithm, workers: usize) -> Result<PartitionP
 fn greedy_plan(
     g: &Graph,
     workers: usize,
-    started: std::time::Instant,
     choose_dim: impl Fn(&Graph, TensorId) -> Option<usize>,
 ) -> Result<PartitionPlan> {
     let view = ShapeView::from_graph(g);
@@ -102,15 +100,11 @@ fn greedy_plan(
             .unwrap_or_else(|| legal[0]);
         specs.push(spec);
     }
-    finish_single_step(g, &view, specs, workers, started)
+    finish_single_step(g, &view, specs, workers)
 }
 
 /// Spartan's largest-tensor-first assignment.
-fn spartan_plan(
-    g: &Graph,
-    workers: usize,
-    started: std::time::Instant,
-) -> Result<PartitionPlan> {
+fn spartan_plan(g: &Graph, workers: usize) -> Result<PartitionPlan> {
     let view = ShapeView::from_graph(g);
     // Order tensors by descending size.
     let mut order: Vec<TensorId> = g.tensor_ids().collect();
@@ -151,7 +145,7 @@ fn spartan_plan(
         assigned.insert(t, best.1);
     }
     let specs: Vec<TensorSpec> = g.tensor_ids().map(|t| assigned[&t]).collect();
-    finish_single_step(g, &view, specs, workers, started)
+    finish_single_step(g, &view, specs, workers)
 }
 
 /// Minimum cost (and strategy index) of one node given partial/total specs;
@@ -202,7 +196,6 @@ fn finish_single_step(
     view: &ShapeView,
     specs: Vec<TensorSpec>,
     workers: usize,
-    started: std::time::Instant,
 ) -> Result<PartitionPlan> {
     let spec_map: BTreeMap<TensorId, TensorSpec> =
         g.tensor_ids().map(|t| (t, specs[t.0])).collect();
@@ -239,7 +232,6 @@ fn finish_single_step(
         workers,
         steps: vec![StepRecord { ways: workers, groups_before: 1, plan }],
         tiling,
-        search_time: started.elapsed(),
     })
 }
 

@@ -111,8 +111,6 @@ pub struct PartitionPlan {
     /// Per original tensor: the per-step split dimension (or `None` when the
     /// tensor was replicated at that step).
     pub tiling: Vec<Vec<Option<usize>>>,
-    /// Wall time the search took.
-    pub search_time: std::time::Duration,
 }
 
 impl PartitionPlan {
@@ -284,7 +282,6 @@ fn recurse(
     obs: Option<&Collector>,
     step_fn: StepFn,
 ) -> Result<PartitionPlan> {
-    let started = std::time::Instant::now();
     let cg = &coarsen(g);
     if let Some(c) = obs {
         c.add_total("coarsen/nodes", g.num_nodes() as f64);
@@ -382,7 +379,7 @@ fn recurse(
         groups_before *= ways;
     }
 
-    Ok(PartitionPlan { workers: opts.workers, steps, tiling, search_time: started.elapsed() })
+    Ok(PartitionPlan { workers: opts.workers, steps, tiling })
 }
 
 /// Shape of the per-worker buffer fetched for one input under one strategy,
@@ -528,13 +525,6 @@ mod tests {
         let recursive = partition(&g, &PartitionOptions::default()).unwrap();
         let flat = partition_with_factors(&g, &[8], &PartitionOptions::default(), None).unwrap();
         assert!(recursive.total_comm_bytes() <= flat.total_comm_bytes() * 1.01 + 1024.0);
-    }
-
-    #[test]
-    fn search_time_is_recorded() {
-        let g = mlp(16, &[32, 16]);
-        let plan = partition(&g, &PartitionOptions::default()).unwrap();
-        assert!(plan.search_time.as_nanos() > 0);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
-use std::time::{Duration, Instant};
 
 use tofu_tensor::Tensor;
 
@@ -174,8 +173,6 @@ pub struct Recovery {
     /// Newer candidates that were skipped, newest first, each with a typed
     /// reason.
     pub rejected: Vec<RejectedCheckpoint>,
-    /// Wall time spent listing and validating.
-    pub wall: Duration,
 }
 
 fn validate_candidate(
@@ -243,7 +240,6 @@ pub fn recover_latest(
     store: &dyn BlobStore,
     expected_every: Option<u64>,
 ) -> io::Result<Recovery> {
-    let start = Instant::now();
     let mut ids: Vec<u64> =
         store.list()?.iter().filter_map(|n| parse_manifest_name(n)).collect();
     ids.sort_unstable();
@@ -258,7 +254,7 @@ pub fn recover_latest(
             Err(reason) => rejected.push(RejectedCheckpoint { ckpt, reason }),
         }
     }
-    Ok(Recovery { snapshot, rejected, wall: start.elapsed() })
+    Ok(Recovery { snapshot, rejected })
 }
 
 /// Delete all but the newest `retain` committed checkpoints, plus any

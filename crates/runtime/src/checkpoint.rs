@@ -78,7 +78,9 @@ impl CheckpointPolicy {
 }
 
 /// Retry policy of [`run_with_recovery`](crate::run_with_recovery) and
-/// [`run_with_elastic_recovery`](crate::run_with_elastic_recovery).
+/// [`run_with_elastic_recovery`](crate::run_with_elastic_recovery). The
+/// elastic one also shrinks past a width whose attempts are exhausted,
+/// where the plain one returns the failure.
 #[derive(Debug, Clone, Copy)]
 pub struct RecoveryOptions {
     /// Total attempts per worker count (first run included). At least 1.
@@ -87,20 +89,11 @@ pub struct RecoveryOptions {
     /// decorrelated-jitter schedule seeded with 0 and capped at 1 s, so
     /// fault-suite timing replays run to run.
     pub backoff: Duration,
-    /// When set, exhausting `max_attempts` shrinks the worker set past the
-    /// blamed device instead of giving up — down to one worker — and
-    /// scripted rejoins grow it back (elastic recovery). Every width change
-    /// re-plans the original graph, so
-    /// [`run_with_recovery`](crate::run_with_recovery) — which is handed one
-    /// fixed `ShardedGraph` — rejects `true` with
-    /// [`RuntimeError::InvalidOptions`](crate::RuntimeError) pointing at
-    /// [`run_with_elastic_recovery`](crate::run_with_elastic_recovery).
-    pub elastic: bool,
 }
 
 impl Default for RecoveryOptions {
     fn default() -> Self {
-        RecoveryOptions { max_attempts: 3, backoff: Duration::from_millis(10), elastic: false }
+        RecoveryOptions { max_attempts: 3, backoff: Duration::from_millis(10) }
     }
 }
 

@@ -45,7 +45,6 @@ use tofu_graph::{Graph, TensorId};
 use tofu_obs::{Collector, Track};
 use tofu_tensor::Tensor;
 
-use crate::checkpoint::RecoveryOptions;
 use crate::error::RuntimeError;
 use crate::reshard::{assemble_snapshot, FullSnapshot};
 use crate::supervisor::{supervise, PlanSource, RecoveryReport, SINGLE_ATTEMPT};
@@ -106,13 +105,6 @@ impl std::fmt::Debug for DurableOptions {
     }
 }
 
-/// What boots have learned from the disk so far.
-#[derive(Default)]
-struct Discovered {
-    rejected: Vec<RejectedCheckpoint>,
-    validate_wall: Duration,
-}
-
 /// The simulated crash has not fired yet.
 const CRASH_ARMED: u8 = 0;
 /// It fired and the supervisor has not rebooted since: the process is down.
@@ -142,7 +134,8 @@ pub(crate) struct Persister {
     bytes: AtomicU64,
     gc_removed: AtomicUsize,
     write_us: AtomicU64,
-    discovered: Mutex<Discovered>,
+    /// Candidates the boots so far rejected, newest first per boot.
+    rejected: Mutex<Vec<RejectedCheckpoint>>,
     obs: Option<Collector>,
     /// Serializes commits: concurrent workers can complete different
     /// barriers back to back, and shard/manifest write order is the
@@ -166,7 +159,7 @@ impl Persister {
             bytes: AtomicU64::new(0),
             gc_removed: AtomicUsize::new(0),
             write_us: AtomicU64::new(0),
-            discovered: Mutex::default(),
+            rejected: Mutex::default(),
             obs: opts.collector.clone(),
             io: Mutex::new(()),
         })
@@ -193,7 +186,6 @@ impl Persister {
         if let (None, Some(n)) = (self.armed_crash(), self.restart_workers) {
             *available = (0..n).collect();
         }
-        let t0 = Instant::now();
         let obs_t0 = self.obs.as_ref().map(|c| c.now_us()).unwrap_or(0.0);
         let recovery = recover_latest(&*self.store, Some(self.every as u64))
             .map_err(|e| RuntimeError::Durable { worker: usize::MAX, detail: e.to_string() })?;
@@ -206,9 +198,7 @@ impl Persister {
             let what = "discover newest valid checkpoint";
             c.complete(Track::control(), "durable", what, obs_t0, c.now_us());
         }
-        let mut d = lock(&self.discovered);
-        d.validate_wall += t0.elapsed();
-        d.rejected.extend(recovery.rejected);
+        lock(&self.rejected).extend(recovery.rejected);
         let snapshot = recovery.snapshot.map(from_durable);
         self.floor.store(snapshot.as_ref().map_or(0, |s| s.ckpt), Ordering::SeqCst);
         Ok(snapshot)
@@ -216,9 +206,7 @@ impl Persister {
 
     /// Moves what the sink counted and discovered into the run's report.
     pub(crate) fn report_into(&self, report: &mut RecoveryReport) {
-        let discovered = std::mem::take(&mut *lock(&self.discovered));
-        report.rejected = discovered.rejected;
-        report.validate_wall = discovered.validate_wall;
+        report.rejected = std::mem::take(&mut *lock(&self.rejected));
         report.written = self.written.load(Ordering::SeqCst);
         report.written_bytes = self.bytes.load(Ordering::SeqCst);
         report.gc_removed = self.gc_removed.load(Ordering::SeqCst);
@@ -226,11 +214,11 @@ impl Persister {
     }
 }
 
-fn to_durable(snap: &FullSnapshot) -> DurableCheckpoint {
+fn to_durable(snap: FullSnapshot) -> DurableCheckpoint {
     DurableCheckpoint {
         ckpt: snap.ckpt as u64,
         every: snap.every as u64,
-        tensors: snap.tensors.iter().map(|(t, v)| (t.0 as u64, v.clone())).collect(),
+        tensors: snap.tensors.into_iter().map(|(t, v)| (t.0 as u64, v)).collect(),
     }
 }
 
@@ -259,8 +247,7 @@ impl Persister {
         if ckpt <= self.floor.load(Ordering::SeqCst) {
             return Ok(());
         }
-        let snap = assemble_snapshot(sharded, ckpt, values, self.every)?;
-        let durable = to_durable(&snap);
+        let durable = to_durable(assemble_snapshot(sharded, ckpt, values, self.every)?);
         let t0 = Instant::now();
         let obs_t0 = self.obs.as_ref().map(|c| c.now_us()).unwrap_or(0.0);
         let crash_here = |point: CrashPoint| {
@@ -358,7 +345,6 @@ pub fn run_with_durable_recovery(
     durable: &DurableOptions,
     caches: &mut SearchCaches,
 ) -> Result<RecoveryReport> {
-    let recovery = RecoveryOptions { elastic: !opts.churn.is_empty(), ..SINGLE_ATTEMPT };
     let source = PlanSource::Replan { graph: g, part: part_opts, caches };
-    supervise(source, feeds, opts, &recovery, Some(durable))
+    supervise(source, feeds, opts, &SINGLE_ATTEMPT, Some(durable), !opts.churn.is_empty())
 }

@@ -6,7 +6,7 @@
 //! ([`select_width`]) and the [`run_with_elastic_recovery`] adaptor. The
 //! ladder itself is the crate's one recovery supervisor (`supervisor.rs`;
 //! DESIGN.md "Failure model → The recovery supervisor" has the state
-//! diagram). The transitions [`RecoveryOptions::elastic`] turns on:
+//! diagram). The transitions [`run_with_elastic_recovery`] turns on:
 //!
 //! - **Shrink.** When a width exhausts its attempts, the worker the last
 //!   failure blames is classified as *permanently lost*: its physical
@@ -37,8 +37,6 @@
 //! physical`), so a permanent fault follows its device through shrinks,
 //! spares and rejoins, while faults on survivors keep firing at any width.
 
-use std::time::{Duration, Instant};
-
 use tofu_core::{
     generate, partition_cached, CoreError, GenOptions, PartitionOptions, PartitionPlan,
     SearchCaches, ShardedGraph,
@@ -66,12 +64,11 @@ pub enum TransitionKind {
     SpareLoss,
 }
 
-/// One fleet transition of an elastic run. Its recovery latencies are the
-/// attempts' own: `history[attempt]` (of the [`RecoveryReport`]) carries
-/// the replan (partition search at the new width, warm or cold), the
-/// reshard (snapshot scatter onto the new plan) and the resume (the
-/// attempt's wall); a shrink's detection is the failed attempt before it,
-/// `history[attempt - 1].detection`.
+/// One fleet transition of an elastic run. A shrink's detection latency is
+/// the failed attempt before it, `history[attempt - 1].detection` (of the
+/// [`RecoveryReport`]); the replan, reshard and resume latencies are the
+/// spans an attached [`Collector`] records for them (see
+/// [`AttemptRecord`](crate::AttemptRecord)).
 #[derive(Debug, Clone)]
 pub struct ElasticTransition {
     /// What happened.
@@ -98,8 +95,6 @@ pub(crate) struct Selection {
     pub(crate) width: usize,
     /// The plan and its lowering (`None` when the caller's fixed plan runs).
     pub(crate) planned: Option<(PartitionPlan, ShardedGraph)>,
-    /// Search time, stepped-past probes included (`None` = nothing searched).
-    pub(crate) replan: Option<Duration>,
     /// The selected width's plan was a warm request-memo hit.
     pub(crate) warm: bool,
 }
@@ -127,7 +122,6 @@ pub(crate) fn select_width(
     cap: usize,
 ) -> std::result::Result<Selection, SelectErr> {
     let floor = if elastic { 1 } else { cap.max(1) };
-    let t0 = Instant::now();
     let obs_t0 = obs.map(|c| c.now_us()).unwrap_or(0.0);
     let mut terminal: Option<RuntimeError> = None;
     let mut w = cap;
@@ -140,14 +134,10 @@ pub(crate) fn select_width(
         match partition_cached(g, &PartitionOptions { workers: w, ..*base }, caches, obs) {
             Ok(plan) => {
                 let warm = caches.stats().request_hits > hits_before;
-                // Replan time is the *search* (including every stepped-past
-                // infeasible probe) — program lowering below costs the same
-                // warm or cold and would drown the cache signal.
-                let replan = t0.elapsed();
-                let sharded = match generate(g, &plan, &GenOptions::default()) {
-                    Ok(s) => s,
-                    Err(e) => return Err(SelectErr::Hard(e.into())),
-                };
+                // The replan span is the *search* (including every
+                // stepped-past infeasible probe) — program lowering below
+                // costs the same warm or cold and would drown the cache
+                // signal.
                 if let Some(c) = obs {
                     c.complete(
                         Track::search(),
@@ -157,12 +147,9 @@ pub(crate) fn select_width(
                         c.now_us(),
                     );
                 }
-                return Ok(Selection {
-                    width: w,
-                    planned: Some((plan, sharded)),
-                    replan: Some(replan),
-                    warm,
-                });
+                let sharded = generate(g, &plan, &GenOptions::default())
+                    .map_err(|e| SelectErr::Hard(e.into()))?;
+                return Ok(Selection { width: w, planned: Some((plan, sharded)), warm });
             }
             Err(e @ (CoreError::NoStrategy { .. } | CoreError::BadWorkerCount(_))) if elastic => {
                 if let Some(c) = obs {
@@ -195,5 +182,6 @@ pub fn run_with_elastic_recovery(
     recovery: &RecoveryOptions,
     caches: &mut SearchCaches,
 ) -> Result<RecoveryReport> {
-    supervise(PlanSource::Replan { graph: g, part: part_opts, caches }, feeds, opts, recovery, None)
+    let source = PlanSource::Replan { graph: g, part: part_opts, caches };
+    supervise(source, feeds, opts, recovery, None, true)
 }

@@ -223,7 +223,7 @@ pub fn run_with_options(
 /// Transient injected faults fire once across all attempts, so the retry
 /// observes a healthy world; permanent faults re-fire every attempt —
 /// recovering past those means re-planning at another width, which a fixed
-/// `sharded` cannot do, so [`RecoveryOptions::elastic`] is rejected here and
+/// `sharded` cannot do, so the last attempt's failure is returned here and
 /// [`run_with_elastic_recovery`] takes the original graph instead. The
 /// recovered output is bit-identical to an undisturbed run (see DESIGN.md
 /// "Failure model" for the argument).
@@ -233,7 +233,7 @@ pub fn run_with_recovery(
     opts: &RunOptions,
     recovery: &RecoveryOptions,
 ) -> Result<RecoveryReport> {
-    supervise(PlanSource::Fixed(sharded), feeds, opts, recovery, None)
+    supervise(PlanSource::Fixed(sharded), feeds, opts, recovery, None, false)
 }
 
 #[cfg(test)]

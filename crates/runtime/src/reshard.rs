@@ -132,17 +132,12 @@ pub(crate) fn scatter_snapshot(
 /// resharded onto `sharded`'s layout and execution starts at the barrier.
 /// This is both the resume path of elastic recovery and the way to construct
 /// its bit-identity baseline — an undisturbed run at the surviving width
-/// resumed from the equivalent checkpoint cut.
-///
-/// `feeds` is ignored when the snapshot covers the leaves (it always does
-/// for snapshots assembled from a consistent checkpoint) and exists so call
-/// sites read like [`run_with_options`](crate::run_with_options).
+/// resumed from the equivalent checkpoint cut. The snapshot covers every
+/// leaf the resumed positions read, so no feeds are taken.
 pub fn resume_from_snapshot(
     sharded: &ShardedGraph,
-    feeds: &[(TensorId, Tensor)],
     opts: &RunOptions,
     snap: &FullSnapshot,
 ) -> Result<RunOutput> {
-    let _ = feeds;
     run_once(sharded, &[], opts, Some(&scatter_snapshot(snap, sharded)?))
 }

@@ -11,14 +11,13 @@
 //!
 //! whose reactions — *done*, *retry with backoff*, *yielded → grow*,
 //! *attempts exhausted → shrink or give up*, *process crash → reboot* — are
-//! switched on by the caller's arguments, never by which public function
-//! was called:
+//! switched on by the caller's arguments:
 //!
 //! | argument | turns on |
 //! |---|---|
 //! | [`PlanSource::Replan`] | width selection, feed scattering, checkpoint resharding |
 //! | [`RecoveryOptions::max_attempts`] `> 1` | retry with backoff at the current width |
-//! | [`RecoveryOptions::elastic`] | shrink past an exhausted width, surrender as `Unrecoverable` |
+//! | `elastic` | shrink past an exhausted width, surrender as `Unrecoverable` |
 //! | [`RunOptions::churn`] | scripted leaves (shrink) and joins (yield → grow) |
 //! | [`DurableOptions`] | persistence of every consistent checkpoint; boot from disk |
 //! | [`DurableOptions::crash`] | the simulated whole-process crash → reboot |
@@ -26,11 +25,12 @@
 //! [`run_with_recovery`](crate::run_with_recovery),
 //! [`run_with_elastic_recovery`](crate::run_with_elastic_recovery) and
 //! [`run_with_durable_recovery`](crate::run_with_durable_recovery) are
-//! argument adaptors, and all three return the supervisor's one
-//! [`RecoveryReport`]. Its `history` holds one [`AttemptRecord`] per
-//! attempt; every other field of the report either says what `history`
-//! cannot (the fleet, the transitions, the disk) or is named by a caller
-//! outside the crate (`attempts`).
+//! argument adaptors (the elastic one sets `elastic`, the durable one sets
+//! it exactly when a churn plan reshapes the fleet), and all three return
+//! the supervisor's one [`RecoveryReport`]. Its `history` holds one
+//! [`AttemptRecord`] per attempt; every other field of the report either
+//! says what `history` cannot (the fleet, the transitions, the disk) or is
+//! named by a caller outside the crate (`attempts`).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicUsize;
@@ -58,9 +58,9 @@ use crate::trace::{LinkStat, RunTrace};
 use crate::worker::{run_worker, Msg, WorkerCtx, WorkerOutcome};
 use crate::{lock, IntegrityLevel, Result, RunOptions, RunOutput};
 
-/// The recovery policy of a plain run: one attempt, no elastic mandate.
+/// The recovery policy of a plain run: one attempt.
 pub(crate) const SINGLE_ATTEMPT: RecoveryOptions =
-    RecoveryOptions { max_attempts: 1, backoff: Duration::ZERO, elastic: false };
+    RecoveryOptions { max_attempts: 1, backoff: Duration::ZERO };
 
 /// Up-front validation shared by every entry point, so misconfiguration
 /// fails with a clear [`RuntimeError::InvalidOptions`] before any thread
@@ -97,13 +97,6 @@ pub(crate) fn validate(
                     .into(),
             );
         }
-    }
-    if !replans && recovery.elastic {
-        return invalid(
-            "RecoveryOptions::elastic re-plans the run at other widths, and a fixed ShardedGraph \
-             cannot be re-planned; use run_with_elastic_recovery"
-                .into(),
-        );
     }
     match durable {
         Some(d) => {
@@ -144,9 +137,6 @@ pub(crate) fn validate(
         }
         if let Err(m) = opts.churn.validate(fleet) {
             return invalid(m);
-        }
-        if !recovery.elastic {
-            return invalid("churn plans reshape the fleet; set RecoveryOptions::elastic".into());
         }
         if opts.churn.has_joins() && opts.checkpoint.is_none() {
             return invalid(
@@ -513,9 +503,7 @@ impl<'a> PlanSource<'a> {
         cap: usize,
     ) -> std::result::Result<Selection, SelectErr> {
         match self {
-            PlanSource::Fixed(s) => {
-                Ok(Selection { width: s.workers, planned: None, replan: None, warm: false })
-            }
+            PlanSource::Fixed(s) => Ok(Selection { width: s.workers, planned: None, warm: false }),
             PlanSource::Replan { graph, part, caches } => {
                 select_width(graph, part, caches, obs, elastic, cap)
             }
@@ -556,7 +544,9 @@ pub(crate) struct Ledger {
 }
 
 /// One attempt of a recovery ladder: which worker set ran, what it resumed
-/// from, and where the time went.
+/// from and how it ended. Its latencies are spans on an attached
+/// [`Collector`]: the replan before it (`elastic replan ({w} workers)`), the
+/// reshard (`reshard checkpoint …`) and the attempt itself (`attempt`).
 #[derive(Debug, Clone)]
 pub struct AttemptRecord {
     /// Worker count of this attempt.
@@ -565,17 +555,10 @@ pub struct AttemptRecord {
     pub devices: Vec<usize>,
     /// Checkpoint the attempt resumed from (`None` = from scratch).
     pub resumed_from: Option<usize>,
-    /// Time spent re-running the partition search before this attempt
-    /// (`None` when the previous attempt's plan was reused).
-    pub replan: Option<Duration>,
-    /// Time spent resharding the carried snapshot onto this attempt's plan.
-    pub reshard: Option<Duration>,
-    /// Bytes of full-tensor snapshot moved by that reshard.
+    /// Bytes of full-tensor snapshot resharded onto this attempt's plan.
     pub reshard_bytes: u64,
     /// Slowest peer abort-detection latency, for failed attempts.
     pub detection: Option<Duration>,
-    /// Wall-clock of the attempt itself.
-    pub wall: Duration,
     /// Whether the attempt succeeded.
     pub ok: bool,
     /// Set when the attempt stopped *voluntarily* at this checkpoint barrier
@@ -639,8 +622,6 @@ pub struct RecoveryReport {
     pub gc_removed: usize,
     /// Total wall time spent in durable commits.
     pub write_wall: Duration,
-    /// Wall time of durable recovery discovery + validation.
-    pub validate_wall: Duration,
 }
 
 /// Inserts `d` into sorted `v` (active devices are always the lowest-id
@@ -658,12 +639,17 @@ fn insert_sorted(v: &mut Vec<usize>, d: usize) {
 /// [`CheckpointStore`], the carried snapshot, transient faults' fired flags
 /// and the durable sink — is dropped by a process crash and rebuilt by the
 /// next boot from whatever the blob store holds.
+///
+/// `elastic` is the shrink mandate: exhausting a width's attempts shrinks
+/// past the blamed device (down to one worker, then `Unrecoverable`)
+/// instead of returning the failure. Only a re-planning source can honor it.
 pub(crate) fn supervise(
     mut source: PlanSource<'_>,
     feeds: &[(TensorId, Tensor)],
     opts: &RunOptions,
     recovery: &RecoveryOptions,
     durable: Option<&DurableOptions>,
+    elastic: bool,
 ) -> Result<RecoveryReport> {
     let fleet = match &source {
         PlanSource::Fixed(s) => s.workers,
@@ -671,7 +657,6 @@ pub(crate) fn supervise(
     };
     validate(fleet, source.fixed().is_none(), opts, recovery, durable)?;
     let obs = opts.collector.as_ref();
-    let elastic = recovery.elastic;
     let faults = FaultState::with_churn(&opts.faults, &opts.churn);
     let mut backoff = BackoffSchedule::new(recovery.backoff, MAX_BACKOFF, 0);
     let disk = durable.map(|d| Persister::new(d, opts));
@@ -693,7 +678,7 @@ pub(crate) fn supervise(
         }
 
         // ===== select width =====
-        let Selection { width, planned, replan, warm } =
+        let Selection { width, planned, warm } =
             match source.select(obs, elastic, available.len()) {
                 Ok(s) => s,
                 Err(SelectErr::Hard(e)) => return Err(e),
@@ -755,14 +740,11 @@ pub(crate) fn supervise(
             }
         }
         let shard_feeds = if planned.is_some() { scattered.as_slice() } else { feeds };
-        let mut reshard: Option<Duration> = None;
         let mut reshard_bytes = 0u64;
         let mut carried_point: Option<ResumePoint> = None;
         if let Some(snap) = &carried {
-            let t0 = Instant::now();
             let obs_t0 = obs.map(|c| c.now_us()).unwrap_or(0.0);
             carried_point = Some(scatter_snapshot(snap, sharded)?);
-            reshard = Some(t0.elapsed());
             reshard_bytes = snap.bytes();
             if let Some(c) = obs {
                 c.complete(
@@ -880,7 +862,6 @@ pub(crate) fn supervise(
                 let what = format!("attempt {attempt} @ {width} workers: {from}");
                 c.instant(Track::control(), "recovery", &what);
             }
-            let t0 = Instant::now();
             let outcome = run_attempt(&AttemptCtx {
                 sharded,
                 feeds: shard_feeds,
@@ -892,17 +873,12 @@ pub(crate) fn supervise(
                 device_map: &devices,
                 yield_at,
             });
-            let wall = t0.elapsed();
-            let first = attempt == 1;
             let mut record = AttemptRecord {
                 width,
                 devices: devices.clone(),
                 resumed_from: resume_ckpt,
-                replan: replan.filter(|_| first),
-                reshard: reshard.filter(|_| first),
-                reshard_bytes: if first { reshard_bytes } else { 0 },
+                reshard_bytes: if attempt == 1 { reshard_bytes } else { 0 },
                 detection: None,
-                wall,
                 ok: false,
                 yielded: None,
             };
@@ -937,7 +913,6 @@ pub(crate) fn supervise(
                         written_bytes: 0,
                         gc_removed: 0,
                         write_wall: Duration::ZERO,
-                        validate_wall: Duration::ZERO,
                     };
                     if let Some(d) = &disk {
                         d.report_into(&mut report);

@@ -60,7 +60,7 @@ fn churned(g: &Graph, churn: ChurnPlan) -> RunOptions {
 }
 
 fn elastic() -> RecoveryOptions {
-    RecoveryOptions { max_attempts: 1, backoff: Duration::ZERO, elastic: true }
+    RecoveryOptions { max_attempts: 1, backoff: Duration::ZERO }
 }
 
 /// The spec's baseline: an undisturbed run at the final width resumed from
@@ -73,7 +73,7 @@ fn baseline_values(
     let sharded = report.sharded.as_ref().expect("a re-planned run returns its plan");
     match &report.snapshot {
         Some(snap) => {
-            resume_from_snapshot(sharded, &[], &clean, snap).expect("baseline resume").values
+            resume_from_snapshot(sharded, &clean, snap).expect("baseline resume").values
         }
         None => {
             let mut sf = Vec::new();
@@ -129,15 +129,12 @@ fn leave_then_rejoin_shrinks_and_grows_back_bit_identically() {
     let part = PartitionOptions { workers: 8, ..Default::default() };
     let mut caches = SearchCaches::default();
     let churn = ChurnPlan::none().with_leave(3, 40).with_join(3, 1);
-    let report = run_with_elastic_recovery(
-        &m.graph,
-        &full_feeds,
-        &part,
-        &churned(&m.graph, churn),
-        &elastic(),
-        &mut caches,
-    )
-    .expect("leave/rejoin survives");
+    let collector = tofu_obs::Collector::new();
+    let mut opts = churned(&m.graph, churn);
+    opts.collector = Some(collector.clone());
+    let report =
+        run_with_elastic_recovery(&m.graph, &full_feeds, &part, &opts, &elastic(), &mut caches)
+            .expect("leave/rejoin survives");
     assert_eq!(report.widths, vec![8, 7, 8], "shrink then grow back");
     assert_eq!(report.lost, vec![3]);
     assert_eq!(report.joined, vec![3]);
@@ -147,8 +144,18 @@ fn leave_then_rejoin_shrinks_and_grows_back_bit_identically() {
     let grow = &report.transitions[1];
     assert_eq!((grow.from_width, grow.to_width), (7, 8));
     assert!(grow.at_ckpt.is_some(), "grow happens at a checkpoint barrier");
-    let opened = &report.history[grow.attempt.expect("a grow opens a width")];
-    assert!(opened.replan.is_some());
+    assert_eq!(grow.attempt, Some(2), "a grow opens a width");
+    let replans: Vec<String> = collector
+        .events()
+        .into_iter()
+        .filter(|e| e.name.starts_with("elastic replan"))
+        .map(|e| e.name)
+        .collect();
+    assert_eq!(
+        replans,
+        ["elastic replan (8 workers)", "elastic replan (7 workers)", "elastic replan (8 workers)"],
+        "the grow re-planned"
+    );
     let baseline = baseline_values(&report, &full_feeds);
     assert_bit_identical(&report.output.values, &baseline);
 }
@@ -322,21 +329,6 @@ fn joins_require_a_checkpoint_cadence() {
     )
     .unwrap_err();
     assert!(matches!(err, RuntimeError::InvalidOptions(ref m) if m.contains("checkpoint")),
-        "got {err}");
-}
-
-#[test]
-fn churn_requires_an_elastic_policy() {
-    let m = model_840();
-    let full_feeds = feeds(&m.graph);
-    let part = PartitionOptions { workers: 4, ..Default::default() };
-    let mut caches = SearchCaches::default();
-    let opts = churned(&m.graph, ChurnPlan::none().with_leave(1, 10));
-    let recovery = RecoveryOptions { max_attempts: 1, backoff: Duration::ZERO, elastic: false };
-    let err =
-        run_with_elastic_recovery(&m.graph, &full_feeds, &part, &opts, &recovery, &mut caches)
-            .unwrap_err();
-    assert!(matches!(err, RuntimeError::InvalidOptions(ref m) if m.contains("elastic")),
         "got {err}");
 }
 

@@ -68,7 +68,7 @@ fn baseline_values(
     let sharded = report.sharded.as_ref().expect("a re-planned run returns its plan");
     match &report.snapshot {
         Some(snap) => {
-            resume_from_snapshot(sharded, &[], &clean, snap).expect("baseline resume").values
+            resume_from_snapshot(sharded, &clean, snap).expect("baseline resume").values
         }
         None => {
             let mut sf = Vec::new();
@@ -510,9 +510,11 @@ fn crash_during_churn_recovers_bit_identically() {
 }
 
 /// One churn ladder (device 1 leaves, then rejoins; the process crashes
-/// after the grow) read back through the report alone. Every latency and
-/// byte count of a transition or a restore is the attempt's own, so the
-/// relations below are what the report's `history` has to carry.
+/// after the grow) read back through the report and its trace. Every byte
+/// count of a transition or a restore is the attempt's own, so the
+/// relations below are what the report's `history` has to carry; the
+/// replan and reshard before an attempt are spans of the attached
+/// collector.
 #[test]
 fn a_churn_ladder_is_explained_by_its_attempt_history() {
     let m = model();
@@ -538,20 +540,35 @@ fn a_churn_ladder_is_explained_by_its_attempt_history() {
     assert_eq!(widths, vec![4, 3, 4, 4], "leave, yield to the join, crash, reboot");
 
     // Each transition's attempt is the first at its new width, right after
-    // the last at its old one, and it carries the replan and the reshard.
+    // the last at its old one, and it carries the reshard.
     let kinds: Vec<TransitionKind> = report.transitions.iter().map(|t| t.kind).collect();
     assert_eq!(kinds, vec![TransitionKind::Shrink, TransitionKind::Grow]);
     for t in &report.transitions {
         let i = t.attempt.expect("a shrink or grow opens a width");
         let (before, opened) = (&report.history[i - 1], &report.history[i]);
         assert_eq!((before.width, opened.width), (t.from_width, t.to_width), "{t:?}");
-        assert!(opened.replan.is_some(), "{t:?}: no replan");
-        assert_eq!(opened.reshard.is_some(), t.at_ckpt.is_some(), "{t:?}: reshard");
         assert_eq!(opened.reshard_bytes > 0, t.at_ckpt.is_some(), "{t:?}: reshard bytes");
         if t.kind == TransitionKind::Shrink {
             assert!(before.detection.is_some(), "{t:?}: the loss was never detected");
         }
     }
+
+    // Every width is selected by a replan span (one attempt per width), and
+    // every attempt that restored bytes by a reshard span before it.
+    let spans = |prefix: &str| -> Vec<String> {
+        let events = collector.events().into_iter();
+        events.filter(|e| e.name.starts_with(prefix)).map(|e| e.name).collect()
+    };
+    let replans: Vec<String> =
+        widths.iter().map(|w| format!("elastic replan ({w} workers)")).collect();
+    assert_eq!(spans("elastic replan"), replans);
+    let reshards: Vec<String> = report
+        .history
+        .iter()
+        .filter(|a| a.reshard_bytes > 0)
+        .map(|a| format!("reshard checkpoint {} → {} workers", a.resumed_from.unwrap(), a.width))
+        .collect();
+    assert_eq!(spans("reshard checkpoint"), reshards);
 
     // The bytes restored are the attempts' reshards, and nothing else.
     let restored: u64 = report.history.iter().map(|a| a.reshard_bytes).sum();

@@ -7,12 +7,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
-use tofu_core::{PartitionOptions, SearchCaches};
+use tofu_core::{generate, partition, GenOptions, PartitionOptions, SearchCaches};
 use tofu_graph::{Graph, TensorId, TensorKind};
 use tofu_models::{mlp, MlpConfig};
 use tofu_runtime::{
-    resume_from_snapshot, run_with_elastic_recovery, run_with_options, CheckpointPolicy,
-    Fault, FaultPlan, RecoveryOptions, RecoveryReport, RunOptions, RuntimeError,
+    resume_from_snapshot, run_with_elastic_recovery, run_with_options, run_with_recovery,
+    CheckpointPolicy, Fault, FaultPlan, RecoveryOptions, RecoveryReport, RunOptions, RuntimeError,
 };
 use tofu_tensor::Tensor;
 
@@ -50,7 +50,7 @@ fn checkpointed(g: &Graph, faults: FaultPlan) -> RunOptions {
 }
 
 fn elastic_recovery(max_attempts: usize) -> RecoveryOptions {
-    RecoveryOptions { max_attempts, backoff: Duration::ZERO, elastic: true }
+    RecoveryOptions { max_attempts, backoff: Duration::ZERO }
 }
 
 /// The spec's baseline: an undisturbed run at the surviving width resumed
@@ -64,7 +64,7 @@ fn baseline_values(
     let sharded = report.sharded.as_ref().expect("a re-planned run returns its plan");
     match &report.snapshot {
         Some(snap) => {
-            resume_from_snapshot(sharded, &[], &clean, snap).expect("baseline resume").values
+            resume_from_snapshot(sharded, &clean, snap).expect("baseline resume").values
         }
         None => {
             let mut sf = Vec::new();
@@ -241,17 +241,19 @@ fn losing_every_device_surfaces_typed_unrecoverable() {
 #[test]
 fn without_degrade_policy_permanent_loss_is_a_plain_failure() {
     let m = model();
-    let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 2, ..Default::default() };
-    let recovery = RecoveryOptions { max_attempts: 2, backoff: Duration::ZERO, elastic: false };
-    let mut caches = SearchCaches::default();
-    let err = run_with_elastic_recovery(
-        &m.graph,
-        &full_feeds,
-        &part,
+    let sharded = generate(&m.graph, &partition(&m.graph, &part).unwrap(), &GenOptions::default())
+        .unwrap();
+    let mut shard_feeds = Vec::new();
+    for (t, v) in feeds(&m.graph) {
+        shard_feeds.extend(sharded.scatter(t, &v).unwrap());
+    }
+    let recovery = RecoveryOptions { max_attempts: 2, backoff: Duration::ZERO };
+    let err = run_with_recovery(
+        &sharded,
+        &shard_feeds,
         &checkpointed(&m.graph, FaultPlan::single_permanent(Fault::Kill { worker: 0, pos: 3 })),
         &recovery,
-        &mut caches,
     )
     .unwrap_err();
     assert!(matches!(err, RuntimeError::Failed(ref f) if f.worker == 0), "got {err}");
@@ -291,8 +293,15 @@ fn ladder_is_fully_instrumented() {
     );
     opts.collector = Some(collector.clone());
     let mut caches = SearchCaches::default();
-    run_with_elastic_recovery(&m.graph, &full_feeds, &part, &opts, &elastic_recovery(1), &mut caches)
-        .expect("one loss survives");
+    let report = run_with_elastic_recovery(
+        &m.graph,
+        &full_feeds,
+        &part,
+        &opts,
+        &elastic_recovery(1),
+        &mut caches,
+    )
+    .expect("one loss survives");
     let names: Vec<String> = collector.events().into_iter().map(|e| e.name).collect();
     for want in [
         "elastic replan (4 workers)",
@@ -302,10 +311,16 @@ fn ladder_is_fully_instrumented() {
     ] {
         assert!(names.iter().any(|n| n == want), "missing event {want:?} in {names:?}");
     }
-    assert!(
-        names.iter().any(|n| n.starts_with("reshard checkpoint")),
-        "missing reshard span in {names:?}"
-    );
+    // The replan and reshard latencies are these spans: one replan per
+    // selected width, in ladder order, and one reshard per transition that
+    // carried a checkpoint across.
+    let replans: Vec<&String> = names.iter().filter(|n| n.starts_with("elastic replan")).collect();
+    let want: Vec<String> =
+        report.widths.iter().map(|w| format!("elastic replan ({w} workers)")).collect();
+    assert_eq!(replans, want.iter().collect::<Vec<_>>());
+    let reshards = names.iter().filter(|n| n.starts_with("reshard checkpoint")).count();
+    let carried = report.transitions.iter().filter(|t| t.at_ckpt.is_some()).count();
+    assert_eq!(reshards, carried, "one reshard span per carried checkpoint in {names:?}");
     let totals = collector.totals();
     assert_eq!(totals.get("elastic/replans").copied(), Some(1.0), "one shrink replan counted");
     assert!(totals.get("elastic/reshard_bytes").copied().unwrap_or(0.0) > 0.0);

@@ -122,7 +122,7 @@ fn kill_matrix_aborts_fast_and_recovers_bit_identically() {
                 &sharded,
                 &shard_feeds,
                 &opts,
-                &RecoveryOptions { max_attempts: 3, backoff: Duration::from_millis(1), ..Default::default() },
+                &RecoveryOptions { max_attempts: 3, backoff: Duration::from_millis(1) },
             )
             .unwrap_or_else(|e| panic!("kill w{w}@{pos}: recovery failed: {e}"));
             assert_eq!(report.attempts, 2, "kill w{w}@{pos}: one failure, one retry");
@@ -372,24 +372,10 @@ fn invalid_options_fail_before_spawning() {
         &sharded,
         &shard_feeds,
         &RunOptions::default(),
-        &RecoveryOptions { max_attempts: 0, backoff: Duration::ZERO, ..Default::default() },
+        &RecoveryOptions { max_attempts: 0, backoff: Duration::ZERO },
     )
     .unwrap_err();
     assert!(matches!(err, RuntimeError::InvalidOptions(_)), "got {err}");
-    // Elastic recovery re-plans at other widths; a fixed ShardedGraph
-    // cannot, so the mandate is refused (pointing at the entry point that
-    // can honor it) instead of being silently ignored.
-    let err = run_with_recovery(
-        &sharded,
-        &shard_feeds,
-        &RunOptions::default(),
-        &RecoveryOptions { elastic: true, ..Default::default() },
-    )
-    .unwrap_err();
-    assert!(
-        matches!(err, RuntimeError::InvalidOptions(ref m) if m.contains("run_with_elastic_recovery")),
-        "got {err}"
-    );
 }
 
 #[test]
@@ -409,7 +395,7 @@ fn permanent_kill_defeats_fixed_width_retry() {
         &sharded,
         &shard_feeds,
         &opts,
-        &RecoveryOptions { max_attempts: 3, backoff: Duration::ZERO, ..Default::default() },
+        &RecoveryOptions { max_attempts: 3, backoff: Duration::ZERO },
     )
     .unwrap_err();
     let failure = expect_failed(err);
@@ -427,7 +413,7 @@ fn permanent_kill_defeats_fixed_width_retry() {
         &sharded,
         &shard_feeds,
         &transient,
-        &RecoveryOptions { max_attempts: 3, backoff: Duration::ZERO, ..Default::default() },
+        &RecoveryOptions { max_attempts: 3, backoff: Duration::ZERO },
     )
     .expect("transient fault recovers");
     assert_bit_identical(&report.output.values, &baseline.values);

@@ -898,8 +898,7 @@ fn req_json(r: &ConcreteReq) -> Json {
 }
 
 /// Serializes a [`PartitionPlan`] canonically: bit-identical plans produce
-/// byte-identical compact JSON. `search_time` is deliberately excluded — it
-/// varies run to run and is not part of the plan's identity.
+/// byte-identical compact JSON.
 pub fn plan_to_json(plan: &PartitionPlan) -> Json {
     let steps: Vec<Json> = plan
         .steps

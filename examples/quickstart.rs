@@ -3,6 +3,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use std::time::Instant;
+
 use tofu::core::{partition, PartitionOptions, TensorSpec};
 use tofu::models::{mlp, MlpConfig};
 
@@ -25,12 +27,13 @@ fn main() {
     // Partition across 8 workers. The recursive search halves every tensor
     // three times (8 = 2 x 2 x 2), each step choosing one dimension per
     // tensor and one parallelization strategy per operator.
+    let started = Instant::now();
     let plan = partition(&model.graph, &PartitionOptions { workers: 8, ..Default::default() })
         .expect("partition succeeds");
     println!(
         "\nplan: {} recursive steps, searched in {:?}",
         plan.steps.len(),
-        plan.search_time
+        started.elapsed()
     );
     println!(
         "communication per iteration: {:.1} MB (per-step deltas: {:?} MB)",

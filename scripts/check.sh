@@ -26,6 +26,19 @@ while read -r crate budget lines_budget; do
         exit 1
     fi
 done < scripts/api_budget.txt
+# One clock per interval: library code measures an interval with the
+# tofu-obs span that records it, not a `Duration` field beside the span.
+# The 11 reads left are the collector's and an attempt's epochs, the abort
+# timestamps, the receive and serve deadlines, the serve uptime, durable
+# commit time (`benchmark/` reads it) and one unit test (DESIGN.md
+# "Observability"). The budget only goes down.
+clocks=$(grep -rn "Instant::now" crates/*/src | grep -v /bin/ || true)
+if [ "$(echo "$clocks" | grep -c .)" -gt 11 ]; then
+    echo "scripts/check.sh: more than 11 Instant::now reads in library code; time the" \
+        "interval with a tofu-obs span:" >&2
+    echo "$clocks" >&2
+    exit 1
+fi
 # The data plane is std: the channel and lock stubs stay deleted.
 if grep -ln "crossbeam\|parking_lot" Cargo.toml crates/*/Cargo.toml; then exit 1; fi
 # One exemption from safe Rust in the workspace: the GEMM dispatcher's call
