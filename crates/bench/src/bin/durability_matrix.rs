@@ -31,7 +31,7 @@ use tofu_core::{PartitionOptions, SearchCaches};
 use tofu_models::{mlp, MlpConfig};
 use tofu_runtime::{
     run_with_durable_recovery, CheckpointPolicy, ChurnPlan, CrashPoint, DirStore, DiskFault,
-    DurableOptions, FaultPlan, RunOptions,
+    DiskFaultPlan, DurableOptions, RunOptions,
 };
 
 struct Row {
@@ -119,12 +119,7 @@ fn main() {
         let restart_workers = churn.is_empty().then_some(restart);
         let dir = root.join(format!("row-{i:02}"));
         let store = Arc::new(DirStore::open(&dir).expect("open DirStore"));
-        let mut faults = FaultPlan::none();
-        if let Some(f) = fault {
-            faults = faults.with_disk(f);
-        }
         let opts = RunOptions {
-            faults,
             churn,
             checkpoint: Some(CheckpointPolicy::every_original(every)),
             ..Default::default()
@@ -132,6 +127,7 @@ fn main() {
         let durable = DurableOptions {
             crash: Some(crash),
             restart_workers,
+            disk_faults: DiskFaultPlan { faults: fault.into_iter().collect() },
             ..DurableOptions::new(store)
         };
         let report =

@@ -1,7 +1,8 @@
-//! Elastic degraded-mode recovery ledger: permanently kills 1 / 2 / 4 of 8
-//! workers at an early / mid / late schedule position (9 rows), drives each
-//! run through `run_with_elastic_recovery`, and records the width ladder,
-//! the lost devices and whether the degraded output is exact, into
+//! Elastic degraded-mode recovery ledger: 1 / 2 / 4 of 8 devices leave the
+//! fleet for good (churn leaves, in plan order) at an early / mid / late
+//! schedule position (9 rows), drives each run through
+//! `run_with_elastic_recovery`, and records the width ladder, the lost
+//! devices in loss order and whether the degraded output is exact, into
 //! `BENCH_elastic.json`. The latency breakdown of every shrink — failure
 //! detection, partition replan, checkpoint reshard (the last two read from
 //! the run's trace spans) — is printed, not recorded: it does not repeat,
@@ -22,7 +23,7 @@ use tofu_core::{PartitionOptions, SearchCaches};
 use tofu_models::{mlp, MlpConfig};
 use tofu_obs::{Collector, Track};
 use tofu_runtime::{
-    run_with_elastic_recovery, CheckpointPolicy, Fault, FaultPlan, RecoveryOptions, RunOptions,
+    run_with_elastic_recovery, ChurnPlan, CheckpointPolicy, RecoveryOptions, RunOptions,
 };
 
 /// Repeats of each width's search in the request-memo check.
@@ -33,7 +34,6 @@ struct Row {
     killed: usize,
     phase: &'static str,
     widths: Vec<usize>,
-    /// Sorted: simultaneous kills are noticed in either order.
     lost: Vec<usize>,
     exact: bool,
 }
@@ -65,13 +65,13 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     for (kills, ktag) in victims {
         for (phase, base) in phases {
-            let mut faults = FaultPlan::none();
+            let mut churn = ChurnPlan::none();
             for (i, &w) in kills.iter().enumerate() {
-                faults = faults.with_permanent(Fault::Kill { worker: w, pos: base + 7 * i });
+                churn = churn.with_leave(w, base + 7 * i);
             }
             let collector = Collector::new();
             let opts = RunOptions {
-                faults,
+                churn,
                 checkpoint: Some(CheckpointPolicy::every_original(every)),
                 recv_timeout: Duration::from_secs(5),
                 collector: Some(collector.clone()),
@@ -94,14 +94,12 @@ fn main() {
             let replan: Duration = replans.iter().skip(1).sum();
             let reshard: Duration =
                 span_durations(&collector, Track::control(), "reshard checkpoint").iter().sum();
-            let mut lost = report.lost.clone();
-            lost.sort_unstable();
             let row = Row {
                 label: format!("kill {ktag} of 8 {phase}"),
                 killed: kills.len(),
                 phase,
                 widths: report.widths.clone(),
-                lost,
+                lost: report.lost.clone(),
                 exact,
             };
             let ladder =

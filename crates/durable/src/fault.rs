@@ -5,8 +5,7 @@
 //! manifest-level confusions. Faults are addressed by checkpoint ordinal
 //! plus the shard's write ordinal within that checkpoint (shards are always
 //! written in ascending tensor order, so ordinals are deterministic), and
-//! each fires exactly once, mirroring the runtime's one-shot transient
-//! faults. The corruption happens *through* the real store so recovery sees
+//! each fires exactly once, mirroring the runtime's one-shot faults. The corruption happens *through* the real store so recovery sees
 //! exactly what a failing disk would have left behind.
 
 use std::collections::BTreeMap;
@@ -66,18 +65,6 @@ pub enum DiskFault {
     },
 }
 
-impl DiskFault {
-    fn ckpt(&self) -> u64 {
-        match *self {
-            DiskFault::TornWrite { ckpt, .. }
-            | DiskFault::BitFlip { ckpt, .. }
-            | DiskFault::MissingShard { ckpt, .. }
-            | DiskFault::StaleManifest { ckpt }
-            | DiskFault::DuplicateManifest { ckpt } => ckpt,
-        }
-    }
-}
-
 /// A set of disk faults to inject, deterministic and order-independent.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DiskFaultPlan {
@@ -95,32 +82,6 @@ impl DiskFaultPlan {
     pub fn with(mut self, fault: DiskFault) -> DiskFaultPlan {
         self.faults.push(fault);
         self
-    }
-
-    /// `true` when the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// Derive a single pseudo-random shard fault (torn write or bit flip)
-    /// against checkpoint `ckpt`, using the same SplitMix64 generator as the
-    /// runtime's `FaultRng` so matrices stay reproducible from one seed.
-    pub fn seeded(seed: u64, ckpt: u64, shards: usize) -> DiskFaultPlan {
-        let mut state = seed;
-        let mut next = move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        let shard = (next() % shards.max(1) as u64) as usize;
-        let fault = if next() % 2 == 0 {
-            DiskFault::TornWrite { ckpt, shard, keep: (next() % 64) as usize }
-        } else {
-            DiskFault::BitFlip { ckpt, shard, bit: next() }
-        };
-        DiskFaultPlan::none().with(fault)
     }
 }
 
@@ -248,23 +209,5 @@ impl std::fmt::Debug for FaultyStore {
             .field("armed", &self.armed.iter().map(|a| a.fault).collect::<Vec<_>>())
             .field("fired", &self.fired())
             .finish()
-    }
-}
-
-impl DiskFault {
-    /// Short label for reports and tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            DiskFault::TornWrite { .. } => "torn-write",
-            DiskFault::BitFlip { .. } => "bit-flip",
-            DiskFault::MissingShard { .. } => "missing-shard",
-            DiskFault::StaleManifest { .. } => "stale-manifest",
-            DiskFault::DuplicateManifest { .. } => "duplicate-manifest",
-        }
-    }
-
-    /// The checkpoint ordinal this fault targets.
-    pub fn target_ckpt(&self) -> u64 {
-        self.ckpt()
     }
 }

@@ -16,7 +16,7 @@
 //!   [`RejectReason`]s for every skipped candidate, and retention GC.
 //! - [`fault`]: deterministic disk-fault injection ([`FaultyStore`]) —
 //!   torn writes, bit flips, missing shards, stale and duplicate
-//!   manifests — one-shot and seeded like the runtime's `FaultRng` faults.
+//!   manifests — each firing once, like the runtime's injected faults.
 //!
 //! Checkpoints are *plan-independent* (full tensor values, not per-worker
 //! shards), so a restarted process may validate the newest checkpoint and

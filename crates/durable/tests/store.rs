@@ -145,15 +145,6 @@ fn wrong_cadence_rejected() {
 }
 
 #[test]
-fn seeded_plan_is_deterministic() {
-    let a = DiskFaultPlan::seeded(42, 3, 4);
-    let b = DiskFaultPlan::seeded(42, 3, 4);
-    assert_eq!(a, b);
-    assert_eq!(a.faults.len(), 1);
-    assert_eq!(a.faults[0].target_ckpt(), 3);
-}
-
-#[test]
 fn gc_keeps_newest_and_sweeps_orphans() {
     let store = MemStore::new();
     for k in 1..=4 {

@@ -26,7 +26,7 @@
 //! record makes checkpoint `k` consistent commits it (shards first, then
 //! the manifest — the commit point), then prunes superseded checkpoints
 //! down to the newest two (`RETAIN`). Disk faults from
-//! [`FaultPlan::disk`](crate::FaultPlan) are injected into those writes via
+//! [`DurableOptions::disk_faults`] are injected into those writes via
 //! [`FaultyStore`], deterministic and one-shot like every other injected
 //! fault. [`run_with_durable_recovery`] is the adaptor that hands the sink
 //! to the supervisor; DESIGN.md "Failure model → The recovery supervisor"
@@ -38,8 +38,8 @@ use std::time::{Duration, Instant};
 
 use tofu_core::{PartitionOptions, SearchCaches, ShardedGraph};
 use tofu_durable::{
-    gc, recover_latest, write_checkpoint, BlobStore, DurableCheckpoint, FaultyStore,
-    RejectedCheckpoint,
+    gc, recover_latest, write_checkpoint, BlobStore, DiskFaultPlan, DurableCheckpoint,
+    FaultyStore, RejectedCheckpoint,
 };
 use tofu_graph::{Graph, TensorId};
 use tofu_obs::{Collector, Track};
@@ -84,15 +84,18 @@ pub struct DurableOptions {
     /// checkpoint reshards either way. Mutually exclusive with a churn
     /// plan, which scripts fleet membership itself.
     pub restart_workers: Option<usize>,
+    /// Disk faults injected into the store's writes, each firing once.
+    pub disk_faults: DiskFaultPlan,
 }
 
 /// How many committed checkpoints survive the GC after each commit.
 const RETAIN: usize = 2;
 
 impl DurableOptions {
-    /// Persist to `store`, no simulated crash.
+    /// Persist to `store`, no simulated crash, no disk faults.
     pub fn new(store: Arc<dyn BlobStore>) -> DurableOptions {
-        DurableOptions { store, crash: None, restart_workers: None }
+        let disk_faults = DiskFaultPlan::none();
+        DurableOptions { store, crash: None, restart_workers: None, disk_faults }
     }
 }
 
@@ -101,6 +104,7 @@ impl std::fmt::Debug for DurableOptions {
         f.debug_struct("DurableOptions")
             .field("crash", &self.crash)
             .field("restart_workers", &self.restart_workers)
+            .field("disk_faults", &self.disk_faults)
             .finish_non_exhaustive()
     }
 }
@@ -147,7 +151,7 @@ impl Persister {
     /// The sink of one supervised run. Disk faults are consumed here, by the
     /// store wrapper; the in-memory run never sees them.
     pub(crate) fn new(durable: &DurableOptions, opts: &RunOptions) -> Arc<Persister> {
-        let disk = opts.faults.disk.clone();
+        let disk = durable.disk_faults.clone();
         Arc::new(Persister {
             store: Arc::new(FaultyStore::new(durable.store.clone(), disk)),
             every: opts.checkpoint.expect("validated: durable runs set a cadence").every,
@@ -322,7 +326,7 @@ impl Persister {
 /// the process *must* die there (a crash point past the last barrier is an
 /// [`RuntimeError::InvalidOptions`] before any worker starts — the run would
 /// complete instead of crashing). All of its in-memory state — checkpoint
-/// store, carried snapshot, transient faults' fired flags — is dropped; only
+/// store, carried snapshot, injected faults' fired flags — is dropped; only
 /// the blob store and the world (fleet membership, the churn script's
 /// cursor) carry over, exactly like a real process death.
 ///
@@ -332,7 +336,7 @@ impl Persister {
 /// on the fleet as it stood. Without churn the run gets one attempt per
 /// process and any other failure is returned as is.
 ///
-/// Disk faults in [`FaultPlan::disk`](crate::FaultPlan) corrupt the doomed
+/// Disk faults in [`DurableOptions::disk_faults`] corrupt the doomed
 /// process's writes; recovery detects each corruption during validation
 /// and reports it in [`RecoveryReport::rejected`] with a typed reason —
 /// falling back to an older checkpoint (or scratch), never resuming from

@@ -1,4 +1,4 @@
-//! Bidirectional elastic recovery: survive permanent device loss by
+//! Bidirectional elastic recovery: survive devices lost for good by
 //! re-partitioning onto the survivors, and grow back onto rejoining devices
 //! at a checkpoint barrier — resharding progress across every width change.
 //!
@@ -32,10 +32,11 @@
 //!   with [`RuntimeError::Unrecoverable`] naming the whole width ladder,
 //!   every lost device and the terminal cause — never a hang.
 //!
-//! Fault worker indices name **physical** devices: active workers keep
-//! their physical identity across transitions (`devices[logical] =
-//! physical`), so a permanent fault follows its device through shrinks,
-//! spares and rejoins, while faults on survivors keep firing at any width.
+//! Fault worker indices and churn devices name **physical** devices: active
+//! workers keep their physical identity across transitions
+//! (`devices[logical] = physical`), so a churn leave finds its device
+//! through shrinks, spares and rejoins, and a fault on a survivor fires at
+//! whatever width reaches its site.
 
 use tofu_core::{
     generate, partition_cached, CoreError, GenOptions, PartitionOptions, PartitionPlan,
@@ -169,7 +170,7 @@ pub(crate) fn select_width(
 /// [`run_with_recovery`](crate::run_with_recovery) extended with the elastic
 /// ladder: takes the **original** graph and full-tensor feeds (partitioning
 /// and scattering are re-done per width), retries transient failures at the
-/// current width, shrinks past permanent losses, grows onto devices a
+/// current width, shrinks past devices lost for good, grows onto devices a
 /// [`ChurnPlan`](crate::ChurnPlan) rejoins, and reshards checkpoints across
 /// plans so progress survives every width change. See the module docs for
 /// the ladder. The report's `plan` and `sharded` are the final width's;

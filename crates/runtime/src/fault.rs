@@ -8,15 +8,15 @@
 //! deterministic for a given sharded graph — so every run of a plan exercises
 //! the identical failure path.
 //!
-//! Each fault carries a [`FaultPersistence`]: `Transient` faults fire
-//! **once** per [`FaultState`] (and `run_with_recovery` shares one state
-//! across retries, so the retry observes a healthy world and can validate
-//! the checkpoint-restart path), while `Permanent` faults re-fire on every
-//! attempt — modelling a device that is gone for good, the trigger for
-//! elastic degraded-mode recovery. Fault worker indices name **physical**
-//! devices: when elastic recovery shrinks the worker set, surviving logical
-//! workers keep querying the state under their original physical ids, so a
-//! permanent fault follows its device and disappears with it.
+//! Every fault fires **once** per [`FaultState`] (and `run_with_recovery`
+//! shares one state across retries, so the retry observes a healthy world
+//! and can validate the checkpoint-restart path). A device that is gone for
+//! good is not a fault but a [`ChurnEvent::Leave`] (below), and a disk fault
+//! belongs to the durable store it corrupts
+//! ([`DurableOptions::disk_faults`](crate::DurableOptions)). Fault worker
+//! indices name **physical** devices: when elastic recovery shrinks the
+//! worker set, surviving logical workers keep querying the state under their
+//! original physical ids.
 //!
 //! `FaultRng` is the crate's small deterministic generator (SplitMix64):
 //! [`ChurnPlan::seeded`] derives a churn script from it and
@@ -25,22 +25,21 @@
 //! # Fleet churn
 //!
 //! A [`ChurnPlan`] scripts fleet-*membership* events on top of the fault
-//! plan: a [`ChurnEvent::Leave`] makes a device die permanently at a chosen
+//! plan: a [`ChurnEvent::Leave`] makes a device die for good at a chosen
 //! schedule position (the trigger for an elastic shrink), and a
 //! [`ChurnEvent::Join`] announces that a device (re)joins and asks the
 //! elastic ladder to grow back onto it at a chosen checkpoint barrier.
 //! Events are processed **strictly in plan order**: exactly one event is
-//! *armed* at a time, a `Leave` behaves like a permanent kill while armed
-//! and is retired when elastic recovery removes the device, and the next
-//! event arms only then. Injection sites are schedule positions and barrier
-//! ids — both deterministic for a given graph — so one seed yields one
-//! replayable fleet history: the same leave/rejoin/leave sequence, the same
-//! widths, the same bit-exact output, every run.
+//! *armed* at a time, a `Leave` kills its device at every attempt that
+//! reaches the site while armed and is retired when elastic recovery removes
+//! the device, and the next event arms only then. Injection sites are
+//! schedule positions and barrier ids — both deterministic for a given
+//! graph — so one seed yields one replayable fleet history: the same
+//! leave/rejoin/leave sequence, the same widths, the same bit-exact output,
+//! every run.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
-
-use tofu_durable::{DiskFault, DiskFaultPlan};
 
 /// What to do to one targeted cross-worker message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,36 +95,11 @@ pub enum Fault {
     },
 }
 
-/// Whether an injected fault models a glitch or a lasting condition.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum FaultPersistence {
-    /// Fires once per [`FaultState`]; retries observe a healthy world.
-    #[default]
-    Transient,
-    /// Re-fires on every attempt that reaches the injection site: the
-    /// device (or link) is broken for good. Retrying at the same width can
-    /// never succeed — only removing the target from the topology can.
-    Permanent,
-}
-
-/// One fault plus its persistence mode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InjectedFault {
-    /// The failure to inject.
-    pub fault: Fault,
-    /// Transient (fire once) or permanent (re-fire every attempt).
-    pub persistence: FaultPersistence,
-}
-
 /// The full set of faults to inject into one run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Faults to inject; order is irrelevant.
-    pub faults: Vec<InjectedFault>,
-    /// Disk faults to inject into the durable checkpoint store. Only
-    /// consumed by [`run_with_durable_recovery`](crate::run_with_durable_recovery);
-    /// every other entry point rejects a non-empty disk plan at validation.
-    pub disk: DiskFaultPlan,
+    /// Faults to inject, each firing once; order is irrelevant.
+    pub faults: Vec<Fault>,
 }
 
 impl FaultPlan {
@@ -134,37 +108,15 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// A plan with a single transient fault.
+    /// A plan with a single fault.
     pub fn single(fault: Fault) -> FaultPlan {
         FaultPlan::default().with(fault)
     }
 
-    /// A plan with a single permanent fault.
-    pub fn single_permanent(fault: Fault) -> FaultPlan {
-        FaultPlan::default().with_permanent(fault)
-    }
-
-    /// Adds a transient fault, builder style.
+    /// Adds a fault, builder style.
     pub fn with(mut self, fault: Fault) -> FaultPlan {
-        self.faults.push(InjectedFault { fault, persistence: FaultPersistence::Transient });
+        self.faults.push(fault);
         self
-    }
-
-    /// Adds a permanent fault, builder style.
-    pub fn with_permanent(mut self, fault: Fault) -> FaultPlan {
-        self.faults.push(InjectedFault { fault, persistence: FaultPersistence::Permanent });
-        self
-    }
-
-    /// Adds a disk fault against the durable checkpoint store, builder style.
-    pub fn with_disk(mut self, fault: DiskFault) -> FaultPlan {
-        self.disk.faults.push(fault);
-        self
-    }
-
-    /// True when nothing is injected.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty() && self.disk.is_empty()
     }
 }
 
@@ -174,9 +126,10 @@ impl FaultPlan {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChurnEvent {
     /// Device `device` leaves the fleet for good: while this event is armed
-    /// it behaves like a permanent kill just before local schedule position
-    /// `pos` (clamped like any step fault), and elastic recovery retires the
-    /// event when it removes the device from the topology.
+    /// it kills the device just before local schedule position `pos`
+    /// (clamped like any step fault) at every attempt that gets there, and
+    /// elastic recovery retires the event when it removes the device from
+    /// the topology.
     Leave {
         /// Physical device that leaves.
         device: usize,
@@ -333,15 +286,15 @@ pub(crate) enum StepFault {
 }
 
 /// Shared injection state of a plan. One `FaultState` spans every attempt of
-/// a supervised run (every retry, every width), so each *transient* fault is
-/// observed by exactly one attempt per process while *permanent* faults keep
-/// firing for as long as their device stays in the topology.
+/// a supervised run (every retry, every width), so each fault is observed by
+/// exactly one attempt per process while an armed churn leave keeps killing
+/// its device for as long as the device stays in the topology.
 #[derive(Debug)]
 pub(crate) struct FaultState {
-    faults: Vec<(InjectedFault, AtomicBool)>,
+    faults: Vec<(Fault, AtomicBool)>,
     /// Scripted membership events, processed strictly in order: index of
-    /// the currently *armed* event. An armed `Leave` acts as a permanent
-    /// kill of its device; the elastic driver retires it (and arms the next
+    /// the currently *armed* event. An armed `Leave` kills its device at
+    /// every attempt; the elastic driver retires it (and arms the next
     /// event) when the device actually leaves the topology.
     churn: Vec<ChurnEvent>,
     armed: AtomicUsize,
@@ -361,7 +314,7 @@ impl FaultState {
             faults: plan.faults.iter().map(|f| (f.clone(), AtomicBool::new(false))).collect(),
             churn: churn.events.clone(),
             armed: AtomicUsize::new(0),
-            has_message: plan.faults.iter().any(|f| matches!(f.fault, Fault::Message { .. })),
+            has_message: plan.faults.iter().any(|f| matches!(f, Fault::Message { .. })),
         }
     }
 
@@ -389,7 +342,7 @@ impl FaultState {
         self.armed.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// A whole-process crash: which transient faults already fired is
+    /// A whole-process crash: which faults already fired is
     /// process memory and is forgotten, so they fire again in the restarted
     /// process. The churn cursor is the world and stays where it is. Called
     /// between attempts, when no worker is consulting the state.
@@ -399,20 +352,16 @@ impl FaultState {
         }
     }
 
-    /// Whether fault `i` fires now: permanent faults always do, transient
-    /// faults only on the first call.
+    /// Whether fault `i` fires now: only on the first call.
     fn fire(&self, i: usize) -> bool {
-        match self.faults[i].0.persistence {
-            FaultPersistence::Permanent => true,
-            FaultPersistence::Transient => !self.faults[i].1.swap(true, Ordering::AcqRel),
-        }
+        !self.faults[i].1.swap(true, Ordering::AcqRel)
     }
 
     /// The step faults (kill/panic/pool) firing for physical device `worker`
     /// just before its local schedule position `pos`. `last` is the worker's
     /// final position, used to clamp out-of-range injection sites so "late"
     /// faults on short schedules still fire; `start` is the position the
-    /// attempt resumed from, so a permanent fault planted *before* the
+    /// attempt resumed from, so a fault or leave planted *before* the
     /// resume cut still kills the attempt at its first step instead of
     /// silently becoming unreachable.
     pub(crate) fn step_faults(
@@ -424,7 +373,7 @@ impl FaultState {
     ) -> Vec<StepFault> {
         let mut out = Vec::new();
         for (i, (f, _)) in self.faults.iter().enumerate() {
-            let (w, p, kind) = match &f.fault {
+            let (w, p, kind) = match f {
                 Fault::Kill { worker, pos } => (*worker, *pos, StepFault::Kill),
                 Fault::Panic { worker, pos } => (*worker, *pos, StepFault::Panic),
                 Fault::PoolOverBudget { worker, pos } => {
@@ -436,9 +385,9 @@ impl FaultState {
                 out.push(kind);
             }
         }
-        // An armed churn leave is a permanent kill of its device: it
-        // re-fires on every attempt that reaches the site until the elastic
-        // driver removes the device and retires the event.
+        // An armed churn leave kills its device on every attempt that
+        // reaches the site until the elastic driver removes the device and
+        // retires the event.
         if let Some(ChurnEvent::Leave { device, pos: p }) = self.armed_event() {
             if device == worker && p.min(last).max(start) == pos {
                 out.push(StepFault::Kill);
@@ -456,7 +405,7 @@ impl FaultState {
         index: u64,
     ) -> Option<MessageFault> {
         for (i, (f, _)) in self.faults.iter().enumerate() {
-            if let Fault::Message { src: s, dst: d, index: n, action } = &f.fault {
+            if let Fault::Message { src: s, dst: d, index: n, action } = f {
                 if *s == src && *d == dst && *n == index && self.fire(i) {
                     return Some(*action);
                 }
@@ -477,17 +426,6 @@ mod tests {
         assert!(st.step_faults(1, 2, 10, 0).is_empty(), "wrong position");
         assert_eq!(st.step_faults(1, 3, 10, 0), vec![StepFault::Kill]);
         assert!(st.step_faults(1, 3, 10, 0).is_empty(), "transient faults are one-shot");
-    }
-
-    #[test]
-    fn permanent_faults_refire_every_attempt() {
-        let st = FaultState::new(&FaultPlan::single_permanent(Fault::Kill { worker: 1, pos: 3 }));
-        assert_eq!(st.step_faults(1, 3, 10, 0), vec![StepFault::Kill]);
-        assert_eq!(st.step_faults(1, 3, 10, 0), vec![StepFault::Kill], "permanent re-fires");
-        // An attempt resumed past the injection site still dies — at its
-        // first position, because the dead device is dead everywhere.
-        assert!(st.step_faults(1, 6, 10, 5).is_empty());
-        assert_eq!(st.step_faults(1, 5, 10, 5), vec![StepFault::Kill]);
     }
 
     #[test]
@@ -515,7 +453,7 @@ mod tests {
     fn churn_events_process_strictly_in_order() {
         let plan = ChurnPlan::none().with_leave(1, 3).with_join(1, 2).with_leave(2, 5);
         let st = FaultState::with_churn(&FaultPlan::none(), &plan);
-        // The armed leave re-fires like a permanent kill...
+        // The armed leave re-fires at every attempt...
         assert_eq!(st.step_faults(1, 3, 10, 0), vec![StepFault::Kill]);
         assert_eq!(st.step_faults(1, 3, 10, 0), vec![StepFault::Kill]);
         // ...and masks every later event: the join is not pending yet, and

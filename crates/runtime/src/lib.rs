@@ -60,8 +60,10 @@
 //!   schedule-indexed table, so the send path performs no map lookups.
 //! - **Fault injection.** A [`FaultPlan`] in [`RunOptions`] deterministically
 //!   kills or panics a worker at a schedule position, tampers with a chosen
-//!   message, or forces a pool over-budget event — so every failure path
-//!   above is testable.
+//!   message, or forces a pool over-budget event, each once per process —
+//!   so every failure path above is testable. A device lost for good is a
+//!   [`ChurnPlan`] leave, and disk faults are
+//!   [`DurableOptions::disk_faults`].
 //! - **One recovery supervisor.** A [`CheckpointPolicy`] snapshots worker
 //!   values at global-schedule barriers, and a single supervisor loop
 //!   (`supervisor.rs`) retries a faulted run with capped backoff from the
@@ -107,9 +109,7 @@ pub use checkpoint::{BarrierUnit, CheckpointPolicy, RecoveryOptions};
 pub use durable::{run_with_durable_recovery, CrashPoint, DurableOptions};
 pub use elastic::{run_with_elastic_recovery, ElasticTransition, TransitionKind};
 pub use error::{RunFailure, RuntimeError};
-pub use fault::{
-    ChurnEvent, ChurnPlan, Fault, FaultPersistence, FaultPlan, InjectedFault, MessageFault,
-};
+pub use fault::{ChurnEvent, ChurnPlan, Fault, FaultPlan, MessageFault};
 pub use reshard::{resume_from_snapshot, FullSnapshot};
 pub use supervisor::{AttemptRecord, RecoveryReport};
 pub use tofu_durable::{
@@ -220,10 +220,10 @@ pub fn run_with_options(
 /// capped, deterministically jittered backoff (see
 /// [`RecoveryOptions::backoff`]), resuming from the last *consistent*
 /// checkpoint when `opts.checkpoint` is set (and from scratch otherwise).
-/// Transient injected faults fire once across all attempts, so the retry
-/// observes a healthy world; permanent faults re-fire every attempt —
-/// recovering past those means re-planning at another width, which a fixed
-/// `sharded` cannot do, so the last attempt's failure is returned here and
+/// Injected faults fire once across all attempts, so the retry observes a
+/// healthy world. A device lost for good is a [`ChurnPlan`] leave, and
+/// recovering past it means re-planning at another width, which a fixed
+/// `sharded` cannot do: a churn plan is rejected here, and
 /// [`run_with_elastic_recovery`] takes the original graph instead. The
 /// recovered output is bit-identical to an undisturbed run (see DESIGN.md
 /// "Failure model" for the argument).

@@ -98,34 +98,24 @@ pub(crate) fn validate(
             );
         }
     }
-    match durable {
-        Some(d) => {
-            if opts.checkpoint.is_none() {
-                return invalid(
-                    "durable recovery persists checkpoint barriers; set a \
-                     CheckpointPolicy::every_original cadence"
-                        .into(),
-                );
-            }
-            if d.restart_workers == Some(0) {
-                return invalid("cannot restart on zero workers".into());
-            }
-            if d.restart_workers.is_some() && !opts.churn.is_empty() {
-                return invalid(
-                    "restart_workers replaces the fleet at restart while a churn plan scripts \
-                     its membership; set one or the other"
-                        .into(),
-                );
-            }
-        }
-        None if !opts.faults.disk.is_empty() => {
+    if let Some(d) = durable {
+        if opts.checkpoint.is_none() {
             return invalid(
-                "disk faults target the durable checkpoint store; only \
-                 run_with_durable_recovery can honor them"
+                "durable recovery persists checkpoint barriers; set a \
+                 CheckpointPolicy::every_original cadence"
                     .into(),
             );
         }
-        None => {}
+        if d.restart_workers == Some(0) {
+            return invalid("cannot restart on zero workers".into());
+        }
+        if d.restart_workers.is_some() && !opts.churn.is_empty() {
+            return invalid(
+                "restart_workers replaces the fleet at restart while a churn plan scripts \
+                 its membership; set one or the other"
+                    .into(),
+            );
+        }
     }
     if !opts.churn.is_empty() {
         if !replans {
@@ -148,7 +138,7 @@ pub(crate) fn validate(
     }
     // Fault plans address the *initial* fleet's physical ids.
     for f in &opts.faults.faults {
-        match f.fault {
+        match *f {
             Fault::Kill { worker, .. }
             | Fault::Panic { worker, .. }
             | Fault::PoolOverBudget { worker, .. } => {
@@ -636,7 +626,7 @@ fn insert_sorted(v: &mut Vec<usize>, d: usize) {
 /// Two kinds of state cross its transitions. **The world** — fleet
 /// membership (`available`, the lost list) and the churn script's cursor —
 /// survives everything, a process crash included. **Process memory** — the
-/// [`CheckpointStore`], the carried snapshot, transient faults' fired flags
+/// [`CheckpointStore`], the carried snapshot, injected faults' fired flags
 /// and the durable sink — is dropped by a process crash and rebuilt by the
 /// next boot from whatever the blob store holds.
 ///

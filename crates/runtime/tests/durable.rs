@@ -14,8 +14,8 @@ use tofu_graph::{Graph, TensorId, TensorKind};
 use tofu_models::{mlp, MlpConfig};
 use tofu_runtime::{
     resume_from_snapshot, run_with_durable_recovery, run_with_options, BlobStore,
-    CheckpointPolicy, ChurnPlan, CrashPoint, DirStore, DiskFault, DurableOptions, FaultPlan,
-    MemStore, RecoveryReport, RejectReason, RunOptions, RuntimeError, TransitionKind,
+    CheckpointPolicy, ChurnPlan, CrashPoint, DirStore, DiskFault, DiskFaultPlan, DurableOptions,
+    FaultPlan, MemStore, RecoveryReport, RejectReason, RunOptions, RuntimeError, TransitionKind,
 };
 use tofu_tensor::Tensor;
 
@@ -308,13 +308,14 @@ fn every_disk_fault_family_is_detected_and_recovered_exactly() {
     for case in cases {
         let durable = DurableOptions {
             crash: Some(CrashPoint::AfterCommit(2)),
+            disk_faults: DiskFaultPlan::none().with(case.fault),
             ..DurableOptions::new(Arc::new(MemStore::default()))
         };
         let report = run_with_durable_recovery(
             &m.graph,
             &full_feeds,
             &part,
-            &checkpointed(&m.graph, FaultPlan::none().with_disk(case.fault)),
+            &checkpointed(&m.graph, FaultPlan::none()),
             &durable,
             &mut caches,
         )
@@ -435,34 +436,6 @@ fn misconfiguration_is_rejected_up_front() {
         ),
         "zero restart width",
     );
-}
-
-#[test]
-fn plain_runs_reject_disk_faults() {
-    // Disk faults target the durable store; a plain in-memory run has no
-    // store to inject them into and must refuse instead of ignoring them.
-    let m = model();
-    let full_feeds = feeds(&m.graph);
-    let part = PartitionOptions { workers: 2, ..Default::default() };
-    let mut caches = SearchCaches::default();
-    let sharded = {
-        let plan = tofu_core::partition_cached(&m.graph, &part, &mut caches, None).unwrap();
-        tofu_core::generate(&m.graph, &plan, &tofu_core::GenOptions::default()).unwrap()
-    };
-    let mut sf = Vec::new();
-    for (t, v) in &full_feeds {
-        sf.extend(sharded.scatter(*t, v).unwrap());
-    }
-    let opts = checkpointed(
-        &m.graph,
-        FaultPlan::none().with_disk(DiskFault::MissingShard { ckpt: 1, shard: 0 }),
-    );
-    match run_with_options(&sharded, &sf, &opts) {
-        Err(RuntimeError::InvalidOptions(m)) => {
-            assert!(m.contains("durable"), "message should point at the durable path: {m}")
-        }
-        other => panic!("expected InvalidOptions, got {other:?}"),
-    }
 }
 
 /// The composition the single supervisor buys: a whole-process crash in the

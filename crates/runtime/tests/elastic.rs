@@ -1,10 +1,10 @@
-//! Elastic degraded-mode recovery tests: permanent device loss must shrink
+//! Elastic degraded-mode recovery tests: a device leaving for good must shrink
 //! the worker set, reshard the last consistent checkpoint, and finish with
 //! output bit-identical to an undisturbed run at the surviving width resumed
 //! from the same snapshot — and losing every device must end in a typed
 //! `Unrecoverable`, never a hang.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use tofu_core::{generate, partition, GenOptions, PartitionOptions, SearchCaches};
@@ -12,7 +12,8 @@ use tofu_graph::{Graph, TensorId, TensorKind};
 use tofu_models::{mlp, MlpConfig};
 use tofu_runtime::{
     resume_from_snapshot, run_with_elastic_recovery, run_with_options, run_with_recovery,
-    CheckpointPolicy, Fault, FaultPlan, RecoveryOptions, RecoveryReport, RunOptions, RuntimeError,
+    ChurnPlan, CheckpointPolicy, Fault, FaultPlan, RecoveryOptions, RecoveryReport, RunOptions,
+    RuntimeError,
 };
 use tofu_tensor::Tensor;
 
@@ -47,6 +48,11 @@ fn checkpointed(g: &Graph, faults: FaultPlan) -> RunOptions {
         checkpoint: Some(CheckpointPolicy::every_original((g.num_nodes() / 6).max(1))),
         ..Default::default()
     }
+}
+
+/// Checkpointed options whose devices leave the fleet as `churn` scripts.
+fn churned(g: &Graph, churn: ChurnPlan) -> RunOptions {
+    RunOptions { churn, ..checkpointed(g, FaultPlan::none()) }
 }
 
 fn elastic_recovery(max_attempts: usize) -> RecoveryOptions {
@@ -105,10 +111,7 @@ fn kill_one_of_eight_shrinks_and_matches_baseline_bit_for_bit() {
     // Early / mid / late loss relative to the victim's full-width schedule;
     // one warm cache across the loop, like a long-lived job would hold.
     for frac in [0usize, 1, 2] {
-        let opts = checkpointed(
-            &m.graph,
-            FaultPlan::single_permanent(Fault::Kill { worker: 3, pos: frac * 40 }),
-        );
+        let opts = churned(&m.graph, ChurnPlan::none().with_leave(3, frac * 40));
         let report = run_with_elastic_recovery(
             &m.graph,
             &full_feeds,
@@ -159,47 +162,32 @@ fn transient_fault_recovers_at_full_width_without_shrinking() {
 }
 
 #[test]
-fn multiple_permanent_losses_walk_the_ladder_through_prime_widths() {
+fn multiple_losses_walk_the_ladder_through_prime_widths() {
     let m = model();
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 8, ..Default::default() };
     let mut caches = SearchCaches::default();
 
     // Two losses: 8 → 7 → 6.
-    let two = checkpointed(
-        &m.graph,
-        FaultPlan::none()
-            .with_permanent(Fault::Kill { worker: 1, pos: 25 })
-            .with_permanent(Fault::Kill { worker: 5, pos: 60 }),
-    );
+    let two = churned(&m.graph, ChurnPlan::none().with_leave(1, 25).with_leave(5, 60));
     let report =
         run_with_elastic_recovery(&m.graph, &full_feeds, &part, &two, &elastic_recovery(1), &mut caches)
             .expect("two losses survive");
     assert_eq!(report.widths, vec![8, 7, 6]);
-    assert_eq!(
-        report.lost.iter().collect::<BTreeSet<_>>(),
-        [1usize, 5].iter().collect::<BTreeSet<_>>()
-    );
+    assert_eq!(report.lost, vec![1, 5]);
     assert_eq!(active(&report), vec![0, 2, 3, 4, 6, 7]);
     assert_bit_identical(&report.output.values, &baseline_values(&report, &full_feeds));
 
     // Four losses: 8 → 7 → 6 → 5 → 4, crossing both primes.
-    let four = checkpointed(
+    let four = churned(
         &m.graph,
-        FaultPlan::none()
-            .with_permanent(Fault::Kill { worker: 0, pos: 10 })
-            .with_permanent(Fault::Kill { worker: 2, pos: 35 })
-            .with_permanent(Fault::Kill { worker: 4, pos: 55 })
-            .with_permanent(Fault::Kill { worker: 6, pos: 80 }),
+        ChurnPlan::none().with_leave(0, 10).with_leave(2, 35).with_leave(4, 55).with_leave(6, 80),
     );
     let report =
         run_with_elastic_recovery(&m.graph, &full_feeds, &part, &four, &elastic_recovery(1), &mut caches)
             .expect("four losses survive");
     assert_eq!(report.widths, vec![8, 7, 6, 5, 4]);
-    assert_eq!(
-        report.lost.iter().collect::<BTreeSet<_>>(),
-        [0usize, 2, 4, 6].iter().collect::<BTreeSet<_>>()
-    );
+    assert_eq!(report.lost, vec![0, 2, 4, 6]);
     assert_eq!(active(&report), vec![1, 3, 5, 7]);
     assert_bit_identical(&report.output.values, &baseline_values(&report, &full_feeds));
 }
@@ -209,28 +197,22 @@ fn losing_every_device_surfaces_typed_unrecoverable() {
     let m = model();
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 2, ..Default::default() };
-    // Both devices are dead for good: the ladder shrinks 2 → 1, loses the
+    // Both devices leave for good: the ladder shrinks 2 → 1, loses the
     // last device too, and has nothing left to run on.
-    let kill_all = FaultPlan::none()
-        .with_permanent(Fault::Kill { worker: 0, pos: 5 })
-        .with_permanent(Fault::Kill { worker: 1, pos: 5 });
+    let leave_all = ChurnPlan::none().with_leave(0, 5).with_leave(1, 5);
     let mut caches = SearchCaches::default();
     let err = run_with_elastic_recovery(
         &m.graph,
         &full_feeds,
         &part,
-        &checkpointed(&m.graph, kill_all),
+        &churned(&m.graph, leave_all),
         &elastic_recovery(1),
         &mut caches,
     )
     .unwrap_err();
     match err {
         RuntimeError::Unrecoverable { ref lost, ref widths, ref cause } => {
-            assert_eq!(
-                lost.iter().collect::<BTreeSet<_>>(),
-                [0usize, 1].iter().collect::<BTreeSet<_>>(),
-                "names both lost devices"
-            );
+            assert_eq!(lost, &vec![0, 1], "names both lost devices in loss order");
             assert_eq!(widths, &vec![2, 1], "names the whole ladder");
             assert!(matches!(**cause, RuntimeError::Failed(_)), "cause: {cause}");
         }
@@ -248,13 +230,12 @@ fn without_degrade_policy_permanent_loss_is_a_plain_failure() {
     for (t, v) in feeds(&m.graph) {
         shard_feeds.extend(sharded.scatter(t, &v).unwrap());
     }
+    // One kill of device 0 per attempt, at increasing positions: each
+    // attempt dies, and the fixed width has no device to drop.
     let recovery = RecoveryOptions { max_attempts: 2, backoff: Duration::ZERO };
-    let err = run_with_recovery(
-        &sharded,
-        &shard_feeds,
-        &checkpointed(&m.graph, FaultPlan::single_permanent(Fault::Kill { worker: 0, pos: 3 })),
-        &recovery,
-    )
+    let kills = FaultPlan::single(Fault::Kill { worker: 0, pos: 3 })
+        .with(Fault::Kill { worker: 0, pos: 4 });
+    let err = run_with_recovery(&sharded, &shard_feeds, &checkpointed(&m.graph, kills), &recovery)
     .unwrap_err();
     assert!(matches!(err, RuntimeError::Failed(ref f) if f.worker == 0), "got {err}");
 }
@@ -287,10 +268,7 @@ fn ladder_is_fully_instrumented() {
     let full_feeds = feeds(&m.graph);
     let part = PartitionOptions { workers: 4, ..Default::default() };
     let collector = tofu_obs::Collector::new();
-    let mut opts = checkpointed(
-        &m.graph,
-        FaultPlan::single_permanent(Fault::Kill { worker: 2, pos: 20 }),
-    );
+    let mut opts = churned(&m.graph, ChurnPlan::none().with_leave(2, 20));
     opts.collector = Some(collector.clone());
     let mut caches = SearchCaches::default();
     let report = run_with_elastic_recovery(

@@ -383,14 +383,18 @@ fn permanent_kill_defeats_fixed_width_retry() {
     let (sharded, shard_feeds) = shard(4);
     let every = (sharded.graph.num_nodes() / 4).max(1);
     let pos = sharded.worker_schedule(1).len() / 2;
+    // One kill of worker 1 per attempt, at distinct increasing positions:
+    // every fixed-width attempt dies on it (an attempt resumes at or before
+    // the position its predecessor died at, so it reaches the next site),
+    // and retry alone (no degrade ladder) must exhaust and surface the same
+    // worker in the post-mortem.
     let opts = RunOptions {
-        faults: FaultPlan::single_permanent(Fault::Kill { worker: 1, pos }),
+        faults: FaultPlan::single(Fault::Kill { worker: 1, pos })
+            .with(Fault::Kill { worker: 1, pos: pos + 1 })
+            .with(Fault::Kill { worker: 1, pos: pos + 2 }),
         checkpoint: Some(CheckpointPolicy::every(every)),
         ..Default::default()
     };
-    // The device is gone for good: every fixed-width attempt re-hits the
-    // fault, and retry alone (no degrade ladder) must exhaust and surface
-    // the same worker in the post-mortem.
     let err = run_with_recovery(
         &sharded,
         &shard_feeds,
@@ -401,8 +405,8 @@ fn permanent_kill_defeats_fixed_width_retry() {
     let failure = expect_failed(err);
     assert_eq!(failure.worker, 1, "post-mortem names the dead device");
 
-    // Sanity contrast: the same fault marked transient fires once, so the
-    // identical retry budget recovers bit-identically.
+    // Sanity contrast: a single kill fires once, so the identical retry
+    // budget recovers bit-identically.
     let baseline =
         run_with_options(&sharded, &shard_feeds, &RunOptions::default()).expect("healthy run");
     let transient = RunOptions {
