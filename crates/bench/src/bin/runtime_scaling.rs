@@ -1,7 +1,8 @@
 //! Runtime scaling ledger: what `tofu-runtime` moves at 1/2/4/8 workers for
 //! an MLP and a small WResNet — sharded nodes, messages, bytes on the links,
 //! the remote reads those messages serve, bytes the transport copied, the
-//! largest worker's peak memory — written to `BENCH_runtime.json`.
+//! largest worker's peak memory and the live-byte bound beneath it —
+//! written to `BENCH_runtime.json`.
 //!
 //! Every row is three steps of one sharded graph at [`IntegrityLevel::Fast`],
 //! the production configuration the zero-copy transport optimizes (the fault
@@ -45,6 +46,11 @@ struct Row {
     transport_copy_bytes: u64,
     /// The largest worker's peak memory (bytes).
     peak_device_bytes: u64,
+    /// The largest worker's persistent bytes plus its plan's
+    /// `live_peak_bytes`: the most bytes live at one position, below which
+    /// no assignment of the same tensors can go. The gap to
+    /// `peak_device_bytes` is the planner's fragmentation.
+    live_peak_bytes: u64,
     /// Planning spans over three steps of the row's sharded graph.
     plan_spans_3_steps: usize,
     exact: bool,
@@ -75,6 +81,8 @@ fn measure(model: &'static str, g: &Graph, workers: usize) -> Result<Row, String
             return Err(format!("step {step} is not bit-identical to step 1"));
         }
     }
+    // The plan the steps ran, cached by the first.
+    let exec = sharded.exec_plan(None).map_err(|e| format!("exec plan failed: {e}"))?;
     let row = Row {
         model,
         workers,
@@ -84,6 +92,12 @@ fn measure(model: &'static str, g: &Graph, workers: usize) -> Result<Row, String
         remote_reads: planned.reads,
         transport_copy_bytes: out.trace.workers.iter().map(|w| w.transport_copy_bytes).sum(),
         peak_device_bytes: out.trace.workers.iter().map(|w| w.peak_memory_bytes())
+            .max()
+            .unwrap_or(0),
+        live_peak_bytes: exec
+            .workers
+            .iter()
+            .map(|wp| wp.buffers.mem.persistent_bytes + wp.buffers.mem.live_peak_bytes)
             .max()
             .unwrap_or(0),
         plan_spans_3_steps: plan_spans(),
@@ -138,7 +152,7 @@ fn main() {
     {
         println!("\n{name} — three steps per row");
         println!(
-            "{:<8} {:>12} {:>7} {:>9} {:>7} {:>14} {:>12} {:>11} {:>6}",
+            "{:<8} {:>12} {:>7} {:>9} {:>7} {:>14} {:>12} {:>12} {:>11} {:>6}",
             "workers",
             "comm bytes",
             "nodes",
@@ -146,15 +160,16 @@ fn main() {
             "reads",
             "copied bytes",
             "peak bytes",
+            "live bytes",
             "plan spans",
             "exact"
         );
-        println!("{}", "-".repeat(94));
+        println!("{}", "-".repeat(107));
         for workers in WORKERS {
             match measure(name, &model.graph, workers) {
                 Ok(r) => {
                     println!(
-                        "{:<8} {:>12} {:>7} {:>9} {:>7} {:>14} {:>12} {:>11} {:>6}",
+                        "{:<8} {:>12} {:>7} {:>9} {:>7} {:>14} {:>12} {:>12} {:>11} {:>6}",
                         r.workers,
                         r.comm_bytes,
                         r.nodes,
@@ -162,6 +177,7 @@ fn main() {
                         r.remote_reads,
                         r.transport_copy_bytes,
                         r.peak_device_bytes,
+                        r.live_peak_bytes,
                         r.plan_spans_3_steps,
                         r.exact
                     );
@@ -184,6 +200,7 @@ fn main() {
                 ("remote_reads", Json::from(r.remote_reads)),
                 ("transport_copy_bytes", Json::from(r.transport_copy_bytes)),
                 ("peak_device_bytes", Json::from(r.peak_device_bytes)),
+                ("live_peak_bytes", Json::from(r.live_peak_bytes)),
                 ("plan_spans_3_steps", Json::from(r.plan_spans_3_steps)),
                 ("exact", Json::Bool(r.exact)),
             ])

@@ -1,44 +1,58 @@
 //! Static memory planning (the §6 "leveraging the existing memory planner"
 //! substrate).
 //!
-//! Like MXNet's planner, buffers are assigned by a greedy liveness scan over
-//! a serial schedule: an intermediate tensor's buffer becomes free after its
-//! last consumer and can then be reused by a later allocation. The partition
-//! pass inserts extra control dependencies precisely so that each worker's
-//! sub-schedule stays serial and this reuse keeps working (§6, Fig. 7); the
-//! `reuse` flag models the ablation where those dependencies are missing and
-//! no cross-operator reuse is safe.
+//! Buffers are assigned offline over a serial schedule, with full liveness
+//! knowledge: an intermediate tensor's buffer becomes free after its last
+//! consumer and can then hold a later tensor. The partition pass inserts
+//! extra control dependencies precisely so that each worker's sub-schedule
+//! stays serial and this reuse keeps working (§6, Fig. 7); the `reuse` flag
+//! models the ablation where those dependencies are missing and no
+//! cross-operator reuse is safe, so every output gets a buffer of its own.
 //!
-//! **The placement rule.** At each schedule position the output takes over
-//! its first input's buffer in place when the operator runs in place and
-//! that input dies right there; otherwise it reuses the smallest free buffer
-//! that fits, else grows the largest free buffer, else allocates a fresh
-//! one. Ties between equal-size free buffers go to the lowest slot id.
+//! **The placement rule** is greedy by size (Pisarchyk & Lee, "Efficient
+//! Memory Management for Deep Neural Net Inference", 2020), in three passes:
 //!
-//! **Why the tie rule cannot change a number.** Every decision reads buffer
-//! *sizes* only — which free size fits, which is largest, whether the dying
-//! input's buffer is big enough — never a slot id. By induction over schedule
-//! positions, the multiset of free sizes and the size of the buffer holding
-//! each live tensor are the same under any tie rule, so the `MemPlan`, every
-//! action's kind and `grown_by`, `dead_after`, `persistent` and the multiset
-//! of slot sizes are too. Only slot labels depend on the rule, and the one
-//! reader of labels, the runtime's `BufferPool`, replays the same plan.
+//! 1. *Records.* An output joins its first input's record — the node runs in
+//!    place — when the operator runs in place, that input was produced on
+//!    this schedule and dies at this node, and it has at least the output's
+//!    bytes. Otherwise the output opens a record. A record lives over the
+//!    closed interval from its first definition to its last tensor's death;
+//!    its size is its largest tensor, the first.
+//! 2. *Assignment.* Records are taken by `(bytes descending, interval
+//!    length descending, first position ascending)`. Each goes into the
+//!    first buffer, in creation order, whose intervals it does not overlap,
+//!    else into a new buffer of its size. Sizes descend, so no buffer ever
+//!    grows. Among equal sizes the longest-lived record goes first, so
+//!    short records fill the holes long ones leave; by first position
+//!    alone, the MLP's one-worker schedule needed 3.3 % more bytes than the
+//!    online scan this planner replaced.
+//! 3. *Slots.* Buffers are numbered in the order the schedule first uses
+//!    them, so a runtime pool reserves slots in id order.
 //!
-//! **Cost.** Near-linear in the graph: per-tensor state lives in dense
-//! vectors, releases come from `dead_after` (no scan over live buffers), the
-//! in-place test is one lookup, and free buffers sit in a set ordered by
-//! `(bytes, slot)`, so a pick is a logarithmic range query. The runtime plans
-//! every worker on every attempt, so this is paid per training step.
+//! **Why the plan is deterministic.** Every record opens at its own schedule
+//! position, so no two records share a sort key: the order is total, and the
+//! plan depends on the graph and the schedule alone.
+//!
+//! **Cost.** Near-linear liveness (dense per-tensor vectors; deaths come from
+//! `dead_after`), one sort of the records, and per record a scan of the
+//! earlier buffers until one is free over its interval. Each buffer keeps a
+//! bitset of the positions it is busy at, so a record of a few positions
+//! tests a buffer with one or two word reads.
 
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
 
 use crate::graph::{Graph, NodeId, TensorId, TensorKind};
 
 /// Result of planning one device's memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemPlan {
-    /// Peak bytes of transient (intermediate) buffers.
+    /// Peak bytes of transient (intermediate) buffers: the sum of the slot
+    /// sizes.
     pub peak_transient_bytes: u64,
+    /// The most transient bytes live at one schedule position, an in-place
+    /// input and its output counted once: the lower bound on
+    /// `peak_transient_bytes` that fragmentation stands above.
+    pub live_peak_bytes: u64,
     /// Bytes of persistent tensors (inputs and weights).
     pub persistent_bytes: u64,
     /// Number of physical buffers allocated (≤ number of intermediates when
@@ -57,20 +71,17 @@ impl MemPlan {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlotAction {
     /// The output takes over the first input's buffer in place (the input's
-    /// liveness ends exactly at this node and the buffer is large enough).
+    /// liveness ends exactly at this node and it is at least as large).
     InPlace {
         /// Slot taken over.
         slot: usize,
     },
-    /// A freed buffer is reassigned; `grown_by` is the extra bytes the
-    /// planner had to add when the slot was smaller than the output.
+    /// A slot whose earlier tensors are all dead is reassigned.
     Reuse {
         /// Slot reassigned.
         slot: usize,
-        /// Bytes the slot grew by (0 for an exact or oversized fit).
-        grown_by: u64,
     },
-    /// A fresh physical buffer is allocated.
+    /// A fresh physical buffer of the slot's planned size is allocated.
     Alloc {
         /// Newly created slot.
         slot: usize,
@@ -82,7 +93,7 @@ impl SlotAction {
     pub fn slot(&self) -> usize {
         match *self {
             SlotAction::InPlace { slot }
-            | SlotAction::Reuse { slot, .. }
+            | SlotAction::Reuse { slot }
             | SlotAction::Alloc { slot } => slot,
         }
     }
@@ -96,14 +107,13 @@ impl SlotAction {
 pub struct BufferPlan {
     /// The summary numbers.
     pub mem: MemPlan,
-    /// Final byte size of every physical buffer slot.
+    /// Byte size of every physical buffer slot, fixed from its allocation.
     pub slot_bytes: Vec<u64>,
     /// Per schedule position: how that node's output is placed.
     pub actions: Vec<SlotAction>,
     /// Per schedule position: locally-produced tensors whose liveness ends
-    /// right after the node at that position runs. The greedy scan frees
-    /// slots at exactly these positions, including deaths that coincide with
-    /// an in-place takeover.
+    /// right after the node at that position runs, including deaths that
+    /// coincide with an in-place takeover.
     pub dead_after: Vec<Vec<TensorId>>,
     /// Inputs/weights resident on this device for the whole run (consumed by
     /// a non-fetch node of the schedule).
@@ -116,10 +126,19 @@ fn is_inplace_capable(g: &Graph, id: NodeId) -> bool {
     crate::registry::lookup(&g.node(id).op).is_ok_and(|def| def.category.is_elementwise())
 }
 
+/// Tensors that share one buffer over one closed interval of schedule
+/// positions: a tensor and the outputs that ran in place on it.
+#[derive(Clone, Copy)]
+struct Record {
+    bytes: u64,
+    first: usize,
+    last: usize,
+}
+
 /// Plans memory for a sub-schedule (e.g. one worker's nodes of a partitioned
 /// graph) and returns the full buffer assignment: every placement decision
 /// and liveness event, so a runtime can seed a real pool from the static
-/// plan. The placement rule and its tie-break are in the module docs.
+/// plan. The placement rule and its order are in the module docs.
 ///
 /// Only tensors produced by scheduled nodes count as transient; persistent
 /// bytes cover inputs/weights this device *owns* (consumed by a non-fetch
@@ -164,8 +183,7 @@ pub fn plan_buffers(g: &Graph, schedule: &[NodeId], reuse: bool) -> BufferPlan {
         let t = g.node(id).output;
         last_use[t.0] = last_use[t.0].max(to_local(global_last[t.0]).max(pos));
     }
-    // Exact death positions, in tensor id order within a position; the
-    // release phase below frees slots at exactly these steps.
+    // Exact death positions, in tensor id order within a position.
     let mut dead_after: Vec<Vec<TensorId>> = vec![Vec::new(); schedule.len()];
     for (t, def) in def_pos.iter().enumerate() {
         if def.is_some() {
@@ -194,101 +212,121 @@ pub fn plan_buffers(g: &Graph, schedule: &[NodeId], reuse: bool) -> BufferPlan {
         }
     }
 
-    // Greedy buffer reuse over the serial schedule. Physical buffers carry
-    // stable slot ids so the recorded actions can be replayed.
-    let mut slot_bytes: Vec<u64> = Vec::new(); // by slot id, current size
-    let mut free: BTreeSet<(u64, usize)> = BTreeSet::new(); // (bytes, slot) of unassigned slots
-    let mut slot_of: Vec<Option<usize>> = vec![None; g.num_tensors()]; // slot of each live tensor
-    let mut actions: Vec<SlotAction> = Vec::with_capacity(schedule.len());
-    let mut current = 0u64;
-    let mut peak = 0u64;
-    let mut allocated = 0usize;
-
+    // Records, and per position the output's record and whether it runs in
+    // place (MXNet marks element-wise operators in-place). Bytes live per
+    // position go into `live_delta`; an in-place output starts counting
+    // after its handover position, where its input still holds the buffer.
+    let mut records: Vec<Record> = Vec::new();
+    let mut placed: Vec<(usize, bool)> = Vec::with_capacity(schedule.len());
+    let mut live_delta: Vec<i64> = vec![0; schedule.len() + 1];
     for (pos, &id) in schedule.iter().enumerate() {
         let node = g.node(id);
         let out = node.output;
         let need = g.tensor(out).shape.bytes();
-        // In-place execution (MXNet marks element-wise operators in-place):
-        // when the first input's buffer dies at this very node, the output
-        // takes it over without any new allocation.
-        let in_place = match node.inputs.first() {
-            Some(&t) if reuse && last_use[t.0] == pos => slot_of[t.0]
-                .filter(|&slot| slot_bytes[slot] >= need && is_inplace_capable(g, id))
-                .map(|slot| (t, slot)),
+        let joined = match node.inputs.first().map(|&t| (t, def_pos[t.0])) {
+            Some((t, Some(def))) if reuse && last_use[t.0] == pos => {
+                (g.tensor(t).shape.bytes() >= need && is_inplace_capable(g, id))
+                    .then_some(placed[def].0)
+            }
             _ => None,
         };
-        let slot = if let Some((t, slot)) = in_place {
-            slot_of[t.0] = None;
-            actions.push(SlotAction::InPlace { slot });
-            slot
-        } else {
-            // Reuse a free buffer when one exists. MXNet's planner assigns
-            // buffers offline with full liveness knowledge, so it can resize
-            // assignments freely; model that by growing an undersized free
-            // buffer instead of allocating a disjoint one (the pool's
-            // high-water mark then tracks the true live-byte peak, not
-            // fragmentation). The smallest fit first, else the largest; the
-            // lowest slot id among equal sizes either way.
-            let pick = free.range((need, 0)..).next().or_else(|| {
-                let &(largest, _) = free.last()?;
-                free.range((largest, 0)..).next()
-            });
-            match pick.copied() {
-                Some(key @ (size, slot)) => {
-                    free.remove(&key);
-                    let grown_by = need.saturating_sub(size);
-                    if grown_by > 0 {
-                        current += grown_by;
-                        peak = peak.max(current);
-                        slot_bytes[slot] = need;
-                    }
-                    actions.push(SlotAction::Reuse { slot, grown_by });
-                    slot
-                }
-                None => {
-                    let slot = slot_bytes.len();
-                    slot_bytes.push(need);
-                    allocated += 1;
-                    current += need;
-                    peak = peak.max(current);
-                    actions.push(SlotAction::Alloc { slot });
-                    slot
-                }
-            }
-        };
-        slot_of[out.0] = Some(slot);
-
-        // Release buffers whose last consumer just ran — at every position,
-        // including in-place takeovers, so a tensor dying alongside a
-        // takeover frees its slot at the exact step `dead_after` records
-        // (the input taken over has already handed its slot on). Without
-        // reuse the planner cannot reclaim at all — this models the missing
-        // control dependencies of Fig. 7, where ops of the partitioned graph
-        // have no ordering that would make reclamation safe.
-        if reuse {
-            for &t in &dead_after[pos] {
-                if let Some(slot) = slot_of[t.0].take() {
-                    free.insert((slot_bytes[slot], slot));
-                }
-            }
+        let r = joined.unwrap_or_else(|| {
+            records.push(Record { bytes: need, first: pos, last: pos });
+            records.len() - 1
+        });
+        records[r].last = records[r].last.max(last_use[out.0]);
+        placed.push((r, joined.is_some()));
+        let from = pos + usize::from(joined.is_some());
+        if from <= last_use[out.0] {
+            live_delta[from] += need as i64;
+            live_delta[last_use[out.0] + 1] -= need as i64;
         }
     }
+    let live_peak_bytes = live_delta
+        .iter()
+        .scan(0i64, |live, &d| {
+            *live += d;
+            Some(*live as u64)
+        })
+        .max()
+        .unwrap_or(0);
 
-    let mem =
-        MemPlan { peak_transient_bytes: peak, persistent_bytes, buffers_allocated: allocated };
+    // Greedy by size: largest (then longest-lived) record first, each into
+    // the first buffer free over its interval. A buffer marks the positions
+    // it is busy at in `words` bits of `busy`. Without reuse nothing is ever
+    // reclaimed — the missing control dependencies of Fig. 7 leave the
+    // partitioned graph's ops no order that would make it safe — so every
+    // record is a buffer of its own.
+    let mut order: Vec<usize> = (0..records.len()).collect();
+    order.sort_unstable_by_key(|&r| {
+        let Record { bytes, first, last } = records[r];
+        (Reverse(bytes), Reverse(last - first), first)
+    });
+    let words = schedule.len() / 64 + 1;
+    let mut busy: Vec<u64> = Vec::new();
+    let mut buffer_bytes: Vec<u64> = Vec::new();
+    let mut buffer_of: Vec<usize> = vec![0; records.len()];
+    for r in order {
+        let Record { bytes, first, last } = records[r];
+        // The interval's positions within word `w` of a buffer's bitset.
+        let span = first / 64..=last / 64;
+        let mask = |w: usize| {
+            let from = if w == first / 64 { first % 64 } else { 0 };
+            let to = if w == last / 64 { last % 64 } else { 63 };
+            (u64::MAX << from) & (u64::MAX >> (63 - to))
+        };
+        let free = |bits: &[u64]| span.clone().all(|w| bits[w] & mask(w) == 0);
+        let b = match busy.chunks(words).position(free) {
+            Some(b) => b,
+            None => {
+                if reuse {
+                    busy.resize(busy.len() + words, 0);
+                }
+                buffer_bytes.push(bytes);
+                buffer_bytes.len() - 1
+            }
+        };
+        if reuse {
+            for w in span {
+                busy[b * words + w] |= mask(w);
+            }
+        }
+        buffer_of[r] = b;
+    }
+
+    // Slots in first-use order, and each position's action.
+    let mut slot_of_buffer: Vec<Option<usize>> = vec![None; buffer_bytes.len()];
+    let mut slot_bytes: Vec<u64> = Vec::with_capacity(buffer_bytes.len());
+    let actions: Vec<SlotAction> = placed
+        .iter()
+        .map(|&(r, in_place)| {
+            let b = buffer_of[r];
+            match slot_of_buffer[b] {
+                Some(slot) if in_place => SlotAction::InPlace { slot },
+                Some(slot) => SlotAction::Reuse { slot },
+                None => {
+                    let slot = slot_bytes.len();
+                    slot_of_buffer[b] = Some(slot);
+                    slot_bytes.push(buffer_bytes[b]);
+                    SlotAction::Alloc { slot }
+                }
+            }
+        })
+        .collect();
+
+    let mem = MemPlan {
+        peak_transient_bytes: slot_bytes.iter().sum(),
+        live_peak_bytes,
+        persistent_bytes,
+        buffers_allocated: slot_bytes.len(),
+    };
     BufferPlan { mem, slot_bytes, actions, dead_after, persistent }
 }
-
-#[cfg(test)]
-mod reference;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attrs::Attrs;
-    use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
     use tofu_tensor::Shape;
 
     /// The summary numbers of the whole graph planned in insertion order.
@@ -314,6 +352,7 @@ mod tests {
         let plan = plan_whole(&g, true);
         assert_eq!(plan.buffers_allocated, 1, "allocated {}", plan.buffers_allocated);
         assert_eq!(plan.peak_transient_bytes, 1024);
+        assert_eq!(plan.live_peak_bytes, 1024, "an in-place pair counts once");
         assert_eq!(plan.persistent_bytes, 1024);
     }
 
@@ -324,6 +363,8 @@ mod tests {
         assert_eq!(plan.buffers_allocated, 10);
         // Without reuse every transient stays live: 10 x 1 KiB.
         assert_eq!(plan.peak_transient_bytes, 10 * 1024);
+        // Only a node's input and its output are ever live together.
+        assert_eq!(plan.live_peak_bytes, 2 * 1024);
         let with_reuse = plan_whole(&g, true);
         assert!(plan.peak_transient_bytes > with_reuse.peak_transient_bytes);
     }
@@ -339,6 +380,7 @@ mod tests {
         let plan = plan_whole(&g, true);
         // a and b live at once; the add runs in place on a's buffer.
         assert_eq!(plan.peak_transient_bytes, 2 * 1024);
+        assert_eq!(plan.live_peak_bytes, 2 * 1024);
     }
 
     #[test]
@@ -366,22 +408,16 @@ mod tests {
         let bp = plan_buffers(&g, &schedule, true);
         assert_eq!(bp.actions.len(), schedule.len());
         assert_eq!(bp.slot_bytes.len(), bp.mem.buffers_allocated);
-        // Replay the actions against a byte counter: the high-water mark must
-        // reproduce the planner's peak exactly.
-        let (mut cur, mut peak) = (0u64, 0u64);
-        for (pos, a) in bp.actions.iter().enumerate() {
-            match *a {
-                SlotAction::InPlace { .. } => {}
-                SlotAction::Reuse { grown_by, .. } => {
-                    cur += grown_by;
-                    peak = peak.max(cur);
-                }
-                SlotAction::Alloc { .. } => {
-                    cur += g.tensor(g.node(schedule[pos]).output).shape.bytes();
-                    peak = peak.max(cur);
-                }
-            }
-        }
+        // Only an allocation adds bytes, so the allocations reproduce the
+        // planner's peak exactly.
+        let peak: u64 = bp
+            .actions
+            .iter()
+            .filter_map(|a| match *a {
+                SlotAction::Alloc { slot } => Some(bp.slot_bytes[slot]),
+                _ => None,
+            })
+            .sum();
         assert_eq!(peak, bp.mem.peak_transient_bytes);
         // An element-wise chain runs in place: one slot, rest in-place.
         assert_eq!(bp.slot_bytes, vec![1024]);
@@ -408,8 +444,8 @@ mod tests {
     fn death_coinciding_with_inplace_takeover_frees_at_exact_step() {
         // x -> a (relu), x -> b (tanh), c = add(a, b): c takes over a's slot
         // in place while b dies at the same step. d = relu(x) right after
-        // must be able to reuse b's slot — freeing it one step late forced a
-        // third allocation here.
+        // must be able to reuse a slot freed there — freeing one a step late
+        // would force a third allocation.
         let mut g = Graph::new();
         let x = g.add_input("x", Shape::new(vec![256]));
         let a = g.add_op("relu", "a", &[x], Attrs::new()).unwrap();
@@ -423,8 +459,8 @@ mod tests {
         assert!(bp.dead_after[2].contains(&a));
         assert!(bp.dead_after[2].contains(&b));
         assert!(matches!(bp.actions[2], SlotAction::InPlace { .. }));
-        // d reuses b's freed slot instead of allocating a third buffer.
-        assert!(matches!(bp.actions[3], SlotAction::Reuse { grown_by: 0, .. }), "{:?}", bp.actions[3]);
+        // d reuses a freed slot instead of allocating a third buffer.
+        assert!(matches!(bp.actions[3], SlotAction::Reuse { .. }), "{:?}", bp.actions[3]);
         assert_eq!(bp.mem.buffers_allocated, 2);
         assert_eq!(bp.mem.peak_transient_bytes, 2 * 1024);
     }
@@ -445,103 +481,35 @@ mod tests {
         Attrs::new().with_int("axis", 0).with_int("before", 0).with_int("after", after)
     }
 
-    /// x -> a (relu), x -> b (tanh), c = matmul(a, b): a and b die together
-    /// at c, which cannot run in place, so two free 1 KiB slots (0 and 1)
-    /// are left for the node `last` builds from x.
-    fn two_free_slots(last: impl Fn(&mut Graph, TensorId)) -> BufferPlan {
+    #[test]
+    fn a_slot_is_sized_for_its_largest_tensor_from_the_start() {
+        // x -> a (relu), x -> b (tanh), c = matmul(a, b), d = pad(x) of
+        // 2 KiB, keep = relu(c): a and b die at c, which cannot run in
+        // place. d is placed first, being largest, and a fits before it in
+        // the same buffer, so slot 0 is reserved at 2 KiB when a allocates
+        // it and d reuses it without growing anything.
         let mut g = Graph::new();
         let x = g.add_input("x", Shape::new(vec![16, 16]));
         let a = g.add_op("relu", "a", &[x], Attrs::new()).unwrap();
         let b = g.add_op("tanh", "b", &[x], Attrs::new()).unwrap();
         let c = g.add_op("matmul", "c", &[a, b], Attrs::new()).unwrap();
-        last(&mut g, x);
-        // Keep c live past the last node, so its slot never joins the tie.
-        let _keep = g.add_op("relu", "keep", &[c], Attrs::new()).unwrap();
+        g.add_op("pad", "d", &[x], pad(16)).unwrap();
+        g.add_op("relu", "keep", &[c], Attrs::new()).unwrap();
         let schedule: Vec<NodeId> = g.node_ids().collect();
         let bp = plan_buffers(&g, &schedule, true);
-        assert_eq!(bp.actions[2], SlotAction::Alloc { slot: 2 });
-        bp
-    }
-
-    #[test]
-    fn equal_size_free_buffers_go_to_the_lowest_slot() {
-        // The smallest fit: both free slots fit exactly.
-        let fit = two_free_slots(|g, x| {
-            g.add_op("tanh", "d", &[x], Attrs::new()).unwrap();
-        });
-        assert_eq!(fit.actions[3], SlotAction::Reuse { slot: 0, grown_by: 0 });
-        // No fit: the largest grows, and both are largest.
-        let grow = two_free_slots(|g, x| {
-            g.add_op("pad", "d", &[x], pad(16)).unwrap();
-        });
-        assert_eq!(grow.actions[3], SlotAction::Reuse { slot: 0, grown_by: 1024 });
-    }
-
-    /// A random DAG of 1-D tensors (lengths multiples of 16 floats; inputs
-    /// and weights as leaves): element-wise ops that can run in place, `add`
-    /// of two equal-size tensors, and `pad` / `slice_axis` to change sizes,
-    /// so free buffers both fit and need growing. Every op also draws one of
-    /// three devices to run on.
-    fn random_dag(seed: u64) -> (Graph, Vec<usize>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut g = Graph::new();
-        let mut tensors: Vec<TensorId> = Vec::new();
-        for i in 0..rng.gen_range(1..5usize) {
-            let shape = Shape::new(vec![16 * rng.gen_range(1..5usize)]);
-            tensors.push(if i % 2 == 1 {
-                g.add_weight(&format!("w{i}"), shape)
-            } else {
-                g.add_input(&format!("x{i}"), shape)
-            });
-        }
-        let mut device = Vec::new();
-        for i in 0..rng.gen_range(1..48usize) {
-            let x = tensors[rng.gen_range(0..tensors.len())];
-            let len = g.tensor(x).shape.dim(0) as i64;
-            let step = 16 * rng.gen_range(0..3i64);
-            let name = format!("n{i}");
-            let out = match rng.gen_range(0..5u32) {
-                0 => g.add_op("relu", &name, &[x], Attrs::new()),
-                1 => g.add_op("tanh", &name, &[x], Attrs::new()),
-                2 => {
-                    // The first tensor of x's size from a random start.
-                    let from = rng.gen_range(0..tensors.len());
-                    let y = (0..tensors.len())
-                        .map(|j| tensors[(from + j) % tensors.len()])
-                        .find(|&y| g.tensor(y).shape == g.tensor(x).shape)
-                        .unwrap_or(x);
-                    g.add_op("add", &name, &[x, y], Attrs::new())
-                }
-                3 => g.add_op("pad", &name, &[x], pad(step)),
-                _ => {
-                    let end = (len - step).max(16);
-                    let attrs = Attrs::new().with_int("axis", 0).with_int("begin", 0);
-                    g.add_op("slice_axis", &name, &[x], attrs.with_int("end", end))
-                }
-            };
-            tensors.push(out.unwrap());
-            device.push(rng.gen_range(0..3usize));
-        }
-        (g, device)
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
-
-        /// The planner and the scan it replaced agree on every size, for the
-        /// whole schedule and for every device's sub-schedule (whose tensors
-        /// with remote consumers stay live to the aligned local step).
-        #[test]
-        fn planner_matches_the_reference_scan(seed in 0u64..1_000_000) {
-            let (g, device) = random_dag(seed);
-            for reuse in [true, false] {
-                let all: Vec<NodeId> = g.node_ids().collect();
-                reference::assert_agrees(&g, &all, reuse);
-                for d in 0..3 {
-                    let schedule: Vec<NodeId> = g.node_ids().filter(|n| device[n.0] == d).collect();
-                    reference::assert_agrees(&g, &schedule, reuse);
-                }
-            }
-        }
+        assert_eq!(bp.slot_bytes, vec![2048, 1024, 1024]);
+        assert_eq!(
+            bp.actions,
+            vec![
+                SlotAction::Alloc { slot: 0 },
+                SlotAction::Alloc { slot: 1 },
+                SlotAction::Alloc { slot: 2 },
+                SlotAction::Reuse { slot: 0 },
+                SlotAction::InPlace { slot: 2 },
+            ]
+        );
+        assert_eq!(bp.mem.peak_transient_bytes, 4096);
+        // Live at c: a, b and c; at d: c and d.
+        assert_eq!(bp.mem.live_peak_bytes, 3072);
     }
 }

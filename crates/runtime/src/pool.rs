@@ -2,10 +2,10 @@
 //!
 //! The pool replays a [`BufferPlan`]'s slot actions in *executed* order
 //! against the byte size of each tensor the kernels actually produced: every
-//! planner slot is one byte count that appears (or grows) exactly when the
-//! plan says so, and every action is checked — the slot exists, an in-place
-//! takeover or a reuse fits, allocations arrive in slot order, and the end
-//! state equals the plan's arenas and peak. No memory is allocated here (the
+//! planner slot is reserved at its planned size exactly when the plan
+//! allocates it, and every action is checked — the slot exists, the output
+//! fits it, allocations arrive in slot order, and the end state holds every
+//! slot of the plan at the plan's peak. No memory is allocated here (the
 //! kernels return their own tensors), so the high-water mark is the plan's
 //! peak *confirmed against execution*, not an independent measurement; the
 //! tests hold it against `tofu-sim`'s separately computed
@@ -17,20 +17,23 @@ use crate::error::RuntimeError;
 use crate::Result;
 
 /// Slot-by-slot byte ledger of one worker's transient tensors.
-#[derive(Debug, Default)]
-pub(crate) struct BufferPool {
+#[derive(Debug)]
+pub(crate) struct BufferPool<'a> {
     worker: usize,
-    /// Byte size of every planner slot, in allocation order.
-    slots: Vec<u64>,
-    current: u64,
-    peak: u64,
+    /// The plan's byte size of every slot, in allocation order.
+    sizes: &'a [u64],
+    /// Slots reserved so far: a prefix of `sizes`.
+    reserved: usize,
+    /// Bytes of the reserved slots. No slot is ever released, so this is
+    /// also the high-water mark.
+    bytes: u64,
 }
 
-impl BufferPool {
-    /// An empty pool owned by `worker`; slots appear as the plan's actions
-    /// are applied.
-    pub(crate) fn new(worker: usize) -> BufferPool {
-        BufferPool { worker, ..BufferPool::default() }
+impl<'a> BufferPool<'a> {
+    /// An empty pool owned by `worker`, sized by `plan`; slots are reserved
+    /// as the plan's actions are applied.
+    pub(crate) fn new(worker: usize, plan: &'a BufferPlan) -> BufferPool<'a> {
+        BufferPool { worker, sizes: &plan.slot_bytes, reserved: 0, bytes: 0 }
     }
 
     fn err(&self, detail: String) -> RuntimeError {
@@ -40,70 +43,47 @@ impl BufferPool {
     /// Applies the placement action of one schedule position. `need` is the
     /// byte size of the node's output tensor.
     pub(crate) fn apply(&mut self, action: SlotAction, need: u64) -> Result<()> {
-        match action {
-            SlotAction::InPlace { slot } => {
-                let have = self.slot_len(slot)?;
-                if have < need {
-                    return Err(self.err(format!(
-                        "in-place takeover of slot {slot} ({have} B) needs {need} B"
-                    )));
-                }
+        let slot = action.slot();
+        if let SlotAction::Alloc { .. } = action {
+            if slot != self.reserved || slot >= self.sizes.len() {
+                return Err(self.err(format!(
+                    "plan allocates slot {slot} but pool holds {} of {}",
+                    self.reserved,
+                    self.sizes.len()
+                )));
             }
-            SlotAction::Reuse { slot, grown_by } => {
-                let have = self.slot_len(slot)? + grown_by;
-                if grown_by > 0 {
-                    self.slots[slot] = have;
-                    self.current += grown_by;
-                    self.peak = self.peak.max(self.current);
-                }
-                if have < need {
-                    return Err(self.err(format!(
-                        "slot {slot} holds {have} B after growth but {need} B are needed"
-                    )));
-                }
-            }
-            SlotAction::Alloc { slot } => {
-                if slot != self.slots.len() {
-                    return Err(self.err(format!(
-                        "plan allocates slot {slot} but pool holds {}",
-                        self.slots.len()
-                    )));
-                }
-                self.slots.push(need);
-                self.current += need;
-                self.peak = self.peak.max(self.current);
-            }
+            self.reserved += 1;
+            self.bytes += self.sizes[slot];
+        } else if slot >= self.reserved {
+            return Err(self.err(format!("plan references unallocated slot {slot}")));
+        }
+        let have = self.sizes[slot];
+        if have < need {
+            return Err(self.err(format!("slot {slot} holds {have} B but {need} B are needed")));
         }
         Ok(())
     }
 
-    fn slot_len(&self, slot: usize) -> Result<u64> {
-        self.slots
-            .get(slot)
-            .copied()
-            .ok_or_else(|| self.err(format!("plan references unallocated slot {slot}")))
+    /// Bytes of the slots reserved so far, which is also their high-water
+    /// mark.
+    pub(crate) fn reserved_bytes(&self) -> u64 {
+        self.bytes
     }
 
-    /// High-water mark of resident slot bytes.
-    pub(crate) fn peak_bytes(&self) -> u64 {
-        self.peak
-    }
-
-    /// Currently resident slot bytes.
-    pub(crate) fn current_bytes(&self) -> u64 {
-        self.current
-    }
-
-    /// Checks the fully-applied pool against its seeding plan: same slots,
-    /// same sizes, same peak.
+    /// Checks the fully-applied pool against its seeding plan: every slot
+    /// reserved, at the plan's peak.
     pub(crate) fn verify_against(&self, plan: &BufferPlan) -> Result<()> {
-        if self.slots != plan.slot_bytes {
-            return Err(self.err("pool slots diverged from the plan".into()));
+        if self.reserved != plan.slot_bytes.len() {
+            return Err(self.err(format!(
+                "pool reserved {} of the plan's {} slots",
+                self.reserved,
+                plan.slot_bytes.len()
+            )));
         }
-        if self.peak != plan.mem.peak_transient_bytes {
+        if self.bytes != plan.mem.peak_transient_bytes {
             return Err(self.err(format!(
                 "pool peak {} B but the plan predicted {} B",
-                self.peak, plan.mem.peak_transient_bytes
+                self.bytes, plan.mem.peak_transient_bytes
             )));
         }
         Ok(())
@@ -113,25 +93,46 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tofu_graph::MemPlan;
+
+    fn plan(slot_bytes: Vec<u64>) -> BufferPlan {
+        let peak_transient_bytes = slot_bytes.iter().sum();
+        let mem = MemPlan {
+            peak_transient_bytes,
+            live_peak_bytes: peak_transient_bytes,
+            persistent_bytes: 0,
+            buffers_allocated: slot_bytes.len(),
+        };
+        BufferPlan { mem, slot_bytes, actions: vec![], dead_after: vec![], persistent: vec![] }
+    }
 
     #[test]
-    fn replays_alloc_reuse_grow() {
-        let mut p = BufferPool::new(0);
+    fn replays_alloc_in_place_reuse() {
+        let bp = plan(vec![100, 80]);
+        let mut p = BufferPool::new(0, &bp);
         p.apply(SlotAction::Alloc { slot: 0 }, 100).unwrap();
+        // A slot is reserved at its planned size, whatever its first tensor.
         p.apply(SlotAction::Alloc { slot: 1 }, 50).unwrap();
+        assert_eq!(p.reserved_bytes(), 180);
         p.apply(SlotAction::InPlace { slot: 0 }, 100).unwrap();
-        p.apply(SlotAction::Reuse { slot: 1, grown_by: 30 }, 80).unwrap();
-        assert_eq!(p.peak_bytes(), 180);
-        assert_eq!(p.current_bytes(), 180);
-        assert_eq!(p.slots.len(), 2);
+        p.apply(SlotAction::Reuse { slot: 1 }, 80).unwrap();
+        assert_eq!(p.reserved_bytes(), 180);
+        p.verify_against(&bp).unwrap();
     }
 
     #[test]
     fn rejects_inconsistent_plans() {
-        let mut p = BufferPool::new(0);
+        let bp = plan(vec![10, 10]);
+        let mut p = BufferPool::new(0, &bp);
         assert!(p.apply(SlotAction::InPlace { slot: 0 }, 1).is_err());
-        assert!(p.apply(SlotAction::Alloc { slot: 3 }, 1).is_err());
+        assert!(p.apply(SlotAction::Alloc { slot: 1 }, 1).is_err());
         p.apply(SlotAction::Alloc { slot: 0 }, 10).unwrap();
         assert!(p.apply(SlotAction::InPlace { slot: 0 }, 11).is_err());
+        assert!(p.apply(SlotAction::Reuse { slot: 1 }, 1).is_err());
+        // One slot short of the plan.
+        assert!(p.verify_against(&bp).is_err());
+        p.apply(SlotAction::Alloc { slot: 1 }, 10).unwrap();
+        assert!(p.apply(SlotAction::Alloc { slot: 2 }, 1).is_err());
+        p.verify_against(&bp).unwrap();
     }
 }

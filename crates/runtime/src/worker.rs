@@ -232,7 +232,7 @@ struct Worker<'a> {
     expect_seq: Vec<u64>,
     bytes_received: u64,
     persistent_bytes: u64,
-    pool: BufferPool,
+    pool: BufferPool<'a>,
     ops: usize,
     busy: Duration,
     epoch: Instant,
@@ -353,7 +353,7 @@ impl<'a> Worker<'a> {
             expect_seq: vec![0; k],
             bytes_received: 0,
             persistent_bytes: 0,
-            pool: BufferPool::new(w),
+            pool: BufferPool::new(w, &exec.workers[w].buffers),
             ops: 0,
             busy: Duration::ZERO,
             epoch,
@@ -421,7 +421,7 @@ impl<'a> Worker<'a> {
             device: self.w,
             ops: self.ops,
             busy: self.busy,
-            pool_peak_bytes: self.pool.peak_bytes(),
+            pool_peak_bytes: self.pool.reserved_bytes(),
             persistent_bytes: self.persistent_bytes,
             bytes_sent: self.sent.iter().map(|&(b, _)| b).sum(),
             bytes_received: self.bytes_received,
@@ -603,7 +603,7 @@ impl<'a> Worker<'a> {
                         worker: self.w,
                         detail: format!(
                             "over budget: injected at schedule step {pos} with {} B resident",
-                            self.pool.current_bytes()
+                            self.pool.reserved_bytes()
                         ),
                     },
                 });
@@ -633,7 +633,7 @@ impl<'a> Worker<'a> {
             if self.obs.is_some() {
                 let (s_us, e_us) = (self.obs_ts(start), self.obs_ts(end));
                 let cat = if node.op == "multi_fetch" { "fetch" } else { "op" };
-                let pool_now = self.pool.current_bytes() as f64;
+                let pool_now = self.pool.reserved_bytes() as f64;
                 if let Some(buf) = self.obs.as_mut() {
                     buf.complete(cat, &node.name, s_us, e_us);
                     buf.counter("pool bytes", e_us, pool_now);

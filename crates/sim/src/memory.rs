@@ -1,10 +1,12 @@
 //! Per-device memory accounting.
 //!
 //! Wraps the graph crate's static memory planner: a device's footprint is
-//! its persistent tensors (weight shards and inputs), the planner's peak of
-//! transient buffers under its serial sub-schedule, and one extra optimizer
-//! history copy per weight — the `3W` rule of §7.1 (weight + gradient +
-//! history; the gradient is a graph tensor and already in the plan).
+//! its persistent tensors (weight shards and inputs), the planner's
+//! transient bytes under its serial sub-schedule (the sum of its buffer
+//! slots, each sized once, offline, for the largest tensor it holds; the
+//! runtime's pool reserves exactly these), and one extra optimizer history
+//! copy per weight — the `3W` rule of §7.1 (weight + gradient + history; the
+//! gradient is a graph tensor and already in the plan).
 
 use tofu_graph::{plan_buffers, Graph, NodeId, TensorKind};
 
@@ -36,8 +38,9 @@ impl DeviceMemory {
 /// Computes one device's memory from its sub-schedule.
 ///
 /// `buffer_reuse` models the §6 control-dependency optimization: with it the
-/// memory planner reuses freed buffers along the worker's serial schedule;
-/// without it every transient allocation is simultaneously live.
+/// memory planner lets tensors with disjoint lifetimes along the worker's
+/// serial schedule share a buffer; without it every transient allocation is
+/// simultaneously live.
 pub(crate) fn device_memory(
     g: &Graph,
     schedule: &[NodeId],
