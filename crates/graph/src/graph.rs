@@ -103,6 +103,7 @@ pub struct Graph {
     nodes: Vec<Node>,
     tensors: Vec<TensorMeta>,
     producer: Vec<Option<NodeId>>,
+    last_reader: Vec<Option<NodeId>>,
     names: BTreeMap<String, TensorId>,
 }
 
@@ -122,6 +123,7 @@ impl Graph {
         self.names.insert(meta.name.clone(), id);
         self.tensors.push(meta);
         self.producer.push(None);
+        self.last_reader.push(None);
         id
     }
 
@@ -191,6 +193,10 @@ impl Graph {
             tags,
         });
         self.producer[output.0] = Some(node_id);
+        // Node ids ascend, so the newest reader is the last one.
+        for &t in inputs {
+            self.last_reader[t.0] = Some(node_id);
+        }
         Ok(output)
     }
 
@@ -236,6 +242,11 @@ impl Graph {
         self.producer[t.0]
     }
 
+    /// The last node reading a tensor, if any reads it.
+    pub(crate) fn last_reader(&self, t: TensorId) -> Option<NodeId> {
+        self.last_reader[t.0]
+    }
+
     /// All nodes consuming a tensor.
     pub fn consumers(&self, t: TensorId) -> Vec<NodeId> {
         self.nodes
@@ -256,11 +267,6 @@ impl Graph {
         (0..self.tensors.len()).map(TensorId)
     }
 
-    /// All tensors of a given kind.
-    pub fn tensors_of_kind(&self, kind: TensorKind) -> Vec<TensorId> {
-        self.tensor_ids().filter(|&t| self.tensors[t.0].kind == kind).collect()
-    }
-
     /// Total bytes of all weight tensors (fp32).
     pub fn weight_bytes(&self) -> u64 {
         self.tensors
@@ -271,7 +277,7 @@ impl Graph {
     }
 
     /// Unique fresh tensor name with the given prefix.
-    pub fn fresh_name(&self, prefix: &str) -> String {
+    pub(crate) fn fresh_name(&self, prefix: &str) -> String {
         let mut i = self.tensors.len();
         loop {
             let candidate = format!("{prefix}#{i}");
@@ -360,8 +366,22 @@ mod tests {
         g.add_weight("w1", Shape::new(vec![10]));
         g.add_weight("w2", Shape::new(vec![6]));
         assert_eq!(g.weight_bytes(), 64);
-        assert_eq!(g.tensors_of_kind(TensorKind::Weight).len(), 2);
-        assert_eq!(g.tensors_of_kind(TensorKind::Input).len(), 1);
+    }
+
+    #[test]
+    fn last_reader_is_the_newest_node_reading_a_tensor() {
+        // x fans out to a and b; c reads a twice; b is never read.
+        let mut g = Graph::new();
+        let x = g.add_input("x", Shape::new(vec![2]));
+        let w = g.add_weight("w", Shape::new(vec![2]));
+        let a = g.add_op("relu", "a", &[x], Attrs::new()).unwrap();
+        let b = g.add_op("tanh", "b", &[x], Attrs::new()).unwrap();
+        let c = g.add_op("add", "c", &[a, a], Attrs::new()).unwrap();
+        assert_eq!(g.last_reader(x), Some(NodeId(1)), "fan-out: the later reader");
+        assert_eq!(g.last_reader(a), Some(NodeId(2)), "read twice by one node");
+        assert_eq!(g.last_reader(b), None, "an unread intermediate");
+        assert_eq!(g.last_reader(c), None);
+        assert_eq!(g.last_reader(w), None, "an unread leaf");
     }
 
     #[test]

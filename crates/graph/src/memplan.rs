@@ -33,11 +33,17 @@
 //! position, so no two records share a sort key: the order is total, and the
 //! plan depends on the graph and the schedule alone.
 //!
-//! **Cost.** Near-linear liveness (dense per-tensor vectors; deaths come from
-//! `dead_after`), one sort of the records, and per record a scan of the
-//! earlier buffers until one is free over its interval. Each buffer keeps a
-//! bitset of the positions it is busy at, so a record of a few positions
-//! tests a buffer with one or two word reads.
+//! **Liveness.** A tensor produced here dies after the local step aligned
+//! with its last reader on any device (the first local position at or after
+//! that reader, else the last), or at its own position if nothing reads it.
+//! The graph records each tensor's last reader as nodes are inserted, so a
+//! plan never visits a node outside its schedule.
+//!
+//! **Cost.** One binary search per scheduled node for liveness, one sort of
+//! the records, and per record a scan of the earlier buffers until one is
+//! free over its interval. Each buffer keeps a bitset of the positions it is
+//! busy at, so a record of a few positions tests a buffer with one or two
+//! word reads.
 
 use std::cmp::Reverse;
 
@@ -55,9 +61,6 @@ pub struct MemPlan {
     pub live_peak_bytes: u64,
     /// Bytes of persistent tensors (inputs and weights).
     pub persistent_bytes: u64,
-    /// Number of physical buffers allocated (≤ number of intermediates when
-    /// reuse succeeds).
-    pub buffers_allocated: usize,
 }
 
 impl MemPlan {
@@ -100,9 +103,10 @@ impl SlotAction {
 }
 
 /// The full buffer assignment of one device's serial sub-schedule: the
-/// physical slots, the per-node placement actions and the liveness events a
-/// runtime needs to replay the plan against real allocations (the §6
-/// "leverage the existing memory planner" contract made explicit).
+/// physical slots and the per-node placement actions a runtime needs to
+/// replay the plan against real allocations (the §6 "leverage the existing
+/// memory planner" contract made explicit). Liveness is already in the
+/// actions: a slot is reused only once every tensor it held is dead.
 #[derive(Debug, Clone)]
 pub struct BufferPlan {
     /// The summary numbers.
@@ -111,10 +115,6 @@ pub struct BufferPlan {
     pub slot_bytes: Vec<u64>,
     /// Per schedule position: how that node's output is placed.
     pub actions: Vec<SlotAction>,
-    /// Per schedule position: locally-produced tensors whose liveness ends
-    /// right after the node at that position runs, including deaths that
-    /// coincide with an in-place takeover.
-    pub dead_after: Vec<Vec<TensorId>>,
     /// Inputs/weights resident on this device for the whole run (consumed by
     /// a non-fetch node of the schedule).
     pub persistent: Vec<TensorId>,
@@ -136,9 +136,11 @@ struct Record {
 }
 
 /// Plans memory for a sub-schedule (e.g. one worker's nodes of a partitioned
-/// graph) and returns the full buffer assignment: every placement decision
-/// and liveness event, so a runtime can seed a real pool from the static
-/// plan. The placement rule and its order are in the module docs.
+/// graph, in ascending node id order) and returns the full buffer
+/// assignment: every placement decision, so a runtime can seed a real pool
+/// from the static plan. The placement rule and its order are in the module
+/// docs; the plan reads the graph only at the schedule's nodes and their
+/// tensors, never the rest of it.
 ///
 /// Only tensors produced by scheduled nodes count as transient; persistent
 /// bytes cover inputs/weights this device *owns* (consumed by a non-fetch
@@ -148,52 +150,22 @@ struct Record {
 /// the local step at which its last remote consumer has run (the §6
 /// behavior: the buffer is released once the remote fetch completed).
 pub fn plan_buffers(g: &Graph, schedule: &[NodeId], reuse: bool) -> BufferPlan {
-    // Per tensor: the schedule position producing it here, if any.
-    let mut def_pos: Vec<Option<usize>> = vec![None; g.num_tensors()];
-    for (pos, &id) in schedule.iter().enumerate() {
-        def_pos[g.node(id).output.0] = Some(pos);
-    }
+    // Per position: the position after which its output dies — the local
+    // step aligned with the output's last reader on any device (the first
+    // local position at or after it, else the last), or its own position
+    // when nothing reads it. A local read is a reader too, and schedule ids
+    // ascend by construction, so no local read comes later.
+    let last_use: Vec<usize> = schedule
+        .iter()
+        .enumerate()
+        .map(|(pos, &id)| match g.last_reader(g.node(id).output) {
+            Some(r) => schedule.partition_point(|s| s.0 < r.0).min(schedule.len() - 1),
+            None => pos,
+        })
+        .collect();
 
-    // Global last-consumer index of every tensor (one pass over the graph).
-    let mut global_last: Vec<usize> = vec![0; g.num_tensors()];
-    for id in g.node_ids() {
-        for &t in &g.node(id).inputs {
-            global_last[t.0] = global_last[t.0].max(id.0);
-        }
-    }
-    // Map a global node index to the local schedule position at (or after)
-    // which it has certainly happened. Schedule ids ascend by construction.
-    let global_ids: Vec<usize> = schedule.iter().map(|n| n.0).collect();
-    let to_local = |global: usize| -> usize {
-        match global_ids.binary_search(&global) {
-            Ok(p) => p,
-            Err(p) => p.min(schedule.len().saturating_sub(1)),
-        }
-    };
-    // Per locally produced tensor: the position after which it dies — its
-    // last local read, extended to the local step aligned with its last
-    // remote consumer. Positions ascend, so the last write is the maximum.
-    let mut last_use: Vec<usize> = vec![0; g.num_tensors()];
-    for (pos, &id) in schedule.iter().enumerate() {
-        for &t in &g.node(id).inputs {
-            last_use[t.0] = pos;
-        }
-    }
-    for (pos, &id) in schedule.iter().enumerate() {
-        let t = g.node(id).output;
-        last_use[t.0] = last_use[t.0].max(to_local(global_last[t.0]).max(pos));
-    }
-    // Exact death positions, in tensor id order within a position.
-    let mut dead_after: Vec<Vec<TensorId>> = vec![Vec::new(); schedule.len()];
-    for (t, def) in def_pos.iter().enumerate() {
-        if def.is_some() {
-            dead_after[last_use[t]].push(TensorId(t));
-        }
-    }
-
-    // Persistent bytes: inputs/weights consumed by non-fetch nodes of the
+    // Persistent tensors: inputs/weights consumed by non-fetch nodes of the
     // schedule (i.e. resident on this device), in first-read order.
-    let mut persistent_bytes = 0u64;
     let mut persistent: Vec<TensorId> = Vec::new();
     let mut resident = vec![false; g.num_tensors()];
     for &id in schedule {
@@ -202,12 +174,9 @@ pub fn plan_buffers(g: &Graph, schedule: &[NodeId], reuse: bool) -> BufferPlan {
             continue;
         }
         for &t in &node.inputs {
-            let meta = g.tensor(t);
-            let external = meta.kind != TensorKind::Intermediate;
-            if external && def_pos[t.0].is_none() && !resident[t.0] {
+            if g.tensor(t).kind != TensorKind::Intermediate && !resident[t.0] {
                 resident[t.0] = true;
                 persistent.push(t);
-                persistent_bytes += meta.shape.bytes();
             }
         }
     }
@@ -221,10 +190,12 @@ pub fn plan_buffers(g: &Graph, schedule: &[NodeId], reuse: bool) -> BufferPlan {
     let mut live_delta: Vec<i64> = vec![0; schedule.len() + 1];
     for (pos, &id) in schedule.iter().enumerate() {
         let node = g.node(id);
-        let out = node.output;
-        let need = g.tensor(out).shape.bytes();
-        let joined = match node.inputs.first().map(|&t| (t, def_pos[t.0])) {
-            Some((t, Some(def))) if reuse && last_use[t.0] == pos => {
+        let need = g.tensor(node.output).shape.bytes();
+        // The first input, and its position here if a scheduled node made it.
+        let first = node.inputs.first().copied();
+        let def = first.and_then(|t| g.producer(t)).and_then(|p| schedule.binary_search(&p).ok());
+        let joined = match (first, def) {
+            (Some(t), Some(def)) if reuse && last_use[def] == pos => {
                 (g.tensor(t).shape.bytes() >= need && is_inplace_capable(g, id))
                     .then_some(placed[def].0)
             }
@@ -234,12 +205,12 @@ pub fn plan_buffers(g: &Graph, schedule: &[NodeId], reuse: bool) -> BufferPlan {
             records.push(Record { bytes: need, first: pos, last: pos });
             records.len() - 1
         });
-        records[r].last = records[r].last.max(last_use[out.0]);
+        records[r].last = records[r].last.max(last_use[pos]);
         placed.push((r, joined.is_some()));
         let from = pos + usize::from(joined.is_some());
-        if from <= last_use[out.0] {
+        if from <= last_use[pos] {
             live_delta[from] += need as i64;
-            live_delta[last_use[out.0] + 1] -= need as i64;
+            live_delta[last_use[pos] + 1] -= need as i64;
         }
     }
     let live_peak_bytes = live_delta
@@ -317,10 +288,9 @@ pub fn plan_buffers(g: &Graph, schedule: &[NodeId], reuse: bool) -> BufferPlan {
     let mem = MemPlan {
         peak_transient_bytes: slot_bytes.iter().sum(),
         live_peak_bytes,
-        persistent_bytes,
-        buffers_allocated: slot_bytes.len(),
+        persistent_bytes: persistent.iter().map(|&t| g.tensor(t).shape.bytes()).sum(),
     };
-    BufferPlan { mem, slot_bytes, actions, dead_after, persistent }
+    BufferPlan { mem, slot_bytes, actions, persistent }
 }
 
 #[cfg(test)]
@@ -328,10 +298,11 @@ mod tests {
     use super::*;
     use crate::attrs::Attrs;
     use tofu_tensor::Shape;
+    use SlotAction::{Alloc, InPlace, Reuse};
 
-    /// The summary numbers of the whole graph planned in insertion order.
-    fn plan_whole(g: &Graph, reuse: bool) -> MemPlan {
-        plan_buffers(g, &g.node_ids().collect::<Vec<_>>(), reuse).mem
+    /// The whole graph planned in insertion order.
+    fn plan_whole(g: &Graph, reuse: bool) -> BufferPlan {
+        plan_buffers(g, &g.node_ids().collect::<Vec<_>>(), reuse)
     }
 
     /// A chain of n element-wise ops over a 1 KiB tensor.
@@ -349,8 +320,9 @@ mod tests {
         // Element-wise chains execute in place (as MXNet marks them): after
         // the first allocation every step reuses the same buffer.
         let g = chain(10);
-        let plan = plan_whole(&g, true);
-        assert_eq!(plan.buffers_allocated, 1, "allocated {}", plan.buffers_allocated);
+        let bp = plan_whole(&g, true);
+        assert_eq!(bp.slot_bytes, vec![1024]);
+        let plan = bp.mem;
         assert_eq!(plan.peak_transient_bytes, 1024);
         assert_eq!(plan.live_peak_bytes, 1024, "an in-place pair counts once");
         assert_eq!(plan.persistent_bytes, 1024);
@@ -359,13 +331,14 @@ mod tests {
     #[test]
     fn no_reuse_allocates_per_node() {
         let g = chain(10);
-        let plan = plan_whole(&g, false);
-        assert_eq!(plan.buffers_allocated, 10);
+        let bp = plan_whole(&g, false);
+        assert_eq!(bp.slot_bytes, vec![1024; 10]);
+        let plan = bp.mem;
         // Without reuse every transient stays live: 10 x 1 KiB.
         assert_eq!(plan.peak_transient_bytes, 10 * 1024);
         // Only a node's input and its output are ever live together.
         assert_eq!(plan.live_peak_bytes, 2 * 1024);
-        let with_reuse = plan_whole(&g, true);
+        let with_reuse = plan_whole(&g, true).mem;
         assert!(plan.peak_transient_bytes > with_reuse.peak_transient_bytes);
     }
 
@@ -377,7 +350,7 @@ mod tests {
         let a = g.add_op("relu", "a", &[x], Attrs::new()).unwrap();
         let b = g.add_op("tanh", "b", &[x], Attrs::new()).unwrap();
         let _c = g.add_op("add", "c", &[a, b], Attrs::new()).unwrap();
-        let plan = plan_whole(&g, true);
+        let plan = plan_whole(&g, true).mem;
         // a and b live at once; the add runs in place on a's buffer.
         assert_eq!(plan.peak_transient_bytes, 2 * 1024);
         assert_eq!(plan.live_peak_bytes, 2 * 1024);
@@ -389,7 +362,7 @@ mod tests {
         let x = g.add_input("x", Shape::new(vec![4, 8]));
         let w = g.add_weight("w", Shape::new(vec![8, 2]));
         let _y = g.add_op("matmul", "mm", &[x, w], Attrs::new()).unwrap();
-        let plan = plan_whole(&g, true);
+        let plan = plan_whole(&g, true).mem;
         assert_eq!(plan.persistent_bytes, (4 * 8 + 8 * 2) * 4);
         assert_eq!(plan.peak_transient_bytes, 4 * 2 * 4);
     }
@@ -397,47 +370,46 @@ mod tests {
     #[test]
     fn total_adds_up() {
         let g = chain(3);
-        let p = plan_whole(&g, true);
+        let p = plan_whole(&g, true).mem;
         assert_eq!(p.total_bytes(), p.peak_transient_bytes + p.persistent_bytes);
     }
 
     #[test]
     fn buffer_plan_matches_summary_and_replays() {
         let g = chain(6);
-        let schedule: Vec<NodeId> = g.node_ids().collect();
-        let bp = plan_buffers(&g, &schedule, true);
-        assert_eq!(bp.actions.len(), schedule.len());
-        assert_eq!(bp.slot_bytes.len(), bp.mem.buffers_allocated);
+        let bp = plan_whole(&g, true);
+        assert_eq!(bp.actions.len(), g.num_nodes());
         // Only an allocation adds bytes, so the allocations reproduce the
         // planner's peak exactly.
         let peak: u64 = bp
             .actions
             .iter()
             .filter_map(|a| match *a {
-                SlotAction::Alloc { slot } => Some(bp.slot_bytes[slot]),
+                Alloc { slot } => Some(bp.slot_bytes[slot]),
                 _ => None,
             })
             .sum();
         assert_eq!(peak, bp.mem.peak_transient_bytes);
         // An element-wise chain runs in place: one slot, rest in-place.
         assert_eq!(bp.slot_bytes, vec![1024]);
-        assert!(bp.actions[1..].iter().all(|a| matches!(a, SlotAction::InPlace { .. })));
+        assert!(bp.actions[1..].iter().all(|a| matches!(a, InPlace { .. })));
     }
 
     #[test]
     fn buffer_plan_records_liveness_deaths() {
-        // x -> a, x -> b, (a, b) -> c: `a` dies in place at c, `b` dies after c.
+        // x -> a, x -> b, (a, b) -> c: `a` dies in place at c, `b` dies
+        // after c. Both live until c, so each holds a slot of its own, and c
+        // takes over a's.
         let mut g = Graph::new();
         let x = g.add_input("x", Shape::new(vec![256]));
         let a = g.add_op("relu", "a", &[x], Attrs::new()).unwrap();
         let b = g.add_op("tanh", "b", &[x], Attrs::new()).unwrap();
         let _c = g.add_op("add", "c", &[a, b], Attrs::new()).unwrap();
-        let schedule: Vec<NodeId> = g.node_ids().collect();
-        let bp = plan_buffers(&g, &schedule, true);
+        let bp = plan_whole(&g, true);
         assert_eq!(bp.persistent, vec![x]);
-        let last = schedule.len() - 1;
-        assert!(bp.dead_after[last].contains(&a));
-        assert!(bp.dead_after[last].contains(&b));
+        assert_eq!(bp.slot_bytes, vec![1024, 1024]);
+        assert_eq!(bp.actions, [Alloc { slot: 0 }, Alloc { slot: 1 }, InPlace { slot: 0 }]);
+        assert_eq!(bp.mem.live_peak_bytes, 2 * 1024, "a and b live at c, c counted after");
     }
 
     #[test]
@@ -452,16 +424,15 @@ mod tests {
         let b = g.add_op("tanh", "b", &[x], Attrs::new()).unwrap();
         let _c = g.add_op("add", "c", &[a, b], Attrs::new()).unwrap();
         let _d = g.add_op("relu", "d", &[x], Attrs::new()).unwrap();
-        let schedule: Vec<NodeId> = g.node_ids().collect();
-        let bp = plan_buffers(&g, &schedule, true);
-        // dead_after is exact at the in-place position: both a (taken over)
-        // and b (released) die when c runs (position 2).
-        assert!(bp.dead_after[2].contains(&a));
-        assert!(bp.dead_after[2].contains(&b));
-        assert!(matches!(bp.actions[2], SlotAction::InPlace { .. }));
-        // d reuses a freed slot instead of allocating a third buffer.
-        assert!(matches!(bp.actions[3], SlotAction::Reuse { .. }), "{:?}", bp.actions[3]);
-        assert_eq!(bp.mem.buffers_allocated, 2);
+        let bp = plan_whole(&g, true);
+        // Both a (taken over) and b (released) die when c runs (position 2):
+        // c takes over a's slot in place, and d reuses a slot freed there
+        // instead of allocating a third buffer.
+        assert_eq!(
+            bp.actions,
+            [Alloc { slot: 0 }, Alloc { slot: 1 }, InPlace { slot: 0 }, Reuse { slot: 0 }]
+        );
+        assert_eq!(bp.slot_bytes, vec![1024, 1024]);
         assert_eq!(bp.mem.peak_transient_bytes, 2 * 1024);
     }
 
@@ -474,6 +445,24 @@ mod tests {
         // outside this schedule, so it must stay live: peak is one buffer
         // (the in-place takeover keeps a single physical buffer).
         assert_eq!(plan.peak_transient_bytes, 1024);
+    }
+
+    #[test]
+    fn a_remote_reader_keeps_a_tensor_live_to_its_aligned_step() {
+        // Schedule a = relu(x), b = tanh(x), d = tanh(x); c = relu(a) runs
+        // between b and d on another device. No local node reads a, but c
+        // does, so a lives through d's step: d cannot reuse its buffer.
+        let mut g = Graph::new();
+        let x = g.add_input("x", Shape::new(vec![256]));
+        let a = g.add_op("relu", "a", &[x], Attrs::new()).unwrap();
+        g.add_op("tanh", "b", &[x], Attrs::new()).unwrap();
+        g.add_op("relu", "c", &[a], Attrs::new()).unwrap();
+        g.add_op("tanh", "d", &[x], Attrs::new()).unwrap();
+        let schedule = [NodeId(0), NodeId(1), NodeId(3)];
+        let bp = plan_buffers(&g, &schedule, true);
+        assert_eq!(bp.slot_bytes, vec![1024, 1024], "a premature death gives one slot");
+        assert_eq!(bp.actions, [Alloc { slot: 0 }, Alloc { slot: 1 }, Reuse { slot: 1 }]);
+        assert_eq!(bp.mem.live_peak_bytes, 2 * 1024);
     }
 
     /// Attributes padding axis 0 with `after` trailing elements.
@@ -495,17 +484,16 @@ mod tests {
         let c = g.add_op("matmul", "c", &[a, b], Attrs::new()).unwrap();
         g.add_op("pad", "d", &[x], pad(16)).unwrap();
         g.add_op("relu", "keep", &[c], Attrs::new()).unwrap();
-        let schedule: Vec<NodeId> = g.node_ids().collect();
-        let bp = plan_buffers(&g, &schedule, true);
+        let bp = plan_whole(&g, true);
         assert_eq!(bp.slot_bytes, vec![2048, 1024, 1024]);
         assert_eq!(
             bp.actions,
             vec![
-                SlotAction::Alloc { slot: 0 },
-                SlotAction::Alloc { slot: 1 },
-                SlotAction::Alloc { slot: 2 },
-                SlotAction::Reuse { slot: 0 },
-                SlotAction::InPlace { slot: 2 },
+                Alloc { slot: 0 },
+                Alloc { slot: 1 },
+                Alloc { slot: 2 },
+                Reuse { slot: 0 },
+                InPlace { slot: 2 },
             ]
         );
         assert_eq!(bp.mem.peak_transient_bytes, 4096);

@@ -101,9 +101,8 @@ mod tests {
             peak_transient_bytes,
             live_peak_bytes: peak_transient_bytes,
             persistent_bytes: 0,
-            buffers_allocated: slot_bytes.len(),
         };
-        BufferPlan { mem, slot_bytes, actions: vec![], dead_after: vec![], persistent: vec![] }
+        BufferPlan { mem, slot_bytes, actions: vec![], persistent: vec![] }
     }
 
     #[test]

@@ -3,11 +3,11 @@
 
 use std::collections::BTreeMap;
 
-use tofu_graph::{Graph, NodeId, TensorId, TensorKind};
+use tofu_graph::{Graph, TensorId, TensorKind};
 
 use crate::event::simulate_traced;
 use crate::machine::Machine;
-use crate::memory::{device_memory, per_device_memory};
+use crate::memory::{per_device_memory, DeviceMemory};
 use crate::{Outcome, Perf};
 
 /// A model source: builds the training graph for a given global batch size
@@ -19,9 +19,8 @@ fn single_device_time(g: &Graph, machine: &Machine) -> f64 {
     simulate_traced(g, &devices, &[], machine, None).compute_only_makespan
 }
 
-fn single_device_peak(g: &Graph) -> crate::memory::DeviceMemory {
-    let schedule: Vec<NodeId> = g.node_ids().collect();
-    device_memory(g, &schedule, true, 1.0)
+fn single_device_peak(g: &Graph) -> DeviceMemory {
+    per_device_memory(g, &vec![0; g.num_nodes()], 1, true, 1.0)[0]
 }
 
 /// **Ideal** (§7.1): a hypothetical GPU with infinite memory; single-GPU

@@ -17,10 +17,6 @@ use crate::machine::Machine;
 pub struct DeviceMemory {
     /// Peak bytes (persistent + transient + optimizer history).
     pub peak_bytes: u64,
-    /// Persistent (weights + inputs) bytes.
-    pub persistent_bytes: u64,
-    /// Extra optimizer-history bytes.
-    pub optimizer_bytes: u64,
 }
 
 impl DeviceMemory {
@@ -35,39 +31,14 @@ impl DeviceMemory {
     }
 }
 
-/// Computes one device's memory from its sub-schedule.
+/// Memory of every device in a device-tagged graph, each planned over its
+/// serial sub-schedule (its nodes in id order); a device that runs no node
+/// holds 0 B. Every entry of `device_of` must be below `gpus`.
 ///
 /// `buffer_reuse` models the §6 control-dependency optimization: with it the
 /// memory planner lets tensors with disjoint lifetimes along the worker's
 /// serial schedule share a buffer; without it every transient allocation is
 /// simultaneously live.
-pub(crate) fn device_memory(
-    g: &Graph,
-    schedule: &[NodeId],
-    buffer_reuse: bool,
-    optimizer_copies: f64,
-) -> DeviceMemory {
-    let plan = plan_buffers(g, schedule, buffer_reuse);
-    // Optimizer history: one extra copy per weight shard this device *owns*
-    // — the weights among the planner's persistent tensors (consumed by its
-    // compute nodes; weight shards read through a `multi_fetch` belong to
-    // another device).
-    let weight_bytes: u64 = plan
-        .persistent
-        .iter()
-        .map(|&t| g.tensor(t))
-        .filter(|meta| meta.kind == TensorKind::Weight)
-        .map(|meta| meta.shape.bytes())
-        .sum();
-    let optimizer_bytes = (weight_bytes as f64 * optimizer_copies) as u64;
-    DeviceMemory {
-        peak_bytes: plan.mem.total_bytes() + optimizer_bytes,
-        persistent_bytes: plan.mem.persistent_bytes,
-        optimizer_bytes,
-    }
-}
-
-/// Memory of every device in a device-tagged graph.
 pub fn per_device_memory(
     g: &Graph,
     device_of: &[usize],
@@ -75,11 +46,27 @@ pub fn per_device_memory(
     buffer_reuse: bool,
     optimizer_copies: f64,
 ) -> Vec<DeviceMemory> {
-    (0..gpus)
-        .map(|d| {
-            let schedule: Vec<NodeId> =
-                g.node_ids().filter(|n| device_of[n.0] == d).collect();
-            device_memory(g, &schedule, buffer_reuse, optimizer_copies)
+    let mut schedules: Vec<Vec<NodeId>> = vec![Vec::new(); gpus];
+    for id in g.node_ids() {
+        schedules[device_of[id.0]].push(id);
+    }
+    schedules
+        .iter()
+        .map(|schedule| {
+            let plan = plan_buffers(g, schedule, buffer_reuse);
+            // Optimizer history: one extra copy per weight shard this
+            // device *owns* — the weights among the planner's persistent
+            // tensors (consumed by its compute nodes; weight shards read
+            // through a `multi_fetch` belong to another device).
+            let weight_bytes: u64 = plan
+                .persistent
+                .iter()
+                .map(|&t| g.tensor(t))
+                .filter(|meta| meta.kind == TensorKind::Weight)
+                .map(|meta| meta.shape.bytes())
+                .sum();
+            let optimizer_bytes = (weight_bytes as f64 * optimizer_copies) as u64;
+            DeviceMemory { peak_bytes: plan.mem.total_bytes() + optimizer_bytes }
         })
         .collect()
 }
@@ -90,17 +77,22 @@ mod tests {
     use tofu_graph::Attrs;
     use tofu_tensor::Shape;
 
+    /// The whole graph planned as device 0's.
+    fn single_device(g: &Graph, reuse: bool, optimizer_copies: f64) -> u64 {
+        per_device_memory(g, &vec![0; g.num_nodes()], 1, reuse, optimizer_copies)[0].peak_bytes
+    }
+
     #[test]
     fn optimizer_history_counts_weights_once() {
+        // w is read by two nodes but holds one history copy of its 256 B.
         let mut g = Graph::new();
         let x = g.add_input("x", Shape::new(vec![4, 8]));
         let w = g.add_weight("w", Shape::new(vec![8, 8]));
         let a = g.add_op("matmul", "m1", &[x, w], Attrs::new()).unwrap();
         let _b = g.add_op("matmul", "m2", &[a, w], Attrs::new()).unwrap();
-        let schedule: Vec<NodeId> = g.node_ids().collect();
-        let mem = device_memory(&g, &schedule, true, 1.0);
-        assert_eq!(mem.optimizer_bytes, 8 * 8 * 4);
-        assert!(mem.peak_bytes > mem.optimizer_bytes);
+        let without = single_device(&g, true, 0.0);
+        assert_eq!(single_device(&g, true, 1.0) - without, 8 * 8 * 4);
+        assert!(without > 0);
     }
 
     #[test]
@@ -110,17 +102,14 @@ mod tests {
         for i in 0..6 {
             t = g.add_op("relu", &format!("r{i}"), &[t], Attrs::new()).unwrap();
         }
-        let schedule: Vec<NodeId> = g.node_ids().collect();
-        let with = device_memory(&g, &schedule, true, 0.0);
-        let without = device_memory(&g, &schedule, false, 0.0);
-        assert!(without.peak_bytes > with.peak_bytes);
+        assert!(single_device(&g, false, 0.0) > single_device(&g, true, 0.0));
     }
 
     #[test]
     fn fits_respects_capacity() {
         let machine = Machine::p2_8xlarge();
-        let small = DeviceMemory { peak_bytes: 1 << 30, persistent_bytes: 0, optimizer_bytes: 0 };
-        let big = DeviceMemory { peak_bytes: 20 * (1 << 30), ..small };
+        let small = DeviceMemory { peak_bytes: 1 << 30 };
+        let big = DeviceMemory { peak_bytes: 20 * (1 << 30) };
         assert!(small.fits(&machine));
         assert!(!big.fits(&machine));
     }
@@ -131,9 +120,10 @@ mod tests {
         let x = g.add_input("x", Shape::new(vec![1 << 16]));
         let _a = g.add_op("relu", "a", &[x], Attrs::new()).unwrap();
         let _b = g.add_op("tanh", "b", &[x], Attrs::new()).unwrap();
-        let mems = per_device_memory(&g, &[0, 1], 2, true, 0.0);
-        assert_eq!(mems.len(), 2);
+        let mems = per_device_memory(&g, &[0, 1], 3, true, 0.0);
+        assert_eq!(mems.len(), 3);
         assert!(mems[0].peak_bytes > 0);
         assert!(mems[1].peak_bytes > 0);
+        assert_eq!(mems[2].peak_bytes, 0, "a device that runs no node");
     }
 }

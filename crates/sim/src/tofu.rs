@@ -149,10 +149,7 @@ mod tests {
     fn partitioning_reduces_per_device_memory() {
         let machine = Machine::p2_8xlarge();
         let g = toy(64, 512);
-        let single = {
-            let schedule: Vec<_> = g.node_ids().collect();
-            crate::memory::device_memory(&g, &schedule, true, 1.0).peak_gb()
-        };
+        let single = per_device_memory(&g, &vec![0; g.num_nodes()], 1, true, 1.0)[0].peak_gb();
         let plan = partition(&g, &PartitionOptions { workers: 8, ..Default::default() }).unwrap();
         let run = run_partitioned(&g, &plan, 64, &machine, &TofuSimOptions::default()).unwrap();
         let max = run.per_device_gb.iter().copied().fold(0.0, f64::max);
