@@ -273,20 +273,6 @@ impl Collector {
         self.inner.totals.lock().expect("obs lock").clone()
     }
 
-    /// Snapshot of the instant events in one category, in record order —
-    /// the convenient view onto control-track narratives like the elastic
-    /// ladder's `"elastic"`/`"churn"`/`"recovery"` markers.
-    pub fn instants(&self, cat: &str) -> Vec<Event> {
-        self.inner
-            .events
-            .lock()
-            .expect("obs lock")
-            .iter()
-            .filter(|e| e.cat == cat && matches!(e.phase, Phase::Instant))
-            .cloned()
-            .collect()
-    }
-
     /// Number of recorded events.
     pub fn len(&self) -> usize {
         self.inner.events.lock().expect("obs lock").len()
@@ -382,21 +368,6 @@ impl Drop for SpanBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn instants_filters_by_category_and_phase() {
-        let c = Collector::new();
-        c.instant(Track::control(), "churn", "device 3 rejoined");
-        c.complete(Track::control(), "churn", "reshard", 1.0, 2.0);
-        c.instant(Track::control(), "elastic", "device 1 lost (permanent)");
-        c.instant(Track::control(), "churn", "device 3 left");
-        let churn = c.instants("churn");
-        assert_eq!(churn.len(), 2);
-        assert_eq!(churn[0].name, "device 3 rejoined");
-        assert_eq!(churn[1].name, "device 3 left");
-        assert_eq!(c.instants("elastic").len(), 1);
-        assert!(c.instants("nope").is_empty());
-    }
 
     #[test]
     fn clock_is_monotone() {

@@ -7,7 +7,8 @@
 //! the upper half — reveals what each of two workers must fetch, which is how
 //! [`crate::strategy`] discovers partition strategies.
 
-use crate::expr::{AffineIndex, IndexExpr, TdlDesc, TdlError, VarId};
+use crate::affine::AffineForm;
+use crate::expr::{IndexExpr, TdlDesc, TdlError, VarId};
 use crate::interval::SymInterval;
 use crate::Result;
 
@@ -52,10 +53,12 @@ impl Region {
     }
 }
 
-/// Evaluates an affine index expression under an interval assignment.
-fn eval_affine(index: &AffineIndex, binding: &[SymInterval]) -> SymInterval {
-    let mut acc = SymInterval::point(index.constant);
-    for &(v, c) in &index.terms {
+/// Evaluates an affine index expression under an interval assignment
+/// (Fig. 4): the constant, plus each term's variable interval scaled by its
+/// coefficient, in id order.
+fn eval_affine(index: &AffineForm, binding: &[SymInterval]) -> SymInterval {
+    let mut acc = SymInterval::point(index.constant_term());
+    for &(v, c) in index.terms() {
         acc = acc.add(&binding[v].scale(c));
     }
     acc
@@ -160,7 +163,7 @@ pub fn bind_extents(
     }
 
     // Collect every (input, dim, index-expression) occurrence once.
-    let mut occurrences: Vec<(usize, usize, AffineIndex)> = Vec::new();
+    let mut occurrences: Vec<(usize, usize, AffineForm)> = Vec::new();
     desc.body().for_each_access(&mut |input, indices| {
         for (dim, ie) in indices.iter().enumerate() {
             if let IndexExpr::Affine(a) = ie {
@@ -171,11 +174,9 @@ pub fn bind_extents(
 
     // Pass 1: identity occurrences pin extents directly.
     for (input, dim, a) in &occurrences {
-        if a.constant == 0.0 && a.terms.len() == 1 && a.terms[0].1 == 1.0 {
-            let v = a.terms[0].0;
-            let extent = input_dims[*input][*dim] as u64;
-            if extents[v].is_none() {
-                extents[v] = Some(extent);
+        if let &[(v, _)] = a.terms() {
+            if a.is_identity_of(v) && extents[v].is_none() {
+                extents[v] = Some(input_dims[*input][*dim] as u64);
             }
         }
     }
@@ -188,7 +189,7 @@ pub fn bind_extents(
         progress = false;
         for (input, dim, a) in &occurrences {
             let unknowns: Vec<VarId> =
-                a.vars().filter(|&v| extents[v].is_none()).collect();
+                a.terms().iter().map(|&(v, _)| v).filter(|&v| extents[v].is_none()).collect();
             if unknowns.len() != 1 {
                 continue;
             }
@@ -198,8 +199,8 @@ pub fn bind_extents(
                 continue;
             }
             let input_extent = input_dims[*input][*dim] as f64;
-            let mut known_max = a.constant;
-            for &(tv, c) in &a.terms {
+            let mut known_max = a.constant_term();
+            for &(tv, c) in a.terms() {
                 if tv != v {
                     let e = extents[tv].expect("known") as f64;
                     known_max += c.max(0.0) * (e - 1.0);
@@ -222,27 +223,9 @@ pub fn bind_extents(
         .collect()
 }
 
-/// Evaluates the number of elements a [`DimAccess`] covers under concrete
-/// per-variable extents, clamped to the dimension's extent.
-pub fn dim_access_len(
-    access: &DimAccess,
-    extent_of_sym: &impl Fn(usize) -> f64,
-    dim_extent: f64,
-) -> f64 {
-    match access {
-        DimAccess::Full => dim_extent,
-        DimAccess::Interval(iv) => {
-            let lo = iv.lo().eval(extent_of_sym).max(0.0);
-            let hi = iv.hi().eval(extent_of_sym).min(dim_extent);
-            (hi - lo).max(0.0)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::affine::AffineForm;
     use crate::builder::{DescBuilder, Idx};
     use crate::expr::Reducer;
 
@@ -315,7 +298,7 @@ mod tests {
         let regions = access_regions(&desc, &[point(lo, hi), point(0.0, 4.0)]).unwrap();
         let bounds = |access: &DimAccess| match access {
             DimAccess::Interval(iv) => {
-                assert!(iv.lo().is_constant() && iv.hi().is_constant());
+                assert!(iv.lo().terms().is_empty() && iv.hi().terms().is_empty());
                 Some((iv.lo().constant_term(), iv.hi().constant_term()))
             }
             DimAccess::Full => None,
@@ -374,18 +357,5 @@ mod tests {
         assert!(bind_extents(&desc, &[4, 8], &[vec![4, 3, 7], vec![3, 8, 2]]).is_err());
         assert!(bind_extents(&desc, &[4, 8, 6], &[vec![4, 3], vec![3, 8, 2]]).is_err());
         assert!(bind_extents(&desc, &[4, 8, 6], &[vec![4, 3, 7]]).is_err());
-    }
-
-    #[test]
-    fn dim_access_len_clamps() {
-        let ext = |_s: usize| 8.0;
-        let full = DimAccess::Full;
-        assert_eq!(dim_access_len(&full, &ext, 8.0), 8.0);
-        // [2, X/2 + 2] with X = 8 -> [2, 6] -> 4 elements.
-        let iv = DimAccess::Interval(SymInterval::lower_half_var(0).offset(2.0));
-        assert_eq!(dim_access_len(&iv, &ext, 8.0), 4.0);
-        // Clamped at the top: [2, X + 2] -> [2, 8] -> 6 elements.
-        let iv = DimAccess::Interval(SymInterval::full_var(0).offset(2.0));
-        assert_eq!(dim_access_len(&iv, &ext, 8.0), 6.0);
     }
 }

@@ -32,9 +32,9 @@
 
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
+use crate::affine::AffineForm;
 use crate::expr::{
-    AffineIndex, BinaryOp, IndexExpr, Reducer, ScalarExpr, TdlDesc, UnaryOp, VarId, VarInfo,
-    VarKind,
+    BinaryOp, IndexExpr, Reducer, ScalarExpr, TdlDesc, UnaryOp, VarId, VarInfo, VarKind,
 };
 use crate::Result;
 
@@ -52,7 +52,7 @@ impl Var {
 
     /// Uses the variable as an index coordinate.
     pub fn at(self) -> Idx {
-        Idx(IndexExpr::Affine(AffineIndex::var(self.id)))
+        Idx(IndexExpr::Affine(AffineForm::var(self.id)))
     }
 
     /// Uses the variable's value in a scalar expression (e.g. ramps).
@@ -80,7 +80,7 @@ impl Idx {
 
     /// A constant coordinate.
     pub fn constant(c: i64) -> Idx {
-        Idx(IndexExpr::Affine(AffineIndex::constant(c as f64)))
+        Idx(IndexExpr::Affine(AffineForm::constant(c as f64)))
     }
 
     /// Divides the coordinate by an integer factor — models the *region*
@@ -92,7 +92,7 @@ impl Idx {
         Idx(IndexExpr::Affine(self.affine().scale(1.0 / k as f64)))
     }
 
-    fn affine(self) -> AffineIndex {
+    fn affine(self) -> AffineForm {
         match self.0 {
             IndexExpr::Affine(a) => a,
             IndexExpr::Full => panic!("arithmetic on a full slice `:` is not allowed in TDL"),
@@ -110,7 +110,7 @@ impl Add<Idx> for Idx {
 impl Sub<Idx> for Idx {
     type Output = Idx;
     fn sub(self, rhs: Idx) -> Idx {
-        Idx(IndexExpr::Affine(self.affine().add(&rhs.affine().scale(-1.0))))
+        Idx(IndexExpr::Affine(self.affine().sub(&rhs.affine())))
     }
 }
 
@@ -196,11 +196,6 @@ impl Exp {
     /// Element-wise minimum.
     pub fn min(self, rhs: Exp) -> Exp {
         self.binary(BinaryOp::Min, rhs)
-    }
-
-    /// Consumes the wrapper, yielding the AST node.
-    pub fn into_expr(self) -> ScalarExpr {
-        self.0
     }
 }
 
@@ -352,7 +347,7 @@ mod tests {
         let mut seen = None;
         desc.body().for_each_access(&mut |_, idx| {
             if let IndexExpr::Affine(a) = &idx[0] {
-                seen = Some((a.coeff(0), a.constant));
+                seen = Some((a.coeff(0), a.constant_term()));
             }
         });
         assert_eq!(seen, Some((2.0, 1.0)));
@@ -367,7 +362,7 @@ mod tests {
         let mut c = None;
         desc.body().for_each_access(&mut |_, idx| {
             if let IndexExpr::Affine(a) = &idx[0] {
-                c = Some(a.constant);
+                c = Some(a.constant_term());
             }
         });
         assert_eq!(c, Some(-3.0));

@@ -1,11 +1,14 @@
 //! The TDL abstract syntax tree.
 //!
 //! A description is deliberately *not* Turing-complete (§4.1): no loops, no
-//! recursion, no data-dependent indexing. Index expressions are affine in the
-//! index variables, which is exactly what makes the symbolic interval
-//! analysis of [`crate::analysis`] precise.
+//! recursion, no data-dependent indexing. A coordinate is an
+//! [`AffineForm`] over the index variables (or a full slice `:`), which is
+//! exactly what makes the symbolic interval analysis of [`crate::analysis`]
+//! precise.
 
 use std::fmt;
+
+use crate::affine::AffineForm;
 
 /// Identifier of an index variable within one [`TdlDesc`].
 pub type VarId = usize;
@@ -34,112 +37,18 @@ pub struct VarInfo {
     pub extent_hint: Option<u64>,
 }
 
-/// An affine combination of index variables: `Σ coeff·var + constant`.
-///
-/// Coefficients are rational (stored as `f64`): integer coefficients model
-/// strided forward accesses (`data[2*y + ky]`) while fractional ones model
-/// the *region* semantics of strided backward operators
-/// (`d_out[(h + pad - ky) / s]` reads a `1/s`-scaled window).
-///
-/// # Examples
-///
-/// ```
-/// use tofu_tdl::AffineIndex;
-///
-/// let x_plus_dx = AffineIndex::var(0).add(&AffineIndex::var(1));
-/// assert_eq!(x_plus_dx.terms, vec![(0, 1.0), (1, 1.0)]);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct AffineIndex {
-    /// `(variable, coefficient)` pairs, sorted by variable id, no zero
-    /// coefficients, no duplicate variables.
-    pub terms: Vec<(VarId, f64)>,
-    /// The constant offset.
-    pub constant: f64,
-}
-
-impl AffineIndex {
-    /// The single variable `v` with coefficient 1.
-    pub fn var(v: VarId) -> AffineIndex {
-        AffineIndex { terms: vec![(v, 1.0)], constant: 0.0 }
-    }
-
-    /// A constant index.
-    pub fn constant(c: f64) -> AffineIndex {
-        AffineIndex { terms: Vec::new(), constant: c }
-    }
-
-    /// Returns the sum of two affine indices.
-    pub fn add(&self, other: &AffineIndex) -> AffineIndex {
-        let mut out = self.clone();
-        for &(v, c) in &other.terms {
-            out.add_term(v, c);
-        }
-        out.constant += other.constant;
-        out
-    }
-
-    /// Returns this index scaled by a rational factor.
-    pub fn scale(&self, k: f64) -> AffineIndex {
-        if k == 0.0 {
-            return AffineIndex::constant(0.0);
-        }
-        AffineIndex {
-            terms: self.terms.iter().map(|&(v, c)| (v, c * k)).collect(),
-            constant: self.constant * k,
-        }
-    }
-
-    /// Returns this index shifted by a constant offset.
-    pub fn offset(&self, k: f64) -> AffineIndex {
-        let mut out = self.clone();
-        out.constant += k;
-        out
-    }
-
-    fn add_term(&mut self, v: VarId, c: f64) {
-        match self.terms.binary_search_by_key(&v, |&(tv, _)| tv) {
-            Ok(pos) => {
-                self.terms[pos].1 += c;
-                if self.terms[pos].1 == 0.0 {
-                    self.terms.remove(pos);
-                }
-            }
-            Err(pos) => self.terms.insert(pos, (v, c)),
-        }
-    }
-
-    /// Returns the variables referenced by this index.
-    pub fn vars(&self) -> impl Iterator<Item = VarId> + '_ {
-        self.terms.iter().map(|&(v, _)| v)
-    }
-
-    /// Returns the coefficient of `v` (0 when absent).
-    pub fn coeff(&self, v: VarId) -> f64 {
-        self.terms
-            .binary_search_by_key(&v, |&(tv, _)| tv)
-            .map(|pos| self.terms[pos].1)
-            .unwrap_or(0.0)
-    }
-
-    /// True when this is exactly `1·v + 0`.
-    pub fn is_identity_of(&self, v: VarId) -> bool {
-        self.constant == 0.0 && self.terms == [(v, 1.0)]
-    }
-}
-
 /// One coordinate of a tensor access.
 #[derive(Debug, Clone, PartialEq)]
 pub enum IndexExpr {
     /// An affine index expression.
-    Affine(AffineIndex),
+    Affine(AffineForm),
     /// A full slice `:` — used by opaque functions (`batch_mat[b, :, :]`).
     Full,
 }
 
 impl IndexExpr {
     /// Returns the affine payload when this is not a full slice.
-    pub fn as_affine(&self) -> Option<&AffineIndex> {
+    pub fn as_affine(&self) -> Option<&AffineForm> {
         match self {
             IndexExpr::Affine(a) => Some(a),
             IndexExpr::Full => None,
@@ -312,9 +221,6 @@ pub enum TdlError {
         /// Number of declared inputs.
         num_inputs: usize,
     },
-    /// A non-affine interval operation was required (Fig. 4 forbids interval
-    /// products and comparisons).
-    NonAffine(String),
     /// A reduction variable's extent could not be tied to any input dimension.
     UnresolvedExtent {
         /// The variable whose extent is unknown.
@@ -343,7 +249,6 @@ impl fmt::Display for TdlError {
             TdlError::UnknownInput { input, num_inputs } => {
                 write!(f, "access to input {input} but only {num_inputs} inputs declared")
             }
-            TdlError::NonAffine(msg) => write!(f, "non-affine interval operation: {msg}"),
             TdlError::UnresolvedExtent { var } => {
                 write!(f, "cannot resolve the extent of reduction variable {var}")
             }
@@ -417,7 +322,7 @@ impl TdlDesc {
             let mut seen: Vec<VarId> = Vec::new();
             for ie in indices {
                 if let IndexExpr::Affine(a) = ie {
-                    for v in a.vars() {
+                    for &(v, _) in a.terms() {
                         if seen.contains(&v) {
                             err = Some(TdlError::RepeatedVar { input, var: v });
                             return;
@@ -530,34 +435,6 @@ impl TdlDesc {
 mod tests {
     use super::*;
 
-    #[test]
-    fn affine_index_arithmetic() {
-        let x = AffineIndex::var(0);
-        let dx = AffineIndex::var(1);
-        let e = x.add(&dx).offset(3.0).scale(2.0);
-        assert_eq!(e.coeff(0), 2.0);
-        assert_eq!(e.coeff(1), 2.0);
-        assert_eq!(e.constant, 6.0);
-        assert_eq!(e.coeff(9), 0.0);
-    }
-
-    #[test]
-    fn affine_index_cancellation() {
-        let x = AffineIndex::var(0);
-        let minus_x = x.scale(-1.0);
-        let zero = x.add(&minus_x);
-        assert!(zero.terms.is_empty());
-        assert_eq!(zero.constant, 0.0);
-    }
-
-    #[test]
-    fn identity_detection() {
-        assert!(AffineIndex::var(2).is_identity_of(2));
-        assert!(!AffineIndex::var(2).is_identity_of(1));
-        assert!(!AffineIndex::var(2).offset(1.0).is_identity_of(2));
-        assert!(!AffineIndex::var(2).scale(2.0).is_identity_of(2));
-    }
-
     fn elementwise_desc() -> TdlDesc {
         // out = lambda i, j: A[i, j] + B[i, j]
         let vars = vec![
@@ -567,8 +444,8 @@ mod tests {
         let access = |input| ScalarExpr::Access {
             input,
             indices: vec![
-                IndexExpr::Affine(AffineIndex::var(0)),
-                IndexExpr::Affine(AffineIndex::var(1)),
+                IndexExpr::Affine(AffineForm::var(0)),
+                IndexExpr::Affine(AffineForm::var(1)),
             ],
         };
         let body = ScalarExpr::Binary {
@@ -594,8 +471,8 @@ mod tests {
         let body = ScalarExpr::Access {
             input: 0,
             indices: vec![
-                IndexExpr::Affine(AffineIndex::var(1)),
-                IndexExpr::Affine(AffineIndex::var(0)),
+                IndexExpr::Affine(AffineForm::var(1)),
+                IndexExpr::Affine(AffineForm::var(0)),
             ],
         };
         let desc = TdlDesc::new("transpose", vec![2], vars, None, body).unwrap();
@@ -608,8 +485,8 @@ mod tests {
         let body = ScalarExpr::Access {
             input: 0,
             indices: vec![
-                IndexExpr::Affine(AffineIndex::var(0)),
-                IndexExpr::Affine(AffineIndex::var(0)),
+                IndexExpr::Affine(AffineForm::var(0)),
+                IndexExpr::Affine(AffineForm::var(0)),
             ],
         };
         let err = TdlDesc::new("bad", vec![1], vars, None, body).unwrap_err();
@@ -621,7 +498,7 @@ mod tests {
         let vars = vec![VarInfo { name: "i".into(), kind: VarKind::Output, extent_hint: None }];
         let body = ScalarExpr::Access {
             input: 3,
-            indices: vec![IndexExpr::Affine(AffineIndex::var(0))],
+            indices: vec![IndexExpr::Affine(AffineForm::var(0))],
         };
         let err = TdlDesc::new("bad", vec![1], vars, None, body).unwrap_err();
         assert!(matches!(err, TdlError::UnknownInput { .. }));
@@ -634,8 +511,8 @@ mod tests {
         let body = ScalarExpr::Access {
             input: 0,
             indices: vec![
-                IndexExpr::Affine(AffineIndex::var(0)),
-                IndexExpr::Affine(AffineIndex::var(0)),
+                IndexExpr::Affine(AffineForm::var(0)),
+                IndexExpr::Affine(AffineForm::var(0)),
             ],
         };
         let err = TdlDesc::new("diag", vec![2], vars, None, body).unwrap_err();
@@ -654,8 +531,6 @@ mod tests {
 
     #[test]
     fn error_display() {
-        let e = TdlError::NonAffine("interval product".into());
-        assert!(e.to_string().contains("non-affine"));
         assert!(TdlError::UnresolvedExtent { var: 3 }.to_string().contains('3'));
     }
 }

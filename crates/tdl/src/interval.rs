@@ -1,15 +1,15 @@
 //! Symbolic intervals and the Fig. 4 interval arithmetic.
 //!
 //! An interval `I = [Σ lᵢXᵢ + c_l, Σ uᵢXᵢ + c_u]` tracks the range of an
-//! index expression during abstract interpretation of a TDL body. Only the
-//! affine operations of Fig. 4 are defined; interval products and
-//! comparisons raise [`TdlError::NonAffine`], mirroring the paper ("Product
-//! or comparison between two intervals are not supported and will raise an
-//! error").
+//! index expression during abstract interpretation of a TDL body; both
+//! bounds are [`AffineForm`]s over the symbolic extents. Only the affine
+//! operations of Fig. 4 are defined. The paper raises an error on a product
+//! or comparison of two intervals; here no description can ask for one,
+//! because the affine index grammar cannot express it: a coordinate is built
+//! from variables and constants with `+`, `-` and multiplication or division
+//! by an integer literal (see [`crate::builder::Idx`]).
 
 use crate::affine::AffineForm;
-use crate::expr::TdlError;
-use crate::Result;
 
 /// A closed symbolic interval `[lo, hi]` whose bounds are affine forms over
 /// the symbolic extents.
@@ -45,29 +45,19 @@ impl SymInterval {
     /// The full range `[0, X_var]` of index variable `var` — the default
     /// initialization `ZV[u_i = 1]` of the paper.
     pub fn full_var(var: usize) -> SymInterval {
-        SymInterval { lo: AffineForm::zero(), hi: AffineForm::sym(var) }
+        SymInterval { lo: AffineForm::zero(), hi: AffineForm::var(var) }
     }
 
     /// The lower half `[0, X_var/2]` of a variable's range — the paper's
     /// `ZV[u_b = 1/2]` initialization used to analyze worker 0.
     pub fn lower_half_var(var: usize) -> SymInterval {
-        SymInterval { lo: AffineForm::zero(), hi: AffineForm::sym(var).scale(0.5) }
+        SymInterval { lo: AffineForm::zero(), hi: AffineForm::var(var).scale(0.5) }
     }
 
     /// The upper half `[X_var/2, X_var]` — the paper's
     /// `ZV[l_b = 1/2, u_b = 1]` initialization used to analyze worker 1.
     pub fn upper_half_var(var: usize) -> SymInterval {
-        SymInterval { lo: AffineForm::sym(var).scale(0.5), hi: AffineForm::sym(var) }
-    }
-
-    /// The slice `[k/parts · X_var, (k+1)/parts · X_var]` of a variable's
-    /// range — used when a recursion step splits across `parts > 2` workers.
-    pub fn fraction_var(var: usize, k: usize, parts: usize) -> SymInterval {
-        let x = AffineForm::sym(var);
-        SymInterval {
-            lo: x.scale(k as f64 / parts as f64),
-            hi: x.scale((k + 1) as f64 / parts as f64),
-        }
+        SymInterval { lo: AffineForm::var(var).scale(0.5), hi: AffineForm::var(var) }
     }
 
     /// Lower bound.
@@ -104,11 +94,6 @@ impl SymInterval {
         SymInterval { lo: self.lo.sub(&other.hi), hi: self.hi.sub(&other.lo) }
     }
 
-    /// Interval product — **not affine**, always an error (Fig. 4).
-    pub fn mul(&self, _other: &SymInterval) -> Result<SymInterval> {
-        Err(TdlError::NonAffine("product of two symbolic intervals".into()))
-    }
-
     /// Convex hull of two intervals: pointwise-min of the lower bounds and
     /// pointwise-max of the upper bounds (sound because extents are
     /// non-negative).
@@ -117,16 +102,6 @@ impl SymInterval {
             lo: self.lo.pointwise_min(&other.lo),
             hi: self.hi.pointwise_max(&other.hi),
         }
-    }
-
-    /// Symbolic width `hi - lo` of the interval.
-    pub fn width(&self) -> AffineForm {
-        self.hi.sub(&self.lo)
-    }
-
-    /// True when `self` covers `other` for every non-negative assignment.
-    pub fn covers(&self, other: &SymInterval) -> bool {
-        self.lo.dominated_by(&other.lo) && other.hi.dominated_by(&self.hi)
     }
 
     /// Approximate structural equality.
@@ -177,35 +152,11 @@ mod tests {
     }
 
     #[test]
-    fn product_raises_non_affine() {
-        let a = SymInterval::full_var(0);
-        assert!(matches!(a.mul(&a), Err(TdlError::NonAffine(_))));
-    }
-
-    #[test]
-    fn hull_and_covers() {
+    fn hull_of_both_halves_is_the_full_range() {
         let lower = SymInterval::lower_half_var(0);
         let upper = SymInterval::upper_half_var(0);
         let hull = lower.hull(&upper);
         assert!(hull.approx_eq(&SymInterval::full_var(0)));
-        assert!(hull.covers(&lower));
-        assert!(hull.covers(&upper));
-        assert!(!lower.covers(&upper));
-    }
-
-    #[test]
-    fn width_of_half_range() {
-        let w = SymInterval::lower_half_var(0).width();
-        assert_eq!(w.coeff(0), 0.5);
-        assert_eq!(w.constant_term(), 0.0);
-    }
-
-    #[test]
-    fn fraction_matches_halves() {
-        assert!(SymInterval::fraction_var(0, 0, 2).approx_eq(&SymInterval::lower_half_var(0)));
-        assert!(SymInterval::fraction_var(0, 1, 2).approx_eq(&SymInterval::upper_half_var(0)));
-        let third = SymInterval::fraction_var(0, 1, 3);
-        assert!((third.lo().coeff(0) - 1.0 / 3.0).abs() < 1e-12);
-        assert!((third.hi().coeff(0) - 2.0 / 3.0).abs() < 1e-12);
+        assert!(!lower.approx_eq(&hull));
     }
 }

@@ -26,6 +26,11 @@
 //! assert_eq!(desc.output_rank(), 3);
 //! ```
 //!
+//! One algebra runs through the crate: the affine form `Σ aᵢXᵢ + c`
+//! ([`AffineForm`]). It is both a coordinate of a tensor access (`x + dx`)
+//! and a bound of a symbolic interval (`[0.5·X2, X2]`), and a halo width is
+//! one too.
+//!
 //! Three things are computed from a description, all used by `tofu-core`:
 //!
 //! 1. **Region analysis** ([`analysis`]): symbolic-interval abstract
@@ -54,8 +59,7 @@ pub use affine::AffineForm;
 pub use analysis::{access_regions, bind_extents, Region};
 pub use builder::{DescBuilder, Exp, Var};
 pub use expr::{
-    AffineIndex, BinaryOp, IndexExpr, Reducer, ScalarExpr, TdlDesc, TdlError, UnaryOp, VarId,
-    VarKind,
+    BinaryOp, IndexExpr, Reducer, ScalarExpr, TdlDesc, TdlError, UnaryOp, VarId, VarKind,
 };
 pub use interval::SymInterval;
 pub use strategy::{discover_strategies, BasicStrategy, InputRequirement, OutputPartition};

@@ -92,18 +92,6 @@ pub struct BasicStrategy {
     pub inputs: Vec<InputRequirement>,
 }
 
-impl BasicStrategy {
-    /// True when every input is either unused or cleanly split (no halo and
-    /// no replication) — the cheapest kind of strategy.
-    pub fn is_clean(&self) -> bool {
-        self.inputs.iter().all(|r| match r {
-            InputRequirement::Unused => true,
-            InputRequirement::Replicated => false,
-            InputRequirement::Split { halo, .. } => halo.is_zero(),
-        })
-    }
-}
-
 /// Discovers every basic strategy of a description.
 ///
 /// Returns Case-1 strategies (one per splittable output dimension) followed
@@ -248,7 +236,6 @@ mod tests {
         assert!(s.output.is_reduce());
         assert!(matches!(s.inputs[0], InputRequirement::Split { dim: 1, ref halo } if halo.is_zero()));
         assert!(matches!(s.inputs[1], InputRequirement::Split { dim: 0, ref halo } if halo.is_zero()));
-        assert!(s.is_clean());
     }
 
     #[test]
@@ -266,7 +253,6 @@ mod tests {
         }
         // Filters are replicated under the pixel split.
         assert_eq!(s.inputs[1], InputRequirement::Replicated);
-        assert!(!s.is_clean());
     }
 
     #[test]
@@ -286,9 +272,10 @@ mod tests {
         assert!(matches!(s[1].inputs[1], InputRequirement::Split { dim: 1, .. }));
         // Inner-product reduction: A by columns, B by rows, reduce outputs.
         assert!(s[2].output.is_reduce());
-        assert!(matches!(s[2].inputs[0], InputRequirement::Split { dim: 1, .. }));
-        assert!(matches!(s[2].inputs[1], InputRequirement::Split { dim: 0, .. }));
-        assert!(s[2].is_clean());
+        let clean = |r: &InputRequirement, d| {
+            matches!(r, InputRequirement::Split { dim, halo } if *dim == d && halo.is_zero())
+        };
+        assert!(clean(&s[2].inputs[0], 1) && clean(&s[2].inputs[1], 0));
     }
 
     #[test]
@@ -304,7 +291,6 @@ mod tests {
             for inp in &st.inputs {
                 assert!(matches!(inp, InputRequirement::Split { dim, halo } if *dim == d && halo.is_zero()));
             }
-            assert!(st.is_clean());
         }
     }
 

@@ -95,11 +95,6 @@ impl Tensor {
         self.map(|a| a * a)
     }
 
-    /// Element-wise reciprocal.
-    pub fn recip(&self) -> Tensor {
-        self.map(|a| 1.0 / a)
-    }
-
     /// Element-wise logistic sigmoid `1 / (1 + e^-x)`.
     pub fn sigmoid(&self) -> Tensor {
         self.map(|a| 1.0 / (1.0 + (-a).exp()))
@@ -113,11 +108,6 @@ impl Tensor {
     /// Element-wise rectified linear unit `max(x, 0)`.
     pub fn relu(&self) -> Tensor {
         self.map(|a| a.max(0.0))
-    }
-
-    /// Gradient mask of ReLU: 1 where `x > 0`, else 0.
-    pub fn relu_grad_mask(&self) -> Tensor {
-        self.map(|a| if a > 0.0 { 1.0 } else { 0.0 })
     }
 
     /// Sum of all elements.
@@ -161,7 +151,6 @@ mod tests {
         assert_eq!(a.neg().data(), &[1., 0., -4.]);
         assert_eq!(a.abs().data(), &[1., 0., 4.]);
         assert_eq!(a.relu().data(), &[0., 0., 4.]);
-        assert_eq!(a.relu_grad_mask().data(), &[0., 0., 1.]);
         assert_eq!(a.square().data(), &[1., 0., 16.]);
         assert!((a.sqrt().data()[2] - 2.0).abs() < 1e-6);
     }
@@ -190,6 +179,5 @@ mod tests {
     fn exp_ln_roundtrip() {
         let a = t(vec![0.5, 1.0, 2.0]);
         assert!(a.exp().ln().allclose(&a, 1e-6));
-        assert!(a.recip().recip().allclose(&a, 1e-6));
     }
 }

@@ -74,11 +74,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its data buffer.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reads the element at a multi-dimensional index.
     pub fn at(&self, index: &[usize]) -> f32 {
         self.data[self.shape.offset(index)]
