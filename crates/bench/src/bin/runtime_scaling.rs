@@ -16,7 +16,7 @@
 //! The run exits non-zero if the transport copied any payload byte (the
 //! zero-copy data plane must stay zero-copy), if the links did not carry
 //! exactly `comm_edges()` — one message per transfer, and no two transfers
-//! moving the same block to the same device — if the simulator predicts
+//! of one tensor to one device overlapping — if the simulator predicts
 //! other link bytes than the links carried, if a worker's peak memory
 //! differs from `per_device_memory`'s (buffer reuse on, no optimizer copies:
 //! what the runtime allocates), if the second or third step planned
@@ -40,8 +40,8 @@ struct Row {
     comm_bytes: u64,
     nodes: usize,
     messages: u64,
-    /// Remote reads the messages serve: a block several fetches on one
-    /// device read crosses once, so this is at least `messages`.
+    /// Distinct remote reads, `(node, input)`, the messages serve: an
+    /// element several fetches on one device read crosses once.
     remote_reads: u64,
     transport_copy_bytes: u64,
     /// The largest worker's peak memory (bytes).

@@ -6,12 +6,13 @@
 //! Every value is a simulator output, so the file repeats exactly and
 //! `scripts/check.sh` fails on any drift from the committed copy — a changed
 //! `comm_bytes` is a real partitioning or codegen change and must be staged
-//! deliberately. Beside it, `read_bytes` sums the bytes over every remote
-//! read: a block several fetches on one device read crosses once, so
-//! `comm_bytes` (distinct transfers) is at most `read_bytes`, and
+//! deliberately. Beside it, `read_bytes` sums each remote read's own piece:
+//! an element several fetches on one device read crosses once, so
+//! `comm_bytes` (disjoint transfers) is at most `read_bytes`, and
 //! `plan_comm_bytes` (the DP's Eq. 3 objective) is compared against the
 //! latter. The run fails if the simulator's bytes differ from the
-//! `comm_edges()` sum or if two transfers move the same block to one device.
+//! `comm_edges()` sum or if two transfers of one tensor to one device
+//! overlap.
 //!
 //! Besides the curves, the run is a regression gate on **strategy
 //! structure**: at every multi-worker point the plan must be genuinely

@@ -16,11 +16,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use tofu_core::ShardedGraph;
-use tofu_graph::{Graph, TensorId, TensorKind, TransferIndex};
+use tofu_graph::{fetch_pieces, Graph, TensorId, TensorKind};
 use tofu_obs::{Collector, Phase, Track};
 use tofu_runtime::{resume_from_snapshot, run_with_options, FullSnapshot, RunOptions};
 use tofu_tensor::Tensor;
@@ -29,38 +29,55 @@ pub use tofu_obs::json::Json;
 
 /// What a sharded graph's `comm_edges()` move, counted both ways: once per
 /// transfer (what crosses the links) and once per remote read (what every
-/// reader would pull if no block were shared).
+/// reader would pull if no element were shared).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transfers {
     /// Distinct transfers: one message each.
     pub count: u64,
     /// Bytes over all transfers.
     pub bytes: u64,
-    /// Remote reads the transfers serve.
+    /// Distinct remote reads, `(node, input)`, the transfers serve.
     pub reads: u64,
-    /// Bytes summed over remote reads.
+    /// Bytes summed over remote reads, each its own piece.
     pub read_bytes: u64,
 }
 
 /// Counts `sharded`'s transfers and the reads they serve. Fails when two
-/// transfers move the same block to the same device: a block crosses to a
+/// transfers of one tensor to one device overlap: an element crosses to a
 /// device once.
 pub fn transfers(sharded: &ShardedGraph) -> Result<Transfers, String> {
-    let mut seen = TransferIndex::default();
+    let g = &sharded.graph;
+    let edges = sharded.comm_edges();
     let mut out = Transfers { count: 0, bytes: 0, reads: 0, read_bytes: 0 };
-    for e in sharded.comm_edges() {
-        if !seen.read(&sharded.graph, e.tensor, e.dst, Some(e.piece)).1 {
-            return Err(format!(
-                "two transfers move block {:?}+{:?} of {:?} to device {}",
-                e.piece.src_begin, e.piece.len, e.tensor, e.dst
-            ));
+    let mut by_key: BTreeMap<(TensorId, usize), Vec<usize>> = BTreeMap::new();
+    let mut reads = BTreeSet::new();
+    for (x, e) in edges.iter().enumerate() {
+        let same = by_key.entry((e.tensor, e.dst)).or_default();
+        for &y in same.iter() {
+            let o = &edges[y];
+            let apart = (0..e.len.len()).any(|d| {
+                e.src_begin[d].max(o.src_begin[d])
+                    >= (e.src_begin[d] + e.len[d]).min(o.src_begin[d] + o.len[d])
+            });
+            if !apart {
+                return Err(format!(
+                    "two transfers move overlapping blocks {:?}+{:?} and {:?}+{:?} of {:?} to \
+                     device {}",
+                    o.src_begin, o.len, e.src_begin, e.len, e.tensor, e.dst
+                ));
+            }
         }
-        let reads = e.readers.len() as u64;
+        same.push(x);
         out.count += 1;
         out.bytes += e.bytes();
-        out.reads += reads;
-        out.read_bytes += reads * e.bytes();
+        for &(node, i) in &e.readers {
+            if reads.insert((node, i)) {
+                let piece = fetch_pieces(g, node).and_then(|mut p| p.nth(i));
+                out.read_bytes += piece.map_or(0, |p| p.bytes());
+            }
+        }
     }
+    out.reads = reads.len() as u64;
     Ok(out)
 }
 

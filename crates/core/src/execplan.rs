@@ -14,23 +14,30 @@
 //! definition of every transfer, so the runtime moves exactly the transfers
 //! the simulator and the ledgers count:
 //!
-//! - every transfer — a block of a tensor crossing to one device, however
-//!   many `multi_fetch` nodes there read it — gets one dense receiver-side
-//!   **slot**, numbered per receiver in `comm_edges()` order, which is
-//!   first-reader order. The numbering is a pure function of the graph, so a
-//!   resumed attempt's slots match the original run's;
+//! - every transfer — a box of a tensor crossing to one device, however
+//!   many `multi_fetch` nodes there read its elements — gets one dense
+//!   receiver-side **slot**, numbered per receiver in `comm_edges()` order,
+//!   which is first-reader order. The numbering is a pure function of the
+//!   graph, so a resumed attempt's slots match the original run's;
 //! - each sender's pushes are grouped by producing schedule position
 //!   ([`Routes::sends`]), so the send path is a slice walk with no lookups;
 //! - each `multi_fetch` position gets its [`FetchInput`]s, so assembly never
-//!   re-parses node attributes. Piece extents are owned, not borrowed from
-//!   the graph, which is what lets the plan sit inside the graph it plans.
+//!   re-parses node attributes: one per local input, and one per transfer a
+//!   remote input's piece overlaps, which copies the overlap from its offset
+//!   inside the received box to its place in the fetch output. A piece read
+//!   before in whole or in part is thus assembled from the earlier boxes
+//!   plus the remainder its own transfers move. Extents are owned, not
+//!   borrowed from the graph, which is what lets the plan sit inside the
+//!   graph it plans.
 //!
 //! A resumed attempt filters the same table ([`ExecPlan::routes_from`]): a
 //! transfer is routed if any of its readers is at or after the receiver's
 //! cut, its slot expects only those reads, and it is owed — sent at startup
 //! from the snapshot — when it was produced before the sender's cut (or is a
 //! leaf). Routes keep the order a walk over the nodes in id order would give
-//! them, by each transfer's first remaining reader.
+//! them, by each transfer's first remaining reader (transfers that share it
+//! in id order). A read served by several transfers counts once in each of
+//! their slots.
 //!
 //! `ShardedGraph`'s fields are public, so the build validates what it reads
 //! and the plan keeps a copy of it: a run after an edit rebuilds and
@@ -64,8 +71,9 @@ pub struct Transfer {
     pub src_begin: Vec<i64>,
     /// Block extent per dimension.
     pub len: Vec<i64>,
-    /// Every `(multi_fetch node, input index)` the transfer serves, in node
-    /// order: the first is the stamp the sender puts on the message.
+    /// Every `(multi_fetch node, input index)` whose piece overlaps the
+    /// block, in node order: the first is the stamp the sender puts on the
+    /// message.
     pub readers: Vec<(NodeId, usize)>,
 }
 
@@ -81,19 +89,40 @@ pub enum FetchSource {
     },
 }
 
-/// One pre-decoded `multi_fetch` input: where the block comes from and
-/// where it lands in the fetch output.
+/// One pre-decoded copy into a `multi_fetch` output: a local input, or the
+/// part of a remote input one transfer delivers. Where the block comes from
+/// and where it lands in the fetch output.
 #[derive(Debug, Clone)]
 pub struct FetchInput {
+    /// The fetch node's input this copy reads.
+    pub input: usize,
     /// Local value or receive slot.
     pub source: FetchSource,
     /// Start of the block in what the worker holds: the local tensor, or the
-    /// received piece, which the sender already cut out (all zeros).
+    /// received box, which the sender already cut out of the tensor.
     pub src_begin: Vec<i64>,
     /// Start of the block inside the fetch output.
     pub dst_begin: Vec<i64>,
     /// Block extent per dimension.
     pub len: Vec<i64>,
+}
+
+impl FetchInput {
+    /// The part of remote read `self` (its piece in source coordinates)
+    /// that the box `begin`+`len` arriving in `slot` delivers: their
+    /// overlap, copied from its offset inside the box.
+    fn part(&self, begin: &[i64], len: &[i64], slot: u32) -> FetchInput {
+        let lo: Vec<i64> = self.src_begin.iter().zip(begin).map(|(&a, &b)| a.max(b)).collect();
+        let at = |d: usize, start: &[i64]| lo[d] - start[d];
+        let end = |d: usize| (self.src_begin[d] + self.len[d]).min(begin[d] + len[d]);
+        FetchInput {
+            input: self.input,
+            source: FetchSource::Remote { slot },
+            src_begin: (0..lo.len()).map(|d| at(d, begin)).collect(),
+            dst_begin: (0..lo.len()).map(|d| self.dst_begin[d] + at(d, &self.src_begin)).collect(),
+            len: (0..lo.len()).map(|d| end(d) - lo[d]).collect(),
+        }
+    }
 }
 
 /// One worker's routes for an attempt, as indices into
@@ -211,8 +240,9 @@ impl ExecPlan {
             )));
         }
         // One pass in id order: validate, place every node in its worker's
-        // schedule, and decode every fetch. Remote inputs get their slot
-        // from the transfers below.
+        // schedule, and decode every fetch. A remote input keeps its piece
+        // in source coordinates here; the transfers below cut it into the
+        // parts each slot delivers.
         let mut schedules: Vec<Vec<NodeId>> = vec![Vec::new(); k];
         let mut fetches: Vec<Vec<Option<Vec<FetchInput>>>> = vec![Vec::new(); k];
         let mut position = vec![0usize; nodes];
@@ -248,14 +278,15 @@ impl ExecPlan {
                 }
                 Some(pieces) => {
                     let mut inputs = Vec::with_capacity(pieces.len());
-                    for (&t, p) in node.inputs.iter().zip(pieces) {
-                        let (source, src_begin) = if owner(t)? == w {
-                            (FetchSource::Local(t), p.src_begin.to_vec())
+                    for (input, (&t, p)) in node.inputs.iter().zip(pieces).enumerate() {
+                        let source = if owner(t)? == w {
+                            FetchSource::Local(t)
                         } else {
-                            (FetchSource::Remote { slot: u32::MAX }, vec![0; p.len.len()])
+                            FetchSource::Remote { slot: u32::MAX }
                         };
+                        let src_begin = p.src_begin.to_vec();
                         let (dst_begin, len) = (p.dst_begin.to_vec(), p.len.to_vec());
-                        inputs.push(FetchInput { source, src_begin, dst_begin, len });
+                        inputs.push(FetchInput { input, source, src_begin, dst_begin, len });
                     }
                     Some(inputs)
                 }
@@ -274,16 +305,19 @@ impl ExecPlan {
         // Every remote read now enters a fetch on a valid device, so the
         // graph-level transfer list is well defined: one slot per transfer,
         // dense per receiver, in its order.
+        // Per node: the parts of its remote inputs, `(input index, part)`
+        // in transfer order.
         let mut slots: Vec<Vec<usize>> = vec![Vec::new(); k];
         let mut transfers = Vec::new();
+        let mut parts: Vec<Vec<(usize, FetchInput)>> = vec![Vec::new(); nodes];
         for (x, e) in s.comm_edges().into_iter().enumerate() {
             let slot = slots[e.dst].len() as u32;
             slots[e.dst].push(x);
             for &(reader, i) in &e.readers {
-                if let Some(input) =
-                    fetches[e.dst][position[reader.0]].as_mut().and_then(|inputs| inputs.get_mut(i))
+                if let Some(read) =
+                    fetches[e.dst][position[reader.0]].as_ref().and_then(|inputs| inputs.get(i))
                 {
-                    input.source = FetchSource::Remote { slot };
+                    parts[reader.0].push((i, read.part(&e.src_begin, &e.len, slot)));
                 }
             }
             transfers.push(Transfer {
@@ -292,10 +326,31 @@ impl ExecPlan {
                 dst: e.dst,
                 slot,
                 produced_at: g.producer(e.tensor).map(|p| position[p.0]),
-                src_begin: e.piece.src_begin.to_vec(),
-                len: e.piece.len.to_vec(),
+                src_begin: e.src_begin,
+                len: e.len,
                 readers: e.readers,
             });
+        }
+        // Each remote input becomes its parts, kept in input order (none for
+        // an empty piece).
+        for (id, mut parts) in g.node_ids().zip(parts) {
+            let remote = |p: &FetchInput| matches!(p.source, FetchSource::Remote { .. });
+            let (w, pos) = (s.device_of_node[id.0], position[id.0]);
+            let Some(inputs) = fetches[w][pos].as_mut().filter(|f| f.iter().any(remote)) else {
+                continue;
+            };
+            parts.sort_by_key(|&(i, _)| i);
+            let mut parts = parts.into_iter().peekable();
+            let mut assembly = Vec::with_capacity(inputs.len() + parts.len());
+            for (i, input) in inputs.drain(..).enumerate() {
+                if let FetchSource::Local(_) = input.source {
+                    assembly.push(input);
+                }
+                while let Some((_, part)) = parts.next_if(|&(j, _)| j == i) {
+                    assembly.push(part);
+                }
+            }
+            *inputs = assembly;
         }
 
         let buffers: Vec<BufferPlan> =
@@ -383,11 +438,11 @@ impl ExecPlan {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeMap;
 
     use super::*;
     use crate::{generate, partition, GenOptions, PartitionOptions};
-    use tofu_graph::{Attrs, Graph, TransferIndex};
+    use tofu_graph::{Attrs, Graph, Served, TransferIndex};
     use tofu_models::{mlp, rnn, wresnet, MlpConfig, RnnConfig, WResNetConfig};
     use tofu_tensor::Shape;
 
@@ -412,11 +467,13 @@ mod tests {
                 if src == dst {
                     continue;
                 }
-                match index.read(g, t, dst, Some(p)) {
-                    (_, true) => {
-                        out.push((t, src, dst, p.src_begin.to_vec(), p.len.to_vec(), vec![(id, i)]))
-                    }
-                    (x, false) => out[x].5.push((id, i)),
+                let Served { old, new } = index.read(g, t, dst, Some(p));
+                for &x in old {
+                    out[x].5.push((id, i));
+                }
+                for x in new {
+                    let (begin, len) = index.block(x);
+                    out.push((t, src, dst, begin.to_vec(), len.to_vec(), vec![(id, i)]));
                 }
             }
         }
@@ -454,8 +511,13 @@ mod tests {
         // receiver and its producer's position.
         let walked = walk_transfers(sharded);
         assert!(!walked.is_empty());
-        let keys: BTreeSet<_> = walked.iter().map(|x| (x.0, x.2, &x.3, &x.4)).collect();
-        assert_eq!(keys.len(), walked.len(), "two transfers share a key");
+        for (x, a) in walked.iter().enumerate() {
+            for b in walked[..x].iter().filter(|b| (b.0, b.2) == (a.0, a.2)) {
+                let apart = (0..a.3.len())
+                    .any(|d| a.3[d].max(b.3[d]) >= (a.3[d] + a.4[d]).min(b.3[d] + b.4[d]));
+                assert!(apart, "two transfers overlap: {a:?} and {b:?}");
+            }
+        }
         assert_eq!(plan.transfers.len(), walked.len());
         let mut next_slot = vec![0u32; k];
         for (x, (tr, (t, src, dst, begin, len, readers))) in
@@ -484,7 +546,8 @@ mod tests {
         }
         // Every transfer is routed exactly once — under its producer's
         // position, or at startup when owed — unless all its readers ran,
-        // and each sender pushes in first-remaining-reader order.
+        // and each sender pushes in first-remaining-reader order (transfers
+        // sharing that reader in id order).
         let mut routed: BTreeMap<usize, (usize, Option<usize>)> = BTreeMap::new();
         for (src, r) in routes.iter().enumerate() {
             let startup = r.startup.iter().map(|&x| (None, x));
@@ -501,7 +564,7 @@ mod tests {
                 *tr.readers.iter().find(|&&(r, _)| !ran(r, tr.dst)).unwrap()
             };
             for list in std::iter::once(&r.startup).chain(&r.sends) {
-                let order: Vec<_> = list.iter().map(|&x| first_left(x)).collect();
+                let order: Vec<_> = list.iter().map(|&x| (first_left(x), x)).collect();
                 assert!(order.windows(2).all(|p| p[0] < p[1]), "worker {src}: push order");
             }
         }
@@ -518,12 +581,13 @@ mod tests {
         assert!(routed.is_empty(), "a route without a transfer");
 
         // Fetch plans: an input is Local exactly when its tensor lives on the
-        // consumer's worker; a Remote one waits in the slot of the one
-        // transfer that names it as a reader.
-        let mut slot_of_read = BTreeMap::new();
+        // consumer's worker; a Remote one becomes one part per transfer that
+        // names it as a reader, in transfer order, each the overlap of the
+        // piece and the transfer's block, and together they tile the piece.
+        let mut serving: BTreeMap<(NodeId, usize), Vec<&Transfer>> = BTreeMap::new();
         for tr in &plan.transfers {
             for &read in &tr.readers {
-                assert_eq!(slot_of_read.insert(read, tr.slot), None, "{read:?} served twice");
+                serving.entry(read).or_default().push(tr);
             }
         }
         let mut remote_reads = 0;
@@ -534,30 +598,38 @@ mod tests {
                     assert_ne!(node.op, "multi_fetch");
                     continue;
                 };
-                let pieces: Vec<_> = fetch_pieces(g, id).unwrap().collect();
-                assert_eq!(inputs.len(), node.inputs.len());
-                for (i, (input, &t)) in inputs.iter().zip(&node.inputs).enumerate() {
-                    assert_eq!(
-                        (&input.dst_begin[..], &input.len[..]),
-                        (pieces[i].dst_begin, pieces[i].len)
-                    );
-                    match input.source {
-                        FetchSource::Local(local) => {
-                            assert_eq!((local, sharded.device_of_tensor[t.0]), (t, Some(w)));
-                            assert_eq!(input.src_begin, pieces[i].src_begin);
-                        }
-                        FetchSource::Remote { slot } => {
-                            assert_ne!(sharded.device_of_tensor[t.0], Some(w));
-                            assert_eq!(slot_of_read.get(&(id, i)), Some(&slot));
-                            assert!(input.src_begin.iter().all(|&b| b == 0));
-                            remote_reads += 1;
-                        }
+                let mut inputs = inputs.iter();
+                for (i, (p, &t)) in fetch_pieces(g, id).unwrap().zip(&node.inputs).enumerate() {
+                    if sharded.device_of_tensor[t.0] == Some(w) {
+                        let input = inputs.next().unwrap();
+                        assert_eq!((input.input, input.source), (i, FetchSource::Local(t)));
+                        let got = (&input.src_begin[..], &input.dst_begin[..], &input.len[..]);
+                        assert_eq!(got, (p.src_begin, p.dst_begin, p.len));
+                        continue;
                     }
+                    let mut volume = 0;
+                    for tr in serving.get(&(id, i)).map_or(&[][..], Vec::as_slice) {
+                        let input = inputs.next().unwrap();
+                        let slot = FetchSource::Remote { slot: tr.slot };
+                        assert_eq!((input.input, input.source), (i, slot));
+                        for d in 0..p.len.len() {
+                            let lo = p.src_begin[d].max(tr.src_begin[d]);
+                            let hi = (p.src_begin[d] + p.len[d]).min(tr.src_begin[d] + tr.len[d]);
+                            assert_eq!(input.src_begin[d], lo - tr.src_begin[d], "{id:?} {i}");
+                            assert_eq!(input.dst_begin[d], p.dst_begin[d] + lo - p.src_begin[d]);
+                            assert_eq!(input.len[d], hi - lo);
+                        }
+                        volume += input.len.iter().product::<i64>();
+                    }
+                    assert_eq!(volume, p.len.iter().product::<i64>(), "{id:?} input {i} not tiled");
+                    remote_reads += usize::from(volume > 0);
                 }
+                assert!(inputs.next().is_none(), "{id:?}: a part no input explains");
             }
         }
-        // Σ readers is the per-read count found by brute force.
-        assert_eq!(slot_of_read.len(), remote_reads);
+        // Every read a transfer names is one found by brute force (an empty
+        // piece needs none).
+        assert_eq!(serving.len(), remote_reads);
 
         // Liveness floors: the owner's last read, or forever for persistent
         // leaves and transfer sources.
@@ -626,6 +698,75 @@ mod tests {
         assert_eq!(table(&[0, 1]), (vec![], vec![0, 1], vec![1, 1]));
         assert_eq!(table(&[1, 1]), (vec![0, 1], vec![], vec![1, 1]));
         assert_eq!(table(&[1, 2]), (vec![1], vec![], vec![0, 1]));
+        assert_eq!(table(&[1, 3]), (vec![], vec![], vec![0, 0]));
+    }
+
+    /// Two devices: a producer on device 0 of a `[4, 8]` tensor, read on
+    /// device 1 by fetches of its top half, then the whole, then the middle
+    /// rows. The half crosses at the first read; the whole is that half
+    /// plus a second transfer of the bottom half, and the middle rows are
+    /// one row of each.
+    fn overlapping_blocks() -> ShardedGraph {
+        let mut g = Graph::new();
+        let x = g.add_input("x", Shape::new(vec![4, 8]));
+        let p = g.add_op("relu", "p", &[x], Attrs::new()).unwrap();
+        for (name, rows, pieces) in [
+            ("half", 2, vec![0, 0, 0, 0, 2, 8]),
+            ("whole", 4, vec![0, 0, 0, 0, 4, 8]),
+            ("middle", 2, vec![1, 0, 0, 0, 2, 8]),
+        ] {
+            let attrs =
+                Attrs::new().with_ints("out_dims", vec![rows, 8]).with_ints("pieces", pieces);
+            g.add_op("multi_fetch", name, &[p], attrs).unwrap();
+        }
+        let origin_of_node = g.node_ids().collect();
+        ShardedGraph {
+            workers: 2,
+            device_of_node: vec![0, 1, 1, 1],
+            device_of_tensor: vec![Some(0), Some(0), Some(1), Some(1), Some(1)],
+            origin_of_node,
+            exact: true,
+            graph: g,
+            ..Default::default()
+        }
+    }
+
+    /// A read served by two slots reads each once: the receiver's cut
+    /// before, between and after the readers changes how many reads each
+    /// slot expects, and both slots stay routed while any reader is left.
+    #[test]
+    fn a_read_served_by_two_slots_is_routed_from_every_cut() {
+        let sharded = overlapping_blocks();
+        let plan = sharded.exec_plan(None).unwrap();
+        let blocks: Vec<_> =
+            plan.transfers.iter().map(|t| (&t.src_begin[..], &t.len[..])).collect();
+        assert_eq!(blocks, vec![(&[0, 0][..], &[2, 8][..]), (&[2, 0][..], &[2, 8][..])]);
+        let readers = |x: usize| plan.transfers[x].readers.clone();
+        assert_eq!(readers(0), vec![(NodeId(1), 0), (NodeId(2), 0), (NodeId(3), 0)]);
+        assert_eq!(readers(1), vec![(NodeId(2), 0), (NodeId(3), 0)]);
+        // The middle rows: row 1 of the first box, row 0 of the second.
+        let middle = plan.workers[1].fetches[2].as_ref().unwrap();
+        let parts: Vec<_> = middle
+            .iter()
+            .map(|p| (p.source, p.src_begin.clone(), p.dst_begin.clone(), p.len.clone()))
+            .collect();
+        assert_eq!(
+            parts,
+            vec![
+                (FetchSource::Remote { slot: 0 }, vec![1, 0], vec![0, 0], vec![1, 8]),
+                (FetchSource::Remote { slot: 1 }, vec![0, 0], vec![1, 0], vec![1, 8]),
+            ]
+        );
+        let table = |cuts: &[usize]| {
+            check_invariants(&sharded, Some(cuts));
+            let routes = plan.routes_from(cuts);
+            (routes[0].startup.clone(), routes[0].sends[0].clone(), routes[1].reads.clone())
+        };
+        check_invariants(&sharded, None);
+        assert_eq!(table(&[0, 0]), (vec![], vec![0, 1], vec![3, 2]));
+        assert_eq!(table(&[0, 1]), (vec![], vec![0, 1], vec![2, 2]));
+        assert_eq!(table(&[0, 2]), (vec![], vec![0, 1], vec![1, 1]));
+        assert_eq!(table(&[1, 2]), (vec![0, 1], vec![], vec![1, 1]));
         assert_eq!(table(&[1, 3]), (vec![], vec![], vec![0, 0]));
     }
 

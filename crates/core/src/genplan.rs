@@ -24,7 +24,7 @@ use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 pub use tofu_graph::{fetch_pieces, FetchPiece};
-use tofu_graph::{Attrs, Graph, NodeId, NodeTags, TensorId, TensorKind, TransferIndex};
+use tofu_graph::{Attrs, Graph, NodeId, NodeTags, Served, TensorId, TensorKind, TransferIndex};
 use tofu_tdl::analysis::DimAccess;
 use tofu_tdl::{access_regions, bind_extents, AffineForm, Reducer, SymInterval};
 use tofu_tensor::{Shape, Tensor};
@@ -90,31 +90,33 @@ pub struct ShardedGraph {
     pub(crate) exec: ExecCell,
 }
 
-/// One cross-device transfer of the sharded graph: a block of `tensor`,
-/// which lives on `src`, crossing to `dst` once for every `multi_fetch` on
-/// `dst` that reads it (by construction only `multi_fetch` nodes read
-/// remote tensors). Transfers are keyed as [`TransferIndex`] defines.
+/// One cross-device transfer of the sharded graph: a box of `tensor`, which
+/// lives on `src`, crossing to `dst` once for every `multi_fetch` on `dst`
+/// whose piece overlaps it (by construction only `multi_fetch` nodes read
+/// remote tensors). Transfers are cut as [`TransferIndex`] defines: the box
+/// is the part of its first reader's piece no earlier transfer to `dst`
+/// moved, so it is owned, not any reader's piece.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommEdge<'a> {
+pub struct CommEdge {
     /// The remote tensor being read.
     pub tensor: TensorId,
     /// Device producing (owning) the tensor.
     pub src: usize,
     /// Device executing the readers.
     pub dst: usize,
-    /// The block transferred (a sub-block of `tensor`), as the first reader
-    /// decodes it; later readers share `src_begin` and `len` and land it at
-    /// their own `dst_begin`.
-    pub piece: FetchPiece<'a>,
-    /// Every `(multi_fetch node, input index)` the transfer serves, in node
-    /// order: the first entry is the reader that triggers it.
+    /// Start of the box inside `tensor`.
+    pub src_begin: Vec<i64>,
+    /// Box extent per dimension.
+    pub len: Vec<i64>,
+    /// Every `(multi_fetch node, input index)` whose piece overlaps the box,
+    /// in node order: the first entry is the reader that triggers it.
     pub readers: Vec<(NodeId, usize)>,
 }
 
-impl CommEdge<'_> {
+impl CommEdge {
     /// Bytes moved over the `src → dst` link.
     pub fn bytes(&self) -> u64 {
-        self.piece.bytes()
+        self.len.iter().product::<i64>().max(0) as u64 * 4
     }
 }
 
@@ -135,11 +137,12 @@ impl ShardedGraph {
     }
 
     /// Every cross-device transfer, in first-reader schedule order, each
-    /// naming all the reads it serves. By construction every read tensor has
+    /// naming all the reads it serves; a read whose piece spans several
+    /// transfers is named by each. By construction every read tensor has
     /// an owner in the fleet and every remote read enters a `multi_fetch`
     /// node; both are asserted here so a violated invariant fails loudly
     /// rather than dropping or misrouting a transfer.
-    pub fn comm_edges(&self) -> Vec<CommEdge<'_>> {
+    pub fn comm_edges(&self) -> Vec<CommEdge> {
         let mut out: Vec<CommEdge> = Vec::new();
         let mut index = TransferIndex::default();
         for id in self.graph.node_ids() {
@@ -159,11 +162,15 @@ impl ShardedGraph {
                 let piece = piece.unwrap_or_else(|| {
                     panic!("cross-device edge into non-fetch node {id:?} ({})", node.op)
                 });
-                match index.read(&self.graph, t, dst, Some(piece)) {
-                    (_, true) => {
-                        out.push(CommEdge { tensor: t, src, dst, piece, readers: vec![(id, i)] })
-                    }
-                    (x, false) => out[x].readers.push((id, i)),
+                let Served { old, new } = index.read(&self.graph, t, dst, Some(piece));
+                for &x in old {
+                    out[x].readers.push((id, i));
+                }
+                for x in new {
+                    let (src_begin, len) = index.block(x);
+                    let (src_begin, len) = (src_begin.to_vec(), len.to_vec());
+                    let readers = vec![(id, i)];
+                    out.push(CommEdge { tensor: t, src, dst, src_begin, len, readers });
                 }
             }
         }
@@ -880,43 +887,58 @@ mod tests {
         let g = &sharded.graph;
         let edges = sharded.comm_edges();
         assert!(!edges.is_empty(), "2-worker MLP must communicate");
-        let mut served = BTreeMap::new();
-        let mut keys = BTreeMap::new();
+        // Elements shared by a box and edge `e`'s box.
+        let shared = |begin: &[i64], len: &[i64], e: &CommEdge| {
+            (0..len.len())
+                .map(|d| {
+                    let end = (begin[d] + len[d]).min(e.src_begin[d] + e.len[d]);
+                    (end - begin[d].max(e.src_begin[d])).max(0)
+                })
+                .product::<i64>()
+        };
+        // Per remote read: the elements of its piece the edges serving it
+        // deliver.
+        let mut served: BTreeMap<(NodeId, usize), i64> = BTreeMap::new();
         for (x, e) in edges.iter().enumerate() {
-            // Every edge moves a real piece of the remote tensor, and no two
-            // edges move the same block to the same device.
+            // Every edge moves a real part of the remote tensor, and no
+            // element crosses to a device twice.
             assert_ne!(e.src, e.dst);
             assert_eq!(Some(e.src), sharded.device_of_tensor[e.tensor.0]);
             assert!(e.bytes() > 0);
             assert!(e.bytes() <= g.tensor(e.tensor).shape.bytes());
-            let key = (e.tensor, e.dst, e.piece.src_begin, e.piece.len);
-            assert_eq!(keys.insert(key, x), None, "two transfers share {key:?}");
+            for other in &edges[..x] {
+                if (other.tensor, other.dst) == (e.tensor, e.dst) {
+                    assert_eq!(shared(&other.src_begin, &other.len, e), 0, "{other:?} and {e:?}");
+                }
+            }
             // Only multi_fetch nodes read remote tensors (the §6 invariant
             // comm_edges itself asserts); every reader is one, on `dst`,
-            // reading exactly this block, and the first one triggers it.
+            // reading part of this box, and the first one triggers it.
             assert_eq!(e.readers[0], *e.readers.iter().min().unwrap());
             for &(reader, i) in &e.readers {
                 assert_eq!(g.node(reader).op, "multi_fetch");
                 let dst = sharded.device_of_node[reader.0];
                 assert_eq!((g.node(reader).inputs[i], dst), (e.tensor, e.dst));
                 let piece = fetch_pieces(g, reader).unwrap().nth(i).unwrap();
-                assert_eq!((piece.src_begin, piece.len), (e.piece.src_begin, e.piece.len));
-                assert_eq!(served.insert((reader, i), x), None, "{reader:?} input {i} served twice");
+                let part = shared(piece.src_begin, piece.len, e);
+                assert!(part > 0, "{reader:?} input {i} reads nothing of {e:?}");
+                *served.entry((reader, i)).or_default() += part;
             }
         }
-        // Every remote read found by brute force is served by exactly one
-        // transfer.
+        // Every remote read found by brute force is tiled exactly by the
+        // transfers serving it.
         let mut reads = 0;
         for id in g.node_ids() {
             for (i, t) in g.node(id).inputs.iter().enumerate() {
                 if sharded.device_of_tensor[t.0] != Some(sharded.device_of_node[id.0]) {
-                    assert!(served.contains_key(&(id, i)), "{id:?} input {i} is not served");
+                    let piece = fetch_pieces(g, id).unwrap().nth(i).unwrap();
+                    let volume = piece.len.iter().product::<i64>();
+                    assert_eq!(served.get(&(id, i)), Some(&volume), "{id:?} input {i}");
                     reads += 1;
                 }
             }
         }
         assert_eq!(served.len(), reads);
-        assert_eq!(edges.iter().map(|e| e.readers.len()).sum::<usize>(), reads);
     }
 
     /// A read whose tensor has no owner, or an owner outside the fleet, is

@@ -114,70 +114,174 @@ pub fn fetch_pieces(
     Some((0..node.inputs.len()).map(move |i| FetchPiece::at(flat, rank, i)))
 }
 
-/// The transfers of a device-tagged graph, numbered densely in first-read
+/// The transfers of a device-tagged graph, numbered densely in creation
 /// order.
 ///
-/// A transfer is a distinct (tensor, destination device, `src_begin`,
-/// `len`): one block of one tensor crossing to one device. However many
-/// nodes on that device read the block, it crosses once — the first read
-/// moves it and every later read waits for the same arrival, as
-/// TensorFlow's canonical Send/Recv pairs do. A `multi_fetch` input reads
-/// its piece; any other remote read reads the whole tensor, the block
-/// `(0, shape)`.
+/// A transfer is a box of one tensor crossing to one device, and an element
+/// crosses to a device once. A read of block `b` of tensor `t` on device `d`
+/// is served by every earlier transfer of `t` to `d` that `b` overlaps, and
+/// only the remainder of `b` — what those transfers do not cover — becomes
+/// new transfers: disjoint boxes, cut one dimension at a time (a box less
+/// one box it overlaps is at most 2·rank boxes). So however many nodes on
+/// `d` read the same
+/// elements, each crosses once, as with TensorFlow's canonical Send/Recv
+/// pairs; identical blocks share one transfer, a half read after its whole
+/// moves nothing, and a whole read after its half moves the other half. The
+/// transfers of one (tensor, device) are pairwise disjoint and tile the
+/// union of its reads. A `multi_fetch` input reads its piece; any other
+/// remote read reads the whole tensor. An empty block moves nothing.
 ///
 /// The simulator, `ShardedGraph::comm_edges` and the runtime's routing table
 /// all number transfers through this index, which is why their byte and
 /// message counts agree. Each tensor chains its transfers, so a read costs a
-/// walk over the blocks of its own tensor already sent, and nothing is
-/// allocated per read beyond the entry a new transfer appends.
+/// walk over the boxes of its own tensor already sent, which stops once they
+/// cover the block; the index keeps its scratch between reads, so a read
+/// that overlaps nothing allocates nothing beyond the entry its transfer
+/// appends.
 #[derive(Debug, Default)]
-pub struct TransferIndex<'a> {
+pub struct TransferIndex {
     /// Per tensor: its most recent transfer, `NONE` before the first.
     head: Vec<usize>,
-    /// Per transfer: destination, block (`None` = the whole tensor) and the
+    /// Per transfer: destination, rank, start of its box in `boxes`, and the
     /// previous transfer of the same tensor.
-    entries: Vec<(usize, Option<FetchPiece<'a>>, usize)>,
+    entries: Vec<Entry>,
+    /// Every transfer's box, `begin` then `len`, back to back.
+    boxes: Vec<i64>,
+    /// Scratch for one read: the earlier transfers it overlaps, and what is
+    /// left of its block, `pieces` boxes in `rest` (`next` is the second
+    /// buffer of each cut).
+    served: Vec<usize>,
+    rest: Vec<i64>,
+    next: Vec<i64>,
+    pieces: usize,
+    /// Scratch of [`subtract`].
+    cut: Vec<i64>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    dst: usize,
+    rank: usize,
+    at: usize,
+    prev: usize,
 }
 
 const NONE: usize = usize::MAX;
 
-impl<'a> TransferIndex<'a> {
+/// The transfers serving one read (see [`TransferIndex::read`]).
+#[derive(Debug, PartialEq, Eq)]
+pub struct Served<'i> {
+    /// Earlier transfers the read overlaps, most recent first.
+    pub old: &'i [usize],
+    /// The transfers the read creates: the remainder of its block.
+    pub new: std::ops::Range<usize>,
+}
+
+/// Whether boxes `a` and `b` (`begin` then `len`) share an element.
+fn overlaps(a: &[i64], b: &[i64]) -> bool {
+    let ((a0, al), (b0, bl)) = (a.split_at(a.len() / 2), b.split_at(b.len() / 2));
+    let a = a0.iter().zip(al);
+    a.zip(b0.iter().zip(bl)).all(|((&a0, &al), (&b0, &bl))| a0.max(b0) < (a0 + al).min(b0 + bl))
+}
+
+/// Appends `a` minus `b` to `out` as disjoint boxes, one dimension at a
+/// time: the part of `a` before `b` along dimension 0, the part after it,
+/// then the same along dimension 1 within `b`'s extent of dimension 0, and
+/// so on. Returns how many boxes it appended (at most 2·rank). `cur` is
+/// scratch.
+fn subtract(a: &[i64], b: &[i64], cur: &mut Vec<i64>, out: &mut Vec<i64>) -> usize {
+    let r = a.len() / 2;
+    cur.clear();
+    cur.extend_from_slice(a);
+    let mut n = 0;
+    for d in 0..r {
+        let (lo, hi) = (cur[d].max(b[d]), (cur[d] + cur[r + d]).min(b[d] + b[r + d]));
+        for (begin, end) in [(cur[d], lo), (hi, cur[d] + cur[r + d])] {
+            if begin < end {
+                let at = out.len();
+                out.extend_from_slice(cur);
+                (out[at + d], out[at + r + d]) = (begin, end - begin);
+                n += 1;
+            }
+        }
+        (cur[d], cur[r + d]) = (lo, hi - lo);
+    }
+    n
+}
+
+impl TransferIndex {
     /// Records a read of `block` of tensor `t` (`None`: the whole tensor) by
-    /// device `dst` of `g`, and returns the transfer that serves it, with
-    /// `true` when this read is the transfer's first — the one that moves
-    /// the bytes. Transfers are numbered 0, 1, … in first-read order.
+    /// device `dst` of `g`, and returns the transfers that serve it: the
+    /// earlier ones it overlaps, and the new ones that move the rest of the
+    /// block. Transfers are numbered 0, 1, … in creation order.
     pub fn read(
         &mut self,
         g: &Graph,
         t: TensorId,
         dst: usize,
-        block: Option<FetchPiece<'a>>,
-    ) -> (usize, bool) {
+        block: Option<FetchPiece<'_>>,
+    ) -> Served<'_> {
         if self.head.len() < g.num_tensors() {
             self.head.resize(g.num_tensors(), NONE);
         }
-        let shape = &g.tensor(t).shape;
-        let whole = |p: FetchPiece<'_>| {
-            p.src_begin.iter().all(|&b| b == 0)
-                && p.len.iter().map(|&l| l as usize).eq(shape.dims().iter().copied())
-        };
-        let mut x = self.head[t.0];
-        while x != NONE {
-            let (d, b, prev) = self.entries[x];
-            let same = match (b, block) {
-                (Some(a), Some(b)) => a.src_begin == b.src_begin && a.len == b.len,
-                (None, None) => true,
-                (Some(p), None) | (None, Some(p)) => whole(p),
-            };
-            if d == dst && same {
-                return (x, false);
+        let dims = g.tensor(t).shape.dims();
+        let (rank, w) = (dims.len(), 2 * dims.len());
+        self.rest.clear();
+        match block {
+            Some(p) => {
+                self.rest.extend_from_slice(p.src_begin);
+                self.rest.extend_from_slice(p.len);
             }
-            x = prev;
+            None => {
+                self.rest.resize(rank, 0);
+                self.rest.extend(dims.iter().map(|&d| d as i64));
+            }
         }
-        let id = self.entries.len();
-        self.entries.push((dst, block, self.head[t.0]));
-        self.head[t.0] = id;
-        (id, true)
+        // An empty block has no elements to move.
+        self.pieces = usize::from(self.rest[rank..].iter().all(|&l| l > 0));
+        // Walk the tensor's transfers, cutting each one to `dst` that
+        // overlaps what is left of the block out of it. They are disjoint,
+        // so once nothing is left no other one overlaps the block.
+        self.served.clear();
+        let mut x = self.head[t.0];
+        while x != NONE && self.pieces > 0 {
+            let (e, y) = (self.entries[x], x);
+            x = e.prev;
+            if e.dst != dst {
+                continue;
+            }
+            let other = &self.boxes[e.at..][..w];
+            let rest = || (0..self.pieces).map(|i| &self.rest[w * i..][..w]);
+            if !rest().any(|piece| overlaps(piece, other)) {
+                continue;
+            }
+            self.served.push(y);
+            self.next.clear();
+            let mut kept = 0;
+            for piece in rest() {
+                kept += if overlaps(piece, other) {
+                    subtract(piece, other, &mut self.cut, &mut self.next)
+                } else {
+                    self.next.extend_from_slice(piece);
+                    1
+                };
+            }
+            self.pieces = kept;
+            std::mem::swap(&mut self.rest, &mut self.next);
+        }
+        let first = self.entries.len();
+        for piece in (0..self.pieces).map(|i| &self.rest[w * i..][..w]) {
+            self.entries.push(Entry { dst, rank, at: self.boxes.len(), prev: self.head[t.0] });
+            self.head[t.0] = self.entries.len() - 1;
+            self.boxes.extend_from_slice(piece);
+        }
+        Served { old: &self.served, new: first..self.entries.len() }
+    }
+
+    /// The box transfer `x` moves: its `begin` and `len` per dimension.
+    pub fn block(&self, x: usize) -> (&[i64], &[i64]) {
+        let Entry { rank, at, .. } = self.entries[x];
+        (&self.boxes[at..at + rank], &self.boxes[at + rank..at + 2 * rank])
     }
 }
 
@@ -656,6 +760,8 @@ pub fn defs() -> Vec<OpDef> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::ProptestConfig;
     use tofu_tdl::{discover_strategies, InputRequirement};
 
     /// A `multi_fetch` the kernel, the simulator and the runtime could not
@@ -693,30 +799,177 @@ mod tests {
         assert_eq!(g.num_nodes(), 1, "a rejected node leaves the graph untouched");
     }
 
-    /// A transfer is (tensor, destination, `src_begin`, `len`): the landing
-    /// offset is the reader's own business, and a whole-tensor read is the
-    /// block that covers the tensor.
+    /// The transfers serving one read: the earlier ones it overlaps, in id
+    /// order, and the ones it creates.
+    fn serve(
+        index: &mut TransferIndex,
+        g: &Graph,
+        t: TensorId,
+        dst: usize,
+        block: Option<FetchPiece<'_>>,
+    ) -> (Vec<usize>, Vec<usize>) {
+        let Served { old, new } = index.read(g, t, dst, block);
+        let mut old = old.to_vec();
+        old.sort_unstable();
+        (old, new.collect())
+    }
+
+    fn block<'a>(src_begin: &'a [i64], len: &'a [i64]) -> Option<FetchPiece<'a>> {
+        Some(FetchPiece { src_begin, dst_begin: src_begin, len })
+    }
+
+    /// A transfer is keyed by (tensor, destination, elements): the landing
+    /// offset is the reader's own business, an identical block shares its
+    /// transfer, and a whole-tensor read is the block that covers the
+    /// tensor.
     #[test]
     fn transfers_are_keyed_by_tensor_destination_and_source_block() {
-        use crate::Graph;
         let mut g = Graph::new();
         let a = g.add_input("a", Shape::new(vec![2, 4]));
         let b = g.add_input("b", Shape::new(vec![2, 4]));
-        let piece = |src_begin, dst_begin, len| FetchPiece { src_begin, dst_begin, len };
+        let piece = |src_begin, dst_begin, len| Some(FetchPiece { src_begin, dst_begin, len });
         let top = piece(&[0, 0][..], &[0, 0][..], &[1, 4][..]);
         let top_elsewhere = piece(&[0, 0][..], &[1, 0][..], &[1, 4][..]);
         let bottom = piece(&[1, 0][..], &[0, 0][..], &[1, 4][..]);
         let all = piece(&[0, 0][..], &[0, 0][..], &[2, 4][..]);
         let mut index = TransferIndex::default();
-        assert_eq!(index.read(&g, a, 1, Some(top)), (0, true));
-        assert_eq!(index.read(&g, a, 1, Some(top_elsewhere)), (0, false));
-        assert_eq!(index.read(&g, a, 2, Some(top)), (1, true), "another destination");
-        assert_eq!(index.read(&g, a, 1, Some(bottom)), (2, true), "another block");
-        assert_eq!(index.read(&g, b, 1, Some(top)), (3, true), "another tensor");
-        assert_eq!(index.read(&g, a, 1, None), (4, true));
-        assert_eq!(index.read(&g, a, 1, Some(all)), (4, false), "the whole tensor");
-        assert_eq!(index.read(&g, a, 1, None), (4, false));
-        assert_eq!(index.read(&g, a, 1, Some(bottom)), (2, false));
+        let mut read = |t, dst, block| serve(&mut index, &g, t, dst, block);
+        assert_eq!(read(a, 1, top), (vec![], vec![0]));
+        assert_eq!(read(a, 1, top_elsewhere), (vec![0], vec![]));
+        assert_eq!(read(a, 2, top), (vec![], vec![1]), "another destination");
+        assert_eq!(read(a, 1, bottom), (vec![], vec![2]), "another block");
+        assert_eq!(read(b, 1, top), (vec![], vec![3]), "another tensor");
+        assert_eq!(read(b, 1, None), (vec![3], vec![4]), "the rest of the whole tensor");
+        assert_eq!(read(b, 1, all), (vec![3, 4], vec![]), "the whole tensor");
+        assert_eq!(read(b, 1, None), (vec![3, 4], vec![]));
+        assert_eq!(read(a, 1, bottom), (vec![2], vec![]));
+        assert_eq!(read(a, 1, piece(&[0, 0][..], &[0, 0][..], &[0, 4][..])), (vec![], vec![]));
+    }
+
+    /// Half a tensor read after the whole is served by the whole; the whole
+    /// read after its half moves only the other half.
+    #[test]
+    fn a_half_and_its_whole_cross_once_in_either_order() {
+        let mut g = Graph::new();
+        let a = g.add_input("a", Shape::new(vec![4, 8]));
+        let b = g.add_input("b", Shape::new(vec![4, 8]));
+        let mut index = TransferIndex::default();
+        assert_eq!(serve(&mut index, &g, a, 1, None), (vec![], vec![0]));
+        assert_eq!(serve(&mut index, &g, a, 1, block(&[2, 0], &[2, 8])), (vec![0], vec![]));
+        assert_eq!(serve(&mut index, &g, b, 1, block(&[0, 0], &[2, 8])), (vec![], vec![1]));
+        assert_eq!(serve(&mut index, &g, b, 1, block(&[0, 0], &[4, 8])), (vec![1], vec![2]));
+        assert_eq!(index.block(2), (&[2, 0][..], &[2, 8][..]));
+    }
+
+    /// A middle third, then the whole: the whole moves the two outer thirds
+    /// as two boxes.
+    #[test]
+    fn a_middle_third_then_the_whole_moves_two_boxes() {
+        let mut g = Graph::new();
+        let a = g.add_input("a", Shape::new(vec![6, 4]));
+        let mut index = TransferIndex::default();
+        assert_eq!(serve(&mut index, &g, a, 0, block(&[2, 0], &[2, 4])), (vec![], vec![0]));
+        assert_eq!(serve(&mut index, &g, a, 0, block(&[0, 0], &[6, 4])), (vec![0], vec![1, 2]));
+        assert_eq!(index.block(1), (&[0, 0][..], &[2, 4][..]));
+        assert_eq!(index.block(2), (&[4, 0][..], &[2, 4][..]));
+    }
+
+    /// Disjoint blocks of one tensor are separate transfers, and a later
+    /// non-fetch read of the whole tensor is served by both plus the rest.
+    #[test]
+    fn disjoint_blocks_then_a_whole_tensor_read() {
+        let mut g = Graph::new();
+        let a = g.add_input("a", Shape::new(vec![3, 4]));
+        let mut index = TransferIndex::default();
+        assert_eq!(serve(&mut index, &g, a, 1, block(&[0, 0], &[1, 2])), (vec![], vec![0]));
+        assert_eq!(serve(&mut index, &g, a, 1, block(&[2, 2], &[1, 2])), (vec![], vec![1]));
+        let (old, new) = serve(&mut index, &g, a, 1, None);
+        assert_eq!(old, vec![0, 1]);
+        let moved: i64 = new.iter().map(|&x| index.block(x).1.iter().product::<i64>()).sum();
+        assert_eq!(moved, 12 - 2 - 2, "the whole tensor less what already crossed");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Over random reads of one tensor by two devices: per device the
+        /// transfers are pairwise disjoint, every read is tiled exactly by
+        /// the transfers serving it, and the bytes moved are the volume of
+        /// the union of the reads.
+        #[test]
+        fn every_element_read_crosses_exactly_once(
+            dims in vec(1i64..5, 0..4),
+            reads in 1usize..12,
+            dsts in vec(0usize..2, 12..13),
+            corners in vec(0i64..5, 72..73),
+            wholes in vec(0u8..8, 12..13),
+        ) {
+            let mut g = Graph::new();
+            let shape = Shape::new(dims.iter().map(|&d| d as usize).collect());
+            let a = g.add_input("a", shape.clone());
+            let rank = dims.len();
+            let mut index = TransferIndex::default();
+            let mut dst_of: Vec<usize> = Vec::new();
+            let mut union = vec![vec![false; shape.volume()]; 2];
+            // Elements of box (`begin`, `len`) shared with transfer `x`.
+            let shared = |index: &TransferIndex, begin: &[i64], len: &[i64], x: usize| {
+                let (b, l) = index.block(x);
+                (0..rank)
+                    .map(|d| ((begin[d] + len[d]).min(b[d] + l[d]) - begin[d].max(b[d])).max(0))
+                    .product::<i64>()
+            };
+            for r in 0..reads {
+                // A box inside the shape, or the whole tensor one time in eight.
+                let (dst, whole, corners) = (dsts[r], wholes[r] == 0, &corners[6 * r..]);
+                let (begin, len): (Vec<i64>, Vec<i64>) = if whole {
+                    (vec![0; rank], dims.clone())
+                } else {
+                    (0..rank)
+                        .map(|d| {
+                            let corner = |c: i64| c % (dims[d] + 1);
+                            let (p, q) = (corner(corners[d]), corner(corners[3 + d]));
+                            (p.min(q), (p - q).abs())
+                        })
+                        .unzip()
+                };
+                let read = if whole { None } else { block(&begin, &len) };
+                let (old, new) = serve(&mut index, &g, a, dst, read);
+                dst_of.extend(new.iter().map(|_| dst));
+                let volume: i64 = len.iter().product();
+                let served: Vec<i64> =
+                    old.iter().chain(&new).map(|&x| shared(&index, &begin, &len, x)).collect();
+                proptest::prop_assert!(served.iter().all(|&v| v > 0), "a transfer serves nothing");
+                proptest::prop_assert_eq!(served.iter().sum::<i64>(), volume, "read not tiled");
+                for &x in &new {
+                    let volume = index.block(x).1.iter().product::<i64>();
+                    proptest::prop_assert_eq!(shared(&index, &begin, &len, x), volume);
+                }
+                if volume > 0 {
+                    for (i, index) in shape.indices().enumerate() {
+                        let inside = (0..rank).all(|d| {
+                            (begin[d]..begin[d] + len[d]).contains(&(index[d] as i64))
+                        });
+                        union[dst][i] |= inside;
+                    }
+                }
+            }
+            for x in 0..dst_of.len() {
+                let (b, l) = index.block(x);
+                for y in 0..x {
+                    if dst_of[y] == dst_of[x] {
+                        let overlap = shared(&index, b, l, y);
+                        proptest::prop_assert_eq!(overlap, 0, "{x} and {y} overlap");
+                    }
+                }
+            }
+            for (dst, cells) in union.iter().enumerate() {
+                let moved: i64 = (0..dst_of.len())
+                    .filter(|&x| dst_of[x] == dst)
+                    .map(|x| index.block(x).1.iter().product::<i64>())
+                    .sum();
+                proptest::prop_assert_eq!(moved as usize, cells.iter().filter(|&&c| c).count());
+            }
+        }
     }
 
     #[test]

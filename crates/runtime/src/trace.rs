@@ -54,7 +54,7 @@ pub struct LinkStat {
     pub dst: usize,
     /// Payload bytes moved.
     pub bytes: u64,
-    /// Messages (one per transfer: a block crosses once, however many
+    /// Messages (one per transfer: an element crosses once, however many
     /// fetches read it).
     pub messages: u64,
 }

@@ -771,8 +771,9 @@ impl<'a> Worker<'a> {
     }
 
     /// Executes a `multi_fetch` node: local inputs are copied out of the
-    /// worker's own values; remote inputs block on their pre-assigned
-    /// receive slot until the (already-extracted) piece arrives. The
+    /// worker's own values; a remote input blocks on the pre-assigned
+    /// receive slot of each transfer its piece overlaps until that
+    /// (already-extracted) box arrives, and copies its part out. The
     /// assembly plan was decoded once at plan time — no attribute parsing
     /// or graph lookups happen here.
     fn assemble_fetch(&mut self, pos: usize, id: NodeId) -> Result<Tensor> {
@@ -782,7 +783,7 @@ impl<'a> Worker<'a> {
             .ok_or_else(|| RuntimeError::Internal("assemble on non-fetch node".into()))?;
         let graph = &self.sharded.graph;
         let mut out = Tensor::zeros(graph.tensor(graph.node(id).output).shape.clone());
-        for (i, p) in inputs.iter().enumerate() {
+        for p in inputs {
             match p.source {
                 FetchSource::Local(t) => {
                     let src = self.values[t.0].as_ref().ok_or_else(|| {
@@ -798,16 +799,17 @@ impl<'a> Worker<'a> {
                     // Time the blocking receive separately so a trace splits
                     // a fetch node's span into recv-wait vs assembly.
                     let wait_start = self.obs.as_ref().map(|_| self.epoch.elapsed());
-                    let piece = self.recv_piece(slot, id, i)?;
+                    let piece = self.recv_piece(slot, id, p.input)?;
                     if let Some(ws) = wait_start {
                         let (s_us, e_us) = (self.obs_ts(ws), self.obs_ts(self.epoch.elapsed()));
-                        let name = format!("recv {}[{i}]", self.sharded.graph.node(id).name);
+                        let node = &self.sharded.graph.node(id).name;
+                        let name = format!("recv {node}[{}]", p.input);
                         if let Some(buf) = self.obs.as_mut() {
                             buf.complete("wait", &name, s_us, e_us);
                         }
                     }
-                    // The producer already extracted the block: `src_begin`
-                    // is zero in the received piece's coordinates.
+                    // The producer already extracted the transfer's box:
+                    // `src_begin` is this part's offset inside it.
                     out.copy_block(&piece, &p.src_begin, &p.dst_begin, &p.len)
                         .map_err(|e| piece_error("assembly", e))?;
                 }
@@ -909,7 +911,9 @@ impl<'a> Worker<'a> {
         input_index: usize,
     ) -> Result<Arc<Tensor>> {
         let slot = slot as usize;
-        let deadline = Instant::now() + self.recv_timeout;
+        // The clock is read once a piece is found missing: a stash hit
+        // needs no deadline.
+        let mut deadline = None;
         loop {
             let stash = &mut self.pending[slot];
             if let Some(v) = stash {
@@ -923,6 +927,7 @@ impl<'a> Worker<'a> {
             }
             self.check_abort()?;
             let now = Instant::now();
+            let deadline = *deadline.get_or_insert(now + self.recv_timeout);
             if now >= deadline {
                 return Err(RuntimeError::Comm {
                     worker: self.w,

@@ -15,19 +15,22 @@
 //! reads link state, so each of its times is the same chain of `max` and `+`
 //! over the same operands that a walk with free transfers alone computes.
 //!
-//! Each block crosses to a device once ([`TransferIndex`]): the first read
-//! occupies the link and counts the bytes, and every later read of the same
-//! block on that device waits for the recorded arrival, with no link time
-//! and no bytes. This cannot make a prediction later. Nodes are processed in
-//! id order and every start time is a max over arrivals and link-free
-//! times; by induction over that order, dropping a repeated transfer frees
-//! its link earlier and delays nothing, and the repeat's arrival was at
-//! least the first copy's arrival plus its own duration. The same induction
-//! puts the linked clock at or after the free clock at every node.
+//! Each element crosses to a device once ([`TransferIndex`]): a read waits
+//! for the recorded arrival of every earlier transfer of its tensor to its
+//! device that it overlaps, and only the remainder of its block — the
+//! elements none of them moved — becomes new transfers, which occupy the
+//! link and count the bytes. This cannot make a prediction later than
+//! moving every distinct block would. Nodes are processed in id order and
+//! every start time is a max over arrivals and link-free times; by
+//! induction over that order, a read whose block would have crossed either
+//! moves its remainder, which starts no later and is no larger, or is
+//! covered by transfers of earlier reads, which left over the same link
+//! before its block could have. The same induction puts the linked clock at
+//! or after the free clock at every node.
 
 use std::collections::BTreeMap;
 
-use tofu_graph::{fetch_pieces, Graph, TransferIndex};
+use tofu_graph::{fetch_pieces, Graph, Served, TransferIndex};
 use tofu_obs::{Collector, Track};
 
 use crate::compute::node_seconds;
@@ -151,8 +154,8 @@ pub fn simulate_traced(
             ready = ready.max(finish[dep.0]);
         }
 
-        // Per-input arrival, with a transfer for each remote block not yet
-        // on this device.
+        // Per-input arrival, with a transfer for each part of a remote block
+        // not yet on this device.
         let mut pieces = fetch_pieces(g, id);
         for &t in &node.inputs {
             let piece = pieces.as_mut().and_then(Iterator::next);
@@ -162,19 +165,17 @@ pub fn simulate_traced(
                 ready = ready.max(avail);
                 continue;
             }
-            let (x, first) = transfers.read(g, t, dev, piece);
-            if !first {
+            let Served { old, new } = transfers.read(g, t, dev, piece);
+            for &x in old {
                 ready = ready.max(arrival[x]);
-                continue;
             }
-            let bytes = piece.map_or_else(|| g.tensor(t).shape.bytes(), |p| p.bytes()) as f64;
-            comm_bytes += bytes;
-            let mut arrive = avail;
-            if bytes > 0.0 {
+            for x in new {
+                let bytes = transfers.block(x).1.iter().product::<i64>() as f64 * 4.0;
+                comm_bytes += bytes;
                 let key = (src.min(dev), src.max(dev));
                 let start = avail.linked.max(*link_avail.get(&key).unwrap_or(&0.0));
                 let dur = bytes / machine.link_bw(src, dev);
-                arrive.linked = start + dur;
+                let arrive = Times { linked: start + dur, free: avail.free };
                 link_avail.insert(key, arrive.linked);
                 comm_seconds += dur;
                 if let Some(c) = obs {
@@ -185,9 +186,9 @@ pub fn simulate_traced(
                     c.complete(lane, "comm", &name, start * 1e6, end);
                     c.counter(lane, &format!("link {src}->{dev} bytes"), end, *total);
                 }
+                arrival.push(arrive);
+                ready = ready.max(arrive);
             }
-            arrival.push(arrive);
-            ready = ready.max(arrive);
         }
 
         let dur = node_seconds(g, id, machine);

@@ -133,19 +133,16 @@ fn wresnet_trace_matches_sim_predictions_and_executor() {
     assert_report(&sharded, &shard_feeds, "wresnet w=2");
 }
 
-/// Two devices: a producer on device 0, read on device 1 by two
-/// `multi_fetch` nodes fetching its top half (landing at different offsets)
-/// and by a third fetching its bottom half.
-fn shared_block() -> ShardedGraph {
+/// Two devices: a producer of an `[rows, 8]` tensor on device 0, read on
+/// device 1 by one `multi_fetch` per `(name, output dims, pieces)`.
+fn fetched_on_device_one(rows: i64, fetches: &[(&str, [i64; 2], [i64; 6])]) -> ShardedGraph {
     let mut g = Graph::new();
-    let x = g.add_input("x", Shape::new(vec![4, 8]));
+    let x = g.add_input("x", Shape::new(vec![rows as usize, 8]));
     let p = g.add_op("relu", "p", &[x], Attrs::new()).unwrap();
-    for (name, pieces) in [
-        ("top", vec![0, 0, 0, 0, 2, 8]),
-        ("top again", vec![0, 0, 1, 0, 2, 8]),
-        ("bottom", vec![2, 0, 0, 0, 2, 8]),
-    ] {
-        let attrs = Attrs::new().with_ints("out_dims", vec![3, 8]).with_ints("pieces", pieces);
+    for (name, out_dims, pieces) in fetches {
+        let attrs = Attrs::new()
+            .with_ints("out_dims", out_dims.to_vec())
+            .with_ints("pieces", pieces.to_vec());
         g.add_op("multi_fetch", name, &[p], attrs).unwrap();
     }
     let mut sharded = ShardedGraph::default();
@@ -158,13 +155,12 @@ fn shared_block() -> ShardedGraph {
     sharded
 }
 
-/// A block two fetches read crosses the link once, in every layer that
-/// moves or counts bytes: the simulator, `comm_edges()` and the runtime.
-#[test]
-fn a_block_two_fetches_read_crosses_once() {
-    let sharded = shared_block();
+/// Device 1 receives `bytes` in `messages` in every layer that moves or
+/// counts bytes — the simulator, `comm_edges()` and the runtime, at both
+/// integrity levels — and the runtime's values are bit-identical to
+/// `Executor::run`'s.
+fn assert_crosses_once(sharded: &ShardedGraph, bytes: u64, messages: u64) {
     let g = &sharded.graph;
-    let block = 2 * 8 * 4;
     let sim = simulate_with_leaf_devices(
         g,
         &sharded.device_of_node,
@@ -172,10 +168,10 @@ fn a_block_two_fetches_read_crosses_once() {
         &Machine::p2_8xlarge(),
         false,
     );
-    assert_eq!(sim.comm_bytes, 2.0 * block as f64);
+    assert_eq!(sim.comm_bytes, bytes as f64);
     let edges = sharded.comm_edges();
-    let readers: Vec<_> = edges.iter().map(|e| e.readers.clone()).collect();
-    assert_eq!(readers, vec![vec![(NodeId(1), 0), (NodeId(2), 0)], vec![(NodeId(3), 0)]]);
+    let edge_bytes: u64 = edges.iter().map(|e| e.bytes()).sum();
+    assert_eq!((edge_bytes, edges.len() as u64), (bytes, messages));
 
     let x = TensorId(0);
     let value = Tensor::random(g.tensor(x).shape.clone(), 7, 1.0);
@@ -184,14 +180,57 @@ fn a_block_two_fetches_read_crosses_once() {
     let want = exec.run(g).unwrap();
     for integrity in [IntegrityLevel::Full, IntegrityLevel::Fast] {
         let opts = RunOptions { integrity, ..Default::default() };
-        let out = run_with_options(&sharded, &[(x, value.clone())], &opts).unwrap();
+        let out = run_with_options(sharded, &[(x, value.clone())], &opts).unwrap();
         let links: Vec<_> =
             out.trace.links.iter().map(|l| (l.src, l.dst, l.bytes, l.messages)).collect();
-        assert_eq!(links, vec![(0, 1, 2 * block, 2)], "{integrity:?}");
-        assert_eq!(out.trace.workers[1].bytes_received, 2 * block);
+        assert_eq!(links, vec![(0, 1, bytes, messages)], "{integrity:?}");
+        assert_eq!(out.trace.workers[1].bytes_received, bytes);
         for t in g.tensor_ids() {
             let bits = |v: &Tensor| v.data().iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&out.values[&t]), bits(&want[&t]), "{integrity:?} {t:?}");
         }
     }
+}
+
+/// A block two fetches read crosses the link once, in every layer that
+/// moves or counts bytes: the simulator, `comm_edges()` and the runtime.
+/// The producer's top half is read twice (landing at different offsets),
+/// its bottom half once.
+#[test]
+fn a_block_two_fetches_read_crosses_once() {
+    let sharded = fetched_on_device_one(
+        4,
+        &[
+            ("top", [3, 8], [0, 0, 0, 0, 2, 8]),
+            ("top again", [3, 8], [0, 0, 1, 0, 2, 8]),
+            ("bottom", [3, 8], [2, 0, 0, 0, 2, 8]),
+        ],
+    );
+    let readers: Vec<_> = sharded.comm_edges().iter().map(|e| e.readers.clone()).collect();
+    assert_eq!(readers, vec![vec![(NodeId(1), 0), (NodeId(2), 0)], vec![(NodeId(3), 0)]]);
+    assert_crosses_once(&sharded, 2 * 2 * 8 * 4, 2);
+}
+
+/// Overlapping blocks cross once per element: the top half, then a middle
+/// block (rows 2..5, columns 2..6) that moves only its rows below the half,
+/// then the whole tensor, which moves the three boxes still missing. Five
+/// messages carry the tensor's 192 B, and every fetch assembles its block
+/// from the parts of each.
+#[test]
+fn overlapping_blocks_cross_once_per_element() {
+    let sharded = fetched_on_device_one(
+        6,
+        &[
+            ("half", [3, 8], [0, 0, 0, 0, 3, 8]),
+            ("middle", [3, 4], [2, 2, 0, 0, 3, 4]),
+            ("whole", [6, 8], [0, 0, 0, 0, 6, 8]),
+        ],
+    );
+    let readers: Vec<_> = sharded.comm_edges().iter().map(|e| e.readers.clone()).collect();
+    let (half, middle, whole) = ((NodeId(1), 0), (NodeId(2), 0), (NodeId(3), 0));
+    assert_eq!(
+        readers,
+        vec![vec![half, middle, whole], vec![middle, whole], vec![whole], vec![whole], vec![whole]]
+    );
+    assert_crosses_once(&sharded, 6 * 8 * 4, 5);
 }

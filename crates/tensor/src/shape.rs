@@ -97,16 +97,6 @@ impl Shape {
         off
     }
 
-    /// Converts a flat row-major offset back to a multi-dimensional index.
-    pub fn unravel(&self, mut offset: usize) -> Vec<usize> {
-        let mut index = vec![0usize; self.rank()];
-        for axis in (0..self.rank()).rev() {
-            index[axis] = offset % self.0[axis];
-            offset /= self.0[axis];
-        }
-        index
-    }
-
     /// Returns a shape with `axis` replaced by `extent`.
     pub fn with_dim(&self, axis: usize, extent: usize) -> Result<Shape> {
         if axis >= self.rank() {
@@ -213,10 +203,8 @@ mod tests {
     #[test]
     fn offset_roundtrip() {
         let s = Shape::new(vec![3, 4, 5]);
-        for flat in 0..s.volume() {
-            let idx = s.unravel(flat);
-            assert_eq!(s.offset(&idx), flat);
-        }
+        let offsets: Vec<usize> = s.indices().map(|idx| s.offset(&idx)).collect();
+        assert_eq!(offsets, (0..s.volume()).collect::<Vec<_>>());
     }
 
     #[test]
