@@ -47,6 +47,7 @@ use std::sync::{Arc, OnceLock};
 
 use tofu_graph::{fetch_pieces, plan_buffers, BufferPlan, NodeId, TensorId};
 use tofu_obs::{Collector, Track};
+use tofu_tensor::ReduceKind;
 
 use crate::error::CoreError;
 use crate::genplan::ShardedGraph;
@@ -89,9 +90,9 @@ pub enum FetchSource {
     },
 }
 
-/// One pre-decoded copy into a `multi_fetch` output: a local input, or the
-/// part of a remote input one transfer delivers. Where the block comes from
-/// and where it lands in the fetch output.
+/// One pre-decoded copy or fold into a `multi_fetch` output: a local input,
+/// or the part of a remote input one transfer delivers. Where the block
+/// comes from, where it lands in the fetch output, and how.
 #[derive(Debug, Clone)]
 pub struct FetchInput {
     /// The fetch node's input this copy reads.
@@ -105,6 +106,9 @@ pub struct FetchInput {
     pub dst_begin: Vec<i64>,
     /// Block extent per dimension.
     pub len: Vec<i64>,
+    /// `None` copies the block; a reducer folds it into the output (the
+    /// input's [`FetchPiece::fold`](tofu_graph::FetchPiece::fold)).
+    pub fold: Option<ReduceKind>,
 }
 
 impl FetchInput {
@@ -121,6 +125,7 @@ impl FetchInput {
             src_begin: (0..lo.len()).map(|d| at(d, begin)).collect(),
             dst_begin: (0..lo.len()).map(|d| self.dst_begin[d] + at(d, &self.src_begin)).collect(),
             len: (0..lo.len()).map(|d| end(d) - lo[d]).collect(),
+            fold: self.fold,
         }
     }
 }
@@ -285,8 +290,8 @@ impl ExecPlan {
                             FetchSource::Remote { slot: u32::MAX }
                         };
                         let src_begin = p.src_begin.to_vec();
-                        let (dst_begin, len) = (p.dst_begin.to_vec(), p.len.to_vec());
-                        inputs.push(FetchInput { input, source, src_begin, dst_begin, len });
+                        let (dst_begin, len, fold) = (p.dst_begin.to_vec(), p.len.to_vec(), p.fold);
+                        inputs.push(FetchInput { input, source, src_begin, dst_begin, len, fold });
                     }
                     Some(inputs)
                 }

@@ -4,10 +4,13 @@
 //! [`PartitionPlan`]: each operator becomes `k` device-tagged instances;
 //! remote input regions are gathered by fused [`multi_fetch`] nodes (the
 //! paper's MultiFetch kernel, which also materializes convolution padding as
-//! zero fill); Case-2 partial outputs are combined by a spread reduction
-//! (every worker assembles and reduces only its own output shard); and extra
-//! control dependencies re-serialize each worker's sub-schedule so the
-//! memory planner keeps reusing buffers (Fig. 7).
+//! zero fill); Case-2 partial outputs are combined by a spread reduction, in
+//! which every worker reduces only its own output shard, in one fused
+//! fetch-reduce: a single `multi_fetch` copies the first reduce-peer class's
+//! pieces of the shard and folds every later class's into them, in class
+//! order, with the reducer's own scalar op; and extra control dependencies
+//! re-serialize each worker's sub-schedule so the memory planner keeps
+//! reusing buffers (Fig. 7).
 //!
 //! The per-worker input regions are *derived from the TDL descriptions* by
 //! the same §4.2 region analysis strategy discovery runs
@@ -295,9 +298,9 @@ struct Emit {
     graph: Graph,
     device_of_node: Vec<usize>,
     device_of_tensor: Vec<Option<usize>>,
-    /// Scratch of [`Emit::gather`], reused across gathers: one source's
-    /// intersection with the target, and the blocks copied so far, `rank`
-    /// `(lo, hi)` pairs per block.
+    /// Scratch of [`Emit::fetch`], reused across fetches: one source's
+    /// intersection with the target, and the blocks its class placed so
+    /// far, `rank` `(lo, hi)` pairs per block.
     isect: Vec<(i64, i64)>,
     covered: Vec<(i64, i64)>,
 }
@@ -324,73 +327,82 @@ impl Emit {
         Ok(self.place(w, t.map_err(CoreError::Graph)?))
     }
 
-    /// Emits one multi_fetch node on worker `w` assembling `target` from the
-    /// given `(tensor, region it covers)` sources, zero-filling uncovered
-    /// coordinates (materialized padding).
-    fn gather<'a>(
+    /// Emits one multi_fetch node on worker `w` assembling `target` from
+    /// classes of `(tensor, region it covers)` sources, each input a
+    /// source's intersection with the target. The first class's pieces are
+    /// copied, zero-filling uncovered coordinates (materialized padding).
+    /// With a `reducer`, every later class's pieces are folded into the
+    /// output in class order (spread reduction), so each class must tile the
+    /// target: an element it missed or held twice would be reduced wrongly.
+    fn fetch<'a, S>(
         &mut self,
         w: usize,
-        sources: impl IntoIterator<Item = (TensorId, &'a Region)>,
+        classes: impl IntoIterator<Item = S>,
+        reducer: Option<Reducer>,
         target: &Region,
         name: &str,
-    ) -> Result<TensorId> {
+    ) -> Result<TensorId>
+    where
+        S: IntoIterator<Item = (TensorId, &'a Region)>,
+    {
         let rank = target.len();
         let out_dims: Vec<i64> = target.iter().map(|&(lo, hi)| hi - lo).collect();
+        let volume: i64 = out_dims.iter().product();
         let mut inputs: Vec<TensorId> = Vec::new();
         let mut pieces: Vec<i64> = Vec::new();
-        self.covered.clear();
-        for (src, region) in sources {
-            if rank == 0 {
-                // A scalar: the first source covers it whole.
+        let mut combine = None;
+        for (class, sources) in classes.into_iter().enumerate() {
+            if class == 1 {
+                combine = Some(inputs.len());
+            }
+            self.covered.clear();
+            let (mut tiled, mut overlapping) = (0, false);
+            for (src, region) in sources {
+                if rank == 0 {
+                    // A scalar: the first source covers it whole.
+                    inputs.push(src);
+                    tiled = 1;
+                    break;
+                }
+                // Intersection of the source region with the target.
+                self.isect.clear();
+                let dims = region.iter().zip(target).map(|(r, t)| (r.0.max(t.0), r.1.min(t.1)));
+                self.isect.extend(dims.take_while(|&(lo, hi)| lo < hi));
+                let isect = &self.isect;
+                if isect.len() < rank {
+                    continue;
+                }
+                // Avoid copying a block some earlier source of the class
+                // already covers entirely (replicated shards overlap).
+                let holds = |c: &[(i64, i64)]| {
+                    c.iter().zip(isect).all(|(c, i)| c.0 <= i.0 && i.1 <= c.1)
+                };
+                let meets = |c: &[(i64, i64)]| {
+                    c.iter().zip(isect).all(|(c, i)| c.0.max(i.0) < c.1.min(i.1))
+                };
+                if self.covered.chunks_exact(rank).any(holds) {
+                    continue;
+                }
+                overlapping |= self.covered.chunks_exact(rank).any(meets);
+                tiled += isect.iter().map(|&(lo, hi)| hi - lo).product::<i64>();
+                pieces.extend(isect.iter().zip(region).map(|(i, r)| i.0 - r.0)); // src_begin
+                pieces.extend(isect.iter().zip(target).map(|(i, t)| i.0 - t.0)); // dst_begin
+                pieces.extend(isect.iter().map(|&(lo, hi)| hi - lo)); // len
+                self.covered.extend_from_slice(isect);
                 inputs.push(src);
-                break;
             }
-            // Intersection of the source region with the target.
-            self.isect.clear();
-            let dims = region.iter().zip(target).map(|(r, t)| (r.0.max(t.0), r.1.min(t.1)));
-            self.isect.extend(dims.take_while(|&(lo, hi)| lo < hi));
-            let isect = &self.isect;
-            if isect.len() < rank {
-                continue;
+            if reducer.is_some() && (overlapping || tiled != volume) {
+                return Err(CoreError::Internal(format!(
+                    "{name}: reduce-peer class {class} does not tile {target:?}"
+                )));
             }
-            // Avoid copying a block some earlier source already covers
-            // entirely (replicated shards overlap).
-            if self.covered.chunks_exact(rank).any(|c| {
-                c.iter().zip(isect).all(|(c, i)| c.0 <= i.0 && i.1 <= c.1)
-            }) {
-                continue;
-            }
-            pieces.extend(isect.iter().zip(region).map(|(i, r)| i.0 - r.0)); // src_begin
-            pieces.extend(isect.iter().zip(target).map(|(i, t)| i.0 - t.0)); // dst_begin
-            pieces.extend(isect.iter().map(|&(lo, hi)| hi - lo)); // len
-            self.covered.extend_from_slice(isect);
-            inputs.push(src);
         }
-        let attrs = Attrs::new().with_ints("out_dims", out_dims).with_ints("pieces", pieces);
+        let mut attrs = Attrs::new().with_ints("out_dims", out_dims).with_ints("pieces", pieces);
+        if let Some(reducer) = reducer {
+            let combine = combine.unwrap_or(inputs.len()) as i64;
+            attrs = attrs.with_int("combine", combine).with_str("reducer", &reducer.to_string());
+        }
         self.op(w, "multi_fetch", name, &inputs, attrs, NodeTags::default())
-    }
-
-    /// Emits the reducer combining partial shards on worker `w` (spread
-    /// reduction).
-    fn combine(
-        &mut self,
-        w: usize,
-        partials: &[TensorId],
-        reducer: Reducer,
-        name: &str,
-    ) -> Result<TensorId> {
-        let tags = NodeTags::default;
-        let op = match reducer {
-            Reducer::Sum => return self.op(w, "add_n", name, partials, Attrs::new(), tags()),
-            Reducer::Max => "maximum",
-            Reducer::Min => "minimum",
-            Reducer::Prod => "mul",
-        };
-        let mut acc = partials[0];
-        for (i, &p) in partials.iter().enumerate().skip(1) {
-            acc = self.op(w, op, &format!("{name}/{i}"), &[acc, p], Attrs::new(), tags())?;
-        }
-        Ok(acc)
     }
 }
 
@@ -539,7 +551,8 @@ pub fn generate(g: &Graph, plan: &PartitionPlan, opts: &GenOptions) -> Result<Sh
                     shards[&t][w]
                 } else {
                     let sources = shards[&t].iter().copied().zip(&regions[&t]);
-                    out.gather(w, sources, &region, &format!("w{w}/fetch/{}/{i}", node.name))?
+                    let name = format!("w{w}/fetch/{}/{i}", node.name);
+                    out.fetch(w, [sources], None, &region, &name)?
                 });
                 input_regions.push(region);
             }
@@ -575,41 +588,34 @@ pub fn generate(g: &Graph, plan: &PartitionPlan, opts: &GenOptions) -> Result<Sh
                 shard_ids.push(raw_outputs[w]);
                 continue;
             }
-            // Enumerate reduce-peer classes: one gathered piece per combo of
-            // reduce-step digits (a mixed-radix number over their ways),
-            // then combine with the reducer (spread reduction: every worker
-            // reduces only its own shard).
+            // One fused fetch assembles the shard (spread reduction: every
+            // worker reduces only its own shard). Its inputs come class by
+            // class, one reduce-peer class per combo of reduce-step digits
+            // (a mixed-radix number over their ways): the workers whose
+            // reduce-step digits match the combo and whose computed block
+            // overlaps the target shard (their blocks tile the output space
+            // across the non-reduce digits).
             let reduce_ways: Vec<usize> = reduce_steps.iter().map(|&s| factors[s]).collect();
             let combos: usize = reduce_ways.iter().product();
-            let mut partials: Vec<TensorId> = Vec::with_capacity(combos);
-            for combo in 0..combos {
-                // Contributors: workers whose reduce-step digits match this
-                // combo and whose computed block overlaps the target shard
-                // (their blocks tile the output space across the non-reduce
-                // digits).
-                let sources = (0..k)
-                    .filter(|&p| {
+            let (reduce_steps, factors, ways) = (&reduce_steps, &factors, &reduce_ways);
+            let class = |combo: usize| {
+                (0..k)
+                    .filter(move |&p| {
                         reduce_steps.iter().enumerate().all(|(pos, &rs)| {
-                            digit(p, rs, &factors) == digit(combo, pos, &reduce_ways)
+                            digit(p, rs, factors) == digit(combo, pos, ways)
                         })
                     })
                     .filter(|&p| {
-                        blocks[p]
-                            .iter()
-                            .zip(target)
-                            .all(|(b, t)| b.0.max(t.0) < b.1.min(t.1))
+                        blocks[p].iter().zip(target).all(|(b, t)| b.0.max(t.0) < b.1.min(t.1))
                     })
-                    .map(|p| (raw_outputs[p], &blocks[p]));
-                let name = format!("w{w}/gather/{}/{}", node.name, partials.len());
-                partials.push(out.gather(w, sources, target, &name)?);
-            }
-            let shard = if partials.len() == 1 {
-                partials[0]
-            } else {
-                let name = format!("w{w}/reduce/{}", node.name);
-                out.combine(w, &partials, reducer.unwrap_or(Reducer::Sum), &name)?
+                    .map(|p| (raw_outputs[p], &blocks[p]))
             };
-            shard_ids.push(shard);
+            let (reducer, name) = if reduce_steps.is_empty() {
+                (None, format!("w{w}/gather/{}", node.name))
+            } else {
+                (Some(reducer.unwrap_or(Reducer::Sum)), format!("w{w}/reduce/{}", node.name))
+            };
+            shard_ids.push(out.fetch(w, (0..combos).map(class), reducer, target, &name)?);
         }
         shards.insert(node.output, shard_ids);
         // Everything emitted while expanding this original node — fetches,
@@ -966,6 +972,75 @@ mod tests {
             let err = std::panic::catch_unwind(|| sharded.comm_edges().len()).unwrap_err();
             let err = err.downcast_ref::<String>().unwrap();
             assert!(err.contains(&message), "{err}");
+        }
+    }
+
+    /// A spread reduction is one node per worker and reduced tensor: every
+    /// `w*/reduce/*` node is a single folding `multi_fetch` named after its
+    /// origin, and every other node is a fetch or its origin's own compute
+    /// node, so no combiner reads a `/gather/` partial — on an MLP and a
+    /// small LSTM at w=2/4/8.
+    #[test]
+    fn every_reduction_is_one_fused_fetch() {
+        let lstm = tofu_models::rnn(&tofu_models::RnnConfig {
+            layers: 1,
+            hidden: 32,
+            batch: 8,
+            steps: 3,
+            embed: 16,
+            vocab: 16,
+            with_updates: true,
+        })
+        .unwrap()
+        .graph;
+        for (model, g) in [("mlp", mlp(8, 16).0), ("lstm", lstm)] {
+            for workers in [2, 4, 8] {
+                let opts = PartitionOptions { workers, ..Default::default() };
+                let plan = partition(&g, &opts).unwrap();
+                let sharded = generate(&g, &plan, &GenOptions::default()).unwrap();
+                let out = &sharded.graph;
+                let mut reduces = 0;
+                for id in out.node_ids() {
+                    let node = out.node(id);
+                    let w = sharded.device_of_node[id.0];
+                    let origin = g.node(sharded.origin_of_node[id.0]);
+                    let kind = node.name.strip_prefix(&format!("w{w}/")).unwrap();
+                    if node.op != "multi_fetch" {
+                        assert_eq!((&node.op, kind), (&origin.op, origin.name.as_str()));
+                    } else if let Some(reduced) = kind.strip_prefix("reduce/") {
+                        assert_eq!(reduced, origin.name);
+                        let combine = node.attrs.int("combine").unwrap() as usize;
+                        assert!(node.attrs.str("reducer").is_some());
+                        assert!(combine > 0 && combine < node.inputs.len(), "{}", node.name);
+                        reduces += 1;
+                    } else {
+                        assert!(kind.starts_with("fetch/") || kind.starts_with("gather/"));
+                        assert_eq!(node.attrs.int("combine"), None, "{}", node.name);
+                    }
+                }
+                assert!(reduces > 0, "{model} w={workers} reduces nothing");
+            }
+        }
+    }
+
+    /// A folded class must tile the reduced shard: a class that misses an
+    /// element, or holds one twice, is an internal error, not a wrong sum.
+    #[test]
+    fn a_reduce_class_that_does_not_tile_is_an_internal_error() {
+        let mut out = Emit::default();
+        let ids: Vec<TensorId> =
+            (0..3).map(|i| out.graph.add_input(&format!("p{i}"), Shape::new(vec![3]))).collect();
+        let [whole, head, left, right]: [Region; 4] =
+            [vec![(0, 3)], vec![(0, 1)], vec![(0, 2)], vec![(1, 3)]];
+        for (why, second, ok) in [
+            ("misses", vec![(ids[1], &left)], false),
+            ("doubles", vec![(ids[1], &left), (ids[2], &right)], false),
+            ("tiles", vec![(ids[1], &head), (ids[2], &right)], true),
+        ] {
+            let classes = [vec![(ids[0], &whole)], second];
+            let got = out.fetch(0, classes, Some(Reducer::Max), &whole, why);
+            assert_eq!(got.is_ok(), ok, "{why}: {got:?}");
+            assert!(ok || matches!(got, Err(CoreError::Internal(_))), "{why}");
         }
     }
 

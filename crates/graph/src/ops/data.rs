@@ -3,10 +3,13 @@
 //!
 //! `slice_axis` and `concat` are the primitives partitioned graphs use to
 //! extract remote input regions and reassemble them (§6); MXNet ships the
-//! same trio (`copy` lives in the element-wise family).
+//! same trio (`copy` lives in the element-wise family). Generated graphs use
+//! `multi_fetch` instead, the fused kernel that assembles a region from
+//! pieces of several tensors in one launch and, for a spread reduction,
+//! folds the later reduce-peer classes' pieces into the first's.
 
 use tofu_tdl::{builder::Idx, DescBuilder, TdlDesc};
-use tofu_tensor::{Shape, Tensor};
+use tofu_tensor::{ReduceKind, Shape, Tensor};
 
 use crate::attrs::Attrs;
 use crate::graph::{Graph, NodeId, TensorId};
@@ -17,7 +20,8 @@ use crate::Result;
 /// One piece of a `multi_fetch` node, borrowed from its `pieces` attribute:
 /// input `i` contributes the block of `len` elements starting at
 /// `src_begin` (source coordinates), landing at `dst_begin` of the fetch
-/// output.
+/// output — copied there, or folded into what is there with `fold`'s scalar
+/// op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchPiece<'a> {
     /// Start of the copied block inside the source tensor.
@@ -26,6 +30,8 @@ pub struct FetchPiece<'a> {
     pub dst_begin: &'a [i64],
     /// Block extent per dimension.
     pub len: &'a [i64],
+    /// `None` copies the block; a reducer folds it into the output.
+    pub fold: Option<ReduceKind>,
 }
 
 impl<'a> FetchPiece<'a> {
@@ -34,14 +40,44 @@ impl<'a> FetchPiece<'a> {
         self.len.iter().product::<i64>().max(0) as u64 * 4
     }
 
-    /// Piece `i` of a flat `pieces` list of rank-`rank` descriptors.
-    fn at(flat: &'a [i64], rank: usize, i: usize) -> FetchPiece<'a> {
+    /// Piece `i` of a flat `pieces` list of rank-`rank` descriptors, folded
+    /// from input `combine` on.
+    fn at(flat: &'a [i64], rank: usize, i: usize, (combine, kind): Combine) -> FetchPiece<'a> {
         let desc = &flat[i * 3 * rank..(i + 1) * 3 * rank];
         FetchPiece {
             src_begin: &desc[..rank],
             dst_begin: &desc[rank..2 * rank],
             len: &desc[2 * rank..],
+            fold: (i >= combine).then_some(kind),
         }
+    }
+}
+
+/// The first input a `multi_fetch` folds, and the fold.
+type Combine = (usize, ReduceKind);
+
+/// The reducer names of a folding `multi_fetch`: `tofu_tdl::Reducer`'s.
+const REDUCERS: [(&str, ReduceKind); 4] = [
+    ("sum", ReduceKind::Sum),
+    ("max", ReduceKind::Max),
+    ("min", ReduceKind::Min),
+    ("prod", ReduceKind::Prod),
+];
+
+/// The `combine` and `reducer` attributes of a `multi_fetch` with `inputs`
+/// inputs: both or neither (nothing folds: `combine` is past the inputs).
+fn decode_combine(attrs: &Attrs, inputs: usize) -> std::result::Result<Combine, String> {
+    match (attrs.int("combine"), attrs.str("reducer")) {
+        (None, None) => Ok((usize::MAX, ReduceKind::Sum)),
+        (Some(c), Some(r)) => {
+            let kind = REDUCERS.iter().find(|(name, _)| *name == r).map(|&(_, k)| k);
+            let kind = kind.ok_or_else(|| format!("multi_fetch has unknown reducer {r:?}"))?;
+            match usize::try_from(c) {
+                Ok(c) if c <= inputs => Ok((c, kind)),
+                _ => Err(format!("multi_fetch combine {c} is outside its {inputs} inputs")),
+            }
+        }
+        _ => Err("multi_fetch needs both combine and reducer, or neither".into()),
     }
 }
 
@@ -50,10 +86,13 @@ impl<'a> FetchPiece<'a> {
 ///
 /// Attribute layout: `out_dims` gives the output shape (rank r); `pieces` is
 /// a flat integer list with 3·r entries per input — `src_begin[r]`,
-/// `dst_begin[r]`, `len[r]`. This is the only reader of that layout, and it
+/// `dst_begin[r]`, `len[r]`; a spread reduction adds `reducer` (`"sum"`,
+/// `"max"`, `"min"` or `"prod"`) and `combine`, the first input folded
+/// rather than copied. This is the only reader of that layout, and it
 /// rejects anything the kernel, the simulator or the runtime could not
 /// execute: a `pieces` list of the wrong length, a negative entry, a source
-/// block outside its input, a destination block outside `out_dims`.
+/// block outside its input, a destination block outside `out_dims`, an
+/// unknown reducer or a `combine` past the inputs.
 fn decode_multi_fetch<'a, 's>(
     inputs: impl ExactSizeIterator<Item = &'s Shape>,
     attrs: &'a Attrs,
@@ -73,9 +112,10 @@ fn decode_multi_fetch<'a, 's>(
             flat.len()
         ));
     }
+    let combine = decode_combine(attrs, inputs.len())?;
     let mut pieces = Vec::with_capacity(inputs.len());
     for (i, src) in inputs.enumerate() {
-        let piece = FetchPiece::at(flat, rank, i);
+        let piece = FetchPiece::at(flat, rank, i, combine);
         src.check_block(piece.src_begin, piece.len)
             .map_err(|e| format!("multi_fetch piece {i} source (shape {src}): {e}"))?;
         out.check_block(piece.dst_begin, piece.len)
@@ -87,13 +127,18 @@ fn decode_multi_fetch<'a, 's>(
 
 /// The fused remote-gather kernel of §6: assembles an output region from
 /// pieces of several source tensors in one launch, zero-filling anything not
-/// covered (which is how partitioned convolutions materialize padding).
+/// covered (which is how partitioned convolutions materialize padding). A
+/// spread reduction folds its later reduce-peer classes' pieces into the
+/// first class's, in input order.
 fn kernel_multi_fetch(ins: &[&Tensor], attrs: &Attrs, _: &Shape) -> Result<Tensor> {
     let (out_shape, pieces) =
         decode_multi_fetch(ins.iter().map(|t| t.shape()), attrs).map_err(GraphError::Exec)?;
     let mut out = Tensor::zeros(out_shape);
     for (src, p) in ins.iter().zip(&pieces) {
-        out.copy_block(src, p.src_begin, p.dst_begin, p.len)?;
+        match p.fold {
+            None => out.copy_block(src, p.src_begin, p.dst_begin, p.len)?,
+            Some(kind) => out.fold_block(src, p.src_begin, p.dst_begin, p.len, kind)?,
+        }
     }
     Ok(out)
 }
@@ -111,7 +156,8 @@ pub fn fetch_pieces(
     }
     let rank = g.tensor(node.output).shape.rank();
     let flat = node.attrs.ints("pieces").unwrap_or(&[]);
-    Some((0..node.inputs.len()).map(move |i| FetchPiece::at(flat, rank, i)))
+    let combine = decode_combine(&node.attrs, node.inputs.len()).ok()?;
+    Some((0..node.inputs.len()).map(move |i| FetchPiece::at(flat, rank, i, combine)))
 }
 
 /// The transfers of a device-tagged graph, numbered densely in creation
@@ -794,9 +840,107 @@ mod tests {
             let err = g.add_op("multi_fetch", why, &[a, b], attrs(pieces)).unwrap_err();
             assert!(matches!(err, GraphError::ShapeInference { .. }), "{why}: {err}");
         }
-        let no_dims = Attrs::new().with_ints("pieces", good);
+        let no_dims = Attrs::new().with_ints("pieces", good.clone());
         assert!(g.add_op("multi_fetch", "no out_dims", &[a, b], no_dims).is_err());
+
+        // A spread reduction names a known reducer and a first combining
+        // input no further than one past the last.
+        let reduce = |combine: Option<i64>, reducer: Option<&str>| {
+            let mut attrs = attrs(good.clone());
+            if let Some(c) = combine {
+                attrs = attrs.with_int("combine", c);
+            }
+            if let Some(r) = reducer {
+                attrs = attrs.with_str("reducer", r);
+            }
+            attrs
+        };
+        for (why, combine, reducer) in [
+            ("combine past the inputs", Some(3), Some("sum")),
+            ("negative combine", Some(-1), Some("max")),
+            ("unknown reducer", Some(1), Some("mean")),
+            ("combine without a reducer", Some(1), None),
+            ("reducer without combine", None, Some("prod")),
+        ] {
+            let err = g.add_op("multi_fetch", why, &[a, b], reduce(combine, reducer)).unwrap_err();
+            assert!(matches!(err, GraphError::ShapeInference { .. }), "{why}: {err}");
+        }
         assert_eq!(g.num_nodes(), 1, "a rejected node leaves the graph untouched");
+        for combine in [1, 2] {
+            let attrs = reduce(Some(combine), Some("min"));
+            g.add_op("multi_fetch", &format!("folds from {combine}"), &[a, b], attrs).unwrap();
+        }
+        let folds = fetch_pieces(&g, NodeId(1)).unwrap().map(|p| p.fold);
+        assert_eq!(folds.collect::<Vec<_>>(), [None, Some(ReduceKind::Min)]);
+    }
+
+    /// A spread reduction in one `multi_fetch` is bit-identical to what it
+    /// replaced — one gathering `multi_fetch` per reduce-peer class, then
+    /// `add_n` or a chain of `maximum`, `minimum` or `mul` — for every
+    /// reducer, over signed zeros, a NaN, a rank-0 scalar and 2-D blocks:
+    /// class 0 is two column halves, class 1 one whole block, class 2 a
+    /// block cut from a taller source.
+    #[test]
+    fn a_combining_fetch_equals_gathers_then_the_combiner() {
+        use crate::{Executor, Graph};
+        const SPECIAL: [f32; 8] = [-0.0, 0.0, f32::NAN, 1.5, -2.0, -0.0, 3.25, 0.5];
+        let value = |shape: &Shape, seed: usize| {
+            let data = (0..shape.volume()).map(|i| SPECIAL[(i * 3 + seed) % SPECIAL.len()]);
+            Tensor::from_vec(shape.clone(), data.collect()).unwrap()
+        };
+        // Per class: `(source shape, piece)` per source.
+        type Class = Vec<(Vec<usize>, Vec<i64>)>;
+        let blocks: Vec<Class> = vec![
+            vec![(vec![2, 2], vec![0, 0, 0, 0, 2, 2]), (vec![2, 2], vec![0, 0, 0, 2, 2, 2])],
+            vec![(vec![2, 4], vec![0, 0, 0, 0, 2, 4])],
+            vec![(vec![3, 4], vec![1, 0, 0, 0, 2, 4])],
+        ];
+        let scalars: Vec<Class> = vec![vec![(vec![], vec![])]; 3];
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (out_dims, classes) in [(vec![2, 4], blocks), (vec![], scalars)] {
+            for (reducer, combiner) in
+                [("sum", "add_n"), ("max", "maximum"), ("min", "minimum"), ("prod", "mul")]
+            {
+                let mut g = Graph::new();
+                let mut exec = Executor::new();
+                let fetch = |pieces: Vec<i64>| {
+                    Attrs::new().with_ints("out_dims", out_dims.clone()).with_ints("pieces", pieces)
+                };
+                let (mut all_inputs, mut all_pieces, mut partials) = (vec![], vec![], vec![]);
+                for (c, class) in classes.iter().enumerate() {
+                    let (mut inputs, mut pieces) = (vec![], vec![]);
+                    for (s, (dims, piece)) in class.iter().enumerate() {
+                        let shape = Shape::new(dims.clone());
+                        let x = g.add_input(&format!("x{c}{s}"), shape.clone());
+                        exec.feed(x, value(&shape, 3 * c + s));
+                        inputs.push(x);
+                        pieces.extend_from_slice(piece);
+                    }
+                    let name = format!("gather {c}");
+                    partials.push(g.add_op("multi_fetch", &name, &inputs, fetch(pieces.clone())));
+                    all_inputs.extend(inputs);
+                    all_pieces.extend(pieces);
+                }
+                let partials: Vec<TensorId> = partials.into_iter().map(Result::unwrap).collect();
+                let old = if combiner == "add_n" {
+                    g.add_op("add_n", "add_n", &partials, Attrs::new()).unwrap()
+                } else {
+                    let (first, rest) = partials.split_first().unwrap();
+                    rest.iter().enumerate().fold(*first, |acc, (i, &p)| {
+                        let name = format!("{combiner} {i}");
+                        g.add_op(combiner, &name, &[acc, p], Attrs::new()).unwrap()
+                    })
+                };
+                let combine = classes[0].len() as i64;
+                let attrs = fetch(all_pieces).with_int("combine", combine);
+                let attrs = attrs.with_str("reducer", reducer);
+                let fused = g.add_op("multi_fetch", "fused", &all_inputs, attrs).unwrap();
+                let values = exec.run(&g).unwrap();
+                let (old, fused) = (&values[&old], &values[&fused]);
+                assert!(fused.shape().dims().iter().map(|&d| d as i64).eq(out_dims.clone()));
+                assert_eq!(bits(fused), bits(old), "{reducer} over rank {}", out_dims.len());
+            }
+        }
     }
 
     /// The transfers serving one read: the earlier ones it overlaps, in id
@@ -815,7 +959,7 @@ mod tests {
     }
 
     fn block<'a>(src_begin: &'a [i64], len: &'a [i64]) -> Option<FetchPiece<'a>> {
-        Some(FetchPiece { src_begin, dst_begin: src_begin, len })
+        Some(FetchPiece { src_begin, dst_begin: src_begin, len, fold: None })
     }
 
     /// A transfer is keyed by (tensor, destination, elements): the landing
@@ -827,7 +971,8 @@ mod tests {
         let mut g = Graph::new();
         let a = g.add_input("a", Shape::new(vec![2, 4]));
         let b = g.add_input("b", Shape::new(vec![2, 4]));
-        let piece = |src_begin, dst_begin, len| Some(FetchPiece { src_begin, dst_begin, len });
+        let piece =
+            |src_begin, dst_begin, len| Some(FetchPiece { src_begin, dst_begin, len, fold: None });
         let top = piece(&[0, 0][..], &[0, 0][..], &[1, 4][..]);
         let top_elsewhere = piece(&[0, 0][..], &[1, 0][..], &[1, 4][..]);
         let bottom = piece(&[1, 0][..], &[0, 0][..], &[1, 4][..]);

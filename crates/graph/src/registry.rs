@@ -18,9 +18,10 @@
 //!   whose gathers zero-fill their padding, and `sensitive_vars` names the
 //!   splits of strided backward convolutions and pooling whose sharded
 //!   kernels are inexact;
-//! - `multi_fetch`, the generator's own gather and the one operator that
-//!   reads remote tensors: the memory planner does not count its inputs as
-//!   resident and the runtime assembles it from transfers;
+//! - `multi_fetch`, the generator's own gather and spread reduction and the
+//!   one operator that reads remote tensors: the memory planner does not
+//!   count its inputs as resident and the runtime assembles it from
+//!   transfers, copying or folding each piece as its attributes say;
 //! - the simulator's non-in-place aggregation ablation (`tofu-sim`'s
 //!   `baselines`) charges every `add_n`;
 //! - tests (e.g. `coarsen`'s) and the `paper` bench find nodes by

@@ -837,9 +837,10 @@ pub(crate) fn supervise(
             let resume_ckpt = resume.as_ref().map(|p| p.ckpt);
             // Where to pause for a pending join: the first barrier strictly
             // after the resume point that honors `at_ckpt`, clamped into the
-            // plan's barrier range. `None` when the resume point is already
-            // past the last barrier — the attempt then runs to completion
-            // and the join stays pending.
+            // plan's barrier range. An attempt resuming at the last barrier
+            // has none left to pause at; the resume point, consistent
+            // already, is then the grow point itself, so a join grows at the
+            // last barrier whether a shrink harvested it or an earlier one.
             let yield_at: Option<usize> = grow_pending.and_then(|(_, at)| {
                 let lo = resume_ckpt.map(|ck| ck + 1).unwrap_or(1);
                 (lo <= cuts.len()).then(|| at.clamp(lo, cuts.len()))
@@ -852,17 +853,27 @@ pub(crate) fn supervise(
                 let what = format!("attempt {attempt} @ {width} workers: {from}");
                 c.instant(Track::control(), "recovery", &what);
             }
-            let outcome = run_attempt(&AttemptCtx {
-                sharded,
-                feeds: shard_feeds,
-                opts,
-                faults: &faults,
-                store: &store,
-                resume: resume.as_ref(),
-                cuts: &cuts,
-                device_map: &devices,
-                yield_at,
-            });
+            let outcome = match (grow_pending, yield_at, resume_ckpt) {
+                (Some(_), None, Some(ckpt)) => {
+                    // An attempt with nothing to run before its pause.
+                    if let Some(c) = obs {
+                        let now = c.now_us();
+                        c.complete(Track::control(), "run", "attempt", now, now);
+                    }
+                    Ok(Attempt::Yielded { ckpt })
+                }
+                _ => run_attempt(&AttemptCtx {
+                    sharded,
+                    feeds: shard_feeds,
+                    opts,
+                    faults: &faults,
+                    store: &store,
+                    resume: resume.as_ref(),
+                    cuts: &cuts,
+                    device_map: &devices,
+                    yield_at,
+                }),
+            };
             let mut record = AttemptRecord {
                 width,
                 devices: devices.clone(),
@@ -920,7 +931,10 @@ pub(crate) fn supervise(
                     // exceed it either, in which case the device idles as a
                     // spare.
                     let cp = opts.checkpoint.expect("yield requires a checkpoint policy");
-                    let point = lock(&store).resume_point(ckpt, width, &cuts);
+                    let point = match resume {
+                        Some(point) if point.ckpt == ckpt => point,
+                        _ => lock(&store).resume_point(ckpt, width, &cuts),
+                    };
                     carried = Some(assemble_snapshot(sharded, ckpt, &point.values, cp.every)?);
                     let (device, _) = grow_pending.expect("only a pending join sets a yield barrier");
                     insert_sorted(&mut available, device);

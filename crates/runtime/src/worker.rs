@@ -9,7 +9,7 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use tofu_core::{ExecPlan, FetchSource, Routes, ShardedGraph, Transfer};
+use tofu_core::{ExecPlan, FetchInput, FetchSource, Routes, ShardedGraph, Transfer};
 use tofu_graph::{execute_node, BufferPlan, NodeId, TensorId, TensorKind};
 use tofu_obs::{SpanBuffer, Track};
 use tofu_tensor::{Shape, Tensor};
@@ -770,12 +770,12 @@ impl<'a> Worker<'a> {
         Ok(())
     }
 
-    /// Executes a `multi_fetch` node: local inputs are copied out of the
-    /// worker's own values; a remote input blocks on the pre-assigned
-    /// receive slot of each transfer its piece overlaps until that
-    /// (already-extracted) box arrives, and copies its part out. The
-    /// assembly plan was decoded once at plan time — no attribute parsing
-    /// or graph lookups happen here.
+    /// Executes a `multi_fetch` node: local inputs are copied (or, in a
+    /// spread reduction, folded) out of the worker's own values; a remote
+    /// input blocks on the pre-assigned receive slot of each transfer its
+    /// piece overlaps until that (already-extracted) box arrives, and lands
+    /// its part the same way. The assembly plan was decoded once at plan
+    /// time — no attribute parsing or graph lookups happen here.
     fn assemble_fetch(&mut self, pos: usize, id: NodeId) -> Result<Tensor> {
         let exec = self.exec;
         let inputs = exec.workers[self.w].fetches[pos]
@@ -792,8 +792,7 @@ impl<'a> Worker<'a> {
                             self.w
                         ))
                     })?;
-                    out.copy_block(src.as_ref(), &p.src_begin, &p.dst_begin, &p.len)
-                        .map_err(|e| piece_error("assembly", e))?;
+                    land(&mut out, src, p)?;
                 }
                 FetchSource::Remote { slot } => {
                     // Time the blocking receive separately so a trace splits
@@ -810,8 +809,7 @@ impl<'a> Worker<'a> {
                     }
                     // The producer already extracted the transfer's box:
                     // `src_begin` is this part's offset inside it.
-                    out.copy_block(&piece, &p.src_begin, &p.dst_begin, &p.len)
-                        .map_err(|e| piece_error("assembly", e))?;
+                    land(&mut out, &piece, p)?;
                 }
             }
         }
@@ -972,6 +970,16 @@ impl<'a> Worker<'a> {
         }
         Ok(())
     }
+}
+
+/// Copies or folds one assembly input's block of `src` into `out`.
+fn land(out: &mut Tensor, src: &Tensor, p: &FetchInput) -> Result<()> {
+    let (src_begin, dst_begin, len) = (&p.src_begin, &p.dst_begin, &p.len);
+    match p.fold {
+        None => out.copy_block(src, src_begin, dst_begin, len),
+        Some(kind) => out.fold_block(src, src_begin, dst_begin, len, kind),
+    }
+    .map_err(|e| piece_error("assembly", e))
 }
 
 /// A block the copier refused: the routing table and the values disagree.

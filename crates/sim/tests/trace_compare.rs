@@ -234,3 +234,55 @@ fn overlapping_blocks_cross_once_per_element() {
     );
     assert_crosses_once(&sharded, 6 * 8 * 4, 5);
 }
+
+/// A spread reduction seen from every layer: a K-split matmul (`[4, 512] ×
+/// [512, 4]`, so the plan cuts only the contraction) reduces its output
+/// with one folding `multi_fetch` per worker, whose inputs are one piece per
+/// reduce-peer class — 2 at w=2, 4 at w=4. The runtime's values are
+/// bit-identical to `Executor::run` of the same graph at both integrity
+/// levels, the simulator's bytes equal `comm_edges()` and the channel
+/// bytes, and every worker's pool peak equals `per_device_memory`.
+#[test]
+fn a_k_split_matmul_reduces_in_one_fused_fetch() {
+    let mut g = Graph::new();
+    let x = g.add_input("x", Shape::new(vec![4, 512]));
+    let w = g.add_weight("w", Shape::new(vec![512, 4]));
+    g.add_op("matmul", "y", &[x, w], Attrs::new()).unwrap();
+    for workers in [2usize, 4] {
+        let (sharded, shard_feeds) = shard(&g, workers);
+        let out = &sharded.graph;
+        let reduces: Vec<NodeId> =
+            out.node_ids().filter(|&id| out.node(id).name.contains("/reduce/")).collect();
+        assert_eq!(reduces.len(), workers, "w={workers}: one reduction per worker");
+        for &id in &reduces {
+            let node = out.node(id);
+            assert_eq!(node.op, "multi_fetch");
+            assert_eq!((node.inputs.len(), node.attrs.int("combine")), (workers, Some(1)));
+        }
+
+        let mut exec = Executor::new();
+        for (t, v) in &shard_feeds {
+            exec.feed(*t, v.clone());
+        }
+        let want = exec.run(out).unwrap();
+        let bits = |v: &Tensor| v.data().iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for integrity in [IntegrityLevel::Full, IntegrityLevel::Fast] {
+            let opts = RunOptions { integrity, ..Default::default() };
+            let run = run_with_options(&sharded, &shard_feeds, &opts).unwrap();
+            for t in out.tensor_ids() {
+                assert_eq!(bits(&run.values[&t]), bits(&want[&t]), "w={workers} {integrity:?}");
+            }
+        }
+        let edge_bytes: u64 = sharded.comm_edges().iter().map(|e| e.bytes()).sum();
+        let sim = simulate_with_leaf_devices(
+            out,
+            &sharded.device_of_node,
+            &sharded.device_of_tensor,
+            &Machine::p2_8xlarge(),
+            false,
+        );
+        assert!(edge_bytes > 0);
+        assert_eq!(sim.comm_bytes, edge_bytes as f64, "w={workers}");
+        assert_report(&sharded, &shard_feeds, &format!("k-split matmul w={workers}"));
+    }
+}

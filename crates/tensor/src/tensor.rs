@@ -2,7 +2,7 @@
 
 use std::borrow::Borrow;
 
-use crate::{Result, Shape, TensorError};
+use crate::{ReduceKind, Result, Shape, TensorError};
 
 /// A dense, row-major tensor of `f32` elements.
 ///
@@ -131,6 +131,21 @@ impl Tensor {
             dst_begin,
             len,
         )
+    }
+
+    /// Folds the `len`-sized block at `src_begin` of `src` into the block at
+    /// `dst_begin` of `self` with `kind`'s scalar op; see
+    /// [`copy_block`](crate::copy_block) for the contract.
+    pub fn fold_block(
+        &mut self,
+        src: &Tensor,
+        src_begin: &[i64],
+        dst_begin: &[i64],
+        len: &[i64],
+        kind: ReduceKind,
+    ) -> Result<()> {
+        let (dst, src) = ((&mut self.data[..], &self.shape), (&src.data[..], &src.shape));
+        crate::block::fold_block(dst, src, src_begin, dst_begin, len, kind)
     }
 
     /// Concatenates tensors along `axis`; all other extents must match.

@@ -1,11 +1,12 @@
-//! Property tests for the block copier behind `multi_fetch` assembly, piece
+//! Property tests for the block walker behind `multi_fetch` assembly, piece
 //! extraction and shard scatter/gather: extracting a block and copying it
-//! into a destination must agree, element by element, with a per-element
-//! reference over random shapes, offsets and extents (zero extents
-//! included) — and must never touch destination elements outside the block.
+//! into a destination, or folding it into one, must agree, element by
+//! element, with a per-element reference over random shapes, offsets and
+//! extents (zero extents included) — and must never touch destination
+//! elements outside the block.
 
 use proptest::prelude::*;
-use tofu_tensor::{copy_block, Shape, Tensor, TensorError};
+use tofu_tensor::{copy_block, ReduceKind, Shape, Tensor, TensorError};
 
 /// Numbers every element so any misplaced copy is visible.
 fn sequential(shape: Shape) -> Tensor {
@@ -71,6 +72,44 @@ proptest! {
         }
         prop_assert_eq!(&direct, &want, "direct copy of {:?}+{:?} to {:?}", src_begin, len, dst_begin);
         prop_assert_eq!(&via_extract, &want, "extract+copy of {:?}+{:?}", src_begin, len);
+    }
+
+    /// Folding a block into a filled destination (a spread reduction's later
+    /// classes) applies the reducer's scalar op, accumulator first, to each
+    /// element of the block and leaves every other element as it was.
+    #[test]
+    fn block_fold_matches_per_element_reference(
+        dims in prop::collection::vec(1usize..6, 0..4),
+        seed in 0u64..1_000_000_000,
+    ) {
+        let mut rng = Rng(seed);
+        let len: Vec<i64> = dims.iter().map(|&d| rng.upto(d)).collect();
+        let begin = |rng: &mut Rng| -> Vec<i64> {
+            dims.iter().zip(&len).map(|(&d, &l)| rng.upto(d - l as usize)).collect()
+        };
+        let (src_begin, dst_begin) = (begin(&mut rng), begin(&mut rng));
+        let shape = Shape::new(dims.clone());
+        let src = sequential(shape.clone()).map(|v| v - 4.0);
+        let init = sequential(shape.clone()).map(|v| 3.0 - v * 0.5);
+        let block = Shape::new(len.iter().map(|&l| l as usize).collect());
+        for kind in [ReduceKind::Sum, ReduceKind::Max, ReduceKind::Min, ReduceKind::Prod] {
+            let op = |a: f32, b: f32| match kind {
+                ReduceKind::Sum => a + b,
+                ReduceKind::Max => a.max(b),
+                ReduceKind::Min => a.min(b),
+                ReduceKind::Prod => a * b,
+            };
+            let mut got = init.clone();
+            got.fold_block(&src, &src_begin, &dst_begin, &len, kind).unwrap();
+            let mut want = init.clone();
+            for idx in block.indices() {
+                let at = |begin: &[i64]| -> Vec<usize> {
+                    idx.iter().zip(begin).map(|(&i, &b)| i + b as usize).collect()
+                };
+                want.set(&at(&dst_begin), op(init.at(&at(&dst_begin)), src.at(&at(&src_begin))));
+            }
+            prop_assert_eq!(&got, &want, "{:?} of {:?}+{:?} into {:?}", kind, src_begin, len, dst_begin);
+        }
     }
 }
 

@@ -8,8 +8,8 @@
 //! gradient link) with its owner, then `shards`, `regions` and `exact`.
 //! `Debug` prints every `f64` attribute exactly, so a hash moves with any
 //! emitted byte: a change here is a change to generation, not a refactor.
-//! Hashes recorded before `generate` read its regions from
-//! `tofu_tdl::access_regions`; the whole file takes ≈4 s unoptimised.
+//! Hashes recorded when each spread reduction became one fused
+//! `multi_fetch`; the whole file takes ≈4 s unoptimised.
 
 use std::fmt::Write;
 
@@ -58,8 +58,8 @@ fn mlp_graphs_are_identical_to_the_recorded_ones() {
     assert_graphs(
         &g,
         &[
-            (2, 0xa44d74d08eba1551, 0x977b52c818951310),
-            (8, 0xf495561a3f7b5236, 0x85d9e22532626e70),
+            (2, 0xa0953bb67aa9a458, 0x752aed590011a292),
+            (8, 0x3011686cb3eb5ec5, 0xc4f28a1b7c87e3d4),
         ],
     );
 }
@@ -80,8 +80,8 @@ fn lstm_graphs_are_identical_to_the_recorded_ones() {
     assert_graphs(
         &g,
         &[
-            (2, 0x87a49d260cf822f7, 0x51ad911856519200),
-            (8, 0xd0ae5f86e94a5087, 0x89ccebbaba4ea82d),
+            (2, 0xe5dfa657dafc12b5, 0x3e04a10a8b295b82),
+            (8, 0x8d2d43ccad5b07e9, 0x84955b6cda3e8c38),
         ],
     );
 }
@@ -101,8 +101,8 @@ fn decoder_graphs_are_identical_to_the_recorded_ones() {
     assert_graphs(
         &g,
         &[
-            (2, 0x05bb210a65fee3d3, 0xd6bd0caf0fa66872),
-            (8, 0x454f6ba51ddd3931, 0xa59a304c9171eac8),
+            (2, 0x4ad2145384f54c5c, 0xf9f77d7ca6ba1cb0),
+            (8, 0x832c4f99a2e57b13, 0x046fdf4d124cfa5e),
         ],
     );
 }
@@ -122,8 +122,8 @@ fn wresnet_graphs_are_identical_to_the_recorded_ones() {
     assert_graphs(
         &g,
         &[
-            (2, 0xc2998c15f9fc0a46, 0x52b6f703b953b638),
-            (8, 0x86297908ff4f16f0, 0x14a497d95b6f6ccc),
+            (2, 0xb03f5c1976b691c1, 0x3e26af57e5b8191a),
+            (8, 0xac85c8e4d5e7bca8, 0x368595eb589ab5f2),
         ],
     );
 }
