@@ -73,7 +73,7 @@ impl ExtraInputs {
     }
 
     /// Buffers attached to one node.
-    pub fn of_node(&self, node: NodeId) -> impl Iterator<Item = (usize, TensorId)> + '_ {
+    fn of_node(&self, node: NodeId) -> impl Iterator<Item = (usize, TensorId)> + '_ {
         self.entries
             .iter()
             .filter(move |(n, _, _)| *n == node)

@@ -15,7 +15,7 @@ use crate::strategies::ShapeView;
 
 /// Number of multisets of size `m` over `rank` dimensions:
 /// `C(rank + m - 1, m)`.
-pub fn tensor_configs(rank: usize, m: usize) -> u128 {
+fn tensor_configs(rank: usize, m: usize) -> u128 {
     if rank == 0 {
         return 1;
     }
@@ -34,7 +34,7 @@ pub fn tensor_configs(rank: usize, m: usize) -> u128 {
 /// Per-group configuration counts of the flat DP, as `log10`: the sum over
 /// the group's touched tensors of `log10` of their [`tensor_configs`]. Kept
 /// in log space because a large group's count overflows any integer.
-pub fn group_configs(g: &Graph, cg: &CoarseGraph, view: &ShapeView, workers: usize) -> Vec<f64> {
+fn group_configs(g: &Graph, cg: &CoarseGraph, view: &ShapeView, workers: usize) -> Vec<f64> {
     let m = workers.trailing_zeros() as usize; // steps for powers of two
     cg.groups
         .iter()

@@ -44,7 +44,7 @@ impl TensorSpec {
     }
 
     /// Inverse of [`TensorSpec::enc`].
-    pub fn dec(byte: u8) -> TensorSpec {
+    pub(crate) fn dec(byte: u8) -> TensorSpec {
         if byte == u8::MAX {
             TensorSpec::Replicated
         } else {

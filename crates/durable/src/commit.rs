@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 
+use tofu_graph::TensorId;
 use tofu_tensor::Tensor;
 
 use crate::codec::{
@@ -21,21 +22,22 @@ use crate::codec::{
 };
 use crate::store::BlobStore;
 
-/// A plan-independent checkpoint in transit to or from disk: full
-/// (unsharded) tensor values keyed by tensor id, plus the barrier cadence
-/// needed to re-derive per-worker resume cuts at any worker width.
+/// A plan-independent checkpoint: every original tensor the barrier covers
+/// (leaves plus outputs of original nodes before it), at full (unsharded)
+/// shape, keyed by **original** tensor id. The barrier cadence lets any
+/// worker width re-derive its per-worker resume cuts.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DurableCheckpoint {
-    /// Checkpoint ordinal (1-based barrier index).
-    pub ckpt: u64,
-    /// Barrier cadence in original steps.
-    pub every: u64,
-    /// Full tensor values, keyed by tensor id.
-    pub tensors: BTreeMap<u64, Tensor>,
+pub struct FullSnapshot {
+    /// 1-based checkpoint id; the barrier is original node `ckpt · every`.
+    pub ckpt: usize,
+    /// Original-step checkpoint cadence the id refers to.
+    pub every: usize,
+    /// Full-shape values keyed by original tensor id.
+    pub tensors: BTreeMap<TensorId, Tensor>,
 }
 
-impl DurableCheckpoint {
-    /// Total payload bytes across all tensors.
+impl FullSnapshot {
+    /// Total payload bytes of the snapshot.
     pub fn bytes(&self) -> u64 {
         self.tensors.values().map(|t| t.shape().bytes()).sum()
     }
@@ -57,14 +59,15 @@ pub struct WriteStats {
 /// that died between data writes and the commit point.
 pub fn write_checkpoint(
     store: &dyn BlobStore,
-    snap: &DurableCheckpoint,
+    snap: &FullSnapshot,
     commit: bool,
 ) -> io::Result<WriteStats> {
     let mut entries = Vec::with_capacity(snap.tensors.len());
     let mut bytes = 0u64;
-    for (&tensor, t) in &snap.tensors {
+    for (&TensorId(id), t) in &snap.tensors {
+        let tensor = id as u64;
         let blob = encode_shard(tensor, t);
-        let file = shard_name(snap.ckpt, tensor);
+        let file = shard_name(snap.ckpt as u64, tensor);
         entries.push(ShardEntry {
             tensor,
             file: file.clone(),
@@ -79,13 +82,13 @@ pub fn write_checkpoint(
     }
     let manifest = Manifest {
         version: FORMAT_VERSION,
-        ckpt: snap.ckpt,
-        every: snap.every,
+        ckpt: snap.ckpt as u64,
+        every: snap.every as u64,
         shards: entries,
     }
     .encode();
     bytes += manifest.len() as u64;
-    store.put(&manifest_name(snap.ckpt), &manifest)?;
+    store.put(&manifest_name(snap.ckpt as u64), &manifest)?;
     Ok(WriteStats { shards: snap.tensors.len(), bytes, committed: true })
 }
 
@@ -169,7 +172,7 @@ pub struct RejectedCheckpoint {
 #[derive(Debug)]
 pub struct Recovery {
     /// The newest fully-valid checkpoint, if any survived validation.
-    pub snapshot: Option<DurableCheckpoint>,
+    pub snapshot: Option<FullSnapshot>,
     /// Newer candidates that were skipped, newest first, each with a typed
     /// reason.
     pub rejected: Vec<RejectedCheckpoint>,
@@ -179,7 +182,7 @@ fn validate_candidate(
     store: &dyn BlobStore,
     ckpt: u64,
     expected_every: Option<u64>,
-) -> Result<DurableCheckpoint, RejectReason> {
+) -> Result<FullSnapshot, RejectReason> {
     let bytes = match store.get(&manifest_name(ckpt)) {
         Ok(b) => b,
         Err(e) => return Err(RejectReason::Unreadable(e.to_string())),
@@ -225,9 +228,9 @@ fn validate_candidate(
                 detail: format!("header says tensor {tensor}, manifest says {}", entry.tensor),
             });
         }
-        tensors.insert(tensor, t);
+        tensors.insert(TensorId(tensor as usize), t);
     }
-    Ok(DurableCheckpoint { ckpt, every: m.every, tensors })
+    Ok(FullSnapshot { ckpt: ckpt as usize, every: m.every as usize, tensors })
 }
 
 /// Find the newest fully-valid checkpoint in `store`.

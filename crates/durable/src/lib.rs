@@ -33,8 +33,8 @@ pub mod store;
 
 pub use codec::{fnv1a64, CodecError, Manifest, ShardEntry};
 pub use commit::{
-    gc, recover_latest, write_checkpoint, DurableCheckpoint, Recovery, RejectReason,
-    RejectedCheckpoint, WriteStats,
+    gc, recover_latest, write_checkpoint, FullSnapshot, Recovery, RejectReason, RejectedCheckpoint,
+    WriteStats,
 };
 pub use fault::{DiskFault, DiskFaultPlan, FaultyStore};
 pub use store::{BlobStore, DirStore, MemStore};

@@ -7,18 +7,19 @@ use std::sync::Arc;
 
 use tofu_durable::{
     gc, recover_latest, write_checkpoint, BlobStore, DirStore, DiskFault, DiskFaultPlan,
-    DurableCheckpoint, FaultyStore, MemStore, RejectReason,
+    FaultyStore, FullSnapshot, MemStore, RejectReason,
 };
+use tofu_graph::TensorId;
 use tofu_tensor::{Shape, Tensor};
 
-fn snap(ckpt: u64, tensors: usize, seed: f32) -> DurableCheckpoint {
-    let tensors = (0..tensors as u64)
+fn snap(ckpt: usize, tensors: usize, seed: f32) -> FullSnapshot {
+    let tensors = (0..tensors)
         .map(|i| {
             let data: Vec<f32> = (0..6).map(|j| seed + i as f32 * 10.0 + j as f32).collect();
-            (i * 3, Tensor::from_vec(Shape::new(vec![2, 3]), data).unwrap())
+            (TensorId(i * 3), Tensor::from_vec(Shape::new(vec![2, 3]), data).unwrap())
         })
         .collect::<BTreeMap<_, _>>();
-    DurableCheckpoint { ckpt, every: 2, tensors }
+    FullSnapshot { ckpt, every: 2, tensors }
 }
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -80,7 +81,7 @@ fn uncommitted_checkpoint_is_invisible() {
     assert_eq!(rec.snapshot.unwrap().ckpt, 1);
 }
 
-fn faulted_recovery(fault: DiskFault) -> (Option<u64>, Vec<(u64, RejectReason)>) {
+fn faulted_recovery(fault: DiskFault) -> (Option<usize>, Vec<(u64, RejectReason)>) {
     let inner = Arc::new(MemStore::new());
     let store = FaultyStore::new(inner, DiskFaultPlan::none().with(fault));
     write_checkpoint(&store, &snap(1, 2, 0.0), true).unwrap();

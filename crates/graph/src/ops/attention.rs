@@ -309,7 +309,7 @@ fn flops_proj(ins: &[Shape], out: &Shape, _: &Attrs) -> f64 {
 }
 
 /// Returns the attention/normalization operator definitions.
-pub fn defs() -> Vec<OpDef> {
+pub(crate) fn defs() -> Vec<OpDef> {
     vec![
         OpDef {
             name: "proj_heads",
@@ -441,7 +441,7 @@ fn shape_softmax_grad(ins: &[Shape], attrs: &Attrs) -> std::result::Result<Shape
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tofu_tdl::{discover_strategies, InputRequirement};
+    use tofu_tdl::{discover_strategies, InputRequirement, OutputPartition};
 
     #[test]
     fn proj_heads_shapes() {
@@ -502,7 +502,7 @@ mod tests {
         // n, d splits plus reduce:h and reduce:k.
         assert_eq!(s.len(), 4);
         let red_h = s.iter().find(|st| st.id == "reduce:h").unwrap();
-        assert!(red_h.output.is_reduce());
+        assert!(matches!(red_h.output, OutputPartition::Reduce { .. }));
         assert!(matches!(red_h.inputs[0], InputRequirement::Split { dim: 0, .. }));
         assert!(matches!(red_h.inputs[1], InputRequirement::Split { dim: 0, .. }));
     }

@@ -472,7 +472,7 @@ fn flops_vol(ins: &[Shape], out: &Shape, _: &Attrs) -> f64 {
 }
 
 /// Returns the convolution/pooling operator definitions.
-pub fn defs() -> Vec<OpDef> {
+pub(crate) fn defs() -> Vec<OpDef> {
     vec![
         OpDef {
             name: "conv1d",
@@ -574,7 +574,7 @@ pub fn defs() -> Vec<OpDef> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tofu_tdl::{discover_strategies, InputRequirement};
+    use tofu_tdl::{discover_strategies, InputRequirement, OutputPartition};
 
     #[test]
     fn conv2d_shape_with_stride_and_pad() {
@@ -610,7 +610,7 @@ mod tests {
         let desc = tdl_conv2d_bwd_filter(&[], &Attrs::new()).unwrap();
         let s = discover_strategies(&desc).unwrap();
         let batch = s.iter().find(|st| st.id == "reduce:b").expect("batch reduction strategy");
-        assert!(batch.output.is_reduce());
+        assert!(matches!(batch.output, OutputPartition::Reduce { .. }));
         // Both dY and X are split along their batch dimension.
         assert!(matches!(batch.inputs[0], InputRequirement::Split { dim: 0, .. }));
         assert!(matches!(batch.inputs[1], InputRequirement::Split { dim: 0, .. }));
@@ -633,7 +633,7 @@ mod tests {
     fn pool_max_uses_max_reducer() {
         let desc = tdl_pool2d(&[], &Attrs::new()).unwrap();
         let s = discover_strategies(&desc).unwrap();
-        let red = s.iter().find(|st| st.output.is_reduce()).unwrap();
+        let red = s.iter().find(|st| matches!(st.output, OutputPartition::Reduce { .. })).unwrap();
         match &red.output {
             tofu_tdl::OutputPartition::Reduce { reducer } => {
                 assert_eq!(*reducer, Reducer::Max)

@@ -674,7 +674,7 @@ fn kernel_cholesky(ins: &[&Tensor], _: &Attrs, _: &Shape) -> Result<Tensor> {
 // ---- Definitions --------------------------------------------------------------------
 
 /// Returns data-movement, opaque and sparse operator definitions.
-pub fn defs() -> Vec<OpDef> {
+pub(crate) fn defs() -> Vec<OpDef> {
     let mut out = vec![
         OpDef {
             name: "slice_axis",

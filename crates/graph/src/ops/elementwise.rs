@@ -286,7 +286,7 @@ fn shape_sgd(ins: &[Shape], _: &Attrs) -> std::result::Result<Shape, String> {
 }
 
 /// Returns the element-wise operator definitions.
-pub fn defs() -> Vec<OpDef> {
+pub(crate) fn defs() -> Vec<OpDef> {
     use OpCategory::{Data, Elementwise, Optimizer};
     let mut out = Vec::new();
     for &(name, f, gradient) in UNARY {

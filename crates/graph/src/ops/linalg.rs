@@ -217,7 +217,7 @@ fn flops_batch_matmul(ins: &[Shape], out: &Shape, _: &Attrs) -> f64 {
 /// Returns the linear-algebra operator definitions. All six products run the
 /// one tiled GEMM, whose per-element ascending-k order makes batched, sliced
 /// and sharded forms of a product bit-identical.
-pub fn defs() -> Vec<OpDef> {
+pub(crate) fn defs() -> Vec<OpDef> {
     vec![
         OpDef {
             name: "matmul",
@@ -288,7 +288,7 @@ pub fn defs() -> Vec<OpDef> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tofu_tdl::discover_strategies;
+    use tofu_tdl::{discover_strategies, OutputPartition};
 
     #[test]
     fn matmul_shapes() {
@@ -316,7 +316,7 @@ mod tests {
         let desc = tdl_matmul(&[], &Attrs::new()).unwrap();
         let s = discover_strategies(&desc).unwrap();
         assert_eq!(s.len(), 3);
-        assert!(s.iter().any(|st| st.output.is_reduce()));
+        assert!(s.iter().any(|st| matches!(st.output, OutputPartition::Reduce { .. })));
     }
 
     #[test]
@@ -341,7 +341,7 @@ mod tests {
             let desc = tdl(&[], &Attrs::new()).unwrap();
             let s = discover_strategies(&desc).unwrap();
             assert_eq!(s.len(), 4);
-            assert!(s.iter().any(|st| st.output.is_reduce()));
+            assert!(s.iter().any(|st| matches!(st.output, OutputPartition::Reduce { .. })));
             assert!(s.iter().any(|st| st.id == "split:b"), "batch dim splits");
         }
     }

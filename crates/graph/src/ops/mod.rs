@@ -19,7 +19,7 @@ use crate::attrs::Attrs;
 use crate::registry::OpDef;
 
 /// Assembles every built-in operator definition.
-pub fn builtins() -> Vec<OpDef> {
+pub(crate) fn builtins() -> Vec<OpDef> {
     let mut ops = Vec::new();
     ops.extend(elementwise::defs());
     ops.extend(linalg::defs());

@@ -391,7 +391,7 @@ fn kernel_softmax_ce(ins: &[&Tensor], _: &Attrs, _: &Shape) -> Result<Tensor> {
 /// `softmax(logits) - onehot(labels)`: the gradient of the *summed*
 /// cross-entropy of [`kernel_softmax_ce`].
 fn kernel_softmax_ce_grad(ins: &[&Tensor], _: &Attrs, _: &Shape) -> Result<Tensor> {
-    let mut out = ins[0].softmax()?;
+    let mut out = ins[0].softmax_axis(1)?;
     let c = out.shape().dim(1);
     for (row, label) in class_labels(ins[1], c)?.into_iter().enumerate() {
         out.data_mut()[row * c + label] -= 1.0;
@@ -402,7 +402,7 @@ fn kernel_softmax_ce_grad(ins: &[&Tensor], _: &Attrs, _: &Shape) -> Result<Tenso
 // ---- Definitions --------------------------------------------------------------------
 
 /// Returns the reduction/broadcast/loss operator definitions.
-pub fn defs() -> Vec<OpDef> {
+pub(crate) fn defs() -> Vec<OpDef> {
     let mut ops = vec![
         OpDef {
             name: "bias_add",
@@ -532,7 +532,7 @@ pub fn defs() -> Vec<OpDef> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tofu_tdl::{discover_strategies, InputRequirement};
+    use tofu_tdl::{discover_strategies, InputRequirement, OutputPartition};
 
     #[test]
     fn bias_add_shapes() {
@@ -592,7 +592,7 @@ mod tests {
         let desc = tdl_sum_all(&[x], &Attrs::new()).unwrap();
         let s = discover_strategies(&desc).unwrap();
         assert_eq!(s.len(), 2);
-        assert!(s.iter().all(|st| st.output.is_reduce()));
+        assert!(s.iter().all(|st| matches!(st.output, OutputPartition::Reduce { .. })));
     }
 
     #[test]
@@ -605,7 +605,7 @@ mod tests {
         let s = discover_strategies(&desc).unwrap();
         // split:c plus reduce:r0.
         assert_eq!(s.len(), 2);
-        let red = s.iter().find(|st| st.output.is_reduce()).unwrap();
+        let red = s.iter().find(|st| matches!(st.output, OutputPartition::Reduce { .. })).unwrap();
         assert!(matches!(red.inputs[0], InputRequirement::Split { dim: 0, .. }));
     }
 

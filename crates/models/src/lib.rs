@@ -59,7 +59,7 @@ impl BuiltModel {
 
     /// Total training-state bytes: weights, gradients and one optimizer
     /// history buffer — the `3W` rule of §7.1 used by Table 2.
-    pub fn training_state_bytes(&self) -> u64 {
+    fn training_state_bytes(&self) -> u64 {
         3 * self.weight_bytes()
     }
 

@@ -46,7 +46,7 @@ impl Default for DecoderConfig {
 
 impl DecoderConfig {
     /// Per-head width.
-    pub fn d_head(&self) -> usize {
+    fn d_head(&self) -> usize {
         self.d_model / self.heads
     }
 }

@@ -36,7 +36,7 @@ impl WResNetConfig {
     }
 
     /// Bottleneck-block counts per stage for the standard depths.
-    pub fn stage_blocks(&self) -> Option<[usize; 4]> {
+    fn stage_blocks(&self) -> Option<[usize; 4]> {
         match self.layers {
             50 => Some([3, 4, 6, 3]),
             101 => Some([3, 4, 23, 3]),

@@ -163,6 +163,26 @@ pub struct Event {
     pub args: Vec<(&'static str, Arg)>,
 }
 
+impl Event {
+    fn new(track: Track, cat: &'static str, name: &str, ts_us: f64, phase: Phase) -> Event {
+        Event { name: name.to_string(), cat, ts_us, track, phase, args: Vec::new() }
+    }
+
+    /// A span `[start_us, end_us)`; a negative duration clamps to zero.
+    fn complete(track: Track, cat: &'static str, name: &str, start_us: f64, end_us: f64) -> Event {
+        let dur_us = (end_us - start_us).max(0.0);
+        Event::new(track, cat, name, start_us, Phase::Complete { dur_us })
+    }
+
+    fn instant(track: Track, cat: &'static str, name: &str, ts_us: f64) -> Event {
+        Event::new(track, cat, name, ts_us, Phase::Instant)
+    }
+
+    fn counter(track: Track, name: &str, ts_us: f64, value: f64) -> Event {
+        Event::new(track, "counter", name, ts_us, Phase::Counter { value })
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     events: Mutex<Vec<Event>>,
@@ -211,39 +231,17 @@ impl Collector {
 
     /// Records a complete span `[start_us, end_us)`.
     pub fn complete(&self, track: Track, cat: &'static str, name: &str, start_us: f64, end_us: f64) {
-        self.record(Event {
-            name: name.to_string(),
-            cat,
-            ts_us: start_us,
-            track,
-            phase: Phase::Complete { dur_us: (end_us - start_us).max(0.0) },
-            args: Vec::new(),
-        });
+        self.record(Event::complete(track, cat, name, start_us, end_us));
     }
 
     /// Records an instant marker.
     pub fn instant(&self, track: Track, cat: &'static str, name: &str) {
-        let ts = self.now_us();
-        self.record(Event {
-            name: name.to_string(),
-            cat,
-            ts_us: ts,
-            track,
-            phase: Phase::Instant,
-            args: Vec::new(),
-        });
+        self.record(Event::instant(track, cat, name, self.now_us()));
     }
 
     /// Records a counter sample.
     pub fn counter(&self, track: Track, name: &str, ts_us: f64, value: f64) {
-        self.record(Event {
-            name: name.to_string(),
-            cat: "counter",
-            ts_us,
-            track,
-            phase: Phase::Counter { value },
-            args: Vec::new(),
-        });
+        self.record(Event::counter(track, name, ts_us, value));
     }
 
     /// Adds `delta` to the named running total (created at zero). Totals are
@@ -308,39 +306,17 @@ impl SpanBuffer {
 
     /// Buffers a complete span.
     pub fn complete(&mut self, cat: &'static str, name: &str, start_us: f64, end_us: f64) {
-        self.push(Event {
-            name: name.to_string(),
-            cat,
-            ts_us: start_us,
-            track: self.track,
-            phase: Phase::Complete { dur_us: (end_us - start_us).max(0.0) },
-            args: Vec::new(),
-        });
+        self.push(Event::complete(self.track, cat, name, start_us, end_us));
     }
 
     /// Buffers an instant marker at the current time.
     pub fn instant(&mut self, cat: &'static str, name: &str) {
-        let ts = self.now_us();
-        self.push(Event {
-            name: name.to_string(),
-            cat,
-            ts_us: ts,
-            track: self.track,
-            phase: Phase::Instant,
-            args: Vec::new(),
-        });
+        self.push(Event::instant(self.track, cat, name, self.now_us()));
     }
 
     /// Buffers a counter sample.
     pub fn counter(&mut self, name: &str, ts_us: f64, value: f64) {
-        self.push(Event {
-            name: name.to_string(),
-            cat: "counter",
-            ts_us,
-            track: self.track,
-            phase: Phase::Counter { value },
-            args: Vec::new(),
-        });
+        self.push(Event::counter(self.track, name, ts_us, value));
     }
 
     /// Buffers a fully-specified event.

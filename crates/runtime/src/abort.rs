@@ -78,7 +78,7 @@ impl AbortToken {
     }
 
     /// Cheap poll: has any worker failed?
-    pub fn is_tripped(&self) -> bool {
+    pub(crate) fn is_tripped(&self) -> bool {
         self.inner.tripped.load(Ordering::Acquire)
     }
 

@@ -38,15 +38,15 @@ use std::time::{Duration, Instant};
 
 use tofu_core::{PartitionOptions, SearchCaches, ShardedGraph};
 use tofu_durable::{
-    gc, recover_latest, write_checkpoint, BlobStore, DiskFaultPlan, DurableCheckpoint,
-    FaultyStore, RejectedCheckpoint,
+    gc, recover_latest, write_checkpoint, BlobStore, DiskFaultPlan, FaultyStore, FullSnapshot,
+    RejectedCheckpoint,
 };
 use tofu_graph::{Graph, TensorId};
 use tofu_obs::{Collector, Track};
 use tofu_tensor::Tensor;
 
 use crate::error::RuntimeError;
-use crate::reshard::{assemble_snapshot, FullSnapshot};
+use crate::reshard::assemble_snapshot;
 use crate::supervisor::{supervise, PlanSource, RecoveryReport, SINGLE_ATTEMPT};
 use crate::{lock, Result, RunOptions};
 
@@ -203,7 +203,7 @@ impl Persister {
             c.complete(Track::control(), "durable", what, obs_t0, c.now_us());
         }
         lock(&self.rejected).extend(recovery.rejected);
-        let snapshot = recovery.snapshot.map(from_durable);
+        let snapshot = recovery.snapshot;
         self.floor.store(snapshot.as_ref().map_or(0, |s| s.ckpt), Ordering::SeqCst);
         Ok(snapshot)
     }
@@ -215,22 +215,6 @@ impl Persister {
         report.written_bytes = self.bytes.load(Ordering::SeqCst);
         report.gc_removed = self.gc_removed.load(Ordering::SeqCst);
         report.write_wall = Duration::from_micros(self.write_us.load(Ordering::SeqCst));
-    }
-}
-
-fn to_durable(snap: FullSnapshot) -> DurableCheckpoint {
-    DurableCheckpoint {
-        ckpt: snap.ckpt as u64,
-        every: snap.every as u64,
-        tensors: snap.tensors.into_iter().map(|(t, v)| (t.0 as u64, v)).collect(),
-    }
-}
-
-fn from_durable(d: DurableCheckpoint) -> FullSnapshot {
-    FullSnapshot {
-        ckpt: d.ckpt as usize,
-        every: d.every as usize,
-        tensors: d.tensors.into_iter().map(|(id, t)| (TensorId(id as usize), t)).collect(),
     }
 }
 
@@ -251,7 +235,7 @@ impl Persister {
         if ckpt <= self.floor.load(Ordering::SeqCst) {
             return Ok(());
         }
-        let durable = to_durable(assemble_snapshot(sharded, ckpt, values, self.every)?);
+        let snap = assemble_snapshot(sharded, ckpt, values, self.every)?;
         let t0 = Instant::now();
         let obs_t0 = self.obs.as_ref().map(|c| c.now_us()).unwrap_or(0.0);
         let crash_here = |point: CrashPoint| {
@@ -263,7 +247,7 @@ impl Persister {
         if crash_here(CrashPoint::BeforeCommit(ckpt)) {
             // The doomed process got its shard files out but died before
             // the manifest — the commit point — existed.
-            write_checkpoint(&*self.store, &durable, false)
+            write_checkpoint(&*self.store, &snap, false)
                 .map_err(|e| RuntimeError::Durable { worker, detail: e.to_string() })?;
             return Err(RuntimeError::Injected {
                 worker,
@@ -272,7 +256,7 @@ impl Persister {
                 ),
             });
         }
-        let stats = write_checkpoint(&*self.store, &durable, true)
+        let stats = write_checkpoint(&*self.store, &snap, true)
             .map_err(|e| RuntimeError::Durable { worker, detail: e.to_string() })?;
         self.floor.store(ckpt, Ordering::SeqCst);
         self.written.fetch_add(1, Ordering::SeqCst);

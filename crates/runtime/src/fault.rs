@@ -180,7 +180,7 @@ impl ChurnPlan {
 
     /// True when any event is a join (joins need plan-independent
     /// checkpoints to grow at).
-    pub fn has_joins(&self) -> bool {
+    pub(crate) fn has_joins(&self) -> bool {
         self.events.iter().any(|e| matches!(e, ChurnEvent::Join { .. }))
     }
 

@@ -110,10 +110,11 @@ pub use durable::{run_with_durable_recovery, CrashPoint, DurableOptions};
 pub use elastic::{run_with_elastic_recovery, ElasticTransition, TransitionKind};
 pub use error::{RunFailure, RuntimeError};
 pub use fault::{ChurnEvent, ChurnPlan, Fault, FaultPlan, MessageFault};
-pub use reshard::{resume_from_snapshot, FullSnapshot};
+pub use reshard::resume_from_snapshot;
 pub use supervisor::{AttemptRecord, RecoveryReport};
 pub use tofu_durable::{
-    BlobStore, DirStore, DiskFault, DiskFaultPlan, MemStore, RejectReason, RejectedCheckpoint,
+    BlobStore, DirStore, DiskFault, DiskFaultPlan, FullSnapshot, MemStore, RejectReason,
+    RejectedCheckpoint,
 };
 pub use trace::{LinkStat, RunTrace, WorkerTrace};
 

@@ -24,48 +24,13 @@
 use std::collections::BTreeMap;
 
 use tofu_core::ShardedGraph;
+use tofu_durable::FullSnapshot;
 use tofu_graph::TensorId;
 use tofu_tensor::{Shape, Tensor};
 
 use crate::checkpoint::{checkpoint_cuts, CheckpointPolicy, ResumePoint};
 use crate::supervisor::run_once;
 use crate::{Result, RunOptions, RunOutput, RuntimeError};
-
-/// A plan-independent checkpoint: every original tensor the barrier covers
-/// (leaves plus outputs of original nodes before it), at full shape, keyed
-/// by **original** tensor id.
-#[derive(Debug, Clone)]
-pub struct FullSnapshot {
-    /// 1-based checkpoint id; the barrier is original node `ckpt · every`.
-    pub ckpt: usize,
-    /// Original-step checkpoint cadence the id refers to.
-    pub every: usize,
-    /// Full-shape values keyed by original tensor id.
-    pub tensors: BTreeMap<TensorId, Tensor>,
-}
-
-impl FullSnapshot {
-    /// Total payload bytes of the snapshot.
-    pub fn bytes(&self) -> u64 {
-        self.tensors.values().map(|t| t.shape().bytes()).sum()
-    }
-
-    /// Round-trips every tensor through `via`'s shard layout: scatter into
-    /// per-worker pieces, then gather them back to full shape. Because shard
-    /// regions tile (or replicate over) each tensor's full extent, the result
-    /// is bit-for-bit the original snapshot *for any plan* — shrink, grow, or
-    /// same width. This is the invariant that lets elastic recovery carry one
-    /// snapshot across arbitrary width changes, and the proptest suite pins
-    /// it down over random width pairs in both directions.
-    pub fn reshard_through(&self, via: &ShardedGraph) -> Result<FullSnapshot> {
-        let mut tensors = BTreeMap::new();
-        for (&t, full) in &self.tensors {
-            let pieces: BTreeMap<TensorId, Tensor> = via.scatter(t, full)?.into_iter().collect();
-            tensors.insert(t, via.gather(t, full.shape(), &pieces)?);
-        }
-        Ok(FullSnapshot { ckpt: self.ckpt, every: self.every, tensors })
-    }
-}
 
 /// Cuts a [`FullSnapshot`] out of one plan's per-worker checkpoint values:
 /// every original tensor whose shards are all present (exactly the leaves

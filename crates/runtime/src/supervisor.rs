@@ -53,10 +53,10 @@ use crate::durable::{DurableOptions, Persister};
 use crate::elastic::{select_width, ElasticTransition, SelectErr, Selection, TransitionKind};
 use crate::error::{RunFailure, RuntimeError};
 use crate::fault::{ChurnEvent, Fault, FaultState};
-use crate::reshard::{assemble_snapshot, scatter_snapshot, FullSnapshot};
+use crate::reshard::{assemble_snapshot, scatter_snapshot};
 use crate::trace::{LinkStat, RunTrace};
 use crate::worker::{run_worker, Msg, WorkerCtx, WorkerOutcome};
-use crate::{lock, IntegrityLevel, Result, RunOptions, RunOutput};
+use crate::{lock, FullSnapshot, IntegrityLevel, Result, RunOptions, RunOutput};
 
 /// The recovery policy of a plain run: one attempt.
 pub(crate) const SINGLE_ATTEMPT: RecoveryOptions =

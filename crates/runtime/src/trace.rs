@@ -62,7 +62,9 @@ pub struct LinkStat {
 /// The full measured record of one multi-worker run.
 #[derive(Debug, Clone)]
 pub struct RunTrace {
-    /// Per-worker traces, indexed by device.
+    /// One trace per worker that returned one, in device order. A worker
+    /// that panicked returns none, so after a panic an index here is not a
+    /// device: read [`WorkerTrace::device`].
     pub workers: Vec<WorkerTrace>,
     /// Per-link traffic, sorted by `(src, dst)`; quiet links are omitted.
     pub links: Vec<LinkStat>,
@@ -79,12 +81,6 @@ impl RunTrace {
     /// Total nodes executed across workers.
     pub fn ops_executed(&self) -> usize {
         self.workers.iter().map(|w| w.ops).sum()
-    }
-
-    /// True when the trace is a post-mortem: a worker's trace is missing
-    /// (panic) or marked incomplete (abort).
-    pub fn is_partial(&self) -> bool {
-        self.workers.iter().any(|w| !w.completed)
     }
 
     /// A compact human-readable table of the run.

@@ -114,7 +114,10 @@ fn kill_matrix_aborts_fast_and_recovers_bit_identically() {
                     "kill w{w}@{pos}: worker {peer} observed the abort after {latency:?}"
                 );
             }
-            assert!(failure.trace.is_partial(), "kill w{w}@{pos}: trace claims completion");
+            assert!(
+                failure.trace.workers.iter().any(|t| !t.completed),
+                "kill w{w}@{pos}: trace claims completion"
+            );
 
             // The same transient fault, retried with checkpoints: recovery
             // must converge to the undisturbed output exactly.

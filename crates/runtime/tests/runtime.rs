@@ -167,7 +167,7 @@ fn missing_feed_is_reported() {
                 "got {}",
                 failure.cause
             );
-            assert!(failure.trace.is_partial());
+            assert!(failure.trace.workers.iter().any(|w| !w.completed));
         }
         other => panic!("expected Failed post-mortem, got {other}"),
     }

@@ -210,11 +210,6 @@ impl PlanClient {
         Ok(stream)
     }
 
-    /// The underlying stream (tests use this to inject raw frames).
-    pub fn stream_mut(&mut self) -> &mut TcpStream {
-        &mut self.stream
-    }
-
     fn round_trip(&mut self, req: &Request) -> Result<Response, ClientError> {
         self.round_trip_bytes(&req.to_bytes())
     }

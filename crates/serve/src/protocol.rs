@@ -266,7 +266,7 @@ impl ErrorCode {
     }
 
     /// Parses the wire spelling.
-    pub fn from_wire(s: &str) -> Option<ErrorCode> {
+    fn from_wire(s: &str) -> Option<ErrorCode> {
         Some(match s {
             "overloaded" => ErrorCode::Overloaded,
             "deadline_missed" => ErrorCode::DeadlineMissed,
@@ -501,7 +501,7 @@ fn tags_from_json(v: Option<&Json>, num_nodes: usize) -> Result<NodeTags, Protoc
 /// (operator outputs carry their producing node), plus gradient links.
 /// [`graph_from_json`] reconstructs a graph with identical tensor and node
 /// ids, shapes, attrs, coarsening tags and control dependencies.
-pub fn graph_to_json(g: &Graph) -> Json {
+fn graph_to_json(g: &Graph) -> Json {
     let mut tensors = Vec::with_capacity(g.num_tensors());
     for t in g.tensor_ids() {
         let meta = g.tensor(t);
@@ -566,7 +566,7 @@ pub fn graph_to_json(g: &Graph) -> Json {
 /// inference and verifying it reproduces the declared output shapes (so a
 /// request built against a different operator registry fails loudly instead
 /// of being partitioned under wrong shapes).
-pub fn graph_from_json(v: &Json) -> Result<Graph, ProtocolError> {
+fn graph_from_json(v: &Json) -> Result<Graph, ProtocolError> {
     let tensors = get_arr(v, "tensors")?;
     let mut g = Graph::new();
     for (idx, entry) in tensors.iter().enumerate() {

@@ -72,7 +72,7 @@ impl<T> FairScheduler<T> {
     /// Pops the next item round-robin across tenants, blocking while the
     /// queue is empty. Returns `None` once the scheduler is closed and
     /// drained.
-    pub fn pop(&self) -> Option<T> {
+    pub(crate) fn pop(&self) -> Option<T> {
         let mut st = self.state.lock().expect("scheduler lock");
         loop {
             if let Some(tenant) = st.rotation.pop_front() {

@@ -51,20 +51,21 @@ fn dead_server_exhausts_the_attempt_budget_with_a_typed_error() {
 #[test]
 fn a_dropped_connection_is_reconnected_and_the_request_resent() {
     let server = PlanServer::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
-    let addr = server.addr().to_string();
+    // The proxy severs the established connection after the first ping: the
+    // next request's first attempt fails at the transport layer and must
+    // transparently reconnect to the (still live) server and resend.
+    let (addr, proxy) = severing_proxy(server.addr(), 1);
     let mut client = PlanClient::connect_with_retry(&addr, fast_retry(4)).expect("connect");
     client.ping().expect("ping over the first connection");
-
-    // Sever the established connection under the client: the next request's
-    // first attempt fails at the transport layer and must transparently
-    // reconnect to the (still live) server and resend.
-    client.stream_mut().shutdown(Shutdown::Both).expect("sever connection");
     client.ping().expect("ping resent over a fresh connection");
 
     let g = model();
     let opts = PartitionOptions { workers: 4, ..Default::default() };
     let served = client.partition("tenant-a", &g, &opts, None).expect("plan after reconnect");
     assert_eq!(served.fingerprint, tofu_core::request_fingerprint(&g, &opts));
+    drop(client);
+    // The second connection carried the resent ping, the probe and the upload.
+    assert_eq!(proxy.join().expect("proxy thread"), [1, 3]);
     server.shutdown();
 }
 
@@ -89,13 +90,17 @@ fn typed_server_errors_are_never_retried() {
 #[test]
 fn without_retry_a_severed_connection_is_a_plain_protocol_error() {
     let server = PlanServer::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
-    let mut client = PlanClient::connect(server.addr()).expect("connect");
+    let (addr, proxy) = severing_proxy(server.addr(), 1);
+    let mut client = PlanClient::connect(&addr).expect("connect");
     client.ping().expect("ping");
-    client.stream_mut().shutdown(Shutdown::Both).expect("sever connection");
     match client.ping() {
         Err(ClientError::Protocol(_)) => {}
         other => panic!("expected a protocol error, got {other:?}"),
     }
+    // The client did not reconnect: the proxy's second connection is this
+    // empty one, which lets its thread finish.
+    drop(TcpStream::connect(&addr).expect("dial proxy"));
+    assert_eq!(proxy.join().expect("proxy thread"), [1, 0]);
     server.shutdown();
 }
 

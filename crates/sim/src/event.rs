@@ -54,7 +54,7 @@ pub struct SimResult {
 impl SimResult {
     /// The fraction of the makespan attributable to communication, measured
     /// the way Fig. 10 does: against the same step with free transfers.
-    pub fn comm_overhead_fraction(&self) -> f64 {
+    pub(crate) fn comm_overhead_fraction(&self) -> f64 {
         if self.makespan <= 0.0 {
             return 0.0;
         }

@@ -44,7 +44,7 @@ impl Machine {
 
     /// Bandwidth between two GPUs: the level of the smallest group that
     /// contains both under the natural binary hierarchy.
-    pub fn link_bw(&self, a: usize, b: usize) -> f64 {
+    pub(crate) fn link_bw(&self, a: usize, b: usize) -> f64 {
         if a == b {
             return f64::INFINITY;
         }
@@ -58,12 +58,12 @@ impl Machine {
 
     /// Host-link bandwidth available to one GPU when `sharing` GPUs swap
     /// concurrently.
-    pub fn cpu_bw_per_gpu(&self, sharing: usize) -> f64 {
+    pub(crate) fn cpu_bw_per_gpu(&self, sharing: usize) -> f64 {
         self.cpu_bandwidth / sharing.max(1) as f64
     }
 
     /// Device memory capacity in gigabytes.
-    pub fn capacity_gb(&self) -> f64 {
+    pub(crate) fn capacity_gb(&self) -> f64 {
         self.mem_capacity as f64 / 1e9
     }
 }

@@ -66,7 +66,7 @@ impl AffineForm {
     }
 
     /// The coefficient of `id` (0 when absent).
-    pub fn coeff(&self, id: VarId) -> f64 {
+    pub(crate) fn coeff(&self, id: VarId) -> f64 {
         self.terms
             .binary_search_by_key(&id, |&(t, _)| t)
             .map(|pos| self.terms[pos].1)
@@ -125,7 +125,7 @@ impl AffineForm {
     }
 
     /// True when this is exactly `1·X_id + 0`.
-    pub fn is_identity_of(&self, id: VarId) -> bool {
+    pub(crate) fn is_identity_of(&self, id: VarId) -> bool {
         self.constant == 0.0 && self.terms == [(id, 1.0)]
     }
 
@@ -148,19 +148,19 @@ impl AffineForm {
 
     /// Pointwise minimum with another form — sound as an interval lower bound
     /// whenever all symbols are non-negative, which holds for extents.
-    pub fn pointwise_min(&self, other: &AffineForm) -> AffineForm {
+    pub(crate) fn pointwise_min(&self, other: &AffineForm) -> AffineForm {
         self.pointwise(other, f64::min)
     }
 
     /// Pointwise maximum with another form — sound as an interval upper bound
     /// whenever all symbols are non-negative.
-    pub fn pointwise_max(&self, other: &AffineForm) -> AffineForm {
+    pub(crate) fn pointwise_max(&self, other: &AffineForm) -> AffineForm {
         self.pointwise(other, f64::max)
     }
 
     /// True when `self(x) <= other(x)` for every non-negative symbol
     /// assignment: every coefficient and the constant are no larger.
-    pub fn dominated_by(&self, other: &AffineForm) -> bool {
+    pub(crate) fn dominated_by(&self, other: &AffineForm) -> bool {
         let above = |a: f64, b: f64| a > b + 1e-9;
         !above(self.constant, other.constant)
             && !self
@@ -171,7 +171,7 @@ impl AffineForm {
     }
 
     /// Approximate structural equality with a small numeric tolerance.
-    pub fn approx_eq(&self, other: &AffineForm) -> bool {
+    pub(crate) fn approx_eq(&self, other: &AffineForm) -> bool {
         self.dominated_by(other) && other.dominated_by(self)
     }
 }

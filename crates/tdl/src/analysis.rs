@@ -32,7 +32,7 @@ impl DimAccess {
     }
 
     /// Approximate equality of footprints.
-    pub fn approx_eq(&self, other: &DimAccess) -> bool {
+    pub(crate) fn approx_eq(&self, other: &DimAccess) -> bool {
         match (self, other) {
             (DimAccess::Full, DimAccess::Full) => true,
             (DimAccess::Interval(a), DimAccess::Interval(b)) => a.approx_eq(b),
@@ -73,14 +73,16 @@ fn eval_affine(index: &AffineForm, binding: &[SymInterval]) -> SymInterval {
 /// # Examples
 ///
 /// ```
-/// use tofu_tdl::{access_regions, DescBuilder, SymInterval};
+/// use tofu_tdl::{access_regions, AffineForm, DescBuilder, SymInterval};
 ///
 /// // shift_two from the paper: B = lambda i: A[i + 2].
 /// let mut b = DescBuilder::new("shift_two", &[1]);
 /// let i = b.output_var("i");
 /// let body = b.input(0, &[i.at() + 2]);
 /// let desc = b.build(body).unwrap();
-/// let regions = access_regions(&desc, &[SymInterval::lower_half_var(0)]).unwrap();
+/// // Worker 0 of a two-way split of i: [0, X0 / 2].
+/// let lower = SymInterval::new(AffineForm::zero(), AffineForm::var(0).scale(0.5));
+/// let regions = access_regions(&desc, &[lower]).unwrap();
 /// let region = regions[0].as_ref().unwrap();
 /// assert_eq!(region.0.len(), 1);
 /// ```

@@ -27,7 +27,6 @@
 //! let body = b.opaque("cholesky", vec![slice], &[i, j]);
 //! let desc = b.build(body).unwrap();
 //! assert!(desc.has_opaque());
-//! assert_eq!(desc.unsplittable_vars(), vec![1, 2]);
 //! ```
 
 use std::ops::{Add, Div, Mul, Neg, Sub};

@@ -48,7 +48,7 @@ pub enum IndexExpr {
 
 impl IndexExpr {
     /// Returns the affine payload when this is not a full slice.
-    pub fn as_affine(&self) -> Option<&AffineForm> {
+    fn as_affine(&self) -> Option<&AffineForm> {
         match self {
             IndexExpr::Affine(a) => Some(a),
             IndexExpr::Full => None,
@@ -166,7 +166,7 @@ pub enum ScalarExpr {
 
 impl ScalarExpr {
     /// Visits every tensor access in the expression tree.
-    pub fn for_each_access(&self, f: &mut impl FnMut(usize, &[IndexExpr])) {
+    pub(crate) fn for_each_access(&self, f: &mut impl FnMut(usize, &[IndexExpr])) {
         match self {
             ScalarExpr::Const(_) | ScalarExpr::VarValue(_) => {}
             ScalarExpr::Access { input, indices } => f(*input, indices),
@@ -184,7 +184,7 @@ impl ScalarExpr {
     }
 
     /// Visits every opaque node in the expression tree.
-    pub fn for_each_opaque(&self, f: &mut impl FnMut(&str, &[VarId])) {
+    fn for_each_opaque(&self, f: &mut impl FnMut(&str, &[VarId])) {
         match self {
             ScalarExpr::Const(_) | ScalarExpr::VarValue(_) | ScalarExpr::Access { .. } => {}
             ScalarExpr::Unary { arg, .. } => arg.for_each_opaque(f),
@@ -349,7 +349,7 @@ impl TdlDesc {
     }
 
     /// Declared rank of each input tensor.
-    pub fn input_ranks(&self) -> &[usize] {
+    pub(crate) fn input_ranks(&self) -> &[usize] {
         &self.input_ranks
     }
 
@@ -380,7 +380,7 @@ impl TdlDesc {
 
     /// Variables that cannot be partitioned because they index an opaque
     /// function's result (the opaque computation is indivisible).
-    pub fn unsplittable_vars(&self) -> Vec<VarId> {
+    pub(crate) fn unsplittable_vars(&self) -> Vec<VarId> {
         let mut vars = Vec::new();
         self.body.for_each_opaque(&mut |_, out_vars| {
             for &v in out_vars {

@@ -17,13 +17,13 @@ use crate::affine::AffineForm;
 /// # Examples
 ///
 /// ```
-/// use tofu_tdl::SymInterval;
+/// use tofu_tdl::{AffineForm, SymInterval};
 ///
 /// // Variable x over its full range [0, X0], shifted by 2: [2, X0 + 2].
-/// let x = SymInterval::full_var(0);
+/// let x = SymInterval::new(AffineForm::zero(), AffineForm::var(0));
 /// let shifted = x.offset(2.0);
 /// assert_eq!(shifted.lo().constant_term(), 2.0);
-/// assert_eq!(shifted.hi().coeff(0), 1.0);
+/// assert_eq!(shifted.hi().terms(), &[(0, 1.0)]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SymInterval {
@@ -44,19 +44,19 @@ impl SymInterval {
 
     /// The full range `[0, X_var]` of index variable `var` — the default
     /// initialization `ZV[u_i = 1]` of the paper.
-    pub fn full_var(var: usize) -> SymInterval {
+    pub(crate) fn full_var(var: usize) -> SymInterval {
         SymInterval { lo: AffineForm::zero(), hi: AffineForm::var(var) }
     }
 
     /// The lower half `[0, X_var/2]` of a variable's range — the paper's
     /// `ZV[u_b = 1/2]` initialization used to analyze worker 0.
-    pub fn lower_half_var(var: usize) -> SymInterval {
+    pub(crate) fn lower_half_var(var: usize) -> SymInterval {
         SymInterval { lo: AffineForm::zero(), hi: AffineForm::var(var).scale(0.5) }
     }
 
     /// The upper half `[X_var/2, X_var]` — the paper's
     /// `ZV[l_b = 1/2, u_b = 1]` initialization used to analyze worker 1.
-    pub fn upper_half_var(var: usize) -> SymInterval {
+    pub(crate) fn upper_half_var(var: usize) -> SymInterval {
         SymInterval { lo: AffineForm::var(var).scale(0.5), hi: AffineForm::var(var) }
     }
 
@@ -97,7 +97,7 @@ impl SymInterval {
     /// Convex hull of two intervals: pointwise-min of the lower bounds and
     /// pointwise-max of the upper bounds (sound because extents are
     /// non-negative).
-    pub fn hull(&self, other: &SymInterval) -> SymInterval {
+    pub(crate) fn hull(&self, other: &SymInterval) -> SymInterval {
         SymInterval {
             lo: self.lo.pointwise_min(&other.lo),
             hi: self.hi.pointwise_max(&other.hi),
@@ -105,7 +105,7 @@ impl SymInterval {
     }
 
     /// Approximate structural equality.
-    pub fn approx_eq(&self, other: &SymInterval) -> bool {
+    pub(crate) fn approx_eq(&self, other: &SymInterval) -> bool {
         self.lo.approx_eq(&other.lo) && self.hi.approx_eq(&other.hi)
     }
 }

@@ -43,11 +43,6 @@ impl OutputPartition {
             OutputPartition::Reduce { .. } => None,
         }
     }
-
-    /// True for Case-2 (output-reduction) strategies.
-    pub fn is_reduce(&self) -> bool {
-        matches!(self, OutputPartition::Reduce { .. })
-    }
 }
 
 /// The input region each worker needs under a basic strategy.
@@ -233,7 +228,7 @@ mod tests {
         // dim 0, with an output reduction.
         let s = &discover_strategies(&conv1d()).unwrap()[3];
         assert_eq!(s.id, "reduce:ci");
-        assert!(s.output.is_reduce());
+        assert!(matches!(s.output, OutputPartition::Reduce { .. }));
         assert!(matches!(s.inputs[0], InputRequirement::Split { dim: 1, ref halo } if halo.is_zero()));
         assert!(matches!(s.inputs[1], InputRequirement::Split { dim: 0, ref halo } if halo.is_zero()));
     }
@@ -271,7 +266,7 @@ mod tests {
         assert_eq!(s[1].inputs[0], InputRequirement::Replicated);
         assert!(matches!(s[1].inputs[1], InputRequirement::Split { dim: 1, .. }));
         // Inner-product reduction: A by columns, B by rows, reduce outputs.
-        assert!(s[2].output.is_reduce());
+        assert!(matches!(s[2].output, OutputPartition::Reduce { .. }));
         let clean = |r: &InputRequirement, d| {
             matches!(r, InputRequirement::Split { dim, halo } if *dim == d && halo.is_zero())
         };

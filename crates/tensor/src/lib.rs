@@ -48,7 +48,6 @@ mod tensor;
 pub use block::copy_block;
 pub use conv::{Conv1dParams, Conv2dParams, PoolKind, PoolParams};
 pub use error::TensorError;
-pub use random::global_seed;
 pub use reduce::ReduceKind;
 pub use shape::Shape;
 pub use tensor::Tensor;

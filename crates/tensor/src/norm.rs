@@ -2,9 +2,7 @@
 //! gradient, and layer normalization with its backward pieces.
 //!
 //! Every kernel walks "rows" along the normalized axis with an explicit
-//! (outer, inner) stride decomposition, so the contiguous last-axis case —
-//! the only one the old rank-2 [`Tensor::softmax`] supported — performs the
-//! exact same operations in the exact same order and stays bit-identical.
+//! (outer, inner) stride decomposition.
 
 use crate::{Result, Shape, Tensor, TensorError};
 
@@ -27,9 +25,6 @@ fn for_each_row(outer: usize, extent: usize, inner: usize, mut f: impl FnMut(usi
 
 impl Tensor {
     /// Softmax along `axis` of a tensor of any rank.
-    ///
-    /// For rank-2 input and `axis == 1` this is bit-identical to
-    /// [`Tensor::softmax`].
     pub fn softmax_axis(&self, axis: usize) -> Result<Tensor> {
         let (outer, extent, inner) = row_geometry(self.shape(), axis)?;
         let mut out = self.clone();
@@ -205,16 +200,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn softmax_axis_last_is_bit_identical_to_rank2_softmax() {
-        let t = Tensor::from_vec(
-            Shape::new(vec![3, 4]),
-            (0..12).map(|x| (x as f32 * 0.7).sin() * 3.0).collect(),
-        )
-        .unwrap();
-        assert_eq!(t.softmax_axis(1).unwrap(), t.softmax().unwrap());
-    }
-
-    #[test]
     fn softmax_axis_rank3_matches_per_slice_softmax() {
         let t = Tensor::from_vec(
             Shape::new(vec![2, 3, 4]),
@@ -224,7 +209,7 @@ mod tests {
         let s = t.softmax_axis(2).unwrap();
         for b in 0..2 {
             let slab = t.slice(0, b, b + 1).unwrap().reshape(Shape::new(vec![3, 4])).unwrap();
-            let expect = slab.softmax().unwrap();
+            let expect = slab.softmax_axis(1).unwrap();
             let got = s.slice(0, b, b + 1).unwrap().reshape(Shape::new(vec![3, 4])).unwrap();
             assert_eq!(got, expect);
         }

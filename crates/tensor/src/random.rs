@@ -11,7 +11,7 @@ use crate::{Shape, Tensor};
 /// untouched. Setting `TOFU_SEED=n` shifts every random tensor in the
 /// process deterministically, so a concurrency test that only fails for some
 /// data can be replayed bit-for-bit (`TOFU_SEED=7 cargo test ...`).
-pub fn global_seed() -> u64 {
+fn global_seed() -> u64 {
     use std::sync::OnceLock;
     static SEED: OnceLock<u64> = OnceLock::new();
     *SEED.get_or_init(|| {
@@ -23,9 +23,10 @@ impl Tensor {
     /// Creates a tensor with elements drawn uniformly from `[-scale, scale)`
     /// using a fixed seed, so validation runs are reproducible.
     ///
-    /// The effective stream is `seed ⊕ TOFU_SEED` (see [`global_seed`]): with
-    /// the environment variable unset the historical streams are unchanged,
-    /// and with it set the whole process shifts to a new deterministic draw.
+    /// The effective stream mixes `seed` with `TOFU_SEED`, read once per
+    /// process: with the environment variable unset the historical streams
+    /// are unchanged, and with it set the whole process shifts to a new
+    /// deterministic draw.
     pub fn random(shape: Shape, seed: u64, scale: f32) -> Tensor {
         let mut rng = StdRng::seed_from_u64(seed ^ global_seed().rotate_left(17));
         let data = (0..shape.volume()).map(|_| rng.gen_range(-scale..scale)).collect();

@@ -78,31 +78,12 @@ impl Tensor {
         Ok(out)
     }
 
-    /// Row-wise softmax of a rank-2 tensor `(batch, classes)`.
-    pub fn softmax(&self) -> Result<Tensor> {
+    /// Mean softmax cross-entropy against integer labels.
+    pub fn softmax_cross_entropy(&self, labels: &[usize]) -> Result<f32> {
         if self.shape().rank() != 2 {
             return Err(TensorError::Incompatible("softmax expects rank-2 input".into()));
         }
-        let (b, c) = (self.shape().dim(0), self.shape().dim(1));
-        let mut out = self.clone();
-        for row in 0..b {
-            let slice = &mut out.data_mut()[row * c..(row + 1) * c];
-            let mx = slice.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-            let mut denom = 0.0;
-            for v in slice.iter_mut() {
-                *v = (*v - mx).exp();
-                denom += *v;
-            }
-            for v in slice.iter_mut() {
-                *v /= denom;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Mean softmax cross-entropy against integer labels.
-    pub fn softmax_cross_entropy(&self, labels: &[usize]) -> Result<f32> {
-        let probs = self.softmax()?;
+        let probs = self.softmax_axis(1)?;
         let (b, c) = (self.shape().dim(0), self.shape().dim(1));
         if labels.len() != b {
             return Err(TensorError::Incompatible(format!(
@@ -175,13 +156,13 @@ mod tests {
     #[test]
     fn softmax_rows_sum_to_one() {
         let t = t23();
-        let s = t.softmax().unwrap();
+        let s = t.softmax_axis(1).unwrap();
         for row in 0..2 {
             let sum: f32 = s.data()[row * 3..(row + 1) * 3].iter().sum();
             assert!((sum - 1.0).abs() < 1e-6);
         }
         // Softmax is shift invariant.
-        let shifted = t.add_scalar(100.0).softmax().unwrap();
+        let shifted = t.add_scalar(100.0).softmax_axis(1).unwrap();
         assert!(shifted.allclose(&s, 1e-5));
     }
 

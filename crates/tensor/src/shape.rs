@@ -41,14 +41,14 @@ impl Shape {
     ///
     /// # Panics
     ///
-    /// Panics if `axis >= self.rank()`; use [`Shape::try_dim`] for a fallible
+    /// Panics if `axis >= self.rank()`; `dims().get(axis)` is the fallible
     /// variant.
     pub fn dim(&self, axis: usize) -> usize {
         self.0[axis]
     }
 
     /// Returns the extent of dimension `axis`, or an error if out of range.
-    pub fn try_dim(&self, axis: usize) -> Result<usize> {
+    pub(crate) fn try_dim(&self, axis: usize) -> Result<usize> {
         self.0
             .get(axis)
             .copied()

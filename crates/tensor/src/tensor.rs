@@ -208,7 +208,7 @@ impl Tensor {
     }
 
     /// Returns the tensor with dimensions reordered by `perm`.
-    pub fn permute(&self, perm: &[usize]) -> Result<Tensor> {
+    fn permute(&self, perm: &[usize]) -> Result<Tensor> {
         let rank = self.shape.rank();
         if perm.len() != rank {
             return Err(TensorError::Incompatible(format!(

@@ -35,6 +35,25 @@ while read -r crate budget lines_budget; do
         exit 1
     fi
 done < scripts/api_budget.txt
+# The library surface is what other crates call: a library `pub fn` whose
+# name, as a whole word, appears in no `.rs` file outside its crate's `src/`
+# (other crates, the root crate, tests/, examples/, benchmark/src and the
+# crate's own tests/) is `pub(crate)` or private. `bench` and `src/bin/` are
+# not library code.
+for dir in crates/*/; do
+    crate=$(basename "$dir")
+    [ "$crate" = bench ] && continue
+    named=$(find crates src tests examples benchmark/src -name '*.rs' \
+        -not -path "crates/$crate/src/*" -exec grep -ohw '[A-Za-z_][A-Za-z0-9_]*' {} + \
+        | LC_ALL=C sort -u)
+    unnamed=$(grep -rhoE --exclude-dir=bin "pub fn [A-Za-z0-9_]+" "crates/$crate/src" \
+        | cut -d' ' -f3 | LC_ALL=C sort -u | LC_ALL=C comm -23 - <(echo "$named"))
+    if [ -n "$unnamed" ]; then
+        echo "scripts/check.sh: crates/$crate/src has pub fns named nowhere outside it;" \
+            "make them pub(crate):" $unnamed >&2
+        exit 1
+    fi
+done
 # One clock per interval: library code measures an interval with the
 # tofu-obs span that records it, not a `Duration` field beside the span.
 # The 10 reads left are the collector's and an attempt's epochs, the abort
@@ -68,14 +87,6 @@ if grep -rn 'mul_add\|"fma"\|"avx512' crates/*/src; then exit 1; fi
 # reaches every kernel through one `lookup` and matches no operator names.
 if grep -nE '^\s*"[a-z0-9_]+"(\s*\|\s*"[a-z0-9_]+")*\s*=>' crates/graph/src/exec.rs; then
     echo "scripts/check.sh: crates/graph/src/exec.rs matches on an operator name" >&2
-    exit 1
-fi
-
-# One evaluator of TDL accesses: strategy discovery and partitioned-graph
-# generation both read regions from `tofu_tdl::access_regions`, so only
-# tofu-tdl walks a description's accesses.
-if grep -rn "for_each_access" crates/*/src | grep -v "^crates/tdl/src/"; then
-    echo "scripts/check.sh: only crates/tdl/src may walk TDL accesses; call access_regions" >&2
     exit 1
 fi
 

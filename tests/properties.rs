@@ -133,7 +133,7 @@ proptest! {
         let body = b.input(0, &[i.at(), kk.at()]) * b.input(1, &[kk.at(), j.at()]);
         let desc = b.build_reduce(Reducer::Sum, body).unwrap();
         let s = discover_strategies(&desc).unwrap();
-        prop_assert!(s.iter().any(|st| st.output.is_reduce()));
+        prop_assert!(s.iter().any(|st| matches!(st.output, OutputPartition::Reduce { .. })));
     }
 }
 
