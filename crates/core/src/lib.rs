@@ -5,8 +5,8 @@
 //! operator across `k` workers while minimizing total communication (§5 of
 //! the paper):
 //!
-//! 1. [`coarsen`] groups forward/backward operators, coalesces element-wise
-//!    runs and merges unrolled RNN timesteps (§5.1);
+//! 1. [`coarsen`](mod@coarsen) groups forward/backward operators,
+//!    coalesces element-wise runs and merges unrolled RNN timesteps (§5.1);
 //! 2. [`dp`] searches one *basic step* (a 2-way split of every tensor along
 //!    one dimension) by dynamic programming over the coarsened chain —
 //!    [`dp::search`], held plan-for-plan to the reference

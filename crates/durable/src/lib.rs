@@ -7,7 +7,7 @@
 //!
 //! - [`codec`]: checksummed binary shard encoding and a checksummed,
 //!   versioned JSON manifest; every decode path returns a typed
-//!   [`CodecError`](codec::CodecError), never panics.
+//!   [`CodecError`], never panics.
 //! - [`store`]: the [`BlobStore`] boundary. [`DirStore`] writes through
 //!   write-temp → fsync → atomic-rename → fsync-parent, so each blob is
 //!   all-or-nothing; [`MemStore`] keeps the contract in memory for tests.

@@ -74,7 +74,7 @@ impl Attrs {
     }
 
     /// Reads a float attribute.
-    pub fn float(&self, key: &str) -> Option<f64> {
+    pub(crate) fn float(&self, key: &str) -> Option<f64> {
         match self.0.get(key) {
             Some(AttrValue::Float(v)) => Some(*v),
             Some(AttrValue::Int(v)) => Some(*v as f64),

@@ -211,14 +211,14 @@ mod tests {
 
     #[test]
     fn conv1d_bwd_matches_finite_difference() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(3);
+        use tofu_tensor::SplitMix64;
+        let mut rng = SplitMix64::new(0x9e3779b97f4a7c15 + 3);
         let dshape = Shape::new(vec![2, 2, 6]);
         let fshape = Shape::new(vec![2, 3, 2]);
-        let mk = |shape: &Shape, rng: &mut StdRng| {
+        let mk = |shape: &Shape, rng: &mut SplitMix64| {
             Tensor::from_vec(
                 shape.clone(),
-                (0..shape.volume()).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+                (0..shape.volume()).map(|_| rng.uniform(-1.0, 1.0)).collect(),
             )
             .unwrap()
         };

@@ -144,7 +144,7 @@ fn kernel_multi_fetch(ins: &[&Tensor], attrs: &Attrs, _: &Shape) -> Result<Tenso
 }
 
 /// The pieces of `multi_fetch` node `id`, one per input in input order,
-/// borrowed from the attribute [`decode_multi_fetch`] validated when the
+/// borrowed from the attribute `decode_multi_fetch` validated when the
 /// node was added; `None` for any other operator.
 pub fn fetch_pieces(
     g: &Graph,

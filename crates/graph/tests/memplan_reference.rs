@@ -9,15 +9,13 @@
 //! (`memplan_reference/old_scan.rs`, included below).
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use tofu_core::{generate, partition, GenOptions, PartitionOptions};
 use tofu_graph::{lookup, plan_buffers, Attrs, BufferPlan, Graph, NodeId, SlotAction, TensorId};
 use tofu_models::{
     decoder_block, mlp, rnn, wresnet, BuiltModel, DecoderConfig, MlpConfig, RnnConfig,
     WResNetConfig,
 };
-use tofu_tensor::Shape;
+use tofu_tensor::{Shape, SplitMix64};
 
 #[path = "memplan_reference/old_scan.rs"]
 mod old_scan;
@@ -112,11 +110,11 @@ fn pad(after: i64) -> Attrs {
 /// of many sizes share buffers. Every op also draws one of three devices to
 /// run on.
 fn random_dag(seed: u64) -> (Graph, Vec<usize>) {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed.wrapping_add(0x9e3779b97f4a7c15));
     let mut g = Graph::new();
     let mut tensors: Vec<TensorId> = Vec::new();
-    for i in 0..rng.gen_range(1..5usize) {
-        let shape = Shape::new(vec![16 * rng.gen_range(1..5usize)]);
+    for i in 0..1 + rng.below(4) {
+        let shape = Shape::new(vec![16 * (1 + rng.below(4) as usize)]);
         tensors.push(if i % 2 == 1 {
             g.add_weight(&format!("w{i}"), shape)
         } else {
@@ -124,17 +122,17 @@ fn random_dag(seed: u64) -> (Graph, Vec<usize>) {
         });
     }
     let mut device = Vec::new();
-    for i in 0..rng.gen_range(1..48usize) {
-        let x = tensors[rng.gen_range(0..tensors.len())];
+    for i in 0..1 + rng.below(47) {
+        let x = tensors[rng.below(tensors.len() as u64) as usize];
         let len = g.tensor(x).shape.dim(0) as i64;
-        let step = 16 * rng.gen_range(0..3i64);
+        let step = 16 * rng.below(3) as i64;
         let name = format!("n{i}");
-        let out = match rng.gen_range(0..5u32) {
+        let out = match rng.below(5) {
             0 => g.add_op("relu", &name, &[x], Attrs::new()),
             1 => g.add_op("tanh", &name, &[x], Attrs::new()),
             2 => {
                 // The first tensor of x's size from a random start.
-                let from = rng.gen_range(0..tensors.len());
+                let from = rng.below(tensors.len() as u64) as usize;
                 let y = (0..tensors.len())
                     .map(|j| tensors[(from + j) % tensors.len()])
                     .find(|&y| g.tensor(y).shape == g.tensor(x).shape)
@@ -149,7 +147,7 @@ fn random_dag(seed: u64) -> (Graph, Vec<usize>) {
             }
         };
         tensors.push(out.unwrap());
-        device.push(rng.gen_range(0..3usize));
+        device.push(rng.below(3) as usize);
     }
     (g, device)
 }

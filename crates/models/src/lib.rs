@@ -4,14 +4,15 @@
 //! reverse-mode backward propagation, gradient aggregation and SGD weight
 //! updates — exactly the workload Tofu partitions:
 //!
-//! - [`mlp`]: multi-layer perceptrons (the Fig. 5 example and the validation
-//!   workhorse);
-//! - [`wresnet`]: Wide ResNet-{50,101,152} with widening factor 4-10 on
-//!   ImageNet-sized inputs (Table 2 / Fig. 8);
-//! - [`rnn`]: multi-layer LSTM language models with 4K-8K hidden units,
-//!   unrolled 20 steps (Table 2 / Fig. 9), built through an `unroll` helper
-//!   that tags timesteps and cell positions the way MXNet/PyTorch unrolling
-//!   does — which is what Tofu's coarsening detects (§5.1);
+//! - [`mlp`](mod@mlp): multi-layer perceptrons (the Fig. 5 example and the
+//!   validation workhorse);
+//! - [`wresnet`](mod@wresnet): Wide ResNet-{50,101,152} with widening factor
+//!   4-10 on ImageNet-sized inputs (Table 2 / Fig. 8);
+//! - [`rnn`](mod@rnn): multi-layer LSTM language models with 4K-8K hidden
+//!   units, unrolled 20 steps (Table 2 / Fig. 9), built through an
+//!   `unroll` helper that tags timesteps and cell positions the way
+//!   MXNet/PyTorch unrolling does — which is what Tofu's coarsening detects
+//!   (§5.1);
 //! - [`small_cnn`]: a stride-1 CNN used for numeric validation of
 //!   partitioned convolution execution;
 //! - [`decoder_block`]: a GPT-style transformer decoder block whose clean

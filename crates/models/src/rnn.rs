@@ -1,6 +1,6 @@
 //! Multi-layer LSTM language-model training graphs (§7.1, Table 2, Fig. 9).
 //!
-//! Follows the large-LM recipe the paper cites ([20]): `layers` stacked LSTM
+//! Follows the large-LM recipe the paper cites (\[20\]): `layers` stacked LSTM
 //! layers of `hidden` units, unrolled for `steps = 20` timesteps. The unroll
 //! helper tags every node with its timestep and cell position — the same
 //! structure MXNet's built-in unroll produces — which is what lets Tofu's

@@ -2,17 +2,18 @@
 //!
 //! Produces the `{"traceEvents": [...]}` format understood by
 //! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev) (open the file
-//! with *Open trace file*). Each [`Track`] becomes one `(pid, tid)` lane;
-//! metadata events name the processes ("runtime device 0 (measured)",
-//! "sim device 0 (predicted)", "partition search", "runtime control") and
-//! sort them so measured and predicted device lanes sit next to each other.
+//! with *Open trace file*). Each [`Track`](crate::Track) becomes one
+//! `(pid, tid)` lane; metadata events name the processes ("runtime device 0
+//! (measured)", "sim device 0 (predicted)", "partition search", "runtime
+//! control") and sort them so measured and predicted device lanes sit next
+//! to each other.
 
 use crate::json::Json;
 use crate::{Arg, Event, Phase, PID_CONTROL, PID_RUNTIME_BASE, PID_SEARCH, PID_SERVE, PID_SIM_BASE};
 use std::collections::BTreeSet;
 
 /// Human-readable process name for a pid under the workspace pid scheme.
-pub fn process_name(pid: u32) -> String {
+pub(crate) fn process_name(pid: u32) -> String {
     if pid == PID_SEARCH {
         "partition search".to_string()
     } else if pid == PID_CONTROL {

@@ -19,7 +19,7 @@ use crate::lock;
 /// Why the run aborted: the first failure, as recorded by the worker that
 /// tripped the token.
 #[derive(Debug, Clone)]
-pub struct AbortCause {
+pub(crate) struct AbortCause {
     /// Worker that failed first.
     pub worker: usize,
     /// Node that worker was executing, if it got that far.
@@ -40,19 +40,13 @@ struct Inner {
 
 /// Shared poison flag plus first-failure cause. Cloning is cheap (an `Arc`).
 #[derive(Debug, Clone)]
-pub struct AbortToken {
+pub(crate) struct AbortToken {
     inner: Arc<Inner>,
-}
-
-impl Default for AbortToken {
-    fn default() -> Self {
-        AbortToken::new()
-    }
 }
 
 impl AbortToken {
     /// A fresh, untripped token.
-    pub fn new() -> AbortToken {
+    pub(crate) fn new() -> AbortToken {
         AbortToken {
             inner: Arc::new(Inner {
                 tripped: AtomicBool::new(false),
@@ -64,7 +58,7 @@ impl AbortToken {
     /// Trips the token with `cause`. The first trip wins; later trips (from
     /// workers failing as a *consequence* of the first) are ignored. Returns
     /// whether this call was the first.
-    pub fn trip(&self, cause: AbortCause) -> bool {
+    pub(crate) fn trip(&self, cause: AbortCause) -> bool {
         // The cause is written under the lock *before* the flag is raised, so
         // any worker that observes `tripped` also observes a cause.
         let mut slot = lock(&self.inner.cause);
@@ -83,7 +77,7 @@ impl AbortToken {
     }
 
     /// The first failure, once tripped.
-    pub fn cause(&self) -> Option<AbortCause> {
+    pub(crate) fn cause(&self) -> Option<AbortCause> {
         lock(&self.inner.cause).clone()
     }
 }

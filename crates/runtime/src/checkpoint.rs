@@ -30,10 +30,10 @@ use std::time::Duration;
 
 use tofu_core::ShardedGraph;
 use tofu_graph::TensorId;
-use tofu_tensor::Tensor;
+use tofu_tensor::{SplitMix64, Tensor};
 
 use crate::durable::Persister;
-use crate::fault::FaultRng;
+use crate::fault::fault_rng;
 
 /// Which schedule the checkpoint barriers count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -111,14 +111,14 @@ pub(crate) struct BackoffSchedule {
     base: Duration,
     cap: Duration,
     prev: Duration,
-    rng: FaultRng,
+    rng: SplitMix64,
 }
 
 impl BackoffSchedule {
     /// A schedule starting at `base`, capped at `cap`, jitter-seeded by
     /// `seed`. Equal arguments yield the identical delay sequence.
     pub(crate) fn new(base: Duration, cap: Duration, seed: u64) -> BackoffSchedule {
-        BackoffSchedule { base, cap, prev: base, rng: FaultRng::new(seed) }
+        BackoffSchedule { base, cap, prev: base, rng: fault_rng(seed) }
     }
 
     /// The next delay to sleep before retrying.
@@ -362,5 +362,14 @@ mod tests {
         // A zero base never sleeps (the fast path tests rely on).
         let mut zero = BackoffSchedule::new(Duration::ZERO, cap, 7);
         assert!(zero.next_delay().is_zero());
+    }
+
+    /// The retry jitter is pinned delay for delay, so a recovery timeline
+    /// replays from its seed on every build.
+    #[test]
+    fn backoff_delays_are_pinned() {
+        let mut s = BackoffSchedule::new(Duration::from_millis(10), Duration::from_secs(1), 3);
+        let nanos: Vec<u128> = (0..5).map(|_| s.next_delay().as_nanos()).collect();
+        assert_eq!(nanos, [24_915_635, 72_869_423, 102_697_007, 142_431_318, 328_351_217]);
     }
 }

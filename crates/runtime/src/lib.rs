@@ -38,14 +38,14 @@
 //! The runtime is built to *fail fast and recover* (DESIGN.md "Failure
 //! model"):
 //!
-//! - **Cooperative abort.** Every worker shares an [`AbortToken`]; the first
+//! - **Cooperative abort.** Every worker shares an `AbortToken`; the first
 //!   failure (kernel error, integrity violation, panic, injected fault)
 //!   trips it, and every other worker observes the trip between schedule
 //!   steps and inside its receive loop (every 5 ms), so a dead peer stops the run in milliseconds instead of
 //!   stalling healthy workers for the full `recv_timeout`. The run returns
 //!   [`RuntimeError::Failed`] wrapping a [`RunFailure`] that names the
 //!   first-failing worker and node and preserves the partial traces.
-//! - **Message integrity.** Every [`Msg`] carries the sending worker, a
+//! - **Message integrity.** Every `Msg` carries the sending worker, a
 //!   per-link sequence number and a payload checksum; at
 //!   [`IntegrityLevel::Full`] (the default) the receiver checks all three
 //!   plus the expected piece (consumer node, input index, block shape)
@@ -104,7 +104,6 @@ use tofu_graph::TensorId;
 use tofu_obs::Collector;
 use tofu_tensor::Tensor;
 
-pub use abort::{AbortCause, AbortToken};
 pub use checkpoint::{BarrierUnit, CheckpointPolicy, RecoveryOptions};
 pub use durable::{run_with_durable_recovery, CrashPoint, DurableOptions};
 pub use elastic::{run_with_elastic_recovery, ElasticTransition, TransitionKind};

@@ -102,7 +102,7 @@ impl<T> FairScheduler<T> {
     }
 
     /// Total queued items right now (racy by nature; for stats only).
-    pub fn queued(&self) -> usize {
+    pub(crate) fn queued(&self) -> usize {
         self.state.lock().expect("scheduler lock").queued
     }
 }

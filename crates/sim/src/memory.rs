@@ -26,7 +26,7 @@ impl DeviceMemory {
     }
 
     /// True when this device fits the machine's capacity.
-    pub fn fits(&self, machine: &Machine) -> bool {
+    pub(crate) fn fits(&self, machine: &Machine) -> bool {
         self.peak_bytes <= machine.mem_capacity
     }
 }

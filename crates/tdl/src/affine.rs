@@ -29,7 +29,7 @@ use crate::expr::VarId;
 /// use tofu_tdl::AffineForm;
 ///
 /// let x_plus_dx = AffineForm::var(0).add(&AffineForm::var(1));
-/// assert_eq!(x_plus_dx.terms(), &[(0, 1.0), (1, 1.0)]);
+/// assert_eq!(x_plus_dx.eval(&|id| [3.0, 4.0][id]), 7.0);
 /// let half_x = AffineForm::var(0).scale(0.5);
 /// assert_eq!(half_x.eval(&|_| 10.0), 5.0);
 /// ```
@@ -56,7 +56,7 @@ impl AffineForm {
     }
 
     /// The `(id, coefficient)` terms: sorted by id, none zero.
-    pub fn terms(&self) -> &[(VarId, f64)] {
+    pub(crate) fn terms(&self) -> &[(VarId, f64)] {
         &self.terms
     }
 
@@ -92,7 +92,7 @@ impl AffineForm {
     }
 
     /// Returns `self - other`.
-    pub fn sub(&self, other: &AffineForm) -> AffineForm {
+    pub(crate) fn sub(&self, other: &AffineForm) -> AffineForm {
         self.add(&other.scale(-1.0))
     }
 

@@ -172,11 +172,6 @@ impl Exp {
         self.unary(UnaryOp::Tanh)
     }
 
-    /// Element-wise logistic sigmoid.
-    pub fn sigmoid(self) -> Exp {
-        self.unary(UnaryOp::Sigmoid)
-    }
-
     /// Element-wise rectifier.
     pub fn relu(self) -> Exp {
         self.unary(UnaryOp::Relu)
@@ -332,7 +327,7 @@ mod tests {
         let (i, j) = (b.output_var("i"), b.output_var("j"));
         let x = b.input(0, &[i.at(), j.at()]);
         let y = b.input(1, &[i.at(), j.at()]);
-        let body = x.sigmoid() * y.tanh();
+        let body = x.exp() * y.tanh();
         let desc = b.build(body).unwrap();
         assert!(desc.is_elementwise());
     }

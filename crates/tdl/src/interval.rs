@@ -23,7 +23,7 @@ use crate::affine::AffineForm;
 /// let x = SymInterval::new(AffineForm::zero(), AffineForm::var(0));
 /// let shifted = x.offset(2.0);
 /// assert_eq!(shifted.lo().constant_term(), 2.0);
-/// assert_eq!(shifted.hi().terms(), &[(0, 1.0)]);
+/// assert_eq!(shifted.hi().eval(&|_| 10.0), 12.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SymInterval {
@@ -89,11 +89,6 @@ impl SymInterval {
         SymInterval { lo: self.lo.add(&other.lo), hi: self.hi.add(&other.hi) }
     }
 
-    /// Fig. 4: interval subtraction `I - I'`.
-    pub fn sub(&self, other: &SymInterval) -> SymInterval {
-        SymInterval { lo: self.lo.sub(&other.hi), hi: self.hi.sub(&other.lo) }
-    }
-
     /// Convex hull of two intervals: pointwise-min of the lower bounds and
     /// pointwise-max of the upper bounds (sound because extents are
     /// non-negative).
@@ -142,13 +137,6 @@ mod tests {
         assert!(sum.lo().is_zero());
         assert_eq!(sum.hi().coeff(0), 1.0);
         assert_eq!(sum.hi().coeff(1), 1.0);
-    }
-
-    #[test]
-    fn interval_subtraction() {
-        let d = SymInterval::full_var(0).sub(&SymInterval::point(1.0));
-        assert_eq!(d.lo().constant_term(), -1.0);
-        assert_eq!(d.hi().coeff(0), 1.0);
     }
 
     #[test]

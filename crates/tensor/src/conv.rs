@@ -533,19 +533,18 @@ mod tests {
 
     #[test]
     fn conv2d_grads_match_finite_difference() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = crate::SplitMix64::new(0x9e3779b97f4a7c15 + 7);
         let data_shape = Shape::new(vec![1, 2, 4, 4]);
         let filt_shape = Shape::new(vec![2, 2, 3, 3]);
         let p = Conv2dParams { stride: 1, pad: 1 };
         let data = Tensor::from_vec(
             data_shape.clone(),
-            (0..data_shape.volume()).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+            (0..data_shape.volume()).map(|_| rng.uniform(-1.0, 1.0)).collect(),
         )
         .unwrap();
         let filt = Tensor::from_vec(
             filt_shape.clone(),
-            (0..filt_shape.volume()).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+            (0..filt_shape.volume()).map(|_| rng.uniform(-1.0, 1.0)).collect(),
         )
         .unwrap();
         let out = data.conv2d(&filt, p).unwrap();

@@ -51,11 +51,6 @@ impl Tensor {
         Tensor::from_vec(out_shape, out)
     }
 
-    /// Sums along `axis`, removing the dimension.
-    pub fn sum_axis(&self, axis: usize) -> Result<Tensor> {
-        self.reduce_axis(axis, ReduceKind::Sum)
-    }
-
     /// Adds a rank-1 bias of extent `shape[axis]` broadcast over all other
     /// dimensions.
     pub fn broadcast_add(&self, bias: &Tensor, axis: usize) -> Result<Tensor> {
@@ -123,14 +118,14 @@ mod tests {
     #[test]
     fn reduce_to_scalar() {
         let v = Tensor::arange(4);
-        let s = v.sum_axis(0).unwrap();
+        let s = v.reduce_axis(0, ReduceKind::Sum).unwrap();
         assert_eq!(s.shape().rank(), 0);
         assert_eq!(s.data(), &[6.0]);
     }
 
     #[test]
     fn reduce_axis_out_of_range() {
-        assert!(t23().sum_axis(2).is_err());
+        assert!(t23().reduce_axis(2, ReduceKind::Sum).is_err());
     }
 
     #[test]
@@ -162,7 +157,7 @@ mod tests {
             assert!((sum - 1.0).abs() < 1e-6);
         }
         // Softmax is shift invariant.
-        let shifted = t.add_scalar(100.0).softmax_axis(1).unwrap();
+        let shifted = t.map(|v| v + 100.0).softmax_axis(1).unwrap();
         assert!(shifted.allclose(&s, 1e-5));
     }
 

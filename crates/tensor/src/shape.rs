@@ -71,7 +71,7 @@ impl Shape {
     }
 
     /// Returns row-major strides (in elements) for this shape.
-    pub fn strides(&self) -> Vec<usize> {
+    pub(crate) fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1usize; self.rank()];
         for i in (0..self.rank().saturating_sub(1)).rev() {
             strides[i] = strides[i + 1] * self.0[i + 1];

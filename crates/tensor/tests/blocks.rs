@@ -6,7 +6,7 @@
 //! elements outside the block.
 
 use proptest::prelude::*;
-use tofu_tensor::{copy_block, ReduceKind, Shape, Tensor, TensorError};
+use tofu_tensor::{copy_block, ReduceKind, Shape, SplitMix64, Tensor, TensorError};
 
 /// Numbers every element so any misplaced copy is visible.
 fn sequential(shape: Shape) -> Tensor {
@@ -14,19 +14,10 @@ fn sequential(shape: Shape) -> Tensor {
     Tensor::from_vec(shape, (0..n).map(|i| i as f32 + 1.0).collect()).unwrap()
 }
 
-/// A splitmix64 stream: the block geometry is derived from one seed so a
-/// failing case names everything needed to replay it.
-struct Rng(u64);
-
-impl Rng {
-    /// A value in `[0, n]`.
-    fn upto(&mut self, n: usize) -> i64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        ((z ^ (z >> 31)) % (n as u64 + 1)) as i64
-    }
+/// A value in `[0, n]`. The block geometry is drawn from one seeded
+/// stream, so a failing case names everything needed to replay it.
+fn upto(rng: &mut SplitMix64, n: usize) -> i64 {
+    rng.below(n as u64 + 1) as i64
 }
 
 proptest! {
@@ -40,15 +31,15 @@ proptest! {
         src_dims in prop::collection::vec(1usize..6, 0..4),
         seed in 0u64..1_000_000_000,
     ) {
-        let mut rng = Rng(seed);
+        let mut rng = SplitMix64::new(seed);
         // A possibly empty block inside the source, and a destination with
         // slack on both sides so the block lands at a random interior offset.
-        let len: Vec<i64> = src_dims.iter().map(|&d| rng.upto(d)).collect();
+        let len: Vec<i64> = src_dims.iter().map(|&d| upto(&mut rng, d)).collect();
         let src_begin: Vec<i64> =
-            src_dims.iter().zip(&len).map(|(&d, &l)| rng.upto(d - l as usize)).collect();
-        let dst_begin: Vec<i64> = len.iter().map(|_| rng.upto(2)).collect();
+            src_dims.iter().zip(&len).map(|(&d, &l)| upto(&mut rng, d - l as usize)).collect();
+        let dst_begin: Vec<i64> = len.iter().map(|_| upto(&mut rng, 2)).collect();
         let dst_dims: Vec<usize> =
-            len.iter().zip(&dst_begin).map(|(&l, &b)| (b + l + rng.upto(2)) as usize).collect();
+            len.iter().zip(&dst_begin).map(|(&l, &b)| (b + l + upto(&mut rng, 2)) as usize).collect();
         let block = Shape::new(len.iter().map(|&l| l as usize).collect());
         let zeros = vec![0i64; len.len()];
         let src = sequential(Shape::new(src_dims));
@@ -82,10 +73,10 @@ proptest! {
         dims in prop::collection::vec(1usize..6, 0..4),
         seed in 0u64..1_000_000_000,
     ) {
-        let mut rng = Rng(seed);
-        let len: Vec<i64> = dims.iter().map(|&d| rng.upto(d)).collect();
-        let begin = |rng: &mut Rng| -> Vec<i64> {
-            dims.iter().zip(&len).map(|(&d, &l)| rng.upto(d - l as usize)).collect()
+        let mut rng = SplitMix64::new(seed);
+        let len: Vec<i64> = dims.iter().map(|&d| upto(&mut rng, d)).collect();
+        let begin = |rng: &mut SplitMix64| -> Vec<i64> {
+            dims.iter().zip(&len).map(|(&d, &l)| upto(rng, d - l as usize)).collect()
         };
         let (src_begin, dst_begin) = (begin(&mut rng), begin(&mut rng));
         let shape = Shape::new(dims.clone());

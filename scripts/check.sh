@@ -36,16 +36,36 @@ while read -r crate budget lines_budget; do
     fi
 done < scripts/api_budget.txt
 # The library surface is what other crates call: a library `pub fn` whose
-# name, as a whole word, appears in no `.rs` file outside its crate's `src/`
-# (other crates, the root crate, tests/, examples/, benchmark/src and the
-# crate's own tests/) is `pub(crate)` or private. `bench` and `src/bin/` are
-# not library code.
+# name, as an identifier in code, appears in no `.rs` file outside its
+# crate's `src/` (other crates, the root crate, tests/, examples/,
+# benchmark/src and the crate's own tests/) is `pub(crate)` or private.
+# String literals and comments are not code: an op name like `"relu"` or a
+# doc line naming a method calls nothing. (A method name shared with another
+# type's method, `x.exp()` on an `f32`, still counts.) `bench` and
+# `src/bin/` are not library code.
+code_words() {
+    python3 - "$@" <<'EOF'
+import re, sys
+token = re.compile(r'''
+    //[^\n]*                                        # line or doc comment
+  | /\*(?:[^*]|\*(?!/))*\*/                         # block comment
+  | b?r(\#*)".*?"\1                                 # raw string
+  | b?"(?:\\.|[^"\\])*"                             # string
+  | b?'(?:\\u\{[0-9a-fA-F]+\}|\\.|[^'\\])'          # char
+  | ([A-Za-z_][A-Za-z0-9_]*)                        # identifier
+''', re.S | re.X)
+for path in sys.argv[1:]:
+    for m in token.finditer(open(path, encoding="utf-8").read()):
+        if m.group(2):
+            print(m.group(2))
+EOF
+}
 for dir in crates/*/; do
     crate=$(basename "$dir")
     [ "$crate" = bench ] && continue
-    named=$(find crates src tests examples benchmark/src -name '*.rs' \
-        -not -path "crates/$crate/src/*" -exec grep -ohw '[A-Za-z_][A-Za-z0-9_]*' {} + \
-        | LC_ALL=C sort -u)
+    mapfile -d '' corpus < <(find crates src tests examples benchmark/src -name '*.rs' \
+        -not -path "crates/$crate/src/*" -print0)
+    named=$(code_words "${corpus[@]}" | LC_ALL=C sort -u)
     unnamed=$(grep -rhoE --exclude-dir=bin "pub fn [A-Za-z0-9_]+" "crates/$crate/src" \
         | cut -d' ' -f3 | LC_ALL=C sort -u | LC_ALL=C comm -23 - <(echo "$named"))
     if [ -n "$unnamed" ]; then
@@ -119,6 +139,9 @@ if [ "$(echo "$reports" | grep -c .)" -ne 1 ]; then
 fi
 
 cargo clippy --workspace --all-targets -- -D warnings
+# Public docs resolve: no broken or ambiguous intra-doc link, and none to
+# an item the narrowing above made private.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --exclude tofu-bench
 cargo build --release
 # `benchmark/` is its own workspace, so nothing above or below compiles it:
 # build and test it here, or a renamed public function breaks the repo
