@@ -1,8 +1,9 @@
 //! Runtime scaling ledger: what `tofu-runtime` moves at 1/2/4/8 workers for
-//! an MLP and a small WResNet — sharded nodes, messages, bytes on the links,
-//! the remote reads those messages serve, bytes the transport copied, the
-//! largest worker's peak memory and the live-byte bound beneath it —
-//! written to `BENCH_runtime.json`.
+//! an MLP, a small WResNet and the benchmark's `step_comm` LSTM — sharded
+//! nodes, `multi_fetch` nodes that read no remote input, messages, bytes on
+//! the links, the remote reads those messages serve, bytes the transport
+//! copied, the largest worker's peak memory and the live-byte bound beneath
+//! it — written to `BENCH_runtime.json`.
 //!
 //! Every row is three steps of one sharded graph at [`IntegrityLevel::Fast`],
 //! the production configuration the zero-copy transport optimizes (the fault
@@ -26,8 +27,8 @@ use tofu_bench::{
     bench_report, bit_identical, feeds, scatter_feeds, transfers, write_report, Json,
 };
 use tofu_core::{generate, partition, GenOptions, PartitionOptions};
-use tofu_graph::Graph;
-use tofu_models::{mlp, wresnet, MlpConfig, WResNetConfig};
+use tofu_graph::{Graph, Node};
+use tofu_models::{mlp, rnn, wresnet, MlpConfig, RnnConfig, WResNetConfig};
 use tofu_obs::Collector;
 use tofu_runtime::{run_with_options, IntegrityLevel, RunOptions};
 use tofu_sim::{per_device_memory, simulate_with_leaf_devices, Machine};
@@ -39,6 +40,9 @@ struct Row {
     workers: usize,
     comm_bytes: u64,
     nodes: usize,
+    /// `multi_fetch` nodes all of whose inputs are on their own device: a
+    /// copy of data the worker already holds.
+    local_fetches: usize,
     messages: u64,
     /// Distinct remote reads, `(node, input)`, the messages serve: an
     /// element several fetches on one device read crosses once.
@@ -83,11 +87,16 @@ fn measure(model: &'static str, g: &Graph, workers: usize) -> Result<Row, String
     }
     // The plan the steps ran, cached by the first.
     let exec = sharded.exec_plan(None).map_err(|e| format!("exec plan failed: {e}"))?;
+    let (graph, nodes) = (&sharded.graph, &sharded.device_of_node);
+    let local = |n: &Node, w: usize| {
+        n.op == "multi_fetch" && n.inputs.iter().all(|t| sharded.device_of_tensor[t.0] == Some(w))
+    };
     let row = Row {
         model,
         workers,
         comm_bytes: out.trace.comm_bytes(),
-        nodes: sharded.graph.num_nodes(),
+        nodes: graph.num_nodes(),
+        local_fetches: graph.node_ids().filter(|&n| local(graph.node(n), nodes[n.0])).count(),
         messages: out.trace.links.iter().map(|l| l.messages).sum(),
         remote_reads: planned.reads,
         transport_copy_bytes: out.trace.workers.iter().map(|w| w.transport_copy_bytes).sum(),
@@ -109,7 +118,6 @@ fn measure(model: &'static str, g: &Graph, workers: usize) -> Result<Row, String
             row.comm_bytes, row.messages, planned.bytes, planned.count
         ));
     }
-    let (graph, nodes) = (&sharded.graph, &sharded.device_of_node);
     let machine = Machine::p2_8xlarge();
     let sim = simulate_with_leaf_devices(graph, nodes, &sharded.device_of_tensor, &machine, false);
     if sim.comm_bytes != row.comm_bytes as f64 {
@@ -144,18 +152,31 @@ fn main() {
         with_updates: true,
     })
     .expect("wresnet builds");
+    let lstm_model = rnn(&RnnConfig {
+        layers: 2,
+        hidden: 64,
+        batch: 8,
+        steps: 20,
+        embed: 32,
+        vocab: 32,
+        with_updates: true,
+    })
+    .expect("lstm builds");
 
     let mut rows: Vec<Row> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
-    for (name, model) in
-        [("mlp-256x2 (batch 64)", &mlp_model), ("wresnet-50-1 (batch 8)", &wres_model)]
-    {
+    for (name, model) in [
+        ("mlp-256x2 (batch 64)", &mlp_model),
+        ("wresnet-50-1 (batch 8)", &wres_model),
+        ("lstm-2x64 (batch 8, 20 steps)", &lstm_model),
+    ] {
         println!("\n{name} — three steps per row");
         println!(
-            "{:<8} {:>12} {:>7} {:>9} {:>7} {:>14} {:>12} {:>12} {:>11} {:>6}",
+            "{:<8} {:>12} {:>7} {:>7} {:>9} {:>7} {:>14} {:>12} {:>12} {:>11} {:>6}",
             "workers",
             "comm bytes",
             "nodes",
+            "local",
             "messages",
             "reads",
             "copied bytes",
@@ -164,15 +185,16 @@ fn main() {
             "plan spans",
             "exact"
         );
-        println!("{}", "-".repeat(107));
+        println!("{}", "-".repeat(115));
         for workers in WORKERS {
             match measure(name, &model.graph, workers) {
                 Ok(r) => {
                     println!(
-                        "{:<8} {:>12} {:>7} {:>9} {:>7} {:>14} {:>12} {:>12} {:>11} {:>6}",
+                        "{:<8} {:>12} {:>7} {:>7} {:>9} {:>7} {:>14} {:>12} {:>12} {:>11} {:>6}",
                         r.workers,
                         r.comm_bytes,
                         r.nodes,
+                        r.local_fetches,
                         r.messages,
                         r.remote_reads,
                         r.transport_copy_bytes,
@@ -196,6 +218,7 @@ fn main() {
                 ("workers", Json::from(r.workers)),
                 ("comm_bytes", Json::from(r.comm_bytes)),
                 ("nodes", Json::from(r.nodes)),
+                ("local_fetches", Json::from(r.local_fetches)),
                 ("messages", Json::from(r.messages)),
                 ("remote_reads", Json::from(r.remote_reads)),
                 ("transport_copy_bytes", Json::from(r.transport_copy_bytes)),

@@ -4,13 +4,18 @@
 //! [`PartitionPlan`]: each operator becomes `k` device-tagged instances;
 //! remote input regions are gathered by fused [`multi_fetch`] nodes (the
 //! paper's MultiFetch kernel, which also materializes convolution padding as
-//! zero fill); Case-2 partial outputs are combined by a spread reduction, in
-//! which every worker reduces only its own output shard, in one fused
-//! fetch-reduce: a single `multi_fetch` copies the first reduce-peer class's
-//! pieces of the shard and folds every later class's into them, in class
-//! order, with the reducer's own scalar op; and extra control dependencies
-//! re-serialize each worker's sub-schedule so the memory planner keeps
-//! reusing buffers (Fig. 7).
+//! zero fill); a worker reads what it holds: an input region inside its own
+//! shard is read from the shard itself wherever the op can express the
+//! offset (a `slice_axis` rebased onto the shard, a convolution padding the
+//! shard itself), and through a local `multi_fetch` copy only elsewhere
+//! (`conv2d_bwd_filter`'s prefix read stays a copy: the simulator rates
+//! reading the whole shard slower); Case-2 partial outputs are combined by
+//! a spread reduction, in which every worker reduces only its own output
+//! shard, in one fused fetch-reduce: a single `multi_fetch` copies the first
+//! reduce-peer class's pieces of the shard and folds every later class's
+//! into them, in class order, with the reducer's own scalar op; and extra
+//! control dependencies re-serialize each worker's sub-schedule so the
+//! memory planner keeps reusing buffers (Fig. 7).
 //!
 //! The per-worker input regions are *derived from the TDL descriptions* by
 //! the same §4.2 region analysis strategy discovery runs
@@ -270,9 +275,41 @@ fn sensitive_vars(op: &str) -> &'static [usize] {
 }
 
 /// Operators whose remote gathers materialize out-of-bounds reads as zeros
-/// (convolution padding); their `pad` attribute is zeroed per worker.
+/// (convolution padding); a worker that fetches its data input runs with
+/// `pad` zeroed, one that reads its shard in place keeps it.
 fn materializes_padding(op: &str) -> bool {
     matches!(op, "conv1d" | "conv2d")
+}
+
+/// Whether the worker's own shard of input `i`, covering `held`, can stand
+/// in for the `region` of it the op reads, the op expressing the offset:
+/// `slice_axis` slices a shard equal to its region off the slice axis and
+/// containing it on it; a convolution computing its whole spatial output
+/// pads, with its own `pad`, a data shard that holds the whole spatial input
+/// and the batch and channels it reads.
+fn reads_in_place(
+    g: &Graph,
+    node: &tofu_graph::Node,
+    i: usize,
+    held: &Region,
+    region: &Region,
+    block: &Region,
+) -> bool {
+    // Whether `r` spans the spatial dimensions (2..) of `t` whole.
+    let spatial = |r: &Region, t: TensorId| {
+        r[2..].iter().zip(&g.tensor(t).shape.dims()[2..]).all(|(&r, &e)| r == (0, e as i64))
+    };
+    match node.op.as_str() {
+        "slice_axis" => {
+            let axis = node.attrs.int_or("axis", 0) as usize;
+            let inside = |d: usize| held[d].0 <= region[d].0 && region[d].1 <= held[d].1;
+            (0..held.len()).all(|d| held[d] == region[d] || (d == axis && inside(d)))
+        }
+        op if materializes_padding(op) && i == 0 => {
+            held[..2] == region[..2] && spatial(held, node.inputs[0]) && spatial(block, node.output)
+        }
+        _ => false,
+    }
 }
 
 /// Computes the per-worker shard region of a tensor from the plan's tiling.
@@ -543,11 +580,21 @@ pub fn generate(g: &Graph, plan: &PartitionPlan, opts: &GenOptions) -> Result<Sh
             let binding: Vec<SymInterval> =
                 ranges.iter().map(|&(lo, hi)| constant(lo, hi)).collect();
             let footprints = access_regions(&desc, &binding)?;
+            let block: Region = (0..desc.output_rank())
+                .map(|v| (ranges[v].0.round() as i64, ranges[v].1.round() as i64))
+                .collect();
             let mut new_inputs: Vec<TensorId> = Vec::with_capacity(node.inputs.len());
             let mut input_regions: Vec<Region> = Vec::with_capacity(node.inputs.len());
+            let mut pads_itself = false;
             for (i, &t) in node.inputs.iter().enumerate() {
-                let region = input_region(footprints[i].as_ref(), &g.tensor(t).shape, materialize);
-                new_inputs.push(if regions[&t][w] == region {
+                let mut region =
+                    input_region(footprints[i].as_ref(), &g.tensor(t).shape, materialize);
+                let held = &regions[&t][w];
+                if *held != region && reads_in_place(g, node, i, held, &region, &block) {
+                    pads_itself |= materialize;
+                    region = held.clone();
+                }
+                new_inputs.push(if *held == region {
                     shards[&t][w]
                 } else {
                     let sources = shards[&t].iter().copied().zip(&regions[&t]);
@@ -558,11 +605,8 @@ pub fn generate(g: &Graph, plan: &PartitionPlan, opts: &GenOptions) -> Result<Sh
             }
 
             // Adjusted attributes per worker.
-            let block: Region = (0..desc.output_rank())
-                .map(|v| (ranges[v].0.round() as i64, ranges[v].1.round() as i64))
-                .collect();
-            let attrs =
-                adjust_attrs(&node.op, &node.attrs, &block, &input_regions, materialize);
+            let zero_pad = materialize && !pads_itself;
+            let attrs = adjust_attrs(&node.op, &node.attrs, &block, &input_regions, zero_pad);
             let name = format!("w{w}/{}", node.name);
             let out_t = out.op(w, &node.op, &name, &new_inputs, attrs, node.tags.clone())?;
             let expect: Vec<usize> = block.iter().map(|&(lo, hi)| (hi - lo) as usize).collect();
@@ -661,10 +705,10 @@ fn adjust_attrs(
     attrs: &Attrs,
     block: &Region,
     input_regions: &[Region],
-    materialize: bool,
+    zero_pad: bool,
 ) -> Attrs {
     let mut a = attrs.clone();
-    if materialize {
+    if zero_pad {
         a = a.with_int("pad", 0);
     }
     match op {
@@ -722,7 +766,7 @@ mod tests {
     use super::*;
     use crate::baselines::{run, Algorithm};
     use crate::recursive::{partition, PartitionOptions};
-    use tofu_graph::{autodiff, Executor};
+    use tofu_graph::{autodiff, Executor, Node};
 
     /// Trains one step of a small MLP; returns the graph plus tensors whose
     /// values validation compares.
@@ -1041,6 +1085,73 @@ mod tests {
             let got = out.fetch(0, classes, Some(Reducer::Max), &whole, why);
             assert_eq!(got.is_ok(), ok, "{why}: {got:?}");
             assert!(ok || matches!(got, Err(CoreError::Internal(_))), "{why}");
+        }
+    }
+
+    /// A graph of one `op` on an input `x` and, if given, a weight `f`.
+    fn one_op(op: &str, x: &[usize], f: Option<&[usize]>, attrs: Attrs) -> (Graph, Vec<TensorId>) {
+        let mut g = Graph::new();
+        let mut inputs = vec![g.add_input("x", Shape::new(x.to_vec()))];
+        inputs.extend(f.map(|f| g.add_weight("f", Shape::new(f.to_vec()))));
+        let y = g.add_op(op, "op", &inputs, attrs).unwrap();
+        (g, vec![y])
+    }
+
+    /// Generates `g` under `plan`; returns the graph, its `multi_fetch`
+    /// count and each worker's compute node.
+    fn generate_one_op(g: &Graph, plan: &PartitionPlan) -> (ShardedGraph, usize, Vec<Node>) {
+        let sharded = generate(g, plan, &GenOptions::default()).unwrap();
+        let out = &sharded.graph;
+        let fetches = out.node_ids().filter(|&n| out.node(n).op == "multi_fetch").count();
+        let by_name = |w: usize| out.node_ids().find(|&n| out.node(n).name == format!("w{w}/op"));
+        let computes = (0..plan.workers).map(|w| out.node(by_name(w).unwrap()).clone()).collect();
+        (sharded, fetches, computes)
+    }
+
+    /// The LSTM's gate slice under the AllRow-Greedy plan at w=2 (each
+    /// tensor split on dim 0 where that divides, else on its first divisible
+    /// dim): split by batch, `slice_axis` of a `[b, 4h]`
+    /// tensor reads each worker's own shard, `begin` rebased onto it, with
+    /// no `multi_fetch`. Split along the sliced axis, the worker holding the
+    /// gate reads its shard at the rebased offset and the other fetches.
+    #[test]
+    fn a_gate_slice_reads_the_shard_it_holds() {
+        let gate = Attrs::new().with_int("axis", 1).with_int("begin", 8).with_int("end", 12);
+        for (batch, fetches, begins) in [(4, 0, [Some(8), Some(8)]), (1, 1, [None, Some(2)])] {
+            let (g, check) = one_op("slice_axis", &[batch, 16], None, gate.clone());
+            let plan = run(&g, Algorithm::AllRowGreedy, 2).unwrap();
+            let (sharded, got, computes) = generate_one_op(&g, &plan);
+            assert_eq!(got, fetches, "batch {batch}");
+            let x = &sharded.shards[&TensorId(0)];
+            for (w, node) in computes.iter().enumerate() {
+                let held = node.inputs[0] == x[w];
+                assert_eq!(held.then(|| node.attrs.int("begin").unwrap()), begins[w], "w{w}");
+            }
+            validate(&g, &plan, &check, 0.0);
+        }
+    }
+
+    /// Split by batch, a padded `conv2d` (or `conv1d`) pads the data shard
+    /// it holds itself: no fetch, `pad` kept. Split spatially (batch 1),
+    /// each worker still assembles its halo in a zero-filling `multi_fetch`
+    /// and convolves with `pad = 0`.
+    #[test]
+    fn a_padded_conv_pads_its_own_shard_unless_split_spatially() {
+        let attrs = Attrs::new().with_int("stride", 1).with_int("pad", 1);
+        for (op, x, fetches, pad) in [
+            ("conv2d", &[4, 3, 6, 6][..], 0, 1),
+            ("conv2d", &[1, 3, 6, 6], 2, 0),
+            ("conv1d", &[4, 3, 6], 0, 1),
+            ("conv1d", &[1, 3, 6], 2, 0),
+        ] {
+            let (g, check) = one_op(op, x, Some(&[3; 4][..x.len()]), attrs.clone());
+            let plan = run(&g, Algorithm::AllRowGreedy, 2).unwrap();
+            let (_, got, computes) = generate_one_op(&g, &plan);
+            assert_eq!(got, fetches, "{op} {x:?}");
+            for node in &computes {
+                assert_eq!(node.attrs.int("pad"), Some(pad), "{op} {x:?}");
+            }
+            validate(&g, &plan, &check, 0.0);
         }
     }
 

@@ -152,36 +152,6 @@ impl Exp {
         Exp(ScalarExpr::Binary { op, lhs: Box::new(self.0), rhs: Box::new(rhs.0) })
     }
 
-    /// Element-wise exponential.
-    pub fn exp(self) -> Exp {
-        self.unary(UnaryOp::Exp)
-    }
-
-    /// Element-wise natural logarithm.
-    pub fn log(self) -> Exp {
-        self.unary(UnaryOp::Log)
-    }
-
-    /// Element-wise square root.
-    pub fn sqrt(self) -> Exp {
-        self.unary(UnaryOp::Sqrt)
-    }
-
-    /// Element-wise hyperbolic tangent.
-    pub fn tanh(self) -> Exp {
-        self.unary(UnaryOp::Tanh)
-    }
-
-    /// Element-wise rectifier.
-    pub fn relu(self) -> Exp {
-        self.unary(UnaryOp::Relu)
-    }
-
-    /// Element-wise absolute value.
-    pub fn abs(self) -> Exp {
-        self.unary(UnaryOp::Abs)
-    }
-
     /// Element-wise maximum.
     pub fn max(self, rhs: Exp) -> Exp {
         self.binary(BinaryOp::Max, rhs)
@@ -327,7 +297,7 @@ mod tests {
         let (i, j) = (b.output_var("i"), b.output_var("j"));
         let x = b.input(0, &[i.at(), j.at()]);
         let y = b.input(1, &[i.at(), j.at()]);
-        let body = x.exp() * y.tanh();
+        let body = x.unary(UnaryOp::Exp) * y.unary(UnaryOp::Tanh);
         let desc = b.build(body).unwrap();
         assert!(desc.is_elementwise());
     }
@@ -381,7 +351,8 @@ mod tests {
         let mut b = DescBuilder::new("mix", &[1]);
         let i = b.output_var("i");
         let x = b.input(0, &[i.at()]);
-        let e = (-(x.clone().exp() + Exp::constant(1.0)).log()).max(x.min(Exp::constant(0.0)));
+        let softplus = (x.clone().unary(UnaryOp::Exp) + Exp::constant(1.0)).unary(UnaryOp::Log);
+        let e = (-softplus).max(x.min(Exp::constant(0.0)));
         // Just verify it builds into a valid description.
         assert!(b.build(e).is_ok());
     }

@@ -13,8 +13,11 @@
 //! and every original tensor gathered from its shards, which moves only
 //! with a value of the original step. The gathered hashes were recorded
 //! while each spread reduction was still a gather per reduce-peer class
-//! plus a combiner, and held unedited when it became one fused fetch; the
-//! whole-graph hashes were re-recorded then.
+//! plus a combiner, and held unedited when it became one fused fetch and
+//! when a worker began to read the gate slices and padded convolutions of
+//! its own shard in place; the whole-graph hashes were re-recorded each
+//! time (the second time only the LSTM's and WResNet's: a dropped copy
+//! drops its value).
 //!
 //! The two full-size models take 33 s and 79 s unoptimised, so a debug
 //! `cargo test` ignores them and `scripts/check.sh` runs this file with
@@ -139,7 +142,7 @@ fn lstm_values_are_bit_identical_to_the_recorded_ones() {
     .unwrap()
     .graph;
     assert_values(&g, 0x4a2bda41a298e11a);
-    assert_sharded_values(&g, 2, 0x29be328f58c1e8fc, 0x4e292a3100957ed3);
+    assert_sharded_values(&g, 2, 0xd9b36c7570952550, 0x4e292a3100957ed3);
 }
 
 #[test]
@@ -164,5 +167,5 @@ fn wresnet_values_are_bit_identical_to_the_recorded_ones() {
     .unwrap()
     .graph;
     assert_values(&g, 0xebc190c3370a75c1);
-    assert_sharded_values(&g, 2, 0xa4a3c6e069d0c541, 0x4dcac61727a84522);
+    assert_sharded_values(&g, 2, 0x90941b937ec99e13, 0x4dcac61727a84522);
 }
