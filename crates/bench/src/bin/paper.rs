@@ -26,7 +26,7 @@ use tofu_core::{coarsen, flat, generate, GenOptions, ShapeView};
 use tofu_graph::{registry, Attrs, Graph, TensorId};
 use tofu_models::{rnn, wresnet, BuiltModel, RnnConfig, WResNetConfig};
 use tofu_sim::{ideal, op_placement, per_device_memory, run_partitioned, small_batch, swap};
-use tofu_sim::{Machine, Outcome, Perf, TofuSimOptions};
+use tofu_sim::{Machine, Outcome, Perf};
 use tofu_tensor::Shape;
 
 /// The global batch sizes the throughput sweeps try, largest first.
@@ -186,7 +186,7 @@ fn simulate(g: &Graph, alg: Algorithm, batch: usize, machine: &Machine) -> Sim {
     let plan = baselines::run(g, alg, machine.gpus).map_err(|e| format!("search failed: {e}"));
     let search = started.elapsed();
     let run = plan.as_ref().map_err(String::clone).and_then(|plan| {
-        let run = run_partitioned(g, plan, batch, machine, &TofuSimOptions::default());
+        let run = run_partitioned(g, plan, batch, machine, &GenOptions::default());
         run.map_err(|e| format!("generation failed: {e}"))
     });
     let (cell, comm_gb) = match run {
@@ -624,7 +624,7 @@ fn ablation(memo: &mut Memo) -> Json {
 
     let rnn_plan = memo.plan(rnn, Algorithm::Tofu, 256).clone();
     let no_deps =
-        run_partitioned(&rnn_g, &rnn_plan, 256, &machine, &TofuSimOptions { control_deps: false });
+        run_partitioned(&rnn_g, &rnn_plan, 256, &machine, &GenOptions { control_deps: false });
     let off = no_deps.expect("generates").per_device_gb.into_iter().fold(0.0, f64::max);
     let deps = on_off(format!("Fig. 7 control dependencies, {rnn}"), peak(memo, rnn, 256), off);
 

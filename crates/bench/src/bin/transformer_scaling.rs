@@ -28,7 +28,7 @@ use tofu_bench::{bench_report, transfers, write_report, Json};
 use tofu_core::{generate, partition, GenOptions, NodeChoice, PartitionOptions, PartitionPlan};
 use tofu_graph::{Graph, NodeId};
 use tofu_models::{decoder_block, DecoderConfig};
-use tofu_sim::{Machine, TofuSimOptions};
+use tofu_sim::Machine;
 
 /// Paper-scale sequence lengths (tokens per step; batch folded in).
 const SEQS: [usize; 5] = [512, 1024, 2048, 4096, 8192];
@@ -116,7 +116,7 @@ fn main() {
                 &plan,
                 seq,
                 &machine,
-                &TofuSimOptions::default(),
+                &GenOptions::default(),
             ) {
                 Ok(r) => r,
                 Err(e) => {

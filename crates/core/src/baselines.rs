@@ -16,14 +16,12 @@ use std::collections::BTreeMap;
 
 use tofu_graph::{Graph, TensorId};
 
-use crate::dp::{NodeChoice, StepPlan};
+use crate::dp::{node_cost, ExtraInputs, NodeChoice, StepPlan};
 use crate::recursive::{
     factorize, partition_with_factors, PartitionOptions, PartitionPlan, StepRecord,
 };
-use crate::spec::{
-    input_fetch_bytes, legal_specs, output_bytes, respec_bytes, ConcreteOut, TensorSpec,
-};
-use crate::strategies::{node_strategies, strategy_feasible, NodeStrategy, ShapeView};
+use crate::spec::{legal_specs, TensorSpec};
+use crate::strategies::{node_strategies, strategy_feasible, ShapeView};
 use crate::Result;
 
 /// The partition algorithm to run.
@@ -111,16 +109,8 @@ fn spartan_plan(g: &Graph, workers: usize) -> Result<PartitionPlan> {
     order.sort_by_key(|&t| std::cmp::Reverse(view.shape(t).volume()));
 
     // Strategy lists per node, computed once.
-    let mut strategies: Vec<Vec<NodeStrategy>> = Vec::with_capacity(g.num_nodes());
-    for id in g.node_ids() {
-        let out_shape = view.shape(g.node(id).output).clone();
-        strategies.push(
-            node_strategies(g, id, &view)?
-                .into_iter()
-                .filter(|s| strategy_feasible(s, &out_shape, workers))
-                .collect(),
-        );
-    }
+    let choices: Vec<Vec<NodeChoice>> =
+        g.node_ids().map(|id| node_choices(g, &view, id, workers)).collect::<Result<_>>()?;
 
     let mut assigned: BTreeMap<TensorId, TensorSpec> = BTreeMap::new();
     for &t in &order {
@@ -132,11 +122,10 @@ fn spartan_plan(g: &Graph, workers: usize) -> Result<PartitionPlan> {
         }
         let mut best = (f64::INFINITY, legal[0]);
         for &candidate in &legal {
+            let trial = |u| if u == t { Some(candidate) } else { assigned.get(&u).copied() };
             let mut cost = 0.0;
             for &n in &incident {
-                let mut trial = assigned.clone();
-                trial.insert(t, candidate);
-                cost += node_min_cost(g, &view, n, &strategies[n.0], &trial, workers).0;
+                cost += node_min_cost(g, &view, n, &choices[n.0], &trial, workers).0;
             }
             if cost < best.0 {
                 best = (cost, candidate);
@@ -148,43 +137,38 @@ fn spartan_plan(g: &Graph, workers: usize) -> Result<PartitionPlan> {
     finish_single_step(g, &view, specs, workers)
 }
 
-/// Minimum cost (and strategy index) of one node given partial/total specs;
-/// unassigned tensors are treated as free (cost 0 contributions).
+/// A node's feasible strategies at `workers` ways, as choices.
+fn node_choices(
+    g: &Graph,
+    view: &ShapeView,
+    id: tofu_graph::NodeId,
+    workers: usize,
+) -> Result<Vec<NodeChoice>> {
+    let out_shape = view.shape(g.node(id).output);
+    Ok(node_strategies(g, id, view)?
+        .into_iter()
+        .filter(|s| strategy_feasible(s, out_shape, workers))
+        .map(NodeChoice::Strategy)
+        .collect())
+}
+
+/// Minimum cost (and choice index) of one node given partial/total specs;
+/// unassigned tensors (`spec` returns `None`) cost nothing.
 fn node_min_cost(
     g: &Graph,
     view: &ShapeView,
     n: tofu_graph::NodeId,
-    strategies: &[NodeStrategy],
-    specs: &BTreeMap<TensorId, TensorSpec>,
+    choices: &[NodeChoice],
+    spec: &impl Fn(TensorId) -> Option<TensorSpec>,
     ways: usize,
 ) -> (f64, usize) {
-    let node = g.node(n);
     let mut best = (f64::INFINITY, 0usize);
-    for (idx, st) in strategies.iter().enumerate() {
+    for (idx, choice) in choices.iter().enumerate() {
         let mut cost = 0.0;
-        for (i, &t) in node.inputs.iter().enumerate() {
-            if let Some(&spec) = specs.get(&t) {
-                if let Some(req) = st.inputs.get(i) {
-                    cost += input_fetch_bytes(view.shape(t), spec, req, ways);
-                }
-            }
-        }
-        match st.out {
-            ConcreteOut::Split(c) => {
-                if let Some(&spec) = specs.get(&node.output) {
-                    cost += respec_bytes(view.shape(node.output), TensorSpec::Split(c), spec, ways);
-                }
-            }
-            ConcreteOut::Reduce => {
-                cost += output_bytes(view.shape(node.output), ConcreteOut::Reduce, ways);
-            }
-        }
+        node_cost(g, view, &ExtraInputs::new(), n, choice, spec, ways, &mut cost);
         if cost < best.0 {
             best = (cost, idx);
         }
-    }
-    if best.0.is_infinite() {
-        best = (f64::INFINITY, 0);
     }
     best
 }
@@ -197,37 +181,25 @@ fn finish_single_step(
     specs: Vec<TensorSpec>,
     workers: usize,
 ) -> Result<PartitionPlan> {
-    let spec_map: BTreeMap<TensorId, TensorSpec> =
-        g.tensor_ids().map(|t| (t, specs[t.0])).collect();
+    let spec = |t: TensorId| Some(specs[t.0]);
     let mut node_choice: Vec<NodeChoice> = Vec::with_capacity(g.num_nodes());
     let mut total = 0.0;
     for id in g.node_ids() {
-        let out_shape = view.shape(g.node(id).output).clone();
-        let list: Vec<NodeStrategy> = node_strategies(g, id, view)?
-            .into_iter()
-            .filter(|s| strategy_feasible(s, &out_shape, workers))
-            .collect();
+        let mut list = node_choices(g, view, id, workers)?;
         if list.is_empty() {
             // Scalar-output nodes (e.g. the gradient seed) have no strategy;
             // replicate their (tiny) computation on every worker.
-            let node = g.node(id);
-            for &t in &node.inputs {
-                total += input_fetch_bytes(
-                    view.shape(t),
-                    spec_map[&t],
-                    &crate::spec::ConcreteReq::Replicated,
-                    workers,
-                );
-            }
-            node_choice.push(NodeChoice::Ewise(TensorSpec::Replicated));
+            let replicated = NodeChoice::Ewise(TensorSpec::Replicated);
+            node_cost(g, view, &ExtraInputs::new(), id, &replicated, &spec, workers, &mut total);
+            node_choice.push(replicated);
             continue;
         }
-        let (cost, idx) = node_min_cost(g, view, id, &list, &spec_map, workers);
+        let (cost, idx) = node_min_cost(g, view, id, &list, &spec, workers);
         total += cost;
-        node_choice.push(NodeChoice::Strategy(list[idx].clone()));
+        node_choice.push(list.swap_remove(idx));
     }
-    let plan = StepPlan { ways: workers, tensor_spec: specs.clone(), node_choice, comm_bytes: total };
     let tiling: Vec<Vec<Option<usize>>> = specs.iter().map(|s| vec![s.dim()]).collect();
+    let plan = StepPlan { ways: workers, tensor_spec: specs, node_choice, comm_bytes: total };
     Ok(PartitionPlan {
         workers,
         steps: vec![StepRecord { ways: workers, groups_before: 1, plan }],
@@ -238,6 +210,7 @@ fn finish_single_step(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::ConcreteOut;
     use tofu_graph::{autodiff, Attrs};
     use tofu_tensor::Shape;
 

@@ -108,6 +108,19 @@ pub enum NodeChoice {
     Ewise(TensorSpec),
 }
 
+impl NodeChoice {
+    /// What this choice needs from input `i` of `shape`: a strategy's
+    /// requirement (`Unused` for an input it does not list), or, for an
+    /// element-wise choice split by `class_spec`, the same split, or the
+    /// whole tensor when the input has no such dimension.
+    pub(crate) fn req(&self, i: usize, shape: &Shape) -> ConcreteReq {
+        match self {
+            NodeChoice::Strategy(st) => st.inputs.get(i).cloned().unwrap_or(ConcreteReq::Unused),
+            NodeChoice::Ewise(class_spec) => ewise_req(*class_spec, shape),
+        }
+    }
+}
+
 /// The basic partition plan of one step.
 #[derive(Debug, Clone)]
 pub struct StepPlan {
@@ -230,11 +243,10 @@ fn build_bundles(
 struct ClassInfo {
     rep: NodeId,
     members: Vec<NodeId>,
-    is_ewise: bool,
-    /// Feasible strategies of the representative (empty for ewise classes).
-    strategies: Vec<NodeStrategy>,
-    /// Bundle of the class's outputs.
-    own_bundle: usize,
+    /// The choices open to the class: the representative's feasible
+    /// strategies, or for an element-wise class one per legal spec of its
+    /// output bundle, of which [`class_cost`] tries the one the bundle has.
+    strategies: Vec<NodeChoice>,
     /// Every bundle this class touches, sorted — the memoization key domain.
     touched: Vec<usize>,
 }
@@ -263,9 +275,9 @@ fn build_classes(
             continue;
         }
         let rep = members[0];
-        let is_ewise = cg.class_is_ewise[ci];
-        let strategies = if is_ewise {
-            Vec::new()
+        let own_bundle = bundles.of_tensor[g.node(rep).output.0];
+        let strategies = if cg.class_is_ewise[ci] {
+            bundles.legal[own_bundle].iter().map(|&s| NodeChoice::Ewise(s)).collect()
         } else {
             let out_shape = view.shape(g.node(rep).output).clone();
             let analysed = cg.analysis[ci].as_deref().filter(|_| reuse_analysis);
@@ -292,7 +304,7 @@ fn build_classes(
             if let Some(c) = obs {
                 c.add_total("dp/strategies_feasible", kept.len() as f64);
             }
-            kept
+            kept.into_iter().map(NodeChoice::Strategy).collect()
         };
         let mut touched: Vec<usize> = Vec::new();
         for &m in members {
@@ -310,9 +322,7 @@ fn build_classes(
         classes.push(Some(ClassInfo {
             rep,
             members: members.clone(),
-            is_ewise,
             strategies,
-            own_bundle: bundles.of_tensor[g.node(rep).output.0],
             touched,
         }));
     }
@@ -347,8 +357,7 @@ pub fn unoptimized_search(
     // Class-cost memoization: specs of a class's touched bundles fully
     // determine its cost, so (class, spec-key) results are cached across the
     // state x combo product.
-    type ClassCostCache =
-        std::collections::HashMap<(usize, Vec<u8>), Option<(f64, Option<usize>)>>;
+    type ClassCostCache = std::collections::HashMap<(usize, Vec<u8>), Option<(f64, usize)>>;
     let mut cost_cache: ClassCostCache = ClassCostCache::new();
     const REP: u8 = u8::MAX;
     let enc = TensorSpec::enc;
@@ -363,7 +372,7 @@ pub fn unoptimized_search(
     struct Trace {
         prev: StateKey,
         resolved: Vec<(usize, TensorSpec)>,
-        class_choice: Vec<(usize, usize)>, // (class, strategy index)
+        class_choice: Vec<(usize, usize)>, // (class, choice index)
     }
     let mut traces: Vec<BTreeMap<StateKey, Trace>> = Vec::with_capacity(cg.groups.len());
 
@@ -425,11 +434,9 @@ pub fn unoptimized_search(
                             class_cost(g, view, extra, info, &spec, ways)
                         });
                     match cached {
-                        Some((c, choice)) => {
+                        Some((c, idx)) => {
                             total += *c;
-                            if let Some(idx) = choice {
-                                choices.push((ci, *idx));
-                            }
+                            choices.push((ci, *idx));
                         }
                         None => {
                             feasible = false;
@@ -543,14 +550,10 @@ pub fn unoptimized_search(
     for id in g.node_ids() {
         let ci = cg.class_of[id.0];
         let info = classes[ci].as_ref().expect("class exists");
-        if info.is_ewise {
-            node_choice.push(NodeChoice::Ewise(bundle_spec[info.own_bundle]));
-        } else {
-            let idx = class_choice.get(&ci).copied().ok_or_else(|| {
-                CoreError::Internal(format!("no strategy recorded for class {ci}"))
-            })?;
-            node_choice.push(NodeChoice::Strategy(info.strategies[idx].clone()));
-        }
+        let idx = class_choice.get(&ci).copied().ok_or_else(|| {
+            CoreError::Internal(format!("no strategy recorded for class {ci}"))
+        })?;
+        node_choice.push(info.strategies[idx].clone());
     }
 
     Ok(StepPlan { ways, tensor_spec, node_choice, comm_bytes: total_cost })
@@ -1169,27 +1172,17 @@ pub fn search(
     for id in g.node_ids() {
         let ci = cg.class_of[id.0];
         let info = classes[ci].as_ref().expect("class exists");
-        if info.is_ewise {
-            node_choice.push(NodeChoice::Ewise(bundle_spec[info.own_bundle]));
-        } else {
-            let idx = match class_pick[ci] {
-                Some(i) => i,
-                None => {
-                    let (_, choice) =
-                        class_cost(g, view, extra, info, &spec_of, ways).ok_or_else(|| {
-                            CoreError::Internal(format!(
-                                "winning plan infeasible for class {ci}"
-                            ))
-                        })?;
-                    let i = choice.ok_or_else(|| {
-                        CoreError::Internal(format!("no strategy recorded for class {ci}"))
-                    })?;
-                    class_pick[ci] = Some(i);
-                    i
-                }
-            };
-            node_choice.push(NodeChoice::Strategy(info.strategies[idx].clone()));
-        }
+        let idx = match class_pick[ci] {
+            Some(i) => i,
+            None => {
+                let (_, i) = class_cost(g, view, extra, info, &spec_of, ways).ok_or_else(|| {
+                    CoreError::Internal(format!("winning plan infeasible for class {ci}"))
+                })?;
+                class_pick[ci] = Some(i);
+                i
+            }
+        };
+        node_choice.push(info.strategies[idx].clone());
     }
 
     Ok(StepPlan { ways, tensor_spec, node_choice, comm_bytes: total_cost })
@@ -1254,8 +1247,10 @@ fn enumerate_assignments(
     }
 }
 
-/// Cost of one class under a full spec assignment; `None` when no feasible
-/// strategy exists. Returns the chosen strategy index for non-ewise classes.
+/// Cost of one class under a full spec assignment, and the index of its
+/// cheapest choice; `None` when no feasible choice exists. The class's
+/// members share one choice, costed summed over them (first/last timesteps
+/// may read different bundles than interior ones).
 fn class_cost(
     g: &Graph,
     view: &ShapeView,
@@ -1263,69 +1258,71 @@ fn class_cost(
     info: &ClassInfo,
     spec: &impl Fn(TensorId) -> TensorSpec,
     ways: usize,
-) -> Option<(f64, Option<usize>)> {
-    if info.is_ewise {
-        let class_spec = spec(g.node(info.rep).output);
-        // Every member's inputs must arrive partitioned identically; sum the
-        // mismatch cost over all coalesced members.
-        let mut cost = 0.0;
-        for &m in &info.members {
-            let node = g.node(m);
-            for &t in &node.inputs {
-                let shape = view.shape(t);
-                let req = ewise_req(class_spec, shape);
-                cost += input_fetch_bytes(shape, spec(t), &req, ways);
-            }
-            for (_, t) in extra.of_node(m) {
-                let shape = view.shape(t);
-                let req = ewise_req(class_spec, shape);
-                cost += input_fetch_bytes(shape, spec(t), &req, ways);
-            }
-            // Output respec: the class computes its outputs in `class_spec`
-            // by construction, which is also the bundle spec -> free.
-        }
-        return Some((cost, None));
-    }
-
-    // Non-ewise: the whole class shares one strategy; pick the cheapest over
-    // the summed per-member costs (first/last timesteps may read different
-    // bundles than interior ones).
+) -> Option<(f64, usize)> {
+    let out_spec = spec(g.node(info.rep).output);
     let mut best: Option<(f64, usize)> = None;
-    for (idx, st) in info.strategies.iter().enumerate() {
+    for (idx, choice) in info.strategies.iter().enumerate() {
+        // An element-wise class computes its outputs in its bundle's spec.
+        if matches!(choice, NodeChoice::Ewise(s) if *s != out_spec) {
+            continue;
+        }
         let mut total = 0.0;
         for &m in &info.members {
-            let node = g.node(m);
-            let out_shape = view.shape(node.output);
-            for (i, &t) in node.inputs.iter().enumerate() {
-                let req = st.inputs.get(i).cloned().unwrap_or(ConcreteReq::Unused);
-                total += input_fetch_bytes(view.shape(t), spec(t), &req, ways);
-            }
-            for (for_input, t) in extra.of_node(m) {
-                // The buffer is a slab of the original input: splitting it
-                // the way the strategy needs is free; anything else costs
-                // like the input itself.
-                let req = st.inputs.get(for_input).cloned().unwrap_or(ConcreteReq::Unused);
-                total += input_fetch_bytes(view.shape(t), spec(t), &req, ways);
-            }
-            total += match st.out {
-                ConcreteOut::Split(c) => {
-                    respec_bytes(out_shape, TensorSpec::Split(c), spec(node.output), ways)
-                }
-                ConcreteOut::Reduce => output_bytes(out_shape, ConcreteOut::Reduce, ways),
-            };
+            node_cost(g, view, extra, m, choice, &|t| Some(spec(t)), ways, &mut total);
         }
         if best.map(|(b, _)| total < b).unwrap_or(true) {
             best = Some((total, idx));
         }
     }
-    best.map(|(c, idx)| (c, Some(idx)))
+    best
+}
+
+/// Adds to `total` the bytes node `m` moves under `choice` (§5, Lemma 1):
+/// each input, then each Fig. 6 buffer attached to the node, then a
+/// strategy's output — a respec to the output's spec, or a reduction. An
+/// element-wise choice computes its output in the class spec, so its
+/// output is free. `spec` gives each tensor's spec at this step; a tensor
+/// without one costs nothing. The DP, the Fig. 6 recursion's buffers and
+/// the Fig. 10 baselines all cost a choice here, in this order, so their
+/// sums agree bit for bit.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn node_cost(
+    g: &Graph,
+    view: &ShapeView,
+    extra: &ExtraInputs,
+    m: NodeId,
+    choice: &NodeChoice,
+    spec: &impl Fn(TensorId) -> Option<TensorSpec>,
+    ways: usize,
+    total: &mut f64,
+) {
+    let node = g.node(m);
+    // A buffer is a slab of the input it serves: splitting it the way the
+    // choice needs that input is free; anything else costs like the input.
+    let inputs = node.inputs.iter().copied().enumerate();
+    for (i, t) in inputs.chain(extra.of_node(m)) {
+        if let Some(s) = spec(t) {
+            let shape = view.shape(t);
+            *total += input_fetch_bytes(shape, s, &choice.req(i, shape), ways);
+        }
+    }
+    if let NodeChoice::Strategy(st) = choice {
+        let out_shape = view.shape(node.output);
+        match st.out {
+            ConcreteOut::Split(c) => {
+                if let Some(s) = spec(node.output) {
+                    *total += respec_bytes(out_shape, TensorSpec::Split(c), s, ways);
+                }
+            }
+            ConcreteOut::Reduce => *total += output_bytes(out_shape, ConcreteOut::Reduce, ways),
+        }
+    }
 }
 
 /// What an element-wise class split by `class_spec` requires of an input of
 /// `shape`: the same split, or the whole tensor when the input has no such
-/// dimension. The DP charges this requirement and the Fig. 6 recursion
-/// sizes the buffers it fetches by it.
-pub(crate) fn ewise_req(class_spec: TensorSpec, shape: &Shape) -> ConcreteReq {
+/// dimension.
+fn ewise_req(class_spec: TensorSpec, shape: &Shape) -> ConcreteReq {
     match class_spec {
         TensorSpec::Split(d) if d < shape.rank() => ConcreteReq::Split { dim: d, halo: 0.0 },
         _ => ConcreteReq::Replicated,

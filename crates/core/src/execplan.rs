@@ -50,32 +50,21 @@ use tofu_obs::{Collector, Track};
 use tofu_tensor::ReduceKind;
 
 use crate::error::CoreError;
-use crate::genplan::ShardedGraph;
+use crate::genplan::{CommEdge, ShardedGraph};
 use crate::Result;
 
-/// One cross-device transfer: a [`CommEdge`](crate::CommEdge) with its
-/// receive slot and the schedule position that produces it.
+/// One cross-device transfer: a [`CommEdge`] with its receive slot and the
+/// schedule position that produces it. The edge's first reader is the stamp
+/// the sender puts on the message.
 #[derive(Debug, Clone)]
 pub struct Transfer {
-    /// The tensor the block is cut from.
-    pub tensor: TensorId,
-    /// Device owning `tensor`.
-    pub src: usize,
-    /// Device executing the readers.
-    pub dst: usize,
-    /// Receive slot on `dst`.
+    /// The block, its devices and its readers.
+    pub edge: CommEdge,
+    /// Receive slot on `edge.dst`.
     pub slot: u32,
-    /// Position of `tensor`'s producer in `src`'s schedule (`None` for a
-    /// leaf shard).
+    /// Position of `edge.tensor`'s producer in `edge.src`'s schedule
+    /// (`None` for a leaf shard).
     pub produced_at: Option<usize>,
-    /// Start of the block inside `tensor`.
-    pub src_begin: Vec<i64>,
-    /// Block extent per dimension.
-    pub len: Vec<i64>,
-    /// Every `(multi_fetch node, input index)` whose piece overlaps the
-    /// block, in node order: the first is the stamp the sender puts on the
-    /// message.
-    pub readers: Vec<(NodeId, usize)>,
 }
 
 /// Where one `multi_fetch` input comes from.
@@ -325,16 +314,8 @@ impl ExecPlan {
                     parts[reader.0].push((i, read.part(&e.src_begin, &e.len, slot)));
                 }
             }
-            transfers.push(Transfer {
-                tensor: e.tensor,
-                src: e.src,
-                dst: e.dst,
-                slot,
-                produced_at: g.producer(e.tensor).map(|p| position[p.0]),
-                src_begin: e.src_begin,
-                len: e.len,
-                readers: e.readers,
-            });
+            let produced_at = g.producer(e.tensor).map(|p| position[p.0]);
+            transfers.push(Transfer { edge: e, slot, produced_at });
         }
         // Each remote input becomes its parts, kept in input order (none for
         // an empty piece).
@@ -370,8 +351,8 @@ impl ExecPlan {
         }
         // A remote read is a transfer, and every transfer source stays live,
         // so the floors above only ever stand for owners' reads.
-        let live =
-            buffers.iter().flat_map(|b| &b.persistent).chain(transfers.iter().map(|x| &x.tensor));
+        let sent = transfers.iter().map(|x| &x.edge.tensor);
+        let live = buffers.iter().flat_map(|b| &b.persistent).chain(sent);
         for t in live {
             last_read[t.0] = usize::MAX;
         }
@@ -420,8 +401,9 @@ impl ExecPlan {
         // pushes as a walk over the nodes would.
         let mut left: Vec<((NodeId, usize), usize)> = Vec::new();
         for (x, tr) in self.transfers.iter().enumerate() {
-            let remaining = tr.readers.iter().filter(|(r, _)| self.position[r.0] >= cuts[tr.dst]);
-            let reads = &mut routes[tr.dst].reads[tr.slot as usize];
+            let e = &tr.edge;
+            let remaining = e.readers.iter().filter(|(r, _)| self.position[r.0] >= cuts[e.dst]);
+            let reads = &mut routes[e.dst].reads[tr.slot as usize];
             for &read in remaining {
                 if *reads == 0 {
                     left.push((read, x));
@@ -432,9 +414,10 @@ impl ExecPlan {
         left.sort_unstable();
         for (_, x) in left {
             let tr = &self.transfers[x];
+            let src = tr.edge.src;
             match tr.produced_at {
-                Some(at) if at >= cuts[tr.src] => routes[tr.src].sends[at].push(x),
-                _ => routes[tr.src].startup.push(x),
+                Some(at) if at >= cuts[src] => routes[src].sends[at].push(x),
+                _ => routes[src].startup.push(x),
             }
         }
         routes
@@ -528,7 +511,8 @@ mod tests {
         for (x, (tr, (t, src, dst, begin, len, readers))) in
             plan.transfers.iter().zip(&walked).enumerate()
         {
-            let got = (tr.tensor, tr.src, tr.dst, &tr.src_begin, &tr.len, &tr.readers);
+            let e = &tr.edge;
+            let got = (e.tensor, e.src, e.dst, &e.src_begin, &e.len, &e.readers);
             assert_eq!(got, (*t, *src, *dst, begin, len, readers));
             assert_eq!(tr.slot, next_slot[*dst], "{tr:?}");
             next_slot[*dst] += 1;
@@ -543,7 +527,8 @@ mod tests {
                 .slots
                 .iter()
                 .map(|&x| {
-                    plan.transfers[x].readers.iter().filter(|&&(r, _)| !ran(r, w)).count() as u32
+                    let readers = &plan.transfers[x].edge.readers;
+                    readers.iter().filter(|&&(r, _)| !ran(r, w)).count() as u32
                 })
                 .collect();
             assert_eq!(r.reads, want, "worker {w}: reads per slot");
@@ -566,7 +551,7 @@ mod tests {
             }
             let first_left = |x: usize| {
                 let tr = &plan.transfers[x];
-                *tr.readers.iter().find(|&&(r, _)| !ran(r, tr.dst)).unwrap()
+                *tr.edge.readers.iter().find(|&&(r, _)| !ran(r, tr.edge.dst)).unwrap()
             };
             for list in std::iter::once(&r.startup).chain(&r.sends) {
                 let order: Vec<_> = list.iter().map(|&x| (first_left(x), x)).collect();
@@ -575,12 +560,12 @@ mod tests {
         }
         for (x, tr) in plan.transfers.iter().enumerate() {
             let got = routed.remove(&x);
-            if tr.readers.iter().all(|&(r, _)| ran(r, tr.dst)) {
+            if tr.edge.readers.iter().all(|&(r, _)| ran(r, tr.edge.dst)) {
                 assert!(got.is_none(), "{tr:?}: every reader ran before the cut");
                 continue;
             }
-            let owed = tr.produced_at.is_none_or(|p| cuts.is_some_and(|c| p < c[tr.src]));
-            let want = (tr.src, if owed { None } else { tr.produced_at });
+            let owed = tr.produced_at.is_none_or(|p| cuts.is_some_and(|c| p < c[tr.edge.src]));
+            let want = (tr.edge.src, if owed { None } else { tr.produced_at });
             assert_eq!(got, Some(want), "{tr:?}");
         }
         assert!(routed.is_empty(), "a route without a transfer");
@@ -591,7 +576,7 @@ mod tests {
         // piece and the transfer's block, and together they tile the piece.
         let mut serving: BTreeMap<(NodeId, usize), Vec<&Transfer>> = BTreeMap::new();
         for tr in &plan.transfers {
-            for &read in &tr.readers {
+            for &read in &tr.edge.readers {
                 serving.entry(read).or_default().push(tr);
             }
         }
@@ -618,9 +603,10 @@ mod tests {
                         let slot = FetchSource::Remote { slot: tr.slot };
                         assert_eq!((input.input, input.source), (i, slot));
                         for d in 0..p.len.len() {
-                            let lo = p.src_begin[d].max(tr.src_begin[d]);
-                            let hi = (p.src_begin[d] + p.len[d]).min(tr.src_begin[d] + tr.len[d]);
-                            assert_eq!(input.src_begin[d], lo - tr.src_begin[d], "{id:?} {i}");
+                            let (begin, len) = (&tr.edge.src_begin, &tr.edge.len);
+                            let lo = p.src_begin[d].max(begin[d]);
+                            let hi = (p.src_begin[d] + p.len[d]).min(begin[d] + len[d]);
+                            assert_eq!(input.src_begin[d], lo - begin[d], "{id:?} {i}");
                             assert_eq!(input.dst_begin[d], p.dst_begin[d] + lo - p.src_begin[d]);
                             assert_eq!(input.len[d], hi - lo);
                         }
@@ -652,7 +638,7 @@ mod tests {
             }
         }
         for tr in &plan.transfers {
-            floor[tr.tensor.0] = usize::MAX;
+            floor[tr.edge.tensor.0] = usize::MAX;
         }
         assert_eq!(plan.last_read, floor);
     }
@@ -744,9 +730,9 @@ mod tests {
         let sharded = overlapping_blocks();
         let plan = sharded.exec_plan(None).unwrap();
         let blocks: Vec<_> =
-            plan.transfers.iter().map(|t| (&t.src_begin[..], &t.len[..])).collect();
+            plan.transfers.iter().map(|t| (&t.edge.src_begin[..], &t.edge.len[..])).collect();
         assert_eq!(blocks, vec![(&[0, 0][..], &[2, 8][..]), (&[2, 0][..], &[2, 8][..])]);
-        let readers = |x: usize| plan.transfers[x].readers.clone();
+        let readers = |x: usize| plan.transfers[x].edge.readers.clone();
         assert_eq!(readers(0), vec![(NodeId(1), 0), (NodeId(2), 0), (NodeId(3), 0)]);
         assert_eq!(readers(1), vec![(NodeId(2), 0), (NodeId(3), 0)]);
         // The middle rows: row 1 of the first box, row 0 of the second.
@@ -792,7 +778,7 @@ mod tests {
         let edited = sharded.exec_plan(Some(&obs)).unwrap();
         assert_eq!(builds(), 2);
         assert_eq!((first.transfers.len(), edited.transfers.len()), (2, 2));
-        assert_eq!(edited.transfers[0].readers, vec![(NodeId(2), 0)]);
+        assert_eq!(edited.transfers[0].edge.readers, vec![(NodeId(2), 0)]);
         sharded.device_of_node[1] = 5;
         let err = sharded.exec_plan(None).unwrap_err().to_string();
         assert!(err.contains("placed on device 5 of 2"), "{err}");

@@ -31,8 +31,9 @@
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
-pub use tofu_graph::{fetch_pieces, FetchPiece};
-use tofu_graph::{Attrs, Graph, NodeId, NodeTags, Served, TensorId, TensorKind, TransferIndex};
+use tofu_graph::{
+    fetch_pieces, Attrs, Graph, NodeId, NodeTags, Served, TensorId, TensorKind, TransferIndex,
+};
 use tofu_tdl::analysis::DimAccess;
 use tofu_tdl::{access_regions, bind_extents, AffineForm, Reducer, SymInterval};
 use tofu_tensor::{Shape, Tensor};

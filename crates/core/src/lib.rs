@@ -64,7 +64,7 @@ pub use coarsen::{coarsen, CoarseGraph};
 pub use dp::{ExtraInputs, NodeChoice, StepPlan};
 pub use error::CoreError;
 pub use execplan::{ExecPlan, FetchInput, FetchSource, Routes, Transfer, WorkerPlan};
-pub use genplan::{fetch_pieces, generate, CommEdge, FetchPiece, GenOptions, Region, ShardedGraph};
+pub use genplan::{generate, CommEdge, GenOptions, Region, ShardedGraph};
 pub use recursive::{
     factorize, partition, partition_cached, partition_with_factors, partition_with_obs,
     unoptimized_partition, PartitionOptions, PartitionPlan,

@@ -29,12 +29,10 @@ use tofu_tensor::Shape;
 
 use crate::cache::{request_fingerprint, SearchCaches};
 use crate::coarsen::coarsen;
-use crate::dp::{
-    ewise_req, search, unoptimized_search, ExtraInputs, NodeChoice, StepFn, StepPlan,
-};
+use crate::dp::{search, unoptimized_search, ExtraInputs, NodeChoice, StepFn, StepPlan};
 use crate::error::CoreError;
 use crate::spec::{ConcreteOut, ConcreteReq, TensorSpec};
-use crate::strategies::ShapeView;
+use crate::strategies::{NodeStrategy, ShapeView};
 use crate::Result;
 
 /// Options controlling the full recursive search. Every field is part of
@@ -333,39 +331,22 @@ fn recurse(
         let mut new_buffers: Vec<(tofu_graph::NodeId, usize, Shape)> = Vec::new();
         for id in g.node_ids() {
             let node = g.node(id);
-            match &plan.node_choice[id.0] {
-                NodeChoice::Strategy(st) => {
-                    for (i, &t) in node.inputs.iter().enumerate() {
-                        let spec = plan.spec(t);
-                        let req = st.inputs.get(i).cloned().unwrap_or(ConcreteReq::Unused);
-                        if let Some(shape) =
-                            fetch_buffer_shape(view.shape(t), spec, &req, ways)
-                        {
-                            if shape.bytes() >= opts.fetch_buffer_floor {
-                                new_buffers.push((id, i, shape));
-                            }
-                        }
-                    }
-                    if let ConcreteOut::Reduce = st.out {
-                        // The reduce-scatter buffer: each worker receives the
-                        // partial slabs of its final output shard.
-                        let shape = view.shape(node.output).clone();
-                        if shape.bytes() >= opts.fetch_buffer_floor {
-                            new_buffers.push((id, usize::MAX, shape));
-                        }
+            let choice = &plan.node_choice[id.0];
+            for (i, &t) in node.inputs.iter().enumerate() {
+                let shape = view.shape(t);
+                let req = choice.req(i, shape);
+                if let Some(shape) = fetch_buffer_shape(shape, plan.spec(t), &req, ways) {
+                    if shape.bytes() >= opts.fetch_buffer_floor {
+                        new_buffers.push((id, i, shape));
                     }
                 }
-                NodeChoice::Ewise(class_spec) => {
-                    for (i, &t) in node.inputs.iter().enumerate() {
-                        let spec = plan.spec(t);
-                        let shape = view.shape(t);
-                        let req = ewise_req(*class_spec, shape);
-                        if let Some(shape) = fetch_buffer_shape(shape, spec, &req, ways) {
-                            if shape.bytes() >= opts.fetch_buffer_floor {
-                                new_buffers.push((id, i, shape));
-                            }
-                        }
-                    }
+            }
+            if let NodeChoice::Strategy(NodeStrategy { out: ConcreteOut::Reduce, .. }) = choice {
+                // The reduce-scatter buffer: each worker receives the
+                // partial slabs of its final output shard.
+                let shape = view.shape(node.output).clone();
+                if shape.bytes() >= opts.fetch_buffer_floor {
+                    new_buffers.push((id, usize::MAX, shape));
                 }
             }
         }

@@ -1,38 +1,18 @@
-//! Shared helpers for the search test suites: a deterministic RNG and
-//! random-DAG builders mixing op kinds, shapes and graph topologies.
+//! Shared helpers for the search test suites: a draw from the workspace's
+//! `SplitMix64` and random-DAG builders mixing op kinds, shapes and graph
+//! topologies.
 //!
 //! Each integration-test binary compiles this module independently and uses
 //! a different subset of it.
 #![allow(dead_code)]
 
 use tofu_graph::{autodiff, Attrs, Graph, TensorId};
-use tofu_tensor::Shape;
+use tofu_tensor::{Shape, SplitMix64};
 
-/// Tiny deterministic xorshift64* RNG — the suites must not depend on any
-/// ambient randomness, only on the explicit seed.
-pub struct Rng(u64);
-
-impl Rng {
-    pub fn new(seed: u64) -> Rng {
-        Rng(seed.wrapping_mul(2685821657736338717).max(1))
-    }
-
-    pub fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    pub fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-
-    pub fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
-        &xs[self.below(xs.len() as u64) as usize]
-    }
+/// An element of `xs` drawn from `rng`: the suites depend on no ambient
+/// randomness, only on the explicit seed of the workspace's one generator.
+pub fn pick<'a, T>(rng: &mut SplitMix64, xs: &'a [T]) -> &'a T {
+    &xs[rng.below(xs.len() as u64) as usize]
 }
 
 /// A random layered DAG over 2-D tensors: matmuls against fresh weights,
@@ -40,11 +20,11 @@ impl Rng {
 /// transposes, capped at `max_ops` operator nodes. Dimensions mix powers of
 /// two with non-powers so divisibility varies across worker counts.
 pub fn random_dag(seed: u64, max_ops: usize) -> Graph {
-    let mut rng = Rng::new(seed);
+    let mut rng = SplitMix64::new(seed);
     let dims: &[usize] = &[4, 6, 8, 12, 16];
     let mut g = Graph::new();
-    let batch = *rng.pick(dims);
-    let mut cols = *rng.pick(dims);
+    let batch = *pick(&mut rng, dims);
+    let mut cols = *pick(&mut rng, dims);
     let mut cur = g.add_input("x", Shape::new(vec![batch, cols]));
     // Earlier tensors by shape, for same-shape joins.
     let mut by_shape: Vec<(Vec<usize>, TensorId)> = vec![(vec![batch, cols], cur)];
@@ -52,12 +32,12 @@ pub fn random_dag(seed: u64, max_ops: usize) -> Graph {
     for i in 0..max_ops {
         let choice = rng.below(10);
         cur = if choice < 4 {
-            let next = *rng.pick(dims);
+            let next = *pick(&mut rng, dims);
             let w = g.add_weight(&format!("w{i}"), Shape::new(vec![cols, next]));
             cols = next;
             g.add_op("matmul", &format!("mm{i}"), &[cur, w], Attrs::new()).unwrap()
         } else if choice < 7 {
-            let op = *rng.pick(&["relu", "gelu", "abs"]);
+            let op = *pick(&mut rng, &["relu", "gelu", "abs"]);
             g.add_op(op, &format!("ew{i}"), &[cur], Attrs::new()).unwrap()
         } else if choice < 9 {
             let shape = vec![rows, cols];
@@ -69,7 +49,7 @@ pub fn random_dag(seed: u64, max_ops: usize) -> Graph {
             if peers.is_empty() {
                 g.add_op("relu", &format!("ew{i}"), &[cur], Attrs::new()).unwrap()
             } else {
-                let other = *rng.pick(&peers);
+                let other = *pick(&mut rng, &peers);
                 g.add_op("add", &format!("join{i}"), &[cur, other], Attrs::new()).unwrap()
             }
         } else {
@@ -84,14 +64,14 @@ pub fn random_dag(seed: u64, max_ops: usize) -> Graph {
 /// A small conv1d tower: exercises 3-D shapes and halo'd input requirements
 /// that the 2-D generator cannot reach.
 pub fn conv_tower(seed: u64, layers: usize) -> Graph {
-    let mut rng = Rng::new(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut g = Graph::new();
-    let batch = *rng.pick(&[4usize, 6, 8]);
-    let mut chans = *rng.pick(&[3usize, 4, 8]);
-    let length = *rng.pick(&[12usize, 16, 20]);
+    let batch = *pick(&mut rng, &[4usize, 6, 8]);
+    let mut chans = *pick(&mut rng, &[3usize, 4, 8]);
+    let length = *pick(&mut rng, &[12usize, 16, 20]);
     let mut cur = g.add_input("data", Shape::new(vec![batch, chans, length]));
     for i in 0..layers {
-        let out_c = *rng.pick(&[4usize, 6, 8]);
+        let out_c = *pick(&mut rng, &[4usize, 6, 8]);
         let f = g.add_weight(&format!("f{i}"), Shape::new(vec![chans, out_c, 3]));
         chans = out_c;
         cur = g.add_op("conv1d", &format!("conv{i}"), &[cur, f], Attrs::new()).unwrap();
@@ -105,16 +85,16 @@ pub fn conv_tower(seed: u64, layers: usize) -> Graph {
 /// A trainable MLP (with backward pass) whose layer sizes come from the
 /// seed — the differential harness runs full multi-step partitions on it.
 pub fn random_training_mlp(seed: u64) -> Graph {
-    let mut rng = Rng::new(seed);
+    let mut rng = SplitMix64::new(seed);
     let dims: &[usize] = &[8, 12, 16, 24, 32];
-    let batch = *rng.pick(&[8usize, 12, 16, 24]);
+    let batch = *pick(&mut rng, &[8usize, 12, 16, 24]);
     let depth = 1 + rng.below(3) as usize;
     let mut g = Graph::new();
-    let mut cols = *rng.pick(dims);
+    let mut cols = *pick(&mut rng, dims);
     let mut cur = g.add_input("x", Shape::new(vec![batch, cols]));
     let mut weights = Vec::new();
     for i in 0..depth {
-        let next = *rng.pick(dims);
+        let next = *pick(&mut rng, dims);
         let w = g.add_weight(&format!("w{i}"), Shape::new(vec![cols, next]));
         weights.push(w);
         cols = next;
@@ -138,17 +118,17 @@ pub fn random_training_mlp(seed: u64) -> Graph {
 /// legal splits (and which of them pay a halo) vary with the worker count
 /// while the exhaustive reference stays affordable up to two blocks.
 pub fn residual_tower(seed: u64, blocks: usize) -> Graph {
-    let mut rng = Rng::new(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut g = Graph::new();
-    let batch = *rng.pick(&[4usize, 6, 8]);
-    let height = *rng.pick(&[4usize, 6]);
-    let width = *rng.pick(&[3usize, 5]);
-    let mut chans = *rng.pick(&[2usize, 3, 4]);
+    let batch = *pick(&mut rng, &[4usize, 6, 8]);
+    let height = *pick(&mut rng, &[4usize, 6]);
+    let width = *pick(&mut rng, &[3usize, 5]);
+    let mut chans = *pick(&mut rng, &[2usize, 3, 4]);
     let mut weights = Vec::new();
     let mut cur = g.add_input("x", Shape::new(vec![batch, chans, height, width]));
     for b in 0..blocks {
         // Keep the width two times out of three, so identity shortcuts chain.
-        let out_c = if rng.below(3) == 0 { *rng.pick(&[2usize, 3, 4]) } else { chans };
+        let out_c = if rng.below(3) == 0 { *pick(&mut rng, &[2usize, 3, 4]) } else { chans };
         let mut conv = |g: &mut Graph, name: String, k: usize| {
             let w = g.add_weight(&format!("{name}/w"), Shape::new(vec![chans, out_c, k, k]));
             weights.push(w);
@@ -167,7 +147,7 @@ pub fn residual_tower(seed: u64, blocks: usize) -> Graph {
         cur = g.add_op("relu", &format!("b{b}/out"), &[sum], Attrs::new()).unwrap();
         chans = out_c;
     }
-    let classes = *rng.pick(&[4usize, 6]);
+    let classes = *pick(&mut rng, &[4usize, 6]);
     train_on_pooled_features(&mut g, cur, classes, weights);
     g
 }

@@ -358,33 +358,21 @@ fn pool_params(attrs: &Attrs) -> PoolParams {
     }
 }
 
-/// Lifts a rank-3 conv1d operand to rank-4 (height 1) so the conv2d kernels
-/// can serve both.
-fn lift_1d(t: &Tensor) -> Result<Tensor> {
-    let d = t.shape().dims();
-    Ok(t.reshape(Shape::new(vec![d[0], d[1], 1, d[2]]))?)
-}
-
-fn drop_h(t: &Tensor) -> Result<Tensor> {
-    let d = t.shape().dims();
-    Ok(t.reshape(Shape::new(vec![d[0], d[1], d[3]]))?)
+fn conv1d_params(attrs: &Attrs) -> Conv1dParams {
+    let (stride, pad) = conv_params(attrs);
+    Conv1dParams { stride, pad }
 }
 
 fn kernel_conv1d(ins: &[&Tensor], attrs: &Attrs, _: &Shape) -> Result<Tensor> {
-    let (stride, pad) = conv_params(attrs);
-    Ok(ins[0].conv1d(ins[1], Conv1dParams { stride, pad })?)
+    Ok(ins[0].conv1d(ins[1], conv1d_params(attrs))?)
 }
 
 fn kernel_conv1d_bwd_data(ins: &[&Tensor], attrs: &Attrs, out: &Shape) -> Result<Tensor> {
-    let data_shape = Shape::new(vec![out.dim(0), out.dim(1), 1, out.dim(2)]);
-    let (og, f) = (lift_1d(ins[0])?, lift_1d(ins[1])?);
-    drop_h(&Tensor::conv2d_backward_data(&og, &f, &data_shape, conv2d_params(attrs))?)
+    Ok(Tensor::conv1d_backward_data(ins[0], ins[1], out, conv1d_params(attrs))?)
 }
 
 fn kernel_conv1d_bwd_filter(ins: &[&Tensor], attrs: &Attrs, out: &Shape) -> Result<Tensor> {
-    let fshape = Shape::new(vec![out.dim(0), out.dim(1), 1, out.dim(2)]);
-    let (og, data) = (lift_1d(ins[0])?, lift_1d(ins[1])?);
-    drop_h(&Tensor::conv2d_backward_filter(&og, &data, &fshape, conv2d_params(attrs))?)
+    Ok(Tensor::conv1d_backward_filter(ins[0], ins[1], out, conv1d_params(attrs))?)
 }
 
 /// Max-pool gradient routes to the window argmax; avg-pool distributes

@@ -246,6 +246,13 @@ fn probes() -> Vec<Probe> {
             &[0, 1],
         ),
         probe(
+            "conv1d",
+            &[&[2, 2, 6], &[2, 3, 3]],
+            Attrs::new().with_int("stride", 2).with_int("pad", 1),
+            &[Smooth, Smooth],
+            &[0, 1],
+        ),
+        probe(
             "conv2d",
             &[&[1, 2, 5, 5], &[2, 2, 3, 3]],
             Attrs::new(),

@@ -679,7 +679,7 @@ impl<'a> Worker<'a> {
     /// piece — and the channel then carries only the `Arc`.
     fn send(&mut self, x: usize) -> Result<()> {
         let exec = self.exec;
-        let r: &Transfer = &exec.transfers[x];
+        let Transfer { edge: r, slot, .. } = &exec.transfers[x];
         let src = self.values[r.tensor.0].as_ref().ok_or_else(|| {
             RuntimeError::Internal(format!(
                 "worker {}: comm edge reads unevaluated tensor {:?}",
@@ -757,7 +757,7 @@ impl<'a> Worker<'a> {
             tx.send(Msg {
                 src: self.w,
                 seq,
-                slot: r.slot,
+                slot: *slot,
                 consumer,
                 input_index,
                 checksum,
@@ -765,7 +765,7 @@ impl<'a> Worker<'a> {
             })
             .map_err(hung_up)?;
         }
-        tx.send(Msg { src: self.w, seq, slot: r.slot, consumer, input_index, checksum, piece })
+        tx.send(Msg { src: self.w, seq, slot: *slot, consumer, input_index, checksum, piece })
             .map_err(hung_up)?;
         Ok(())
     }
@@ -825,7 +825,7 @@ impl<'a> Worker<'a> {
         let exec = self.exec;
         let comm = |detail: String| RuntimeError::Comm { worker: self.w, detail };
         let slot = msg.slot as usize;
-        let Some(expect) = exec.workers[self.w].slots.get(slot).map(|&x| &exec.transfers[x]) else {
+        let Some(expect) = exec.workers[self.w].slots.get(slot).map(|&x| &exec.transfers[x].edge) else {
             return Err(comm(format!(
                 "link {} -> {}: piece carries unknown receive slot {slot}",
                 msg.src, self.w
@@ -958,7 +958,7 @@ impl<'a> Worker<'a> {
         }
         if let Some(slot) = self.pending.iter().position(|p| p.is_some()) {
             let (consumer, input_index) =
-                self.exec.transfers[self.exec.workers[self.w].slots[slot]].readers[0];
+                self.exec.transfers[self.exec.workers[self.w].slots[slot]].edge.readers[0];
             return Err(RuntimeError::Comm {
                 worker: self.w,
                 detail: format!(

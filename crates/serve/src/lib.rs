@@ -10,7 +10,7 @@
 //!   the canonical graph/plan codecs (zero new dependencies: the JSON layer
 //!   is `tofu-obs`'s), and the fingerprint-first exchange: ask by request
 //!   hash, upload the graph only when the server answers `not_cached`.
-//! * [`scheduler`] — per-tenant round-robin queueing with a bounded
+//! * `scheduler` — per-tenant round-robin queueing with a bounded
 //!   admission cap (typed `overloaded` rejections instead of collapse).
 //! * [`server`] — the acceptor, connection handlers and solver pool behind
 //!   one response cache, the service's only memo: it files plans and
@@ -30,10 +30,9 @@
 
 pub mod client;
 pub mod protocol;
-pub mod scheduler;
+mod scheduler;
 pub mod server;
 
 pub use client::{ClientError, PlanClient, RetryOptions, ServedPlan};
 pub use protocol::{plan_to_json, ErrorCode, ProtocolError, Request, Response};
-pub use scheduler::FairScheduler;
 pub use server::{PlanServer, ServeConfig};

@@ -27,7 +27,7 @@ struct SchedState<T> {
 }
 
 /// A bounded, tenant-fair MPMC queue (mutex + condvar; no busy waiting).
-pub struct FairScheduler<T> {
+pub(crate) struct FairScheduler<T> {
     state: Mutex<SchedState<T>>,
     ready: Condvar,
     cap: usize,
@@ -36,7 +36,7 @@ pub struct FairScheduler<T> {
 impl<T> FairScheduler<T> {
     /// Creates a scheduler admitting at most `cap` queued items in total.
     /// A cap of zero rejects every push (useful to force `overloaded`).
-    pub fn new(cap: usize) -> FairScheduler<T> {
+    pub(crate) fn new(cap: usize) -> FairScheduler<T> {
         FairScheduler {
             state: Mutex::new(SchedState {
                 queues: HashMap::new(),
@@ -52,7 +52,7 @@ impl<T> FairScheduler<T> {
     /// Enqueues one item for a tenant. `Err(item)` means the queue is at
     /// capacity (or closed) and the item was NOT admitted — the caller owns
     /// it again and should reject the request.
-    pub fn push(&self, tenant: &str, item: T) -> Result<(), T> {
+    pub(crate) fn push(&self, tenant: &str, item: T) -> Result<(), T> {
         let mut st = self.state.lock().expect("scheduler lock");
         if st.closed || st.queued >= self.cap {
             return Err(item);
@@ -96,7 +96,7 @@ impl<T> FairScheduler<T> {
 
     /// Closes the queue: subsequent pushes fail, and poppers return `None`
     /// once the remaining items are drained.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.state.lock().expect("scheduler lock").closed = true;
         self.ready.notify_all();
     }

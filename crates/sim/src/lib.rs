@@ -34,7 +34,10 @@ pub use baselines::{ideal, op_placement, small_batch, swap, ModelBuilder};
 pub use event::{simulate_traced, simulate_with_leaf_devices, SimResult};
 pub use machine::Machine;
 pub use memory::{per_device_memory, DeviceMemory};
-pub use tofu::{run_partitioned, PartitionedRun, TofuSimOptions};
+pub use tofu::{run_partitioned, PartitionedRun};
+/// The options of [`run_partitioned`]: those of the graph generation it
+/// simulates.
+pub use tofu_core::GenOptions as TofuSimOptions;
 
 /// One training configuration's simulated result.
 #[derive(Debug, Clone, Copy)]

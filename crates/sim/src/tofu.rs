@@ -14,19 +14,6 @@ use crate::{Outcome, Perf};
 /// Extra optimizer-history copies per weight shard: the 3W rule of §7.1.
 const OPTIMIZER_COPIES: f64 = 1.0;
 
-/// Options for the partitioned-execution simulation.
-#[derive(Debug, Clone, Copy)]
-pub struct TofuSimOptions {
-    /// Insert §6 control dependencies (enables per-worker buffer reuse).
-    pub control_deps: bool,
-}
-
-impl Default for TofuSimOptions {
-    fn default() -> Self {
-        TofuSimOptions { control_deps: true }
-    }
-}
-
 /// Detailed result of a partitioned-execution simulation.
 #[derive(Debug, Clone)]
 pub struct PartitionedRun {
@@ -49,12 +36,12 @@ pub fn run_partitioned(
     plan: &PartitionPlan,
     batch: usize,
     machine: &Machine,
-    opts: &TofuSimOptions,
+    opts: &GenOptions,
 ) -> tofu_core::Result<PartitionedRun> {
     if plan.workers > machine.gpus {
         return Err(CoreError::BadWorkerCount(plan.workers));
     }
-    let sharded = generate(g, plan, &GenOptions { control_deps: opts.control_deps })?;
+    let sharded = generate(g, plan, opts)?;
     let sim = simulate_traced(
         &sharded.graph,
         &sharded.device_of_node,
@@ -113,7 +100,7 @@ mod tests {
         let machine = Machine::p2_8xlarge();
         let g = toy(64, 256);
         let plan = partition(&g, &PartitionOptions { workers: 4, ..Default::default() }).unwrap();
-        let run = run_partitioned(&g, &plan, 64, &machine, &TofuSimOptions::default()).unwrap();
+        let run = run_partitioned(&g, &plan, 64, &machine, &GenOptions::default()).unwrap();
         let Outcome::Ran(p) = run.outcome else { panic!("fits easily") };
         assert!(p.throughput > 0.0);
         assert_eq!(run.per_device_gb.len(), 8);
@@ -126,7 +113,7 @@ mod tests {
         let machine = Machine { gpus: 4, ..Machine::p2_8xlarge() };
         let g = toy(64, 256);
         let plan = partition(&g, &PartitionOptions { workers: 8, ..Default::default() }).unwrap();
-        let err = run_partitioned(&g, &plan, 64, &machine, &TofuSimOptions::default())
+        let err = run_partitioned(&g, &plan, 64, &machine, &GenOptions::default())
             .unwrap_err();
         assert!(matches!(err, CoreError::BadWorkerCount(8)), "{err:?}");
     }
@@ -137,7 +124,7 @@ mod tests {
         let g = toy(64, 256);
         let plan = partition(&g, &PartitionOptions { workers: 4, ..Default::default() }).unwrap();
         let max_gb = |control_deps| {
-            let opts = TofuSimOptions { control_deps };
+            let opts = GenOptions { control_deps };
             let run = run_partitioned(&g, &plan, 64, &machine, &opts).unwrap();
             run.per_device_gb.iter().copied().fold(0.0, f64::max)
         };
@@ -151,7 +138,7 @@ mod tests {
         let g = toy(64, 512);
         let single = per_device_memory(&g, &vec![0; g.num_nodes()], 1, true, 1.0)[0].peak_gb();
         let plan = partition(&g, &PartitionOptions { workers: 8, ..Default::default() }).unwrap();
-        let run = run_partitioned(&g, &plan, 64, &machine, &TofuSimOptions::default()).unwrap();
+        let run = run_partitioned(&g, &plan, 64, &machine, &GenOptions::default()).unwrap();
         let max = run.per_device_gb.iter().copied().fold(0.0, f64::max);
         assert!(
             max < single * 0.5,

@@ -65,75 +65,147 @@ pub(crate) fn conv_out_extent(input: usize, kernel: usize, stride: usize, pad: u
     (padded - kernel) / stride + 1
 }
 
-impl Tensor {
-    /// 1-D convolution: `data (b, ci, x)` with `filters (ci, co, dx)`.
-    pub fn conv1d(&self, filters: &Tensor, p: Conv1dParams) -> Result<Tensor> {
-        if self.shape().rank() != 3 || filters.shape().rank() != 3 {
-            return Err(TensorError::Incompatible("conv1d expects rank-3 operands".into()));
-        }
-        let (b, ci, x) = (self.shape().dim(0), self.shape().dim(1), self.shape().dim(2));
-        let (fci, co, dx) = (filters.shape().dim(0), filters.shape().dim(1), filters.shape().dim(2));
-        if ci != fci {
-            return Err(TensorError::Incompatible(format!("conv1d channels {ci} vs {fci}")));
-        }
-        let ox = conv_out_extent(x, dx, p.stride, p.pad);
-        let mut out = Tensor::zeros(Shape::new(vec![b, co, ox]));
-        let dd = self.data();
-        let fd = filters.data();
-        let od = out.data_mut();
-        // The padded-boundary test is hoisted out of the inner loop by
-        // clipping the tap range per output position; the remaining inner
-        // loop is a dot product of two contiguous slices. The surviving
-        // terms and their order (ici outer, idx ascending) are exactly the
-        // scalar loop's, so outputs stay bit-identical.
-        for ib in 0..b {
-            for ico in 0..co {
-                for iox in 0..ox {
-                    let base = iox * p.stride;
-                    let lo = p.pad.saturating_sub(base);
-                    let hi = dx.min((x + p.pad).saturating_sub(base));
-                    let mut acc = 0.0;
-                    if lo < hi {
-                        let s0 = base + lo - p.pad;
-                        let taps = hi - lo;
-                        for ici in 0..ci {
-                            let drow = &dd[(ib * ci + ici) * x + s0..][..taps];
-                            let frow = &fd[(ici * co + ico) * dx + lo..][..taps];
-                            for (dv, fv) in drow.iter().zip(frow) {
-                                acc += dv * fv;
-                            }
+/// The stride and per-axis zero padding the 2-D loops run with: a conv2d
+/// pads both axes by its `pad`, and a conv1d runs as a conv2d of unit
+/// height that pads only the width.
+#[derive(Clone, Copy)]
+struct Window {
+    stride: usize,
+    pad_h: usize,
+    pad_w: usize,
+}
+
+impl From<Conv2dParams> for Window {
+    fn from(p: Conv2dParams) -> Window {
+        Window { stride: p.stride, pad_h: p.pad, pad_w: p.pad }
+    }
+}
+
+impl From<Conv1dParams> for Window {
+    fn from(p: Conv1dParams) -> Window {
+        Window { stride: p.stride, pad_h: 0, pad_w: p.pad }
+    }
+}
+
+/// Walks every window of a convolution with `(b, co, oh, ow)` output,
+/// `(b, ci, h, w)` data and `(ci, co, kh, kw)` filters: for each output
+/// element in order, and each input channel and filter row its window
+/// covers (`ici`, then `ikh`, ascending), calls `row(o, d, f, taps)` with
+/// the output's flat index and the offsets at which `taps` contiguous
+/// elements of the data and of the filters meet. The padding tests are
+/// hoisted into clipped tap ranges, so each kernel adds exactly the scalar
+/// loop's terms, in its order, and stays bit-identical to it.
+fn window_rows(
+    out: &Shape,
+    data: &Shape,
+    filter: &Shape,
+    p: Window,
+    mut row: impl FnMut(usize, usize, usize, usize),
+) {
+    let (b, co, oh, ow) = dims4(out);
+    let (ci, fco, kh, kw) = dims4(filter);
+    let (_, dci, h, w) = dims4(data);
+    for ib in 0..b {
+        for ico in 0..co {
+            for ioh in 0..oh {
+                let hbase = ioh * p.stride;
+                let kh_lo = p.pad_h.saturating_sub(hbase);
+                let kh_hi = kh.min((h + p.pad_h).saturating_sub(hbase));
+                for iow in 0..ow {
+                    let wbase = iow * p.stride;
+                    let kw_lo = p.pad_w.saturating_sub(wbase);
+                    let kw_hi = kw.min((w + p.pad_w).saturating_sub(wbase));
+                    if kw_lo >= kw_hi {
+                        continue;
+                    }
+                    let o = ((ib * co + ico) * oh + ioh) * ow + iow;
+                    let sw0 = wbase + kw_lo - p.pad_w;
+                    for ici in 0..ci {
+                        for ikh in kh_lo..kh_hi {
+                            let d = ((ib * dci + ici) * h + hbase + ikh - p.pad_h) * w + sw0;
+                            let f = ((ici * fco + ico) * kh + ikh) * kw + kw_lo;
+                            row(o, d, f, kw_hi - kw_lo);
                         }
                     }
-                    od[(ib * co + ico) * ox + iox] = acc;
                 }
             }
         }
-        Ok(out)
+    }
+}
+
+/// The extents `(n, c, h, w)` of a rank-4 conv operand, or of a rank-3
+/// one `(n, c, w)` at unit height: a conv1d operand is laid out exactly as
+/// its conv2d at unit height, so the 2-D loops read it in place.
+fn dims4(s: &Shape) -> (usize, usize, usize, usize) {
+    match *s.dims() {
+        [n, c, w] => (n, c, 1, w),
+        [n, c, h, w] => (n, c, h, w),
+        _ => panic!("a convolution operand has rank 3 or 4, not {}", s.rank()),
+    }
+}
+
+/// Fails unless every operand shape of `op` has `rank`.
+fn expect_rank(op: &str, rank: usize, shapes: &[&Shape]) -> Result<()> {
+    if shapes.iter().any(|s| s.rank() != rank) {
+        return Err(TensorError::Incompatible(format!("{op} expects rank-{rank} operands")));
+    }
+    Ok(())
+}
+
+impl Tensor {
+    /// 1-D convolution: `data (b, ci, x)` with `filters (ci, co, dx)`.
+    pub fn conv1d(&self, filters: &Tensor, p: Conv1dParams) -> Result<Tensor> {
+        expect_rank("conv1d", 3, &[self.shape(), filters.shape()])?;
+        self.conv2d_window(filters, p.into())
+    }
+
+    /// Gradient of [`Tensor::conv1d`] with respect to the data input.
+    pub fn conv1d_backward_data(
+        out_grad: &Tensor,
+        filters: &Tensor,
+        data_shape: &Shape,
+        p: Conv1dParams,
+    ) -> Result<Tensor> {
+        expect_rank("conv1d", 3, &[out_grad.shape(), filters.shape(), data_shape])?;
+        Tensor::conv2d_backward_data_window(out_grad, filters, data_shape, p.into())
+    }
+
+    /// Gradient of [`Tensor::conv1d`] with respect to the filters.
+    pub fn conv1d_backward_filter(
+        out_grad: &Tensor,
+        data: &Tensor,
+        filter_shape: &Shape,
+        p: Conv1dParams,
+    ) -> Result<Tensor> {
+        expect_rank("conv1d", 3, &[out_grad.shape(), data.shape(), filter_shape])?;
+        Tensor::conv2d_backward_filter_window(out_grad, data, filter_shape, p.into())
     }
 
     /// 2-D convolution: `data (b, ci, h, w)` with `filters (ci, co, kh, kw)`.
     pub fn conv2d(&self, filters: &Tensor, p: Conv2dParams) -> Result<Tensor> {
-        if self.shape().rank() != 4 || filters.shape().rank() != 4 {
-            return Err(TensorError::Incompatible("conv2d expects rank-4 operands".into()));
-        }
-        let (b, ci, h, w) =
-            (self.shape().dim(0), self.shape().dim(1), self.shape().dim(2), self.shape().dim(3));
-        let (fci, co, kh, kw) = (
-            filters.shape().dim(0),
-            filters.shape().dim(1),
-            filters.shape().dim(2),
-            filters.shape().dim(3),
-        );
+        expect_rank("conv2d", 4, &[self.shape(), filters.shape()])?;
+        self.conv2d_window(filters, p.into())
+    }
+
+    /// The loops of [`Tensor::conv2d`], over rank-4 operands or rank-3 ones
+    /// at unit height; the output has the data's rank.
+    fn conv2d_window(&self, filters: &Tensor, p: Window) -> Result<Tensor> {
+        let (b, ci, h, w) = dims4(self.shape());
+        let (fci, co, kh, kw) = dims4(filters.shape());
         if ci != fci {
             return Err(TensorError::Incompatible(format!("conv2d channels {ci} vs {fci}")));
         }
-        let oh = conv_out_extent(h, kh, p.stride, p.pad);
-        let ow = conv_out_extent(w, kw, p.stride, p.pad);
-        let mut out = Tensor::zeros(Shape::new(vec![b, co, oh, ow]));
+        let oh = conv_out_extent(h, kh, p.stride, p.pad_h);
+        let ow = conv_out_extent(w, kw, p.stride, p.pad_w);
+        let out_shape = Shape::new(match self.shape().rank() {
+            3 => vec![b, co, ow],
+            _ => vec![b, co, oh, ow],
+        });
+        let mut out = Tensor::zeros(out_shape.clone());
         let dd = self.data();
         let fd = filters.data();
         let od = out.data_mut();
-        if p.stride == 1 && p.pad == 0 && kh == 1 && kw == 1 {
+        if p.stride == 1 && p.pad_h == 0 && p.pad_w == 0 && kh == 1 && kw == 1 {
             // Pointwise convolution is a per-pixel channel matmul. Packing
             // the filter (ci, co) and each data block (ci, s) transposed —
             // O(ci·co + b·ci·s) against O(b·ci·co·s) compute — turns every
@@ -172,41 +244,15 @@ impl Tensor {
             }
             return Ok(out);
         }
-        // Same restructuring as conv1d: both spatial boundary tests are
-        // hoisted into clipped tap ranges, leaving a contiguous slice dot
-        // over ikw. Term order (ici, ikh, ikw ascending) matches the scalar
-        // loop's, so outputs stay bit-identical.
-        for ib in 0..b {
-            for ico in 0..co {
-                for ioh in 0..oh {
-                    let hbase = ioh * p.stride;
-                    let kh_lo = p.pad.saturating_sub(hbase);
-                    let kh_hi = kh.min((h + p.pad).saturating_sub(hbase));
-                    for iow in 0..ow {
-                        let wbase = iow * p.stride;
-                        let kw_lo = p.pad.saturating_sub(wbase);
-                        let kw_hi = kw.min((w + p.pad).saturating_sub(wbase));
-                        let mut acc = 0.0;
-                        if kh_lo < kh_hi && kw_lo < kw_hi {
-                            let sw0 = wbase + kw_lo - p.pad;
-                            let taps = kw_hi - kw_lo;
-                            for ici in 0..ci {
-                                for ikh in kh_lo..kh_hi {
-                                    let sh = hbase + ikh - p.pad;
-                                    let drow = &dd[((ib * ci + ici) * h + sh) * w + sw0..][..taps];
-                                    let frow =
-                                        &fd[((ici * co + ico) * kh + ikh) * kw + kw_lo..][..taps];
-                                    for (dv, fv) in drow.iter().zip(frow) {
-                                        acc += dv * fv;
-                                    }
-                                }
-                            }
-                        }
-                        od[((ib * co + ico) * oh + ioh) * ow + iow] = acc;
-                    }
-                }
+        // Each output sums its window's rows in the scalar loop's order,
+        // starting from its zero.
+        window_rows(&out_shape, self.shape(), filters.shape(), p, |o, d, f, taps| {
+            let mut acc = od[o];
+            for (dv, fv) in dd[d..][..taps].iter().zip(&fd[f..][..taps]) {
+                acc += dv * fv;
             }
-        }
+            od[o] = acc;
+        });
         Ok(out)
     }
 
@@ -217,27 +263,27 @@ impl Tensor {
         data_shape: &Shape,
         p: Conv2dParams,
     ) -> Result<Tensor> {
-        let (b, co, oh, ow) = (
-            out_grad.shape().dim(0),
-            out_grad.shape().dim(1),
-            out_grad.shape().dim(2),
-            out_grad.shape().dim(3),
-        );
-        let (ci, fco, kh, kw) = (
-            filters.shape().dim(0),
-            filters.shape().dim(1),
-            filters.shape().dim(2),
-            filters.shape().dim(3),
-        );
+        expect_rank("conv2d", 4, &[out_grad.shape(), filters.shape(), data_shape])?;
+        Tensor::conv2d_backward_data_window(out_grad, filters, data_shape, p.into())
+    }
+
+    fn conv2d_backward_data_window(
+        out_grad: &Tensor,
+        filters: &Tensor,
+        data_shape: &Shape,
+        p: Window,
+    ) -> Result<Tensor> {
+        let (b, co, oh, ow) = dims4(out_grad.shape());
+        let (ci, fco, kh, kw) = dims4(filters.shape());
         if co != fco {
             return Err(TensorError::Incompatible(format!("channels {co} vs {fco}")));
         }
-        let (dci, h, w) = (data_shape.dim(1), data_shape.dim(2), data_shape.dim(3));
+        let dci = data_shape.dim(1);
         let mut grad = Tensor::zeros(data_shape.clone());
         let ogd = out_grad.data();
         let fd = filters.data();
         let gd = grad.data_mut();
-        if p.stride == 1 && p.pad == 0 && kh == 1 && kw == 1 {
+        if p.stride == 1 && p.pad_h == 0 && p.pad_w == 0 && kh == 1 && kw == 1 {
             // Pointwise fast path, mirroring `conv2d`'s: pack the output
             // gradient block transposed to (s, co) so each data-gradient
             // element is a dot over `co` of two contiguous rows (the filter
@@ -272,46 +318,16 @@ impl Tensor {
             }
             return Ok(grad);
         }
-        // Same restructuring as the forward kernels: boundary tests hoisted
-        // into clipped tap ranges, per-element `at`/`set` index arithmetic
-        // replaced by contiguous row slices. Loop order — and therefore the
-        // order of additions into each gradient element — is unchanged, so
-        // gradients stay bit-identical. The data-dependent `g == 0.0` skip
-        // is preserved (zero-heavy gradients genuinely do less work here).
-        for ib in 0..b {
-            for ico in 0..co {
-                for ioh in 0..oh {
-                    let hbase = ioh * p.stride;
-                    let kh_lo = p.pad.saturating_sub(hbase);
-                    let kh_hi = kh.min((h + p.pad).saturating_sub(hbase));
-                    for iow in 0..ow {
-                        let g = ogd[((ib * co + ico) * oh + ioh) * ow + iow];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        let wbase = iow * p.stride;
-                        let kw_lo = p.pad.saturating_sub(wbase);
-                        let kw_hi = kw.min((w + p.pad).saturating_sub(wbase));
-                        if kh_lo >= kh_hi || kw_lo >= kw_hi {
-                            continue;
-                        }
-                        let sw0 = wbase + kw_lo - p.pad;
-                        let taps = kw_hi - kw_lo;
-                        for ici in 0..ci {
-                            for ikh in kh_lo..kh_hi {
-                                let sh = hbase + ikh - p.pad;
-                                let grow = &mut gd[((ib * dci + ici) * h + sh) * w + sw0..][..taps];
-                                let frow =
-                                    &fd[((ici * co + ico) * kh + ikh) * kw + kw_lo..][..taps];
-                                for (gv, fv) in grow.iter_mut().zip(frow) {
-                                    *gv += g * fv;
-                                }
-                            }
-                        }
-                    }
+        // Every nonzero output-gradient value scatters into the data rows
+        // its window read; a zero one adds nothing, so it is skipped.
+        window_rows(out_grad.shape(), data_shape, filters.shape(), p, |o, d, f, taps| {
+            let g = ogd[o];
+            if g != 0.0 {
+                for (gv, fv) in gd[d..][..taps].iter_mut().zip(&fd[f..][..taps]) {
+                    *gv += g * fv;
                 }
             }
-        }
+        });
         Ok(grad)
     }
 
@@ -322,20 +338,24 @@ impl Tensor {
         filter_shape: &Shape,
         p: Conv2dParams,
     ) -> Result<Tensor> {
-        let (b, co, oh, ow) = (
-            out_grad.shape().dim(0),
-            out_grad.shape().dim(1),
-            out_grad.shape().dim(2),
-            out_grad.shape().dim(3),
-        );
-        let (ci, fco, kh, kw) =
-            (filter_shape.dim(0), filter_shape.dim(1), filter_shape.dim(2), filter_shape.dim(3));
-        let (dci, h, w) = (data.shape().dim(1), data.shape().dim(2), data.shape().dim(3));
+        expect_rank("conv2d", 4, &[out_grad.shape(), data.shape(), filter_shape])?;
+        Tensor::conv2d_backward_filter_window(out_grad, data, filter_shape, p.into())
+    }
+
+    fn conv2d_backward_filter_window(
+        out_grad: &Tensor,
+        data: &Tensor,
+        filter_shape: &Shape,
+        p: Window,
+    ) -> Result<Tensor> {
+        let (b, co, oh, ow) = dims4(out_grad.shape());
+        let (ci, fco, kh, kw) = dims4(filter_shape);
+        let dci = data.shape().dim(1);
         let mut grad = Tensor::zeros(filter_shape.clone());
         let ogd = out_grad.data();
         let dd = data.data();
         let gd = grad.data_mut();
-        if p.stride == 1 && p.pad == 0 && kh == 1 && kw == 1 {
+        if p.stride == 1 && p.pad_h == 0 && p.pad_w == 0 && kh == 1 && kw == 1 {
             // Pointwise fast path: each filter-gradient element is a dot
             // over the spatial extent of two rows that are already
             // contiguous (out-grad (b, co, s) and data (b, ci, s)) — no
@@ -361,43 +381,14 @@ impl Tensor {
             }
             return Ok(grad);
         }
-        // Mirrors conv2d_backward_data's restructuring; see the comment
-        // there. Addition order into each filter-gradient element matches
-        // the scalar loop's, so results stay bit-identical.
-        for ib in 0..b {
-            for ico in 0..co {
-                for ioh in 0..oh {
-                    let hbase = ioh * p.stride;
-                    let kh_lo = p.pad.saturating_sub(hbase);
-                    let kh_hi = kh.min((h + p.pad).saturating_sub(hbase));
-                    for iow in 0..ow {
-                        let g = ogd[((ib * co + ico) * oh + ioh) * ow + iow];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        let wbase = iow * p.stride;
-                        let kw_lo = p.pad.saturating_sub(wbase);
-                        let kw_hi = kw.min((w + p.pad).saturating_sub(wbase));
-                        if kh_lo >= kh_hi || kw_lo >= kw_hi {
-                            continue;
-                        }
-                        let sw0 = wbase + kw_lo - p.pad;
-                        let taps = kw_hi - kw_lo;
-                        for ici in 0..ci {
-                            for ikh in kh_lo..kh_hi {
-                                let sh = hbase + ikh - p.pad;
-                                let drow = &dd[((ib * dci + ici) * h + sh) * w + sw0..][..taps];
-                                let grow =
-                                    &mut gd[((ici * fco + ico) * kh + ikh) * kw + kw_lo..][..taps];
-                                for (gv, dv) in grow.iter_mut().zip(drow) {
-                                    *gv += g * dv;
-                                }
-                            }
-                        }
-                    }
+        window_rows(out_grad.shape(), data.shape(), filter_shape, p, |o, d, f, taps| {
+            let g = ogd[o];
+            if g != 0.0 {
+                for (gv, dv) in gd[f..][..taps].iter_mut().zip(&dd[d..][..taps]) {
+                    *gv += g * dv;
                 }
             }
-        }
+        });
         Ok(grad)
     }
 
@@ -406,8 +397,7 @@ impl Tensor {
         if self.shape().rank() != 4 {
             return Err(TensorError::Incompatible("pool2d expects rank-4 data".into()));
         }
-        let (b, c, h, w) =
-            (self.shape().dim(0), self.shape().dim(1), self.shape().dim(2), self.shape().dim(3));
+        let (b, c, h, w) = dims4(self.shape());
         let oh = conv_out_extent(h, p.window, p.stride, 0);
         let ow = conv_out_extent(w, p.window, p.stride, 0);
         let mut out = Tensor::zeros(Shape::new(vec![b, c, oh, ow]));
@@ -445,8 +435,7 @@ impl Tensor {
         if self.shape().rank() != 4 {
             return Err(TensorError::Incompatible("global_avg_pool expects rank-4 data".into()));
         }
-        let (b, c, h, w) =
-            (self.shape().dim(0), self.shape().dim(1), self.shape().dim(2), self.shape().dim(3));
+        let (b, c, h, w) = dims4(self.shape());
         let mut out = Tensor::zeros(Shape::new(vec![b, c]));
         let norm = (h * w) as f32;
         for ib in 0..b {

@@ -129,6 +129,41 @@ if grep -rnE "plan_buffers\(|TransferIndex" crates/runtime/src; then
     exit 1
 fi
 
+# One cost rule: what a chosen strategy needs from each input, and the bytes
+# that moves, are written once in crates/core/src/dp.rs, in
+# `NodeChoice::req` and `node_cost`; the DP, the Fig. 6 buffers and the
+# Fig. 10 baselines all call them. Outside those two bodies no line of
+# crates/core/src calls the byte functions or `ewise_req`, except in a
+# file's unit tests (from its `#[cfg(test)]` on).
+python3 - <<'EOF'
+import glob, re, sys
+owners = {
+    "node_cost": ["input_fetch_bytes", "output_bytes", "respec_bytes"],
+    "req": ["ewise_req"],
+}
+def body(lines, name):
+    for i, line in enumerate(lines):
+        m = re.match(r"(\s*)(pub(\(crate\))? )?fn " + name + r"\b", line)
+        if m:
+            return range(i, lines.index(m.group(1) + "}", i) + 1)
+    sys.exit(f"scripts/check.sh: crates/core/src/dp.rs has no fn {name}")
+stray = []
+for path in sorted(glob.glob("crates/core/src/**/*.rs", recursive=True)):
+    lines = open(path, encoding="utf-8").read().split("\n")
+    if "#[cfg(test)]" in lines:
+        lines = lines[:lines.index("#[cfg(test)]")]
+    for owner, callees in owners.items():
+        allowed = body(lines, owner) if path.endswith("/dp.rs") else range(0)
+        call = re.compile(r"(?<!fn )\b(" + "|".join(callees) + r")\s*\(")
+        for n, line in enumerate(lines):
+            if call.search(line) and not line.lstrip().startswith("//") and n not in allowed:
+                stray.append(f"{path}:{n + 1}: {line.strip()}")
+if stray:
+    print("scripts/check.sh: the cost rule is called outside NodeChoice::req and node_cost:",
+          *stray, sep="\n", file=sys.stderr)
+    sys.exit(1)
+EOF
+
 # A recovered run has one report: every recovery entry point returns the
 # supervisor's `RecoveryReport`, and no second report type grows beside it.
 reports=$(grep -rhoE "pub struct [A-Za-z0-9_]*Report\b" crates/runtime/src || true)

@@ -7,7 +7,10 @@
 //! (the reference is asserted here for the LSTM and the seq-128 decoder;
 //! `search_scaling` holds WResNet to it at release speed), so a change to
 //! any of them is a change to the recurrence, not a cost-neutral refactor.
+//! The Fig. 10 baselines cost their choices with the DP's own rule, so
+//! their plans on the same WResNet are pinned beside it.
 
+use tofu::core::baselines::{self, Algorithm};
 use tofu::core::{partition, unoptimized_partition, PartitionOptions, PartitionPlan, Result};
 use tofu::durable::fnv1a64;
 use tofu::graph::Graph;
@@ -22,7 +25,11 @@ const REFERENCE: Engine = ("unoptimized_partition", |g, opts| unoptimized_partit
 
 fn assert_plan(g: &Graph, (name, engine): Engine, workers: usize, hash: u64, bytes: usize) {
     let plan = engine(g, &PartitionOptions { workers, ..Default::default() }).unwrap();
-    let json = plan_to_json(&plan).to_json();
+    assert_json(name, &plan, workers, hash, bytes);
+}
+
+fn assert_json(name: &str, plan: &PartitionPlan, workers: usize, hash: u64, bytes: usize) {
+    let json = plan_to_json(plan).to_json();
     assert_eq!(json.len(), bytes, "{name} plan JSON length changed at w={workers}");
     assert_eq!(
         fnv1a64(json.as_bytes()),
@@ -34,7 +41,18 @@ fn assert_plan(g: &Graph, (name, engine): Engine, workers: usize, hash: u64, byt
 
 #[test]
 fn wresnet_plans_are_byte_identical_to_the_recorded_ones() {
-    let model = wresnet(&WResNetConfig {
+    let model = golden_wresnet();
+    for (workers, hash, bytes) in [
+        (2, 0xb2d29d88b65daba9, 45_768),
+        (4, 0xadd20fe087785087, 89_801),
+        (8, 0xdc67e831a1ae23d7, 133_737),
+    ] {
+        assert_plan(&model.graph, OPTIMIZED, workers, hash, bytes);
+    }
+}
+
+fn golden_wresnet() -> tofu::models::BuiltModel {
+    wresnet(&WResNetConfig {
         layers: 50,
         width: 1,
         batch: 8,
@@ -42,13 +60,20 @@ fn wresnet_plans_are_byte_identical_to_the_recorded_ones() {
         classes: 8,
         with_updates: true,
     })
-    .unwrap();
-    for (workers, hash, bytes) in [
-        (2, 0xb2d29d88b65daba9, 45_768),
-        (4, 0xadd20fe087785087, 89_801),
-        (8, 0xdc67e831a1ae23d7, 133_737),
+    .unwrap()
+}
+
+#[test]
+fn baseline_plans_are_byte_identical_to_the_recorded_ones() {
+    let model = golden_wresnet();
+    for (algorithm, hash, bytes) in [
+        (Algorithm::AllRowGreedy, 0xc77531248031f3d8, 69_752),
+        (Algorithm::Spartan, 0x6370884d10107489, 69_234),
+        (Algorithm::EqualChop, 0xa9b464cfb839894e, 45_681),
+        (Algorithm::Icml18, 0xbe3d6f403d436d23, 126_979),
     ] {
-        assert_plan(&model.graph, OPTIMIZED, workers, hash, bytes);
+        let plan = baselines::run(&model.graph, algorithm, 8).unwrap();
+        assert_json(algorithm.label(), &plan, 8, hash, bytes);
     }
 }
 
