@@ -20,8 +20,10 @@
 //! of one tensor to one device overlapping — if the simulator predicts
 //! other link bytes than the links carried, if a worker's peak memory
 //! differs from `per_device_memory`'s (buffer reuse on, no optimizer copies:
-//! what the runtime allocates), if the second or third step planned
-//! anything, or if a step's values differ from the first's.
+//! what the runtime allocates), if a row's peak falls below its live-byte
+//! bound (only a plan that overlaps live tensors can), if the second or
+//! third step planned anything, or if a step's values differ from the
+//! first's.
 
 use tofu_bench::{
     bench_report, bit_identical, feeds, scatter_feeds, transfers, write_report, Json,
@@ -231,6 +233,13 @@ fn main() {
         .collect();
     write_report("BENCH_runtime.json", &bench_report("runtime_scaling", Vec::new(), results));
     println!("({} rows)", rows.len());
+    // Only a plan that overlaps live tensors can peak below its live bytes.
+    for r in rows.iter().filter(|r| r.peak_device_bytes < r.live_peak_bytes) {
+        failures.push(format!(
+            "{} w={}: peak {} B below the {} B live bound",
+            r.model, r.workers, r.peak_device_bytes, r.live_peak_bytes
+        ));
+    }
     for r in rows.iter().filter(|r| r.transport_copy_bytes != 0) {
         failures.push(format!(
             "{} w={}: the transport copied {} payload bytes",

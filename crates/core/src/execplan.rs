@@ -487,8 +487,8 @@ mod tests {
             let want = plan_buffers(g, &wp.schedule, true);
             let got = &wp.buffers;
             assert_eq!(
-                (got.mem, &got.slot_bytes, &got.actions, &got.persistent),
-                (want.mem, &want.slot_bytes, &want.actions, &want.persistent),
+                (got.mem, &got.placements, &got.persistent),
+                (want.mem, &want.placements, &want.persistent),
                 "worker {w}: buffer plan"
             );
         }

@@ -49,7 +49,7 @@ pub use autodiff::{backward, GradInfo};
 pub use error::GraphError;
 pub use exec::{execute_node, Executor};
 pub use graph::{Graph, Node, NodeId, NodeTags, TensorId, TensorKind, TensorMeta};
-pub use memplan::{plan_buffers, BufferPlan, MemPlan, SlotAction};
+pub use memplan::{plan_buffers, BufferPlan, MemPlan, Placement};
 pub use ops::data::{fetch_pieces, FetchPiece, Served, TransferIndex};
 pub use registry::{coverage, lookup, Coverage, OpCategory, OpDef};
 

@@ -12,10 +12,11 @@
 //!   global topological order;
 //! - its values, in a slab indexed by tensor id, which the supervisor merges
 //!   into [`RunOutput::values`] in one ordered pass;
-//! - a buffer pool that replays the static memory planner's
-//!   `BufferPlan` against the sizes of the tensors actually produced, so
-//!   the plan's footprint is confirmed in executed order and can be held
-//!   against `tofu-sim`'s `per_device_memory` prediction;
+//! - a buffer pool, the ledger of one arena, that replays the static memory
+//!   planner's `BufferPlan` — an offset per output — against the sizes of
+//!   the tensors actually produced, so the arena's high-water mark is
+//!   confirmed in executed order and can be held against `tofu-sim`'s
+//!   `per_device_memory` prediction;
 //! - typed send/receive ports for cross-device tensor pieces.
 //!
 //! Communication follows the §6 invariant the generator establishes: every

@@ -232,7 +232,7 @@ struct Worker<'a> {
     expect_seq: Vec<u64>,
     bytes_received: u64,
     persistent_bytes: u64,
-    pool: BufferPool<'a>,
+    pool: BufferPool,
     ops: usize,
     busy: Duration,
     epoch: Instant,
@@ -421,7 +421,7 @@ impl<'a> Worker<'a> {
             device: self.w,
             ops: self.ops,
             busy: self.busy,
-            pool_peak_bytes: self.pool.reserved_bytes(),
+            pool_peak_bytes: self.pool.high_water_bytes(),
             persistent_bytes: self.persistent_bytes,
             bytes_sent: self.sent.iter().map(|&(b, _)| b).sum(),
             bytes_received: self.bytes_received,
@@ -547,7 +547,7 @@ impl<'a> Worker<'a> {
         for pos in 0..self.start_pos {
             let out = self.sharded.graph.node(self.schedule[pos]).output;
             let bytes = self.sharded.graph.tensor(out).shape.bytes();
-            self.pool.apply(self.plan.actions[pos], bytes)?;
+            self.pool.apply(self.plan.placements[pos], bytes)?;
         }
 
         // Resident leaf bytes, measured from the actual fed shards this
@@ -603,7 +603,7 @@ impl<'a> Worker<'a> {
                         worker: self.w,
                         detail: format!(
                             "over budget: injected at schedule step {pos} with {} B resident",
-                            self.pool.reserved_bytes()
+                            self.pool.high_water_bytes()
                         ),
                     },
                 });
@@ -626,14 +626,14 @@ impl<'a> Worker<'a> {
                 execute_node(&self.sharded.graph, id, &inputs)
                     .map_err(|source| RuntimeError::Exec { worker: self.w, source })?
             };
-            self.pool.apply(self.plan.actions[pos], out.shape().bytes())?;
+            self.pool.apply(self.plan.placements[pos], out.shape().bytes())?;
             let end = self.epoch.elapsed();
             self.busy += end - start;
             self.ops += 1;
             if self.obs.is_some() {
                 let (s_us, e_us) = (self.obs_ts(start), self.obs_ts(end));
                 let cat = if node.op == "multi_fetch" { "fetch" } else { "op" };
-                let pool_now = self.pool.reserved_bytes() as f64;
+                let pool_now = self.pool.high_water_bytes() as f64;
                 if let Some(buf) = self.obs.as_mut() {
                     buf.complete(cat, &node.name, s_us, e_us);
                     buf.counter("pool bytes", e_us, pool_now);

@@ -2,9 +2,9 @@
 //!
 //! Wraps the graph crate's static memory planner: a device's footprint is
 //! its persistent tensors (weight shards and inputs), the planner's
-//! transient bytes under its serial sub-schedule (the sum of its buffer
-//! slots, each sized once, offline, for the largest tensor it holds; the
-//! runtime's pool reserves exactly these), and one extra optimizer history
+//! transient bytes under its serial sub-schedule (the size of its arena,
+//! in which every tensor gets a byte offset offline; the runtime's pool
+//! reaches exactly this high-water mark), and one extra optimizer history
 //! copy per weight — the `3W` rule of §7.1 (weight + gradient + history; the
 //! gradient is a graph tensor and already in the plan).
 
@@ -37,8 +37,8 @@ impl DeviceMemory {
 ///
 /// `buffer_reuse` models the §6 control-dependency optimization: with it the
 /// memory planner lets tensors with disjoint lifetimes along the worker's
-/// serial schedule share a buffer; without it every transient allocation is
-/// simultaneously live.
+/// serial schedule share bytes of the arena; without it every transient
+/// allocation is simultaneously live.
 pub fn per_device_memory(
     g: &Graph,
     device_of: &[usize],
