@@ -6,9 +6,13 @@
 //! forward pass (the coarsening pass then groups forward and backward
 //! operators, §5.1). Strided backward-data descriptions use rational index
 //! coefficients (`1/s`), which are region-exact for the interval analysis.
+//!
+//! Each convolution direction — forward, `bwd_data`, `bwd_filter` — is
+//! written once over its spatial rank `R` (1 for `conv1d`, 2 for `conv2d`);
+//! `RANKS` holds the names each rank gives its variables and attributes.
 
-use tofu_tdl::{DescBuilder, Exp, Reducer, TdlDesc};
-use tofu_tensor::{Conv1dParams, Conv2dParams, PoolKind, PoolParams, Shape, Tensor};
+use tofu_tdl::{builder::Idx, DescBuilder, Exp, Reducer, TdlDesc, Var};
+use tofu_tensor::{Conv2dParams, PoolKind, PoolParams, Shape, Tensor};
 
 use crate::attrs::Attrs;
 use crate::graph::TensorId;
@@ -28,71 +32,108 @@ fn conv_params(attrs: &Attrs) -> (usize, usize) {
     (attrs.int_or("stride", 1).max(1) as usize, attrs.int_or("pad", 0).max(0) as usize)
 }
 
+/// The names one spatial rank gives its convolutions, variables and
+/// attributes.
+struct Rank {
+    /// Forward, `bwd_data` and `bwd_filter`.
+    ops: [&'static str; 3],
+    /// Output positions of the forward (and the sum of `bwd_filter`).
+    pos: &'static [&'static str],
+    /// Filter taps.
+    taps: &'static [&'static str],
+    /// Output positions of `bwd_data`.
+    data: &'static [&'static str],
+    /// `bwd_data`'s attributes: the data's spatial extents.
+    in_attrs: &'static [&'static str],
+    /// `bwd_filter`'s attributes: the filter's spatial extents.
+    tap_attrs: &'static [&'static str],
+}
+
+/// Spatial rank `R` is `RANKS[R - 1]`.
+const RANKS: [Rank; 2] = [
+    Rank {
+        ops: ["conv1d", "conv1d_bwd_data", "conv1d_bwd_filter"],
+        pos: &["x"],
+        taps: &["dx"],
+        data: &["x"],
+        in_attrs: &["in_x"],
+        tap_attrs: &["dx"],
+    },
+    Rank {
+        ops: ["conv2d", "conv2d_bwd_data", "conv2d_bwd_filter"],
+        pos: &["y", "x"],
+        taps: &["ky", "kx"],
+        data: &["h", "w"],
+        in_attrs: &["in_h", "in_w"],
+        tap_attrs: &["kh", "kw"],
+    },
+];
+
 // ---- Shape inference -------------------------------------------------------
 
-fn shape_conv1d(ins: &[Shape], attrs: &Attrs) -> std::result::Result<Shape, String> {
-    if ins.len() != 2 || ins[0].rank() != 3 || ins[1].rank() != 3 {
-        return Err("conv1d expects rank-3 data and filters".into());
+/// Fails unless `ins` are two operands of rank `R + 2`; the message names
+/// convolution `op` of the rank (0 forward, 1 `bwd_data`, 2 `bwd_filter`).
+fn expect_operands<const R: usize>(
+    ins: &[Shape],
+    op: usize,
+    what: &str,
+) -> std::result::Result<(), String> {
+    if ins.len() != 2 || ins.iter().any(|s| s.rank() != R + 2) {
+        return Err(format!("{} expects rank-{} {what}", RANKS[R - 1].ops[op], R + 2));
     }
+    Ok(())
+}
+
+/// `[n, c]` followed by one extent per spatial dim.
+fn spatial_shape<const R: usize>(
+    n: usize,
+    c: usize,
+    mut extent: impl FnMut(usize) -> std::result::Result<usize, String>,
+) -> std::result::Result<Shape, String> {
+    let mut dims = Vec::with_capacity(R + 2);
+    dims.extend([n, c]);
+    for d in 0..R {
+        dims.push(extent(d)?);
+    }
+    Ok(Shape::new(dims))
+}
+
+fn shape_conv<const R: usize>(ins: &[Shape], attrs: &Attrs) -> std::result::Result<Shape, String> {
+    expect_operands::<R>(ins, 0, "data and filters")?;
     if ins[0].dim(1) != ins[1].dim(0) {
         return Err(format!("channel mismatch {} vs {}", ins[0].dim(1), ins[1].dim(0)));
     }
     let (s, p) = conv_params(attrs);
-    Ok(Shape::new(vec![ins[0].dim(0), ins[1].dim(1), out_extent(ins[0].dim(2), ins[1].dim(2), s, p)]))
+    spatial_shape::<R>(ins[0].dim(0), ins[1].dim(1), |d| {
+        Ok(out_extent(ins[0].dim(2 + d), ins[1].dim(2 + d), s, p))
+    })
 }
 
-fn shape_conv2d(ins: &[Shape], attrs: &Attrs) -> std::result::Result<Shape, String> {
-    if ins.len() != 2 || ins[0].rank() != 4 || ins[1].rank() != 4 {
-        return Err("conv2d expects rank-4 data and filters".into());
-    }
-    if ins[0].dim(1) != ins[1].dim(0) {
-        return Err(format!("channel mismatch {} vs {}", ins[0].dim(1), ins[1].dim(0)));
-    }
-    let (s, p) = conv_params(attrs);
-    Ok(Shape::new(vec![
-        ins[0].dim(0),
-        ins[1].dim(1),
-        out_extent(ins[0].dim(2), ins[1].dim(2), s, p),
-        out_extent(ins[0].dim(3), ins[1].dim(3), s, p),
-    ]))
+/// The integer attribute `name`, or an error naming it.
+fn extent_attr(attrs: &Attrs, name: &str) -> std::result::Result<usize, String> {
+    Ok(attrs.int(name).ok_or_else(|| format!("missing {name} attribute"))? as usize)
 }
 
-fn shape_conv2d_bwd_data(ins: &[Shape], attrs: &Attrs) -> std::result::Result<Shape, String> {
-    // Inputs: out_grad (b, co, oh, ow), filters (ci, co, kh, kw); the data
-    // extents are attributes because they cannot be recovered from the
+fn shape_conv_bwd_data<const R: usize>(
+    ins: &[Shape],
+    attrs: &Attrs,
+) -> std::result::Result<Shape, String> {
+    // Inputs: out_grad (b, co, [oh,] ow), filters (ci, co, [kh,] kw); the
+    // data extents are attributes because they cannot be recovered from the
     // output extent alone under striding.
-    if ins.len() != 2 || ins[0].rank() != 4 || ins[1].rank() != 4 {
-        return Err("conv2d_bwd_data expects rank-4 out_grad and filters".into());
-    }
-    let h = attrs.int("in_h").ok_or("missing in_h attribute")? as usize;
-    let w = attrs.int("in_w").ok_or("missing in_w attribute")? as usize;
-    Ok(Shape::new(vec![ins[0].dim(0), ins[1].dim(0), h, w]))
+    expect_operands::<R>(ins, 1, "out_grad and filters")?;
+    let names = RANKS[R - 1].in_attrs;
+    spatial_shape::<R>(ins[0].dim(0), ins[1].dim(0), |d| extent_attr(attrs, names[d]))
 }
 
-fn shape_conv2d_bwd_filter(ins: &[Shape], attrs: &Attrs) -> std::result::Result<Shape, String> {
-    // Inputs: out_grad (b, co, oh, ow), data (b, ci, h, w).
-    if ins.len() != 2 || ins[0].rank() != 4 || ins[1].rank() != 4 {
-        return Err("conv2d_bwd_filter expects rank-4 out_grad and data".into());
-    }
-    let kh = attrs.int("kh").ok_or("missing kh attribute")? as usize;
-    let kw = attrs.int("kw").ok_or("missing kw attribute")? as usize;
-    Ok(Shape::new(vec![ins[1].dim(1), ins[0].dim(1), kh, kw]))
-}
-
-fn shape_conv1d_bwd_data(ins: &[Shape], attrs: &Attrs) -> std::result::Result<Shape, String> {
-    if ins.len() != 2 || ins[0].rank() != 3 || ins[1].rank() != 3 {
-        return Err("conv1d_bwd_data expects rank-3 out_grad and filters".into());
-    }
-    let x = attrs.int("in_x").ok_or("missing in_x attribute")? as usize;
-    Ok(Shape::new(vec![ins[0].dim(0), ins[1].dim(0), x]))
-}
-
-fn shape_conv1d_bwd_filter(ins: &[Shape], attrs: &Attrs) -> std::result::Result<Shape, String> {
-    if ins.len() != 2 || ins[0].rank() != 3 || ins[1].rank() != 3 {
-        return Err("conv1d_bwd_filter expects rank-3 out_grad and data".into());
-    }
-    let dx = attrs.int("dx").ok_or("missing dx attribute")? as usize;
-    Ok(Shape::new(vec![ins[1].dim(1), ins[0].dim(1), dx]))
+fn shape_conv_bwd_filter<const R: usize>(
+    ins: &[Shape],
+    attrs: &Attrs,
+) -> std::result::Result<Shape, String> {
+    // Inputs: out_grad (b, co, [oh,] ow), data (b, ci, [h,] w).
+    expect_operands::<R>(ins, 2, "out_grad and data")?;
+    let names = RANKS[R - 1].tap_attrs;
+    spatial_shape::<R>(ins[1].dim(1), ins[0].dim(1), |d| extent_attr(attrs, names[d]))
 }
 
 fn shape_pool2d(ins: &[Shape], attrs: &Attrs) -> std::result::Result<Shape, String> {
@@ -133,95 +174,66 @@ fn shape_gap_grad(ins: &[Shape], _: &Attrs) -> std::result::Result<Shape, String
 
 // ---- TDL descriptions --------------------------------------------------------
 
-fn tdl_conv1d(_: &[Shape], attrs: &Attrs) -> Option<TdlDesc> {
-    let (s, p) = conv_params(attrs);
-    let mut b = DescBuilder::new("conv1d", &[3, 3]);
-    let (bb, co, x) = (b.output_var("b"), b.output_var("co"), b.output_var("x"));
-    let (ci, dx) = (b.reduce_var("ci"), b.reduce_var("dx"));
-    let body = b.input(0, &[bb.at(), ci.at(), x.at() * s as i64 + dx.at() - p as i64])
-        * b.input(1, &[ci.at(), co.at(), dx.at()]);
-    b.build_reduce(Reducer::Sum, body).ok()
+/// Declares one output (or reduce) variable per name.
+fn declare<const R: usize>(b: &mut DescBuilder, names: &[&str], output: bool) -> [Var; R] {
+    std::array::from_fn(|d| if output { b.output_var(names[d]) } else { b.reduce_var(names[d]) })
 }
 
-fn tdl_conv2d(_: &[Shape], attrs: &Attrs) -> Option<TdlDesc> {
+/// Reads `input` at `[n, c, spatial…]`.
+fn read<const R: usize>(b: &DescBuilder, input: usize, n: Var, c: Var, spatial: [Idx; R]) -> Exp {
+    let mut coords: [Idx; 4] = [n.at(), c.at(), Idx::full(), Idx::full()];
+    for (coord, idx) in coords[2..].iter_mut().zip(spatial) {
+        *coord = idx;
+    }
+    b.input(input, &coords[..R + 2])
+}
+
+fn tdl_conv<const R: usize>(_: &[Shape], attrs: &Attrs) -> Option<TdlDesc> {
+    // out[b, co, x…] = Σ_{ci,dx…} X[b, ci, x·s+dx-p…] · F[ci, co, dx…]
     let (s, p) = conv_params(attrs);
-    let mut b = DescBuilder::new("conv2d", &[4, 4]);
+    let names = &RANKS[R - 1];
+    let mut b = DescBuilder::new(names.ops[0], &[R + 2, R + 2]);
     let (bb, co) = (b.output_var("b"), b.output_var("co"));
-    let (y, x) = (b.output_var("y"), b.output_var("x"));
-    let (ci, ky, kx) = (b.reduce_var("ci"), b.reduce_var("ky"), b.reduce_var("kx"));
-    let body = b.input(
-        0,
-        &[
-            bb.at(),
-            ci.at(),
-            y.at() * s as i64 + ky.at() - p as i64,
-            x.at() * s as i64 + kx.at() - p as i64,
-        ],
-    ) * b.input(1, &[ci.at(), co.at(), ky.at(), kx.at()]);
+    let pos = declare::<R>(&mut b, names.pos, true);
+    let ci = b.reduce_var("ci");
+    let taps = declare::<R>(&mut b, names.taps, false);
+    let window: [Idx; R] =
+        std::array::from_fn(|d| pos[d].at() * s as i64 + taps[d].at() - p as i64);
+    let body = read(&b, 0, bb, ci, window) * read(&b, 1, ci, co, taps.map(Var::at));
     b.build_reduce(Reducer::Sum, body).ok()
 }
 
-fn tdl_conv2d_bwd_data(_: &[Shape], attrs: &Attrs) -> Option<TdlDesc> {
-    // dX[b, ci, h, w] = Σ_{co,ky,kx} dY[b, co, (h - ky + p)/s, (w - kx + p)/s]
-    //                               · F[ci, co, ky, kx]
+fn tdl_conv_bwd_data<const R: usize>(_: &[Shape], attrs: &Attrs) -> Option<TdlDesc> {
+    // dX[b, ci, h…] = Σ_{co,ky…} dY[b, co, (h - ky + p)/s…] · F[ci, co, ky…]
     let (s, p) = conv_params(attrs);
-    let mut b = DescBuilder::new("conv2d_bwd_data", &[4, 4]);
+    let names = &RANKS[R - 1];
+    let mut b = DescBuilder::new(names.ops[1], &[R + 2, R + 2]);
     let (bb, ci) = (b.output_var("b"), b.output_var("ci"));
-    let (h, w) = (b.output_var("h"), b.output_var("w"));
-    let (co, ky, kx) = (b.reduce_var("co"), b.reduce_var("ky"), b.reduce_var("kx"));
-    let body = b.input(
-        0,
-        &[
-            bb.at(),
-            co.at(),
-            ((h.at() - ky.at()) + p as i64).div(s as i64),
-            ((w.at() - kx.at()) + p as i64).div(s as i64),
-        ],
-    ) * b.input(1, &[ci.at(), co.at(), ky.at(), kx.at()]);
+    let data = declare::<R>(&mut b, names.data, true);
+    let co = b.reduce_var("co");
+    let taps = declare::<R>(&mut b, names.taps, false);
+    let window: [Idx; R] =
+        std::array::from_fn(|d| ((data[d].at() - taps[d].at()) + p as i64).div(s as i64));
+    let body = read(&b, 0, bb, co, window) * read(&b, 1, ci, co, taps.map(Var::at));
     b.build_reduce(Reducer::Sum, body).ok()
 }
 
-fn tdl_conv2d_bwd_filter(_: &[Shape], attrs: &Attrs) -> Option<TdlDesc> {
-    // dF[ci, co, ky, kx] = Σ_{b,y,x} dY[b, co, y, x] · X[b, ci, y·s+ky-p, x·s+kx-p]
+fn tdl_conv_bwd_filter<const R: usize>(_: &[Shape], attrs: &Attrs) -> Option<TdlDesc> {
+    // dF[ci, co, ky…] = Σ_{b,y…} dY[b, co, y…] · X[b, ci, y·s+ky-p…]
     //
     // The reduction over the batch dimension b is exactly the "hidden"
     // strategy the paper highlights: weight gradients can be computed by
     // batch-splitting and then output-reducing (§7.3).
     let (s, p) = conv_params(attrs);
-    let mut b = DescBuilder::new("conv2d_bwd_filter", &[4, 4]);
+    let names = &RANKS[R - 1];
+    let mut b = DescBuilder::new(names.ops[2], &[R + 2, R + 2]);
     let (ci, co) = (b.output_var("ci"), b.output_var("co"));
-    let (ky, kx) = (b.output_var("ky"), b.output_var("kx"));
-    let (bb, y, x) = (b.reduce_var("b"), b.reduce_var("y"), b.reduce_var("x"));
-    let body = b.input(0, &[bb.at(), co.at(), y.at(), x.at()])
-        * b.input(
-            1,
-            &[
-                bb.at(),
-                ci.at(),
-                y.at() * s as i64 + ky.at() - p as i64,
-                x.at() * s as i64 + kx.at() - p as i64,
-            ],
-        );
-    b.build_reduce(Reducer::Sum, body).ok()
-}
-
-fn tdl_conv1d_bwd_data(_: &[Shape], attrs: &Attrs) -> Option<TdlDesc> {
-    let (s, p) = conv_params(attrs);
-    let mut b = DescBuilder::new("conv1d_bwd_data", &[3, 3]);
-    let (bb, ci, x) = (b.output_var("b"), b.output_var("ci"), b.output_var("x"));
-    let (co, dx) = (b.reduce_var("co"), b.reduce_var("dx"));
-    let body = b.input(0, &[bb.at(), co.at(), ((x.at() - dx.at()) + p as i64).div(s as i64)])
-        * b.input(1, &[ci.at(), co.at(), dx.at()]);
-    b.build_reduce(Reducer::Sum, body).ok()
-}
-
-fn tdl_conv1d_bwd_filter(_: &[Shape], attrs: &Attrs) -> Option<TdlDesc> {
-    let (s, p) = conv_params(attrs);
-    let mut b = DescBuilder::new("conv1d_bwd_filter", &[3, 3]);
-    let (ci, co, dx) = (b.output_var("ci"), b.output_var("co"), b.output_var("dx"));
-    let (bb, x) = (b.reduce_var("b"), b.reduce_var("x"));
-    let body = b.input(0, &[bb.at(), co.at(), x.at()])
-        * b.input(1, &[bb.at(), ci.at(), x.at() * s as i64 + dx.at() - p as i64]);
+    let taps = declare::<R>(&mut b, names.taps, true);
+    let bb = b.reduce_var("b");
+    let pos = declare::<R>(&mut b, names.pos, false);
+    let window: [Idx; R] =
+        std::array::from_fn(|d| pos[d].at() * s as i64 + taps[d].at() - p as i64);
+    let body = read(&b, 0, bb, co, pos.map(Var::at)) * read(&b, 1, bb, ci, window);
     b.build_reduce(Reducer::Sum, body).ok()
 }
 
@@ -281,53 +293,19 @@ fn tdl_gap_grad(_: &[Shape], _: &Attrs) -> Option<TdlDesc> {
 
 // ---- Gradients ----------------------------------------------------------------
 
-fn grad_conv2d(ctx: &mut GradCtx<'_>) -> Result<Vec<Option<TensorId>>> {
+fn grad_conv<const R: usize>(ctx: &mut GradCtx<'_>) -> Result<Vec<Option<TensorId>>> {
+    let names = &RANKS[R - 1];
     let (data, filters) = (ctx.inputs[0], ctx.inputs[1]);
-    let dsh = ctx.shape(data);
-    let fsh = ctx.shape(filters);
+    let (dsh, fsh) = (ctx.shape(data), ctx.shape(filters));
     let (s, p) = conv_params(&ctx.attrs);
-    let d_data = ctx.op(
-        "conv2d_bwd_data",
-        &[ctx.out_grad, filters],
-        Attrs::new()
-            .with_int("stride", s as i64)
-            .with_int("pad", p as i64)
-            .with_int("in_h", dsh.dim(2) as i64)
-            .with_int("in_w", dsh.dim(3) as i64),
-    )?;
-    let d_filters = ctx.op(
-        "conv2d_bwd_filter",
-        &[ctx.out_grad, data],
-        Attrs::new()
-            .with_int("stride", s as i64)
-            .with_int("pad", p as i64)
-            .with_int("kh", fsh.dim(2) as i64)
-            .with_int("kw", fsh.dim(3) as i64),
-    )?;
-    Ok(vec![Some(d_data), Some(d_filters)])
-}
-
-fn grad_conv1d(ctx: &mut GradCtx<'_>) -> Result<Vec<Option<TensorId>>> {
-    let (data, filters) = (ctx.inputs[0], ctx.inputs[1]);
-    let dsh = ctx.shape(data);
-    let fsh = ctx.shape(filters);
-    let (s, p) = conv_params(&ctx.attrs);
-    let d_data = ctx.op(
-        "conv1d_bwd_data",
-        &[ctx.out_grad, filters],
-        Attrs::new()
-            .with_int("stride", s as i64)
-            .with_int("pad", p as i64)
-            .with_int("in_x", dsh.dim(2) as i64),
-    )?;
-    let d_filters = ctx.op(
-        "conv1d_bwd_filter",
-        &[ctx.out_grad, data],
-        Attrs::new()
-            .with_int("stride", s as i64)
-            .with_int("pad", p as i64)
-            .with_int("dx", fsh.dim(2) as i64),
-    )?;
+    let sp = Attrs::new().with_int("stride", s as i64).with_int("pad", p as i64);
+    let (mut data_attrs, mut filter_attrs) = (sp.clone(), sp);
+    for d in 0..R {
+        data_attrs = data_attrs.with_int(names.in_attrs[d], dsh.dim(2 + d) as i64);
+        filter_attrs = filter_attrs.with_int(names.tap_attrs[d], fsh.dim(2 + d) as i64);
+    }
+    let d_data = ctx.op(names.ops[1], &[ctx.out_grad, filters], data_attrs)?;
+    let d_filters = ctx.op(names.ops[2], &[ctx.out_grad, data], filter_attrs)?;
     Ok(vec![Some(d_data), Some(d_filters)])
 }
 
@@ -358,21 +336,16 @@ fn pool_params(attrs: &Attrs) -> PoolParams {
     }
 }
 
-fn conv1d_params(attrs: &Attrs) -> Conv1dParams {
-    let (stride, pad) = conv_params(attrs);
-    Conv1dParams { stride, pad }
+fn kernel_conv(ins: &[&Tensor], attrs: &Attrs, _: &Shape) -> Result<Tensor> {
+    Ok(ins[0].conv2d(ins[1], conv2d_params(attrs))?)
 }
 
-fn kernel_conv1d(ins: &[&Tensor], attrs: &Attrs, _: &Shape) -> Result<Tensor> {
-    Ok(ins[0].conv1d(ins[1], conv1d_params(attrs))?)
+fn kernel_conv_bwd_data(ins: &[&Tensor], attrs: &Attrs, out: &Shape) -> Result<Tensor> {
+    Ok(Tensor::conv2d_backward_data(ins[0], ins[1], out, conv2d_params(attrs))?)
 }
 
-fn kernel_conv1d_bwd_data(ins: &[&Tensor], attrs: &Attrs, out: &Shape) -> Result<Tensor> {
-    Ok(Tensor::conv1d_backward_data(ins[0], ins[1], out, conv1d_params(attrs))?)
-}
-
-fn kernel_conv1d_bwd_filter(ins: &[&Tensor], attrs: &Attrs, out: &Shape) -> Result<Tensor> {
-    Ok(Tensor::conv1d_backward_filter(ins[0], ins[1], out, conv1d_params(attrs))?)
+fn kernel_conv_bwd_filter(ins: &[&Tensor], attrs: &Attrs, out: &Shape) -> Result<Tensor> {
+    Ok(Tensor::conv2d_backward_filter(ins[0], ins[1], out, conv2d_params(attrs))?)
 }
 
 /// Max-pool gradient routes to the window argmax; avg-pool distributes
@@ -436,18 +409,15 @@ fn kernel_gap_grad(ins: &[&Tensor], _: &Attrs, _: &Shape) -> Result<Tensor> {
 
 // ---- Flops ----------------------------------------------------------------------
 
-fn flops_conv2d(ins: &[Shape], out: &Shape, _: &Attrs) -> f64 {
-    // 2 · |out| · ci · kh · kw.
-    2.0 * out.volume() as f64 * (ins[1].dim(0) * ins[1].dim(2) * ins[1].dim(3)) as f64
+fn flops_conv(ins: &[Shape], out: &Shape, _: &Attrs) -> f64 {
+    // 2 · |out| · ci · kh · kw (the spatial dims of the second operand).
+    let taps: usize = ins[1].dims()[2..].iter().product();
+    2.0 * out.volume() as f64 * (ins[1].dim(0) * taps) as f64
 }
 
-fn flops_conv2d_bwd(ins: &[Shape], out: &Shape, attrs: &Attrs) -> f64 {
+fn flops_conv_bwd(ins: &[Shape], out: &Shape, attrs: &Attrs) -> f64 {
     // Symmetric cost to the forward pass.
-    flops_conv2d(ins, out, attrs).max(2.0 * ins[0].volume() as f64)
-}
-
-fn flops_conv1d(ins: &[Shape], out: &Shape, _: &Attrs) -> f64 {
-    2.0 * out.volume() as f64 * (ins[1].dim(0) * ins[1].dim(2)) as f64
+    flops_conv(ins, out, attrs).max(2.0 * ins[0].volume() as f64)
 }
 
 fn flops_pool(_: &[Shape], out: &Shape, attrs: &Attrs) -> f64 {
@@ -459,67 +429,45 @@ fn flops_vol(ins: &[Shape], out: &Shape, _: &Attrs) -> f64 {
     ins.iter().map(|s| s.volume()).max().unwrap_or(out.volume()) as f64
 }
 
+/// The forward, `bwd_data` and `bwd_filter` convolutions of spatial rank `R`.
+fn conv_defs<const R: usize>() -> [OpDef; 3] {
+    let [fwd, data, filter] = RANKS[R - 1].ops;
+    [
+        OpDef {
+            name: fwd,
+            category: OpCategory::Convolution,
+            infer_shape: shape_conv::<R>,
+            tdl: Some(tdl_conv::<R>),
+            gradient: Some(grad_conv::<R>),
+            flops: flops_conv,
+            kernel: Some(Kernel::General(kernel_conv)),
+        },
+        OpDef {
+            name: data,
+            category: OpCategory::Convolution,
+            infer_shape: shape_conv_bwd_data::<R>,
+            tdl: Some(tdl_conv_bwd_data::<R>),
+            gradient: None,
+            flops: flops_conv_bwd,
+            kernel: Some(Kernel::General(kernel_conv_bwd_data)),
+        },
+        OpDef {
+            name: filter,
+            category: OpCategory::Convolution,
+            infer_shape: shape_conv_bwd_filter::<R>,
+            tdl: Some(tdl_conv_bwd_filter::<R>),
+            gradient: None,
+            flops: flops_conv_bwd,
+            kernel: Some(Kernel::General(kernel_conv_bwd_filter)),
+        },
+    ]
+}
+
 /// Returns the convolution/pooling operator definitions.
 pub(crate) fn defs() -> Vec<OpDef> {
-    vec![
-        OpDef {
-            name: "conv1d",
-            category: OpCategory::Convolution,
-            infer_shape: shape_conv1d,
-            tdl: Some(tdl_conv1d),
-            gradient: Some(grad_conv1d),
-            flops: flops_conv1d,
-            kernel: Some(Kernel::General(kernel_conv1d)),
-        },
-        OpDef {
-            name: "conv1d_bwd_data",
-            category: OpCategory::Convolution,
-            infer_shape: shape_conv1d_bwd_data,
-            tdl: Some(tdl_conv1d_bwd_data),
-            gradient: None,
-            flops: flops_conv1d,
-            kernel: Some(Kernel::General(kernel_conv1d_bwd_data)),
-        },
-        OpDef {
-            name: "conv1d_bwd_filter",
-            category: OpCategory::Convolution,
-            infer_shape: shape_conv1d_bwd_filter,
-            tdl: Some(tdl_conv1d_bwd_filter),
-            gradient: None,
-            flops: flops_conv1d,
-            kernel: Some(Kernel::General(kernel_conv1d_bwd_filter)),
-        },
-        OpDef {
-            name: "conv2d",
-            category: OpCategory::Convolution,
-            infer_shape: shape_conv2d,
-            tdl: Some(tdl_conv2d),
-            gradient: Some(grad_conv2d),
-            flops: flops_conv2d,
-            kernel: Some(Kernel::General(|ins, attrs, _| Ok(ins[0].conv2d(ins[1], conv2d_params(attrs))?))),
-        },
-        OpDef {
-            name: "conv2d_bwd_data",
-            category: OpCategory::Convolution,
-            infer_shape: shape_conv2d_bwd_data,
-            tdl: Some(tdl_conv2d_bwd_data),
-            gradient: None,
-            flops: flops_conv2d_bwd,
-            kernel: Some(Kernel::General(|ins, attrs, out| {
-                Ok(Tensor::conv2d_backward_data(ins[0], ins[1], out, conv2d_params(attrs))?)
-            })),
-        },
-        OpDef {
-            name: "conv2d_bwd_filter",
-            category: OpCategory::Convolution,
-            infer_shape: shape_conv2d_bwd_filter,
-            tdl: Some(tdl_conv2d_bwd_filter),
-            gradient: None,
-            flops: flops_conv2d_bwd,
-            kernel: Some(Kernel::General(|ins, attrs, out| {
-                Ok(Tensor::conv2d_backward_filter(ins[0], ins[1], out, conv2d_params(attrs))?)
-            })),
-        },
+    let mut defs = Vec::from(conv_defs::<1>());
+    defs.extend(conv_defs::<2>());
+    defs.extend([
         OpDef {
             name: "pool2d",
             category: OpCategory::Convolution,
@@ -556,7 +504,8 @@ pub(crate) fn defs() -> Vec<OpDef> {
             flops: flops_vol,
             kernel: Some(Kernel::General(kernel_gap_grad)),
         },
-    ]
+    ]);
+    defs
 }
 
 #[cfg(test)]
@@ -569,7 +518,7 @@ mod tests {
         let data = Shape::new(vec![2, 3, 8, 8]);
         let filt = Shape::new(vec![3, 16, 3, 3]);
         let attrs = Attrs::new().with_int("stride", 2).with_int("pad", 1);
-        let out = shape_conv2d(&[data, filt], &attrs).unwrap();
+        let out = shape_conv::<2>(&[data, filt], &attrs).unwrap();
         assert_eq!(out.dims(), &[2, 16, 4, 4]);
     }
 
@@ -577,13 +526,13 @@ mod tests {
     fn conv2d_shape_rejects_channel_mismatch() {
         let data = Shape::new(vec![2, 3, 8, 8]);
         let filt = Shape::new(vec![4, 16, 3, 3]);
-        assert!(shape_conv2d(&[data, filt], &Attrs::new()).is_err());
+        assert!(shape_conv::<2>(&[data, filt], &Attrs::new()).is_err());
     }
 
     #[test]
     fn conv2d_tdl_has_seven_strategies() {
         // b, co, y, x output splits + ci, ky, kx reduction splits.
-        let desc = tdl_conv2d(&[], &Attrs::new()).unwrap();
+        let desc = tdl_conv::<2>(&[], &Attrs::new()).unwrap();
         let s = discover_strategies(&desc).unwrap();
         assert_eq!(s.len(), 7);
         // Channel reduction strategy splits both data (dim 1) and filters
@@ -595,7 +544,7 @@ mod tests {
 
     #[test]
     fn conv2d_bwd_filter_has_batch_reduction() {
-        let desc = tdl_conv2d_bwd_filter(&[], &Attrs::new()).unwrap();
+        let desc = tdl_conv_bwd_filter::<2>(&[], &Attrs::new()).unwrap();
         let s = discover_strategies(&desc).unwrap();
         let batch = s.iter().find(|st| st.id == "reduce:b").expect("batch reduction strategy");
         assert!(matches!(batch.output, OutputPartition::Reduce { .. }));
@@ -607,7 +556,7 @@ mod tests {
     #[test]
     fn strided_bwd_data_spatial_split_works() {
         let attrs = Attrs::new().with_int("stride", 2).with_int("pad", 1);
-        let desc = tdl_conv2d_bwd_data(&[], &attrs).unwrap();
+        let desc = tdl_conv_bwd_data::<2>(&[], &attrs).unwrap();
         let s = discover_strategies(&desc).unwrap();
         let h_split = s.iter().find(|st| st.id == "split:h").unwrap();
         // dY is split along its spatial dim with a halo.
@@ -645,14 +594,14 @@ mod tests {
         let data = Shape::new(vec![2, 3, 8, 8]);
         let filt = Shape::new(vec![3, 16, 3, 3]);
         let attrs = Attrs::new().with_int("stride", 2).with_int("pad", 1);
-        let out = shape_conv2d(&[data.clone(), filt.clone()], &attrs).unwrap();
-        let d_data = shape_conv2d_bwd_data(
+        let out = shape_conv::<2>(&[data.clone(), filt.clone()], &attrs).unwrap();
+        let d_data = shape_conv_bwd_data::<2>(
             &[out.clone(), filt.clone()],
             &attrs.clone().with_int("in_h", 8).with_int("in_w", 8),
         )
         .unwrap();
         assert_eq!(d_data, data);
-        let d_filt = shape_conv2d_bwd_filter(
+        let d_filt = shape_conv_bwd_filter::<2>(
             &[out, data],
             &attrs.with_int("kh", 3).with_int("kw", 3),
         )

@@ -1181,7 +1181,7 @@ mod tests {
         let l = batch_cholesky(&a).unwrap();
         // Reconstruct.
         let l0 = l.slice(0, 0, 1).unwrap().reshape(Shape::new(vec![2, 2])).unwrap();
-        let rec = l0.matmul_nt(&l0).unwrap();
+        let rec = l0.matmul(&l0, tofu_tensor::Transpose::NT).unwrap();
         assert!(rec.allclose(&a.reshape(Shape::new(vec![2, 2])).unwrap(), 1e-5));
     }
 
@@ -1201,7 +1201,7 @@ mod tests {
         let inv = batch_inverse(&a).unwrap();
         let a0 = a.reshape(Shape::new(vec![2, 2])).unwrap();
         let i0 = inv.reshape(Shape::new(vec![2, 2])).unwrap();
-        let prod = a0.matmul(&i0).unwrap();
+        let prod = a0.matmul(&i0, tofu_tensor::Transpose::NN).unwrap();
         let eye = Tensor::from_vec(Shape::new(vec![2, 2]), vec![1., 0., 0., 1.]).unwrap();
         assert!(prod.allclose(&eye, 1e-4));
     }

@@ -1,116 +1,265 @@
-//! Dense linear algebra operators: the matmul family.
+//! Dense linear algebra operators: the twelve products and `transpose`.
 //!
-//! `matmul` is the workhorse of the RNN benchmarks. Its TDL description
-//! yields the three classic strategies — row split, column split, and the
-//! inner-product split with output reduction that the paper shows ICML18
-//! misses (§7.3).
+//! Every product is one row of `PRODUCTS`: an index form such as
+//! `"ik,kj->ij"` from which one generic body each derives the operator's
+//! shape inference, TDL description and gradient. `matmul` is the workhorse
+//! of the RNN benchmarks; its description yields the three classic
+//! strategies — row split, column split, and the inner-product split with
+//! output reduction that the paper shows ICML18 misses (§7.3).
+//!
+//! Multi-head attention moves between the token layout `(N, D)` and the
+//! head layout `(H, N, K)` with `D = H·K`. There is no reshape operator in
+//! the catalogue (reshape is not expressible in TDL's one-variable-per-
+//! dimension access language), so the projections themselves are head-
+//! indexed: `proj_heads` contracts a token matrix against a rank-3 weight
+//! `(H, D, K)` and produces the head layout directly, and `unproj_heads`
+//! contracts the head layout back down to tokens. Both are clean TDL
+//! reductions, so interval analysis discovers the megatron-style splits
+//! without any special cases: splitting `h` of `proj_heads` splits only the
+//! weight (column-parallel QKV), and the `reduce:h` strategy of
+//! `unproj_heads` is exactly the row-parallel output projection with output
+//! reduction.
 
-use tofu_tdl::{DescBuilder, Reducer, TdlDesc};
-use tofu_tensor::Shape;
+use tofu_tdl::{builder::Idx, DescBuilder, Reducer, TdlDesc, Var};
+use tofu_tensor::Transpose::{self, NN, NT, TN};
+use tofu_tensor::{Shape, Tensor};
 
 use crate::attrs::Attrs;
 use crate::graph::TensorId;
 use crate::ops::flops_per_elem;
-use crate::registry::{GradCtx, Kernel, OpCategory, OpDef};
+use crate::registry::{FlopsFn, GradCtx, GraphError, Kernel, OpCategory, OpDef};
 use crate::Result;
 
-fn shape_matmul(ins: &[Shape], _: &Attrs) -> std::result::Result<Shape, String> {
-    let (a, b) = two_rank2(ins)?;
-    if a.dim(1) != b.dim(0) {
-        return Err(format!("inner dims {} vs {}", a.dim(1), b.dim(0)));
-    }
-    Ok(Shape::new(vec![a.dim(0), b.dim(1)]))
+/// One product operator, `out = Σ A·B` over the index form `spec`: each
+/// letter names one dimension, the output's letters follow `->`, and every
+/// letter the output lacks is summed over.
+struct Product {
+    name: &'static str,
+    spec: &'static str,
+    /// The operator and operand order (`0`, `1` the forward operands, `2`
+    /// the output's gradient) of each operand's gradient; `None` for the
+    /// products that are themselves gradients.
+    grads: Option<[(&'static str, [usize; 2]); 2]>,
+    flops: FlopsFn,
+    kernel: fn(&Tensor, &Tensor) -> Result<Tensor>,
 }
 
-fn shape_matmul_tn(ins: &[Shape], _: &Attrs) -> std::result::Result<Shape, String> {
-    let (a, b) = two_rank2(ins)?;
-    if a.dim(0) != b.dim(0) {
-        return Err(format!("inner dims {} vs {}", a.dim(0), b.dim(0)));
-    }
-    Ok(Shape::new(vec![a.dim(1), b.dim(1)]))
+/// The products. All run the one tiled GEMM, whose per-element
+/// ascending-k order makes batched, sliced and sharded forms of a product
+/// bit-identical.
+const PRODUCTS: [Product; 12] = [
+    Product {
+        name: "matmul",
+        spec: "ik,kj->ij",
+        grads: Some([("matmul_nt", [2, 1]), ("matmul_tn", [0, 2])]),
+        flops: flops_matmul,
+        kernel: |a, b| Ok(a.matmul(b, NN)?),
+    },
+    Product {
+        name: "matmul_tn",
+        spec: "ki,kj->ij",
+        grads: Some([("matmul_nt", [1, 2]), ("matmul", [0, 2])]),
+        flops: flops_matmul,
+        kernel: |a, b| Ok(a.matmul(b, TN)?),
+    },
+    Product {
+        name: "matmul_nt",
+        spec: "ik,jk->ij",
+        grads: Some([("matmul", [2, 1]), ("matmul_tn", [2, 0])]),
+        flops: flops_matmul,
+        kernel: |a, b| Ok(a.matmul(b, NT)?),
+    },
+    Product {
+        name: "batch_matmul",
+        spec: "bik,bkj->bij",
+        grads: Some([("batch_matmul_nt", [2, 1]), ("batch_matmul_tn", [0, 2])]),
+        flops: |ins, out, _| 2.0 * out.volume() as f64 * ins[0].dim(2) as f64,
+        kernel: |a, b| Ok(a.matmul(b, NN)?),
+    },
+    Product {
+        name: "batch_matmul_tn",
+        spec: "bki,bkj->bij",
+        grads: Some([("batch_matmul_nt", [1, 2]), ("batch_matmul", [0, 2])]),
+        flops: |ins, out, _| 2.0 * out.volume() as f64 * ins[0].dim(1) as f64,
+        kernel: |a, b| Ok(a.matmul(b, TN)?),
+    },
+    Product {
+        name: "batch_matmul_nt",
+        spec: "bik,bjk->bij",
+        grads: Some([("batch_matmul", [2, 1]), ("batch_matmul_tn", [2, 0])]),
+        flops: |ins, out, _| 2.0 * out.volume() as f64 * ins[0].dim(2) as f64,
+        kernel: |a, b| Ok(a.matmul(b, NT)?),
+    },
+    Product {
+        name: "proj_heads",
+        spec: "nd,hdk->hnk",
+        grads: Some([("proj_heads_grad_x", [2, 1]), ("proj_heads_grad_w", [0, 2])]),
+        flops: flops_proj,
+        // out[h] = X · W[h]: a batched product with the rank-2 operand shared
+        // by every head (packed once), so every TDL split (h, n, k, reduce:d)
+        // runs unchanged.
+        kernel: |x, w| Ok(x.matmul(w, NN)?),
+    },
+    Product {
+        name: "unproj_heads",
+        spec: "hnk,hkd->nd",
+        grads: Some([("unproj_heads_grad_c", [2, 1]), ("unproj_heads_grad_w", [0, 2])]),
+        flops: flops_proj,
+        kernel: |c, w| head_sum(c, w, NN),
+    },
+    Product {
+        name: "proj_heads_grad_x",
+        spec: "hnk,hdk->nd",
+        grads: None,
+        flops: flops_proj,
+        kernel: |d, w| head_sum(d, w, NT),
+    },
+    Product {
+        name: "proj_heads_grad_w",
+        spec: "nd,hnk->hdk",
+        grads: None,
+        flops: flops_proj,
+        kernel: |x, d| Ok(x.matmul(d, TN)?),
+    },
+    Product {
+        name: "unproj_heads_grad_c",
+        spec: "nd,hkd->hnk",
+        grads: None,
+        flops: flops_proj,
+        kernel: |d, w| Ok(d.matmul(w, NT)?),
+    },
+    Product {
+        name: "unproj_heads_grad_w",
+        spec: "hnk,nd->hkd",
+        grads: None,
+        flops: flops_proj,
+        kernel: |c, d| Ok(c.matmul(d, TN)?),
+    },
+];
+
+/// A spec's two operand forms and its output form.
+fn forms(spec: &str) -> ([&str; 2], &str) {
+    let (ins, out) = spec.split_once("->").expect("a product spec has `->`");
+    let (a, b) = ins.split_once(',').expect("a product spec has two operands");
+    ([a, b], out)
 }
 
-fn shape_matmul_nt(ins: &[Shape], _: &Attrs) -> std::result::Result<Shape, String> {
-    let (a, b) = two_rank2(ins)?;
-    if a.dim(1) != b.dim(1) {
-        return Err(format!("inner dims {} vs {}", a.dim(1), b.dim(1)));
-    }
-    Ok(Shape::new(vec![a.dim(0), b.dim(0)]))
+/// Where `letter` first appears among `operands`: `(operand, dim)`.
+fn find(operands: [&str; 2], letter: u8) -> Option<(usize, usize)> {
+    (0..2).find_map(|o| Some((o, operands[o].bytes().position(|c| c == letter)?)))
 }
 
-fn two_rank2(ins: &[Shape]) -> std::result::Result<(&Shape, &Shape), String> {
-    if ins.len() != 2 {
-        return Err(format!("expected 2 inputs, got {}", ins.len()));
+fn shape_product<const P: usize>(ins: &[Shape], _: &Attrs) -> std::result::Result<Shape, String> {
+    let Product { name, spec, .. } = PRODUCTS[P];
+    let (operands, out) = forms(spec);
+    if ins.len() != 2 || ins.iter().zip(operands).any(|(s, f)| s.rank() != f.len()) {
+        let (r0, r1) = (operands[0].len(), operands[1].len());
+        return Err(format!("{name} expects (rank-{r0}, rank-{r1}) inputs"));
     }
-    if ins[0].rank() != 2 || ins[1].rank() != 2 {
-        return Err(format!("expected rank-2 operands, got {} and {}", ins[0], ins[1]));
+    for (d, letter) in operands[1].bytes().enumerate() {
+        if let Some(d0) = operands[0].bytes().position(|c| c == letter) {
+            if ins[0].dim(d0) != ins[1].dim(d) {
+                return Err(format!(
+                    "{name}: extents of `{}` differ in {} and {}",
+                    letter as char, ins[0], ins[1]
+                ));
+            }
+        }
     }
-    Ok((&ins[0], &ins[1]))
+    let dims = out.bytes().map(|letter| {
+        let (o, d) = find(operands, letter).expect("every output letter names an operand dim");
+        ins[o].dim(d)
+    });
+    Ok(Shape::new(dims.collect()))
 }
+
+/// `out[output vars] = Σ_{reduce vars} A[..] · B[..]`: output vars in the
+/// output's order, reduce vars in order of first appearance across the
+/// operands, each named by its letter.
+fn tdl_product<const P: usize>(_: &[Shape], _: &Attrs) -> Option<TdlDesc> {
+    let Product { name, spec, .. } = PRODUCTS[P];
+    let (operands, out) = forms(spec);
+    let mut b = DescBuilder::new(name, &[operands[0].len(), operands[1].len()]);
+    let mut vars: [Option<Var>; 26] = [None; 26];
+    for (d, letter) in out.bytes().enumerate() {
+        vars[(letter - b'a') as usize] = Some(b.output_var(&out[d..=d]));
+    }
+    for form in operands {
+        for (d, letter) in form.bytes().enumerate() {
+            let var = &mut vars[(letter - b'a') as usize];
+            if var.is_none() {
+                *var = Some(b.reduce_var(&form[d..=d]));
+            }
+        }
+    }
+    let access = |input: usize| {
+        let form = operands[input];
+        let mut coords: [Idx; 3] = std::array::from_fn(|_| Idx::full());
+        for (coord, letter) in coords.iter_mut().zip(form.bytes()) {
+            *coord = vars[(letter - b'a') as usize].expect("every letter is declared").at();
+        }
+        b.input(input, &coords[..form.len()])
+    };
+    let body = access(0) * access(1);
+    b.build_reduce(Reducer::Sum, body).ok()
+}
+
+fn grad_product<const P: usize>(ctx: &mut GradCtx<'_>) -> Result<Vec<Option<TensorId>>> {
+    let grads = PRODUCTS[P].grads.expect("only a product with gradients registers one");
+    let args = [ctx.inputs[0], ctx.inputs[1], ctx.out_grad];
+    grads
+        .iter()
+        .map(|&(op, [x, y])| Ok(Some(ctx.op(op, &[args[x], args[y]], Attrs::new())?)))
+        .collect()
+}
+
+fn kernel_product<const P: usize>(ins: &[&Tensor], _: &Attrs, _: &Shape) -> Result<Tensor> {
+    (PRODUCTS[P].kernel)(ins[0], ins[1])
+}
+
+/// Product `P`'s definition, every facet from its row.
+fn product_def<const P: usize>() -> OpDef {
+    OpDef {
+        name: PRODUCTS[P].name,
+        category: OpCategory::Linalg,
+        infer_shape: shape_product::<P>,
+        tdl: Some(tdl_product::<P>),
+        gradient: PRODUCTS[P].grads.map(|_| grad_product::<P> as _),
+        flops: PRODUCTS[P].flops,
+        kernel: Some(Kernel::General(kernel_product::<P>)),
+    }
+}
+
+/// Slice head `h` of a rank-3 tensor down to its rank-2 matrix.
+fn head2(t: &Tensor, h: usize) -> Result<Tensor> {
+    let s = t.slice(0, h, h + 1)?;
+    let dims = s.shape().dims()[1..].to_vec();
+    Ok(s.reshape(Shape::new(dims))?)
+}
+
+/// `Σ_h A[h]·B[h]` (`t` as in the product): a per-head product, then `add`
+/// in head order — accumulating heads inside the GEMM tile would change the
+/// rounding.
+fn head_sum(a3: &Tensor, b3: &Tensor, t: Transpose) -> Result<Tensor> {
+    let heads = a3.shape().dim(0);
+    let mut acc: Option<Tensor> = None;
+    for h in 0..heads {
+        let term = head2(a3, h)?.matmul(&head2(b3, h)?, t)?;
+        acc = Some(match acc {
+            None => term,
+            Some(prev) => prev.add(&term)?,
+        });
+    }
+    acc.ok_or_else(|| GraphError::Exec("head contraction over zero heads".into()))
+}
+
+// ---- transpose ---------------------------------------------------------------
 
 fn shape_transpose(ins: &[Shape], _: &Attrs) -> std::result::Result<Shape, String> {
     if ins.len() != 1 || ins[0].rank() != 2 {
         return Err("transpose expects one rank-2 input".into());
     }
     Ok(Shape::new(vec![ins[0].dim(1), ins[0].dim(0)]))
-}
-
-fn shape_batch_matmul(ins: &[Shape], _: &Attrs) -> std::result::Result<Shape, String> {
-    if ins.len() != 2 || ins[0].rank() != 3 || ins[1].rank() != 3 {
-        return Err("batch_matmul expects two rank-3 inputs".into());
-    }
-    if ins[0].dim(0) != ins[1].dim(0) || ins[0].dim(2) != ins[1].dim(1) {
-        return Err(format!("incompatible batch matmul shapes {} and {}", ins[0], ins[1]));
-    }
-    Ok(Shape::new(vec![ins[0].dim(0), ins[0].dim(1), ins[1].dim(2)]))
-}
-
-fn shape_batch_matmul_tn(ins: &[Shape], _: &Attrs) -> std::result::Result<Shape, String> {
-    if ins.len() != 2 || ins[0].rank() != 3 || ins[1].rank() != 3 {
-        return Err("batch_matmul_tn expects two rank-3 inputs".into());
-    }
-    if ins[0].dim(0) != ins[1].dim(0) || ins[0].dim(1) != ins[1].dim(1) {
-        return Err(format!("incompatible batch matmul_tn shapes {} and {}", ins[0], ins[1]));
-    }
-    Ok(Shape::new(vec![ins[0].dim(0), ins[0].dim(2), ins[1].dim(2)]))
-}
-
-fn shape_batch_matmul_nt(ins: &[Shape], _: &Attrs) -> std::result::Result<Shape, String> {
-    if ins.len() != 2 || ins[0].rank() != 3 || ins[1].rank() != 3 {
-        return Err("batch_matmul_nt expects two rank-3 inputs".into());
-    }
-    if ins[0].dim(0) != ins[1].dim(0) || ins[0].dim(2) != ins[1].dim(2) {
-        return Err(format!("incompatible batch matmul_nt shapes {} and {}", ins[0], ins[1]));
-    }
-    Ok(Shape::new(vec![ins[0].dim(0), ins[0].dim(1), ins[1].dim(1)]))
-}
-
-// ---- TDL descriptions ------------------------------------------------------
-
-fn tdl_matmul(_: &[Shape], _: &Attrs) -> Option<TdlDesc> {
-    let mut b = DescBuilder::new("matmul", &[2, 2]);
-    let (i, j) = (b.output_var("i"), b.output_var("j"));
-    let k = b.reduce_var("k");
-    let body = b.input(0, &[i.at(), k.at()]) * b.input(1, &[k.at(), j.at()]);
-    b.build_reduce(Reducer::Sum, body).ok()
-}
-
-fn tdl_matmul_tn(_: &[Shape], _: &Attrs) -> Option<TdlDesc> {
-    // out[i, j] = Σ_k A[k, i] · B[k, j] (Aᵀ·B).
-    let mut b = DescBuilder::new("matmul_tn", &[2, 2]);
-    let (i, j) = (b.output_var("i"), b.output_var("j"));
-    let k = b.reduce_var("k");
-    let body = b.input(0, &[k.at(), i.at()]) * b.input(1, &[k.at(), j.at()]);
-    b.build_reduce(Reducer::Sum, body).ok()
-}
-
-fn tdl_matmul_nt(_: &[Shape], _: &Attrs) -> Option<TdlDesc> {
-    // out[i, j] = Σ_k A[i, k] · B[j, k] (A·Bᵀ).
-    let mut b = DescBuilder::new("matmul_nt", &[2, 2]);
-    let (i, j) = (b.output_var("i"), b.output_var("j"));
-    let k = b.reduce_var("k");
-    let body = b.input(0, &[i.at(), k.at()]) * b.input(1, &[j.at(), k.at()]);
-    b.build_reduce(Reducer::Sum, body).ok()
 }
 
 fn tdl_transpose(_: &[Shape], _: &Attrs) -> Option<TdlDesc> {
@@ -120,85 +269,9 @@ fn tdl_transpose(_: &[Shape], _: &Attrs) -> Option<TdlDesc> {
     b.build(body).ok()
 }
 
-fn tdl_batch_matmul(_: &[Shape], _: &Attrs) -> Option<TdlDesc> {
-    let mut b = DescBuilder::new("batch_matmul", &[3, 3]);
-    let (bb, i, j) = (b.output_var("b"), b.output_var("i"), b.output_var("j"));
-    let k = b.reduce_var("k");
-    let body = b.input(0, &[bb.at(), i.at(), k.at()]) * b.input(1, &[bb.at(), k.at(), j.at()]);
-    b.build_reduce(Reducer::Sum, body).ok()
-}
-
-fn tdl_batch_matmul_tn(_: &[Shape], _: &Attrs) -> Option<TdlDesc> {
-    // out[b, i, j] = Σ_k A[b, k, i] · B[b, k, j].
-    let mut b = DescBuilder::new("batch_matmul_tn", &[3, 3]);
-    let (bb, i, j) = (b.output_var("b"), b.output_var("i"), b.output_var("j"));
-    let k = b.reduce_var("k");
-    let body = b.input(0, &[bb.at(), k.at(), i.at()]) * b.input(1, &[bb.at(), k.at(), j.at()]);
-    b.build_reduce(Reducer::Sum, body).ok()
-}
-
-fn tdl_batch_matmul_nt(_: &[Shape], _: &Attrs) -> Option<TdlDesc> {
-    // out[b, i, j] = Σ_k A[b, i, k] · B[b, j, k].
-    let mut b = DescBuilder::new("batch_matmul_nt", &[3, 3]);
-    let (bb, i, j) = (b.output_var("b"), b.output_var("i"), b.output_var("j"));
-    let k = b.reduce_var("k");
-    let body = b.input(0, &[bb.at(), i.at(), k.at()]) * b.input(1, &[bb.at(), j.at(), k.at()]);
-    b.build_reduce(Reducer::Sum, body).ok()
-}
-
-// ---- Gradients --------------------------------------------------------------
-
-fn grad_matmul(ctx: &mut GradCtx<'_>) -> Result<Vec<Option<TensorId>>> {
-    // C = A·B: dA = dC·Bᵀ, dB = Aᵀ·dC.
-    let (a, b) = (ctx.inputs[0], ctx.inputs[1]);
-    let da = ctx.op("matmul_nt", &[ctx.out_grad, b], Attrs::new())?;
-    let db = ctx.op("matmul_tn", &[a, ctx.out_grad], Attrs::new())?;
-    Ok(vec![Some(da), Some(db)])
-}
-
-fn grad_matmul_tn(ctx: &mut GradCtx<'_>) -> Result<Vec<Option<TensorId>>> {
-    // C = Aᵀ·B: dA = B·dCᵀ, dB = A·dC.
-    let (a, b) = (ctx.inputs[0], ctx.inputs[1]);
-    let da = ctx.op("matmul_nt", &[b, ctx.out_grad], Attrs::new())?;
-    let db = ctx.op("matmul", &[a, ctx.out_grad], Attrs::new())?;
-    Ok(vec![Some(da), Some(db)])
-}
-
-fn grad_matmul_nt(ctx: &mut GradCtx<'_>) -> Result<Vec<Option<TensorId>>> {
-    // C = A·Bᵀ: dA = dC·B, dB = dCᵀ·A.
-    let (a, b) = (ctx.inputs[0], ctx.inputs[1]);
-    let da = ctx.op("matmul", &[ctx.out_grad, b], Attrs::new())?;
-    let db = ctx.op("matmul_tn", &[ctx.out_grad, a], Attrs::new())?;
-    Ok(vec![Some(da), Some(db)])
-}
-
 fn grad_transpose(ctx: &mut GradCtx<'_>) -> Result<Vec<Option<TensorId>>> {
     let dx = ctx.op("transpose", &[ctx.out_grad], Attrs::new())?;
     Ok(vec![Some(dx)])
-}
-
-fn grad_batch_matmul(ctx: &mut GradCtx<'_>) -> Result<Vec<Option<TensorId>>> {
-    // C[b] = A[b]·B[b]: dA[b] = dC[b]·B[b]ᵀ, dB[b] = A[b]ᵀ·dC[b].
-    let (a, b) = (ctx.inputs[0], ctx.inputs[1]);
-    let da = ctx.op("batch_matmul_nt", &[ctx.out_grad, b], Attrs::new())?;
-    let db = ctx.op("batch_matmul_tn", &[a, ctx.out_grad], Attrs::new())?;
-    Ok(vec![Some(da), Some(db)])
-}
-
-fn grad_batch_matmul_tn(ctx: &mut GradCtx<'_>) -> Result<Vec<Option<TensorId>>> {
-    // C[b] = A[b]ᵀ·B[b]: dA[b] = B[b]·dC[b]ᵀ, dB[b] = A[b]·dC[b].
-    let (a, b) = (ctx.inputs[0], ctx.inputs[1]);
-    let da = ctx.op("batch_matmul_nt", &[b, ctx.out_grad], Attrs::new())?;
-    let db = ctx.op("batch_matmul", &[a, ctx.out_grad], Attrs::new())?;
-    Ok(vec![Some(da), Some(db)])
-}
-
-fn grad_batch_matmul_nt(ctx: &mut GradCtx<'_>) -> Result<Vec<Option<TensorId>>> {
-    // C[b] = A[b]·B[b]ᵀ: dA[b] = dC[b]·B[b], dB[b] = dC[b]ᵀ·A[b].
-    let (a, b) = (ctx.inputs[0], ctx.inputs[1]);
-    let da = ctx.op("batch_matmul", &[ctx.out_grad, b], Attrs::new())?;
-    let db = ctx.op("batch_matmul_tn", &[ctx.out_grad, a], Attrs::new())?;
-    Ok(vec![Some(da), Some(db)])
 }
 
 // ---- Flops -------------------------------------------------------------------
@@ -209,137 +282,157 @@ fn flops_matmul(ins: &[Shape], out: &Shape, _: &Attrs) -> f64 {
     2.0 * out.volume() as f64 * k as f64
 }
 
-fn flops_batch_matmul(ins: &[Shape], out: &Shape, _: &Attrs) -> f64 {
-    let k = ins[0].dim(2);
-    2.0 * out.volume() as f64 * k as f64
+fn flops_proj(ins: &[Shape], out: &Shape, _: &Attrs) -> f64 {
+    // 2 flops per multiply-accumulate; the contracted volume is whatever the
+    // inputs hold beyond the output.
+    let macs = (ins[0].volume().max(1) as f64 / out.volume().max(1) as f64).max(1.0)
+        * ins[1].volume() as f64;
+    2.0 * macs.max(out.volume() as f64)
 }
 
-/// Returns the linear-algebra operator definitions. All six products run the
-/// one tiled GEMM, whose per-element ascending-k order makes batched, sliced
-/// and sharded forms of a product bit-identical.
+/// Returns the linear-algebra operator definitions.
 pub(crate) fn defs() -> Vec<OpDef> {
-    vec![
-        OpDef {
-            name: "matmul",
-            category: OpCategory::Linalg,
-            infer_shape: shape_matmul,
-            tdl: Some(tdl_matmul),
-            gradient: Some(grad_matmul),
-            flops: flops_matmul,
-            kernel: Some(Kernel::General(|ins, _, _| Ok(ins[0].matmul(ins[1])?))),
-        },
-        OpDef {
-            name: "matmul_tn",
-            category: OpCategory::Linalg,
-            infer_shape: shape_matmul_tn,
-            tdl: Some(tdl_matmul_tn),
-            gradient: Some(grad_matmul_tn),
-            flops: flops_matmul,
-            kernel: Some(Kernel::General(|ins, _, _| Ok(ins[0].matmul_tn(ins[1])?))),
-        },
-        OpDef {
-            name: "matmul_nt",
-            category: OpCategory::Linalg,
-            infer_shape: shape_matmul_nt,
-            tdl: Some(tdl_matmul_nt),
-            gradient: Some(grad_matmul_nt),
-            flops: flops_matmul,
-            kernel: Some(Kernel::General(|ins, _, _| Ok(ins[0].matmul_nt(ins[1])?))),
-        },
-        OpDef {
-            name: "transpose",
-            category: OpCategory::Data,
-            infer_shape: shape_transpose,
-            tdl: Some(tdl_transpose),
-            gradient: Some(grad_transpose),
-            flops: flops_per_elem,
-            kernel: Some(Kernel::General(|ins, _, _| Ok(ins[0].transpose()?))),
-        },
-        OpDef {
-            name: "batch_matmul",
-            category: OpCategory::Linalg,
-            infer_shape: shape_batch_matmul,
-            tdl: Some(tdl_batch_matmul),
-            gradient: Some(grad_batch_matmul),
-            flops: flops_batch_matmul,
-            kernel: Some(Kernel::General(|ins, _, _| Ok(ins[0].matmul_b(ins[1])?))),
-        },
-        OpDef {
-            name: "batch_matmul_tn",
-            category: OpCategory::Linalg,
-            infer_shape: shape_batch_matmul_tn,
-            tdl: Some(tdl_batch_matmul_tn),
-            gradient: Some(grad_batch_matmul_tn),
-            flops: |ins, out, _| 2.0 * out.volume() as f64 * ins[0].dim(1) as f64,
-            kernel: Some(Kernel::General(|ins, _, _| Ok(ins[0].matmul_b_tn(ins[1])?))),
-        },
-        OpDef {
-            name: "batch_matmul_nt",
-            category: OpCategory::Linalg,
-            infer_shape: shape_batch_matmul_nt,
-            tdl: Some(tdl_batch_matmul_nt),
-            gradient: Some(grad_batch_matmul_nt),
-            flops: |ins, out, _| 2.0 * out.volume() as f64 * ins[0].dim(2) as f64,
-            kernel: Some(Kernel::General(|ins, _, _| Ok(ins[0].matmul_b_nt(ins[1])?))),
-        },
-    ]
+    let products: [fn() -> OpDef; PRODUCTS.len()] = [
+        product_def::<0>,
+        product_def::<1>,
+        product_def::<2>,
+        product_def::<3>,
+        product_def::<4>,
+        product_def::<5>,
+        product_def::<6>,
+        product_def::<7>,
+        product_def::<8>,
+        product_def::<9>,
+        product_def::<10>,
+        product_def::<11>,
+    ];
+    let mut defs: Vec<OpDef> = products.iter().map(|def| def()).collect();
+    defs.push(OpDef {
+        name: "transpose",
+        category: OpCategory::Data,
+        infer_shape: shape_transpose,
+        tdl: Some(tdl_transpose),
+        gradient: Some(grad_transpose),
+        flops: flops_per_elem,
+        kernel: Some(Kernel::General(|ins, _, _| Ok(ins[0].transpose()?))),
+    });
+    defs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tofu_tdl::{discover_strategies, OutputPartition};
+    use crate::registry::lookup;
+    use tofu_tdl::{discover_strategies, InputRequirement, OutputPartition};
+
+    fn shape(op: &str, ins: &[&[usize]]) -> std::result::Result<Shape, String> {
+        let ins: Vec<Shape> = ins.iter().map(|d| Shape::new(d.to_vec())).collect();
+        (lookup(op).unwrap().infer_shape)(&ins, &Attrs::new())
+    }
+
+    fn strategies(op: &str) -> Vec<tofu_tdl::BasicStrategy> {
+        let desc = (lookup(op).unwrap().tdl.unwrap())(&[], &Attrs::new()).unwrap();
+        discover_strategies(&desc).unwrap()
+    }
+
+    /// Whether `a` and `b` are the same spec up to a one-to-one renaming of
+    /// letters.
+    fn same_up_to_renaming(a: &str, b: &str) -> bool {
+        let mut map = [None::<u8>; 26];
+        let mut inverse = [None::<u8>; 26];
+        a.len() == b.len()
+            && a.bytes().zip(b.bytes()).all(|(x, y)| {
+                if !x.is_ascii_lowercase() || !y.is_ascii_lowercase() {
+                    return x == y;
+                }
+                let (i, j) = ((x - b'a') as usize, (y - b'a') as usize);
+                *map[i].get_or_insert(y) == y && *inverse[j].get_or_insert(x) == x
+            })
+    }
+
+    #[test]
+    fn specs_are_well_formed() {
+        for p in &PRODUCTS {
+            let (operands, out) = forms(p.spec);
+            for form in operands.iter().chain([&out]) {
+                assert!(form.bytes().all(|c| c.is_ascii_lowercase()), "{}", p.name);
+                assert!(form.len() <= 3, "{}: operands have rank ≤ 3", p.name);
+                for (d, c) in form.bytes().enumerate() {
+                    assert!(!form[d + 1..].contains(c as char), "{}: a letter twice", p.name);
+                }
+            }
+            for c in out.bytes() {
+                assert!(find(operands, c).is_some(), "{}: an output letter unread", p.name);
+            }
+        }
+    }
+
+    /// For `C = Σ A·B`, `dA[a] = Σ dC[c]·B[b]` over the letters `a` lacks —
+    /// the spec `"c,b->a"` — provided no letter of `A` is in neither `B` nor
+    /// `C`. Each named gradient op must be that product, operands in the
+    /// named order, up to a renaming of letters.
+    #[test]
+    fn each_gradient_is_the_product_its_spec_derives() {
+        for p in PRODUCTS.iter().filter(|p| p.grads.is_some()) {
+            let (operands, out) = forms(p.spec);
+            let specs = [operands[0], operands[1], out];
+            for (wrt, &(op, [x, y])) in p.grads.unwrap().iter().enumerate() {
+                let other = 1 - wrt;
+                assert!(
+                    (x, y) == (other, 2) || (x, y) == (2, other),
+                    "{}: d{wrt} reads the other operand and the output's gradient",
+                    p.name
+                );
+                for c in specs[wrt].bytes() {
+                    let c = c as char;
+                    assert!(specs[other].contains(c) || out.contains(c), "{}: `{c}`", p.name);
+                }
+                let derived = format!("{},{}->{}", specs[x], specs[y], specs[wrt]);
+                let named = PRODUCTS.iter().find(|q| q.name == op).unwrap().spec;
+                assert!(
+                    same_up_to_renaming(&derived, named),
+                    "{}: d{wrt} = {derived}, but {op} is {named}",
+                    p.name
+                );
+            }
+        }
+    }
 
     #[test]
     fn matmul_shapes() {
-        let a = Shape::new(vec![3, 4]);
-        let b = Shape::new(vec![4, 5]);
-        assert_eq!(
-            shape_matmul(&[a.clone(), b.clone()], &Attrs::new()).unwrap(),
-            Shape::new(vec![3, 5])
-        );
-        assert!(shape_matmul(&[b.clone(), b.clone()], &Attrs::new()).is_err());
+        assert_eq!(shape("matmul", &[&[3, 4], &[4, 5]]).unwrap(), Shape::new(vec![3, 5]));
+        assert!(shape("matmul", &[&[4, 5], &[4, 5]]).is_err());
         // Aᵀ·B: (4,3)ᵀ·(4,5) = (3,5).
-        assert_eq!(
-            shape_matmul_tn(&[Shape::new(vec![4, 3]), b.clone()], &Attrs::new()).unwrap(),
-            Shape::new(vec![3, 5])
-        );
+        assert_eq!(shape("matmul_tn", &[&[4, 3], &[4, 5]]).unwrap(), Shape::new(vec![3, 5]));
         // A·Bᵀ: (3,4)·(5,4)ᵀ = (3,5).
-        assert_eq!(
-            shape_matmul_nt(&[a, Shape::new(vec![5, 4])], &Attrs::new()).unwrap(),
-            Shape::new(vec![3, 5])
-        );
+        assert_eq!(shape("matmul_nt", &[&[3, 4], &[5, 4]]).unwrap(), Shape::new(vec![3, 5]));
+        assert!(shape("matmul", &[&[3, 4]]).is_err());
+        assert!(shape("matmul", &[&[2, 3, 4], &[4, 5]]).is_err());
     }
 
     #[test]
     fn matmul_tdl_has_reduction_strategy() {
-        let desc = tdl_matmul(&[], &Attrs::new()).unwrap();
-        let s = discover_strategies(&desc).unwrap();
+        let s = strategies("matmul");
         assert_eq!(s.len(), 3);
         assert!(s.iter().any(|st| matches!(st.output, OutputPartition::Reduce { .. })));
     }
 
     #[test]
     fn transposed_variants_have_three_strategies_each() {
-        for tdl in [tdl_matmul_tn, tdl_matmul_nt] {
-            let desc = tdl(&[], &Attrs::new()).unwrap();
-            let s = discover_strategies(&desc).unwrap();
-            assert_eq!(s.len(), 3);
+        for op in ["matmul_tn", "matmul_nt"] {
+            assert_eq!(strategies(op).len(), 3);
         }
     }
 
     #[test]
     fn batch_matmul_has_four_strategies() {
-        let desc = tdl_batch_matmul(&[], &Attrs::new()).unwrap();
-        let s = discover_strategies(&desc).unwrap();
-        assert_eq!(s.len(), 4); // b, i, j, and reduce-k.
+        assert_eq!(strategies("batch_matmul").len(), 4); // b, i, j, and reduce-k.
     }
 
     #[test]
     fn batch_matmul_transposed_variants_have_four_strategies() {
-        for tdl in [tdl_batch_matmul_tn, tdl_batch_matmul_nt] {
-            let desc = tdl(&[], &Attrs::new()).unwrap();
-            let s = discover_strategies(&desc).unwrap();
+        for op in ["batch_matmul_tn", "batch_matmul_nt"] {
+            let s = strategies(op);
             assert_eq!(s.len(), 4);
             assert!(s.iter().any(|st| matches!(st.output, OutputPartition::Reduce { .. })));
             assert!(s.iter().any(|st| st.id == "split:b"), "batch dim splits");
@@ -348,20 +441,46 @@ mod tests {
 
     #[test]
     fn batch_matmul_transposed_shapes() {
-        let a = Shape::new(vec![2, 4, 3]);
-        let b = Shape::new(vec![2, 4, 5]);
-        assert_eq!(
-            shape_batch_matmul_tn(&[a.clone(), b], &Attrs::new()).unwrap(),
-            Shape::new(vec![2, 3, 5])
-        );
-        let c = Shape::new(vec![2, 6, 3]);
-        assert_eq!(
-            shape_batch_matmul_nt(&[a.clone(), c], &Attrs::new()).unwrap(),
-            Shape::new(vec![2, 4, 6])
-        );
-        assert!(shape_batch_matmul_nt(&[a.clone(), Shape::new(vec![2, 6, 4])], &Attrs::new())
-            .is_err());
-        assert!(shape_batch_matmul_tn(&[a, Shape::new(vec![3, 4, 5])], &Attrs::new()).is_err());
+        let a: &[usize] = &[2, 4, 3];
+        assert_eq!(shape("batch_matmul_tn", &[a, &[2, 4, 5]]).unwrap(), Shape::new(vec![2, 3, 5]));
+        assert_eq!(shape("batch_matmul_nt", &[a, &[2, 6, 3]]).unwrap(), Shape::new(vec![2, 4, 6]));
+        assert!(shape("batch_matmul_nt", &[a, &[2, 6, 4]]).is_err());
+        assert!(shape("batch_matmul_tn", &[a, &[3, 4, 5]]).is_err());
+    }
+
+    #[test]
+    fn head_projection_shapes_mirror_forward_operands() {
+        let (n, d, h, k) = (16, 32, 4, 8);
+        let (x, wq, dout): (&[usize], &[usize], &[usize]) = (&[n, d], &[h, d, k], &[h, n, k]);
+        assert_eq!(shape("proj_heads", &[x, wq]).unwrap().dims(), dout);
+        assert!(shape("proj_heads", &[x, &[h, d - 1, k]]).is_err());
+        assert_eq!(shape("proj_heads_grad_x", &[dout, wq]).unwrap().dims(), x);
+        assert_eq!(shape("proj_heads_grad_w", &[x, dout]).unwrap().dims(), wq);
+        let wo: &[usize] = &[h, k, d];
+        assert_eq!(shape("unproj_heads", &[dout, wo]).unwrap().dims(), x);
+        assert_eq!(shape("unproj_heads_grad_c", &[x, wo]).unwrap().dims(), dout);
+        assert_eq!(shape("unproj_heads_grad_w", &[dout, x]).unwrap().dims(), wo);
+    }
+
+    #[test]
+    fn proj_heads_head_split_splits_only_the_weight() {
+        let s = strategies("proj_heads");
+        // h, n, k output splits plus reduce:d.
+        assert_eq!(s.len(), 4);
+        let head = s.iter().find(|st| st.id == "split:h").unwrap();
+        assert_eq!(head.inputs[0], InputRequirement::Replicated, "X is replicated");
+        assert!(matches!(head.inputs[1], InputRequirement::Split { dim: 0, .. }));
+    }
+
+    #[test]
+    fn unproj_heads_has_row_parallel_reduction_over_heads() {
+        let s = strategies("unproj_heads");
+        // n, d splits plus reduce:h and reduce:k.
+        assert_eq!(s.len(), 4);
+        let red_h = s.iter().find(|st| st.id == "reduce:h").unwrap();
+        assert!(matches!(red_h.output, OutputPartition::Reduce { .. }));
+        assert!(matches!(red_h.inputs[0], InputRequirement::Split { dim: 0, .. }));
+        assert!(matches!(red_h.inputs[1], InputRequirement::Split { dim: 0, .. }));
     }
 
     #[test]

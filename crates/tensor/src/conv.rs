@@ -2,31 +2,17 @@
 //!
 //! Layouts follow the paper's examples: `data` is `(batch, channel, [height,]
 //! width)` and `filters` is `(c_in, c_out, [kh,] kw)` — matching the conv1d
-//! TDL description in Fig. 3 of the paper.
+//! TDL description in Fig. 3 of the paper. One set of 2-D loops runs both
+//! ranks: a rank-3 operand is its conv2d at unit height.
 
 use crate::{Result, Shape, Tensor, TensorError};
 
-/// Hyper-parameters of a 1-D convolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Conv1dParams {
-    /// Spatial stride.
-    pub stride: usize,
-    /// Symmetric zero padding on the spatial axis.
-    pub pad: usize,
-}
-
-impl Default for Conv1dParams {
-    fn default() -> Self {
-        Conv1dParams { stride: 1, pad: 0 }
-    }
-}
-
-/// Hyper-parameters of a 2-D convolution.
+/// Hyper-parameters of a convolution, 2-D or (on rank-3 operands) 1-D.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Conv2dParams {
-    /// Spatial stride (both axes).
+    /// Spatial stride (every spatial axis).
     pub stride: usize,
-    /// Symmetric zero padding (both axes).
+    /// Symmetric zero padding (every spatial axis).
     pub pad: usize,
 }
 
@@ -66,8 +52,8 @@ pub(crate) fn conv_out_extent(input: usize, kernel: usize, stride: usize, pad: u
 }
 
 /// The stride and per-axis zero padding the 2-D loops run with: a conv2d
-/// pads both axes by its `pad`, and a conv1d runs as a conv2d of unit
-/// height that pads only the width.
+/// pads both axes by its `pad`, and a conv1d (rank-3 operands) runs as a
+/// conv2d of unit height that pads only the width.
 #[derive(Clone, Copy)]
 struct Window {
     stride: usize,
@@ -75,15 +61,18 @@ struct Window {
     pad_w: usize,
 }
 
-impl From<Conv2dParams> for Window {
-    fn from(p: Conv2dParams) -> Window {
-        Window { stride: p.stride, pad_h: p.pad, pad_w: p.pad }
-    }
-}
-
-impl From<Conv1dParams> for Window {
-    fn from(p: Conv1dParams) -> Window {
-        Window { stride: p.stride, pad_h: 0, pad_w: p.pad }
+impl Window {
+    /// The window of a convolution whose operand shapes are `shapes`: all
+    /// rank 3 or all rank 4.
+    fn of(p: Conv2dParams, shapes: &[&Shape]) -> Result<Window> {
+        let rank = shapes[0].rank();
+        if !matches!(rank, 3 | 4) || shapes.iter().any(|s| s.rank() != rank) {
+            return Err(TensorError::Incompatible(
+                "a convolution expects operands all of rank 3 or all of rank 4".into(),
+            ));
+        }
+        let pad_h = if rank == 3 { 0 } else { p.pad };
+        Ok(Window { stride: p.stride, pad_h, pad_w: p.pad })
     }
 }
 
@@ -144,52 +133,13 @@ fn dims4(s: &Shape) -> (usize, usize, usize, usize) {
     }
 }
 
-/// Fails unless every operand shape of `op` has `rank`.
-fn expect_rank(op: &str, rank: usize, shapes: &[&Shape]) -> Result<()> {
-    if shapes.iter().any(|s| s.rank() != rank) {
-        return Err(TensorError::Incompatible(format!("{op} expects rank-{rank} operands")));
-    }
-    Ok(())
-}
-
 impl Tensor {
-    /// 1-D convolution: `data (b, ci, x)` with `filters (ci, co, dx)`.
-    pub fn conv1d(&self, filters: &Tensor, p: Conv1dParams) -> Result<Tensor> {
-        expect_rank("conv1d", 3, &[self.shape(), filters.shape()])?;
-        self.conv2d_window(filters, p.into())
-    }
-
-    /// Gradient of [`Tensor::conv1d`] with respect to the data input.
-    pub fn conv1d_backward_data(
-        out_grad: &Tensor,
-        filters: &Tensor,
-        data_shape: &Shape,
-        p: Conv1dParams,
-    ) -> Result<Tensor> {
-        expect_rank("conv1d", 3, &[out_grad.shape(), filters.shape(), data_shape])?;
-        Tensor::conv2d_backward_data_window(out_grad, filters, data_shape, p.into())
-    }
-
-    /// Gradient of [`Tensor::conv1d`] with respect to the filters.
-    pub fn conv1d_backward_filter(
-        out_grad: &Tensor,
-        data: &Tensor,
-        filter_shape: &Shape,
-        p: Conv1dParams,
-    ) -> Result<Tensor> {
-        expect_rank("conv1d", 3, &[out_grad.shape(), data.shape(), filter_shape])?;
-        Tensor::conv2d_backward_filter_window(out_grad, data, filter_shape, p.into())
-    }
-
     /// 2-D convolution: `data (b, ci, h, w)` with `filters (ci, co, kh, kw)`.
+    /// Rank-3 operands, `data (b, ci, x)` with `filters (ci, co, dx)`, are the
+    /// 1-D convolution: a conv2d at unit height, padded on the width only.
+    /// The output has the data's rank.
     pub fn conv2d(&self, filters: &Tensor, p: Conv2dParams) -> Result<Tensor> {
-        expect_rank("conv2d", 4, &[self.shape(), filters.shape()])?;
-        self.conv2d_window(filters, p.into())
-    }
-
-    /// The loops of [`Tensor::conv2d`], over rank-4 operands or rank-3 ones
-    /// at unit height; the output has the data's rank.
-    fn conv2d_window(&self, filters: &Tensor, p: Window) -> Result<Tensor> {
+        let p = Window::of(p, &[self.shape(), filters.shape()])?;
         let (b, ci, h, w) = dims4(self.shape());
         let (fci, co, kh, kw) = dims4(filters.shape());
         if ci != fci {
@@ -263,16 +213,7 @@ impl Tensor {
         data_shape: &Shape,
         p: Conv2dParams,
     ) -> Result<Tensor> {
-        expect_rank("conv2d", 4, &[out_grad.shape(), filters.shape(), data_shape])?;
-        Tensor::conv2d_backward_data_window(out_grad, filters, data_shape, p.into())
-    }
-
-    fn conv2d_backward_data_window(
-        out_grad: &Tensor,
-        filters: &Tensor,
-        data_shape: &Shape,
-        p: Window,
-    ) -> Result<Tensor> {
+        let p = Window::of(p, &[out_grad.shape(), filters.shape(), data_shape])?;
         let (b, co, oh, ow) = dims4(out_grad.shape());
         let (ci, fco, kh, kw) = dims4(filters.shape());
         if co != fco {
@@ -338,16 +279,7 @@ impl Tensor {
         filter_shape: &Shape,
         p: Conv2dParams,
     ) -> Result<Tensor> {
-        expect_rank("conv2d", 4, &[out_grad.shape(), data.shape(), filter_shape])?;
-        Tensor::conv2d_backward_filter_window(out_grad, data, filter_shape, p.into())
-    }
-
-    fn conv2d_backward_filter_window(
-        out_grad: &Tensor,
-        data: &Tensor,
-        filter_shape: &Shape,
-        p: Window,
-    ) -> Result<Tensor> {
+        let p = Window::of(p, &[out_grad.shape(), data.shape(), filter_shape])?;
         let (b, co, oh, ow) = dims4(out_grad.shape());
         let (ci, fco, kh, kw) = dims4(filter_shape);
         let dci = data.shape().dim(1);
@@ -470,7 +402,7 @@ mod tests {
         // data (1, 1, 4) = [1 2 3 4], filter (1, 1, 2) = [1 1] -> [3 5 7].
         let data = Tensor::from_vec(Shape::new(vec![1, 1, 4]), vec![1., 2., 3., 4.]).unwrap();
         let f = Tensor::from_vec(Shape::new(vec![1, 1, 2]), vec![1., 1.]).unwrap();
-        let out = data.conv1d(&f, Conv1dParams::default()).unwrap();
+        let out = data.conv2d(&f, Conv2dParams::default()).unwrap();
         assert_eq!(out.shape().dims(), &[1, 1, 3]);
         assert_eq!(out.data(), &[3., 5., 7.]);
     }
@@ -484,7 +416,7 @@ mod tests {
         )
         .unwrap();
         let f = Tensor::from_vec(Shape::new(vec![2, 1, 1]), vec![1., 1.]).unwrap();
-        let out = data.conv1d(&f, Conv1dParams::default()).unwrap();
+        let out = data.conv2d(&f, Conv2dParams::default()).unwrap();
         assert_eq!(out.data(), &[11., 22., 33.]);
     }
 
@@ -585,7 +517,7 @@ mod tests {
     fn conv_rank_validation() {
         let bad = Tensor::zeros(Shape::new(vec![2, 2]));
         let f3 = Tensor::zeros(Shape::new(vec![1, 1, 1]));
-        assert!(bad.conv1d(&f3, Conv1dParams::default()).is_err());
+        assert!(bad.conv2d(&f3, Conv2dParams::default()).is_err());
         let f4 = Tensor::zeros(Shape::new(vec![1, 1, 1, 1]));
         assert!(bad.conv2d(&f4, Conv2dParams::default()).is_err());
         assert!(bad.pool2d(PoolParams { kind: PoolKind::Max, window: 1, stride: 1 }).is_err());
@@ -601,11 +533,11 @@ mod tests {
         )
         .unwrap();
         let f = Tensor::from_vec(Shape::new(vec![1, 2, 2]), vec![1., -1., 0.5, 2.]).unwrap();
-        let whole = data.conv1d(&f, Conv1dParams::default()).unwrap();
+        let whole = data.conv2d(&f, Conv2dParams::default()).unwrap();
         let d0 = data.slice(0, 0, 1).unwrap();
         let d1 = data.slice(0, 1, 2).unwrap();
         let stitched = Tensor::concat(
-            &[d0.conv1d(&f, Conv1dParams::default()).unwrap(), d1.conv1d(&f, Conv1dParams::default()).unwrap()],
+            &[d0.conv2d(&f, Conv2dParams::default()).unwrap(), d1.conv2d(&f, Conv2dParams::default()).unwrap()],
             0,
         )
         .unwrap();
@@ -622,15 +554,15 @@ mod tests {
         )
         .unwrap();
         let f = Tensor::from_vec(Shape::new(vec![2, 1, 2]), vec![1., -1., 2., 0.5]).unwrap();
-        let whole = data.conv1d(&f, Conv1dParams::default()).unwrap();
+        let whole = data.conv2d(&f, Conv2dParams::default()).unwrap();
         let d0 = data.slice(1, 0, 1).unwrap();
         let d1 = data.slice(1, 1, 2).unwrap();
         let f0 = f.slice(0, 0, 1).unwrap();
         let f1 = f.slice(0, 1, 2).unwrap();
         let partial = d0
-            .conv1d(&f0, Conv1dParams::default())
+            .conv2d(&f0, Conv2dParams::default())
             .unwrap()
-            .add(&d1.conv1d(&f1, Conv1dParams::default()).unwrap())
+            .add(&d1.conv2d(&f1, Conv2dParams::default()).unwrap())
             .unwrap();
         assert!(partial.allclose(&whole, 1e-6));
     }

@@ -12,8 +12,9 @@
 //! computes — so all of them are bit-reproducible: a fixed f32 operation
 //! order per output element, no fused multiply-add, no data-dependent
 //! shortcut, the same bits at every vector width. Matrix multiplication is
-//! where a training step spends its time, so its six variants share one
-//! packed, register-tiled GEMM (`linalg.rs`, 4×8 on baseline x86-64, 4×16
+//! where a training step spends its time, so its one entry point (either
+//! operand transposed, batched by operand rank) runs one packed,
+//! register-tiled GEMM (`linalg.rs`, 4×8 on baseline x86-64, 4×16
 //! where AVX2 is detected at run time) that keeps that order exactly; every
 //! other kernel is a straightforward loop. Throughput numbers in the paper's
 //! evaluation still come from the cost model in `tofu-sim`, never from here.
@@ -46,8 +47,9 @@ mod shape;
 mod tensor;
 
 pub use block::copy_block;
-pub use conv::{Conv1dParams, Conv2dParams, PoolKind, PoolParams};
+pub use conv::{Conv2dParams, PoolKind, PoolParams};
 pub use error::TensorError;
+pub use linalg::Transpose;
 pub use random::SplitMix64;
 pub use reduce::ReduceKind;
 pub use shape::Shape;

@@ -1,6 +1,7 @@
-//! Matrix multiplication: six public variants over one tiled GEMM.
+//! Matrix multiplication: one entry point over one tiled GEMM.
 //!
-//! The forward and the two gradient variants (`N^T·dC` and `dC·N^T`) are the
+//! The forward product and the two transposed forms its gradients take
+//! (`N^T·dC` and `dC·N^T`) are the
 //! workhorses of the RNN and transformer benchmarks; the paper notes (§7.2)
 //! that matrix multiplication has much lower arithmetic density than
 //! convolution, which is why shrinking the batch hurts RNNs more — the
@@ -23,96 +24,63 @@
 
 use crate::{Result, Shape, Tensor, TensorError};
 
+/// Which operand of a product is read transposed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Transpose {
+    /// `a · b`.
+    NN,
+    /// `aᵀ · b`.
+    TN,
+    /// `a · bᵀ`.
+    NT,
+}
+
 impl Tensor {
-    /// Computes the matrix product `self · other` for rank-2 tensors.
-    pub fn matmul(&self, other: &Tensor) -> Result<Tensor> {
-        matmul_impl(self, other, false, false)
+    /// The matrix product `self · other`, the operand `t` names read
+    /// transposed. Two rank-2 operands give a rank-2 product; a rank-3
+    /// operand makes it batched, `out[b] = self[b] · other[b]`, where a
+    /// rank-2 other side is one matrix shared by every batch.
+    pub fn matmul(&self, other: &Tensor, t: Transpose) -> Result<Tensor> {
+        let (a, b) = (self, other);
+        let (ta, tb) = (t == Transpose::TN, t == Transpose::NT);
+        let (ra, rb) = (a.shape().rank(), b.shape().rank());
+        if !matches!((ra, rb), (2, 2) | (3, 3) | (2, 3) | (3, 2)) {
+            return Err(TensorError::Incompatible(format!(
+                "matmul requires rank-2 or rank-3 operands, got {} and {}",
+                a.shape(),
+                b.shape()
+            )));
+        }
+        let nb = match (ra, rb) {
+            (3, _) => a.shape().dim(0),
+            (_, 3) => b.shape().dim(0),
+            _ => 1,
+        };
+        if ra == 3 && rb == 3 && b.shape().dim(0) != nb {
+            return Err(TensorError::Incompatible(format!(
+                "batch dims {} vs {}",
+                nb,
+                b.shape().dim(0)
+            )));
+        }
+        let (ar, ac) = (a.shape().dim(ra - 2), a.shape().dim(ra - 1));
+        let (br, bc) = (b.shape().dim(rb - 2), b.shape().dim(rb - 1));
+        let (m, k1) = if ta { (ac, ar) } else { (ar, ac) };
+        let (k2, n) = if tb { (bc, br) } else { (br, bc) };
+        if k1 != k2 {
+            return Err(TensorError::Incompatible(format!(
+                "matmul inner dims {k1} vs {k2} (shapes {} and {})",
+                a.shape(),
+                b.shape()
+            )));
+        }
+        let mut out = vec![0.0f32; nb * m * n];
+        let a_op = Operand::new(a.data(), ac, ta, if ra == 3 { ar * ac } else { 0 });
+        let b_op = Operand::new(b.data(), bc, tb, if rb == 3 { br * bc } else { 0 });
+        gemm([nb, m, k1, n], a_op, b_op, &mut out);
+        let dims = if ra == 2 && rb == 2 { vec![m, n] } else { vec![nb, m, n] };
+        Tensor::from_vec(Shape::new(dims), out)
     }
-
-    /// Computes `self^T · other`.
-    pub fn matmul_tn(&self, other: &Tensor) -> Result<Tensor> {
-        matmul_impl(self, other, true, false)
-    }
-
-    /// Computes `self · other^T`.
-    pub fn matmul_nt(&self, other: &Tensor) -> Result<Tensor> {
-        matmul_impl(self, other, false, true)
-    }
-
-    /// Batched matrix product: `out[b] = self[b] · other[b]`. One side may be
-    /// rank 2, a matrix shared by every batch of the rank-3 other side.
-    pub fn matmul_b(&self, other: &Tensor) -> Result<Tensor> {
-        batch_matmul_impl(self, other, false, false)
-    }
-
-    /// Batched `self[b]^T · other[b]`; either side may be a shared rank-2 matrix.
-    pub fn matmul_b_tn(&self, other: &Tensor) -> Result<Tensor> {
-        batch_matmul_impl(self, other, true, false)
-    }
-
-    /// Batched `self[b] · other[b]^T`; either side may be a shared rank-2 matrix.
-    pub fn matmul_b_nt(&self, other: &Tensor) -> Result<Tensor> {
-        batch_matmul_impl(self, other, false, true)
-    }
-}
-
-fn batch_matmul_impl(a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> Result<Tensor> {
-    let (ra, rb) = (a.shape().rank(), b.shape().rank());
-    if !matches!((ra, rb), (3, 3) | (2, 3) | (3, 2)) {
-        return Err(TensorError::Incompatible(format!(
-            "batched matmul requires rank-3 operands (one may be rank 2), got {} and {}",
-            a.shape(),
-            b.shape()
-        )));
-    }
-    let nb = if ra == 3 { a.shape().dim(0) } else { b.shape().dim(0) };
-    if ra == 3 && rb == 3 && b.shape().dim(0) != nb {
-        return Err(TensorError::Incompatible(format!(
-            "batch dims {} vs {}",
-            nb,
-            b.shape().dim(0)
-        )));
-    }
-    let (ar, ac) = (a.shape().dim(ra - 2), a.shape().dim(ra - 1));
-    let (br, bc) = (b.shape().dim(rb - 2), b.shape().dim(rb - 1));
-    let (m, k1) = if ta { (ac, ar) } else { (ar, ac) };
-    let (k2, n) = if tb { (bc, br) } else { (br, bc) };
-    if k1 != k2 {
-        return Err(TensorError::Incompatible(format!(
-            "batched matmul inner dims {k1} vs {k2} (shapes {} and {})",
-            a.shape(),
-            b.shape()
-        )));
-    }
-    let mut out = vec![0.0f32; nb * m * n];
-    let a = Operand::new(a.data(), ac, ta, if ra == 3 { ar * ac } else { 0 });
-    let b = Operand::new(b.data(), bc, tb, if rb == 3 { br * bc } else { 0 });
-    gemm([nb, m, k1, n], a, b, &mut out);
-    Tensor::from_vec(Shape::new(vec![nb, m, n]), out)
-}
-
-fn matmul_impl(a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> Result<Tensor> {
-    if a.shape().rank() != 2 || b.shape().rank() != 2 {
-        return Err(TensorError::Incompatible(format!(
-            "matmul requires rank-2 operands, got {} and {}",
-            a.shape(),
-            b.shape()
-        )));
-    }
-    let (m, k1) = if ta { (a.shape().dim(1), a.shape().dim(0)) } else { (a.shape().dim(0), a.shape().dim(1)) };
-    let (k2, n) = if tb { (b.shape().dim(1), b.shape().dim(0)) } else { (b.shape().dim(0), b.shape().dim(1)) };
-    if k1 != k2 {
-        return Err(TensorError::Incompatible(format!(
-            "matmul inner dims {k1} vs {k2} (shapes {} and {})",
-            a.shape(),
-            b.shape()
-        )));
-    }
-    let mut out = vec![0.0f32; m * n];
-    let a = Operand::new(a.data(), a.shape().dim(1), ta, 0);
-    let b = Operand::new(b.data(), b.shape().dim(1), tb, 0);
-    gemm([1, m, k1, n], a, b, &mut out);
-    Tensor::from_vec(Shape::new(vec![m, n]), out)
 }
 
 /// One side of a product as a strided view: element `(r, c)` of batch `ib`
@@ -235,6 +203,7 @@ fn pack<const R: usize>(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use Transpose::{NN, NT, TN};
 
     fn m(rows: usize, cols: usize, v: Vec<f32>) -> Tensor {
         Tensor::from_vec(Shape::new(vec![rows, cols]), v).unwrap()
@@ -244,7 +213,7 @@ mod tests {
     fn matmul_basic() {
         let a = m(2, 3, vec![1., 2., 3., 4., 5., 6.]);
         let b = m(3, 2, vec![7., 8., 9., 10., 11., 12.]);
-        let c = a.matmul(&b).unwrap();
+        let c = a.matmul(&b, NN).unwrap();
         assert_eq!(c.shape().dims(), &[2, 2]);
         assert_eq!(c.data(), &[58., 64., 139., 154.]);
     }
@@ -253,36 +222,36 @@ mod tests {
     fn matmul_identity() {
         let a = m(2, 2, vec![1., 2., 3., 4.]);
         let i = m(2, 2, vec![1., 0., 0., 1.]);
-        assert_eq!(a.matmul(&i).unwrap(), a);
-        assert_eq!(i.matmul(&a).unwrap(), a);
+        assert_eq!(a.matmul(&i, NN).unwrap(), a);
+        assert_eq!(i.matmul(&a, NN).unwrap(), a);
     }
 
     #[test]
     fn transposed_variants_match_explicit_transpose() {
         let a = m(2, 3, vec![1., 2., 3., 4., 5., 6.]);
         let b = m(2, 4, vec![1., 0., 2., 1., 3., 1., 0., 2.]);
-        let expect = a.transpose().unwrap().matmul(&b).unwrap();
-        assert_eq!(a.matmul_tn(&b).unwrap(), expect);
+        let expect = a.transpose().unwrap().matmul(&b, NN).unwrap();
+        assert_eq!(a.matmul(&b, TN).unwrap(), expect);
 
         let c = m(4, 3, (0..12).map(|x| x as f32).collect());
-        let expect = a.matmul(&c.transpose().unwrap()).unwrap();
-        assert_eq!(a.matmul_nt(&c).unwrap(), expect);
+        let expect = a.matmul(&c.transpose().unwrap(), NN).unwrap();
+        assert_eq!(a.matmul(&c, NT).unwrap(), expect);
     }
 
     #[test]
     fn matmul_inner_dim_mismatch() {
         let a = m(2, 3, vec![0.0; 6]);
         let b = m(2, 3, vec![0.0; 6]);
-        assert!(a.matmul(&b).is_err());
-        assert!(a.matmul_tn(&b).is_ok());
-        assert!(a.matmul_nt(&b).is_ok());
+        assert!(a.matmul(&b, NN).is_err());
+        assert!(a.matmul(&b, TN).is_ok());
+        assert!(a.matmul(&b, NT).is_ok());
     }
 
     #[test]
-    fn matmul_requires_rank_two() {
+    fn matmul_rejects_rank_one() {
         let a = Tensor::arange(4);
         let b = m(2, 2, vec![0.0; 4]);
-        assert!(a.matmul(&b).is_err());
+        assert!(a.matmul(&b, NN).is_err());
     }
 
     #[test]
@@ -297,14 +266,14 @@ mod tests {
             (0..12).map(|x| (x as f32).cos()).collect(),
         )
         .unwrap();
-        let c = a.matmul_b(&b).unwrap();
+        let c = a.matmul(&b, NN).unwrap();
         assert_eq!(c.shape().dims(), &[2, 2, 2]);
         for ib in 0..2 {
             let ab = a.slice(0, ib, ib + 1).unwrap().reshape(Shape::new(vec![2, 3])).unwrap();
             let bb = b.slice(0, ib, ib + 1).unwrap().reshape(Shape::new(vec![3, 2])).unwrap();
             let cb = c.slice(0, ib, ib + 1).unwrap().reshape(Shape::new(vec![2, 2])).unwrap();
             // Bit-identical, not just close: same accumulation order.
-            assert_eq!(ab.matmul(&bb).unwrap(), cb);
+            assert_eq!(ab.matmul(&bb, NN).unwrap(), cb);
         }
     }
 
@@ -321,21 +290,21 @@ mod tests {
         )
         .unwrap();
         // Aᵀ·B per batch.
-        let c = a.matmul_b_tn(&b).unwrap();
+        let c = a.matmul(&b, TN).unwrap();
         assert_eq!(c.shape().dims(), &[2, 2, 4]);
         for ib in 0..2 {
             let ab = a.slice(0, ib, ib + 1).unwrap().reshape(Shape::new(vec![3, 2])).unwrap();
             let bb = b.slice(0, ib, ib + 1).unwrap().reshape(Shape::new(vec![3, 4])).unwrap();
             let cb = c.slice(0, ib, ib + 1).unwrap().reshape(Shape::new(vec![2, 4])).unwrap();
-            assert_eq!(ab.matmul_tn(&bb).unwrap(), cb);
+            assert_eq!(ab.matmul(&bb, TN).unwrap(), cb);
         }
         // A·Bᵀ per batch.
-        let d = b.matmul_b_nt(&b).unwrap();
+        let d = b.matmul(&b, NT).unwrap();
         assert_eq!(d.shape().dims(), &[2, 3, 3]);
         for ib in 0..2 {
             let bb = b.slice(0, ib, ib + 1).unwrap().reshape(Shape::new(vec![3, 4])).unwrap();
             let db = d.slice(0, ib, ib + 1).unwrap().reshape(Shape::new(vec![3, 3])).unwrap();
-            assert_eq!(bb.matmul_nt(&bb).unwrap(), db);
+            assert_eq!(bb.matmul(&bb, NT).unwrap(), db);
         }
     }
 
@@ -343,13 +312,13 @@ mod tests {
     fn batched_matmul_validates_shapes() {
         let a = Tensor::zeros(Shape::new(vec![2, 2, 3]));
         let b = Tensor::zeros(Shape::new(vec![3, 3, 2]));
-        assert!(a.matmul_b(&b).is_err(), "batch dim mismatch");
+        assert!(a.matmul(&b, NN).is_err(), "batch dim mismatch");
         let b = Tensor::zeros(Shape::new(vec![2, 2, 2]));
-        assert!(a.matmul_b(&b).is_err(), "inner dim mismatch");
+        assert!(a.matmul(&b, NN).is_err(), "inner dim mismatch");
         let r2 = Tensor::zeros(Shape::new(vec![2, 2]));
-        assert!(a.matmul_b(&r2).is_err(), "shared operand's inner dim mismatch");
-        assert!(r2.matmul_b(&r2).is_err(), "no rank-3 operand");
-        assert!(a.matmul_b(&Tensor::arange(3)).is_err(), "rank mismatch");
+        assert!(a.matmul(&r2, NN).is_err(), "shared operand's inner dim mismatch");
+        assert_eq!(r2.matmul(&r2, NN).unwrap().shape().dims(), &[2, 2], "no rank-3 operand");
+        assert!(a.matmul(&Tensor::arange(3), NN).is_err(), "rank mismatch");
     }
 
     /// Deterministic operand with exact `+0.0` and `-0.0` entries mixed in, so
@@ -405,22 +374,11 @@ mod tests {
         d
     }
 
-    const VARIANTS: [(bool, bool); 3] = [(false, false), (true, false), (false, true)];
+    const VARIANTS: [Transpose; 3] = [NN, TN, NT];
 
-    fn rank2(a: &Tensor, b: &Tensor, (ta, tb): (bool, bool)) -> Result<Tensor> {
-        match (ta, tb) {
-            (false, false) => a.matmul(b),
-            (true, false) => a.matmul_tn(b),
-            _ => a.matmul_nt(b),
-        }
-    }
-
-    fn rank3(a: &Tensor, b: &Tensor, (ta, tb): (bool, bool)) -> Result<Tensor> {
-        match (ta, tb) {
-            (false, false) => a.matmul_b(b),
-            (true, false) => a.matmul_b_tn(b),
-            _ => a.matmul_b_nt(b),
-        }
+    /// Whether `t` reads the left and the right operand transposed.
+    fn flags(t: Transpose) -> (bool, bool) {
+        (t == TN, t == NT)
     }
 
     proptest! {
@@ -432,10 +390,11 @@ mod tests {
         fn rank2_variants_match_the_scalar_reference_bit_for_bit(
             m in 0usize..41, k in 0usize..41, n in 0usize..41, seed in 0u64..1_000_000,
         ) {
-            for (ta, tb) in VARIANTS {
+            for t in VARIANTS {
+                let (ta, tb) = flags(t);
                 let a = operand(&dims_of(None, m, k, ta), seed);
                 let b = operand(&dims_of(None, k, n, tb), seed + 1);
-                let c = rank2(&a, &b, (ta, tb)).unwrap();
+                let c = a.matmul(&b, t).unwrap();
                 prop_assert_eq!(c.shape().dims(), &[m, n]);
                 prop_assert_eq!(bits(&c), reference([1, m, k, n], (&a, ta), (&b, tb)));
             }
@@ -448,10 +407,11 @@ mod tests {
             nb in 0usize..4, m in 0usize..41, k in 0usize..41, n in 0usize..41,
             shared in 0usize..3, seed in 0u64..1_000_000,
         ) {
-            for (ta, tb) in VARIANTS {
+            for t in VARIANTS {
+                let (ta, tb) = flags(t);
                 let a = operand(&dims_of((shared != 1).then_some(nb), m, k, ta), seed);
                 let b = operand(&dims_of((shared != 2).then_some(nb), k, n, tb), seed + 1);
-                let c = rank3(&a, &b, (ta, tb)).unwrap();
+                let c = a.matmul(&b, t).unwrap();
                 prop_assert_eq!(c.shape().dims(), &[nb, m, n]);
                 prop_assert_eq!(bits(&c), reference([nb, m, k, n], (&a, ta), (&b, tb)));
             }
@@ -483,26 +443,26 @@ mod tests {
         // The four that panicked in the old pack blocks ("chunk size must be
         // non-zero"), then every extent zeroed in turn.
         let z = |d: &[usize]| Tensor::zeros(Shape::new(d.to_vec()));
-        z(&[3, 0]).matmul_tn(&z(&[3, 4])).unwrap();
-        z(&[2, 0]).matmul_nt(&z(&[5, 0])).unwrap();
-        z(&[2, 3, 0]).matmul_b_tn(&z(&[2, 3, 4])).unwrap();
-        z(&[2, 3, 0]).matmul_b_nt(&z(&[2, 5, 0])).unwrap();
+        z(&[3, 0]).matmul(&z(&[3, 4]), TN).unwrap();
+        z(&[2, 0]).matmul(&z(&[5, 0]), NT).unwrap();
+        z(&[2, 3, 0]).matmul(&z(&[2, 3, 4]), TN).unwrap();
+        z(&[2, 3, 0]).matmul(&z(&[2, 5, 0]), NT).unwrap();
         // Whatever survives a zero extent (only `k = 0` leaves elements) is `+0.0`.
         for zeroed in 0..4 {
             let mut d = [2, 3, 4, 5];
             d[zeroed] = 0;
             let [nb, m, k, n] = d;
-            for (ta, tb) in VARIANTS {
+            for t in VARIANTS {
+                let (ta, tb) = flags(t);
                 let full = |nb, r, c, t, v| Tensor::full(Shape::new(dims_of(nb, r, c, t)), v);
                 let (a3, b3) = (full(Some(nb), m, k, ta, -1.0), full(Some(nb), k, n, tb, 1.0));
-                let c3 = rank3(&a3, &b3, (ta, tb)).unwrap();
+                let c3 = a3.matmul(&b3, t).unwrap();
                 assert_eq!(c3.shape().dims(), &[nb, m, n]);
                 assert!(bits(&c3).iter().all(|&w| w == 0), "{d:?}: not all +0.0");
                 if zeroed == 0 {
                     continue; // `nb` is not an extent of the rank-2 forms
                 }
-                let c2 = rank2(&full(None, m, k, ta, -1.0), &full(None, k, n, tb, 1.0), (ta, tb))
-                    .unwrap();
+                let c2 = full(None, m, k, ta, -1.0).matmul(&full(None, k, n, tb, 1.0), t).unwrap();
                 assert_eq!(c2.shape().dims(), &[m, n]);
                 assert!(bits(&c2).iter().all(|&w| w == 0), "{d:?}: not all +0.0");
             }
@@ -515,18 +475,18 @@ mod tests {
         // B, and reduction over the inner dimension all reassemble to C.
         let a = m(4, 4, (0..16).map(|x| (x as f32).sin()).collect());
         let b = m(4, 4, (0..16).map(|x| (x as f32).cos()).collect());
-        let c = a.matmul(&b).unwrap();
+        let c = a.matmul(&b, NN).unwrap();
 
         // Row split of A -> row-concat of C.
         let a0 = a.slice(0, 0, 2).unwrap();
         let a1 = a.slice(0, 2, 4).unwrap();
-        let c_rows = Tensor::concat(&[a0.matmul(&b).unwrap(), a1.matmul(&b).unwrap()], 0).unwrap();
+        let c_rows = Tensor::concat(&[a0.matmul(&b, NN).unwrap(), a1.matmul(&b, NN).unwrap()], 0).unwrap();
         assert!(c_rows.allclose(&c, 1e-5));
 
         // Column split of B -> column-concat of C.
         let b0 = b.slice(1, 0, 2).unwrap();
         let b1 = b.slice(1, 2, 4).unwrap();
-        let c_cols = Tensor::concat(&[a.matmul(&b0).unwrap(), a.matmul(&b1).unwrap()], 1).unwrap();
+        let c_cols = Tensor::concat(&[a.matmul(&b0, NN).unwrap(), a.matmul(&b1, NN).unwrap()], 1).unwrap();
         assert!(c_cols.allclose(&c, 1e-5));
 
         // Inner split -> partial sums reduce to C (Case-2, output reduction).
@@ -534,7 +494,7 @@ mod tests {
         let ak1 = a.slice(1, 2, 4).unwrap();
         let bk0 = b.slice(0, 0, 2).unwrap();
         let bk1 = b.slice(0, 2, 4).unwrap();
-        let c_red = ak0.matmul(&bk0).unwrap().add(&ak1.matmul(&bk1).unwrap()).unwrap();
+        let c_red = ak0.matmul(&bk0, NN).unwrap().add(&ak1.matmul(&bk1, NN).unwrap()).unwrap();
         assert!(c_red.allclose(&c, 1e-5));
     }
 }

@@ -40,7 +40,7 @@ impl SplitMix64 {
     /// A value in `[lo, hi)` from the top 24 bits of the next word, so the
     /// fraction is exactly below 1; a draw that rounds up to `hi` returns
     /// `lo`.
-    pub fn uniform(&mut self, lo: f32, hi: f32) -> f32 {
+    pub(crate) fn uniform(&mut self, lo: f32, hi: f32) -> f32 {
         assert!(lo < hi, "empty range [{lo}, {hi})");
         let u = (self.next_u64() >> 40) as f32 / (1u64 << 24) as f32;
         let v = lo + (hi - lo) * u;

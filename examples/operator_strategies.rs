@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example operator_strategies`
 
 use tofu::tdl::{discover_strategies, DescBuilder, InputRequirement, Reducer};
-use tofu::tensor::{Conv1dParams, Shape, Tensor};
+use tofu::tensor::{Conv2dParams, Shape, Tensor};
 
 fn main() {
     // Fig. 3 of the paper:
@@ -42,15 +42,16 @@ fn main() {
         println!("  {:<10} -> {}", s.id, inputs.join(", "));
     }
 
-    // Numeric check of Fig. 2(a): batch split, outputs concatenated.
+    // Numeric check of Fig. 2(a): batch split, outputs concatenated. On
+    // rank-3 operands the convolution kernel is conv1d.
     let data = Tensor::random(Shape::new(vec![4, 3, 10]), 1, 1.0);
     let filters = Tensor::random(Shape::new(vec![3, 8, 3]), 2, 0.5);
-    let p = Conv1dParams::default();
-    let whole = data.conv1d(&filters, p).unwrap();
+    let p = Conv2dParams::default();
+    let whole = data.conv2d(&filters, p).unwrap();
 
     let halves = data.split(0, 2).unwrap();
     let out = Tensor::concat(
-        &[halves[0].conv1d(&filters, p).unwrap(), halves[1].conv1d(&filters, p).unwrap()],
+        &[halves[0].conv2d(&filters, p).unwrap(), halves[1].conv2d(&filters, p).unwrap()],
         0,
     )
     .unwrap();
@@ -60,9 +61,9 @@ fn main() {
     // Numeric check of Fig. 2(b): channel split, outputs reduced.
     let d = data.split(1, 3).unwrap();
     let f = filters.split(0, 3).unwrap();
-    let mut partial = d[0].conv1d(&f[0], p).unwrap();
+    let mut partial = d[0].conv2d(&f[0], p).unwrap();
     for i in 1..3 {
-        partial = partial.add(&d[i].conv1d(&f[i], p).unwrap()).unwrap();
+        partial = partial.add(&d[i].conv2d(&f[i], p).unwrap()).unwrap();
     }
     assert!(partial.allclose(&whole, 1e-5));
     println!("Fig. 2(b) check: channel-split partial outputs sum to the exact result");
